@@ -34,7 +34,9 @@ docs-check:
 	sh scripts/docs_check.sh
 
 # Race-detect the concurrency-bearing packages: the worker pool, the
-# numeric + retrieval layers built on it, the public API + HTTP layer
+# numeric + retrieval layers built on it (the randomized SVD's panel
+# reductions and its MaxProcs-equality test included), the random
+# projection that shares those kernels, the public API + HTTP layer
 # (including the admission-gate degradation tests), the WAL, the
 # cluster router/replica (hedged fan-out, failover, breakers, the chaos
 # suite), the fault-injection harness, the metrics registry, the IVF
@@ -42,7 +44,7 @@ docs-check:
 # concurrently by the compactor and searches), the fidelity metrics,
 # and the load generator.
 race:
-	$(GO) test -race ./internal/par ./internal/sparse ./internal/mat ./internal/topk ./internal/lsi ./internal/vsm ./internal/segment ./internal/ivf ./internal/quant ./internal/eval ./internal/metrics ./internal/faultinject ./retrieval ./retrieval/cache ./retrieval/shard ./retrieval/wal ./retrieval/cluster ./retrieval/httpapi ./cmd/lsiserve ./cmd/lsiload
+	$(GO) test -race ./internal/par ./internal/sparse ./internal/mat ./internal/svd ./internal/randproj ./internal/topk ./internal/lsi ./internal/vsm ./internal/segment ./internal/ivf ./internal/quant ./internal/eval ./internal/metrics ./internal/faultinject ./retrieval ./retrieval/cache ./retrieval/shard ./retrieval/wal ./retrieval/cluster ./retrieval/httpapi ./cmd/lsiserve ./cmd/lsiload
 
 # Build the serving daemon, boot it on a free port, and curl the health
 # and search endpoints — fails on any non-200.

@@ -149,7 +149,7 @@ func NewLSIRecommender(d *Dataset, k int, seed int64) (*LSIRecommender, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("cf: rank k = %d, want >= 1", k)
 	}
-	res, err := svd.Randomized(d.Train, k, svd.RandomizedOptions{
+	res, err := svd.Randomized(d.Train.Block(), k, svd.RandomizedOptions{
 		Rng: rand.New(rand.NewSource(seed)),
 	})
 	if err != nil {

@@ -179,7 +179,7 @@ func RunEngineAblation(seed int64) (*EngineAblationResult, error) {
 			return svd.Lanczos(a, k, svd.LanczosOptions{Reorthogonalize: false, Rng: rand.New(rand.NewSource(seed))})
 		}},
 		{"randomized", func() (*svd.Result, error) {
-			return svd.Randomized(a, k, svd.RandomizedOptions{Rng: rand.New(rand.NewSource(seed))})
+			return svd.Randomized(a.Block(), k, svd.RandomizedOptions{Rng: rand.New(rand.NewSource(seed))})
 		}},
 	}
 	for _, e := range engines {

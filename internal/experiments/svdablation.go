@@ -84,7 +84,7 @@ func RunRandomizedParamAblation(seed int64) (*RandomizedParamAblationResult, err
 	out := &RandomizedParamAblationResult{K: k}
 	for _, power := range []int{1, 2, 6} {
 		for _, over := range []int{2, 10} {
-			res, err := svd.Randomized(a, k, svd.RandomizedOptions{
+			res, err := svd.Randomized(a.Block(), k, svd.RandomizedOptions{
 				PowerIters: power,
 				Oversample: over,
 				Rng:        rand.New(rand.NewSource(seed)),

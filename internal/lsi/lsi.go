@@ -61,8 +61,9 @@ type Options struct {
 	// Engine selects the SVD algorithm; the zero value is EngineAuto.
 	Engine Engine
 	// Seed seeds the randomized engines; builds are deterministic for a
-	// fixed seed and a fixed par.MaxProcs (the parallel reduction layout
-	// enters the Lanczos engine's numerics at ulp level — pin
+	// fixed seed. EngineRandomized is bitwise independent of par.MaxProcs;
+	// EngineLanczos is deterministic only for a fixed par.MaxProcs (its
+	// parallel Aᵀx reduction layout enters the numerics at ulp level — pin
 	// par.SetMaxProcs for cross-machine bitwise reproducibility). Zero
 	// means a fixed default.
 	Seed int64
@@ -129,12 +130,12 @@ func Build(a *sparse.CSR, k int, opts Options) (*Index, error) {
 			Rng:             rand.New(rand.NewSource(seed)),
 		})
 	case EngineRandomized:
-		res, err = svd.Randomized(a, k, svd.RandomizedOptions{
+		res, err = svd.Randomized(a.Block(), k, svd.RandomizedOptions{
 			Rng: rand.New(rand.NewSource(seed)),
 		})
 	case EngineAuto:
 		if k*4 <= min(n, m) || min(n, m) > 500 {
-			res, err = svd.Randomized(a, k, svd.RandomizedOptions{
+			res, err = svd.Randomized(a.Block(), k, svd.RandomizedOptions{
 				Rng: rand.New(rand.NewSource(seed)),
 			})
 		} else {
@@ -146,8 +147,13 @@ func Build(a *sparse.CSR, k int, opts Options) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lsi: SVD failed: %w", err)
 	}
-	res = res.Truncate(k)
-	return newIndex(len(res.S), n, res.U, res.S, res.DocSpace()), nil
+	// The truncated engines return exactly k triplets and Build owns the
+	// result, so neither the rank-k copy nor DocSpace's clone of V is
+	// needed: two fewer docs×k allocations per build and per compaction.
+	if len(res.S) > k {
+		res = res.Truncate(k)
+	}
+	return newIndex(len(res.S), n, res.U, res.S, res.TakeDocSpace()), nil
 }
 
 // BuildFromCorpus builds the term-document matrix of c with the given

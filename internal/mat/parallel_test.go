@@ -76,15 +76,19 @@ func TestMulTParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestMulTParallelIsDeterministic(t *testing.T) {
-	forceParallel(t)
+func TestMulTParallelIndependentOfMaxProcs(t *testing.T) {
 	rng := rand.New(rand.NewSource(158))
-	a := randDense(3000, 40, rng)
+	a := randDense(3000, 40, rng) // six row panels
 	b := randDense(3000, 30, rng)
-	first := MulTParallel(a, b)
-	for trial := 0; trial < 5; trial++ {
-		if !EqualApprox(MulTParallel(a, b), first, 0) {
-			t.Fatalf("trial %d: MulTParallel not bitwise-deterministic for fixed MaxProcs", trial)
+	var first *Dense
+	for _, procs := range []int{1, 2, 8, 8} {
+		old := par.SetMaxProcs(procs)
+		got := MulTParallel(a, b)
+		par.SetMaxProcs(old)
+		if first == nil {
+			first = got
+		} else if !EqualApprox(got, first, 0) {
+			t.Fatalf("MaxProcs=%d: MulTParallel not bitwise equal to the MaxProcs=1 result", procs)
 		}
 	}
 }

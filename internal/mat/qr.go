@@ -3,6 +3,8 @@ package mat
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/par"
 )
 
 // QR computes the thin Householder QR factorization a = Q*R, where Q is
@@ -113,11 +115,21 @@ func QR(a *Dense) (q, r *Dense) {
 }
 
 // OrthonormalizeCols runs modified Gram-Schmidt on the columns of a in
-// place, returning the number of columns that survived (columns that were
-// linearly dependent on earlier ones, within tol, are zeroed).
-// It is a cheaper alternative to QR when R is not needed, e.g. for
-// reorthogonalization inside the Lanczos iteration.
+// place, returning the number of columns that survived. A column that is
+// linearly dependent on earlier ones — what is left of it after projecting
+// them out is at most tol times its original norm — is zeroed; the
+// relative test keeps the outcome independent of the matrix's scale.
+// It is the serial reference for QRInPlace, and the path QRInPlace takes
+// when its Cholesky factorization breaks down.
 func OrthonormalizeCols(a *Dense, tol float64) int {
+	return mgs(a, tol, nil)
+}
+
+// mgs is OrthonormalizeCols that also accumulates, when r is a zeroed
+// n×n matrix, the upper-triangular factor with a_in = a_out·r: the
+// projection coefficients above the diagonal, the residual norms on it,
+// and a zero diagonal entry for every zeroed column.
+func mgs(a *Dense, tol float64, r *Dense) int {
 	m, n := a.Dims()
 	// Column-major scratch for contiguous inner loops.
 	w := make([]float64, m*n)
@@ -131,6 +143,7 @@ func OrthonormalizeCols(a *Dense, tol float64) int {
 	zeroed := make([]bool, n)
 	for j := 0; j < n; j++ {
 		cj := w[j*m : (j+1)*m]
+		orig := Norm(cj)
 		// Two rounds of MGS against all previous kept columns ("twice is
 		// enough" reorthogonalization).
 		for pass := 0; pass < 2; pass++ {
@@ -149,10 +162,13 @@ func OrthonormalizeCols(a *Dense, tol float64) int {
 				for i := 0; i < m; i++ {
 					cj[i] -= dot * cp[i]
 				}
+				if r != nil {
+					r.data[p*n+j] += dot
+				}
 			}
 		}
 		nrm := Norm(cj)
-		if nrm <= tol {
+		if nrm <= tol*orig {
 			for i := range cj {
 				cj[i] = 0
 			}
@@ -161,6 +177,9 @@ func OrthonormalizeCols(a *Dense, tol float64) int {
 		}
 		for i := range cj {
 			cj[i] /= nrm
+		}
+		if r != nil {
+			r.data[j*n+j] = nrm
 		}
 		kept++
 	}
@@ -171,4 +190,104 @@ func OrthonormalizeCols(a *Dense, tol float64) int {
 		}
 	}
 	return kept
+}
+
+// cholBreakdown is the relative pivot below which cholQR gives up: a
+// pivot of ρ·G[j][j] means column j keeps a fraction √ρ of its length
+// after projecting out the earlier columns, and one Cholesky pass leaves
+// an orthogonality error of order ε/ρ for the second pass to remove.
+// 1e-10 keeps that error near 1e-6, far inside what the second pass
+// corrects to machine precision.
+const cholBreakdown = 1e-10
+
+// QRInPlace overwrites a (m×n) with the orthonormal factor Q of its thin
+// QR factorization and returns the n×n upper-triangular R with
+// a_in = Q·R, plus the number of nonzero columns of Q. It is the blocked,
+// parallel replacement for OrthonormalizeCols on tall matrices:
+// CholeskyQR2 — twice, form the Gram matrix G = aᵀa over fixed row panels
+// summed in panel order, factor G = RᵀR, and solve a ← a·R⁻¹ row by row —
+// working on a itself with O(n²) scratch, and bitwise independent of
+// par.MaxProcs.
+//
+// CholeskyQR squares the condition number, so it cannot handle columns
+// that are (nearly) dependent. It notices from its own pivots: when one
+// falls below cholBreakdown relative to its diagonal entry, the remaining
+// work is handed to the modified Gram-Schmidt of OrthonormalizeCols,
+// whose semantics then apply — columns dependent on earlier ones within
+// tol (relative to their own norm) are zeroed in Q and get a zero diagonal
+// entry in R. On well-conditioned input every column survives and tol
+// plays no part.
+func QRInPlace(a *Dense, tol float64) (r *Dense, kept int) {
+	n := a.cols
+	r = Identity(n)
+	for pass := 0; pass < 2; pass++ {
+		g, ok := cholQR(a)
+		if !ok {
+			rm := NewDense(n, n)
+			kept = mgs(a, tol, rm)
+			return Mul(rm, r), kept
+		}
+		r = Mul(g, r)
+	}
+	return r, n
+}
+
+// cholQR is one CholeskyQR pass: it overwrites a with a·R⁻¹ and returns
+// R, the upper-triangular Cholesky factor of aᵀa. On a pivot breakdown it
+// returns false and leaves a untouched.
+func cholQR(a *Dense) (*Dense, bool) {
+	n := a.cols
+	g := NewDense(n, n)
+	panelReduce(a.rows, g.data, func(lo, hi int, acc []float64) {
+		for k := lo; k < hi; k++ {
+			x := a.data[k*n : (k+1)*n]
+			for i, xi := range x {
+				Axpy(xi, x[i:], acc[i*n+i:(i+1)*n])
+			}
+		}
+	})
+	if !cholUpper(g) {
+		return nil, false
+	}
+	// Row-wise forward substitution x·R = a_row, as one axpy per column
+	// of the row so the inner loop streams over a contiguous row of R.
+	par.For(a.rows, par.GrainFor(n*n/2+1), func(lo, hi int) {
+		for k := lo; k < hi; k++ {
+			x := a.data[k*n : (k+1)*n]
+			for i := range x {
+				ri := g.data[i*n : (i+1)*n]
+				xi := x[i] / ri[i]
+				x[i] = xi
+				Axpy(-xi, ri[i+1:], x[i+1:])
+			}
+		}
+	})
+	return g, true
+}
+
+// cholUpper overwrites g, the upper triangle of a symmetric positive
+// definite matrix over a zero lower triangle, with its Cholesky factor R
+// (g = RᵀR). It returns false, leaving g in an unspecified state, when a
+// pivot is not above cholBreakdown times its original diagonal entry
+// (which also catches NaNs).
+func cholUpper(g *Dense) bool {
+	n := g.rows
+	for j := 0; j < n; j++ {
+		rj := g.data[j*n : (j+1)*n]
+		// Left-looking: the pivot and row j of R from the j rows above.
+		diag := rj[j]
+		for p := 0; p < j; p++ {
+			rp := g.data[p*n : (p+1)*n]
+			Axpy(-rp[j], rp[j:], rj[j:])
+		}
+		if !(rj[j] > cholBreakdown*diag) {
+			return false
+		}
+		d := math.Sqrt(rj[j])
+		rj[j] = d
+		for c := j + 1; c < n; c++ {
+			rj[c] /= d
+		}
+	}
+	return true
 }

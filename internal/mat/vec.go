@@ -39,6 +39,11 @@ func Norm(x []float64) float64 {
 }
 
 // Axpy computes y += alpha*x in place. It panics on length mismatch.
+// It is the inner loop of the block kernels (CSR·dense products, the Gram
+// matrix and triangular solve of QRInPlace), so it is unrolled four-wide
+// over fixed-size sub-slices — one bounds check per four elements; each
+// element is still one multiply and one add, so the result does not
+// depend on the unrolling.
 func Axpy(alpha float64, x, y []float64) {
 	if len(x) != len(y) {
 		panic(fmt.Sprintf("mat: Axpy length mismatch %d vs %d", len(x), len(y)))
@@ -46,8 +51,17 @@ func Axpy(alpha float64, x, y []float64) {
 	if alpha == 0 {
 		return
 	}
-	for i, xv := range x {
-		y[i] += alpha * xv
+	i := 0
+	for ; i+4 <= len(x); i += 4 {
+		xs := x[i : i+4 : i+4]
+		ys := y[i : i+4 : i+4]
+		ys[0] += alpha * xs[0]
+		ys[1] += alpha * xs[1]
+		ys[2] += alpha * xs[2]
+		ys[3] += alpha * xs[3]
+	}
+	for ; i < len(x); i++ {
+		y[i] += alpha * x[i]
 	}
 }
 

@@ -151,13 +151,14 @@ func BenchmarkMulDenseParallelBlock50(b *testing.B) {
 	}
 }
 
-func BenchmarkTMulDenseParallelGram(b *testing.B) {
+func BenchmarkBlockOpTMulDenseGram(b *testing.B) {
 	// Parallel counterpart of BenchmarkTMulDenseGram.
 	m := benchCSR(b, 2000, 500, 0.04)
 	d := m.ToDense()
+	op := m.Block()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.TMulDenseParallel(d)
+		op.TMulDense(d)
 	}
 }
 

@@ -87,58 +87,19 @@ func (m *CSR) MulDenseParallel(b *mat.Dense) *mat.Dense {
 		for i := lo; i < hi; i++ {
 			orow := out.Row(i)
 			for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
-				v := m.vals[p]
-				brow := b.Row(m.colIdx[p])
-				for j, bv := range brow {
-					orow[j] += v * bv
-				}
+				mat.Axpy(m.vals[p], b.Row(m.colIdx[p]), orow)
 			}
 		}
 	})
-	return out
-}
-
-// TMulDenseParallel returns Aᵀ·B like TMulDense. Each chunk of rows
-// scatters into its own cols×bc accumulator and the accumulators are
-// combined in chunk order — bitwise-deterministic for a fixed
-// par.MaxProcs, ulp-level different from the serial TMulDense. The
-// bounded chunking keeps at most ~MaxProcs accumulators (cols·bc floats
-// each) live at once.
-func (m *CSR) TMulDenseParallel(b *mat.Dense) *mat.Dense {
-	br, bc := b.Dims()
-	if len(m.vals)*bc < parMinNNZ || par.MaxProcs() == 1 || m.rows != br {
-		return m.TMulDense(b)
-	}
-	parts := par.MapChunksBounded(m.rows, rowGrain, func(lo, hi int) []float64 {
-		acc := make([]float64, m.cols*bc)
-		for i := lo; i < hi; i++ {
-			brow := b.Row(i)
-			for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
-				v := m.vals[p]
-				arow := acc[m.colIdx[p]*bc : (m.colIdx[p]+1)*bc]
-				for j, bv := range brow {
-					arow[j] += v * bv
-				}
-			}
-		}
-		return acc
-	})
-	out := mat.NewDense(m.cols, bc)
-	od := out.RawData()
-	for _, acc := range parts {
-		for j, v := range acc {
-			od[j] += v
-		}
-	}
 	return out
 }
 
 // ParOp wraps a CSR matrix as a linear operator (svd.Op shaped: Dims,
 // MulVec, MulTVec) whose products run on the parallel kernels. Hand it to
-// the Lanczos or randomized SVD engines to parallelize their inner matvec
-// loop; note the MulTVec side is deterministic per fixed par.MaxProcs but
-// not bitwise-equal to the serial operator, so golden-value tests should
-// keep using the CSR directly.
+// the Lanczos engine to parallelize its inner matvec loop (the randomized
+// engine takes a BlockOp); note the MulTVec side is deterministic per
+// fixed par.MaxProcs but not bitwise-equal to the serial operator, so
+// golden-value tests should keep using the CSR directly.
 type ParOp struct {
 	M *CSR
 }
@@ -154,3 +115,27 @@ func (o ParOp) MulVec(x []float64) []float64 { return o.M.MulVecParallel(x) }
 
 // MulTVec returns Aᵀ·x via the chunked-reduction parallel kernel.
 func (o ParOp) MulTVec(x []float64) []float64 { return o.M.MulTVecParallel(x) }
+
+// BlockOp is a CSR matrix as a block operator (svd.BlockOp shaped: Dims,
+// MulDense, TMulDense) for the randomized SVD engine. Both products run
+// on MulDenseParallel — Aᵀ·B over a transpose materialised once, when
+// Block is called — so each is a gather with disjoint output rows. Every
+// output element is summed in the serial kernels' order, so results are
+// bitwise identical to the CSR's own MulDense and TMulDense for any
+// par.MaxProcs.
+type BlockOp struct {
+	a, at *CSR
+}
+
+// Block returns the matrix as a block operator, transposing it once;
+// the transpose lives as long as the returned value.
+func (m *CSR) Block() BlockOp { return BlockOp{a: m, at: m.T()} }
+
+// Dims returns (rows, cols).
+func (o BlockOp) Dims() (int, int) { return o.a.Dims() }
+
+// MulDense returns A·B via the row-blocked parallel kernel.
+func (o BlockOp) MulDense(b *mat.Dense) *mat.Dense { return o.a.MulDenseParallel(b) }
+
+// TMulDense returns Aᵀ·B via the same kernel over the transpose.
+func (o BlockOp) TMulDense(b *mat.Dense) *mat.Dense { return o.at.MulDenseParallel(b) }

@@ -114,24 +114,28 @@ func TestMulDenseParallelBitwiseMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestTMulDenseParallelMatchesSerial(t *testing.T) {
-	withProcs(t, 4)
+func TestBlockOpBitwiseMatchesSerialForAnyProcs(t *testing.T) {
 	m := parCSR(t, 2000, 500, 0.04, 36)
 	rng := rand.New(rand.NewSource(37))
-	b := mat.NewDense(2000, 20)
-	d := b.RawData()
-	for i := range d {
-		d[i] = rng.NormFloat64()
+	b := mat.NewDense(500, 20)
+	c := mat.NewDense(2000, 20)
+	for _, d := range [][]float64{b.RawData(), c.RawData()} {
+		for i := range d {
+			d[i] = rng.NormFloat64()
+		}
 	}
-	got := m.TMulDenseParallel(b)
-	want := m.TMulDense(b)
-	if !mat.EqualApprox(got, want, 1e-10) {
-		t.Fatal("TMulDenseParallel differs from TMulDense beyond tolerance")
-	}
-	first := m.TMulDenseParallel(b)
-	for trial := 0; trial < 5; trial++ {
-		if !mat.EqualApprox(m.TMulDenseParallel(b), first, 0) {
-			t.Fatalf("trial %d: TMulDenseParallel not deterministic", trial)
+	wantMul, wantTMul := m.MulDense(b), m.TMulDense(c)
+	for _, procs := range []int{1, 2, 8} {
+		withProcs(t, procs)
+		op := m.Block()
+		if r, cc := op.Dims(); r != 2000 || cc != 500 {
+			t.Fatalf("BlockOp dims %dx%d", r, cc)
+		}
+		if !mat.EqualApprox(op.MulDense(b), wantMul, 0) {
+			t.Fatalf("procs=%d: BlockOp.MulDense not bitwise equal to MulDense", procs)
+		}
+		if !mat.EqualApprox(op.TMulDense(c), wantTMul, 0) {
+			t.Fatalf("procs=%d: BlockOp.TMulDense not bitwise equal to TMulDense", procs)
 		}
 	}
 }
@@ -160,7 +164,7 @@ func TestParallelDimensionPanics(t *testing.T) {
 		"MulVecParallel":    func() { m.MulVecParallel(make([]float64, 499)) },
 		"MulTVecParallel":   func() { m.MulTVecParallel(make([]float64, 1999)) },
 		"MulDenseParallel":  func() { m.MulDenseParallel(mat.NewDense(499, 10)) },
-		"TMulDenseParallel": func() { m.TMulDenseParallel(mat.NewDense(1999, 10)) },
+		"BlockOp.TMulDense": func() { m.Block().TMulDense(mat.NewDense(1999, 10)) },
 	} {
 		func() {
 			defer func() {

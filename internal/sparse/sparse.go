@@ -6,8 +6,8 @@
 // sparsity, which the CSR type here provides.
 //
 // Matrices are built through a COO accumulator and frozen into immutable
-// CSR form. CSR satisfies svd.Op, so the Lanczos and randomized truncated
-// SVD engines run on it directly.
+// CSR form. CSR satisfies svd.Op and, through Block, svd.BlockOp, so the
+// Lanczos and randomized truncated SVD engines run on it directly.
 package sparse
 
 import (
@@ -52,20 +52,13 @@ func (a *COO) Add(i, j int, v float64) {
 func (a *COO) NNZ() int { return len(a.vals) }
 
 // ToCSR freezes the accumulator into compressed sparse row form, summing
-// duplicates and dropping entries that cancel to zero.
+// duplicates in insertion order and dropping entries that cancel to zero.
 func (a *COO) ToCSR() *CSR {
 	n := len(a.vals)
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(x, y int) bool {
-		ix, iy := order[x], order[y]
-		if a.ri[ix] != a.ri[iy] {
-			return a.ri[ix] < a.ri[iy]
-		}
-		return a.ci[ix] < a.ci[iy]
-	})
+	// LSD radix over the entry permutation: a stable counting sort by
+	// column, then one by row, leaves it ordered by (row, column) with
+	// duplicates in insertion order — O(nnz + rows + cols), no comparisons.
+	order := stableByKey(stableByKey(nil, a.ci, a.cols), a.ri, a.rows)
 	rowPtr := make([]int, a.rows+1)
 	colIdx := make([]int, 0, n)
 	vals := make([]float64, 0, n)
@@ -88,6 +81,33 @@ func (a *COO) ToCSR() *CSR {
 		rowPtr[i+1] += rowPtr[i]
 	}
 	return &CSR{rows: a.rows, cols: a.cols, rowPtr: rowPtr, colIdx: colIdx, vals: vals}
+}
+
+// stableByKey returns the entry indices src (nil means 0..len(key)-1)
+// reordered by ascending key[index], ties keeping their order in src:
+// one counting-sort pass over keys in [0, buckets).
+func stableByKey(src, key []int, buckets int) []int {
+	next := make([]int, buckets+1)
+	for _, k := range key {
+		next[k+1]++
+	}
+	for b := 0; b < buckets; b++ {
+		next[b+1] += next[b]
+	}
+	out := make([]int, len(key))
+	if src == nil {
+		for i, k := range key {
+			out[next[k]] = i
+			next[k]++
+		}
+		return out
+	}
+	for _, i := range src {
+		k := key[i]
+		out[next[k]] = i
+		next[k]++
+	}
+	return out
 }
 
 // CSR is an immutable sparse matrix in compressed sparse row format.
@@ -168,11 +188,7 @@ func (m *CSR) MulDense(b *mat.Dense) *mat.Dense {
 	for i := 0; i < m.rows; i++ {
 		orow := out.Row(i)
 		for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
-			v := m.vals[p]
-			brow := b.Row(m.colIdx[p])
-			for j, bv := range brow {
-				orow[j] += v * bv
-			}
+			mat.Axpy(m.vals[p], b.Row(m.colIdx[p]), orow)
 		}
 	}
 	return out

@@ -54,6 +54,33 @@ func TestCOODuplicatesSummedAndCancelled(t *testing.T) {
 	}
 }
 
+func TestCOODuplicatesSummedInInsertionOrder(t *testing.T) {
+	// Rounding makes the order observable: (1e16 + 1) − 1e16 is 0 but
+	// (1e16 − 1e16) + 1 is 1. Enough entries elsewhere that a sort with no
+	// stability guarantee would be free to reorder the three.
+	coo := NewCOO(4, 50)
+	for j := 49; j >= 0; j-- {
+		coo.Add(3, j, 1)
+		coo.Add(0, j, 2)
+	}
+	coo.Add(1, 7, 1e16)
+	coo.Add(2, 7, 1e16)
+	coo.Add(1, 7, 1)
+	coo.Add(2, 7, -1e16)
+	coo.Add(1, 7, -1e16)
+	coo.Add(2, 7, 1)
+	m := coo.ToCSR()
+	if got := m.At(1, 7); got != 0 {
+		t.Fatalf("(1e16 + 1) − 1e16 in insertion order = %v, want 0", got)
+	}
+	if got := m.At(2, 7); got != 1 {
+		t.Fatalf("(1e16 − 1e16) + 1 in insertion order = %v, want 1", got)
+	}
+	if m.NNZ() != 101 {
+		t.Fatalf("NNZ = %d, want 101", m.NNZ())
+	}
+}
+
 func TestCOOOutOfRangePanics(t *testing.T) {
 	coo := NewCOO(2, 2)
 	for i, f := range []func(){
@@ -224,8 +251,9 @@ func TestCSRSatisfiesSVDOp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var op svd.Op = s // compile-time interface check
-	res, err := svd.Randomized(op, 4, svd.RandomizedOptions{})
+	var op svd.Op = s // compile-time interface checks
+	var blk svd.BlockOp = s.Block()
+	res, err := svd.Randomized(blk, 4, svd.RandomizedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,9 @@ package svd
 import (
 	"math/rand"
 	"testing"
+	"time"
 
+	"repro/internal/corpus"
 	"repro/internal/mat"
 	"repro/internal/par"
 	"repro/internal/sparse"
@@ -90,11 +92,10 @@ func benchSparseByRow(b *testing.B, rows, cols, nnzPerRow int) *sparse.CSR {
 	return coo.ToCSR()
 }
 
-// The serial/parallel pair below times the subspace-iteration block
-// multiply at the paper-scale shape the ISSUE names: k=50 on a large
-// sparse corpus matrix. Randomized's apply/applyT fan one matvec per
-// sketch column across par workers; forcing par.SetMaxProcs(1) recovers
-// the serial path for comparison.
+// The serial/parallel pair below times subspace iteration at k=50 on a
+// large sparse matrix. Randomized's block products, Gram reduction and
+// triangular solve all fan out through par; forcing par.SetMaxProcs(1)
+// runs the same arithmetic on one goroutine for comparison.
 
 func BenchmarkRandomizedK50Serial(b *testing.B) {
 	m := benchSparseByRow(b, 20000, 4000, 20)
@@ -102,7 +103,7 @@ func BenchmarkRandomizedK50Serial(b *testing.B) {
 	defer par.SetMaxProcs(old)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Randomized(m, 50, RandomizedOptions{
+		if _, err := Randomized(m.Block(), 50, RandomizedOptions{
 			PowerIters: 2, Rng: rand.New(rand.NewSource(7)),
 		}); err != nil {
 			b.Fatal(err)
@@ -114,7 +115,7 @@ func BenchmarkRandomizedK50Parallel(b *testing.B) {
 	m := benchSparseByRow(b, 20000, 4000, 20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Randomized(m, 50, RandomizedOptions{
+		if _, err := Randomized(m.Block(), 50, RandomizedOptions{
 			PowerIters: 2, Rng: rand.New(rand.NewSource(7)),
 		}); err != nil {
 			b.Fatal(err)
@@ -132,4 +133,51 @@ func BenchmarkSymEigen200(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// ledgerShapeMatrix is the term-document matrix of the repository
+// benchmark's default scale (bench/spec.go): the paper's pure ε-separable
+// model, 64 topics × 25 terms, 51,200 documents of 50–100 tokens dealt
+// round-robin — 1,600 × 51,200 with ~3.8 M nonzeros.
+func ledgerShapeMatrix(b *testing.B) *sparse.CSR {
+	b.Helper()
+	const topics, minLen, maxLen = 64, 50, 100
+	m, err := corpus.PureSeparableModel(corpus.SeparableConfig{
+		NumTopics: topics, TermsPerTopic: 25, Epsilon: 0.1, MinLen: minLen, MaxLen: maxLen,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	m.Sampler = &corpus.RoundRobinSampler{NumTopics: topics, MinLen: minLen, MaxLen: maxLen}
+	c, err := corpus.Generate(m, topics*800, rand.New(rand.NewSource(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return corpus.TermDocMatrix(c, corpus.CountWeighting)
+}
+
+// BenchmarkRandomizedLedgerShape is retrieval.Build's SVD at the ledger's
+// scale: rank 64 (q = 74, six power iterations) on the matrix above,
+// transpose included. GB/s is the effective rate of the block products
+// alone — one A·Z and one Aᵀ·Y timed after the loop, against the nnz·q·8
+// bytes of dense operand each of them gathers.
+func BenchmarkRandomizedLedgerShape(b *testing.B) {
+	m := ledgerShapeMatrix(b)
+	const k, over = 64, 10
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Randomized(m.Block(), k, RandomizedOptions{
+			Oversample: over, Rng: rand.New(rand.NewSource(7)),
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	op := m.Block()
+	_, cols := op.Dims()
+	z := benchMatrix(b, cols, k+over)
+	start := time.Now()
+	op.TMulDense(op.MulDense(z))
+	gb := 2 * float64(m.NNZ()) * (k + over) * 8 / 1e9
+	b.ReportMetric(gb/time.Since(start).Seconds(), "GB/s")
 }

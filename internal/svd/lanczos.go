@@ -12,12 +12,8 @@ import (
 // lets the Lanczos engine run directly on sparse term-document matrices
 // without densifying them — the property that made SVDPACK practical for
 // LSI and that Section 5's running-time analysis (O(mnc) for sparse A with
-// c nonzeros per column) depends on.
-//
-// MulVec and MulTVec must be safe for concurrent calls with distinct
-// inputs: the randomized engine fans block products out across goroutines,
-// one column per call. Immutable matrices (CSR, Dense) satisfy this
-// trivially.
+// c nonzeros per column) depends on. The randomized engine multiplies whole
+// blocks instead and takes a BlockOp.
 type Op interface {
 	Dims() (rows, cols int)
 	MulVec(x []float64) []float64  // A·x,  len(x) == cols

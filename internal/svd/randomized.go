@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"repro/internal/mat"
-	"repro/internal/par"
 )
 
 // RandomizedOptions tunes the randomized subspace-iteration SVD.
@@ -21,6 +20,33 @@ type RandomizedOptions struct {
 	Rng *rand.Rand
 }
 
+// BlockOp is a linear operator applied to a block of vectors at a time:
+// the randomized engine's whole cost is 2·PowerIters+2 such products, so
+// it asks for them as one pass each over the operator rather than column
+// by column through Op. sparse.BlockOp (a CSR matrix with its transpose)
+// and DenseOp implement it; both are bitwise independent of par.MaxProcs.
+type BlockOp interface {
+	Dims() (rows, cols int)
+	MulDense(b *mat.Dense) *mat.Dense  // A·B,  b is cols×q
+	TMulDense(b *mat.Dense) *mat.Dense // Aᵀ·B, b is rows×q
+}
+
+// MulDense returns M·b, row-blocked across par workers (bitwise identical
+// to the serial product).
+func (d DenseOp) MulDense(b *mat.Dense) *mat.Dense { return mat.MulParallel(d.M, b) }
+
+// TMulDense returns Mᵀ·b, reduced over fixed row panels (bitwise identical
+// for every par.MaxProcs).
+func (d DenseOp) TMulDense(b *mat.Dense) *mat.Dense { return mat.MulTParallel(d.M, b) }
+
+// orthoTol is the fraction of a sketch column's norm that must survive
+// projecting out the earlier columns; below it the orthonormalisation's
+// Gram-Schmidt fallback zeroes the column. What remains of an exactly
+// dependent column is rounding noise near 1e-15, and normalising that
+// noise would put a direction that is not orthogonal to the others into
+// the basis of a rank-deficient operator.
+const orthoTol = 1e-12
+
 // Randomized computes the top-k singular triplets of op by randomized
 // subspace iteration (a block method in the style of Halko–Martinsson–
 // Tropp). Unlike single-vector Lanczos it is robust to clustered singular
@@ -28,7 +54,12 @@ type RandomizedOptions struct {
 // give k nearly equal top singular values — so the experiment harness uses
 // it as the default truncated engine, with Lanczos kept as the
 // SVDPACK-faithful alternative.
-func Randomized(op Op, k int, opts RandomizedOptions) (*Result, error) {
+//
+// Each half-iteration is one block product and one blocked
+// orthonormalisation (mat.QRInPlace) in place, so at most three
+// cols×q-sized buffers are live at a time, and the output is bitwise
+// independent of par.MaxProcs.
+func Randomized(op BlockOp, k int, opts RandomizedOptions) (*Result, error) {
 	rows, cols := op.Dims()
 	if rows == 0 || cols == 0 {
 		return &Result{U: mat.NewDense(rows, 0), S: nil, V: mat.NewDense(cols, 0)}, nil
@@ -54,64 +85,43 @@ func Randomized(op Op, k int, opts RandomizedOptions) (*Result, error) {
 		rng = rand.New(rand.NewSource(1729))
 	}
 
-	// Y = A·Ω with Gaussian Ω, then alternate Y ← A·orth(Aᵀ·orth(Y)).
-	y := mat.NewDense(rows, q)
-	buf := make([]float64, cols)
-	for j := 0; j < q; j++ {
-		for i := range buf {
-			buf[i] = rng.NormFloat64()
-		}
-		y.SetCol(j, op.MulVec(buf))
-	}
+	// Y = A·Ω with Gaussian Ω (dropped as soon as it is multiplied), then
+	// alternate Y ← A·orth(Aᵀ·orth(Y)).
+	y := op.MulDense(gaussian(cols, q, rng))
 	for it := 0; it < power; it++ {
-		mat.OrthonormalizeCols(y, 1e-300)
-		z := applyT(op, y) // Z = Aᵀ·Y, cols×q
-		mat.OrthonormalizeCols(z, 1e-300)
-		y = apply(op, z) // Y = A·Z, rows×q
+		mat.QRInPlace(y, orthoTol)
+		z := op.TMulDense(y) // cols×q
+		mat.QRInPlace(z, orthoTol)
+		y = op.MulDense(z) // rows×q
 	}
-	mat.OrthonormalizeCols(y, 1e-300)
+	mat.QRInPlace(y, orthoTol)
 
-	// B = Yᵀ·A computed as (Aᵀ·Y)ᵀ, then a small dense SVD of Bᵀ (cols×q):
-	// Bᵀ = V̄·Σ·Wᵀ  ⇒  A ≈ Y·B = (Y·W)·Σ·V̄ᵀ.
-	bt := applyT(op, y) // cols×q
-	small, err := Decompose(bt)
+	// B = Yᵀ·A computed as Bᵀ = Aᵀ·Y (cols×q), factored thin Bᵀ = Q·R in
+	// place so the dense SVD runs on the q×q R only:
+	// R = U_R·Σ·Wᵀ  ⇒  A ≈ Y·B = (Y·W)·Σ·(Q·U_R)ᵀ.
+	qt := op.TMulDense(y)
+	r, _ := mat.QRInPlace(qt, orthoTol)
+	small, err := Decompose(r)
 	if err != nil {
 		return nil, fmt.Errorf("svd: Randomized inner decomposition: %w", err)
 	}
 	kk := min(k, len(small.S))
 	u := mat.MulParallel(y, small.V.SliceCols(0, kk))
-	v := small.U.SliceCols(0, kk)
+	v := mat.MulParallel(qt, small.U.SliceCols(0, kk))
 	s := append([]float64(nil), small.S[:kk]...)
 	return &Result{U: u, S: s, V: v}, nil
 }
 
-// apply computes the block product A·Z column by column for an arbitrary
-// operator, fanning the q independent matvecs across par workers. Each
-// column is produced by one op.MulVec call writing a disjoint column of
-// the output, so the result is bitwise identical to the serial loop.
-func apply(op Op, z *mat.Dense) *mat.Dense {
-	rows, cols := op.Dims()
-	_, q := z.Dims()
-	out := mat.NewDense(rows, q)
-	// Each matvec reads and writes at least rows+cols values; small
-	// operators collapse to a single serial chunk.
-	par.For(q, par.GrainFor(rows+cols), func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			out.SetCol(j, op.MulVec(z.Col(j)))
+// gaussian returns a rows×q standard normal matrix, drawn column by
+// column (the order the engine has always consumed its Rng in, so a seed
+// keeps its meaning).
+func gaussian(rows, q int, rng *rand.Rand) *mat.Dense {
+	om := mat.NewDense(rows, q)
+	d := om.RawData()
+	for j := 0; j < q; j++ {
+		for i := 0; i < rows; i++ {
+			d[i*q+j] = rng.NormFloat64()
 		}
-	})
-	return out
-}
-
-// applyT computes Aᵀ·Y column by column with the same fan-out as apply.
-func applyT(op Op, y *mat.Dense) *mat.Dense {
-	rows, cols := op.Dims()
-	_, q := y.Dims()
-	out := mat.NewDense(cols, q)
-	par.For(q, par.GrainFor(rows+cols), func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			out.SetCol(j, op.MulTVec(y.Col(j)))
-		}
-	})
-	return out
+	}
+	return om
 }

@@ -60,30 +60,34 @@ func (r *Result) Truncate(k int) *Result {
 
 // Reconstruct returns U·diag(S)·Vᵀ.
 func (r *Result) Reconstruct() *mat.Dense {
-	us := r.U.Clone()
-	rows, k := us.Dims()
-	for i := 0; i < rows; i++ {
-		row := us.Row(i)
-		for j := 0; j < k; j++ {
-			row[j] *= r.S[j]
-		}
-	}
-	return mat.MulBT(us, r.V)
+	return mat.MulBT(scaleCols(r.U.Clone(), r.S), r.V)
 }
 
 // DocSpace returns diag(S)·Vᵀ transposed, i.e. the cols×k matrix whose i-th
 // row is the LSI-space representation of column i of the original matrix
 // (the "rows of VₖDₖ" the paper uses to represent documents).
 func (r *Result) DocSpace() *mat.Dense {
-	vs := r.V.Clone()
-	rows, k := vs.Dims()
+	return scaleCols(r.V.Clone(), r.S)
+}
+
+// TakeDocSpace is DocSpace for a caller that is done with r.V: it scales V
+// in place and returns it, leaving r.V nil, which saves the cols×k copy.
+func (r *Result) TakeDocSpace() *mat.Dense {
+	v := r.V
+	r.V = nil
+	return scaleCols(v, r.S)
+}
+
+// scaleCols multiplies column j of m by s[j] in place and returns m.
+func scaleCols(m *mat.Dense, s []float64) *mat.Dense {
+	rows, k := m.Dims()
 	for i := 0; i < rows; i++ {
-		row := vs.Row(i)
+		row := m.Row(i)
 		for j := 0; j < k; j++ {
-			row[j] *= r.S[j]
+			row[j] *= s[j]
 		}
 	}
-	return vs
+	return m
 }
 
 // sortDescending reorders a decomposition so S is descending, permuting the

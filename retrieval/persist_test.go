@@ -5,11 +5,13 @@ import (
 	"context"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
 
 	"repro/internal/ir"
+	"repro/internal/par"
 )
 
 func searchEqual(t *testing.T, a, b *Index, query string, topN int) {
@@ -29,6 +31,36 @@ func searchEqual(t *testing.T, a, b *Index, query string, topN int) {
 	for i := range ra {
 		if ra[i] != rb[i] {
 			t.Fatalf("%q result %d: %+v vs %+v", query, i, ra[i], rb[i])
+		}
+	}
+}
+
+// A fixed seed must write the same index file twice, and whatever the
+// worker count: the randomized engine's reductions run over fixed row
+// panels, not per-worker chunks. 1,200 documents put three panels on the
+// document side and clear the sparse kernels' parallel threshold.
+func TestBuildSaveBytesIndependentOfMaxProcs(t *testing.T) {
+	texts := synthTexts(1200, 41)
+	docs := make([]Document, len(texts))
+	for i, text := range texts {
+		docs[i] = Document{ID: fmt.Sprintf("d%d", i), Text: text}
+	}
+	var first []byte
+	for _, procs := range []int{1, 1, 2, 8} {
+		old := par.SetMaxProcs(procs)
+		ix, err := Build(docs, WithRank(6), WithEngine(EngineRandomized), WithSeed(7))
+		par.SetMaxProcs(old)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := ix.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = buf.Bytes()
+		} else if !bytes.Equal(buf.Bytes(), first) {
+			t.Fatalf("MaxProcs=%d: saved index differs from the first MaxProcs=1 build", procs)
 		}
 	}
 }

@@ -22,7 +22,7 @@
 #   -t <frac>   ns/op regression threshold as a fraction (default 0.20)
 #   -o <file>   write the comparison report here (default bench-gate.txt)
 #   -B <regex>  -bench regex for run mode (default: the tier-1 subset
-#               BenchmarkQueryLatency*/BenchmarkSearch*)
+#               BenchmarkQueryLatency*/BenchmarkSearch*/BenchmarkRandomized*)
 #   -c <n>      -count per side in run mode (default 5; medians damp noise)
 #   -T <dur>    -benchtime per run (default 0.3s)
 #
@@ -39,12 +39,13 @@ BASEFILE=""
 HEADFILE=""
 THRESH="0.20"
 OUT="bench-gate.txt"
-BENCH='BenchmarkQueryLatency|BenchmarkSearch|BenchmarkQuantizedScan'
+BENCH='BenchmarkQueryLatency|BenchmarkSearch|BenchmarkQuantizedScan|BenchmarkRandomized'
 COUNT=5
 TIME="0.3s"
 # The packages holding the gated benchmarks: the root suite (query
-# latency + batch), the backend hot paths, and the int8 scan kernels.
-PKGS=". ./internal/vsm ./internal/lsi ./internal/quant"
+# latency + batch), the backend hot paths, the int8 scan kernels, and the
+# randomized SVD that every build and compaction runs.
+PKGS=". ./internal/vsm ./internal/lsi ./internal/quant ./internal/svd"
 
 while getopts "r:a:b:t:o:B:c:T:" opt; do
 	case $opt in

@@ -124,7 +124,8 @@ quant-smoke:
 
 # Short local mirror of the nightly fuzz job: 30s per fuzz target (the
 # manifest loader, the query-cache key normalizer, the WAL record
-# decoder, the IVF postings decoder, and the quantized sidecar decoder).
+# decoder, the IVF postings decoder, the quantized sidecar decoder, and
+# the index file's section container and LSI decoder).
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzParseManifest -fuzztime=30s ./retrieval/shard
 	$(GO) test -run='^$$' -fuzz=FuzzQueryKeyNormalizer -fuzztime=30s ./retrieval/cache
@@ -132,3 +133,5 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzScanRecords -fuzztime=30s ./retrieval/wal
 	$(GO) test -run='^$$' -fuzz=FuzzDecodePostings -fuzztime=30s ./internal/ivf
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeQuant -fuzztime=30s ./internal/quant
+	$(GO) test -run='^$$' -fuzz=FuzzBlobSections -fuzztime=30s ./internal/blob
+	$(GO) test -run='^$$' -fuzz=FuzzLoadIndex -fuzztime=30s -fuzzminimizetime=5s ./internal/lsi

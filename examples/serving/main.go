@@ -27,8 +27,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 2. Save it: wire format v2 bundles the vocabulary, weighting, and
-	// document IDs, so the file is all a server needs.
+	// 2. Save it: the index file bundles the vocabulary, weighting, and
+	// document IDs, so it is all a server needs.
 	dir, err := os.MkdirTemp("", "lsi-serving")
 	if err != nil {
 		log.Fatal(err)

@@ -1,0 +1,265 @@
+// Package blob is the framed-section container index files are stored
+// in: a 12-byte file header (6-byte magic, uint16 version, uint32 section
+// count), then per section a 12-byte header (4-byte tag, uint64 payload
+// length), the payload zero-padded to a multiple of 8 bytes, and a CRC-32
+// (IEEE) of header, payload and padding. Everything is little-endian, and
+// a float section is the array in its in-memory layout.
+//
+// 12 + 12 and 12 + 4 are multiples of 8, so every payload starts on an
+// 8-byte file offset: a float section can later be mapped instead of read.
+package blob
+
+import (
+	"bufio"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
+	"io"
+	"math"
+	"slices"
+)
+
+const (
+	// Window is the size of the one buffer a Reader or Writer streams
+	// through; neither ever holds a second copy of an array.
+	Window = 64 << 10
+	// MagicLen is the length of the magic a file starts with.
+	MagicLen = 6
+
+	fileHeaderLen = MagicLen + 2 + 4
+	secHeaderLen  = 4 + 8
+)
+
+func padded(n uint64) uint64 { return (n + 7) &^ 7 }
+
+// EncodedSize is the exact length of a file whose sections carry payloads
+// of the given lengths.
+func EncodedSize(payloads ...int) int {
+	size := fileHeaderLen
+	for _, n := range payloads {
+		size += secHeaderLen + int(padded(uint64(n))) + crc32.Size
+	}
+	return size
+}
+
+// Writer writes one container through a bufio.Writer. Errors are sticky:
+// the first is returned by Close and later calls do nothing.
+type Writer struct {
+	bw  *bufio.Writer
+	err error
+}
+
+// NewWriter writes the file header of a container that will hold the
+// given number of sections, each with a 4-byte tag.
+func NewWriter(w io.Writer, magic [MagicLen]byte, version uint16, sections uint32) *Writer {
+	bw := bufio.NewWriterSize(w, Window)
+	hdr := append(bw.AvailableBuffer(), magic[:]...)
+	hdr = binary.LittleEndian.AppendUint16(hdr, version)
+	_, err := bw.Write(binary.LittleEndian.AppendUint32(hdr, sections))
+	return &Writer{bw: bw, err: err}
+}
+
+// write appends p to the stream and to the running checksum.
+func (w *Writer) write(crc uint32, p []byte) uint32 {
+	if w.err == nil {
+		_, w.err = w.bw.Write(p)
+	}
+	return crc32.Update(crc, crc32.IEEETable, p)
+}
+
+// begin writes a section header; end pads the payload and writes the CRC.
+func (w *Writer) begin(tag string, n int) uint32 {
+	hdr := append(w.bw.AvailableBuffer(), tag...)
+	return w.write(0, binary.LittleEndian.AppendUint64(hdr, uint64(n)))
+}
+
+func (w *Writer) end(crc uint32, n int) {
+	var zeros [8]byte
+	crc = w.write(crc, zeros[:padded(uint64(n))-uint64(n)])
+	w.write(0, binary.LittleEndian.AppendUint32(nil, crc))
+}
+
+// Bytes writes p as one section.
+func (w *Writer) Bytes(tag string, p []byte) {
+	w.end(w.write(w.begin(tag, len(p)), p), len(p))
+}
+
+// Floats writes v as one section of raw float64, converting in the
+// bufio.Writer's own buffer.
+func (w *Writer) Floats(tag string, v []float64) {
+	crc := w.begin(tag, 8*len(v))
+	for len(v) > 0 && w.err == nil {
+		buf := w.bw.AvailableBuffer()
+		if cap(buf) < 8 {
+			w.err = w.bw.Flush()
+			continue
+		}
+		n := min(len(v), cap(buf)/8)
+		for _, x := range v[:n] {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
+		}
+		crc, v = w.write(crc, buf), v[n:]
+	}
+	w.end(crc, 0)
+}
+
+// Close flushes the container and reports the first error of any call.
+func (w *Writer) Close() error {
+	if w.err != nil {
+		return w.err
+	}
+	return w.bw.Flush()
+}
+
+// Reader reads a container's sections in the order its caller names
+// them — and, because an index file may predate the container, lets the
+// caller sniff the magic first and hand the same buffered stream to a
+// legacy decoder instead. Errors are sticky: after the first, Err reports
+// it and what reads return is meaningless.
+//
+// A Reader never allocates more than a constant factor of the bytes it
+// has been given. When the source's length is known (an io.Seeker, such
+// as *os.File or *bytes.Reader) a section longer than what can still
+// arrive fails before anything is allocated; otherwise destinations grow
+// by append as the bytes come in.
+type Reader struct {
+	*bufio.Reader
+	left     int64 // bytes the source can still deliver; -1 when unknown
+	sections uint32
+	err      error
+}
+
+// NewReader wraps r. A *Reader is returned as it is, so a caller that has
+// sniffed the magic can pass its Reader down through an io.Reader
+// parameter without losing the length bound.
+func NewReader(r io.Reader) *Reader {
+	if br, ok := r.(*Reader); ok {
+		return br
+	}
+	return &Reader{Reader: bufio.NewReaderSize(r, Window), left: remaining(r)}
+}
+
+// remaining is how many bytes r can still deliver, or -1 if it cannot say.
+func remaining(r io.Reader) int64 {
+	s, ok := r.(io.Seeker)
+	if !ok {
+		return -1
+	}
+	cur, err := s.Seek(0, io.SeekCurrent)
+	if err != nil {
+		return -1
+	}
+	end, err := s.Seek(0, io.SeekEnd)
+	if _, back := s.Seek(cur, io.SeekStart); err != nil || back != nil {
+		return -1
+	}
+	return max(end-cur, 0)
+}
+
+// Err is the first error any read met.
+func (r *Reader) Err() error { return r.err }
+
+// HasMagic reports whether the stream starts with magic, consuming
+// nothing.
+func (r *Reader) HasMagic(magic [MagicLen]byte) bool {
+	head, _ := r.Peek(MagicLen)
+	return string(head) == string(magic[:])
+}
+
+// Header consumes the file header, whose magic the caller has sniffed,
+// and returns the version.
+func (r *Reader) Header() uint16 {
+	hdr := r.take(fileHeaderLen)
+	if r.err != nil {
+		return 0
+	}
+	r.sections = binary.LittleEndian.Uint32(hdr[MagicLen+2:])
+	return binary.LittleEndian.Uint16(hdr[MagicLen:])
+}
+
+// take returns the next n <= Window bytes, valid until the next call.
+func (r *Reader) take(n int) []byte {
+	if r.err != nil {
+		return nil
+	}
+	b, err := r.Peek(n)
+	if err != nil {
+		r.err = fmt.Errorf("blob: truncated: %w", io.ErrUnexpectedEOF)
+		return nil
+	}
+	r.Discard(n)
+	if r.left >= 0 {
+		r.left -= int64(n)
+	}
+	return b
+}
+
+// section reads the next section, which must carry tag and, if want >= 0,
+// want elements of size elem, handing the payload to sink a window at a
+// time. Before the first piece, alloc is told how many elements may be
+// trusted to arrive: all of them once the section is known to fit in the
+// source, one window's worth otherwise.
+func (r *Reader) section(tag string, want, elem int, alloc func(trusted int), sink func([]byte)) {
+	if r.err == nil && r.sections == 0 {
+		r.err = fmt.Errorf("blob: section %q is missing", tag)
+	}
+	hdr := r.take(secHeaderLen)
+	if r.err != nil {
+		return
+	}
+	crc := crc32.ChecksumIEEE(hdr)
+	got, n := string(hdr[:4]), binary.LittleEndian.Uint64(hdr[4:])
+	switch {
+	case got != tag:
+		r.err = fmt.Errorf("blob: section %q where %q belongs", got, tag)
+	case n > math.MaxInt64-7 || n%uint64(elem) != 0 || (want >= 0 && n/uint64(elem) != uint64(want)):
+		r.err = fmt.Errorf("blob: section %q holds %d bytes, not %d × %d", tag, n, want, elem)
+	case r.left >= 0 && padded(n) > uint64(r.left):
+		r.err = fmt.Errorf("blob: section %q claims %d bytes, only %d can follow", tag, n, r.left)
+	}
+	if r.err != nil {
+		return
+	}
+	r.sections--
+	trusted := n
+	if r.left < 0 {
+		trusted = min(n, Window)
+	}
+	alloc(int(trusted / uint64(elem)))
+	for rest := n; rest > 0 && r.err == nil; {
+		b := r.take(int(min(rest, Window)))
+		crc = crc32.Update(crc, crc32.IEEETable, b)
+		sink(b)
+		rest -= uint64(len(b))
+	}
+	tail := r.take(int(padded(n)-n) + crc32.Size)
+	if r.err == nil && crc32.Update(crc, crc32.IEEETable, tail[:len(tail)-crc32.Size]) != binary.LittleEndian.Uint32(tail[len(tail)-crc32.Size:]) {
+		r.err = fmt.Errorf("blob: section %q: checksum mismatch", tag)
+	}
+}
+
+// Bytes reads the next section, tagged tag, of n bytes (any length if
+// n < 0).
+func (r *Reader) Bytes(tag string, n int) []byte {
+	var dst []byte
+	r.section(tag, n, 1,
+		func(trusted int) { dst = make([]byte, 0, trusted) },
+		func(b []byte) { dst = append(dst, b...) })
+	return dst
+}
+
+// Floats reads the next section, tagged tag, of n float64 (any number if
+// n < 0), converting from the window straight into the returned slice.
+func (r *Reader) Floats(tag string, n int) []float64 {
+	var dst []float64
+	r.section(tag, n, 8,
+		func(trusted int) { dst = make([]float64, 0, trusted) },
+		func(b []byte) {
+			i := len(dst)
+			dst = slices.Grow(dst, len(b)/8)[:i+len(b)/8]
+			for j := range dst[i:] {
+				dst[i+j] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*j:]))
+			}
+		})
+	return dst
+}

@@ -2,20 +2,25 @@ package lsi
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"math"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/mat"
 )
 
 // testdata/index_v1.gob is a golden wire-format-v1 index written by the
 // pre-v2 Save (rank-3 dense-engine LSI over the 12-document demo corpus
 // with log weighting). It pins backward compatibility: v1 files must keep
-// loading after any future format bump.
+// loading after any future format bump. index_v2.gob is the same build
+// through the last gob writer's SaveMeta, index_v3.lsi through the first
+// container writer's.
 func TestLoadGoldenV1Index(t *testing.T) {
 	f, err := os.Open("testdata/index_v1.gob")
 	if err != nil {
@@ -103,39 +108,86 @@ func TestSaveMetaRoundTrip(t *testing.T) {
 	}
 }
 
-// Plain Save carries no metadata, so its payload is exactly v1-shaped;
-// it must stamp version 1 to stay loadable by pre-v2 readers, while
-// metadata-carrying saves claim version 2.
-func TestSaveVersionStamping(t *testing.T) {
+// Save writes wire v3 and nothing else, metadata or not: the container's
+// magic and version lead the file, EncodedSize is its exact length, and
+// loading it and saving again reproduces it byte for byte.
+func TestSaveWritesV3ByteStable(t *testing.T) {
 	c := testCorpus(t, 2, 8, 0.05, 10, 245)
 	ix, err := BuildFromCorpus(c, 2, corpus.CountWeighting, Options{Engine: EngineDense})
 	if err != nil {
 		t.Fatal(err)
 	}
-	version := func(data []byte) int {
-		var probe struct{ Version int }
-		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&probe); err != nil {
-			t.Fatal(err)
-		}
-		return probe.Version
-	}
-	var plain bytes.Buffer
-	if err := ix.Save(&plain); err != nil {
-		t.Fatal(err)
-	}
-	if v := version(plain.Bytes()); v != 1 {
-		t.Fatalf("metadata-less save stamped version %d, want 1", v)
-	}
-	var withMeta bytes.Buffer
 	vocab := make([]string, ix.NumTerms())
 	for i := range vocab {
 		vocab[i] = fmt.Sprintf("t%d", i)
 	}
-	if err := ix.SaveMeta(&withMeta, &Meta{Vocab: vocab, WeightingName: "count"}); err != nil {
-		t.Fatal(err)
+	for name, meta := range map[string]*Meta{
+		"plain": nil,
+		"meta":  {Vocab: vocab, WeightingName: "count", Stemming: true},
+	} {
+		var first bytes.Buffer
+		if err := ix.SaveMeta(&first, meta); err != nil {
+			t.Fatal(err)
+		}
+		data := first.Bytes()
+		if !bytes.HasPrefix(data, append(Magic[:], WireVersion, 0)) {
+			t.Fatalf("%s: file starts % x, want the magic and version %d", name, data[:8], WireVersion)
+		}
+		if meta == nil && len(data) != ix.EncodedSize() {
+			t.Fatalf("%s: %d bytes written, EncodedSize says %d", name, len(data), ix.EncodedSize())
+		}
+		loaded, gotMeta, err := LoadMeta(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(gotMeta, meta) {
+			t.Fatalf("%s: metadata came back as %+v", name, gotMeta)
+		}
+		var second bytes.Buffer
+		if err := loaded.SaveMeta(&second, gotMeta); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(second.Bytes(), data) {
+			t.Fatalf("%s: save, load, save changed the bytes", name)
+		}
 	}
-	if v := version(withMeta.Bytes()); v != 2 {
-		t.Fatalf("metadata save stamped version %d, want 2", v)
+}
+
+// The three generations of index file — gob v1, gob v2 with the text
+// layer, and the v3 container — were written from the same build, and
+// must load into indexes that answer bit for bit alike; v2 and v3 carry
+// the same metadata.
+func TestGoldenGenerationsAgree(t *testing.T) {
+	load := func(name string) (*Index, *Meta) {
+		f, err := os.Open("testdata/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		ix, meta, err := LoadMeta(f)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return ix, meta
+	}
+	v1, _ := load("index_v1.gob")
+	v2, meta2 := load("index_v2.gob")
+	v3, meta3 := load("index_v3.lsi")
+	if meta2 == nil || len(meta2.Vocab) != 69 || len(meta2.DocIDs) != 12 || meta2.WeightingName != "log" {
+		t.Fatalf("v2 metadata %+v", meta2)
+	}
+	if !reflect.DeepEqual(meta2, meta3) {
+		t.Fatalf("v3 metadata %+v differs from v2's %+v", meta3, meta2)
+	}
+	for name, ix := range map[string]*Index{"v2": v2, "v3": v3} {
+		if !mat.EqualApprox(ix.Basis(), v1.Basis(), 0) || !mat.EqualApprox(ix.DocVectors(), v1.DocVectors(), 0) {
+			t.Fatalf("%s arrays differ from v1's", name)
+		}
+		for j := 0; j < v1.NumDocs(); j++ {
+			if !reflect.DeepEqual(ix.SearchProjected(v1.DocVector(j), 5), v1.SearchProjected(v1.DocVector(j), 5)) {
+				t.Fatalf("%s answers query %d differently from v1", name, j)
+			}
+		}
 	}
 }
 
@@ -155,19 +207,29 @@ func TestSaveMetaValidatesDimensions(t *testing.T) {
 }
 
 func TestLoadRejectsFutureVersion(t *testing.T) {
-	var buf bytes.Buffer
+	var legacy bytes.Buffer
 	future := indexWire{
 		Version: 99, K: 1, NumTerms: 1, Sigma: []float64{1},
 		UkRows: 1, UkData: []float64{1}, DocRows: 1, DocData: []float64{1},
 	}
-	if err := gob.NewEncoder(&buf).Encode(future); err != nil {
+	if err := gob.NewEncoder(&legacy).Encode(future); err != nil {
 		t.Fatal(err)
 	}
-	_, err := Load(&buf)
-	if err == nil {
-		t.Fatal("future version should fail to load")
+	golden, err := os.ReadFile("testdata/index_v3.lsi")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(err.Error(), "version 99") {
-		t.Fatalf("error %q does not name the offending version", err)
+	binary.LittleEndian.PutUint16(golden[len(Magic):], WireVersion+1)
+	for want, data := range map[string][]byte{
+		"version 99":                             legacy.Bytes(),
+		fmt.Sprintf("version %d", WireVersion+1): golden,
+	} {
+		_, err := Load(bytes.NewReader(data))
+		if err == nil {
+			t.Fatalf("%s should fail to load", want)
+		}
+		if !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "supported: 1..3") {
+			t.Fatalf("error %q does not name %s and the supported range", err, want)
+		}
 	}
 }

@@ -1,26 +1,57 @@
 package lsi
 
 import (
+	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
 
+	"repro/internal/blob"
 	"repro/internal/mat"
 )
 
-// indexWire is the serialized form of an Index. The latent basis and the
-// document representations are stored row-major; everything an Index needs
-// to answer vector queries is included, so a loaded index serves searches
-// without access to the original matrix.
+// Wire format v3, what Save writes, is an internal/blob container of five
+// sections in this order (DESIGN.md §2 has the byte layout):
 //
-// Version history (gob matches fields by name, so older streams decode
-// into this struct with the newer fields left zero):
+//	DIMS  3 × uint64: rank k, terms n, documents m
+//	SIGM  k float64: singular values
+//	TEXT  text layer of Meta (see appendText); empty when there is none
+//	BASI  n×k float64: the basis Uₖ, row-major
+//	DOCS  m×k float64: document representations, row-major
 //
-//	v1: numeric payload only (K, NumTerms, Sigma, UkRows/UkData,
-//	    DocRows/DocData).
-//	v2: adds the optional self-containment metadata of Meta (vocabulary,
-//	    weighting, document IDs, text-pipeline flags) so a saved index can
-//	    answer *text* queries without the corpus that built it.
+// Versions 1 and 2 were one gob message (indexWire); Load still reads
+// them, nothing writes them.
+
+// Magic opens every index file Save writes.
+var Magic = [blob.MagicLen]byte{'L', 'S', 'I', 'I', 'D', 'X'}
+
+const (
+	// WireVersion is the wire-format version Save writes and the newest
+	// Load accepts; GobWireVersion is the newest a gob stream carries.
+	WireVersion    = 3
+	GobWireVersion = 2
+
+	tagDims, tagSigma, tagText, tagBasis, tagDocs = "DIMS", "SIGM", "TEXT", "BASI", "DOCS"
+
+	dimsLen = 3 * 8
+)
+
+// VersionError is the error (less the caller's prefix) for a stream of a
+// version this build cannot read, shared with the public retrieval
+// package's gob reader so the two messages can never skew.
+func VersionError(v int) error {
+	return fmt.Errorf("index format version %d is not supported by this build (supported: 1..%d); rebuild the index or upgrade",
+		v, WireVersion)
+}
+
+// indexWire is the gob message of wire versions 1 and 2 (gob matches
+// fields by name, so v1 streams decode with the v2 fields left zero):
+//
+//	v1: numeric payload only.
+//	v2: adds the optional self-containment metadata of Meta.
 type indexWire struct {
 	Version  int
 	K        int
@@ -31,21 +62,12 @@ type indexWire struct {
 	DocRows  int
 	DocData  []float64
 
-	// v2 metadata; all zero in v1 streams and in v2 streams saved
-	// without metadata.
 	Vocab           []string
 	WeightingName   string
 	DocIDs          []string
 	RemoveStopwords bool
 	Stemming        bool
 }
-
-// WireVersion is the wire-format version Save writes and the newest
-// version Load accepts. The public retrieval package's loader keys its
-// own version check off this constant so the two can never skew.
-const WireVersion = 2
-
-const wireVersion = WireVersion
 
 // Meta is the optional self-containment metadata stored alongside an index
 // by SaveMeta: everything the text layer needs to turn a query string into
@@ -68,7 +90,7 @@ type Meta struct {
 	Stemming        bool
 }
 
-// Save writes the index to w in a self-contained binary format (gob).
+// Save writes the index to w in a self-contained binary format (wire v3).
 // The original term-document matrix is not needed to use a loaded index.
 // Indexes written by Save carry no text metadata; use SaveMeta to bundle a
 // vocabulary and weighting so text queries work against the loaded index.
@@ -76,44 +98,105 @@ func (ix *Index) Save(w io.Writer) error {
 	return ix.SaveMeta(w, nil)
 }
 
+// EncodedSize is the exact number of bytes Save writes.
+func (ix *Index) EncodedSize() int {
+	return blob.EncodedSize(dimsLen, 8*len(ix.sigma), 0, 8*len(ix.uk.RawData()), 8*len(ix.docs.RawData()))
+}
+
 // SaveMeta writes the index together with optional self-containment
 // metadata (nil meta is allowed and equivalent to Save). It validates that
 // the metadata dimensions match the index before writing anything.
-//
-// Streams without metadata are stamped version 1 — their payload is
-// exactly v1-shaped, so readers built before the v2 bump keep loading
-// them; only metadata-carrying streams claim version 2.
 func (ix *Index) SaveMeta(w io.Writer, meta *Meta) error {
-	wire := indexWire{
-		Version:  1,
-		K:        ix.k,
-		NumTerms: ix.numTerms,
-		Sigma:    ix.sigma,
-		UkRows:   ix.uk.Rows(),
-		UkData:   ix.uk.RawData(),
-		DocRows:  ix.docs.Rows(),
-		DocData:  ix.docs.RawData(),
-	}
-	if meta != nil {
+	var text []byte
+	if !meta.Empty() {
 		if len(meta.Vocab) > 0 && len(meta.Vocab) != ix.numTerms {
 			return fmt.Errorf("lsi: save: vocabulary has %d terms, index has %d", len(meta.Vocab), ix.numTerms)
 		}
 		if len(meta.DocIDs) > 0 && len(meta.DocIDs) != ix.NumDocs() {
 			return fmt.Errorf("lsi: save: %d doc IDs for %d documents", len(meta.DocIDs), ix.NumDocs())
 		}
-		wire.Vocab = meta.Vocab
-		wire.WeightingName = meta.WeightingName
-		wire.DocIDs = meta.DocIDs
-		wire.RemoveStopwords = meta.RemoveStopwords
-		wire.Stemming = meta.Stemming
-		if len(meta.Vocab) > 0 || len(meta.DocIDs) > 0 || meta.WeightingName != "" {
-			wire.Version = wireVersion
-		}
+		text = appendText(nil, meta)
 	}
-	if err := gob.NewEncoder(w).Encode(wire); err != nil {
+	bw := blob.NewWriter(w, Magic, WireVersion, 5)
+	dims := make([]byte, 0, dimsLen)
+	for _, d := range [...]int{ix.k, ix.numTerms, ix.NumDocs()} {
+		dims = binary.LittleEndian.AppendUint64(dims, uint64(d))
+	}
+	bw.Bytes(tagDims, dims)
+	bw.Floats(tagSigma, ix.sigma)
+	bw.Bytes(tagText, text)
+	bw.Floats(tagBasis, ix.uk.RawData())
+	bw.Floats(tagDocs, ix.docs.RawData())
+	if err := bw.Close(); err != nil {
 		return fmt.Errorf("lsi: save: %w", err)
 	}
 	return nil
+}
+
+// Empty reports whether there is no text layer to store: a nil Meta, or
+// one without vocabulary, document IDs or weighting.
+func (m *Meta) Empty() bool {
+	return m == nil || (len(m.Vocab) == 0 && len(m.DocIDs) == 0 && m.WeightingName == "")
+}
+
+// appendText encodes the TEXT section: one flags byte (bit 0
+// RemoveStopwords, bit 1 Stemming), then three lists — the weighting
+// name alone, the vocabulary, the document IDs. A list is a uvarint
+// count and its strings, a string a uvarint length and its bytes.
+func appendText(b []byte, m *Meta) []byte {
+	var flags byte
+	if m.RemoveStopwords {
+		flags |= 1
+	}
+	if m.Stemming {
+		flags |= 2
+	}
+	b = append(b, flags)
+	for _, list := range [...][]string{{m.WeightingName}, m.Vocab, m.DocIDs} {
+		b = binary.AppendUvarint(b, uint64(len(list)))
+		for _, s := range list {
+			b = append(binary.AppendUvarint(b, uint64(len(s))), s...)
+		}
+	}
+	return b
+}
+
+// parseText decodes a TEXT section (b is not empty). All strings share
+// one copy of the section, and every count and length is checked against
+// the bytes left (a string costs at least one) before anything is sized
+// by it.
+func parseText(b []byte) (*Meta, error) {
+	s, off := string(b), 1
+	next := func() int {
+		v, w := binary.Uvarint(b[off:])
+		if w <= 0 || v > uint64(len(b)-off-w) {
+			return -1
+		}
+		off += w
+		return int(v)
+	}
+	var lists [3][]string
+	for i := range lists {
+		n := next()
+		if n > 0 {
+			lists[i] = make([]string, n)
+		}
+		for j := 0; j < len(lists[i]) && n >= 0; j++ {
+			if n = next(); n >= 0 {
+				lists[i][j], off = s[off:off+n], off+n
+			}
+		}
+		if n < 0 {
+			return nil, errors.New("corrupt text section")
+		}
+	}
+	if off != len(b) || len(lists[0]) != 1 {
+		return nil, errors.New("corrupt text section")
+	}
+	return &Meta{
+		WeightingName: lists[0][0], Vocab: lists[1], DocIDs: lists[2],
+		RemoveStopwords: b[0]&1 != 0, Stemming: b[0]&2 != 0,
+	}, nil
 }
 
 // IndexParts is the validated raw material of a persisted Index — the
@@ -133,20 +216,19 @@ type IndexParts struct {
 // NewIndexFromParts reconstructs an Index from serialized parts,
 // validating every dimension (the data slices are adopted, not copied).
 func NewIndexFromParts(p IndexParts) (*Index, error) {
-	if p.K < 0 || p.NumTerms <= 0 || len(p.Sigma) != p.K {
+	if p.K < 1 || p.NumTerms <= 0 || len(p.Sigma) != p.K {
 		return nil, fmt.Errorf("lsi: load: corrupt header (k=%d, terms=%d, sigmas=%d)",
 			p.K, p.NumTerms, len(p.Sigma))
 	}
-	if p.UkRows != p.NumTerms || len(p.UkData) != p.UkRows*p.K {
+	if p.UkRows != p.NumTerms || !holds(p.UkData, p.UkRows, p.K) {
 		return nil, fmt.Errorf("lsi: load: corrupt basis (%d rows, %d values)", p.UkRows, len(p.UkData))
 	}
-	if p.DocRows < 0 || len(p.DocData) != p.DocRows*p.K {
+	if !holds(p.DocData, p.DocRows, p.K) {
 		return nil, fmt.Errorf("lsi: load: corrupt document matrix (%d rows, %d values)",
 			p.DocRows, len(p.DocData))
 	}
-	// Document norms are recomputed here rather than persisted, so the
-	// precomputed-norm hot path needs no wire-format bump: v1 and v2
-	// streams both load into a norm-carrying index.
+	// Document norms are recomputed here rather than persisted, so every
+	// wire version loads into a norm-carrying index.
 	return newIndex(
 		p.K,
 		p.NumTerms,
@@ -154,6 +236,13 @@ func NewIndexFromParts(p IndexParts) (*Index, error) {
 		p.Sigma,
 		mat.NewDenseData(p.DocRows, p.K, p.DocData),
 	), nil
+}
+
+// holds reports whether data is exactly a rows×k matrix. The product is
+// taken in 128 bits: a hostile header cannot overflow it into a match.
+func holds(data []float64, rows, k int) bool {
+	hi, lo := bits.Mul64(uint64(rows), uint64(k))
+	return rows >= 0 && k >= 0 && hi == 0 && lo == uint64(len(data))
 }
 
 // Load reads an index previously written by Save or SaveMeta (any
@@ -167,37 +256,82 @@ func Load(r io.Reader) (*Index, error) {
 // is nil for v1 streams and for indexes saved without it (plain Save);
 // such indexes answer vector queries but the caller must supply a
 // vocabulary from elsewhere to serve text queries.
+//
+// A v3 stream is never trusted for more memory than it has bytes: see
+// blob.Reader for how the length of r is found, or done without.
 func LoadMeta(r io.Reader) (*Index, *Meta, error) {
-	var wire indexWire
-	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
+	br := blob.NewReader(r)
+	read := readGob
+	if br.HasMagic(Magic) {
+		read = readBlob
+	}
+	p, meta, err := read(br)
+	if err != nil {
 		return nil, nil, fmt.Errorf("lsi: load: %w", err)
 	}
-	if wire.Version < 1 || wire.Version > wireVersion {
-		return nil, nil, fmt.Errorf("lsi: load: index format version %d is not supported by this build (supported: 1..%d); rebuild the index or upgrade",
-			wire.Version, wireVersion)
-	}
-	ix, err := NewIndexFromParts(IndexParts{
-		K: wire.K, NumTerms: wire.NumTerms, Sigma: wire.Sigma,
-		UkRows: wire.UkRows, UkData: wire.UkData,
-		DocRows: wire.DocRows, DocData: wire.DocData,
-	})
+	ix, err := NewIndexFromParts(p)
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(wire.Vocab) > 0 && len(wire.Vocab) != wire.NumTerms {
-		return nil, nil, fmt.Errorf("lsi: load: vocabulary has %d terms, index has %d", len(wire.Vocab), wire.NumTerms)
-	}
-	if len(wire.DocIDs) > 0 && len(wire.DocIDs) != wire.DocRows {
-		return nil, nil, fmt.Errorf("lsi: load: %d doc IDs for %d documents", len(wire.DocIDs), wire.DocRows)
-	}
-	if len(wire.Vocab) == 0 && len(wire.DocIDs) == 0 && wire.WeightingName == "" {
+	if meta.Empty() {
 		return ix, nil, nil
 	}
-	return ix, &Meta{
-		Vocab:           wire.Vocab,
-		WeightingName:   wire.WeightingName,
-		DocIDs:          wire.DocIDs,
-		RemoveStopwords: wire.RemoveStopwords,
-		Stemming:        wire.Stemming,
-	}, nil
+	if len(meta.Vocab) > 0 && len(meta.Vocab) != p.NumTerms {
+		return nil, nil, fmt.Errorf("lsi: load: vocabulary has %d terms, index has %d", len(meta.Vocab), p.NumTerms)
+	}
+	if len(meta.DocIDs) > 0 && len(meta.DocIDs) != p.DocRows {
+		return nil, nil, fmt.Errorf("lsi: load: %d doc IDs for %d documents", len(meta.DocIDs), p.DocRows)
+	}
+	return ix, meta, nil
+}
+
+// readGob decodes a wire v1 or v2 stream.
+func readGob(r *blob.Reader) (IndexParts, *Meta, error) {
+	var wire indexWire
+	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
+		return IndexParts{}, nil, err
+	}
+	if wire.Version < 1 || wire.Version > GobWireVersion {
+		return IndexParts{}, nil, VersionError(wire.Version)
+	}
+	return IndexParts{
+			K: wire.K, NumTerms: wire.NumTerms, Sigma: wire.Sigma,
+			UkRows: wire.UkRows, UkData: wire.UkData,
+			DocRows: wire.DocRows, DocData: wire.DocData,
+		}, &Meta{
+			Vocab:           wire.Vocab,
+			WeightingName:   wire.WeightingName,
+			DocIDs:          wire.DocIDs,
+			RemoveStopwords: wire.RemoveStopwords,
+			Stemming:        wire.Stemming,
+		}, nil
+}
+
+// readBlob decodes a wire v3 stream. Each array section must hold exactly
+// what the dimensions say before it is read, so a file that lies about
+// either fails without the array having been allocated.
+func readBlob(r *blob.Reader) (p IndexParts, meta *Meta, err error) {
+	if v := r.Header(); r.Err() == nil && (v <= GobWireVersion || v > WireVersion) {
+		return p, nil, VersionError(int(v))
+	}
+	dims := r.Bytes(tagDims, dimsLen)
+	if r.Err() != nil {
+		return p, nil, r.Err()
+	}
+	k, n, m := binary.LittleEndian.Uint64(dims), binary.LittleEndian.Uint64(dims[8:]), binary.LittleEndian.Uint64(dims[16:])
+	nHi, nk := bits.Mul64(n, k)
+	mHi, mk := bits.Mul64(m, k)
+	if nHi != 0 || mHi != 0 || max(k, n, m, nk, mk) > math.MaxInt/8 {
+		return p, nil, fmt.Errorf("dimensions %d×%d and %d×%d are out of range", n, k, m, k)
+	}
+	p.K, p.NumTerms, p.UkRows, p.DocRows = int(k), int(n), int(n), int(m)
+	p.Sigma = r.Floats(tagSigma, p.K)
+	if text := r.Bytes(tagText, -1); r.Err() == nil && len(text) > 0 {
+		if meta, err = parseText(text); err != nil {
+			return p, nil, err
+		}
+	}
+	p.UkData = r.Floats(tagBasis, int(nk))
+	p.DocData = r.Floats(tagDocs, int(mk))
+	return p, meta, r.Err()
 }

@@ -2,8 +2,13 @@ package lsi
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
+	"os"
+	"runtime"
 	"testing"
 
+	"repro/internal/blob"
 	"repro/internal/corpus"
 	"repro/internal/mat"
 )
@@ -76,4 +81,116 @@ func TestLoadRejectsCorruptStreams(t *testing.T) {
 	if _, err := Load(bytes.NewReader(nil)); err == nil {
 		t.Error("empty stream should fail to load")
 	}
+}
+
+// v3Header is a v3 file up to and including its dimensions, followed by
+// a SIGM section of k ones and an empty TEXT: what a hostile file needs
+// before it can lie about an array.
+func v3Header(k, terms, docs uint64) *bytes.Buffer {
+	var buf bytes.Buffer
+	w := blob.NewWriter(&buf, Magic, WireVersion, 5)
+	var dims []byte
+	for _, d := range []uint64{k, terms, docs} {
+		dims = binary.LittleEndian.AppendUint64(dims, d)
+	}
+	w.Bytes(tagDims, dims)
+	sigma := make([]float64, min(k, 8))
+	w.Floats(tagSigma, sigma)
+	w.Bytes(tagText, nil)
+	w.Floats(tagBasis, make([]float64, min(k*terms, 64)))
+	w.Floats(tagDocs, make([]float64, min(k*docs, 64)))
+	if err := w.Close(); err != nil {
+		panic(err) // a bytes.Buffer takes every write
+	}
+	return &buf
+}
+
+// allocatedBy is how many bytes f allocated, whatever was freed since.
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// A header may claim any dimensions; what the decoder allocates is bound
+// by the bytes that follow it, and a product that overflows is rejected
+// rather than wrapped into a match.
+func TestLoadBoundsAllocationByInput(t *testing.T) {
+	if _, err := Load(v3Header(2, 4, 8)); err != nil {
+		t.Fatalf("an honest header fails: %v", err)
+	}
+	for name, dims := range map[string][3]uint64{
+		"huge document matrix": {8, 8, 1 << 40},
+		"huge basis":           {8, 1 << 40, 8},
+		"huge rank":            {1 << 40, 8, 8},
+		"overflowing product":  {1 << 32, 1 << 32, 1 << 32},
+		"wrapping to a match":  {8, 8, 1<<61 + 8},
+		"rank zero, rows many": {0, 8, 1 << 40},
+		"beyond int":           {8, 8, 1 << 63},
+	} {
+		data := v3Header(dims[0], dims[1], dims[2]).Bytes()
+		for _, sized := range []bool{true, false} {
+			var src io.Reader = bytes.NewReader(data)
+			if !sized {
+				src = struct{ io.Reader }{src}
+			}
+			var err error
+			got := allocatedBy(func() { _, err = Load(src) })
+			if err == nil {
+				t.Errorf("%s (sized=%v): loaded", name, sized)
+			}
+			if got > 1<<20 {
+				t.Errorf("%s (sized=%v): allocated %d bytes for a %d-byte file", name, sized, got, len(data))
+			}
+		}
+	}
+}
+
+// FuzzLoadIndex feeds LoadMeta the three golden generations, their
+// truncations and bit flips: whatever arrives, it returns an error or an
+// index that answers a query, never panics, and never allocates more than
+// a constant factor of the input.
+func FuzzLoadIndex(f *testing.F) {
+	for _, name := range []string{"index_v1.gob", "index_v2.gob", "index_v3.lsi"} {
+		data, err := os.ReadFile("testdata/" + name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+		f.Add(data[:len(data)/2])
+		f.Add(data[:len(data)-1])
+		for _, at := range []int{8, 20, len(data) / 3, len(data) - 2} {
+			bad := bytes.Clone(data)
+			bad[at] ^= 0x40
+			f.Add(bad)
+		}
+	}
+	f.Add(v3Header(8, 8, 1<<40).Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var ix *Index
+		var meta *Meta
+		var err error
+		got := allocatedBy(func() { ix, meta, err = LoadMeta(bytes.NewReader(data)) })
+		// blob's window and the index's own bookkeeping are the constant.
+		// A gob stream gets gob's on top: it reads a message of whatever
+		// length is claimed (up to 1 GiB) in steps of 10 MiB.
+		limit := uint64(1<<20 + 64*len(data))
+		if !bytes.HasPrefix(data, Magic[:]) {
+			limit += 16 << 20
+		}
+		if got > limit {
+			t.Fatalf("%d input bytes allocated %d (limit %d)", len(data), got, limit)
+		}
+		if err != nil {
+			return
+		}
+		if ix.NumDocs() > 0 {
+			ix.SearchProjected(ix.DocVector(0), 3)
+		}
+		if meta != nil && len(meta.Vocab) > 0 && len(meta.Vocab) != ix.NumTerms() {
+			t.Fatalf("vocabulary of %d terms on an index of %d", len(meta.Vocab), ix.NumTerms())
+		}
+	})
 }

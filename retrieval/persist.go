@@ -5,25 +5,26 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/blob"
 	"repro/internal/ir"
 	"repro/internal/lsi"
 	"repro/internal/sparse"
 	"repro/internal/vsm"
 )
 
-// Persistence: an Index saves to a single self-contained stream (wire
-// format v2) carrying the backend payload plus everything the text layer
-// needs — vocabulary, weighting, pipeline flags, document IDs — so a
-// loaded index answers text queries with no access to the original
-// corpus.
+// Persistence: an Index saves to a single self-contained stream carrying
+// the backend payload plus everything the text layer needs — vocabulary,
+// weighting, pipeline flags, document IDs — so a loaded index answers
+// text queries with no access to the original corpus.
 //
-// LSI indexes reuse the internal/lsi gob format (its v2 metadata fields
-// carry the text layer); VSM indexes serialize the term-document matrix
-// in triplet form under their own wire struct tagged Backend: "vsm".
-// Load decodes the stream exactly once into a union of both field sets —
-// gob matches fields by name, so the lsi wire struct, the vsm wire
-// struct, and v1 files written before the format bump (which have no
-// Backend field and fall through to the LSI path) all land in it.
+// LSI indexes are written by internal/lsi in its wire format v3 (raw
+// arrays in an internal/blob container, the text layer as one section);
+// Load recognises them by their magic and hands them to lsi.LoadMeta.
+// Everything else is a gob stream, read into a union of the field sets
+// that were ever written that way — gob matches fields by name — which
+// is the only writer left for VSM indexes (tagged Backend: "vsm", the
+// term-document matrix in triplet form) and the legacy reader for LSI
+// files of wire versions 1 and 2 (no Backend field).
 
 // vsmWire is the serialized form of a VSM-backend Index.
 type vsmWire struct {
@@ -40,10 +41,6 @@ type vsmWire struct {
 	Vals            []float64
 }
 
-// wireVersion tracks internal/lsi's format version: LSI streams are
-// written by that package, and the VSM envelope bumps in lock-step.
-const wireVersion = lsi.WireVersion
-
 // Save writes the index to w as a self-contained stream: Load needs
 // nothing else to serve text queries.
 func (ix *Index) Save(w io.Writer) error {
@@ -57,7 +54,7 @@ func (ix *Index) Save(w io.Writer) error {
 	if ix.backend == BackendVSM {
 		rows, cols := ix.matrix.Dims()
 		wire := vsmWire{
-			Version:         wireVersion,
+			Version:         lsi.GobWireVersion,
 			Backend:         "vsm",
 			Vocab:           vocabTerms,
 			WeightingName:   ix.weighting.String(),
@@ -92,8 +89,8 @@ func (ix *Index) Save(w io.Writer) error {
 	return ix.lsiIndex.SaveMeta(w, meta)
 }
 
-// TextConfig supplies the text layer for indexes whose stream predates
-// wire format v2 (v1 carried only the numeric LSI payload): the
+// TextConfig supplies the text layer for indexes whose stream carries
+// none (wire format v1 held only the numeric LSI payload): the
 // vocabulary in term-ID order and the build-time weighting and pipeline
 // flags. DocIDs are optional.
 type TextConfig struct {
@@ -119,27 +116,33 @@ func WithTextConfig(tc TextConfig) LoadOption {
 	return func(c *loadConfig) { c.text = &tc }
 }
 
-// Load reads an index written by Save — or by the v1-format (pre-v2)
-// internal LSI Save, e.g. `lsiquery -save-index` builds from before the
-// format bump. v2 streams come back ready for text queries; v1 streams
-// lack a vocabulary, so text queries return ErrNoVocabulary unless
-// WithTextConfig supplies one (vector queries via SearchVector always
-// work). Unknown future versions fail with a clear error naming the
-// version.
+// Load reads an index written by Save — or by an older build's: the gob
+// streams of wire versions 1 and 2 keep loading. Streams with a text
+// layer come back ready for text queries; v1 streams lack a vocabulary,
+// so text queries return ErrNoVocabulary unless WithTextConfig supplies
+// one (vector queries via SearchVector always work). Unknown future
+// versions fail with a clear error naming the version.
 func Load(r io.Reader, opts ...LoadOption) (*Index, error) {
 	var cfg loadConfig
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	// One streaming decode into the union of every wire layout this
-	// build understands; gob fills the fields whose names the stream
-	// carries and leaves the rest zero. Which backend's fields are live
-	// is decided by the Backend tag (absent — hence "" — in both v1
-	// files and v2 LSI streams).
+	br := blob.NewReader(r)
+	if br.HasMagic(lsi.Magic) {
+		lsiIndex, meta, err := lsi.LoadMeta(br)
+		if err != nil {
+			return nil, fmt.Errorf("retrieval: %w", err)
+		}
+		return loadLSI(lsiIndex, meta, cfg.text)
+	}
+	// One streaming decode into the union of every gob layout this build
+	// understands; gob fills the fields whose names the stream carries
+	// and leaves the rest zero. Which backend's fields are live is
+	// decided by the Backend tag (absent — hence "" — in LSI streams).
 	var wire struct {
 		Version int
 		Backend string
-		// LSI payload + metadata (internal/lsi's indexWire field names).
+		// LSI payload (internal/lsi's v1/v2 field names).
 		K        int
 		NumTerms int
 		Sigma    []float64
@@ -159,14 +162,13 @@ func Load(r io.Reader, opts ...LoadOption) (*Index, error) {
 		RemoveStopwords bool
 		Stemming        bool
 	}
-	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
+	if err := gob.NewDecoder(br).Decode(&wire); err != nil {
 		return nil, fmt.Errorf("retrieval: load: %w", err)
 	}
-	if wire.Version < 1 || wire.Version > wireVersion {
-		return nil, fmt.Errorf("retrieval: load: index format version %d is not supported by this build (supported: 1..%d); rebuild the index or upgrade",
-			wire.Version, wireVersion)
+	if wire.Version < 1 || wire.Version > lsi.GobWireVersion {
+		return nil, fmt.Errorf("retrieval: load: %w", lsi.VersionError(wire.Version))
 	}
-	text := textWire{
+	text := &lsi.Meta{
 		Vocab:           wire.Vocab,
 		WeightingName:   wire.WeightingName,
 		DocIDs:          wire.DocIDs,
@@ -190,25 +192,12 @@ func Load(r io.Reader, opts ...LoadOption) (*Index, error) {
 	return loadLSI(lsiIndex, text, cfg.text)
 }
 
-// textWire is the text layer as it appears on the wire (in both backend
-// layouts); all-zero means the stream carried none (v1, or v2 saved
-// without a vocabulary).
-type textWire struct {
-	Vocab           []string
-	WeightingName   string
-	DocIDs          []string
-	RemoveStopwords bool
-	Stemming        bool
-}
-
-func (t textWire) empty() bool {
-	return len(t.Vocab) == 0 && len(t.DocIDs) == 0 && t.WeightingName == ""
-}
-
-func loadLSI(lsiIndex *lsi.Index, stored textWire, text *TextConfig) (*Index, error) {
+// loadLSI attaches the text layer to a loaded LSI index: the stored one
+// if the stream carried any, else the caller's TextConfig.
+func loadLSI(lsiIndex *lsi.Index, stored *lsi.Meta, text *TextConfig) (*Index, error) {
 	ix := &Index{backend: BackendLSI, lsiIndex: lsiIndex, weighting: WeightingLog}
 	switch {
-	case !stored.empty():
+	case !stored.Empty():
 		if len(stored.Vocab) > 0 && len(stored.Vocab) != lsiIndex.NumTerms() {
 			return nil, fmt.Errorf("retrieval: load: vocabulary has %d terms, index has %d",
 				len(stored.Vocab), lsiIndex.NumTerms())
@@ -258,7 +247,7 @@ func loadLSI(lsiIndex *lsi.Index, stored textWire, text *TextConfig) (*Index, er
 
 // loadVSM rebuilds a VSM index from its matrix triplets (wire carries
 // only the payload fields here; the text layer arrives separately).
-func loadVSM(wire vsmWire, text textWire) (*Index, error) {
+func loadVSM(wire vsmWire, text *lsi.Meta) (*Index, error) {
 	if wire.Rows <= 0 || wire.Cols <= 0 {
 		return nil, fmt.Errorf("retrieval: load: corrupt vsm matrix %dx%d", wire.Rows, wire.Cols)
 	}

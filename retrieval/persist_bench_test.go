@@ -1,0 +1,122 @@
+package retrieval
+
+import (
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"runtime"
+	"testing"
+
+	"repro/internal/ir"
+	"repro/internal/lsi"
+	"repro/internal/race"
+)
+
+// syntheticLSI is an LSI index of the given shape over random arrays,
+// with a vocabulary and document IDs: what Save and Open cost depends on
+// the shape alone, so nothing is decomposed to get it.
+func syntheticLSI(tb testing.TB, docs, terms, k int) *Index {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(1))
+	floats := func(n int) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = rng.NormFloat64()
+		}
+		return v
+	}
+	li, err := lsi.NewIndexFromParts(lsi.IndexParts{
+		K: k, NumTerms: terms, Sigma: floats(k),
+		UkRows: terms, UkData: floats(terms * k),
+		DocRows: docs, DocData: floats(docs * k),
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	names := func(prefix string, n int) []string {
+		s := make([]string, n)
+		for i := range s {
+			s[i] = fmt.Sprintf("%s%d", prefix, i)
+		}
+		return s
+	}
+	vocab, err := ir.NewVocabularyFromTerms(names("term", terms))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return &Index{backend: BackendLSI, lsiIndex: li, vocab: vocab, weighting: WeightingLog, docIDs: names("doc-", docs)}
+}
+
+// saveTo writes ix to path the way a caller with a file does, and
+// returns the file's size.
+func saveTo(tb testing.TB, ix *Index, path string) int64 {
+	tb.Helper()
+	f, err := os.Create(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := ix.Save(f); err != nil {
+		tb.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	info, err := os.Stat(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return info.Size()
+}
+
+// Opening an index file allocates the index and little else: the arrays
+// are read straight into the slices the index keeps. The gob decoder
+// this replaced allocated seven times the file (a whole-message buffer,
+// regrown slices); a quarter on top of the payload leaves room for the
+// document norms, the vocabulary's map and the read window.
+func TestOpenAllocatesLittleMoreThanTheFile(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation sizes are not exact under the race detector")
+	}
+	path := filepath.Join(t.TempDir(), "index.lsi")
+	size := saveTo(t, syntheticLSI(t, 8000, 1000, 64), path)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ix, err := Open(path)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(size)*5/4; got > limit {
+		t.Fatalf("Open allocated %d bytes for a %d-byte file, limit %d", got, size, limit)
+	}
+	if ix.NumDocs() != 8000 {
+		t.Fatalf("opened %d documents", ix.NumDocs())
+	}
+}
+
+// The benchmark corpus's shape: 51,200 documents at rank 64.
+func benchShape(b *testing.B) *Index { return syntheticLSI(b, 51200, 2400, 64) }
+
+func BenchmarkSave(b *testing.B) {
+	ix := benchShape(b)
+	path := filepath.Join(b.TempDir(), "index.lsi")
+	b.SetBytes(saveTo(b, ix, path))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		saveTo(b, ix, path)
+	}
+}
+
+func BenchmarkOpen(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "index.lsi")
+	b.SetBytes(saveTo(b, benchShape(b), path))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Open(path); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -3,14 +3,17 @@ package retrieval
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/ir"
+	"repro/internal/lsi"
 	"repro/internal/par"
 )
 
@@ -113,6 +116,27 @@ func TestSaveLoadRoundTripVSM(t *testing.T) {
 	searchEqual(t, ix, loaded, "stars planets", 0)
 }
 
+// demoTextConfig reconstructs the text layer the golden indexes were
+// built with, by rerunning their pipeline over the demo corpus: what a
+// v1 file, which stores none, needs attached.
+func demoTextConfig() TextConfig {
+	pipe := ir.NewPipeline()
+	texts := make([]string, len(DemoCorpus()))
+	ids := make([]string, len(DemoCorpus()))
+	for i, d := range DemoCorpus() {
+		texts[i] = d.Text
+		ids[i] = d.ID
+	}
+	pipe.ProcessAll(texts)
+	return TextConfig{
+		Vocab:           pipe.Vocab.Terms(),
+		Weighting:       WeightingLog,
+		RemoveStopwords: true,
+		Stemming:        true,
+		DocIDs:          ids,
+	}
+}
+
 // testdata/index_v1.gob was written by the pre-v2 code (`lsi.Save`) over
 // the demo corpus: rank-3 dense-engine LSI, log weighting. It proves the
 // acceptance path: a v1-format index saved before the format bump loads
@@ -140,23 +164,7 @@ func TestLoadV1GoldenServesTextQueries(t *testing.T) {
 		t.Fatalf("vector query on bare v1 index: %v", err)
 	}
 
-	// Reconstruct the build-time vocabulary by rerunning the pipeline the
-	// v1 index was built with, and attach it.
-	pipe := ir.NewPipeline()
-	texts := make([]string, len(DemoCorpus()))
-	ids := make([]string, len(DemoCorpus()))
-	for i, d := range DemoCorpus() {
-		texts[i] = d.Text
-		ids[i] = d.ID
-	}
-	pipe.ProcessAll(texts)
-	loaded, err := Load(bytes.NewReader(data), WithTextConfig(TextConfig{
-		Vocab:           pipe.Vocab.Terms(),
-		Weighting:       WeightingLog,
-		RemoveStopwords: true,
-		Stemming:        true,
-		DocIDs:          ids,
-	}))
+	loaded, err := Load(bytes.NewReader(data), WithTextConfig(demoTextConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +188,7 @@ func TestLoadV1GoldenServesTextQueries(t *testing.T) {
 		t.Fatalf("migrated v1 index lost the synonymy effect: %+v", res)
 	}
 
-	// Re-save: the index upgrades to the self-contained v2 format.
+	// Re-save: the index upgrades to the current self-contained format.
 	var buf bytes.Buffer
 	if err := loaded.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -207,16 +215,87 @@ func TestLoadV1TextConfigValidation(t *testing.T) {
 }
 
 func TestLoadRejectsFutureVersion(t *testing.T) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(vsmWire{Version: 7, Backend: "vsm"}); err != nil {
+	var legacy bytes.Buffer
+	if err := gob.NewEncoder(&legacy).Encode(vsmWire{Version: 7, Backend: "vsm"}); err != nil {
 		t.Fatal(err)
 	}
-	_, err := Load(&buf)
-	if err == nil {
-		t.Fatal("future version should fail to load")
+	golden, err := os.ReadFile("testdata/index_v3.lsi")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(err.Error(), "version 7") {
-		t.Fatalf("error %q does not name the offending version", err)
+	binary.LittleEndian.PutUint16(golden[len(lsi.Magic):], lsi.WireVersion+1)
+	for want, data := range map[string][]byte{"version 7": legacy.Bytes(), "version 4": golden} {
+		_, err := Load(bytes.NewReader(data))
+		if err == nil {
+			t.Fatalf("%s should fail to load", want)
+		}
+		if !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "supported: 1..3") {
+			t.Fatalf("error %q does not name %s and the supported range", err, want)
+		}
+	}
+}
+
+// Every generation of index on disk — the gob file of wire v1 (numeric
+// payload, text layer attached at load), the gob file of v2, the v3
+// container, and a saved directory whose segment is a gob file — came
+// from the same build of the demo corpus, and must serve the same IDs
+// and scores bit for bit. Saving any of them again writes v3.
+func TestGoldenGenerationsSearchIdentically(t *testing.T) {
+	v1, err := Open("testdata/index_v1.gob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v1.Stats().TextQueries {
+		t.Fatal("v1 stream cannot carry a vocabulary")
+	}
+	data, err := os.ReadFile("testdata/index_v1.gob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v1, err = Load(bytes.NewReader(data), WithTextConfig(demoTextConfig())); err != nil {
+		t.Fatal(err)
+	}
+	gens := map[string]*Index{"v1": v1}
+	for name, path := range map[string]string{
+		"v2": "testdata/index_v2.gob", "v3": "testdata/index_v3.lsi", "dir": "testdata/dir_gob",
+	} {
+		ix, err := Open(path, WithAutoCompact(false))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		defer ix.Close()
+		gens[name] = ix
+	}
+	fresh := demoLSI(t)
+	for name, ix := range gens {
+		for _, q := range []string{"car", "car engine repair", "telescope galaxy", "pasta sauce"} {
+			for _, topN := range []int{1, 4, 0} {
+				t.Run(name, func(t *testing.T) { searchEqual(t, fresh, ix, q, topN) })
+			}
+		}
+	}
+
+	var flat bytes.Buffer
+	if err := gens["v2"].Save(&flat); err != nil {
+		t.Fatal(err)
+	}
+	golden, err := os.ReadFile("testdata/index_v3.lsi")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(flat.Bytes(), golden) {
+		t.Fatal("the v2 golden, saved again, is not the v3 golden byte for byte")
+	}
+	dir := t.TempDir()
+	if err := gens["dir"].SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.idx"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("saved segments %v, err %v", segs, err)
+	}
+	if seg, err := os.ReadFile(segs[0]); err != nil || !bytes.HasPrefix(seg, lsi.Magic[:]) {
+		t.Fatalf("a saved segment does not start with the v3 magic (err %v)", err)
 	}
 }
 

@@ -13,9 +13,10 @@
 // Indexes are text-in/text-out: Build bundles the tokenize → stopword →
 // stem pipeline, the vocabulary, and the term weighting into the index,
 // so queries are plain strings and results carry stable document IDs.
-// Save writes a self-contained index (wire format v2) that answers text
-// queries after Load without the corpus that built it; v1 files written
-// before the format bump still load (see Load for the migration path).
+// Save writes a self-contained index (wire format v3: raw arrays plus the
+// text layer) that answers text queries after Load without the corpus
+// that built it; the gob files of wire versions 1 and 2 still load (see
+// Load for attaching a text layer to a v1 file).
 //
 // Every query path returns errors — malformed input never panics through
 // the public API, and batch calls honor context cancellation. The
@@ -167,7 +168,7 @@ var (
 	ErrNoQueryTerms = errors.New("retrieval: no query terms in the index vocabulary")
 	// ErrNoVocabulary reports a text query against an index without a
 	// bundled vocabulary (a v1-format file loaded without WithTextConfig).
-	ErrNoVocabulary = errors.New("retrieval: index has no vocabulary; text queries unavailable (load v1 indexes with WithTextConfig, or re-save as v2)")
+	ErrNoVocabulary = errors.New("retrieval: index has no vocabulary; text queries unavailable (load v1 indexes with WithTextConfig and save them again)")
 	// ErrVectorLength reports a raw query vector whose length differs
 	// from the index vocabulary size.
 	ErrVectorLength = errors.New("retrieval: query vector length does not match the index vocabulary")

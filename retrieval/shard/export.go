@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -83,11 +82,11 @@ func (x *Index) SaveShardDir(s int, dir string) error {
 			localIDs[l] = ids[g]
 		}
 		name := fmt.Sprintf("seg-%d-0-%d.idx", gen, i)
-		var buf bytes.Buffer
-		if err := seg.Ix.Save(&buf); err != nil {
+		data, err := encodeSegment(seg.Ix)
+		if err != nil {
 			return fmt.Errorf("shard: export segment %s: %w", name, err)
 		}
-		if err := writeFileAtomic(dir, name, buf.Bytes(), faultinject.OS{}); err != nil {
+		if err := writeFileAtomic(dir, name, data, faultinject.OS{}); err != nil {
 			return fmt.Errorf("shard: export segment %s: %w", name, err)
 		}
 		keep[name] = true

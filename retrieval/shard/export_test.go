@@ -3,9 +3,12 @@ package shard
 import (
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"testing"
 
+	"repro/internal/blob"
 	"repro/internal/lsi"
+	"repro/internal/race"
 	"repro/internal/topk"
 )
 
@@ -119,5 +122,37 @@ func TestGenerationSurfacing(t *testing.T) {
 	defer y.Close()
 	if got := y.Generation(); got != 1 {
 		t.Fatalf("reopened Generation() = %d, want 1", got)
+	}
+}
+
+// A checkpoint encodes each segment into a buffer sized once from
+// EncodedSize: a buffer that grew as it was written would have allocated
+// at least twice the file.
+func TestEncodeSegmentAllocatesItsSizeOnce(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation sizes are not exact under the race detector")
+	}
+	const docs, terms, k = 4000, 200, 32
+	ix, err := lsi.NewIndexFromParts(lsi.IndexParts{
+		K: k, NumTerms: terms, Sigma: make([]float64, k),
+		UkRows: terms, UkData: make([]float64, terms*k),
+		DocRows: docs, DocData: make([]float64, docs*k),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	data, err := encodeSegment(ix)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) != ix.EncodedSize() {
+		t.Fatalf("encoded %d bytes, EncodedSize says %d", len(data), ix.EncodedSize())
+	}
+	// The slack is the writer's one window.
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(len(data)+2*blob.Window); got > limit {
+		t.Fatalf("encoding a %d-byte segment allocated %d bytes, limit %d", len(data), got, limit)
 	}
 }

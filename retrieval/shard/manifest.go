@@ -18,8 +18,9 @@ import (
 // Persistence: a sharded index saves to a directory — one small JSON
 // manifest describing the shard/segment topology, one generation-stamped
 // ids-<g>.json with the external document identifiers in global order,
-// and one generation-stamped file per segment in the existing LSI wire
-// format (internal/lsi, version 1 numeric payload). The manifest is
+// and one generation-stamped file per segment in the LSI wire format
+// (internal/lsi: numeric payload, no text layer; Open also reads the gob
+// segments older builds wrote). The manifest is
 // versioned and strictly validated on load: a corrupt or truncated
 // manifest fails with a descriptive error, never a panic (fuzzed in
 // manifest_fuzz_test.go).
@@ -221,6 +222,14 @@ func nextGeneration(dir string, fsys faultinject.FS) (int, error) {
 	return gen, nil
 }
 
+// encodeSegment is the segment's index file, in a buffer sized once.
+func encodeSegment(ix *lsi.Index) ([]byte, error) {
+	var buf bytes.Buffer
+	buf.Grow(ix.EncodedSize())
+	err := ix.Save(&buf)
+	return buf.Bytes(), err
+}
+
 // writeFileAtomic writes data to dir/name via a temp file + rename, so
 // the name only ever holds a complete file.
 func writeFileAtomic(dir, name string, data []byte, fsys faultinject.FS) error {
@@ -287,11 +296,11 @@ func (x *Index) SaveDirFS(dir string, fsys faultinject.FS) error {
 		man.Segments[s] = []ManifestSegment{}
 		for i, seg := range segs {
 			name := fmt.Sprintf("seg-%d-%d-%d.idx", gen, s, i)
-			var buf bytes.Buffer
-			if err := seg.Ix.Save(&buf); err != nil {
+			data, err := encodeSegment(seg.Ix)
+			if err != nil {
 				return fmt.Errorf("shard: save segment %s: %w", name, err)
 			}
-			if err := writeFileAtomic(dir, name, buf.Bytes(), fsys); err != nil {
+			if err := writeFileAtomic(dir, name, data, fsys); err != nil {
 				return fmt.Errorf("shard: save segment %s: %w", name, err)
 			}
 			keep[name] = true

@@ -22,7 +22,8 @@
 #   -t <frac>   ns/op regression threshold as a fraction (default 0.20)
 #   -o <file>   write the comparison report here (default bench-gate.txt)
 #   -B <regex>  -bench regex for run mode (default: the tier-1 subset
-#               BenchmarkQueryLatency*/BenchmarkSearch*/BenchmarkRandomized*)
+#               BenchmarkQueryLatency*/BenchmarkSearch*/BenchmarkRandomized*
+#               and the index file's BenchmarkOpen/BenchmarkSave)
 #   -c <n>      -count per side in run mode (default 5; medians damp noise)
 #   -T <dur>    -benchtime per run (default 0.3s)
 #
@@ -39,13 +40,14 @@ BASEFILE=""
 HEADFILE=""
 THRESH="0.20"
 OUT="bench-gate.txt"
-BENCH='BenchmarkQueryLatency|BenchmarkSearch|BenchmarkQuantizedScan|BenchmarkRandomized'
+BENCH='BenchmarkQueryLatency|BenchmarkSearch|BenchmarkQuantizedScan|BenchmarkRandomized|BenchmarkOpen|BenchmarkSave'
 COUNT=5
 TIME="0.3s"
 # The packages holding the gated benchmarks: the root suite (query
-# latency + batch), the backend hot paths, the int8 scan kernels, and the
-# randomized SVD that every build and compaction runs.
-PKGS=". ./internal/vsm ./internal/lsi ./internal/quant ./internal/svd"
+# latency + batch), the backend hot paths, the int8 scan kernels, the
+# randomized SVD that every build and compaction runs, and the index
+# file's save and open (every boot, reload and checkpoint).
+PKGS=". ./internal/vsm ./internal/lsi ./internal/quant ./internal/svd ./retrieval"
 
 while getopts "r:a:b:t:o:B:c:T:" opt; do
 	case $opt in

@@ -6,7 +6,7 @@ GO ?= go
 # Base ref for the perf-regression gate (CI passes the PR's base branch).
 BASE ?= origin/main
 
-.PHONY: all build test lint vet fmt-check docs-check race bench-smoke bench bench-record bench-gate fuzz-short serve-smoke load-smoke cluster-smoke chaos-smoke ann-smoke quant-smoke
+.PHONY: all build test lint vet fmt-check docs-check race bench-smoke bench bench-record bench-gate ledger-frozen loc fuzz-short serve-smoke load-smoke cluster-smoke chaos-smoke ann-smoke quant-smoke
 
 all: build test
 
@@ -103,6 +103,25 @@ bench-record:
 # bench-gate.txt (archived by CI as an artifact).
 bench-gate:
 	sh scripts/bench_gate.sh -r "$(BASE)" -o bench-gate.txt
+
+# The benchmark ledger (bench/ + BENCHMARK.json) is the yardstick every PR
+# is measured with, so it is frozen: a PR must keep every name and
+# signature bench/ compiles against and may not edit the ledger itself.
+# Vets and tests the bench module against this tree (~15 s), then fails on
+# any difference from $(BASE) — committed, staged, unstaged or untracked —
+# under bench/ or in BENCHMARK.json.
+ledger-frozen:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
+	git diff --exit-code "$(BASE)" -- bench BENCHMARK.json
+	@out="$$(git status --porcelain -- bench BENCHMARK.json)"; if [ -n "$$out" ]; then \
+		echo "ledger-frozen: uncommitted changes in the frozen ledger:"; echo "$$out"; exit 1; \
+	fi
+
+# ROADMAP's simplicity measure: non-test lines of the search stack
+# (retrieval, retrieval/shard, internal/{segment,ivf,quant}).
+loc:
+	@ls retrieval/*.go retrieval/shard/*.go internal/segment/*.go internal/ivf/*.go internal/quant/*.go | grep -v _test.go | xargs cat | wc -l
 
 # Sample a balanced >=100k-document corpus from the paper's model with
 # corpusgen, index it with the IVF ANN tier, and gate recall@10 >= 0.95

@@ -49,7 +49,7 @@ var scanPool = sync.Pool{New: func() any { return new(scanScratch) }}
 
 // scanRange offers the stage-1 score of every document in [lo, hi) to a
 // heap keeping the best `keep` — the quantized counterpart of
-// projected.scoreRange, blocked so the hot loop is two cheap passes per
+// segment's float scoreRange, blocked so the hot loop is two cheap passes per
 // block: mat.DotInt8Blocked streams the code rows into an L1-resident
 // int32 buffer, then a threshold pass turns each dot into sn[j]·dot and
 // offers only the survivors. The offered score is the true approximate

@@ -5,148 +5,38 @@ import (
 	"sync"
 
 	"repro/internal/ivf"
+	"repro/internal/lsi"
 	"repro/internal/mat"
 	"repro/internal/par"
 	"repro/internal/quant"
 	"repro/internal/topk"
 )
 
-// Cross-segment search: the segments of every shard are flattened into
-// one scored range [0, Σ len(seg)) and scanned with the same fused
-// kernels as the single-index hot path — one ProjectSparse per segment
-// basis, one DotNorm per document against the segment's precomputed
-// norms — so a one-shard one-segment index returns bitwise-identical
-// scores to lsi.SearchSparse over the same corpus.
-//
-// Selection is bounded top-k under the strict (score desc, global doc
-// asc) total order. The parallel path chunks the flattened range with
-// par's deterministic layout, keeps one bounded heap per chunk, and
-// merges partials in chunk order; selection under a strict total order
-// is offer-order-insensitive, so results are identical for every worker
-// count and every segment layout that holds the same documents in the
-// same latent representations.
-
-// searchScratch pools the per-query selection state.
-type searchScratch struct {
-	heap topk.Heap
+// Query is a term-space query in one of its two forms: sparse (Terms
+// strictly ascending, with their Weights — what the retrieval layer's
+// text pipeline produces) or, when Vec is non-nil, a dense vector over
+// the whole vocabulary.
+type Query struct {
+	Terms   []int
+	Weights []float64
+	Vec     []float64
 }
 
-var searchPool = sync.Pool{New: func() any { return new(searchScratch) }}
-
-// projected is a query folded into every segment's latent space.
-type projected struct {
-	segs    []*Segment
-	proj    [][]float64 // per-segment Uₖᵀ·q
-	qn      []float64   // per-segment ‖proj‖
-	offsets []int       // flattened start of each segment
-	total   int
-}
-
-// project folds the query into each segment's basis once. Segments are
-// typically few (shards × segments-per-shard), so the per-segment fold —
-// O(nnz(q)·k) sparse, O(n·k) dense — stays negligible next to scoring.
-func project(segs []*Segment, fold func(s *Segment) []float64) *projected {
-	p := &projected{
-		segs:    segs,
-		proj:    make([][]float64, len(segs)),
-		qn:      make([]float64, len(segs)),
-		offsets: make([]int, len(segs)),
+// foldInto writes Uₖᵀ·q for ix's basis into dst (length ix.K()). The
+// sparse form costs O(nnz(q)·k), the dense form O(n·k); with ascending
+// terms the two agree bitwise on the same query.
+func (q Query) foldInto(ix *lsi.Index, dst []float64) {
+	if q.Vec != nil {
+		mat.MulTVecInto(ix.Basis(), q.Vec, dst)
+		return
 	}
-	for i, s := range segs {
-		p.proj[i] = fold(s)
-		p.qn[i] = mat.Norm(p.proj[i])
-		p.offsets[i] = p.total
-		p.total += s.Len()
-	}
-	return p
-}
-
-// score computes the cosine of the query against flattened document f.
-func (p *projected) score(seg int, f int) topk.Match {
-	s := p.segs[seg]
-	j := f - p.offsets[seg]
-	return topk.Match{
-		Doc:   s.Global[j],
-		Score: mat.DotNorm(p.proj[seg], s.Ix.DocVectors().Row(j), p.qn[seg], s.Ix.Norms()[j]),
-	}
-}
-
-// scoreRange offers every flattened document in [lo, hi) to h, walking
-// segment boundaries as it crosses them.
-func (p *projected) scoreRange(h *topk.Heap, lo, hi int) {
-	seg := sort.Search(len(p.offsets), func(i int) bool { return p.offsets[i] > lo }) - 1
-	for f := lo; f < hi; {
-		end := p.offsets[seg] + p.segs[seg].Len()
-		if end > hi {
-			end = hi
-		}
-		for ; f < end; f++ {
-			h.Offer(p.score(seg, f))
-		}
-		seg++
-	}
-}
-
-// selectTop runs bounded selection over the flattened range and returns
-// the topN best (all documents if topN <= 0), best-first under the
-// (score desc, global doc asc) order.
-func (p *projected) selectTop(topN int) []topk.Match {
-	if p.total == 0 {
-		return []topk.Match{}
-	}
-	keep := topN
-	if keep <= 0 || keep > p.total {
-		keep = p.total
-	}
-	maxK := 1
-	for _, s := range p.segs {
-		if k := s.Ix.K(); k > maxK {
-			maxK = k
-		}
-	}
-	grain := par.GrainFor(2*maxK + 1)
-
-	sc := searchPool.Get().(*searchScratch)
-	defer searchPool.Put(sc)
-	h := &sc.heap
-	h.Reset(keep)
-	if par.MaxProcs() == 1 || p.total <= grain {
-		p.scoreRange(h, 0, p.total)
-		return h.AppendSorted(make([]topk.Match, 0, keep))
-	}
-	partials := par.MapChunks(p.total, grain, func(lo, hi int) *searchScratch {
-		csc := searchPool.Get().(*searchScratch)
-		csc.heap.Reset(keep)
-		p.scoreRange(&csc.heap, lo, hi)
-		return csc
-	})
-	for _, csc := range partials {
-		h.Merge(&csc.heap)
-		searchPool.Put(csc)
-	}
-	return h.AppendSorted(make([]topk.Match, 0, keep))
-}
-
-// SearchSparse ranks every document held by segs against a sparse query
-// (terms strictly ascending) and returns the topN best with Doc fields
-// carrying GLOBAL document numbers. With one segment whose Global mapping
-// is the identity, results are bitwise identical to
-// segs[0].Ix.SearchSparse.
-func SearchSparse(segs []*Segment, terms []int, weights []float64, topN int) []topk.Match {
-	p := project(segs, func(s *Segment) []float64 { return s.Ix.ProjectSparse(terms, weights) })
-	return p.selectTop(topN)
-}
-
-// SearchVec is SearchSparse for a dense term-space query vector.
-func SearchVec(segs []*Segment, q []float64, topN int) []topk.Match {
-	p := project(segs, func(s *Segment) []float64 { return s.Ix.Project(q) })
-	return p.selectTop(topN)
+	mat.MulTVecSparse(ix.Basis(), q.Terms, q.Weights, dst)
 }
 
 // ProbeOptions selects the approximate tiers a search may use. The zero
-// value is the escape hatch: with both knobs off the scan is fully exact
-// and bitwise-identical to SearchSparse/SearchVec — the truth baseline
-// the fidelity harness and smoke gates compare against.
+// value is the escape hatch: with both knobs off every segment is
+// scanned exhaustively in float64 — the truth baseline the fidelity
+// harness and smoke gates compare against.
 type ProbeOptions struct {
 	// NProbe is the IVF cell budget for segments carrying a coarse
 	// quantizer; <= 0 scans every segment exhaustively instead of probing.
@@ -157,45 +47,57 @@ type ProbeOptions struct {
 	Beta int
 }
 
-// ProbeStats aggregates the work a probe-aware search performed across
-// the segment set; the serving layer turns it into /metrics counters.
-type ProbeStats struct {
-	// Probed counts segments answered through their IVF quantizer; Cells
-	// and Docs total the cells probed and candidates scored in them.
-	Probed int
-	Cells  int
-	Docs   int
-	// QuantSegs counts segments whose candidates were scored through the
-	// int8 tier; QuantDocs totals the documents those scans touched, and
-	// Reranked the stage-2 candidates rescored with exact float kernels.
-	QuantSegs int
-	QuantDocs int
-	Reranked  int
-	// ExactDocs counts documents scored purely in float64 — segments with
-	// no sidecars (live fold-ins, tiny or reloaded segments) plus every
-	// segment when the options disable both tiers.
-	ExactDocs int
+// searchScratch pools the per-query state: the folded query (one window
+// of proj per segment), the per-segment candidate buffers, the merge
+// heap and the list of segments left to the exact scan, so a warm Search
+// allocates only the slice it returns.
+type searchScratch struct {
+	proj  []float64
+	docs  []int32
+	buf   []topk.Match
+	heap  topk.Heap
+	exact []exactSeg
 }
 
-// searchProbe is the tier-aware variant of the flattened scan. Per
-// segment the options pick the cheapest configured path: IVF cell-probe
-// feeding the int8 scan (both sidecars), cell-probe scoring in float
-// (Ann only, or Beta off), full int8 scan with exact rerank (Quant only,
-// or NProbe off), or the exhaustive float path (no sidecars, or both
-// knobs off). All candidates merge through one bounded heap under the
-// (score desc, global doc asc) order, so results are deterministic for
-// any worker count and segment layout. The approximate tiers only narrow
-// CANDIDATE SELECTION — every returned score is an exact float64 cosine:
-// IVF scores through the same DotNorm pipeline, and the quantized tier
-// reranks its over-fetched candidates through it. Probing every cell
-// with the int8 tier off is therefore bitwise-identical to the
-// exhaustive scan, and the zero ProbeOptions IS the exhaustive scan.
-func searchProbe(segs []*Segment, fold func(s *Segment) []float64, topN int, opts ProbeOptions) ([]topk.Match, ProbeStats) {
-	if opts.NProbe <= 0 && opts.Beta <= 0 {
-		p := project(segs, fold)
-		return p.selectTop(topN), ProbeStats{ExactDocs: p.total}
+// exactSeg is a segment no tier serves for this query: documents
+// [off, off+s.Len()) of the flattened range the exact scan walks.
+type exactSeg struct {
+	s    *Segment
+	proj []float64 // Uₖ(s)ᵀ·q
+	qn   float64   // ‖proj‖
+	off  int
+}
+
+var searchPool = sync.Pool{New: func() any { return new(searchScratch) }}
+
+// Search ranks every document held by segs against q and returns the
+// topN best (all if topN <= 0) with Doc fields carrying GLOBAL document
+// numbers, plus a record of the work done. It is the one search path of
+// the repository: sharded and unsharded indexes, text and vector
+// queries, default and per-request budgets all arrive here.
+//
+// Per segment the query is folded into the segment's basis and the
+// options pick the cheapest configured route: IVF cell-probe feeding
+// the int8 scan (both sidecars), cell-probe scoring in float (Ann only,
+// or Beta off), full int8 scan with exact rerank (Quant only, or NProbe
+// off), or the exhaustive float scan (no sidecars, or both knobs off).
+// A tier route yields the segment's own top candidates in local rows,
+// renumbered through Global; the exact segments are scanned together as
+// one flattened range (scanExact). Everything merges in one bounded
+// heap under the strict (score desc, global doc asc) order, so results
+// are identical for every worker count and every segment layout that
+// holds the same documents in the same latent representations. The
+// approximate tiers only narrow CANDIDATE SELECTION — every returned
+// score is an exact float64 cosine from the same DotNorm pipeline — so
+// probing every cell with the int8 tier off is bitwise the exhaustive
+// scan, and one segment with an identity Global is bitwise
+// segs[0].Ix.SearchSparse.
+func Search(segs []*Segment, q Query, topN int, opts ProbeOptions) ([]topk.Match, ProbeStats) {
+	total, width := 0, 0
+	for _, s := range segs {
+		total += s.Len()
+		width += s.Ix.K()
 	}
-	total := NumDocs(segs)
 	if total == 0 {
 		return []topk.Match{}, ProbeStats{}
 	}
@@ -208,95 +110,104 @@ func searchProbe(segs []*Segment, fold func(s *Segment) []float64, topN int, opt
 	defer searchPool.Put(sc)
 	h := &sc.heap
 	h.Reset(keep)
+	if cap(sc.proj) < width {
+		sc.proj = make([]float64, width)
+	}
+	sc.exact = sc.exact[:0]
 
 	var st ProbeStats
-	var exact []*Segment
-	var buf []topk.Match
-	var docsBuf []int32
+	at := 0
 	for _, s := range segs {
-		useAnn := s.Ann != nil && opts.NProbe > 0
-		useQuant := s.Quant != nil && opts.Beta > 0
-		if !useAnn && !useQuant {
-			exact = append(exact, s)
+		proj := sc.proj[at : at+s.Ix.K()]
+		at += len(proj)
+		q.foldInto(s.Ix, proj)
+		qn := mat.Norm(proj)
+		vecs, norms := s.Ix.DocVectors(), s.Ix.Norms()
+		viaAnn := s.Ann != nil && opts.NProbe > 0
+		viaQuant := s.Quant != nil && opts.Beta > 0
+		var ps ivf.ProbeStats
+		var qs quant.ScanStats
+		switch {
+		case viaAnn && viaQuant:
+			sc.docs, ps = s.Ann.AppendProbeDocs(sc.docs[:0], proj, qn, opts.NProbe)
+			sc.buf, qs = s.Quant.AppendSearchDocs(sc.buf[:0], sc.docs, vecs, norms, proj, qn, keep, opts.Beta)
+		case viaAnn:
+			sc.buf, ps = s.Ann.AppendSearch(sc.buf[:0], vecs, norms, proj, qn, keep, opts.NProbe)
+		case viaQuant:
+			sc.buf, qs = s.Quant.AppendSearch(sc.buf[:0], vecs, norms, proj, qn, keep, opts.Beta)
+		default:
+			sc.exact = append(sc.exact, exactSeg{s: s, proj: proj, qn: qn, off: st.ExactDocs})
+			st.ExactDocs += s.Len()
 			continue
 		}
-		proj := fold(s)
-		qn := mat.Norm(proj)
-		switch {
-		case useAnn && useQuant:
-			// Composed: the coarse quantizer narrows to the probed cells'
-			// documents, the int8 tier scans exactly those and reranks the
-			// over-fetch in float.
-			var ps ivf.ProbeStats
-			docsBuf, ps = s.Ann.AppendProbeDocs(docsBuf[:0], proj, qn, opts.NProbe)
-			var qs quant.ScanStats
-			buf, qs = s.Quant.AppendSearchDocs(buf[:0], docsBuf, s.Ix.DocVectors(), s.Ix.Norms(), proj, qn, keep, opts.Beta)
+		if viaAnn {
 			st.Probed++
 			st.Cells += ps.Cells
 			st.Docs += ps.Docs
-			st.QuantSegs++
-			st.QuantDocs += qs.Scanned
-			st.Reranked += qs.Reranked
-		case useAnn:
-			var ps ivf.ProbeStats
-			buf, ps = s.Ann.AppendSearch(buf[:0], s.Ix.DocVectors(), s.Ix.Norms(), proj, qn, keep, opts.NProbe)
-			st.Probed++
-			st.Cells += ps.Cells
-			st.Docs += ps.Docs
-		default:
-			var qs quant.ScanStats
-			buf, qs = s.Quant.AppendSearch(buf[:0], s.Ix.DocVectors(), s.Ix.Norms(), proj, qn, keep, opts.Beta)
+		}
+		if viaQuant {
 			st.QuantSegs++
 			st.QuantDocs += qs.Scanned
 			st.Reranked += qs.Reranked
 		}
-		for _, m := range buf {
+		for _, m := range sc.buf {
 			// Global is ascending, so the remap is monotone: the strict
 			// (score desc, doc asc) order — and with it determinism and the
 			// full-probe equivalence — survives the renumbering.
 			h.Offer(topk.Match{Doc: s.Global[m.Doc], Score: m.Score})
 		}
 	}
-	if len(exact) > 0 {
-		p := project(exact, fold)
-		st.ExactDocs = p.total
-		for _, m := range p.selectTop(keep) {
-			h.Offer(m)
-		}
+	if len(sc.exact) > 0 {
+		sc.scanExact(h, keep, st.ExactDocs)
+		clear(sc.exact) // a pooled scratch must not pin retired segments
 	}
 	return h.AppendSorted(make([]topk.Match, 0, keep)), st
 }
 
-// SearchSparseOpts ranks every document held by segs against a sparse
-// query with the given tier options. Results carry GLOBAL document
-// numbers and exact float64 scores, deterministic for any worker count
-// and segment layout; the zero options are the exhaustive escape hatch.
-func SearchSparseOpts(segs []*Segment, terms []int, weights []float64, topN int, opts ProbeOptions) ([]topk.Match, ProbeStats) {
-	return searchProbe(segs, func(s *Segment) []float64 { return s.Ix.ProjectSparse(terms, weights) }, topN, opts)
-}
-
-// SearchVecOpts is SearchSparseOpts for a dense term-space query.
-func SearchVecOpts(segs []*Segment, q []float64, topN int, opts ProbeOptions) ([]topk.Match, ProbeStats) {
-	return searchProbe(segs, func(s *Segment) []float64 { return s.Ix.Project(q) }, topN, opts)
-}
-
-// SearchSparseProbe is SearchSparseOpts with only the IVF budget set —
-// the pre-quantization signature, kept for callers that tune nprobe
-// alone. nprobe <= 0 is the exhaustive escape hatch.
-func SearchSparseProbe(segs []*Segment, terms []int, weights []float64, topN, nprobe int) ([]topk.Match, ProbeStats) {
-	return SearchSparseOpts(segs, terms, weights, topN, ProbeOptions{NProbe: nprobe})
-}
-
-// SearchVecProbe is SearchSparseProbe for a dense term-space query.
-func SearchVecProbe(segs []*Segment, q []float64, topN, nprobe int) ([]topk.Match, ProbeStats) {
-	return searchProbe(segs, func(s *Segment) []float64 { return s.Ix.Project(q) }, topN, ProbeOptions{NProbe: nprobe})
-}
-
-// NumDocs returns the total number of documents across segs.
-func NumDocs(segs []*Segment) int {
-	n := 0
-	for _, s := range segs {
-		n += s.Len()
+// scanExact offers every document of the exact segments to h. The
+// segments are flattened into one range [0, total) and chunked once with
+// par's deterministic layout — one fan-out a query, however many
+// segments it crosses (a fan-out per segment measured +10 % at three
+// segments, +65 % at twelve; EXPERIMENTS.md "One search path") — with
+// one bounded heap per chunk, merged in chunk order.
+func (sc *searchScratch) scanExact(h *topk.Heap, keep, total int) {
+	maxK := 0
+	for _, e := range sc.exact {
+		maxK = max(maxK, len(e.proj))
 	}
-	return n
+	grain := par.GrainFor(2*maxK + 1)
+	if par.MaxProcs() == 1 || total <= grain {
+		sc.scoreRange(h, 0, total)
+		return
+	}
+	partials := par.MapChunks(total, grain, func(lo, hi int) *searchScratch {
+		csc := searchPool.Get().(*searchScratch)
+		csc.heap.Reset(keep)
+		sc.scoreRange(&csc.heap, lo, hi)
+		return csc
+	})
+	for _, csc := range partials {
+		h.Merge(&csc.heap)
+		searchPool.Put(csc)
+	}
+}
+
+// scoreRange offers every flattened document in [lo, hi) to h, walking
+// segment boundaries as it crosses them.
+func (sc *searchScratch) scoreRange(h *topk.Heap, lo, hi int) {
+	i := sort.Search(len(sc.exact), func(i int) bool { return sc.exact[i].off > lo }) - 1
+	for f := lo; f < hi; i++ {
+		e := sc.exact[i]
+		vecs, norms, global := e.s.Ix.DocVectors(), e.s.Ix.Norms(), e.s.Global
+		end := min(e.off+e.s.Len(), hi)
+		for j := f - e.off; f < end; f, j = f+1, j+1 {
+			h.Offer(topk.Match{Doc: global[j], Score: mat.DotNorm(e.proj, vecs.Row(j), e.qn, norms[j])})
+		}
+	}
+}
+
+// SearchSparseOpts is Search for a sparse query (the form the frozen
+// benchmark ledger calls).
+func SearchSparseOpts(segs []*Segment, terms []int, weights []float64, topN int, opts ProbeOptions) ([]topk.Match, ProbeStats) {
+	return Search(segs, Query{Terms: terms, Weights: weights}, topN, opts)
 }

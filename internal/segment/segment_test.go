@@ -49,6 +49,12 @@ func identity(n int) []int {
 	return g
 }
 
+// searchSparse is the exhaustive Search of a sparse query.
+func searchSparse(segs []*Segment, terms []int, weights []float64, topN int) []topk.Match {
+	ms, _ := Search(segs, Query{Terms: terms, Weights: weights}, topN, ProbeOptions{})
+	return ms
+}
+
 func sameMatches(t *testing.T, got, want []topk.Match, context string) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -75,11 +81,11 @@ func TestSingleSegmentSearchMatchesLSIBitwise(t *testing.T) {
 		for j := 0; j < 5; j++ {
 			terms, weights := sparseCol(a, j)
 			want := ix.SearchSparse(terms, weights, topN)
-			got := SearchSparse([]*Segment{seg}, terms, weights, topN)
+			got := searchSparse([]*Segment{seg}, terms, weights, topN)
 			sameMatches(t, got, want, "sparse")
 
 			wantV := ix.Search(a.Col(j), topN)
-			gotV := SearchVec([]*Segment{seg}, a.Col(j), topN)
+			gotV, _ := Search([]*Segment{seg}, Query{Vec: a.Col(j)}, topN, ProbeOptions{})
 			sameMatches(t, gotV, wantV, "dense")
 		}
 	}
@@ -119,10 +125,10 @@ func TestSearchDeterministicAcrossWorkerCounts(t *testing.T) {
 	qt, qw := sparseCol(a, 3)
 	prev := par.SetMaxProcs(1)
 	defer par.SetMaxProcs(prev)
-	want := SearchSparse(segs, qt, qw, 17)
+	want := searchSparse(segs, qt, qw, 17)
 	for _, workers := range []int{2, 3, 8} {
 		par.SetMaxProcs(workers)
-		got := SearchSparse(segs, qt, qw, 17)
+		got := searchSparse(segs, qt, qw, 17)
 		sameMatches(t, got, want, "workers")
 	}
 }
@@ -222,7 +228,7 @@ func TestCompactMergesAndRebuilds(t *testing.T) {
 	hits := 0
 	for j := 0; j < 60; j += 7 {
 		terms, weights := sparseCol(a, j)
-		res := SearchSparse([]*Segment{comp}, terms, weights, 3)
+		res := searchSparse([]*Segment{comp}, terms, weights, 3)
 		for _, m := range res {
 			if m.Doc == j {
 				hits++
@@ -239,8 +245,8 @@ func TestCompactMergesAndRebuilds(t *testing.T) {
 		t.Fatal(err)
 	}
 	qt, qw := sparseCol(a, 5)
-	sameMatches(t, SearchSparse([]*Segment{comp2}, qt, qw, 10),
-		SearchSparse([]*Segment{comp}, qt, qw, 10), "deterministic compaction")
+	sameMatches(t, searchSparse([]*Segment{comp2}, qt, qw, 10),
+		searchSparse([]*Segment{comp}, qt, qw, 10), "deterministic compaction")
 }
 
 func TestCompactTwoStepMatchesDirectRetrievalQuality(t *testing.T) {
@@ -278,7 +284,7 @@ func TestCompactTwoStepMatchesDirectRetrievalQuality(t *testing.T) {
 	// Self-retrieval through the compacted representation.
 	ok := 0
 	for j := 0; j < 300; j += 31 {
-		res := SearchSparse([]*Segment{comp}, terms[j], weights[j], 5)
+		res := searchSparse([]*Segment{comp}, terms[j], weights[j], 5)
 		if len(res) == 0 {
 			t.Fatalf("no results for doc %d", j)
 		}

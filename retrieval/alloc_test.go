@@ -43,14 +43,22 @@ func TestTextSearchAllocsIndependentOfCorpusSize(t *testing.T) {
 	}
 	ctx := context.Background()
 	const query = "galaxy telescope engine"
-	for _, backend := range []Backend{BackendLSI, BackendVSM} {
-		t.Run(backend.String(), func(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"lsi", []Option{WithBackend(BackendLSI)}},
+		{"vsm", []Option{WithBackend(BackendVSM)}},
+		{"lsi-2-shards", []Option{WithShards(2), WithAutoCompact(false)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			measure := func(numDocs int) float64 {
 				ix, err := BuildTexts(synthTexts(numDocs, 7331),
-					WithBackend(backend), WithRank(3), WithEngine(EngineDense), WithParallelism(1))
+					append([]Option{WithRank(3), WithEngine(EngineDense), WithParallelism(1)}, tc.opts...)...)
 				if err != nil {
 					t.Fatal(err)
 				}
+				defer ix.Close()
 				return testing.AllocsPerRun(200, func() {
 					if _, err := ix.Search(ctx, query, 10); err != nil {
 						t.Fatal(err)
@@ -68,6 +76,42 @@ func TestTextSearchAllocsIndependentOfCorpusSize(t *testing.T) {
 				t.Fatalf("%v allocs/op for a 3-token query, want <= 24", small)
 			}
 		})
+	}
+}
+
+// TestTierStatsScrapeIsAllocationFree pins what /metrics pays per tier
+// gauge: ANNStats and QuantStats read six counters and walk the segment
+// set once — no ID-table pass, no basis map, no snapshot slice — on
+// sharded and unsharded indexes alike.
+func TestTierStatsScrapeIsAllocationFree(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
+	for _, shards := range []int{0, 3} {
+		opts := []Option{WithRank(6), WithEngine(EngineDense), WithANN(8, 2), WithQuantized(2)}
+		if shards > 0 {
+			opts = append(opts, WithShards(shards), WithAutoCompact(false))
+		}
+		ix, err := Build(clusteredDocs(780, 5), opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ix.Close()
+		if _, err := ix.Search(context.Background(), "car engine", 10); err != nil {
+			t.Fatal(err)
+		}
+		wantSegs := max(shards, 1)
+		allocs := testing.AllocsPerRun(100, func() {
+			as, ok1 := ix.ANNStats()
+			qs, ok2 := ix.QuantStats()
+			if !ok1 || !ok2 || as.Segments != wantSegs || qs.Segments != wantSegs ||
+				as.Docs != 780 || qs.Docs != 780 || as.Searches != 1 || qs.Searches != 1 {
+				t.Fatalf("shards=%d: ann %+v (%v), quant %+v (%v)", shards, as, ok1, qs, ok2)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("shards=%d: ANNStats+QuantStats allocate %v/op, want 0", shards, allocs)
+		}
 	}
 }
 

@@ -5,61 +5,61 @@ import (
 	"fmt"
 
 	"repro/internal/ivf"
+	"repro/internal/quant"
 	"repro/internal/segment"
 )
 
-// The ANN tier at the retrieval layer (see WithANN). Unsharded LSI
-// indexes carry one IVF quantizer over the whole document-vector matrix,
-// trained at Build (and at Open, when the opening options ask for the
-// tier — the quantizer is derived state, cheap to rebuild and
-// deterministic for a fixed seed, so single-stream index files stay
-// format-stable). Sharded indexes delegate to retrieval/shard, where
-// every compacted segment owns a quantizer persisted as an ann-*.ivf
-// sidecar next to its seg-*.idx file.
+// The approximate tiers at the retrieval layer (see WithANN and
+// WithQuantized). The unsharded LSI index's one segment carries an IVF
+// quantizer and/or an int8 shadow over the whole document-vector matrix,
+// attached at Build (and at Open, when the opening options ask — both
+// are derived state, cheap to rebuild and deterministic, so
+// single-stream index files stay format-stable). Sharded indexes
+// delegate to retrieval/shard, where every compacted segment owns a
+// quantizer persisted as an ann-*.ivf sidecar next to its seg-*.idx
+// file. Either way the tiers are chosen per segment by segment.Search;
+// this layer only sets the budgets (probeOpts, budget).
 
 // annSeedOffset separates the quantizer-training random stream from the
 // decomposition seeds derived from the same configured seed.
 const annSeedOffset = 500009
 
-// trainANN trains the unsharded index's quantizer per cfg; a no-op when
-// the tier is not configured. Build and Open call it after the LSI index
-// exists.
-func (ix *Index) trainANN(cfg config) error {
-	ix.annList, ix.annProbe = cfg.annList, cfg.annProbe
-	if cfg.annList <= 0 || ix.lsiIndex == nil {
-		return nil
+// trainTiers attaches the configured sidecars to the unsharded index's
+// segment: an IVF quantizer for WithANN, an int8 shadow for
+// WithQuantized. Build and Open call it once the LSI index exists.
+func (ix *Index) trainTiers(cfg config) error {
+	ix.annList, ix.annProbe, ix.quantBeta = cfg.annList, cfg.annProbe, cfg.quantBeta
+	vecs := ix.seg.Ix.DocVectors()
+	if cfg.annList > 0 {
+		ann, err := ivf.Train(vecs, ix.seg.Ix.Norms(), ivf.TrainOptions{
+			NList: cfg.annList,
+			Seed:  cfg.seed + annSeedOffset,
+		})
+		if err != nil {
+			return fmt.Errorf("retrieval: training quantizer: %w", err)
+		}
+		ix.annList = ann.NList() // post-clamp truth beats the config
+		if ix.seg, err = ix.seg.WithAnn(ann); err != nil {
+			return err
+		}
 	}
-	ann, err := ivf.Train(ix.lsiIndex.DocVectors(), ix.lsiIndex.Norms(), ivf.TrainOptions{
-		NList: cfg.annList,
-		Seed:  cfg.seed + annSeedOffset,
-	})
-	if err != nil {
-		return fmt.Errorf("retrieval: training quantizer: %w", err)
+	if cfg.quantBeta > 0 {
+		var err error
+		if ix.seg, err = ix.seg.WithQuant(quant.Quantize(vecs)); err != nil {
+			return err
+		}
 	}
-	ix.ann = ann
 	return nil
 }
 
-// searchSparseProbe is searchSparse with an explicit probe budget:
-// nprobe > 0 probes that many cells per quantizer (composing with the
-// configured quantized tier, when one serves), nprobe <= 0 scans fully
-// exactly — float kernels, no tier. Indexes without a quantizer serve
-// every budget through whatever tiers they do have.
-func (ix *Index) searchSparseProbe(terms []int, weights []float64, topN, nprobe int) []Result {
-	var opts segment.ProbeOptions
-	if nprobe > 0 {
-		opts = segment.ProbeOptions{NProbe: nprobe, Beta: ix.quantBeta}
+// budget is the tier routing of a per-request probe override: nprobe >
+// 0 probes that many cells per quantizer and keeps the configured
+// quantized rerank; nprobe <= 0 is the fully exact scan.
+func (ix *Index) budget(nprobe int) segment.ProbeOptions {
+	if nprobe <= 0 {
+		return segment.ProbeOptions{}
 	}
-	return ix.searchSparseOpts(terms, weights, topN, opts)
-}
-
-// searchVecProbe is searchSparseProbe for a dense term-space vector.
-func (ix *Index) searchVecProbe(q []float64, topN, nprobe int) []Result {
-	var opts segment.ProbeOptions
-	if nprobe > 0 {
-		opts = segment.ProbeOptions{NProbe: nprobe, Beta: ix.quantBeta}
-	}
-	return ix.searchVecOpts(q, topN, opts)
+	return segment.ProbeOptions{NProbe: nprobe, Beta: ix.quantBeta}
 }
 
 // SearchProbe is Search with a per-request probe budget overriding the
@@ -68,27 +68,16 @@ func (ix *Index) searchVecProbe(q []float64, topN, nprobe int) []Result {
 // keeping the configured quantized rerank, and nprobe <= 0 forces the
 // fully exact scan — float64 kernels over every document, the
 // per-request escape hatch for both tiers. Indexes without an ANN tier
-// serve every budget through whatever tiers they do have. SearchProbe
-// bypasses the query cache: cache keys assume the configured default
-// budget, and a per-request override must not poison them.
+// (VSM among them) serve every budget through whatever tiers they do
+// have. SearchProbe bypasses the query cache: cache keys assume the
+// configured default budget, and a per-request override must not poison
+// them.
 func (ix *Index) SearchProbe(ctx context.Context, query string, topN, nprobe int) ([]Result, error) {
-	if err := ctx.Err(); err != nil {
+	q, err := ix.textQuery(ctx, query)
+	if err != nil {
 		return nil, err
 	}
-	if ix.vocab == nil {
-		return nil, ErrNoVocabulary
-	}
-	terms, weights, known := ix.querySparse(query)
-	if known == 0 {
-		return nil, fmt.Errorf("%w: %q", ErrNoQueryTerms, query)
-	}
-	var res []Result
-	if ix.backend == BackendVSM {
-		// No latent space to probe; serve the ordinary VSM ranking.
-		res = ix.searchSparse(terms, weights, topN)
-	} else {
-		res = ix.searchSparseProbe(terms, weights, topN, nprobe)
-	}
+	res := ix.search(q, topN, ix.budget(nprobe))
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -99,22 +88,7 @@ func (ix *Index) SearchProbe(ctx context.Context, query string, topN, nprobe int
 // budget semantics are those of SearchProbe. The vector length must
 // equal NumTerms.
 func (ix *Index) SearchVectorProbe(ctx context.Context, q []float64, topN, nprobe int) ([]Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if len(q) != ix.NumTerms() {
-		return nil, fmt.Errorf("%w: got %d, want %d", ErrVectorLength, len(q), ix.NumTerms())
-	}
-	var res []Result
-	if ix.backend == BackendVSM {
-		res = ix.searchVec(q, topN)
-	} else {
-		res = ix.searchVecProbe(q, topN, nprobe)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return ix.searchVector(ctx, q, topN, ix.budget(nprobe))
 }
 
 // ANNStats describes the IVF ANN tier of an index built or opened with
@@ -138,30 +112,18 @@ type ANNStats struct {
 }
 
 // ANNStats reports the ANN tier's configuration and probe counters; ok
-// is false when the index has no tier (not configured, or a backend
-// without one).
-func (ix *Index) ANNStats() (ANNStats, bool) {
-	st := ANNStats{NList: ix.annList, NProbe: ix.annProbe}
-	switch {
-	case ix.sharded != nil:
-		ss := ix.sharded.Stats()
-		if ix.annList <= 0 && ss.ANNSegments == 0 {
-			return ANNStats{}, false
-		}
-		st.Segments = ss.ANNSegments
-		st.Docs = ss.ANNDocs
-		st.Searches = ss.ANNSearches
-		st.CellsProbed = ss.ANNCellsProbed
-		st.DocsScored = ss.ANNDocsScored
-	case ix.ann != nil:
-		st.NList = ix.ann.NList() // post-clamp truth beats the config
-		st.Segments = 1
-		st.Docs = ix.ann.NumDocs()
-		st.Searches = ix.annSearches.Load()
-		st.CellsProbed = ix.annCells.Load()
-		st.DocsScored = ix.annDocs.Load()
-	default:
+// is false when the index has no tier (not configured and no loaded
+// segment carries a quantizer, or a backend without one).
+func (ix *Index) ANNStats() (ANNStats, bool) { return ix.annStats(ix.tierCoverage()) }
+
+func (ix *Index) annStats(t segment.Tiers) (ANNStats, bool) {
+	if ix.annList <= 0 && t.AnnSegs == 0 {
 		return ANNStats{}, false
 	}
-	return st, true
+	tot := ix.tiers.Totals()
+	return ANNStats{
+		NList: ix.annList, NProbe: ix.annProbe,
+		Segments: t.AnnSegs, Docs: t.AnnDocs,
+		Searches: tot.AnnSearches, CellsProbed: tot.AnnCells, DocsScored: tot.AnnDocs,
+	}, true
 }

@@ -6,15 +6,14 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/corpus"
 	"repro/internal/ir"
-	"repro/internal/ivf"
 	"repro/internal/lsi"
 	"repro/internal/par"
-	"repro/internal/quant"
+	"repro/internal/segment"
 	"repro/internal/sparse"
+	"repro/internal/topk"
 	"repro/internal/vsm"
 	"repro/retrieval/cache"
 	"repro/retrieval/shard"
@@ -28,7 +27,12 @@ import (
 type Index struct {
 	backend Backend
 
-	lsiIndex *lsi.Index
+	// seg is the unsharded LSI index: one frozen segment whose Global
+	// table is the identity, carrying the tier sidecars WithANN /
+	// WithQuantized asked for. A sharded index keeps its segments in
+	// retrieval/shard instead; either way a query is segment.Search over
+	// segments().
+	seg      *segment.Segment
 	vsmIndex *vsm.Index
 	matrix   *sparse.CSR  // term-document matrix, retained for VSM persistence
 	sharded  *shard.Index // non-nil iff built with WithShards
@@ -39,28 +43,13 @@ type Index struct {
 	stemming        bool
 	docIDs          []string
 
-	// The ANN tier (WithANN). ann is the unsharded index's quantizer —
-	// sharded indexes keep one per compacted segment down in
-	// retrieval/shard. annList/annProbe remember the configuration
-	// (annProbe is the default probe budget of Search; 0 = exhaustive);
-	// the atomics count unsharded probe work for Stats and /metrics.
-	ann         *ivf.Index
-	annList     int
-	annProbe    int
-	annSearches atomic.Int64
-	annCells    atomic.Int64
-	annDocs     atomic.Int64
-
-	// The quantized scoring tier (WithQuantized). quant is the unsharded
-	// index's int8 shadow — sharded indexes keep one per compacted
-	// segment down in retrieval/shard. quantBeta is the default rerank
-	// over-fetch factor of Search (0 = the tier is off); the atomics
-	// count unsharded scan work for Stats and /metrics.
-	quant         *quant.Matrix
-	quantBeta     int
-	quantSearches atomic.Int64
-	quantScanned  atomic.Int64
-	quantReranked atomic.Int64
+	// Tier configuration (WithANN, WithQuantized): annProbe and quantBeta
+	// are the default budgets of Search (0 = that tier is off); tiers
+	// accumulates what every search did, for Stats and /metrics.
+	annList   int
+	annProbe  int
+	quantBeta int
+	tiers     segment.Counters
 
 	qc *queryCache // non-nil iff built/opened with WithQueryCache
 
@@ -146,14 +135,12 @@ func Build(docs []Document, opts ...Option) (*Index, error) {
 		if rank <= 0 {
 			rank = autoRank(c.NumTerms, len(c.Docs))
 		}
-		ix.lsiIndex, err = lsi.Build(a, rank, lsi.Options{Engine: engine, Seed: cfg.seed})
+		li, err := lsi.Build(a, rank, lsi.Options{Engine: engine, Seed: cfg.seed})
 		if err != nil {
 			return nil, fmt.Errorf("retrieval: building LSI index: %w", err)
 		}
-		if err := ix.trainANN(cfg); err != nil {
-			return nil, err
-		}
-		if err := ix.trainQuant(cfg); err != nil {
+		ix.setLSI(li)
+		if err := ix.trainTiers(cfg); err != nil {
 			return nil, err
 		}
 	case BackendVSM:
@@ -183,7 +170,7 @@ func (ix *Index) NumDocs() int {
 	case ix.backend == BackendVSM:
 		return ix.vsmIndex.NumDocs()
 	}
-	return ix.lsiIndex.NumDocs()
+	return ix.seg.Len()
 }
 
 // NumTerms returns the vocabulary size the index was built over.
@@ -194,7 +181,7 @@ func (ix *Index) NumTerms() int {
 	case ix.backend == BackendVSM:
 		return ix.vsmIndex.NumTerms()
 	}
-	return ix.lsiIndex.NumTerms()
+	return ix.seg.Ix.NumTerms()
 }
 
 // Rank returns the retained LSI rank (0 for the VSM backend; the
@@ -206,7 +193,7 @@ func (ix *Index) Rank() int {
 	case ix.backend == BackendVSM:
 		return 0
 	}
-	return ix.lsiIndex.K()
+	return ix.seg.Ix.K()
 }
 
 // Stats describes the index, including a per-backend memory estimate
@@ -230,9 +217,11 @@ func (ix *Index) Stats() Stats {
 	for _, id := range ix.docIDs {
 		st.MemoryBytes += int64(len(id)) + 16
 	}
+	var tiers segment.Tiers
 	switch {
 	case ix.sharded != nil:
 		ss := ix.sharded.Stats()
+		tiers = ss.Tiers
 		st.Sharded = true
 		st.Epoch = ix.sharded.Epoch()
 		st.Generation = ss.Generation
@@ -244,7 +233,8 @@ func (ix *Index) Stats() Stats {
 		st.FoldedDocs = ss.FoldedDocs
 		st.Compactions = ss.Compactions
 		st.MemoryBytes += ss.MemoryBytes
-		st.Ready = ix.sharded.Ready()
+		// shard.Index.Ready, read off the same snapshot as the counts above.
+		st.Ready = ss.SealedPending == 0 && !ss.Compacting
 	case ix.backend == BackendVSM:
 		// Postings (doc, weight) pairs mirror the matrix nonzeros; the
 		// matrix itself is retained for persistence.
@@ -253,29 +243,55 @@ func (ix *Index) Stats() Stats {
 		st.MemoryBytes += nnz*16 + int64(m)*8   // postings + norms
 		st.MemoryBytes += nnz*16 + int64(n+1)*8 // retained CSR
 	default:
-		n := int64(ix.lsiIndex.NumTerms())
-		m := int64(ix.lsiIndex.NumDocs())
-		k := int64(ix.lsiIndex.K())
-		st.MemoryBytes += 8 * (n*k + m*k + k + m) // basis + doc rows + sigma + norms
-		if ann := ix.ann; ann != nil {
-			nlist := int64(ann.NList())
-			st.MemoryBytes += 8*nlist*int64(ann.Dim()) + 8*nlist + 8*(nlist+1) + 4*int64(ann.NumDocs())
-		}
-		if qm := ix.quant; qm != nil {
-			st.MemoryBytes += qm.Bytes()
-		}
+		tiers.Add(ix.seg)
+		st.MemoryBytes += ix.seg.MemoryBytes(true)
 	}
 	if cs, ok := ix.CacheStats(); ok {
 		st.Cache = &cs
 		st.MemoryBytes += cs.Bytes
 	}
-	if as, ok := ix.ANNStats(); ok {
+	if as, ok := ix.annStats(tiers); ok {
 		st.ANN = &as
 	}
-	if qs, ok := ix.QuantStats(); ok {
+	if qs, ok := ix.quantStats(tiers); ok {
 		st.Quant = &qs
 	}
 	return st
+}
+
+// setLSI installs li as the unsharded index: one frozen segment whose
+// local rows are the global document numbers.
+func (ix *Index) setLSI(li *lsi.Index) {
+	global := make([]int, li.NumDocs())
+	for j := range global {
+		global[j] = j
+	}
+	ix.seg = &segment.Segment{Ix: li, Global: global, Compacted: true}
+}
+
+// segments appends the segment set a query runs over to dst: the one
+// frozen segment, or the sharded index's current snapshot (nothing for
+// VSM, which has no latent space). Callers pass a small stack buffer so
+// the usual handful of segments costs no allocation.
+func (ix *Index) segments(dst []*segment.Segment) []*segment.Segment {
+	switch {
+	case ix.sharded != nil:
+		return ix.sharded.Segments(dst)
+	case ix.seg != nil:
+		return append(dst, ix.seg)
+	}
+	return dst
+}
+
+// tierCoverage walks the segment set once for the tiers' topology. It
+// touches neither the ID table nor the heap, so /metrics can call it on
+// every scrape.
+func (ix *Index) tierCoverage() (t segment.Tiers) {
+	var buf [16]*segment.Segment
+	for _, s := range ix.segments(buf[:0]) {
+		t.Add(s)
+	}
+	return t
 }
 
 // DocID returns the external identifier of document doc (build order).
@@ -330,54 +346,55 @@ func (ix *Index) querySparse(query string) (terms []int, weights []float64, know
 	return terms, weights, known
 }
 
-// toResults converts n backend matches to public Results via at, which
-// returns match i's (doc, score) — the one conversion loop shared by
-// both backends' single and batch paths.
-func (ix *Index) toResults(n int, at func(int) (int, float64)) []Result {
-	out := make([]Result, n)
-	for i := range out {
-		doc, score := at(i)
-		out[i] = Result{Doc: doc, ID: ix.DocID(doc), Score: score}
+// search is the one query path behind every public Search* method: text
+// or vector, default or per-request budget, single or batch, sharded or
+// not. An LSI query is segment.Search over the index's segment set (see
+// DESIGN.md "The search path"), its work record folded into the tier
+// counters; VSM, which has no latent space and no tiers, is the only
+// other branch. q must be validated (terms ascending and in range, or a
+// vector of NumTerms entries).
+func (ix *Index) search(q segment.Query, topN int, opts segment.ProbeOptions) []Result {
+	var ms []topk.Match
+	switch {
+	case ix.backend != BackendVSM:
+		var buf [16]*segment.Segment
+		var st segment.ProbeStats
+		ms, st = segment.Search(ix.segments(buf[:0]), q, topN, opts)
+		ix.tiers.Add(st)
+	case q.Vec != nil:
+		ms = ix.vsmIndex.Search(q.Vec, topN)
+	default:
+		ms = ix.vsmIndex.SearchSparse(q.Terms, q.Weights, topN)
+	}
+	out := make([]Result, len(ms))
+	for i, m := range ms {
+		out[i] = Result{Doc: m.Doc, ID: ix.DocID(m.Doc), Score: m.Score}
 	}
 	return out
 }
 
-// searchVec ranks documents against a validated dense term-space vector
-// (the SearchVector path; text queries go through searchSparse).
-func (ix *Index) searchVec(q []float64, topN int) []Result {
-	if ix.annProbe > 0 || ix.quantBeta > 0 {
-		return ix.searchVecOpts(q, topN, ix.probeOpts())
-	}
-	if ix.sharded != nil {
-		ms := ix.sharded.SearchVec(q, topN)
-		return ix.toResults(len(ms), func(i int) (int, float64) { return ms[i].Doc, ms[i].Score })
-	}
-	if ix.backend == BackendVSM {
-		ms := ix.vsmIndex.Search(q, topN)
-		return ix.toResults(len(ms), func(i int) (int, float64) { return ms[i].Doc, ms[i].Score })
-	}
-	ms := ix.lsiIndex.Search(q, topN)
-	return ix.toResults(len(ms), func(i int) (int, float64) { return ms[i].Doc, ms[i].Score })
+// probeOpts is the tier routing of the default Search: the configured
+// ANN probe budget plus the configured rerank over-fetch factor.
+func (ix *Index) probeOpts() segment.ProbeOptions {
+	return segment.ProbeOptions{NProbe: ix.annProbe, Beta: ix.quantBeta}
 }
 
-// searchSparse ranks documents against a validated sparse query (terms
-// sorted ascending), staying on the backends' sparse hot paths. With a
-// configured default probe budget (WithANN's nprobe > 0) it routes
-// through the ANN tier.
-func (ix *Index) searchSparse(terms []int, weights []float64, topN int) []Result {
-	if ix.annProbe > 0 || ix.quantBeta > 0 {
-		return ix.searchSparseOpts(terms, weights, topN, ix.probeOpts())
+// textQuery preprocesses query text into the validated sparse query
+// value, failing the way every text entry point fails: on a done
+// context, an index without a vocabulary, or a query none of whose
+// terms the vocabulary knows.
+func (ix *Index) textQuery(ctx context.Context, query string) (segment.Query, error) {
+	if err := ctx.Err(); err != nil {
+		return segment.Query{}, err
 	}
-	if ix.sharded != nil {
-		ms := ix.sharded.SearchSparse(terms, weights, topN)
-		return ix.toResults(len(ms), func(i int) (int, float64) { return ms[i].Doc, ms[i].Score })
+	if ix.vocab == nil {
+		return segment.Query{}, ErrNoVocabulary
 	}
-	if ix.backend == BackendVSM {
-		ms := ix.vsmIndex.SearchSparse(terms, weights, topN)
-		return ix.toResults(len(ms), func(i int) (int, float64) { return ms[i].Doc, ms[i].Score })
+	terms, weights, known := ix.querySparse(query)
+	if known == 0 {
+		return segment.Query{}, fmt.Errorf("%w: %q", ErrNoQueryTerms, query)
 	}
-	ms := ix.lsiIndex.SearchSparse(terms, weights, topN)
-	return ix.toResults(len(ms), func(i int) (int, float64) { return ms[i].Doc, ms[i].Score })
+	return segment.Query{Terms: terms, Weights: weights}, nil
 }
 
 // Search implements Retriever: it preprocesses the query with the
@@ -402,13 +419,18 @@ func (ix *Index) Search(ctx context.Context, query string, topN int) ([]Result, 
 // an error wrapping ErrVectorLength instead of panicking like the
 // internal fast-paths.
 func (ix *Index) SearchVector(ctx context.Context, q []float64, topN int) ([]Result, error) {
+	return ix.searchVector(ctx, q, topN, ix.probeOpts())
+}
+
+// searchVector is the shared body of SearchVector and SearchVectorProbe.
+func (ix *Index) searchVector(ctx context.Context, q []float64, topN int, opts segment.ProbeOptions) ([]Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	if len(q) != ix.NumTerms() {
 		return nil, fmt.Errorf("%w: got %d, want %d", ErrVectorLength, len(q), ix.NumTerms())
 	}
-	res := ix.searchVec(q, topN)
+	res := ix.search(segment.Query{Vec: q}, topN, opts)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -417,12 +439,12 @@ func (ix *Index) SearchVector(ctx context.Context, q []float64, topN int) ([]Res
 
 // batchChunk bounds how many queries run between context checks in
 // SearchBatch: small enough that cancellation is honored promptly, large
-// enough that the parallel backend batch kernels stay saturated.
+// enough that the workers stay saturated.
 const batchChunk = 64
 
 // SearchBatch implements Retriever: it runs every query through the same
-// path as Search, fanning the per-query work across CPUs via the backend
-// batch kernels and checking ctx between chunks of batchChunk queries.
+// path as Search, fanning whole queries across CPUs and checking ctx
+// between chunks of batchChunk queries.
 // Queries with no in-vocabulary terms yield empty (non-nil) result
 // slices; result order matches query order.
 func (ix *Index) SearchBatch(ctx context.Context, queries []string, topN int) ([][]Result, error) {
@@ -467,27 +489,21 @@ func (ix *Index) SearchBatch(ctx context.Context, queries []string, topN int) ([
 		}
 		qterms, qweights, qpos = qterms[:kept], qweights[:kept], qpos[:kept]
 	}
+	// Whole queries fan out across par workers (each may fan out again
+	// inside its scan; nesting is safe and never changes results).
+	opts := ix.probeOpts()
+	grain := par.GrainFor((1 + ix.NumDocs()) * max(1, ix.Rank()))
 	for lo := 0; lo < len(qterms); lo += batchChunk {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		hi := min(lo+batchChunk, len(qterms))
-		var chunk [][]Result
-		if ix.sharded != nil || ix.tiered() {
-			// Sharded and tier-routed searches go query-by-query through the
-			// same dispatch as Search; each query parallelizes internally.
-			for i := lo; i < hi; i++ {
-				chunk = append(chunk, ix.searchSparse(qterms[i], qweights[i], topN))
+		chunk := make([][]Result, hi-lo)
+		par.For(len(chunk), grain, func(a, b int) {
+			for i := a; i < b; i++ {
+				chunk[i] = ix.search(segment.Query{Terms: qterms[lo+i], Weights: qweights[lo+i]}, topN, opts)
 			}
-		} else if ix.backend == BackendVSM {
-			for _, ms := range ix.vsmIndex.SearchBatchSparse(qterms[lo:hi], qweights[lo:hi], topN) {
-				chunk = append(chunk, ix.toResults(len(ms), func(i int) (int, float64) { return ms[i].Doc, ms[i].Score }))
-			}
-		} else {
-			for _, ms := range ix.lsiIndex.SearchBatchSparse(qterms[lo:hi], qweights[lo:hi], topN) {
-				chunk = append(chunk, ix.toResults(len(ms), func(i int) (int, float64) { return ms[i].Doc, ms[i].Score }))
-			}
-		}
+		})
 		store := ix.qc != nil && ix.qc.epoch() == batchEpoch
 		for i, res := range chunk {
 			out[qpos[lo+i]] = res

@@ -2,9 +2,9 @@ package retrieval
 
 import (
 	"context"
-	"fmt"
 	"sync"
 
+	"repro/internal/segment"
 	"repro/retrieval/cache"
 )
 
@@ -37,8 +37,8 @@ import (
 // decorator copies the result slice before returning it; a steady-state
 // hit costs exactly that one allocation.
 
-// queryCache decorates the backend sparse-search path of an Index with
-// an epoch-keyed result cache plus request coalescing.
+// queryCache is the epoch-keyed result cache (plus request coalescing)
+// that searchStatus puts in front of the text-query path.
 type queryCache struct {
 	c     *cache.Cache[[]Result]
 	epoch func() uint64
@@ -86,35 +86,30 @@ func (ix *Index) epoch() uint64 {
 	return 0
 }
 
-// search ranks a validated sparse query through the cache: hit and
-// coalesced lookups share a previously computed slice (copied before
-// returning), misses run raw and store the result if the epoch was
-// stable around the computation.
-func (q *queryCache) search(terms []int, weights []float64, topN int, raw func([]int, []float64, int) []Result) ([]Result, cache.Status) {
-	e := q.epoch()
+// searchStatus is the default-budget search of a validated sparse query
+// through the cache when one is attached: hit and coalesced lookups
+// share a previously computed slice (copied before returning), misses
+// run the search and store the result if the epoch was stable around
+// the computation.
+func (ix *Index) searchStatus(q segment.Query, topN int) ([]Result, cache.Status) {
+	if ix.qc == nil {
+		return ix.search(q, topN, ix.probeOpts()), cache.StatusBypass
+	}
+	e := ix.qc.epoch()
 	bufp := keyBufPool.Get().(*[]byte)
-	key := cache.AppendQueryKey((*bufp)[:0], e, topN, terms, weights)
-	res, st := q.c.Do(key, func() ([]Result, bool) {
-		r := raw(terms, weights, topN)
+	key := cache.AppendQueryKey((*bufp)[:0], e, topN, q.Terms, q.Weights)
+	res, st := ix.qc.c.Do(key, func() ([]Result, bool) {
+		r := ix.search(q, topN, ix.probeOpts())
 		// Store only if no mutation published while we searched; the
 		// value is correct to return either way (it is exactly what an
 		// uncached search would have produced).
-		return r, q.epoch() == e
+		return r, ix.qc.epoch() == e
 	})
 	*bufp = key[:0]
 	keyBufPool.Put(bufp)
 	// The slice is shared with the cache (hit, coalesced) or with
 	// waiters that coalesced on our flight (miss) — hand out a copy.
 	return copyResults(res), st
-}
-
-// searchSparseStatus is searchSparse through the cache when one is
-// attached, reporting the lookup's disposition.
-func (ix *Index) searchSparseStatus(terms []int, weights []float64, topN int) ([]Result, cache.Status) {
-	if ix.qc == nil {
-		return ix.searchSparse(terms, weights, topN), cache.StatusBypass
-	}
-	return ix.qc.search(terms, weights, topN, ix.searchSparse)
 }
 
 // SearchStatus is Search plus the cache disposition of the lookup:
@@ -126,17 +121,11 @@ func (ix *Index) searchSparseStatus(terms []int, weights []float64, topN int) ([
 // keyed by normalized query, topN, and index epoch, so a hit can never
 // serve results from before a live index's last Add or Compact.
 func (ix *Index) SearchStatus(ctx context.Context, query string, topN int) ([]Result, cache.Status, error) {
-	if err := ctx.Err(); err != nil {
+	q, err := ix.textQuery(ctx, query)
+	if err != nil {
 		return nil, cache.StatusBypass, err
 	}
-	if ix.vocab == nil {
-		return nil, cache.StatusBypass, ErrNoVocabulary
-	}
-	terms, weights, known := ix.querySparse(query)
-	if known == 0 {
-		return nil, cache.StatusBypass, fmt.Errorf("%w: %q", ErrNoQueryTerms, query)
-	}
-	res, st := ix.searchSparseStatus(terms, weights, topN)
+	res, st := ix.searchStatus(q, topN)
 	if err := ctx.Err(); err != nil {
 		return nil, st, err
 	}

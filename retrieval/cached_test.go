@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/race"
+	"repro/internal/segment"
 	"repro/retrieval/cache"
 )
 
@@ -252,9 +253,9 @@ func TestCacheHitAllocsAtMostOne(t *testing.T) {
 	}
 	// Prime, then pin: a steady-state hit allocates exactly the returned
 	// copy — nothing for the key, the lookup, or the LRU touch.
-	ix.searchSparseStatus(terms, weights, 5)
+	ix.searchStatus(segment.Query{Terms: terms, Weights: weights}, 5)
 	allocs := testing.AllocsPerRun(200, func() {
-		res, st := ix.searchSparseStatus(terms, weights, 5)
+		res, st := ix.searchStatus(segment.Query{Terms: terms, Weights: weights}, 5)
 		if st != cache.StatusHit {
 			t.Fatalf("status %v, want hit", st)
 		}

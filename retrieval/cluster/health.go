@@ -113,15 +113,15 @@ func (r *Router) probeNode(ctx context.Context, node Node) {
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, node.URL+"/readyz", nil)
 	if err != nil {
-		r.recordProbe(h, nil, err)
+		r.recordHealth(h, nil, err)
 		return
 	}
 	resp, err := r.client.Do(req)
-	r.recordProbe(h, resp, err)
+	r.recordHealth(h, resp, err)
 }
 
-// recordProbe folds one probe outcome into the node's health record.
-func (r *Router) recordProbe(h *nodeHealth, resp *http.Response, err error) {
+// recordHealth folds one probe outcome into the node's health record.
+func (r *Router) recordHealth(h *nodeHealth, resp *http.Response, err error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.probed = true

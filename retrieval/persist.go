@@ -86,7 +86,7 @@ func (ix *Index) Save(w io.Writer) error {
 			Stemming:        ix.stemming,
 		}
 	}
-	return ix.lsiIndex.SaveMeta(w, meta)
+	return ix.seg.Ix.SaveMeta(w, meta)
 }
 
 // TextConfig supplies the text layer for indexes whose stream carries
@@ -195,7 +195,8 @@ func Load(r io.Reader, opts ...LoadOption) (*Index, error) {
 // loadLSI attaches the text layer to a loaded LSI index: the stored one
 // if the stream carried any, else the caller's TextConfig.
 func loadLSI(lsiIndex *lsi.Index, stored *lsi.Meta, text *TextConfig) (*Index, error) {
-	ix := &Index{backend: BackendLSI, lsiIndex: lsiIndex, weighting: WeightingLog}
+	ix := &Index{backend: BackendLSI, weighting: WeightingLog}
+	ix.setLSI(lsiIndex)
 	switch {
 	case !stored.Empty():
 		if len(stored.Vocab) > 0 && len(stored.Vocab) != lsiIndex.NumTerms() {

@@ -45,7 +45,9 @@ func syntheticLSI(tb testing.TB, docs, terms, k int) *Index {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return &Index{backend: BackendLSI, lsiIndex: li, vocab: vocab, weighting: WeightingLog, docIDs: names("doc-", docs)}
+	ix := &Index{backend: BackendLSI, vocab: vocab, weighting: WeightingLog, docIDs: names("doc-", docs)}
+	ix.setLSI(li)
+	return ix
 }
 
 // saveTo writes ix to path the way a caller with a file does, and

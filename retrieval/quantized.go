@@ -3,8 +3,6 @@ package retrieval
 import (
 	"fmt"
 
-	"repro/internal/mat"
-	"repro/internal/quant"
 	"repro/internal/segment"
 )
 
@@ -20,107 +18,6 @@ import (
 // (score desc, doc asc) order — every returned score is a true float64
 // cosine, only membership deep in the list can differ from the exact
 // scan.
-
-// trainQuant builds the unsharded index's int8 shadow per cfg; a no-op
-// when the tier is not configured. Build and Open call it after the LSI
-// index exists.
-func (ix *Index) trainQuant(cfg config) error {
-	ix.quantBeta = cfg.quantBeta
-	if cfg.quantBeta <= 0 || ix.lsiIndex == nil {
-		return nil
-	}
-	ix.quant = quant.Quantize(ix.lsiIndex.DocVectors())
-	return nil
-}
-
-// probeOpts is the tier routing of the default Search: the configured
-// ANN probe budget plus the configured rerank over-fetch factor.
-func (ix *Index) probeOpts() segment.ProbeOptions {
-	return segment.ProbeOptions{NProbe: ix.annProbe, Beta: ix.quantBeta}
-}
-
-// tiered reports whether the default Search routes through any
-// approximate tier (and therefore bypasses the backends' batch kernels).
-func (ix *Index) tiered() bool {
-	return (ix.annProbe > 0 && ix.ann != nil) || (ix.quantBeta > 0 && ix.quant != nil)
-}
-
-// searchSparseOpts is searchSparse with explicit tier options: NProbe >
-// 0 probes that many IVF cells per quantizer, Beta > 0 scores through
-// the int8 shadow and exact-reranks topN·Beta candidates, and the zero
-// options scan exhaustively in float — the fully exact escape hatch.
-// Indexes without the corresponding sidecar serve each budget
-// exhaustively.
-func (ix *Index) searchSparseOpts(terms []int, weights []float64, topN int, opts segment.ProbeOptions) []Result {
-	if ix.sharded != nil {
-		ms, _ := ix.sharded.SearchSparseOpts(terms, weights, topN, opts)
-		return ix.toResults(len(ms), func(i int) (int, float64) { return ms[i].Doc, ms[i].Score })
-	}
-	if ix.backend != BackendLSI || !ix.useAnn(opts) && !ix.useQuant(opts) {
-		ms := ix.lsiIndex.SearchSparse(terms, weights, topN)
-		return ix.toResults(len(ms), func(i int) (int, float64) { return ms[i].Doc, ms[i].Score })
-	}
-	return ix.optsProjected(ix.lsiIndex.ProjectSparse(terms, weights), topN, opts)
-}
-
-// searchVecOpts is searchSparseOpts for a dense term-space vector.
-func (ix *Index) searchVecOpts(q []float64, topN int, opts segment.ProbeOptions) []Result {
-	if ix.sharded != nil {
-		ms, _ := ix.sharded.SearchVecOpts(q, topN, opts)
-		return ix.toResults(len(ms), func(i int) (int, float64) { return ms[i].Doc, ms[i].Score })
-	}
-	if ix.backend != BackendLSI || !ix.useAnn(opts) && !ix.useQuant(opts) {
-		ms := ix.lsiIndex.Search(q, topN)
-		return ix.toResults(len(ms), func(i int) (int, float64) { return ms[i].Doc, ms[i].Score })
-	}
-	return ix.optsProjected(ix.lsiIndex.Project(q), topN, opts)
-}
-
-func (ix *Index) useAnn(opts segment.ProbeOptions) bool   { return ix.ann != nil && opts.NProbe > 0 }
-func (ix *Index) useQuant(opts segment.ProbeOptions) bool { return ix.quant != nil && opts.Beta > 0 }
-
-// optsProjected runs the unsharded tiered scan over an already-projected
-// query: IVF probe and int8 rerank when both sidecars serve (the probe
-// narrows the candidate set, the shadow scores it, exact float
-// rescores), otherwise whichever single tier is on. The query norm is
-// computed exactly as the exhaustive path computes it, so saturated
-// budgets reproduce lsi's own scan bitwise.
-func (ix *Index) optsProjected(pq []float64, topN int, opts segment.ProbeOptions) []Result {
-	qn := mat.Norm(pq)
-	vecs, norms := ix.lsiIndex.DocVectors(), ix.lsiIndex.Norms()
-	useAnn, useQuant := ix.useAnn(opts), ix.useQuant(opts)
-	switch {
-	case useAnn && useQuant:
-		docs, pst := ix.ann.AppendProbeDocs(nil, pq, qn, opts.NProbe)
-		ms, qst := ix.quant.AppendSearchDocs(nil, docs, vecs, norms, pq, qn, topN, opts.Beta)
-		ix.recordAnn(pst.Cells, pst.Docs)
-		ix.recordQuant(qst)
-		return ix.toResults(len(ms), func(i int) (int, float64) { return ms[i].Doc, ms[i].Score })
-	case useQuant:
-		ms, qst := ix.quant.AppendSearch(nil, vecs, norms, pq, qn, topN, opts.Beta)
-		ix.recordQuant(qst)
-		return ix.toResults(len(ms), func(i int) (int, float64) { return ms[i].Doc, ms[i].Score })
-	default: // useAnn
-		ms, st := ix.ann.Search(vecs, norms, pq, qn, topN, opts.NProbe)
-		ix.recordAnn(st.Cells, st.Docs)
-		return ix.toResults(len(ms), func(i int) (int, float64) { return ms[i].Doc, ms[i].Score })
-	}
-}
-
-// recordAnn folds one unsharded probe's work into the lifetime counters.
-func (ix *Index) recordAnn(cells, docs int) {
-	ix.annSearches.Add(1)
-	ix.annCells.Add(int64(cells))
-	ix.annDocs.Add(int64(docs))
-}
-
-// recordQuant folds one unsharded int8 scan's work into the lifetime
-// counters.
-func (ix *Index) recordQuant(st quant.ScanStats) {
-	ix.quantSearches.Add(1)
-	ix.quantScanned.Add(int64(st.Scanned))
-	ix.quantReranked.Add(int64(st.Reranked))
-}
 
 // QuantStats describes the quantized scoring tier of an index built or
 // opened with WithQuantized (surfaced as the "quant" block of
@@ -148,33 +45,20 @@ type QuantStats struct {
 }
 
 // QuantStats reports the quantized tier's configuration and scan
-// counters; ok is false when the index has no tier (not configured, or a
-// backend without one).
-func (ix *Index) QuantStats() (QuantStats, bool) {
-	st := QuantStats{Beta: ix.quantBeta}
-	switch {
-	case ix.sharded != nil:
-		ss := ix.sharded.Stats()
-		if ix.quantBeta <= 0 && ss.QuantSegments == 0 {
-			return QuantStats{}, false
-		}
-		st.Segments = ss.QuantSegments
-		st.Docs = ss.QuantDocs
-		st.Bytes = ss.QuantBytes
-		st.Searches = ss.QuantSearches
-		st.DocsScanned = ss.QuantDocsScanned
-		st.DocsReranked = ss.QuantDocsReranked
-	case ix.quant != nil:
-		st.Segments = 1
-		st.Docs = ix.quant.NumDocs()
-		st.Bytes = ix.quant.Bytes()
-		st.Searches = ix.quantSearches.Load()
-		st.DocsScanned = ix.quantScanned.Load()
-		st.DocsReranked = ix.quantReranked.Load()
-	default:
+// counters; ok is false when the index has no tier (not configured and
+// no loaded segment carries a shadow, or a backend without one).
+func (ix *Index) QuantStats() (QuantStats, bool) { return ix.quantStats(ix.tierCoverage()) }
+
+func (ix *Index) quantStats(t segment.Tiers) (QuantStats, bool) {
+	if ix.quantBeta <= 0 && t.QuantSegs == 0 {
 		return QuantStats{}, false
 	}
-	return st, true
+	tot := ix.tiers.Totals()
+	return QuantStats{
+		Beta:     ix.quantBeta,
+		Segments: t.QuantSegs, Docs: t.QuantDocs, Bytes: t.QuantBytes,
+		Searches: tot.QuantSearches, DocsScanned: tot.QuantDocs, DocsReranked: tot.QuantReranks,
+	}, true
 }
 
 // errQuantBackend is the shared WithQuantized-requires-LSI complaint of

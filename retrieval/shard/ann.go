@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/ivf"
 	"repro/internal/segment"
-	"repro/internal/topk"
 )
 
 // The ANN tier. When Config.ANNList > 0 every compacted segment big
@@ -59,47 +58,3 @@ func (x *Index) trainAnn(seg *segment.Segment, s int) (*segment.Segment, error) 
 	}
 	return seg.WithAnn(ann)
 }
-
-// SearchSparseProbe is SearchSparse with an IVF probe budget: segments
-// carrying a quantizer score only their nprobe nearest cells, the rest
-// scan exhaustively, and results merge deterministically. nprobe <= 0 is
-// the exhaustive escape hatch (identical to SearchSparse); nprobe >=
-// nlist returns bitwise-identical results to SearchSparse. Probe work is
-// accumulated into the index's ANN counters for /metrics.
-func (x *Index) SearchSparseProbe(terms []int, weights []float64, topN, nprobe int) ([]topk.Match, segment.ProbeStats) {
-	ms, st := segment.SearchSparseProbe(x.snapshot(), terms, weights, topN, nprobe)
-	x.recordProbe(st)
-	return ms, st
-}
-
-// SearchVecProbe is SearchSparseProbe for a dense term-space query.
-func (x *Index) SearchVecProbe(q []float64, topN, nprobe int) ([]topk.Match, segment.ProbeStats) {
-	ms, st := segment.SearchVecProbe(x.snapshot(), q, topN, nprobe)
-	x.recordProbe(st)
-	return ms, st
-}
-
-// recordProbe folds one search's tier stats into the lifetime counters.
-func (x *Index) recordProbe(st segment.ProbeStats) {
-	if st.Probed > 0 {
-		x.annSearches.Add(1)
-		x.annCells.Add(int64(st.Cells))
-		x.annDocs.Add(int64(st.Docs))
-	}
-	if st.QuantSegs > 0 {
-		x.quantSearches.Add(1)
-		x.quantDocs.Add(int64(st.QuantDocs))
-		x.quantReranked.Add(int64(st.Reranked))
-	}
-}
-
-// ANNSearches returns how many searches were answered at least partly
-// through the ANN tier since Build/Open. Monotonic, for /metrics.
-func (x *Index) ANNSearches() int64 { return x.annSearches.Load() }
-
-// ANNCellsProbed returns the lifetime total of cells probed.
-func (x *Index) ANNCellsProbed() int64 { return x.annCells.Load() }
-
-// ANNDocsScored returns the lifetime total of ANN candidates scored —
-// against DocsIngested-scale corpus sizes, the saved scan fraction.
-func (x *Index) ANNDocsScored() int64 { return x.annDocs.Load() }

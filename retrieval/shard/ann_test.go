@@ -19,7 +19,7 @@ func annConfig(shards int) Config {
 // annSegments counts published segments carrying a quantizer.
 func annSegments(x *Index) int {
 	n := 0
-	for _, seg := range x.snapshot() {
+	for _, seg := range x.Segments(nil) {
 		if seg.Ann != nil {
 			n++
 		}
@@ -38,8 +38,8 @@ func TestANNBuildTrainsCompactedSegments(t *testing.T) {
 		t.Fatalf("%d quantized segments after build, want 2 (one per shard)", got)
 	}
 	st := x.Stats()
-	if st.ANNSegments != 2 || st.ANNDocs != 60 {
-		t.Fatalf("Stats ANN block = %d segments / %d docs, want 2 / 60", st.ANNSegments, st.ANNDocs)
+	if st.AnnSegs != 2 || st.AnnDocs != 60 {
+		t.Fatalf("Stats ANN block = %d segments / %d docs, want 2 / 60", st.AnnSegs, st.AnnDocs)
 	}
 }
 
@@ -52,15 +52,15 @@ func TestANNFullProbeMatchesExhaustiveBitwise(t *testing.T) {
 	defer x.Close()
 	for j := 0; j < 12; j++ {
 		terms, weights := sparseCol(a, j)
-		want := x.SearchSparse(terms, weights, 10)
+		want := searchSparse(x, terms, weights, 10)
 		// nprobe >= nlist probes every cell: bitwise-equal to exhaustive.
-		got, st := x.SearchSparseProbe(terms, weights, 10, 99)
+		got, st := x.SearchSparseOpts(terms, weights, 10, segment.ProbeOptions{NProbe: 99})
 		sameMatches(t, got, want, "full probe")
 		if st.Probed != 3 || st.ExactDocs != 0 {
 			t.Fatalf("full probe stats %+v, want 3 probed segments and no exact scan", st)
 		}
 		// nprobe <= 0 is the exhaustive escape hatch.
-		got, st = x.SearchSparseProbe(terms, weights, 10, 0)
+		got, st = x.SearchSparseOpts(terms, weights, 10, segment.ProbeOptions{NProbe: 0})
 		sameMatches(t, got, want, "escape hatch")
 		if st.Probed != 0 || st.ExactDocs != 80 {
 			t.Fatalf("escape hatch stats %+v, want pure exhaustive scan", st)
@@ -77,11 +77,11 @@ func TestANNProbeDeterministicAcrossWorkers(t *testing.T) {
 	defer x.Close()
 	terms, weights := sparseCol(a, 5)
 	prev := par.SetMaxProcs(1)
-	want, _ := x.SearchSparseProbe(terms, weights, 12, 2)
+	want, _ := x.SearchSparseOpts(terms, weights, 12, segment.ProbeOptions{NProbe: 2})
 	par.SetMaxProcs(prev)
 	for _, workers := range []int{2, 3, 8} {
 		prev := par.SetMaxProcs(workers)
-		got, _ := x.SearchSparseProbe(terms, weights, 12, 2)
+		got, _ := x.SearchSparseOpts(terms, weights, 12, segment.ProbeOptions{NProbe: 2})
 		par.SetMaxProcs(prev)
 		sameMatches(t, got, want, "probe across workers")
 	}
@@ -106,11 +106,11 @@ func TestANNMixedSegmentsLiveStayExact(t *testing.T) {
 		}
 	}
 	terms, weights := sparseCol(a, 2)
-	got, st := x.SearchSparseProbe(terms, weights, 45, 99)
+	got, st := x.SearchSparseOpts(terms, weights, 45, segment.ProbeOptions{NProbe: 99})
 	if st.Probed != 1 || st.ExactDocs != 5 {
 		t.Fatalf("mixed stats %+v, want 1 probed segment and 5 exact docs", st)
 	}
-	sameMatches(t, got, x.SearchSparse(terms, weights, 45), "mixed full probe")
+	sameMatches(t, got, searchSparse(x, terms, weights, 45), "mixed full probe")
 	// The folded duplicates of column 2 (globals 40..44 include one) must
 	// be findable — i.e. the live segment genuinely participates.
 	found := false
@@ -142,7 +142,7 @@ func TestANNCompactorRetrains(t *testing.T) {
 	if _, err := x.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	for _, seg := range x.snapshot() {
+	for _, seg := range x.Segments(nil) {
 		if seg.Compacted && seg.Ann == nil {
 			t.Fatal("compacted segment left without a quantizer")
 		}
@@ -166,11 +166,11 @@ func TestANNMinDocsGate(t *testing.T) {
 	}
 	// Probe search still works — it just scans exhaustively.
 	terms, weights := sparseCol(a, 1)
-	got, st := x.SearchSparseProbe(terms, weights, 10, 2)
+	got, st := x.SearchSparseOpts(terms, weights, 10, segment.ProbeOptions{NProbe: 2})
 	if st.Probed != 0 || st.ExactDocs != 50 {
 		t.Fatalf("stats %+v, want pure exhaustive scan", st)
 	}
-	sameMatches(t, got, x.SearchSparse(terms, weights, 10), "gated")
+	sameMatches(t, got, searchSparse(x, terms, weights, 10), "gated")
 }
 
 func TestANNSaveOpenRoundTrip(t *testing.T) {
@@ -211,8 +211,8 @@ func TestANNSaveOpenRoundTrip(t *testing.T) {
 	}
 	for j := 0; j < 8; j++ {
 		terms, weights := sparseCol(a, j)
-		want, _ := x.SearchSparseProbe(terms, weights, 10, 2)
-		got, _ := y.SearchSparseProbe(terms, weights, 10, 2)
+		want, _ := x.SearchSparseOpts(terms, weights, 10, segment.ProbeOptions{NProbe: 2})
+		got, _ := y.SearchSparseOpts(terms, weights, 10, segment.ProbeOptions{NProbe: 2})
 		sameMatches(t, got, want, "reloaded probe")
 	}
 
@@ -254,8 +254,8 @@ func TestANNOpenTrainsWhenSidecarMissing(t *testing.T) {
 		t.Fatalf("%d quantized segments after ANN-enabled open, want 2", got)
 	}
 	terms, weights := sparseCol(a, 3)
-	got, _ := y.SearchSparseProbe(terms, weights, 10, 99)
-	sameMatches(t, got, y.SearchSparse(terms, weights, 10), "trained-on-open full probe")
+	got, _ := y.SearchSparseOpts(terms, weights, 10, segment.ProbeOptions{NProbe: 99})
+	sameMatches(t, got, searchSparse(y, terms, weights, 10), "trained-on-open full probe")
 }
 
 func TestANNExportCarriesSidecars(t *testing.T) {
@@ -278,8 +278,8 @@ func TestANNExportCarriesSidecars(t *testing.T) {
 		t.Fatalf("%d quantized segments in exported shard, want 1", got)
 	}
 	terms, weights := sparseCol(a, 0)
-	got, _ := y.SearchSparseProbe(terms, weights, 10, 99)
-	sameMatches(t, got, y.SearchSparse(terms, weights, 10), "exported full probe")
+	got, _ := y.SearchSparseOpts(terms, weights, 10, segment.ProbeOptions{NProbe: 99})
+	sameMatches(t, got, searchSparse(y, terms, weights, 10), "exported full probe")
 }
 
 func TestANNStatsCounters(t *testing.T) {
@@ -290,17 +290,18 @@ func TestANNStatsCounters(t *testing.T) {
 	}
 	defer x.Close()
 	terms, weights := sparseCol(a, 4)
-	_, st := x.SearchSparseProbe(terms, weights, 10, 2)
+	_, st := x.SearchSparseOpts(terms, weights, 10, segment.ProbeOptions{NProbe: 2})
 	if st.Cells != 2 || st.Docs <= 0 || st.Docs >= 50 {
 		t.Fatalf("probe stats %+v, want 2 cells and a partial scan", st)
 	}
-	s := x.Stats()
-	if s.ANNSearches != 1 || s.ANNCellsProbed != int64(st.Cells) || s.ANNDocsScored != int64(st.Docs) {
-		t.Fatalf("counter stats %+v vs probe %+v", s, st)
+	var c segment.Counters
+	c.Add(st)
+	_, ps := x.SearchSparseOpts(terms, weights, 10, segment.ProbeOptions{}) // escape hatch: no counter movement
+	c.Add(ps)
+	if ps.Probed != 0 || ps.ExactDocs != x.NumDocs() {
+		t.Fatalf("escape hatch probed: %+v", ps)
 	}
-	var ps segment.ProbeStats
-	_, ps = x.SearchSparseProbe(terms, weights, 10, 0) // escape hatch: no counter movement
-	if ps.Probed != 0 || x.ANNSearches() != 1 {
-		t.Fatalf("escape hatch moved counters: %+v, searches=%d", ps, x.ANNSearches())
+	if tot := c.Totals(); tot != (segment.Totals{AnnSearches: 1, AnnCells: int64(st.Cells), AnnDocs: int64(st.Docs)}) {
+		t.Fatalf("accumulated %+v after %+v and %+v", tot, st, ps)
 	}
 }

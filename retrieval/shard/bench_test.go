@@ -55,7 +55,7 @@ func BenchmarkShardedSearch(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				q := i % len(terms)
-				res := x.SearchSparse(terms[q], weights[q], 10)
+				res := searchSparse(x, terms[q], weights[q], 10)
 				if len(res) == 0 {
 					b.Fatal("empty result")
 				}

@@ -63,10 +63,10 @@ func TestSaveShardDirMergeMatchesCentralBitwise(t *testing.T) {
 	// and the strict (score desc, doc asc) order does the rest.
 	for j := 0; j < 10; j++ {
 		terms, weights := sparseCol(a, j)
-		want := central.SearchSparse(terms, weights, 0)
+		want := searchSparse(central, terms, weights, 0)
 		var merged []topk.Match
 		for s, node := range nodes {
-			for _, match := range node.SearchSparse(terms, weights, 0) {
+			for _, match := range searchSparse(node, terms, weights, 0) {
 				merged = append(merged, topk.Match{Doc: match.Doc*shards + s, Score: match.Score})
 			}
 		}

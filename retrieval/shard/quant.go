@@ -3,7 +3,6 @@ package shard
 import (
 	"repro/internal/quant"
 	"repro/internal/segment"
-	"repro/internal/topk"
 )
 
 // The quantized scoring tier. When Config.Quantize is set every
@@ -41,35 +40,3 @@ func (x *Index) trainQuant(seg *segment.Segment) (*segment.Segment, error) {
 	}
 	return seg.WithQuant(quant.Quantize(seg.Ix.DocVectors()))
 }
-
-// SearchSparseOpts is SearchSparse with explicit tier options: segments
-// carrying the configured sidecars answer through the IVF and/or int8
-// paths, the rest scan exhaustively, and results merge deterministically
-// with exact float64 scores. The zero options are the exhaustive escape
-// hatch (identical to SearchSparse). Tier work is accumulated into the
-// index's ANN and quant counters for /metrics.
-func (x *Index) SearchSparseOpts(terms []int, weights []float64, topN int, opts segment.ProbeOptions) ([]topk.Match, segment.ProbeStats) {
-	ms, st := segment.SearchSparseOpts(x.snapshot(), terms, weights, topN, opts)
-	x.recordProbe(st)
-	return ms, st
-}
-
-// SearchVecOpts is SearchSparseOpts for a dense term-space query.
-func (x *Index) SearchVecOpts(q []float64, topN int, opts segment.ProbeOptions) ([]topk.Match, segment.ProbeStats) {
-	ms, st := segment.SearchVecOpts(x.snapshot(), q, topN, opts)
-	x.recordProbe(st)
-	return ms, st
-}
-
-// QuantSearches returns how many searches were answered at least partly
-// through the int8 tier since Build/Open. Monotonic, for /metrics.
-func (x *Index) QuantSearches() int64 { return x.quantSearches.Load() }
-
-// QuantDocsScanned returns the lifetime total of documents scored
-// through the int8 kernels.
-func (x *Index) QuantDocsScanned() int64 { return x.quantDocs.Load() }
-
-// QuantDocsReranked returns the lifetime total of over-fetched
-// candidates rescored with exact float kernels — the stage-2 work the
-// scan's narrowing paid for.
-func (x *Index) QuantDocsReranked() int64 { return x.quantReranked.Load() }

@@ -19,7 +19,7 @@ func quantConfig(shards int) Config {
 // quantSegments counts published segments carrying an int8 shadow.
 func quantSegments(x *Index) int {
 	n := 0
-	for _, seg := range x.snapshot() {
+	for _, seg := range x.Segments(nil) {
 		if seg.Quant != nil {
 			n++
 		}
@@ -38,8 +38,8 @@ func TestQuantBuildTrainsCompactedSegments(t *testing.T) {
 		t.Fatalf("%d quantized segments after build, want 2 (one per shard)", got)
 	}
 	st := x.Stats()
-	if st.QuantSegments != 2 || st.QuantDocs != 60 {
-		t.Fatalf("Stats quant block = %d segments / %d docs, want 2 / 60", st.QuantSegments, st.QuantDocs)
+	if st.QuantSegs != 2 || st.QuantDocs != 60 {
+		t.Fatalf("Stats quant block = %d segments / %d docs, want 2 / 60", st.QuantSegs, st.QuantDocs)
 	}
 	if st.QuantBytes <= 0 {
 		t.Fatalf("QuantBytes = %d, want > 0", st.QuantBytes)
@@ -55,7 +55,7 @@ func TestQuantEscapeHatchBitwiseExact(t *testing.T) {
 	defer x.Close()
 	for j := 0; j < 12; j++ {
 		terms, weights := sparseCol(a, j)
-		want := x.SearchSparse(terms, weights, 10)
+		want := searchSparse(x, terms, weights, 10)
 		// Zero options are the exhaustive escape hatch: bitwise-equal to
 		// the plain search, no tier counters moved.
 		got, st := x.SearchSparseOpts(terms, weights, 10, segment.ProbeOptions{})
@@ -79,7 +79,7 @@ func TestQuantSearchMatchesTopResults(t *testing.T) {
 	defer x.Close()
 	for j := 0; j < 10; j++ {
 		terms, weights := sparseCol(a, j)
-		want := x.SearchSparse(terms, weights, 5)
+		want := searchSparse(x, terms, weights, 5)
 		got, st := x.SearchSparseOpts(terms, weights, 5, segment.ProbeOptions{Beta: 4})
 		if st.QuantSegs != 2 {
 			t.Fatalf("stats %+v, want both segments on the int8 path", st)
@@ -140,7 +140,7 @@ func TestQuantMixedSegmentsLiveStayFloat(t *testing.T) {
 	if st.QuantSegs != 1 || st.ExactDocs != 5 {
 		t.Fatalf("mixed stats %+v, want 1 quantized segment and 5 exact docs", st)
 	}
-	sameMatches(t, got, x.SearchSparse(terms, weights, 45), "mixed saturated beta")
+	sameMatches(t, got, searchSparse(x, terms, weights, 45), "mixed saturated beta")
 	found := false
 	for _, m := range got {
 		if m.Doc >= 40 {
@@ -170,7 +170,7 @@ func TestQuantCompactorRebuilds(t *testing.T) {
 	if _, err := x.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	for _, seg := range x.snapshot() {
+	for _, seg := range x.Segments(nil) {
 		if seg.Compacted && seg.Quant == nil {
 			t.Fatal("compacted segment left without an int8 shadow")
 		}
@@ -198,7 +198,7 @@ func TestQuantMinDocsGate(t *testing.T) {
 	if st.QuantSegs != 0 || st.ExactDocs != 50 {
 		t.Fatalf("stats %+v, want pure exhaustive scan", st)
 	}
-	sameMatches(t, got, x.SearchSparse(terms, weights, 10), "gated")
+	sameMatches(t, got, searchSparse(x, terms, weights, 10), "gated")
 }
 
 func TestQuantSaveOpenRoundTrip(t *testing.T) {
@@ -282,7 +282,7 @@ func TestQuantOpenBuildsWhenSidecarMissing(t *testing.T) {
 	}
 	terms, weights := sparseCol(a, 3)
 	got, _ := y.SearchSparseOpts(terms, weights, 10, segment.ProbeOptions{Beta: 1000})
-	sameMatches(t, got, y.SearchSparse(terms, weights, 10), "built-on-open saturated beta")
+	sameMatches(t, got, searchSparse(y, terms, weights, 10), "built-on-open saturated beta")
 }
 
 func TestQuantExportCarriesSidecars(t *testing.T) {
@@ -306,7 +306,7 @@ func TestQuantExportCarriesSidecars(t *testing.T) {
 	}
 	terms, weights := sparseCol(a, 0)
 	got, _ := y.SearchSparseOpts(terms, weights, 10, segment.ProbeOptions{Beta: 1000})
-	sameMatches(t, got, y.SearchSparse(terms, weights, 10), "exported saturated beta")
+	sameMatches(t, got, searchSparse(y, terms, weights, 10), "exported saturated beta")
 }
 
 func TestQuantStatsCounters(t *testing.T) {
@@ -321,14 +321,15 @@ func TestQuantStatsCounters(t *testing.T) {
 	if st.QuantSegs != 1 || st.QuantDocs != 50 || st.Reranked <= 0 || st.Reranked >= 50 {
 		t.Fatalf("quant stats %+v, want a full int8 scan and a partial rerank", st)
 	}
-	s := x.Stats()
-	if s.QuantSearches != 1 || s.QuantDocsScanned != int64(st.QuantDocs) || s.QuantDocsReranked != int64(st.Reranked) {
-		t.Fatalf("counter stats %+v vs search %+v", s, st)
+	var c segment.Counters
+	c.Add(st)
+	_, ps := x.SearchSparseOpts(terms, weights, 5, segment.ProbeOptions{})
+	c.Add(ps)
+	if ps.QuantSegs != 0 || ps.ExactDocs != x.NumDocs() {
+		t.Fatalf("escape hatch used the int8 tier: %+v", ps)
 	}
-	var ps segment.ProbeStats
-	_, ps = x.SearchSparseOpts(terms, weights, 5, segment.ProbeOptions{}) // escape hatch: no counter movement
-	if ps.QuantSegs != 0 || x.QuantSearches() != 1 {
-		t.Fatalf("escape hatch moved counters: %+v, searches=%d", ps, x.QuantSearches())
+	if tot := c.Totals(); tot != (segment.Totals{QuantSearches: 1, QuantDocs: int64(st.QuantDocs), QuantReranks: int64(st.Reranked)}) {
+		t.Fatalf("accumulated %+v after %+v and %+v", tot, st, ps)
 	}
 }
 
@@ -354,7 +355,7 @@ func TestQuantComposesWithANN(t *testing.T) {
 	}
 	// Scores are exact-reranked: every returned score must equal the
 	// exact cosine the plain search computes for that document.
-	exact := x.SearchSparse(terms, weights, 90)
+	exact := searchSparse(x, terms, weights, 90)
 	score := map[int]float64{}
 	for _, m := range exact {
 		score[m.Doc] = m.Score
@@ -366,5 +367,5 @@ func TestQuantComposesWithANN(t *testing.T) {
 	}
 	// Full-coverage budgets on both tiers recover the exact results.
 	full, _ := x.SearchSparseOpts(terms, weights, 10, segment.ProbeOptions{NProbe: 99, Beta: 1000})
-	sameMatches(t, full, x.SearchSparse(terms, weights, 10), "saturated compose")
+	sameMatches(t, full, searchSparse(x, terms, weights, 10), "saturated compose")
 }

@@ -21,11 +21,13 @@
 //	    moved read-only into the stable list, where the background
 //	    compactor rebuilds it (two-step randomized SVD over the retained
 //	    raw documents) and atomically swaps the compacted replacement in.
-//	  - Search fans out across every segment of every shard on
-//	    internal/par and merges bounded per-chunk top-k under the strict
-//	    (score desc, global doc asc) order, so results are deterministic
-//	    for any shard count, segment layout, and worker count — and a
-//	    1-shard index is bitwise identical to the unsharded path.
+//	  - Searching is not this package's job: Segments snapshots the
+//	    published segment set and segment.Search — the repository's one
+//	    search path, see DESIGN.md "The search path" — ranks it under the
+//	    strict (score desc, global doc asc) order, so results are
+//	    deterministic for any shard count, segment layout, and worker
+//	    count, and a 1-shard index is bitwise identical to the unsharded
+//	    one. Tier work is counted by the caller (segment.Counters).
 //
 // Global document numbers are assigned once, at build or ingest, and
 // never change: compaction carries each segment's global mapping through
@@ -73,8 +75,8 @@ type Config struct {
 	// (clamped per segment to its document count). 0 disables training;
 	// quantizers already present on loaded segments still serve.
 	ANNList int
-	// ANNProbe is the default probe budget the owning layer passes to
-	// SearchSparseProbe; the shard layer stores it for Stats only.
+	// ANNProbe is the default probe budget of the owning layer's
+	// searches; the shard layer only carries it.
 	ANNProbe int
 	// ANNMinDocs is the smallest segment worth a quantizer (0 = default
 	// 256; set negative-impossible sizes like 1 in tests to train tiny
@@ -175,16 +177,6 @@ type Index struct {
 	// differs per process), the generation names durable state and so is
 	// comparable between a primary and its replicas.
 	generation atomic.Uint64
-
-	// ANN probe counters (see ANNSearches and friends in ann.go).
-	annSearches atomic.Int64
-	annCells    atomic.Int64
-	annDocs     atomic.Int64
-
-	// Quantized-tier counters (see QuantSearches and friends in quant.go).
-	quantSearches atomic.Int64
-	quantDocs     atomic.Int64
-	quantReranked atomic.Int64
 
 	// globalEpoch counts published mutations index-wide. It is bumped
 	// AFTER the mutation's state pointers are stored (ingest publishes
@@ -343,28 +335,22 @@ func (x *Index) ExternalID(g int) string {
 	return ids[g]
 }
 
-// snapshot collects every segment currently published, shard by shard.
-func (x *Index) snapshot() []*segment.Segment {
-	var segs []*segment.Segment
+// Segments appends every segment currently published, shard by shard, to
+// dst — the snapshot a search runs over. It is wait-free with respect to
+// ingest and compaction: each shard's state is loaded once and every
+// segment in it is immutable. (Append-style so a caller with a small
+// stack buffer snapshots without allocating.)
+func (x *Index) Segments(dst []*segment.Segment) []*segment.Segment {
 	for _, sh := range x.shards {
-		segs = sh.state.Load().segments(segs)
+		dst = sh.state.Load().segments(dst)
 	}
-	return segs
+	return dst
 }
 
-// SearchSparse ranks every indexed document against a sparse query
-// (terms strictly ascending, the form the retrieval layer produces) and
-// returns the topN best (all if topN <= 0), best-first with ties broken
-// by ascending global document number. It is wait-free with respect to
-// ingest and compaction: the segment set is snapshotted once and every
-// segment in it is immutable.
-func (x *Index) SearchSparse(terms []int, weights []float64, topN int) []topk.Match {
-	return segment.SearchSparse(x.snapshot(), terms, weights, topN)
-}
-
-// SearchVec is SearchSparse for a dense term-space query vector.
-func (x *Index) SearchVec(q []float64, topN int) []topk.Match {
-	return segment.SearchVec(x.snapshot(), q, topN)
+// SearchSparseOpts is segment.Search over the current snapshot for a
+// sparse query (the form the frozen benchmark ledger calls).
+func (x *Index) SearchSparseOpts(terms []int, weights []float64, topN int, opts segment.ProbeOptions) ([]topk.Match, segment.ProbeStats) {
+	return segment.Search(x.Segments(nil), segment.Query{Terms: terms, Weights: weights}, topN, opts)
 }
 
 // Stats describes the index's segment topology and resource use.
@@ -393,28 +379,12 @@ type Stats struct {
 	Compactions int64 `json:"compactions"`
 	// Compacting reports whether a compaction pass is in flight.
 	Compacting bool `json:"compacting"`
-	// MemoryBytes estimates the heap held by segment data.
+	// MemoryBytes estimates the heap held by segment data and the
+	// external-ID table.
 	MemoryBytes int64 `json:"memoryBytes"`
-	// The ANN tier: ANNSegments counts segments carrying an IVF
-	// quantizer, ANNDocs the documents they cover (ANNDocs/Docs is the
-	// corpus fraction served sublinearly); the lifetime counters mirror
-	// the ANNSearches/ANNCellsProbed/ANNDocsScored accessors.
-	ANNSegments    int   `json:"annSegments"`
-	ANNDocs        int   `json:"annDocs"`
-	ANNSearches    int64 `json:"annSearches"`
-	ANNCellsProbed int64 `json:"annCellsProbed"`
-	ANNDocsScored  int64 `json:"annDocsScored"`
-	// The quantized tier: QuantSegments counts segments carrying an int8
-	// shadow, QuantDocs the documents they cover, QuantBytes the shadows'
-	// footprint (compare against ~8·QuantDocs·rank for the float rows they
-	// stand in for); the lifetime counters mirror the QuantSearches/
-	// QuantDocsScanned/QuantDocsReranked accessors.
-	QuantSegments     int   `json:"quantSegments"`
-	QuantDocs         int   `json:"quantDocs"`
-	QuantBytes        int64 `json:"quantBytes"`
-	QuantSearches     int64 `json:"quantSearches"`
-	QuantDocsScanned  int64 `json:"quantDocsScanned"`
-	QuantDocsReranked int64 `json:"quantDocsReranked"`
+	// Tiers is the sidecar coverage of the segment set: how many segments
+	// and documents the IVF quantizers and int8 shadows serve.
+	segment.Tiers
 }
 
 // Stats snapshots the segment topology.
@@ -447,25 +417,10 @@ func (x *Index) Stats() Stats {
 				// not live, not compactable, not a full decomposition.
 				st.FoldedDocs += seg.Len()
 			}
-			k := int64(seg.Ix.K())
-			m := int64(seg.Ix.NumDocs())
-			st.MemoryBytes += 8*(m*k+k+m) + 16*int64(seg.Raw.NNZ())
-			if b := seg.Ix.Basis(); !seenBasis[b] {
-				seenBasis[b] = true
-				st.MemoryBytes += 8 * int64(seg.Ix.NumTerms()) * k
-			}
-			if ann := seg.Ann; ann != nil {
-				st.ANNSegments++
-				st.ANNDocs += seg.Len()
-				nlist := int64(ann.NList())
-				st.MemoryBytes += 8*nlist*int64(ann.Dim()) + 8*nlist + 8*(nlist+1) + 4*int64(ann.NumDocs())
-			}
-			if qm := seg.Quant; qm != nil {
-				st.QuantSegments++
-				st.QuantDocs += seg.Len()
-				st.QuantBytes += qm.Bytes()
-				st.MemoryBytes += qm.Bytes()
-			}
+			st.Tiers.Add(seg)
+			b := seg.Ix.Basis()
+			st.MemoryBytes += seg.MemoryBytes(!seenBasis[b])
+			seenBasis[b] = true
 		}
 	}
 	for _, id := range x.ids.Load().ids {
@@ -473,12 +428,6 @@ func (x *Index) Stats() Stats {
 	}
 	st.Compactions = x.compactions.Load()
 	st.Compacting = x.compacting.Load() > 0
-	st.ANNSearches = x.annSearches.Load()
-	st.ANNCellsProbed = x.annCells.Load()
-	st.ANNDocsScored = x.annDocs.Load()
-	st.QuantSearches = x.quantSearches.Load()
-	st.QuantDocsScanned = x.quantDocs.Load()
-	st.QuantDocsReranked = x.quantReranked.Load()
 	return st
 }
 

@@ -10,6 +10,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/lsi"
 	"repro/internal/par"
+	"repro/internal/segment"
 	"repro/internal/sparse"
 	"repro/internal/topk"
 )
@@ -50,6 +51,13 @@ func sparseCol(a *sparse.CSR, j int) (terms []int, weights []float64) {
 	return terms, weights
 }
 
+// searchSparse is the exhaustive search of x: segment.Search over its
+// current snapshot with both tiers off.
+func searchSparse(x *Index, terms []int, weights []float64, topN int) []topk.Match {
+	ms, _ := x.SearchSparseOpts(terms, weights, topN, segment.ProbeOptions{})
+	return ms
+}
+
 func sameMatches(t *testing.T, got, want []topk.Match, context string) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -76,8 +84,9 @@ func TestOneShardMatchesUnshardedBitwise(t *testing.T) {
 	for _, topN := range []int{0, 1, 7, 48, 100} {
 		for j := 0; j < 8; j++ {
 			terms, weights := sparseCol(a, j)
-			sameMatches(t, x.SearchSparse(terms, weights, topN), plain.SearchSparse(terms, weights, topN), "sparse")
-			sameMatches(t, x.SearchVec(a.Col(j), topN), plain.Search(a.Col(j), topN), "dense")
+			sameMatches(t, searchSparse(x, terms, weights, topN), plain.SearchSparse(terms, weights, topN), "sparse")
+			dense, _ := segment.Search(x.Segments(nil), segment.Query{Vec: a.Col(j)}, topN, segment.ProbeOptions{})
+			sameMatches(t, dense, plain.Search(a.Col(j), topN), "dense")
 		}
 	}
 }
@@ -117,7 +126,7 @@ func TestOneShardFoldInMatchesAppendDocuments(t *testing.T) {
 	}
 	for j := 0; j < 8; j++ {
 		terms, weights := sparseCol(a, j)
-		sameMatches(t, x.SearchSparse(terms, weights, 12), plain.SearchSparse(terms, weights, 12), "after fold-in")
+		sameMatches(t, searchSparse(x, terms, weights, 12), plain.SearchSparse(terms, weights, 12), "after fold-in")
 	}
 }
 
@@ -130,10 +139,10 @@ func TestShardedDeterministicAcrossWorkers(t *testing.T) {
 		}
 		qt, qw := sparseCol(a, 2)
 		prev := par.SetMaxProcs(1)
-		want := x.SearchSparse(qt, qw, 13)
+		want := searchSparse(x, qt, qw, 13)
 		for _, workers := range []int{2, 5, 8} {
 			par.SetMaxProcs(workers)
-			sameMatches(t, x.SearchSparse(qt, qw, 13), want, "workers")
+			sameMatches(t, searchSparse(x, qt, qw, 13), want, "workers")
 		}
 		par.SetMaxProcs(prev)
 		// Rebuilding the same index reproduces the same results.
@@ -141,7 +150,7 @@ func TestShardedDeterministicAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameMatches(t, x2.SearchSparse(qt, qw, 13), want, "rebuild")
+		sameMatches(t, searchSparse(x2, qt, qw, 13), want, "rebuild")
 		x.Close()
 		x2.Close()
 	}
@@ -155,7 +164,7 @@ func TestShardedCoversAllDocuments(t *testing.T) {
 	}
 	defer x.Close()
 	terms, weights := sparseCol(a, 0)
-	res := x.SearchSparse(terms, weights, 0)
+	res := searchSparse(x, terms, weights, 0)
 	if len(res) != 50 {
 		t.Fatalf("full search returned %d docs, want 50", len(res))
 	}
@@ -205,7 +214,7 @@ func TestSealAndCompactLifecycle(t *testing.T) {
 	}
 
 	qt, qw := sparseCol(a, 1)
-	before := x.SearchSparse(qt, qw, 0)
+	before := searchSparse(x, qt, qw, 0)
 
 	n, err := x.Compact()
 	if err != nil {
@@ -227,7 +236,7 @@ func TestSealAndCompactLifecycle(t *testing.T) {
 
 	// Same document set, same global IDs; representation (and scores) may
 	// differ, coverage must not.
-	after := x.SearchSparse(qt, qw, 0)
+	after := searchSparse(x, qt, qw, 0)
 	if len(after) != len(before) {
 		t.Fatalf("compaction changed coverage: %d vs %d", len(after), len(before))
 	}
@@ -255,7 +264,7 @@ func TestSealAndCompactLifecycle(t *testing.T) {
 	if _, err := y.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	sameMatches(t, y.SearchSparse(qt, qw, 0), after, "replayed compaction")
+	sameMatches(t, searchSparse(y, qt, qw, 0), after, "replayed compaction")
 }
 
 func TestIngestIntoEmptyShard(t *testing.T) {
@@ -278,7 +287,7 @@ func TestIngestIntoEmptyShard(t *testing.T) {
 	if x.ExternalID(2) != "fresh" {
 		t.Fatalf("external ID %q", x.ExternalID(2))
 	}
-	res := x.SearchSparse(terms, weights, 0)
+	res := searchSparse(x, terms, weights, 0)
 	if len(res) != 3 {
 		t.Fatalf("%d results, want 3", len(res))
 	}
@@ -359,7 +368,7 @@ func TestSaveDirOpenRoundTrip(t *testing.T) {
 	}
 	for j := 0; j < 10; j++ {
 		terms, weights := sparseCol(a, j)
-		sameMatches(t, y.SearchSparse(terms, weights, 15), x.SearchSparse(terms, weights, 15), "reloaded")
+		sameMatches(t, searchSparse(y, terms, weights, 15), searchSparse(x, terms, weights, 15), "reloaded")
 	}
 
 	// The reloaded index keeps accepting documents.
@@ -381,7 +390,7 @@ func TestSaveDirOpenRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer z.Close()
-	sameMatches(t, z.SearchSparse(terms, weights, 15), y.SearchSparse(terms, weights, 15), "second round trip")
+	sameMatches(t, searchSparse(z, terms, weights, 15), searchSparse(y, terms, weights, 15), "second round trip")
 }
 
 func TestCompactionBoundsSegmentCount(t *testing.T) {
@@ -422,7 +431,7 @@ func TestCompactionBoundsSegmentCount(t *testing.T) {
 	}
 	// Coverage survives the repeated merges.
 	terms, weights := sparseCol(a, 0)
-	res := x.SearchSparse(terms, weights, 0)
+	res := searchSparse(x, terms, weights, 0)
 	if len(res) != 420 {
 		t.Fatalf("full search returned %d docs", len(res))
 	}
@@ -512,7 +521,7 @@ func TestResaveIsCrashSafe(t *testing.T) {
 	if z.NumDocs() != 25 {
 		t.Fatalf("re-saved index has %d docs, want 25", z.NumDocs())
 	}
-	sameMatches(t, z.SearchSparse(terms, weights, 10), x.SearchSparse(terms, weights, 10), "re-saved")
+	sameMatches(t, searchSparse(z, terms, weights, 10), searchSparse(x, terms, weights, 10), "re-saved")
 }
 
 func TestEpochBumpsAfterAddAndCompact(t *testing.T) {

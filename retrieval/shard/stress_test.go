@@ -95,7 +95,7 @@ func TestStressConcurrentAddSearchCompact(t *testing.T) {
 			for i := 0; i < searches; i++ {
 				terms, weights := sparseCol(a, (s*5+i)%40)
 				topN := 1 + (i % 25)
-				res := x.SearchSparse(terms, weights, topN)
+				res := searchSparse(x, terms, weights, topN)
 				if err := checkResults(res, x.NumDocs(), topN, x.ExternalID); err != nil {
 					errc <- err
 					return
@@ -140,7 +140,7 @@ func TestStressConcurrentAddSearchCompact(t *testing.T) {
 		t.Fatal(err)
 	}
 	terms, weights := sparseCol(a, 0)
-	res := x.SearchSparse(terms, weights, 0)
+	res := searchSparse(x, terms, weights, 0)
 	if len(res) != wantDocs {
 		t.Fatalf("full search returned %d docs, want %d", len(res), wantDocs)
 	}
@@ -187,7 +187,7 @@ func TestConcurrentIngestMatchesSerialReplay(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < searches; i++ {
 				terms, weights := sparseCol(a, (s+i)%36)
-				res := x.SearchSparse(terms, weights, 10)
+				res := searchSparse(x, terms, weights, 10)
 				if err := checkResults(res, x.NumDocs(), 10, nil); err != nil {
 					errc <- err
 					return
@@ -223,7 +223,7 @@ func TestConcurrentIngestMatchesSerialReplay(t *testing.T) {
 	for j := 0; j < 12; j++ {
 		terms, weights := sparseCol(a, j*3%36)
 		for _, topN := range []int{0, 5, 33} {
-			sameMatches(t, x.SearchSparse(terms, weights, topN), y.SearchSparse(terms, weights, topN), "serial replay")
+			sameMatches(t, searchSparse(x, terms, weights, topN), searchSparse(y, terms, weights, topN), "serial replay")
 		}
 	}
 }

@@ -334,21 +334,15 @@ func Open(path string, opts ...Option) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.annList > 0 {
-		if ix.backend != BackendLSI {
+	if ix.backend != BackendLSI {
+		if cfg.annList > 0 {
 			return nil, fmt.Errorf("retrieval: open: WithANN requires the LSI backend (got %s)", ix.backend)
 		}
-		if err := ix.trainANN(cfg); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.quantBeta > 0 {
-		if ix.backend != BackendLSI {
+		if cfg.quantBeta > 0 {
 			return nil, fmt.Errorf("retrieval: open: %w", errQuantBackend(ix.backend))
 		}
-		if err := ix.trainQuant(cfg); err != nil {
-			return nil, err
-		}
+	} else if err := ix.trainTiers(cfg); err != nil {
+		return nil, err
 	}
 	ix.initCache(cfg.cacheBytes)
 	return ix, nil

@@ -4,9 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"repro/internal/par"
 )
 
 // largerCorpus recycles the demo corpus with suffix variation so shard
@@ -36,44 +40,154 @@ func sameResults(t *testing.T, got, want []Result, context string) {
 	}
 }
 
-func TestShardedOneShardMatchesUnsharded(t *testing.T) {
-	docs := largerCorpus(24)
-	opts := []Option{WithRank(3), WithEngine(EngineRandomized), WithSeed(7)}
-	plain, err := Build(docs, opts...)
-	if err != nil {
-		t.Fatal(err)
+// clusteredDocs generates n distinct documents over three topic
+// vocabularies with a little cross-topic noise, so quantizers find real
+// cells, partial probes genuinely drop candidates, and exact ties are
+// rare.
+func clusteredDocs(n int, seed int64) []Document {
+	topics := [][]string{
+		{"car", "engine", "mechanic", "brake", "dealership", "driver", "gearbox", "clutch"},
+		{"galaxy", "telescope", "orbit", "astronomer", "nebula", "comet", "quasar", "planet"},
+		{"flour", "oven", "yeast", "baker", "dough", "pastry", "saffron", "garlic"},
 	}
-	sharded, err := Build(docs, append(opts, WithShards(1), WithAutoCompact(false))...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sharded.Close()
-	if !sharded.Sharded() || plain.Sharded() {
-		t.Fatal("Sharded() flags wrong")
-	}
-	ctx := context.Background()
-	for _, q := range []string{"car", "galaxy of stars", "cooking recipes", "automobile engine"} {
-		for _, topN := range []int{1, 5, 0} {
-			want, err1 := plain.Search(ctx, q, topN)
-			got, err2 := sharded.Search(ctx, q, topN)
-			if (err1 == nil) != (err2 == nil) {
-				t.Fatalf("error mismatch: %v vs %v", err1, err2)
+	rng := rand.New(rand.NewSource(seed))
+	docs := make([]Document, n)
+	for i := range docs {
+		var b strings.Builder
+		for j := 0; j < 6+rng.Intn(10); j++ {
+			words := topics[i%len(topics)]
+			if rng.Intn(10) == 0 {
+				words = topics[rng.Intn(len(topics))]
 			}
-			sameResults(t, got, want, q)
+			b.WriteString(words[rng.Intn(len(words))])
+			b.WriteByte(' ')
 		}
+		docs[i] = Document{ID: fmt.Sprintf("c%04d", i), Text: b.String()}
 	}
-	// Batch path too.
-	qs := []string{"car", "zzzznotaword", "galaxy"}
-	want, err := plain.SearchBatch(ctx, qs, 5)
-	if err != nil {
-		t.Fatal(err)
+	return docs
+}
+
+// TestShardedOneShardMatchesUnsharded pins the two index shapes to each
+// other on every route a query can take: tier configuration × query form
+// × per-request probe budget × worker count. The unsharded index and the
+// 1-shard index hold the same decomposition and the same quantizer (seed
+// + 500009 on both layers), so they must agree bitwise everywhere; the
+// 3-shard index has its own subspaces, so it is pinned to itself across
+// worker counts.
+func TestShardedOneShardMatchesUnsharded(t *testing.T) {
+	const numDocs, topN = 780, 10 // 260 per shard at 3 shards: every segment trains its tiers
+	docs := clusteredDocs(numDocs, 41)
+	base := []Option{WithRank(6), WithEngine(EngineRandomized), WithSeed(7)}
+	routes := []struct {
+		name string
+		opts []Option
+	}{
+		{"exact", nil},
+		{"ann", []Option{WithANN(8, 2)}},
+		{"quant", []Option{WithQuantized(1)}},
+		{"ann+quant", []Option{WithANN(8, 2), WithQuantized(1)}},
 	}
-	got, err := sharded.SearchBatch(ctx, qs, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		sameResults(t, got[i], want[i], qs[i])
+	queries := []string{"car engine", "galaxy of stars telescope", "yeast dough oven baker", "mechanic comet garlic"}
+	ctx := context.Background()
+	prev := par.SetMaxProcs(1)
+	defer par.SetMaxProcs(prev)
+
+	for _, route := range routes {
+		t.Run(route.name, func(t *testing.T) {
+			par.SetMaxProcs(1)
+			build := func(extra ...Option) *Index {
+				ix, err := Build(docs, append(append(append([]Option{}, base...), route.opts...), extra...)...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { ix.Close() })
+				return ix
+			}
+			plain := build()
+			one := build(WithShards(1), WithAutoCompact(false))
+			three := build(WithShards(3), WithAutoCompact(false))
+			if !one.Sharded() || plain.Sharded() {
+				t.Fatal("Sharded() flags wrong")
+			}
+
+			// run answers every (query, form, budget) cell on ix, in a
+			// fixed order, plus the batch call.
+			run := func(ix *Index) [][]Result {
+				var out [][]Result
+				keep := func(res []Result, err error) {
+					if err != nil {
+						t.Fatal(err)
+					}
+					out = append(out, res)
+				}
+				for _, q := range queries {
+					terms, weights, _ := ix.querySparse(q)
+					vec := make([]float64, ix.NumTerms())
+					for i, term := range terms {
+						vec[term] = weights[i]
+					}
+					keep(ix.Search(ctx, q, topN))
+					keep(ix.SearchVector(ctx, vec, topN))
+					for _, nprobe := range []int{0, 3, 64} {
+						keep(ix.SearchProbe(ctx, q, topN, nprobe))
+						keep(ix.SearchVectorProbe(ctx, vec, topN, nprobe))
+					}
+				}
+				keep(ix.Search(ctx, queries[0], 0)) // every document
+				batch, err := ix.SearchBatch(ctx, append([]string{"zzzznotaword"}, queries...), topN)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return append(out, batch...)
+			}
+			compare := func(got, want [][]Result, what string) {
+				t.Helper()
+				if len(got) != len(want) {
+					t.Fatalf("%s: %d result lists, want %d", what, len(got), len(want))
+				}
+				for i := range want {
+					sameResults(t, got[i], want[i], fmt.Sprintf("%s, cell %d", what, i))
+				}
+			}
+
+			var wantPlain, wantThree [][]Result
+			for _, workers := range []int{1, 4} {
+				par.SetMaxProcs(workers)
+				gotPlain, gotOne, gotThree := run(plain), run(one), run(three)
+				compare(gotOne, gotPlain, fmt.Sprintf("1-shard vs unsharded, %d workers", workers))
+				if wantPlain == nil {
+					wantPlain, wantThree = gotPlain, gotThree
+					continue
+				}
+				compare(gotPlain, wantPlain, "unsharded across worker counts")
+				compare(gotThree, wantThree, "3-shard across worker counts")
+			}
+
+			// Text and vector forms agree, the batch agrees with Search,
+			// and the routes do what their names say: the unbudgeted
+			// probe is the exact scan, and a partial budget is not.
+			for qi := range queries {
+				cell := wantPlain[qi*8 : qi*8+8]
+				for i := 0; i < 8; i += 2 {
+					sameResults(t, cell[i+1], cell[i], "vector vs text form")
+				}
+				sameResults(t, wantPlain[len(queries)*8+2+qi], cell[0], "batch vs Search")
+			}
+			if route.name != "exact" {
+				differs := false
+				for qi := range queries {
+					def, exact := wantPlain[qi*8], wantPlain[qi*8+2]
+					for i := range exact {
+						if def[i] != exact[i] {
+							differs = true
+						}
+					}
+				}
+				if !differs {
+					t.Fatal("the configured budgets reproduce the exact scan on every query: the table is not exercising the tiers")
+				}
+			}
+		})
 	}
 }
 

@@ -4,8 +4,9 @@
 # and integrators consume must carry a doc comment. This is a
 # line-oriented check, not a full go/doc parse: it looks at the line
 # directly above each exported declaration, which is exactly where gofmt
-# puts doc comments. Grouped var/const blocks are out of scope. CI runs
-# this (plus go vet) via `make docs-check`.
+# puts doc comments. Grouped var/const blocks are out of scope. It also
+# fails on a DESIGN.md section number used twice. CI runs this (plus go
+# vet) via `make docs-check`.
 set -eu
 
 GO="${GO:-go}"
@@ -53,4 +54,11 @@ if [ "$bad" -ne 0 ]; then
     echo "docs-check FAILED: exported identifiers above lack doc comments" >&2
     exit 1
 fi
-echo "docs-check: OK (go vet clean, every exported identifier documented in: $DIRS)"
+# DESIGN.md is cross-referenced by section number (§N) from code and
+# docs, so a number may head only one section.
+dups="$(grep -oE '^## [0-9]+\.' DESIGN.md | sort | uniq -d)"
+if [ -n "$dups" ]; then
+    echo "docs-check FAILED: DESIGN.md repeats section heading(s):" $dups >&2
+    exit 1
+fi
+echo "docs-check: OK (go vet clean, every exported identifier documented in: $DIRS; DESIGN.md section numbers unique)"

@@ -6,7 +6,7 @@ GO ?= go
 # Base ref for the perf-regression gate (CI passes the PR's base branch).
 BASE ?= origin/main
 
-.PHONY: all build test lint vet fmt-check docs-check race bench-smoke bench bench-record bench-gate ledger-frozen loc fuzz-short serve-smoke load-smoke cluster-smoke chaos-smoke ann-smoke quant-smoke
+.PHONY: all build test lint vet fmt-check docs-check race bench-smoke bench bench-gate ledger-frozen loc fuzz-short serve-smoke load-smoke cluster-smoke chaos-smoke ann-smoke quant-smoke
 
 all: build test
 
@@ -93,10 +93,6 @@ bench-smoke:
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' ./...
 
-# Append a labeled, machine-readable benchmark run to BENCH_3.json.
-bench-record:
-	sh scripts/bench_record.sh -l "$(LABEL)"
-
 # Perf-regression gate: benchmark the tier-1 query hot-path subset on
 # HEAD and on the merge-base with $(BASE), compare medians, and fail on
 # a >20% ns/op regression or any allocs/op growth. The report lands in
@@ -118,10 +114,12 @@ ledger-frozen:
 		echo "ledger-frozen: uncommitted changes in the frozen ledger:"; echo "$$out"; exit 1; \
 	fi
 
-# ROADMAP's simplicity measure: non-test lines of the search stack
-# (retrieval, retrieval/shard, internal/{segment,ivf,quant}).
+# ROADMAP's simplicity measures, in non-test lines of Go: the search stack
+# (retrieval, retrieval/shard, internal/{segment,ivf,quant}), then
+# everything outside bench/.
 loc:
 	@ls retrieval/*.go retrieval/shard/*.go internal/segment/*.go internal/ivf/*.go internal/quant/*.go | grep -v _test.go | xargs cat | wc -l
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l
 
 # Sample a balanced >=100k-document corpus from the paper's model with
 # corpusgen, index it with the IVF ANN tier, and gate recall@10 >= 0.95

@@ -42,15 +42,13 @@
 //
 // The query set defaults to terms drawn from the built-in demo corpus
 // (what `lsiserve` with no arguments serves); -queries points at a file
-// with one query per line for real corpora. With -o the run is merged
-// into a BENCH*.json perf record (internal/benchfmt schema, the same
-// file format cmd/benchjson writes), with the quantiles in the
-// benchmark's metrics map: p50_ns, p99_ns, p999_ns, qps, error_rate,
-// shed_rate.
+// with one query per line for real corpora. The run's summary — request
+// counts, qps, error and shed rates, latency quantiles — is printed to
+// stdout as JSON, which is what the smoke scripts read.
 //
 // Exit status is 0 even when requests failed — the error rate is data,
 // not a tool failure; CI gates assert on the JSON instead. Only flag
-// errors, an unreachable -o path, or an empty query set fail the run.
+// errors or an empty query set fail the run.
 //
 // -faults turns the tool into a chaos driver: it reads a JSON schedule
 // of fault steps and posts each step's InjectSpec to a node's
@@ -89,7 +87,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -98,7 +95,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/benchfmt"
 	"repro/internal/faultinject"
 	"repro/internal/metrics"
 	"repro/retrieval"
@@ -113,8 +109,6 @@ type loadConfig struct {
 	topN        int
 	zipfS       float64
 	queriesFile string
-	out         string
-	label       string
 	seed        int64
 	nprobeSweep []int // parsed from -nprobe-sweep (trace "ann" only)
 	exact       bool  // force nprobe=0 on searches (the fully exact escape hatch)
@@ -136,8 +130,6 @@ func parseFlags(args []string, stderr io.Writer) (loadConfig, error) {
 	fs.IntVar(&cfg.topN, "topn", 10, "results requested per search")
 	fs.Float64Var(&cfg.zipfS, "zipf-s", 1.1, "Zipf exponent for query popularity (>1; larger = more skewed, more cache hits)")
 	fs.StringVar(&cfg.queriesFile, "queries", "", "file with one query per line (default: terms from the built-in demo corpus)")
-	fs.StringVar(&cfg.out, "o", "", "merge the run into this BENCH*.json perf record (cmd/benchjson schema)")
-	fs.StringVar(&cfg.label, "l", "", "run label for -o (default: load-<trace>)")
 	fs.Int64Var(&cfg.seed, "seed", 1, "PRNG seed (per-worker streams derive from it)")
 	fs.BoolVar(&cfg.exact, "exact", false, "send nprobe=0 with every search: the fully exact escape hatch, bypassing the server's ANN and quantized tiers (baseline for -quant-beta / ANN runs; not with -trace ann)")
 	fs.StringVar(&cfg.faultsFile, "faults", "", "chaos mode: apply this JSON fault schedule to lsiserve -chaos nodes and gate on resilience invariants (exit 1 on violation)")
@@ -179,9 +171,6 @@ func parseFlags(args []string, stderr io.Writer) (loadConfig, error) {
 	}
 	if cfg.concurrency <= 0 {
 		cfg.concurrency = 1
-	}
-	if cfg.label == "" {
-		cfg.label = "load-" + cfg.trace
 	}
 	for _, a := range strings.Split(cfg.addr, ",") {
 		if a = strings.TrimSpace(a); a == "" {
@@ -702,41 +691,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(s); err != nil {
 		return err
-	}
-
-	if cfg.out != "" {
-		name := "Load" + strings.ToUpper(cfg.trace[:1]) + cfg.trace[1:]
-		extra := map[string]float64{}
-		for _, b := range s.ANNSweep {
-			extra[fmt.Sprintf("p99_ns_nprobe%d", b.NProbe)] = b.P99Ns
-		}
-		err := benchfmt.Merge(cfg.out, benchfmt.Run{
-			Label: cfg.label,
-			Date:  time.Now().UTC().Format(time.RFC3339),
-			Go:    runtime.Version(),
-			Benchmarks: []benchfmt.Benchmark{{
-				Name:       name,
-				Iterations: total,
-				NsPerOp:    s.MeanNs,
-				Metrics: func() map[string]float64 {
-					m := map[string]float64{
-						"p50_ns":     s.P50Ns,
-						"p99_ns":     s.P99Ns,
-						"p999_ns":    s.P999Ns,
-						"qps":        s.QPS,
-						"error_rate": s.ErrorRate,
-						"shed_rate":  s.ShedRate,
-					}
-					for k, v := range extra {
-						m[k] = v
-					}
-					return m
-				}(),
-			}},
-		})
-		if err != nil {
-			return err
-		}
 	}
 
 	// The chaos gate: under -faults the run itself passes judgment, so

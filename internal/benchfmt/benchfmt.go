@@ -1,9 +1,8 @@
-// Package benchfmt is the repo's perf-record format: the JSON schema
-// recorded in BENCH*.json, a parser for `go test -bench` output, and
-// the label-idempotent merge used by every recorder (cmd/benchjson for
-// microbenchmarks, cmd/lsiload for closed-loop load runs). One format
-// means scripts/bench_gate.sh and humans diff every perf artifact the
-// same way regardless of which tool produced it.
+// Package benchfmt is the schema of the BENCH*.json history files: the
+// JSON records, a parser for `go test -bench` output, and a
+// label-idempotent merge. No tool writes those files any more — bench/
+// and BENCHMARK.json are the repository's one perf ledger — so nothing
+// imports this package; it goes, with its tests, in a later change.
 package benchfmt
 
 import (

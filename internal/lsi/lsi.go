@@ -32,9 +32,6 @@ const (
 	EngineAuto Engine = iota
 	// EngineDense densifies the matrix and runs the full Golub–Reinsch SVD.
 	EngineDense
-	// EngineLanczos runs Golub–Kahan–Lanczos with full reorthogonalization
-	// (what SVDPACK, the paper's tool, implements).
-	EngineLanczos
 	// EngineRandomized runs randomized subspace iteration (robust to the
 	// clustered spectra that equal-sized topics produce).
 	EngineRandomized
@@ -47,8 +44,6 @@ func (e Engine) String() string {
 		return "auto"
 	case EngineDense:
 		return "dense"
-	case EngineLanczos:
-		return "lanczos"
 	case EngineRandomized:
 		return "randomized"
 	default:
@@ -61,11 +56,8 @@ type Options struct {
 	// Engine selects the SVD algorithm; the zero value is EngineAuto.
 	Engine Engine
 	// Seed seeds the randomized engines; builds are deterministic for a
-	// fixed seed. EngineRandomized is bitwise independent of par.MaxProcs;
-	// EngineLanczos is deterministic only for a fixed par.MaxProcs (its
-	// parallel Aᵀx reduction layout enters the numerics at ulp level — pin
-	// par.SetMaxProcs for cross-machine bitwise reproducibility). Zero
-	// means a fixed default.
+	// fixed seed, and EngineRandomized is bitwise independent of
+	// par.MaxProcs. Zero means a fixed default.
 	Seed int64
 }
 
@@ -120,15 +112,6 @@ func Build(a *sparse.CSR, k int, opts Options) (*Index, error) {
 	switch opts.Engine {
 	case EngineDense:
 		res, err = svd.Decompose(a.ToDense())
-	case EngineLanczos:
-		// Lanczos iterates vector by vector, so its only parallelism is
-		// inside each matvec: run it on the parallel CSR operator. Results
-		// are deterministic for a fixed par.MaxProcs (the Aᵀx side may
-		// differ from the serial operator in the last ulps).
-		res, err = svd.Lanczos(a.Par(), k, svd.LanczosOptions{
-			Reorthogonalize: true,
-			Rng:             rand.New(rand.NewSource(seed)),
-		})
 	case EngineRandomized:
 		res, err = svd.Randomized(a.Block(), k, svd.RandomizedOptions{
 			Rng: rand.New(rand.NewSource(seed)),

@@ -71,7 +71,7 @@ func TestEnginesAgree(t *testing.T) {
 	c := testCorpus(t, 3, 12, 0.05, 40, 72)
 	a := corpus.TermDocMatrix(c, corpus.CountWeighting)
 	var sigmas [][]float64
-	for _, e := range []Engine{EngineDense, EngineLanczos, EngineRandomized, EngineAuto} {
+	for _, e := range []Engine{EngineDense, EngineRandomized, EngineAuto} {
 		ix, err := Build(a, 3, Options{Engine: e})
 		if err != nil {
 			t.Fatalf("%v: %v", e, err)
@@ -205,7 +205,7 @@ func TestBuildDeterministicSeed(t *testing.T) {
 
 func TestEngineString(t *testing.T) {
 	for e, want := range map[Engine]string{
-		EngineAuto: "auto", EngineDense: "dense", EngineLanczos: "lanczos",
+		EngineAuto: "auto", EngineDense: "dense",
 		EngineRandomized: "randomized", Engine(9): "Engine(9)",
 	} {
 		if e.String() != want {

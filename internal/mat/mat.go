@@ -65,16 +65,6 @@ func Identity(n int) *Dense {
 	return m
 }
 
-// Diag returns a square diagonal matrix with the given diagonal entries.
-func Diag(d []float64) *Dense {
-	n := len(d)
-	m := NewDense(n, n)
-	for i, v := range d {
-		m.data[i*n+i] = v
-	}
-	return m
-}
-
 // Rows returns the number of rows.
 func (m *Dense) Rows() int { return m.rows }
 

@@ -71,9 +71,9 @@ func TestFromRowsRagged(t *testing.T) {
 
 func TestIdentityDiag(t *testing.T) {
 	id := Identity(3)
-	d := Diag([]float64{1, 1, 1})
+	d := FromRows([][]float64{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}})
 	if !EqualApprox(id, d, 0) {
-		t.Fatal("Identity(3) != Diag(1,1,1)")
+		t.Fatal("Identity(3) is not the unit diagonal")
 	}
 }
 

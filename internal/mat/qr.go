@@ -114,19 +114,14 @@ func QR(a *Dense) (q, r *Dense) {
 	return q, r
 }
 
-// OrthonormalizeCols runs modified Gram-Schmidt on the columns of a in
-// place, returning the number of columns that survived. A column that is
-// linearly dependent on earlier ones — what is left of it after projecting
-// them out is at most tol times its original norm — is zeroed; the
-// relative test keeps the outcome independent of the matrix's scale.
-// It is the serial reference for QRInPlace, and the path QRInPlace takes
-// when its Cholesky factorization breaks down.
-func OrthonormalizeCols(a *Dense, tol float64) int {
-	return mgs(a, tol, nil)
-}
-
-// mgs is OrthonormalizeCols that also accumulates, when r is a zeroed
-// n×n matrix, the upper-triangular factor with a_in = a_out·r: the
+// mgs runs modified Gram-Schmidt on the columns of a in place, returning
+// the number of columns that survived. A column that is linearly
+// dependent on earlier ones — what is left of it after projecting them
+// out is at most tol times its original norm — is zeroed; the relative
+// test keeps the outcome independent of the matrix's scale. It is the
+// serial reference for QRInPlace, and the path QRInPlace takes when its
+// Cholesky factorization breaks down. When r is a zeroed n×n matrix it
+// also accumulates the upper-triangular factor with a_in = a_out·r: the
 // projection coefficients above the diagonal, the residual norms on it,
 // and a zero diagonal entry for every zeroed column.
 func mgs(a *Dense, tol float64, r *Dense) int {
@@ -203,7 +198,7 @@ const cholBreakdown = 1e-10
 // QRInPlace overwrites a (m×n) with the orthonormal factor Q of its thin
 // QR factorization and returns the n×n upper-triangular R with
 // a_in = Q·R, plus the number of nonzero columns of Q. It is the blocked,
-// parallel replacement for OrthonormalizeCols on tall matrices:
+// parallel replacement for modified Gram-Schmidt (mgs) on tall matrices:
 // CholeskyQR2 — twice, form the Gram matrix G = aᵀa over fixed row panels
 // summed in panel order, factor G = RᵀR, and solve a ← a·R⁻¹ row by row —
 // working on a itself with O(n²) scratch, and bitwise independent of
@@ -212,11 +207,10 @@ const cholBreakdown = 1e-10
 // CholeskyQR squares the condition number, so it cannot handle columns
 // that are (nearly) dependent. It notices from its own pivots: when one
 // falls below cholBreakdown relative to its diagonal entry, the remaining
-// work is handed to the modified Gram-Schmidt of OrthonormalizeCols,
-// whose semantics then apply — columns dependent on earlier ones within
-// tol (relative to their own norm) are zeroed in Q and get a zero diagonal
-// entry in R. On well-conditioned input every column survives and tol
-// plays no part.
+// work is handed to mgs, whose semantics then apply — columns dependent on
+// earlier ones within tol (relative to their own norm) are zeroed in Q and
+// get a zero diagonal entry in R. On well-conditioned input every column
+// survives and tol plays no part.
 func QRInPlace(a *Dense, tol float64) (r *Dense, kept int) {
 	n := a.cols
 	r = Identity(n)

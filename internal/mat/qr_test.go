@@ -52,12 +52,12 @@ func TestQRWideMatrixPanics(t *testing.T) {
 func TestOrthonormalizeCols(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	a := randDense(10, 4, rng)
-	kept := OrthonormalizeCols(a, 1e-12)
+	kept := mgs(a, 1e-12, nil)
 	if kept != 4 {
 		t.Fatalf("kept = %d, want 4", kept)
 	}
 	if !a.IsOrthonormalCols(1e-10) {
-		t.Fatal("columns not orthonormal after OrthonormalizeCols")
+		t.Fatal("columns not orthonormal after mgs")
 	}
 }
 
@@ -68,7 +68,7 @@ func TestOrthonormalizeColsDependent(t *testing.T) {
 		{0, 1, 1},
 		{0, 0, 0},
 	})
-	kept := OrthonormalizeCols(a, 1e-10)
+	kept := mgs(a, 1e-10, nil)
 	if kept != 2 {
 		t.Fatalf("kept = %d, want 2", kept)
 	}
@@ -128,7 +128,7 @@ func TestQRInPlaceTallIndependentOfMaxProcs(t *testing.T) {
 func TestQRInPlaceDependentColumnsFallBack(t *testing.T) {
 	// Columns 2 and 5 are exact combinations of earlier ones, so the Gram
 	// matrix is singular: the Cholesky pass must refuse, leaving its input
-	// alone, and QRInPlace must finish with OrthonormalizeCols' semantics.
+	// alone, and QRInPlace must finish with mgs' semantics.
 	rng := rand.New(rand.NewSource(16))
 	a := randDense(700, 6, rng)
 	for i := 0; i < a.Rows(); i++ {
@@ -169,7 +169,7 @@ func TestQRInPlaceDependentColumnsFallBack(t *testing.T) {
 func TestNorm2MatchesKnownSingularValue(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	// Diagonal matrix: spectral norm is the max |diagonal|.
-	d := Diag([]float64{3, -7, 2})
+	d := FromRows([][]float64{{3, 0, 0}, {0, -7, 0}, {0, 0, 2}})
 	got := Norm2(d, 100, rng)
 	if math.Abs(got-7) > 1e-8 {
 		t.Fatalf("Norm2(diag) = %v, want 7", got)

@@ -174,7 +174,7 @@ func TestLemma1SmallPerturbationSmallResidual(t *testing.T) {
 }
 
 func TestGapReport(t *testing.T) {
-	a := mat.Diag([]float64{4, 3, 1, 0.5})
+	a := mat.FromRows([][]float64{{4, 0, 0, 0}, {0, 3, 0, 0}, {0, 0, 1, 0}, {0, 0, 0, 0.5}})
 	g, err := Gap(a, 2)
 	if err != nil {
 		t.Fatal(err)

@@ -93,17 +93,11 @@ type Segment struct {
 	// own documents (initial build or Compact) rather than by fold-in.
 	Compacted bool
 	// Ann is the optional IVF coarse quantizer over Ix's document vectors
-	// (nil = none; the segment is always servable by exhaustive scan).
-	// The shard layer trains it for compacted segments at (re-)SVD time —
-	// fold-in extensions never carry one, so live segments stay exact by
-	// construction. Ann indexes segment-LOCAL rows; search remaps through
-	// Global like the exhaustive path does.
-	Ann *ivf.Index
-	// Quant is the optional int8 shadow of Ix's document vectors (nil =
-	// none), built by the shard layer for compacted segments alongside Ann
-	// with the same lifecycle: fold-in extensions never carry one, so live
-	// segments scan in float by construction. Quant rows are segment-LOCAL
-	// like Ann's postings; search remaps through Global.
+	// (nil = none; the segment is always servable by exhaustive scan) and
+	// Quant the optional int8 shadow of them. WithTiers decides which
+	// segments carry them. Both index segment-LOCAL rows; search remaps
+	// through Global like the exhaustive path does.
+	Ann   *ivf.Index
 	Quant *quant.Matrix
 }
 
@@ -156,6 +150,63 @@ func (s *Segment) WithQuant(qm *quant.Matrix) (*Segment, error) {
 	next := *s
 	next.Quant = qm
 	return &next, nil
+}
+
+// TierConfig says which sidecars the compacted segments of an index
+// carry. The zero value trains nothing.
+type TierConfig struct {
+	// NList > 0 trains an IVF quantizer of that many cells (clamped to
+	// the segment's document count).
+	NList int
+	// Seed is the random stream of the segment's owner (the index seed,
+	// offset per shard). Each quantizer trains from Seed and its segment's
+	// first global document — the scheme compaction seeds use, offset so
+	// the two streams never collide — so re-training the same documents
+	// yields the same centroids, run after run.
+	Seed int64
+	// Quantize builds an int8 shadow. It is seedless: a pure function of
+	// the document matrix.
+	Quantize bool
+	// MinDocs is the smallest segment worth training a sidecar for.
+	MinDocs int
+}
+
+// WithTiers is the one place a segment gets its sidecars: at build, after
+// a compaction's re-SVD, and at open. A sidecar the caller already
+// decoded (ann, qm; nil = none) is attached as it is; a missing one is
+// trained when cfg asks for it and the segment is compacted and large
+// enough — so a checkpoint saved without sidecars opens into a tiered
+// configuration without a rebuild — and otherwise the segment stays
+// exact: fold-in segments never carry one, so live documents are always
+// scored in float. Training reads only the published document vectors
+// and the result is a new Segment, so callers publish it with the same
+// atomic swap they would publish s.
+func (s *Segment) WithTiers(cfg TierConfig, ann *ivf.Index, qm *quant.Matrix) (*Segment, error) {
+	trainable := s.Compacted && s.Len() > 0 && s.Len() >= cfg.MinDocs
+	var err error
+	if ann == nil && cfg.NList > 0 && trainable {
+		ann, err = ivf.Train(s.Ix.DocVectors(), s.Ix.Norms(), ivf.TrainOptions{
+			NList: cfg.NList,
+			Seed:  cfg.Seed + int64(s.Global[0])*8191 + 500009,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("segment: training quantizer: %w", err)
+		}
+	}
+	if ann != nil {
+		if s, err = s.WithAnn(ann); err != nil {
+			return nil, err
+		}
+	}
+	if qm == nil && cfg.Quantize && trainable {
+		qm = quant.Quantize(s.Ix.DocVectors())
+	}
+	if qm != nil {
+		if s, err = s.WithQuant(qm); err != nil {
+			return nil, err
+		}
+	}
+	return s, nil
 }
 
 // Extend returns a NEW segment with the given sparse documents folded in

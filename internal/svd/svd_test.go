@@ -379,7 +379,7 @@ func TestSymEigenMatchesJacobi(t *testing.T) {
 }
 
 func TestSymEigenKnownSpectrum(t *testing.T) {
-	a := mat.Diag([]float64{5, -1, 3})
+	a := mat.FromRows([][]float64{{5, 0, 0}, {0, -1, 0}, {0, 0, 3}})
 	d, _, err := SymEigen(a)
 	if err != nil {
 		t.Fatal(err)

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/ivf"
-	"repro/internal/quant"
 	"repro/internal/segment"
 )
 
@@ -15,40 +13,40 @@ import (
 // attached at Build (and at Open, when the opening options ask — both
 // are derived state, cheap to rebuild and deterministic, so
 // single-stream index files stay format-stable). Sharded indexes
-// delegate to retrieval/shard, where every compacted segment owns a
-// quantizer persisted as an ann-*.ivf sidecar next to its seg-*.idx
-// file. Either way the tiers are chosen per segment by segment.Search;
-// this layer only sets the budgets (probeOpts, budget).
+// delegate to retrieval/shard, where every compacted segment owns its
+// sidecars and a checkpoint writes them beside the segment's file
+// (DESIGN.md "Checkpoint layout"). Either way segment.WithTiers decides
+// which segments carry them and segment.Search picks the tier per
+// segment; this layer only sets the budgets (probeOpts, budget).
 
-// annSeedOffset separates the quantizer-training random stream from the
-// decomposition seeds derived from the same configured seed.
-const annSeedOffset = 500009
+// checkTiers rejects the tier options on a backend without a latent
+// space to build them over.
+func (c config) checkTiers(b Backend) error {
+	switch {
+	case b == BackendLSI:
+		return nil
+	case c.annList > 0:
+		return fmt.Errorf("retrieval: WithANN requires the LSI backend (got %s)", b)
+	case c.quantBeta > 0:
+		return fmt.Errorf("retrieval: WithQuantized requires the LSI backend (got %s)", b)
+	}
+	return nil
+}
 
-// trainTiers attaches the configured sidecars to the unsharded index's
-// segment: an IVF quantizer for WithANN, an int8 shadow for
-// WithQuantized. Build and Open call it once the LSI index exists.
-func (ix *Index) trainTiers(cfg config) error {
+// attachTiers gives the unsharded index's one segment the sidecars cfg
+// asks for (any size qualifies; the quantizer trains from the seed a
+// one-shard index would use). Build and Open call it once the LSI index
+// exists.
+func (ix *Index) attachTiers(cfg config) error {
 	ix.annList, ix.annProbe, ix.quantBeta = cfg.annList, cfg.annProbe, cfg.quantBeta
-	vecs := ix.seg.Ix.DocVectors()
-	if cfg.annList > 0 {
-		ann, err := ivf.Train(vecs, ix.seg.Ix.Norms(), ivf.TrainOptions{
-			NList: cfg.annList,
-			Seed:  cfg.seed + annSeedOffset,
-		})
-		if err != nil {
-			return fmt.Errorf("retrieval: training quantizer: %w", err)
-		}
-		ix.annList = ann.NList() // post-clamp truth beats the config
-		if ix.seg, err = ix.seg.WithAnn(ann); err != nil {
-			return err
-		}
+	seg, err := ix.seg.WithTiers(segment.TierConfig{NList: cfg.annList, Seed: cfg.seed, Quantize: cfg.quantBeta > 0}, nil, nil)
+	if err != nil {
+		return fmt.Errorf("retrieval: %w", err)
 	}
-	if cfg.quantBeta > 0 {
-		var err error
-		if ix.seg, err = ix.seg.WithQuant(quant.Quantize(vecs)); err != nil {
-			return err
-		}
+	if seg.Ann != nil {
+		ix.annList = seg.Ann.NList() // post-clamp truth beats the config
 	}
+	ix.seg = seg
 	return nil
 }
 

@@ -75,11 +75,8 @@ func Build(docs []Document, opts ...Option) (*Index, error) {
 	if len(docs) == 0 {
 		return nil, fmt.Errorf("%w: no documents", ErrEmptyCorpus)
 	}
-	if cfg.annList > 0 && cfg.backend != BackendLSI {
-		return nil, fmt.Errorf("retrieval: WithANN requires the LSI backend (got %s)", cfg.backend)
-	}
-	if cfg.quantBeta > 0 && cfg.backend != BackendLSI {
-		return nil, errQuantBackend(cfg.backend)
+	if err := cfg.checkTiers(cfg.backend); err != nil {
+		return nil, err
 	}
 	if cfg.workers > 0 {
 		par.SetMaxProcs(cfg.workers)
@@ -140,7 +137,7 @@ func Build(docs []Document, opts ...Option) (*Index, error) {
 			return nil, fmt.Errorf("retrieval: building LSI index: %w", err)
 		}
 		ix.setLSI(li)
-		if err := ix.trainTiers(cfg); err != nil {
+		if err := ix.attachTiers(cfg); err != nil {
 			return nil, err
 		}
 	case BackendVSM:

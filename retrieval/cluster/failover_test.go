@@ -300,3 +300,48 @@ func TestReplicaRunLoop(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
+
+// TestReplicaBootstrapsFromTieredPrimary: a primary whose segment
+// carries an IVF quantizer and an int8 shadow checkpoints them as
+// sidecar files, and a replica must pull those too — its snapshot opens,
+// serves bit-for-bit like the primary, and reports both tiers.
+func TestReplicaBootstrapsFromTieredPrimary(t *testing.T) {
+	// 600 documents on one shard clear the 256-document tier threshold.
+	primary, err := retrieval.Build(corpus(600),
+		retrieval.WithRank(3), retrieval.WithShards(1),
+		retrieval.WithAutoCompact(false), retrieval.WithSeed(9),
+		retrieval.WithANN(8, 2), retrieval.WithQuantized(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer primary.Close()
+	if st := primary.Stats(); st.ANN == nil || st.ANN.Segments != 1 || st.Quant == nil || st.Quant.Segments != 1 {
+		t.Fatalf("primary is not tiered: ann %+v quant %+v", st.ANN, st.Quant)
+	}
+	dir := t.TempDir()
+	if err := primary.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(httpapi.NewHandler(primary, httpapi.Options{ReplicateDir: dir}))
+	defer srv.Close()
+
+	ctx := context.Background()
+	rep := cluster.NewReplica(srv.URL, t.TempDir(), cluster.ReplicaOptions{})
+	if err := rep.Bootstrap(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range testQueries {
+		want, err := primary.Search(ctx, q, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := rep.Search(ctx, q, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResults(t, got, want, "tiered replica query "+q)
+	}
+	if st := rep.Stats(); st.ANN == nil || st.ANN.Segments != 1 || st.Quant == nil || st.Quant.Segments != 1 {
+		t.Fatalf("replica lost the sidecars: ann %+v quant %+v", st.ANN, st.Quant)
+	}
+}

@@ -200,13 +200,7 @@ func (r *Replica) pullSnapshot(ctx context.Context) error {
 	if err := os.MkdirAll(snap, 0o777); err != nil {
 		return err
 	}
-	files := []string{man.IDsFile, "text.json"}
-	for _, segs := range man.Segments {
-		for _, seg := range segs {
-			files = append(files, seg.File)
-		}
-	}
-	for _, name := range files {
+	for _, name := range append(man.Files(), "text.json") {
 		if err := r.pullFile(ctx, name, filepath.Join(snap, name), uint64(man.Generation)); err != nil {
 			return err
 		}

@@ -9,6 +9,7 @@ package retrieval
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"syscall"
@@ -133,51 +134,88 @@ func TestAddFsyncFaultNeverAcksThenRecovers(t *testing.T) {
 
 // TestCheckpointENOSPCKeepsPreviousGeneration: a checkpoint that runs
 // out of disk fails without harming the previous checkpoint — the
-// directory still opens at the old generation with the old corpus.
+// directory still opens at the old generation with the old corpus — and
+// one whose directory fsync fails does not report success. Both entry
+// points of the checkpoint writer are held to it: the whole-index save
+// and the per-shard export a cluster deploy ships to its nodes.
 func TestCheckpointENOSPCKeepsPreviousGeneration(t *testing.T) {
-	dir := t.TempDir()
-	data := filepath.Join(dir, "data")
-	ix, err := Build(largerCorpus(14), WithRank(3), WithShards(2), WithAutoCompact(false), WithSeed(11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ix.Close()
-	if err := ix.SaveDir(data); err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	if _, err := ix.Add(ctx, []Document{{ID: "extra", Text: "car engine"}}); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name  string
+		docs  int // documents the first checkpoint holds
+		first func(ix *Index, dir string) error
+		again func(ix *Index, dir string, fsys faultinject.FS) error
+	}{
+		{"SaveDir", 14, (*Index).SaveDir,
+			func(ix *Index, dir string, fsys faultinject.FS) error { return ix.sharded.SaveDirFS(dir, fsys) }},
+		{"SaveShardDir", 7, func(ix *Index, dir string) error { return ix.SaveShardDir(0, dir) },
+			func(ix *Index, dir string, fsys faultinject.FS) error { return ix.sharded.SaveShardDirFS(0, dir, fsys) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			data := filepath.Join(dir, "data")
+			ix, err := Build(largerCorpus(14), WithRank(3), WithShards(2), WithAutoCompact(false), WithSeed(11))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ix.Close()
+			if err := tc.first(ix, data); err != nil {
+				t.Fatal(err)
+			}
+			// Global 14 lands on shard 0, so the next checkpoint differs
+			// from the first for either entry point.
+			if _, err := ix.Add(context.Background(), []Document{{ID: "extra", Text: "car engine"}}); err != nil {
+				t.Fatal(err)
+			}
+			reopen := func(context string, wantDocs int, wantOldGen bool) {
+				t.Helper()
+				re, err := OpenDir(data, WithAutoCompact(false))
+				if err != nil {
+					t.Fatalf("%s: directory no longer opens: %v", context, err)
+				}
+				defer re.Close()
+				if re.NumDocs() != wantDocs || (re.Generation() == 0) != wantOldGen {
+					t.Fatalf("%s: reopened at (gen %d, %d docs), want %d docs, first generation %v",
+						context, re.Generation(), re.NumDocs(), wantDocs, wantOldGen)
+				}
+			}
 
-	// Size one full save on a side directory, then sweep budgets below
-	// it so the real save dies at many different points of its write
-	// schedule: during a segment, the ids file, or the manifest.
-	trial := faultinject.NewFaultyFS(faultinject.OS{}, 1)
-	if err := ix.sharded.SaveDirFS(filepath.Join(dir, "trial"), trial); err != nil {
-		t.Fatal(err)
-	}
-	total := trial.BytesWritten()
-	if total < 16 {
-		t.Fatalf("trial checkpoint wrote only %d bytes", total)
-	}
-	step := total / 8
-	if step == 0 {
-		step = 1
-	}
-	for budget := int64(0); budget < total; budget += step {
-		fs := faultinject.NewFaultyFS(faultinject.OS{}, budget)
-		fs.DiskFullAfter(budget)
-		if err := ix.sharded.SaveDirFS(data, fs); err == nil {
-			t.Fatalf("budget %d: checkpoint succeeded on a full disk", budget)
-		}
-		re, err := OpenDir(data, WithAutoCompact(false))
-		if err != nil {
-			t.Fatalf("budget %d: previous checkpoint no longer opens: %v", budget, err)
-		}
-		if re.NumDocs() != 14 || re.Generation() != 0 {
-			t.Fatalf("budget %d: reopened at (gen %d, %d docs), want (0, 14)", budget, re.Generation(), re.NumDocs())
-		}
-		re.Close()
+			// Size one full save on a side directory, then sweep budgets
+			// below it so the real save dies at many different points of its
+			// write schedule: during a segment, the ids file, or the manifest.
+			trial := faultinject.NewFaultyFS(faultinject.OS{}, 1)
+			if err := tc.again(ix, filepath.Join(dir, "trial"), trial); err != nil {
+				t.Fatal(err)
+			}
+			total := trial.BytesWritten()
+			if total < 16 {
+				t.Fatalf("trial checkpoint wrote only %d bytes", total)
+			}
+			step := total / 8
+			if step == 0 {
+				step = 1
+			}
+			for budget := int64(0); budget < total; budget += step {
+				fs := faultinject.NewFaultyFS(faultinject.OS{}, budget)
+				fs.DiskFullAfter(budget)
+				if err := tc.again(ix, data, fs); err == nil {
+					t.Fatalf("budget %d: checkpoint succeeded on a full disk", budget)
+				}
+				reopen(fmt.Sprintf("budget %d", budget), tc.docs, true)
+			}
+
+			// Success means the manifest switch is durable: with every
+			// directory fsync failing the checkpoint must fail, having
+			// switched to the complete new manifest.
+			fs := faultinject.NewFaultyFS(faultinject.OS{}, 1)
+			fs.FailSyncs(1, syscall.EIO)
+			if err := tc.again(ix, data, fs); !errors.Is(err, faultinject.ErrInjected) {
+				t.Fatalf("checkpoint with a failing directory fsync returned %v", err)
+			}
+			reopen("failed fsync", tc.docs+1, false)
+			if err := tc.again(ix, data, faultinject.OS{}); err != nil {
+				t.Fatal(err)
+			}
+			reopen("clean checkpoint", tc.docs+1, false)
+		})
 	}
 }

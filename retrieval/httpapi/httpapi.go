@@ -29,7 +29,10 @@
 //
 //	GET /v1/replicate/manifest       the primary's current manifest.json
 //	GET /v1/replicate/file?name=...  one checkpoint file (manifest.json,
-//	                                 text.json, ids-*.json, seg-*.idx;
+//	                                 text.json, or a generation-stamped
+//	                                 name shard.FileGeneration accepts:
+//	                                 ids-*.json, seg-*.idx and the tier
+//	                                 sidecars ann-*.ivf, quant-*.qnt;
 //	                                 anything else is 400, a file a
 //	                                 checkpoint has retired is 404 —
 //	                                 re-fetch the manifest and retry)

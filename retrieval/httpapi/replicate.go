@@ -8,10 +8,13 @@ package httpapi
 // all replication policy (retries, generation checks, re-snapshot on
 // 410) lives in the replica, where it can be tested in-process.
 //
-// Safety: /v1/replicate/file serves only bare names matching the
-// checkpoint vocabulary (manifest.json, text.json, ids-<n>.json,
-// seg-<a>-<b>-<c>.idx) out of Options.ReplicateDir — no separators, no
-// traversal, nothing outside the checkpoint. A 404 for a name the
+// Safety: /v1/replicate/file serves only bare names in the checkpoint
+// vocabulary — the two fixed names manifest.json and text.json, and the
+// generation-stamped names shard.FileGeneration recognises
+// (ids-<g>.json, seg-<g>-<s>-<i>.idx and a segment's sidecars
+// ann-<g>-<s>-<i>.ivf, quant-<g>-<s>-<i>.qnt) — out of
+// Options.ReplicateDir: no separators, no traversal, nothing outside the
+// checkpoint. A 404 for a name the
 // manifest listed means a newer checkpoint retired that generation
 // mid-pull; the replica re-fetches the manifest and starts over.
 
@@ -21,10 +24,10 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"regexp"
 	"strconv"
 
 	"repro/retrieval"
+	"repro/retrieval/shard"
 )
 
 // ReplicateWALResponse is the body of GET /v1/replicate/wal: every
@@ -37,17 +40,13 @@ type ReplicateWALResponse struct {
 	Docs []retrieval.Document `json:"docs"`
 }
 
-// replicaFilePat is the complete vocabulary of checkpoint file names a
-// replica may fetch (see retrieval/shard's manifest layout).
-var replicaFilePat = regexp.MustCompile(`^(manifest\.json|text\.json|ids-[0-9]+\.json|seg-[0-9]+-[0-9]+-[0-9]+\.idx)$`)
-
 func (h *handler) replicateManifest(w http.ResponseWriter, r *http.Request) {
 	h.serveReplicaFile(w, r, "manifest.json")
 }
 
 func (h *handler) replicateFile(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("name")
-	if !replicaFilePat.MatchString(name) {
+	if _, stamped := shard.FileGeneration(name); !stamped && name != shard.ManifestName && name != "text.json" {
 		writeError(w, http.StatusBadRequest, "%q is not a checkpoint file name", name)
 		return
 	}

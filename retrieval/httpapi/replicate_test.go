@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -38,7 +39,7 @@ func replicaHandler(t *testing.T) (*retrieval.Index, *Handler, string) {
 // TestReplicateManifestAndFiles: a replica can pull the manifest, then
 // every file it names, and traversal or junk names are rejected.
 func TestReplicateManifestAndFiles(t *testing.T) {
-	_, h, _ := replicaHandler(t)
+	_, h, data := replicaHandler(t)
 
 	rec := do(t, h, "GET", "/v1/replicate/manifest", "")
 	if rec.Code != 200 {
@@ -59,8 +60,14 @@ func TestReplicateManifestAndFiles(t *testing.T) {
 		t.Fatalf("manifest names no ids file: %s", rec.Body)
 	}
 
-	// Every whitelisted kind serves; the ids file round-trips as JSON.
-	for _, name := range []string{man.IDsFile, "text.json", "manifest.json"} {
+	// Every whitelisted kind serves, the tier sidecars of a segment
+	// included (the demo corpus is too small to train any, so stand-ins).
+	for _, name := range []string{"ann-0-0-0.ivf", "quant-0-0-0.qnt"} {
+		if err := os.WriteFile(filepath.Join(data, name), []byte("sidecar"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range []string{man.IDsFile, "text.json", "manifest.json", "seg-0-0-0.idx", "ann-0-0-0.ivf", "quant-0-0-0.qnt"} {
 		rec := do(t, h, "GET", "/v1/replicate/file?name="+name, "")
 		if rec.Code != 200 {
 			t.Errorf("file %q: status %d: %s", name, rec.Code, rec.Body)
@@ -69,7 +76,8 @@ func TestReplicateManifestAndFiles(t *testing.T) {
 
 	// Names outside the checkpoint vocabulary are 400 — including every
 	// traversal shape; a well-formed name that does not exist is 404.
-	for _, name := range []string{"", "../data/manifest.json", "..%2Fmanifest.json", "wal-0000000000000000.log", "seg-1-2.idx", "manifest.json/"} {
+	for _, name := range []string{"", "../data/manifest.json", "..%2Fmanifest.json", "wal-0000000000000000.log", "seg-1-2.idx", "manifest.json/",
+		"../manifest.json", "seg-1.idx", "x.ivf", "ann-0-0-0.ivf.tmp", "quant-0-0-0.idx", "ids-0-0-0.json"} {
 		rec := do(t, h, "GET", "/v1/replicate/file?name="+name, "")
 		if rec.Code != http.StatusBadRequest {
 			t.Errorf("file %q: status %d, want 400", name, rec.Code)

@@ -53,8 +53,6 @@ const (
 	EngineAuto Engine = iota
 	// EngineDense runs the full dense Golub–Reinsch SVD.
 	EngineDense
-	// EngineLanczos runs Golub–Kahan–Lanczos with reorthogonalization.
-	EngineLanczos
 	// EngineRandomized runs randomized subspace iteration.
 	EngineRandomized
 )
@@ -65,8 +63,6 @@ func (e Engine) toLSI() (lsi.Engine, error) {
 		return lsi.EngineAuto, nil
 	case EngineDense:
 		return lsi.EngineDense, nil
-	case EngineLanczos:
-		return lsi.EngineLanczos, nil
 	case EngineRandomized:
 		return lsi.EngineRandomized, nil
 	default:
@@ -190,9 +186,8 @@ func WithEngine(e Engine) Option { return func(c *config) { c.engine = e } }
 // (default WeightingLog).
 func WithWeighting(w Weighting) Option { return func(c *config) { c.weighting = w } }
 
-// WithSeed seeds the randomized SVD engines; builds are deterministic for
-// a fixed seed (and fixed parallelism for the Lanczos engine). Zero means
-// a fixed default.
+// WithSeed seeds the randomized SVD engine; builds are deterministic for
+// a fixed seed. Zero means a fixed default.
 func WithSeed(seed int64) Option { return func(c *config) { c.seed = seed } }
 
 // WithStopwordRemoval toggles stopword removal in the text pipeline

@@ -1,23 +1,13 @@
 package retrieval
 
-import (
-	"fmt"
+import "repro/internal/segment"
 
-	"repro/internal/segment"
-)
-
-// The quantized scoring tier at the retrieval layer (see WithQuantized).
-// Unsharded LSI indexes carry one int8 shadow of the whole
-// document-vector matrix, built at Build (and at Open, when the opening
-// options ask for the tier — quantization is seedless derived state,
-// cheap to rebuild, so single-stream index files stay format-stable).
-// Sharded indexes delegate to retrieval/shard, where every compacted
-// segment owns a shadow persisted as a quant-*.qnt sidecar next to its
-// seg-*.idx file. Searches run two-stage: the int8 scan selects
-// topN·beta candidates, an exact float64 rerank restores the final
-// (score desc, doc asc) order — every returned score is a true float64
-// cosine, only membership deep in the list can differ from the exact
-// scan.
+// The quantized scoring tier at the retrieval layer (see WithQuantized;
+// ann.go says where the int8 shadows come from). Searches run two-stage:
+// the int8 scan selects topN·beta candidates, an exact float64 rerank
+// restores the final (score desc, doc asc) order — every returned score
+// is a true float64 cosine, only membership deep in the list can differ
+// from the exact scan.
 
 // QuantStats describes the quantized scoring tier of an index built or
 // opened with WithQuantized (surfaced as the "quant" block of
@@ -59,10 +49,4 @@ func (ix *Index) quantStats(t segment.Tiers) (QuantStats, bool) {
 		Segments: t.QuantSegs, Docs: t.QuantDocs, Bytes: t.QuantBytes,
 		Searches: tot.QuantSearches, DocsScanned: tot.QuantDocs, DocsReranked: tot.QuantReranks,
 	}, true
-}
-
-// errQuantBackend is the shared WithQuantized-requires-LSI complaint of
-// Build and Open.
-func errQuantBackend(b Backend) error {
-	return fmt.Errorf("retrieval: WithQuantized requires the LSI backend (got %s)", b)
 }

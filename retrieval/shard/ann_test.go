@@ -13,7 +13,7 @@ import (
 // annConfig is the test configuration of the ANN tier: every compacted
 // segment trains, however small.
 func annConfig(shards int) Config {
-	return Config{Shards: shards, Rank: 4, Seed: 77, SealEvery: 8, ANNList: 6, ANNProbe: 2, ANNMinDocs: 1}
+	return Config{Shards: shards, Rank: 4, Seed: 77, SealEvery: 8, ANNList: 6, ANNProbe: 2, TierMinDocs: 1}
 }
 
 // annSegments counts published segments carrying a quantizer.
@@ -155,7 +155,7 @@ func TestANNCompactorRetrains(t *testing.T) {
 func TestANNMinDocsGate(t *testing.T) {
 	a := testMatrix(t, 4, 10, 50, 406)
 	cfg := annConfig(1)
-	cfg.ANNMinDocs = 1000
+	cfg.TierMinDocs = 1000
 	x, err := Build(a, defaultIDs(50), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -245,7 +245,7 @@ func TestANNOpenTrainsWhenSidecarMissing(t *testing.T) {
 		t.Fatal(err)
 	}
 	// ...and open WITH it: segments train in place.
-	y, err := Open(dir, Config{ANNList: 6, ANNMinDocs: 1})
+	y, err := Open(dir, Config{ANNList: 6, TierMinDocs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

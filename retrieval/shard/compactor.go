@@ -142,10 +142,7 @@ func (x *Index) Compact() (int, error) {
 		// lock: both publish in the same swap as the re-SVD, so the epoch
 		// bump below covers all of it and cached pre-compaction rankings
 		// retire exactly once.
-		if comp, err = x.trainAnn(comp, s); err != nil {
-			return rebuilt, err
-		}
-		if comp, err = x.trainQuant(comp); err != nil {
+		if comp, err = comp.WithTiers(x.tiers(s), nil, nil); err != nil {
 			return rebuilt, fmt.Errorf("shard %d: %w", s, err)
 		}
 

@@ -18,9 +18,12 @@ import (
 // Persistence: a sharded index saves to a directory — one small JSON
 // manifest describing the shard/segment topology, one generation-stamped
 // ids-<g>.json with the external document identifiers in global order,
-// and one generation-stamped file per segment in the LSI wire format
+// and per segment one generation-stamped file in the LSI wire format
 // (internal/lsi: numeric payload, no text layer; Open also reads the gob
-// segments older builds wrote). The manifest is
+// segments older builds wrote) plus a sidecar file for each tier it
+// carries. DESIGN.md "Checkpoint layout" has the whole picture: one
+// writer (writeCheckpoint), one file vocabulary (FileGeneration), one
+// list of what a manifest references (Files). The manifest is
 // versioned and strictly validated on load: a corrupt or truncated
 // manifest fails with a descriptive error, never a panic (fuzzed in
 // manifest_fuzz_test.go).
@@ -114,8 +117,10 @@ func ParseManifest(data []byte) (*Manifest, error) {
 	if len(m.Segments) != m.Shards {
 		return nil, fmt.Errorf("shard: manifest: segment lists for %d shards, manifest declares %d", len(m.Segments), m.Shards)
 	}
-	if err := validFileName(m.IDsFile); err != nil {
-		return nil, fmt.Errorf("shard: manifest: ids file: %w", err)
+	for _, name := range m.Files() {
+		if err := validFileName(name); err != nil {
+			return nil, fmt.Errorf("shard: manifest: %w", err)
+		}
 	}
 	// Every document must live in exactly one segment: the per-segment
 	// global lists partition [0, NumDocs). Sizes are checked before any
@@ -124,19 +129,6 @@ func ParseManifest(data []byte) (*Manifest, error) {
 	total := 0
 	for s, segs := range m.Segments {
 		for i, e := range segs {
-			if err := validFileName(e.File); err != nil {
-				return nil, fmt.Errorf("shard: manifest: shard %d segment %d: %w", s, i, err)
-			}
-			if e.ANNFile != "" {
-				if err := validFileName(e.ANNFile); err != nil {
-					return nil, fmt.Errorf("shard: manifest: shard %d segment %d: ann file: %w", s, i, err)
-				}
-			}
-			if e.QuantFile != "" {
-				if err := validFileName(e.QuantFile); err != nil {
-					return nil, fmt.Errorf("shard: manifest: shard %d segment %d: quant file: %w", s, i, err)
-				}
-			}
 			if e.Docs != len(e.Globals) {
 				return nil, fmt.Errorf("shard: manifest: shard %d segment %d: docs=%d but %d globals",
 					s, i, e.Docs, len(e.Globals))
@@ -195,31 +187,57 @@ func validFileName(name string) error {
 	return nil
 }
 
-// nextGeneration scans dir for generation-stamped data files and returns
-// one past the highest generation found, so a new save never reuses a
-// file name an earlier manifest might reference.
-func nextGeneration(dir string, fsys faultinject.FS) (int, error) {
-	entries, err := fsys.ReadDir(dir)
-	if err != nil {
-		return 0, err
+// The generation-stamped file names of a checkpoint. The first number of
+// each is the generation; segment files and their sidecars follow it with
+// the shard and the segment's position in it.
+const (
+	segFileFmt   = "seg-%d-%d-%d.idx"
+	annFileFmt   = "ann-%d-%d-%d.ivf"
+	quantFileFmt = "quant-%d-%d-%d.qnt"
+	idsFileFmt   = "ids-%d.json"
+	// tmpSuffix marks a file still being written: every checkpoint file
+	// is renamed into place, so a name only ever holds a complete file.
+	tmpSuffix = ".tmp"
+)
+
+// FileGeneration recognises the name of a generation-stamped checkpoint
+// file — a segment, one of its sidecars, or an IDs file — and returns the
+// generation it belongs to. It is the checkpoint's whole file vocabulary
+// apart from the two fixed names (ManifestName and the owning layer's
+// text file), and it is strict: a name matches only if it is exactly what
+// the checkpoint writer would produce, so it doubles as the allow-list of
+// what a replica may fetch.
+func FileGeneration(name string) (gen int, ok bool) {
+	var a, b int
+	for _, f := range [...]string{segFileFmt, annFileFmt, quantFileFmt} {
+		if n, _ := fmt.Sscanf(name, f, &gen, &a, &b); n == 3 && gen >= 0 && a >= 0 && b >= 0 && name == fmt.Sprintf(f, gen, a, b) {
+			return gen, true
+		}
 	}
-	gen := 0
-	for _, e := range entries {
-		var g, a, b int
-		if n, _ := fmt.Sscanf(e.Name(), "seg-%d-%d-%d.idx", &g, &a, &b); n == 3 && g >= gen {
-			gen = g + 1
-		}
-		if n, _ := fmt.Sscanf(e.Name(), "ann-%d-%d-%d.ivf", &g, &a, &b); n == 3 && g >= gen {
-			gen = g + 1
-		}
-		if n, _ := fmt.Sscanf(e.Name(), "quant-%d-%d-%d.qnt", &g, &a, &b); n == 3 && g >= gen {
-			gen = g + 1
-		}
-		if n, _ := fmt.Sscanf(e.Name(), "ids-%d.json", &g); n == 1 && g >= gen {
-			gen = g + 1
+	if n, _ := fmt.Sscanf(name, idsFileFmt, &gen); n == 1 && gen >= 0 && name == fmt.Sprintf(idsFileFmt, gen) {
+		return gen, true
+	}
+	return 0, false
+}
+
+// Files lists every file the manifest references, in the order a reader
+// needs them: the IDs file, then each segment's index file and sidecars.
+// It is what ParseManifest validates and what a replica pulls (besides
+// the manifest itself and the owning layer's text file).
+func (m *Manifest) Files() []string {
+	files := []string{m.IDsFile}
+	for _, segs := range m.Segments {
+		for _, e := range segs {
+			files = append(files, e.File)
+			if e.ANNFile != "" {
+				files = append(files, e.ANNFile)
+			}
+			if e.QuantFile != "" {
+				files = append(files, e.QuantFile)
+			}
 		}
 	}
-	return gen, nil
+	return files
 }
 
 // encodeSegment is the segment's index file, in a buffer sized once.
@@ -230,25 +248,147 @@ func encodeSegment(ix *lsi.Index) ([]byte, error) {
 	return buf.Bytes(), err
 }
 
-// writeFileAtomic writes data to dir/name via a temp file + rename, so
-// the name only ever holds a complete file.
-func writeFileAtomic(dir, name string, data []byte, fsys faultinject.FS) error {
-	tmp := filepath.Join(dir, name+".tmp")
-	if err := fsys.WriteFile(tmp, data, 0o644); err != nil {
-		return err
+// checkpointView is what a checkpoint records: a consistent snapshot of
+// an index (SaveDir) or of one of its shards renumbered as a standalone
+// index (SaveShardDir). len(shards) is the shard count the manifest
+// declares.
+type checkpointView struct {
+	seed   int64
+	ids    []string // external IDs in the view's own document numbering
+	shards []shardView
+}
+
+// shardView is one shard of a checkpointView: its segments, whose Global
+// tables hold the document numbers to record, and its fold-in basis.
+type shardView struct {
+	segs []*segment.Segment
+	base *lsi.Index
+}
+
+// viewShard snapshots shard s for a checkpoint. Callers hold ingestMu so
+// the ID table and the segment states of one view agree.
+func (x *Index) viewShard(s int) shardView {
+	return shardView{segs: x.shards[s].state.Load().segments(nil), base: x.shards[s].base}
+}
+
+// writeCheckpoint writes v to dir (created if needed) and returns the
+// generation it wrote. It is the only checkpoint writer, and it is
+// crash-safe, re-saves into a live directory included: data files carry a
+// fresh generation number (never overwriting anything the current
+// manifest references), the manifest is switched by an atomic rename and
+// made durable by a directory fsync, and only after that are the previous
+// generation's files deleted. A crash at any point leaves the directory
+// opening as either the complete old checkpoint or the complete new one.
+// Every write goes through fsys.
+func (x *Index) writeCheckpoint(dir string, v checkpointView, fsys faultinject.FS) (int, error) {
+	if err := fsys.MkdirAll(dir, 0o755); err != nil {
+		return 0, fmt.Errorf("shard: save: %w", err)
 	}
-	return fsys.Rename(tmp, filepath.Join(dir, name))
+	// The generation-stamped files already in dir — temp files of a
+	// crashed checkpoint count as the file they would have become — and one
+	// past their highest generation, so no file name an earlier manifest
+	// might reference is reused.
+	entries, err := fsys.ReadDir(dir)
+	if err != nil {
+		return 0, fmt.Errorf("shard: save: %w", err)
+	}
+	var gen int
+	var before []string
+	for _, e := range entries {
+		if g, ok := FileGeneration(strings.TrimSuffix(e.Name(), tmpSuffix)); ok {
+			gen, before = max(gen, g+1), append(before, e.Name())
+		}
+	}
+	man := &Manifest{
+		Version:    ManifestVersion,
+		Format:     manifestFormat,
+		Generation: gen,
+		Shards:     len(v.shards),
+		Rank:       x.cfg.Rank,
+		Seed:       v.seed,
+		NumTerms:   x.numTerms,
+		NumDocs:    len(v.ids),
+		SealEvery:  x.cfg.SealEvery,
+		IDsFile:    fmt.Sprintf(idsFileFmt, gen),
+		Segments:   make([][]ManifestSegment, len(v.shards)),
+	}
+	write := func(name string, data []byte) error {
+		tmp := filepath.Join(dir, name+tmpSuffix)
+		err := fsys.WriteFile(tmp, data, 0o644)
+		if err == nil {
+			err = fsys.Rename(tmp, filepath.Join(dir, name))
+		}
+		if err != nil {
+			return fmt.Errorf("shard: save %s: %w", name, err)
+		}
+		return nil
+	}
+	for s, sh := range v.shards {
+		man.Segments[s] = []ManifestSegment{}
+		for i, seg := range sh.segs {
+			e := ManifestSegment{
+				File:      fmt.Sprintf(segFileFmt, gen, s, i),
+				Docs:      seg.Len(),
+				Globals:   seg.Global,
+				Compacted: seg.Compacted,
+				Base:      sh.base != nil && seg.Ix == sh.base,
+			}
+			data, err := encodeSegment(seg.Ix)
+			if err != nil {
+				return 0, fmt.Errorf("shard: save %s: %w", e.File, err)
+			}
+			if err := write(e.File, data); err != nil {
+				return 0, err
+			}
+			// The sidecars index segment-local rows, so they are the same
+			// bytes under any document numbering.
+			if seg.Ann != nil {
+				e.ANNFile = fmt.Sprintf(annFileFmt, gen, s, i)
+				if err := write(e.ANNFile, seg.Ann.Encode()); err != nil {
+					return 0, err
+				}
+			}
+			if seg.Quant != nil {
+				e.QuantFile = fmt.Sprintf(quantFileFmt, gen, s, i)
+				if err := write(e.QuantFile, seg.Quant.Encode()); err != nil {
+					return 0, err
+				}
+			}
+			man.Segments[s] = append(man.Segments[s], e)
+		}
+	}
+	idsData, err := json.Marshal(v.ids)
+	if err != nil {
+		return 0, fmt.Errorf("shard: save %s: %w", man.IDsFile, err)
+	}
+	if err := write(man.IDsFile, idsData); err != nil {
+		return 0, err
+	}
+	manData, err := json.MarshalIndent(man, "", "  ")
+	if err != nil {
+		return 0, fmt.Errorf("shard: save %s: %w", ManifestName, err)
+	}
+	if err := write(ManifestName, manData); err != nil {
+		return 0, err
+	}
+	// From here the new manifest is the directory's truth: fsync the
+	// directory so the rename survives power loss.
+	if err := fsys.SyncDir(dir); err != nil {
+		return 0, fmt.Errorf("shard: save %s: %w", ManifestName, err)
+	}
+	// Retire every older generation (nothing this checkpoint wrote is
+	// among them: its names are all newer). Best-effort: leftovers are
+	// ignored by Open and removed by the next checkpoint.
+	for _, name := range before {
+		fsys.Remove(filepath.Join(dir, name))
+	}
+	return gen, nil
 }
 
 // SaveDir writes the index to dir (created if needed): the manifest,
-// the external IDs, and one wire-format file per segment. The snapshot
-// is taken atomically with respect to ingest. The save is crash-safe,
-// including re-saves into a live index directory: data files carry a
-// fresh generation number (never overwriting anything the current
-// manifest references), the manifest itself is switched by an atomic
-// rename, and only after that switch are the previous generation's
-// files deleted. A crash at any point leaves the directory opening as
-// either the complete old index or the complete new one.
+// the external IDs, and per segment one wire-format file plus its
+// sidecars (see writeCheckpoint for the crash-safety contract). The
+// snapshot is taken atomically with respect to ingest.
 func (x *Index) SaveDir(dir string) error { return x.SaveDirFS(dir, faultinject.OS{}) }
 
 // SaveDirFS is SaveDir with an explicit file system — the
@@ -257,105 +397,19 @@ func (x *Index) SaveDir(dir string) error { return x.SaveDirFS(dir, faultinject.
 // that a save interrupted by torn writes or disk-full leaves the
 // directory opening as the complete previous index.
 func (x *Index) SaveDirFS(dir string, fsys faultinject.FS) error {
-	if err := fsys.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("shard: save: %w", err)
-	}
-	gen, err := nextGeneration(dir, fsys)
-	if err != nil {
-		return fmt.Errorf("shard: save: %w", err)
-	}
 	// Snapshot under ingestMu so ids and segment states agree; writing
 	// happens after release.
 	x.ingestMu.Lock()
-	ids := x.ids.Load().ids
-	states := make([]*shardState, len(x.shards))
-	bases := make([]*lsi.Index, len(x.shards))
-	for s, sh := range x.shards {
-		states[s] = sh.state.Load()
-		bases[s] = sh.base
+	v := checkpointView{seed: x.cfg.Seed, ids: x.ids.Load().ids, shards: make([]shardView, len(x.shards))}
+	for s := range x.shards {
+		v.shards[s] = x.viewShard(s)
 	}
 	x.ingestMu.Unlock()
-
-	man := &Manifest{
-		Version:    ManifestVersion,
-		Format:     manifestFormat,
-		Generation: gen,
-		Shards:     x.cfg.Shards,
-		Rank:       x.cfg.Rank,
-		Seed:       x.cfg.Seed,
-		NumTerms:   x.numTerms,
-		NumDocs:    len(ids),
-		SealEvery:  x.cfg.SealEvery,
-		IDsFile:    fmt.Sprintf("ids-%d.json", gen),
-		Segments:   make([][]ManifestSegment, x.cfg.Shards),
-	}
-	keep := map[string]bool{man.IDsFile: true}
-	for s, st := range states {
-		var segs []*segment.Segment
-		segs = st.segments(segs)
-		man.Segments[s] = []ManifestSegment{}
-		for i, seg := range segs {
-			name := fmt.Sprintf("seg-%d-%d-%d.idx", gen, s, i)
-			data, err := encodeSegment(seg.Ix)
-			if err != nil {
-				return fmt.Errorf("shard: save segment %s: %w", name, err)
-			}
-			if err := writeFileAtomic(dir, name, data, fsys); err != nil {
-				return fmt.Errorf("shard: save segment %s: %w", name, err)
-			}
-			keep[name] = true
-			annName := ""
-			if seg.Ann != nil {
-				annName = fmt.Sprintf("ann-%d-%d-%d.ivf", gen, s, i)
-				if err := writeFileAtomic(dir, annName, seg.Ann.Encode(), fsys); err != nil {
-					return fmt.Errorf("shard: save quantizer %s: %w", annName, err)
-				}
-				keep[annName] = true
-			}
-			quantName := ""
-			if seg.Quant != nil {
-				quantName = fmt.Sprintf("quant-%d-%d-%d.qnt", gen, s, i)
-				if err := writeFileAtomic(dir, quantName, seg.Quant.Encode(), fsys); err != nil {
-					return fmt.Errorf("shard: save quantized matrix %s: %w", quantName, err)
-				}
-				keep[quantName] = true
-			}
-			man.Segments[s] = append(man.Segments[s], ManifestSegment{
-				File:      name,
-				Docs:      seg.Len(),
-				Globals:   seg.Global,
-				Compacted: seg.Compacted,
-				Base:      bases[s] != nil && seg.Ix == bases[s],
-				ANNFile:   annName,
-				QuantFile: quantName,
-			})
-		}
-	}
-
-	idsData, err := json.Marshal(ids)
+	gen, err := x.writeCheckpoint(dir, v, fsys)
 	if err != nil {
-		return fmt.Errorf("shard: save ids: %w", err)
-	}
-	if err := writeFileAtomic(dir, man.IDsFile, idsData, fsys); err != nil {
-		return fmt.Errorf("shard: save ids: %w", err)
-	}
-	manData, err := json.MarshalIndent(man, "", "  ")
-	if err != nil {
-		return fmt.Errorf("shard: save manifest: %w", err)
-	}
-	if err := writeFileAtomic(dir, ManifestName, manData, fsys); err != nil {
-		return fmt.Errorf("shard: save manifest: %w", err)
-	}
-	// From here the new manifest is the directory's truth: fsync the
-	// directory so the rename survives power loss.
-	if err := fsys.SyncDir(dir); err != nil {
-		return fmt.Errorf("shard: save manifest: %w", err)
+		return err
 	}
 	x.generation.Store(uint64(gen))
-
-	// The new manifest is live; retire the previous generation's data
-	// files (best-effort — see retireStaleGenerations).
-	retireStaleGenerations(dir, keep)
 	return nil
 }
 
@@ -422,40 +476,17 @@ func Open(dir string, cfg Config) (*Index, error) {
 			if err != nil {
 				return nil, fmt.Errorf("shard: open segment %s: %w", e.File, err)
 			}
-			if e.ANNFile != "" {
-				annData, err := os.ReadFile(filepath.Join(dir, e.ANNFile))
-				if err != nil {
-					return nil, fmt.Errorf("shard: open: %w", err)
-				}
-				ann, err := ivf.Decode(annData)
-				if err != nil {
-					return nil, fmt.Errorf("shard: open quantizer %s: %w", e.ANNFile, err)
-				}
-				if seg, err = seg.WithAnn(ann); err != nil {
-					return nil, fmt.Errorf("shard: open quantizer %s: %w", e.ANNFile, err)
-				}
-			} else if seg, err = x.trainAnn(seg, s); err != nil {
-				// An older save without sidecars opens into an ANN-enabled
-				// config by training in place, so the tier is available
-				// without a rebuild.
-				return nil, fmt.Errorf("shard: open segment %s: %w", e.File, err)
+			// Decode the sidecars the manifest names and hand them over;
+			// WithTiers trains any the opening config asks for beyond them.
+			ann, err := readSidecar(dir, e.ANNFile, ivf.Decode)
+			if err != nil {
+				return nil, err
 			}
-			if e.QuantFile != "" {
-				quantData, err := os.ReadFile(filepath.Join(dir, e.QuantFile))
-				if err != nil {
-					return nil, fmt.Errorf("shard: open: %w", err)
-				}
-				qm, err := quant.Decode(quantData)
-				if err != nil {
-					return nil, fmt.Errorf("shard: open quantized matrix %s: %w", e.QuantFile, err)
-				}
-				if seg, err = seg.WithQuant(qm); err != nil {
-					return nil, fmt.Errorf("shard: open quantized matrix %s: %w", e.QuantFile, err)
-				}
-			} else if seg, err = x.trainQuant(seg); err != nil {
-				// Same fallback as the ANN sidecar: an older save opens into
-				// a quantization-enabled config by rebuilding the shadow in
-				// place (deterministic, so it matches what a save would hold).
+			qm, err := readSidecar(dir, e.QuantFile, quant.Decode)
+			if err != nil {
+				return nil, err
+			}
+			if seg, err = seg.WithTiers(x.tiers(s), ann, qm); err != nil {
 				return nil, fmt.Errorf("shard: open segment %s: %w", e.File, err)
 			}
 			st.stable = append(st.stable, seg)
@@ -473,4 +504,21 @@ func Open(dir string, cfg Config) (*Index, error) {
 	}
 	x.startCompactor()
 	return x, nil
+}
+
+// readSidecar decodes the sidecar file a manifest segment names, or
+// returns nil when it names none.
+func readSidecar[T any](dir, name string, decode func([]byte) (*T, error)) (*T, error) {
+	if name == "" {
+		return nil, nil
+	}
+	data, err := os.ReadFile(filepath.Join(dir, name))
+	if err != nil {
+		return nil, fmt.Errorf("shard: open: %w", err)
+	}
+	v, err := decode(data)
+	if err != nil {
+		return nil, fmt.Errorf("shard: open sidecar %s: %w", name, err)
+	}
+	return v, nil
 }

@@ -13,7 +13,7 @@ import (
 // quantConfig is the test configuration of the int8 tier: every
 // compacted segment builds a shadow, however small.
 func quantConfig(shards int) Config {
-	return Config{Shards: shards, Rank: 4, Seed: 77, SealEvery: 8, Quantize: true, QuantMinDocs: 1}
+	return Config{Shards: shards, Rank: 4, Seed: 77, SealEvery: 8, Quantize: true, TierMinDocs: 1}
 }
 
 // quantSegments counts published segments carrying an int8 shadow.
@@ -183,7 +183,7 @@ func TestQuantCompactorRebuilds(t *testing.T) {
 func TestQuantMinDocsGate(t *testing.T) {
 	a := testMatrix(t, 4, 10, 50, 507)
 	cfg := quantConfig(1)
-	cfg.QuantMinDocs = 1000
+	cfg.TierMinDocs = 1000
 	x, err := Build(a, defaultIDs(50), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -272,7 +272,7 @@ func TestQuantOpenBuildsWhenSidecarMissing(t *testing.T) {
 		t.Fatal(err)
 	}
 	// ...and open WITH it: segments quantize in place.
-	y, err := Open(dir, Config{Quantize: true, QuantMinDocs: 1})
+	y, err := Open(dir, Config{Quantize: true, TierMinDocs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,6 @@ func TestQuantComposesWithANN(t *testing.T) {
 	a := testMatrix(t, 4, 10, 90, 512)
 	cfg := quantConfig(2)
 	cfg.ANNList = 6
-	cfg.ANNMinDocs = 1
 	x, err := Build(a, defaultIDs(90), cfg)
 	if err != nil {
 		t.Fatal(err)

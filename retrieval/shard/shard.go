@@ -71,25 +71,23 @@ type Config struct {
 	// CompactL overrides the two-step projection dimension (0 = auto).
 	CompactL int
 	// ANNList enables the IVF ANN tier: compacted segments of at least
-	// ANNMinDocs documents carry a coarse quantizer with ANNList cells
+	// TierMinDocs documents carry a coarse quantizer with ANNList cells
 	// (clamped per segment to its document count). 0 disables training;
 	// quantizers already present on loaded segments still serve.
 	ANNList int
 	// ANNProbe is the default probe budget of the owning layer's
 	// searches; the shard layer only carries it.
 	ANNProbe int
-	// ANNMinDocs is the smallest segment worth a quantizer (0 = default
-	// 256; set negative-impossible sizes like 1 in tests to train tiny
-	// segments).
-	ANNMinDocs int
 	// Quantize enables the int8 scoring tier: compacted segments of at
-	// least QuantMinDocs documents carry an int8 shadow of their document
+	// least TierMinDocs documents carry an int8 shadow of their document
 	// matrix, scanned by searches that pass a positive Beta. Shadows
 	// already present on loaded segments still serve when false.
 	Quantize bool
-	// QuantMinDocs is the smallest segment worth an int8 shadow (0 =
-	// default 256; same convention as ANNMinDocs).
-	QuantMinDocs int
+	// TierMinDocs is the smallest segment worth a sidecar (default 256:
+	// below it probing or an int8 pass saves a fraction of an already-tiny
+	// scan while paying the cell ranking or the over-fetched rerank; tests
+	// set 1 to train tiny segments).
+	TierMinDocs int
 }
 
 func (c Config) withDefaults() Config {
@@ -98,6 +96,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SealEvery <= 0 {
 		c.SealEvery = 256
+	}
+	if c.TierMinDocs == 0 {
+		c.TierMinDocs = 256
 	}
 	return c
 }
@@ -232,10 +233,7 @@ func Build(a *sparse.CSR, ids []string, cfg Config) (*Index, error) {
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", s, err)
 		}
-		if seg, err = x.trainAnn(seg, s); err != nil {
-			return nil, err
-		}
-		if seg, err = x.trainQuant(seg); err != nil {
+		if seg, err = seg.WithTiers(x.tiers(s), nil, nil); err != nil {
 			return nil, fmt.Errorf("shard %d: %w", s, err)
 		}
 		x.shards[s].base = ix
@@ -243,6 +241,21 @@ func Build(a *sparse.CSR, ids []string, cfg Config) (*Index, error) {
 	}
 	x.startCompactor()
 	return x, nil
+}
+
+// tiers is the sidecar configuration of shard s's segments — the ANN and
+// quantized tiers. Both sidecars are derived state of a decomposition:
+// segment.WithTiers trains them at build for the initial segments and
+// right after each compaction's re-SVD, so they ride the same
+// publish-then-bump swap and the epoch-keyed query cache needs no extra
+// invalidation; live fold-in segments never carry one and stay exact.
+func (x *Index) tiers(s int) segment.TierConfig {
+	return segment.TierConfig{
+		NList:    x.cfg.ANNList,
+		Seed:     x.cfg.Seed + int64(s)*1000003,
+		Quantize: x.cfg.Quantize,
+		MinDocs:  x.cfg.TierMinDocs,
+	}
 }
 
 func newIndex(numTerms int, cfg Config) *Index {

@@ -53,29 +53,29 @@ func buildSharded(ix *Index, a *sparse.CSR, ids []string, numTerms, numDocs int,
 	if rank <= 0 {
 		rank = autoRank(numTerms, numDocs)
 	}
-	autoCompact := true
-	if cfg.autoCompact != nil {
-		autoCompact = *cfg.autoCompact
-	}
-	sx, err := shard.Build(a, ids, shard.Config{
-		Shards:      cfg.shards,
-		Rank:        rank,
-		Engine:      engine,
-		Seed:        cfg.seed,
-		SealEvery:   cfg.sealEvery,
-		AutoCompact: autoCompact,
-		ANNList:     cfg.annList,
-		ANNProbe:    cfg.annProbe,
-		Quantize:    cfg.quantBeta > 0,
-	})
+	scfg := cfg.shardConfig()
+	scfg.Shards, scfg.Rank, scfg.Engine, scfg.Seed = cfg.shards, rank, engine, cfg.seed
+	sx, err := shard.Build(a, ids, scfg)
 	if err != nil {
 		return nil, fmt.Errorf("retrieval: building sharded index: %w", err)
 	}
 	ix.sharded = sx
-	ix.annList, ix.annProbe = cfg.annList, cfg.annProbe
-	ix.quantBeta = cfg.quantBeta
+	ix.annList, ix.annProbe, ix.quantBeta = cfg.annList, cfg.annProbe, cfg.quantBeta
 	ix.docIDs = nil // the shard directory owns external IDs in sharded mode
 	return ix, nil
+}
+
+// shardConfig is the runtime half of the shard subsystem's configuration
+// — what Build and OpenDir both pass down; the structural half (shards,
+// rank, engine, seed) comes from the build options or the saved manifest.
+func (c config) shardConfig() shard.Config {
+	return shard.Config{
+		SealEvery:   c.sealEvery,
+		AutoCompact: c.autoCompact == nil || *c.autoCompact,
+		ANNList:     c.annList,
+		ANNProbe:    c.annProbe,
+		Quantize:    c.quantBeta > 0,
+	}
 }
 
 // Sharded reports whether the index is a sharded live index.
@@ -268,17 +268,7 @@ func OpenDir(dir string, opts ...Option) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("retrieval: open: %w", err)
 	}
-	autoCompact := true
-	if cfg.autoCompact != nil {
-		autoCompact = *cfg.autoCompact
-	}
-	sx, err := shard.Open(dir, shard.Config{
-		SealEvery:   cfg.sealEvery,
-		AutoCompact: autoCompact,
-		ANNList:     cfg.annList,
-		ANNProbe:    cfg.annProbe,
-		Quantize:    cfg.quantBeta > 0,
-	})
+	sx, err := shard.Open(dir, cfg.shardConfig())
 	if err != nil {
 		return nil, fmt.Errorf("retrieval: open: %w", err)
 	}
@@ -299,8 +289,7 @@ func OpenDir(dir string, opts ...Option) (*Index, error) {
 		removeStopwords: meta.RemoveStopwords,
 		stemming:        meta.Stemming,
 	}
-	ix.annList, ix.annProbe = cfg.annList, cfg.annProbe
-	ix.quantBeta = cfg.quantBeta
+	ix.annList, ix.annProbe, ix.quantBeta = cfg.annList, cfg.annProbe, cfg.quantBeta
 	ix.initCache(cfg.cacheBytes)
 	return ix, nil
 }
@@ -334,15 +323,13 @@ func Open(path string, opts ...Option) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	if ix.backend != BackendLSI {
-		if cfg.annList > 0 {
-			return nil, fmt.Errorf("retrieval: open: WithANN requires the LSI backend (got %s)", ix.backend)
+	if err := cfg.checkTiers(ix.backend); err != nil {
+		return nil, fmt.Errorf("retrieval: open: %w", err)
+	}
+	if ix.backend == BackendLSI {
+		if err := ix.attachTiers(cfg); err != nil {
+			return nil, err
 		}
-		if cfg.quantBeta > 0 {
-			return nil, fmt.Errorf("retrieval: open: %w", errQuantBackend(ix.backend))
-		}
-	} else if err := ix.trainTiers(cfg); err != nil {
-		return nil, err
 	}
 	ix.initCache(cfg.cacheBytes)
 	return ix, nil

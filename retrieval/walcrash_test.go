@@ -75,6 +75,13 @@ read:
 	if err := cmd.Process.Kill(); err != nil { // SIGKILL: no deferred cleanup runs
 		t.Fatal(err)
 	}
+	// The child kept running between the last line read and the kill:
+	// the acks it wrote meanwhile are still in the pipe, and count.
+	for line := range lines {
+		if n, err := strconv.Atoi(strings.TrimPrefix(line, "ACK ")); err == nil {
+			maxAck = n
+		}
+	}
 	cmd.Wait()
 
 	// Recover exactly as a restarted server would.

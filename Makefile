@@ -10,8 +10,13 @@ BASE ?= origin/main
 
 all: build test
 
+# The second and third lines cross-compile for a platform without the
+# assembly kernels (no download needed), so the portable stubs behind
+# internal/mat's dispatch cannot rot unnoticed on an amd64-only CI.
 build:
 	$(GO) build ./...
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/mat
 
 test:
 	$(GO) test ./...
@@ -36,7 +41,9 @@ docs-check:
 # Race-detect the concurrency-bearing packages: the worker pool, the
 # numeric + retrieval layers built on it (the randomized SVD's panel
 # reductions and its MaxProcs-equality test included), the random
-# projection that shares those kernels, the public API + HTTP layer
+# projection that shares those kernels, the text pipeline and matrix
+# assembly in front of them (ProcessAll tokenizes and counts chunks of
+# documents concurrently), the public API + HTTP layer
 # (including the admission-gate degradation tests), the WAL, the
 # cluster router/replica (hedged fan-out, failover, breakers, the chaos
 # suite), the fault-injection harness, the metrics registry, the IVF
@@ -44,7 +51,7 @@ docs-check:
 # concurrently by the compactor and searches), the fidelity metrics,
 # and the load generator.
 race:
-	$(GO) test -race ./internal/par ./internal/sparse ./internal/mat ./internal/svd ./internal/randproj ./internal/topk ./internal/lsi ./internal/vsm ./internal/segment ./internal/ivf ./internal/quant ./internal/eval ./internal/metrics ./internal/faultinject ./retrieval ./retrieval/cache ./retrieval/shard ./retrieval/wal ./retrieval/cluster ./retrieval/httpapi ./cmd/lsiserve ./cmd/lsiload
+	$(GO) test -race ./internal/par ./internal/ir ./internal/corpus ./internal/sparse ./internal/mat ./internal/svd ./internal/randproj ./internal/topk ./internal/lsi ./internal/vsm ./internal/segment ./internal/ivf ./internal/quant ./internal/eval ./internal/metrics ./internal/faultinject ./retrieval ./retrieval/cache ./retrieval/shard ./retrieval/wal ./retrieval/cluster ./retrieval/httpapi ./cmd/lsiserve ./cmd/lsiload
 
 # Build the serving daemon, boot it on a free port, and curl the health
 # and search endpoints — fails on any non-200.
@@ -93,8 +100,9 @@ bench-smoke:
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' ./...
 
-# Perf-regression gate: benchmark the tier-1 query hot-path subset on
-# HEAD and on the merge-base with $(BASE), compare medians, and fail on
+# Perf-regression gate: benchmark the tier-1 query hot-path subset and
+# the index-build kernels on HEAD and on the merge-base with $(BASE),
+# compare medians, and fail on
 # a >20% ns/op regression or any allocs/op growth. The report lands in
 # bench-gate.txt (archived by CI as an artifact).
 bench-gate:

@@ -332,7 +332,7 @@ func BenchmarkSVDEngines(b *testing.B) {
 	})
 	b.Run("randomized-k5", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := svd.Randomized(a, 5, svd.RandomizedOptions{
+			if _, err := svd.Randomized(a.Block(), 5, svd.RandomizedOptions{
 				Rng: rand.New(rand.NewSource(7)),
 			}); err != nil {
 				b.Fatal(err)

@@ -67,8 +67,15 @@ func TestBenchGateVerdicts(t *testing.T) {
 	base := benchLines("repro", "BenchmarkQueryLatency", [3]int{11000, 11200, 10900}, 1) +
 		benchLines("repro/internal/vsm", "BenchmarkSearchShortQuery", [3]int{1500, 1520, 1480}, 1)
 
+	// A Build-kernel benchmark of the default gate set, for the rows that
+	// need one on both sides.
+	qr := func(ns [3]int) string {
+		return benchLines("repro/internal/mat", "BenchmarkQRInPlaceLedgerShape", ns, 40)
+	}
+
 	cases := []struct {
 		name     string
+		base     string // "" means the two-benchmark base above
 		head     string
 		wantExit int
 		wantIn   string
@@ -116,10 +123,21 @@ func TestBenchGateVerdicts(t *testing.T) {
 			wantExit: 0,
 			wantIn:   "ok (new benchmark)",
 		},
+		{
+			// The orthonormalisation under every index build, +35 %.
+			name:     "seeded Build-kernel regression fails",
+			base:     base + qr([3]int{91000000, 93000000, 90000000}),
+			head:     base + qr([3]int{123000000, 125000000, 121000000}),
+			wantExit: 1,
+			wantIn:   "FAIL (ns/op +35.",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			exit, out := runGate(t, t.TempDir(), base, tc.head)
+			if tc.base == "" {
+				tc.base = base
+			}
+			exit, out := runGate(t, t.TempDir(), tc.base, tc.head)
 			if exit != tc.wantExit {
 				t.Fatalf("exit = %d, want %d\n%s", exit, tc.wantExit, out)
 			}

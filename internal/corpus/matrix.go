@@ -43,19 +43,19 @@ func (w Weighting) String() string {
 
 // TermDocMatrix builds the n×m term-document matrix of the corpus: rows are
 // terms, columns are documents (the orientation of Section 2), with entries
-// weighted by w.
+// weighted by w. A term a document lists more than once contributes the
+// sum of its weighted entries.
 func TermDocMatrix(c *Corpus, w Weighting) *sparse.CSR {
 	m := len(c.Docs)
-	coo := sparse.NewCOO(c.NumTerms, m)
-	var df []int
-	if w == TFIDFWeighting {
-		df = make([]int, c.NumTerms)
-		for _, d := range c.Docs {
-			for _, t := range d.Terms {
-				df[t]++
-			}
+	// Documents are the matrix's columns, in order, so once each term's
+	// document frequency is known every entry can go straight to its row.
+	df := make([]int, c.NumTerms)
+	for _, d := range c.Docs {
+		for _, t := range d.Terms {
+			df[t]++
 		}
 	}
+	b := sparse.NewRowBuilder(df, m)
 	for j, d := range c.Docs {
 		for i, t := range d.Terms {
 			count := float64(d.Counts[i])
@@ -73,10 +73,10 @@ func TermDocMatrix(c *Corpus, w Weighting) *sparse.CSR {
 			default:
 				panic(fmt.Sprintf("corpus: unknown weighting %d", int(w)))
 			}
-			coo.Add(t, j, v)
+			b.Add(t, j, v)
 		}
 	}
-	return coo.ToCSR()
+	return b.CSR()
 }
 
 // DocVector returns the weighted term vector of a single document in the

@@ -1,29 +1,9 @@
-// AVX2 kernel for the quantized scan's blocked int8 dot product, plus
-// the CPUID/XGETBV probes its runtime dispatch needs. See
+// AVX2 kernel for the quantized scan's blocked int8 dot product. See
 // dotint8_amd64.go for the dispatch logic and kernels.go for the
 // portable scalar kernel this must match bit for bit (integer
 // accumulation is exact, so "match" means equal, not close).
 
 #include "textflag.h"
-
-// func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
-TEXT ·cpuidex(SB), NOSPLIT, $0-24
-	MOVL leaf+0(FP), AX
-	MOVL sub+4(FP), CX
-	CPUID
-	MOVL AX, eax+8(FP)
-	MOVL BX, ebx+12(FP)
-	MOVL CX, ecx+16(FP)
-	MOVL DX, edx+20(FP)
-	RET
-
-// func xgetbv0() (eax, edx uint32)
-TEXT ·xgetbv0(SB), NOSPLIT, $0-8
-	XORL CX, CX
-	XGETBV
-	MOVL AX, eax+0(FP)
-	MOVL DX, edx+4(FP)
-	RET
 
 // func dotInt8BlockedAVX2(q *int16, codes *int8, dots *int32, dim, rows, dim16 int)
 //

@@ -199,22 +199,20 @@ func Mul(a, b *Dense) *Dense {
 		panic(fmt.Sprintf("mat: Mul dimension mismatch %dx%d * %dx%d", a.rows, a.cols, b.rows, b.cols))
 	}
 	out := NewDense(a.rows, b.cols)
-	// ikj loop order keeps the inner loop streaming over contiguous rows of
-	// b and out, which matters for the sizes the SVD experiments use.
-	for i := 0; i < a.rows; i++ {
-		arow := a.data[i*a.cols : (i+1)*a.cols]
-		orow := out.data[i*out.cols : (i+1)*out.cols]
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.data[k*b.cols : (k+1)*b.cols]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
+	mulRows(out.data, a, b, 0, a.rows)
+	return out
+}
+
+// mulRows accumulates rows [lo, hi) of a*b into out, a zeroed a.rows×b.cols
+// block. The ikj loop order keeps the inner loop streaming over contiguous
+// rows of b and out, which matters for the sizes the SVD experiments use.
+func mulRows(out []float64, a, b *Dense, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		orow := out[i*b.cols : (i+1)*b.cols]
+		for k, av := range a.data[i*a.cols : (i+1)*a.cols] {
+			Axpy(av, b.data[k*b.cols:(k+1)*b.cols], orow)
 		}
 	}
-	return out
 }
 
 // MulT returns aᵀ*b. It panics if a.Rows() != b.Rows().
@@ -223,20 +221,19 @@ func MulT(a, b *Dense) *Dense {
 		panic(fmt.Sprintf("mat: MulT dimension mismatch %dx%d ᵀ* %dx%d", a.rows, a.cols, b.rows, b.cols))
 	}
 	out := NewDense(a.cols, b.cols)
-	for k := 0; k < a.rows; k++ {
-		arow := a.data[k*a.cols : (k+1)*a.cols]
+	mulTRows(out.data, a, b, 0, a.rows)
+	return out
+}
+
+// mulTRows accumulates the contribution of rows [lo, hi) of a and b to
+// aᵀ*b into out, an a.cols×b.cols block.
+func mulTRows(out []float64, a, b *Dense, lo, hi int) {
+	for k := lo; k < hi; k++ {
 		brow := b.data[k*b.cols : (k+1)*b.cols]
-		for i, av := range arow {
-			if av == 0 {
-				continue
-			}
-			orow := out.data[i*out.cols : (i+1)*out.cols]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
+		for i, av := range a.data[k*a.cols : (k+1)*a.cols] {
+			Axpy(av, brow, out[i*b.cols:(i+1)*b.cols])
 		}
 	}
-	return out
 }
 
 // MulBT returns a*bᵀ. It panics if a.Cols() != b.Cols().
@@ -245,19 +242,19 @@ func MulBT(a, b *Dense) *Dense {
 		panic(fmt.Sprintf("mat: MulBT dimension mismatch %dx%d *ᵀ %dx%d", a.rows, a.cols, b.rows, b.cols))
 	}
 	out := NewDense(a.rows, b.rows)
-	for i := 0; i < a.rows; i++ {
+	mulBTRows(out.data, a, b, 0, a.rows)
+	return out
+}
+
+// mulBTRows writes rows [lo, hi) of a*bᵀ into out, an a.rows×b.rows block:
+// one Dot per element.
+func mulBTRows(out []float64, a, b *Dense, lo, hi int) {
+	for i := lo; i < hi; i++ {
 		arow := a.data[i*a.cols : (i+1)*a.cols]
-		orow := out.data[i*out.cols : (i+1)*out.cols]
 		for j := 0; j < b.rows; j++ {
-			brow := b.data[j*b.cols : (j+1)*b.cols]
-			var s float64
-			for k, av := range arow {
-				s += av * brow[k]
-			}
-			orow[j] = s
+			out[i*b.rows+j] = Dot(arow, b.data[j*b.cols:(j+1)*b.cols])
 		}
 	}
-	return out
 }
 
 // MulVec returns a*x as a new vector. It panics if a.Cols() != len(x).

@@ -1,0 +1,21 @@
+//go:build !amd64
+
+package mat
+
+// Non-amd64 builds always take the portable kernels: hasAVX2 is a false
+// constant, and the assembly entry points are stubs that keep the dispatch
+// sites compiling and are unreachable.
+
+const hasAVX2 = false
+
+func axpyAVX2(alpha float64, x, y *float64, n int) {
+	panic("mat: axpyAVX2 called without AVX2 support")
+}
+
+func axpy4AVX2(alpha *[4]float64, x0, x1, x2, x3, y *float64, n int) {
+	panic("mat: axpy4AVX2 called without AVX2 support")
+}
+
+func dotInt8BlockedAVX2(q *int16, codes *int8, dots *int32, dim, rows, dim16 int) {
+	panic("mat: dotInt8BlockedAVX2 called without AVX2 support")
+}

@@ -30,21 +30,7 @@ func MulParallel(a, b *Dense) *Dense {
 		return Mul(a, b)
 	}
 	out := NewDense(a.rows, b.cols)
-	par.For(a.rows, rowGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := a.data[i*a.cols : (i+1)*a.cols]
-			orow := out.data[i*out.cols : (i+1)*out.cols]
-			for k, av := range arow {
-				if av == 0 {
-					continue
-				}
-				brow := b.data[k*b.cols : (k+1)*b.cols]
-				for j, bv := range brow {
-					orow[j] += av * bv
-				}
-			}
-		}
-	})
+	par.For(a.rows, rowGrain, func(lo, hi int) { mulRows(out.data, a, b, lo, hi) })
 	return out
 }
 
@@ -59,20 +45,7 @@ func MulBTParallel(a, b *Dense) *Dense {
 		return MulBT(a, b) // panic with the serial kernel's message
 	}
 	out := NewDense(a.rows, b.rows)
-	par.For(a.rows, rowGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := a.data[i*a.cols : (i+1)*a.cols]
-			orow := out.data[i*out.cols : (i+1)*out.cols]
-			for j := 0; j < b.rows; j++ {
-				brow := b.data[j*b.cols : (j+1)*b.cols]
-				var s float64
-				for k, av := range arow {
-					s += av * brow[k]
-				}
-				orow[j] = s
-			}
-		}
-	})
+	par.For(a.rows, rowGrain, func(lo, hi int) { mulBTRows(out.data, a, b, lo, hi) })
 	return out
 }
 
@@ -129,21 +102,7 @@ func MulTParallel(a, b *Dense) *Dense {
 		return MulT(a, b) // mismatches panic with the serial kernel's message
 	}
 	out := NewDense(a.cols, b.cols)
-	panelReduce(a.rows, out.data, func(lo, hi int, acc []float64) {
-		for k := lo; k < hi; k++ {
-			arow := a.data[k*a.cols : (k+1)*a.cols]
-			brow := b.data[k*b.cols : (k+1)*b.cols]
-			for i, av := range arow {
-				if av == 0 {
-					continue
-				}
-				orow := acc[i*b.cols : (i+1)*b.cols]
-				for j, bv := range brow {
-					orow[j] += av * bv
-				}
-			}
-		}
-	})
+	panelReduce(a.rows, out.data, func(lo, hi int, acc []float64) { mulTRows(acc, a, b, lo, hi) })
 	return out
 }
 

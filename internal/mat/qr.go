@@ -190,9 +190,10 @@ func mgs(a *Dense, tol float64, r *Dense) int {
 // cholBreakdown is the relative pivot below which cholQR gives up: a
 // pivot of ρ·G[j][j] means column j keeps a fraction √ρ of its length
 // after projecting out the earlier columns, and one Cholesky pass leaves
-// an orthogonality error of order ε/ρ for the second pass to remove.
-// 1e-10 keeps that error near 1e-6, far inside what the second pass
-// corrects to machine precision.
+// an orthogonality error of order ε/ρ. 1e-10 keeps that error near 1e-6:
+// far inside what QRInPlace's second pass corrects to machine precision,
+// and small enough that the basis OrthoInPlace leaves spans the same
+// subspace to working accuracy.
 const cholBreakdown = 1e-10
 
 // QRInPlace overwrites a (m×n) with the orthonormal factor Q of its thin
@@ -212,16 +213,38 @@ const cholBreakdown = 1e-10
 // get a zero diagonal entry in R. On well-conditioned input every column
 // survives and tol plays no part.
 func QRInPlace(a *Dense, tol float64) (r *Dense, kept int) {
+	return cholQRPasses(a, tol, 2)
+}
+
+// OrthoInPlace is QRInPlace stopped after its first CholeskyQR pass, for
+// callers that need the column space of a and not the factorization: the
+// columns it leaves span what a's did (exactly, in exact arithmetic) but
+// are orthonormal only to about ε/cholBreakdown ≈ 1e-6 in the worst case
+// cholQR accepts — enough for a basis the next block product of a
+// subspace iteration overwrites, at half the cost. The breakdown test, the
+// mgs fallback (whose columns are orthonormal to machine precision) and
+// the independence of par.MaxProcs are QRInPlace's.
+func OrthoInPlace(a *Dense, tol float64) (kept int) {
+	_, kept = cholQRPasses(a, tol, 1)
+	return kept
+}
+
+func cholQRPasses(a *Dense, tol float64, passes int) (r *Dense, kept int) {
 	n := a.cols
-	r = Identity(n)
-	for pass := 0; pass < 2; pass++ {
+	for pass := 0; pass < passes; pass++ {
 		g, ok := cholQR(a)
 		if !ok {
-			rm := NewDense(n, n)
-			kept = mgs(a, tol, rm)
-			return Mul(rm, r), kept
+			g = NewDense(n, n)
+			kept = mgs(a, tol, g)
+			if r != nil {
+				g = Mul(g, r)
+			}
+			return g, kept
 		}
-		r = Mul(g, r)
+		if r != nil {
+			g = Mul(g, r)
+		}
+		r = g
 	}
 	return r, n
 }
@@ -229,11 +252,29 @@ func QRInPlace(a *Dense, tol float64) (r *Dense, kept int) {
 // cholQR is one CholeskyQR pass: it overwrites a with a·R⁻¹ and returns
 // R, the upper-triangular Cholesky factor of aᵀa. On a pivot breakdown it
 // returns false and leaves a untouched.
+//
+// Both halves are triangular rank-one updates, an Axpy of average length
+// n/2 each, and both take them four at a time through axpy4 so the
+// accumulator row is loaded and stored once per four updates: the Gram
+// matrix over four rows of a, the substitution over four rows of R below
+// a 4-wide diagonal block. Every element still receives the same
+// additions in the same order as the one-at-a-time loop
+// (TestCholQRBitwiseMatchesReference keeps that loop).
 func cholQR(a *Dense) (*Dense, bool) {
 	n := a.cols
 	g := NewDense(n, n)
 	panelReduce(a.rows, g.data, func(lo, hi int, acc []float64) {
-		for k := lo; k < hi; k++ {
+		k := lo
+		for ; k+4 <= hi; k += 4 {
+			x0 := a.data[k*n : (k+1)*n]
+			x1 := a.data[(k+1)*n : (k+2)*n]
+			x2 := a.data[(k+2)*n : (k+3)*n]
+			x3 := a.data[(k+3)*n : (k+4)*n]
+			for i := 0; i < n; i++ {
+				axpy4(&[4]float64{x0[i], x1[i], x2[i], x3[i]}, x0[i:], x1[i:], x2[i:], x3[i:], acc[i*n+i:(i+1)*n])
+			}
+		}
+		for ; k < hi; k++ {
 			x := a.data[k*n : (k+1)*n]
 			for i, xi := range x {
 				Axpy(xi, x[i:], acc[i*n+i:(i+1)*n])
@@ -245,11 +286,28 @@ func cholQR(a *Dense) (*Dense, bool) {
 	}
 	// Row-wise forward substitution x·R = a_row, as one axpy per column
 	// of the row so the inner loop streams over a contiguous row of R.
+	r := g.data
 	par.For(a.rows, par.GrainFor(n*n/2+1), func(lo, hi int) {
 		for k := lo; k < hi; k++ {
 			x := a.data[k*n : (k+1)*n]
-			for i := range x {
-				ri := g.data[i*n : (i+1)*n]
+			i := 0
+			for ; i+4 < n; i += 4 {
+				var neg [4]float64
+				for d := i; d < i+4; d++ {
+					rd := r[d*n : (d+1)*n]
+					xi := x[d] / rd[d]
+					x[d] = xi
+					neg[d-i] = -xi
+					if xi != 0 { // Axpy's own skip
+						for e := d + 1; e < i+4; e++ {
+							x[e] += -xi * rd[e]
+						}
+					}
+				}
+				axpy4(&neg, r[i*n+i+4:(i+1)*n], r[(i+1)*n+i+4:(i+2)*n], r[(i+2)*n+i+4:(i+3)*n], r[(i+3)*n+i+4:(i+4)*n], x[i+4:])
+			}
+			for ; i < n; i++ {
+				ri := r[i*n : (i+1)*n]
 				xi := x[i] / ri[i]
 				x[i] = xi
 				Axpy(-xi, ri[i+1:], x[i+1:])

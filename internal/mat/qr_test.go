@@ -166,6 +166,138 @@ func TestQRInPlaceDependentColumnsFallBack(t *testing.T) {
 	checkThinQR(t, a, q, r, 1e-12)
 }
 
+// TestOrthoInPlace pins the one-pass form to the two routes it shares with
+// QRInPlace: on a well-conditioned block it is exactly one cholQR pass
+// (same span, orthonormal well beyond what a power iteration needs), and
+// on a block cholQR refuses — a graded spectrum to κ = 1e8, the shape a
+// sketch of a fast-decaying operator has — it is exactly mgs.
+func TestOrthoInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	good := randDense(1300, 24, rng)
+	graded := randDense(1300, 33, rng)
+	QRInPlace(graded, 1e-12)
+	mix := randDense(33, 33, rng)
+	for i := 0; i < 33; i++ { // graded ← Q·diag(10^(−i/4))·mix
+		ScaleVec(math.Pow(10, -float64(i)/4), mix.Row(i))
+	}
+	graded = Mul(graded, mix)
+
+	for _, tc := range []struct {
+		name string
+		a    *Dense
+		chol bool
+		tol  float64
+	}{{"well-conditioned", good, true, 1e-12}, {"graded", graded, false, 1e-13}} {
+		want := tc.a.Clone()
+		if _, ok := cholQR(want); ok != tc.chol {
+			t.Fatalf("%s: cholQR ok = %v, want %v", tc.name, ok, tc.chol)
+		}
+		if !tc.chol {
+			if kept := mgs(want, 1e-12, nil); kept != want.cols {
+				t.Fatalf("%s: mgs kept %d of %d columns", tc.name, kept, want.cols)
+			}
+		}
+		for _, procs := range []int{1, 2, 8} {
+			old := par.SetMaxProcs(procs)
+			got := tc.a.Clone()
+			kept := OrthoInPlace(got, 1e-12)
+			par.SetMaxProcs(old)
+			if kept != got.cols {
+				t.Fatalf("%s procs=%d: kept = %d", tc.name, procs, kept)
+			}
+			if i := firstBitDiff(got.data, want.data); i >= 0 {
+				t.Fatalf("%s procs=%d: differs from the single pass it stands for at %d", tc.name, procs, i)
+			}
+			if !got.IsOrthonormalCols(tc.tol) {
+				t.Fatalf("%s procs=%d: not orthonormal to %g", tc.name, procs, tc.tol)
+			}
+		}
+		// Same column space: projecting the input onto the basis loses
+		// nothing of it.
+		proj := Mul(want, MulT(want, tc.a))
+		if !EqualApprox(proj, tc.a, 1e-10*tc.a.MaxAbs()) {
+			t.Fatalf("%s: basis does not span the input's columns", tc.name)
+		}
+	}
+}
+
+// cholQRReference is cholQR as first written: one Axpy per triangular
+// update, no grouping. cholQR must reproduce it bit for bit.
+func cholQRReference(a *Dense) (*Dense, bool) {
+	n := a.cols
+	g := NewDense(n, n)
+	panelReduce(a.rows, g.data, func(lo, hi int, acc []float64) {
+		for k := lo; k < hi; k++ {
+			x := a.data[k*n : (k+1)*n]
+			for i, xi := range x {
+				Axpy(xi, x[i:], acc[i*n+i:(i+1)*n])
+			}
+		}
+	})
+	if !cholUpper(g) {
+		return nil, false
+	}
+	for k := 0; k < a.rows; k++ {
+		x := a.data[k*n : (k+1)*n]
+		for i := range x {
+			ri := g.data[i*n : (i+1)*n]
+			xi := x[i] / ri[i]
+			x[i] = xi
+			Axpy(-xi, ri[i+1:], x[i+1:])
+		}
+	}
+	return g, true
+}
+
+func TestCholQRBitwiseMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, n := range []int{1, 3, 4, 5, 8, 9, 74} {
+		for _, rows := range []int{n + 1, 509, 1027, 1543} { // never a multiple of 4 and 512 both
+			if rows < n {
+				continue
+			}
+			a := randDense(rows, n, rng)
+			// Exact zeros, scattered and as whole rows and a leading
+			// column run, so the zero-alpha skip is taken inside groups
+			// of four on both halves.
+			for i := range a.data {
+				if rng.Intn(5) == 0 {
+					a.data[i] = 0
+				}
+			}
+			for k := 3; k < rows; k += 97 {
+				clear(a.Row(k))
+			}
+			for k := 0; k < rows/2; k++ {
+				a.Row(k)[0] = 0
+			}
+			want := a.Clone()
+			wantR, wantOK := cholQRReference(want)
+			if !wantOK && rows > 500 {
+				t.Fatalf("%dx%d: the reference broke down on a full-rank input", rows, n)
+			}
+			for _, procs := range []int{1, 2, 8} {
+				old := par.SetMaxProcs(procs)
+				got := a.Clone()
+				gotR, ok := cholQR(got)
+				par.SetMaxProcs(old)
+				if ok != wantOK {
+					t.Fatalf("%dx%d procs=%d: ok = %v, reference %v", rows, n, procs, ok, wantOK)
+				}
+				if !ok {
+					continue
+				}
+				if i := firstBitDiff(gotR.data, wantR.data); i >= 0 {
+					t.Fatalf("%dx%d procs=%d: R differs from the reference at %d", rows, n, procs, i)
+				}
+				if i := firstBitDiff(got.data, want.data); i >= 0 {
+					t.Fatalf("%dx%d procs=%d: Q differs from the reference at row %d col %d", rows, n, procs, i/n, i%n)
+				}
+			}
+		}
+	}
+}
+
 func TestNorm2MatchesKnownSingularValue(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	// Diagonal matrix: spectral norm is the max |diagonal|.
@@ -192,5 +324,21 @@ func TestNorm2Empty(t *testing.T) {
 	}
 	if got := Norm2(NewDense(3, 3), 10, rng); got != 0 {
 		t.Fatalf("Norm2(zero matrix) = %v", got)
+	}
+}
+
+// BenchmarkQRInPlaceLedgerShape is the orthonormalisation retrieval.Build
+// spends its time in: one CholeskyQR2 of a documents × sketch block at the
+// repository benchmark's scale (51,200 × 74). The input is restored
+// outside the timer, so the figure is two cholQR passes and nothing else.
+func BenchmarkQRInPlaceLedgerShape(b *testing.B) {
+	src := randDense(51200, 74, rand.New(rand.NewSource(156)))
+	a := src.Clone()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		copy(a.data, src.data)
+		b.StartTimer()
+		QRInPlace(a, 1e-12)
 	}
 }

@@ -40,10 +40,10 @@ func Norm(x []float64) float64 {
 
 // Axpy computes y += alpha*x in place. It panics on length mismatch.
 // It is the inner loop of the block kernels (CSR·dense products, the Gram
-// matrix and triangular solve of QRInPlace), so it is unrolled four-wide
-// over fixed-size sub-slices — one bounds check per four elements; each
-// element is still one multiply and one add, so the result does not
-// depend on the unrolling.
+// matrix and triangular solve of QRInPlace), so on amd64 with AVX2 it
+// runs four elements an instruction (axpy_amd64.s). Each element is one
+// multiply and one add, separately rounded, on either path: the result is
+// bit for bit axpyGeneric's on every CPU (TestAxpyAVX2MatchesGeneric).
 func Axpy(alpha float64, x, y []float64) {
 	if len(x) != len(y) {
 		panic(fmt.Sprintf("mat: Axpy length mismatch %d vs %d", len(x), len(y)))
@@ -51,18 +51,43 @@ func Axpy(alpha float64, x, y []float64) {
 	if alpha == 0 {
 		return
 	}
-	i := 0
-	for ; i+4 <= len(x); i += 4 {
-		xs := x[i : i+4 : i+4]
-		ys := y[i : i+4 : i+4]
-		ys[0] += alpha * xs[0]
-		ys[1] += alpha * xs[1]
-		ys[2] += alpha * xs[2]
-		ys[3] += alpha * xs[3]
+	if hasAVX2 && len(x) >= axpyMinAVX2 {
+		axpyAVX2(alpha, &x[0], &y[0], len(x))
+		return
 	}
-	for ; i < len(x); i++ {
-		y[i] += alpha * x[i]
+	axpyGeneric(alpha, x, y)
+}
+
+// axpyMinAVX2 is the length below which the call into the assembly kernel
+// costs more than the portable loop.
+const axpyMinAVX2 = 12
+
+// axpyGeneric is the portable y += alpha*x for len(x) == len(y).
+func axpyGeneric(alpha float64, x, y []float64) {
+	y = y[:len(x)]
+	for i, xv := range x {
+		y[i] += alpha * xv
 	}
+}
+
+// axpy4 is four consecutive Axpy calls onto one y — y += alpha[0]·x0, then
+// alpha[1]·x1, alpha[2]·x2, alpha[3]·x3 — with y loaded and stored once
+// per element instead of four times. Each element receives the same four
+// separately rounded updates in the same order, and a zero alpha is still
+// skipped (0·Inf must not reach y), so the result is bit for bit that of
+// the four calls. One call into the kernel replaces four, so unlike Axpy
+// it pays at every length.
+func axpy4(alpha *[4]float64, x0, x1, x2, x3, y []float64) {
+	n := len(y)
+	if hasAVX2 && n > 0 && len(x0) == n && len(x1) == n && len(x2) == n && len(x3) == n &&
+		alpha[0] != 0 && alpha[1] != 0 && alpha[2] != 0 && alpha[3] != 0 {
+		axpy4AVX2(alpha, &x0[0], &x1[0], &x2[0], &x3[0], &y[0], n)
+		return
+	}
+	Axpy(alpha[0], x0, y)
+	Axpy(alpha[1], x1, y)
+	Axpy(alpha[2], x2, y)
+	Axpy(alpha[3], x3, y)
 }
 
 // ScaleVec multiplies x by s in place.

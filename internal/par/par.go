@@ -1,9 +1,11 @@
 // Package par is the shared parallel-execution substrate for the numeric
-// kernels: a small, dependency-free worker pool with a parallel-range
-// primitive. The hot paths of the reproduction — CSR matvec, dense matmul,
-// the block products and panel reductions of randomized subspace
-// iteration, batch query folding and cosine ranking — all fan out through
-// For / ForChunks rather than spawning ad-hoc goroutines.
+// kernels and the text pipeline in front of them: a small, dependency-free
+// worker pool with a parallel-range primitive. The hot paths of the
+// reproduction — tokenizing and counting a corpus (ir.Pipeline.ProcessAll),
+// CSR matvec, dense matmul, the block products and panel reductions of
+// randomized subspace iteration, batch query folding and cosine ranking —
+// all fan out through For / ForChunks / MapChunks rather than spawning
+// ad-hoc goroutines.
 //
 // Two properties matter more than raw speed:
 //

@@ -145,9 +145,10 @@ func BenchmarkMulDenseParallelBlock50(b *testing.B) {
 	for i := range d {
 		d[i] = rng.NormFloat64()
 	}
+	dst := mat.NewDense(20000, 50)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.MulDenseParallel(blk)
+		m.MulDenseInto(dst, blk)
 	}
 }
 
@@ -156,9 +157,10 @@ func BenchmarkBlockOpTMulDenseGram(b *testing.B) {
 	m := benchCSR(b, 2000, 500, 0.04)
 	d := m.ToDense()
 	op := m.Block()
+	dst := mat.NewDense(500, 500)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		op.TMulDense(d)
+		op.TMulDenseInto(dst, d)
 	}
 }
 

@@ -1,6 +1,8 @@
 package sparse
 
 import (
+	"fmt"
+
 	"repro/internal/mat"
 	"repro/internal/par"
 )
@@ -74,24 +76,29 @@ func (m *CSR) MulTVecParallel(x []float64) []float64 {
 	return out
 }
 
-// MulDenseParallel returns A·B like MulDense, row-blocked across
-// goroutines. Output rows are disjoint per chunk, so the result is bitwise
-// identical to MulDense.
-func (m *CSR) MulDenseParallel(b *mat.Dense) *mat.Dense {
+// MulDenseInto overwrites dst (Rows()×q) with A·b for a Cols()×q b: MulDense
+// row-blocked across goroutines, for callers that recycle the output. Each
+// row of dst is cleared and accumulated by one goroutine while it is in
+// cache, in MulDense's order, so the result is bitwise identical to
+// MulDense. It panics on a shape mismatch.
+func (m *CSR) MulDenseInto(dst, b *mat.Dense) {
 	br, bc := b.Dims()
-	if len(m.vals)*bc < parMinNNZ || par.MaxProcs() == 1 || m.cols != br {
-		return m.MulDense(b) // serial fallback; mismatches panic there
+	if dr, dc := dst.Dims(); m.cols != br || dr != m.rows || dc != bc {
+		panic(fmt.Sprintf("sparse: MulDenseInto dimension mismatch %dx%d = %dx%d * %dx%d", dr, dc, m.rows, m.cols, br, bc))
 	}
-	out := mat.NewDense(m.rows, bc)
-	par.For(m.rows, rowGrain, func(lo, hi int) {
+	grain := rowGrain
+	if len(m.vals)*bc < parMinNNZ {
+		grain = m.rows // one chunk: the product is cheaper than the fan-out
+	}
+	par.For(m.rows, grain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			orow := out.Row(i)
+			orow := dst.Row(i)
+			clear(orow)
 			for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
 				mat.Axpy(m.vals[p], b.Row(m.colIdx[p]), orow)
 			}
 		}
 	})
-	return out
 }
 
 // ParOp wraps a CSR matrix as a linear operator (svd.Op shaped: Dims,
@@ -117,12 +124,12 @@ func (o ParOp) MulVec(x []float64) []float64 { return o.M.MulVecParallel(x) }
 func (o ParOp) MulTVec(x []float64) []float64 { return o.M.MulTVecParallel(x) }
 
 // BlockOp is a CSR matrix as a block operator (svd.BlockOp shaped: Dims,
-// MulDense, TMulDense) for the randomized SVD engine. Both products run
-// on MulDenseParallel — Aᵀ·B over a transpose materialised once, when
-// Block is called — so each is a gather with disjoint output rows. Every
-// output element is summed in the serial kernels' order, so results are
-// bitwise identical to the CSR's own MulDense and TMulDense for any
-// par.MaxProcs.
+// MulDenseInto, TMulDenseInto) for the randomized SVD engine. Both
+// products run on CSR.MulDenseInto — Aᵀ·B over a transpose materialised
+// once, when Block is called — so each is a gather with disjoint output
+// rows. Every output element is summed in the serial kernels' order, so
+// results are bitwise identical to the CSR's own MulDense and TMulDense
+// for any par.MaxProcs.
 type BlockOp struct {
 	a, at *CSR
 }
@@ -134,8 +141,9 @@ func (m *CSR) Block() BlockOp { return BlockOp{a: m, at: m.T()} }
 // Dims returns (rows, cols).
 func (o BlockOp) Dims() (int, int) { return o.a.Dims() }
 
-// MulDense returns A·B via the row-blocked parallel kernel.
-func (o BlockOp) MulDense(b *mat.Dense) *mat.Dense { return o.a.MulDenseParallel(b) }
+// MulDenseInto overwrites dst with A·b.
+func (o BlockOp) MulDenseInto(dst, b *mat.Dense) { o.a.MulDenseInto(dst, b) }
 
-// TMulDense returns Aᵀ·B via the same kernel over the transpose.
-func (o BlockOp) TMulDense(b *mat.Dense) *mat.Dense { return o.at.MulDenseParallel(b) }
+// TMulDenseInto overwrites dst with Aᵀ·b, the same kernel over the
+// transpose.
+func (o BlockOp) TMulDenseInto(dst, b *mat.Dense) { o.at.MulDenseInto(dst, b) }

@@ -107,10 +107,11 @@ func TestMulDenseParallelBitwiseMatchesSerial(t *testing.T) {
 	for i := range d {
 		d[i] = rng.NormFloat64()
 	}
-	got := m.MulDenseParallel(b)
+	got := mat.NewDense(2000, 20)
+	m.MulDenseInto(got, b)
 	want := m.MulDense(b)
 	if !mat.EqualApprox(got, want, 0) {
-		t.Fatal("MulDenseParallel not bitwise equal to MulDense")
+		t.Fatal("MulDenseInto not bitwise equal to MulDense")
 	}
 }
 
@@ -131,11 +132,15 @@ func TestBlockOpBitwiseMatchesSerialForAnyProcs(t *testing.T) {
 		if r, cc := op.Dims(); r != 2000 || cc != 500 {
 			t.Fatalf("BlockOp dims %dx%d", r, cc)
 		}
-		if !mat.EqualApprox(op.MulDense(b), wantMul, 0) {
-			t.Fatalf("procs=%d: BlockOp.MulDense not bitwise equal to MulDense", procs)
+		// Recycled destinations arrive dirty; the products must overwrite.
+		gotMul, gotTMul := c.Clone(), b.Clone()
+		op.MulDenseInto(gotMul, b)
+		op.TMulDenseInto(gotTMul, c)
+		if !mat.EqualApprox(gotMul, wantMul, 0) {
+			t.Fatalf("procs=%d: BlockOp.MulDenseInto not bitwise equal to MulDense", procs)
 		}
-		if !mat.EqualApprox(op.TMulDense(c), wantTMul, 0) {
-			t.Fatalf("procs=%d: BlockOp.TMulDense not bitwise equal to TMulDense", procs)
+		if !mat.EqualApprox(gotTMul, wantTMul, 0) {
+			t.Fatalf("procs=%d: BlockOp.TMulDenseInto not bitwise equal to TMulDense", procs)
 		}
 	}
 }
@@ -161,10 +166,13 @@ func TestParallelDimensionPanics(t *testing.T) {
 	withProcs(t, 4)
 	m := parCSR(t, 2000, 500, 0.04, 38)
 	for name, fn := range map[string]func(){
-		"MulVecParallel":    func() { m.MulVecParallel(make([]float64, 499)) },
-		"MulTVecParallel":   func() { m.MulTVecParallel(make([]float64, 1999)) },
-		"MulDenseParallel":  func() { m.MulDenseParallel(mat.NewDense(499, 10)) },
-		"BlockOp.TMulDense": func() { m.Block().TMulDense(mat.NewDense(1999, 10)) },
+		"MulVecParallel":  func() { m.MulVecParallel(make([]float64, 499)) },
+		"MulTVecParallel": func() { m.MulTVecParallel(make([]float64, 1999)) },
+		"MulDenseInto b":  func() { m.MulDenseInto(mat.NewDense(2000, 10), mat.NewDense(499, 10)) },
+		"BlockOp.TMulDenseInto": func() {
+			m.Block().TMulDenseInto(mat.NewDense(500, 10), mat.NewDense(1999, 10))
+		},
+		"MulDenseInto dst": func() { m.MulDenseInto(mat.NewDense(1999, 10), mat.NewDense(500, 10)) },
 	} {
 		func() {
 			defer func() {

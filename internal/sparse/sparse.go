@@ -110,6 +110,76 @@ func stableByKey(src, key []int, buckets int) []int {
 	return out
 }
 
+// RowBuilder assembles a CSR matrix directly from entries that arrive
+// grouped by column — a term-document matrix, filled one document at a
+// time — when the number of entries in each row is known up front: each
+// entry goes straight to its row's next free slot, with none of COO's
+// triplet arrays and sorts in between. The result is what the same Add
+// calls on a COO would freeze to.
+type RowBuilder struct {
+	m    *CSR
+	next []int // next free slot of each row
+}
+
+// NewRowBuilder returns a builder for a len(rowNNZ)×cols matrix whose row i
+// will receive at most rowNNZ[i] entries.
+func NewRowBuilder(rowNNZ []int, cols int) *RowBuilder {
+	rows := len(rowNNZ)
+	rowPtr := make([]int, rows+1)
+	for i, n := range rowNNZ {
+		rowPtr[i+1] = rowPtr[i] + n
+	}
+	nnz := rowPtr[rows]
+	return &RowBuilder{
+		m:    &CSR{rows: rows, cols: cols, rowPtr: rowPtr, colIdx: make([]int, nnz), vals: make([]float64, nnz)},
+		next: append([]int(nil), rowPtr[:rows]...),
+	}
+}
+
+// Add records v at (i, j). Zero values are ignored. Within a row, columns
+// must not decrease from one call to the next; it panics if they do, if
+// the index is out of range, or if row i is already full.
+func (b *RowBuilder) Add(i, j int, v float64) {
+	if i < 0 || i >= b.m.rows || j < 0 || j >= b.m.cols {
+		panic(fmt.Sprintf("sparse: index (%d,%d) out of range for %dx%d", i, j, b.m.rows, b.m.cols))
+	}
+	if v == 0 {
+		return
+	}
+	p := b.next[i]
+	if p == b.m.rowPtr[i+1] || p > b.m.rowPtr[i] && b.m.colIdx[p-1] > j {
+		panic(fmt.Sprintf("sparse: RowBuilder row %d: entry at column %d is past its reserved count or out of column order", i, j))
+	}
+	b.m.colIdx[p], b.m.vals[p] = j, v
+	b.next[i] = p + 1
+}
+
+// CSR freezes the builder, which must not be used afterwards: entries
+// sharing a position are summed in the order they were added, sums that
+// cancel to zero are dropped, and the rows are closed up over slots left
+// unused.
+func (b *RowBuilder) CSR() *CSR {
+	m := b.m
+	w := 0
+	for i := 0; i < m.rows; i++ {
+		p, end := m.rowPtr[i], b.next[i]
+		m.rowPtr[i] = w
+		for p < end {
+			j, sum := m.colIdx[p], m.vals[p]
+			for p++; p < end && m.colIdx[p] == j; p++ {
+				sum += m.vals[p]
+			}
+			if sum != 0 {
+				m.colIdx[w], m.vals[w] = j, sum
+				w++
+			}
+		}
+	}
+	m.rowPtr[m.rows] = w
+	m.colIdx, m.vals = m.colIdx[:w], m.vals[:w]
+	return m
+}
+
 // CSR is an immutable sparse matrix in compressed sparse row format.
 type CSR struct {
 	rows, cols int

@@ -294,3 +294,44 @@ func TestSparseDenseEquivalenceProperty(t *testing.T) {
 		}
 	}
 }
+
+func TestRowBuilderMatchesCOO(t *testing.T) {
+	// Column by column, with a repeated position, a zero value, a pair
+	// that cancels, a row left short of its reserved count and an empty row.
+	type entry struct {
+		i, j int
+		v    float64
+	}
+	entries := []entry{{2, 0, 1.5}, {0, 0, 2}, {2, 0, 0.25}, {0, 1, 0}, {3, 1, 4}, {3, 1, -4}, {0, 2, -1}, {2, 2, 7}}
+	rb := NewRowBuilder([]int{3, 0, 3, 2}, 3)
+	coo := NewCOO(4, 3)
+	for _, e := range entries {
+		rb.Add(e.i, e.j, e.v)
+		coo.Add(e.i, e.j, e.v)
+	}
+	got, want := rb.CSR(), coo.ToCSR()
+	if got.NNZ() != want.NNZ() || !mat.EqualApprox(got.ToDense(), want.ToDense(), 0) {
+		t.Fatalf("RowBuilder gives\n%v, COO gives\n%v", got.ToDense(), want.ToDense())
+	}
+	for i := 0; i < 4; i++ {
+		if got.RowNNZ(i) != want.RowNNZ(i) {
+			t.Fatalf("row %d holds %d entries, want %d", i, got.RowNNZ(i), want.RowNNZ(i))
+		}
+	}
+	for name, misuse := range map[string]func(b *RowBuilder){
+		"out of range":        func(b *RowBuilder) { b.Add(0, 3, 1) },
+		"row over its count":  func(b *RowBuilder) { b.Add(1, 0, 1); b.Add(1, 1, 1) },
+		"columns going back":  func(b *RowBuilder) { b.Add(0, 2, 1); b.Add(0, 1, 1) },
+		"row reserved empty":  func(b *RowBuilder) { b.Add(2, 0, 1) },
+		"negative row number": func(b *RowBuilder) { b.Add(-1, 0, 1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected a panic", name)
+				}
+			}()
+			misuse(NewRowBuilder([]int{2, 1, 0}, 3))
+		}()
+	}
+}

@@ -139,7 +139,7 @@ func BenchmarkSymEigen200(b *testing.B) {
 // benchmark's default scale (bench/spec.go): the paper's pure ε-separable
 // model, 64 topics × 25 terms, 51,200 documents of 50–100 tokens dealt
 // round-robin — 1,600 × 51,200 with ~3.8 M nonzeros.
-func ledgerShapeMatrix(b *testing.B) *sparse.CSR {
+func ledgerShapeMatrix(b testing.TB) *sparse.CSR {
 	b.Helper()
 	const topics, minLen, maxLen = 64, 50, 100
 	m, err := corpus.PureSeparableModel(corpus.SeparableConfig{
@@ -174,10 +174,11 @@ func BenchmarkRandomizedLedgerShape(b *testing.B) {
 	}
 	b.StopTimer()
 	op := m.Block()
-	_, cols := op.Dims()
-	z := benchMatrix(b, cols, k+over)
+	rows, cols := op.Dims()
+	y, z := mat.NewDense(rows, k+over), benchMatrix(b, cols, k+over)
 	start := time.Now()
-	op.TMulDense(op.MulDense(z))
+	op.MulDenseInto(y, z)
+	op.TMulDenseInto(z, y)
 	gb := 2 * float64(m.NNZ()) * (k + over) * 8 / 1e9
 	b.ReportMetric(gb/time.Since(start).Seconds(), "GB/s")
 }

@@ -21,23 +21,34 @@ type RandomizedOptions struct {
 }
 
 // BlockOp is a linear operator applied to a block of vectors at a time:
-// the randomized engine's whole cost is 2·PowerIters+2 such products, so
-// it asks for them as one pass each over the operator rather than column
-// by column through Op. sparse.BlockOp (a CSR matrix with its transpose)
-// and DenseOp implement it; both are bitwise independent of par.MaxProcs.
+// the randomized engine's whole cost is PowerIters+1 products with the
+// operator and as many with its transpose, so it asks for them as one pass
+// each over the operator rather than column by column through Op, and into
+// a destination it recycles rather than a fresh matrix each. Both forms
+// overwrite dst. sparse.BlockOp (a CSR matrix with its transpose) and
+// DenseOp implement it; both are bitwise independent of par.MaxProcs.
 type BlockOp interface {
 	Dims() (rows, cols int)
-	MulDense(b *mat.Dense) *mat.Dense  // A·B,  b is cols×q
-	TMulDense(b *mat.Dense) *mat.Dense // Aᵀ·B, b is rows×q
+	MulDenseInto(dst, b *mat.Dense)  // dst = A·B,  b is cols×q, dst rows×q
+	TMulDenseInto(dst, b *mat.Dense) // dst = Aᵀ·B, b is rows×q, dst cols×q
 }
 
-// MulDense returns M·b, row-blocked across par workers (bitwise identical
-// to the serial product).
-func (d DenseOp) MulDense(b *mat.Dense) *mat.Dense { return mat.MulParallel(d.M, b) }
+// MulDenseInto overwrites dst with M·b, row-blocked across par workers
+// (bitwise identical to the serial product). A dense product costs
+// O(cols) times the size of its output, so unlike the sparse operator
+// this one computes it with the allocating kernel and copies.
+func (d DenseOp) MulDenseInto(dst, b *mat.Dense) { copyInto(dst, mat.MulParallel(d.M, b)) }
 
-// TMulDense returns Mᵀ·b, reduced over fixed row panels (bitwise identical
-// for every par.MaxProcs).
-func (d DenseOp) TMulDense(b *mat.Dense) *mat.Dense { return mat.MulTParallel(d.M, b) }
+// TMulDenseInto overwrites dst with Mᵀ·b, reduced over fixed row panels
+// (bitwise identical for every par.MaxProcs).
+func (d DenseOp) TMulDenseInto(dst, b *mat.Dense) { copyInto(dst, mat.MulTParallel(d.M, b)) }
+
+func copyInto(dst, src *mat.Dense) {
+	if dr, dc := dst.Dims(); dr != src.Rows() || dc != src.Cols() {
+		panic(fmt.Sprintf("svd: DenseOp destination is %dx%d, product is %dx%d", dr, dc, src.Rows(), src.Cols()))
+	}
+	copy(dst.RawData(), src.RawData())
+}
 
 // orthoTol is the fraction of a sketch column's norm that must survive
 // projecting out the earlier columns; below it the orthonormalisation's
@@ -56,9 +67,14 @@ const orthoTol = 1e-12
 // SVDPACK-faithful alternative.
 //
 // Each half-iteration is one block product and one blocked
-// orthonormalisation (mat.QRInPlace) in place, so at most three
-// cols×q-sized buffers are live at a time, and the output is bitwise
-// independent of par.MaxProcs.
+// orthonormalisation in place, alternating between two buffers (rows×q
+// and cols×q) that live for the whole call, so nothing the size of the
+// sketch is allocated or zeroed inside the loop. Inside the loop the
+// orthonormalisation is a single CholeskyQR pass (mat.OrthoInPlace): what
+// the iteration carries forward is the subspace, which one pass preserves,
+// and the next product discards the basis anyway. The last sketch and
+// Bᵀ get the full two-pass mat.QRInPlace, so U and V are orthonormal to
+// machine precision. The output is bitwise independent of par.MaxProcs.
 func Randomized(op BlockOp, k int, opts RandomizedOptions) (*Result, error) {
 	rows, cols := op.Dims()
 	if rows == 0 || cols == 0 {
@@ -85,21 +101,23 @@ func Randomized(op BlockOp, k int, opts RandomizedOptions) (*Result, error) {
 		rng = rand.New(rand.NewSource(1729))
 	}
 
-	// Y = A·Ω with Gaussian Ω (dropped as soon as it is multiplied), then
-	// alternate Y ← A·orth(Aᵀ·orth(Y)).
-	y := op.MulDense(gaussian(cols, q, rng))
+	// Y = A·Ω with Gaussian Ω (drawn into Z's buffer), then alternate
+	// Y ← A·orth(Aᵀ·orth(Y)).
+	y, z := mat.NewDense(rows, q), gaussian(cols, q, rng)
+	op.MulDenseInto(y, z)
 	for it := 0; it < power; it++ {
-		mat.QRInPlace(y, orthoTol)
-		z := op.TMulDense(y) // cols×q
-		mat.QRInPlace(z, orthoTol)
-		y = op.MulDense(z) // rows×q
+		mat.OrthoInPlace(y, orthoTol)
+		op.TMulDenseInto(z, y)
+		mat.OrthoInPlace(z, orthoTol)
+		op.MulDenseInto(y, z)
 	}
 	mat.QRInPlace(y, orthoTol)
 
-	// B = Yᵀ·A computed as Bᵀ = Aᵀ·Y (cols×q), factored thin Bᵀ = Q·R in
-	// place so the dense SVD runs on the q×q R only:
+	// B = Yᵀ·A computed as Bᵀ = Aᵀ·Y (cols×q, over Z), factored thin
+	// Bᵀ = Q·R in place so the dense SVD runs on the q×q R only:
 	// R = U_R·Σ·Wᵀ  ⇒  A ≈ Y·B = (Y·W)·Σ·(Q·U_R)ᵀ.
-	qt := op.TMulDense(y)
+	qt := z
+	op.TMulDenseInto(qt, y)
 	r, _ := mat.QRInPlace(qt, orthoTol)
 	small, err := Decompose(r)
 	if err != nil {

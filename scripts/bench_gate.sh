@@ -22,8 +22,10 @@
 #   -t <frac>   ns/op regression threshold as a fraction (default 0.20)
 #   -o <file>   write the comparison report here (default bench-gate.txt)
 #   -B <regex>  -bench regex for run mode (default: the tier-1 subset
-#               BenchmarkQueryLatency*/BenchmarkSearch*/BenchmarkRandomized*
-#               and the index file's BenchmarkOpen/BenchmarkSave)
+#               BenchmarkQueryLatency*/BenchmarkSearch*/BenchmarkRandomized*,
+#               the index file's BenchmarkOpen/BenchmarkSave, and the
+#               index-build kernels BenchmarkAxpy, BenchmarkQRInPlace*,
+#               BenchmarkProcessAll and BenchmarkTermDocMatrix*)
 #   -c <n>      -count per side in run mode (default 5; medians damp noise)
 #   -T <dur>    -benchtime per run (default 0.3s)
 #
@@ -40,14 +42,15 @@ BASEFILE=""
 HEADFILE=""
 THRESH="0.20"
 OUT="bench-gate.txt"
-BENCH='BenchmarkQueryLatency|BenchmarkSearch|BenchmarkQuantizedScan|BenchmarkRandomized|BenchmarkOpen|BenchmarkSave'
+BENCH='BenchmarkQueryLatency|BenchmarkSearch|BenchmarkQuantizedScan|BenchmarkRandomized|BenchmarkOpen|BenchmarkSave|BenchmarkAxpy|BenchmarkQRInPlace|BenchmarkProcessAll|BenchmarkTermDocMatrix'
 COUNT=5
 TIME="0.3s"
 # The packages holding the gated benchmarks: the root suite (query
 # latency + batch), the backend hot paths, the int8 scan kernels, the
-# randomized SVD that every build and compaction runs, and the index
-# file's save and open (every boot, reload and checkpoint).
-PKGS=". ./internal/vsm ./internal/lsi ./internal/quant ./internal/svd ./retrieval"
+# randomized SVD that every build and compaction runs with the kernels
+# under it (Axpy, CholeskyQR) and the text → matrix front end before it,
+# and the index file's save and open (every boot, reload and checkpoint).
+PKGS=". ./internal/vsm ./internal/lsi ./internal/quant ./internal/mat ./internal/ir ./internal/corpus ./internal/svd ./retrieval"
 
 while getopts "r:a:b:t:o:B:c:T:" opt; do
 	case $opt in

@@ -6,7 +6,7 @@ GO ?= go
 # Base ref for the perf-regression gate (CI passes the PR's base branch).
 BASE ?= origin/main
 
-.PHONY: all build test lint vet fmt-check docs-check race bench-smoke bench bench-gate ledger-frozen loc fuzz-short serve-smoke load-smoke cluster-smoke chaos-smoke ann-smoke quant-smoke
+.PHONY: all build test lint vet fmt-check docs-check deps-check race bench-smoke bench bench-gate ledger-frozen loc fuzz-short serve-smoke load-smoke cluster-smoke chaos-smoke ann-smoke quant-smoke
 
 all: build test
 
@@ -30,13 +30,19 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-lint: vet fmt-check docs-check
+lint: vet fmt-check docs-check deps-check
 
 # Godoc-coverage gate: go vet plus a doc-comment check over every
 # exported identifier of the operator-facing packages (retrieval, its
 # cache/shard subsystems, the HTTP layer, internal/metrics).
 docs-check:
 	sh scripts/docs_check.sh
+
+# One factorisation path: the serving binaries and the public retrieval
+# packages must not depend on internal/randproj (the paper's two-step
+# method) or internal/experiments; prints the import chain if they do.
+deps-check:
+	sh scripts/deps_check.sh
 
 # Race-detect the concurrency-bearing packages: the worker pool, the
 # numeric + retrieval layers built on it (the randomized SVD's panel

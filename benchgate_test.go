@@ -124,6 +124,15 @@ func TestBenchGateVerdicts(t *testing.T) {
 			wantIn:   "ok (new benchmark)",
 		},
 		{
+			// A gated package gains a benchmark the base never had (sub-benchmark
+			// names carry "/" and "="): reported, not failed, beside the rows
+			// that do compare.
+			name:     "benchmark with no row at the base is new",
+			head:     base + benchLines("repro/internal/segment", "BenchmarkCompactLedgerShape/docs=128", [3]int{32000000, 31000000, 38000000}, 574),
+			wantExit: 0,
+			wantIn:   "repro/internal/segment.BenchmarkCompactLedgerShape/docs=128-4",
+		},
+		{
 			// The orthonormalisation under every index build, +35 %.
 			name:     "seeded Build-kernel regression fails",
 			base:     base + qr([3]int{91000000, 93000000, 90000000}),

@@ -76,7 +76,7 @@ func main() {
 	show("after 8 more (sealed):", ix)
 
 	// 4. Compact: sealed segments are rebuilt from their raw documents
-	// with a fresh two-step randomized decomposition and swapped in
+	// with a fresh decomposition (the one the build ran) and swapped in
 	// atomically. (With WithAutoCompact(true) — the default — a
 	// background goroutine does this on its own.)
 	if _, err := ix.Compact(); err != nil {

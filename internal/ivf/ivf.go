@@ -93,9 +93,6 @@ func (x *Index) NumDocs() int { return len(x.docs) }
 // Seed returns the training seed.
 func (x *Index) Seed() int64 { return x.seed }
 
-// CellSize returns the number of documents in cell c.
-func (x *Index) CellSize(c int) int { return x.cellStart[c+1] - x.cellStart[c] }
-
 // Train builds an IVF index over the rows of vecs (one document vector
 // per row, with norms the precomputed Euclidean norms, as produced by
 // lsi.Index.Norms). Clustering is spherical k-means under the cosine

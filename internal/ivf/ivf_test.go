@@ -244,7 +244,7 @@ func TestTrainValidation(t *testing.T) {
 	}
 	sizes := 0
 	for c := 0; c < x.NList(); c++ {
-		sizes += x.CellSize(c)
+		sizes += x.cellStart[c+1] - x.cellStart[c]
 	}
 	if sizes != 10 {
 		t.Fatalf("cell sizes sum to %d, want 10", sizes)

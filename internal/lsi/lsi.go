@@ -27,15 +27,23 @@ import (
 type Engine int
 
 const (
-	// EngineAuto picks Randomized for small k relative to the matrix and
-	// Dense otherwise.
+	// EngineAuto is the one rule serving code builds and compacts by:
+	// Randomized, unless min(n, m) < autoDenseBelow.
 	EngineAuto Engine = iota
-	// EngineDense densifies the matrix and runs the full Golub–Reinsch SVD.
+	// EngineDense densifies the matrix and runs the full Golub–Reinsch SVD:
+	// the exact reference the tests and experiments compare against.
 	EngineDense
 	// EngineRandomized runs randomized subspace iteration (robust to the
 	// clustered spectra that equal-sized topics produce).
 	EngineRandomized
 )
+
+// autoDenseBelow is EngineAuto's measured crossover: below it the whole
+// matrix is smaller than the randomized engine's sketch and the dense SVD
+// is the faster of the two (1,600 terms, k = 64: 2.7 vs 3.2 ms at 16
+// documents, even at 24, 10.0 vs 7.6 at 32, 316 vs 25 at 128 — DESIGN.md
+// §14, BenchmarkBuildEngines).
+const autoDenseBelow = 32
 
 // String names the engine.
 func (e Engine) String() string {
@@ -107,23 +115,22 @@ func Build(a *sparse.CSR, k int, opts Options) (*Index, error) {
 	if seed == 0 {
 		seed = 271828
 	}
+	engine := opts.Engine
+	if engine == EngineAuto {
+		engine = EngineRandomized
+		if min(n, m) < autoDenseBelow {
+			engine = EngineDense
+		}
+	}
 	var res *svd.Result
 	var err error
-	switch opts.Engine {
+	switch engine {
 	case EngineDense:
 		res, err = svd.Decompose(a.ToDense())
 	case EngineRandomized:
 		res, err = svd.Randomized(a.Block(), k, svd.RandomizedOptions{
 			Rng: rand.New(rand.NewSource(seed)),
 		})
-	case EngineAuto:
-		if k*4 <= min(n, m) || min(n, m) > 500 {
-			res, err = svd.Randomized(a.Block(), k, svd.RandomizedOptions{
-				Rng: rand.New(rand.NewSource(seed)),
-			})
-		} else {
-			res, err = svd.Decompose(a.ToDense())
-		}
 	default:
 		return nil, fmt.Errorf("lsi: unknown engine %d", int(opts.Engine))
 	}

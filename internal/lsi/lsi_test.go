@@ -1,6 +1,7 @@
 package lsi
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -210,6 +211,67 @@ func TestEngineString(t *testing.T) {
 	} {
 		if e.String() != want {
 			t.Fatalf("Engine.String() = %q, want %q", e.String(), want)
+		}
+	}
+}
+
+// EngineAuto is one comparison: the dense SVD below autoDenseBelow on the
+// short side, the randomized one from there up — bit for bit the engine
+// it names. At the ledger's freshly sealed shape (128 × 1,600, k = 64:
+// what most compactions decompose) the two engines rank alike.
+func TestEngineAutoRule(t *testing.T) {
+	save := func(a *sparse.CSR, k int, e Engine) []byte {
+		ix, err := Build(a, k, Options{Engine: e, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := ix.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	short := func(topics, termsPer int) *sparse.CSR { // topics·termsPer terms × 100 documents
+		return corpus.TermDocMatrix(testCorpus(t, topics, termsPer, 0.05, 100, 79), corpus.CountWeighting)
+	}
+	for _, a := range []*sparse.CSR{
+		ledgerMatrix(t, 8), ledgerMatrix(t, autoDenseBelow-1), ledgerMatrix(t, autoDenseBelow), ledgerMatrix(t, 128),
+		short(3, 10), short(4, 8), // the short side decides, whichever side it is
+	} {
+		n, m := a.Dims()
+		want := EngineRandomized
+		if min(n, m) < autoDenseBelow {
+			want = EngineDense
+		}
+		if !bytes.Equal(save(a, 64, EngineAuto), save(a, 64, want)) {
+			t.Fatalf("%d × %d: EngineAuto differs from %v", n, m, want)
+		}
+	}
+
+	a := ledgerMatrix(t, 128)
+	dense, err := Build(a, 64, Options{Engine: EngineDense})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rnd, err := Build(a, 64, Options{Engine: EngineRandomized, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 64 topics dealt round-robin over 128 documents: a document's own
+	// topic is itself and one mate, and everything after them is
+	// off-topic noise near cosine 0.02 whose order is not a property of
+	// the corpus. The two on-topic places must match; the rest must score
+	// alike.
+	for j := 0; j < 128; j++ {
+		q := a.Col(j)
+		d, r := dense.Search(q, 10), rnd.Search(q, 10)
+		for i := range d {
+			if i < 2 && d[i].Doc != r[i].Doc {
+				t.Errorf("doc %d rank %d: dense %+v, randomized %+v", j, i, d[i], r[i])
+			}
+			if math.Abs(d[i].Score-r[i].Score) > 1e-3 {
+				t.Errorf("doc %d rank %d: dense score %v, randomized %v", j, i, d[i].Score, r[i].Score)
+			}
 		}
 	}
 }

@@ -307,21 +307,6 @@ func MulTVecInto(a *Dense, x, dst []float64) {
 	}
 }
 
-// Outer returns the outer product x*yᵀ.
-func Outer(x, y []float64) *Dense {
-	out := NewDense(len(x), len(y))
-	for i, xi := range x {
-		if xi == 0 {
-			continue
-		}
-		row := out.data[i*len(y) : (i+1)*len(y)]
-		for j, yj := range y {
-			row[j] = xi * yj
-		}
-	}
-	return out
-}
-
 // Frob returns the Frobenius norm of m.
 func (m *Dense) Frob() float64 {
 	var s float64

@@ -189,14 +189,6 @@ func TestAddSubScale(t *testing.T) {
 	}
 }
 
-func TestOuter(t *testing.T) {
-	got := Outer([]float64{1, 2}, []float64{3, 4, 5})
-	want := FromRows([][]float64{{3, 4, 5}, {6, 8, 10}})
-	if !EqualApprox(got, want, 0) {
-		t.Fatalf("Outer = %v", got)
-	}
-}
-
 func TestFrobAndMaxAbs(t *testing.T) {
 	m := FromRows([][]float64{{3, 0}, {0, -4}})
 	if got := m.Frob(); math.Abs(got-5) > 1e-12 {

@@ -309,7 +309,12 @@ func TestNorm2MatchesKnownSingularValue(t *testing.T) {
 	// Rank-1: sigma = ‖x‖‖y‖.
 	x := []float64{1, 2, 2}
 	y := []float64{3, 4}
-	r1 := Outer(x, y)
+	r1 := NewDense(len(x), len(y))
+	for i, xi := range x {
+		for j, yj := range y {
+			r1.Set(i, j, xi*yj)
+		}
+	}
 	want := Norm(x) * Norm(y)
 	got = Norm2(r1, 100, rng)
 	if math.Abs(got-want) > 1e-8*want {

@@ -82,17 +82,6 @@ func (ts *TwoStep) Projection() *Projection { return ts.proj }
 // Rank returns the effective inner LSI rank (≈ 2k).
 func (ts *TwoStep) Rank() int { return ts.inner.K() }
 
-// Basis returns the inner index's l×2k basis over the projected space
-// (shared storage; callers must not mutate). Composing it with the
-// projection matrix — C = scale·(R·basis) — yields a single term-space
-// basis whose projection is exactly the two-step query map; the segment
-// compactor materializes that composite.
-func (ts *TwoStep) Basis() *mat.Dense { return ts.inner.Basis() }
-
-// SingularValues returns a copy of the inner index's retained singular
-// values (the singular values of the projected matrix B).
-func (ts *TwoStep) SingularValues() []float64 { return ts.inner.SingularValues() }
-
 // NumDocs returns the number of indexed documents.
 func (ts *TwoStep) NumDocs() int { return ts.inner.NumDocs() }
 

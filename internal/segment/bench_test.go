@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/corpus"
 	"repro/internal/lsi"
 )
 
@@ -61,6 +62,65 @@ func BenchmarkSearchExactSegments(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				SearchSparseOpts(segs, terms, weights, 10, ProbeOptions{})
+			}
+		})
+	}
+}
+
+// ledgerSealed is a sealed fold-in segment of the benchmark ledger's
+// shape: docs documents of the ε-separable 64-topic model (1,600 terms,
+// ε = 0.1, 50–100 tokens, ~30 distinct terms each, topics dealt
+// round-robin), folded into a rank-64 basis built over the first 128.
+func ledgerSealed(tb testing.TB, docs int) (seg *Segment, numTerms int) {
+	tb.Helper()
+	model, err := corpus.PureSeparableModel(corpus.SeparableConfig{
+		NumTopics: 64, TermsPerTopic: 25, Epsilon: 0.1, MinLen: 50, MaxLen: 100,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	model.Sampler = &corpus.RoundRobinSampler{NumTopics: 64, MinLen: 50, MaxLen: 100}
+	c, err := corpus.Generate(model, docs, rand.New(rand.NewSource(22)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	terms, weights := make([][]int, docs), make([][]float64, docs)
+	for j, d := range c.Docs {
+		terms[j] = d.Terms
+		weights[j] = make([]float64, len(d.Counts))
+		for i, n := range d.Counts {
+			weights[j][i] = float64(n)
+		}
+	}
+	head := &corpus.Corpus{NumTerms: c.NumTerms, Docs: c.Docs[:min(docs, 128)]}
+	base, err := lsi.BuildFromCorpus(head, 64, corpus.CountWeighting, lsi.Options{Engine: lsi.EngineRandomized, Seed: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	live, err := New(base.EmptyLike(), nil, nil, false)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if seg, err = live.Extend(terms, weights, identity(docs)); err != nil {
+		tb.Fatal(err)
+	}
+	return seg, base.NumTerms()
+}
+
+// BenchmarkCompactLedgerShape is segment.Compact of one sealed segment at
+// the ledger's rank: 128 documents is the ledger's freshly sealed
+// segment (segment.compact_s and most of ingest_mixed's compactions),
+// 512 and 2,048 the size-tiered merges above it. Its readings are
+// EXPERIMENTS.md "Compaction engines (PR 22)".
+func BenchmarkCompactLedgerShape(b *testing.B) {
+	for _, docs := range []int{128, 512, 2048} {
+		seg, n := ledgerSealed(b, docs)
+		b.Run(fmt.Sprintf("docs=%d", docs), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Compact([]*Segment{seg}, n, CompactOptions{K: 64, Seed: 1}); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/lsi"
-	"repro/internal/mat"
-	"repro/internal/randproj"
 	"repro/internal/sparse"
 )
 
@@ -14,36 +12,17 @@ import (
 // drifts as the corpus grows away from the basis-defining documents.
 // Compact rebuilds one or more sealed segments from their retained raw
 // term-space documents with a fresh decomposition, merging them into a
-// single compacted segment.
-//
-// For large segments the rebuild uses the paper's two-step method
-// (Section 5; internal/randproj.TwoStep): randomly project the segment's
-// term-document matrix to l = O(log n) dimensions, then run rank-2k LSI
-// on the projection — O(m·l·(l+c)) instead of a full SVD in term space.
-// The two-step query map q ↦ Uᵢᵀ·(s·Rᵀ·q) is linear, so it is folded
-// into a single composite basis C = s·(R·Uᵢ) once at compaction time;
-// the compacted segment is then an ordinary lsi.Index over C, reusing
-// the standard search kernels and the standard wire format. Small
-// segments skip the projection and rebuild directly.
+// single compacted segment: merge the raw documents, assemble the CSR,
+// lsi.Build. Which SVD runs is lsi.EngineAuto's decision at every size —
+// serving has one factorisation path (DESIGN.md §14).
 
 // CompactOptions configures Compact.
 type CompactOptions struct {
-	// K is the target rank. The two-step path keeps RankFactor·K singular
-	// values (the paper's analysis doubles the rank to absorb projection
-	// error); the direct path keeps K. Both clamp to the segment's rank
-	// bound.
+	// K is the target rank, clamped to the merged matrix's rank bound.
 	K int
-	// Seed drives the random projection and the inner SVD; compaction of
-	// the same documents with the same seed is deterministic.
+	// Seed drives the decomposition; compaction of the same documents
+	// with the same seed is deterministic (0 = lsi.Build's default).
 	Seed int64
-	// L is the projection dimension (0 = the paper's l = O(log n / ε²)
-	// via randproj.JLDim, floored at 2K).
-	L int
-	// RankFactor multiplies K on the two-step path (0 = 2, per the paper).
-	RankFactor int
-	// ForceDirect skips the two-step path regardless of size (used by
-	// tests to pin the rebuild algorithm).
-	ForceDirect bool
 	// KeepRaw retains the merged raw documents on the compacted segment,
 	// keeping it eligible for future merges (the shard compactor's
 	// size-tiered policy needs this to bound segment counts). Costs one
@@ -82,74 +61,13 @@ func Compact(segs []*Segment, numTerms int, opts CompactOptions) (*Segment, erro
 			coo.Add(t, j, raw.Weights[j][i])
 		}
 	}
-	a := coo.ToCSR()
-
-	ix, err := rebuild(a, opts)
+	ix, err := lsi.Build(coo.ToCSR(), opts.K, lsi.Options{Seed: opts.Seed})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("segment: compact rebuild: %w", err)
 	}
 	kept := (*Raw)(nil)
 	if opts.KeepRaw {
 		kept = &raw
 	}
 	return &Segment{Ix: ix, Global: global, Raw: kept, Compacted: true}, nil
-}
-
-// rebuild decomposes the segment matrix, choosing between the direct and
-// two-step paths.
-func rebuild(a *sparse.CSR, opts CompactOptions) (*lsi.Index, error) {
-	n, m := a.Dims()
-	seed := opts.Seed
-	if seed == 0 {
-		seed = 271828
-	}
-	l := opts.L
-	if l <= 0 {
-		l = randproj.JLDim(n, 0.5, 4)
-		if l < 2*opts.K {
-			l = 2 * opts.K
-		}
-	}
-	// The projection only pays when it actually compresses: fall back to a
-	// direct rebuild when the target dimension is not well below the
-	// vocabulary or the segment is small enough that the direct
-	// decomposition is already cheap.
-	if opts.ForceDirect || l*2 >= n || m <= 2*l {
-		ix, err := lsi.Build(a, opts.K, lsi.Options{Engine: lsi.EngineAuto, Seed: seed})
-		if err != nil {
-			return nil, fmt.Errorf("segment: compact rebuild: %w", err)
-		}
-		return ix, nil
-	}
-	ts, err := randproj.NewTwoStep(a, opts.K, l, randproj.TwoStepOptions{
-		Kind:       randproj.Gaussian, // cheap to sample; JL bounds match the paper's construction
-		RankFactor: opts.RankFactor,
-		Seed:       seed,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("segment: two-step compact: %w", err)
-	}
-	// Compose q ↦ Uᵢᵀ·(s·Rᵀ·q) into the single basis C = s·(R·Uᵢ), n×2k:
-	// projecting onto C is exactly the two-step query map, so the
-	// compacted segment is a plain index over C with the inner document
-	// representations — standard kernels, standard wire format.
-	inner := ts.Rank()
-	proj := ts.Projection()
-	c := mat.MulParallel(proj.Matrix(), ts.Basis())
-	c.Scale(proj.Scale())
-	docs := ts.DocVectors()
-	sigma := ts.SingularValues()
-	ix, err := lsi.NewIndexFromParts(lsi.IndexParts{
-		K:        inner,
-		NumTerms: n,
-		Sigma:    sigma,
-		UkRows:   n,
-		UkData:   c.RawData(),
-		DocRows:  docs.Rows(),
-		DocData:  append([]float64(nil), docs.RawData()...),
-	})
-	if err != nil {
-		return nil, fmt.Errorf("segment: two-step compact: %w", err)
-	}
-	return ix, nil
 }

@@ -16,7 +16,7 @@
 //	            of the segment they were folded against, and still carry
 //	            their raw term-space documents.
 //	compacted — rebuilt by Compact from the raw documents with a fresh
-//	            (two-step randomized) SVD, so the latent space reflects
+//	            SVD (lsi.Build), so the latent space reflects
 //	            the documents themselves rather than the subspace they
 //	            were folded into. Raw documents are dropped, unless the
 //	            caller keeps them (CompactOptions.KeepRaw) to leave the

@@ -1,7 +1,7 @@
 package segment
 
 import (
-	"math"
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -249,57 +249,35 @@ func TestCompactMergesAndRebuilds(t *testing.T) {
 		searchSparse([]*Segment{comp}, qt, qw, 10), "deterministic compaction")
 }
 
-func TestCompactTwoStepMatchesDirectRetrievalQuality(t *testing.T) {
-	// Larger corpus so the two-step path actually engages; verify the
-	// composite-basis scores agree with scoring through the factored
-	// two-step map (same math, different rounding) to high precision.
-	a := testMatrix(t, 3, 40, 300, 205)
-	ix, err := lsi.Build(a, 3, lsi.Options{Engine: lsi.EngineRandomized, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	live, err := New(ix.EmptyLike(), nil, nil, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var terms [][]int
-	var weights [][]float64
-	for j := 0; j < 300; j++ {
-		ts, ws := sparseCol(a, j)
-		terms = append(terms, ts)
-		weights = append(weights, ws)
-	}
-	seg, err := live.Extend(terms, weights, identity(300))
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, _ := a.Dims()
-	comp, err := Compact([]*Segment{seg}, n, CompactOptions{K: 3, Seed: 9, L: 24})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if comp.Ix.K() != 6 {
-		t.Fatalf("two-step compacted rank %d, want 2k = 6", comp.Ix.K())
-	}
-	// Self-retrieval through the compacted representation.
-	ok := 0
-	for j := 0; j < 300; j += 31 {
-		res := searchSparse([]*Segment{comp}, terms[j], weights[j], 5)
-		if len(res) == 0 {
-			t.Fatalf("no results for doc %d", j)
-		}
-		if math.Abs(res[0].Score) > 1+1e-12 {
-			t.Fatalf("score %v out of range", res[0].Score)
-		}
-		for _, m := range res {
-			if m.Doc == j {
-				ok++
-				break
+// Compaction is lsi.Build under EngineAuto at every merge size: the
+// segment comes out at rank min(K, rank bound) whatever was merged, and,
+// being svd.Randomized from 32 documents up, its bytes depend on the seed
+// alone, not on par.MaxProcs.
+func TestCompactOnePath(t *testing.T) {
+	const k = 64
+	for _, docs := range []int{40, 128, 300, 1024} {
+		seg, n := ledgerSealed(t, docs)
+		var first []byte
+		for _, procs := range []int{1, 1, 2, 4} {
+			old := par.SetMaxProcs(procs)
+			comp, err := Compact([]*Segment{seg}, n, CompactOptions{K: k, Seed: 9})
+			par.SetMaxProcs(old)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := min(k, docs); comp.Ix.K() != want {
+				t.Fatalf("%d docs: compacted rank %d, want %d", docs, comp.Ix.K(), want)
+			}
+			var buf bytes.Buffer
+			if err := comp.Ix.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if first == nil {
+				first = buf.Bytes()
+			} else if !bytes.Equal(buf.Bytes(), first) {
+				t.Fatalf("%d docs, MaxProcs=%d: compacted bytes differ from the first MaxProcs=1 run", docs, procs)
 			}
 		}
-	}
-	if ok < 8 {
-		t.Fatalf("self-retrieval hit %d/10 sampled docs through two-step compaction", ok)
 	}
 }
 

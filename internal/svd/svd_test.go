@@ -100,8 +100,8 @@ func TestDecomposeKnownMatrix(t *testing.T) {
 }
 
 func TestDecomposeRankDeficient(t *testing.T) {
-	// Rank-1 matrix: second singular value must vanish.
-	a := mat.Outer([]float64{1, 2, 3}, []float64{4, 5})
+	// Rank-1 matrix (1, 2, 3)·(4, 5)ᵀ: second singular value must vanish.
+	a := mat.FromRows([][]float64{{4, 5}, {8, 10}, {12, 15}})
 	res, err := Decompose(a)
 	if err != nil {
 		t.Fatal(err)

@@ -229,6 +229,8 @@ func (ix *Index) Stats() Stats {
 		st.CompactedSegments = ss.Compacted
 		st.FoldedDocs = ss.FoldedDocs
 		st.Compactions = ss.Compactions
+		st.CompactionFailures = ss.CompactionFailures
+		st.LastCompactionError = ss.LastCompactionError
 		st.MemoryBytes += ss.MemoryBytes
 		// shard.Index.Ready, read off the same snapshot as the counts above.
 		st.Ready = ss.SealedPending == 0 && !ss.Compacting

@@ -255,6 +255,8 @@ func newObserver(reg *metrics.Registry, ret retrieval.Retriever) *observer {
 				live(func(s retrieval.LiveStats) float64 { return float64(s.DocsIngested) }))
 			reg.CounterFunc("lsi_index_compactions_total", "Segment rebuilds performed by the compactor since boot.",
 				live(func(s retrieval.LiveStats) float64 { return float64(s.Compactions) }))
+			reg.CounterFunc("lsi_index_compaction_failures_total", "Compaction passes that returned an error (the message is lastCompactionError in /v1/stats); the sealed segments keep serving and keep their debt.",
+				live(func(s retrieval.LiveStats) float64 { return float64(s.CompactionFailures) }))
 			reg.GaugeFunc("lsi_index_compaction_debt", "Sealed segments waiting for the compactor (ingest is shed past the configured budget).",
 				live(func(s retrieval.LiveStats) float64 { return float64(s.CompactionDebt) }))
 			reg.GaugeFunc("lsi_index_compacting", "1 while a compaction pass is in flight.",

@@ -184,14 +184,14 @@ func TestShedQueueFull(t *testing.T) {
 	}
 }
 
-// debtRet reports fixed compaction debt.
+// debtRet reports fixed compaction debt, and three failed passes behind it.
 type debtRet struct {
 	blockingRet
 	debt int
 }
 
 func (d *debtRet) LiveStats() (retrieval.LiveStats, bool) {
-	return retrieval.LiveStats{CompactionDebt: d.debt, LastMutation: time.Now()}, true
+	return retrieval.LiveStats{CompactionDebt: d.debt, CompactionFailures: 3, LastMutation: time.Now()}, true
 }
 
 // TestShedCompactionDebt: ingest routes shed 503 on debt (the server
@@ -213,6 +213,11 @@ func TestShedCompactionDebt(t *testing.T) {
 	}
 	if !strings.Contains(rec.Body.String(), "compaction_debt") {
 		t.Errorf("shed body: %s", rec.Body)
+	}
+
+	// Why the debt does not drain is one scrape away.
+	if body := do(t, h, "GET", "/metrics", "").Body.String(); !strings.Contains(body, "lsi_index_compaction_failures_total 3\n") {
+		t.Errorf("/metrics missing the compaction failure counter:\n%s", body)
 	}
 
 	// Searches keep flowing under debt.

@@ -39,6 +39,11 @@ type LiveStats struct {
 	// segment rebuilds performed since Build/Open.
 	Compacting  bool
 	Compactions int64
+	// CompactionFailures counts compaction passes that returned an
+	// error; LastCompactionError is the newest one's message ("" = none
+	// yet). See shard.Index.CompactionFailures.
+	CompactionFailures  int64
+	LastCompactionError string
 	// PerShard is each shard's segment topology, indexed by shard
 	// number.
 	PerShard []shard.ShardStat
@@ -51,14 +56,17 @@ func (ix *Index) LiveStats() (LiveStats, bool) {
 	if ix.sharded == nil {
 		return LiveStats{}, false
 	}
+	failures, lastErr := ix.sharded.CompactionFailures()
 	return LiveStats{
-		Epoch:          ix.sharded.Epoch(),
-		Generation:     ix.sharded.Generation(),
-		DocsIngested:   ix.sharded.DocsIngested(),
-		LastMutation:   ix.sharded.LastMutation(),
-		CompactionDebt: ix.sharded.CompactionDebt(),
-		Compacting:     ix.sharded.Compacting(),
-		Compactions:    ix.sharded.Compactions(),
-		PerShard:       ix.sharded.ShardStats(),
+		Epoch:               ix.sharded.Epoch(),
+		Generation:          ix.sharded.Generation(),
+		DocsIngested:        ix.sharded.DocsIngested(),
+		LastMutation:        ix.sharded.LastMutation(),
+		CompactionDebt:      ix.sharded.CompactionDebt(),
+		Compacting:          ix.sharded.Compacting(),
+		Compactions:         ix.sharded.Compactions(),
+		CompactionFailures:  failures,
+		LastCompactionError: lastErr,
+		PerShard:            ix.sharded.ShardStats(),
 	}, true
 }

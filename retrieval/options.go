@@ -49,7 +49,8 @@ func ParseBackend(s string) (Backend, error) {
 type Engine int
 
 const (
-	// EngineAuto picks an engine from the matrix shape and rank.
+	// EngineAuto picks the engine from the matrix shape: randomized,
+	// unless the shorter side is under 32, where dense is faster.
 	EngineAuto Engine = iota
 	// EngineDense runs the full dense Golub–Reinsch SVD.
 	EngineDense

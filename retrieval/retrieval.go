@@ -130,6 +130,12 @@ type Stats struct {
 	CompactedSegments int   `json:"compactedSegments,omitempty"`
 	FoldedDocs        int   `json:"foldedDocs,omitempty"`
 	Compactions       int64 `json:"compactions,omitempty"`
+	// CompactionFailures counts compaction passes that returned an error
+	// and LastCompactionError is the newest one's message: a segment
+	// that cannot be rebuilt keeps its debt, and past the ingest gate's
+	// budget that sheds every append — this says why.
+	CompactionFailures  int64  `json:"compactionFailures,omitempty"`
+	LastCompactionError string `json:"lastCompactionError,omitempty"`
 	// Ready is false while the index owes compaction work (see
 	// Index.Ready); always true for unsharded indexes.
 	Ready bool `json:"ready"`

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"log"
 	"time"
 
 	"repro/internal/segment"
@@ -10,7 +11,7 @@ import (
 // The background compactor. Sealed fold-in segments represent their
 // documents only within the basis they were folded against; the
 // compactor rebuilds them from their retained raw documents with a fresh
-// two-step randomized decomposition (internal/segment.Compact) and swaps
+// decomposition (internal/segment.Compact, which is lsi.Build) and swaps
 // the replacement in atomically. Compacted tiers keep their raw
 // documents and are re-absorbed by later passes under a size-tiered
 // policy, so a shard's segment count stays O(log docs) under unbounded
@@ -48,10 +49,9 @@ func (x *Index) startCompactor() {
 			case <-ticker.C:
 			}
 			if _, err := x.Compact(); err != nil {
-				// Compaction failure leaves the sealed segments serving
-				// as-is; the next pass retries. Nothing to surface to a
-				// caller here.
-				continue
+				// The sealed segments keep serving as they are and the
+				// next pass retries; Compact has counted the failure.
+				log.Printf("shard: compaction failed: %v", err)
 			}
 		}
 	}()
@@ -75,14 +75,22 @@ func (x *Index) wakeCompactor() {
 // rebuilt into one compacted segment, which replaces them atomically.
 // It returns the number of segments merged away (0 when there was
 // nothing to do). Safe to call concurrently with ingest and searches;
-// concurrent Compact calls serialize.
-func (x *Index) Compact() (int, error) {
+// concurrent Compact calls serialize. A pass that fails is counted (see
+// CompactionFailures) and leaves the segments it could not rebuild
+// published and serving.
+func (x *Index) Compact() (rebuilt int, err error) {
 	x.compactMu.Lock()
 	defer x.compactMu.Unlock()
 	x.compacting.Add(1)
 	defer x.compacting.Add(-1)
+	defer func() {
+		if err != nil {
+			x.compactFailures.Add(1)
+			msg := err.Error()
+			x.lastCompactErr.Store(&msg)
+		}
+	}()
 
-	rebuilt := 0
 	for s, sh := range x.shards {
 		// Snapshot the compactable set. Only this (serialized) path ever
 		// removes stable segments, so the set cannot shrink under us;
@@ -131,7 +139,6 @@ func (x *Index) Compact() (int, error) {
 		comp, err := segment.Compact(pending, x.numTerms, segment.CompactOptions{
 			K:       x.cfg.Rank,
 			Seed:    seed,
-			L:       x.cfg.CompactL,
 			KeepRaw: true,
 		})
 		if err != nil {

@@ -416,7 +416,7 @@ func (x *Index) SaveDirFS(dir string, fsys faultinject.FS) error {
 // Open loads an index saved by SaveDir. The manifest supplies the
 // structural configuration (shards, rank, seed, vocabulary dimension);
 // cfg supplies the runtime knobs — SealEvery (0 keeps the saved value),
-// AutoCompact, Engine, CompactL. Segments reload exactly as saved and
+// AutoCompact, Engine. Segments reload exactly as saved and
 // serve identical scores; retained raw documents are not persisted, so
 // reloaded segments are not re-compactable.
 func Open(dir string, cfg Config) (*Index, error) {

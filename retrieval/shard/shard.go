@@ -19,8 +19,9 @@
 //	    load the pointer once and never block or lock.
 //	  - When a live segment reaches SealEvery documents it is sealed:
 //	    moved read-only into the stable list, where the background
-//	    compactor rebuilds it (two-step randomized SVD over the retained
-//	    raw documents) and atomically swaps the compacted replacement in.
+//	    compactor rebuilds it (lsi.Build over the retained raw documents,
+//	    the same decomposition the initial build runs) and atomically
+//	    swaps the compacted replacement in.
 //	  - Searching is not this package's job: Segments snapshots the
 //	    published segment set and segment.Search — the repository's one
 //	    search path, see DESIGN.md "The search path" — ranks it under the
@@ -68,8 +69,6 @@ type Config struct {
 	// that need a fixed segment layout; Compact can still be called
 	// manually).
 	AutoCompact bool
-	// CompactL overrides the two-step projection dimension (0 = auto).
-	CompactL int
 	// ANNList enables the IVF ANN tier: compacted segments of at least
 	// TierMinDocs documents carry a coarse quantizer with ANNList cells
 	// (clamped per segment to its document count). 0 disables training;
@@ -161,6 +160,12 @@ type Index struct {
 	compactMu   sync.Mutex // serializes whole-index compaction passes
 	compacting  atomic.Int32
 	compactions atomic.Int64 // total segment rebuilds performed
+	// Compaction passes that returned an error, and the newest one's
+	// message: a segment that cannot be rebuilt stays sealed, so its debt
+	// never drains and the admission gate sheds ingest — this is the
+	// signal that says why.
+	compactFailures atomic.Int64
+	lastCompactErr  atomic.Pointer[string]
 
 	// Observability counters (see DocsIngested / LastMutation): ingest
 	// volume and the wall-clock time of the last published mutation,
@@ -392,6 +397,11 @@ type Stats struct {
 	Compactions int64 `json:"compactions"`
 	// Compacting reports whether a compaction pass is in flight.
 	Compacting bool `json:"compacting"`
+	// CompactionFailures counts compaction passes that returned an error
+	// since Build/Open; LastCompactionError is the newest one's message
+	// ("" = none yet). See Index.CompactionFailures.
+	CompactionFailures  int64  `json:"compactionFailures"`
+	LastCompactionError string `json:"lastCompactionError,omitempty"`
 	// MemoryBytes estimates the heap held by segment data and the
 	// external-ID table.
 	MemoryBytes int64 `json:"memoryBytes"`
@@ -441,6 +451,7 @@ func (x *Index) Stats() Stats {
 	}
 	st.Compactions = x.compactions.Load()
 	st.Compacting = x.compacting.Load() > 0
+	st.CompactionFailures, st.LastCompactionError = x.CompactionFailures()
 	return st
 }
 
@@ -478,6 +489,21 @@ func (x *Index) Compacting() bool { return x.compacting.Load() > 0 }
 // Compactions returns the total number of segment rebuilds performed
 // since Build or Open.
 func (x *Index) Compactions() int64 { return x.compactions.Load() }
+
+// CompactionFailures returns how many compaction passes (background or
+// Compact calls) returned an error since Build or Open, and the newest
+// one's message ("" = none yet). A failed pass leaves its sealed segments
+// serving as they are, so the debt it could not drain stays counted:
+// debt pinned at the -max-debt budget with this counter rising is a
+// segment that cannot be rebuilt, not a compactor that is behind.
+// /metrics exports the count as lsi_index_compaction_failures_total.
+func (x *Index) CompactionFailures() (int64, string) {
+	msg := ""
+	if p := x.lastCompactErr.Load(); p != nil {
+		msg = *p
+	}
+	return x.compactFailures.Load(), msg
+}
 
 // DocsIngested returns the total number of documents accepted through
 // Add/AddBatch since Build or Open (build-time documents are not

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/corpus"
@@ -265,6 +266,71 @@ func TestSealAndCompactLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameMatches(t, searchSparse(y, qt, qw, 0), after, "replayed compaction")
+}
+
+// A sealed segment that cannot be rebuilt must not fail silently: its
+// debt stays (and past -max-debt sheds ingest), so the failure is
+// counted and its message kept where /v1/stats and /metrics read them.
+func TestCompactionFailureIsCounted(t *testing.T) {
+	a := testMatrix(t, 3, 12, 30, 307)
+	x, err := Build(a, defaultIDs(30), Config{Shards: 1, Rank: 3, Seed: 3, SealEvery: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer x.Close()
+	for i := 0; i < 8; i++ {
+		terms, weights := sparseCol(a, i)
+		if _, err := x.Add(Doc{Terms: terms, Weights: weights}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, msg := x.CompactionFailures(); n != 0 || msg != "" {
+		t.Fatalf("fresh index reports %d failures, %q", n, msg)
+	}
+
+	// Plant the fault: republish the sealed segment with a raw document
+	// carrying a term beyond the vocabulary (Add would have refused it).
+	sh := x.shards[0]
+	st := sh.state.Load()
+	sealed := len(st.stable) - 1
+	if !compactable(st.stable[sealed]) {
+		t.Fatal("no sealed segment to corrupt")
+	}
+	bad := *st.stable[sealed]
+	terms := append([][]int(nil), bad.Raw.Terms...)
+	terms[0] = append(append([]int(nil), terms[0]...), x.NumTerms()+7)
+	weights := append([][]float64(nil), bad.Raw.Weights...)
+	weights[0] = append(append([]float64(nil), weights[0]...), 1)
+	bad.Raw = &segment.Raw{Terms: terms, Weights: weights}
+	stable := append([]*segment.Segment(nil), st.stable...)
+	stable[sealed] = &bad
+	sh.state.Store(&shardState{epoch: st.epoch + 1, stable: stable, live: st.live})
+
+	debt := x.CompactionDebt()
+	for pass := int64(1); pass <= 2; pass++ {
+		if _, err := x.Compact(); err == nil {
+			t.Fatal("compacting an out-of-range raw document did not fail")
+		}
+		n, msg := x.CompactionFailures()
+		if n != pass || !strings.Contains(msg, "out of range") {
+			t.Fatalf("pass %d: %d failures, message %q", pass, n, msg)
+		}
+	}
+	ss := x.Stats()
+	if ss.CompactionFailures != 2 || !strings.Contains(ss.LastCompactionError, "out of range") {
+		t.Fatalf("stats: %d failures, %q", ss.CompactionFailures, ss.LastCompactionError)
+	}
+	if got := x.CompactionDebt(); got != debt || debt == 0 {
+		t.Fatalf("debt %d after failed passes, was %d", got, debt)
+	}
+	if ss.Compactions != 0 {
+		t.Fatalf("%d compactions recorded by failed passes", ss.Compactions)
+	}
+	// The segment that could not be rebuilt still serves.
+	qt, qw := sparseCol(a, 1)
+	if got := len(searchSparse(x, qt, qw, 0)); got != 38 {
+		t.Fatalf("search covers %d documents after failed compaction, want 38", got)
+	}
 }
 
 func TestIngestIntoEmptyShard(t *testing.T) {

@@ -42,15 +42,17 @@ BASEFILE=""
 HEADFILE=""
 THRESH="0.20"
 OUT="bench-gate.txt"
-BENCH='BenchmarkQueryLatency|BenchmarkSearch|BenchmarkQuantizedScan|BenchmarkRandomized|BenchmarkOpen|BenchmarkSave|BenchmarkAxpy|BenchmarkQRInPlace|BenchmarkProcessAll|BenchmarkTermDocMatrix'
+BENCH='BenchmarkQueryLatency|BenchmarkSearch|BenchmarkQuantizedScan|BenchmarkRandomized|BenchmarkOpen|BenchmarkSave|BenchmarkAxpy|BenchmarkQRInPlace|BenchmarkProcessAll|BenchmarkTermDocMatrix|BenchmarkCompact'
 COUNT=5
 TIME="0.3s"
 # The packages holding the gated benchmarks: the root suite (query
 # latency + batch), the backend hot paths, the int8 scan kernels, the
 # randomized SVD that every build and compaction runs with the kernels
 # under it (Axpy, CholeskyQR) and the text → matrix front end before it,
-# and the index file's save and open (every boot, reload and checkpoint).
-PKGS=". ./internal/vsm ./internal/lsi ./internal/quant ./internal/mat ./internal/ir ./internal/corpus ./internal/svd ./retrieval"
+# the index file's save and open (every boot, reload and checkpoint), and
+# the segment layer (compaction at the ledger's shape, the exact scan
+# across segment counts).
+PKGS=". ./internal/vsm ./internal/lsi ./internal/quant ./internal/mat ./internal/ir ./internal/corpus ./internal/svd ./internal/segment ./retrieval"
 
 while getopts "r:a:b:t:o:B:c:T:" opt; do
 	case $opt in

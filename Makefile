@@ -12,11 +12,16 @@ all: build test
 
 # The second and third lines cross-compile for a platform without the
 # assembly kernels (no download needed), so the portable stubs behind
-# internal/mat's dispatch cannot rot unnoticed on an amd64-only CI.
+# internal/mat's dispatch cannot rot unnoticed on an amd64-only CI. The
+# last three do the same for internal/blob's two fallbacks to the streaming
+# read: a platform without mmap, and a big-endian one.
 build:
 	$(GO) build ./...
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/mat
+	GOOS=windows $(GO) build ./...
+	GOARCH=s390x $(GO) build ./...
+	GOARCH=s390x $(GO) vet ./internal/blob
 
 test:
 	$(GO) test ./...
@@ -55,9 +60,11 @@ deps-check:
 # suite), the fault-injection harness, the metrics registry, the IVF
 # ANN quantizer and the int8 scoring shadow (both trained and probed
 # concurrently by the compactor and searches), the fidelity metrics,
-# and the load generator.
+# the load generator, and the index-file container (mappings are released
+# by the garbage collector under running searches; -race also turns on
+# checkptr for its one unsafe view).
 race:
-	$(GO) test -race ./internal/par ./internal/ir ./internal/corpus ./internal/sparse ./internal/mat ./internal/svd ./internal/randproj ./internal/topk ./internal/lsi ./internal/vsm ./internal/segment ./internal/ivf ./internal/quant ./internal/eval ./internal/metrics ./internal/faultinject ./retrieval ./retrieval/cache ./retrieval/shard ./retrieval/wal ./retrieval/cluster ./retrieval/httpapi ./cmd/lsiserve ./cmd/lsiload
+	$(GO) test -race ./internal/blob ./internal/par ./internal/ir ./internal/corpus ./internal/sparse ./internal/mat ./internal/svd ./internal/randproj ./internal/topk ./internal/lsi ./internal/vsm ./internal/segment ./internal/ivf ./internal/quant ./internal/eval ./internal/metrics ./internal/faultinject ./retrieval ./retrieval/cache ./retrieval/shard ./retrieval/wal ./retrieval/cluster ./retrieval/httpapi ./cmd/lsiserve ./cmd/lsiload
 
 # Build the serving daemon, boot it on a free port, and curl the health
 # and search endpoints — fails on any non-200.

@@ -6,17 +6,20 @@
 // a float section is the array in its in-memory layout.
 //
 // 12 + 12 and 12 + 4 are multiples of 8, so every payload starts on an
-// 8-byte file offset: a float section can later be mapped instead of read.
+// 8-byte file offset: a float section of a mapped file is a view, not a copy.
 package blob
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
+	"os"
 	"slices"
+	"unsafe"
 )
 
 const (
@@ -122,11 +125,18 @@ func (w *Writer) Close() error {
 // as *os.File or *bytes.Reader) a section longer than what can still
 // arrive fails before anything is allocated; otherwise destinations grow
 // by append as the bytes come in.
+//
+// When the source is a file Map can map, Header switches to the mapped arm:
+// the same walk and checks run over the mapping, and Floats returns a view
+// of the bytes it has just verified.
 type Reader struct {
 	*bufio.Reader
 	left     int64 // bytes the source can still deliver; -1 when unknown
 	sections uint32
 	err      error
+	file     *os.File // the source, when Header may map it
+	mem      []byte   // mapped arm: the bytes not yet taken, in memory
+	m        *Mapping // what mem is a view of, when that is a mapping
 }
 
 // NewReader wraps r. A *Reader is returned as it is, so a caller that has
@@ -136,8 +146,19 @@ func NewReader(r io.Reader) *Reader {
 	if br, ok := r.(*Reader); ok {
 		return br
 	}
-	return &Reader{Reader: bufio.NewReaderSize(r, Window), left: remaining(r)}
+	f, _ := r.(*os.File)
+	return &Reader{Reader: bufio.NewReaderSize(r, Window), left: remaining(r), file: f}
 }
+
+// NewMappedReader reads data on the mapped arm: floats are views of data.
+func NewMappedReader(data []byte) *Reader {
+	r := NewReader(bytes.NewReader(data))
+	r.mem = data
+	return r
+}
+
+// Mapping is what the float sections are views of; nil when they are copies.
+func (r *Reader) Mapping() *Mapping { return r.m }
 
 // remaining is how many bytes r can still deliver, or -1 if it cannot say.
 func remaining(r io.Reader) int64 {
@@ -169,6 +190,12 @@ func (r *Reader) HasMagic(magic [MagicLen]byte) bool {
 // Header consumes the file header, whose magic the caller has sniffed,
 // and returns the version.
 func (r *Reader) Header() uint16 {
+	if r.file != nil && r.left > 0 {
+		// Nothing is consumed yet: the source stands left bytes before the end.
+		if m, err := Map(r.file); err == nil && int64(m.Len()) >= r.left {
+			r.m, r.mem = m, m.data[int64(m.Len())-r.left:]
+		}
+	}
 	hdr := r.take(fileHeaderLen)
 	if r.err != nil {
 		return 0
@@ -182,12 +209,17 @@ func (r *Reader) take(n int) []byte {
 	if r.err != nil {
 		return nil
 	}
-	b, err := r.Peek(n)
-	if err != nil {
+	var b []byte
+	if r.mem == nil {
+		b, _ = r.Peek(n)
+		r.Discard(len(b))
+	} else if n <= len(r.mem) {
+		b, r.mem = r.mem[:n:n], r.mem[n:]
+	}
+	if len(b) != n {
 		r.err = fmt.Errorf("blob: truncated: %w", io.ErrUnexpectedEOF)
 		return nil
 	}
-	r.Discard(n)
 	if r.left >= 0 {
 		r.left -= int64(n)
 	}
@@ -249,17 +281,31 @@ func (r *Reader) Bytes(tag string, n int) []byte {
 }
 
 // Floats reads the next section, tagged tag, of n float64 (any number if
-// n < 0), converting from the window straight into the returned slice.
+// n < 0), converting from the window straight into the returned slice; the
+// mapped arm returns the payload itself once length and checksum have held.
 func (r *Reader) Floats(tag string, n int) []float64 {
 	var dst []float64
+	var view []byte
 	r.section(tag, n, 8,
-		func(trusted int) { dst = make([]float64, 0, trusted) },
+		func(trusted int) {
+			if trusted > 0 && r.mem != nil && nativeLittleEndian && uintptr(unsafe.Pointer(&r.mem[0]))%8 == 0 {
+				view = r.mem[:8*trusted]
+			} else {
+				dst = make([]float64, 0, trusted)
+			}
+		},
 		func(b []byte) {
+			if view != nil {
+				return
+			}
 			i := len(dst)
 			dst = slices.Grow(dst, len(b)/8)[:i+len(b)/8]
 			for j := range dst[i:] {
 				dst[i+j] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*j:]))
 			}
 		})
+	if view != nil && r.err == nil {
+		return unsafe.Slice((*float64)(unsafe.Pointer(&view[0])), len(view)/8)
+	}
 	return dst
 }

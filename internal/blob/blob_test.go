@@ -4,11 +4,16 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
+	"time"
+	"unsafe"
 )
 
 var testMagic = [MagicLen]byte{'B', 'L', 'O', 'B', 'T', 'S'}
@@ -51,9 +56,35 @@ type plainReader struct{ r io.Reader }
 
 func (p plainReader) Read(b []byte) (int, error) { return p.r.Read(b) }
 
+// onDisk writes data to a file of the test's own and opens it.
+func onDisk(t testing.TB, data []byte) *os.File {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "container")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	return f
+}
+
+// within reports whether the first element of v lies inside b.
+func within(v []float64, b []byte) bool {
+	if len(v) == 0 || len(b) == 0 {
+		return false
+	}
+	p, lo := uintptr(unsafe.Pointer(&v[0])), uintptr(unsafe.Pointer(&b[0]))
+	return p >= lo && p < lo+uintptr(len(b))
+}
+
 // Sections of every shape — empty, unpadded, spanning several windows —
-// come back bit for bit, from a sized source and from a bare stream, and
-// the file is exactly as long as EncodedSize says.
+// come back bit for bit, from a sized source, from a bare stream and on
+// the mapped arm (bytes in memory, a file), and the file is exactly as
+// long as EncodedSize says. Only the mapped arm hands out views, and only
+// of floats.
 func TestRoundTrip(t *testing.T) {
 	secs := []section{
 		{tag: "HEAD", bytes: []byte("abc")},
@@ -66,16 +97,26 @@ func TestRoundTrip(t *testing.T) {
 	if want := EncodedSize(3, 0, 8*len(secs[2].floats), Window+1, 0); len(data) != want {
 		t.Fatalf("encoded %d bytes, EncodedSize says %d", len(data), want)
 	}
-	for name, src := range map[string]io.Reader{
-		"sized":   bytes.NewReader(data),
-		"unsized": plainReader{bytes.NewReader(data)},
+	_, mapErr := Map(onDisk(t, data))
+	for name, r := range map[string]*Reader{
+		"sized":   NewReader(bytes.NewReader(data)),
+		"unsized": NewReader(plainReader{bytes.NewReader(data)}),
+		"memory":  NewMappedReader(data),
+		"file":    NewReader(onDisk(t, data)),
 	} {
-		r := NewReader(src)
+		mapped := name == "memory" || (name == "file" && mapErr == nil)
 		if !r.HasMagic(testMagic) || r.HasMagic([MagicLen]byte{'n', 'o'}) {
 			t.Fatalf("%s: HasMagic wrong", name)
 		}
 		if v := r.Header(); v != 9 {
 			t.Fatalf("%s: header version %d, err %v", name, v, r.Err())
+		}
+		if got := r.Mapping() != nil; got != (name == "file" && mapErr == nil) {
+			t.Fatalf("%s: holds a mapping: %v (Map: %v)", name, got, mapErr)
+		}
+		source := data
+		if m := r.Mapping(); m != nil {
+			source = m.data
 		}
 		for i, want := range secs {
 			n := -1 // alternate between naming the length and taking any
@@ -92,13 +133,20 @@ func TestRoundTrip(t *testing.T) {
 						t.Fatalf("%s %s: float %d = %v, want %v", name, want.tag, i, got[i], want.floats[i])
 					}
 				}
+				if view := within(got, source); view != (mapped && len(got) > 0 && nativeLittleEndian) {
+					t.Fatalf("%s %s: a view of the source: %v", name, want.tag, view)
+				}
 				continue
 			}
 			if i%2 == 0 {
 				n = len(want.bytes)
 			}
-			if got := r.Bytes(want.tag, n); r.Err() != nil || !bytes.Equal(got, want.bytes) {
+			got := r.Bytes(want.tag, n)
+			if r.Err() != nil || !bytes.Equal(got, want.bytes) {
 				t.Fatalf("%s %s: %d bytes, err %v", name, want.tag, len(got), r.Err())
+			}
+			if len(got) > 0 && uintptr(unsafe.Pointer(&got[0]))-uintptr(unsafe.Pointer(&source[0])) < uintptr(len(source)) {
+				t.Fatalf("%s %s: a byte section aliases the source", name, want.tag)
 			}
 		}
 		if r.Bytes("MORE", -1); r.Err() == nil {
@@ -129,7 +177,8 @@ func TestPayloadsAreAligned(t *testing.T) {
 }
 
 // readAll reads the two-section container the damage and fuzz tests use,
-// the way a decoder would.
+// the way a decoder would. Whatever went wrong, the floats it returns are
+// never a view of bytes whose checksum did not hold.
 func readAll(src io.Reader) error {
 	r := NewReader(src)
 	if !r.HasMagic(testMagic) {
@@ -137,8 +186,21 @@ func readAll(src io.Reader) error {
 	}
 	r.Header()
 	r.Bytes("BYTE", -1)
-	r.Floats("FLTS", -1)
+	if v := r.Floats("FLTS", -1); r.Err() != nil && len(v) > 0 && r.mem != nil {
+		return fmt.Errorf("%d floats handed out with %w", len(v), r.Err())
+	}
 	return r.Err()
+}
+
+// readBoth is readAll over data on the streaming arm and on the mapped
+// arm, which must agree to the letter.
+func readBoth(t testing.TB, data []byte) error {
+	t.Helper()
+	stream, mapped := readAll(bytes.NewReader(data)), readAll(NewMappedReader(data))
+	if fmt.Sprint(stream) != fmt.Sprint(mapped) {
+		t.Fatalf("streamed: %v\nmapped:   %v", stream, mapped)
+	}
+	return stream
 }
 
 func TestRejectsDamage(t *testing.T) {
@@ -148,11 +210,11 @@ func TestRejectsDamage(t *testing.T) {
 	if r.Bytes("BYTE", 4); r.Err() == nil {
 		t.Fatal("a section of 5 bytes was read as one of 4")
 	}
-	if err := readAll(bytes.NewReader(data)); err != nil {
+	if err := readBoth(t, data); err != nil {
 		t.Fatal(err)
 	}
 	for cut := 0; cut < len(data); cut++ {
-		if err := readAll(bytes.NewReader(data[:cut])); err == nil {
+		if err := readBoth(t, data[:cut]); err == nil {
 			t.Fatalf("truncation to %d of %d bytes went unnoticed", cut, len(data))
 		}
 	}
@@ -160,13 +222,13 @@ func TestRejectsDamage(t *testing.T) {
 	for i := fileHeaderLen; i < len(data); i++ {
 		bad := bytes.Clone(data)
 		bad[i] ^= 0x10
-		if err := readAll(bytes.NewReader(bad)); err == nil {
+		if err := readBoth(t, bad); err == nil {
 			t.Fatalf("bit flip at byte %d went unnoticed", i)
 		}
 	}
 	bad := bytes.Clone(data)
 	bad[0] ^= 1
-	if err := readAll(bytes.NewReader(bad)); err == nil {
+	if err := readBoth(t, bad); err == nil {
 		t.Fatal("wrong magic went unnoticed")
 	}
 }
@@ -197,6 +259,7 @@ func TestLyingLengthNeverAllocatesIt(t *testing.T) {
 		for name, open := range map[string]func() io.Reader{
 			"sized":   func() io.Reader { return bytes.NewReader(data) },
 			"unsized": func() io.Reader { return plainReader{bytes.NewReader(data)} },
+			"mapped":  func() io.Reader { return NewMappedReader(data) },
 		} {
 			var err error
 			got := allocatedBy(func() { err = readAll(open()) })
@@ -246,5 +309,55 @@ func FuzzBlobSections(f *testing.F) {
 		if limit := uint64(4*Window + 4*len(data)); got > limit {
 			t.Fatalf("%d input bytes allocated %d (limit %d), err %v", len(data), got, limit, err)
 		}
+		// The mapped arm runs the same checks to the same verdict. (A
+		// bare stream cannot bound a length claim up front, so only the
+		// sized source is held to the same words.)
+		if mapped := readAll(NewMappedReader(data)); (mapped == nil) != (err == nil) || (sized && fmt.Sprint(mapped) != fmt.Sprint(err)) {
+			t.Fatalf("streamed: %v\nmapped:   %v", err, mapped)
+		}
 	})
+}
+
+// settle collects garbage until LiveMappings reads want, or gives up:
+// cleanups run on their own goroutine some time after the collection that
+// found the mapping unreachable.
+func settle(want int) int {
+	for deadline := time.Now().Add(10 * time.Second); LiveMappings() != want && time.Now().Before(deadline); {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	return LiveMappings()
+}
+
+// A mapping outlives the close and the unlinking of its file, counts as
+// live while something reaches it, and is released once nothing does.
+func TestMappingLifetime(t *testing.T) {
+	data := encode(1, []section{{tag: "BYTE", bytes: []byte("hello")}, {tag: "FLTS", floats: ramp(4 * Window / 8)}})
+	f := onDisk(t, data)
+	base := settle(0)
+	m, err := Map(f)
+	if err != nil {
+		t.Skipf("no mapping on this platform: %v", err)
+	}
+	if !m.Holds(f) || m.Holds(onDisk(t, data)) || m.Len() != len(data) || (*Mapping)(nil).Len() != 0 {
+		t.Fatalf("Holds/Len wrong (len %d of %d)", m.Len(), len(data))
+	}
+	f.Close()
+	os.Remove(f.Name())
+	for i := 0; i < 3; i++ {
+		runtime.GC()
+	}
+	if got := LiveMappings(); got != base+1 {
+		t.Fatalf("%d live mappings while one is held, want %d", got, base+1)
+	}
+	if !bytes.Equal(m.data, data) {
+		t.Fatal("the mapping of an unlinked file does not read as the file did")
+	}
+	runtime.KeepAlive(m)
+	if got := settle(base); got != base {
+		t.Fatalf("%d live mappings after the last was dropped, want %d", got, base)
+	}
+	if _, err := Map(onDisk(t, nil)); err == nil {
+		t.Fatal("an empty file was mapped")
+	}
 }

@@ -90,9 +90,6 @@ func (x *Index) Dim() int { return x.dim }
 // NumDocs returns the number of documents covered by the cell lists.
 func (x *Index) NumDocs() int { return len(x.docs) }
 
-// Seed returns the training seed.
-func (x *Index) Seed() int64 { return x.seed }
-
 // Train builds an IVF index over the rows of vecs (one document vector
 // per row, with norms the precomputed Euclidean norms, as produced by
 // lsi.Index.Norms). Clustering is spherical k-means under the cosine

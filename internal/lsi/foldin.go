@@ -66,6 +66,7 @@ func (ix *Index) EmptyLike() *Index {
 		sigma:    ix.sigma,
 		docs:     mat.NewDense(0, ix.k),
 		norms:    nil,
+		mapped:   ix.mapped,
 	}
 }
 
@@ -107,7 +108,7 @@ func (ix *Index) ExtendedSparse(terms [][]int, weights [][]float64) (*Index, err
 			norms[m+i] = mat.Norm(row)
 		}
 	})
-	return &Index{k: ix.k, numTerms: ix.numTerms, uk: ix.uk, sigma: ix.sigma, docs: grown, norms: norms}, nil
+	return &Index{k: ix.k, numTerms: ix.numTerms, uk: ix.uk, sigma: ix.sigma, docs: grown, norms: norms, mapped: ix.mapped}, nil
 }
 
 // AppendDocuments folds a batch of term-space document vectors into the

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/blob"
 	"repro/internal/corpus"
 	"repro/internal/mat"
 	"repro/internal/par"
@@ -77,7 +78,17 @@ type Index struct {
 	sigma    []float64  // k singular values, descending
 	docs     *mat.Dense // m×k: row j is document j's LSI representation
 	norms    []float64  // ‖docs.Row(j)‖, precomputed so scoring never re-derives them
+	// mapped is the file uk, sigma and (until fold-in copies them) docs
+	// are views of; nil for heap arrays. The Index loaded from a mapping
+	// holds it (as do its two matrices, for callers that keep DocVectors
+	// and drop the Index), an Index sharing its uk inherits it, the garbage
+	// collector releases it. A row slice holds nothing: code reading rows
+	// past its last use of the Index ends in runtime.KeepAlive(ix).
+	mapped *blob.Mapping
 }
+
+// MappedBytes is the size of the mapped file the basis is a view of, or 0.
+func (ix *Index) MappedBytes() int64 { return int64(ix.mapped.Len()) }
 
 // newIndex assembles an Index and precomputes the per-document norms the
 // scoring kernel divides by. Every constructor (build, SVD wrap, load,

@@ -8,6 +8,8 @@ import (
 	"io"
 	"math"
 	"math/bits"
+	"os"
+	"runtime"
 
 	"repro/internal/blob"
 	"repro/internal/mat"
@@ -117,6 +119,10 @@ func (ix *Index) SaveMeta(w io.Writer, meta *Meta) error {
 		}
 		text = appendText(nil, meta)
 	}
+	if f, ok := w.(*os.File); ok && ix.mapped != nil && ix.mapped.Holds(f) {
+		return errors.New("lsi: save: the destination is the mapped file this index was opened from; save to a new file and rename it")
+	}
+	defer runtime.KeepAlive(ix) // the arrays may be views of ix.mapped
 	bw := blob.NewWriter(w, Magic, WireVersion, 5)
 	dims := make([]byte, 0, dimsLen)
 	for _, d := range [...]int{ix.k, ix.numTerms, ix.NumDocs()} {
@@ -272,6 +278,10 @@ func LoadMeta(r io.Reader) (*Index, *Meta, error) {
 	ix, err := NewIndexFromParts(p)
 	if err != nil {
 		return nil, nil, err
+	}
+	if ix.mapped = br.Mapping(); ix.mapped != nil {
+		ix.uk.Hold(ix.mapped)
+		ix.docs.Hold(ix.mapped)
 	}
 	if meta.Empty() {
 		return ix, nil, nil

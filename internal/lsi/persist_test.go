@@ -151,7 +151,8 @@ func TestLoadBoundsAllocationByInput(t *testing.T) {
 // FuzzLoadIndex feeds LoadMeta the three golden generations, their
 // truncations and bit flips: whatever arrives, it returns an error or an
 // index that answers a query, never panics, and never allocates more than
-// a constant factor of the input.
+// a constant factor of the input. The mapped arm comes to the same end:
+// the same error, or an index that saves as the same bytes.
 func FuzzLoadIndex(f *testing.F) {
 	for _, name := range []string{"index_v1.gob", "index_v2.gob", "index_v3.lsi"} {
 		data, err := os.ReadFile("testdata/" + name)
@@ -182,6 +183,10 @@ func FuzzLoadIndex(f *testing.F) {
 		}
 		if got > limit {
 			t.Fatalf("%d input bytes allocated %d (limit %d)", len(data), got, limit)
+		}
+		mix, mmeta, merr := LoadMeta(blob.NewMappedReader(data))
+		if want, got := outcome(t, ix, meta, err), outcome(t, mix, mmeta, merr); got != want {
+			t.Fatalf("mapped arm: %.200q\nstreaming arm: %.200q", got, want)
 		}
 		if err != nil {
 			return

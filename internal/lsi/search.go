@@ -2,6 +2,7 @@ package lsi
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 
@@ -83,6 +84,7 @@ func (ix *Index) searchProjected(sc *scratch, dst []Match, pq []float64, topN in
 	if len(pq) != ix.k {
 		panic(fmt.Sprintf("lsi: SearchProjected vector length %d, want %d", len(pq), ix.k))
 	}
+	defer runtime.KeepAlive(ix) // the rows may be views of ix.mapped
 	m := ix.docs.Rows()
 	qn := mat.Norm(pq)
 	grain := par.GrainFor(2*ix.k + 1)

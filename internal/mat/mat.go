@@ -18,6 +18,7 @@ import (
 type Dense struct {
 	rows, cols int
 	data       []float64
+	owner      any // see Hold
 }
 
 // NewDense returns a zeroed r x c matrix.
@@ -37,6 +38,10 @@ func NewDenseData(r, c int, data []float64) *Dense {
 	}
 	return &Dense{rows: r, cols: c, data: data}
 }
+
+// Hold makes m keep owner reachable: a matrix over memory the garbage
+// collector does not manage (a mapped file) holds what releases it.
+func (m *Dense) Hold(owner any) { m.owner = owner }
 
 // FromRows builds a matrix from a slice of equal-length rows, copying the data.
 // It panics if the rows have unequal lengths.

@@ -1,6 +1,7 @@
 package segment
 
 import (
+	"runtime"
 	"sort"
 	"sync"
 
@@ -93,6 +94,7 @@ var searchPool = sync.Pool{New: func() any { return new(searchScratch) }}
 // scan, and one segment with an identity Global is bitwise
 // segs[0].Ix.SearchSparse.
 func Search(segs []*Segment, q Query, topN int, opts ProbeOptions) ([]topk.Match, ProbeStats) {
+	defer runtime.KeepAlive(segs) // rows may be views of a mapped file, which lasts as long as its lsi.Index
 	total, width := 0, 0
 	for _, s := range segs {
 		total += s.Len()

@@ -50,9 +50,8 @@ type LanczosOptions struct {
 
 // Lanczos computes the top-k singular triplets of op using Golub–Kahan–
 // Lanczos bidiagonalization. The small bidiagonal system is solved with the
-// dense Golub–Reinsch engine. With full reorthogonalization (the default
-// via TruncatedSVD) the computed triplets match dense SVD to ~1e-10 on the
-// experiment matrices.
+// dense Golub–Reinsch engine. With full reorthogonalization the computed
+// triplets match dense SVD to ~1e-10 on the experiment matrices.
 func Lanczos(op Op, k int, opts LanczosOptions) (*Result, error) {
 	rows, cols := op.Dims()
 	if rows == 0 || cols == 0 {
@@ -213,11 +212,4 @@ func basisMatrix(basis [][]float64, dim int) *mat.Dense {
 		m.SetCol(j, b)
 	}
 	return m
-}
-
-// TruncatedSVD computes the top-k singular triplets of op with sensible
-// defaults: Lanczos with full reorthogonalization and a fixed seed. It is
-// the entry point the LSI and random-projection layers use.
-func TruncatedSVD(op Op, k int) (*Result, error) {
-	return Lanczos(op, k, LanczosOptions{Reorthogonalize: true})
 }

@@ -141,30 +141,3 @@ func TestAppendSearchZeroAllocs(t *testing.T) {
 		})
 	}
 }
-
-func TestSearchBatchSparseMatchesSearchSparse(t *testing.T) {
-	old := par.SetMaxProcs(4)
-	t.Cleanup(func() { par.SetMaxProcs(old) })
-	ix, _ := vsmAllocIndex(t)
-	rng := rand.New(rand.NewSource(557))
-	terms := make([][]int, 12)
-	weights := make([][]float64, 12)
-	for i := range terms {
-		for j := 0; j < 5; j++ {
-			terms[i] = append(terms[i], rng.Intn(ix.NumTerms()))
-			weights[i] = append(weights[i], 1+rng.Float64())
-		}
-	}
-	got := ix.SearchBatchSparse(terms, weights, 7)
-	for i := range terms {
-		want := ix.SearchSparse(terms[i], weights[i], 7)
-		if len(got[i]) != len(want) {
-			t.Fatalf("query %d: %d matches, want %d", i, len(got[i]), len(want))
-		}
-		for j := range want {
-			if got[i][j] != want[j] {
-				t.Fatalf("query %d rank %d: batch %+v != serial %+v", i, j, got[i][j], want[j])
-			}
-		}
-	}
-}

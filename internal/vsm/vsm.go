@@ -22,7 +22,6 @@ import (
 	"slices"
 	"sync"
 
-	"repro/internal/par"
 	"repro/internal/sparse"
 	"repro/internal/topk"
 )
@@ -270,42 +269,4 @@ func (s *scratch) normalize(terms []int, weights []float64) ([]int, []float64) {
 		s.qwts = append(s.qwts, p.w)
 	}
 	return s.qterms, s.qwts
-}
-
-// SearchBatch runs Search for a batch of queries, fanning whole queries
-// across par workers, each drawing its own pooled scratch. The index is
-// immutable after construction, so concurrent reads are safe; element i
-// of the result is bitwise identical to Search(queries[i], topN).
-func (ix *Index) SearchBatch(queries [][]float64, topN int) [][]Match {
-	for i, q := range queries {
-		if len(q) != ix.numTerms {
-			panic(fmt.Sprintf("vsm: query %d has length %d, want %d", i, len(q), ix.numTerms))
-		}
-	}
-	out := make([][]Match, len(queries))
-	// Per-query cost is roughly one pass over the query terms plus the
-	// matched postings, bounded below by the index dimensions.
-	par.For(len(queries), par.GrainFor(ix.numTerms+ix.numDocs), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = ix.Search(queries[i], topN)
-		}
-	})
-	return out
-}
-
-// SearchBatchSparse runs SearchSparse for a batch of sparse queries
-// (terms[i]/weights[i] are query i), fanning whole queries across par
-// workers. Element i of the result is bitwise identical to
-// SearchSparse(terms[i], weights[i], topN).
-func (ix *Index) SearchBatchSparse(terms [][]int, weights [][]float64, topN int) [][]Match {
-	if len(terms) != len(weights) {
-		panic(fmt.Sprintf("vsm: SearchBatchSparse %d term slices but %d weight slices", len(terms), len(weights)))
-	}
-	out := make([][]Match, len(terms))
-	par.For(len(terms), par.GrainFor(ix.numDocs+1), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = ix.SearchSparse(terms[i], weights[i], topN)
-		}
-	})
-	return out
 }

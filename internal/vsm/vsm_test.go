@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/mat"
-	"repro/internal/par"
 	"repro/internal/sparse"
 )
 
@@ -159,47 +158,4 @@ func TestVSMAgainstBruteForce(t *testing.T) {
 			t.Fatalf("doc %d: score %v, brute force %v", j, got, want)
 		}
 	}
-}
-
-func TestSearchBatchMatchesSearch(t *testing.T) {
-	old := par.SetMaxProcs(4)
-	t.Cleanup(func() { par.SetMaxProcs(old) })
-	model, err := corpus.PureSeparableModel(corpus.SeparableConfig{
-		NumTopics: 4, TermsPerTopic: 20, Epsilon: 0.05, MinLen: 30, MaxLen: 50,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := corpus.Generate(model, 80, rand.New(rand.NewSource(77)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := corpus.TermDocMatrix(c, corpus.CountWeighting)
-	ix := NewFromMatrix(a)
-	queries := make([][]float64, 16)
-	for i := range queries {
-		queries[i] = a.Col(i % a.Cols())
-	}
-	got := ix.SearchBatch(queries, 7)
-	for i, q := range queries {
-		want := ix.Search(q, 7)
-		if len(got[i]) != len(want) {
-			t.Fatalf("query %d: %d matches, want %d", i, len(got[i]), len(want))
-		}
-		for j := range want {
-			if got[i][j] != want[j] {
-				t.Fatalf("query %d rank %d: batch %+v != serial %+v", i, j, got[i][j], want[j])
-			}
-		}
-	}
-}
-
-func TestSearchBatchLengthPanic(t *testing.T) {
-	ix, _ := buildIndex(t)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected length panic")
-		}
-	}()
-	ix.SearchBatch([][]float64{{1, 2, 3}}, 1)
 }

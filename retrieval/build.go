@@ -232,6 +232,7 @@ func (ix *Index) Stats() Stats {
 		st.CompactionFailures = ss.CompactionFailures
 		st.LastCompactionError = ss.LastCompactionError
 		st.MemoryBytes += ss.MemoryBytes
+		st.MappedBytes = ss.MappedBytes
 		// shard.Index.Ready, read off the same snapshot as the counts above.
 		st.Ready = ss.SealedPending == 0 && !ss.Compacting
 	case ix.backend == BackendVSM:
@@ -244,6 +245,7 @@ func (ix *Index) Stats() Stats {
 	default:
 		tiers.Add(ix.seg)
 		st.MemoryBytes += ix.seg.MemoryBytes(true)
+		st.MappedBytes = ix.seg.Ix.MappedBytes()
 	}
 	if cs, ok := ix.CacheStats(); ok {
 		st.Cache = &cs

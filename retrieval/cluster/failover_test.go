@@ -3,8 +3,11 @@ package cluster_test
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -343,5 +346,67 @@ func TestReplicaBootstrapsFromTieredPrimary(t *testing.T) {
 	}
 	if st := rep.Stats(); st.ANN == nil || st.ANN.Segments != 1 || st.Quant == nil || st.Quant.Segments != 1 {
 		t.Fatalf("replica lost the sidecars: ann %+v quant %+v", st.ANN, st.Quant)
+	}
+}
+
+// TestReplicaKeepsOneSnapshot: every bootstrap removes the snapshot
+// directory it replaces, a bootstrap that fails removes its own, and an
+// index obtained before a re-bootstrap keeps answering bit for bit after
+// its files are gone (its pages are mapped, or were read whole).
+func TestReplicaKeepsOneSnapshot(t *testing.T) {
+	tc := startCluster(t, 18, 2)
+	ctx := context.Background()
+	dir := t.TempDir()
+	snapshots := func() []string {
+		names, err := filepath.Glob(filepath.Join(dir, "snap-*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return names
+	}
+	rep := cluster.NewReplica(tc.servers[0].URL, dir, cluster.ReplicaOptions{})
+	if err := rep.Bootstrap(ctx); err != nil {
+		t.Fatal(err)
+	}
+	first := rep.Index()
+	var want [][]retrieval.Result
+	for _, q := range testQueries {
+		res, err := first.Search(ctx, q, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, res)
+	}
+	if err := rep.Bootstrap(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := snapshots(); len(got) != 1 || filepath.Base(got[0]) != "snap-2" || rep.Index() == first {
+		t.Fatalf("after two bootstraps the replica keeps %v", got)
+	}
+	runtime.GC()
+	for i, q := range testQueries {
+		got, err := first.Search(ctx, q, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResults(t, got, want[i], "first snapshot's index after its directory was removed: "+q)
+	}
+	// A primary that serves its manifest and then fails the segment file
+	// leaves a torn snap-3, were it not removed.
+	node := httpapi.NewHandler(tc.nodes[0], httpapi.Options{ReplicateDir: tc.dirs[0]})
+	torn := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasPrefix(r.URL.Query().Get("name"), "seg-") {
+			http.Error(w, "disk on fire", http.StatusInternalServerError)
+			return
+		}
+		node.ServeHTTP(w, r)
+	}))
+	defer torn.Close()
+	rep.SetPrimary(torn.URL)
+	if err := rep.Bootstrap(ctx); err == nil {
+		t.Fatal("bootstrap without the segment file succeeded")
+	}
+	if got := snapshots(); len(got) != 1 || filepath.Base(got[0]) != "snap-2" || rep.ReplicaStats().Snapshots != 3 {
+		t.Fatalf("after a failed third bootstrap the replica keeps %v", got)
 	}
 }

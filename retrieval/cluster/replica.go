@@ -92,8 +92,9 @@ type Replica struct {
 	client  *http.Client
 	clock   faultinject.Clock
 
-	cur   atomic.Pointer[retrieval.Index]
-	snaps atomic.Int64 // snapshot pulls performed (names the snap dirs)
+	cur     atomic.Pointer[retrieval.Index]
+	snaps   atomic.Int64           // snapshot pulls performed (names the snap dirs)
+	snapDir atomic.Pointer[string] // the directory cur was opened from
 
 	batches atomic.Int64
 	applied atomic.Int64
@@ -184,7 +185,9 @@ func (r *Replica) Bootstrap(ctx context.Context) error {
 // index. The previous index (if any) is left to the garbage collector
 // rather than closed: queries may still be draining on it, and a
 // snapshot opens with compaction disabled, so it holds no goroutines.
-func (r *Replica) pullSnapshot(ctx context.Context) error {
+// Its directory goes at once (mapped pages outlive the unlink, a streamed
+// file was read whole); a failed pull removes its own.
+func (r *Replica) pullSnapshot(ctx context.Context) (err error) {
 	manBytes, err := r.get(ctx, "/v1/replicate/manifest")
 	if err != nil {
 		return err
@@ -200,6 +203,11 @@ func (r *Replica) pullSnapshot(ctx context.Context) error {
 	if err := os.MkdirAll(snap, 0o777); err != nil {
 		return err
 	}
+	defer func() {
+		if err != nil {
+			os.RemoveAll(snap)
+		}
+	}()
 	for _, name := range append(man.Files(), "text.json") {
 		if err := r.pullFile(ctx, name, filepath.Join(snap, name), uint64(man.Generation)); err != nil {
 			return err
@@ -212,8 +220,10 @@ func (r *Replica) pullSnapshot(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("cluster: replica: opening snapshot: %w", err)
 	}
-	old := r.cur.Swap(ix)
-	_ = old // see the doc comment: never closed under draining queries
+	r.cur.Store(ix) // the old index: see the doc comment, never closed under draining queries
+	if prev := r.snapDir.Swap(&snap); prev != nil {
+		os.RemoveAll(*prev)
+	}
 	return nil
 }
 

@@ -36,6 +36,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/blob"
 	"repro/internal/metrics"
 	"repro/retrieval"
 )
@@ -170,6 +171,10 @@ func newObserver(reg *metrics.Registry, ret retrieval.Retriever) *observer {
 		func() float64 { return float64(ret.NumDocs()) })
 	reg.GaugeFunc("lsi_index_memory_bytes", "Estimated index heap footprint in bytes.",
 		func() float64 { return float64(ret.Stats().MemoryBytes) })
+	reg.GaugeFunc("lsi_index_mapped_bytes", "Bytes of index files served from read-only mappings (page cache, not heap); counted in lsi_index_memory_bytes too.",
+		func() float64 { return float64(ret.Stats().MappedBytes) })
+	reg.GaugeFunc("lsi_index_mappings", "Index-file mappings live in this process; above the served segment count, a replaced index has not been collected yet.",
+		func() float64 { return float64(blob.LiveMappings()) })
 
 	if cs, ok := ret.(CacheStatsReporter); ok {
 		if _, cached := cs.CacheStats(); cached {
@@ -257,6 +262,8 @@ func newObserver(reg *metrics.Registry, ret retrieval.Retriever) *observer {
 				live(func(s retrieval.LiveStats) float64 { return float64(s.Compactions) }))
 			reg.CounterFunc("lsi_index_compaction_failures_total", "Compaction passes that returned an error (the message is lastCompactionError in /v1/stats); the sealed segments keep serving and keep their debt.",
 				live(func(s retrieval.LiveStats) float64 { return float64(s.CompactionFailures) }))
+			reg.CounterFunc("lsi_index_sidecars_degraded_total", "Sidecar files (ann-*.ivf, quant-*.qnt) the open found missing or corrupt and treated as absent; the segment retrained the tier or serves by exact scan.",
+				live(func(s retrieval.LiveStats) float64 { return float64(s.SidecarsDegraded) }))
 			reg.GaugeFunc("lsi_index_compaction_debt", "Sealed segments waiting for the compactor (ingest is shed past the configured budget).",
 				live(func(s retrieval.LiveStats) float64 { return float64(s.CompactionDebt) }))
 			reg.GaugeFunc("lsi_index_compacting", "1 while a compaction pass is in flight.",

@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -93,6 +94,30 @@ func TestMetricsUncachedUnsharded(t *testing.T) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
+}
+
+// TestMappedIndexIsReported: an index opened from a file reports the
+// bytes it serves from the mapping — in /v1/stats beside memoryBytes and
+// as gauges — and a built one reports none.
+func TestMappedIndexIsReported(t *testing.T) {
+	ix, err := retrieval.Open("../testdata/index_v3.lsi")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped := ix.Stats().MappedBytes
+	if mapped == 0 {
+		t.Skip("index files are not mapped on this platform")
+	}
+	for h, want := range map[http.Handler]int64{NewHandler(ix, Options{}): mapped, demoHandler(t, Options{}): 0} {
+		if body := do(t, h, "GET", "/v1/stats", "").Body.String(); !strings.Contains(body, fmt.Sprintf(`"mappedBytes":%d,`, want)) {
+			t.Errorf("/v1/stats of an index mapping %d bytes: %s", want, body)
+		}
+		body := do(t, h, "GET", "/metrics", "").Body.String()
+		if !strings.Contains(body, fmt.Sprintf("lsi_index_mapped_bytes %d\n", want)) || !strings.Contains(body, "\nlsi_index_mappings ") || strings.Contains(body, "\nlsi_index_mappings 0\n") {
+			t.Errorf("/metrics of an index mapping %d bytes: %s", want, body)
+		}
+	}
+	runtime.KeepAlive(ix) // lsi_index_mappings counts the process: one is live while both scrapes run
 }
 
 // blockingRet is a Retriever whose Search blocks until released — the

@@ -44,6 +44,8 @@ type LiveStats struct {
 	// yet). See shard.Index.CompactionFailures.
 	CompactionFailures  int64
 	LastCompactionError string
+	// SidecarsDegraded: see shard.Index.SidecarsDegraded.
+	SidecarsDegraded int64
 	// PerShard is each shard's segment topology, indexed by shard
 	// number.
 	PerShard []shard.ShardStat
@@ -67,6 +69,7 @@ func (ix *Index) LiveStats() (LiveStats, bool) {
 		Compactions:         ix.sharded.Compactions(),
 		CompactionFailures:  failures,
 		LastCompactionError: lastErr,
+		SidecarsDegraded:    ix.sharded.SidecarsDegraded(),
 		PerShard:            ix.sharded.ShardStats(),
 	}, true
 }

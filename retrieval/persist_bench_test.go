@@ -1,6 +1,7 @@
 package retrieval
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"os"
@@ -71,29 +72,44 @@ func saveTo(tb testing.TB, ix *Index, path string) int64 {
 	return info.Size()
 }
 
-// Opening an index file allocates the index and little else: the arrays
-// are read straight into the slices the index keeps. The gob decoder
-// this replaced allocated seven times the file (a whole-message buffer,
-// regrown slices); a quarter on top of the payload leaves room for the
-// document norms, the vocabulary's map and the read window.
+// Opening an index file allocates little: from a path its arrays are
+// views of the mapped file, and a quarter of the file's size covers what
+// is left on the heap — document norms, the vocabulary and its map, the
+// document IDs, the read window. Loaded from a stream, the arrays are read
+// straight into the slices the index keeps, and the same quarter comes on
+// top of the payload. (The gob decoder this replaced allocated seven times
+// the file: a whole-message buffer, regrown slices.)
 func TestOpenAllocatesLittleMoreThanTheFile(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation sizes are not exact under the race detector")
 	}
 	path := filepath.Join(t.TempDir(), "index.lsi")
-	size := saveTo(t, syntheticLSI(t, 8000, 1000, 64), path)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	ix, err := Open(path)
-	runtime.ReadMemStats(&after)
+	size := uint64(saveTo(t, syntheticLSI(t, 8000, 1000, 64), path))
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(size)*5/4; got > limit {
-		t.Fatalf("Open allocated %d bytes for a %d-byte file, limit %d", got, size, limit)
+	limits := map[string]uint64{"mapped": size / 4, "streamed": size * 5 / 4}
+	if !mapsFiles(t) {
+		limits["mapped"] = limits["streamed"]
 	}
-	if ix.NumDocs() != 8000 {
-		t.Fatalf("opened %d documents", ix.NumDocs())
+	for arm, open := range map[string]func() (*Index, error){
+		"mapped":   func() (*Index, error) { return Open(path) },
+		"streamed": func() (*Index, error) { return Load(bytes.NewReader(data)) },
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ix, err := open()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > limits[arm] {
+			t.Errorf("%s: allocated %d bytes for a %d-byte file, limit %d", arm, got, size, limits[arm])
+		}
+		if ix.NumDocs() != 8000 {
+			t.Fatalf("%s: opened %d documents", arm, ix.NumDocs())
+		}
 	}
 }
 

@@ -110,6 +110,8 @@ type Stats struct {
 	// matrix for VSM, every segment for sharded indexes) plus the text
 	// layer (vocabulary and document ID strings).
 	MemoryBytes int64 `json:"memoryBytes"`
+	// MappedBytes is the part of MemoryBytes in read-only file mappings, not heap.
+	MappedBytes int64 `json:"mappedBytes"`
 
 	// Epoch is the index-wide mutation epoch of a sharded live index
 	// (advances after every published Add batch and compaction swap);

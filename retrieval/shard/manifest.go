@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
@@ -478,14 +479,8 @@ func Open(dir string, cfg Config) (*Index, error) {
 			}
 			// Decode the sidecars the manifest names and hand them over;
 			// WithTiers trains any the opening config asks for beyond them.
-			ann, err := readSidecar(dir, e.ANNFile, ivf.Decode)
-			if err != nil {
-				return nil, err
-			}
-			qm, err := readSidecar(dir, e.QuantFile, quant.Decode)
-			if err != nil {
-				return nil, err
-			}
+			ann := readSidecar(x, dir, e.ANNFile, ivf.Decode)
+			qm := readSidecar(x, dir, e.QuantFile, quant.Decode)
 			if seg, err = seg.WithTiers(x.tiers(s), ann, qm); err != nil {
 				return nil, fmt.Errorf("shard: open segment %s: %w", e.File, err)
 			}
@@ -507,18 +502,23 @@ func Open(dir string, cfg Config) (*Index, error) {
 }
 
 // readSidecar decodes the sidecar file a manifest segment names, or
-// returns nil when it names none.
-func readSidecar[T any](dir, name string, decode func([]byte) (*T, error)) (*T, error) {
+// returns nil when it names none. A sidecar is derived state: one that is
+// missing or does not decode is counted (SidecarsDegraded), logged and
+// treated as absent — WithTiers retrains it from the segment's vectors
+// when the config asks for the tier; otherwise the scan is exact.
+func readSidecar[T any](x *Index, dir, name string, decode func([]byte) (*T, error)) *T {
 	if name == "" {
-		return nil, nil
+		return nil
 	}
+	var v *T
 	data, err := os.ReadFile(filepath.Join(dir, name))
-	if err != nil {
-		return nil, fmt.Errorf("shard: open: %w", err)
+	if err == nil {
+		v, err = decode(data)
 	}
-	v, err := decode(data)
 	if err != nil {
-		return nil, fmt.Errorf("shard: open sidecar %s: %w", name, err)
+		x.sidecarsDegraded.Add(1)
+		slog.Warn("shard: open: unusable sidecar treated as absent", "file", name, "err", err)
+		return nil
 	}
-	return v, nil
+	return v
 }

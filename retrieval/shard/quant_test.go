@@ -368,3 +368,59 @@ func TestQuantComposesWithANN(t *testing.T) {
 	full, _ := x.SearchSparseOpts(terms, weights, 10, segment.ProbeOptions{NProbe: 99, Beta: 1000})
 	sameMatches(t, full, searchSparse(x, terms, weights, 10), "saturated compose")
 }
+
+// Sidecars are derived state: a checkpoint with one truncated and one
+// deleted opens anyway, counts both, serves the affected segments by exact
+// scan — a saturated-budget search is bitwise the exhaustive one — and
+// retrains them when the opening config asks for the tiers.
+func TestOpenSurvivesCorruptAndMissingSidecars(t *testing.T) {
+	a := testMatrix(t, 4, 10, 90, 513)
+	cfg := quantConfig(2)
+	cfg.ANNList = 6
+	x, err := Build(a, defaultIDs(90), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer x.Close()
+	dir := filepath.Join(t.TempDir(), "idx")
+	if err := x.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	torn := filepath.Join(dir, "ann-0-0-0.ivf")
+	data, err := os.ReadFile(torn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(torn, data[:len(data)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, "quant-0-1-0.qnt")); err != nil {
+		t.Fatal(err)
+	}
+	for name, tc := range map[string]struct {
+		cfg        Config
+		ann, quant int
+	}{
+		"as saved":  {Config{}, 1, 1},
+		"retrained": {Config{ANNList: 6, Quantize: true, TierMinDocs: 1}, 2, 2},
+	} {
+		y, err := Open(dir, tc.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		defer y.Close()
+		if got := y.SidecarsDegraded(); got != 2 {
+			t.Errorf("%s: %d sidecars counted as degraded, want 2", name, got)
+		}
+		if ann, qnt := annSegments(y), quantSegments(y); ann != tc.ann || qnt != tc.quant {
+			t.Errorf("%s: %d quantized and %d int8 segments, want %d and %d", name, ann, qnt, tc.ann, tc.quant)
+		}
+		for j := 0; j < 8; j++ {
+			terms, weights := sparseCol(a, j)
+			want := searchSparse(x, terms, weights, 10)
+			got, _ := y.SearchSparseOpts(terms, weights, 10, segment.ProbeOptions{NProbe: 99, Beta: 1000})
+			sameMatches(t, got, want, name+": saturated budgets")
+			sameMatches(t, searchSparse(y, terms, weights, 10), want, name+": exact scan")
+		}
+	}
+}

@@ -164,8 +164,9 @@ type Index struct {
 	// message: a segment that cannot be rebuilt stays sealed, so its debt
 	// never drains and the admission gate sheds ingest — this is the
 	// signal that says why.
-	compactFailures atomic.Int64
-	lastCompactErr  atomic.Pointer[string]
+	compactFailures  atomic.Int64
+	lastCompactErr   atomic.Pointer[string]
+	sidecarsDegraded atomic.Int64 // see SidecarsDegraded
 
 	// Observability counters (see DocsIngested / LastMutation): ingest
 	// volume and the wall-clock time of the last published mutation,
@@ -405,6 +406,8 @@ type Stats struct {
 	// MemoryBytes estimates the heap held by segment data and the
 	// external-ID table.
 	MemoryBytes int64 `json:"memoryBytes"`
+	// MappedBytes is the part of MemoryBytes served from mapped segment files.
+	MappedBytes int64 `json:"mappedBytes"`
 	// Tiers is the sidecar coverage of the segment set: how many segments
 	// and documents the IVF quantizers and int8 shadows serve.
 	segment.Tiers
@@ -443,6 +446,9 @@ func (x *Index) Stats() Stats {
 			st.Tiers.Add(seg)
 			b := seg.Ix.Basis()
 			st.MemoryBytes += seg.MemoryBytes(!seenBasis[b])
+			if !seenBasis[b] { // a mapping is shared along with the basis
+				st.MappedBytes += seg.Ix.MappedBytes()
+			}
 			seenBasis[b] = true
 		}
 	}
@@ -504,6 +510,10 @@ func (x *Index) CompactionFailures() (int64, string) {
 	}
 	return x.compactFailures.Load(), msg
 }
+
+// SidecarsDegraded counts the manifest-named sidecar files Open could not
+// decode and treated as absent (lsi_index_sidecars_degraded_total).
+func (x *Index) SidecarsDegraded() int64 { return x.sidecarsDegraded.Load() }
 
 // DocsIngested returns the total number of documents accepted through
 // Add/AddBatch since Build or Open (build-time documents are not

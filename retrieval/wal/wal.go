@@ -348,18 +348,3 @@ func ScanRecords(data []byte, fn func(payload []byte) error) (consumed int, err 
 	}
 	return off, nil
 }
-
-// ReadRecords collects every record payload in data (copied, not
-// aliased), tolerating a torn tail — the convenience form of
-// ScanRecords for tests and tools.
-func ReadRecords(data []byte) ([][]byte, error) {
-	var out [][]byte
-	_, err := ScanRecords(data, func(p []byte) error {
-		out = append(out, append([]byte(nil), p...))
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}

@@ -59,12 +59,13 @@ deps-check:
 # cluster router/replica (hedged fan-out, failover, breakers, the chaos
 # suite), the fault-injection harness, the metrics registry, the IVF
 # ANN quantizer and the int8 scoring shadow (both trained and probed
-# concurrently by the compactor and searches), the fidelity metrics,
-# the load generator, and the index-file container (mappings are released
+# concurrently by the compactor and searches), the one chunk-parallel
+# selection loop under every search route, the fidelity metrics, the
+# load generator, and the index-file container (mappings are released
 # by the garbage collector under running searches; -race also turns on
 # checkptr for its one unsafe view).
 race:
-	$(GO) test -race ./internal/blob ./internal/par ./internal/ir ./internal/corpus ./internal/sparse ./internal/mat ./internal/svd ./internal/randproj ./internal/topk ./internal/lsi ./internal/vsm ./internal/segment ./internal/ivf ./internal/quant ./internal/eval ./internal/metrics ./internal/faultinject ./retrieval ./retrieval/cache ./retrieval/shard ./retrieval/wal ./retrieval/cluster ./retrieval/httpapi ./cmd/lsiserve ./cmd/lsiload
+	$(GO) test -race ./internal/blob ./internal/par ./internal/ir ./internal/corpus ./internal/sparse ./internal/mat ./internal/svd ./internal/randproj ./internal/topk ./internal/scan ./internal/lsi ./internal/vsm ./internal/segment ./internal/ivf ./internal/quant ./internal/eval ./internal/metrics ./internal/faultinject ./retrieval ./retrieval/cache ./retrieval/shard ./retrieval/wal ./retrieval/cluster ./retrieval/httpapi ./cmd/lsiserve ./cmd/lsiload
 
 # Build the serving daemon, boot it on a free port, and curl the health
 # and search endpoints — fails on any non-200.

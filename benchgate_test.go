@@ -133,6 +133,15 @@ func TestBenchGateVerdicts(t *testing.T) {
 			wantIn:   "repro/internal/segment.BenchmarkCompactLedgerShape/docs=128-4",
 		},
 		{
+			// The composed IVF ∘ int8 route at the ledger's shape: its scan
+			// closures are gone, so any allocation coming back fails the gate.
+			name:     "allocation regrowth on a tier route fails",
+			base:     base + benchLines("repro/internal/segment", "BenchmarkSearchRoutes/composed", [3]int{190000, 170000, 210000}, 1),
+			head:     base + benchLines("repro/internal/segment", "BenchmarkSearchRoutes/composed", [3]int{185000, 175000, 200000}, 4),
+			wantExit: 1,
+			wantIn:   "FAIL (allocs/op 1 -> 4)",
+		},
+		{
 			// The orthonormalisation under every index build, +35 %.
 			name:     "seeded Build-kernel regression fails",
 			base:     base + qr([3]int{91000000, 93000000, 90000000}),

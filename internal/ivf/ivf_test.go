@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/mat"
 	"repro/internal/par"
+	"repro/internal/scan"
 	"repro/internal/topk"
 )
 
@@ -158,6 +159,44 @@ func TestFullProbeMatchesExhaustive(t *testing.T) {
 				if got[i].Doc != want[i].Doc || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
 					t.Fatalf("query %d nprobe=%d rank %d: got %+v, want %+v (must be bitwise equal)",
 						q, nprobe, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestAppendSearchIsProbeThenScore pins what the frozen AppendSearch is:
+// AppendProbeDocs, then the shared float scorer over that list — same
+// stats, same bits, at every probe budget; a budget of every cell (or
+// more) is the exhaustive scan.
+func TestAppendSearchIsProbeThenScore(t *testing.T) {
+	vecs, norms := clusteredVecs(t, 500, 9, 6, 0.3, 21)
+	x := trainT(t, vecs, norms, TrainOptions{NList: 10, Seed: 2})
+	rng := rand.New(rand.NewSource(22))
+	for q := 0; q < 10; q++ {
+		pq := make([]float64, 9)
+		for d := range pq {
+			pq[d] = rng.NormFloat64()
+		}
+		qn := mat.Norm(pq)
+		for _, nprobe := range []int{1, 3, 10, 11} {
+			for _, topN := range []int{0, 7} {
+				docs, probed := x.AppendProbeDocs(nil, pq, qn, nprobe)
+				want := scan.Float{Vecs: vecs, Norms: norms, PQ: pq, QN: qn, Src: scan.List(docs)}.AppendTop(nil, topN)
+				if nprobe >= x.NList() {
+					want = exhaustive(vecs, norms, pq, qn, topN)
+				}
+				got, stats := x.AppendSearch(nil, vecs, norms, pq, qn, topN, nprobe)
+				if stats != probed || stats.Docs != len(docs) {
+					t.Fatalf("nprobe=%d: AppendSearch stats %+v, AppendProbeDocs %+v over %d docs", nprobe, stats, probed, len(docs))
+				}
+				if len(got) != len(want) {
+					t.Fatalf("nprobe=%d topN=%d: %d matches, want %d", nprobe, topN, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("query %d nprobe=%d topN=%d rank %d: %+v, want %+v (bitwise)", q, nprobe, topN, i, got[i], want[i])
+					}
 				}
 			}
 		}

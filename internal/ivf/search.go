@@ -6,17 +6,17 @@ import (
 	"sync"
 
 	"repro/internal/mat"
-	"repro/internal/par"
+	"repro/internal/scan"
 	"repro/internal/topk"
 )
 
 // Cell-probe search: rank the cells by the cosine of the query against
 // their centroids, then score only the documents of the nprobe best
-// cells with the same fused DotNorm kernel as the exhaustive scan, and
-// select bounded top-k through internal/topk. Because per-document
-// scores are bitwise-identical to the exhaustive path and selection
-// under the strict (score desc, doc asc) total order is offer-order-
-// insensitive, probing all cells returns exactly the exhaustive result.
+// cells with the scorer and selection the exhaustive scan uses
+// (internal/scan). Per-document scores are therefore bitwise-identical
+// to the exhaustive path and selection under the strict (score desc,
+// doc asc) total order is offer-order-insensitive, so probing all cells
+// returns exactly the exhaustive result.
 
 // ProbeStats reports the work one cell-probe search performed; the
 // serving layer aggregates it into the /metrics probe counters.
@@ -29,13 +29,12 @@ type ProbeStats struct {
 	Docs int
 }
 
-// probeScratch pools the per-search selection state: the candidate heap
-// and the probed-cell buffers.
+// probeScratch pools the per-search probe state: the cell-ranking heap,
+// the probed cell ids, and AppendSearch's candidate list.
 type probeScratch struct {
-	heap  topk.Heap
 	cells topk.Heap
-	order []int // probed cell ids, ascending
-	offs  []int // flattened candidate offset of each probed cell
+	order []int   // probed cell ids, ascending
+	docs  []int32 // documents of the probed cells
 }
 
 var probePool = sync.Pool{New: func() any { return new(probeScratch) }}
@@ -56,12 +55,13 @@ func (x *Index) rankCells(sc *probeScratch, pq []float64, qn float64, nprobe int
 	sort.Ints(sc.order)
 }
 
-// AppendProbeDocs ranks cells exactly like AppendSearch but appends the
-// LOCAL document rows of the nprobe best cells to dst instead of scoring
-// them — the composition point with the quantized tier, which scans the
-// handed-over candidates on int8 codes and reranks in float. Rows are
-// appended cell by cell in ascending cell-id order; nprobe is clamped
-// the same way as AppendSearch, so nprobe <= 0 returns every document.
+// AppendProbeDocs appends to dst the LOCAL document rows of the nprobe
+// cells whose centroids best match the projected query pq (qn its norm):
+// the candidate list a search then scores in float (AppendSearch) or
+// hands to the quantized tier, which scans it on int8 codes and reranks
+// in float. Rows are appended cell by cell in ascending cell-id order;
+// nprobe <= 0 or beyond NList() probes every cell, so it returns every
+// document. A probe that lands only in empty cells returns no rows.
 func (x *Index) AppendProbeDocs(dst []int32, pq []float64, qn float64, nprobe int) ([]int32, ProbeStats) {
 	if len(pq) != x.dim {
 		panic(fmt.Sprintf("ivf: query dimension %d, index dimension %d", len(pq), x.dim))
@@ -83,78 +83,21 @@ func (x *Index) AppendProbeDocs(dst []int32, pq []float64, qn float64, nprobe in
 // AppendSearch scores the documents of the nprobe best-matching cells
 // against the projected query pq (with qn its precomputed norm, as the
 // exhaustive path computes it) and appends the topN best to dst under
-// the (score desc, doc asc) order. Doc fields are row indices into vecs,
+// the (score desc, doc asc) order: AppendProbeDocs, then the shared
+// float scorer over that list. Doc fields are row indices into vecs,
 // which must be the matrix the index was trained on, with its norms.
-// nprobe is clamped to [1, NList()]; nprobe <= 0 probes every cell,
-// which returns results bitwise-identical to the exhaustive scan.
-// topN <= 0 keeps every candidate.
+// Probing every cell returns results bitwise-identical to the exhaustive
+// scan. topN <= 0 keeps every candidate.
 func (x *Index) AppendSearch(dst []topk.Match, vecs *mat.Dense, norms []float64, pq []float64, qn float64, topN, nprobe int) ([]topk.Match, ProbeStats) {
 	if vecs.Rows() != len(x.docs) {
 		panic(fmt.Sprintf("ivf: index over %d documents, matrix has %d rows", len(x.docs), vecs.Rows()))
 	}
-	if len(pq) != x.dim {
-		panic(fmt.Sprintf("ivf: query dimension %d, index dimension %d", len(pq), x.dim))
-	}
-	if nprobe <= 0 || nprobe > x.nlist {
-		nprobe = x.nlist
-	}
-
 	sc := probePool.Get().(*probeScratch)
 	defer probePool.Put(sc)
-	x.rankCells(sc, pq, qn, nprobe)
-
-	// Flatten the probed cells into one candidate range [0, total) so
-	// the parallel scan chunks it with par's deterministic layout.
-	sc.offs = sc.offs[:0]
-	total := 0
-	for _, c := range sc.order {
-		sc.offs = append(sc.offs, total)
-		total += x.cellStart[c+1] - x.cellStart[c]
-	}
-	stats := ProbeStats{Cells: len(sc.order), Docs: total}
-	if total == 0 {
-		return dst, stats
-	}
-	keep := topN
-	if keep <= 0 || keep > total {
-		keep = total
-	}
-
-	scoreRange := func(h *topk.Heap, lo, hi int) {
-		ci := sort.Search(len(sc.offs), func(i int) bool { return sc.offs[i] > lo }) - 1
-		for f := lo; f < hi; {
-			c := sc.order[ci]
-			base := x.cellStart[c] - sc.offs[ci]
-			end := sc.offs[ci] + x.cellStart[c+1] - x.cellStart[c]
-			if end > hi {
-				end = hi
-			}
-			for ; f < end; f++ {
-				j := int(x.docs[base+f])
-				h.Offer(topk.Match{Doc: j, Score: mat.DotNorm(pq, vecs.Row(j), qn, norms[j])})
-			}
-			ci++
-		}
-	}
-
-	h := &sc.heap
-	h.Reset(keep)
-	grain := par.GrainFor(2*x.dim + 1)
-	if par.MaxProcs() == 1 || total <= grain {
-		scoreRange(h, 0, total)
-		return h.AppendSorted(dst), stats
-	}
-	partials := par.MapChunks(total, grain, func(lo, hi int) *probeScratch {
-		csc := probePool.Get().(*probeScratch)
-		csc.heap.Reset(keep)
-		scoreRange(&csc.heap, lo, hi)
-		return csc
-	})
-	for _, csc := range partials {
-		h.Merge(&csc.heap)
-		probePool.Put(csc)
-	}
-	return h.AppendSorted(dst), stats
+	var stats ProbeStats
+	sc.docs, stats = x.AppendProbeDocs(sc.docs[:0], pq, qn, nprobe)
+	f := scan.Float{Vecs: vecs, Norms: norms, PQ: pq, QN: qn, Src: scan.List(sc.docs)}
+	return f.AppendTop(dst, topN), stats
 }
 
 // Search is AppendSearch into a fresh slice.

@@ -3,34 +3,30 @@ package lsi
 import (
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 
 	"repro/internal/mat"
 	"repro/internal/par"
+	"repro/internal/scan"
 	"repro/internal/topk"
 )
 
 // Query hot path. Steady-state cost per query is O(nnz(q)·k) to fold in
-// a sparse query (O(n·k) for a dense one), O(m·k) to score — one fused
-// dot per document against the norms precomputed at build/load time —
-// and O(m·log topN) to select bounded results via a min-heap, instead of
-// the former O(m·5k) re-norming cosines plus an O(m·log m) full sort.
-// All scratch (projection vector, selection heap, chunk partials) comes
-// from a sync.Pool, so Search allocates only the returned slice and the
-// Append variants allocate nothing once the destination has capacity.
+// a sparse query (O(n·k) for a dense one) plus one pass of the shared
+// scan loop (internal/scan): O(m·k) to score — one fused dot per document
+// against the norms precomputed at build/load time — and O(m·log topN)
+// to select. The projection buffer and the selection heaps are pooled,
+// so Search allocates only the returned slice and the Append variants
+// allocate nothing once the destination has capacity.
 
 // Match is one retrieval result: a document and its cosine similarity to
 // the query in LSI space. It is the shared topk.Match selection type, so
 // bounded top-k machinery applies to it directly.
 type Match = topk.Match
 
-// scratch is the reusable per-query state. One instance serves a whole
-// serial query; the parallel scoring path additionally draws one per
-// chunk for the partial heaps.
+// scratch is the reusable per-query state: the folded query.
 type scratch struct {
 	proj []float64
-	heap topk.Heap
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -78,70 +74,15 @@ func (ix *Index) resultLen(topN int) int {
 
 // searchProjected scores every document against the projected query pq
 // and appends the topN best (all, if topN <= 0 or beyond the corpus) to
-// dst, best-first with ties broken by document ID. sc provides the
-// selection heap; the caller owns pq.
-func (ix *Index) searchProjected(sc *scratch, dst []Match, pq []float64, topN int) []Match {
+// dst, best-first with ties broken by document ID. The caller owns pq.
+func (ix *Index) searchProjected(dst []Match, pq []float64, topN int) []Match {
 	if len(pq) != ix.k {
 		panic(fmt.Sprintf("lsi: SearchProjected vector length %d, want %d", len(pq), ix.k))
 	}
 	defer runtime.KeepAlive(ix) // the rows may be views of ix.mapped
-	m := ix.docs.Rows()
-	qn := mat.Norm(pq)
-	grain := par.GrainFor(2*ix.k + 1)
-
-	if topN <= 0 || topN >= m {
-		// Full-results path: score every document into place, then sort.
-		// The scored slice is the result, so no selection bound applies.
-		// The serial case stays closure-free so it allocates nothing
-		// beyond the result storage.
-		start := len(dst)
-		dst = slices.Grow(dst, m)[:start+m]
-		out := dst[start:]
-		if par.MaxProcs() == 1 || m <= grain {
-			for j := 0; j < m; j++ {
-				out[j] = Match{Doc: j, Score: mat.DotNorm(pq, ix.docs.Row(j), qn, ix.norms[j])}
-			}
-		} else {
-			par.For(m, grain, func(lo, hi int) {
-				for j := lo; j < hi; j++ {
-					out[j] = Match{Doc: j, Score: mat.DotNorm(pq, ix.docs.Row(j), qn, ix.norms[j])}
-				}
-			})
-		}
-		topk.SortMatches(out)
-		return dst
-	}
-
-	if par.MaxProcs() == 1 || m <= grain {
-		// Serial bounded selection: one pooled heap, no allocation.
-		h := &sc.heap
-		h.Reset(topN)
-		for j := 0; j < m; j++ {
-			h.Offer(Match{Doc: j, Score: mat.DotNorm(pq, ix.docs.Row(j), qn, ix.norms[j])})
-		}
-		return h.AppendSorted(dst)
-	}
-
-	// Parallel bounded selection: each chunk keeps its own topN partial
-	// heap (pooled), merged in chunk order afterward. Selection under the
-	// strict (score, doc) total order is offer-order-insensitive, so the
-	// result is identical to the serial scan for any chunking or worker
-	// count.
-	partials := par.MapChunks(m, grain, func(lo, hi int) *scratch {
-		csc := scratchPool.Get().(*scratch)
-		csc.heap.Reset(topN)
-		for j := lo; j < hi; j++ {
-			csc.heap.Offer(Match{Doc: j, Score: mat.DotNorm(pq, ix.docs.Row(j), qn, ix.norms[j])})
-		}
-		return csc
-	})
-	h := &sc.heap
-	h.Reset(topN)
-	for _, csc := range partials {
-		h.Merge(&csc.heap)
-		scratchPool.Put(csc)
-	}
-	return h.AppendSorted(dst)
+	return scan.Float{
+		Vecs: ix.docs, Norms: ix.norms, PQ: pq, QN: mat.Norm(pq), Src: scan.Rows(ix.docs.Rows()),
+	}.AppendTop(dst, topN)
 }
 
 // SearchProjected ranks documents against an already-projected query and
@@ -149,18 +90,14 @@ func (ix *Index) searchProjected(sc *scratch, dst []Match, pq []float64, topN in
 // corpus), best-first with ties broken by document ID. Results are
 // identical for every par worker count.
 func (ix *Index) SearchProjected(pq []float64, topN int) []Match {
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
-	return ix.searchProjected(sc, make([]Match, 0, ix.resultLen(topN)), pq, topN)
+	return ix.searchProjected(make([]Match, 0, ix.resultLen(topN)), pq, topN)
 }
 
 // AppendSearchProjected is SearchProjected appending into dst: with a
 // destination of sufficient capacity the steady-state query path
 // allocates nothing.
 func (ix *Index) AppendSearchProjected(dst []Match, pq []float64, topN int) []Match {
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
-	return ix.searchProjected(sc, dst, pq, topN)
+	return ix.searchProjected(dst, pq, topN)
 }
 
 // Search projects the term-space query and returns the topN documents by
@@ -183,7 +120,7 @@ func (ix *Index) AppendSearch(dst []Match, query []float64, topN int) []Match {
 	defer scratchPool.Put(sc)
 	pq := sc.projBuf(ix.k)
 	mat.MulTVecInto(ix.uk, query, pq)
-	return ix.searchProjected(sc, dst, pq, topN)
+	return ix.searchProjected(dst, pq, topN)
 }
 
 // SearchSparse is Search for a query in sparse term/weight form: the
@@ -205,7 +142,7 @@ func (ix *Index) AppendSearchSparse(dst []Match, terms []int, weights []float64,
 	defer scratchPool.Put(sc)
 	pq := sc.projBuf(ix.k)
 	mat.MulTVecSparse(ix.uk, terms, weights, pq)
-	return ix.searchProjected(sc, dst, pq, topN)
+	return ix.searchProjected(dst, pq, topN)
 }
 
 // ProjectBatch folds a batch of term-space vectors into the LSI space,
@@ -244,24 +181,6 @@ func (ix *Index) SearchBatch(queries [][]float64, topN int) [][]Match {
 	par.For(len(queries), par.GrainFor(perQuery), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = ix.Search(queries[i], topN)
-		}
-	})
-	return out
-}
-
-// SearchBatchSparse runs SearchSparse for a batch of sparse queries
-// (terms[i]/weights[i] are query i), fanning whole queries across par
-// workers. Element i of the result is identical to
-// SearchSparse(terms[i], weights[i], topN).
-func (ix *Index) SearchBatchSparse(terms [][]int, weights [][]float64, topN int) [][]Match {
-	if len(terms) != len(weights) {
-		panic(fmt.Sprintf("lsi: SearchBatchSparse %d term slices but %d weight slices", len(terms), len(weights)))
-	}
-	out := make([][]Match, len(terms))
-	perQuery := (1 + ix.docs.Rows()) * ix.k // fold is nnz-bounded; scoring dominates
-	par.For(len(terms), par.GrainFor(perQuery), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = ix.SearchSparse(terms[i], weights[i], topN)
 		}
 	})
 	return out

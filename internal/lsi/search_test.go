@@ -69,38 +69,6 @@ func TestSearchSparseMatchesSearch(t *testing.T) {
 	}
 }
 
-func TestSearchBatchSparseMatchesSearchSparse(t *testing.T) {
-	withProcs(t, 4)
-	ix, queries := batchIndex(t)
-	terms := make([][]int, len(queries))
-	weights := make([][]float64, len(queries))
-	for i, q := range queries {
-		terms[i], weights[i] = sparsify(q)
-	}
-	got := ix.SearchBatchSparse(terms, weights, 5)
-	for i := range queries {
-		want := ix.SearchSparse(terms[i], weights[i], 5)
-		if len(got[i]) != len(want) {
-			t.Fatalf("query %d: %d matches, want %d", i, len(got[i]), len(want))
-		}
-		for j := range want {
-			if got[i][j] != want[j] {
-				t.Fatalf("query %d rank %d: batch %+v != serial %+v", i, j, got[i][j], want[j])
-			}
-		}
-	}
-}
-
-func TestSearchBatchSparseLengthPanic(t *testing.T) {
-	ix, _ := batchIndex(t)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected length panic")
-		}
-	}()
-	ix.SearchBatchSparse([][]int{{0}}, nil, 3)
-}
-
 func TestAppendSearchReusesBuffer(t *testing.T) {
 	c := testCorpus(t, 3, 10, 0.05, 40, 815)
 	a := corpus.TermDocMatrix(c, corpus.CountWeighting)

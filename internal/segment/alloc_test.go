@@ -1,6 +1,10 @@
 package segment
 
 import (
+	"encoding/binary"
+	"hash/crc32"
+	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/ivf"
@@ -144,5 +148,68 @@ func TestSearchRoutesRecordTheirWork(t *testing.T) {
 		QuantSearches: 1, QuantDocs: int64(st.QuantDocs), QuantReranks: int64(st.Reranked),
 	}) || st.ExactDocs != m {
 		t.Fatalf("counters %+v after stats %+v", tot, st)
+	}
+}
+
+// emptyCellQuantizer encodes a wire-valid two-cell quantizer over m
+// documents whose cell 0 holds every document and whose cell 1 is empty
+// with pq as its centroid, so one probe of pq lands in cell 1 alone.
+// ivf.Train can leave such a cell ("empty cells keep their previous
+// centroid") and ivf.Decode accepts it.
+func emptyCellQuantizer(pq []float64, m int) []byte {
+	buf := append([]byte("LSIIVF"), 1, 0) // magic, version 1
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(pq)))
+	buf = binary.LittleEndian.AppendUint32(buf, 2)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(m))
+	buf = binary.LittleEndian.AppendUint64(buf, 0) // seed
+	for _, sign := range []float64{-1, 1} {
+		for _, v := range pq {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(sign*v))
+		}
+	}
+	buf = binary.AppendUvarint(buf, uint64(m))
+	for j := 0; j < m; j++ {
+		buf = append(buf, 1) // ascending by one
+	}
+	buf = binary.AppendUvarint(buf, 0)
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+}
+
+// TestEmptyProbeScoresNothingOnEveryRoute: a probe that lands only in
+// empty cells has no candidates, so it returns nothing and scans nothing
+// on the ANN route and on the composed route alike, whether the pooled
+// candidate buffer has been used before (non-nil, empty) or not (nil,
+// which the int8 tier once read as "every document").
+func TestEmptyProbeScoresNothingOnEveryRoute(t *testing.T) {
+	seg, ix, query := tieredSegment(t)
+	q := query(3)
+	ann, err := ivf.Decode(emptyCellQuantizer(ix.ProjectSparse(q.Terms, q.Weights), seg.Len()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seg, err = seg.WithAnn(ann); err != nil {
+		t.Fatal(err)
+	}
+	segs := []*Segment{seg}
+	for _, tc := range []struct {
+		name string
+		opts ProbeOptions
+		want ProbeStats
+	}{
+		{"ann", ProbeOptions{NProbe: 1}, ProbeStats{Probed: 1, Cells: 1}},
+		{"composed", ProbeOptions{NProbe: 1, Beta: 2}, ProbeStats{Probed: 1, Cells: 1, QuantSegs: 1}},
+	} {
+		for _, scratch := range []string{"cold", "warm"} {
+			searchPool = sync.Pool{New: searchPool.New}
+			if scratch == "warm" {
+				if got, _ := Search(segs, q, 10, ProbeOptions{NProbe: 2, Beta: tc.opts.Beta}); len(got) != 10 {
+					t.Fatalf("%s: probing both cells returned %d results, want 10", tc.name, len(got))
+				}
+			}
+			got, st := Search(segs, q, 10, tc.opts)
+			if len(got) != 0 || st != tc.want {
+				t.Errorf("%s, %s scratch: %d results with stats %+v, want none with %+v", tc.name, scratch, len(got), st, tc.want)
+			}
+		}
 	}
 }

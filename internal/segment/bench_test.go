@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/ivf"
 	"repro/internal/lsi"
+	"repro/internal/quant"
 )
 
 // syntheticSegments splits numDocs random rank-k documents over nseg
@@ -47,6 +49,12 @@ func syntheticSegments(tb testing.TB, nseg, numDocs, terms, k int) []*Segment {
 	return segs
 }
 
+// The eight-term query the search benchmarks fold.
+var (
+	benchTerms   = []int{3, 40, 77, 150, 400, 900, 1200, 1500}
+	benchWeights = []float64{1, 1, 2, 1, 1, 1.5, 1, 1}
+)
+
 // BenchmarkSearchExactSegments is the exact route over the same 51,200
 // documents at rank 64 cut into 1..12 segments: the cost of a search
 // must not depend on how many segments hold the corpus. (It is what
@@ -54,14 +62,47 @@ func syntheticSegments(tb testing.TB, nseg, numDocs, terms, k int) []*Segment {
 // EXPERIMENTS.md "One search path".) SearchSparseOpts is the frozen
 // entry point, so the file runs unchanged against older trees.
 func BenchmarkSearchExactSegments(b *testing.B) {
-	terms := []int{3, 40, 77, 150, 400, 900, 1200, 1500}
-	weights := []float64{1, 1, 2, 1, 1, 1.5, 1, 1}
 	for _, nseg := range []int{1, 2, 3, 6, 12} {
 		segs := syntheticSegments(b, nseg, 51200, 1600, 64)
 		b.Run(fmt.Sprintf("segs=%d", nseg), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				SearchSparseOpts(segs, terms, weights, 10, ProbeOptions{})
+				SearchSparseOpts(segs, benchTerms, benchWeights, 10, ProbeOptions{})
+			}
+		})
+	}
+}
+
+// BenchmarkSearchRoutes is one segment of the ledger's shape (51,200
+// documents at rank 64) carrying both sidecars, searched down each of the
+// four routes at the ledger's budgets (64 cells, 4 probed, β = 16): the
+// bench gate's coverage of the ANN and composed routes, which no other
+// gated benchmark crosses. The documents are unclustered, so the
+// readings are costs, not recall. SearchSparseOpts is the frozen entry
+// point, so the file runs unchanged against older trees.
+func BenchmarkSearchRoutes(b *testing.B) {
+	seg := syntheticSegments(b, 1, 51200, 1600, 64)[0]
+	ann, err := ivf.Train(seg.Ix.DocVectors(), seg.Ix.Norms(), ivf.TrainOptions{NList: 64, Seed: 1, Iters: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if seg, err = seg.WithTiers(TierConfig{}, ann, quant.Quantize(seg.Ix.DocVectors())); err != nil {
+		b.Fatal(err)
+	}
+	segs := []*Segment{seg}
+	for _, route := range []struct {
+		name string
+		opts ProbeOptions
+	}{
+		{"exact", ProbeOptions{}},
+		{"ann", ProbeOptions{NProbe: 4}},
+		{"quant", ProbeOptions{Beta: 16}},
+		{"composed", ProbeOptions{NProbe: 4, Beta: 16}},
+	} {
+		b.Run(route.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				SearchSparseOpts(segs, benchTerms, benchWeights, 10, route.opts)
 			}
 		})
 	}

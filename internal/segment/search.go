@@ -8,8 +8,8 @@ import (
 	"repro/internal/ivf"
 	"repro/internal/lsi"
 	"repro/internal/mat"
-	"repro/internal/par"
 	"repro/internal/quant"
+	"repro/internal/scan"
 	"repro/internal/topk"
 )
 
@@ -49,9 +49,9 @@ type ProbeOptions struct {
 }
 
 // searchScratch pools the per-query state: the folded query (one window
-// of proj per segment), the per-segment candidate buffers, the merge
-// heap and the list of segments left to the exact scan, so a warm Search
-// allocates only the slice it returns.
+// of proj per segment), the probed candidate list, the per-route result
+// buffer, the merge heap and the list of segments left to the exact
+// scan, so a warm Search allocates only the slice it returns.
 type searchScratch struct {
 	proj  []float64
 	docs  []int32
@@ -61,12 +61,11 @@ type searchScratch struct {
 }
 
 // exactSeg is a segment no tier serves for this query: documents
-// [off, off+s.Len()) of the flattened range the exact scan walks.
+// [off, off+f.Src.Len()) of the flattened range the exact scan walks,
+// scored by f under their global numbers.
 type exactSeg struct {
-	s    *Segment
-	proj []float64 // Uₖ(s)ᵀ·q
-	qn   float64   // ‖proj‖
-	off  int
+	f   scan.Float
+	off int
 }
 
 var searchPool = sync.Pool{New: func() any { return new(searchScratch) }}
@@ -78,18 +77,18 @@ var searchPool = sync.Pool{New: func() any { return new(searchScratch) }}
 // queries, default and per-request budgets all arrive here.
 //
 // Per segment the query is folded into the segment's basis and the
-// options pick the cheapest configured route: IVF cell-probe feeding
-// the int8 scan (both sidecars), cell-probe scoring in float (Ann only,
-// or Beta off), full int8 scan with exact rerank (Quant only, or NProbe
-// off), or the exhaustive float scan (no sidecars, or both knobs off).
-// A tier route yields the segment's own top candidates in local rows,
-// renumbered through Global; the exact segments are scanned together as
-// one flattened range (scanExact). Everything merges in one bounded
+// options pick a candidate source and a scorer, each the cheapest
+// configured: the documents of the probed IVF cells (Ann and NProbe) or
+// every row; the int8 scan with exact rerank (Quant and Beta) or the
+// float scorer directly. A segment with a tier on either axis yields
+// its own top candidates in local rows, renumbered through Global; the
+// segments left with every row in float are scanned together as one
+// flattened range (searchScratch.Scan). Everything merges in one bounded
 // heap under the strict (score desc, global doc asc) order, so results
 // are identical for every worker count and every segment layout that
 // holds the same documents in the same latent representations. The
 // approximate tiers only narrow CANDIDATE SELECTION — every returned
-// score is an exact float64 cosine from the same DotNorm pipeline — so
+// score is an exact float64 cosine from the one scan.Float scorer — so
 // probing every cell with the int8 tier off is bitwise the exhaustive
 // scan, and one segment with an identity Global is bitwise
 // segs[0].Ix.SearchSparse.
@@ -123,34 +122,31 @@ func Search(segs []*Segment, q Query, topN int, opts ProbeOptions) ([]topk.Match
 		proj := sc.proj[at : at+s.Ix.K()]
 		at += len(proj)
 		q.foldInto(s.Ix, proj)
-		qn := mat.Norm(proj)
-		vecs, norms := s.Ix.DocVectors(), s.Ix.Norms()
+		f := scan.Float{Vecs: s.Ix.DocVectors(), Norms: s.Ix.Norms(), PQ: proj, QN: mat.Norm(proj), Src: scan.Rows(s.Len())}
 		viaAnn := s.Ann != nil && opts.NProbe > 0
 		viaQuant := s.Quant != nil && opts.Beta > 0
-		var ps ivf.ProbeStats
-		var qs quant.ScanStats
-		switch {
-		case viaAnn && viaQuant:
-			sc.docs, ps = s.Ann.AppendProbeDocs(sc.docs[:0], proj, qn, opts.NProbe)
-			sc.buf, qs = s.Quant.AppendSearchDocs(sc.buf[:0], sc.docs, vecs, norms, proj, qn, keep, opts.Beta)
-		case viaAnn:
-			sc.buf, ps = s.Ann.AppendSearch(sc.buf[:0], vecs, norms, proj, qn, keep, opts.NProbe)
-		case viaQuant:
-			sc.buf, qs = s.Quant.AppendSearch(sc.buf[:0], vecs, norms, proj, qn, keep, opts.Beta)
-		default:
-			sc.exact = append(sc.exact, exactSeg{s: s, proj: proj, qn: qn, off: st.ExactDocs})
+		if !viaAnn && !viaQuant {
+			f.IDs = s.Global
+			sc.exact = append(sc.exact, exactSeg{f: f, off: st.ExactDocs})
 			st.ExactDocs += s.Len()
 			continue
 		}
 		if viaAnn {
+			var ps ivf.ProbeStats
+			sc.docs, ps = s.Ann.AppendProbeDocs(sc.docs[:0], proj, f.QN, opts.NProbe)
+			f.Src = scan.List(sc.docs)
 			st.Probed++
 			st.Cells += ps.Cells
 			st.Docs += ps.Docs
 		}
 		if viaQuant {
+			var qs quant.ScanStats
+			sc.buf, qs = s.Quant.AppendRerank(sc.buf[:0], f, keep, opts.Beta)
 			st.QuantSegs++
 			st.QuantDocs += qs.Scanned
 			st.Reranked += qs.Reranked
+		} else {
+			sc.buf = f.AppendTop(sc.buf[:0], keep)
 		}
 		for _, m := range sc.buf {
 			// Global is ascending, so the remap is monotone: the strict
@@ -160,51 +156,29 @@ func Search(segs []*Segment, q Query, topN int, opts ProbeOptions) ([]topk.Match
 		}
 	}
 	if len(sc.exact) > 0 {
-		sc.scanExact(h, keep, st.ExactDocs)
+		// One fan-out a query over the flattened exact segments, however
+		// many it crosses (a fan-out per segment measured +10 % at three
+		// segments, +65 % at twelve; EXPERIMENTS.md "One search path").
+		grain := sc.exact[0].f.Grain()
+		for _, e := range sc.exact[1:] {
+			grain = min(grain, e.f.Grain()) // the widest basis sets the chunk size
+		}
+		scan.Select(h, st.ExactDocs, keep, grain, sc)
 		clear(sc.exact) // a pooled scratch must not pin retired segments
 	}
 	return h.AppendSorted(make([]topk.Match, 0, keep)), st
 }
 
-// scanExact offers every document of the exact segments to h. The
-// segments are flattened into one range [0, total) and chunked once with
-// par's deterministic layout — one fan-out a query, however many
-// segments it crosses (a fan-out per segment measured +10 % at three
-// segments, +65 % at twelve; EXPERIMENTS.md "One search path") — with
-// one bounded heap per chunk, merged in chunk order.
-func (sc *searchScratch) scanExact(h *topk.Heap, keep, total int) {
-	maxK := 0
-	for _, e := range sc.exact {
-		maxK = max(maxK, len(e.proj))
-	}
-	grain := par.GrainFor(2*maxK + 1)
-	if par.MaxProcs() == 1 || total <= grain {
-		sc.scoreRange(h, 0, total)
-		return
-	}
-	partials := par.MapChunks(total, grain, func(lo, hi int) *searchScratch {
-		csc := searchPool.Get().(*searchScratch)
-		csc.heap.Reset(keep)
-		sc.scoreRange(&csc.heap, lo, hi)
-		return csc
-	})
-	for _, csc := range partials {
-		h.Merge(&csc.heap)
-		searchPool.Put(csc)
-	}
-}
-
-// scoreRange offers every flattened document in [lo, hi) to h, walking
-// segment boundaries as it crosses them.
-func (sc *searchScratch) scoreRange(h *topk.Heap, lo, hi int) {
+// Scan implements scan.Scanner over the flattened exact segments: it
+// offers documents [lo, hi) of that range to h, handing each segment's
+// piece to the segment's float scorer as it crosses the boundaries.
+func (sc *searchScratch) Scan(h *topk.Heap, lo, hi int) {
 	i := sort.Search(len(sc.exact), func(i int) bool { return sc.exact[i].off > lo }) - 1
-	for f := lo; f < hi; i++ {
+	for ; lo < hi; i++ {
 		e := sc.exact[i]
-		vecs, norms, global := e.s.Ix.DocVectors(), e.s.Ix.Norms(), e.s.Global
-		end := min(e.off+e.s.Len(), hi)
-		for j := f - e.off; f < end; f, j = f+1, j+1 {
-			h.Offer(topk.Match{Doc: global[j], Score: mat.DotNorm(e.proj, vecs.Row(j), e.qn, norms[j])})
-		}
+		end := min(e.off+e.f.Src.Len(), hi)
+		e.f.Scan(h, lo-e.off, end-e.off)
+		lo = end
 	}
 }
 

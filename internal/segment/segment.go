@@ -25,14 +25,16 @@
 // Search treats a set of segments — across all lifecycle states and all
 // shards, or the single frozen segment of an unsharded index — as one
 // corpus, and is the repository's one search path (DESIGN.md "The search
-// path"): per segment, fold the query and take the cheapest configured
-// route {exact | ivf | int8 | ivf∘int8} — tier routes renumber their
-// candidates through Global, the exact segments are scanned together as
-// one flattened range — and merge everything in one bounded heap under
-// the strict (score desc, global doc asc) total order, so results are
-// deterministic for any segment layout and any worker count. ProbeStats is the record of what one
-// search did, Counters its lifetime accumulator, Tiers and MemoryBytes
-// the static side: what a segment set carries and what it costs.
+// path"): per segment, fold the query and pick the cheapest configured
+// candidate source {every row | probed IVF cells} and scorer {float |
+// int8 + float rerank}, both run by the one scan loop of internal/scan —
+// tiered segments renumber their candidates through Global, the others
+// are scanned together as one flattened range — and merge everything in
+// one bounded heap under the strict (score desc, global doc asc) total
+// order, so results are deterministic for any segment layout and any
+// worker count. ProbeStats is the record of what one search did,
+// Counters its lifetime accumulator, Tiers and MemoryBytes the static
+// side: what a segment set carries and what it costs.
 package segment
 
 import (

@@ -101,28 +101,6 @@ func (m *CSR) MulDenseInto(dst, b *mat.Dense) {
 	})
 }
 
-// ParOp wraps a CSR matrix as a linear operator (svd.Op shaped: Dims,
-// MulVec, MulTVec) whose products run on the parallel kernels. Hand it to
-// the Lanczos engine to parallelize its inner matvec loop (the randomized
-// engine takes a BlockOp); note the MulTVec side is deterministic per
-// fixed par.MaxProcs but not bitwise-equal to the serial operator, so
-// golden-value tests should keep using the CSR directly.
-type ParOp struct {
-	M *CSR
-}
-
-// Par returns the matrix as a parallel linear operator.
-func (m *CSR) Par() ParOp { return ParOp{M: m} }
-
-// Dims returns (rows, cols).
-func (o ParOp) Dims() (int, int) { return o.M.Dims() }
-
-// MulVec returns A·x via the row-blocked parallel kernel.
-func (o ParOp) MulVec(x []float64) []float64 { return o.M.MulVecParallel(x) }
-
-// MulTVec returns Aᵀ·x via the chunked-reduction parallel kernel.
-func (o ParOp) MulTVec(x []float64) []float64 { return o.M.MulTVecParallel(x) }
-
 // BlockOp is a CSR matrix as a block operator (svd.BlockOp shaped: Dims,
 // MulDenseInto, TMulDenseInto) for the randomized SVD engine. Both
 // products run on CSR.MulDenseInto — Aᵀ·B over a transpose materialised

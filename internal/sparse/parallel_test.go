@@ -184,26 +184,3 @@ func TestParallelDimensionPanics(t *testing.T) {
 		}()
 	}
 }
-
-func TestParOpMatchesKernels(t *testing.T) {
-	withProcs(t, 4)
-	m := parCSR(t, 2000, 500, 0.04, 39)
-	op := m.Par()
-	if r, c := op.Dims(); r != 2000 || c != 500 {
-		t.Fatalf("ParOp dims %dx%d", r, c)
-	}
-	x := make([]float64, 500)
-	y := make([]float64, 2000)
-	for i := range x {
-		x[i] = float64(i%5) - 2
-	}
-	for i := range y {
-		y[i] = float64(i%3) - 1
-	}
-	if d := maxAbsDiff(op.MulVec(x), m.MulVecParallel(x)); d != 0 {
-		t.Fatalf("ParOp.MulVec differs by %g", d)
-	}
-	if d := maxAbsDiff(op.MulTVec(y), m.MulTVecParallel(y)); d != 0 {
-		t.Fatalf("ParOp.MulTVec differs by %g", d)
-	}
-}

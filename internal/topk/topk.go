@@ -54,15 +54,16 @@ func SortMatches(ms []Match) {
 // candidate loses to the current worst) and O(log k) otherwise.
 //
 // The zero value is unusable; call Reset first. Heaps are not safe for
-// concurrent use — the parallel scoring paths keep one per chunk.
+// concurrent use — the parallel scoring path (scan.Select) keeps one
+// per chunk.
 type Heap struct {
 	k     int
 	items []Match
 }
 
 // Reset prepares the heap to select the k best of a new candidate
-// stream, retaining the backing storage. It panics if k < 1 (callers
-// handle the "return everything" case with SortMatches instead).
+// stream, retaining the backing storage. It panics if k < 1 (a caller
+// asked for everything passes the candidate count).
 func (h *Heap) Reset(k int) {
 	if k < 1 {
 		panic("topk: Reset k < 1")

@@ -51,7 +51,8 @@ TIME="0.3s"
 # under it (Axpy, CholeskyQR) and the text → matrix front end before it,
 # the index file's save and open (every boot, reload and checkpoint), and
 # the segment layer (compaction at the ledger's shape, the exact scan
-# across segment counts).
+# across segment counts, and BenchmarkSearchRoutes: one search down each
+# of the exact, ANN, int8 and composed routes).
 PKGS=". ./internal/vsm ./internal/lsi ./internal/quant ./internal/mat ./internal/ir ./internal/corpus ./internal/svd ./internal/segment ./retrieval"
 
 while getopts "r:a:b:t:o:B:c:T:" opt; do

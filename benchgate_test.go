@@ -18,12 +18,38 @@ import (
 // benchLines fabricates a 3-run `go test -bench` output for one
 // benchmark in one package.
 func benchLines(pkg, name string, ns [3]int, allocs int) string {
+	return benchRuns(pkg, name, ns, [3]int{allocs, allocs, allocs})
+}
+
+// benchRuns is benchLines with an allocation count per run.
+func benchRuns(pkg, name string, ns, allocs [3]int) string {
 	var b strings.Builder
 	b.WriteString("pkg: " + pkg + "\n")
-	for _, n := range ns {
-		b.WriteString(name + "-4 \t 100000\t ")
-		b.WriteString(strings.TrimSpace(strings.Join([]string{itoa(n), "ns/op\t 48 B/op\t", itoa(allocs), "allocs/op"}, " ")))
-		b.WriteString("\n")
+	for i, n := range ns {
+		b.WriteString(benchLine(name, n, allocs[i]))
+	}
+	return b.String()
+}
+
+func benchLine(name string, ns, allocs int) string {
+	return name + "-4 \t 100000\t " + strings.Join([]string{itoa(ns), "ns/op\t 48 B/op\t", itoa(allocs), "allocs/op"}, " ") + "\n"
+}
+
+// gateRow is one benchmark's three runs.
+type gateRow struct {
+	pkg, name string
+	ns        [3]int
+}
+
+// interleaved fabricates what run mode writes for one side: three runs,
+// each a block per package in turn (a `pkg:` header and one line), so a
+// benchmark's runs are spread over three blocks.
+func interleaved(rows ...gateRow) string {
+	var b strings.Builder
+	for run := 0; run < 3; run++ {
+		for _, r := range rows {
+			b.WriteString("pkg: " + r.pkg + "\n" + benchLine(r.name, r.ns[run], 1))
+		}
 	}
 	return b.String()
 }
@@ -148,6 +174,35 @@ func TestBenchGateVerdicts(t *testing.T) {
 			head:     base + qr([3]int{123000000, 125000000, 121000000}),
 			wantExit: 1,
 			wantIn:   "FAIL (ns/op +35.",
+		},
+		{
+			// Allocations compare by minimum: a worker pool's count that reads
+			// 310–312 on either side (the median would read 310 -> 311) passes.
+			name:     "allocs/op that drift run to run compare by their minimum",
+			base:     base + benchRuns("repro/internal/svd", "BenchmarkRandomizedK50Parallel", [3]int{9e6, 9e6, 9e6}, [3]int{310, 310, 312}),
+			head:     base + benchRuns("repro/internal/svd", "BenchmarkRandomizedK50Parallel", [3]int{9e6, 9e6, 9e6}, [3]int{311, 311, 310}),
+			wantExit: 0,
+			wantIn:   "bench_gate: PASS",
+		},
+		{
+			// Run mode writes each run as a block per package; a benchmark's
+			// runs pool across the blocks, so a regression in every run fails.
+			name: "interleaved per-run blocks pool into one median",
+			base: interleaved(gateRow{"repro", "BenchmarkQueryLatency", [3]int{11000, 11200, 10900}},
+				gateRow{"repro/internal/vsm", "BenchmarkSearchShortQuery", [3]int{1500, 1520, 1480}}),
+			head: interleaved(gateRow{"repro", "BenchmarkQueryLatency", [3]int{11100, 11000, 10800}},
+				gateRow{"repro/internal/vsm", "BenchmarkSearchShortQuery", [3]int{2000, 1990, 2010}}),
+			wantExit: 1,
+			wantIn:   "FAIL (ns/op +33.",
+		},
+		{
+			// The one document scorer under every exact scan and rerank, at
+			// the ledger's rank, +30 %.
+			name:     "seeded DotNorm32 regression fails",
+			base:     base + benchLines("repro/internal/mat", "BenchmarkDotNorm32/k=64", [3]int{1200000, 1210000, 1190000}, 0),
+			head:     base + benchLines("repro/internal/mat", "BenchmarkDotNorm32/k=64", [3]int{1560000, 1570000, 1550000}, 0),
+			wantExit: 1,
+			wantIn:   "FAIL (ns/op +30.",
 		},
 	}
 	for _, tc := range cases {

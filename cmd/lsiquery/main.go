@@ -14,7 +14,7 @@
 // Each file is one document. With no files, a small built-in demo corpus
 // (cars/space/cooking themes with synonym variation) is indexed. Without
 // -q, queries are read line by line from stdin. Indexes written by
-// -save-index are self-contained (wire format v3: vocabulary, weighting,
+// -save-index are self-contained (wire format v4: vocabulary, weighting,
 // document IDs) and can be served directly by `lsiserve -index`.
 //
 // -ann-nlist trains an IVF ANN tier over the LSI space (see

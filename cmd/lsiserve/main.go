@@ -56,7 +56,7 @@
 //
 // -quant-beta B enables the quantized scoring tier (see
 // retrieval.WithQuantized): searches scan an int8 shadow of the document
-// matrix (~8x smaller, memory-bandwidth-optimal) and exact-rerank the
+// matrix (~4x smaller, memory-bandwidth-optimal) and exact-rerank the
 // topN*B best candidates, so every served score is still a true float64
 // cosine. Also a runtime knob: prebuilt -index loads reuse persisted
 // quant-*.qnt sidecars or rebuild the shadow in place. The "nprobe":0

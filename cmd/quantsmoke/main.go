@@ -72,7 +72,7 @@ type Summary struct {
 	// evidence the scan ran two-stage, next to Docs.
 	RerankedPerQuery float64 `json:"reranked_per_query"`
 	// QuantBytes and FloatBytes compare the int8 shadow's footprint to
-	// the float64 document matrix it shadows (the ~8x memory story).
+	// the float32 document matrix it shadows (the ~4x memory story).
 	QuantBytes int64 `json:"quant_bytes"`
 	FloatBytes int64 `json:"float_bytes"`
 }
@@ -208,7 +208,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		Speedup:          exNs / qNs,
 		RerankedPerQuery: float64(after.DocsReranked-before.DocsReranked) / float64(len(queries)),
 		QuantBytes:       after.Bytes,
-		FloatBytes:       int64(len(docs)) * int64(*rank) * 8,
+		FloatBytes:       int64(len(docs)) * int64(*rank) * 4,
 	}
 	fmt.Fprintf(stderr, "quantsmoke: overlap@%d=%.4f speedup=%.2fx (%.0f reranked per query; shadow %dB vs float %dB)\n",
 		s.TopN, s.Overlap, s.Speedup, s.RerankedPerQuery, s.QuantBytes, s.FloatBytes)

@@ -87,23 +87,37 @@ func (w *Writer) Bytes(tag string, p []byte) {
 	w.end(w.write(w.begin(tag, len(p)), p), len(p))
 }
 
-// Floats writes v as one section of raw float64, converting in the
-// bufio.Writer's own buffer.
-func (w *Writer) Floats(tag string, v []float64) {
-	crc := w.begin(tag, 8*len(v))
-	for len(v) > 0 && w.err == nil {
+// Floats writes v as one section of raw float64.
+func (w *Writer) Floats(tag string, v []float64) { writeFloats(w, tag, v) }
+
+// Float32s writes v as one section of raw float32.
+func (w *Writer) Float32s(tag string, v []float32) { writeFloats(w, tag, v) }
+
+// writeFloats writes v as one section, copying its bytes into the
+// bufio.Writer's own buffer and putting them in little-endian order there.
+func writeFloats[F float32 | float64](w *Writer, tag string, v []F) {
+	size := int(unsafe.Sizeof(F(0)))
+	raw := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), size*len(v))
+	crc, n := w.begin(tag, len(raw)), len(raw)
+	for len(raw) > 0 && w.err == nil {
 		buf := w.bw.AvailableBuffer()
-		if cap(buf) < 8 {
+		if cap(buf) < size {
 			w.err = w.bw.Flush()
 			continue
 		}
-		n := min(len(v), cap(buf)/8)
-		for _, x := range v[:n] {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
-		}
-		crc, v = w.write(crc, buf), v[n:]
+		fit := min(len(raw), cap(buf)/size*size)
+		crc, raw = w.write(crc, littleEndian(append(buf, raw[:fit]...), size)), raw[fit:]
 	}
-	w.end(crc, 0)
+	w.end(crc, n)
+}
+
+// littleEndian swaps b, values of size bytes, between native and
+// little-endian byte order in place (nothing to do on a little-endian CPU).
+func littleEndian(b []byte, size int) []byte {
+	for i := 0; !nativeLittleEndian && i < len(b); i += size {
+		slices.Reverse(b[i : i+size])
+	}
+	return b
 }
 
 // Close flushes the container and reports the first error of any call.
@@ -281,31 +295,40 @@ func (r *Reader) Bytes(tag string, n int) []byte {
 }
 
 // Floats reads the next section, tagged tag, of n float64 (any number if
-// n < 0), converting from the window straight into the returned slice; the
-// mapped arm returns the payload itself once length and checksum have held.
-func (r *Reader) Floats(tag string, n int) []float64 {
-	var dst []float64
+// n < 0); see readFloats.
+func (r *Reader) Floats(tag string, n int) []float64 { return readFloats[float64](r, tag, n) }
+
+// Float32s reads the next section, tagged tag, of n float32 (any number if
+// n < 0); see readFloats.
+func (r *Reader) Float32s(tag string, n int) []float32 { return readFloats[float32](r, tag, n) }
+
+// readFloats reads a float section, copying from the window into the
+// returned slice and putting each value in native byte order there; the
+// mapped arm returns the payload itself once length and checksum have
+// held, if the machine and alignment allow.
+func readFloats[F float32 | float64](r *Reader, tag string, n int) []F {
+	size := int(unsafe.Sizeof(F(0)))
+	var dst []F
 	var view []byte
-	r.section(tag, n, 8,
+	r.section(tag, n, size,
 		func(trusted int) {
-			if trusted > 0 && r.mem != nil && nativeLittleEndian && uintptr(unsafe.Pointer(&r.mem[0]))%8 == 0 {
-				view = r.mem[:8*trusted]
+			if trusted > 0 && r.mem != nil && nativeLittleEndian && uintptr(unsafe.Pointer(&r.mem[0]))%uintptr(size) == 0 {
+				view = r.mem[:size*trusted]
 			} else {
-				dst = make([]float64, 0, trusted)
+				dst = make([]F, 0, trusted)
 			}
 		},
 		func(b []byte) {
-			if view != nil {
+			if view != nil || len(b) == 0 { // a view, or a read that failed
 				return
 			}
 			i := len(dst)
-			dst = slices.Grow(dst, len(b)/8)[:i+len(b)/8]
-			for j := range dst[i:] {
-				dst[i+j] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*j:]))
-			}
+			dst = slices.Grow(dst, len(b)/size)[:i+len(b)/size]
+			raw := unsafe.Slice((*byte)(unsafe.Pointer(&dst[i])), len(b))
+			littleEndian(raw[:copy(raw, b)], size)
 		})
 	if view != nil && r.err == nil {
-		return unsafe.Slice((*float64)(unsafe.Pointer(&view[0])), len(view)/8)
+		return unsafe.Slice((*F)(unsafe.Pointer(&view[0])), len(view)/size)
 	}
 	return dst
 }

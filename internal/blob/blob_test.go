@@ -22,15 +22,19 @@ type section struct {
 	tag    string
 	bytes  []byte
 	floats []float64
+	f32    []float32
 }
 
 func encode(version uint16, secs []section) []byte {
 	var buf bytes.Buffer
 	w := NewWriter(&buf, testMagic, version, uint32(len(secs)))
 	for _, s := range secs {
-		if s.floats != nil {
+		switch {
+		case s.floats != nil:
 			w.Floats(s.tag, s.floats)
-		} else {
+		case s.f32 != nil:
+			w.Float32s(s.tag, s.f32)
+		default:
 			w.Bytes(s.tag, s.bytes)
 		}
 	}
@@ -48,6 +52,16 @@ func ramp(n int) []float64 {
 		v[i] = float64(i)*1.0000001 - 3
 	}
 	copy(v, []float64{math.Copysign(0, -1), math.SmallestNonzeroFloat64, math.MaxFloat64, math.Inf(-1)})
+	return v
+}
+
+// ramp32 is ramp narrowed: n float32, among them the same edge cases.
+func ramp32(n int) []float32 {
+	v := make([]float32, n)
+	for i, x := range ramp(n) {
+		v[i] = float32(x)
+	}
+	v[1] = math.SmallestNonzeroFloat32
 	return v
 }
 
@@ -72,7 +86,7 @@ func onDisk(t testing.TB, data []byte) *os.File {
 }
 
 // within reports whether the first element of v lies inside b.
-func within(v []float64, b []byte) bool {
+func within[F float32 | float64](v []F, b []byte) bool {
 	if len(v) == 0 || len(b) == 0 {
 		return false
 	}
@@ -92,9 +106,11 @@ func TestRoundTrip(t *testing.T) {
 		{tag: "BIGF", floats: ramp(3*Window/8 + 5)},
 		{tag: "TAIL", bytes: bytes.Repeat([]byte{7}, Window+1)},
 		{tag: "ZERO", floats: []float64{}},
+		{tag: "ODD4", f32: ramp32(3*Window/4 + 3)},
+		{tag: "NIL4", f32: []float32{}},
 	}
 	data := encode(9, secs)
-	if want := EncodedSize(3, 0, 8*len(secs[2].floats), Window+1, 0); len(data) != want {
+	if want := EncodedSize(3, 0, 8*len(secs[2].floats), Window+1, 0, 4*len(secs[5].f32), 0); len(data) != want {
 		t.Fatalf("encoded %d bytes, EncodedSize says %d", len(data), want)
 	}
 	_, mapErr := Map(onDisk(t, data))
@@ -131,6 +147,24 @@ func TestRoundTrip(t *testing.T) {
 				for i := range got {
 					if math.Float64bits(got[i]) != math.Float64bits(want.floats[i]) {
 						t.Fatalf("%s %s: float %d = %v, want %v", name, want.tag, i, got[i], want.floats[i])
+					}
+				}
+				if view := within(got, source); view != (mapped && len(got) > 0 && nativeLittleEndian) {
+					t.Fatalf("%s %s: a view of the source: %v", name, want.tag, view)
+				}
+				continue
+			}
+			if want.f32 != nil {
+				if i%2 == 0 {
+					n = len(want.f32)
+				}
+				got := r.Float32s(want.tag, n)
+				if r.Err() != nil || len(got) != len(want.f32) {
+					t.Fatalf("%s %s: %d float32s, err %v", name, want.tag, len(got), r.Err())
+				}
+				for i := range got {
+					if math.Float32bits(got[i]) != math.Float32bits(want.f32[i]) {
+						t.Fatalf("%s %s: float32 %d = %v, want %v", name, want.tag, i, got[i], want.f32[i])
 					}
 				}
 				if view := within(got, source); view != (mapped && len(got) > 0 && nativeLittleEndian) {
@@ -176,20 +210,43 @@ func TestPayloadsAreAligned(t *testing.T) {
 	}
 }
 
-// readAll reads the two-section container the damage and fuzz tests use,
-// the way a decoder would. Whatever went wrong, the floats it returns are
-// never a view of bytes whose checksum did not hold.
+// readAll reads the three-section container the damage and fuzz tests
+// use, the way a decoder would. Whatever went wrong, the floats it returns
+// are never a view of bytes whose checksum did not hold, nor at an address
+// their type may not be read from.
 func readAll(src io.Reader) error {
 	r := NewReader(src)
 	if !r.HasMagic(testMagic) {
 		return errors.New("wrong magic")
 	}
 	r.Header()
+	mapped := r.mem // what a view would point into
 	r.Bytes("BYTE", -1)
-	if v := r.Floats("FLTS", -1); r.Err() != nil && len(v) > 0 && r.mem != nil {
+	if err := handedOut(r, r.Floats("FLTS", -1), mapped); err != nil {
+		return err
+	}
+	return handedOut(r, r.Float32s("F32S", -1), mapped)
+}
+
+// handedOut checks what a float read returned; nil means read on.
+func handedOut[F float32 | float64](r *Reader, v []F, mapped []byte) error {
+	if len(v) == 0 {
+		return r.Err()
+	}
+	if r.Err() != nil && within(v, mapped) {
 		return fmt.Errorf("%d floats handed out with %w", len(v), r.Err())
 	}
+	if uintptr(unsafe.Pointer(&v[0]))%unsafe.Sizeof(v[0]) != 0 {
+		return fmt.Errorf("%d floats handed out misaligned", len(v))
+	}
 	return r.Err()
+}
+
+// threeSections is a well-formed container of readAll's three sections.
+func threeSections(version uint16, nf, n32 int) []byte {
+	return encode(version, []section{
+		{tag: "BYTE", bytes: []byte("hello")}, {tag: "FLTS", floats: ramp(nf)}, {tag: "F32S", f32: ramp32(n32)},
+	})
 }
 
 // readBoth is readAll over data on the streaming arm and on the mapped
@@ -204,7 +261,7 @@ func readBoth(t testing.TB, data []byte) error {
 }
 
 func TestRejectsDamage(t *testing.T) {
-	data := encode(1, []section{{tag: "BYTE", bytes: []byte("hello")}, {tag: "FLTS", floats: ramp(100)}})
+	data := threeSections(1, 100, 33)
 	r := NewReader(bytes.NewReader(data))
 	r.Header()
 	if r.Bytes("BYTE", 4); r.Err() == nil {
@@ -233,10 +290,14 @@ func TestRejectsDamage(t *testing.T) {
 	}
 }
 
-// lyingHeader is a container whose float section claims n bytes and
-// delivers 64.
-func lyingHeader(n uint64) []byte {
-	data := encode(1, []section{{tag: "BYTE", bytes: nil}, {tag: "FLTS", floats: []float64{}}})
+// lyingHeader is a container whose last section, a float section tagged
+// tag (FLTS or F32S), claims n bytes and delivers 64.
+func lyingHeader(tag string, n uint64) []byte {
+	secs := []section{{tag: "BYTE", bytes: nil}, {tag: "FLTS", floats: []float64{}}}
+	if tag == "F32S" {
+		secs = append(secs, section{tag: tag, f32: []float32{}})
+	}
+	data := encode(1, secs)
 	data = data[:len(data)-secHeaderLen-crc32.Size+4]
 	data = binary.LittleEndian.AppendUint64(data, n)
 	return append(data, make([]byte, 64)...)
@@ -254,20 +315,22 @@ func allocatedBy(f func()) uint64 {
 // when the source's length is known, and costs no more than what did
 // arrive when it is not.
 func TestLyingLengthNeverAllocatesIt(t *testing.T) {
-	for _, claim := range []uint64{1 << 33, math.MaxUint64 - 3, math.MaxInt64 - 6} {
-		data := lyingHeader(claim)
-		for name, open := range map[string]func() io.Reader{
-			"sized":   func() io.Reader { return bytes.NewReader(data) },
-			"unsized": func() io.Reader { return plainReader{bytes.NewReader(data)} },
-			"mapped":  func() io.Reader { return NewMappedReader(data) },
-		} {
-			var err error
-			got := allocatedBy(func() { err = readAll(open()) })
-			if err == nil {
-				t.Fatalf("%s: claim of %d bytes accepted", name, claim)
-			}
-			if got > 4*Window {
-				t.Fatalf("%s: claim of %d bytes allocated %d", name, claim, got)
+	for _, claim := range []uint64{1 << 33, math.MaxUint64 - 3, math.MaxInt64 - 6, math.MaxInt64 - 7} {
+		for _, tag := range []string{"FLTS", "F32S"} {
+			data := lyingHeader(tag, claim)
+			for name, open := range map[string]func() io.Reader{
+				"sized":   func() io.Reader { return bytes.NewReader(data) },
+				"unsized": func() io.Reader { return plainReader{bytes.NewReader(data)} },
+				"mapped":  func() io.Reader { return NewMappedReader(data) },
+			} {
+				var err error
+				got := allocatedBy(func() { err = readAll(open()) })
+				if err == nil {
+					t.Fatalf("%s: claim of %d bytes accepted", name, claim)
+				}
+				if got > 4*Window {
+					t.Fatalf("%s: claim of %d bytes allocated %d", name, claim, got)
+				}
 			}
 		}
 	}
@@ -291,12 +354,23 @@ func TestRemainingFromOffset(t *testing.T) {
 	}
 }
 
+// The fuzz target holds every input to the damage rules: bounded
+// allocation, one verdict on every arm — the mapped arm also at an address
+// no float is aligned to, where it must copy instead of handing out a view.
+// Its seeds are a good container, a truncated one, a lying float64 header,
+// and for the float32 section an odd byte count, a cut inside it and a
+// lying header.
 func FuzzBlobSections(f *testing.F) {
-	good := encode(3, []section{{tag: "BYTE", bytes: []byte("hello")}, {tag: "FLTS", floats: ramp(40)}})
+	good := threeSections(3, 40, 41)
 	f.Add(good, true)
 	f.Add(good[:len(good)/2], false)
-	f.Add(lyingHeader(1<<40), true)
-	f.Add(lyingHeader(1<<40), false)
+	f.Add(lyingHeader("FLTS", 1<<40), true)
+	f.Add(lyingHeader("FLTS", 1<<40), false)
+	odd := encode(3, []section{{tag: "BYTE", bytes: nil}, {tag: "FLTS", floats: ramp(2)}, {tag: "F32S", bytes: []byte("sixsix")}})
+	f.Add(odd, true)
+	f.Add(good[:len(good)-20], true)
+	f.Add(lyingHeader("F32S", 1<<40+4), true)
+	f.Add(lyingHeader("F32S", 1<<40+4), false)
 	f.Fuzz(func(t *testing.T, data []byte, sized bool) {
 		var src io.Reader = bytes.NewReader(data)
 		if !sized {
@@ -312,8 +386,14 @@ func FuzzBlobSections(f *testing.F) {
 		// The mapped arm runs the same checks to the same verdict. (A
 		// bare stream cannot bound a length claim up front, so only the
 		// sized source is held to the same words.)
-		if mapped := readAll(NewMappedReader(data)); (mapped == nil) != (err == nil) || (sized && fmt.Sprint(mapped) != fmt.Sprint(err)) {
+		mapped := readAll(NewMappedReader(data))
+		if (mapped == nil) != (err == nil) || (sized && fmt.Sprint(mapped) != fmt.Sprint(err)) {
 			t.Fatalf("streamed: %v\nmapped:   %v", err, mapped)
+		}
+		shifted := make([]byte, len(data)+1)[1:]
+		copy(shifted, data)
+		if misaligned := readAll(NewMappedReader(shifted)); fmt.Sprint(misaligned) != fmt.Sprint(mapped) {
+			t.Fatalf("mapped: %v\nmapped one byte off: %v", mapped, misaligned)
 		}
 	})
 }

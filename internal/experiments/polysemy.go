@@ -173,7 +173,7 @@ func topicCentroids(ix *lsi.Index, labels []int, k int) [][]float64 {
 		if l < 0 || l >= k {
 			continue
 		}
-		mat.Axpy(1, ix.DocVectors().Row(doc), centroids[l])
+		mat.Axpy(1, ix.DocVector(doc), centroids[l])
 		counts[l]++
 	}
 	for t := range centroids {

@@ -12,10 +12,10 @@
 //
 // Everything rides on the invariants of the existing hot path:
 //
-//   - Scoring uses the same fused mat.DotNorm kernel over the same
-//     document rows and precomputed norms as the exhaustive scan, so a
-//     document scored by the probe path gets the bitwise-identical score
-//     it would get from lsi.SearchSparse.
+//   - Scoring uses the scan.Float scorer (mat.DotNorm32) over the same
+//     stored document rows and precomputed norms as the exhaustive scan,
+//     so a document scored by the probe path gets the bitwise-identical
+//     score it would get from lsi.SearchSparse.
 //   - Selection goes through internal/topk's bounded heap under the
 //     strict (score desc, doc asc) total order, which is offer-order-
 //     insensitive. Probing all cells therefore returns bitwise-identical
@@ -90,14 +90,19 @@ func (x *Index) Dim() int { return x.dim }
 // NumDocs returns the number of documents covered by the cell lists.
 func (x *Index) NumDocs() int { return len(x.docs) }
 
-// Train builds an IVF index over the rows of vecs (one document vector
-// per row, with norms the precomputed Euclidean norms, as produced by
-// lsi.Index.Norms). Clustering is spherical k-means under the cosine
-// geometry the search path scores with: k-means++ seeding on the
+// Train is Train32 over mat.Narrow(vecs).
+func Train(vecs *mat.Dense, norms []float64, opts TrainOptions) (*Index, error) {
+	return Train32(mat.Narrow(vecs), norms, opts)
+}
+
+// Train32 builds an IVF index over the rows of vecs (one stored document
+// vector per row, with norms the precomputed Euclidean norms, as produced
+// by lsi.Index.Docs and Norms). Clustering is spherical k-means under the
+// cosine geometry the search path scores with: k-means++ seeding on the
 // 1−cos(x,c) distance, then Lloyd iterations that assign each document
 // to its highest-cosine centroid (ties to the lower cell) and recenter
 // each cell on the mean direction of its members.
-func Train(vecs *mat.Dense, norms []float64, opts TrainOptions) (*Index, error) {
+func Train32(vecs *mat.Dense32, norms []float64, opts TrainOptions) (*Index, error) {
 	m, dim := vecs.Dims()
 	if m < 1 || dim < 1 {
 		return nil, fmt.Errorf("ivf: train on an empty %dx%d matrix", m, dim)
@@ -157,7 +162,7 @@ func Train(vecs *mat.Dense, norms []float64, opts TrainOptions) (*Index, error) 
 // The rand stream and the serial prefix-sum walk make the choice a pure
 // function of (vecs, rng state); the parallel distance refresh writes
 // disjoint per-document slots, so worker count never changes the seeds.
-func seedCentroids(vecs *mat.Dense, norms []float64, nlist int, rng *rand.Rand) *mat.Dense {
+func seedCentroids(vecs *mat.Dense32, norms []float64, nlist int, rng *rand.Rand) *mat.Dense {
 	m, dim := vecs.Dims()
 	cent := mat.NewDense(nlist, dim)
 	dist := make([]float64, m)
@@ -170,13 +175,13 @@ func seedCentroids(vecs *mat.Dense, norms []float64, nlist int, rng *rand.Rand) 
 		cn := mat.Norm(crow)
 		par.For(m, grain, func(lo, hi int) {
 			for j := lo; j < hi; j++ {
-				if d := 1 - mat.DotNorm(vecs.Row(j), crow, norms[j], cn); d < dist[j] {
+				if d := 1 - mat.DotNorm32(crow, vecs.Row(j), cn, norms[j]); d < dist[j] {
 					dist[j] = d
 				}
 			}
 		})
 	}
-	cent.SetRow(0, vecs.Row(rng.Intn(m)))
+	mat.Convert(cent.Row(0), vecs.Row(rng.Intn(m)))
 	lower(0)
 	for c := 1; c < nlist; c++ {
 		var total float64
@@ -210,7 +215,7 @@ func seedCentroids(vecs *mat.Dense, norms []float64, nlist int, rng *rand.Rand) 
 			// corpus); any pick yields an identical centroid.
 			pick = rng.Intn(m)
 		}
-		cent.SetRow(c, vecs.Row(pick))
+		mat.Convert(cent.Row(c), vecs.Row(pick))
 		lower(c)
 	}
 	return cent
@@ -221,7 +226,7 @@ func seedCentroids(vecs *mat.Dense, norms []float64, nlist int, rng *rand.Rand) 
 // disjoint per document, so the parallel fan-out is deterministic for
 // any worker count; the change counts reduce over par.MapChunks in chunk
 // order, though the sum is order-free anyway.
-func assignAll(vecs *mat.Dense, norms []float64, cent *mat.Dense, cnorms []float64, assign []int32) int {
+func assignAll(vecs *mat.Dense32, norms []float64, cent *mat.Dense, cnorms []float64, assign []int32) int {
 	m, _ := vecs.Dims()
 	nlist := cent.Rows()
 	grain := par.GrainFor(2*cent.Rows()*cent.Cols() + 1)
@@ -233,7 +238,7 @@ func assignAll(vecs *mat.Dense, norms []float64, cent *mat.Dense, cnorms []float
 			best := int32(0)
 			bestScore := math.Inf(-1)
 			for c := 0; c < nlist; c++ {
-				if s := mat.DotNorm(row, cent.Row(c), nj, cnorms[c]); s > bestScore {
+				if s := mat.DotNorm32(cent.Row(c), row, cnorms[c], nj); s > bestScore {
 					bestScore = s
 					best = int32(c)
 				}
@@ -258,7 +263,7 @@ func assignAll(vecs *mat.Dense, norms []float64, cent *mat.Dense, cnorms []float
 // keep their previous centroid. Each cell is owned by exactly one chunk
 // and accumulates its members in ascending document order, so the
 // floating-point sum never depends on scheduling.
-func recenter(vecs *mat.Dense, norms []float64, cent *mat.Dense, starts []int, docs []int32) {
+func recenter(vecs *mat.Dense32, norms []float64, cent *mat.Dense, starts []int, docs []int32) {
 	nlist, dim := cent.Dims()
 	avgWork := 2 * dim * (len(docs)/nlist + 1)
 	par.For(nlist, par.GrainFor(avgWork), func(lo, hi int) {
@@ -279,7 +284,7 @@ func recenter(vecs *mat.Dense, norms []float64, cent *mat.Dense, starts []int, d
 				w := 1 / nj
 				row := vecs.Row(int(j))
 				for d, v := range row {
-					crow[d] += w * v
+					crow[d] += w * float64(v)
 				}
 			}
 		}

@@ -14,7 +14,9 @@ import (
 // clusteredVecs synthesizes the regime the paper proves LSI produces: m
 // unit-ish vectors in dim dimensions concentrated around `topics` random
 // directions with additive noise — the distribution the coarse quantizer
-// is supposed to recover.
+// is supposed to recover — stored as an index stores them: rounded to
+// float32 (the matrix returned is their widened copy, as
+// lsi.Index.DocVectors returns it) with the norms of the stored values.
 func clusteredVecs(t testing.TB, m, dim, topics int, noise float64, seed int64) (*mat.Dense, []float64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -33,15 +35,16 @@ func clusteredVecs(t testing.TB, m, dim, topics int, noise float64, seed int64) 
 			row[d] = dir[d] + noise*rng.NormFloat64()
 		}
 	}
+	stored := mat.Narrow(vecs)
 	norms := make([]float64, m)
 	for j := 0; j < m; j++ {
-		norms[j] = mat.Norm(vecs.Row(j))
+		norms[j] = mat.Norm(stored.Row(j))
 	}
-	return vecs, norms
+	return stored.Widen(), norms
 }
 
 // exhaustive is the ground-truth scan: every row scored with the same
-// DotNorm kernel, selected through the same bounded heap.
+// DotNorm32 kernel, selected through the same bounded heap.
 func exhaustive(vecs *mat.Dense, norms, pq []float64, qn float64, topN int) []topk.Match {
 	var h topk.Heap
 	keep := topN
@@ -50,7 +53,7 @@ func exhaustive(vecs *mat.Dense, norms, pq []float64, qn float64, topN int) []to
 	}
 	h.Reset(keep)
 	for j := 0; j < vecs.Rows(); j++ {
-		h.Offer(topk.Match{Doc: j, Score: mat.DotNorm(pq, vecs.Row(j), qn, norms[j])})
+		h.Offer(topk.Match{Doc: j, Score: mat.DotNorm32(pq, mat.Narrow(vecs).Row(j), qn, norms[j])})
 	}
 	return h.AppendSorted(nil)
 }
@@ -182,7 +185,7 @@ func TestAppendSearchIsProbeThenScore(t *testing.T) {
 		for _, nprobe := range []int{1, 3, 10, 11} {
 			for _, topN := range []int{0, 7} {
 				docs, probed := x.AppendProbeDocs(nil, pq, qn, nprobe)
-				want := scan.Float{Vecs: vecs, Norms: norms, PQ: pq, QN: qn, Src: scan.List(docs)}.AppendTop(nil, topN)
+				want := scan.Float{Vecs: mat.Narrow(vecs), Norms: norms, PQ: pq, QN: qn, Src: scan.List(docs)}.AppendTop(nil, topN)
 				if nprobe >= x.NList() {
 					want = exhaustive(vecs, norms, pq, qn, topN)
 				}

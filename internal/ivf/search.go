@@ -84,10 +84,10 @@ func (x *Index) AppendProbeDocs(dst []int32, pq []float64, qn float64, nprobe in
 // against the projected query pq (with qn its precomputed norm, as the
 // exhaustive path computes it) and appends the topN best to dst under
 // the (score desc, doc asc) order: AppendProbeDocs, then the shared
-// float scorer over that list. Doc fields are row indices into vecs,
-// which must be the matrix the index was trained on, with its norms.
-// Probing every cell returns results bitwise-identical to the exhaustive
-// scan. topN <= 0 keeps every candidate.
+// float scorer over that list, on mat.Narrow(vecs). Doc fields are row
+// indices into vecs, which must be the matrix the index was trained on,
+// with its norms. Probing every cell returns results bitwise-identical to
+// the exhaustive scan. topN <= 0 keeps every candidate.
 func (x *Index) AppendSearch(dst []topk.Match, vecs *mat.Dense, norms []float64, pq []float64, qn float64, topN, nprobe int) ([]topk.Match, ProbeStats) {
 	if vecs.Rows() != len(x.docs) {
 		panic(fmt.Sprintf("ivf: index over %d documents, matrix has %d rows", len(x.docs), vecs.Rows()))
@@ -96,7 +96,7 @@ func (x *Index) AppendSearch(dst []topk.Match, vecs *mat.Dense, norms []float64,
 	defer probePool.Put(sc)
 	var stats ProbeStats
 	sc.docs, stats = x.AppendProbeDocs(sc.docs[:0], pq, qn, nprobe)
-	f := scan.Float{Vecs: vecs, Norms: norms, PQ: pq, QN: qn, Src: scan.List(sc.docs)}
+	f := scan.Float{Vecs: mat.Narrow(vecs), Norms: norms, PQ: pq, QN: qn, Src: scan.List(sc.docs)}
 	return f.AppendTop(dst, topN), stats
 }
 

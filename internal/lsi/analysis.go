@@ -129,13 +129,13 @@ func SkewFromGram(gram *mat.Dense, labels []int) float64 {
 // Skew measures the δ-skew of the index's document representations against
 // the given topic labels.
 func (ix *Index) Skew(labels []int) float64 {
-	return SkewFromGram(GramFromRows(ix.docs), labels)
+	return SkewFromGram(GramFromRows(ix.DocVectors()), labels)
 }
 
 // Angles measures the pairwise angle populations of the index's document
 // representations against the given topic labels.
 func (ix *Index) Angles(labels []int) AngleSet {
-	return PairAngles(GramFromRows(ix.docs), labels)
+	return PairAngles(GramFromRows(ix.DocVectors()), labels)
 }
 
 // OriginalAngles measures the pairwise angle populations of the raw

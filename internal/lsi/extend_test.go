@@ -135,7 +135,7 @@ func TestEmptyLikeSeedsFreshSegment(t *testing.T) {
 	want := ix.ProjectSparse(terms, weights)
 	got := seg.DocVector(0)
 	for i := range want {
-		if want[i] != got[i] {
+		if float64(float32(want[i])) != got[i] { // stored: the projection rounded once
 			t.Fatalf("dim %d: segment row %v, parent projection %v", i, got[i], want[i])
 		}
 	}

@@ -27,21 +27,29 @@ func (ix *Index) AppendDocument(d []float64) (int, error) {
 	if len(d) != ix.numTerms {
 		return 0, fmt.Errorf("lsi: document has %d terms, want %d", len(d), ix.numTerms)
 	}
-	proj := mat.MulTVec(ix.uk, d)
+	return ix.AppendDocuments([][]float64{d})
+}
+
+// extended returns ix with n more documents in a new index sharing its
+// latent space: fold writes document i into proj, which is stored rounded
+// to float32 with the norm of what is stored. Folds fan out across par
+// workers, each writing its own row: bitwise the serial result.
+func (ix *Index) extended(n, grain int, fold func(i int, proj []float64)) *Index {
 	m, k := ix.docs.Dims()
-	grown := mat.NewDense(m+1, k)
-	copy(grown.RawData(), ix.docs.RawData())
-	grown.SetRow(m, proj)
-	norms := make([]float64, m+1)
-	copy(norms, ix.norms)
-	norms[m] = mat.Norm(proj)
-	// norms is assigned before docs so the docs row count never exceeds
-	// the norms length between the two stores — but these are plain,
-	// unsynchronized writes: only the documented "no concurrent fold-in
-	// and search" contract makes the update safe.
-	ix.norms = norms
-	ix.docs = grown
-	return m, nil
+	ext := &Index{k: ix.k, numTerms: ix.numTerms, uk: ix.uk, sigma: ix.sigma, mapped: ix.mapped,
+		docs: mat.NewDense32(m+n, k), norms: make([]float64, m+n)}
+	copy(ext.docs.RawData(), ix.docs.RawData())
+	copy(ext.norms, ix.norms)
+	par.For(n, grain, func(lo, hi int) {
+		proj := make([]float64, k)
+		for i := lo; i < hi; i++ {
+			fold(i, proj)
+			row := ext.docs.Row(m + i)
+			mat.Convert(row, proj)
+			ext.norms[m+i] = mat.Norm(row)
+		}
+	})
+	return ext
 }
 
 // MustAppend is AppendDocument for callers that treat a length mismatch as
@@ -64,7 +72,7 @@ func (ix *Index) EmptyLike() *Index {
 		numTerms: ix.numTerms,
 		uk:       ix.uk,
 		sigma:    ix.sigma,
-		docs:     mat.NewDense(0, ix.k),
+		docs:     mat.NewDense32(0, ix.k),
 		norms:    nil,
 		mapped:   ix.mapped,
 	}
@@ -96,47 +104,27 @@ func (ix *Index) ExtendedSparse(terms [][]int, weights [][]float64) (*Index, err
 			}
 		}
 	}
-	m, k := ix.docs.Dims()
-	grown := mat.NewDense(m+len(terms), k)
-	copy(grown.RawData(), ix.docs.RawData())
-	norms := make([]float64, m+len(terms))
-	copy(norms, ix.norms)
-	par.For(len(terms), par.GrainFor(k), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := grown.Row(m + i)
-			mat.MulTVecSparse(ix.uk, terms[i], weights[i], row)
-			norms[m+i] = mat.Norm(row)
-		}
-	})
-	return &Index{k: ix.k, numTerms: ix.numTerms, uk: ix.uk, sigma: ix.sigma, docs: grown, norms: norms, mapped: ix.mapped}, nil
+	return ix.extended(len(terms), par.GrainFor(ix.k), func(i int, proj []float64) {
+		mat.MulTVecSparse(ix.uk, terms[i], weights[i], proj)
+	}), nil
 }
 
 // AppendDocuments folds a batch of term-space document vectors into the
 // index, returning the ID of the first appended document. It validates all
 // vectors before mutating the index, so a length error leaves the index
-// unchanged. The independent per-document folds fan out across par
-// workers, each writing its own row of the grown matrix; results are
-// bitwise identical to folding serially.
+// unchanged. The folds fan out across par workers (see extended).
 func (ix *Index) AppendDocuments(ds [][]float64) (int, error) {
 	for i, d := range ds {
 		if len(d) != ix.numTerms {
 			return 0, fmt.Errorf("lsi: document %d has %d terms, want %d", i, len(d), ix.numTerms)
 		}
 	}
-	m, k := ix.docs.Dims()
-	grown := mat.NewDense(m+len(ds), k)
-	copy(grown.RawData(), ix.docs.RawData())
-	norms := make([]float64, m+len(ds))
-	copy(norms, ix.norms)
-	par.For(len(ds), par.GrainFor(ix.numTerms*k), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := grown.Row(m + i)
-			mat.MulTVecInto(ix.uk, ds[i], row)
-			norms[m+i] = mat.Norm(row)
-		}
+	ext := ix.extended(len(ds), par.GrainFor(ix.numTerms*ix.k), func(i int, proj []float64) {
+		mat.MulTVecInto(ix.uk, ds[i], proj)
 	})
-	// Same assignment order and concurrency contract as AppendDocument.
-	ix.norms = norms
-	ix.docs = grown
+	// norms before docs, so docs never has more rows than norms — plain
+	// writes, safe only under the "no concurrent fold-in and search" rule.
+	m := ix.docs.Rows()
+	ix.norms, ix.docs = ext.norms, ext.docs
 	return m, nil
 }

@@ -20,7 +20,8 @@ import (
 // with log weighting). It pins backward compatibility: v1 files must keep
 // loading after any future format bump. index_v2.gob is the same build
 // through the last gob writer's SaveMeta, index_v3.lsi through the first
-// container writer's.
+// container writer's, index_v4.lsi through the first with float32 DOCS
+// (index_v3.lsi loaded and saved again).
 func TestLoadGoldenV1Index(t *testing.T) {
 	f, err := os.Open("testdata/index_v1.gob")
 	if err != nil {
@@ -153,10 +154,11 @@ func TestSaveWritesV3ByteStable(t *testing.T) {
 	}
 }
 
-// The three generations of index file — gob v1, gob v2 with the text
-// layer, and the v3 container — were written from the same build, and
-// must load into indexes that answer bit for bit alike; v2 and v3 carry
-// the same metadata.
+// The generations of index file — gob v1, gob v2 with the text layer, the
+// v3 container and the v4 one with float32 DOCS — were written from the
+// same build, and must load into indexes that answer bit for bit alike:
+// v1–v3 narrow their document matrix on load to exactly what v4 stores.
+// v2, v3 and v4 carry the same metadata.
 func TestGoldenGenerationsAgree(t *testing.T) {
 	load := func(name string) (*Index, *Meta) {
 		f, err := os.Open("testdata/" + name)
@@ -173,13 +175,14 @@ func TestGoldenGenerationsAgree(t *testing.T) {
 	v1, _ := load("index_v1.gob")
 	v2, meta2 := load("index_v2.gob")
 	v3, meta3 := load("index_v3.lsi")
+	v4, meta4 := load("index_v4.lsi")
 	if meta2 == nil || len(meta2.Vocab) != 69 || len(meta2.DocIDs) != 12 || meta2.WeightingName != "log" {
 		t.Fatalf("v2 metadata %+v", meta2)
 	}
-	if !reflect.DeepEqual(meta2, meta3) {
-		t.Fatalf("v3 metadata %+v differs from v2's %+v", meta3, meta2)
+	if !reflect.DeepEqual(meta2, meta3) || !reflect.DeepEqual(meta2, meta4) {
+		t.Fatalf("v3 metadata %+v or v4's %+v differs from v2's %+v", meta3, meta4, meta2)
 	}
-	for name, ix := range map[string]*Index{"v2": v2, "v3": v3} {
+	for name, ix := range map[string]*Index{"v2": v2, "v3": v3, "v4": v4} {
 		if !mat.EqualApprox(ix.Basis(), v1.Basis(), 0) || !mat.EqualApprox(ix.DocVectors(), v1.DocVectors(), 0) {
 			t.Fatalf("%s arrays differ from v1's", name)
 		}
@@ -228,7 +231,7 @@ func TestLoadRejectsFutureVersion(t *testing.T) {
 		if err == nil {
 			t.Fatalf("%s should fail to load", want)
 		}
-		if !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "supported: 1..3") {
+		if !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "supported: 1..4") {
 			t.Fatalf("error %q does not name %s and the supported range", err, want)
 		}
 	}

@@ -71,16 +71,18 @@ type Options struct {
 }
 
 // Index is a rank-k LSI index over a corpus of m documents and n terms.
+// Document vectors are stored as float32 (2⁻²⁴ relative, far inside the
+// paper's (1 ± ε) bounds); the basis, σ, norms and arithmetic are float64.
 type Index struct {
 	k        int
 	numTerms int
-	uk       *mat.Dense // n×k: columns span the LSI space
-	sigma    []float64  // k singular values, descending
-	docs     *mat.Dense // m×k: row j is document j's LSI representation
-	norms    []float64  // ‖docs.Row(j)‖, precomputed so scoring never re-derives them
+	uk       *mat.Dense   // n×k: columns span the LSI space
+	sigma    []float64    // k singular values, descending
+	docs     *mat.Dense32 // m×k: row j is document j's LSI representation
+	norms    []float64    // ‖docs.Row(j)‖, precomputed so scoring never re-derives them
 	// mapped is the file uk, sigma and (until fold-in copies them) docs
 	// are views of; nil for heap arrays. The Index loaded from a mapping
-	// holds it (as do its two matrices, for callers that keep DocVectors
+	// holds it (as do its two matrices, for callers that keep Docs or Basis
 	// and drop the Index), an Index sharing its uk inherits it, the garbage
 	// collector releases it. A row slice holds nothing: code reading rows
 	// past its last use of the Index ends in runtime.KeepAlive(ix).
@@ -94,14 +96,21 @@ func (ix *Index) MappedBytes() int64 { return int64(ix.mapped.Len()) }
 // scoring kernel divides by. Every constructor (build, SVD wrap, load,
 // fold-in) funnels through this or extends norms itself, so a norm is
 // computed exactly once per document lifetime instead of once per
-// (query, document) pair. Norms use mat.Norm — the same routine the old
-// per-pair Cosine used — so scores are bitwise unchanged.
-func newIndex(k, numTerms int, uk *mat.Dense, sigma []float64, docs *mat.Dense) *Index {
+// (query, document) pair. Given a float64 matrix from instead of docs, it
+// stores from's values rounded to float32 in the same pass, so narrowing
+// costs the build no pass of its own; a norm is always of the stored row.
+func newIndex(k, numTerms int, uk *mat.Dense, sigma []float64, docs *mat.Dense32, from *mat.Dense) *Index {
+	if docs == nil {
+		docs = mat.NewDense32(from.Dims())
+	}
 	ix := &Index{k: k, numTerms: numTerms, uk: uk, sigma: sigma, docs: docs}
 	m := docs.Rows()
 	ix.norms = make([]float64, m)
 	par.For(m, par.GrainFor(2*k+1), func(lo, hi int) {
 		for j := lo; j < hi; j++ {
+			if from != nil {
+				mat.Convert(docs.Row(j), from.Row(j))
+			}
 			ix.norms[j] = mat.Norm(docs.Row(j))
 		}
 	})
@@ -154,7 +163,7 @@ func Build(a *sparse.CSR, k int, opts Options) (*Index, error) {
 	if len(res.S) > k {
 		res = res.Truncate(k)
 	}
-	return newIndex(len(res.S), n, res.U, res.S, res.TakeDocSpace()), nil
+	return newIndex(len(res.S), n, res.U, res.S, nil, res.TakeDocSpace()), nil
 }
 
 // BuildFromCorpus builds the term-document matrix of c with the given
@@ -171,7 +180,7 @@ func NewIndexFromSVD(res *svd.Result, numTerms int) (*Index, error) {
 	if res.U.Rows() != numTerms {
 		return nil, fmt.Errorf("lsi: SVD row space %d does not match numTerms %d", res.U.Rows(), numTerms)
 	}
-	return newIndex(len(res.S), numTerms, res.U, append([]float64(nil), res.S...), res.DocSpace()), nil
+	return newIndex(len(res.S), numTerms, res.U, append([]float64(nil), res.S...), nil, res.DocSpace()), nil
 }
 
 // K returns the effective rank of the index (it may be below the requested
@@ -189,19 +198,26 @@ func (ix *Index) SingularValues() []float64 {
 	return append([]float64(nil), ix.sigma...)
 }
 
-// DocVector returns a copy of document j's k-dimensional representation
-// (row j of Vₖ·Dₖ).
+// DocVector returns document j's k-dimensional representation (row j of
+// Vₖ·Dₖ as stored), widened to a new float64 slice.
 func (ix *Index) DocVector(j int) []float64 {
-	return mat.CloneVec(ix.docs.Row(j))
+	v := make([]float64, ix.k)
+	mat.Convert(v, ix.docs.Row(j))
+	return v
 }
 
-// DocVectors returns the m×k matrix of document representations (shared
-// storage; callers must not mutate).
-func (ix *Index) DocVectors() *mat.Dense { return ix.docs }
+// DocVectors returns the m×k document representations widened to a new
+// float64 matrix, for offline analysis (callers must not mutate it:
+// mat.Narrow of it is the stored matrix itself).
+func (ix *Index) DocVectors() *mat.Dense { return ix.docs.Widen() }
+
+// Docs returns the stored m×k float32 document matrix (shared storage;
+// callers must not mutate).
+func (ix *Index) Docs() *mat.Dense32 { return ix.docs }
 
 // Norms returns the precomputed per-document Euclidean norms ‖docs.Row(j)‖
 // (shared storage; callers must not mutate). External scoring loops — the
-// segment fan-out of the sharded index — use these with mat.DotNorm to
+// segment fan-out of the sharded index — use these with mat.DotNorm32 to
 // reproduce Search's scores exactly.
 func (ix *Index) Norms() []float64 { return ix.norms }
 
@@ -213,5 +229,5 @@ func (ix *Index) Basis() *mat.Dense { return ix.uk }
 // indexed matrix (Theorem 1's optimal rank-k approximation). Intended for
 // analysis and tests; it materializes an n×m dense matrix.
 func (ix *Index) ApproxMatrix() *mat.Dense {
-	return mat.MulBT(ix.uk, ix.docs)
+	return mat.MulBT(ix.uk, ix.DocVectors())
 }

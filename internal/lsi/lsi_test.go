@@ -89,8 +89,9 @@ func TestEnginesAgree(t *testing.T) {
 }
 
 func TestDocVectorsMatchProjection(t *testing.T) {
-	// Stored document vectors must equal Uₖᵀ·(column j of A): folding in an
-	// indexed document reproduces its stored representation.
+	// Stored document vectors must equal Uₖᵀ·(column j of A) up to the
+	// float32 rounding of storage (2⁻²⁴ relative): folding in an indexed
+	// document reproduces its stored representation.
 	c := testCorpus(t, 2, 8, 0.05, 20, 73)
 	a := corpus.TermDocMatrix(c, corpus.CountWeighting)
 	ix, err := Build(a, 2, Options{Engine: EngineDense})
@@ -100,7 +101,7 @@ func TestDocVectorsMatchProjection(t *testing.T) {
 	for j := 0; j < ix.NumDocs(); j++ {
 		proj := ix.Project(a.Col(j))
 		stored := ix.DocVector(j)
-		if mat.Dist(proj, stored) > 1e-8*(1+mat.Norm(stored)) {
+		if mat.Dist(proj, stored) > 1e-7*(1+mat.Norm(stored)) {
 			t.Fatalf("doc %d: projection %v != stored %v", j, proj, stored)
 		}
 	}

@@ -43,12 +43,13 @@ func outcome(t testing.TB, ix *Index, meta *Meta, err error) string {
 
 // Every golden generation loads into the same index whichever arm read it
 // — a stream of bytes, the same bytes on the mapped arm, the file itself
-// (mapped, when it is a v3 file on a platform that maps) — down to the
-// bytes it saves as and the bits of every score, at one worker and at two.
-// Only the v3 file is served from a mapping, indexes folded into its basis
-// inherit that mapping, and it cannot be saved over.
+// (mapped, when it is a container file on a platform that maps) — down to
+// the bytes it saves as and the bits of every score, at one worker and at
+// two. Only the container files are served from a mapping (v3's basis; v4's
+// basis and document matrix), indexes folded into their basis inherit that
+// mapping, and they cannot be saved over.
 func TestMappedAndStreamedLoadsAgree(t *testing.T) {
-	for _, name := range []string{"index_v1.gob", "index_v2.gob", "index_v3.lsi"} {
+	for _, name := range []string{"index_v1.gob", "index_v2.gob", "index_v3.lsi", "index_v4.lsi"} {
 		data, err := os.ReadFile("testdata/" + name)
 		if err != nil {
 			t.Fatal(err)
@@ -109,15 +110,22 @@ func TestMappedAndStreamedLoadsAgree(t *testing.T) {
 	}
 }
 
-// A v3 file cut at every section boundary and one byte either side, with
-// a flipped byte in every section, or with a section length pointing past
-// the end of the file fails on the mapped arm — the file itself, and the
-// bytes in memory — with the words of the streaming arm, and never faults.
+// A v3 or v4 file cut at every section boundary and one byte either side,
+// with a flipped byte in every section, or with a section length pointing
+// past the end of the file fails on the mapped arm — the file itself, and
+// the bytes in memory — with the words of the streaming arm, and never
+// faults.
 func TestHostileFilesFailAlikeOnBothArms(t *testing.T) {
-	golden, err := os.ReadFile("testdata/index_v3.lsi")
-	if err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"index_v3.lsi", "index_v4.lsi"} {
+		golden, err := os.ReadFile("testdata/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hostileFilesFailAlike(t, golden)
 	}
+}
+
+func hostileFilesFailAlike(t *testing.T, golden []byte) {
 	// The file header is 12 bytes; a section is a 12-byte header, the
 	// payload padded to 8, a 4-byte checksum.
 	var bounds, lengthAt []int

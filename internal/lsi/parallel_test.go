@@ -35,35 +35,6 @@ func batchIndex(t *testing.T) (*Index, [][]float64) {
 	return ix, queries
 }
 
-func TestProjectBatchMatchesProject(t *testing.T) {
-	withProcs(t, 4)
-	ix, queries := batchIndex(t)
-	got := ix.ProjectBatch(queries)
-	if len(got) != len(queries) {
-		t.Fatalf("got %d projections, want %d", len(got), len(queries))
-	}
-	for i, q := range queries {
-		want := ix.Project(q)
-		for j := range want {
-			if got[i][j] != want[j] {
-				t.Fatalf("query %d dim %d: batch %v != serial %v (must be bitwise equal)", i, j, got[i][j], want[j])
-			}
-		}
-	}
-}
-
-func TestProjectBatchLengthPanic(t *testing.T) {
-	withProcs(t, 4)
-	ix, queries := batchIndex(t)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected length panic")
-		}
-	}()
-	queries[3] = queries[3][:len(queries[3])-1]
-	ix.ProjectBatch(queries)
-}
-
 func TestSearchBatchMatchesSearch(t *testing.T) {
 	withProcs(t, 4)
 	ix, queries := batchIndex(t)

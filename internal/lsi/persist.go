@@ -15,17 +15,17 @@ import (
 	"repro/internal/mat"
 )
 
-// Wire format v3, what Save writes, is an internal/blob container of five
+// Wire format v4, what Save writes, is an internal/blob container of five
 // sections in this order (DESIGN.md §2 has the byte layout):
 //
 //	DIMS  3 × uint64: rank k, terms n, documents m
 //	SIGM  k float64: singular values
 //	TEXT  text layer of Meta (see appendText); empty when there is none
 //	BASI  n×k float64: the basis Uₖ, row-major
-//	DOCS  m×k float64: document representations, row-major
+//	DOCS  m×k float32: document representations, row-major
 //
-// Versions 1 and 2 were one gob message (indexWire); Load still reads
-// them, nothing writes them.
+// v3 is the same with DOCS in float64, v1 and v2 one gob message
+// (indexWire): Load still reads them, narrowing DOCS once into the heap.
 
 // Magic opens every index file Save writes.
 var Magic = [blob.MagicLen]byte{'L', 'S', 'I', 'I', 'D', 'X'}
@@ -33,8 +33,9 @@ var Magic = [blob.MagicLen]byte{'L', 'S', 'I', 'I', 'D', 'X'}
 const (
 	// WireVersion is the wire-format version Save writes and the newest
 	// Load accepts; GobWireVersion is the newest a gob stream carries.
-	WireVersion    = 3
-	GobWireVersion = 2
+	WireVersion     = 4
+	GobWireVersion  = 2
+	wideDocsVersion = 3 // the newest container whose DOCS are float64
 
 	tagDims, tagSigma, tagText, tagBasis, tagDocs = "DIMS", "SIGM", "TEXT", "BASI", "DOCS"
 
@@ -92,7 +93,7 @@ type Meta struct {
 	Stemming        bool
 }
 
-// Save writes the index to w in a self-contained binary format (wire v3).
+// Save writes the index to w in a self-contained binary format (wire v4).
 // The original term-document matrix is not needed to use a loaded index.
 // Indexes written by Save carry no text metadata; use SaveMeta to bundle a
 // vocabulary and weighting so text queries work against the loaded index.
@@ -102,7 +103,7 @@ func (ix *Index) Save(w io.Writer) error {
 
 // EncodedSize is the exact number of bytes Save writes.
 func (ix *Index) EncodedSize() int {
-	return blob.EncodedSize(dimsLen, 8*len(ix.sigma), 0, 8*len(ix.uk.RawData()), 8*len(ix.docs.RawData()))
+	return blob.EncodedSize(dimsLen, 8*len(ix.sigma), 0, 8*len(ix.uk.RawData()), 4*len(ix.docs.RawData()))
 }
 
 // SaveMeta writes the index together with optional self-containment
@@ -132,7 +133,7 @@ func (ix *Index) SaveMeta(w io.Writer, meta *Meta) error {
 	bw.Floats(tagSigma, ix.sigma)
 	bw.Bytes(tagText, text)
 	bw.Floats(tagBasis, ix.uk.RawData())
-	bw.Floats(tagDocs, ix.docs.RawData())
+	bw.Float32s(tagDocs, ix.docs.RawData())
 	if err := bw.Close(); err != nil {
 		return fmt.Errorf("lsi: save: %w", err)
 	}
@@ -216,7 +217,7 @@ type IndexParts struct {
 	UkRows   int
 	UkData   []float64 // n×k row-major basis
 	DocRows  int
-	DocData  []float64 // m×k row-major document representations
+	DocData  []float32 // m×k row-major document representations
 }
 
 // NewIndexFromParts reconstructs an Index from serialized parts,
@@ -240,13 +241,21 @@ func NewIndexFromParts(p IndexParts) (*Index, error) {
 		p.NumTerms,
 		mat.NewDenseData(p.UkRows, p.K, p.UkData),
 		p.Sigma,
-		mat.NewDenseData(p.DocRows, p.K, p.DocData),
+		mat.NewDense32Data(p.DocRows, p.K, p.DocData),
+		nil,
 	), nil
+}
+
+// Narrow rounds a legacy float64 document matrix to IndexParts.DocData.
+func Narrow(docs []float64) []float32 {
+	out := make([]float32, len(docs))
+	mat.Convert(out, docs)
+	return out
 }
 
 // holds reports whether data is exactly a rows×k matrix. The product is
 // taken in 128 bits: a hostile header cannot overflow it into a match.
-func holds(data []float64, rows, k int) bool {
+func holds[F float32 | float64](data []F, rows, k int) bool {
 	hi, lo := bits.Mul64(uint64(rows), uint64(k))
 	return rows >= 0 && k >= 0 && hi == 0 && lo == uint64(len(data))
 }
@@ -263,8 +272,8 @@ func Load(r io.Reader) (*Index, error) {
 // such indexes answer vector queries but the caller must supply a
 // vocabulary from elsewhere to serve text queries.
 //
-// A v3 stream is never trusted for more memory than it has bytes: see
-// blob.Reader for how the length of r is found, or done without.
+// A v3 or v4 stream is never trusted for more memory than it has bytes:
+// see blob.Reader for how the length of r is found, or done without.
 func LoadMeta(r io.Reader) (*Index, *Meta, error) {
 	br := blob.NewReader(r)
 	read := readGob
@@ -307,7 +316,7 @@ func readGob(r *blob.Reader) (IndexParts, *Meta, error) {
 	return IndexParts{
 			K: wire.K, NumTerms: wire.NumTerms, Sigma: wire.Sigma,
 			UkRows: wire.UkRows, UkData: wire.UkData,
-			DocRows: wire.DocRows, DocData: wire.DocData,
+			DocRows: wire.DocRows, DocData: Narrow(wire.DocData),
 		}, &Meta{
 			Vocab:           wire.Vocab,
 			WeightingName:   wire.WeightingName,
@@ -317,11 +326,12 @@ func readGob(r *blob.Reader) (IndexParts, *Meta, error) {
 		}, nil
 }
 
-// readBlob decodes a wire v3 stream. Each array section must hold exactly
-// what the dimensions say before it is read, so a file that lies about
-// either fails without the array having been allocated.
+// readBlob decodes a wire v3 or v4 stream. Each array section must hold
+// exactly what the dimensions say before it is read, so a file that lies
+// about either fails without the array having been allocated.
 func readBlob(r *blob.Reader) (p IndexParts, meta *Meta, err error) {
-	if v := r.Header(); r.Err() == nil && (v <= GobWireVersion || v > WireVersion) {
+	v := r.Header()
+	if r.Err() == nil && (v <= GobWireVersion || v > WireVersion) {
 		return p, nil, VersionError(int(v))
 	}
 	dims := r.Bytes(tagDims, dimsLen)
@@ -342,6 +352,10 @@ func readBlob(r *blob.Reader) (p IndexParts, meta *Meta, err error) {
 		}
 	}
 	p.UkData = r.Floats(tagBasis, int(nk))
-	p.DocData = r.Floats(tagDocs, int(mk))
+	if v == wideDocsVersion {
+		p.DocData = Narrow(r.Floats(tagDocs, int(mk)))
+	} else {
+		p.DocData = r.Float32s(tagDocs, int(mk))
+	}
 	return p, meta, r.Err()
 }

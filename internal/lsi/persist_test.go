@@ -83,12 +83,13 @@ func TestLoadRejectsCorruptStreams(t *testing.T) {
 	}
 }
 
-// v3Header is a v3 file up to and including its dimensions, followed by
-// a SIGM section of k ones and an empty TEXT: what a hostile file needs
-// before it can lie about an array.
-func v3Header(k, terms, docs uint64) *bytes.Buffer {
+// header is a v3 or v4 file up to and including its dimensions, followed
+// by a SIGM section of k zeros and an empty TEXT: what a hostile file needs
+// before it can lie about an array. Its arrays hold at most 64 values, in
+// the version's widths.
+func header(version uint16, k, terms, docs uint64) *bytes.Buffer {
 	var buf bytes.Buffer
-	w := blob.NewWriter(&buf, Magic, WireVersion, 5)
+	w := blob.NewWriter(&buf, Magic, version, 5)
 	var dims []byte
 	for _, d := range []uint64{k, terms, docs} {
 		dims = binary.LittleEndian.AppendUint64(dims, d)
@@ -98,7 +99,11 @@ func v3Header(k, terms, docs uint64) *bytes.Buffer {
 	w.Floats(tagSigma, sigma)
 	w.Bytes(tagText, nil)
 	w.Floats(tagBasis, make([]float64, min(k*terms, 64)))
-	w.Floats(tagDocs, make([]float64, min(k*docs, 64)))
+	if version == wideDocsVersion {
+		w.Floats(tagDocs, make([]float64, min(k*docs, 64)))
+	} else {
+		w.Float32s(tagDocs, make([]float32, min(k*docs, 64)))
+	}
 	if err := w.Close(); err != nil {
 		panic(err) // a bytes.Buffer takes every write
 	}
@@ -118,43 +123,46 @@ func allocatedBy(f func()) uint64 {
 // by the bytes that follow it, and a product that overflows is rejected
 // rather than wrapped into a match.
 func TestLoadBoundsAllocationByInput(t *testing.T) {
-	if _, err := Load(v3Header(2, 4, 8)); err != nil {
-		t.Fatalf("an honest header fails: %v", err)
-	}
-	for name, dims := range map[string][3]uint64{
-		"huge document matrix": {8, 8, 1 << 40},
-		"huge basis":           {8, 1 << 40, 8},
-		"huge rank":            {1 << 40, 8, 8},
-		"overflowing product":  {1 << 32, 1 << 32, 1 << 32},
-		"wrapping to a match":  {8, 8, 1<<61 + 8},
-		"rank zero, rows many": {0, 8, 1 << 40},
-		"beyond int":           {8, 8, 1 << 63},
-	} {
-		data := v3Header(dims[0], dims[1], dims[2]).Bytes()
-		for _, sized := range []bool{true, false} {
-			var src io.Reader = bytes.NewReader(data)
-			if !sized {
-				src = struct{ io.Reader }{src}
-			}
-			var err error
-			got := allocatedBy(func() { _, err = Load(src) })
-			if err == nil {
-				t.Errorf("%s (sized=%v): loaded", name, sized)
-			}
-			if got > 1<<20 {
-				t.Errorf("%s (sized=%v): allocated %d bytes for a %d-byte file", name, sized, got, len(data))
+	for _, version := range []uint16{wideDocsVersion, WireVersion} {
+		if _, err := Load(header(version, 2, 4, 8)); err != nil {
+			t.Fatalf("v%d: an honest header fails: %v", version, err)
+		}
+		for name, dims := range map[string][3]uint64{
+			"huge document matrix": {8, 8, 1 << 40},
+			"huge basis":           {8, 1 << 40, 8},
+			"huge rank":            {1 << 40, 8, 8},
+			"overflowing product":  {1 << 32, 1 << 32, 1 << 32},
+			"wrapping to a match":  {8, 8, 1<<61 + 8},
+			"rank zero, rows many": {0, 8, 1 << 40},
+			"beyond int":           {8, 8, 1 << 63},
+		} {
+			data := header(version, dims[0], dims[1], dims[2]).Bytes()
+			for _, sized := range []bool{true, false} {
+				var src io.Reader = bytes.NewReader(data)
+				if !sized {
+					src = struct{ io.Reader }{src}
+				}
+				var err error
+				got := allocatedBy(func() { _, err = Load(src) })
+				if err == nil {
+					t.Errorf("v%d %s (sized=%v): loaded", version, name, sized)
+				}
+				if got > 1<<20 {
+					t.Errorf("v%d %s (sized=%v): allocated %d bytes for a %d-byte file", version, name, sized, got, len(data))
+				}
 			}
 		}
 	}
 }
 
-// FuzzLoadIndex feeds LoadMeta the three golden generations, their
-// truncations and bit flips: whatever arrives, it returns an error or an
-// index that answers a query, never panics, and never allocates more than
-// a constant factor of the input. The mapped arm comes to the same end:
-// the same error, or an index that saves as the same bytes.
+// FuzzLoadIndex feeds LoadMeta the four golden generations, their
+// truncations and bit flips, and lying headers: whatever arrives, it
+// returns an error or an index that answers a query, never panics, and
+// never allocates more than a constant factor of the input. The mapped
+// arm comes to the same end: the same error, or an index that saves as
+// the same bytes.
 func FuzzLoadIndex(f *testing.F) {
-	for _, name := range []string{"index_v1.gob", "index_v2.gob", "index_v3.lsi"} {
+	seed := func(name string) {
 		data, err := os.ReadFile("testdata/" + name)
 		if err != nil {
 			f.Fatal(err)
@@ -168,7 +176,13 @@ func FuzzLoadIndex(f *testing.F) {
 			f.Add(bad)
 		}
 	}
-	f.Add(v3Header(8, 8, 1<<40).Bytes())
+	for _, name := range []string{"index_v1.gob", "index_v2.gob", "index_v3.lsi"} {
+		seed(name)
+	}
+	f.Add(header(wideDocsVersion, 8, 8, 1<<40).Bytes())
+	seed("index_v4.lsi")
+	f.Add(header(WireVersion, 8, 8, 1<<40).Bytes())
+	f.Add(header(WireVersion, 3, 8, 7).Bytes()[:300]) // cut inside the float32 DOCS
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var ix *Index
 		var meta *Meta

@@ -145,25 +145,6 @@ func (ix *Index) AppendSearchSparse(dst []Match, terms []int, weights []float64,
 	return ix.searchProjected(dst, pq, topN)
 }
 
-// ProjectBatch folds a batch of term-space vectors into the LSI space,
-// one Uₖᵀ·q per input, fanning the independent projections across par
-// workers. Results are bitwise identical to calling Project in a loop. It
-// panics if any vector has the wrong length.
-func (ix *Index) ProjectBatch(qs [][]float64) [][]float64 {
-	for i, q := range qs {
-		if len(q) != ix.numTerms {
-			panic(fmt.Sprintf("lsi: ProjectBatch vector %d has length %d, want %d", i, len(q), ix.numTerms))
-		}
-	}
-	out := make([][]float64, len(qs))
-	par.For(len(qs), par.GrainFor(ix.numTerms*ix.k), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = mat.MulTVec(ix.uk, qs[i])
-		}
-	})
-	return out
-}
-
 // SearchBatch runs Search for a batch of term-space queries, fanning
 // whole queries across par workers, each drawing its own pooled scratch.
 // (A query's scoring may itself fan out on large corpora; the nested

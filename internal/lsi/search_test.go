@@ -151,7 +151,8 @@ func TestSearchTopKParallelMergeMatchesSerial(t *testing.T) {
 
 func TestSearchMatchesBruteForceCosine(t *testing.T) {
 	// Precomputed norms + the fused kernel must reproduce the reference
-	// per-pair cosine bitwise.
+	// per-pair cosine of the stored (widened) vectors bitwise: below one
+	// four-element block, DotNorm32 sums its products in order, as Dot does.
 	c := testCorpus(t, 3, 10, 0.05, 40, 819)
 	a := corpus.TermDocMatrix(c, corpus.CountWeighting)
 	ix, err := Build(a, 3, Options{Engine: EngineDense})
@@ -165,7 +166,7 @@ func TestSearchMatchesBruteForceCosine(t *testing.T) {
 		t.Fatalf("%d matches, want %d", len(res), ix.NumDocs())
 	}
 	for _, m := range res {
-		want := mat.Cosine(pq, ix.docs.Row(m.Doc))
+		want := mat.Cosine(pq, ix.DocVector(m.Doc))
 		if m.Score != want {
 			t.Fatalf("doc %d: score %v != reference cosine %v (must be bitwise equal)", m.Doc, m.Score, want)
 		}
@@ -184,14 +185,14 @@ func TestNormsTrackAppends(t *testing.T) {
 	if len(ix.norms) != ix.NumDocs() {
 		t.Fatalf("after append: %d norms for %d docs", len(ix.norms), ix.NumDocs())
 	}
-	if want := mat.Norm(ix.docs.Row(id)); ix.norms[id] != want {
+	if want := mat.Norm(ix.DocVector(id)); ix.norms[id] != want {
 		t.Fatalf("appended norm %v, want %v", ix.norms[id], want)
 	}
 	if _, err := ix.AppendDocuments(queries[1:3]); err != nil {
 		t.Fatal(err)
 	}
 	for j := 0; j < ix.NumDocs(); j++ {
-		if want := mat.Norm(ix.docs.Row(j)); ix.norms[j] != want {
+		if want := mat.Norm(ix.DocVector(j)); ix.norms[j] != want {
 			t.Fatalf("doc %d norm %v, want %v", j, ix.norms[j], want)
 		}
 	}

@@ -3,7 +3,7 @@
 package mat
 
 // Runtime CPU probe shared by the assembly kernels (axpy_amd64.s,
-// dotint8_amd64.s): each dispatches on hasAVX2 and keeps its portable Go
+// dot32_amd64.s, dotint8_amd64.s): each dispatches on hasAVX2 and keeps its portable Go
 // loop as the fallback and as the reference its tests compare against.
 
 func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)

@@ -2,11 +2,12 @@ package mat
 
 import "fmt"
 
-// The query hot path's fused kernels. Both exist to cut per-query work
-// that the general-purpose routines above redo on every call: MulTVecSparse
+// The query hot path's fused kernels. They exist to cut per-query work
+// that the general-purpose routines redo on every call: MulTVecSparse
 // folds a sparse query into the latent space touching only the nonzero
-// rows of the basis, and DotNorm scores one document with a single dot
-// product against norms that were computed once at build/load time.
+// rows of the basis, and DotNorm32 scores one stored document with a
+// single dot product against norms that were computed once at build/load
+// time (DotNorm is its float64-row form, for centroids).
 
 // MulTVecSparse accumulates aᵀ·q into dst for a query given in sparse
 // form as parallel term/weight slices: dst[j] = Σᵢ weights[i]·a(terms[i], j).
@@ -168,12 +169,12 @@ func dotInt8BlockedGeneric(q []int16, codes []int8, dots []int32) {
 
 // DotNorm returns the cosine x·y/(nx·ny) clamped to [-1, 1] given the
 // precomputed Euclidean norms nx and ny, or 0 if either norm is 0 — the
-// fused scoring kernel of the query hot path. Where Cosine makes five
-// passes per pair (two per norm plus the dot), DotNorm makes one: the
-// query norm is computed once per query and every document norm once per
-// index build or load. The division and clamp mirror Cosine exactly, so
-// for norms produced by Norm the result is bitwise identical to
-// Cosine(x, y). It panics on length mismatch.
+// fused kernel for float64 rows (IVF centroids; documents go through
+// DotNorm32). Where Cosine makes five passes per pair (two per norm plus
+// the dot), DotNorm makes one: the query norm is computed once per query
+// and every row norm once per build or load. The division and clamp
+// mirror Cosine exactly, so for norms produced by Norm the result is
+// bitwise identical to Cosine(x, y). It panics on length mismatch.
 func DotNorm(x, y []float64, nx, ny float64) float64 {
 	if len(x) != len(y) {
 		panic(fmt.Sprintf("mat: DotNorm length mismatch %d vs %d", len(x), len(y)))
@@ -185,11 +186,54 @@ func DotNorm(x, y []float64, nx, ny float64) float64 {
 	for i, xv := range x {
 		dot += xv * y[i]
 	}
-	c := dot / (nx * ny)
-	if c > 1 {
-		c = 1
-	} else if c < -1 {
-		c = -1
+	return clampCos(dot / (nx * ny))
+}
+
+// DotNorm32 is DotNorm for a stored float32 row y and a float64 query x, all
+// arithmetic float64: the search path's one document scorer (internal/scan).
+func DotNorm32(x []float64, y []float32, nx, ny float64) float64 {
+	if len(x) != len(y) {
+		panic(fmt.Sprintf("mat: DotNorm32 length mismatch %d vs %d", len(x), len(y)))
 	}
-	return c
+	if nx == 0 || ny == 0 {
+		return 0
+	}
+	if hasAVX2 { // dot32_amd64.s: dot32Generic's bits, four elements an instruction
+		return clampCos(dot32AVX2(x, y) / (nx * ny))
+	}
+	return clampCos(dot32Generic(x, y) / (nx * ny))
+}
+
+// dot32Generic is DotNorm32's dot in a shape fixed so its bits do not
+// depend on the CPU: element i of each 16-element block in accumulator
+// i/4, lane i%4; a 4-element block after them in accumulator 0; the sum
+// (a0+a1)+(a2+a3) lane-wise, the lanes (l0+l2)+(l1+l3), then the last
+// len%4 products in turn. Each product is rounded by an explicit
+// conversion, so no compiler fuses it into an FMA on any architecture.
+func dot32Generic(x []float64, y []float32) float64 {
+	var a0, a1, a2, a3 lanes
+	i := 0
+	for ; i+16 <= len(x); i += 16 {
+		a0, a1 = a0.add(x[i:], y[i:]), a1.add(x[i+4:], y[i+4:])
+		a2, a3 = a2.add(x[i+8:], y[i+8:]), a3.add(x[i+12:], y[i+12:])
+	}
+	for ; i+4 <= len(x); i += 4 {
+		a0 = a0.add(x[i:], y[i:])
+	}
+	s := (((a0.l0 + a1.l0) + (a2.l0 + a3.l0)) + ((a0.l2 + a1.l2) + (a2.l2 + a3.l2))) +
+		(((a0.l1 + a1.l1) + (a2.l1 + a3.l1)) + ((a0.l3 + a1.l3) + (a2.l3 + a3.l3)))
+	for ; i < len(x); i++ {
+		s += float64(x[i] * float64(y[i]))
+	}
+	return s
+}
+
+// lanes is one accumulator: a struct, so it lives in registers.
+type lanes struct{ l0, l1, l2, l3 float64 }
+
+// add returns a plus x[l]·y[l] in lane l.
+func (a lanes) add(x []float64, y []float32) lanes {
+	x, y = x[:4:4], y[:4:4]
+	return lanes{a.l0 + float64(x[0]*float64(y[0])), a.l1 + float64(x[1]*float64(y[1])),
+		a.l2 + float64(x[2]*float64(y[2])), a.l3 + float64(x[3]*float64(y[3]))}
 }

@@ -18,7 +18,8 @@ import (
 type Dense struct {
 	rows, cols int
 	data       []float64
-	owner      any // see Hold
+	owner      any      // see Hold
+	from32     *Dense32 // what Widen copied this from; see Narrow
 }
 
 // NewDense returns a zeroed r x c matrix.

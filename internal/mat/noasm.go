@@ -19,3 +19,7 @@ func axpy4AVX2(alpha *[4]float64, x0, x1, x2, x3, y *float64, n int) {
 func dotInt8BlockedAVX2(q *int16, codes *int8, dots *int32, dim, rows, dim16 int) {
 	panic("mat: dotInt8BlockedAVX2 called without AVX2 support")
 }
+
+func dot32AVX2(x []float64, y []float32) float64 {
+	panic("mat: dot32AVX2 called without AVX2 support")
+}

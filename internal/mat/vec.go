@@ -17,13 +17,14 @@ func Dot(x, y []float64) float64 {
 	return s
 }
 
-// Norm returns the Euclidean norm of x.
-func Norm(x []float64) float64 {
+// Norm returns the Euclidean norm of x in float64 arithmetic, whatever
+// the width of x (bit for bit the norm of its widened copy).
+func Norm[F float32 | float64](x []F) float64 {
 	// Two-pass scaling avoids overflow for the perturbation experiments,
 	// which probe vectors across many orders of magnitude.
 	var mx float64
 	for _, v := range x {
-		if a := math.Abs(v); a > mx {
+		if a := math.Abs(float64(v)); a > mx {
 			mx = a
 		}
 	}
@@ -32,7 +33,7 @@ func Norm(x []float64) float64 {
 	}
 	var s float64
 	for _, v := range x {
-		r := v / mx
+		r := float64(v) / mx
 		s += r * r
 	}
 	return mx * math.Sqrt(s)
@@ -115,6 +116,14 @@ func CloneVec(x []float64) []float64 {
 	return out
 }
 
+// clampCos clamps round-off to [-1, 1] with a branch (min/max are slower).
+func clampCos(c float64) float64 {
+	if c > 1 || c < -1 {
+		return math.Copysign(1, c)
+	}
+	return c
+}
+
 // Cosine returns the cosine similarity x·y / (‖x‖‖y‖), or 0 if either
 // vector is zero.
 func Cosine(x, y []float64) float64 {
@@ -122,24 +131,7 @@ func Cosine(x, y []float64) float64 {
 	if nx == 0 || ny == 0 {
 		return 0
 	}
-	c := Dot(x, y) / (nx * ny)
-	// Clamp round-off so downstream acos never sees |c| > 1.
-	if c > 1 {
-		c = 1
-	} else if c < -1 {
-		c = -1
-	}
-	return c
-}
-
-// Angle returns the angle between x and y in radians, in [0, pi].
-// If either vector is zero the angle is defined as pi/2.
-func Angle(x, y []float64) float64 {
-	nx, ny := Norm(x), Norm(y)
-	if nx == 0 || ny == 0 {
-		return math.Pi / 2
-	}
-	return math.Acos(Cosine(x, y))
+	return clampCos(Dot(x, y) / (nx * ny))
 }
 
 // Dist returns the Euclidean distance between x and y.

@@ -54,19 +54,16 @@ func TestCosineAngle(t *testing.T) {
 	if got := Cosine(e1, e2); got != 0 {
 		t.Fatalf("Cosine orthogonal = %v", got)
 	}
-	if got := Angle(e1, e2); math.Abs(got-math.Pi/2) > 1e-14 {
-		t.Fatalf("Angle orthogonal = %v", got)
-	}
 	if got := Cosine(e1, []float64{2, 0}); math.Abs(got-1) > 1e-14 {
 		t.Fatalf("Cosine parallel = %v", got)
 	}
-	if got := Angle([]float64{0, 0}, e1); got != math.Pi/2 {
-		t.Fatalf("Angle with zero vector = %v, want pi/2", got)
+	if got := Cosine([]float64{0, 0}, e1); got != 0 {
+		t.Fatalf("Cosine with zero vector = %v, want 0", got)
 	}
-	// Clamp: numerically near-parallel vectors should not produce NaN.
+	// Clamp: a numerically near-parallel pair stays a valid acos argument.
 	a := []float64{1, 1e-9}
-	if math.IsNaN(Angle(a, a)) {
-		t.Fatal("Angle(self) is NaN")
+	if math.IsNaN(math.Acos(Cosine(a, a))) {
+		t.Fatal("acos(Cosine(self)) is NaN")
 	}
 }
 

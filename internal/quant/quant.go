@@ -1,16 +1,16 @@
 // Package quant implements per-document symmetric int8 scalar
 // quantization of the projected document matrix — the bandwidth
 // optimization of the scoring hot path. At large corpus sizes the
-// exhaustive and in-cell scans are memory-bound on 8-byte floats; the
-// paper's JL projection argument (Lemma 2) already licenses lossy
-// representation of the latent space, and quantizing each projected
+// exhaustive and in-cell scans are memory-bound on the stored float32
+// rows; the paper's JL projection argument (Lemma 2) already licenses
+// lossy representation of the latent space, and quantizing each projected
 // document row to int8 with one per-document scale cuts the matrix
-// footprint 8× so the scan streams codes instead of doubles.
+// footprint 4× so the scan streams codes instead of floats.
 //
 // Search is two-stage: a quantized scan scores every candidate with the
 // integer kernel mat.DotInt8 and keeps an over-fetched topN·β set, then
-// an exact float64 rerank through mat.DotNorm — the same fused kernel as
-// the float path — restores the final (score desc, doc asc) order. The
+// an exact float64 rerank through the float path's own scorer (scan.Float,
+// mat.DotNorm32) restores the final (score desc, doc asc) order. The
 // integer accumulation is exact and the per-document approximate score
 // is a pure function of the stored codes, so quantized results are
 // bitwise-deterministic for every worker count, exactly like the float
@@ -62,7 +62,7 @@ func (m *Matrix) NumDocs() int { return len(m.scales) }
 
 // Bytes returns the in-memory footprint of the quantized representation
 // (codes plus scales) — the number the serving layer reports so
-// operators can size the ~8× reduction against the float matrix.
+// operators can size the ~4× reduction against the float32 matrix.
 func (m *Matrix) Bytes() int64 {
 	return int64(len(m.codes)) + 8*int64(len(m.scales))
 }
@@ -77,10 +77,10 @@ func (m *Matrix) Row(j int) []int8 { return m.codes[j*m.dim : (j+1)*m.dim] }
 // returns the dequantization scale: scale = max|v|/127 and
 // dst[i] = round(v[i]/scale), so |v[i] − dst[i]·scale| ≤ scale/2. An
 // all-zero vector quantizes to zero codes with scale 0.
-func quantizeVec(dst []int8, v []float64) float64 {
+func quantizeVec[F float32 | float64](dst []int8, v []F) float64 {
 	maxAbs := 0.0
 	for _, x := range v {
-		if a := math.Abs(x); a > maxAbs {
+		if a := math.Abs(float64(x)); a > maxAbs {
 			maxAbs = a
 		}
 	}
@@ -92,7 +92,7 @@ func quantizeVec(dst []int8, v []float64) float64 {
 	}
 	scale := maxAbs / MaxCode
 	for i, x := range v {
-		c := math.RoundToEven(x / scale)
+		c := math.RoundToEven(float64(x) / scale)
 		// RoundToEven of v/scale with |v| ≤ scale·127 stays in range, but
 		// clamp anyway so a NaN/Inf row cannot smuggle -128 into the codes.
 		if c > MaxCode {
@@ -105,12 +105,15 @@ func quantizeVec(dst []int8, v []float64) float64 {
 	return scale
 }
 
-// Quantize builds the int8 shadow of vecs, one independent symmetric
-// quantization per document row. It is a pure deterministic function of
-// the input matrix — no seed, no iteration — so rebuilding at load time
-// yields a byte-identical sidecar, and the row-parallel pass writes
-// disjoint slices only.
-func Quantize(vecs *mat.Dense) *Matrix {
+// Quantize is Quantize32 over mat.Narrow(vecs).
+func Quantize(vecs *mat.Dense) *Matrix { return Quantize32(mat.Narrow(vecs)) }
+
+// Quantize32 builds the int8 shadow of the stored document matrix vecs,
+// one independent symmetric quantization per row. It is a pure
+// deterministic function of the input matrix — no seed, no iteration — so
+// rebuilding at load time yields a byte-identical sidecar, and the
+// row-parallel pass writes disjoint slices only.
+func Quantize32(vecs *mat.Dense32) *Matrix {
 	rows, cols := vecs.Dims()
 	m := &Matrix{
 		dim:    cols,
@@ -145,7 +148,7 @@ func (m *Matrix) scaleOverNorms(norms []float64) []float64 {
 // checkSearchArgs panics when the float matrix handed to a search does
 // not match the quantized shadow — the same defensive posture as
 // ivf.AppendSearch, catching segment/sidecar mixups at the boundary.
-func (m *Matrix) checkSearchArgs(vecs *mat.Dense, norms []float64, pq []float64) {
+func (m *Matrix) checkSearchArgs(vecs *mat.Dense32, norms []float64, pq []float64) {
 	rows, cols := vecs.Dims()
 	if cols != m.dim || len(pq) != m.dim {
 		panic(fmt.Sprintf("quant: dimension mismatch: matrix %d, vecs %d, query %d", m.dim, cols, len(pq)))

@@ -7,12 +7,15 @@ import (
 
 	"repro/internal/mat"
 	"repro/internal/par"
+	"repro/internal/scan"
 	"repro/internal/topk"
 )
 
 // clusteredVecs samples m unit-scale vectors around `topics` random
 // directions — the regime the paper proves LSI produces and the one the
-// fidelity gate measures on.
+// fidelity gate measures on — stored as an index stores them: rounded to
+// float32 (returned widened, as lsi.Index.DocVectors returns them) with the
+// norms of the stored values.
 func clusteredVecs(t testing.TB, m, dim, topics int, noise float64, seed int64) (*mat.Dense, []float64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -31,14 +34,15 @@ func clusteredVecs(t testing.TB, m, dim, topics int, noise float64, seed int64) 
 			row[d] = dir[d] + noise*rng.NormFloat64()
 		}
 	}
+	stored := mat.Narrow(vecs)
 	norms := make([]float64, m)
 	for j := 0; j < m; j++ {
-		norms[j] = mat.Norm(vecs.Row(j))
+		norms[j] = mat.Norm(stored.Row(j))
 	}
-	return vecs, norms
+	return stored.Widen(), norms
 }
 
-// exhaustive is the float ground truth: every row scored with DotNorm,
+// exhaustive is the float ground truth: every row scored with DotNorm32,
 // selected through the same bounded heap.
 func exhaustive(vecs *mat.Dense, norms, pq []float64, qn float64, topN int) []topk.Match {
 	var h topk.Heap
@@ -48,7 +52,7 @@ func exhaustive(vecs *mat.Dense, norms, pq []float64, qn float64, topN int) []to
 	}
 	h.Reset(keep)
 	for j := 0; j < vecs.Rows(); j++ {
-		h.Offer(topk.Match{Doc: j, Score: mat.DotNorm(pq, vecs.Row(j), qn, norms[j])})
+		h.Offer(topk.Match{Doc: j, Score: mat.DotNorm32(pq, mat.Narrow(vecs).Row(j), qn, norms[j])})
 	}
 	return h.AppendSorted(nil)
 }
@@ -224,7 +228,7 @@ func TestAppendSearchRerankScoresAreExact(t *testing.T) {
 			t.Fatalf("stats = %+v, want Scanned=1200 Reranked=40", st)
 		}
 		for i, m := range got {
-			want := mat.DotNorm(queries[q], vecs.Row(m.Doc), qns[q], norms[m.Doc])
+			want := mat.DotNorm32(queries[q], mat.Narrow(vecs).Row(m.Doc), qns[q], norms[m.Doc])
 			if math.Float64bits(m.Score) != math.Float64bits(want) {
 				t.Fatalf("query %d match %d: score %v, want exact %v", q, i, m.Score, want)
 			}
@@ -291,7 +295,8 @@ func TestAppendSearchDocsRestrictsUniverse(t *testing.T) {
 		docs = append(docs, int32(j))
 	}
 	for q := range queries {
-		got, st := qm.AppendSearchDocs(nil, docs, vecs, norms, queries[q], qns[q], 5, 100)
+		f := scan.Float{Vecs: mat.Narrow(vecs), Norms: norms, PQ: queries[q], QN: qns[q], Src: scan.List(docs)}
+		got, st := qm.AppendRerank(nil, f, 5, 100)
 		if st.Reranked != len(docs) {
 			t.Fatalf("stats = %+v, want Reranked=%d", st, len(docs))
 		}
@@ -299,7 +304,7 @@ func TestAppendSearchDocsRestrictsUniverse(t *testing.T) {
 		var h topk.Heap
 		h.Reset(5)
 		for _, j := range docs {
-			h.Offer(topk.Match{Doc: int(j), Score: mat.DotNorm(queries[q], vecs.Row(int(j)), qns[q], norms[j])})
+			h.Offer(topk.Match{Doc: int(j), Score: mat.DotNorm32(queries[q], mat.Narrow(vecs).Row(int(j)), qns[q], norms[j])})
 		}
 		sameMatches(t, "restricted universe", got, h.AppendSorted(nil))
 		for _, m := range got {
@@ -328,7 +333,8 @@ func TestAppendSearchZeroQuery(t *testing.T) {
 func TestAppendSearchEmptyDocs(t *testing.T) {
 	vecs, norms := clusteredVecs(t, 10, 4, 2, 0.3, 16)
 	qm := Quantize(vecs)
-	got, st := qm.AppendSearchDocs(nil, []int32{}, vecs, norms, vecs.Row(0), norms[0], 3, DefaultBeta)
+	f := scan.Float{Vecs: mat.Narrow(vecs), Norms: norms, PQ: vecs.Row(0), QN: norms[0], Src: scan.List([]int32{})}
+	got, st := qm.AppendRerank(nil, f, 3, DefaultBeta)
 	if len(got) != 0 || st != (ScanStats{}) {
 		t.Fatalf("empty universe returned %v, %+v", got, st)
 	}

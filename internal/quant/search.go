@@ -182,17 +182,9 @@ func (m *Matrix) AppendRerank(dst []topk.Match, f scan.Float, topN, beta int) ([
 	return f.AppendTop(dst, keep), ScanStats{Scanned: n, Reranked: cand}
 }
 
-// AppendSearch is AppendRerank over every document: vecs and norms must
-// be the float matrix this Matrix was quantized from, pq the projected
-// query and qn its norm.
+// AppendSearch is AppendRerank over every document: mat.Narrow(vecs) and
+// norms must be the float matrix this Matrix was quantized from, pq the
+// projected query and qn its norm.
 func (m *Matrix) AppendSearch(dst []topk.Match, vecs *mat.Dense, norms []float64, pq []float64, qn float64, topN, beta int) ([]topk.Match, ScanStats) {
-	return m.AppendRerank(dst, scan.Float{Vecs: vecs, Norms: norms, PQ: pq, QN: qn, Src: scan.Rows(m.NumDocs())}, topN, beta)
-}
-
-// AppendSearchDocs is AppendSearch restricted to an explicit candidate
-// list of local document numbers — the composition point with the IVF
-// tier, which hands over the documents of its probed cells so the in-cell
-// scan runs on int8 codes while the rerank stays exact float64.
-func (m *Matrix) AppendSearchDocs(dst []topk.Match, docs []int32, vecs *mat.Dense, norms []float64, pq []float64, qn float64, topN, beta int) ([]topk.Match, ScanStats) {
-	return m.AppendRerank(dst, scan.Float{Vecs: vecs, Norms: norms, PQ: pq, QN: qn, Src: scan.List(docs)}, topN, beta)
+	return m.AppendRerank(dst, scan.Float{Vecs: mat.Narrow(vecs), Norms: norms, PQ: pq, QN: qn, Src: scan.Rows(m.NumDocs())}, topN, beta)
 }

@@ -92,11 +92,11 @@ func AppendTop[S Scanner](dst []topk.Match, n, keep, grain int, s S) []topk.Matc
 }
 
 // Float scores candidates by exact float64 cosine against a projected
-// query: mat.DotNorm of PQ (with QN its norm) against the rows of Vecs
-// and their precomputed Norms — the only document scoring in float, so
-// a document gets bitwise the same score on every route.
+// query: mat.DotNorm32 of PQ (with QN its norm) against the stored float32
+// rows of Vecs and their precomputed Norms — the only document scoring in
+// float, so a document gets bitwise the same score on every route.
 type Float struct {
-	Vecs  *mat.Dense
+	Vecs  *mat.Dense32
 	Norms []float64
 	PQ    []float64
 	QN    float64
@@ -112,7 +112,7 @@ func (f Float) Scan(h *topk.Heap, lo, hi int) {
 	if docs, ok := f.Src.Docs(); ok {
 		for _, d := range docs[lo:hi] {
 			j := int(d)
-			h.Offer(topk.Match{Doc: j, Score: mat.DotNorm(f.PQ, f.Vecs.Row(j), f.QN, f.Norms[j])})
+			h.Offer(topk.Match{Doc: j, Score: mat.DotNorm32(f.PQ, f.Vecs.Row(j), f.QN, f.Norms[j])})
 		}
 		return
 	}
@@ -121,7 +121,7 @@ func (f Float) Scan(h *topk.Heap, lo, hi int) {
 		if f.IDs != nil {
 			doc = f.IDs[j]
 		}
-		h.Offer(topk.Match{Doc: doc, Score: mat.DotNorm(f.PQ, f.Vecs.Row(j), f.QN, f.Norms[j])})
+		h.Offer(topk.Match{Doc: doc, Score: mat.DotNorm32(f.PQ, f.Vecs.Row(j), f.QN, f.Norms[j])})
 	}
 }
 

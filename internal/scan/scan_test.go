@@ -15,16 +15,16 @@ import (
 // testVecs is n random rank-dim rows in which every third row repeats an
 // earlier one, so equal scores — and with them the doc-ascending
 // tie-break — occur in every ranking.
-func testVecs(n, dim int, seed int64) (*mat.Dense, []float64, []float64) {
+func testVecs(n, dim int, seed int64) (*mat.Dense32, []float64, []float64) {
 	rng := rand.New(rand.NewSource(seed))
-	vecs, norms := mat.NewDense(n, dim), make([]float64, n)
+	vecs, norms := mat.NewDense32(n, dim), make([]float64, n)
 	for j := 0; j < n; j++ {
 		row := vecs.Row(j)
 		if j%3 == 2 {
 			copy(row, vecs.Row(rng.Intn(j)))
 		} else {
 			for i := range row {
-				row[i] = rng.NormFloat64()
+				row[i] = float32(rng.NormFloat64())
 			}
 		}
 		norms[j] = mat.Norm(row)
@@ -38,7 +38,7 @@ func testVecs(n, dim int, seed int64) (*mat.Dense, []float64, []float64) {
 
 // naive is the reference: score every candidate, sort all of them, cut
 // to keep.
-func naive(vecs *mat.Dense, norms, pq []float64, rows []int, ids []int, keep int) []topk.Match {
+func naive(vecs *mat.Dense32, norms, pq []float64, rows []int, ids []int, keep int) []topk.Match {
 	qn := mat.Norm(pq)
 	all := make([]topk.Match, 0, len(rows))
 	for _, j := range rows {
@@ -46,7 +46,7 @@ func naive(vecs *mat.Dense, norms, pq []float64, rows []int, ids []int, keep int
 		if ids != nil {
 			doc = ids[j]
 		}
-		all = append(all, topk.Match{Doc: doc, Score: mat.DotNorm(pq, vecs.Row(j), qn, norms[j])})
+		all = append(all, topk.Match{Doc: doc, Score: mat.DotNorm32(pq, vecs.Row(j), qn, norms[j])})
 	}
 	sort.Slice(all, func(a, b int) bool {
 		if all[a].Score != all[b].Score {

@@ -13,6 +13,7 @@ import (
 	"repro/internal/par"
 	"repro/internal/quant"
 	"repro/internal/race"
+	"repro/internal/scan"
 	"repro/internal/topk"
 )
 
@@ -81,7 +82,8 @@ func TestSearchAddsOnlyTheResultSlice(t *testing.T) {
 		}},
 		{"composed", ProbeOptions{NProbe: nprobe, Beta: beta}, func() {
 			docs, _ = seg.Ann.AppendProbeDocs(docs[:0], pq, qn, nprobe)
-			buf, _ = seg.Quant.AppendSearchDocs(buf[:0], docs, vecs, norms, pq, qn, topN, beta)
+			f := scan.Float{Vecs: ix.Docs(), Norms: norms, PQ: pq, QN: qn, Src: scan.List(docs)}
+			buf, _ = seg.Quant.AppendRerank(buf[:0], f, topN, beta)
 		}},
 	} {
 		below := testing.AllocsPerRun(100, route.below)

@@ -33,7 +33,7 @@ func syntheticSegments(tb testing.TB, nseg, numDocs, terms, k int) []*Segment {
 		m := numDocs / nseg
 		ix, err := lsi.NewIndexFromParts(lsi.IndexParts{
 			K: k, NumTerms: terms, Sigma: sigma,
-			UkRows: terms, UkData: basis, DocRows: m, DocData: normal(m * k),
+			UkRows: terms, UkData: basis, DocRows: m, DocData: lsi.Narrow(normal(m * k)),
 		})
 		if err != nil {
 			tb.Fatal(err)

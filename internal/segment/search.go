@@ -122,7 +122,7 @@ func Search(segs []*Segment, q Query, topN int, opts ProbeOptions) ([]topk.Match
 		proj := sc.proj[at : at+s.Ix.K()]
 		at += len(proj)
 		q.foldInto(s.Ix, proj)
-		f := scan.Float{Vecs: s.Ix.DocVectors(), Norms: s.Ix.Norms(), PQ: proj, QN: mat.Norm(proj), Src: scan.Rows(s.Len())}
+		f := scan.Float{Vecs: s.Ix.Docs(), Norms: s.Ix.Norms(), PQ: proj, QN: mat.Norm(proj), Src: scan.Rows(s.Len())}
 		viaAnn := s.Ann != nil && opts.NProbe > 0
 		viaQuant := s.Quant != nil && opts.Beta > 0
 		if !viaAnn && !viaQuant {

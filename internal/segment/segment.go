@@ -187,7 +187,7 @@ func (s *Segment) WithTiers(cfg TierConfig, ann *ivf.Index, qm *quant.Matrix) (*
 	trainable := s.Compacted && s.Len() > 0 && s.Len() >= cfg.MinDocs
 	var err error
 	if ann == nil && cfg.NList > 0 && trainable {
-		ann, err = ivf.Train(s.Ix.DocVectors(), s.Ix.Norms(), ivf.TrainOptions{
+		ann, err = ivf.Train32(s.Ix.Docs(), s.Ix.Norms(), ivf.TrainOptions{
 			NList: cfg.NList,
 			Seed:  cfg.Seed + int64(s.Global[0])*8191 + 500009,
 		})
@@ -201,7 +201,7 @@ func (s *Segment) WithTiers(cfg TierConfig, ann *ivf.Index, qm *quant.Matrix) (*
 		}
 	}
 	if qm == nil && cfg.Quantize && trainable {
-		qm = quant.Quantize(s.Ix.DocVectors())
+		qm = quant.Quantize32(s.Ix.Docs())
 	}
 	if qm != nil {
 		if s, err = s.WithQuant(qm); err != nil {

@@ -84,14 +84,14 @@ func (t *Tiers) Add(s *Segment) {
 	}
 }
 
-// MemoryBytes estimates the heap the segment holds: latent rows,
+// MemoryBytes estimates the heap the segment holds: latent rows (float32),
 // singular values, norms, raw documents and both sidecars, plus the
 // basis matrix when withBasis is set — fold-in segments share the basis
 // of the index they were folded against, so a caller walking several
 // segments passes true once per distinct basis.
 func (s *Segment) MemoryBytes(withBasis bool) int64 {
 	k, m := int64(s.Ix.K()), int64(s.Len())
-	b := 8*(m*k+k+m) + 16*int64(s.Raw.NNZ())
+	b := 4*m*k + 8*(k+m) + 16*int64(s.Raw.NNZ())
 	if withBasis {
 		b += 8 * int64(s.Ix.NumTerms()) * k
 	}

@@ -56,42 +56,50 @@ func answers(t *testing.T, ix *Index, queries []string) [][]Result {
 
 // An index file opened from its path (mapped) and loaded from its bytes
 // (streamed) is one index above internal/lsi: the same Save output byte
-// for byte, the same results bit for bit, at one worker and at two. So is
-// a checkpoint directory and the index it was saved from: the opened one
-// serves its segments from mappings, answers alike and saves the same
-// segment files.
+// for byte — the v4 file, whichever container version was read — the same
+// results bit for bit, at one worker and at two. So is a checkpoint
+// directory and the index it was saved from: the opened one serves its
+// segments from mappings, answers alike and saves the same segment files.
 func TestMappedAndStreamedOpensAgree(t *testing.T) {
 	maps := mapsFiles(t)
 	queries := []string{"car", "car engine repair", "telescope galaxy", "pasta sauce"}
 
-	golden, err := os.ReadFile("testdata/index_v3.lsi")
+	v4, err := os.ReadFile("testdata/index_v4.lsi")
 	if err != nil {
 		t.Fatal(err)
 	}
-	streamed, err := Load(bytes.NewReader(golden))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mapped, err := Open("testdata/index_v3.lsi")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := mapped.Stats().MappedBytes; streamed.Stats().MappedBytes != 0 || (got != int64(len(golden))) != !maps {
-		t.Fatalf("mappedBytes %d opened, %d loaded (file of %d, maps: %v)", got, streamed.Stats().MappedBytes, len(golden), maps)
-	}
-	if mapped.Stats().MemoryBytes != streamed.Stats().MemoryBytes {
-		t.Fatalf("memoryBytes %d mapped, %d streamed: it counts every array, wherever it lives",
-			mapped.Stats().MemoryBytes, streamed.Stats().MemoryBytes)
-	}
-	var a, b bytes.Buffer
-	if err := streamed.Save(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := mapped.Save(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) || !bytes.Equal(a.Bytes(), golden) {
-		t.Fatal("mapped and streamed opens of the golden save different bytes")
+	var pairs [][2]*Index // mapped, streamed
+	for _, path := range []string{"testdata/index_v3.lsi", "testdata/index_v4.lsi"} {
+		golden, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		streamed, err := Load(bytes.NewReader(golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mapped, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := mapped.Stats().MappedBytes; streamed.Stats().MappedBytes != 0 || (got != int64(len(golden))) != !maps {
+			t.Fatalf("%s: mappedBytes %d opened, %d loaded (file of %d, maps: %v)", path, got, streamed.Stats().MappedBytes, len(golden), maps)
+		}
+		if mapped.Stats().MemoryBytes != streamed.Stats().MemoryBytes {
+			t.Fatalf("%s: memoryBytes %d mapped, %d streamed: it counts every array, wherever it lives",
+				path, mapped.Stats().MemoryBytes, streamed.Stats().MemoryBytes)
+		}
+		var a, b bytes.Buffer
+		if err := streamed.Save(&a); err != nil {
+			t.Fatal(err)
+		}
+		if err := mapped.Save(&b); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) || !bytes.Equal(a.Bytes(), v4) {
+			t.Fatalf("mapped and streamed opens of %s do not both save the v4 golden", path)
+		}
+		pairs = append(pairs, [2]*Index{mapped, streamed})
 	}
 
 	docs := clusteredDocs(300, 5)
@@ -139,13 +147,93 @@ func TestMappedAndStreamedOpensAgree(t *testing.T) {
 	dirQueries := []string{"car engine", "galaxy telescope", "yeast dough oven baker"}
 	for _, procs := range []int{1, 2} {
 		old := par.SetMaxProcs(procs)
-		if !reflect.DeepEqual(answers(t, mapped, queries), answers(t, streamed, queries)) {
-			t.Errorf("MaxProcs=%d: mapped and streamed opens of the golden answer differently", procs)
+		for _, p := range pairs {
+			if !reflect.DeepEqual(answers(t, p[0], queries), answers(t, p[1], queries)) {
+				t.Errorf("MaxProcs=%d: mapped and streamed opens of a golden answer differently", procs)
+			}
 		}
 		if !reflect.DeepEqual(answers(t, opened, dirQueries), answers(t, built, dirQueries)) {
 			t.Errorf("MaxProcs=%d: the opened directory and the index it was saved from answer differently", procs)
 		}
 		par.SetMaxProcs(old)
+	}
+}
+
+// scoresByID runs query over every document of ix and maps each
+// document's external ID to the bits of its score.
+func scoresByID(t *testing.T, ix *Index, query string, into map[string]float64) {
+	t.Helper()
+	res, err := ix.Search(context.Background(), query, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range res {
+		into[r.ID] = r.Score
+	}
+}
+
+// A built index holds the float32 document matrix from the start, so the
+// index in memory, the files it saves and the indexes opened from them —
+// mapped — score every document bitwise alike: unsharded through Save and
+// Open, and on 1 and 3 shards through SaveDir and OpenDir and through
+// SaveShardDirs, whose node exports together score every document as the
+// whole index does.
+func TestBuildSaveOpenScoreBitwiseAlike(t *testing.T) {
+	docs := clusteredDocs(480, 11)
+	queries := []string{"car engine", "galaxy telescope orbit", "yeast dough oven baker", "brake comet flour"}
+	opts := []Option{WithRank(6), WithEngine(EngineRandomized), WithSeed(7), WithAutoCompact(false)}
+
+	built, err := Build(docs, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "index.lsi")
+	saveTo(t, built, path)
+	opened, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(answers(t, opened, queries), answers(t, built, queries)) {
+		t.Fatal("the opened file and the index it was saved from answer differently")
+	}
+
+	for _, shards := range []int{1, 3} {
+		built, err := Build(docs, append(opts, WithShards(shards))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer built.Close()
+		dir, nodes := t.TempDir(), t.TempDir()
+		if err := built.SaveDir(dir); err != nil {
+			t.Fatal(err)
+		}
+		if err := built.SaveShardDirs(nodes); err != nil {
+			t.Fatal(err)
+		}
+		opened, err := OpenDir(dir, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer opened.Close()
+		if !reflect.DeepEqual(answers(t, opened, queries), answers(t, built, queries)) {
+			t.Fatalf("%d shards: the opened directory and the index it was saved from answer differently", shards)
+		}
+		for _, q := range queries {
+			want, got := map[string]float64{}, map[string]float64{}
+			scoresByID(t, built, q, want)
+			for s := 0; s < shards; s++ {
+				node, err := OpenDir(shardDirName(nodes, s), opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				scoresByID(t, node, q, got)
+				node.Close()
+			}
+			if len(want) != len(docs) || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%d shards, %q: the node exports score %d documents differently from the index's %d",
+					shards, q, len(got), len(want))
+			}
+		}
 	}
 }
 

@@ -245,7 +245,7 @@ func WithANN(nlist, nprobe int) Option {
 
 // WithQuantized enables the quantized scoring tier of the LSI backend:
 // an int8 shadow of the rank-k document matrix (one symmetric scale per
-// document, ~8× smaller than the float64 matrix) is built alongside the
+// document, ~4× smaller than the float32 matrix) is built alongside the
 // decomposition, and searches run two-stage — the bandwidth-optimal int8
 // scan selects topN·beta candidates, then an exact float64 rerank
 // restores the final (score desc, doc asc) order. Every returned score

@@ -17,7 +17,7 @@ import (
 // weighting, pipeline flags, document IDs — so a loaded index answers
 // text queries with no access to the original corpus.
 //
-// LSI indexes are written by internal/lsi in its wire format v3 (raw
+// LSI indexes are written by internal/lsi in its wire format v4 (raw
 // arrays in an internal/blob container, the text layer as one section);
 // Load recognises them by their magic and hands them to lsi.LoadMeta.
 // Everything else is a gob stream, read into a union of the field sets
@@ -184,7 +184,7 @@ func Load(r io.Reader, opts ...LoadOption) (*Index, error) {
 	lsiIndex, err := lsi.NewIndexFromParts(lsi.IndexParts{
 		K: wire.K, NumTerms: wire.NumTerms, Sigma: wire.Sigma,
 		UkRows: wire.UkRows, UkData: wire.UkData,
-		DocRows: wire.DocRows, DocData: wire.DocData,
+		DocRows: wire.DocRows, DocData: lsi.Narrow(wire.DocData),
 	})
 	if err != nil {
 		return nil, fmt.Errorf("retrieval: %w", err)

@@ -30,7 +30,7 @@ func syntheticLSI(tb testing.TB, docs, terms, k int) *Index {
 	li, err := lsi.NewIndexFromParts(lsi.IndexParts{
 		K: k, NumTerms: terms, Sigma: floats(k),
 		UkRows: terms, UkData: floats(terms * k),
-		DocRows: docs, DocData: floats(docs * k),
+		DocRows: docs, DocData: lsi.Narrow(floats(docs * k)),
 	})
 	if err != nil {
 		tb.Fatal(err)

@@ -224,12 +224,12 @@ func TestLoadRejectsFutureVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	binary.LittleEndian.PutUint16(golden[len(lsi.Magic):], lsi.WireVersion+1)
-	for want, data := range map[string][]byte{"version 7": legacy.Bytes(), "version 4": golden} {
+	for want, data := range map[string][]byte{"version 7": legacy.Bytes(), "version 5": golden} {
 		_, err := Load(bytes.NewReader(data))
 		if err == nil {
 			t.Fatalf("%s should fail to load", want)
 		}
-		if !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "supported: 1..3") {
+		if !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "supported: 1..4") {
 			t.Fatalf("error %q does not name %s and the supported range", err, want)
 		}
 	}
@@ -237,9 +237,11 @@ func TestLoadRejectsFutureVersion(t *testing.T) {
 
 // Every generation of index on disk — the gob file of wire v1 (numeric
 // payload, text layer attached at load), the gob file of v2, the v3
-// container, and a saved directory whose segment is a gob file — came
-// from the same build of the demo corpus, and must serve the same IDs
-// and scores bit for bit. Saving any of them again writes v3.
+// container, the v4 one with float32 DOCS, and a saved directory whose
+// segment is a gob file — came from the same build of the demo corpus,
+// and must serve the same IDs and scores bit for bit: v1–v3 narrow their
+// document matrix on load to what v4 stores and a fresh build holds.
+// Saving any of them again writes v4.
 func TestGoldenGenerationsSearchIdentically(t *testing.T) {
 	v1, err := Open("testdata/index_v1.gob")
 	if err != nil {
@@ -257,7 +259,7 @@ func TestGoldenGenerationsSearchIdentically(t *testing.T) {
 	}
 	gens := map[string]*Index{"v1": v1}
 	for name, path := range map[string]string{
-		"v2": "testdata/index_v2.gob", "v3": "testdata/index_v3.lsi", "dir": "testdata/dir_gob",
+		"v2": "testdata/index_v2.gob", "v3": "testdata/index_v3.lsi", "v4": "testdata/index_v4.lsi", "dir": "testdata/dir_gob",
 	} {
 		ix, err := Open(path, WithAutoCompact(false))
 		if err != nil {
@@ -279,12 +281,12 @@ func TestGoldenGenerationsSearchIdentically(t *testing.T) {
 	if err := gens["v2"].Save(&flat); err != nil {
 		t.Fatal(err)
 	}
-	golden, err := os.ReadFile("testdata/index_v3.lsi")
+	golden, err := os.ReadFile("testdata/index_v4.lsi")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(flat.Bytes(), golden) {
-		t.Fatal("the v2 golden, saved again, is not the v3 golden byte for byte")
+		t.Fatal("the v2 golden, saved again, is not the v4 golden byte for byte")
 	}
 	dir := t.TempDir()
 	if err := gens["dir"].SaveDir(dir); err != nil {
@@ -295,7 +297,7 @@ func TestGoldenGenerationsSearchIdentically(t *testing.T) {
 		t.Fatalf("saved segments %v, err %v", segs, err)
 	}
 	if seg, err := os.ReadFile(segs[0]); err != nil || !bytes.HasPrefix(seg, lsi.Magic[:]) {
-		t.Fatalf("a saved segment does not start with the v3 magic (err %v)", err)
+		t.Fatalf("a saved segment does not start with the container magic (err %v)", err)
 	}
 }
 

@@ -13,10 +13,11 @@
 // Indexes are text-in/text-out: Build bundles the tokenize → stopword →
 // stem pipeline, the vocabulary, and the term weighting into the index,
 // so queries are plain strings and results carry stable document IDs.
-// Save writes a self-contained index (wire format v3: raw arrays plus the
-// text layer) that answers text queries after Load without the corpus
-// that built it; the gob files of wire versions 1 and 2 still load (see
-// Load for attaching a text layer to a v1 file).
+// Save writes a self-contained index (wire format v4: raw arrays — the
+// document matrix in float32 — plus the text layer) that answers text
+// queries after Load without the corpus that built it; v3 files and the
+// gob files of wire versions 1 and 2 still load (see Load for attaching a
+// text layer to a v1 file).
 //
 // Every query path returns errors — malformed input never panics through
 // the public API, and batch calls honor context cancellation. The
@@ -64,11 +65,13 @@ type Result struct {
 	// Score is the cosine similarity between query and document — in the
 	// rank-k latent space for the LSI backend, in raw term space for VSM.
 	//
-	// Scores are stable across query paths and releases to within 1e-12:
+	// Scores agree across the query paths of one index to within 1e-12:
 	// the sparse text hot path, the dense SearchVector path, and batch
 	// calls agree on a document's score to at least that tolerance (hot-
 	// path kernel changes may move the last ulps), and rankings —
-	// including the document-ID tie-break — are identical.
+	// including the document-ID tie-break — are identical. Across the
+	// v3 → v4 file format (float32 LSI document vectors) a rebuilt or
+	// reloaded index's scores move by float32 rounding, at most 1e-6.
 	Score float64 `json:"score"`
 }
 

@@ -136,7 +136,7 @@ func TestEncodeSegmentAllocatesItsSizeOnce(t *testing.T) {
 	ix, err := lsi.NewIndexFromParts(lsi.IndexParts{
 		K: k, NumTerms: terms, Sigma: make([]float64, k),
 		UkRows: terms, UkData: make([]float64, terms*k),
-		DocRows: docs, DocData: make([]float64, docs*k),
+		DocRows: docs, DocData: make([]float32, docs*k),
 	})
 	if err != nil {
 		t.Fatal(err)

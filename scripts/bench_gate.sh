@@ -1,19 +1,25 @@
 #!/bin/sh
 # bench_gate.sh — the CI perf-regression gate. Compares the tier-1 query
 # hot-path benchmarks between two revisions (or two saved bench outputs)
-# benchstat-style: each benchmark is run -count times, medians are
-# compared, and the gate FAILS when
+# benchstat-style: each benchmark is run -count times, and the gate FAILS
+# when
 #
 #   * median ns/op regresses by more than the threshold (default 20%), or
-#   * median allocs/op increases at all (the hot path's allocation
-#     budget is pinned; any growth is a regression), or
+#   * minimum allocs/op increases at all (the hot path's allocation
+#     budget is pinned; any growth is a regression — the minimum, because
+#     a count that drifts run to run, such as a worker pool's, reads its
+#     floor on both sides however the runs fall), or
 #   * a gated benchmark that existed at the base disappeared.
 #
 # Modes:
 #
 #   scripts/bench_gate.sh -r <ref>            # run mode (what CI uses):
 #       benchmarks HEAD's working tree and `git merge-base <ref> HEAD`
-#       (checked out into a temporary git worktree), then compares.
+#       (checked out into a temporary git worktree), then compares. Each
+#       side's test binaries are built once, then run interleaved: run 1
+#       of package 1 on the base, then on HEAD, then package 2, ...; run 2
+#       starts with HEAD. A loud minute on the box thus lands on both
+#       sides alike instead of on one whole side.
 #   scripts/bench_gate.sh -a base.txt -b head.txt   # compare mode:
 #       compares two existing `go test -bench` outputs; used by the
 #       gate's own tests to prove it fails on a seeded regression.
@@ -23,10 +29,11 @@
 #   -o <file>   write the comparison report here (default bench-gate.txt)
 #   -B <regex>  -bench regex for run mode (default: the tier-1 subset
 #               BenchmarkQueryLatency*/BenchmarkSearch*/BenchmarkRandomized*,
-#               the index file's BenchmarkOpen/BenchmarkSave, and the
-#               index-build kernels BenchmarkAxpy, BenchmarkQRInPlace*,
-#               BenchmarkProcessAll and BenchmarkTermDocMatrix*)
-#   -c <n>      -count per side in run mode (default 5; medians damp noise)
+#               the document scorer BenchmarkDotNorm32, the index file's
+#               BenchmarkOpen/BenchmarkSave, and the index-build kernels
+#               BenchmarkAxpy, BenchmarkQRInPlace*, BenchmarkProcessAll and
+#               BenchmarkTermDocMatrix*)
+#   -c <n>      runs per side in run mode (default 5; medians damp noise)
 #   -T <dur>    -benchtime per run (default 0.3s)
 #
 # Exit status: 0 pass, 1 regression, 2 usage or infrastructure error.
@@ -42,11 +49,12 @@ BASEFILE=""
 HEADFILE=""
 THRESH="0.20"
 OUT="bench-gate.txt"
-BENCH='BenchmarkQueryLatency|BenchmarkSearch|BenchmarkQuantizedScan|BenchmarkRandomized|BenchmarkOpen|BenchmarkSave|BenchmarkAxpy|BenchmarkQRInPlace|BenchmarkProcessAll|BenchmarkTermDocMatrix|BenchmarkCompact'
+BENCH='BenchmarkQueryLatency|BenchmarkSearch|BenchmarkDotNorm32|BenchmarkQuantizedScan|BenchmarkRandomized|BenchmarkOpen|BenchmarkSave|BenchmarkAxpy|BenchmarkQRInPlace|BenchmarkProcessAll|BenchmarkTermDocMatrix|BenchmarkCompact'
 COUNT=5
 TIME="0.3s"
 # The packages holding the gated benchmarks: the root suite (query
-# latency + batch), the backend hot paths, the int8 scan kernels, the
+# latency + batch), the backend hot paths, the float32 document scorer and
+# the int8 scan kernels, the
 # randomized SVD that every build and compaction runs with the kernels
 # under it (Axpy, CholeskyQR) and the text → matrix front end before it,
 # the index file's save and open (every boot, reload and checkpoint), and
@@ -71,19 +79,33 @@ done
 shift $((OPTIND - 1))
 [ $# -eq 0 ] || usage
 
-runbench() { # runbench <dir> <outfile>
-	# -run '^$' skips tests; compile failures surface as infra errors
-	# (exit 2), not regressions. Packages that do not exist at this
-	# revision are skipped (a merge-base may predate a gated package;
-	# its benchmarks then report as "new" on the head side).
-	pkgs=""
+binname() { echo "$1" | tr './' '__'; }
+
+buildbins() { # buildbins <tree> <bindir>
+	# One test binary per gated package; compile failures surface as infra
+	# errors (exit 2), not regressions. Packages that do not exist at this
+	# revision, or have no tests, get no binary and are skipped (a
+	# merge-base may predate a gated package; its benchmarks then report
+	# as "new" on the head side).
+	mkdir -p "$2"
 	for p in $PKGS; do
-		if [ -d "$1/$p" ]; then pkgs="$pkgs $p"; fi
+		[ -d "$1/$p" ] || continue
+		if ! (cd "$1" && go test -c -o "$2/$(binname "$p").test" "$p") >"$2/build.log" 2>&1; then
+			cat "$2/build.log" >&2
+			echo "bench_gate: building $p failed in $1" >&2
+			exit 2
+		fi
 	done
-	# shellcheck disable=SC2086 # package list is intentionally word-split
-	if ! (cd "$1" && go test -run '^$' -bench "$BENCH" -benchmem -benchtime "$TIME" -count "$COUNT" $pkgs) >"$2" 2>&1; then
-		cat "$2" >&2
-		echo "bench_gate: benchmark run failed in $1" >&2
+}
+
+runone() { # runone <tree> <bindir> <pkg> <outfile>: one run, appended
+	bin="$2/$(binname "$3").test"
+	[ -x "$bin" ] || return 0
+	# -test.run '^$' skips tests; the binary runs in its package directory,
+	# as go test would run it.
+	if ! (cd "$1/$3" && "$bin" -test.run '^$' -test.bench "$BENCH" -test.benchmem -test.benchtime "$TIME" -test.count 1) >>"$4" 2>&1; then
+		tail -20 "$4" >&2
+		echo "bench_gate: benchmark run of $3 failed in $1" >&2
 		exit 2
 	fi
 }
@@ -108,11 +130,24 @@ if [ -n "$BASEREF" ]; then
 	WTPARENT=$(mktemp -d)
 	CLEANUP=$WTPARENT/base
 	trap cleanup EXIT
-	echo "bench_gate: benchmarking base $MB ..."
 	git worktree add --detach "$CLEANUP" "$MB" >/dev/null
-	runbench "$CLEANUP" "$TMPBASE"
-	echo "bench_gate: benchmarking HEAD ..."
-	runbench "$(pwd)" "$TMPHEAD"
+	echo "bench_gate: building base $MB and HEAD ..."
+	buildbins "$CLEANUP" "$WTPARENT/bin-base"
+	buildbins "$(pwd)" "$WTPARENT/bin-head"
+	echo "bench_gate: $COUNT interleaved runs ..."
+	run=1
+	while [ "$run" -le "$COUNT" ]; do
+		for p in $PKGS; do
+			if [ $((run % 2)) -eq 1 ]; then
+				runone "$CLEANUP" "$WTPARENT/bin-base" "$p" "$TMPBASE"
+				runone "$(pwd)" "$WTPARENT/bin-head" "$p" "$TMPHEAD"
+			else
+				runone "$(pwd)" "$WTPARENT/bin-head" "$p" "$TMPHEAD"
+				runone "$CLEANUP" "$WTPARENT/bin-base" "$p" "$TMPBASE"
+			fi
+		done
+		run=$((run + 1))
+	done
 	BASEFILE=$TMPBASE
 	HEADFILE=$TMPHEAD
 else
@@ -122,9 +157,16 @@ else
 fi
 
 # The comparator: parse both outputs (package-qualified benchmark names,
-# since bench names are only unique within a package), take per-name
-# medians, and emit a benchstat-style table plus a PASS/FAIL verdict.
+# since bench names are only unique within a package; a name's runs pool
+# across however many per-run blocks the output holds), take per-name
+# medians of ns/op and minima of allocs/op, and emit a benchstat-style
+# table plus a PASS/FAIL verdict.
 awk -v thresh="$THRESH" -v basefile="$BASEFILE" '
+function minimum(arr, n,    i, m) {
+	m = arr[1]
+	for (i = 2; i <= n; i++) if (arr[i] < m) m = arr[i]
+	return m
+}
 function median(arr, n,    i, j, tmp) {
 	for (i = 2; i <= n; i++) {       # insertion sort; n is tiny (-count)
 		tmp = arr[i]
@@ -179,7 +221,7 @@ END {
 		if (ban > 0 && han > 0) {
 			for (k = 1; k <= ban; k++) b[k] = al["base", name, k] + 0
 			for (k = 1; k <= han; k++) h[k] = al["head", name, k] + 0
-			abase = median(b, ban); ahead = median(h, han)
+			abase = minimum(b, ban); ahead = minimum(h, han)
 			if (ahead > abase) {
 				verdict = sprintf("FAIL (allocs/op %d -> %d)", abase, ahead)
 				fails++
@@ -193,8 +235,8 @@ END {
 		exit 2
 	}
 	print ""
-	if (fails) { printf "bench_gate: FAIL (%d regression(s), threshold +%.0f%% ns/op, any allocs/op growth)\n", fails, thresh * 100; exit 1 }
-	printf "bench_gate: PASS (threshold +%.0f%% ns/op, no allocs/op growth)\n", thresh * 100
+	if (fails) { printf "bench_gate: FAIL (%d regression(s), threshold +%.0f%% median ns/op, any growth of minimum allocs/op)\n", fails, thresh * 100; exit 1 }
+	printf "bench_gate: PASS (threshold +%.0f%% median ns/op, no growth of minimum allocs/op)\n", thresh * 100
 }
 ' "$BASEFILE" "$HEADFILE" | tee "$OUT"
 # tee swallows awk's exit status; recover the verdict from the report.

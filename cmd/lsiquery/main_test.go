@@ -95,7 +95,7 @@ func TestStatsFlagCacheSection(t *testing.T) {
 	if err := run([]string{"-cache-mb", "8", "-stats"}, strings.NewReader(""), &out, &errb); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"query cache:  8.0 MiB cap", "0 hits / 0 misses"} {
+	for _, want := range []string{"query cache:  8.0 MiB cap", "0 hits / 0 misses", "0 evictions (probation: 0 B, 0 aged out)"} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("-stats -cache-mb output missing %q:\n%s", want, out.String())
 		}

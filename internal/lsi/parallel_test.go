@@ -10,8 +10,8 @@ import (
 	"repro/internal/svd"
 )
 
-// withProcs pins the par worker limit so batch and scoring fan-out takes
-// its goroutine path even on single-CPU machines.
+// withProcs pins the par worker limit so fold-in fan-out takes its
+// goroutine path even on single-CPU machines.
 func withProcs(t *testing.T, n int) {
 	t.Helper()
 	old := par.SetMaxProcs(n)
@@ -33,31 +33,6 @@ func batchIndex(t *testing.T) (*Index, [][]float64) {
 		queries[i] = a.Col(i % a.Cols())
 	}
 	return ix, queries
-}
-
-func TestSearchBatchMatchesSearch(t *testing.T) {
-	withProcs(t, 4)
-	ix, queries := batchIndex(t)
-	got := ix.SearchBatch(queries, 5)
-	for i, q := range queries {
-		want := ix.Search(q, 5)
-		if len(got[i]) != len(want) {
-			t.Fatalf("query %d: %d matches, want %d", i, len(got[i]), len(want))
-		}
-		for j := range want {
-			if got[i][j] != want[j] {
-				t.Fatalf("query %d rank %d: batch %+v != serial %+v", i, j, got[i][j], want[j])
-			}
-		}
-	}
-}
-
-func TestSearchBatchEmpty(t *testing.T) {
-	withProcs(t, 4)
-	ix, _ := batchIndex(t)
-	if got := ix.SearchBatch(nil, 5); len(got) != 0 {
-		t.Fatalf("nil batch returned %d results", len(got))
-	}
 }
 
 func TestSearchProjectedParallelScoringMatchesSerial(t *testing.T) {

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"repro/internal/mat"
-	"repro/internal/par"
 	"repro/internal/scan"
 	"repro/internal/topk"
 )
@@ -143,26 +142,4 @@ func (ix *Index) AppendSearchSparse(dst []Match, terms []int, weights []float64,
 	pq := sc.projBuf(ix.k)
 	mat.MulTVecSparse(ix.uk, terms, weights, pq)
 	return ix.searchProjected(dst, pq, topN)
-}
-
-// SearchBatch runs Search for a batch of term-space queries, fanning
-// whole queries across par workers, each drawing its own pooled scratch.
-// (A query's scoring may itself fan out on large corpora; the nested
-// call is safe and selection is chunking-insensitive, so parallelism
-// never changes results.) Element i of the result is identical to
-// Search(queries[i], topN).
-func (ix *Index) SearchBatch(queries [][]float64, topN int) [][]Match {
-	for i, q := range queries {
-		if len(q) != ix.numTerms {
-			panic(fmt.Sprintf("lsi: SearchBatch query %d has length %d, want %d", i, len(q), ix.numTerms))
-		}
-	}
-	out := make([][]Match, len(queries))
-	perQuery := (ix.numTerms + ix.docs.Rows()) * ix.k // fold + score flops
-	par.For(len(queries), par.GrainFor(perQuery), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = ix.Search(queries[i], topN)
-		}
-	})
-	return out
 }

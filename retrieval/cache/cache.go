@@ -1,7 +1,12 @@
 // Package cache implements the query result cache behind
-// retrieval.WithQueryCache: a sharded, byte-bounded LRU keyed by opaque
-// byte strings, with singleflight request coalescing so concurrent
-// identical lookups compute once.
+// retrieval.WithQueryCache: a sharded, byte-bounded segmented LRU keyed
+// by opaque byte strings, with singleflight request coalescing so
+// concurrent identical lookups compute once.
+//
+// A stored value waits in a small probation list (1/64 of its shard's
+// budget) and moves to the protected LRU on its first hit, so answers
+// never asked for again cost at most that share and a burst of them
+// cannot flush the repeated working set.
 //
 // The cache itself knows nothing about queries or epochs — keys are
 // whatever the caller encodes (see AppendQueryKey for the canonical
@@ -80,49 +85,101 @@ type Stats struct {
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`
 	Coalesced int64 `json:"coalesced"`
-	// Evictions counts entries removed by the LRU byte bound; Rejected
-	// counts computed values not stored because the compute callback
-	// reported them uncacheable (epoch changed mid-compute).
-	Evictions int64 `json:"evictions"`
-	Rejected  int64 `json:"rejected"`
-	// Entries and Bytes describe the current working set; CapBytes is the
-	// configured bound.
-	Entries  int   `json:"entries"`
-	Bytes    int64 `json:"bytes"`
-	CapBytes int64 `json:"capBytes"`
+	// Evictions counts entries removed by the total byte bound (a
+	// sustained rate means the budget is too small); ProbationEvictions
+	// counts never-repeated entries aged out of the probation list, which
+	// is its normal turnover. Rejected counts computed values not stored
+	// because the compute callback reported them uncacheable (epoch
+	// changed mid-compute).
+	Evictions          int64 `json:"evictions"`
+	ProbationEvictions int64 `json:"probationEvictions"`
+	Rejected           int64 `json:"rejected"`
+	// Entries and Bytes describe the current working set, ProbationBytes
+	// the part of it not yet hit since stored; CapBytes is the configured
+	// bound.
+	Entries        int   `json:"entries"`
+	Bytes          int64 `json:"bytes"`
+	ProbationBytes int64 `json:"probationBytes"`
+	CapBytes       int64 `json:"capBytes"`
 }
 
-// entry is one cached key/value pair, linked into its shard's LRU list
-// (front = most recently used).
+// entry is one cached key/value pair, linked into one of its shard's two
+// recency lists.
 type entry[V any] struct {
 	key        string
 	val        V
 	cost       int64
+	list       *list[V] // the list e is linked into
 	prev, next *entry[V]
 }
+
+// list is an intrusive recency list (front = most recently used) with
+// the summed cost of its entries.
+type list[V any] struct {
+	front, back *entry[V]
+	bytes       int64
+}
+
+func (l *list[V]) pushFront(e *entry[V]) {
+	e.list, e.prev, e.next = l, nil, l.front
+	if l.front != nil {
+		l.front.prev = e
+	} else {
+		l.back = e
+	}
+	l.front = e
+	l.bytes += e.cost
+}
+
+func (l *list[V]) remove(e *entry[V]) {
+	if e.prev != nil {
+		e.prev.next = e.next
+	} else {
+		l.front = e.next
+	}
+	if e.next != nil {
+		e.next.prev = e.prev
+	} else {
+		l.back = e.prev
+	}
+	e.prev, e.next = nil, nil
+	l.bytes -= e.cost
+}
+
+// many reports whether the list holds two entries or more.
+func (l *list[V]) many() bool { return l.front != l.back }
 
 // flight is one in-progress compute that identical lookups coalesce on.
 type flight[V any] struct {
 	done chan struct{}
 	val  V
+	ok   bool // compute returned; false when it panicked (waiters retry)
 }
 
-// shard is one lock domain: a hash-addressed LRU with its own byte
-// budget plus the in-flight compute table.
+// probationShare caps the probation list at 1/probationShare of a
+// shard's budget (1 MiB of the 64 MiB default): lookups that never repeat
+// (whole documents sent as "more like this" queries) hold at most that,
+// not the whole budget (DESIGN.md §7 has the measurement). A Zipf head
+// repeats well inside the window, and probation always keeps its newest
+// entry, so even a tiny cache hits on a repeat.
+const probationShare = 64
+
+// shard is one lock domain: a hash-addressed segmented LRU with its own
+// byte budget plus the in-flight compute table.
 type shard[V any] struct {
-	mu       sync.Mutex
-	entries  map[string]*entry[V]
-	flights  map[string]*flight[V]
-	lru, mru *entry[V] // lru = eviction end, mru = most recently used
-	bytes    int64
-	maxBytes int64
+	mu                   sync.Mutex
+	entries              map[string]*entry[V]
+	flights              map[string]*flight[V]
+	probation, protected list[V]
+	maxBytes             int64
 
-	evictions atomic.Int64
+	evictions          atomic.Int64
+	probationEvictions atomic.Int64
 }
 
-// Cache is a sharded, byte-bounded LRU with request coalescing. Create
-// with New; the zero value and nil are valid "no cache" instances whose
-// lookups all report StatusBypass.
+// Cache is a sharded, byte-bounded segmented LRU with request
+// coalescing. Create with New; the zero value and nil are valid "no
+// cache" instances whose lookups all report StatusBypass.
 type Cache[V any] struct {
 	shards []shard[V]
 	mask   uint64
@@ -193,7 +250,9 @@ func hashKey(key []byte) uint64 {
 // share its result. compute returns (value, cacheable); an uncacheable
 // value is returned to every waiter but not stored. The returned value
 // may be shared with the cache and other callers — treat it as
-// read-only.
+// read-only. A waiter whose leader's compute panicked looks the key up
+// again as a fresh caller rather than sharing an answer that was never
+// computed.
 func (c *Cache[V]) Do(key []byte, compute func() (V, bool)) (V, Status) {
 	if c == nil {
 		v, _ := compute()
@@ -201,19 +260,23 @@ func (c *Cache[V]) Do(key []byte, compute func() (V, bool)) (V, Status) {
 	}
 	s := &c.shards[hashKey(key)&c.mask]
 
-	s.mu.Lock()
-	if e, ok := s.entries[string(key)]; ok {
-		s.touch(e)
-		v := e.val // copy under the lock: a concurrent Put may replace e.val
-		s.mu.Unlock()
-		c.hits.Add(1)
-		return v, StatusHit
-	}
-	if f, ok := s.flights[string(key)]; ok {
+	for {
+		s.mu.Lock()
+		if v, ok := s.lookup(key); ok {
+			s.mu.Unlock()
+			c.hits.Add(1)
+			return v, StatusHit
+		}
+		f, ok := s.flights[string(key)]
+		if !ok {
+			break // still locked: this call leads the compute
+		}
 		s.mu.Unlock()
 		<-f.done
-		c.coalesced.Add(1)
-		return f.val, StatusCoalesced
+		if f.ok {
+			c.coalesced.Add(1)
+			return f.val, StatusCoalesced
+		}
 	}
 	f := &flight[V]{done: make(chan struct{})}
 	ks := string(key) // one allocation, reused for the flight and the entry
@@ -224,28 +287,25 @@ func (c *Cache[V]) Do(key []byte, compute func() (V, bool)) (V, Status) {
 	// exit, including a panicking compute — otherwise one poisoned
 	// query would leave a dead flight that every future identical
 	// lookup blocks on forever.
-	var v V
 	var cacheable bool
-	completed := false
 	defer func() {
 		s.mu.Lock()
 		delete(s.flights, ks)
 		switch {
-		case completed && cacheable:
-			s.store(ks, v, c.valCost(v))
-		case completed:
+		case f.ok && cacheable:
+			s.store(ks, f.val, c.valCost(f.val))
+		case f.ok:
 			c.rejected.Add(1)
 		}
 		s.mu.Unlock()
 		close(f.done)
-		if completed {
+		if f.ok {
 			c.misses.Add(1)
 		}
 	}()
-	v, cacheable = compute()
-	f.val = v
-	completed = true
-	return v, StatusMiss
+	f.val, cacheable = compute()
+	f.ok = true
+	return f.val, StatusMiss
 }
 
 // valCost applies the configured value-cost estimator.
@@ -261,22 +321,19 @@ func (c *Cache[V]) valCost(v V) int64 {
 // counted (Get is the probe half of the batch path, whose computes
 // land via Put).
 func (c *Cache[V]) Get(key []byte) (V, bool) {
-	var zero V
 	if c == nil {
-		return zero, false
+		return *new(V), false
 	}
 	s := &c.shards[hashKey(key)&c.mask]
 	s.mu.Lock()
-	if e, ok := s.entries[string(key)]; ok {
-		s.touch(e)
-		v := e.val // copy under the lock: a concurrent Put may replace e.val
-		s.mu.Unlock()
-		c.hits.Add(1)
-		return v, true
-	}
+	v, ok := s.lookup(key)
 	s.mu.Unlock()
-	c.misses.Add(1)
-	return zero, false
+	if ok {
+		c.hits.Add(1)
+	} else {
+		c.misses.Add(1)
+	}
+	return v, ok
 }
 
 // Put stores a computed value (the batch path's store half; single
@@ -294,77 +351,66 @@ func (c *Cache[V]) Put(key []byte, v V) {
 }
 
 // store inserts or replaces the entry for ks under the shard lock and
-// evicts past the bound. Replacement must go through the existing entry
-// (never a second insert of the same key): a blind insert would leave
-// the old entry linked in the LRU list but absent from the map, and its
-// eventual eviction would delete the live entry from the map. ks must
-// be an owned string (not an aliased []byte conversion).
+// evicts past the bounds. A new entry enters probation; a replaced one
+// keeps its list. Replacement must go through the existing entry (never
+// a second insert of the same key): a blind insert would leave the old
+// entry linked in a list but absent from the map, and its eventual
+// eviction would delete the live entry from the map. ks must be an owned
+// string (not an aliased []byte conversion).
 func (s *shard[V]) store(ks string, v V, vcost int64) {
-	if e, ok := s.entries[ks]; ok {
-		s.bytes -= e.cost
-		e.val = v
-		e.cost = vcost + int64(len(e.key)) + entryOverhead
-		s.bytes += e.cost
-		s.touch(e)
-		s.evictOver()
-		return
+	e, ok := s.entries[ks]
+	l := &s.probation
+	if ok {
+		l = e.list
+		l.remove(e)
+	} else {
+		e = &entry[V]{key: ks}
+		s.entries[ks] = e
 	}
-	e := &entry[V]{key: ks, val: v, cost: vcost + int64(len(ks)) + entryOverhead}
-	s.entries[ks] = e
-	s.bytes += e.cost
-	// Link at MRU end.
-	e.prev = nil
-	e.next = s.mru
-	if s.mru != nil {
-		s.mru.prev = e
-	}
-	s.mru = e
-	if s.lru == nil {
-		s.lru = e
-	}
-	s.evictOver()
+	e.val, e.cost = v, vcost+int64(len(ks))+entryOverhead
+	l.pushFront(e)
+	s.evict()
 }
 
-// touch moves e to the MRU end. Caller holds the shard lock.
-func (s *shard[V]) touch(e *entry[V]) {
-	if s.mru == e {
-		return
-	}
-	// Unlink.
-	if e.prev != nil {
-		e.prev.next = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	}
-	if s.lru == e {
-		s.lru = e.prev
-	}
-	// Relink at front.
-	e.prev = nil
-	e.next = s.mru
-	if s.mru != nil {
-		s.mru.prev = e
-	}
-	s.mru = e
-}
-
-// evictOver removes LRU entries until the shard is within budget.
-// Caller holds the shard lock.
-func (s *shard[V]) evictOver() {
-	for s.bytes > s.maxBytes && s.lru != nil {
-		e := s.lru
-		delete(s.entries, e.key)
-		s.bytes -= e.cost
-		s.lru = e.prev
-		if s.lru != nil {
-			s.lru.next = nil
-		} else {
-			s.mru = nil
+// lookup returns the value under key and moves its entry to the front of
+// the protected list — a promotion on the entry's first hit. Total bytes
+// do not change, so nothing is evicted. Caller holds the shard lock.
+func (s *shard[V]) lookup(key []byte) (v V, ok bool) {
+	e, ok := s.entries[string(key)]
+	if ok {
+		if e != s.protected.front {
+			e.list.remove(e)
+			s.protected.pushFront(e)
 		}
-		e.prev, e.next = nil, nil
-		s.evictions.Add(1)
+		v = e.val // copy under the lock: a concurrent Put may replace e.val
 	}
+	return v, ok
+}
+
+// evict trims probation to its share of the budget, keeping its newest
+// entry, then evicts until both lists fit the budget: probation's oldest
+// first, protected's once probation is down to its newest entry. Caller
+// holds the shard lock.
+func (s *shard[V]) evict() {
+	for s.probation.bytes > s.maxBytes/probationShare && s.probation.many() {
+		s.drop(&s.probation, &s.probationEvictions)
+	}
+	for s.probation.bytes+s.protected.bytes > s.maxBytes {
+		l := &s.probation
+		if !s.probation.many() && s.protected.back != nil {
+			l = &s.protected
+		}
+		s.drop(l, &s.evictions)
+	}
+}
+
+// drop unlinks and unmaps l's oldest entry and counts it in n. Caller
+// holds the shard lock.
+func (s *shard[V]) drop(l *list[V], n *atomic.Int64) {
+	e := l.back
+	l.remove(e)
+	delete(s.entries, e.key)
+	n.Add(1)
 }
 
 // Len returns the number of cached entries.
@@ -396,9 +442,11 @@ func (c *Cache[V]) Stats() Stats {
 	for i := range c.shards {
 		s := &c.shards[i]
 		st.Evictions += s.evictions.Load()
+		st.ProbationEvictions += s.probationEvictions.Load()
 		s.mu.Lock()
 		st.Entries += len(s.entries)
-		st.Bytes += s.bytes
+		st.Bytes += s.probation.bytes + s.protected.bytes
+		st.ProbationBytes += s.probation.bytes
 		st.CapBytes += s.maxBytes
 		s.mu.Unlock()
 	}

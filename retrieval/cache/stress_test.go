@@ -110,25 +110,12 @@ func TestConcurrentMixedOps(t *testing.T) {
 	if st.Entries == 0 {
 		t.Fatal("cache empty after churn")
 	}
-	// Re-derive the byte accounting from scratch (map sum and LRU-list
-	// walk): both must match the incrementally maintained total exactly.
+	// Re-derive the byte accounting from scratch (map sum and both list
+	// walks): all must match the incrementally maintained totals exactly.
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		var mapSum, walk int64
-		listLen := 0
-		for _, e := range s.entries {
-			mapSum += e.cost
-		}
-		for e := s.mru; e != nil; e = e.next {
-			walk += e.cost
-			listLen++
-		}
-		if mapSum != s.bytes || walk != s.bytes || listLen != len(s.entries) {
-			s.mu.Unlock()
-			t.Fatalf("shard %d: map cost %d, list cost %d (len %d) vs accounted %d bytes (%d entries)",
-				i, mapSum, walk, listLen, s.bytes, len(s.entries))
-		}
+		checkShard(t, s)
 		s.mu.Unlock()
 	}
 }

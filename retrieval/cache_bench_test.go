@@ -56,7 +56,8 @@ func benchQueryTerms(ix *Index) ([]int, []float64) {
 }
 
 // BenchmarkCachedQueryHit measures the steady-state cache hit: key
-// encode (pooled), sharded LRU lookup, one result-slice copy.
+// encode (pooled), sharded lookup of a protected entry, one result-slice
+// copy.
 func BenchmarkCachedQueryHit(b *testing.B) {
 	ix := benchCachedIndex(b, 1<<20)
 	terms, weights := benchQueryTerms(ix)
@@ -122,9 +123,10 @@ func BenchmarkCachedQueryCoalesced(b *testing.B) {
 // BenchmarkCachedQueryZipfian replays a Zipf-distributed trace over 1k
 // distinct queries — the topic-concentrated traffic the paper's
 // probabilistic model predicts — against a cache deliberately smaller
-// than the full query set, so the LRU must keep the Zipf head and evict
-// the tail. The hit-rate metric is the amortization headline: ns/op
-// approaches the hit cost as the skew concentrates.
+// than the full query set, so the cache must keep the Zipf head in its
+// protected list while the tail cycles through probation. The hit-rate
+// metric is the amortization headline: ns/op approaches the hit cost as
+// the skew concentrates.
 func BenchmarkCachedQueryZipfian(b *testing.B) {
 	ix := benchCachedIndex(b, 128<<10)
 	n := ix.NumTerms()

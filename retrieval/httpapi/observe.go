@@ -190,14 +190,18 @@ func newObserver(reg *metrics.Registry, ret retrieval.Retriever) *observer {
 			reg.CounterFunc("lsi_cache_lookups_total", "Query-cache lookups by disposition.",
 				lookups(func(s retrieval.QueryCacheStats) int64 { return s.Coalesced }),
 				metrics.Label{Name: "result", Value: "coalesced"})
-			reg.CounterFunc("lsi_cache_evictions_total", "Query-cache entries evicted by the LRU byte bound.",
+			reg.CounterFunc("lsi_cache_evictions_total", "Query-cache entries evicted by the total byte budget.",
 				lookups(func(s retrieval.QueryCacheStats) int64 { return s.Evictions }))
+			reg.CounterFunc("lsi_cache_probation_evictions_total", "Query-cache entries aged out of probation without a repeat (one-shot answers; normal turnover).",
+				lookups(func(s retrieval.QueryCacheStats) int64 { return s.ProbationEvictions }))
 			reg.CounterFunc("lsi_cache_rejected_total", "Computed results not stored because the epoch moved mid-compute.",
 				lookups(func(s retrieval.QueryCacheStats) int64 { return s.Rejected }))
 			reg.GaugeFunc("lsi_cache_entries", "Query-cache resident entries.",
 				lookups(func(s retrieval.QueryCacheStats) int64 { return int64(s.Entries) }))
 			reg.GaugeFunc("lsi_cache_bytes", "Query-cache resident bytes (estimated).",
 				lookups(func(s retrieval.QueryCacheStats) int64 { return s.Bytes }))
+			reg.GaugeFunc("lsi_cache_probation_bytes", "Query-cache bytes held by entries not yet hit since stored (at most 1/64 of the budget plus one entry per shard).",
+				lookups(func(s retrieval.QueryCacheStats) int64 { return s.ProbationBytes }))
 			reg.GaugeFunc("lsi_cache_capacity_bytes", "Query-cache byte budget.",
 				lookups(func(s retrieval.QueryCacheStats) int64 { return s.CapBytes }))
 		}

@@ -58,6 +58,12 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE lsi_http_request_duration_seconds histogram",
 		`lsi_cache_lookups_total{result="hit"} 1`,
 		`lsi_cache_lookups_total{result="miss"} 1`,
+		// The hit promoted the one entry out of probation; nothing was
+		// evicted by either bound.
+		"lsi_cache_evictions_total 0",
+		"lsi_cache_probation_evictions_total 0",
+		"lsi_cache_probation_bytes 0",
+		"lsi_cache_entries 1",
 		"lsi_index_compaction_debt ",
 		"lsi_index_docs_ingested_total 1",
 		"lsi_index_epoch 1",

@@ -29,6 +29,8 @@
 #   -o <file>   write the comparison report here (default bench-gate.txt)
 #   -B <regex>  -bench regex for run mode (default: the tier-1 subset
 #               BenchmarkQueryLatency*/BenchmarkSearch*/BenchmarkRandomized*,
+#               the query cache's BenchmarkCachedQuery* (hit-path promotion,
+#               miss-path store and evict across its two lists),
 #               the document scorer BenchmarkDotNorm32, the index file's
 #               BenchmarkOpen/BenchmarkSave, and the index-build kernels
 #               BenchmarkAxpy, BenchmarkQRInPlace*, BenchmarkProcessAll and
@@ -49,7 +51,7 @@ BASEFILE=""
 HEADFILE=""
 THRESH="0.20"
 OUT="bench-gate.txt"
-BENCH='BenchmarkQueryLatency|BenchmarkSearch|BenchmarkDotNorm32|BenchmarkQuantizedScan|BenchmarkRandomized|BenchmarkOpen|BenchmarkSave|BenchmarkAxpy|BenchmarkQRInPlace|BenchmarkProcessAll|BenchmarkTermDocMatrix|BenchmarkCompact'
+BENCH='BenchmarkQueryLatency|BenchmarkSearch|BenchmarkCachedQuery|BenchmarkDotNorm32|BenchmarkQuantizedScan|BenchmarkRandomized|BenchmarkOpen|BenchmarkSave|BenchmarkAxpy|BenchmarkQRInPlace|BenchmarkProcessAll|BenchmarkTermDocMatrix|BenchmarkCompact'
 COUNT=5
 TIME="0.3s"
 # The packages holding the gated benchmarks: the root suite (query
@@ -57,7 +59,8 @@ TIME="0.3s"
 # the int8 scan kernels, the
 # randomized SVD that every build and compaction runs with the kernels
 # under it (Axpy, CholeskyQR) and the text → matrix front end before it,
-# the index file's save and open (every boot, reload and checkpoint), and
+# the index file's save and open (every boot, reload and checkpoint), the
+# query cache in ./retrieval, and
 # the segment layer (compaction at the ledger's shape, the exact scan
 # across segment counts, and BenchmarkSearchRoutes: one search down each
 # of the exact, ANN, int8 and composed routes).

@@ -211,12 +211,24 @@ func Mul(a, b *Dense) *Dense {
 
 // mulRows accumulates rows [lo, hi) of a*b into out, a zeroed a.rows×b.cols
 // block. The ikj loop order keeps the inner loop streaming over contiguous
-// rows of b and out, which matters for the sizes the SVD experiments use.
+// rows of b and out; every output row runs over one panel of b before the
+// next panel, four rows of b at a time through axpy4. Each element of out
+// still gets the additions of one Axpy per row of b, in order.
 func mulRows(out []float64, a, b *Dense, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		orow := out[i*b.cols : (i+1)*b.cols]
-		for k, av := range a.data[i*a.cols : (i+1)*a.cols] {
-			Axpy(av, b.data[k*b.cols:(k+1)*b.cols], orow)
+	n := b.cols
+	kb := max(4, 4096/max(n, 1)&^3) // rows of b a panel: 32 KB, inside L1
+	for k0 := 0; k0 < a.cols; k0 += kb {
+		k1 := min(k0+kb, a.cols)
+		for i := lo; i < hi; i++ {
+			orow := out[i*n : (i+1)*n]
+			arow := a.data[i*a.cols : (i+1)*a.cols]
+			k := k0
+			for ; k+4 <= k1; k += 4 {
+				axpy4((*[4]float64)(arow[k:k+4]), b.data[k*n:(k+1)*n], b.data[(k+1)*n:(k+2)*n], b.data[(k+2)*n:(k+3)*n], b.data[(k+3)*n:(k+4)*n], orow)
+			}
+			for ; k < k1; k++ {
+				Axpy(arow[k], b.data[k*n:(k+1)*n], orow)
+			}
 		}
 	}
 }

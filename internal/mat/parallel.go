@@ -1,6 +1,8 @@
 package mat
 
 import (
+	"fmt"
+
 	"repro/internal/par"
 )
 
@@ -21,17 +23,29 @@ const rowGrain = 8
 // The experiment harness uses it for the m×m Gram matrices of the angle
 // measurements, the largest dense products in the reproduction.
 func MulParallel(a, b *Dense) *Dense {
-	work := a.rows * a.cols * b.cols
-	if work < parallelThreshold || par.MaxProcs() < 2 || a.rows < 2 {
-		return Mul(a, b)
-	}
-	if a.cols != b.rows {
-		// Delegate the panic message to the serial kernel for consistency.
-		return Mul(a, b)
-	}
 	out := NewDense(a.rows, b.cols)
-	par.For(a.rows, rowGrain, func(lo, hi int) { mulRows(out.data, a, b, lo, hi) })
+	MulParallelInto(out, a, b)
 	return out
+}
+
+// MulParallelInto overwrites dst with a*b: MulParallel for callers that
+// recycle the output, such as the power loop of the randomized SVD on a
+// Gram matrix. Each row of dst is cleared and accumulated by one goroutine
+// in Mul's order, so the result is bitwise identical to Mul. dst must not
+// share storage with a or b. It panics on a shape mismatch.
+func MulParallelInto(dst, a, b *Dense) {
+	if a.cols != b.rows || dst.rows != a.rows || dst.cols != b.cols {
+		panic(fmt.Sprintf("mat: MulParallelInto dimension mismatch %dx%d = %dx%d * %dx%d", dst.rows, dst.cols, a.rows, a.cols, b.rows, b.cols))
+	}
+	if a.rows*a.cols*b.cols < parallelThreshold || par.MaxProcs() < 2 {
+		clear(dst.data) // serial, and no closure to allocate
+		mulRows(dst.data, a, b, 0, a.rows)
+		return
+	}
+	par.For(a.rows, rowGrain, func(lo, hi int) {
+		clear(dst.data[lo*b.cols : hi*b.cols])
+		mulRows(dst.data, a, b, lo, hi)
+	})
 }
 
 // MulBTParallel returns a*bᵀ with the same row-blocked split as

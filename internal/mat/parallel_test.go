@@ -36,6 +36,52 @@ func TestMulParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestMulBitwiseMatchesReference holds Mul (blocked over panels of b, four
+// rows of b an update) to the plain ikj loop of one Axpy per element of a,
+// bit for bit: inner dimensions that are and are not multiples of 4, wide
+// enough to cut b into several panels, and zeros in a (axpy4's skip).
+func TestMulBitwiseMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(161))
+	for _, sh := range [][3]int{{1, 1, 1}, {5, 3, 7}, {9, 130, 74}, {17, 1601, 74}, {6, 203, 5}} {
+		a, b := randDense(sh[0], sh[1], rng), randDense(sh[1], sh[2], rng)
+		for i := range a.data {
+			if i%5 == 2 {
+				a.data[i] = 0
+			}
+		}
+		want := NewDense(sh[0], sh[2])
+		for i := 0; i < sh[0]; i++ {
+			for k, av := range a.Row(i) {
+				Axpy(av, b.Row(k), want.Row(i))
+			}
+		}
+		if !EqualApprox(Mul(a, b), want, 0) {
+			t.Fatalf("%v: Mul not bitwise the one-Axpy-per-element loop", sh)
+		}
+	}
+}
+
+func TestMulParallelIntoOverwritesForAnyProcs(t *testing.T) {
+	rng := rand.New(rand.NewSource(162))
+	a, b := randDense(300, 260, rng), randDense(260, 74, rng)
+	want := Mul(a, b)
+	for _, procs := range []int{1, 2, 8} {
+		old := par.SetMaxProcs(procs)
+		dst := randDense(300, 74, rng) // recycled destinations arrive dirty
+		MulParallelInto(dst, a, b)
+		par.SetMaxProcs(old)
+		if !EqualApprox(dst, want, 0) {
+			t.Fatalf("MaxProcs=%d: MulParallelInto not bitwise equal to Mul", procs)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected dimension panic")
+		}
+	}()
+	MulParallelInto(NewDense(300, 73), a, b)
+}
+
 func TestMulBTParallelMatchesSerial(t *testing.T) {
 	forceParallel(t)
 	rng := rand.New(rand.NewSource(152))

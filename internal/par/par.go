@@ -4,8 +4,8 @@
 // reproduction — tokenizing and counting a corpus (ir.Pipeline.ProcessAll),
 // CSR matvec, dense matmul, the block products and panel reductions of
 // randomized subspace iteration, batch query folding and cosine ranking —
-// all fan out through For / ForChunks / MapChunks rather than spawning
-// ad-hoc goroutines.
+// all fan out through For / MapChunks rather than spawning ad-hoc
+// goroutines.
 //
 // Two properties matter more than raw speed:
 //
@@ -13,7 +13,7 @@
 //     on n, grain, and MaxProcs() — never on scheduling. Each chunk has a
 //     fixed index and a fixed half-open range, so reductions that
 //     accumulate into per-chunk buffers and combine them in chunk order
-//     (see ForChunks) produce bitwise-identical results run after run for
+//     (see MapChunks) produce bitwise-identical results run after run for
 //     a fixed MaxProcs, even though chunks execute in arbitrary order on
 //     arbitrary goroutines.
 //
@@ -52,7 +52,7 @@ func MaxProcs() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// SetMaxProcs overrides the worker limit used by For and ForChunks and
+// SetMaxProcs overrides the worker limit used by For and MapChunks and
 // returns the previous override (0 if none was set). n <= 0 clears the
 // override. The chunk layout — and therefore the result of deterministic
 // chunked reductions — is a pure function of (n, grain, MaxProcs()), so
@@ -105,13 +105,6 @@ func makeLayout(n, grain int) layout {
 	return layout{n: n, size: size, count: (n + size - 1) / size}
 }
 
-// NumChunks reports how many chunks ForChunks will split [0, n) into for
-// the same grain under the current MaxProcs. Callers allocating per-chunk
-// accumulators size them with this.
-func NumChunks(n, grain int) int {
-	return makeLayout(n, grain).count
-}
-
 // minChunkWork is the approximate amount of work (flops, nonzeros
 // touched) a chunk must carry before goroutine fan-out pays for itself.
 const minChunkWork = 1 << 18
@@ -128,7 +121,7 @@ func GrainFor(workPerItem int) int {
 	return (minChunkWork + workPerItem - 1) / workPerItem
 }
 
-// WorkerPanic is re-raised on the caller of For / ForChunks when a loop
+// WorkerPanic is re-raised on the caller of For / MapChunks when a loop
 // body panics on a worker goroutine. Value is the original panic value and
 // Stack the panicking worker's stack trace.
 type WorkerPanic struct {
@@ -175,17 +168,8 @@ func For(n, grain int, fn func(lo, hi int)) {
 	run(makeLayout(n, grain), func(_, lo, hi int) { fn(lo, hi) })
 }
 
-// ForChunks is For with the chunk index exposed: fn(chunk, lo, hi) where
-// chunk ∈ [0, NumChunks(n, grain)). For reductions prefer MapChunks,
-// which sizes the partial-result slice and computes the layout in one
-// step; pairing ForChunks with a separate NumChunks call leaves a window
-// where a concurrent SetMaxProcs changes the layout between the two.
-func ForChunks(n, grain int, fn func(chunk, lo, hi int)) {
-	run(makeLayout(n, grain), fn)
-}
-
 // MapChunks is the deterministic-reduction primitive: it splits [0, n)
-// like ForChunks, runs body on each chunk concurrently, and returns the
+// like For, runs body on each chunk concurrently, and returns the
 // per-chunk results in chunk-index order. Combining the returned partials
 // serially (in slice order) therefore has a grouping that is fixed for a
 // fixed MaxProcs regardless of scheduling. The layout is computed exactly

@@ -83,52 +83,98 @@ func TestForGrainOne(t *testing.T) {
 	checkCovered(t, seen)
 }
 
-func TestForChunksLayoutIsDeterministic(t *testing.T) {
+// chunkRanges returns the [lo, hi) of every MapChunks partial, in order.
+func chunkRanges(n, grain int) [][2]int {
+	return MapChunks(n, grain, func(lo, hi int) [2]int { return [2]int{lo, hi} })
+}
+
+// TestMapChunksLayout holds the chunk layout every deterministic reduction
+// rests on: fixed run to run, the ranges For runs, and one partial per
+// chunk executed, in chunk order.
+func TestMapChunksLayout(t *testing.T) {
 	withProcs(t, 4)
-	n, grain := 1003, 7
-	count := NumChunks(n, grain)
-	if count <= 1 {
-		t.Fatalf("expected multiple chunks, got %d", count)
-	}
-	layouts := make([][2]int, count)
-	for trial := 0; trial < 5; trial++ {
-		got := make([][2]int, count)
-		ForChunks(n, grain, func(c, lo, hi int) {
-			got[c] = [2]int{lo, hi}
-		})
-		if trial == 0 {
-			copy(layouts, got)
-			continue
+	t.Run("Deterministic", func(t *testing.T) {
+		first := chunkRanges(1003, 7)
+		if len(first) <= 1 {
+			t.Fatalf("expected multiple chunks, got %d", len(first))
 		}
-		for c := range got {
-			if got[c] != layouts[c] {
-				t.Fatalf("trial %d: chunk %d = %v, want %v", trial, c, got[c], layouts[c])
+		for trial := 1; trial < 5; trial++ {
+			got := chunkRanges(1003, 7)
+			for c := range got {
+				if got[c] != first[c] {
+					t.Fatalf("trial %d: chunk %d = %v, want %v", trial, c, got[c], first[c])
+				}
 			}
 		}
-	}
+	})
+	t.Run("MatchesFor", func(t *testing.T) {
+		for _, n := range []int{0, 1, 100, 4097} {
+			for _, grain := range []int{1, 64, 9999} {
+				var mu sync.Mutex
+				ran := map[[2]int]bool{}
+				For(n, grain, func(lo, hi int) {
+					mu.Lock()
+					ran[[2]int{lo, hi}] = true
+					mu.Unlock()
+				})
+				got := chunkRanges(n, grain)
+				if len(got) != len(ran) {
+					t.Fatalf("n=%d grain=%d: %d partials, For ran %d chunks", n, grain, len(got), len(ran))
+				}
+				for c, r := range got {
+					if !ran[r] {
+						t.Fatalf("n=%d grain=%d chunk %d: MapChunks range %v is not one For ran", n, grain, c, r)
+					}
+				}
+			}
+		}
+	})
+	t.Run("PartialCount", func(t *testing.T) {
+		for _, n := range []int{0, 1, 5, 100, 1023, 1024, 1025} {
+			for _, grain := range []int{1, 10, 2000} {
+				var calls atomic.Int64
+				got := MapChunks(n, grain, func(lo, hi int) [2]int {
+					calls.Add(1)
+					return [2]int{lo, hi}
+				})
+				if int(calls.Load()) != len(got) {
+					t.Fatalf("n=%d grain=%d: %d chunks ran, %d partials", n, grain, calls.Load(), len(got))
+				}
+				next := 0 // partials in chunk order tile [0, n)
+				for c, r := range got {
+					if r[0] != next || r[1] <= r[0] {
+						t.Fatalf("n=%d grain=%d: partial %d covers %v, want it to start at %d", n, grain, c, r, next)
+					}
+					next = r[1]
+				}
+				if next != max(n, 0) {
+					t.Fatalf("n=%d grain=%d: partials cover [0, %d)", n, grain, next)
+				}
+			}
+		}
+	})
 }
 
 func TestChunkedReductionIsBitwiseDeterministic(t *testing.T) {
 	withProcs(t, 4)
-	// The pattern every parallel reduction in the repo uses: per-chunk
-	// partial sums combined in chunk order. The floating-point result must
-	// be bitwise-stable across runs for a fixed MaxProcs.
+	// The pattern of the matrix-shaped parallel reductions (sparse
+	// MulTVecParallel): at most MaxProcs partials, combined in chunk
+	// order. The floating-point result must be bitwise-stable across runs
+	// for a fixed MaxProcs.
 	n := 100001
 	xs := make([]float64, n)
 	for i := range xs {
 		xs[i] = 1.0 / float64(i+1)
 	}
 	sum := func() float64 {
-		parts := make([]float64, NumChunks(n, 1024))
-		ForChunks(n, 1024, func(c, lo, hi int) {
+		var total float64
+		for _, p := range MapChunksBounded(n, 1024, func(lo, hi int) float64 {
 			var s float64
 			for i := lo; i < hi; i++ {
 				s += xs[i]
 			}
-			parts[c] = s
-		})
-		var total float64
-		for _, p := range parts {
+			return s
+		}) {
 			total += p
 		}
 		return total
@@ -137,25 +183,6 @@ func TestChunkedReductionIsBitwiseDeterministic(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		if got := sum(); got != first {
 			t.Fatalf("trial %d: sum %.17g != first %.17g", trial, got, first)
-		}
-	}
-}
-
-func TestMapChunksMatchesForChunks(t *testing.T) {
-	withProcs(t, 4)
-	for _, n := range []int{0, 1, 100, 4097} {
-		for _, grain := range []int{1, 64, 9999} {
-			got := MapChunks(n, grain, func(lo, hi int) [2]int { return [2]int{lo, hi} })
-			if len(got) != NumChunks(n, grain) {
-				t.Fatalf("n=%d grain=%d: %d partials, NumChunks says %d", n, grain, len(got), NumChunks(n, grain))
-			}
-			want := make([][2]int, len(got))
-			ForChunks(n, grain, func(c, lo, hi int) { want[c] = [2]int{lo, hi} })
-			for c := range got {
-				if got[c] != want[c] {
-					t.Fatalf("n=%d grain=%d chunk %d: MapChunks %v != ForChunks %v", n, grain, c, got[c], want[c])
-				}
-			}
 		}
 	}
 }
@@ -184,34 +211,6 @@ func TestMapChunksReductionIsBitwiseDeterministic(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		if got := sum(); got != first {
 			t.Fatalf("trial %d: sum %.17g != first %.17g", trial, got, first)
-		}
-	}
-}
-
-func TestNumChunksMatchesForChunks(t *testing.T) {
-	withProcs(t, 4)
-	for _, n := range []int{0, 1, 5, 100, 1023, 1024, 1025} {
-		for _, grain := range []int{1, 10, 2000} {
-			var calls atomic.Int64
-			var mc atomic.Int64
-			mc.Store(-1)
-			ForChunks(n, grain, func(c, lo, hi int) {
-				calls.Add(1)
-				for {
-					cur := mc.Load()
-					if int64(c) <= cur || mc.CompareAndSwap(cur, int64(c)) {
-						break
-					}
-				}
-			})
-			want := NumChunks(n, grain)
-			if int(calls.Load()) != want {
-				t.Fatalf("n=%d grain=%d: %d chunks ran, NumChunks says %d", n, grain, calls.Load(), want)
-			}
-			maxChunk := mc.Load()
-			if want > 0 && maxChunk != int64(want-1) {
-				t.Fatalf("n=%d grain=%d: max chunk index %d, want %d", n, grain, maxChunk, want-1)
-			}
 		}
 	}
 }
@@ -335,7 +334,7 @@ func TestGrainFor(t *testing.T) {
 	if g <= 1 {
 		t.Fatalf("GrainFor(100) = %d, want > 1", g)
 	}
-	if n := NumChunks(16, g); n != 1 {
+	if n := len(chunkRanges(16, g)); n != 1 {
 		t.Fatalf("16 cheap items split into %d chunks, want 1 (serial)", n)
 	}
 	// Degenerate estimates clamp instead of panicking.
@@ -408,9 +407,9 @@ func TestSetMaxProcsRoundTrip(t *testing.T) {
 func TestLayoutRespectsGrain(t *testing.T) {
 	withProcs(t, 8)
 	n, grain := 1000, 64
-	ForChunks(n, grain, func(c, lo, hi int) {
+	For(n, grain, func(lo, hi int) {
 		if hi-lo < grain && hi != n {
-			t.Errorf("chunk %d has %d items, below grain %d", c, hi-lo, grain)
+			t.Errorf("chunk [%d,%d) has %d items, below grain %d", lo, hi, hi-lo, grain)
 		}
 	})
 }

@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/mat"
 	"repro/internal/par"
@@ -102,7 +103,7 @@ func (m *CSR) MulDenseInto(dst, b *mat.Dense) {
 }
 
 // BlockOp is a CSR matrix as a block operator (svd.BlockOp shaped: Dims,
-// MulDenseInto, TMulDenseInto) for the randomized SVD engine. Both
+// MulDenseInto, TMulDenseInto, Gram) for the randomized SVD engine. Both
 // products run on CSR.MulDenseInto — Aᵀ·B over a transpose materialised
 // once, when Block is called — so each is a gather with disjoint output
 // rows. Every output element is summed in the serial kernels' order, so
@@ -125,3 +126,33 @@ func (o BlockOp) MulDenseInto(dst, b *mat.Dense) { o.a.MulDenseInto(dst, b) }
 // TMulDenseInto overwrites dst with Aᵀ·b, the same kernel over the
 // transpose.
 func (o BlockOp) TMulDenseInto(dst, b *mat.Dense) { o.at.MulDenseInto(dst, b) }
+
+// Gram returns A·Aᵀ (rows×rows): every document (a row of the transpose,
+// streamed in order) adds its outer product. Each worker owns a block of
+// rows of G and adds A[i,d]·A[j,d] to G[i,j] for its terms i of document d
+// and the document's terms j ≥ i; the lower triangle is then mirrored.
+// Every element is summed in document order, so G is exactly symmetric and
+// bitwise independent of par.MaxProcs.
+func (o BlockOp) Gram() *mat.Dense {
+	n, at := o.a.rows, o.at
+	g := mat.NewDense(n, n)
+	gd := g.RawData()
+	par.For(n, rowGrain, func(lo, hi int) {
+		for d := 0; d < at.rows; d++ {
+			terms, vals := at.colIdx[at.rowPtr[d]:at.rowPtr[d+1]], at.vals[at.rowPtr[d]:at.rowPtr[d+1]]
+			p, _ := slices.BinarySearch(terms, lo)
+			for ; p < len(terms) && terms[p] < hi; p++ {
+				grow := gd[terms[p]*n : (terms[p]+1)*n]
+				for q := p; q < len(terms); q++ {
+					grow[terms[q]] += vals[p] * vals[q]
+				}
+			}
+		}
+	})
+	for i := range n {
+		for j := range i {
+			gd[i*n+j] = gd[j*n+i]
+		}
+	}
+	return g
+}

@@ -145,6 +145,61 @@ func TestBlockOpBitwiseMatchesSerialForAnyProcs(t *testing.T) {
 	}
 }
 
+// TestBlockOpGram holds BlockOp.Gram to a dense A·Aᵀ on a terms × documents
+// matrix with empty rows (terms no document uses) and empty columns (empty
+// documents). Its 300 rows are several chunks of rowGrain, so MaxProcs 2
+// and 8 take the goroutine path.
+func TestBlockOpGram(t *testing.T) {
+	const rows, cols = 300, 2000
+	rng := rand.New(rand.NewSource(39))
+	coo := NewCOO(rows, cols)
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
+			if i%7 != 3 && j%11 != 5 && rng.Float64() < 0.04 {
+				coo.Add(i, j, rng.NormFloat64())
+			}
+		}
+	}
+	m := coo.ToCSR()
+	a := m.ToDense()
+	want := mat.MulBT(a, a)
+	var first *mat.Dense
+	for _, procs := range []int{1, 2, 8} {
+		withProcs(t, procs)
+		g := m.Block().Gram()
+		if first == nil {
+			first = g
+		} else if !sameBits(g.RawData(), first.RawData()) {
+			t.Fatalf("procs=%d: Gram not bitwise equal to the procs=1 result", procs)
+		}
+	}
+	if d := mat.SubMat(first, want).MaxAbs(); d > 1e-12*want.MaxAbs() {
+		t.Fatalf("max |G − A·Aᵀ| = %g > 1e-12·max|A·Aᵀ|", d)
+	}
+	for i := 0; i < rows; i++ {
+		for j := 0; j < i; j++ {
+			if math.Float64bits(first.At(i, j)) != math.Float64bits(first.At(j, i)) {
+				t.Fatalf("G[%d,%d] = %v but G[%d,%d] = %v: not exactly symmetric", i, j, first.At(i, j), j, i, first.At(j, i))
+			}
+		}
+		if i%7 == 3 && mat.Norm(first.Row(i)) != 0 {
+			t.Fatalf("row %d of A is empty but row %d of G is not", i, i)
+		}
+	}
+}
+
+func sameBits(x, y []float64) bool {
+	if len(x) != len(y) {
+		return false
+	}
+	for i := range x {
+		if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 func TestParallelSmallInputFallsBackToSerial(t *testing.T) {
 	withProcs(t, 4)
 	coo := NewCOO(5, 4)

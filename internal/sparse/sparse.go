@@ -329,20 +329,6 @@ func (m *CSR) Frob() float64 {
 	return math.Sqrt(s)
 }
 
-// ColNorms returns the Euclidean norm of each column.
-func (m *CSR) ColNorms() []float64 {
-	sq := make([]float64, m.cols)
-	for i := 0; i < m.rows; i++ {
-		for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
-			sq[m.colIdx[p]] += m.vals[p] * m.vals[p]
-		}
-	}
-	for i, v := range sq {
-		sq[i] = math.Sqrt(v)
-	}
-	return sq
-}
-
 // Col returns column j as a dense vector.
 func (m *CSR) Col(j int) []float64 {
 	if j < 0 || j >= m.cols {

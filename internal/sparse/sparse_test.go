@@ -184,12 +184,7 @@ func TestFrobColNormsCol(t *testing.T) {
 	if math.Abs(s.Frob()-d.Frob()) > 1e-12 {
 		t.Fatalf("Frob: sparse %v dense %v", s.Frob(), d.Frob())
 	}
-	norms := s.ColNorms()
 	for j := 0; j < 6; j++ {
-		want := mat.Norm(d.Col(j))
-		if math.Abs(norms[j]-want) > 1e-12 {
-			t.Fatalf("ColNorms[%d] = %v, want %v", j, norms[j], want)
-		}
 		colGot := s.Col(j)
 		for i := range colGot {
 			if colGot[i] != d.At(i, j) {

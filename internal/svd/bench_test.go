@@ -139,7 +139,11 @@ func BenchmarkSymEigen200(b *testing.B) {
 // benchmark's default scale (bench/spec.go): the paper's pure ε-separable
 // model, 64 topics × 25 terms, 51,200 documents of 50–100 tokens dealt
 // round-robin — 1,600 × 51,200 with ~3.8 M nonzeros.
-func ledgerShapeMatrix(b testing.TB) *sparse.CSR {
+func ledgerShapeMatrix(b testing.TB) *sparse.CSR { return separableMatrix(b, 800) }
+
+// separableMatrix is ledgerShapeMatrix's model with docsPerTopic documents
+// a topic: 1,600 × 64·docsPerTopic.
+func separableMatrix(b testing.TB, docsPerTopic int) *sparse.CSR {
 	b.Helper()
 	const topics, minLen, maxLen = 64, 50, 100
 	m, err := corpus.PureSeparableModel(corpus.SeparableConfig{
@@ -149,36 +153,60 @@ func ledgerShapeMatrix(b testing.TB) *sparse.CSR {
 		b.Fatal(err)
 	}
 	m.Sampler = &corpus.RoundRobinSampler{NumTopics: topics, MinLen: minLen, MaxLen: maxLen}
-	c, err := corpus.Generate(m, topics*800, rand.New(rand.NewSource(1)))
+	c, err := corpus.Generate(m, topics*docsPerTopic, rand.New(rand.NewSource(1)))
 	if err != nil {
 		b.Fatal(err)
 	}
 	return corpus.TermDocMatrix(c, corpus.CountWeighting)
 }
 
-// BenchmarkRandomizedLedgerShape is retrieval.Build's SVD at the ledger's
-// scale: rank 64 (q = 74, six power iterations) on the matrix above,
-// transpose included. GB/s is the effective rate of the block products
-// alone — one A·Z and one Aᵀ·Y timed after the loop, against the nnz·q·8
-// bytes of dense operand each of them gathers.
-func BenchmarkRandomizedLedgerShape(b *testing.B) {
-	m := ledgerShapeMatrix(b)
-	const k, over = 64, 10
+// benchQ is the sketch width of a rank-64 build: q = k + 10.
+const benchQ = 64 + 10
+
+// benchRank64 times Randomized at rank 64 on m, transpose included.
+func benchRank64(b *testing.B, m *sparse.CSR) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Randomized(m.Block(), k, RandomizedOptions{
-			Oversample: over, Rng: rand.New(rand.NewSource(7)),
-		}); err != nil {
+		if _, err := Randomized(m.Block(), 64, RandomizedOptions{Rng: rand.New(rand.NewSource(7))}); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
+}
+
+// BenchmarkRandomizedLedgerShape is retrieval.Build's SVD at the ledger's
+// scale: rank 64 (q = 74, six power iterations) on the matrix above,
+// transpose included. 1,600² ≤ 51,200·74, so the engine takes the Gram
+// route; after the loop the benchmark times that route's own work once:
+// gram_ms, building G = A·Aᵀ, and GFLOP/s, one G·Y product (2·rows²·q
+// flops) into a recycled buffer.
+func BenchmarkRandomizedLedgerShape(b *testing.B) {
+	m := ledgerShapeMatrix(b)
+	benchRank64(b, m)
+	start := time.Now()
+	g := m.Block().Gram()
+	b.ReportMetric(float64(time.Since(start).Nanoseconds())/1e6, "gram_ms")
+	rows := g.Rows()
+	y, gy := benchMatrix(b, rows, benchQ), mat.NewDense(rows, benchQ)
+	start = time.Now()
+	mat.MulParallelInto(gy, g, y)
+	b.ReportMetric(2*float64(rows*rows*benchQ)/1e9/time.Since(start).Seconds(), "GFLOP/s")
+}
+
+// BenchmarkRandomizedShardShape is the same build on a shard of a sharded
+// workload: 1,600 × 25,600, where 1,600² > 25,600·74 keeps the engine on
+// the sparse route. GB/s is the effective rate of that route's block
+// products alone — one A·Z and one Aᵀ·Y timed after the loop, against the
+// nnz·q·8 bytes of dense operand each of them gathers.
+func BenchmarkRandomizedShardShape(b *testing.B) {
+	m := separableMatrix(b, 400)
+	benchRank64(b, m)
 	op := m.Block()
 	rows, cols := op.Dims()
-	y, z := mat.NewDense(rows, k+over), benchMatrix(b, cols, k+over)
+	y, z := mat.NewDense(rows, benchQ), benchMatrix(b, cols, benchQ)
 	start := time.Now()
 	op.MulDenseInto(y, z)
 	op.TMulDenseInto(z, y)
-	gb := 2 * float64(m.NNZ()) * (k + over) * 8 / 1e9
+	gb := 2 * float64(m.NNZ()) * benchQ * 8 / 1e9
 	b.ReportMetric(gb/time.Since(start).Seconds(), "GB/s")
 }

@@ -25,30 +25,33 @@ type RandomizedOptions struct {
 // operator and as many with its transpose, so it asks for them as one pass
 // each over the operator rather than column by column through Op, and into
 // a destination it recycles rather than a fresh matrix each. Both forms
-// overwrite dst. sparse.BlockOp (a CSR matrix with its transpose) and
-// DenseOp implement it; both are bitwise independent of par.MaxProcs.
+// overwrite dst; Gram is for the engine's Gram route (see Randomized).
+// sparse.BlockOp (a CSR matrix with its transpose) and DenseOp implement
+// it; both are bitwise independent of par.MaxProcs.
 type BlockOp interface {
 	Dims() (rows, cols int)
 	MulDenseInto(dst, b *mat.Dense)  // dst = A·B,  b is cols×q, dst rows×q
 	TMulDenseInto(dst, b *mat.Dense) // dst = Aᵀ·B, b is rows×q, dst cols×q
+	Gram() *mat.Dense                // A·Aᵀ, rows×rows
 }
 
 // MulDenseInto overwrites dst with M·b, row-blocked across par workers
-// (bitwise identical to the serial product). A dense product costs
-// O(cols) times the size of its output, so unlike the sparse operator
-// this one computes it with the allocating kernel and copies.
-func (d DenseOp) MulDenseInto(dst, b *mat.Dense) { copyInto(dst, mat.MulParallel(d.M, b)) }
+// (bitwise identical to the serial product).
+func (d DenseOp) MulDenseInto(dst, b *mat.Dense) { mat.MulParallelInto(dst, d.M, b) }
 
 // TMulDenseInto overwrites dst with Mᵀ·b, reduced over fixed row panels
-// (bitwise identical for every par.MaxProcs).
-func (d DenseOp) TMulDenseInto(dst, b *mat.Dense) { copyInto(dst, mat.MulTParallel(d.M, b)) }
-
-func copyInto(dst, src *mat.Dense) {
-	if dr, dc := dst.Dims(); dr != src.Rows() || dc != src.Cols() {
-		panic(fmt.Sprintf("svd: DenseOp destination is %dx%d, product is %dx%d", dr, dc, src.Rows(), src.Cols()))
+// (bitwise identical for every par.MaxProcs) into a fresh matrix it
+// copies.
+func (d DenseOp) TMulDenseInto(dst, b *mat.Dense) {
+	p := mat.MulTParallel(d.M, b)
+	if dr, dc := dst.Dims(); dr != p.Rows() || dc != p.Cols() {
+		panic(fmt.Sprintf("svd: DenseOp destination is %dx%d, product is %dx%d", dr, dc, p.Rows(), p.Cols()))
 	}
-	copy(dst.RawData(), src.RawData())
+	copy(dst.RawData(), p.RawData())
 }
+
+// Gram returns M·Mᵀ, row-blocked across par workers.
+func (d DenseOp) Gram() *mat.Dense { return mat.MulBTParallel(d.M, d.M) }
 
 // orthoTol is the fraction of a sketch column's norm that must survive
 // projecting out the earlier columns; below it the orthonormalisation's
@@ -66,16 +69,25 @@ const orthoTol = 1e-12
 // it as the default truncated engine, with Lanczos kept as the
 // SVDPACK-faithful alternative.
 //
-// Each half-iteration is one block product and one blocked
-// orthonormalisation in place, alternating between two buffers (rows×q
-// and cols×q) that live for the whole call, so nothing the size of the
-// sketch is allocated or zeroed inside the loop. Inside the loop the
-// orthonormalisation is a single CholeskyQR pass (mat.OrthoInPlace): what
-// the iteration carries forward is the subspace, which one pass preserves,
-// and the next product discards the basis anyway. The last sketch and
-// Bᵀ get the full two-pass mat.QRInPlace, so U and V are orthonormal to
-// machine precision. The output is bitwise independent of par.MaxProcs.
+// The power loop has two routes. When G = A·Aᵀ is no larger than the
+// cols×q sketch (rows² ≤ cols·q: a short vocabulary), it builds G once and
+// iterates Y ← G·orth(Y) from Y = G·Ω — SVDPACK's cross-product operator,
+// one dense product an iteration. Otherwise it alternates
+// Y ← A·orth(Aᵀ·orth(Y)), two sparse gathers an iteration. Either loop
+// alternates two recycled buffers, so nothing the size of the sketch is
+// allocated inside it, and orthonormalises with one CholeskyQR pass
+// (mat.OrthoInPlace): the iteration carries a subspace, which one pass
+// preserves. The tail never touches G, whose squared condition number
+// would cost the small singular values their accuracy: Y and Bᵀ = Aᵀ·Y
+// get the two-pass mat.QRInPlace, so U and V are orthonormal to machine
+// precision. The output is bitwise independent of par.MaxProcs.
 func Randomized(op BlockOp, k int, opts RandomizedOptions) (*Result, error) {
+	return randomized(op, k, opts, true)
+}
+
+// randomized is Randomized with the Gram route allowed or not; it is how a
+// test reaches the sparse route at a shape the rule sends to G.
+func randomized(op BlockOp, k int, opts RandomizedOptions, gramOK bool) (*Result, error) {
 	rows, cols := op.Dims()
 	if rows == 0 || cols == 0 {
 		return &Result{U: mat.NewDense(rows, 0), S: nil, V: mat.NewDense(cols, 0)}, nil
@@ -101,15 +113,30 @@ func Randomized(op BlockOp, k int, opts RandomizedOptions) (*Result, error) {
 		rng = rand.New(rand.NewSource(1729))
 	}
 
-	// Y = A·Ω with Gaussian Ω (drawn into Z's buffer), then alternate
-	// Y ← A·orth(Aᵀ·orth(Y)).
-	y, z := mat.NewDense(rows, q), gaussian(cols, q, rng)
-	op.MulDenseInto(y, z)
-	for it := 0; it < power; it++ {
-		mat.OrthoInPlace(y, orthoTol)
-		op.TMulDenseInto(z, y)
-		mat.OrthoInPlace(z, orthoTol)
+	var y, z *mat.Dense
+	if gramOK && rows*rows <= cols*q {
+		// Y = G·Ω with a rows×q Gaussian Ω, then Y ← G·orth(Y), alternating
+		// with Ω's buffer. G is garbage once the loop ends.
+		g := op.Gram()
+		y, z = mat.NewDense(rows, q), gaussian(rows, q, rng)
+		mat.MulParallelInto(y, g, z)
+		for it := 0; it < power; it++ {
+			mat.OrthoInPlace(y, orthoTol)
+			mat.MulParallelInto(z, g, y)
+			y, z = z, y
+		}
+		z = mat.NewDense(cols, q)
+	} else {
+		// Y = A·Ω with Gaussian Ω (drawn into Z's buffer), then alternate
+		// Y ← A·orth(Aᵀ·orth(Y)).
+		y, z = mat.NewDense(rows, q), gaussian(cols, q, rng)
 		op.MulDenseInto(y, z)
+		for it := 0; it < power; it++ {
+			mat.OrthoInPlace(y, orthoTol)
+			op.TMulDenseInto(z, y)
+			mat.OrthoInPlace(z, orthoTol)
+			op.MulDenseInto(y, z)
+		}
 	}
 	mat.QRInPlace(y, orthoTol)
 

@@ -115,13 +115,22 @@ func TestRandomizedProperties(t *testing.T) {
 		{"rank-deficient", rankDeficient, func(ref []float64, i int) float64 { return 1e-10 * ref[i] }},
 		{"graded", gradedSpectrum, func(ref []float64, i int) float64 { return 1e-9 * ref[0] }},
 	}
+	tallCSR := func(a *mat.Dense) BlockOp { return sparse.FromDense(a).Block() }
+	wideCSR := func(a *mat.Dense) BlockOp { return sparse.FromDense(a.T()).Block() }
+	// The wide operators are 120 rows against 1,100 columns, so rows² is
+	// below cols·q for every k here and they take the Gram route; the
+	// sparse route runs the wide CSR through the unexported entry point.
 	operators := []struct {
-		name string
-		op   func(tall *mat.Dense) BlockOp
+		name     string
+		op       func(tall *mat.Dense) BlockOp
+		engine   func(BlockOp, int, RandomizedOptions) (*Result, error)
+		wantGram int // Gram calls: 1 on the Gram route
 	}{
-		{"tall-csr", func(a *mat.Dense) BlockOp { return sparse.FromDense(a).Block() }},
-		{"wide-csr", func(a *mat.Dense) BlockOp { return sparse.FromDense(a.T()).Block() }},
-		{"dense", func(a *mat.Dense) BlockOp { return DenseOp{a} }},
+		{"tall-csr", tallCSR, Randomized, 0},
+		{"wide-csr", wideCSR, Randomized, 1},
+		{"wide-csr-sparse-route", wideCSR, sparseRoute, 0},
+		{"dense", func(a *mat.Dense) BlockOp { return DenseOp{a} }, Randomized, 0},
+		{"wide-dense", func(a *mat.Dense) BlockOp { return DenseOp{a.T()} }, Randomized, 1},
 	}
 	for _, sp := range spectra {
 		a, small, k := sp.gen(t)
@@ -133,11 +142,15 @@ func TestRandomizedProperties(t *testing.T) {
 			t.Run(sp.name+"/"+o.name, func(t *testing.T) {
 				var first *Result
 				for _, procs := range []int{1, 2, 8} {
+					op := &gramCounter{BlockOp: o.op(a)}
 					old := par.SetMaxProcs(procs)
-					res, err := Randomized(o.op(a), k, RandomizedOptions{Rng: rand.New(rand.NewSource(304))})
+					res, err := o.engine(op, k, RandomizedOptions{Rng: rand.New(rand.NewSource(304))})
 					par.SetMaxProcs(old)
 					if err != nil {
 						t.Fatal(err)
+					}
+					if op.calls != o.wantGram {
+						t.Fatalf("%d Gram calls, want %d", op.calls, o.wantGram)
 					}
 					if first == nil {
 						first = res
@@ -221,6 +234,90 @@ func TestRandomizedLedgerShape(t *testing.T) {
 	}
 	if d := mat.SubMat(a.TMulDense(first.U), vs).MaxAbs(); d > tol {
 		t.Errorf("max |Aᵀ·U − V·Σ| = %g > 1e-9·σ₁", d)
+	}
+}
+
+// sparseRoute is Randomized kept off the Gram route whatever the shape.
+func sparseRoute(op BlockOp, k int, opts RandomizedOptions) (*Result, error) {
+	return randomized(op, k, opts, false)
+}
+
+// gramCounter is an operator that counts the engine's Gram calls: one on
+// the Gram route, none on the sparse route.
+type gramCounter struct {
+	BlockOp
+	calls int
+}
+
+func (g *gramCounter) Gram() *mat.Dense {
+	g.calls++
+	return g.BlockOp.Gram()
+}
+
+// TestRandomizedRoutesAgree runs both routes at the ledger shape, where the
+// rule picks the Gram route (1,600² ≤ 51,200·74): the singular values must
+// agree to 1e-12 relative, and U and V must span the same subspaces — the
+// largest principal angle θ between the two U (and the two V) has
+// 1 − cos θ ≤ 1e-12, cos θ being the smallest singular value of U₁ᵀU₂.
+func TestRandomizedRoutesAgree(t *testing.T) {
+	if testing.Short() || race.Enabled {
+		t.Skip("two 51,200-document builds: seconds without the race detector, minutes with it")
+	}
+	a := ledgerShapeMatrix(t)
+	run := func(engine func(BlockOp, int, RandomizedOptions) (*Result, error), wantGram int) *Result {
+		op := &gramCounter{BlockOp: a.Block()}
+		res, err := engine(op, 64, RandomizedOptions{Rng: rand.New(rand.NewSource(7))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if op.calls != wantGram {
+			t.Fatalf("%d Gram calls, want %d", op.calls, wantGram)
+		}
+		return res
+	}
+	gram, sp := run(Randomized, 1), run(sparseRoute, 0)
+	var worst float64
+	for i, s := range gram.S {
+		d := math.Abs(s-sp.S[i]) / sp.S[i]
+		worst = max(worst, d)
+		if d > 1e-12 {
+			t.Errorf("sigma[%d]: Gram route %v, sparse route %v (relative Δ %g)", i, s, sp.S[i], d)
+		}
+	}
+	t.Logf("max relative Δσ %.2g", worst)
+	for _, f := range []struct {
+		name   string
+		x1, x2 *mat.Dense
+	}{{"U", gram.U, sp.U}, {"V", gram.V, sp.V}} {
+		cos, err := Decompose(mat.MulT(f.x1, f.x2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := 1 - cos.S[len(cos.S)-1]
+		if d > 1e-12 {
+			t.Errorf("%s: 1 − cos of the largest principal angle = %g > 1e-12", f.name, d)
+		}
+		t.Logf("%s: 1 − cos of the largest principal angle %.2g", f.name, d)
+	}
+}
+
+// TestRandomizedGramRouteBoundary pins the route rule rows² ≤ cols·q at its
+// edge: 30 rows against 45 columns with q = k + 10 = 20 is 900 = 900 and
+// takes the Gram route; a 31st row does not.
+func TestRandomizedGramRouteBoundary(t *testing.T) {
+	rng := rand.New(rand.NewSource(306))
+	for _, c := range []struct{ rows, wantGram int }{{30, 1}, {31, 0}} {
+		op := &gramCounter{BlockOp: DenseOp{randDense(c.rows, 45, rng)}}
+		res, err := Randomized(op, 10, RandomizedOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if op.calls != c.wantGram {
+			t.Errorf("%d × 45: %d Gram calls, want %d", c.rows, op.calls, c.wantGram)
+		}
+		if len(res.S) != 10 || !res.U.IsOrthonormalCols(1e-12) || !res.V.IsOrthonormalCols(1e-12) {
+			t.Errorf("%d × 45: %d triplets, or U or V not orthonormal to 1e-12", c.rows, len(res.S))
+		}
 	}
 }
 

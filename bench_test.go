@@ -149,7 +149,7 @@ func BenchmarkLSIDirect(b *testing.B) {
 	a := corpus.TermDocMatrix(c, corpus.CountWeighting)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := svd.Lanczos(a, 10, svd.LanczosOptions{
+		if _, err := experiments.Lanczos(a, 10, experiments.LanczosOptions{
 			Reorthogonalize: true, Rng: rand.New(rand.NewSource(7)),
 		}); err != nil {
 			b.Fatal(err)
@@ -316,14 +316,14 @@ func BenchmarkSVDEngines(b *testing.B) {
 	})
 	b.Run("jacobi-dense", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := svd.Jacobi(ad); err != nil {
+			if _, err := experiments.Jacobi(ad); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("lanczos-k5", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := svd.Lanczos(a, 5, svd.LanczosOptions{
+			if _, err := experiments.Lanczos(a, 5, experiments.LanczosOptions{
 				Reorthogonalize: true, Rng: rand.New(rand.NewSource(7)),
 			}); err != nil {
 				b.Fatal(err)

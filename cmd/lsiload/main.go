@@ -9,7 +9,7 @@
 // Usage:
 //
 //	lsiload -addr localhost:8080 [-duration 10s] [-concurrency 8] [-trace zipf]
-//	lsiload -addr localhost:8080 -trace ingest -o BENCH_6.json -l load-ingest
+//	lsiload -addr localhost:8080 -trace ingest -o load-ingest.json -l load-ingest
 //	lsiload -addr host1:8080,host2:8080   # round-robin over several targets
 //
 // -addr accepts a comma-separated target list; each worker rotates

@@ -162,7 +162,7 @@ func RunEngineAblation(seed int64) (*EngineAblationResult, error) {
 	a := corpus.TermDocMatrix(c, corpus.CountWeighting)
 	ad := a.ToDense()
 	const k = 5
-	ref, err := svd.Jacobi(ad)
+	ref, err := Jacobi(ad)
 	if err != nil {
 		return nil, err
 	}
@@ -173,10 +173,10 @@ func RunEngineAblation(seed int64) (*EngineAblationResult, error) {
 	}{
 		{"golub-reinsch", func() (*svd.Result, error) { return svd.Decompose(ad) }},
 		{"lanczos+reorth", func() (*svd.Result, error) {
-			return svd.Lanczos(a, k, svd.LanczosOptions{Reorthogonalize: true, Rng: rand.New(rand.NewSource(seed))})
+			return Lanczos(a, k, LanczosOptions{Reorthogonalize: true, Rng: rand.New(rand.NewSource(seed))})
 		}},
 		{"lanczos-noreorth", func() (*svd.Result, error) {
-			return svd.Lanczos(a, k, svd.LanczosOptions{Reorthogonalize: false, Rng: rand.New(rand.NewSource(seed))})
+			return Lanczos(a, k, LanczosOptions{Reorthogonalize: false, Rng: rand.New(rand.NewSource(seed))})
 		}},
 		{"randomized", func() (*svd.Result, error) {
 			return svd.Randomized(a.Block(), k, svd.RandomizedOptions{Rng: rand.New(rand.NewSource(seed))})

@@ -1,22 +1,24 @@
-package svd
+package experiments
 
 import (
 	"math"
+	"sort"
 
 	"repro/internal/mat"
+	"repro/internal/svd"
 )
 
 // Jacobi computes the SVD of a dense matrix using the one-sided Jacobi
-// (Hestenes) method. It is the most accurate engine in the package —
+// (Hestenes) method. It is the most accurate SVD in the repository —
 // singular values are computed to nearly full machine precision even for
 // badly scaled matrices — at O(sweeps·n²·m) cost, so it serves as the
 // reference implementation against which Golub–Reinsch and Lanczos are
 // validated. The returned rank equals min(rows, cols); zero singular values
 // carry zero columns in U.
-func Jacobi(a *mat.Dense) (*Result, error) {
+func Jacobi(a *mat.Dense) (*svd.Result, error) {
 	rows, cols := a.Dims()
 	if rows == 0 || cols == 0 {
-		return &Result{U: mat.NewDense(rows, 0), S: nil, V: mat.NewDense(cols, 0)}, nil
+		return &svd.Result{U: mat.NewDense(rows, 0), S: nil, V: mat.NewDense(cols, 0)}, nil
 	}
 	if rows < cols {
 		// Decompose the transpose and swap factors: Aᵀ = UΣVᵀ ⇒ A = VΣUᵀ.
@@ -24,7 +26,7 @@ func Jacobi(a *mat.Dense) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Result{U: res.V, S: res.S, V: res.U}, nil
+		return &svd.Result{U: res.V, S: res.S, V: res.U}, nil
 	}
 
 	w := a.Clone() // working copy; columns converge to U·diag(S)
@@ -54,7 +56,7 @@ func Jacobi(a *mat.Dense) (*Result, error) {
 				rotated = true
 				// Jacobi rotation annihilating the off-diagonal Gram entry.
 				zeta := (beta - alpha) / (2 * gamma)
-				t := signOf(1, zeta) / (math.Abs(zeta) + math.Sqrt(1+zeta*zeta))
+				t := math.Copysign(1/(math.Abs(zeta)+math.Sqrt(1+zeta*zeta)), zeta)
 				c := 1 / math.Sqrt(1+t*t)
 				s := c * t
 				for i := 0; i < rows; i++ {
@@ -75,25 +77,24 @@ func Jacobi(a *mat.Dense) (*Result, error) {
 			break
 		}
 		if sweep == maxSweeps-1 {
-			return nil, ErrNoConvergence
+			return nil, svd.ErrNoConvergence
 		}
 	}
 
-	// Column norms are the singular values; normalized columns form U.
-	s := make([]float64, cols)
-	u := mat.NewDense(rows, cols)
-	col := make([]float64, rows)
-	for j := 0; j < cols; j++ {
-		for i := 0; i < rows; i++ {
-			col[i] = w.At(i, j)
-		}
-		s[j] = mat.Norm(col)
-		if s[j] > 0 {
-			for i := 0; i < rows; i++ {
-				u.Set(i, j, col[i]/s[j])
-			}
+	// Column norms are the singular values, sorted descending; the
+	// normalized columns form U.
+	s, order := make([]float64, cols), make([]int, cols)
+	for j := range s {
+		s[j], order[j] = mat.Norm(w.Col(j)), j
+	}
+	sort.SliceStable(order, func(x, y int) bool { return s[order[x]] > s[order[y]] })
+	res := &svd.Result{U: mat.NewDense(rows, cols), S: make([]float64, cols), V: mat.NewDense(cols, cols)}
+	for j, p := range order {
+		res.S[j] = s[p]
+		res.V.SetCol(j, v.Col(p))
+		for i := 0; s[p] > 0 && i < rows; i++ {
+			res.U.Set(i, j, w.At(i, p)/s[p])
 		}
 	}
-	sortDescending(u, s, v)
-	return &Result{U: u, S: s, V: v}, nil
+	return res, nil
 }

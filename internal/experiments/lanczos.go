@@ -1,37 +1,24 @@
-package svd
+package experiments
 
 import (
 	"fmt"
 	"math/rand"
 
 	"repro/internal/mat"
+	"repro/internal/svd"
 )
 
 // Op is a linear operator: anything that can multiply a vector by itself
-// and by its transpose. Dense and sparse matrices both satisfy it, which
-// lets the Lanczos engine run directly on sparse term-document matrices
-// without densifying them — the property that made SVDPACK practical for
-// LSI and that Section 5's running-time analysis (O(mnc) for sparse A with
-// c nonzeros per column) depends on. The randomized engine multiplies whole
-// blocks instead and takes a BlockOp.
+// and by its transpose. sparse.CSR satisfies it, which lets the Lanczos
+// engine run directly on sparse term-document matrices without densifying
+// them — the property that made SVDPACK practical for LSI and that
+// Section 5's running-time analysis (O(mnc) for sparse A with c nonzeros
+// per column) depends on.
 type Op interface {
 	Dims() (rows, cols int)
 	MulVec(x []float64) []float64  // A·x,  len(x) == cols
 	MulTVec(x []float64) []float64 // Aᵀ·x, len(x) == rows
 }
-
-// DenseOp adapts a *mat.Dense to the Op interface.
-type DenseOp struct{ M *mat.Dense }
-
-// Dims returns the dimensions of the wrapped matrix.
-func (d DenseOp) Dims() (int, int) { return d.M.Dims() }
-
-// MulVec returns M·x, row-blocked across par workers for large matrices
-// (bitwise identical to the serial product).
-func (d DenseOp) MulVec(x []float64) []float64 { return mat.MulVecParallel(d.M, x) }
-
-// MulTVec returns Mᵀ·x.
-func (d DenseOp) MulTVec(x []float64) []float64 { return mat.MulTVec(d.M, x) }
 
 // LanczosOptions tunes the truncated SVD iteration.
 type LanczosOptions struct {
@@ -49,17 +36,19 @@ type LanczosOptions struct {
 }
 
 // Lanczos computes the top-k singular triplets of op using Golub–Kahan–
-// Lanczos bidiagonalization. The small bidiagonal system is solved with the
+// Lanczos bidiagonalization, the algorithm family of SVDPACK, the library
+// the paper's authors used. The small bidiagonal system is solved with the
 // dense Golub–Reinsch engine. With full reorthogonalization the computed
-// triplets match dense SVD to ~1e-10 on the experiment matrices.
-func Lanczos(op Op, k int, opts LanczosOptions) (*Result, error) {
+// triplets match dense SVD to ~1e-10 on the experiment matrices. It is an
+// experiment baseline; builds and compactions run svd.Randomized.
+func Lanczos(op Op, k int, opts LanczosOptions) (*svd.Result, error) {
 	rows, cols := op.Dims()
 	if rows == 0 || cols == 0 {
-		return &Result{U: mat.NewDense(rows, 0), S: nil, V: mat.NewDense(cols, 0)}, nil
+		return &svd.Result{U: mat.NewDense(rows, 0), S: nil, V: mat.NewDense(cols, 0)}, nil
 	}
 	maxRank := min(rows, cols)
 	if k <= 0 {
-		return nil, fmt.Errorf("svd: Lanczos: k must be positive, got %d", k)
+		return nil, fmt.Errorf("experiments: Lanczos: k must be positive, got %d", k)
 	}
 	if k > maxRank {
 		k = maxRank
@@ -143,7 +132,7 @@ func Lanczos(op Op, k int, opts LanczosOptions) (*Result, error) {
 	}
 	if steps == 0 {
 		// Operator is (numerically) zero.
-		return &Result{U: mat.NewDense(rows, 0), S: nil, V: mat.NewDense(cols, 0)}, nil
+		return &svd.Result{U: mat.NewDense(rows, 0), S: nil, V: mat.NewDense(cols, 0)}, nil
 	}
 
 	// Small bidiagonal matrix B (steps×steps): α on the diagonal, β on the
@@ -158,9 +147,9 @@ func Lanczos(op Op, k int, opts LanczosOptions) (*Result, error) {
 			b.Set(j, j+1, beta[j])
 		}
 	}
-	small, err := Decompose(b)
+	small, err := svd.Decompose(b)
 	if err != nil {
-		return nil, fmt.Errorf("svd: Lanczos inner decomposition: %w", err)
+		return nil, fmt.Errorf("experiments: Lanczos inner decomposition: %w", err)
 	}
 
 	kk := min(k, len(small.S))
@@ -169,7 +158,7 @@ func Lanczos(op Op, k int, opts LanczosOptions) (*Result, error) {
 	uOut := mat.Mul(bigU, small.U.SliceCols(0, kk))
 	vOut := mat.Mul(bigV, small.V.SliceCols(0, kk))
 	s := append([]float64(nil), small.S[:kk]...)
-	return &Result{U: uOut, S: s, V: vOut}, nil
+	return &svd.Result{U: uOut, S: s, V: vOut}, nil
 }
 
 const breakdownTol = 1e-12

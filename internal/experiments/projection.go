@@ -258,7 +258,7 @@ func RunRuntime(cfg RuntimeConfig) (*RuntimeResult, error) {
 		}
 
 		start := time.Now()
-		direct, err := svd.Lanczos(a, cfg.K, svd.LanczosOptions{
+		direct, err := Lanczos(a, cfg.K, LanczosOptions{
 			Reorthogonalize: true, Rng: rand.New(rand.NewSource(cfg.Seed)),
 		})
 		if err != nil {

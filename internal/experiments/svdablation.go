@@ -36,7 +36,7 @@ func RunLanczosDimAblation(seed int64) (*LanczosDimAblationResult, error) {
 	const k = 5
 	out := &LanczosDimAblationResult{K: k}
 	for _, p := range []int{k, k + 3, k + 10, 2*k + 20} {
-		res, err := svd.Lanczos(a, k, svd.LanczosOptions{
+		res, err := Lanczos(a, k, LanczosOptions{
 			Dim:             p,
 			Reorthogonalize: true,
 			Rng:             rand.New(rand.NewSource(seed)),

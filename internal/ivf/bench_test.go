@@ -14,8 +14,9 @@ import (
 // clustered corpus (the regime the paper proves LSI produces), one
 // quantizer at the rule-of-thumb nlist ≈ sqrt(m)/2 scale, and a probe
 // sweep. Each sub-benchmark reports recall@10 against the exhaustive
-// ground truth and the candidate docs scanned per query, so
-// BENCH_9.json captures the full recall-vs-speedup frontier:
+// ground truth and the candidate docs scanned per query, so one run
+// captures the full recall-vs-speedup frontier (EXPERIMENTS.md, "ANN
+// recall-vs-speedup frontier (PR 9)"):
 //
 //	go test ./internal/ivf -run '^$' -bench BenchmarkANNRecall
 //

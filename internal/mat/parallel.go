@@ -119,28 +119,3 @@ func MulTParallel(a, b *Dense) *Dense {
 	panelReduce(a.rows, out.data, func(lo, hi int, acc []float64) { mulTRows(acc, a, b, lo, hi) })
 	return out
 }
-
-// MulVecParallel returns a*x like MulVec, row-blocked across workers;
-// results are bitwise identical to MulVec. svd.DenseOp routes its matvec
-// through it, which parallelizes the Lanczos inner loop on dense
-// operators.
-func MulVecParallel(a *Dense, x []float64) []float64 {
-	if a.rows*a.cols < parallelThreshold || par.MaxProcs() < 2 || a.rows < 2 {
-		return MulVec(a, x)
-	}
-	if a.cols != len(x) {
-		return MulVec(a, x) // panic with the serial kernel's message
-	}
-	out := make([]float64, a.rows)
-	par.For(a.rows, rowGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := a.data[i*a.cols : (i+1)*a.cols]
-			var s float64
-			for k, av := range arow {
-				s += av * x[k]
-			}
-			out[i] = s
-		}
-	})
-	return out
-}

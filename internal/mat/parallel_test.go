@@ -139,25 +139,6 @@ func TestMulTParallelIndependentOfMaxProcs(t *testing.T) {
 	}
 }
 
-func TestMulVecParallelMatchesSerial(t *testing.T) {
-	forceParallel(t)
-	rng := rand.New(rand.NewSource(159))
-	for _, sh := range [][2]int{{5, 7}, {3000, 800}, {2999, 801}} {
-		a := randDense(sh[0], sh[1], rng)
-		x := make([]float64, sh[1])
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		got := MulVecParallel(a, x)
-		want := MulVec(a, x)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%v row %d: parallel %v != serial %v (must be bitwise equal)", sh, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 func TestMulTParallelDimensionPanic(t *testing.T) {
 	forceParallel(t)
 	defer func() {
@@ -166,16 +147,6 @@ func TestMulTParallelDimensionPanic(t *testing.T) {
 		}
 	}()
 	MulTParallel(NewDense(300, 10), NewDense(301, 10))
-}
-
-func TestMulVecParallelDimensionPanic(t *testing.T) {
-	forceParallel(t)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected dimension panic")
-		}
-	}()
-	MulVecParallel(NewDense(3000, 800), make([]float64, 799))
 }
 
 func TestParallelFewRowsClampsWorkers(t *testing.T) {

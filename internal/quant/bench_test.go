@@ -14,8 +14,8 @@ import (
 // 100k-doc clustered corpus at rank 64, scanned single-threaded so the
 // ratio between sub-benchmarks is the per-core bandwidth story, not a
 // scheduling artifact. Each quantized sub-benchmark reports its top-10
-// overlap with the float path, so BENCH_10.json captures the full
-// frontier:
+// overlap with the float path, so one run captures the full frontier
+// (EXPERIMENTS.md, "Quantized scan frontier (PR 10)"):
 //
 //	go test ./internal/quant -run '^$' -bench BenchmarkQuantizedScan
 //
@@ -115,7 +115,7 @@ func BenchmarkQuantize(b *testing.B) {
 // live in any cache while the int8 shadow (32 MB) largely can, making
 // the float scan memory-bound and the quantized scan compute-bound. Not
 // part of the bench-gate tier-1 set (setup alone moves ~300 MB); it is
-// run explicitly to record the BENCH_10.json frontier.
+// run explicitly to record the PR 10 frontier (EXPERIMENTS.md).
 func BenchmarkQuantScanMillion(b *testing.B) {
 	if testing.Short() {
 		b.Skip("large-corpus benchmark skipped in -short mode")

@@ -11,10 +11,10 @@ import (
 
 // DefaultBeta is the candidate over-fetch factor when a caller does not
 // choose one: the quantized scan keeps topN·β candidates for the exact
-// rerank. β = 4 sits on the flat part of the fidelity frontier measured
-// in BENCH_10.json — top-10 overlap with the float path is ≥ 0.99 on
-// corpusgen corpora while the rerank stays a rounding error next to the
-// scan.
+// rerank. β = 4 sits on the flat part of the fidelity frontier
+// (EXPERIMENTS.md, "Quantized scan frontier (PR 10)") — top-10 overlap
+// with the float path is ≥ 0.99 on corpusgen corpora while the rerank
+// stays a rounding error next to the scan.
 const DefaultBeta = 4
 
 // ScanStats reports the work one quantized search performed; the serving

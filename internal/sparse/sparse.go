@@ -6,8 +6,8 @@
 // sparsity, which the CSR type here provides.
 //
 // Matrices are built through a COO accumulator and frozen into immutable
-// CSR form. CSR satisfies svd.Op and, through Block, svd.BlockOp, so the
-// Lanczos and randomized truncated SVD engines run on it directly.
+// CSR form. Through Block, CSR satisfies svd.BlockOp, so the randomized
+// truncated SVD runs on it directly; so does internal/experiments' Lanczos.
 package sparse
 
 import (
@@ -189,7 +189,7 @@ type CSR struct {
 }
 
 // Dims returns (rows, cols). Together with MulVec and MulTVec this makes
-// CSR satisfy svd.Op.
+// CSR satisfy experiments.Op, the Lanczos engine's operator.
 func (m *CSR) Dims() (int, int) { return m.rows, m.cols }
 
 // Rows returns the number of rows.

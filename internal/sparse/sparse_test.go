@@ -238,15 +238,15 @@ func TestEmptyMatrix(t *testing.T) {
 }
 
 func TestCSRSatisfiesSVDOp(t *testing.T) {
-	// The truncated engines must run directly on CSR and agree with the
-	// dense decomposition of the same matrix.
+	// The randomized engine must run directly on CSR, through Block, and
+	// agree with the dense decomposition of the same matrix. (The Lanczos
+	// engine's run on CSR is internal/experiments' Lanczos ablation.)
 	rng := rand.New(rand.NewSource(27))
 	s, d := randSparse(30, 20, 0.15, rng)
 	full, err := svd.Decompose(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var op svd.Op = s // compile-time interface checks
 	var blk svd.BlockOp = s.Block()
 	res, err := svd.Randomized(blk, 4, svd.RandomizedOptions{})
 	if err != nil {
@@ -255,15 +255,6 @@ func TestCSRSatisfiesSVDOp(t *testing.T) {
 	for i := 0; i < 4 && i < len(res.S); i++ {
 		if math.Abs(res.S[i]-full.S[i]) > 1e-7*(1+full.S[0]) {
 			t.Fatalf("sparse randomized sigma[%d] = %v, dense = %v", i, res.S[i], full.S[i])
-		}
-	}
-	lz, err := svd.Lanczos(op, 4, svd.LanczosOptions{Reorthogonalize: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4 && i < len(lz.S); i++ {
-		if math.Abs(lz.S[i]-full.S[i]) > 1e-7*(1+full.S[0]) {
-			t.Fatalf("sparse lanczos sigma[%d] = %v, dense = %v", i, lz.S[i], full.S[i])
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package svd
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -37,29 +38,6 @@ func BenchmarkDecompose400x200(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Decompose(m); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkJacobi100x100(b *testing.B) {
-	m := benchMatrix(b, 100, 100)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Jacobi(m); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkLanczosTop10Of400x200(b *testing.B) {
-	m := benchMatrix(b, 400, 200)
-	op := DenseOp{m}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Lanczos(op, 10, LanczosOptions{
-			Reorthogonalize: true, Rng: rand.New(rand.NewSource(7)),
-		}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -138,16 +116,16 @@ func BenchmarkSymEigen200(b *testing.B) {
 // ledgerShapeMatrix is the term-document matrix of the repository
 // benchmark's default scale (bench/spec.go): the paper's pure ε-separable
 // model, 64 topics × 25 terms, 51,200 documents of 50–100 tokens dealt
-// round-robin — 1,600 × 51,200 with ~3.8 M nonzeros.
-func ledgerShapeMatrix(b testing.TB) *sparse.CSR { return separableMatrix(b, 800) }
+// round-robin — 1,600 × 51,200 with ~1.56 M nonzeros.
+func ledgerShapeMatrix(b testing.TB) *sparse.CSR { return separableMatrix(b, 25, 800) }
 
-// separableMatrix is ledgerShapeMatrix's model with docsPerTopic documents
-// a topic: 1,600 × 64·docsPerTopic.
-func separableMatrix(b testing.TB, docsPerTopic int) *sparse.CSR {
+// separableMatrix is ledgerShapeMatrix's model with termsPerTopic terms and
+// docsPerTopic documents a topic: 64·termsPerTopic × 64·docsPerTopic.
+func separableMatrix(b testing.TB, termsPerTopic, docsPerTopic int) *sparse.CSR {
 	b.Helper()
 	const topics, minLen, maxLen = 64, 50, 100
 	m, err := corpus.PureSeparableModel(corpus.SeparableConfig{
-		NumTopics: topics, TermsPerTopic: 25, Epsilon: 0.1, MinLen: minLen, MaxLen: maxLen,
+		NumTopics: topics, TermsPerTopic: termsPerTopic, Epsilon: 0.1, MinLen: minLen, MaxLen: maxLen,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -163,11 +141,15 @@ func separableMatrix(b testing.TB, docsPerTopic int) *sparse.CSR {
 // benchQ is the sketch width of a rank-64 build: q = k + 10.
 const benchQ = 64 + 10
 
-// benchRank64 times Randomized at rank 64 on m, transpose included.
-func benchRank64(b *testing.B, m *sparse.CSR) {
+// benchRank64 times Randomized at rank 64 on m, transpose included, on
+// the route the rule picks.
+func benchRank64(b *testing.B, m *sparse.CSR) { benchRoute(b, m, gramPays) }
+
+// benchRoute is benchRank64 on the route gram picks.
+func benchRoute(b *testing.B, m *sparse.CSR, gram func(rows, cols, q int) bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Randomized(m.Block(), 64, RandomizedOptions{Rng: rand.New(rand.NewSource(7))}); err != nil {
+		if _, err := randomized(m.Block(), 64, RandomizedOptions{Rng: rand.New(rand.NewSource(7))}, gram); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -194,12 +176,13 @@ func BenchmarkRandomizedLedgerShape(b *testing.B) {
 }
 
 // BenchmarkRandomizedShardShape is the same build on a shard of a sharded
-// workload: 1,600 × 25,600, where 1,600² > 25,600·74 keeps the engine on
-// the sparse route. GB/s is the effective rate of that route's block
-// products alone — one A·Z and one Aᵀ·Y timed after the loop, against the
+// workload: 1,600 × 25,600, where 1,600² ≤ 3·25,600·74 puts the engine on
+// the Gram route too. GB/s is the effective rate of the sparse route's
+// block products, which the tail still runs (Bᵀ = Aᵀ·Y) and compactions
+// run throughout — one A·Z and one Aᵀ·Y timed after the loop, against the
 // nnz·q·8 bytes of dense operand each of them gathers.
 func BenchmarkRandomizedShardShape(b *testing.B) {
-	m := separableMatrix(b, 400)
+	m := separableMatrix(b, 25, 400)
 	benchRank64(b, m)
 	op := m.Block()
 	rows, cols := op.Dims()
@@ -209,4 +192,28 @@ func BenchmarkRandomizedShardShape(b *testing.B) {
 	op.TMulDenseInto(z, y)
 	gb := 2 * float64(m.NNZ()) * benchQ * 8 / 1e9
 	b.ReportMetric(gb/time.Since(start).Seconds(), "GB/s")
+}
+
+// BenchmarkRandomizedRouteCrossover times both routes of the rank-64 build
+// on either side of the route rule, so its constant can be re-derived: at
+// 1,600 terms × {6,400, 12,800, 25,600} documents, rows²/(cols·q) is 5.4,
+// 2.7 and 1.35, and 3,200 × 51,200 repeats 2.7 at four times the squared
+// vocabulary. The ratio at which the sparse route's time over the Gram
+// route's crosses 1 is the rule's constant: ~3.1 at 1,600 terms, ~3.9 at
+// 3,200, whose documents carry more nonzeros; the rule takes 3
+// (EXPERIMENTS.md "Sharded builds on the Gram route").
+func BenchmarkRandomizedRouteCrossover(b *testing.B) {
+	for _, sh := range []struct{ terms, docs int }{{25, 100}, {25, 200}, {25, 400}, {50, 800}} {
+		m := separableMatrix(b, sh.terms, sh.docs)
+		rows, cols := m.Dims()
+		for _, r := range []struct {
+			name string
+			gram bool
+		}{{"sparse", false}, {"gram", true}} {
+			b.Run(fmt.Sprintf("%dx%d/%s", rows, cols, r.name), func(b *testing.B) {
+				benchRoute(b, m, func(int, int, int) bool { return r.gram })
+				b.ReportMetric(float64(rows*rows)/float64(cols*benchQ), "rows²/cols·q")
+			})
+		}
+	}
 }

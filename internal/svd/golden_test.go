@@ -27,26 +27,6 @@ func TestGoldenTwoByTwo(t *testing.T) {
 	}
 }
 
-func TestGoldenRotationIsIsometry(t *testing.T) {
-	// A rotation matrix has all singular values 1.
-	th := 0.83
-	a := mat.FromRows([][]float64{
-		{math.Cos(th), -math.Sin(th)},
-		{math.Sin(th), math.Cos(th)},
-	})
-	for _, engine := range []func(*mat.Dense) (*Result, error){Decompose, Jacobi} {
-		res, err := engine(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, s := range res.S {
-			if math.Abs(s-1) > 1e-12 {
-				t.Fatalf("rotation sigma[%d] = %v", i, s)
-			}
-		}
-	}
-}
-
 func TestGoldenOnesMatrix(t *testing.T) {
 	// The all-ones m×n matrix has rank 1 with σ₁ = √(mn).
 	m, n := 7, 4

@@ -23,8 +23,8 @@ type RandomizedOptions struct {
 // BlockOp is a linear operator applied to a block of vectors at a time:
 // the randomized engine's whole cost is PowerIters+1 products with the
 // operator and as many with its transpose, so it asks for them as one pass
-// each over the operator rather than column by column through Op, and into
-// a destination it recycles rather than a fresh matrix each. Both forms
+// each over the operator rather than column by column, and into a
+// destination it recycles rather than a fresh matrix each. Both forms
 // overwrite dst; Gram is for the engine's Gram route (see Randomized).
 // sparse.BlockOp (a CSR matrix with its transpose) and DenseOp implement
 // it; both are bitwise independent of par.MaxProcs.
@@ -34,6 +34,12 @@ type BlockOp interface {
 	TMulDenseInto(dst, b *mat.Dense) // dst = Aᵀ·B, b is rows×q, dst cols×q
 	Gram() *mat.Dense                // A·Aᵀ, rows×rows
 }
+
+// DenseOp adapts a *mat.Dense to BlockOp.
+type DenseOp struct{ M *mat.Dense }
+
+// Dims returns the dimensions of the wrapped matrix.
+func (d DenseOp) Dims() (int, int) { return d.M.Dims() }
 
 // MulDenseInto overwrites dst with M·b, row-blocked across par workers
 // (bitwise identical to the serial product).
@@ -65,12 +71,12 @@ const orthoTol = 1e-12
 // subspace iteration (a block method in the style of Halko–Martinsson–
 // Tropp). Unlike single-vector Lanczos it is robust to clustered singular
 // values — exactly the regime of Theorem 2, where k equally-sized topics
-// give k nearly equal top singular values — so the experiment harness uses
-// it as the default truncated engine, with Lanczos kept as the
-// SVDPACK-faithful alternative.
+// give k nearly equal top singular values — so it is the one truncated
+// engine every build and compaction runs (the SVDPACK-faithful Lanczos
+// lives on in internal/experiments).
 //
-// The power loop has two routes. When G = A·Aᵀ is no larger than the
-// cols×q sketch (rows² ≤ cols·q: a short vocabulary), it builds G once and
+// The power loop has two routes, picked by cost (gramPays). When the
+// vocabulary is short against the documents, it builds G = A·Aᵀ once and
 // iterates Y ← G·orth(Y) from Y = G·Ω — SVDPACK's cross-product operator,
 // one dense product an iteration. Otherwise it alternates
 // Y ← A·orth(Aᵀ·orth(Y)), two sparse gathers an iteration. Either loop
@@ -82,12 +88,19 @@ const orthoTol = 1e-12
 // get the two-pass mat.QRInPlace, so U and V are orthonormal to machine
 // precision. The output is bitwise independent of par.MaxProcs.
 func Randomized(op BlockOp, k int, opts RandomizedOptions) (*Result, error) {
-	return randomized(op, k, opts, true)
+	return randomized(op, k, opts, gramPays)
 }
 
-// randomized is Randomized with the Gram route allowed or not; it is how a
-// test reaches the sparse route at a shape the rule sends to G.
-func randomized(op BlockOp, k int, opts RandomizedOptions, gramOK bool) (*Result, error) {
+// gramPays is the route rule, a cost comparison: an iteration on G
+// (2·rows²·q flops) and one off it (two sparse gathers and a cols×q
+// CholeskyQR) break even near rows² = 3·cols·q (measured; DESIGN.md §14).
+// G is then at most 3× the sketch, and compactions, a few thousand
+// documents over the full vocabulary, stay on the sparse route.
+func gramPays(rows, cols, q int) bool { return rows*rows <= 3*cols*q }
+
+// randomized is Randomized with the route rule passed in; it is how a test
+// or benchmark forces either route at any shape.
+func randomized(op BlockOp, k int, opts RandomizedOptions, gram func(rows, cols, q int) bool) (*Result, error) {
 	rows, cols := op.Dims()
 	if rows == 0 || cols == 0 {
 		return &Result{U: mat.NewDense(rows, 0), S: nil, V: mat.NewDense(cols, 0)}, nil
@@ -114,7 +127,7 @@ func randomized(op BlockOp, k int, opts RandomizedOptions, gramOK bool) (*Result
 	}
 
 	var y, z *mat.Dense
-	if gramOK && rows*rows <= cols*q {
+	if gram(rows, cols, q) {
 		// Y = G·Ω with a rows×q Gaussian Ω, then Y ← G·orth(Y), alternating
 		// with Ω's buffer. G is garbage once the loop ends.
 		g := op.Gram()

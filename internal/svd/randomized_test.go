@@ -16,8 +16,9 @@ import (
 // mat's panel reductions and tall·narrow·q above every parallel threshold,
 // so the worker-count sweep really runs the goroutine paths. Each
 // generator also returns a small matrix with the same nonzero singular
-// values for the Jacobi reference, which is far too slow on the big one
-// under the race detector.
+// values for the dense reference, Decompose (held against the Jacobi SVD
+// in engines_test.go), which is far too slow on the big one under the race
+// detector.
 const (
 	propTall   = 1100
 	propNarrow = 120
@@ -134,7 +135,7 @@ func TestRandomizedProperties(t *testing.T) {
 	}
 	for _, sp := range spectra {
 		a, small, k := sp.gen(t)
-		ref, err := Jacobi(small)
+		ref, err := Decompose(small)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,7 +173,7 @@ func TestRandomizedProperties(t *testing.T) {
 				}
 				for i, s := range first.S {
 					if math.Abs(s-ref.S[i]) > sp.sigmaTol(ref.S, i) {
-						t.Errorf("sigma[%d] = %v, Jacobi = %v", i, s, ref.S[i])
+						t.Errorf("sigma[%d] = %v, reference = %v", i, s, ref.S[i])
 					}
 				}
 			})
@@ -239,7 +240,7 @@ func TestRandomizedLedgerShape(t *testing.T) {
 
 // sparseRoute is Randomized kept off the Gram route whatever the shape.
 func sparseRoute(op BlockOp, k int, opts RandomizedOptions) (*Result, error) {
-	return randomized(op, k, opts, false)
+	return randomized(op, k, opts, func(int, int, int) bool { return false })
 }
 
 // gramCounter is an operator that counts the engine's Gram calls: one on
@@ -254,16 +255,28 @@ func (g *gramCounter) Gram() *mat.Dense {
 	return g.BlockOp.Gram()
 }
 
-// TestRandomizedRoutesAgree runs both routes at the ledger shape, where the
-// rule picks the Gram route (1,600² ≤ 51,200·74): the singular values must
-// agree to 1e-12 relative, and U and V must span the same subspaces — the
+// TestRandomizedRoutesAgree runs both routes where the rule picks the Gram
+// route: at the ledger shape (1,600² ≤ 3·51,200·74) and at a sharded
+// workload's shard shape (1,600² ≤ 3·25,600·74). The singular values must
+// agree to 1e-13 relative, and U and V must span the same subspaces — the
 // largest principal angle θ between the two U (and the two V) has
-// 1 − cos θ ≤ 1e-12, cos θ being the smallest singular value of U₁ᵀU₂.
+// 1 − cos θ ≤ 1e-13, cos θ being the smallest singular value of U₁ᵀU₂.
 func TestRandomizedRoutesAgree(t *testing.T) {
 	if testing.Short() || race.Enabled {
-		t.Skip("two 51,200-document builds: seconds without the race detector, minutes with it")
+		t.Skip("51,200- and 25,600-document builds: seconds without the race detector, minutes with it")
 	}
-	a := ledgerShapeMatrix(t)
+	for _, sh := range []struct {
+		name         string
+		docsPerTopic int
+	}{{"ledger", 800}, {"shard", 400}} {
+		t.Run(sh.name, func(t *testing.T) {
+			routesAgree(t, separableMatrix(t, 25, sh.docsPerTopic))
+		})
+	}
+}
+
+func routesAgree(t *testing.T, a *sparse.CSR) {
+	t.Helper()
 	run := func(engine func(BlockOp, int, RandomizedOptions) (*Result, error), wantGram int) *Result {
 		op := &gramCounter{BlockOp: a.Block()}
 		res, err := engine(op, 64, RandomizedOptions{Rng: rand.New(rand.NewSource(7))})
@@ -280,7 +293,7 @@ func TestRandomizedRoutesAgree(t *testing.T) {
 	for i, s := range gram.S {
 		d := math.Abs(s-sp.S[i]) / sp.S[i]
 		worst = max(worst, d)
-		if d > 1e-12 {
+		if d > 1e-13 {
 			t.Errorf("sigma[%d]: Gram route %v, sparse route %v (relative Δ %g)", i, s, sp.S[i], d)
 		}
 	}
@@ -294,30 +307,51 @@ func TestRandomizedRoutesAgree(t *testing.T) {
 			t.Fatal(err)
 		}
 		d := 1 - cos.S[len(cos.S)-1]
-		if d > 1e-12 {
-			t.Errorf("%s: 1 − cos of the largest principal angle = %g > 1e-12", f.name, d)
+		if d > 1e-13 {
+			t.Errorf("%s: 1 − cos of the largest principal angle = %g > 1e-13", f.name, d)
 		}
 		t.Logf("%s: 1 − cos of the largest principal angle %.2g", f.name, d)
 	}
 }
 
-// TestRandomizedGramRouteBoundary pins the route rule rows² ≤ cols·q at its
-// edge: 30 rows against 45 columns with q = k + 10 = 20 is 900 = 900 and
-// takes the Gram route; a 31st row does not.
+// TestRandomizedGramRouteBoundary pins the route rule rows² ≤ 3·cols·q at
+// its edge: 60 rows against 60 columns with q = k + 10 = 20 is
+// 3,600 = 3·60·20 and takes the Gram route; a 61st row does not.
 func TestRandomizedGramRouteBoundary(t *testing.T) {
 	rng := rand.New(rand.NewSource(306))
-	for _, c := range []struct{ rows, wantGram int }{{30, 1}, {31, 0}} {
-		op := &gramCounter{BlockOp: DenseOp{randDense(c.rows, 45, rng)}}
+	for _, c := range []struct{ rows, wantGram int }{{60, 1}, {61, 0}} {
+		op := &gramCounter{BlockOp: DenseOp{randDense(c.rows, 60, rng)}}
 		res, err := Randomized(op, 10, RandomizedOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if op.calls != c.wantGram {
-			t.Errorf("%d × 45: %d Gram calls, want %d", c.rows, op.calls, c.wantGram)
+			t.Errorf("%d × 60: %d Gram calls, want %d", c.rows, op.calls, c.wantGram)
 		}
 		if len(res.S) != 10 || !res.U.IsOrthonormalCols(1e-12) || !res.V.IsOrthonormalCols(1e-12) {
-			t.Errorf("%d × 45: %d triplets, or U or V not orthonormal to 1e-12", c.rows, len(res.S))
+			t.Errorf("%d × 60: %d triplets, or U or V not orthonormal to 1e-12", c.rows, len(res.S))
 		}
+	}
+}
+
+// TestRandomizedCompactionShapesTakeSparseRoute holds the rule to the
+// shapes of the repository benchmark's ingest_mixed workload (bench/spec.go
+// at its default scale): a 2-shard rank-64 index (q = 74) over 1,600 terms,
+// built on 46,080 documents, to which a writer adds the other 5,120. A
+// compaction rebuilds only ingested documents — the built segments keep no
+// raw documents — so its matrix is 1,600 × at most 5,120 even if every
+// ingested document landed on one shard, in steps of the 128-document
+// seal. Those stay on the sparse route, and the server's memory with them;
+// the built shards (23,040 documents each) take the Gram route.
+func TestRandomizedCompactionShapesTakeSparseRoute(t *testing.T) {
+	const terms, q = 1600, 74
+	for docs := 128; docs <= 5120; docs += 128 {
+		if gramPays(terms, docs, q) {
+			t.Errorf("a %d × %d compaction takes the Gram route", terms, docs)
+		}
+	}
+	if !gramPays(terms, 46080/2, q) {
+		t.Errorf("a %d × %d shard build takes the sparse route", terms, 46080/2)
 	}
 }
 

@@ -1,19 +1,16 @@
 // Package svd implements the singular value decompositions and symmetric
-// eigensolvers that the paper's experiments require. It replaces SVDPACK,
-// the Fortran Lanczos library the authors used, with three cross-validating
-// engines:
+// eigensolvers that the paper's experiments require, in place of SVDPACK,
+// the Fortran Lanczos library the authors used:
 //
 //   - Decompose: dense full SVD by Golub–Reinsch bidiagonalization + QR
 //     iteration (the workhorse).
-//   - Jacobi: one-sided Jacobi SVD; slower but extremely accurate, used as
-//     the reference implementation in tests.
-//   - Lanczos: Golub–Kahan–Lanczos truncated SVD with full
-//     reorthogonalization, operating on any linear operator (in particular
-//     sparse term-document matrices) — the same algorithm family SVDPACK
-//     implements and the one used for the large corpus experiments.
+//   - Randomized: truncated SVD by block subspace iteration on any block
+//     operator, sparse term-document matrices in particular — the engine
+//     every build and compaction runs.
 //
-// All engines return singular values in descending order with column-
-// orthonormal U and V such that A ≈ U·diag(S)·Vᵀ.
+// Both return singular values in descending order with column-orthonormal
+// U and V such that A ≈ U·diag(S)·Vᵀ. The Jacobi reference SVD and the
+// Lanczos engine live in internal/experiments.
 package svd
 
 import (

@@ -60,32 +60,6 @@ func res0(s []float64) float64 {
 	return s[0]
 }
 
-func TestDecomposeMatchesJacobiOnRandomMatrices(t *testing.T) {
-	rng := rand.New(rand.NewSource(101))
-	shapes := [][2]int{{5, 5}, {10, 4}, {4, 10}, {30, 17}, {17, 30}, {1, 5}, {5, 1}, {2, 2}}
-	for _, sh := range shapes {
-		a := randDense(sh[0], sh[1], rng)
-		gr, err := Decompose(a)
-		if err != nil {
-			t.Fatalf("%v: Decompose: %v", sh, err)
-		}
-		jc, err := Jacobi(a)
-		if err != nil {
-			t.Fatalf("%v: Jacobi: %v", sh, err)
-		}
-		checkSVD(t, a, gr, true, 1e-9)
-		checkSVD(t, a, jc, true, 1e-9)
-		if len(gr.S) != len(jc.S) {
-			t.Fatalf("%v: rank mismatch %d vs %d", sh, len(gr.S), len(jc.S))
-		}
-		for i := range gr.S {
-			if math.Abs(gr.S[i]-jc.S[i]) > 1e-8*(1+jc.S[0]) {
-				t.Fatalf("%v: singular value %d: Golub-Reinsch %v vs Jacobi %v", sh, i, gr.S[i], jc.S[i])
-			}
-		}
-	}
-}
-
 func TestDecomposeKnownMatrix(t *testing.T) {
 	// A = [[3,0],[0,-2]] has singular values 3, 2.
 	a := mat.FromRows([][]float64{{3, 0}, {0, -2}})
@@ -212,36 +186,6 @@ func TestTruncateAndDocSpace(t *testing.T) {
 	}
 }
 
-func TestLanczosMatchesDenseTopK(t *testing.T) {
-	rng := rand.New(rand.NewSource(104))
-	a := randDense(40, 25, rng)
-	full, err := Decompose(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := 5
-	lz, err := Lanczos(DenseOp{a}, k, LanczosOptions{Reorthogonalize: true, Rng: rand.New(rand.NewSource(7))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(lz.S) < k {
-		t.Fatalf("Lanczos returned %d triplets, want %d", len(lz.S), k)
-	}
-	for i := 0; i < k; i++ {
-		if math.Abs(lz.S[i]-full.S[i]) > 1e-8*(1+full.S[0]) {
-			t.Fatalf("Lanczos sigma[%d] = %v, dense = %v", i, lz.S[i], full.S[i])
-		}
-	}
-	checkSVD(t, a, lz, false, 0)
-	// Singular vectors match up to sign.
-	for i := 0; i < k; i++ {
-		d := math.Abs(mat.Dot(lz.U.Col(i), full.U.Col(i)))
-		if d < 1-1e-6 {
-			t.Fatalf("Lanczos U[%d] misaligned with dense: |dot| = %v", i, d)
-		}
-	}
-}
-
 func TestRandomizedMatchesDenseTopK(t *testing.T) {
 	rng := rand.New(rand.NewSource(105))
 	a := randDense(40, 25, rng)
@@ -260,82 +204,6 @@ func TestRandomizedMatchesDenseTopK(t *testing.T) {
 		}
 	}
 	checkSVD(t, a, rz, false, 0)
-}
-
-func TestTruncatedEnginesOnClusteredSpectrum(t *testing.T) {
-	// Block-diagonal matrix with k equal blocks: top-k singular values are
-	// all equal — the degenerate regime of Theorem 2. Block engines must
-	// still recover an orthonormal basis spanning the top-k space.
-	k, bs := 4, 6
-	n := k * bs
-	a := mat.NewDense(n, n)
-	rng := rand.New(rand.NewSource(106))
-	for b := 0; b < k; b++ {
-		// Each block is 5·I plus small noise: every block contributes one
-		// dominant singular value ≈ same magnitude.
-		for i := 0; i < bs; i++ {
-			for j := 0; j < bs; j++ {
-				v := 1.0 + 0.01*rng.NormFloat64()
-				a.Set(b*bs+i, b*bs+j, v)
-			}
-		}
-	}
-	full, err := Decompose(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, engine := range []struct {
-		name string
-		run  func() (*Result, error)
-	}{
-		{"lanczos", func() (*Result, error) {
-			return Lanczos(DenseOp{a}, k, LanczosOptions{Reorthogonalize: true, Rng: rand.New(rand.NewSource(8))})
-		}},
-		{"randomized", func() (*Result, error) { return Randomized(DenseOp{a}, k, RandomizedOptions{}) }},
-	} {
-		res, err := engine.run()
-		if err != nil {
-			t.Fatalf("%s: %v", engine.name, err)
-		}
-		if len(res.S) < k {
-			t.Fatalf("%s: got %d triplets, want %d", engine.name, len(res.S), k)
-		}
-		for i := 0; i < k; i++ {
-			if math.Abs(res.S[i]-full.S[i]) > 1e-6*(1+full.S[0]) {
-				t.Fatalf("%s: sigma[%d] = %v, dense = %v", engine.name, i, res.S[i], full.S[i])
-			}
-		}
-	}
-}
-
-func TestLanczosInvalidK(t *testing.T) {
-	a := mat.Identity(3)
-	if _, err := Lanczos(DenseOp{a}, 0, LanczosOptions{}); err == nil {
-		t.Fatal("expected error for k=0")
-	}
-	if _, err := Randomized(DenseOp{a}, -1, RandomizedOptions{}); err == nil {
-		t.Fatal("expected error for k=-1")
-	}
-	// k beyond rank clamps rather than failing.
-	res, err := Lanczos(DenseOp{a}, 10, LanczosOptions{Reorthogonalize: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.S) > 3 {
-		t.Fatalf("k clamp failed: %d triplets", len(res.S))
-	}
-}
-
-func TestLanczosZeroMatrix(t *testing.T) {
-	res, err := Lanczos(DenseOp{mat.NewDense(5, 4)}, 2, LanczosOptions{Reorthogonalize: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range res.S {
-		if s > 1e-10 {
-			t.Fatalf("zero matrix gave sigma %v", s)
-		}
-	}
 }
 
 func TestSymEigenMatchesJacobi(t *testing.T) {

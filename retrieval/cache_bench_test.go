@@ -17,7 +17,7 @@ import (
 // the repo root) with no extra allocations (1 alloc/op: the returned
 // copy). BenchmarkCachedQueryZipfian replays a Zipf-distributed query
 // trace — the paper's model of topic-concentrated traffic — and reports
-// the measured hit rate (BENCH_5.json holds the PR 5 record).
+// the measured hit rate (EXPERIMENTS.md's appendix holds the PR 5 record).
 
 // benchCachedIndex builds a 500-doc index with a query cache, mirroring
 // the scale of benchQueryIndex in the root bench suite.

@@ -3,12 +3,15 @@ package retrieval
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -41,31 +44,77 @@ func searchEqual(t *testing.T, a, b *Index, query string, topN int) {
 // A fixed seed must write the same index file twice, and whatever the
 // worker count: the randomized engine's reductions run over fixed row
 // panels, not per-worker chunks. 1,200 documents put three panels on the
-// document side and clear the sparse kernels' parallel threshold.
+// document side and clear the sparse kernels' parallel threshold. The
+// sharded build runs its shards' SVDs and tier training concurrently, up
+// to MaxProcs at a time, so its saved directory must not depend on how
+// many of them ran together either.
 func TestBuildSaveBytesIndependentOfMaxProcs(t *testing.T) {
 	texts := synthTexts(1200, 41)
 	docs := make([]Document, len(texts))
 	for i, text := range texts {
 		docs[i] = Document{ID: fmt.Sprintf("d%d", i), Text: text}
 	}
-	var first []byte
-	for _, procs := range []int{1, 1, 2, 8} {
-		old := par.SetMaxProcs(procs)
-		ix, err := Build(docs, WithRank(6), WithEngine(EngineRandomized), WithSeed(7))
-		par.SetMaxProcs(old)
-		if err != nil {
-			t.Fatal(err)
+	t.Run("unsharded", func(t *testing.T) {
+		var first []byte
+		for _, procs := range []int{1, 1, 2, 8} {
+			old := par.SetMaxProcs(procs)
+			ix, err := Build(docs, WithRank(6), WithEngine(EngineRandomized), WithSeed(7))
+			par.SetMaxProcs(old)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := ix.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if first == nil {
+				first = buf.Bytes()
+			} else if !bytes.Equal(buf.Bytes(), first) {
+				t.Fatalf("MaxProcs=%d: saved index differs from the first MaxProcs=1 build", procs)
+			}
 		}
-		var buf bytes.Buffer
-		if err := ix.Save(&buf); err != nil {
-			t.Fatal(err)
+	})
+	t.Run("sharded", func(t *testing.T) {
+		var first map[string][sha256.Size]byte
+		for _, procs := range []int{1, 2, 8} {
+			old := par.SetMaxProcs(procs)
+			ix, err := Build(docs, WithRank(6), WithEngine(EngineRandomized), WithSeed(7),
+				WithShards(3), WithANN(8, 2), WithQuantized(2))
+			par.SetMaxProcs(old)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			err = ix.SaveDir(dir)
+			ix.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sums := map[string][sha256.Size]byte{}
+			for _, e := range entries {
+				b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				sums[e.Name()] = sha256.Sum256(b)
+			}
+			names := slices.Sorted(maps.Keys(sums))
+			if first == nil {
+				first = sums
+				for _, want := range []string{"ann-", "quant-"} {
+					if !slices.ContainsFunc(names, func(n string) bool { return strings.HasPrefix(n, want) }) {
+						t.Fatalf("no %s* file saved: %v", want, names)
+					}
+				}
+			} else if !maps.Equal(sums, first) {
+				t.Fatalf("MaxProcs=%d: saved directory %v differs from the MaxProcs=1 build's", procs, names)
+			}
 		}
-		if first == nil {
-			first = buf.Bytes()
-		} else if !bytes.Equal(buf.Bytes(), first) {
-			t.Fatalf("MaxProcs=%d: saved index differs from the first MaxProcs=1 build", procs)
-		}
-	}
+	})
 }
 
 func TestSaveLoadRoundTripLSI(t *testing.T) {

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// Benchmarks for the sharded hot paths (BENCH_4.json holds their
-// PR 4 record), compiled-and-run by the CI bench-smoke job.
+// Benchmarks for the sharded hot paths (EXPERIMENTS.md's appendix holds
+// their PR 4 record), compiled-and-run by the CI bench-smoke job.
 //
 //   - BenchmarkShardedSearch holds the corpus fixed and varies the shard
 //     count: the per-query cost model is S·O(nnz(q)·k) projections plus

@@ -44,6 +44,7 @@ import (
 
 	"repro/internal/lsi"
 	"repro/internal/mat"
+	"repro/internal/par"
 	"repro/internal/segment"
 	"repro/internal/sparse"
 	"repro/internal/topk"
@@ -221,32 +222,44 @@ func Build(a *sparse.CSR, ids []string, cfg Config) (*Index, error) {
 	x := newIndex(n, cfg)
 	x.ids.Store(&idTable{ids: append([]string(nil), ids...)})
 
-	// One independent SVD per shard over its column subset. Shard builds
-	// are deterministic (seed+s) and independent, so building serially in
-	// shard order keeps results reproducible; each build parallelizes
-	// internally through the SVD kernels.
-	for s := 0; s < cfg.Shards; s++ {
-		sub, globals := columnSubset(a, s, cfg.Shards)
-		if len(globals) == 0 {
-			x.shards[s].state.Store(&shardState{})
-			continue
+	// One SVD per shard over its column subset, up to par.MaxProcs shards
+	// at a time: each is seeded by its shard and bitwise independent of
+	// the worker count. The lowest-numbered failure is reported.
+	errs := make([]error, cfg.Shards)
+	par.For(cfg.Shards, 1, func(lo, hi int) {
+		for s := lo; s < hi; s++ {
+			errs[s] = x.buildShard(a, s)
 		}
-		ix, err := lsi.Build(sub, cfg.Rank, lsi.Options{Engine: cfg.Engine, Seed: cfg.Seed + int64(s)})
+	})
+	for s, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", s, err)
 		}
-		seg, err := segment.New(ix, globals, nil, true)
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", s, err)
-		}
-		if seg, err = seg.WithTiers(x.tiers(s), nil, nil); err != nil {
-			return nil, fmt.Errorf("shard %d: %w", s, err)
-		}
-		x.shards[s].base = ix
-		x.shards[s].state.Store(&shardState{stable: []*segment.Segment{seg}})
 	}
 	x.startCompactor()
 	return x, nil
+}
+
+// buildShard builds and publishes shard s of a fresh index.
+func (x *Index) buildShard(a *sparse.CSR, s int) error {
+	sub, globals := columnSubset(a, s, x.cfg.Shards)
+	if len(globals) == 0 {
+		return nil
+	}
+	ix, err := lsi.Build(sub, x.cfg.Rank, lsi.Options{Engine: x.cfg.Engine, Seed: x.cfg.Seed + int64(s)})
+	if err != nil {
+		return err
+	}
+	seg, err := segment.New(ix, globals, nil, true)
+	if err == nil {
+		seg, err = seg.WithTiers(x.tiers(s), nil, nil)
+	}
+	if err != nil {
+		return err
+	}
+	x.shards[s].base = ix
+	x.shards[s].state.Store(&shardState{stable: []*segment.Segment{seg}})
+	return nil
 }
 
 // tiers is the sidecar configuration of shard s's segments — the ANN and
@@ -286,6 +299,8 @@ func newIndex(numTerms int, cfg Config) *Index {
 // shards == s) as their own matrix, returning it with the global column
 // numbers in ascending order. With one shard the original matrix is
 // returned as-is, so a 1-shard build is bit-for-bit the unsharded build.
+// The subset is filled row by row straight into CSR: local column numbers
+// rise with global ones, so each row's entries arrive in column order.
 func columnSubset(a *sparse.CSR, s, shards int) (*sparse.CSR, []int) {
 	n, m := a.Dims()
 	if shards == 1 {
@@ -296,23 +311,31 @@ func columnSubset(a *sparse.CSR, s, shards int) (*sparse.CSR, []int) {
 		return a, globals
 	}
 	var globals []int
-	local := make([]int, m) // global column -> shard-local column
+	local := make([]int, m) // global column -> 1 + shard-local column, 0 off the shard
 	for j := s; j < m; j += shards {
-		local[j] = len(globals)
 		globals = append(globals, j)
+		local[j] = len(globals)
 	}
 	if len(globals) == 0 {
 		return nil, nil
 	}
-	coo := sparse.NewCOO(n, len(globals))
-	for t := 0; t < n; t++ {
-		a.RowIter(t, func(j int, v float64) {
-			if j%shards == s {
-				coo.Add(t, local[j], v)
+	rowNNZ := make([]int, n)
+	for t := range rowNNZ {
+		a.RowIter(t, func(j int, _ float64) {
+			if local[j] > 0 {
+				rowNNZ[t]++
 			}
 		})
 	}
-	return coo.ToCSR(), globals
+	b := sparse.NewRowBuilder(rowNNZ, len(globals))
+	for t := range rowNNZ {
+		a.RowIter(t, func(j int, v float64) {
+			if l := local[j]; l > 0 {
+				b.Add(t, l-1, v)
+			}
+		})
+	}
+	return b.CSR(), globals
 }
 
 // NumTerms returns the vocabulary dimension.

@@ -2,9 +2,11 @@ package shard
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -628,5 +630,69 @@ func TestEpochBumpsAfterAddAndCompact(t *testing.T) {
 	}
 	if got := x.Epoch(); got != before {
 		t.Fatalf("no-op compaction moved the epoch %d -> %d", before, got)
+	}
+}
+
+// TestColumnSubsetMatchesCOO holds the direct CSR fill of columnSubset to
+// the COO round trip it replaced, bit for bit: the same dimensions, and in
+// every row the same columns with the same value bits, for shard counts
+// that divide the documents, that do not, and that leave shards empty.
+func TestColumnSubsetMatchesCOO(t *testing.T) {
+	a := testMatrix(t, 4, 12, 90, 306)
+	n, m := a.Dims()
+	for _, shards := range []int{2, 3, 7, 89, 120} {
+		for s := 0; s < shards; s++ {
+			got, globals := columnSubset(a, s, shards)
+			var want *sparse.CSR
+			if len(globals) > 0 {
+				coo := sparse.NewCOO(n, len(globals))
+				for tm := 0; tm < n; tm++ {
+					a.RowIter(tm, func(j int, v float64) {
+						if j%shards == s {
+							coo.Add(tm, j/shards, v)
+						}
+					})
+				}
+				want = coo.ToCSR()
+			}
+			for l, g := range globals {
+				if g != s+l*shards {
+					t.Fatalf("%d shards, shard %d: global %d at local %d", shards, s, g, l)
+				}
+			}
+			if (got == nil) != (want == nil) || len(globals) != (m-s+shards-1)/shards {
+				t.Fatalf("%d shards, shard %d: %d globals, subset %v", shards, s, len(globals), got != nil)
+			}
+			if got == nil {
+				continue
+			}
+			if gr, gc := got.Dims(); gr != n || gc != len(globals) || got.NNZ() != want.NNZ() {
+				t.Fatalf("%d shards, shard %d: %dx%d with %d nonzeros, want %dx%d with %d",
+					shards, s, gr, gc, got.NNZ(), n, len(globals), want.NNZ())
+			}
+			for tm := 0; tm < n; tm++ {
+				var gotRow, wantRow []uint64
+				got.RowIter(tm, func(j int, v float64) { gotRow = append(gotRow, uint64(j), math.Float64bits(v)) })
+				want.RowIter(tm, func(j int, v float64) { wantRow = append(wantRow, uint64(j), math.Float64bits(v)) })
+				if !slices.Equal(gotRow, wantRow) {
+					t.Fatalf("%d shards, shard %d, row %d: %v, want %v", shards, s, tm, gotRow, wantRow)
+				}
+			}
+		}
+	}
+}
+
+// TestBuildReportsLowestFailingShard: shards build concurrently, yet a
+// build that fails reports the lowest-numbered failing shard, as a serial
+// loop would, at every worker count.
+func TestBuildReportsLowestFailingShard(t *testing.T) {
+	a := testMatrix(t, 3, 12, 60, 307)
+	for _, procs := range []int{1, 2, 8} {
+		old := par.SetMaxProcs(procs)
+		_, err := Build(a, defaultIDs(60), Config{Shards: 4, Rank: 3, Engine: lsi.Engine(99)})
+		par.SetMaxProcs(old)
+		if err == nil || !strings.HasPrefix(err.Error(), "shard 0: ") {
+			t.Fatalf("MaxProcs=%d: error %v, want shard 0's", procs, err)
+		}
 	}
 }

@@ -8,13 +8,16 @@ package repro
 // bench run doubles as a results summary.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/corpus"
 	"repro/internal/experiments"
+	"repro/internal/ivf"
 	"repro/internal/lsi"
 	"repro/internal/par"
+	"repro/internal/quant"
 	"repro/internal/randproj"
 	"repro/internal/sparse"
 	"repro/internal/svd"
@@ -389,6 +392,78 @@ func BenchmarkIndexBuild(b *testing.B) {
 		if _, err := lsi.Build(a, 20, lsi.Options{}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// evenTopics deals documents to topics 0, 2, 4, … in turn: what one
+// shard of a two-shard build receives from a round-robin corpus, since
+// documents are dealt to shards round-robin too.
+type evenTopics struct{ numTopics, next int }
+
+func (s *evenTopics) SampleSpec(rng *rand.Rand) corpus.DocSpec {
+	topic := 2 * s.next % s.numTopics
+	s.next++
+	return corpus.DocSpec{TopicIDs: []int{topic}, TopicWeights: []float64{1}, Length: 50 + rng.Intn(51)}
+}
+
+// BenchmarkTierRecompute weighs ROADMAP item 5: a segment's ANN and int8
+// tiers recomputed (ivf.Train32, nlist 64, plus quant.Quantize32) against
+// decoded from the sidecar files that ship them (ivf.Decode plus
+// quant.Decode, from bytes already in memory). The segment is one shard
+// of the ledger's tiered build, 25,600 documents of the ledger's corpus
+// model (32 of its 64 topics, rank 64), and one of 4× the documents.
+// sidecar_B is the two files' size.
+func BenchmarkTierRecompute(b *testing.B) {
+	for _, m := range []int{25_600, 102_400} {
+		var ix *lsi.Index
+		segment := func(b *testing.B) *lsi.Index {
+			if ix != nil {
+				return ix
+			}
+			model, err := corpus.PureSeparableModel(corpus.SeparableConfig{
+				NumTopics: 64, TermsPerTopic: 25, Epsilon: 0.1, MinLen: 50, MaxLen: 100,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			model.Sampler = &evenTopics{numTopics: 64}
+			c, err := corpus.Generate(model, m, rand.New(rand.NewSource(1)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if ix, err = lsi.Build(corpus.TermDocMatrix(c, corpus.LogWeighting), 64, lsi.Options{Engine: lsi.EngineRandomized, Seed: 1}); err != nil {
+				b.Fatal(err)
+			}
+			return ix
+		}
+		train := func(ix *lsi.Index) (*ivf.Index, *quant.Matrix) {
+			ann, err := ivf.Train32(ix.Docs(), ix.Norms(), ivf.TrainOptions{NList: 64, Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			return ann, quant.Quantize32(ix.Docs())
+		}
+		b.Run(fmt.Sprintf("docs=%d/recompute", m), func(b *testing.B) {
+			ix := segment(b)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				train(ix)
+			}
+		})
+		b.Run(fmt.Sprintf("docs=%d/decode", m), func(b *testing.B) {
+			ann, qm := train(segment(b))
+			annFile, qmFile := ann.Encode(), qm.Encode()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := ivf.Decode(annFile); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := quant.Decode(qmFile); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(annFile)+len(qmFile)), "sidecar_B")
+		})
 	}
 }
 

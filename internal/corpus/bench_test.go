@@ -18,6 +18,24 @@ func BenchmarkGeneratePaperCorpus(b *testing.B) {
 	}
 }
 
+// BenchmarkGenerateLedgerShape draws the corpus every ledger workload
+// builds on: 64 pure ε-separable topics of 25 terms (ε = 0.1), documents
+// of 50–100 terms dealt round-robin, 800 a topic (51,200 documents).
+func BenchmarkGenerateLedgerShape(b *testing.B) {
+	const topics = 64
+	model, err := PureSeparableModel(SeparableConfig{NumTopics: topics, TermsPerTopic: 25, Epsilon: 0.1, MinLen: 50, MaxLen: 100})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		model.Sampler = &RoundRobinSampler{NumTopics: topics, MinLen: 50, MaxLen: 100}
+		if _, err := Generate(model, topics*800, rand.New(rand.NewSource(1))); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkTopicSample(b *testing.B) {
 	model, err := PureSeparableModel(PaperConfig())
 	if err != nil {

@@ -3,6 +3,7 @@ package corpus
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 )
 
 // DocSpec is the outcome of the first step of the paper's two-step sampling
@@ -139,9 +140,10 @@ func Generate(m *Model, count int, rng *rand.Rand) (*Corpus, error) {
 		return nil, fmt.Errorf("corpus: negative document count %d", count)
 	}
 	c := &Corpus{NumTerms: m.NumTerms, Docs: make([]Document, 0, count)}
+	tally := termTally{counts: make([]int32, m.NumTerms)}
 	for i := 0; i < count; i++ {
 		spec := m.Sampler.SampleSpec(rng)
-		doc, err := m.sampleDocument(i, spec, rng)
+		doc, err := m.sampleDocument(i, spec, rng, &tally)
 		if err != nil {
 			return nil, err
 		}
@@ -150,7 +152,9 @@ func Generate(m *Model, count int, rng *rand.Rand) (*Corpus, error) {
 	return c, nil
 }
 
-func (m *Model) sampleDocument(id int, spec DocSpec, rng *rand.Rand) (Document, error) {
+// sampleDocument draws spec.Length terms into tally, which it leaves
+// empty again, and returns them as a Document.
+func (m *Model) sampleDocument(id int, spec DocSpec, rng *rand.Rand, tally *termTally) (Document, error) {
 	if spec.Length < 0 {
 		return Document{}, fmt.Errorf("corpus: negative document length %d", spec.Length)
 	}
@@ -165,7 +169,6 @@ func (m *Model) sampleDocument(id int, spec DocSpec, rng *rand.Rand) (Document, 
 		}
 	}
 
-	counts := map[int]int{}
 	singleTopic := len(spec.TopicIDs) == 1
 	var mixed *Topic
 	if !singleTopic {
@@ -196,9 +199,38 @@ func (m *Model) sampleDocument(id int, spec DocSpec, rng *rand.Rand) (Document, 
 		if style != nil && !style.IsIdentity() {
 			term = style.RewriteTerm(term, rng.Float64())
 		}
-		counts[term]++
+		tally.add(term)
 	}
-	return docFromCounts(id, spec, counts), nil
+	return tally.document(id, spec), nil
+}
+
+// termTally counts one document's draws in a universe-sized array that
+// Generate allocates once; the terms a document touched are the only
+// entries it has to clear again, so a document costs its length plus a
+// sort of its distinct terms.
+type termTally struct {
+	counts  []int32
+	touched []int
+}
+
+func (t *termTally) add(term int) {
+	if t.counts[term] == 0 {
+		t.touched = append(t.touched, term)
+	}
+	t.counts[term]++
+}
+
+// document returns the tally as a Document, terms ascending, and resets it.
+func (t *termTally) document(id int, spec DocSpec) Document {
+	terms := slices.Clone(t.touched)
+	slices.Sort(terms)
+	cs := make([]int, len(terms))
+	for i, term := range terms {
+		cs[i] = int(t.counts[term])
+		t.counts[term] = 0
+	}
+	t.touched = t.touched[:0]
+	return Document{ID: id, Spec: spec, Terms: terms, Counts: cs}
 }
 
 func (m *Model) effectiveStyle(spec DocSpec) (*Style, error) {
@@ -221,12 +253,7 @@ func docFromCounts(id int, spec DocSpec, counts map[int]int) Document {
 	for t := range counts {
 		terms = append(terms, t)
 	}
-	// Insertion sort is fine: documents have tens of distinct terms.
-	for i := 1; i < len(terms); i++ {
-		for j := i; j > 0 && terms[j] < terms[j-1]; j-- {
-			terms[j], terms[j-1] = terms[j-1], terms[j]
-		}
-	}
+	slices.Sort(terms)
 	cs := make([]int, len(terms))
 	for i, t := range terms {
 		cs[i] = counts[t]

@@ -3,6 +3,7 @@ package corpus
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -299,5 +300,114 @@ func TestGammaPanics(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// generateWithMaps is Generate as it was written with one map per
+// document: the reference the tally-based generator must reproduce draw
+// for draw.
+func generateWithMaps(m *Model, count int, rng *rand.Rand) ([]Document, error) {
+	var docs []Document
+	for i := 0; i < count; i++ {
+		spec := m.Sampler.SampleSpec(rng)
+		counts := map[int]int{}
+		var mixed *Topic
+		if len(spec.TopicIDs) != 1 {
+			topics := make([]*Topic, len(spec.TopicIDs))
+			for k, tid := range spec.TopicIDs {
+				topics[k] = m.Topics[tid]
+			}
+			dist, err := MixTopics(topics, spec.TopicWeights)
+			if err != nil {
+				return nil, err
+			}
+			if mixed, err = NewTopic(dist); err != nil {
+				return nil, err
+			}
+		}
+		style, err := m.effectiveStyle(spec)
+		if err != nil {
+			return nil, err
+		}
+		for t := 0; t < spec.Length; t++ {
+			var term int
+			if mixed == nil {
+				term = m.Topics[spec.TopicIDs[0]].Sample(rng)
+			} else {
+				term = mixed.Sample(rng)
+			}
+			if style != nil && !style.IsIdentity() {
+				term = style.RewriteTerm(term, rng.Float64())
+			}
+			counts[term]++
+		}
+		terms := make([]int, 0, len(counts))
+		for term := range counts {
+			terms = append(terms, term)
+		}
+		slices.Sort(terms)
+		cs := make([]int, len(terms))
+		for k, term := range terms {
+			cs[k] = counts[term]
+		}
+		docs = append(docs, Document{ID: i, Spec: spec, Terms: terms, Counts: cs})
+	}
+	return docs, nil
+}
+
+// TestGenerateMatchesMapReference holds Generate to the map-based
+// reference on every kind of spec the package samples: pure, dealt
+// round-robin, Dirichlet mixtures, a synonym style and polysemous topics.
+// Each model is built twice, since samplers carry state.
+func TestGenerateMatchesMapReference(t *testing.T) {
+	cfg := SeparableConfig{NumTopics: 6, TermsPerTopic: 12, Epsilon: 0.1, MinLen: 20, MaxLen: 60}
+	models := map[string]func() (*Model, error){
+		"pure": func() (*Model, error) { return PureSeparableModel(cfg) },
+		"round-robin": func() (*Model, error) {
+			m, err := PureSeparableModel(cfg)
+			if err == nil {
+				m.Sampler = &RoundRobinSampler{NumTopics: cfg.NumTopics, MinLen: cfg.MinLen, MaxLen: cfg.MaxLen}
+			}
+			return m, err
+		},
+		"mixture": func() (*Model, error) { return MixedSeparableModel(cfg, 3, 0.7) },
+		"synonym-style": func() (*Model, error) {
+			m, _, err := SynonymSeparableModel(cfg, 4, rand.New(rand.NewSource(3)))
+			return m, err
+		},
+		"polysemy": func() (*Model, error) {
+			m, _, err := PolysemousSeparableModel(cfg, 2, 0.2)
+			return m, err
+		},
+	}
+	for name, build := range models {
+		t.Run(name, func(t *testing.T) {
+			m, err := build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The synonym style's rows come from map iteration; share one
+			// Style so both sides rewrite with the same row order.
+			ref.Styles = m.Styles
+			got, err := Generate(m, 300, rand.New(rand.NewSource(11)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := generateWithMaps(ref, 300, rand.New(rand.NewSource(11)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				g, w := got.Docs[i], want[i]
+				if g.ID != w.ID || g.Spec.Length != w.Spec.Length || !slices.Equal(g.Spec.TopicIDs, w.Spec.TopicIDs) ||
+					!slices.Equal(g.Terms, w.Terms) || !slices.Equal(g.Counts, w.Counts) {
+					t.Fatalf("doc %d: got %+v, want %+v", i, g, w)
+				}
+			}
+		})
 	}
 }

@@ -114,3 +114,26 @@ func BenchmarkANNRecall(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkTrainShardShape trains one shard's quantizer at the ledger's
+// shape. Round-robin dealing puts 25,600 documents of 32 topics (every
+// other one of 64) in each of two shards, at rank 64 and into 64 cells;
+// noise 0.12 gives the mean cosine to the topic direction, ≈ 0.99, that
+// the LSI vectors of such a shard have. dots/doc-pass is the scores each
+// Lloyd pass computes per document, where a full scan computes nlist =
+// 64; passes is how many ran after seeding.
+func BenchmarkTrainShardShape(b *testing.B) {
+	const m, dim, topics, nlist = 25_600, 64, 32, 64
+	vecs, norms := clusteredVecs(b, m, dim, topics, 0.12, 3)
+	stored := mat.Narrow(vecs)
+	var st trainStats
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if _, st, err = train(stored, norms, TrainOptions{NList: nlist, Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(st.dots)/float64(m*st.passes), "dots/doc-pass")
+	b.ReportMetric(float64(st.passes), "passes")
+}

@@ -103,15 +103,31 @@ func Train(vecs *mat.Dense, norms []float64, opts TrainOptions) (*Index, error) 
 // to its highest-cosine centroid (ties to the lower cell) and recenter
 // each cell on the mean direction of its members.
 func Train32(vecs *mat.Dense32, norms []float64, opts TrainOptions) (*Index, error) {
+	x, _, err := train(vecs, norms, opts)
+	return x, err
+}
+
+// trainStats counts what training did: the Lloyd passes run after seeding
+// and the document–centroid scores those passes computed.
+type trainStats struct {
+	passes int
+	dots   int
+}
+
+// train is Train32. The Lloyd passes are exact but do not rescan: the
+// bounds of bounds.go let each pass score only the cells a document could
+// still move to, and the first assignment falls out of seeding.
+func train(vecs *mat.Dense32, norms []float64, opts TrainOptions) (*Index, trainStats, error) {
+	var st trainStats
 	m, dim := vecs.Dims()
 	if m < 1 || dim < 1 {
-		return nil, fmt.Errorf("ivf: train on an empty %dx%d matrix", m, dim)
+		return nil, st, fmt.Errorf("ivf: train on an empty %dx%d matrix", m, dim)
 	}
 	if len(norms) != m {
-		return nil, fmt.Errorf("ivf: %d norms for %d documents", len(norms), m)
+		return nil, st, fmt.Errorf("ivf: %d norms for %d documents", len(norms), m)
 	}
 	if opts.NList < 1 {
-		return nil, fmt.Errorf("ivf: nlist %d, want >= 1", opts.NList)
+		return nil, st, fmt.Errorf("ivf: nlist %d, want >= 1", opts.NList)
 	}
 	nlist := opts.NList
 	if nlist > m {
@@ -123,28 +139,29 @@ func Train32(vecs *mat.Dense32, norms []float64, opts TrainOptions) (*Index, err
 	}
 
 	rng := rand.New(rand.NewSource(opts.Seed))
-	cent := seedCentroids(vecs, norms, nlist, rng)
+	b := newBounds(vecs, norms, nlist)
+	cent := seedCentroids(vecs, norms, nlist, rng, b)
 	cnorms := make([]float64, nlist)
 	for c := 0; c < nlist; c++ {
 		cnorms[c] = mat.Norm(cent.Row(c))
 	}
-
-	assign := make([]int32, m)
-	for j := range assign {
-		assign[j] = -1
-	}
-	assignAll(vecs, norms, cent, cnorms, assign)
+	prev, prevNorms := mat.NewDense(nlist, dim), make([]float64, nlist)
 	for it := 0; it < iters; it++ {
-		starts, docs := buildPostings(assign, nlist)
+		starts, docs := buildPostings(b.own, nlist)
+		copy(prev.RawData(), cent.RawData())
+		copy(prevNorms, cnorms)
 		recenter(vecs, norms, cent, starts, docs)
 		for c := 0; c < nlist; c++ {
 			cnorms[c] = mat.Norm(cent.Row(c))
 		}
-		if assignAll(vecs, norms, cent, cnorms, assign) == 0 {
+		changed, dots := b.pass(vecs, norms, cent, cnorms, prev, prevNorms)
+		st.passes++
+		st.dots += dots
+		if changed == 0 {
 			break
 		}
 	}
-	starts, docs := buildPostings(assign, nlist)
+	starts, docs := buildPostings(b.own, nlist)
 	return &Index{
 		dim:       dim,
 		nlist:     nlist,
@@ -153,7 +170,7 @@ func Train32(vecs *mat.Dense32, norms []float64, opts TrainOptions) (*Index, err
 		cnorms:    cnorms,
 		cellStart: starts,
 		docs:      docs,
-	}, nil
+	}, st, nil
 }
 
 // seedCentroids runs k-means++ over the cosine distance 1−cos(x,c): the
@@ -162,7 +179,11 @@ func Train32(vecs *mat.Dense32, norms []float64, opts TrainOptions) (*Index, err
 // The rand stream and the serial prefix-sum walk make the choice a pure
 // function of (vecs, rng state); the parallel distance refresh writes
 // disjoint per-document slots, so worker count never changes the seeds.
-func seedCentroids(vecs *mat.Dense32, norms []float64, nlist int, rng *rand.Rand) *mat.Dense {
+//
+// Every (document, seed) score is offered to b as it is computed, in
+// ascending seed order, so when seeding ends b holds the first Lloyd
+// assignment (what a full scan of the seeds would pick) and its bounds.
+func seedCentroids(vecs *mat.Dense32, norms []float64, nlist int, rng *rand.Rand, b *bounds) *mat.Dense {
 	m, dim := vecs.Dims()
 	cent := mat.NewDense(nlist, dim)
 	dist := make([]float64, m)
@@ -175,9 +196,11 @@ func seedCentroids(vecs *mat.Dense32, norms []float64, nlist int, rng *rand.Rand
 		cn := mat.Norm(crow)
 		par.For(m, grain, func(lo, hi int) {
 			for j := lo; j < hi; j++ {
-				if d := 1 - mat.DotNorm32(crow, vecs.Row(j), cn, norms[j]); d < dist[j] {
+				s := mat.DotNorm32(crow, vecs.Row(j), cn, norms[j])
+				if d := 1 - s; d < dist[j] {
 					dist[j] = d
 				}
+				b.offer(j, int32(c), s)
 			}
 		})
 	}
@@ -218,43 +241,8 @@ func seedCentroids(vecs *mat.Dense32, norms []float64, nlist int, rng *rand.Rand
 		mat.Convert(cent.Row(c), vecs.Row(pick))
 		lower(c)
 	}
+	b.settle(0, m)
 	return cent
-}
-
-// assignAll moves every document to its highest-cosine centroid (ties to
-// the lower cell) and returns how many assignments changed. Writes are
-// disjoint per document, so the parallel fan-out is deterministic for
-// any worker count; the change counts reduce over par.MapChunks in chunk
-// order, though the sum is order-free anyway.
-func assignAll(vecs *mat.Dense32, norms []float64, cent *mat.Dense, cnorms []float64, assign []int32) int {
-	m, _ := vecs.Dims()
-	nlist := cent.Rows()
-	grain := par.GrainFor(2*cent.Rows()*cent.Cols() + 1)
-	changed := par.MapChunks(m, grain, func(lo, hi int) int {
-		n := 0
-		for j := lo; j < hi; j++ {
-			row := vecs.Row(j)
-			nj := norms[j]
-			best := int32(0)
-			bestScore := math.Inf(-1)
-			for c := 0; c < nlist; c++ {
-				if s := mat.DotNorm32(cent.Row(c), row, cnorms[c], nj); s > bestScore {
-					bestScore = s
-					best = int32(c)
-				}
-			}
-			if assign[j] != best {
-				assign[j] = best
-				n++
-			}
-		}
-		return n
-	})
-	total := 0
-	for _, n := range changed {
-		total += n
-	}
-	return total
 }
 
 // recenter replaces every non-empty cell's centroid with the mean

@@ -70,10 +70,10 @@ func benchCSRByRow(b *testing.B, r, c, nnzPerRow int) *CSR {
 	return coo.ToCSR()
 }
 
-// The large-shape serial/parallel pairs below are the Section 5 scale
-// target: a 50k-term × 10k-document corpus at ~20 terms per document.
-// CI's bench-smoke job compiles and runs them once; speedup is read off a
-// multi-core `go test -bench 'MulVec.*50kx10k'` run.
+// The large-shape benchmarks below are the Section 5 scale target: a
+// 50k-term × 10k-document corpus at ~20 terms per document. CI's
+// bench-smoke job compiles and runs them once; the transposed product's
+// speedup is read off a multi-core `go test -bench 'MulTVec.*50kx10k'` run.
 
 func BenchmarkMulVecSerial50kx10k(b *testing.B) {
 	m := benchCSRByRow(b, 50000, 10000, 20)
@@ -84,18 +84,6 @@ func BenchmarkMulVecSerial50kx10k(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.MulVec(x)
-	}
-}
-
-func BenchmarkMulVecParallel50kx10k(b *testing.B) {
-	m := benchCSRByRow(b, 50000, 10000, 20)
-	x := make([]float64, 10000)
-	for i := range x {
-		x[i] = float64(i % 7)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.MulVecParallel(x)
 	}
 }
 

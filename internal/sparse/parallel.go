@@ -18,30 +18,6 @@ const parMinNNZ = 1 << 14
 // on very sparse rows.
 const rowGrain = 64
 
-// MulVecParallel returns A·x like MulVec, computing disjoint row blocks on
-// separate goroutines. Each output element is produced by exactly one
-// goroutine with the serial kernel's loop order, so the result is bitwise
-// identical to MulVec for any worker count.
-func (m *CSR) MulVecParallel(x []float64) []float64 {
-	if len(m.vals) < parMinNNZ || par.MaxProcs() == 1 {
-		return m.MulVec(x)
-	}
-	if len(x) != m.cols {
-		return m.MulVec(x) // panic with the serial kernel's message
-	}
-	out := make([]float64, m.rows)
-	par.For(m.rows, rowGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			var s float64
-			for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
-				s += m.vals[p] * x[m.colIdx[p]]
-			}
-			out[i] = s
-		}
-	})
-	return out
-}
-
 // MulTVecParallel returns Aᵀ·x like MulTVec. Row blocks scatter into
 // per-chunk accumulators which are then combined in chunk order, so for a
 // fixed par.MaxProcs the floating-point result is bitwise-deterministic

@@ -37,7 +37,10 @@
 #               the document scorer BenchmarkDotNorm32, the index file's
 #               BenchmarkOpen/BenchmarkSave, and the index-build kernels
 #               BenchmarkAxpy, BenchmarkQRInPlace*, BenchmarkProcessAll and
-#               BenchmarkTermDocMatrix*)
+#               BenchmarkTermDocMatrix*, and the set-up steps that precede
+#               every sharded build: the corpus generator at the ledger's
+#               size (BenchmarkGenerateLedgerShape) and IVF training at a
+#               shard's shape (BenchmarkTrainShardShape))
 #   -c <n>      runs per side in run mode (default 5; medians damp noise)
 #   -T <dur>    -benchtime per run (default 0.3s)
 #
@@ -54,7 +57,7 @@ BASEFILE=""
 HEADFILE=""
 THRESH="0.20"
 OUT="bench-gate.txt"
-BENCH='BenchmarkQueryLatency|BenchmarkSearch|BenchmarkCachedQuery|BenchmarkDotNorm32|BenchmarkQuantizedScan|BenchmarkRandomized[^R]|BenchmarkOpen|BenchmarkSave|BenchmarkAxpy|BenchmarkQRInPlace|BenchmarkProcessAll|BenchmarkTermDocMatrix|BenchmarkCompact'
+BENCH='BenchmarkQueryLatency|BenchmarkSearch|BenchmarkCachedQuery|BenchmarkDotNorm32|BenchmarkQuantizedScan|BenchmarkRandomized[^R]|BenchmarkOpen|BenchmarkSave|BenchmarkAxpy|BenchmarkQRInPlace|BenchmarkProcessAll|BenchmarkTermDocMatrix|BenchmarkCompact|BenchmarkTrainShardShape|BenchmarkGenerateLedgerShape'
 COUNT=5
 TIME="0.3s"
 # The packages holding the gated benchmarks: the root suite (query
@@ -66,8 +69,8 @@ TIME="0.3s"
 # query cache in ./retrieval, and
 # the segment layer (compaction at the ledger's shape, the exact scan
 # across segment counts, and BenchmarkSearchRoutes: one search down each
-# of the exact, ANN, int8 and composed routes).
-PKGS=". ./internal/vsm ./internal/lsi ./internal/quant ./internal/mat ./internal/ir ./internal/corpus ./internal/svd ./internal/segment ./retrieval"
+# of the exact, ANN, int8 and composed routes), and IVF training.
+PKGS=". ./internal/vsm ./internal/lsi ./internal/quant ./internal/mat ./internal/ir ./internal/corpus ./internal/svd ./internal/segment ./internal/ivf ./retrieval"
 
 while getopts "r:a:b:t:o:B:c:T:" opt; do
 	case $opt in

@@ -93,7 +93,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 			lsiIx.Rank(), lsiIx.NumDocs(), *saveIndex)
 		return nil
 	}
-	vsmIx, err := retrieval.Build(docs, retrieval.WithBackend(retrieval.BackendVSM))
+	vsmIx, err := retrieval.BuildVSM(docs)
 	if err != nil {
 		return err
 	}

@@ -179,7 +179,9 @@ func TestEndToEndClusterServe(t *testing.T) {
 }
 
 // TestClusterFlagConflicts: the serving modes are exclusive, and flags
-// that build or mutate a local index are rejected in modes without one.
+// that build, tier, cache or mutate a local index are rejected in modes
+// without one — and, for the read-only VSM baseline, with one that has
+// none of those.
 func TestClusterFlagConflicts(t *testing.T) {
 	var stderr bytes.Buffer
 	bad := [][]string{
@@ -192,6 +194,22 @@ func TestClusterFlagConflicts(t *testing.T) {
 		{"-replica-of", "http://x", "-index", "x.idx"},
 		{"-replica-of", "http://x", "-save-cluster", "out"},
 		{"-checkpoint-every", "30s"}, // no -wal-dir
+		{"-cluster", "m.json", "-ann-nlist", "16"},
+		{"-cluster", "m.json", "-ann-nprobe", "8"},
+		{"-cluster", "m.json", "-quant-beta", "4"},
+		{"-cluster", "m.json", "-cache-mb", "0"},
+		{"-replica-of", "http://x", "-ann-nlist", "16"},
+		{"-replica-of", "http://x", "-ann-nprobe", "8"},
+		{"-replica-of", "http://x", "-quant-beta", "4"},
+		{"-replica-of", "http://x", "-cache-mb", "32"},
+		{"-backend", "vsm", "-shards", "2"},
+		{"-backend", "vsm", "-ann-nlist", "16"},
+		{"-backend", "vsm", "-ann-nprobe", "8"},
+		{"-backend", "vsm", "-quant-beta", "4"},
+		{"-backend", "vsm", "-cache-mb", "0"},
+		{"-backend", "vsm", "-wal-dir", "wal"},
+		{"-backend", "vsm", "-wal-dir", "wal", "-checkpoint-every", "30s"},
+		{"-backend", "vsm", "-save-cluster", "out"},
 	}
 	for _, args := range bad {
 		if _, err := parseFlags(args, &stderr); err == nil {
@@ -203,6 +221,7 @@ func TestClusterFlagConflicts(t *testing.T) {
 		{"-replica-of", "http://x", "-data-dir", "d"},
 		{"-index", "dir", "-wal-dir", "wal", "-checkpoint-every", "30s"},
 		{"-shards", "2", "-save-cluster", "out"},
+		{"-backend", "vsm", "-k", "3", "-weighting", "tfidf", "-addr", ":0"},
 	}
 	for _, args := range good {
 		if _, err := parseFlags(args, &stderr); err != nil {

@@ -45,6 +45,10 @@
 // response header and /v1/stats expose its behavior) that live appends
 // and compactions invalidate instantly.
 //
+// -backend vsm serves the vector-space baseline instead (see
+// retrieval.BuildVSM): read-only and uncached, so it refuses -shards, the
+// tier flags, -cache-mb, -wal-dir, -checkpoint-every and -save-cluster.
+//
 // -ann-nlist N trains an IVF ANN tier over the LSI space (see
 // retrieval.WithANN): searches score only the -ann-nprobe cells nearest
 // the query instead of scanning every document, and requests may
@@ -97,6 +101,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -150,7 +155,7 @@ func parseFlags(args []string, stderr io.Writer) (serveConfig, error) {
 	fs.StringVar(&cfg.addr, "addr", ":8080", "listen address (host:port; port 0 picks a free port)")
 	fs.StringVar(&cfg.indexPath, "index", "", "serve a saved index instead of building one")
 	fs.IntVar(&cfg.rank, "k", 0, "LSI rank (0 = auto)")
-	fs.StringVar(&cfg.backend, "backend", "lsi", "retrieval backend: lsi or vsm")
+	fs.StringVar(&cfg.backend, "backend", "lsi", "retrieval backend: lsi, or vsm for the read-only, uncached vector-space baseline")
 	fs.StringVar(&cfg.weighting, "weighting", "log", "term weighting: count, binary, log, or tfidf")
 	fs.IntVar(&cfg.shards, "shards", 0, "serve a sharded live index over N shards (accepts POST /v1/docs; 0 = single immutable index)")
 	fs.IntVar(&cfg.cacheMB, "cache-mb", 64, "query result cache budget in MiB (0 disables; epoch-keyed, so live appends/compactions invalidate instantly)")
@@ -178,6 +183,16 @@ func parseFlags(args []string, stderr io.Writer) (serveConfig, error) {
 		return cfg, err
 	}
 	cfg.files = fs.Args()
+	// given lists, as "-name", which of names were set explicitly.
+	given := func(names ...string) []string {
+		var set []string
+		fs.Visit(func(f *flag.Flag) {
+			if slices.Contains(names, f.Name) {
+				set = append(set, "-"+f.Name)
+			}
+		})
+		return set
+	}
 	// The three serving modes are exclusive, and the router/replica modes
 	// build no index of their own — reject flags they would ignore.
 	if cfg.clusterPath != "" || cfg.replicaOf != "" {
@@ -188,17 +203,11 @@ func parseFlags(args []string, stderr io.Writer) (serveConfig, error) {
 		if cfg.replicaOf != "" {
 			mode = "-replica-of"
 		}
-		var conflicts []string
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "k", "backend", "weighting", "shards", "index", "wal-dir", "checkpoint-every", "save-cluster":
-				conflicts = append(conflicts, "-"+f.Name)
-			case "data-dir":
-				if cfg.replicaOf == "" {
-					conflicts = append(conflicts, "-"+f.Name)
-				}
-			}
-		})
+		conflicts := given("k", "backend", "weighting", "shards", "index", "wal-dir", "checkpoint-every", "save-cluster",
+			"ann-nlist", "ann-nprobe", "quant-beta", "cache-mb")
+		if cfg.replicaOf == "" {
+			conflicts = append(conflicts, given("data-dir")...)
+		}
 		if len(cfg.files) > 0 {
 			conflicts = append(conflicts, "file arguments")
 		}
@@ -209,16 +218,15 @@ func parseFlags(args []string, stderr io.Writer) (serveConfig, error) {
 	if cfg.checkpointEvery > 0 && cfg.walDir == "" {
 		return cfg, fmt.Errorf("-checkpoint-every needs -wal-dir: a checkpoint without a WAL rotation would not shorten replay")
 	}
+	if cfg.backend == "vsm" {
+		if conflicts := given("shards", "ann-nlist", "ann-nprobe", "quant-beta", "cache-mb", "wal-dir", "checkpoint-every", "save-cluster"); len(conflicts) > 0 {
+			return cfg, fmt.Errorf("-backend vsm serves a read-only, uncached index; %s cannot apply", strings.Join(conflicts, ", "))
+		}
+	}
 	// A saved index fixes its backend, rank, and weighting at build time;
 	// refuse invocations that would silently discard build flags or files.
 	if cfg.indexPath != "" {
-		var conflicts []string
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "k", "backend", "weighting", "shards":
-				conflicts = append(conflicts, "-"+f.Name)
-			}
-		})
+		conflicts := given("k", "backend", "weighting", "shards")
 		if len(cfg.files) > 0 {
 			conflicts = append(conflicts, "file arguments")
 		}
@@ -230,7 +238,22 @@ func parseFlags(args []string, stderr io.Writer) (serveConfig, error) {
 	return cfg, nil
 }
 
-// newRetriever builds or loads the index the daemon serves.
+// buildInput is what the build flags ask for: the weighting, and the
+// documents (one per file argument, or the demo corpus).
+func buildInput(cfg serveConfig) ([]retrieval.Document, retrieval.Weighting, error) {
+	weighting, err := retrieval.ParseWeighting(cfg.weighting)
+	if err != nil {
+		return nil, 0, err
+	}
+	if len(cfg.files) == 0 {
+		return retrieval.DemoCorpus(), weighting, nil
+	}
+	docs, err := retrieval.ReadFiles(cfg.files)
+	return docs, weighting, err
+}
+
+// newRetriever builds or loads the LSI index the daemon serves (run
+// serves -backend vsm before it gets here).
 func newRetriever(cfg serveConfig) (*retrieval.Index, error) {
 	cacheOpt := retrieval.WithQueryCache(int64(cfg.cacheMB) << 20)
 	annOpt := retrieval.WithANN(cfg.annNList, cfg.annNProbe)
@@ -244,23 +267,14 @@ func newRetriever(cfg serveConfig) (*retrieval.Index, error) {
 		// -ann-nlist or -quant-beta asks for them).
 		return retrieval.Open(cfg.indexPath, cacheOpt, annOpt, quantOpt)
 	}
-	backend, err := retrieval.ParseBackend(cfg.backend)
+	if cfg.backend != "lsi" {
+		return nil, fmt.Errorf("unknown backend %q (want lsi or vsm)", cfg.backend)
+	}
+	docs, weighting, err := buildInput(cfg)
 	if err != nil {
 		return nil, err
-	}
-	weighting, err := retrieval.ParseWeighting(cfg.weighting)
-	if err != nil {
-		return nil, err
-	}
-	docs := retrieval.DemoCorpus()
-	if len(cfg.files) > 0 {
-		var err error
-		if docs, err = retrieval.ReadFiles(cfg.files); err != nil {
-			return nil, err
-		}
 	}
 	opts := []retrieval.Option{
-		retrieval.WithBackend(backend),
 		retrieval.WithRank(cfg.rank),
 		retrieval.WithWeighting(weighting),
 		cacheOpt,
@@ -330,6 +344,37 @@ func chaosWrap(cfg serveConfig, h http.Handler) http.Handler {
 		return h
 	}
 	return mountChaos(&faultinject.Injector{}, h)
+}
+
+// listen serves ret on cfg.addr through the HTTP API (see serve).
+func listen(ctx context.Context, cfg serveConfig, ret retrieval.Retriever, opts httpapi.Options, stdout io.Writer) error {
+	ln, err := net.Listen("tcp", cfg.addr)
+	if err != nil {
+		return err
+	}
+	api := httpapi.NewHandler(ret, opts)
+	return serve(ctx, ln, chaosWrap(cfg, api), api, cfg.drainTimeout, stdout)
+}
+
+// announce prints the boot line: what is served, and which tiers are on.
+func announce(w io.Writer, stats retrieval.Stats) {
+	fmt.Fprintf(w, "lsiserve: %s index, %d documents, %d terms", stats.Backend, stats.NumDocs, stats.NumTerms)
+	if stats.Rank > 0 {
+		fmt.Fprintf(w, ", rank %d", stats.Rank)
+	}
+	if stats.Sharded {
+		fmt.Fprintf(w, ", %d shards (live: POST /v1/docs enabled)", stats.Shards)
+	}
+	if stats.Cache != nil {
+		fmt.Fprintf(w, ", query cache %d MiB", stats.Cache.CapBytes>>20)
+	}
+	if stats.ANN != nil {
+		fmt.Fprintf(w, ", ann nlist=%d nprobe=%d", stats.ANN.NList, stats.ANN.NProbe)
+	}
+	if stats.Quant != nil {
+		fmt.Fprintf(w, ", quant beta=%d", stats.Quant.Beta)
+	}
+	fmt.Fprintln(w)
 }
 
 // serveOptions translates the shared flag block into handler options.
@@ -402,14 +447,9 @@ func runRouter(ctx context.Context, cfg serveConfig, stdout, stderr io.Writer) e
 			}
 		}
 	}()
-	ln, err := net.Listen("tcp", cfg.addr)
-	if err != nil {
-		return err
-	}
 	opts := serveOptions(cfg, stderr)
 	opts.Metrics = reg
-	api := httpapi.NewHandler(router, opts)
-	return serve(ctx, ln, chaosWrap(cfg, api), api, cfg.drainTimeout, stdout)
+	return listen(ctx, cfg, router, opts, stdout)
 }
 
 // runReplica bootstraps a replica from its primary, keeps it caught up
@@ -432,14 +472,9 @@ func runReplica(ctx context.Context, cfg serveConfig, stdout, stderr io.Writer) 
 	go rep.Run(ctx)
 	fmt.Fprintf(stdout, "lsiserve: replica of %s, %d documents at generation %d\n",
 		cfg.replicaOf, rep.NumDocs(), rep.Generation())
-	ln, err := net.Listen("tcp", cfg.addr)
-	if err != nil {
-		return err
-	}
 	opts := serveOptions(cfg, stderr)
 	opts.Metrics = reg
-	api := httpapi.NewHandler(rep, opts)
-	return serve(ctx, ln, chaosWrap(cfg, api), api, cfg.drainTimeout, stdout)
+	return listen(ctx, cfg, rep, opts, stdout)
 }
 
 // checkpointLoop folds WAL'd appends back into the index directory at a
@@ -478,6 +513,18 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if cfg.replicaOf != "" {
 		return runReplica(ctx, cfg, stdout, stderr)
 	}
+	if cfg.backend == "vsm" {
+		docs, weighting, err := buildInput(cfg)
+		if err != nil {
+			return err
+		}
+		ret, err := retrieval.BuildVSM(docs, retrieval.WithWeighting(weighting))
+		if err != nil {
+			return err
+		}
+		announce(stdout, ret.Stats())
+		return listen(ctx, cfg, ret, serveOptions(cfg, stderr), stdout)
+	}
 	ret, err := newRetriever(cfg)
 	if err != nil {
 		return err
@@ -491,23 +538,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 	stats := ret.Stats()
-	fmt.Fprintf(stdout, "lsiserve: %s index, %d documents, %d terms", stats.Backend, stats.NumDocs, stats.NumTerms)
-	if stats.Rank > 0 {
-		fmt.Fprintf(stdout, ", rank %d", stats.Rank)
-	}
-	if stats.Sharded {
-		fmt.Fprintf(stdout, ", %d shards (live: POST /v1/docs enabled)", stats.Shards)
-	}
-	if stats.Cache != nil {
-		fmt.Fprintf(stdout, ", query cache %d MiB", stats.Cache.CapBytes>>20)
-	}
-	if stats.ANN != nil {
-		fmt.Fprintf(stdout, ", ann nlist=%d nprobe=%d", stats.ANN.NList, stats.ANN.NProbe)
-	}
-	if stats.Quant != nil {
-		fmt.Fprintf(stdout, ", quant beta=%d", stats.Quant.Beta)
-	}
-	fmt.Fprintln(stdout)
+	announce(stdout, stats)
 	if !stats.TextQueries {
 		// A v1-format file carries no vocabulary: the daemon can answer
 		// vector queries but every text search will 400. Say so at boot
@@ -536,12 +567,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 		go checkpointLoop(ctx, ret, cfg.indexPath, cfg.checkpointEvery, stderr)
 	}
-	ln, err := net.Listen("tcp", cfg.addr)
-	if err != nil {
-		return err
-	}
-	api := httpapi.NewHandler(ret, opts)
-	return serve(ctx, ln, chaosWrap(cfg, api), api, cfg.drainTimeout, stdout)
+	return listen(ctx, cfg, ret, opts, stdout)
 }
 
 func main() {

@@ -186,6 +186,76 @@ func TestRunWarnsOnVocabularylessIndex(t *testing.T) {
 	}
 }
 
+// TestEndToEndServeVSM boots run() with -backend vsm and drives the
+// read-only baseline over HTTP: literal-match search, the backend in
+// /v1/stats, and 501 for live appends.
+func TestEndToEndServeVSM(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	var stdout, stderr syncBuffer
+	done := make(chan error, 1)
+	go func() {
+		done <- run(ctx, []string{"-backend", "vsm", "-addr", "127.0.0.1:0"}, &stdout, &stderr)
+	}()
+	deadline := time.After(10 * time.Second)
+	var base string
+	for base == "" {
+		select {
+		case err := <-done:
+			t.Fatalf("run exited early: %v (stderr: %s)", err, stderr.String())
+		case <-deadline:
+			t.Fatalf("daemon never came up; stdout: %s", stdout.String())
+		case <-time.After(10 * time.Millisecond):
+		}
+		if _, after, ok := strings.Cut(stdout.String(), "listening on "); ok {
+			base = strings.TrimSpace(after)
+		}
+	}
+	if !strings.Contains(stdout.String(), "lsiserve: vsm index, 12 documents") {
+		t.Fatalf("boot line: %q", stdout.String())
+	}
+
+	resp, err := http.Post(base+"/v1/search", "application/json", strings.NewReader(`{"query":"car","topN":4}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sr httpapi.SearchResponse
+	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	// Literal matching: only the two documents that say "car".
+	if resp.StatusCode != 200 || len(sr.Results) != 2 || sr.Results[0].ID != "demo-00" || sr.Results[1].ID != "demo-03" {
+		t.Fatalf("search status %d results %+v", resp.StatusCode, sr.Results)
+	}
+
+	resp, err = http.Get(base + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats retrieval.Stats
+	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if stats.Backend != "vsm" || stats.NumDocs != 12 || stats.Rank != 0 || stats.Cache != nil {
+		t.Fatalf("stats = %+v", stats)
+	}
+
+	resp, err = http.Post(base+"/v1/docs", "application/json", strings.NewReader(`{"text":"a car"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotImplemented {
+		t.Fatalf("POST /v1/docs = %d, want 501", resp.StatusCode)
+	}
+
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("run: %v", err)
+	}
+}
+
 // syncBuffer is a mutex-guarded bytes.Buffer: run() writes from the
 // daemon goroutine while the test polls String().
 type syncBuffer struct {

@@ -30,13 +30,17 @@ func main() {
 	}
 
 	// One constructor per system: the same corpus behind the same
-	// Retriever interface, differing only in backend. Tokenization,
-	// stopword removal, stemming, and the vocabulary are handled inside.
+	// Retriever interface. Tokenization, stopword removal, stemming, and
+	// the vocabulary are handled inside, identically for both.
 	index, err := retrieval.BuildTexts(docs, retrieval.WithRank(3))
 	if err != nil {
 		log.Fatal(err)
 	}
-	baseline, err := retrieval.BuildTexts(docs, retrieval.WithBackend(retrieval.BackendVSM))
+	corpus := make([]retrieval.Document, len(docs))
+	for i, text := range docs {
+		corpus[i] = retrieval.Document{Text: text}
+	}
+	baseline, err := retrieval.BuildVSM(corpus)
 	if err != nil {
 		log.Fatal(err)
 	}

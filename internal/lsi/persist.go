@@ -10,6 +10,7 @@ import (
 	"math/bits"
 	"os"
 	"runtime"
+	"strings"
 
 	"repro/internal/blob"
 	"repro/internal/mat"
@@ -32,9 +33,9 @@ var Magic = [blob.MagicLen]byte{'L', 'S', 'I', 'I', 'D', 'X'}
 
 const (
 	// WireVersion is the wire-format version Save writes and the newest
-	// Load accepts; GobWireVersion is the newest a gob stream carries.
+	// Load accepts; gobWireVersion is the newest a gob stream carries.
 	WireVersion     = 4
-	GobWireVersion  = 2
+	gobWireVersion  = 2
 	wideDocsVersion = 3 // the newest container whose DOCS are float64
 
 	tagDims, tagSigma, tagText, tagBasis, tagDocs = "DIMS", "SIGM", "TEXT", "BASI", "DOCS"
@@ -42,10 +43,10 @@ const (
 	dimsLen = 3 * 8
 )
 
-// VersionError is the error (less the caller's prefix) for a stream of a
-// version this build cannot read, shared with the public retrieval
-// package's gob reader so the two messages can never skew.
-func VersionError(v int) error {
+// versionError is the error (less the caller's prefix) for a stream of a
+// version this build cannot read, shared by the gob and container readers
+// so the two messages can never skew.
+func versionError(v int) error {
 	return fmt.Errorf("index format version %d is not supported by this build (supported: 1..%d); rebuild the index or upgrade",
 		v, WireVersion)
 }
@@ -55,8 +56,13 @@ func VersionError(v int) error {
 //
 //	v1: numeric payload only.
 //	v2: adds the optional self-containment metadata of Meta.
+//
+// Backend is set only in the streams an earlier build saved for its VSM
+// baseline ("vsm", the term-document matrix in fields this struct does
+// not name); readGob refuses them.
 type indexWire struct {
 	Version  int
+	Backend  string
 	K        int
 	NumTerms int
 	Sigma    []float64
@@ -310,8 +316,12 @@ func readGob(r *blob.Reader) (IndexParts, *Meta, error) {
 	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
 		return IndexParts{}, nil, err
 	}
-	if wire.Version < 1 || wire.Version > GobWireVersion {
-		return IndexParts{}, nil, VersionError(wire.Version)
+	if wire.Version < 1 || wire.Version > gobWireVersion {
+		return IndexParts{}, nil, versionError(wire.Version)
+	}
+	if wire.Backend != "" {
+		return IndexParts{}, nil, fmt.Errorf("the stream is a saved %s index, which this build no longer opens; "+
+			"rebuild it from the document text with lsiserve -backend vsm or retrieval.BuildVSM", strings.ToUpper(wire.Backend))
 	}
 	return IndexParts{
 			K: wire.K, NumTerms: wire.NumTerms, Sigma: wire.Sigma,
@@ -331,8 +341,8 @@ func readGob(r *blob.Reader) (IndexParts, *Meta, error) {
 // about either fails without the array having been allocated.
 func readBlob(r *blob.Reader) (p IndexParts, meta *Meta, err error) {
 	v := r.Header()
-	if r.Err() == nil && (v <= GobWireVersion || v > WireVersion) {
-		return p, nil, VersionError(int(v))
+	if r.Err() == nil && (v <= gobWireVersion || v > WireVersion) {
+		return p, nil, versionError(int(v))
 	}
 	dims := r.Bytes(tagDims, dimsLen)
 	if r.Err() != nil {

@@ -155,15 +155,16 @@ func TestLoadBoundsAllocationByInput(t *testing.T) {
 	}
 }
 
-// FuzzLoadIndex feeds LoadMeta the four golden generations, their
-// truncations and bit flips, and lying headers: whatever arrives, it
+// FuzzLoadIndex feeds LoadMeta the four golden generations, the VSM gob
+// stream an earlier build saved (which it refuses), their truncations and
+// bit flips, and lying headers: whatever arrives, it
 // returns an error or an index that answers a query, never panics, and
 // never allocates more than a constant factor of the input. The mapped
 // arm comes to the same end: the same error, or an index that saves as
 // the same bytes.
 func FuzzLoadIndex(f *testing.F) {
-	seed := func(name string) {
-		data, err := os.ReadFile("testdata/" + name)
+	seed := func(path string) {
+		data, err := os.ReadFile(path)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -177,12 +178,13 @@ func FuzzLoadIndex(f *testing.F) {
 		}
 	}
 	for _, name := range []string{"index_v1.gob", "index_v2.gob", "index_v3.lsi"} {
-		seed(name)
+		seed("testdata/" + name)
 	}
 	f.Add(header(wideDocsVersion, 8, 8, 1<<40).Bytes())
-	seed("index_v4.lsi")
+	seed("testdata/index_v4.lsi")
 	f.Add(header(WireVersion, 8, 8, 1<<40).Bytes())
 	f.Add(header(WireVersion, 3, 8, 7).Bytes()[:300]) // cut inside the float32 DOCS
+	seed("../../retrieval/testdata/index_vsm_v2.gob")
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var ix *Index
 		var meta *Meta

@@ -182,20 +182,6 @@ func MapChunks[T any](n, grain int, body func(lo, hi int) T) []T {
 	return out
 }
 
-// MapChunksBounded is MapChunks with the grain widened to at least
-// ceil(n/MaxProcs), so at most ~MaxProcs chunks — and therefore at most
-// ~MaxProcs live partial results — exist. Reductions whose per-chunk
-// accumulator is matrix-shaped (Gram products, Aᵀ·B) use it to bound
-// memory at workers × accumulator instead of chunks × accumulator.
-func MapChunksBounded[T any](n, minGrain int, body func(lo, hi int) T) []T {
-	w := MaxProcs()
-	grain := (n + w - 1) / w
-	if grain < minGrain {
-		grain = minGrain
-	}
-	return MapChunks(n, grain, body)
-}
-
 func run(l layout, fn func(chunk, lo, hi int)) {
 	if l.count == 0 {
 		return

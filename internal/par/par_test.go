@@ -157,10 +157,10 @@ func TestMapChunksLayout(t *testing.T) {
 
 func TestChunkedReductionIsBitwiseDeterministic(t *testing.T) {
 	withProcs(t, 4)
-	// The pattern of the matrix-shaped parallel reductions (sparse
-	// MulTVecParallel): at most MaxProcs partials, combined in chunk
-	// order. The floating-point result must be bitwise-stable across runs
-	// for a fixed MaxProcs.
+	// The pattern of a reduction with a large per-chunk accumulator: a
+	// grain of ceil(n/MaxProcs), so at most MaxProcs partials, combined in
+	// chunk order. The floating-point result must be bitwise-stable across
+	// runs for a fixed MaxProcs.
 	n := 100001
 	xs := make([]float64, n)
 	for i := range xs {
@@ -168,7 +168,7 @@ func TestChunkedReductionIsBitwiseDeterministic(t *testing.T) {
 	}
 	sum := func() float64 {
 		var total float64
-		for _, p := range MapChunksBounded(n, 1024, func(lo, hi int) float64 {
+		for _, p := range MapChunks(n, (n+3)/4, func(lo, hi int) float64 {
 			var s float64
 			for i := lo; i < hi; i++ {
 				s += xs[i]
@@ -343,26 +343,6 @@ func TestGrainFor(t *testing.T) {
 	}
 	if g := GrainFor(-5); g < 1 {
 		t.Fatalf("GrainFor(-5) = %d", g)
-	}
-}
-
-func TestMapChunksBoundedCapsChunkCount(t *testing.T) {
-	withProcs(t, 4)
-	parts := MapChunksBounded(100000, 1, func(lo, hi int) int { return hi - lo })
-	if len(parts) > 4 {
-		t.Fatalf("%d chunks, want at most MaxProcs=4", len(parts))
-	}
-	total := 0
-	for _, p := range parts {
-		total += p
-	}
-	if total != 100000 {
-		t.Fatalf("chunks cover %d items, want 100000", total)
-	}
-	// minGrain dominates when n/MaxProcs is below it.
-	parts = MapChunksBounded(10, 64, func(lo, hi int) int { return hi - lo })
-	if len(parts) != 1 {
-		t.Fatalf("tiny n: %d chunks, want 1", len(parts))
 	}
 }
 

@@ -99,18 +99,6 @@ func BenchmarkMulTVecSerial50kx10k(b *testing.B) {
 	}
 }
 
-func BenchmarkMulTVecParallel50kx10k(b *testing.B) {
-	m := benchCSRByRow(b, 50000, 10000, 20)
-	x := make([]float64, 50000)
-	for i := range x {
-		x[i] = float64(i % 7)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.MulTVecParallel(x)
-	}
-}
-
 func BenchmarkMulDenseSerialBlock50(b *testing.B) {
 	m := benchCSRByRow(b, 20000, 4000, 20)
 	blk := mat.NewDense(4000, 50)

@@ -8,50 +8,15 @@ import (
 	"repro/internal/par"
 )
 
-// parMinNNZ is the nonzero count below which the parallel kernels fall
-// back to their serial counterparts: a term-document matrix with fewer
-// nonzeros multiplies faster than the fan-out costs.
+// parMinNNZ is the work (nonzeros × columns of the dense operand) below
+// which MulDenseInto runs as one chunk: a smaller product is cheaper than
+// the fan-out.
 const parMinNNZ = 1 << 14
 
 // rowGrain is the minimum number of rows per chunk for row-blocked
 // kernels, keeping per-chunk work large enough to amortize dispatch even
 // on very sparse rows.
 const rowGrain = 64
-
-// MulTVecParallel returns Aᵀ·x like MulTVec. Row blocks scatter into
-// per-chunk accumulators which are then combined in chunk order, so for a
-// fixed par.MaxProcs the floating-point result is bitwise-deterministic
-// across runs (though the summation grouping — and hence the last few ulps
-// — may differ from the serial MulTVec). Bounded chunking keeps at most
-// ~MaxProcs cols-length accumulators live per call.
-func (m *CSR) MulTVecParallel(x []float64) []float64 {
-	if len(m.vals) < parMinNNZ || par.MaxProcs() == 1 {
-		return m.MulTVec(x)
-	}
-	if len(x) != m.rows {
-		return m.MulTVec(x) // panic with the serial kernel's message
-	}
-	parts := par.MapChunksBounded(m.rows, rowGrain, func(lo, hi int) []float64 {
-		acc := make([]float64, m.cols)
-		for i := lo; i < hi; i++ {
-			xi := x[i]
-			if xi == 0 {
-				continue
-			}
-			for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
-				acc[m.colIdx[p]] += xi * m.vals[p]
-			}
-		}
-		return acc
-	})
-	out := make([]float64, m.cols)
-	for _, acc := range parts {
-		for j, v := range acc {
-			out[j] += v
-		}
-	}
-	return out
-}
 
 // MulDenseInto overwrites dst (Rows()×q) with A·b for a Cols()×q b: MulDense
 // row-blocked across goroutines, for callers that recycle the output. Each

@@ -37,51 +37,6 @@ func parCSR(t *testing.T, r, c int, density float64, seed int64) *CSR {
 	return m
 }
 
-func maxAbsDiff(a, b []float64) float64 {
-	var mx float64
-	for i := range a {
-		if d := math.Abs(a[i] - b[i]); d > mx {
-			mx = d
-		}
-	}
-	return mx
-}
-
-func TestMulTVecParallelMatchesSerial(t *testing.T) {
-	withProcs(t, 4)
-	m := parCSR(t, 2000, 500, 0.04, 32)
-	x := make([]float64, 2000)
-	for i := range x {
-		x[i] = math.Cos(float64(i))
-	}
-	got := m.MulTVecParallel(x)
-	want := m.MulTVec(x)
-	if len(got) != len(want) {
-		t.Fatalf("length %d, want %d", len(got), len(want))
-	}
-	if d := maxAbsDiff(got, want); d > 1e-10 {
-		t.Fatalf("parallel MulTVec differs from serial by %g", d)
-	}
-}
-
-func TestMulTVecParallelIsDeterministic(t *testing.T) {
-	withProcs(t, 4)
-	m := parCSR(t, 2000, 500, 0.04, 33)
-	x := make([]float64, 2000)
-	for i := range x {
-		x[i] = 1.0 / float64(i+1)
-	}
-	first := m.MulTVecParallel(x)
-	for trial := 0; trial < 10; trial++ {
-		got := m.MulTVecParallel(x)
-		for j := range first {
-			if got[j] != first[j] {
-				t.Fatalf("trial %d col %d: %v != %v — chunked reduction not deterministic", trial, j, got[j], first[j])
-			}
-		}
-	}
-}
-
 func TestMulDenseParallelBitwiseMatchesSerial(t *testing.T) {
 	withProcs(t, 4)
 	m := parCSR(t, 2000, 500, 0.04, 34)
@@ -184,16 +139,28 @@ func sameBits(x, y []float64) bool {
 	return true
 }
 
+// Below parMinNNZ, MulDenseInto runs its rows as one chunk, which must
+// still be MulDense bit for bit, into a dirty destination too.
 func TestParallelSmallInputFallsBackToSerial(t *testing.T) {
 	withProcs(t, 4)
-	coo := NewCOO(5, 4)
-	coo.Add(0, 1, 2)
-	coo.Add(3, 2, -1)
-	coo.Add(4, 3, 0.5)
+	coo := NewCOO(200, 4)
+	for i := 0; i < 200; i += 3 {
+		coo.Add(i, i%4, math.Cos(float64(i)))
+		coo.Add(i, (i+1)%4, 1/float64(i+1))
+	}
 	m := coo.ToCSR()
-	y := []float64{1, -1, 2, -2, 3}
-	if d := maxAbsDiff(m.MulTVecParallel(y), m.MulTVec(y)); d != 0 {
-		t.Fatalf("small MulTVecParallel differs by %g", d)
+	b := mat.NewDense(4, 3)
+	for i, v := range []float64{1, -1, 2, -2, 3, 0.5, 0.25, 7, -3, 1e-3, 4, 9} {
+		b.RawData()[i] = v
+	}
+	if m.NNZ()*3 >= parMinNNZ || m.rows <= rowGrain {
+		t.Fatalf("%d nonzeros over %d rows does not exercise the one-chunk path", m.NNZ(), m.rows)
+	}
+	got := mat.NewDense(200, 3)
+	got.RawData()[0] = math.NaN()
+	m.MulDenseInto(got, b)
+	if !sameBits(got.RawData(), m.MulDense(b).RawData()) {
+		t.Fatal("one-chunk MulDenseInto not bitwise equal to MulDense")
 	}
 }
 
@@ -201,8 +168,7 @@ func TestParallelDimensionPanics(t *testing.T) {
 	withProcs(t, 4)
 	m := parCSR(t, 2000, 500, 0.04, 38)
 	for name, fn := range map[string]func(){
-		"MulTVecParallel": func() { m.MulTVecParallel(make([]float64, 1999)) },
-		"MulDenseInto b":  func() { m.MulDenseInto(mat.NewDense(2000, 10), mat.NewDense(499, 10)) },
+		"MulDenseInto b": func() { m.MulDenseInto(mat.NewDense(2000, 10), mat.NewDense(499, 10)) },
 		"BlockOp.TMulDenseInto": func() {
 			m.Block().TMulDenseInto(mat.NewDense(500, 10), mat.NewDense(1999, 10))
 		},

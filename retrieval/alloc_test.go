@@ -2,6 +2,7 @@ package retrieval
 
 import (
 	"context"
+	"io"
 	"math/rand"
 	"testing"
 
@@ -44,21 +45,28 @@ func TestTextSearchAllocsIndependentOfCorpusSize(t *testing.T) {
 	ctx := context.Background()
 	const query = "galaxy telescope engine"
 	for _, tc := range []struct {
-		name string
-		opts []Option
+		name  string
+		build builder
+		opts  []Option
 	}{
-		{"lsi", []Option{WithBackend(BackendLSI)}},
-		{"vsm", []Option{WithBackend(BackendVSM)}},
-		{"lsi-2-shards", []Option{WithShards(2), WithAutoCompact(false)}},
+		{"lsi", buildLSI, nil},
+		{"vsm", buildVSM, nil},
+		{"lsi-2-shards", buildLSI, []Option{WithShards(2), WithAutoCompact(false)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			measure := func(numDocs int) float64 {
-				ix, err := BuildTexts(synthTexts(numDocs, 7331),
-					append([]Option{WithRank(3), WithEngine(EngineDense), WithParallelism(1)}, tc.opts...)...)
+				texts := synthTexts(numDocs, 7331)
+				docs := make([]Document, len(texts))
+				for i, text := range texts {
+					docs[i] = Document{Text: text}
+				}
+				ix, err := tc.build(docs, append([]Option{WithRank(3), WithEngine(EngineDense), WithParallelism(1)}, tc.opts...)...)
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer ix.Close()
+				if c, ok := ix.(io.Closer); ok {
+					defer c.Close()
+				}
 				return testing.AllocsPerRun(200, func() {
 					if _, err := ix.Search(ctx, query, 10); err != nil {
 						t.Fatal(err)
@@ -115,42 +123,62 @@ func TestTierStatsScrapeIsAllocationFree(t *testing.T) {
 	}
 }
 
+// The sparse text path must agree bitwise — same ranking, same scores —
+// with the dense query it stands for: LSI's SearchVector, and for the
+// vector-space baseline vsm.Index.Search itself.
 func TestSearchVectorMatchesSparseTextPath(t *testing.T) {
-	// The dense SearchVector path and the sparse text path must agree
-	// bitwise — same ranking, same scores — for both backends.
 	ctx := context.Background()
-	for _, backend := range []Backend{BackendLSI, BackendVSM} {
-		t.Run(backend.String(), func(t *testing.T) {
-			ix, err := Build(DemoCorpus(), WithRank(3), WithEngine(EngineDense), WithBackend(backend))
+	queries := []string{"car engine repair", "galaxy stars telescope", "pasta garlic pasta"}
+	densify := func(t *testing.T, text *textLayer, n int, query string) []float64 {
+		terms, weights, known := text.querySparse(query)
+		if known == 0 {
+			t.Fatalf("query %q missed the vocabulary", query)
+		}
+		dense := make([]float64, n)
+		for i, term := range terms {
+			dense[term] = weights[i]
+		}
+		return dense
+	}
+	check := func(t *testing.T, query string, fromText, fromVec []Result) {
+		if len(fromText) != len(fromVec) {
+			t.Fatalf("%q: %d vs %d results", query, len(fromText), len(fromVec))
+		}
+		for i := range fromText {
+			if fromText[i] != fromVec[i] {
+				t.Fatalf("%q result %d: text %+v != vector %+v", query, i, fromText[i], fromVec[i])
+			}
+		}
+	}
+	t.Run("lsi", func(t *testing.T) {
+		ix := demoLSI(t)
+		for _, query := range queries {
+			fromText, err := ix.Search(ctx, query, 5)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, query := range []string{"car engine repair", "galaxy stars telescope", "pasta garlic pasta"} {
-				fromText, err := ix.Search(ctx, query, 5)
-				if err != nil {
-					t.Fatal(err)
-				}
-				terms, weights, known := ix.querySparse(query)
-				if known == 0 {
-					t.Fatalf("query %q missed the vocabulary", query)
-				}
-				dense := make([]float64, ix.NumTerms())
-				for i, term := range terms {
-					dense[term] = weights[i]
-				}
-				fromVec, err := ix.SearchVector(ctx, dense, 5)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(fromText) != len(fromVec) {
-					t.Fatalf("%q: %d vs %d results", query, len(fromText), len(fromVec))
-				}
-				for i := range fromText {
-					if fromText[i] != fromVec[i] {
-						t.Fatalf("%q result %d: text %+v != vector %+v", query, i, fromText[i], fromVec[i])
-					}
-				}
+			fromVec, err := ix.SearchVector(ctx, densify(t, &ix.textLayer, ix.NumTerms(), query), 5)
+			if err != nil {
+				t.Fatal(err)
 			}
-		})
-	}
+			check(t, query, fromText, fromVec)
+		}
+	})
+	t.Run("vsm", func(t *testing.T) {
+		v, err := BuildVSM(DemoCorpus())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, query := range queries {
+			fromText, err := v.Search(ctx, query, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var fromVec []Result
+			for _, m := range v.ix.Search(densify(t, &v.textLayer, v.ix.NumTerms(), query), 5) {
+				fromVec = append(fromVec, Result{Doc: m.Doc, ID: v.docID(m.Doc), Score: m.Score})
+			}
+			check(t, query, fromText, fromVec)
+		}
+	})
 }

@@ -19,20 +19,6 @@ import (
 // which segments carry them and segment.Search picks the tier per
 // segment; this layer only sets the budgets (probeOpts, budget).
 
-// checkTiers rejects the tier options on a backend without a latent
-// space to build them over.
-func (c config) checkTiers(b Backend) error {
-	switch {
-	case b == BackendLSI:
-		return nil
-	case c.annList > 0:
-		return fmt.Errorf("retrieval: WithANN requires the LSI backend (got %s)", b)
-	case c.quantBeta > 0:
-		return fmt.Errorf("retrieval: WithQuantized requires the LSI backend (got %s)", b)
-	}
-	return nil
-}
-
 // attachTiers gives the unsharded index's one segment the sidecars cfg
 // asks for (any size qualifies; the quantizer trains from the seed a
 // one-shard index would use). Build and Open call it once the LSI index
@@ -66,10 +52,9 @@ func (ix *Index) budget(nprobe int) segment.ProbeOptions {
 // keeping the configured quantized rerank, and nprobe <= 0 forces the
 // fully exact scan — float64 kernels over every document, the
 // per-request escape hatch for both tiers. Indexes without an ANN tier
-// (VSM among them) serve every budget through whatever tiers they do
-// have. SearchProbe bypasses the query cache: cache keys assume the
-// configured default budget, and a per-request override must not poison
-// them.
+// serve every budget through whatever tiers they do have. SearchProbe
+// bypasses the query cache: cache keys assume the configured default
+// budget, and a per-request override must not poison them.
 func (ix *Index) SearchProbe(ctx context.Context, query string, topN, nprobe int) ([]Result, error) {
 	q, err := ix.textQuery(ctx, query)
 	if err != nil {
@@ -111,7 +96,7 @@ type ANNStats struct {
 
 // ANNStats reports the ANN tier's configuration and probe counters; ok
 // is false when the index has no tier (not configured and no loaded
-// segment carries a quantizer, or a backend without one).
+// segment carries a quantizer).
 func (ix *Index) ANNStats() (ANNStats, bool) { return ix.annStats(ix.tierCoverage()) }
 
 func (ix *Index) annStats(t segment.Tiers) (ANNStats, bool) {

@@ -33,9 +33,9 @@ func topicDocs(n int) []Document {
 }
 
 func TestWithANNRequiresLSI(t *testing.T) {
-	_, err := Build(DemoCorpus(), WithBackend(BackendVSM), WithANN(4, 2))
-	if err == nil {
-		t.Fatal("Build(VSM, WithANN) succeeded, want error")
+	_, err := BuildVSM(DemoCorpus(), WithANN(4, 2))
+	if err == nil || !strings.Contains(err.Error(), "WithANN") {
+		t.Fatalf("BuildVSM(WithANN) = %v, want an error naming WithANN", err)
 	}
 }
 

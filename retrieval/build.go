@@ -3,45 +3,29 @@ package retrieval
 import (
 	"context"
 	"fmt"
-	"math"
-	"sort"
 	"sync"
 
-	"repro/internal/corpus"
-	"repro/internal/ir"
 	"repro/internal/lsi"
 	"repro/internal/par"
 	"repro/internal/segment"
-	"repro/internal/sparse"
-	"repro/internal/topk"
-	"repro/internal/vsm"
 	"repro/retrieval/cache"
 	"repro/retrieval/shard"
 	"repro/retrieval/wal"
 )
 
-// Index is the concrete Retriever produced by Build and Load. It bundles
-// the backend (LSI latent space or VSM inverted index) with the text
-// layer — vocabulary, weighting, pipeline flags, document IDs — so text
-// queries work end to end, including on indexes loaded from disk.
+// Index is the concrete Retriever produced by Build and Load: an LSI
+// latent space behind the text layer — vocabulary, weighting, pipeline
+// flags, document IDs — so text queries work end to end, including on
+// indexes loaded from disk.
 type Index struct {
-	backend Backend
+	textLayer
 
-	// seg is the unsharded LSI index: one frozen segment whose Global
-	// table is the identity, carrying the tier sidecars WithANN /
-	// WithQuantized asked for. A sharded index keeps its segments in
-	// retrieval/shard instead; either way a query is segment.Search over
-	// segments().
-	seg      *segment.Segment
-	vsmIndex *vsm.Index
-	matrix   *sparse.CSR  // term-document matrix, retained for VSM persistence
-	sharded  *shard.Index // non-nil iff built with WithShards
-
-	vocab           *ir.Vocabulary // nil only for v1 files loaded without text config
-	weighting       Weighting
-	removeStopwords bool
-	stemming        bool
-	docIDs          []string
+	// seg is the unsharded index: one frozen segment whose Global table
+	// is the identity, carrying the tier sidecars WithANN / WithQuantized
+	// asked for. A sharded index keeps its segments in retrieval/shard
+	// instead; either way a query is segment.Search over segments().
+	seg     *segment.Segment
+	sharded *shard.Index // non-nil iff built with WithShards
 
 	// Tier configuration (WithANN, WithQuantized): annProbe and quantBeta
 	// are the default budgets of Search (0 = that tier is off); tiers
@@ -68,70 +52,25 @@ var _ Retriever = (*Index)(nil)
 // the With* options for every knob. It returns ErrEmptyCorpus when no
 // documents are given or preprocessing leaves an empty vocabulary.
 func Build(docs []Document, opts ...Option) (*Index, error) {
-	cfg := defaultConfig()
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	if len(docs) == 0 {
-		return nil, fmt.Errorf("%w: no documents", ErrEmptyCorpus)
-	}
-	if err := cfg.checkTiers(cfg.backend); err != nil {
-		return nil, err
-	}
-	if cfg.workers > 0 {
-		par.SetMaxProcs(cfg.workers)
-	}
-	cw, err := cfg.weighting.toCorpus()
+	cfg := newConfig(opts)
+	text, a, err := buildText(docs, cfg)
 	if err != nil {
 		return nil, err
 	}
-
-	texts := make([]string, len(docs))
-	ids := make([]string, len(docs))
-	for i, d := range docs {
-		texts[i] = d.Text
-		ids[i] = d.ID
-		if ids[i] == "" {
-			ids[i] = fmt.Sprintf("doc-%d", i)
-		}
+	engine, err := cfg.engine.toLSI()
+	if err != nil {
+		return nil, err
 	}
-	pipe := &ir.Pipeline{
-		RemoveStopwords: cfg.removeStopwords,
-		Stemming:        cfg.stemming,
-		Vocab:           ir.NewVocabulary(),
+	rank := cfg.rank
+	if rank <= 0 {
+		rank = autoRank(a.Dims())
 	}
-	c := pipe.ProcessAll(texts)
-	if c.NumTerms == 0 {
-		return nil, fmt.Errorf("%w: every token was removed by preprocessing", ErrEmptyCorpus)
-	}
-	a := corpus.TermDocMatrix(c, cw)
-
-	ix := &Index{
-		backend:         cfg.backend,
-		vocab:           pipe.Vocab,
-		weighting:       cfg.weighting,
-		removeStopwords: cfg.removeStopwords,
-		stemming:        cfg.stemming,
-		docIDs:          ids,
-	}
+	ix := &Index{textLayer: text}
 	if cfg.shards > 0 {
-		sx, err := buildSharded(ix, a, ids, c.NumTerms, len(c.Docs), cfg)
-		if err != nil {
+		if err := ix.buildSharded(a, rank, engine, cfg); err != nil {
 			return nil, err
 		}
-		sx.initCache(cfg.cacheBytes)
-		return sx, nil
-	}
-	switch cfg.backend {
-	case BackendLSI:
-		engine, err := cfg.engine.toLSI()
-		if err != nil {
-			return nil, err
-		}
-		rank := cfg.rank
-		if rank <= 0 {
-			rank = autoRank(c.NumTerms, len(c.Docs))
-		}
+	} else {
 		li, err := lsi.Build(a, rank, lsi.Options{Engine: engine, Seed: cfg.seed})
 		if err != nil {
 			return nil, fmt.Errorf("retrieval: building LSI index: %w", err)
@@ -140,11 +79,6 @@ func Build(docs []Document, opts ...Option) (*Index, error) {
 		if err := ix.attachTiers(cfg); err != nil {
 			return nil, err
 		}
-	case BackendVSM:
-		ix.vsmIndex = vsm.NewFromMatrix(a)
-		ix.matrix = a
-	default:
-		return nil, fmt.Errorf("retrieval: unknown backend %d", int(cfg.backend))
 	}
 	ix.initCache(cfg.cacheBytes)
 	return ix, nil
@@ -161,62 +95,36 @@ func BuildTexts(texts []string, opts ...Option) (*Index, error) {
 
 // NumDocs returns the number of indexed documents.
 func (ix *Index) NumDocs() int {
-	switch {
-	case ix.sharded != nil:
+	if ix.sharded != nil {
 		return ix.sharded.NumDocs()
-	case ix.backend == BackendVSM:
-		return ix.vsmIndex.NumDocs()
 	}
 	return ix.seg.Len()
 }
 
 // NumTerms returns the vocabulary size the index was built over.
 func (ix *Index) NumTerms() int {
-	switch {
-	case ix.sharded != nil:
+	if ix.sharded != nil {
 		return ix.sharded.NumTerms()
-	case ix.backend == BackendVSM:
-		return ix.vsmIndex.NumTerms()
 	}
 	return ix.seg.Ix.NumTerms()
 }
 
-// Rank returns the retained LSI rank (0 for the VSM backend; the
-// per-shard rank for sharded indexes).
+// Rank returns the retained LSI rank (the per-shard rank for sharded
+// indexes).
 func (ix *Index) Rank() int {
-	switch {
-	case ix.sharded != nil:
+	if ix.sharded != nil {
 		return ix.sharded.Rank()
-	case ix.backend == BackendVSM:
-		return 0
 	}
 	return ix.seg.Ix.K()
 }
 
-// Stats describes the index, including a per-backend memory estimate
-// that covers both the numeric payload and the text layer.
+// Stats describes the index, including a memory estimate that covers
+// both the numeric payload and the text layer.
 func (ix *Index) Stats() Stats {
-	st := Stats{
-		Backend:     ix.backend.String(),
-		NumDocs:     ix.NumDocs(),
-		NumTerms:    ix.NumTerms(),
-		Rank:        ix.Rank(),
-		Weighting:   ix.weighting.String(),
-		TextQueries: ix.vocab != nil,
-		Ready:       true,
-	}
-	if ix.vocab != nil {
-		st.VocabSize = ix.vocab.Size()
-		for _, term := range ix.vocab.Terms() {
-			st.MemoryBytes += int64(len(term)) + 16
-		}
-	}
-	for _, id := range ix.docIDs {
-		st.MemoryBytes += int64(len(id)) + 16
-	}
+	st := ix.stats("lsi")
+	st.NumDocs, st.NumTerms, st.Rank = ix.NumDocs(), ix.NumTerms(), ix.Rank()
 	var tiers segment.Tiers
-	switch {
-	case ix.sharded != nil:
+	if ix.sharded != nil {
 		ss := ix.sharded.Stats()
 		tiers = ss.Tiers
 		st.Sharded = true
@@ -235,14 +143,7 @@ func (ix *Index) Stats() Stats {
 		st.MappedBytes = ss.MappedBytes
 		// shard.Index.Ready, read off the same snapshot as the counts above.
 		st.Ready = ss.SealedPending == 0 && !ss.Compacting
-	case ix.backend == BackendVSM:
-		// Postings (doc, weight) pairs mirror the matrix nonzeros; the
-		// matrix itself is retained for persistence.
-		nnz := int64(ix.matrix.NNZ())
-		n, m := ix.matrix.Dims()
-		st.MemoryBytes += nnz*16 + int64(m)*8   // postings + norms
-		st.MemoryBytes += nnz*16 + int64(n+1)*8 // retained CSR
-	default:
+	} else {
 		tiers.Add(ix.seg)
 		st.MemoryBytes += ix.seg.MemoryBytes(true)
 		st.MappedBytes = ix.seg.Ix.MappedBytes()
@@ -271,17 +172,14 @@ func (ix *Index) setLSI(li *lsi.Index) {
 }
 
 // segments appends the segment set a query runs over to dst: the one
-// frozen segment, or the sharded index's current snapshot (nothing for
-// VSM, which has no latent space). Callers pass a small stack buffer so
-// the usual handful of segments costs no allocation.
+// frozen segment, or the sharded index's current snapshot. Callers pass
+// a small stack buffer so the usual handful of segments costs no
+// allocation.
 func (ix *Index) segments(dst []*segment.Segment) []*segment.Segment {
-	switch {
-	case ix.sharded != nil:
+	if ix.sharded != nil {
 		return ix.sharded.Segments(dst)
-	case ix.seg != nil:
-		return append(dst, ix.seg)
 	}
-	return dst
+	return append(dst, ix.seg)
 }
 
 // tierCoverage walks the segment set once for the tiers' topology. It
@@ -301,72 +199,20 @@ func (ix *Index) DocID(doc int) string {
 		if id := ix.sharded.ExternalID(doc); id != "" {
 			return id
 		}
-		return fmt.Sprintf("doc-%d", doc)
 	}
-	if doc >= 0 && doc < len(ix.docIDs) {
-		return ix.docIDs[doc]
-	}
-	return fmt.Sprintf("doc-%d", doc)
-}
-
-// querySparse turns query text into a sparse term-space vector — weights
-// over the distinct in-vocabulary term IDs, sorted ascending — using the
-// index's own pipeline, vocabulary, and weighting. It reports how many
-// query tokens hit the vocabulary. The sparse form is what both backend
-// hot paths consume: a text query never materializes a vocabulary-length
-// vector, and the sorted order makes the backends' accumulation match
-// the dense reference bitwise.
-func (ix *Index) querySparse(query string) (terms []int, weights []float64, known int) {
-	pipe := &ir.Pipeline{RemoveStopwords: ix.removeStopwords, Stemming: ix.stemming}
-	counts := make(map[int]float64)
-	for _, term := range pipe.Terms(query) {
-		if id, ok := ix.vocab.Lookup(term); ok {
-			counts[id]++
-			known++
-		}
-	}
-	if known == 0 {
-		return nil, nil, 0
-	}
-	terms = make([]int, 0, len(counts))
-	for id := range counts {
-		terms = append(terms, id)
-	}
-	sort.Ints(terms)
-	weights = make([]float64, len(terms))
-	for i, id := range terms {
-		switch ix.weighting {
-		case WeightingBinary:
-			weights[i] = 1
-		case WeightingLog:
-			weights[i] = 1 + math.Log(counts[id])
-		default: // count; tf-idf queries use raw counts (df is a corpus statistic)
-			weights[i] = counts[id]
-		}
-	}
-	return terms, weights, known
+	return ix.docID(doc) // a sharded index keeps no docIDs: "doc-<n>"
 }
 
 // search is the one query path behind every public Search* method: text
 // or vector, default or per-request budget, single or batch, sharded or
-// not. An LSI query is segment.Search over the index's segment set (see
+// not. A query is segment.Search over the index's segment set (see
 // DESIGN.md "The search path"), its work record folded into the tier
-// counters; VSM, which has no latent space and no tiers, is the only
-// other branch. q must be validated (terms ascending and in range, or a
+// counters. q must be validated (terms ascending and in range, or a
 // vector of NumTerms entries).
 func (ix *Index) search(q segment.Query, topN int, opts segment.ProbeOptions) []Result {
-	var ms []topk.Match
-	switch {
-	case ix.backend != BackendVSM:
-		var buf [16]*segment.Segment
-		var st segment.ProbeStats
-		ms, st = segment.Search(ix.segments(buf[:0]), q, topN, opts)
-		ix.tiers.Add(st)
-	case q.Vec != nil:
-		ms = ix.vsmIndex.Search(q.Vec, topN)
-	default:
-		ms = ix.vsmIndex.SearchSparse(q.Terms, q.Weights, topN)
-	}
+	var buf [16]*segment.Segment
+	ms, st := segment.Search(ix.segments(buf[:0]), q, topN, opts)
+	ix.tiers.Add(st)
 	out := make([]Result, len(ms))
 	for i, m := range ms {
 		out[i] = Result{Doc: m.Doc, ID: ix.DocID(m.Doc), Score: m.Score}
@@ -380,26 +226,8 @@ func (ix *Index) probeOpts() segment.ProbeOptions {
 	return segment.ProbeOptions{NProbe: ix.annProbe, Beta: ix.quantBeta}
 }
 
-// textQuery preprocesses query text into the validated sparse query
-// value, failing the way every text entry point fails: on a done
-// context, an index without a vocabulary, or a query none of whose
-// terms the vocabulary knows.
-func (ix *Index) textQuery(ctx context.Context, query string) (segment.Query, error) {
-	if err := ctx.Err(); err != nil {
-		return segment.Query{}, err
-	}
-	if ix.vocab == nil {
-		return segment.Query{}, ErrNoVocabulary
-	}
-	terms, weights, known := ix.querySparse(query)
-	if known == 0 {
-		return segment.Query{}, fmt.Errorf("%w: %q", ErrNoQueryTerms, query)
-	}
-	return segment.Query{Terms: terms, Weights: weights}, nil
-}
-
 // Search implements Retriever: it preprocesses the query with the
-// index's pipeline, folds it into the backend's space, and returns the
+// index's pipeline, folds it into the latent space, and returns the
 // topN documents by cosine similarity (all documents if topN <= 0).
 // With WithQueryCache, repeated queries are answered from the epoch-
 // keyed result cache (see SearchStatus for the per-lookup disposition);

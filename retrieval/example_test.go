@@ -40,7 +40,7 @@ func ExampleRetriever_Search() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	vsm, err := retrieval.Build(corpus, retrieval.WithBackend(retrieval.BackendVSM))
+	vsm, err := retrieval.BuildVSM(corpus)
 	if err != nil {
 		log.Fatal(err)
 	}

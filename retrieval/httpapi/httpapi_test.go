@@ -279,6 +279,35 @@ func TestLiveDocsOnImmutableIndex(t *testing.T) {
 	}
 }
 
+// The vector-space baseline is a plain read-only Retriever: it answers
+// searches and stats, and refuses live appends like any immutable index.
+func TestServesReadOnlyVSM(t *testing.T) {
+	v, err := retrieval.BuildVSM(retrieval.DemoCorpus())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewHandler(v, Options{})
+	rec := do(t, h, "POST", "/v1/search", `{"query":"car","topN":4}`)
+	var resp SearchResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || rec.Code != 200 {
+		t.Fatalf("search = %d %s (%v)", rec.Code, rec.Body, err)
+	}
+	// Literal matching: the two documents that say "car", not the synonyms.
+	if len(resp.Results) != 2 || resp.Results[0].ID != "demo-00" || resp.Results[1].ID != "demo-03" {
+		t.Fatalf("results %+v", resp.Results)
+	}
+	if rec := do(t, h, "POST", "/v1/search:batch", `{"queries":["galaxy","zzz"],"topN":2}`); rec.Code != 200 {
+		t.Fatalf("batch = %d %s", rec.Code, rec.Body)
+	}
+	rec = do(t, h, "GET", "/v1/stats", "")
+	if !strings.Contains(rec.Body.String(), `"backend":"vsm"`) {
+		t.Fatalf("stats %s", rec.Body)
+	}
+	if rec := do(t, h, "POST", "/v1/docs", `{"text":"a car"}`); rec.Code != http.StatusNotImplemented {
+		t.Fatalf("append = %d, want 501", rec.Code)
+	}
+}
+
 func TestReadyz(t *testing.T) {
 	// Immutable index: always ready.
 	h := demoHandler(t, Options{})

@@ -7,44 +7,7 @@ import (
 	"repro/internal/lsi"
 )
 
-// Backend selects the retrieval system a Build produces.
-type Backend int
-
-const (
-	// BackendLSI indexes documents in the rank-k latent space of the
-	// term-document matrix's truncated SVD (the paper's subject).
-	BackendLSI Backend = iota
-	// BackendVSM is the conventional inverted-index vector-space model —
-	// the literal-term-matching baseline of the paper's comparison.
-	BackendVSM
-)
-
-// String names the backend.
-func (b Backend) String() string {
-	switch b {
-	case BackendLSI:
-		return "lsi"
-	case BackendVSM:
-		return "vsm"
-	default:
-		return fmt.Sprintf("Backend(%d)", int(b))
-	}
-}
-
-// ParseBackend is the inverse of Backend.String, for CLI flags and wire
-// metadata.
-func ParseBackend(s string) (Backend, error) {
-	switch s {
-	case "lsi":
-		return BackendLSI, nil
-	case "vsm":
-		return BackendVSM, nil
-	default:
-		return 0, fmt.Errorf("retrieval: unknown backend %q (want lsi or vsm)", s)
-	}
-}
-
-// Engine selects the SVD algorithm for the LSI backend; it mirrors the
+// Engine selects the SVD algorithm of an LSI build; it mirrors the
 // engines of internal/lsi without exposing that package.
 type Engine int
 
@@ -138,7 +101,6 @@ func (w Weighting) toCorpus() (corpus.Weighting, error) {
 
 // config collects the functional options of Build.
 type config struct {
-	backend         Backend
 	rank            int // 0 = auto
 	engine          Engine
 	weighting       Weighting
@@ -157,7 +119,6 @@ type config struct {
 
 func defaultConfig() config {
 	return config{
-		backend:         BackendLSI,
 		rank:            0,
 		engine:          EngineAuto,
 		weighting:       WeightingLog,
@@ -166,20 +127,26 @@ func defaultConfig() config {
 	}
 }
 
-// Option configures Build.
+// Option configures Build, BuildVSM, Open and OpenDir.
 type Option func(*config)
 
-// WithBackend selects the retrieval system (default BackendLSI).
-func WithBackend(b Backend) Option { return func(c *config) { c.backend = b } }
+// newConfig applies opts over the defaults.
+func newConfig(opts []Option) config {
+	cfg := defaultConfig()
+	for _, opt := range opts {
+		opt(&cfg)
+	}
+	return cfg
+}
 
 // WithRank sets the LSI rank k. The default (or any k <= 0) picks
 // min(numTerms, numDocs)/4 clamped to [2, 100] — small corpora keep a
 // low-dimensional latent space, large corpora cap at the paper's typical
-// few-hundred scale. k is further clamped to the matrix rank bound. The
-// VSM backend ignores rank.
+// few-hundred scale. k is further clamped to the matrix rank bound.
+// BuildVSM ignores rank.
 func WithRank(k int) Option { return func(c *config) { c.rank = k } }
 
-// WithEngine selects the SVD engine for the LSI backend (default
+// WithEngine selects the SVD engine of an LSI build (default
 // EngineAuto).
 func WithEngine(e Engine) Option { return func(c *config) { c.engine = e } }
 
@@ -208,7 +175,7 @@ func WithStemming(on bool) Option { return func(c *config) { c.stemming = on } }
 // background compactor), and searches fan out across every shard's
 // segments with deterministic merged results. A 1-shard index returns
 // bitwise-identical rankings to the unsharded build of the same corpus.
-// Sharding requires the LSI backend; n <= 0 keeps the unsharded index.
+// BuildVSM rejects it; n <= 0 keeps the unsharded index.
 // Sharded indexes persist to a directory (SaveDir/OpenDir) rather than
 // a single stream.
 func WithShards(n int) Option { return func(c *config) { c.shards = n } }
@@ -224,7 +191,7 @@ func WithSealEvery(n int) Option { return func(c *config) { c.sealEvery = n } }
 // called explicitly — useful for tests that need a fixed segment layout.
 func WithAutoCompact(on bool) Option { return func(c *config) { c.autoCompact = &on } }
 
-// WithANN enables the IVF ANN tier of the LSI backend: a k-means coarse
+// WithANN enables the IVF ANN tier of an LSI index: a k-means coarse
 // quantizer with nlist cells (clamped to the corpus size) is trained
 // over the rank-k document vectors, and searches score only the nprobe
 // cells whose centroids best match the projected query instead of
@@ -237,13 +204,13 @@ func WithAutoCompact(on bool) Option { return func(c *config) { c.autoCompact = 
 // quantizer, retrained by the compactor at re-SVD time; live fold-in
 // segments always scan exhaustively, so freshly added documents are
 // never missed. Training is deterministic for a fixed seed; results are
-// deterministic for any worker count. Requires the LSI backend;
-// nlist <= 0 disables the tier.
+// deterministic for any worker count. BuildVSM rejects it; nlist <= 0
+// disables the tier.
 func WithANN(nlist, nprobe int) Option {
 	return func(c *config) { c.annList = nlist; c.annProbe = nprobe }
 }
 
-// WithQuantized enables the quantized scoring tier of the LSI backend:
+// WithQuantized enables the quantized scoring tier of an LSI index:
 // an int8 shadow of the rank-k document matrix (one symmetric scale per
 // document, ~4× smaller than the float32 matrix) is built alongside the
 // decomposition, and searches run two-stage — the bandwidth-optimal int8
@@ -259,7 +226,7 @@ func WithANN(nlist, nprobe int) Option {
 // pure function of the document matrix, and results are deterministic
 // for any worker count. Composes with WithANN — the IVF probe narrows
 // the candidate set, the int8 kernels score it, exact float rescoring
-// ranks it. Requires the LSI backend; beta <= 0 disables the tier.
+// ranks it. BuildVSM rejects it; beta <= 0 disables the tier.
 // SearchProbe's nprobe <= 0 remains the per-request fully exact escape
 // hatch.
 func WithQuantized(beta int) Option {
@@ -274,15 +241,15 @@ func WithQuantized(beta int) Option {
 // keeps live indexes exact: every Add batch and every compaction
 // advances the epoch, instantly retiring all previously cached results,
 // so a hit can never serve pre-Add or pre-Compact rankings. Immutable
-// indexes cache forever. Applies to Build, Open, and OpenDir; cache
-// counters surface in Stats and, via the HTTP API, in /v1/stats and
-// the Cache-Status response header.
+// indexes cache forever. Applies to Build, Open, and OpenDir (BuildVSM
+// rejects a positive budget); cache counters surface in Stats and, via
+// the HTTP API, in /v1/stats and the Cache-Status response header.
 func WithQueryCache(maxBytes int64) Option { return func(c *config) { c.cacheBytes = maxBytes } }
 
 // WithParallelism caps the worker count used by the parallel build and
 // query kernels. The setting is process-wide (it adjusts the shared
-// worker pool that all indexes fan out through), applied when Build runs;
-// n <= 0 leaves the current setting alone.
+// worker pool that all indexes fan out through), applied when Build or
+// BuildVSM runs; n <= 0 leaves the current setting alone.
 func WithParallelism(n int) Option { return func(c *config) { c.workers = n } }
 
 func autoRank(numTerms, numDocs int) int {

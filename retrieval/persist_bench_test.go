@@ -46,7 +46,7 @@ func syntheticLSI(tb testing.TB, docs, terms, k int) *Index {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	ix := &Index{backend: BackendLSI, vocab: vocab, weighting: WeightingLog, docIDs: names("doc-", docs)}
+	ix := &Index{textLayer: textLayer{vocab: vocab, weighting: WeightingLog, docIDs: names("doc-", docs)}}
 	ix.setLSI(li)
 	return ix
 }

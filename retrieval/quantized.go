@@ -36,7 +36,7 @@ type QuantStats struct {
 
 // QuantStats reports the quantized tier's configuration and scan
 // counters; ok is false when the index has no tier (not configured and
-// no loaded segment carries a shadow, or a backend without one).
+// no loaded segment carries a shadow).
 func (ix *Index) QuantStats() (QuantStats, bool) { return ix.quantStats(ix.tierCoverage()) }
 
 func (ix *Index) quantStats(t segment.Tiers) (QuantStats, bool) {

@@ -4,13 +4,14 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
 func TestWithQuantizedRequiresLSI(t *testing.T) {
-	_, err := Build(DemoCorpus(), WithBackend(BackendVSM), WithQuantized(4))
-	if err == nil {
-		t.Fatal("Build(VSM, WithQuantized) succeeded, want error")
+	_, err := BuildVSM(DemoCorpus(), WithQuantized(4))
+	if err == nil || !strings.Contains(err.Error(), "WithQuantized") {
+		t.Fatalf("BuildVSM(WithQuantized) = %v, want an error naming WithQuantized", err)
 	}
 }
 

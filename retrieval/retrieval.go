@@ -5,10 +5,12 @@
 //
 // The paper's argument is comparative (LSI rankings versus plain
 // vector-space rankings over the same corpus), so both systems implement
-// the same Retriever interface behind a single constructor:
+// the same Retriever interface: Build returns the LSI serving Index,
+// BuildVSM the read-only baseline beside it, over the same text layer:
 //
 //	ret, err := retrieval.BuildTexts(texts, retrieval.WithRank(3))
 //	results, err := ret.Search(ctx, "car engine repair", 10)
+//	baseline, err := retrieval.BuildVSM(docs)
 //
 // Indexes are text-in/text-out: Build bundles the tokenize → stopword →
 // stem pipeline, the vocabulary, and the term weighting into the index,
@@ -109,9 +111,9 @@ type Stats struct {
 	// the index has none; otherwise equal to NumTerms).
 	VocabSize int `json:"vocabSize"`
 	// MemoryBytes estimates the index's heap footprint: the backend's
-	// numeric payload (latent matrices for LSI, postings + retained
-	// matrix for VSM, every segment for sharded indexes) plus the text
-	// layer (vocabulary and document ID strings).
+	// numeric payload (latent matrices for LSI, postings and norms for
+	// VSM, every segment for sharded indexes) plus the text layer
+	// (vocabulary and document ID strings).
 	MemoryBytes int64 `json:"memoryBytes"`
 	// MappedBytes is the part of MemoryBytes in read-only file mappings, not heap.
 	MappedBytes int64 `json:"mappedBytes"`

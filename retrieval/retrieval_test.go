@@ -3,8 +3,16 @@ package retrieval
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 )
+
+// builder is Build or BuildVSM behind the Retriever interface, for tests
+// that run on both.
+type builder func(docs []Document, opts ...Option) (Retriever, error)
+
+func buildLSI(docs []Document, opts ...Option) (Retriever, error) { return Build(docs, opts...) }
+func buildVSM(docs []Document, opts ...Option) (Retriever, error) { return BuildVSM(docs, opts...) }
 
 func demoLSI(t *testing.T, opts ...Option) *Index {
 	t.Helper()
@@ -52,12 +60,12 @@ func TestLSISynonymyRetrieval(t *testing.T) {
 }
 
 func TestVSMBaselineMissesSynonyms(t *testing.T) {
-	ix, err := Build(DemoCorpus(), WithBackend(BackendVSM))
+	ix, err := BuildVSM(DemoCorpus())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ix.Rank() != 0 {
-		t.Fatalf("VSM rank = %d, want 0", ix.Rank())
+	if st := ix.Stats(); st.Rank != 0 || st.Backend != "vsm" {
+		t.Fatalf("VSM stats = %+v, want backend vsm at rank 0", st)
 	}
 	res, err := ix.Search(context.Background(), "car", 0)
 	if err != nil {
@@ -68,6 +76,41 @@ func TestVSMBaselineMissesSynonyms(t *testing.T) {
 		if r.Doc == 1 || r.Doc == 2 {
 			t.Fatalf("VSM retrieved synonym-only doc %d for \"car\": %+v", r.Doc, res)
 		}
+	}
+}
+
+// BuildVSM takes the text options and refuses, by name, the options only
+// an LSI index can serve (the tier options have tests of their own:
+// TestWithANNRequiresLSI, TestWithQuantizedRequiresLSI).
+func TestBuildVSMOptions(t *testing.T) {
+	for name, opt := range map[string]Option{"WithShards": WithShards(2), "WithQueryCache": WithQueryCache(1 << 20)} {
+		if _, err := BuildVSM(DemoCorpus(), opt); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("BuildVSM(%s) = %v, want an error naming it", name, err)
+		}
+	}
+	if _, err := BuildVSM(DemoCorpus(), WithQueryCache(0), WithRank(7)); err != nil {
+		t.Fatalf("a zero cache budget and a rank are harmless: %v", err)
+	}
+	if _, err := BuildVSM(nil); !errors.Is(err, ErrEmptyCorpus) {
+		t.Fatalf("BuildVSM(nil) = %v, want ErrEmptyCorpus", err)
+	}
+	plain, err := BuildVSM(DemoCorpus(), WithWeighting(WeightingTFIDF))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := BuildVSM(DemoCorpus(), WithStopwordRemoval(false), WithStemming(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Stats().Weighting != "tfidf" || raw.Stats().VocabSize <= plain.Stats().VocabSize {
+		t.Fatalf("text options ignored: %+v vs %+v", plain.Stats(), raw.Stats())
+	}
+	// Without stopword removal "the" is a term, and a query for it hits.
+	if _, err := raw.Search(context.Background(), "the", 1); err != nil {
+		t.Fatalf("stopword query on a stopword-keeping index: %v", err)
+	}
+	if _, err := plain.Search(context.Background(), "the", 1); !errors.Is(err, ErrNoQueryTerms) {
+		t.Fatalf("stopword query = %v, want ErrNoQueryTerms", err)
 	}
 }
 
@@ -120,11 +163,12 @@ func TestSearchVectorMatchesTextSearch(t *testing.T) {
 }
 
 func TestSearchBatchMatchesSearch(t *testing.T) {
-	for _, backend := range []Backend{BackendLSI, BackendVSM} {
-		ix, err := Build(DemoCorpus(), WithRank(3), WithEngine(EngineDense), WithBackend(backend))
+	for _, build := range []builder{buildLSI, buildVSM} {
+		ix, err := build(DemoCorpus(), WithRank(3), WithEngine(EngineDense))
 		if err != nil {
 			t.Fatal(err)
 		}
+		backend := ix.Stats().Backend
 		ctx := context.Background()
 		queries := []string{"car engine", "zzzunknownzzz", "pasta garlic", "telescope galaxy"}
 		batch, err := ix.SearchBatch(ctx, queries, 3)
@@ -191,26 +235,18 @@ func TestParseRoundTrips(t *testing.T) {
 	if _, err := ParseWeighting("nope"); err == nil {
 		t.Fatal("ParseWeighting should reject unknown names")
 	}
-	for _, b := range []Backend{BackendLSI, BackendVSM} {
-		got, err := ParseBackend(b.String())
-		if err != nil || got != b {
-			t.Fatalf("ParseBackend(%q) = %v, %v", b.String(), got, err)
-		}
-	}
-	if _, err := ParseBackend("nope"); err == nil {
-		t.Fatal("ParseBackend should reject unknown names")
-	}
 }
 
 func TestWeightingOptionsBuild(t *testing.T) {
 	// Every weighting (including TF-IDF, whose queries fall back to raw
 	// counts) must build and answer queries on both backends.
 	for _, w := range []Weighting{WeightingCount, WeightingBinary, WeightingLog, WeightingTFIDF} {
-		for _, b := range []Backend{BackendLSI, BackendVSM} {
-			ix, err := Build(DemoCorpus(), WithRank(3), WithWeighting(w), WithBackend(b))
+		for _, build := range []builder{buildLSI, buildVSM} {
+			ix, err := build(DemoCorpus(), WithRank(3), WithWeighting(w))
 			if err != nil {
-				t.Fatalf("%v/%v: %v", w, b, err)
+				t.Fatalf("%v: %v", w, err)
 			}
+			b := ix.Stats().Backend
 			res, err := ix.Search(context.Background(), "garlic pasta", 2)
 			if err != nil {
 				t.Fatalf("%v/%v: %v", w, b, err)

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 
 	"repro/internal/ir"
+	"repro/internal/lsi"
 	"repro/internal/sparse"
 	"repro/retrieval/shard"
 )
@@ -41,28 +42,17 @@ var (
 // buildSharded finishes a Build configured with WithShards: the text
 // layer is already assembled; partition the matrix and build the shard
 // subsystem.
-func buildSharded(ix *Index, a *sparse.CSR, ids []string, numTerms, numDocs int, cfg config) (*Index, error) {
-	if cfg.backend != BackendLSI {
-		return nil, fmt.Errorf("retrieval: WithShards requires the LSI backend (got %s)", cfg.backend)
-	}
-	engine, err := cfg.engine.toLSI()
-	if err != nil {
-		return nil, err
-	}
-	rank := cfg.rank
-	if rank <= 0 {
-		rank = autoRank(numTerms, numDocs)
-	}
+func (ix *Index) buildSharded(a *sparse.CSR, rank int, engine lsi.Engine, cfg config) error {
 	scfg := cfg.shardConfig()
 	scfg.Shards, scfg.Rank, scfg.Engine, scfg.Seed = cfg.shards, rank, engine, cfg.seed
-	sx, err := shard.Build(a, ids, scfg)
+	sx, err := shard.Build(a, ix.docIDs, scfg)
 	if err != nil {
-		return nil, fmt.Errorf("retrieval: building sharded index: %w", err)
+		return fmt.Errorf("retrieval: building sharded index: %w", err)
 	}
 	ix.sharded = sx
 	ix.annList, ix.annProbe, ix.quantBeta = cfg.annList, cfg.annProbe, cfg.quantBeta
 	ix.docIDs = nil // the shard directory owns external IDs in sharded mode
-	return ix, nil
+	return nil
 }
 
 // shardConfig is the runtime half of the shard subsystem's configuration
@@ -249,10 +239,7 @@ func (ix *Index) writeTextMeta(dir string) error {
 // the segments reload directly; WithANN additionally trains segments
 // saved without them), everything structural comes from the manifest.
 func OpenDir(dir string, opts ...Option) (*Index, error) {
-	cfg := defaultConfig()
-	for _, opt := range opts {
-		opt(&cfg)
-	}
+	cfg := newConfig(opts)
 	data, err := os.ReadFile(filepath.Join(dir, textMetaName))
 	if err != nil {
 		return nil, fmt.Errorf("retrieval: open %s: %w", dir, err)
@@ -282,12 +269,13 @@ func OpenDir(dir string, opts ...Option) (*Index, error) {
 		return nil, fmt.Errorf("retrieval: open: %w", err)
 	}
 	ix := &Index{
-		backend:         BackendLSI,
-		sharded:         sx,
-		vocab:           vocab,
-		weighting:       weighting,
-		removeStopwords: meta.RemoveStopwords,
-		stemming:        meta.Stemming,
+		textLayer: textLayer{
+			vocab:           vocab,
+			weighting:       weighting,
+			removeStopwords: meta.RemoveStopwords,
+			stemming:        meta.Stemming,
+		},
+		sharded: sx,
 	}
 	ix.annList, ix.annProbe, ix.quantBeta = cfg.annList, cfg.annProbe, cfg.quantBeta
 	ix.initCache(cfg.cacheBytes)
@@ -310,10 +298,6 @@ func Open(path string, opts ...Option) (*Index, error) {
 	if info.IsDir() {
 		return OpenDir(path, opts...)
 	}
-	cfg := defaultConfig()
-	for _, opt := range opts {
-		opt(&cfg)
-	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("retrieval: open: %w", err)
@@ -323,13 +307,9 @@ func Open(path string, opts ...Option) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := cfg.checkTiers(ix.backend); err != nil {
-		return nil, fmt.Errorf("retrieval: open: %w", err)
-	}
-	if ix.backend == BackendLSI {
-		if err := ix.attachTiers(cfg); err != nil {
-			return nil, err
-		}
+	cfg := newConfig(opts)
+	if err := ix.attachTiers(cfg); err != nil {
+		return nil, err
 	}
 	ix.initCache(cfg.cacheBytes)
 	return ix, nil

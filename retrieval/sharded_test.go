@@ -297,12 +297,13 @@ func TestShardedStats(t *testing.T) {
 }
 
 func TestUnshardedStatsMemoryAndVocab(t *testing.T) {
-	for _, backend := range []Backend{BackendLSI, BackendVSM} {
-		ix, err := Build(DemoCorpus(), WithBackend(backend), WithRank(3))
+	for _, build := range []builder{buildLSI, buildVSM} {
+		ix, err := build(DemoCorpus(), WithRank(3))
 		if err != nil {
 			t.Fatal(err)
 		}
 		st := ix.Stats()
+		backend := st.Backend
 		if st.VocabSize == 0 {
 			t.Fatalf("%s: vocab size 0 with a text layer attached", backend)
 		}

@@ -8,6 +8,7 @@ package repro
 // bench run doubles as a results summary.
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -455,10 +456,10 @@ func BenchmarkTierRecompute(b *testing.B) {
 			annFile, qmFile := ann.Encode(), qm.Encode()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := ivf.Decode(annFile); err != nil {
+				if _, err := ivf.Read(bytes.NewReader(annFile)); err != nil {
 					b.Fatal(err)
 				}
-				if _, err := quant.Decode(qmFile); err != nil {
+				if _, err := quant.Read(bytes.NewReader(qmFile)); err != nil {
 					b.Fatal(err)
 				}
 			}

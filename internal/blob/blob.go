@@ -88,14 +88,20 @@ func (w *Writer) Bytes(tag string, p []byte) {
 }
 
 // Floats writes v as one section of raw float64.
-func (w *Writer) Floats(tag string, v []float64) { writeFloats(w, tag, v) }
+func (w *Writer) Floats(tag string, v []float64) { writeArray(w, tag, v) }
 
 // Float32s writes v as one section of raw float32.
-func (w *Writer) Float32s(tag string, v []float32) { writeFloats(w, tag, v) }
+func (w *Writer) Float32s(tag string, v []float32) { writeArray(w, tag, v) }
 
-// writeFloats writes v as one section, copying its bytes into the
+// Int8s writes v as one section of raw int8.
+func (w *Writer) Int8s(tag string, v []int8) { writeArray(w, tag, v) }
+
+// element is what an array section holds: a number of fixed width.
+type element interface{ int8 | float32 | float64 }
+
+// writeArray writes v as one section, copying its bytes into the
 // bufio.Writer's own buffer and putting them in little-endian order there.
-func writeFloats[F float32 | float64](w *Writer, tag string, v []F) {
+func writeArray[F element](w *Writer, tag string, v []F) {
 	size := int(unsafe.Sizeof(F(0)))
 	raw := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), size*len(v))
 	crc, n := w.begin(tag, len(raw)), len(raw)
@@ -161,7 +167,11 @@ func NewReader(r io.Reader) *Reader {
 		return br
 	}
 	f, _ := r.(*os.File)
-	return &Reader{Reader: bufio.NewReaderSize(r, Window), left: remaining(r), file: f}
+	size := Window
+	if f != nil {
+		size = MagicLen // bufio's least, enough to sniff: Header adds the window if it cannot map
+	}
+	return &Reader{Reader: bufio.NewReaderSize(r, size), left: remaining(r), file: f}
 }
 
 // NewMappedReader reads data on the mapped arm: floats are views of data.
@@ -204,10 +214,17 @@ func (r *Reader) HasMagic(magic [MagicLen]byte) bool {
 // Header consumes the file header, whose magic the caller has sniffed,
 // and returns the version.
 func (r *Reader) Header() uint16 {
-	if r.file != nil && r.left > 0 {
+	if f := r.file; f != nil {
+		r.file = nil
+		var m *Mapping
+		if r.left > 0 {
+			m, _ = Map(f) // no mapping: read the stream
+		}
 		// Nothing is consumed yet: the source stands left bytes before the end.
-		if m, err := Map(r.file); err == nil && int64(m.Len()) >= r.left {
+		if m != nil && int64(m.Len()) >= r.left {
 			r.m, r.mem = m, m.data[int64(m.Len())-r.left:]
+		} else {
+			r.Reader = bufio.NewReaderSize(r.Reader, Window)
 		}
 	}
 	hdr := r.take(fileHeaderLen)
@@ -295,18 +312,22 @@ func (r *Reader) Bytes(tag string, n int) []byte {
 }
 
 // Floats reads the next section, tagged tag, of n float64 (any number if
-// n < 0); see readFloats.
-func (r *Reader) Floats(tag string, n int) []float64 { return readFloats[float64](r, tag, n) }
+// n < 0); see readArray.
+func (r *Reader) Floats(tag string, n int) []float64 { return readArray[float64](r, tag, n) }
 
 // Float32s reads the next section, tagged tag, of n float32 (any number if
-// n < 0); see readFloats.
-func (r *Reader) Float32s(tag string, n int) []float32 { return readFloats[float32](r, tag, n) }
+// n < 0); see readArray.
+func (r *Reader) Float32s(tag string, n int) []float32 { return readArray[float32](r, tag, n) }
 
-// readFloats reads a float section, copying from the window into the
+// Int8s reads the next section, tagged tag, of n int8 (any number if n <
+// 0); see readArray.
+func (r *Reader) Int8s(tag string, n int) []int8 { return readArray[int8](r, tag, n) }
+
+// readArray reads an array section, copying from the window into the
 // returned slice and putting each value in native byte order there; the
 // mapped arm returns the payload itself once length and checksum have
 // held, if the machine and alignment allow.
-func readFloats[F float32 | float64](r *Reader, tag string, n int) []F {
+func readArray[F element](r *Reader, tag string, n int) []F {
 	size := int(unsafe.Sizeof(F(0)))
 	var dst []F
 	var view []byte

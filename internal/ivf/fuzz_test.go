@@ -1,14 +1,20 @@
 package ivf
 
 import (
+	"encoding/binary"
+	"os"
+	"path/filepath"
 	"testing"
+
+	"repro/internal/blob"
 )
 
 // FuzzDecodePostings drives the postings decoder — the layer that walks
-// attacker-controlled varint streams — both directly and through the
-// full-frame Decode path with a recomputed checksum, so the fuzzer is
-// not stopped at the CRC. The decoder must never panic; when it
-// accepts, the result must be a strict permutation of [0, ndocs).
+// attacker-controlled varint streams — directly, through Read behind a
+// valid container, and through Read on the raw bytes, each on both of
+// blob's arms. Nothing may panic; accepted postings must be a strict
+// permutation of [0, ndocs), and only a version-2 file is accepted (the
+// version-1 golden is a seed).
 func FuzzDecodePostings(f *testing.F) {
 	// Seed with a real encoding's postings plus small hand-rolled streams.
 	vecs, norms := clusteredVecs(f, 60, 5, 4, 0.3, 13)
@@ -16,11 +22,16 @@ func FuzzDecodePostings(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	enc := x.Encode()
-	f.Add(enc[wireHeaderLen+6*5*8:len(enc)-4], uint16(6), uint16(60))
+	f.Add(x.appendPostings(nil), uint16(6), uint16(60))
 	f.Add(uvarints(1, 1, 1, 2), uint16(2), uint16(2))
 	f.Add(uvarints(2, 1, 1), uint16(1), uint16(2))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, uint16(1), uint16(1))
+	v1, err := os.ReadFile(filepath.Join("testdata", "ivf-v1.golden"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v1, uint16(5), uint16(40))
+	f.Add(x.Encode(), uint16(6), uint16(60))
 
 	f.Fuzz(func(t *testing.T, postings []byte, nlist16, ndocs16 uint16) {
 		nlist := int(nlist16)%256 + 1
@@ -43,14 +54,19 @@ func FuzzDecodePostings(f *testing.F) {
 			}
 		}
 
-		// Same bytes behind a structurally valid header and fresh CRC:
-		// the full decoder must stay total too.
-		dim := 2
-		cent := make([]float64, nlist*dim)
-		full := frame(uint32(dim), uint32(nlist), uint32(ndocs), 99, cent, postings)
-		if ix, err := Decode(full); err == nil {
+		// The bytes as a whole file.
+		if _, err := decode(t, postings); err == nil {
+			if v := binary.LittleEndian.Uint16(postings[blob.MagicLen:]); v != WireVersion {
+				t.Fatalf("accepted a version-%d file", v)
+			}
+		}
+
+		// Same bytes behind a valid container: the full reader must stay
+		// total too.
+		full := frame(2, uint64(nlist), uint64(ndocs), 99, make([]float64, nlist*2), postings)
+		if ix, err := decode(t, full); err == nil {
 			if ix.NumDocs() != ndocs || ix.NList() != nlist {
-				t.Fatalf("full decode accepted mismatched shape %d/%d", ix.NumDocs(), ix.NList())
+				t.Fatalf("full read accepted mismatched shape %d/%d", ix.NumDocs(), ix.NList())
 			}
 		}
 	})

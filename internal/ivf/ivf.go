@@ -39,6 +39,7 @@ import (
 	"math"
 	"math/rand"
 
+	"repro/internal/blob"
 	"repro/internal/mat"
 	"repro/internal/par"
 )
@@ -79,7 +80,15 @@ type Index struct {
 	// cellStart[c]:cellStart[c+1] bounds cell c's slice of it.
 	cellStart []int
 	docs      []int32
+
+	// mapped is the sidecar file the centroids are a view of; nil for a
+	// trained index. The Index holds it (DESIGN.md §2).
+	mapped *blob.Mapping
 }
+
+// MappedBytes is the size of the sidecar file the centroids are a view
+// of, or 0.
+func (x *Index) MappedBytes() int64 { return int64(x.mapped.Len()) }
 
 // NList returns the number of cells.
 func (x *Index) NList() int { return x.nlist }

@@ -3,124 +3,126 @@ package ivf
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/crc32"
+	"io"
 	"math"
+	"math/bits"
+	"runtime"
 
+	"repro/internal/blob"
 	"repro/internal/mat"
 )
 
-// On-disk format (little-endian), written alongside the seg-*.idx files
-// by the shard layer:
+// The sidecar file, written next to its segment's seg-*.idx by the shard
+// layer, is an internal/blob container (magic LSIIVF, version 2) of three
+// sections:
 //
-//	magic     "LSIIVF"            6 bytes
-//	version   uint16              currently 1
-//	dim       uint32
-//	nlist     uint32
-//	ndocs     uint32
-//	seed      int64
-//	centroids nlist*dim float64   row-major bit patterns
-//	postings  per cell: uvarint count, then count uvarint deltas
-//	          (strictly ascending doc ids, delta from previous+1 ≥ 1)
-//	crc32     uint32              IEEE, over everything above
+//	DIMS  4 × uint64: dim, nlist, ndocs, seed
+//	CENT  nlist × dim float64: the centroids, row-major
+//	POST  per cell: uvarint count, then count uvarint deltas (strictly
+//	      ascending doc ids, delta from previous+1 ≥ 1)
 //
-// The decoder is total: every claim the header makes is validated
-// against the actual byte count before any allocation is sized from it,
-// the postings are checked to be a strict permutation of [0, ndocs), and
-// corruption anywhere is caught by the checksum — malformed input yields
-// an error, never a panic and never an oversized allocation.
+// Read leaves CENT where it lies in a mapped file and decodes the postings
+// onto the heap: raw int32 would take ~4 B a document where the deltas
+// take ~1.2. Read is total: each section's length is checked against DIMS
+// before it is read, the container checks each section's CRC-32, the
+// centroids must be finite and the postings a strict permutation of
+// [0, ndocs). Version 1, a hand-rolled frame of the same fields, is
+// refused like any corrupt sidecar: the shard layer retrains it.
 
-// WireVersion is the on-disk IVF format version Encode writes. Decode
-// accepts versions up to this one.
-const WireVersion = 1
+// WireVersion is the sidecar version Encode writes and the one Read accepts.
+const WireVersion = 2
 
-var wireMagic = [6]byte{'L', 'S', 'I', 'I', 'V', 'F'}
+var magic = [blob.MagicLen]byte{'L', 'S', 'I', 'I', 'V', 'F'}
 
-// wireHeaderLen is magic + version + dim + nlist + ndocs + seed.
-const wireHeaderLen = 6 + 2 + 4 + 4 + 4 + 8
+const (
+	tagDims, tagCent, tagPost = "DIMS", "CENT", "POST"
+	dimsLen                   = 4 * 8
+)
 
-// Encode serializes the index into the versioned wire format.
+// Encode serializes the index as a sidecar file.
 func (x *Index) Encode() []byte {
-	buf := make([]byte, 0, wireHeaderLen+x.nlist*x.dim*8+2*len(x.docs)+x.nlist+4)
-	buf = append(buf, wireMagic[:]...)
-	buf = binary.LittleEndian.AppendUint16(buf, WireVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(x.dim))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(x.nlist))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(x.docs)))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(x.seed))
-	for _, v := range x.centroids.RawData() {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+	defer runtime.KeepAlive(x) // the centroids may be a view of x.mapped
+	dims := make([]byte, 0, dimsLen)
+	for _, v := range [...]uint64{uint64(x.dim), uint64(x.nlist), uint64(len(x.docs)), uint64(x.seed)} {
+		dims = binary.LittleEndian.AppendUint64(dims, v)
 	}
+	cent, post := x.centroids.RawData(), x.appendPostings(nil)
+	var buf bytes.Buffer
+	buf.Grow(blob.EncodedSize(dimsLen, 8*len(cent), len(post)))
+	w := blob.NewWriter(&buf, magic, WireVersion, 3)
+	w.Bytes(tagDims, dims)
+	w.Floats(tagCent, cent)
+	w.Bytes(tagPost, post)
+	if err := w.Close(); err != nil {
+		panic(err) // a bytes.Buffer takes every write
+	}
+	return buf.Bytes()
+}
+
+// appendPostings appends the POST section's payload to b.
+func (x *Index) appendPostings(b []byte) []byte {
 	for c := 0; c < x.nlist; c++ {
 		cell := x.docs[x.cellStart[c]:x.cellStart[c+1]]
-		buf = binary.AppendUvarint(buf, uint64(len(cell)))
+		b = binary.AppendUvarint(b, uint64(len(cell)))
 		prev := int32(-1)
 		for _, d := range cell {
-			buf = binary.AppendUvarint(buf, uint64(d-prev))
+			b = binary.AppendUvarint(b, uint64(d-prev))
 			prev = d
 		}
 	}
-	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+	return b
 }
 
-// Decode parses an index from the wire format, validating the checksum,
-// the header bounds, and the postings permutation. It never panics on
-// malformed input and never allocates beyond O(len(data)).
-func Decode(data []byte) (*Index, error) {
-	if len(data) < wireHeaderLen+4 {
-		return nil, fmt.Errorf("ivf: truncated index: %d bytes", len(data))
+// Read parses a sidecar. Read from an *os.File that can be mapped, the
+// centroids are a view of the mapping, which the Index holds.
+func Read(r io.Reader) (*Index, error) {
+	x, err := read(blob.NewReader(r))
+	if err != nil {
+		return nil, fmt.Errorf("ivf: %w", err)
 	}
-	if !bytes.Equal(data[:6], wireMagic[:]) {
-		return nil, fmt.Errorf("ivf: bad magic %q", data[:6])
+	return x, nil
+}
+
+func read(r *blob.Reader) (*Index, error) {
+	if !r.HasMagic(magic) {
+		return nil, errors.New("not an IVF sidecar")
 	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(tail); got != want {
-		return nil, fmt.Errorf("ivf: checksum mismatch: %08x, want %08x", got, want)
+	if v := r.Header(); r.Err() == nil && v != WireVersion {
+		return nil, fmt.Errorf("sidecar version %d is not supported by this build (it reads %d)", v, WireVersion)
 	}
-	if v := binary.LittleEndian.Uint16(body[6:8]); v == 0 || v > WireVersion {
-		return nil, fmt.Errorf("ivf: unsupported wire version %d (this build reads <= %d)", v, WireVersion)
+	dims := r.Bytes(tagDims, dimsLen)
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
-	dim := int(binary.LittleEndian.Uint32(body[8:12]))
-	nlist := int(binary.LittleEndian.Uint32(body[12:16]))
-	ndocs := int(binary.LittleEndian.Uint32(body[16:20]))
-	seed := int64(binary.LittleEndian.Uint64(body[20:28]))
-	if dim < 1 || nlist < 1 || ndocs < 1 {
-		return nil, fmt.Errorf("ivf: degenerate header: dim=%d nlist=%d ndocs=%d", dim, nlist, ndocs)
+	dim, nlist, ndocs := binary.LittleEndian.Uint64(dims), binary.LittleEndian.Uint64(dims[8:]), binary.LittleEndian.Uint64(dims[16:])
+	if hi, n := bits.Mul64(nlist, dim); dim < 1 || nlist < 1 || ndocs < 1 || ndocs > math.MaxInt32 || hi != 0 || n > math.MaxInt/8 {
+		return nil, fmt.Errorf("dimensions dim=%d nlist=%d ndocs=%d are out of range", dim, nlist, ndocs)
 	}
-	rest := body[wireHeaderLen:]
-	// Every centroid element is 8 bytes and every posting costs at least
-	// one byte, so both claims are checked against the real byte count
-	// before anything is allocated from them.
-	centBytes := uint64(nlist) * uint64(dim) * 8
-	if centBytes > uint64(len(rest)) {
-		return nil, fmt.Errorf("ivf: centroid block needs %d bytes, %d remain", centBytes, len(rest))
+	cent := r.Floats(tagCent, int(nlist*dim))
+	post := r.Bytes(tagPost, -1)
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
-	cdata := make([]float64, nlist*dim)
-	for i := range cdata {
-		v := math.Float64frombits(binary.LittleEndian.Uint64(rest[i*8:]))
+	for i, v := range cent {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("ivf: non-finite centroid element %d", i)
+			return nil, fmt.Errorf("non-finite centroid element %d", i)
 		}
-		cdata[i] = v
 	}
-	starts, docs, err := decodePostings(rest[centBytes:], nlist, ndocs)
+	starts, docs, err := decodePostings(post, int(nlist), int(ndocs))
 	if err != nil {
 		return nil, err
 	}
-	centroids := mat.NewDenseData(nlist, dim, cdata)
-	cnorms := make([]float64, nlist)
-	for c := 0; c < nlist; c++ {
-		cnorms[c] = mat.Norm(centroids.Row(c))
+	x := &Index{
+		dim: int(dim), nlist: int(nlist), seed: int64(binary.LittleEndian.Uint64(dims[24:])),
+		centroids: mat.NewDenseData(int(nlist), int(dim), cent), cnorms: make([]float64, nlist),
+		cellStart: starts, docs: docs, mapped: r.Mapping(),
 	}
-	return &Index{
-		dim:       dim,
-		nlist:     nlist,
-		seed:      seed,
-		centroids: centroids,
-		cnorms:    cnorms,
-		cellStart: starts,
-		docs:      docs,
-	}, nil
+	for c := range x.cnorms {
+		x.cnorms[c] = mat.Norm(x.centroids.Row(c))
+	}
+	return x, nil
 }
 
 // decodePostings parses the delta-coded cell lists and validates that
@@ -130,7 +132,7 @@ func Decode(data []byte) (*Index, error) {
 // ndocs, which itself is bounded by len(data) (≥ 1 byte per posting).
 func decodePostings(data []byte, nlist, ndocs int) (starts []int, docs []int32, err error) {
 	if ndocs > len(data) {
-		return nil, nil, fmt.Errorf("ivf: postings claim %d documents in %d bytes", ndocs, len(data))
+		return nil, nil, fmt.Errorf("postings claim %d documents in %d bytes", ndocs, len(data))
 	}
 	starts = make([]int, nlist+1)
 	docs = make([]int32, 0, ndocs)
@@ -139,28 +141,28 @@ func decodePostings(data []byte, nlist, ndocs int) (starts []int, docs []int32, 
 	for c := 0; c < nlist; c++ {
 		cnt, n := binary.Uvarint(data[off:])
 		if n <= 0 {
-			return nil, nil, fmt.Errorf("ivf: cell %d: truncated count", c)
+			return nil, nil, fmt.Errorf("cell %d: truncated count", c)
 		}
 		off += n
 		if cnt > uint64(ndocs-len(docs)) {
-			return nil, nil, fmt.Errorf("ivf: cell %d holds %d documents, only %d unaccounted", c, cnt, ndocs-len(docs))
+			return nil, nil, fmt.Errorf("cell %d holds %d documents, only %d unaccounted", c, cnt, ndocs-len(docs))
 		}
 		prev := int64(-1)
 		for i := uint64(0); i < cnt; i++ {
 			d, n := binary.Uvarint(data[off:])
 			if n <= 0 {
-				return nil, nil, fmt.Errorf("ivf: cell %d: truncated posting %d", c, i)
+				return nil, nil, fmt.Errorf("cell %d: truncated posting %d", c, i)
 			}
 			off += n
 			if d == 0 || d > uint64(ndocs) {
-				return nil, nil, fmt.Errorf("ivf: cell %d: delta %d out of range", c, d)
+				return nil, nil, fmt.Errorf("cell %d: delta %d out of range", c, d)
 			}
 			v := prev + int64(d)
 			if v >= int64(ndocs) {
-				return nil, nil, fmt.Errorf("ivf: cell %d: document %d out of range [0,%d)", c, v, ndocs)
+				return nil, nil, fmt.Errorf("cell %d: document %d out of range [0,%d)", c, v, ndocs)
 			}
 			if seen[v/64]&(1<<(v%64)) != 0 {
-				return nil, nil, fmt.Errorf("ivf: document %d appears in two cells", v)
+				return nil, nil, fmt.Errorf("document %d appears in two cells", v)
 			}
 			seen[v/64] |= 1 << (v % 64)
 			docs = append(docs, int32(v))
@@ -169,10 +171,10 @@ func decodePostings(data []byte, nlist, ndocs int) (starts []int, docs []int32, 
 		starts[c+1] = len(docs)
 	}
 	if len(docs) != ndocs {
-		return nil, nil, fmt.Errorf("ivf: postings hold %d of %d documents", len(docs), ndocs)
+		return nil, nil, fmt.Errorf("postings hold %d of %d documents", len(docs), ndocs)
 	}
 	if off != len(data) {
-		return nil, nil, fmt.Errorf("ivf: %d trailing bytes after postings", len(data)-off)
+		return nil, nil, fmt.Errorf("%d trailing bytes after postings", len(data)-off)
 	}
 	return starts, docs, nil
 }

@@ -1,13 +1,17 @@
 package ivf
 
 import (
+	"bytes"
 	"encoding/binary"
 	"flag"
-	"hash/crc32"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"repro/internal/blob"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden wire-format file")
@@ -18,11 +22,23 @@ func goldenIndex(t *testing.T) *Index {
 	return trainT(t, vecs, norms, TrainOptions{NList: 5, Seed: 23})
 }
 
+// decode reads data on both of blob's arms, streamed and as a mapping
+// would be read, which must come to the same index or the same error.
+func decode(t testing.TB, data []byte) (*Index, error) {
+	t.Helper()
+	x, err := Read(bytes.NewReader(data))
+	mx, merr := Read(blob.NewMappedReader(data))
+	if fmt.Sprint(err) != fmt.Sprint(merr) || (err == nil && !bytes.Equal(x.Encode(), mx.Encode())) {
+		t.Fatalf("streamed: %v\nmapped:   %v", err, merr)
+	}
+	return x, err
+}
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	x := goldenIndex(t)
-	got, err := Decode(x.Encode())
+	got, err := decode(t, x.Encode())
 	if err != nil {
-		t.Fatalf("Decode: %v", err)
+		t.Fatalf("Read: %v", err)
 	}
 	sameIndex(t, x, got)
 	for c := range x.cnorms {
@@ -32,18 +48,16 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestGoldenWireFormat pins the exact bytes of wire version 1: training
-// is deterministic, so any drift in either the trainer or the encoder
-// shows up as a byte diff against the committed file. Refresh with
-// `go test ./internal/ivf -run TestGoldenWireFormat -update` after an
-// intentional format bump.
+// TestGoldenWireFormat pins the exact bytes of sidecar version 2:
+// training is deterministic, so any drift in either the trainer or the
+// encoder shows up as a byte diff against the committed file. Refresh
+// with `go test ./internal/ivf -run TestGoldenWireFormat -update` after
+// an intentional format bump. ivf-v1.golden, the same index as builds
+// before version 2 wrote it, is refused with an error naming its version.
 func TestGoldenWireFormat(t *testing.T) {
 	enc := goldenIndex(t).Encode()
-	path := filepath.Join("testdata", "ivf-v1.golden")
+	path := filepath.Join("testdata", "ivf-v2.golden")
 	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
 		if err := os.WriteFile(path, enc, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -60,46 +74,60 @@ func TestGoldenWireFormat(t *testing.T) {
 			t.Fatalf("encoding differs from golden at byte %d: %#02x vs %#02x", i, enc[i], want[i])
 		}
 	}
-	x, err := Decode(want)
+	x, err := decode(t, want)
 	if err != nil {
-		t.Fatalf("Decode golden: %v", err)
+		t.Fatalf("Read golden: %v", err)
 	}
 	sameIndex(t, goldenIndex(t), x)
+	v1, err := os.ReadFile(filepath.Join("testdata", "ivf-v1.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := decode(t, v1); !strings.Contains(fmt.Sprint(err), "version 1") {
+		t.Fatalf("version-1 golden: %v, want an error naming version 1", err)
+	}
 }
 
 // TestDecodeCorrupt flips every byte of a valid encoding one at a time
 // and truncates it at every length; each variant must error, never
-// panic, never succeed.
+// panic, never succeed. The file header's section count (bytes 8–11) is
+// the exception: the container does not checksum it, and a larger count
+// reads the same three sections.
 func TestDecodeCorrupt(t *testing.T) {
 	enc := goldenIndex(t).Encode()
 	for i := range enc {
-		bad := append([]byte(nil), enc...)
+		if i >= blob.MagicLen+2 && i < blob.MagicLen+6 {
+			continue
+		}
+		bad := bytes.Clone(enc)
 		bad[i] ^= 0x41
-		if _, err := Decode(bad); err == nil {
-			t.Fatalf("Decode with byte %d flipped: want error", i)
+		if _, err := decode(t, bad); err == nil {
+			t.Fatalf("Read with byte %d flipped: want error", i)
 		}
 	}
 	for n := 0; n < len(enc); n++ {
-		if _, err := Decode(enc[:n]); err == nil {
-			t.Fatalf("Decode truncated to %d bytes: want error", n)
+		if _, err := decode(t, enc[:n]); err == nil {
+			t.Fatalf("Read truncated to %d bytes: want error", n)
 		}
 	}
 }
 
-// frame wraps raw header fields + payload in valid magic/version/CRC so
-// the structural validation beneath the checksum is reachable.
-func frame(dim, nlist, ndocs uint32, seed int64, centroids []float64, postings []byte) []byte {
-	buf := append([]byte(nil), wireMagic[:]...)
-	buf = binary.LittleEndian.AppendUint16(buf, WireVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, dim)
-	buf = binary.LittleEndian.AppendUint32(buf, nlist)
-	buf = binary.LittleEndian.AppendUint32(buf, ndocs)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(seed))
-	for _, v := range centroids {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+// frame writes a sidecar from raw parts, so the structural checks beneath
+// the container's checksums are reachable.
+func frame(dim, nlist, ndocs uint64, seed int64, centroids []float64, postings []byte) []byte {
+	dims := make([]byte, 0, dimsLen)
+	for _, v := range []uint64{dim, nlist, ndocs, uint64(seed)} {
+		dims = binary.LittleEndian.AppendUint64(dims, v)
 	}
-	buf = append(buf, postings...)
-	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+	var buf bytes.Buffer
+	w := blob.NewWriter(&buf, magic, WireVersion, 3)
+	w.Bytes(tagDims, dims)
+	w.Floats(tagCent, centroids)
+	w.Bytes(tagPost, postings)
+	if err := w.Close(); err != nil {
+		panic(err) // a bytes.Buffer takes every write
+	}
+	return buf.Bytes()
 }
 
 func uvarints(vs ...uint64) []byte {
@@ -112,6 +140,10 @@ func uvarints(vs ...uint64) []byte {
 
 func TestDecodeRejectsMalformedStructure(t *testing.T) {
 	cent2 := []float64{1, 0, 0, 1} // 2 cells × dim 2
+	v1, err := os.ReadFile(filepath.Join("testdata", "ivf-v1.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		data []byte
@@ -120,15 +152,17 @@ func TestDecodeRejectsMalformedStructure(t *testing.T) {
 		{"bad magic", func() []byte {
 			b := frame(2, 2, 2, 1, cent2, uvarints(1, 0, 1, 1))
 			b[0] = 'X'
-			return binary.LittleEndian.AppendUint32(b[:len(b)-4], crc32.ChecksumIEEE(b[:len(b)-4]))
+			return b
 		}()},
 		{"future version", func() []byte {
-			b := frame(2, 2, 2, 1, cent2, uvarints(1, 1, 1, 1))
-			binary.LittleEndian.PutUint16(b[6:8], WireVersion+1)
-			return binary.LittleEndian.AppendUint32(b[:len(b)-4], crc32.ChecksumIEEE(b[:len(b)-4]))
+			b := frame(2, 2, 2, 1, cent2, uvarints(1, 1, 1, 2))
+			binary.LittleEndian.PutUint16(b[blob.MagicLen:], WireVersion+1)
+			return b
 		}()},
+		{"version 1", v1},
 		{"zero dim", frame(0, 2, 2, 1, nil, uvarints(1, 1, 1, 1))},
 		{"zero ndocs", frame(2, 2, 0, 1, cent2, nil)},
+		{"dimensions overflow", frame(1<<33, 1<<33, 2, 1, nil, nil)},
 		{"centroids past end", frame(1<<20, 1<<20, 2, 1, nil, nil)},
 		{"nan centroid", frame(2, 2, 2, 1, []float64{math.NaN(), 0, 0, 1}, uvarints(1, 1, 1, 1))},
 		{"delta zero", frame(2, 2, 2, 1, cent2, uvarints(2, 1, 0))},
@@ -140,8 +174,11 @@ func TestDecodeRejectsMalformedStructure(t *testing.T) {
 		{"trailing bytes", frame(2, 2, 2, 1, cent2, uvarints(1, 1, 1, 2, 0))},
 	}
 	for _, tc := range cases {
-		if _, err := Decode(tc.data); err == nil {
+		if _, err := decode(t, tc.data); err == nil {
 			t.Errorf("%s: want error, got nil", tc.name)
 		}
+	}
+	if _, err := decode(t, frame(2, 2, 2, 1, cent2, uvarints(1, 1, 1, 2))); err != nil {
+		t.Fatalf("control frame rejected: %v", err)
 	}
 }

@@ -3,101 +3,94 @@ package quant
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/crc32"
+	"io"
 	"math"
+	"math/bits"
+	"runtime"
+
+	"repro/internal/blob"
 )
 
-// On-disk format (little-endian), written alongside the seg-*.idx files
-// by the shard layer:
+// The sidecar file, written next to its segment's seg-*.idx by the shard
+// layer, is an internal/blob container (magic LSIQNT, version 2) of three
+// sections:
 //
-//	magic   "LSIQNT"             6 bytes
-//	version uint16               currently 1
-//	dim     uint32
-//	ndocs   uint32
-//	scales  ndocs float64        per-doc dequantization step bit patterns
-//	                             (finite, ≥ 0)
-//	codes   ndocs*dim int8       row-major, each in [-127, 127]
-//	crc32   uint32               IEEE, over everything above
+//	DIMS  2 × uint64: dim, ndocs
+//	SNRM  ndocs float64: sn[j] = scale[j]/‖row j‖, finite and ≥ 0
+//	CODE  ndocs × dim int8, row-major, each in [-127, 127]
 //
-// The decoder is total: every size the header claims is validated
-// against the actual byte count before any allocation is sized from it,
-// scales must be finite and non-negative, codes must stay inside the
-// symmetric range Quantize emits, and corruption anywhere is caught by
-// the checksum — malformed input yields an error, never a panic and
-// never an oversized allocation.
+// Read is total: a section is read only once its length is the one DIMS
+// gives (so no header sizes an allocation), the container checks each
+// section's CRC-32, and sn and the codes must be values Quantize emits.
+// Version 1, which framed the scales by hand, is refused like any corrupt
+// sidecar: the shard layer retrains the tier.
 
-// WireVersion is the on-disk quantized-sidecar format version Encode
-// writes. Decode accepts versions up to this one.
-const WireVersion = 1
+// WireVersion is the sidecar version Encode writes and the one Read accepts.
+const WireVersion = 2
 
-var wireMagic = [6]byte{'L', 'S', 'I', 'Q', 'N', 'T'}
+var magic = [blob.MagicLen]byte{'L', 'S', 'I', 'Q', 'N', 'T'}
 
-// wireHeaderLen is magic + version + dim + ndocs.
-const wireHeaderLen = 6 + 2 + 4 + 4
+const (
+	tagDims, tagSN, tagCodes = "DIMS", "SNRM", "CODE"
+	dimsLen                  = 2 * 8
+)
 
-// Encode serializes the quantized matrix into the versioned wire format.
+// Encode serializes the matrix as a sidecar file.
 func (m *Matrix) Encode() []byte {
-	buf := make([]byte, 0, wireHeaderLen+8*len(m.scales)+len(m.codes)+4)
-	buf = append(buf, wireMagic[:]...)
-	buf = binary.LittleEndian.AppendUint16(buf, WireVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.dim))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.NumDocs()))
-	for _, s := range m.scales {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s))
+	defer runtime.KeepAlive(m) // codes and sn may be views of m.mapped
+	dims := binary.LittleEndian.AppendUint64(make([]byte, 0, dimsLen), uint64(m.dim))
+	var buf bytes.Buffer
+	buf.Grow(blob.EncodedSize(dimsLen, 8*len(m.sn), len(m.codes)))
+	w := blob.NewWriter(&buf, magic, WireVersion, 3)
+	w.Bytes(tagDims, binary.LittleEndian.AppendUint64(dims, uint64(m.NumDocs())))
+	w.Floats(tagSN, m.sn)
+	w.Int8s(tagCodes, m.codes)
+	if err := w.Close(); err != nil {
+		panic(err) // a bytes.Buffer takes every write
 	}
-	for _, c := range m.codes {
-		buf = append(buf, byte(c))
-	}
-	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+	return buf.Bytes()
 }
 
-// Decode parses a quantized matrix from the wire format, validating the
-// checksum, the header bounds, the scale values, and the code range. It
-// never panics on malformed input and never allocates beyond
-// O(len(data)).
-func Decode(data []byte) (*Matrix, error) {
-	if len(data) < wireHeaderLen+4 {
-		return nil, fmt.Errorf("quant: truncated sidecar: %d bytes", len(data))
+// Read parses a sidecar. Read from an *os.File that can be mapped, sn and
+// the codes are views of the mapping, which the Matrix holds.
+func Read(r io.Reader) (*Matrix, error) {
+	m, err := read(blob.NewReader(r))
+	if err != nil {
+		return nil, fmt.Errorf("quant: %w", err)
 	}
-	if !bytes.Equal(data[:6], wireMagic[:]) {
-		return nil, fmt.Errorf("quant: bad magic %q", data[:6])
+	return m, nil
+}
+
+func read(r *blob.Reader) (*Matrix, error) {
+	if !r.HasMagic(magic) {
+		return nil, errors.New("not an int8 sidecar")
 	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(tail); got != want {
-		return nil, fmt.Errorf("quant: checksum mismatch: %08x, want %08x", got, want)
+	if v := r.Header(); r.Err() == nil && v != WireVersion {
+		return nil, fmt.Errorf("sidecar version %d is not supported by this build (it reads %d)", v, WireVersion)
 	}
-	if v := binary.LittleEndian.Uint16(body[6:8]); v == 0 || v > WireVersion {
-		return nil, fmt.Errorf("quant: unsupported wire version %d (this build reads <= %d)", v, WireVersion)
+	dims := r.Bytes(tagDims, dimsLen)
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
-	dim := int(binary.LittleEndian.Uint32(body[8:12]))
-	ndocs := int(binary.LittleEndian.Uint32(body[12:16]))
-	if dim < 1 || ndocs < 1 {
-		return nil, fmt.Errorf("quant: degenerate header: dim=%d ndocs=%d", dim, ndocs)
+	dim, ndocs := binary.LittleEndian.Uint64(dims), binary.LittleEndian.Uint64(dims[8:])
+	if hi, n := bits.Mul64(dim, ndocs); dim < 1 || ndocs < 1 || hi != 0 || n > math.MaxInt/8 {
+		return nil, fmt.Errorf("dimensions %d × %d are out of range", ndocs, dim)
 	}
-	rest := body[wireHeaderLen:]
-	// Scales cost 8 bytes each and codes one, so both claims together are
-	// checked against the real byte count before anything is allocated.
-	need := 8*uint64(ndocs) + uint64(ndocs)*uint64(dim)
-	if need != uint64(len(rest)) {
-		return nil, fmt.Errorf("quant: body needs %d bytes for dim=%d ndocs=%d, has %d", need, dim, ndocs, len(rest))
+	m := &Matrix{dim: int(dim), sn: r.Floats(tagSN, int(ndocs)), codes: r.Int8s(tagCodes, int(dim*ndocs)), mapped: r.Mapping()}
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
-	scales := make([]float64, ndocs)
-	for j := range scales {
-		s := math.Float64frombits(binary.LittleEndian.Uint64(rest[j*8:]))
+	for j, s := range m.sn {
 		if math.IsNaN(s) || math.IsInf(s, 0) || s < 0 {
-			return nil, fmt.Errorf("quant: invalid scale for document %d", j)
+			return nil, fmt.Errorf("invalid sn %v for document %d", s, j)
 		}
-		scales[j] = s
 	}
-	raw := rest[8*ndocs:]
-	codes := make([]int8, ndocs*dim)
-	for i, b := range raw {
-		c := int8(b)
+	for i, c := range m.codes {
 		if c < -MaxCode {
-			return nil, fmt.Errorf("quant: code %d out of range at element %d", c, i)
+			return nil, fmt.Errorf("code %d out of range at element %d", c, i)
 		}
-		codes[i] = c
 	}
-	return &Matrix{dim: dim, codes: codes, scales: scales}, nil
+	return m, nil
 }

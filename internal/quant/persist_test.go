@@ -1,37 +1,55 @@
 package quant
 
 import (
+	"bytes"
 	"encoding/binary"
-	"hash/crc32"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
+
+	"repro/internal/blob"
 )
 
-// frame assembles a wire frame from raw parts with a fresh checksum, so
-// structural rejection tests are not stopped at the CRC.
-func frame(dim, ndocs uint32, scales []float64, codes []byte) []byte {
-	buf := append([]byte(nil), wireMagic[:]...)
-	buf = binary.LittleEndian.AppendUint16(buf, WireVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, dim)
-	buf = binary.LittleEndian.AppendUint32(buf, ndocs)
-	for _, s := range scales {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s))
+// version1Sidecar is an int8 sidecar as builds before version 2 wrote it:
+// the one in the checkpoint the shard layer's tests keep.
+const version1Sidecar = "../../retrieval/shard/testdata/v1-sidecars/quant-0-0-0.qnt"
+
+// frame writes a sidecar from raw parts, so the checks beneath the
+// container's checksums are reachable.
+func frame(dim, ndocs uint64, sn []float64, codes []byte) []byte {
+	var buf bytes.Buffer
+	w := blob.NewWriter(&buf, magic, WireVersion, 3)
+	w.Bytes(tagDims, binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, dim), ndocs))
+	w.Floats(tagSN, sn)
+	w.Bytes(tagCodes, codes)
+	if err := w.Close(); err != nil {
+		panic(err) // a bytes.Buffer takes every write
 	}
-	buf = append(buf, codes...)
-	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+	return buf.Bytes()
 }
 
-// reseal recomputes the trailing checksum after a test mutates the body.
-func reseal(b []byte) []byte {
-	return binary.LittleEndian.AppendUint32(b[:len(b)-4], crc32.ChecksumIEEE(b[:len(b)-4]))
+// decode reads data on both of blob's arms, streamed and as a mapping
+// would be read, which must come to the same matrix or the same error.
+func decode(t testing.TB, data []byte) (*Matrix, error) {
+	t.Helper()
+	m, err := Read(bytes.NewReader(data))
+	mm, merr := Read(blob.NewMappedReader(data))
+	if fmt.Sprint(err) != fmt.Sprint(merr) || (err == nil && !bytes.Equal(m.Encode(), mm.Encode())) {
+		t.Fatalf("streamed: %v\nmapped:   %v", err, merr)
+	}
+	return m, err
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	vecs, _ := clusteredVecs(t, 300, 18, 5, 0.3, 21)
 	qm := Quantize(vecs)
-	got, err := Decode(qm.Encode())
+	enc := qm.Encode()
+	got, err := decode(t, enc)
 	if err != nil {
-		t.Fatalf("Decode: %v", err)
+		t.Fatalf("Read: %v", err)
 	}
 	if got.dim != qm.dim || got.NumDocs() != qm.NumDocs() {
 		t.Fatalf("shape = (%d, %d), want (%d, %d)", got.NumDocs(), got.dim, qm.NumDocs(), qm.dim)
@@ -41,10 +59,13 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			t.Fatalf("code %d differs after round trip", i)
 		}
 	}
-	for j := range qm.scales {
-		if math.Float64bits(got.scales[j]) != math.Float64bits(qm.scales[j]) {
-			t.Fatalf("scale %d differs after round trip", j)
+	for j := range qm.sn {
+		if math.Float64bits(got.sn[j]) != math.Float64bits(qm.sn[j]) {
+			t.Fatalf("sn %d differs after round trip", j)
 		}
+	}
+	if !bytes.Equal(got.Encode(), enc) {
+		t.Fatal("a read sidecar encodes to other bytes")
 	}
 }
 
@@ -59,72 +80,100 @@ func TestEncodeIsDeterministic(t *testing.T) {
 func TestDecodeRejectsCorruption(t *testing.T) {
 	vecs, _ := clusteredVecs(t, 40, 6, 3, 0.3, 23)
 	enc := Quantize(vecs).Encode()
-	// Flip one byte anywhere in the body: the checksum must catch it.
-	for _, off := range []int{0, 7, wireHeaderLen + 3, len(enc) - 10} {
-		bad := append([]byte(nil), enc...)
+	// A byte flipped in the magic, the version or any section: a check or
+	// a checksum must catch it.
+	for _, off := range []int{0, blob.MagicLen, 12 + 3, 12 + 12 + 5, len(enc) / 2, len(enc) - 10} {
+		bad := bytes.Clone(enc)
 		bad[off] ^= 0x40
-		if _, err := Decode(bad); err == nil {
-			t.Fatalf("decoded frame with corrupt byte %d", off)
+		if _, err := decode(t, bad); err == nil {
+			t.Fatalf("read a sidecar with byte %d corrupt", off)
 		}
 	}
 	for cut := 0; cut < len(enc); cut += 13 {
-		if _, err := Decode(enc[:cut]); err == nil {
-			t.Fatalf("decoded truncation at %d bytes", cut)
+		if _, err := decode(t, enc[:cut]); err == nil {
+			t.Fatalf("read a sidecar truncated to %d bytes", cut)
 		}
 	}
 }
 
 func TestDecodeRejectsMalformedStructure(t *testing.T) {
-	okScales := []float64{0.5, 0.25}
+	okSN := []float64{0.5, 0.25}
 	okCodes := []byte{1, 2, 3, 0xff, 0x7f, 0x81} // 0x81 = -127, 0x7f = 127
+	v1, err := os.ReadFile(version1Sidecar)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		data []byte
 	}{
 		{"empty", nil},
 		{"bad magic", func() []byte {
-			b := frame(3, 2, okScales, okCodes)
+			b := frame(3, 2, okSN, okCodes)
 			b[0] = 'X'
-			return reseal(b)
+			return b
 		}()},
 		{"future version", func() []byte {
-			b := frame(3, 2, okScales, okCodes)
-			binary.LittleEndian.PutUint16(b[6:8], WireVersion+1)
-			return reseal(b)
+			b := frame(3, 2, okSN, okCodes)
+			binary.LittleEndian.PutUint16(b[blob.MagicLen:], WireVersion+1)
+			return b
 		}()},
-		{"zero dim", frame(0, 2, okScales, nil)},
+		{"version 1", v1},
+		{"zero dim", frame(0, 2, okSN, nil)},
 		{"zero ndocs", frame(3, 0, nil, nil)},
-		{"short body", frame(3, 2, okScales, okCodes[:5])},
-		{"long body", frame(3, 2, okScales, append(okCodes, 0))},
-		{"nan scale", frame(3, 2, []float64{math.NaN(), 0.25}, okCodes)},
-		{"inf scale", frame(3, 2, []float64{math.Inf(1), 0.25}, okCodes)},
-		{"negative scale", frame(3, 2, []float64{-0.5, 0.25}, okCodes)},
-		{"code -128", frame(3, 2, okScales, []byte{1, 2, 3, 4, 5, 0x80})},
-		{"huge ndocs claim", frame(3, 1<<31-1, okScales, okCodes)},
+		{"short codes", frame(3, 2, okSN, okCodes[:5])},
+		{"long codes", frame(3, 2, okSN, append(okCodes[:6:6], 0))},
+		{"short sn", frame(3, 2, okSN[:1], okCodes)},
+		{"nan sn", frame(3, 2, []float64{math.NaN(), 0.25}, okCodes)},
+		{"inf sn", frame(3, 2, []float64{math.Inf(1), 0.25}, okCodes)},
+		{"negative sn", frame(3, 2, []float64{-0.5, 0.25}, okCodes)},
+		{"code -128", frame(3, 2, okSN, []byte{1, 2, 3, 4, 5, 0x80})},
+		{"huge ndocs claim", frame(3, 1<<31-1, okSN, okCodes)},
+		{"dimensions overflow", frame(1<<33, 1<<33, okSN, okCodes)},
 	}
 	for _, tc := range cases {
-		if _, err := Decode(tc.data); err == nil {
-			t.Fatalf("%s: decode accepted malformed frame", tc.name)
+		if _, err := decode(t, tc.data); err == nil {
+			t.Fatalf("%s: read a malformed sidecar", tc.name)
 		}
 	}
-	// Sanity: the well-formed control frame decodes.
-	if _, err := Decode(frame(3, 2, okScales, okCodes)); err != nil {
+	if _, err := decode(t, v1); !strings.Contains(fmt.Sprint(err), "version 1") {
+		t.Fatalf("version-1 sidecar: %v, want an error naming version 1", err)
+	}
+	// Sanity: the well-formed control frame reads.
+	if _, err := decode(t, frame(3, 2, okSN, okCodes)); err != nil {
 		t.Fatalf("control frame rejected: %v", err)
 	}
 }
 
+// A sidecar read back — streamed, or mapped from its file — searches
+// exactly like the in-memory original.
 func TestDecodedMatrixSearches(t *testing.T) {
-	// A decoded sidecar must behave exactly like the in-memory original.
 	vecs, norms := clusteredVecs(t, 400, 12, 5, 0.3, 24)
 	qm := Quantize(vecs)
-	loaded, err := Decode(qm.Encode())
+	enc := qm.Encode()
+	streamed, err := decode(t, enc)
 	if err != nil {
-		t.Fatalf("Decode: %v", err)
+		t.Fatalf("Read: %v", err)
+	}
+	path := filepath.Join(t.TempDir(), "quant.qnt")
+	if err := os.WriteFile(path, enc, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	mapped, err := Read(f)
+	if err != nil {
+		t.Fatalf("Read from the file: %v", err)
 	}
 	queries, qns := searchQueries(vecs, 8, 25)
 	for q := range queries {
 		a, _ := qm.AppendSearch(nil, vecs, norms, queries[q], qns[q], 10, DefaultBeta)
-		b, _ := loaded.AppendSearch(nil, vecs, norms, queries[q], qns[q], 10, DefaultBeta)
-		sameMatches(t, "decoded matrix", b, a)
+		for name, m := range map[string]*Matrix{"streamed": streamed, "file": mapped} {
+			b, _ := m.AppendSearch(nil, vecs, norms, queries[q], qns[q], 10, DefaultBeta)
+			sameMatches(t, name, b, a)
+		}
 	}
 }

@@ -18,14 +18,15 @@
 //
 // A Matrix is derived state, rebuilt from the float matrix it mirrors in
 // one deterministic pass (Quantize takes no seed), and persisted as a
-// versioned sidecar next to its segment (see Encode/Decode).
+// versioned sidecar next to its segment (see Encode/Read), which a server
+// reads from a mapping.
 package quant
 
 import (
 	"fmt"
 	"math"
-	"sync"
 
+	"repro/internal/blob"
 	"repro/internal/mat"
 	"repro/internal/par"
 )
@@ -37,38 +38,38 @@ import (
 const MaxCode = 127
 
 // Matrix is the int8 shadow of a projected document matrix: one
-// contiguous row of codes per document plus one dequantization scale per
-// document, kept as parallel arrays so the scan streams codes
-// sequentially and touches scales once per row.
+// contiguous row of codes per document plus one float per document, kept
+// as parallel arrays so the scan streams codes sequentially and touches
+// the floats once per row.
 type Matrix struct {
-	dim    int
-	codes  []int8    // ndocs × dim, row-major; doc j at codes[j*dim:(j+1)*dim]
-	scales []float64 // per-doc dequantization step: row j ≈ codes[j]·scales[j]
-
-	// snOnce/sn cache scales[j]/norms[j] for the document norms this
-	// matrix is searched against. A Matrix shadows exactly one immutable
-	// float matrix, so the norms are the same on every search and the
-	// ratio — the only per-document float work the stage-1 scan needs
-	// beyond the integer dot — is computed once instead of per query.
-	snOnce sync.Once
-	sn     []float64
+	dim   int
+	codes []int8 // ndocs × dim, row-major; doc j at codes[j*dim:(j+1)*dim]
+	// sn[j] = scale[j]/‖row j‖ (0 for a zero row), where row j ≈
+	// codes[j]·scale[j]: the one per-document float the stage-1 scan
+	// reads beyond the integer dot. Nothing reads the scale alone.
+	sn []float64
+	// mapped is the sidecar file codes and sn are views of; nil for heap
+	// arrays. The Matrix holds it, and code reading the arrays past its
+	// last use of the Matrix ends in runtime.KeepAlive(m) (DESIGN.md §2).
+	mapped *blob.Mapping
 }
 
 // Dim returns the latent dimension each document row quantizes.
 func (m *Matrix) Dim() int { return m.dim }
 
 // NumDocs returns the number of quantized document rows.
-func (m *Matrix) NumDocs() int { return len(m.scales) }
+func (m *Matrix) NumDocs() int { return len(m.sn) }
 
-// Bytes returns the in-memory footprint of the quantized representation
-// (codes plus scales) — the number the serving layer reports so
+// Bytes returns the footprint of the quantized representation (codes
+// plus sn), mapped or not — the number the serving layer reports so
 // operators can size the ~4× reduction against the float32 matrix.
 func (m *Matrix) Bytes() int64 {
-	return int64(len(m.codes)) + 8*int64(len(m.scales))
+	return int64(len(m.codes)) + 8*int64(len(m.sn))
 }
 
-// Scale returns the dequantization step of document j.
-func (m *Matrix) Scale(j int) float64 { return m.scales[j] }
+// MappedBytes is the size of the sidecar file codes and sn are views of,
+// or 0.
+func (m *Matrix) MappedBytes() int64 { return int64(m.mapped.Len()) }
 
 // Row returns the code row of document j (shared storage, not a copy).
 func (m *Matrix) Row(j int) []int8 { return m.codes[j*m.dim : (j+1)*m.dim] }
@@ -109,40 +110,29 @@ func quantizeVec[F float32 | float64](dst []int8, v []F) float64 {
 func Quantize(vecs *mat.Dense) *Matrix { return Quantize32(mat.Narrow(vecs)) }
 
 // Quantize32 builds the int8 shadow of the stored document matrix vecs,
-// one independent symmetric quantization per row. It is a pure
-// deterministic function of the input matrix — no seed, no iteration — so
-// rebuilding at load time yields a byte-identical sidecar, and the
-// row-parallel pass writes disjoint slices only.
+// one independent symmetric quantization per row, and divides each row's
+// scale by mat.Norm of the row: the call lsi makes for the norms it
+// scores with, so sn is bitwise the scale over the index's norm. It is a
+// pure deterministic function of the input matrix — no seed, no
+// iteration — so rebuilding at load time yields a byte-identical sidecar,
+// and the row-parallel pass writes disjoint slices only.
 func Quantize32(vecs *mat.Dense32) *Matrix {
 	rows, cols := vecs.Dims()
 	m := &Matrix{
-		dim:    cols,
-		codes:  make([]int8, rows*cols),
-		scales: make([]float64, rows),
+		dim:   cols,
+		codes: make([]int8, rows*cols),
+		sn:    make([]float64, rows),
 	}
 	par.For(rows, par.GrainFor(2*cols+1), func(lo, hi int) {
 		for j := lo; j < hi; j++ {
-			m.scales[j] = quantizeVec(m.Row(j), vecs.Row(j))
+			row := vecs.Row(j)
+			scale := quantizeVec(m.Row(j), row)
+			if n := mat.Norm(row); n != 0 {
+				m.sn[j] = scale / n
+			}
 		}
 	})
 	return m
-}
-
-// scaleOverNorms returns scales[j]/norms[j] per document (0 where the
-// norm is 0, matching DotNorm's zero-norm convention), computed once per
-// matrix and cached — norms belong to the immutable float matrix this
-// Matrix shadows, so they are identical on every search.
-func (m *Matrix) scaleOverNorms(norms []float64) []float64 {
-	m.snOnce.Do(func() {
-		sn := make([]float64, len(m.scales))
-		for j, s := range m.scales {
-			if n := norms[j]; n != 0 {
-				sn[j] = s / n
-			}
-		}
-		m.sn = sn
-	})
-	return m.sn
 }
 
 // checkSearchArgs panics when the float matrix handed to a search does

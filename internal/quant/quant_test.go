@@ -70,7 +70,15 @@ func TestQuantizeRoundTripErrorBound(t *testing.T) {
 		t.Fatalf("shape = (%d, %d), want (500, 24)", qm.NumDocs(), qm.Dim())
 	}
 	for j := 0; j < qm.NumDocs(); j++ {
-		row, codes, scale := vecs.Row(j), qm.Row(j), qm.Scale(j)
+		row, codes := vecs.Row(j), qm.Row(j)
+		maxAbs := 0.0
+		for _, v := range row {
+			maxAbs = math.Max(maxAbs, math.Abs(v))
+		}
+		scale := maxAbs / MaxCode
+		if want := scale / mat.Norm(row); qm.sn[j] != want {
+			t.Fatalf("doc %d: sn = %v, want scale/norm = %v", j, qm.sn[j], want)
+		}
 		for d, v := range row {
 			got := float64(codes[d]) * scale
 			// Round-to-nearest guarantees per-element reconstruction error
@@ -90,8 +98,8 @@ func TestQuantizeCodeRangeAndScale(t *testing.T) {
 		for _, v := range vecs.Row(j) {
 			maxAbs = math.Max(maxAbs, math.Abs(v))
 		}
-		if want := maxAbs / MaxCode; qm.Scale(j) != want {
-			t.Fatalf("doc %d: scale = %v, want maxabs/127 = %v", j, qm.Scale(j), want)
+		if want := maxAbs / MaxCode / mat.Norm(vecs.Row(j)); qm.sn[j] != want {
+			t.Fatalf("doc %d: sn = %v, want maxabs/127/norm = %v", j, qm.sn[j], want)
 		}
 		peak := 0
 		for _, c := range qm.Row(j) {
@@ -118,16 +126,16 @@ func TestQuantizeZeroRow(t *testing.T) {
 	vecs := mat.NewDense(3, 8)
 	copy(vecs.Row(1), []float64{1, -2, 3, -4, 5, -6, 7, -127})
 	qm := Quantize(vecs)
-	if qm.Scale(0) != 0 || qm.Scale(2) != 0 {
-		t.Fatalf("zero rows got scales %v, %v", qm.Scale(0), qm.Scale(2))
+	if qm.sn[0] != 0 || qm.sn[2] != 0 {
+		t.Fatalf("zero rows got sn %v, %v", qm.sn[0], qm.sn[2])
 	}
 	for _, c := range qm.Row(0) {
 		if c != 0 {
 			t.Fatalf("zero row quantized to nonzero code %d", c)
 		}
 	}
-	if qm.Scale(1) == 0 {
-		t.Fatal("nonzero row got scale 0")
+	if qm.sn[1] == 0 {
+		t.Fatal("nonzero row got sn 0")
 	}
 }
 
@@ -146,9 +154,9 @@ func TestQuantizeDeterministicAcrossWorkers(t *testing.T) {
 				t.Fatalf("procs=%d: code %d differs", procs, i)
 			}
 		}
-		for j := range qm.scales {
-			if math.Float64bits(qm.scales[j]) != math.Float64bits(ref.scales[j]) {
-				t.Fatalf("procs=%d: scale %d differs", procs, j)
+		for j := range qm.sn {
+			if math.Float64bits(qm.sn[j]) != math.Float64bits(ref.sn[j]) {
+				t.Fatalf("procs=%d: sn %d differs", procs, j)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package quant
 
 import (
+	"runtime"
 	"sync"
 
 	"repro/internal/mat"
@@ -140,6 +141,7 @@ func (m *Matrix) scanDocs(h *topk.Heap, q16 []int16, sn []float64, docs []int32,
 // under (score desc, doc asc); beta < 1 is treated as 1. Results are
 // deterministic for every worker count.
 func (m *Matrix) AppendRerank(dst []topk.Match, f scan.Float, topN, beta int) ([]topk.Match, ScanStats) {
+	defer runtime.KeepAlive(m) // codes and sn may be views of m.mapped
 	m.checkSearchArgs(f.Vecs, f.Norms, f.PQ)
 	n := f.Src.Len()
 	keep := topN
@@ -170,7 +172,7 @@ func (m *Matrix) AppendRerank(dst []topk.Match, f scan.Float, topN, beta int) ([
 		q16[i] = int16(c)
 	}
 	sc.cand = scan.AppendTop(sc.cand[:0], n, cand, par.GrainFor(m.dim/2+1),
-		int8Scan{m: m, q16: q16, sn: m.scaleOverNorms(f.Norms), src: f.Src, keep: cand})
+		int8Scan{m: m, q16: q16, sn: m.sn, src: f.Src, keep: cand})
 
 	// Stage 2: exact float64 rerank of the candidates restores the final
 	// (score desc, doc asc) order with true cosines.

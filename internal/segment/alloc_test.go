@@ -1,12 +1,12 @@
 package segment
 
 import (
+	"bytes"
 	"encoding/binary"
-	"hash/crc32"
-	"math"
 	"sync"
 	"testing"
 
+	"repro/internal/blob"
 	"repro/internal/ivf"
 	"repro/internal/lsi"
 	"repro/internal/mat"
@@ -153,28 +153,34 @@ func TestSearchRoutesRecordTheirWork(t *testing.T) {
 	}
 }
 
-// emptyCellQuantizer encodes a wire-valid two-cell quantizer over m
+// emptyCellQuantizer encodes a valid two-cell quantizer sidecar over m
 // documents whose cell 0 holds every document and whose cell 1 is empty
 // with pq as its centroid, so one probe of pq lands in cell 1 alone.
 // ivf.Train can leave such a cell ("empty cells keep their previous
-// centroid") and ivf.Decode accepts it.
+// centroid") and ivf.Read accepts it.
 func emptyCellQuantizer(pq []float64, m int) []byte {
-	buf := append([]byte("LSIIVF"), 1, 0) // magic, version 1
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(pq)))
-	buf = binary.LittleEndian.AppendUint32(buf, 2)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(m))
-	buf = binary.LittleEndian.AppendUint64(buf, 0) // seed
+	var dims []byte
+	for _, v := range []int{len(pq), 2, m, 0} { // dim, nlist, ndocs, seed
+		dims = binary.LittleEndian.AppendUint64(dims, uint64(v))
+	}
+	cent := make([]float64, 0, 2*len(pq))
 	for _, sign := range []float64{-1, 1} {
 		for _, v := range pq {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(sign*v))
+			cent = append(cent, sign*v)
 		}
 	}
-	buf = binary.AppendUvarint(buf, uint64(m))
-	for j := 0; j < m; j++ {
-		buf = append(buf, 1) // ascending by one
+	post := binary.AppendUvarint(nil, uint64(m))
+	post = append(post, bytes.Repeat([]byte{1}, m)...) // ascending by one
+	post = binary.AppendUvarint(post, 0)
+	var buf bytes.Buffer
+	w := blob.NewWriter(&buf, [blob.MagicLen]byte{'L', 'S', 'I', 'I', 'V', 'F'}, ivf.WireVersion, 3)
+	w.Bytes("DIMS", dims)
+	w.Floats("CENT", cent)
+	w.Bytes("POST", post)
+	if err := w.Close(); err != nil {
+		panic(err) // a bytes.Buffer takes every write
 	}
-	buf = binary.AppendUvarint(buf, 0)
-	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+	return buf.Bytes()
 }
 
 // TestEmptyProbeScoresNothingOnEveryRoute: a probe that lands only in
@@ -185,7 +191,7 @@ func emptyCellQuantizer(pq []float64, m int) []byte {
 func TestEmptyProbeScoresNothingOnEveryRoute(t *testing.T) {
 	seg, ix, query := tieredSegment(t)
 	q := query(3)
-	ann, err := ivf.Decode(emptyCellQuantizer(ix.ProjectSparse(q.Terms, q.Weights), seg.Len()))
+	ann, err := ivf.Read(bytes.NewReader(emptyCellQuantizer(ix.ProjectSparse(q.Terms, q.Weights), seg.Len())))
 	if err != nil {
 		t.Fatal(err)
 	}

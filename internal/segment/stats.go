@@ -104,3 +104,20 @@ func (s *Segment) MemoryBytes(withBasis bool) int64 {
 	}
 	return b
 }
+
+// MappedBytes is the part of MemoryBytes(withBasis) served from mapped
+// files: the sidecars the segment's tiers were read from and, with
+// withBasis, the index file its basis is a view of.
+func (s *Segment) MappedBytes(withBasis bool) int64 {
+	var b int64
+	if withBasis {
+		b = s.Ix.MappedBytes()
+	}
+	if s.Ann != nil {
+		b += s.Ann.MappedBytes()
+	}
+	if s.Quant != nil {
+		b += s.Quant.MappedBytes()
+	}
+	return b
+}

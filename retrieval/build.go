@@ -146,7 +146,7 @@ func (ix *Index) Stats() Stats {
 	} else {
 		tiers.Add(ix.seg)
 		st.MemoryBytes += ix.seg.MemoryBytes(true)
-		st.MappedBytes = ix.seg.Ix.MappedBytes()
+		st.MappedBytes = ix.seg.MappedBytes(true)
 	}
 	if cs, ok := ix.CacheStats(); ok {
 		st.Cache = &cs

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -479,8 +480,8 @@ func Open(dir string, cfg Config) (*Index, error) {
 			}
 			// Decode the sidecars the manifest names and hand them over;
 			// WithTiers trains any the opening config asks for beyond them.
-			ann := readSidecar(x, dir, e.ANNFile, ivf.Decode)
-			qm := readSidecar(x, dir, e.QuantFile, quant.Decode)
+			ann := readSidecar(x, dir, e.ANNFile, ivf.Read)
+			qm := readSidecar(x, dir, e.QuantFile, quant.Read)
 			if seg, err = seg.WithTiers(x.tiers(s), ann, qm); err != nil {
 				return nil, fmt.Errorf("shard: open segment %s: %w", e.File, err)
 			}
@@ -501,19 +502,21 @@ func Open(dir string, cfg Config) (*Index, error) {
 	return x, nil
 }
 
-// readSidecar decodes the sidecar file a manifest segment names, or
-// returns nil when it names none. A sidecar is derived state: one that is
-// missing or does not decode is counted (SidecarsDegraded), logged and
-// treated as absent — WithTiers retrains it from the segment's vectors
-// when the config asks for the tier; otherwise the scan is exact.
-func readSidecar[T any](x *Index, dir, name string, decode func([]byte) (*T, error)) *T {
+// readSidecar reads the sidecar file a manifest segment names, or returns
+// nil when it names none; read maps the file where it can. A sidecar is
+// derived state: one that is missing or does not read (corrupt, or a
+// version this build does not read) is counted (SidecarsDegraded), logged
+// and treated as absent — WithTiers retrains it from the segment's
+// vectors when the config asks for the tier; otherwise the scan is exact.
+func readSidecar[T any](x *Index, dir, name string, read func(io.Reader) (*T, error)) *T {
 	if name == "" {
 		return nil
 	}
 	var v *T
-	data, err := os.ReadFile(filepath.Join(dir, name))
+	f, err := os.Open(filepath.Join(dir, name))
 	if err == nil {
-		v, err = decode(data)
+		v, err = read(f)
+		f.Close() // a mapping outlives its file
 	}
 	if err != nil {
 		x.sidecarsDegraded.Add(1)

@@ -467,11 +467,9 @@ func (x *Index) Stats() Stats {
 				st.FoldedDocs += seg.Len()
 			}
 			st.Tiers.Add(seg)
-			b := seg.Ix.Basis()
+			b := seg.Ix.Basis() // a mapping is shared along with the basis
 			st.MemoryBytes += seg.MemoryBytes(!seenBasis[b])
-			if !seenBasis[b] { // a mapping is shared along with the basis
-				st.MappedBytes += seg.Ix.MappedBytes()
-			}
+			st.MappedBytes += seg.MappedBytes(!seenBasis[b])
 			seenBasis[b] = true
 		}
 	}

@@ -13,6 +13,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -167,11 +168,7 @@ func NewReader(r io.Reader) *Reader {
 		return br
 	}
 	f, _ := r.(*os.File)
-	size := Window
-	if f != nil {
-		size = MagicLen // bufio's least, enough to sniff: Header adds the window if it cannot map
-	}
-	return &Reader{Reader: bufio.NewReaderSize(r, size), left: remaining(r), file: f}
+	return &Reader{Reader: bufio.NewReaderSize(r, Window), left: remaining(r), file: f}
 }
 
 // NewMappedReader reads data on the mapped arm: floats are views of data.
@@ -214,17 +211,10 @@ func (r *Reader) HasMagic(magic [MagicLen]byte) bool {
 // Header consumes the file header, whose magic the caller has sniffed,
 // and returns the version.
 func (r *Reader) Header() uint16 {
-	if f := r.file; f != nil {
-		r.file = nil
-		var m *Mapping
-		if r.left > 0 {
-			m, _ = Map(f) // no mapping: read the stream
-		}
+	if r.file != nil && r.left > 0 {
 		// Nothing is consumed yet: the source stands left bytes before the end.
-		if m != nil && int64(m.Len()) >= r.left {
+		if m, err := Map(r.file); err == nil && int64(m.Len()) >= r.left {
 			r.m, r.mem = m, m.data[int64(m.Len())-r.left:]
-		} else {
-			r.Reader = bufio.NewReaderSize(r.Reader, Window)
 		}
 	}
 	hdr := r.take(fileHeaderLen)
@@ -296,9 +286,35 @@ func (r *Reader) section(tag string, want, elem int, alloc func(trusted int), si
 		rest -= uint64(len(b))
 	}
 	tail := r.take(int(padded(n)-n) + crc32.Size)
-	if r.err == nil && crc32.Update(crc, crc32.IEEETable, tail[:len(tail)-crc32.Size]) != binary.LittleEndian.Uint32(tail[len(tail)-crc32.Size:]) {
-		r.err = fmt.Errorf("blob: section %q: checksum mismatch", tag)
+	if r.err != nil {
+		return
 	}
+	pad := tail[:len(tail)-crc32.Size]
+	if crc32.Update(crc, crc32.IEEETable, pad) != binary.LittleEndian.Uint32(tail[len(pad):]) {
+		r.err = fmt.Errorf("blob: section %q: checksum mismatch", tag)
+	} else if slices.ContainsFunc(pad, func(b byte) bool { return b != 0 }) {
+		r.err = fmt.Errorf("blob: section %q: padding is not zero", tag)
+	}
+}
+
+// End checks that the container stops after the sections read so far:
+// that the header counts no further section and that no byte follows.
+// It returns the first error of any read.
+func (r *Reader) End() error {
+	if r.err == nil && r.sections != 0 {
+		r.err = fmt.Errorf("blob: %d sections left unread", r.sections)
+	}
+	if r.err == nil {
+		more := len(r.mem) > 0
+		if r.mem == nil { // the streamed arm
+			b, _ := r.Peek(1)
+			more = len(b) > 0
+		}
+		if more {
+			r.err = errors.New("blob: bytes follow the last section")
+		}
+	}
+	return r.err
 }
 
 // Bytes reads the next section, tagged tag, of n bytes (any length if

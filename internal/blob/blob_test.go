@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 	"unsafe"
@@ -211,7 +212,7 @@ func TestPayloadsAreAligned(t *testing.T) {
 }
 
 // readAll reads the three-section container the damage and fuzz tests
-// use, the way a decoder would. Whatever went wrong, the floats it returns
+// use, the way a decoder would, up to its end. Whatever went wrong, the floats it returns
 // are never a view of bytes whose checksum did not hold, nor at an address
 // their type may not be read from.
 func readAll(src io.Reader) error {
@@ -225,7 +226,10 @@ func readAll(src io.Reader) error {
 	if err := handedOut(r, r.Floats("FLTS", -1), mapped); err != nil {
 		return err
 	}
-	return handedOut(r, r.Float32s("F32S", -1), mapped)
+	if err := handedOut(r, r.Float32s("F32S", -1), mapped); err != nil {
+		return err
+	}
+	return r.End()
 }
 
 // handedOut checks what a float read returned; nil means read on.
@@ -275,8 +279,10 @@ func TestRejectsDamage(t *testing.T) {
 			t.Fatalf("truncation to %d of %d bytes went unnoticed", cut, len(data))
 		}
 	}
-	// Past the file header every bit is under a checksum.
-	for i := fileHeaderLen; i < len(data); i++ {
+	// Past the version every bit is under a checksum or, the section
+	// count, held to the sections that follow; so is the padding, which
+	// must be zero, and nothing may follow the last section.
+	for i := MagicLen + 2; i < len(data); i++ {
 		bad := bytes.Clone(data)
 		bad[i] ^= 0x10
 		if err := readBoth(t, bad); err == nil {
@@ -287,6 +293,20 @@ func TestRejectsDamage(t *testing.T) {
 	bad[0] ^= 1
 	if err := readBoth(t, bad); err == nil {
 		t.Fatal("wrong magic went unnoticed")
+	}
+	if err := readBoth(t, append(bytes.Clone(data), 0)); err == nil {
+		t.Fatal("a byte after the last section went unnoticed")
+	}
+	if err := readAll(plainReader{bytes.NewReader(append(bytes.Clone(data), 0))}); err == nil {
+		t.Fatal("a byte after the last section of a bare stream went unnoticed")
+	}
+	// "hello" is padded by three bytes: one set, under a checksum that holds.
+	bad = bytes.Clone(data)
+	sec := bad[fileHeaderLen : fileHeaderLen+secHeaderLen+8]
+	sec[secHeaderLen+5] = 1
+	binary.LittleEndian.PutUint32(bad[fileHeaderLen+len(sec):], crc32.ChecksumIEEE(sec))
+	if err := readBoth(t, bad); err == nil || !strings.Contains(err.Error(), "padding") {
+		t.Fatalf("non-zero padding: %v", err)
 	}
 }
 

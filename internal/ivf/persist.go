@@ -26,8 +26,8 @@ import (
 // Read leaves CENT where it lies in a mapped file and decodes the postings
 // onto the heap: raw int32 would take ~4 B a document where the deltas
 // take ~1.2. Read is total: each section's length is checked against DIMS
-// before it is read, the container checks each section's CRC-32, the
-// centroids must be finite and the postings a strict permutation of
+// before it is read, the container checks each section's CRC-32 and
+// that nothing follows POST, the centroids must be finite and the postings a strict permutation of
 // [0, ndocs). Version 1, a hand-rolled frame of the same fields, is
 // refused like any corrupt sidecar: the shard layer retrains it.
 
@@ -102,8 +102,8 @@ func read(r *blob.Reader) (*Index, error) {
 	}
 	cent := r.Floats(tagCent, int(nlist*dim))
 	post := r.Bytes(tagPost, -1)
-	if r.Err() != nil {
-		return nil, r.Err()
+	if err := r.End(); err != nil {
+		return nil, err
 	}
 	for i, v := range cent {
 		if math.IsNaN(v) || math.IsInf(v, 0) {

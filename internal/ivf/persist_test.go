@@ -90,15 +90,14 @@ func TestGoldenWireFormat(t *testing.T) {
 
 // TestDecodeCorrupt flips every byte of a valid encoding one at a time
 // and truncates it at every length; each variant must error, never
-// panic, never succeed. The file header's section count (bytes 8–11) is
-// the exception: the container does not checksum it, and a larger count
-// reads the same three sections.
+// panic, never succeed. A byte appended after the last section is
+// refused too.
 func TestDecodeCorrupt(t *testing.T) {
 	enc := goldenIndex(t).Encode()
+	if _, err := decode(t, append(bytes.Clone(enc), 0)); err == nil {
+		t.Fatal("Read with a trailing byte: want error")
+	}
 	for i := range enc {
-		if i >= blob.MagicLen+2 && i < blob.MagicLen+6 {
-			continue
-		}
 		bad := bytes.Clone(enc)
 		bad[i] ^= 0x41
 		if _, err := decode(t, bad); err == nil {

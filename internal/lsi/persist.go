@@ -11,6 +11,7 @@ import (
 	"os"
 	"runtime"
 	"strings"
+	"unsafe"
 
 	"repro/internal/blob"
 	"repro/internal/mat"
@@ -174,12 +175,12 @@ func appendText(b []byte, m *Meta) []byte {
 	return b
 }
 
-// parseText decodes a TEXT section (b is not empty). All strings share
-// one copy of the section, and every count and length is checked against
-// the bytes left (a string costs at least one) before anything is sized
-// by it.
+// parseText decodes a TEXT section (b is not empty), which it takes over:
+// the strings are views of b, never written again. Every count and length
+// is checked against the bytes left (a string costs at least one) before
+// anything is sized by it.
 func parseText(b []byte) (*Meta, error) {
-	s, off := string(b), 1
+	s, off := unsafe.String(unsafe.SliceData(b), len(b)), 1
 	next := func() int {
 		v, w := binary.Uvarint(b[off:])
 		if w <= 0 || v > uint64(len(b)-off-w) {
@@ -356,7 +357,7 @@ func readBlob(r *blob.Reader) (p IndexParts, meta *Meta, err error) {
 	}
 	p.K, p.NumTerms, p.UkRows, p.DocRows = int(k), int(n), int(n), int(m)
 	p.Sigma = r.Floats(tagSigma, p.K)
-	if text := r.Bytes(tagText, -1); r.Err() == nil && len(text) > 0 {
+	if text := r.Bytes(tagText, -1); r.Err() == nil && len(text) > 0 { // a copy of its own
 		if meta, err = parseText(text); err != nil {
 			return p, nil, err
 		}

@@ -16,7 +16,8 @@ import (
 // container, so the fuzzer reaches the checks beneath the checksums.
 // Nothing may panic and only a version-2 sidecar is accepted; an accepted
 // one holds what Quantize guarantees — finite non-negative sn, codes
-// inside the symmetric range — and reads back from its own encoding.
+// inside the symmetric range — and re-encodes to the bytes it was read
+// from.
 func FuzzDecodeQuant(f *testing.F) {
 	vecs, _ := clusteredVecs(f, 30, 5, 3, 0.3, 31)
 	f.Add(Quantize(vecs).Encode(), uint16(5), uint16(30))
@@ -50,6 +51,9 @@ func FuzzDecodeQuant(f *testing.F) {
 				t.Fatalf("accepted a version-%d sidecar", v)
 			}
 			check(m)
+			if !bytes.Equal(m.Encode(), data) {
+				t.Fatal("re-encode of an accepted sidecar differs")
+			}
 		}
 
 		// The same payload behind a consistent container: sizes are forced

@@ -23,7 +23,8 @@ import (
 //
 // Read is total: a section is read only once its length is the one DIMS
 // gives (so no header sizes an allocation), the container checks each
-// section's CRC-32, and sn and the codes must be values Quantize emits.
+// section's CRC-32 and that nothing follows CODE, and sn and the codes
+// must be values Quantize emits.
 // Version 1, which framed the scales by hand, is refused like any corrupt
 // sidecar: the shard layer retrains the tier.
 
@@ -79,8 +80,8 @@ func read(r *blob.Reader) (*Matrix, error) {
 		return nil, fmt.Errorf("dimensions %d × %d are out of range", ndocs, dim)
 	}
 	m := &Matrix{dim: int(dim), sn: r.Floats(tagSN, int(ndocs)), codes: r.Int8s(tagCodes, int(dim*ndocs)), mapped: r.Mapping()}
-	if r.Err() != nil {
-		return nil, r.Err()
+	if err := r.End(); err != nil {
+		return nil, err
 	}
 	for j, s := range m.sn {
 		if math.IsNaN(s) || math.IsInf(s, 0) || s < 0 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/idtable"
 	"repro/internal/ir"
 	"repro/internal/lsi"
 )
@@ -27,7 +28,7 @@ func (ix *Index) Save(w io.Writer) error {
 		meta = &lsi.Meta{
 			Vocab:           ix.vocab.Terms(),
 			WeightingName:   ix.weighting.String(),
-			DocIDs:          ix.docIDs,
+			DocIDs:          ix.docIDs.Strings(),
 			RemoveStopwords: ix.removeStopwords,
 			Stemming:        ix.stemming,
 		}
@@ -90,7 +91,7 @@ func Load(r io.Reader, opts ...LoadOption) (*Index, error) {
 		ix.weighting = w
 		ix.removeStopwords = stored.RemoveStopwords
 		ix.stemming = stored.Stemming
-		ix.docIDs = stored.DocIDs
+		ix.docIDs = idtable.Of(stored.DocIDs)
 		if len(stored.Vocab) > 0 {
 			ix.vocab, err = ir.NewVocabularyFromTerms(stored.Vocab)
 			if err != nil {
@@ -114,10 +115,10 @@ func Load(r io.Reader, opts ...LoadOption) (*Index, error) {
 		ix.weighting = text.Weighting
 		ix.removeStopwords = text.RemoveStopwords
 		ix.stemming = text.Stemming
-		ix.docIDs = text.DocIDs
+		ix.docIDs = idtable.Of(text.DocIDs)
 	}
-	if len(ix.docIDs) == 0 {
-		ix.docIDs = defaultIDs(lsiIndex.NumDocs())
+	if ix.docIDs.Len() == 0 {
+		ix.docIDs = idtable.Of(defaultIDs(lsiIndex.NumDocs()))
 	}
 	return ix, nil
 }

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/idtable"
 	"repro/internal/ir"
 	"repro/internal/lsi"
 	"repro/internal/race"
@@ -46,7 +47,7 @@ func syntheticLSI(tb testing.TB, docs, terms, k int) *Index {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	ix := &Index{textLayer: textLayer{vocab: vocab, weighting: WeightingLog, docIDs: names("doc-", docs)}}
+	ix := &Index{textLayer: textLayer{vocab: vocab, weighting: WeightingLog, docIDs: idtable.Of(names("doc-", docs))}}
 	ix.setLSI(li)
 	return ix
 }

@@ -32,7 +32,7 @@ func (x *Index) SaveShardDirFS(s int, dir string, fsys faultinject.FS) error {
 		return fmt.Errorf("shard: export: shard %d out of [0,%d)", s, x.cfg.Shards)
 	}
 	x.ingestMu.Lock()
-	ids := x.ids.Load().ids
+	ids := x.ids.Load()
 	sh := x.viewShard(s)
 	x.ingestMu.Unlock()
 
@@ -53,7 +53,7 @@ func (x *Index) SaveShardDirFS(s int, dir string, fsys faultinject.FS) error {
 				return fmt.Errorf("shard: export: global %d maps to local %d out of [0,%d)", g, l, localDocs)
 			}
 			locals[j] = l
-			localIDs[l] = ids[g]
+			localIDs[l] = ids.At(g)
 		}
 		// The view records a renumbered copy; the published segment (and
 		// everything else the copy shares with it) is untouched.

@@ -65,7 +65,7 @@ func (x *Index) AddBatch(docs []Doc) (int, error) {
 		return 0, ErrClosed
 	}
 	cur := x.ids.Load()
-	first := len(cur.ids)
+	first := cur.Len()
 
 	// Group the batch by destination shard; globals within each group
 	// ascend because the batch range is contiguous.
@@ -138,15 +138,18 @@ func (x *Index) AddBatch(docs []Doc) (int, error) {
 	// order), so a searcher racing this publish may see any subset of
 	// the batch's shard groups — but never a document whose external ID
 	// is unpublished, and never a torn shard state.
-	ids := cur.ids
-	for _, d := range docs {
-		id := d.ID
-		if id == "" {
-			id = fmt.Sprintf("doc-%d", len(ids))
+	batch := make([]string, len(docs))
+	for i, d := range docs {
+		batch[i] = d.ID
+		if d.ID == "" {
+			batch[i] = fmt.Sprintf("doc-%d", first+i)
 		}
-		ids = append(ids, id)
 	}
-	x.ids.Store(&idTable{ids: ids})
+	ids, err := cur.Append(batch...)
+	if err != nil {
+		return 0, fmt.Errorf("shard: %w", err)
+	}
+	x.ids.Store(&ids)
 
 	sealed := false
 	for _, p := range pubs {

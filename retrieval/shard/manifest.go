@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"repro/internal/faultinject"
+	"repro/internal/idtable"
 	"repro/internal/ivf"
 	"repro/internal/lsi"
 	"repro/internal/quant"
@@ -402,7 +403,7 @@ func (x *Index) SaveDirFS(dir string, fsys faultinject.FS) error {
 	// Snapshot under ingestMu so ids and segment states agree; writing
 	// happens after release.
 	x.ingestMu.Lock()
-	v := checkpointView{seed: x.cfg.Seed, ids: x.ids.Load().ids, shards: make([]shardView, len(x.shards))}
+	v := checkpointView{seed: x.cfg.Seed, ids: x.ids.Load().Strings(), shards: make([]shardView, len(x.shards))}
 	for s := range x.shards {
 		v.shards[s] = x.viewShard(s)
 	}
@@ -453,7 +454,8 @@ func Open(dir string, cfg Config) (*Index, error) {
 
 	x := newIndex(man.NumTerms, cfg)
 	x.generation.Store(uint64(man.Generation))
-	x.ids.Store(&idTable{ids: ids})
+	table := idtable.Of(ids) // ids, a string and a header each, is garbage from here
+	x.ids.Store(&table)
 	for s, entries := range man.Segments {
 		st := &shardState{}
 		for _, e := range entries {

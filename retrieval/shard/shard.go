@@ -42,6 +42,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/idtable"
 	"repro/internal/lsi"
 	"repro/internal/mat"
 	"repro/internal/par"
@@ -138,15 +139,6 @@ type shardH struct {
 	base *lsi.Index
 }
 
-// idTable is the append-only global directory: ids[g] is the external
-// identifier of global document g. Published by atomic pointer; the
-// writer (under ingestMu) appends and re-publishes, and readers only
-// index below their snapshot's length, so backing-array reuse across
-// snapshots is safe.
-type idTable struct {
-	ids []string
-}
-
 // Index is a sharded live LSI index. Searches are safe from any number
 // of goroutines concurrently with ingest and compaction; ingest calls
 // serialize on an internal mutex.
@@ -156,7 +148,10 @@ type Index struct {
 	shards   []*shardH
 
 	ingestMu sync.Mutex
-	ids      atomic.Pointer[idTable]
+	// ids is the append-only global directory: ids.At(g) is the external
+	// identifier of global document g. The writer (under ingestMu) appends
+	// and re-publishes; a reader's snapshot never changes (idtable).
+	ids atomic.Pointer[idtable.Table]
 
 	compactMu   sync.Mutex // serializes whole-index compaction passes
 	compacting  atomic.Int32
@@ -220,7 +215,8 @@ func Build(a *sparse.CSR, ids []string, cfg Config) (*Index, error) {
 		return nil, fmt.Errorf("shard: %d ids for %d documents", len(ids), m)
 	}
 	x := newIndex(n, cfg)
-	x.ids.Store(&idTable{ids: append([]string(nil), ids...)})
+	table := idtable.Of(ids)
+	x.ids.Store(&table)
 
 	// One SVD per shard over its column subset, up to par.MaxProcs shards
 	// at a time: each is seeded by its shard and bitwise independent of
@@ -290,7 +286,7 @@ func newIndex(numTerms int, cfg Config) *Index {
 		x.shards[s] = &shardH{}
 		x.shards[s].state.Store(&shardState{})
 	}
-	x.ids.Store(&idTable{})
+	x.ids.Store(&idtable.Table{})
 	x.lastMutation.Store(time.Now().UnixNano())
 	return x
 }
@@ -343,7 +339,7 @@ func (x *Index) NumTerms() int { return x.numTerms }
 
 // NumDocs returns the number of indexed documents (including every
 // folded-in document published so far).
-func (x *Index) NumDocs() int { return len(x.ids.Load().ids) }
+func (x *Index) NumDocs() int { return x.ids.Load().Len() }
 
 // NumShards returns the shard count.
 func (x *Index) NumShards() int { return x.cfg.Shards }
@@ -370,11 +366,11 @@ func (x *Index) Generation() uint64 { return x.generation.Load() }
 // ExternalID returns the external identifier of global document g, or
 // "" if g is out of range.
 func (x *Index) ExternalID(g int) string {
-	ids := x.ids.Load().ids
-	if g < 0 || g >= len(ids) {
+	ids := x.ids.Load()
+	if g < 0 || g >= ids.Len() {
 		return ""
 	}
-	return ids[g]
+	return ids.At(g)
 }
 
 // Segments appends every segment currently published, shard by shard, to
@@ -473,9 +469,7 @@ func (x *Index) Stats() Stats {
 			seenBasis[b] = true
 		}
 	}
-	for _, id := range x.ids.Load().ids {
-		st.MemoryBytes += int64(len(id)) + 16
-	}
+	st.MemoryBytes += x.ids.Load().Bytes()
 	st.Compactions = x.compactions.Load()
 	st.Compacting = x.compacting.Load() > 0
 	st.CompactionFailures, st.LastCompactionError = x.CompactionFailures()

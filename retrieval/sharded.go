@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"repro/internal/idtable"
 	"repro/internal/ir"
 	"repro/internal/lsi"
 	"repro/internal/sparse"
@@ -45,13 +46,13 @@ var (
 func (ix *Index) buildSharded(a *sparse.CSR, rank int, engine lsi.Engine, cfg config) error {
 	scfg := cfg.shardConfig()
 	scfg.Shards, scfg.Rank, scfg.Engine, scfg.Seed = cfg.shards, rank, engine, cfg.seed
-	sx, err := shard.Build(a, ix.docIDs, scfg)
+	sx, err := shard.Build(a, ix.docIDs.Strings(), scfg)
 	if err != nil {
 		return fmt.Errorf("retrieval: building sharded index: %w", err)
 	}
 	ix.sharded = sx
 	ix.annList, ix.annProbe, ix.quantBeta = cfg.annList, cfg.annProbe, cfg.quantBeta
-	ix.docIDs = nil // the shard directory owns external IDs in sharded mode
+	ix.docIDs = idtable.Table{} // the shard directory owns external IDs in sharded mode
 	return nil
 }
 

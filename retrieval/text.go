@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"repro/internal/corpus"
+	"repro/internal/idtable"
 	"repro/internal/ir"
 	"repro/internal/par"
 	"repro/internal/segment"
@@ -22,7 +23,7 @@ type textLayer struct {
 	weighting       Weighting
 	removeStopwords bool
 	stemming        bool
-	docIDs          []string
+	docIDs          idtable.Table
 }
 
 // buildText is the preprocessing Build and BuildVSM share: documents →
@@ -62,7 +63,7 @@ func buildText(docs []Document, cfg config) (textLayer, *sparse.CSR, error) {
 		weighting:       cfg.weighting,
 		removeStopwords: cfg.removeStopwords,
 		stemming:        cfg.stemming,
-		docIDs:          ids,
+		docIDs:          idtable.Of(ids),
 	}, corpus.TermDocMatrix(c, cw), nil
 }
 
@@ -81,16 +82,14 @@ func (t *textLayer) stats(backend string) Stats {
 			st.MemoryBytes += int64(len(term)) + 16
 		}
 	}
-	for _, id := range t.docIDs {
-		st.MemoryBytes += int64(len(id)) + 16
-	}
+	st.MemoryBytes += t.docIDs.Bytes()
 	return st
 }
 
 // docID returns the external identifier of document doc (build order).
 func (t *textLayer) docID(doc int) string {
-	if doc >= 0 && doc < len(t.docIDs) {
-		return t.docIDs[doc]
+	if doc >= 0 && doc < t.docIDs.Len() {
+		return t.docIDs.At(doc)
 	}
 	return fmt.Sprintf("doc-%d", doc)
 }

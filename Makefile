@@ -65,7 +65,7 @@ deps-check:
 # by the garbage collector under running searches; -race also turns on
 # checkptr for its one unsafe view).
 race:
-	$(GO) test -race ./internal/blob ./internal/par ./internal/ir ./internal/corpus ./internal/sparse ./internal/mat ./internal/svd ./internal/randproj ./internal/topk ./internal/scan ./internal/lsi ./internal/vsm ./internal/segment ./internal/ivf ./internal/quant ./internal/eval ./internal/metrics ./internal/faultinject ./retrieval ./retrieval/cache ./retrieval/shard ./retrieval/wal ./retrieval/cluster ./retrieval/httpapi ./cmd/lsiserve ./cmd/lsiload
+	$(GO) test -race ./internal/blob ./internal/par ./internal/ir ./internal/corpus ./internal/sparse ./internal/mat ./internal/svd ./internal/randproj ./internal/topk ./internal/scan ./internal/lsi ./internal/vsm ./internal/segment ./internal/ivf ./internal/quant ./internal/idtable ./internal/eval ./internal/metrics ./internal/faultinject ./retrieval ./retrieval/cache ./retrieval/shard ./retrieval/wal ./retrieval/cluster ./retrieval/httpapi ./cmd/lsiserve ./cmd/lsiload
 
 # Build the serving daemon, boot it on a free port, and curl the health
 # and search endpoints — fails on any non-200.

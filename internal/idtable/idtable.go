@@ -22,7 +22,8 @@ type Table struct {
 	ends []uint32 // ends[i]: where string i ends in data
 }
 
-// Of packs ss into a table of exactly their size.
+// Of packs ss into a table of exactly their size. It panics past 4 GiB
+// of string bytes, which no []string of IDs in memory reaches.
 func Of(ss []string) Table {
 	n := 0
 	for _, s := range ss {
@@ -30,7 +31,7 @@ func Of(ss []string) Table {
 	}
 	t, err := Table{data: make([]byte, 0, n), ends: make([]uint32, 0, len(ss))}.Append(ss...)
 	if err != nil {
-		panic(err) // ss itself holds more than 4 GiB
+		panic(err)
 	}
 	return t
 }
@@ -40,14 +41,12 @@ func (t Table) Len() int { return len(t.ends) }
 
 // At is string i: a view of the table's bytes, made without allocating.
 func (t Table) At(i int) string {
-	lo, hi := uint32(0), t.ends[i]
+	lo := uint32(0)
 	if i > 0 {
 		lo = t.ends[i-1]
 	}
-	if lo == hi {
-		return ""
-	}
-	return unsafe.String(&t.data[lo], hi-lo)
+	b := t.data[lo:t.ends[i]]
+	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
 // Append returns the table with ss after its last string. The result

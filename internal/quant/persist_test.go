@@ -80,9 +80,12 @@ func TestEncodeIsDeterministic(t *testing.T) {
 func TestDecodeRejectsCorruption(t *testing.T) {
 	vecs, _ := clusteredVecs(t, 40, 6, 3, 0.3, 23)
 	enc := Quantize(vecs).Encode()
-	// A byte flipped in the magic, the version or any section: a check or
-	// a checksum must catch it.
-	for _, off := range []int{0, blob.MagicLen, 12 + 3, 12 + 12 + 5, len(enc) / 2, len(enc) - 10} {
+	// A byte flipped in the magic, the version, the section count or any
+	// section, or one appended: a check or a checksum must catch it.
+	if _, err := decode(t, append(bytes.Clone(enc), 0)); err == nil {
+		t.Fatal("read a sidecar with a trailing byte")
+	}
+	for _, off := range []int{0, blob.MagicLen, blob.MagicLen + 2, 12 + 3, 12 + 12 + 5, len(enc) / 2, len(enc) - 10} {
 		bad := bytes.Clone(enc)
 		bad[off] ^= 0x40
 		if _, err := decode(t, bad); err == nil {

@@ -84,40 +84,29 @@ func (t *Tiers) Add(s *Segment) {
 	}
 }
 
-// MemoryBytes estimates the heap the segment holds: latent rows (float32),
-// singular values, norms, raw documents and both sidecars, plus the
-// basis matrix when withBasis is set — fold-in segments share the basis
-// of the index they were folded against, so a caller walking several
-// segments passes true once per distinct basis.
-func (s *Segment) MemoryBytes(withBasis bool) int64 {
+// MemoryBytes estimates the memory the segment holds: latent rows
+// (float32), singular values, norms, raw documents and both sidecars,
+// plus the basis matrix when withBasis is set — fold-in segments share
+// the basis of the index they were folded against, so a caller walking
+// several segments passes true once per distinct basis. mapped is the
+// part of total served from mapped files: the index file the basis and
+// rows are views of (counted with the basis) and the sidecars the tiers
+// were read from.
+func (s *Segment) MemoryBytes(withBasis bool) (total, mapped int64) {
 	k, m := int64(s.Ix.K()), int64(s.Len())
-	b := 4*m*k + 8*(k+m) + 16*int64(s.Raw.NNZ())
+	total = 4*m*k + 8*(k+m) + 16*int64(s.Raw.NNZ())
 	if withBasis {
-		b += 8 * int64(s.Ix.NumTerms()) * k
+		total += 8 * int64(s.Ix.NumTerms()) * k
+		mapped = s.Ix.MappedBytes()
 	}
 	if ann := s.Ann; ann != nil {
 		nlist := int64(ann.NList())
-		b += 8*nlist*int64(ann.Dim()) + 8*nlist + 8*(nlist+1) + 4*m
+		total += 8*nlist*int64(ann.Dim()) + 8*nlist + 8*(nlist+1) + 4*m
+		mapped += ann.MappedBytes()
 	}
 	if s.Quant != nil {
-		b += s.Quant.Bytes()
+		total += s.Quant.Bytes()
+		mapped += s.Quant.MappedBytes()
 	}
-	return b
-}
-
-// MappedBytes is the part of MemoryBytes(withBasis) served from mapped
-// files: the sidecars the segment's tiers were read from and, with
-// withBasis, the index file its basis is a view of.
-func (s *Segment) MappedBytes(withBasis bool) int64 {
-	var b int64
-	if withBasis {
-		b = s.Ix.MappedBytes()
-	}
-	if s.Ann != nil {
-		b += s.Ann.MappedBytes()
-	}
-	if s.Quant != nil {
-		b += s.Quant.MappedBytes()
-	}
-	return b
+	return total, mapped
 }

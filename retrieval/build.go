@@ -145,8 +145,8 @@ func (ix *Index) Stats() Stats {
 		st.Ready = ss.SealedPending == 0 && !ss.Compacting
 	} else {
 		tiers.Add(ix.seg)
-		st.MemoryBytes += ix.seg.MemoryBytes(true)
-		st.MappedBytes = ix.seg.MappedBytes(true)
+		mem, mapped := ix.seg.MemoryBytes(true)
+		st.MemoryBytes, st.MappedBytes = st.MemoryBytes+mem, mapped
 	}
 	if cs, ok := ix.CacheStats(); ok {
 		st.Cache = &cs

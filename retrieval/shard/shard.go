@@ -464,8 +464,8 @@ func (x *Index) Stats() Stats {
 			}
 			st.Tiers.Add(seg)
 			b := seg.Ix.Basis() // a mapping is shared along with the basis
-			st.MemoryBytes += seg.MemoryBytes(!seenBasis[b])
-			st.MappedBytes += seg.MappedBytes(!seenBasis[b])
+			mem, mapped := seg.MemoryBytes(!seenBasis[b])
+			st.MemoryBytes, st.MappedBytes = st.MemoryBytes+mem, st.MappedBytes+mapped
 			seenBasis[b] = true
 		}
 	}

@@ -425,7 +425,8 @@ type Stats struct {
 	// MemoryBytes estimates the heap held by segment data and the
 	// external-ID table.
 	MemoryBytes int64 `json:"memoryBytes"`
-	// MappedBytes is the part of MemoryBytes served from mapped segment files.
+	// MappedBytes is the part of MemoryBytes served from mapped segment
+	// and sidecar files.
 	MappedBytes int64 `json:"mappedBytes"`
 	// Tiers is the sidecar coverage of the segment set: how many segments
 	// and documents the IVF quantizers and int8 shadows serve.

@@ -11,8 +11,11 @@
 package idtable
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"math"
+	"unicode/utf8"
 	"unsafe"
 )
 
@@ -81,3 +84,50 @@ func (t Table) Strings() []string {
 
 // Bytes is the heap the table's arrays hold, spare capacity included.
 func (t Table) Bytes() int64 { return int64(cap(t.data)) + 4*int64(cap(t.ends)) }
+
+// FromJSON reads a JSON array of strings into a table of exactly its
+// size, to the strings json.Unmarshal would give. The array json.Marshal
+// writes of strings that need no escaping is read in place, with no
+// string allocated; anything else goes through json.Unmarshal.
+func FromJSON(data []byte) (Table, error) {
+	if t, ok := plainJSON(data); ok {
+		return t, nil
+	}
+	var ss []string
+	if err := json.Unmarshal(data, &ss); err != nil {
+		return Table{}, err
+	}
+	return Of(ss), nil
+}
+
+// plainJSON reads `["a","b",…]` — no whitespace, and no string holding a
+// backslash, a control character or invalid UTF-8 — and declines
+// anything else.
+func plainJSON(data []byte) (Table, bool) {
+	if len(data) < 2 || len(data) > math.MaxUint32 || data[0] != '[' || data[len(data)-1] != ']' {
+		return Table{}, false
+	}
+	body := data[1 : len(data)-1]
+	quotes := bytes.Count(body, []byte{'"'})
+	// Well formed, body is the strings, their quotes and a comma between each two.
+	t := Table{data: make([]byte, 0, max(len(body)-quotes-max(quotes/2-1, 0), 0)), ends: make([]uint32, 0, quotes/2)}
+	for len(body) > 0 {
+		end := bytes.IndexByte(body[1:], '"') + 1
+		if body[0] != '"' || end == 0 {
+			return Table{}, false
+		}
+		s := body[1:end]
+		if bytes.ContainsFunc(s, func(r rune) bool { return r < 0x20 || r == '\\' }) || !utf8.Valid(s) {
+			return Table{}, false
+		}
+		t.data = append(t.data, s...)
+		t.ends = append(t.ends, uint32(len(t.data)))
+		if body = body[end+1:]; len(body) > 0 {
+			if body[0] != ',' || len(body) == 1 {
+				return Table{}, false
+			}
+			body = body[1:]
+		}
+	}
+	return t, true
+}

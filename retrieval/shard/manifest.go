@@ -444,18 +444,17 @@ func Open(dir string, cfg Config) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("shard: open: %w", err)
 	}
-	var ids []string
-	if err := json.Unmarshal(idsData, &ids); err != nil {
+	ids, err := idtable.FromJSON(idsData)
+	if err != nil {
 		return nil, fmt.Errorf("shard: open %s: %w", man.IDsFile, err)
 	}
-	if len(ids) != man.NumDocs {
-		return nil, fmt.Errorf("shard: open: %d ids for %d documents", len(ids), man.NumDocs)
+	if ids.Len() != man.NumDocs {
+		return nil, fmt.Errorf("shard: open: %d ids for %d documents", ids.Len(), man.NumDocs)
 	}
 
 	x := newIndex(man.NumTerms, cfg)
 	x.generation.Store(uint64(man.Generation))
-	table := idtable.Of(ids) // ids, a string and a header each, is garbage from here
-	x.ids.Store(&table)
+	x.ids.Store(&ids)
 	for s, entries := range man.Segments {
 		st := &shardState{}
 		for _, e := range entries {

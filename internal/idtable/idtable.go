@@ -104,7 +104,7 @@ func FromJSON(data []byte) (Table, error) {
 // backslash, a control character or invalid UTF-8 — and declines
 // anything else.
 func plainJSON(data []byte) (Table, bool) {
-	if len(data) < 2 || len(data) > math.MaxUint32 || data[0] != '[' || data[len(data)-1] != ']' {
+	if len(data) < 2 || uint64(len(data)) > math.MaxUint32 || data[0] != '[' || data[len(data)-1] != ']' {
 		return Table{}, false
 	}
 	body := data[1 : len(data)-1]

@@ -319,7 +319,9 @@ func AppendRecord(dst, payload []byte) []byte {
 // by complete records; consumed < len(data) means the final frame is
 // incomplete (a torn tail — expected after a crash mid-append). A
 // complete frame that fails its CRC, or a length prefix exceeding
-// MaxRecordBytes, returns ErrCorrupt. ScanRecords is total: arbitrary
+// MaxRecordBytes or wider than its value's canonical (minimal) uvarint,
+// returns ErrCorrupt, so every accepted frame is the one AppendRecord
+// writes. ScanRecords is total: arbitrary
 // input yields a result or an error, never a panic, and allocates
 // nothing beyond fn's own work (payloads alias data).
 func ScanRecords(data []byte, fn func(payload []byte) error) (consumed int, err error) {
@@ -329,7 +331,8 @@ func ScanRecords(data []byte, fn func(payload []byte) error) (consumed int, err 
 		if n == 0 {
 			return off, nil // length prefix itself is torn
 		}
-		if n < 0 || size > MaxRecordBytes {
+		// A uvarint is minimal unless its last byte, past the first, is 0.
+		if n < 0 || size > MaxRecordBytes || (n > 1 && data[off+n-1] == 0) {
 			return off, fmt.Errorf("%w: record length %d at offset %d", ErrCorrupt, size, off)
 		}
 		rest := data[off+n:]

@@ -177,20 +177,23 @@ type StatusSearcher interface {
 }
 
 // DocAdder is the optional live-update capability behind POST /v1/docs:
-// a *retrieval.Index built with WithShards implements it. Handlers
-// answer 501 when the retriever does not.
+// *retrieval.Index and the cluster router implement it. Handlers answer
+// 501 when the retriever does not, or when it is an index built without
+// WithShards (retrieval.ErrImmutableIndex).
 type DocAdder interface {
 	Add(ctx context.Context, docs []retrieval.Document) (int, error)
 }
 
 // ReadyReporter is the optional readiness capability behind GET
-// /readyz; retrievers without it are always ready.
+// /readyz: *retrieval.Index and the cluster router implement it;
+// retrievers without it are always ready.
 type ReadyReporter interface {
 	Ready() bool
 }
 
 // EpochReporter is the optional freshness capability: the concrete
-// *retrieval.Index (and the cluster router) implement it. When present,
+// *retrieval.Index and cluster.Replica implement it; the cluster router
+// does not, as its nodes each have their own epoch. When present,
 // responses carry X-Index-Epoch and X-Index-Generation headers next to
 // X-Index-Docs. Epoch observes local index motion and is NOT comparable
 // across processes; (Generation, NumDocs) is the token replication

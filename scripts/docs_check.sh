@@ -5,8 +5,9 @@
 # line-oriented check, not a full go/doc parse: it looks at the line
 # directly above each exported declaration, which is exactly where gofmt
 # puts doc comments. Grouped var/const blocks are out of scope. It also
-# fails on a DESIGN.md section number used twice. CI runs this (plus go
-# vet) via `make docs-check`.
+# fails on a DESIGN.md section number used twice, and on a DESIGN.md
+# reference that names no section or heading. CI runs this (plus go vet)
+# via `make docs-check`.
 set -eu
 
 GO="${GO:-go}"
@@ -61,4 +62,24 @@ if [ -n "$dups" ]; then
     echo "docs-check FAILED: DESIGN.md repeats section heading(s):" $dups >&2
     exit 1
 fi
-echo "docs-check: OK (go vet clean, every exported identifier documented in: $DIRS; DESIGN.md section numbers unique)"
+# Code and docs cite DESIGN.md by section number (the file name, then §
+# and the number) or by heading (the file name, then the title in double
+# quotes); each citation in a Go, shell or Markdown file must land on a
+# `## N.` section or on a heading of exactly that title, its number aside.
+dangling="$(grep -rnoE --include='*.go' --include='*.sh' --include='*.md' \
+        --exclude-dir=.git --exclude-dir=.bench_build \
+        'DESIGN\.md (§[0-9]+|"[A-Z0-9][^"]*")' . |
+    while IFS= read -r ref; do
+        target="${ref#*DESIGN.md }"
+        case "$target" in
+        §*) grep -qE "^## ${target#§}\." DESIGN.md ;;
+        *) target="${target#\"}"
+            sed -nE 's/^#+ ([0-9]+\. )?//p' DESIGN.md | grep -qFx "${target%\"}" ;;
+        esac || echo "$ref"
+    done)"
+if [ -n "$dangling" ]; then
+    echo "docs-check FAILED: DESIGN.md references name no section or heading:" >&2
+    echo "$dangling" >&2
+    exit 1
+fi
+echo "docs-check: OK (go vet clean, every exported identifier documented in: $DIRS; DESIGN.md section numbers unique, every DESIGN.md reference lands)"

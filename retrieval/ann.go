@@ -2,39 +2,20 @@ package retrieval
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/segment"
 )
 
 // The approximate tiers at the retrieval layer (see WithANN and
-// WithQuantized). The unsharded LSI index's one segment carries an IVF
-// quantizer and/or an int8 shadow over the whole document-vector matrix,
-// attached at Build (and at Open, when the opening options ask — both
-// are derived state, cheap to rebuild and deterministic, so
-// single-stream index files stay format-stable). Sharded indexes
-// delegate to retrieval/shard, where every compacted segment owns its
-// sidecars and a checkpoint writes them beside the segment's file
-// (DESIGN.md "Checkpoint layout"). Either way segment.WithTiers decides
+// WithQuantized). retrieval/shard owns the sidecars: every compacted
+// segment may carry an IVF quantizer and an int8 shadow, and a
+// checkpoint writes them beside the segment's file (DESIGN.md
+// "Checkpoint layout"). The unsharded index's one segment gets them at
+// Build and at Open when the options ask (shard.Frozen, at any size) —
+// both are derived state, cheap to rebuild and deterministic, so
+// single-stream index files stay format-stable. segment.WithTiers decides
 // which segments carry them and segment.Search picks the tier per
 // segment; this layer only sets the budgets (probeOpts, budget).
-
-// attachTiers gives the unsharded index's one segment the sidecars cfg
-// asks for (any size qualifies; the quantizer trains from the seed a
-// one-shard index would use). Build and Open call it once the LSI index
-// exists.
-func (ix *Index) attachTiers(cfg config) error {
-	ix.annList, ix.annProbe, ix.quantBeta = cfg.annList, cfg.annProbe, cfg.quantBeta
-	seg, err := ix.seg.WithTiers(segment.TierConfig{NList: cfg.annList, Seed: cfg.seed, Quantize: cfg.quantBeta > 0}, nil, nil)
-	if err != nil {
-		return fmt.Errorf("retrieval: %w", err)
-	}
-	if seg.Ann != nil {
-		ix.annList = seg.Ann.NList() // post-clamp truth beats the config
-	}
-	ix.seg = seg
-	return nil
-}
 
 // budget is the tier routing of a per-request probe override: nprobe >
 // 0 probes that many cells per quantizer and keeps the configured

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/idtable"
 	"repro/internal/lsi"
 	"repro/internal/par"
 	"repro/internal/segment"
@@ -20,12 +21,11 @@ import (
 type Index struct {
 	textLayer
 
-	// seg is the unsharded index: one frozen segment whose Global table
-	// is the identity, carrying the tier sidecars WithANN / WithQuantized
-	// asked for. A sharded index keeps its segments in retrieval/shard
-	// instead; either way a query is segment.Search over segments().
-	seg     *segment.Segment
-	sharded *shard.Index // non-nil iff built with WithShards
+	// sharded holds the segments and the external IDs: a live index
+	// when built with WithShards or opened from a directory, otherwise a
+	// frozen one-shard index (shard.Frozen). Either way a query is
+	// segment.Search over its published segments.
+	sharded *shard.Index
 
 	// Tier configuration (WithANN, WithQuantized): annProbe and quantBeta
 	// are the default budgets of Search (0 = that tier is off); tiers
@@ -35,7 +35,7 @@ type Index struct {
 	quantBeta int
 	tiers     segment.Counters
 
-	qc *queryCache // non-nil iff built/opened with WithQueryCache
+	qc *cache.Cache[[]Result] // non-nil iff built/opened with WithQueryCache
 
 	// wlog is the attached write-ahead log (AttachWAL); nil means Adds
 	// are not logged. walMu serializes logged Adds and checkpoints so
@@ -67,21 +67,42 @@ func Build(docs []Document, opts ...Option) (*Index, error) {
 	}
 	ix := &Index{textLayer: text}
 	if cfg.shards > 0 {
-		if err := ix.buildSharded(a, rank, engine, cfg); err != nil {
-			return nil, err
-		}
+		err = ix.buildSharded(a, rank, engine, cfg)
 	} else {
-		li, err := lsi.Build(a, rank, lsi.Options{Engine: engine, Seed: cfg.seed})
-		if err != nil {
+		var li *lsi.Index
+		if li, err = lsi.Build(a, rank, lsi.Options{Engine: engine, Seed: cfg.seed}); err != nil {
 			return nil, fmt.Errorf("retrieval: building LSI index: %w", err)
 		}
-		ix.setLSI(li)
-		if err := ix.attachTiers(cfg); err != nil {
-			return nil, err
-		}
+		err = ix.freeze(li, cfg)
+	}
+	if err != nil {
+		return nil, err
 	}
 	ix.initCache(cfg.cacheBytes)
 	return ix, nil
+}
+
+// freeze makes li, a decomposition of the text layer's documents, the
+// index's frozen one-shard index. It carries the sidecars cfg asks for
+// at any size, with the quantizer trained from the seed a one-shard
+// build would use, and ANNStats reports the cell count after clamping.
+func (ix *Index) freeze(li *lsi.Index, cfg config) error {
+	sx, err := shard.Frozen(li, ix.docIDs, segment.TierConfig{NList: cfg.annList, Seed: cfg.seed, Quantize: cfg.quantBeta > 0})
+	if err != nil {
+		return fmt.Errorf("retrieval: %w", err)
+	}
+	ix.setShards(sx, cfg)
+	if seg := sx.Segments(nil)[0]; seg.Ann != nil {
+		ix.annList = seg.Ann.NList()
+	}
+	return nil
+}
+
+// setShards installs sx as the index's segments with cfg's tier budgets.
+// sx owns the external IDs from here on.
+func (ix *Index) setShards(sx *shard.Index, cfg config) {
+	ix.sharded, ix.docIDs = sx, idtable.Table{}
+	ix.annList, ix.annProbe, ix.quantBeta = cfg.annList, cfg.annProbe, cfg.quantBeta
 }
 
 // BuildTexts is Build for bare strings; document IDs default to "doc-<n>".
@@ -94,42 +115,28 @@ func BuildTexts(texts []string, opts ...Option) (*Index, error) {
 }
 
 // NumDocs returns the number of indexed documents.
-func (ix *Index) NumDocs() int {
-	if ix.sharded != nil {
-		return ix.sharded.NumDocs()
-	}
-	return ix.seg.Len()
-}
+func (ix *Index) NumDocs() int { return ix.sharded.NumDocs() }
 
 // NumTerms returns the vocabulary size the index was built over.
-func (ix *Index) NumTerms() int {
-	if ix.sharded != nil {
-		return ix.sharded.NumTerms()
-	}
-	return ix.seg.Ix.NumTerms()
-}
+func (ix *Index) NumTerms() int { return ix.sharded.NumTerms() }
 
 // Rank returns the retained LSI rank (the per-shard rank for sharded
 // indexes).
-func (ix *Index) Rank() int {
-	if ix.sharded != nil {
-		return ix.sharded.Rank()
-	}
-	return ix.seg.Ix.K()
-}
+func (ix *Index) Rank() int { return ix.sharded.Rank() }
 
 // Stats describes the index, including a memory estimate that covers
 // both the numeric payload and the text layer.
 func (ix *Index) Stats() Stats {
 	st := ix.stats("lsi")
 	st.NumDocs, st.NumTerms, st.Rank = ix.NumDocs(), ix.NumTerms(), ix.Rank()
-	var tiers segment.Tiers
-	if ix.sharded != nil {
-		ss := ix.sharded.Stats()
-		tiers = ss.Tiers
+	ss := ix.sharded.Stats()
+	st.Epoch, st.Generation = ix.sharded.Epoch(), ss.Generation
+	st.MemoryBytes += ss.MemoryBytes
+	st.MappedBytes = ss.MappedBytes
+	// shard.Index.Ready, read off the same snapshot as the counts below.
+	st.Ready = ss.SealedPending == 0 && !ss.Compacting
+	if ix.Sharded() {
 		st.Sharded = true
-		st.Epoch = ix.sharded.Epoch()
-		st.Generation = ss.Generation
 		st.Shards = ss.Shards
 		st.Segments = ss.Segments
 		st.LiveSegments = ss.Live
@@ -139,47 +146,25 @@ func (ix *Index) Stats() Stats {
 		st.Compactions = ss.Compactions
 		st.CompactionFailures = ss.CompactionFailures
 		st.LastCompactionError = ss.LastCompactionError
-		st.MemoryBytes += ss.MemoryBytes
-		st.MappedBytes = ss.MappedBytes
-		// shard.Index.Ready, read off the same snapshot as the counts above.
-		st.Ready = ss.SealedPending == 0 && !ss.Compacting
-	} else {
-		tiers.Add(ix.seg)
-		mem, mapped := ix.seg.MemoryBytes(true)
-		st.MemoryBytes, st.MappedBytes = st.MemoryBytes+mem, mapped
 	}
 	if cs, ok := ix.CacheStats(); ok {
 		st.Cache = &cs
 		st.MemoryBytes += cs.Bytes
 	}
-	if as, ok := ix.annStats(tiers); ok {
+	if as, ok := ix.annStats(ss.Tiers); ok {
 		st.ANN = &as
 	}
-	if qs, ok := ix.quantStats(tiers); ok {
+	if qs, ok := ix.quantStats(ss.Tiers); ok {
 		st.Quant = &qs
 	}
 	return st
 }
 
-// setLSI installs li as the unsharded index: one frozen segment whose
-// local rows are the global document numbers.
-func (ix *Index) setLSI(li *lsi.Index) {
-	global := make([]int, li.NumDocs())
-	for j := range global {
-		global[j] = j
-	}
-	ix.seg = &segment.Segment{Ix: li, Global: global, Compacted: true}
-}
-
-// segments appends the segment set a query runs over to dst: the one
-// frozen segment, or the sharded index's current snapshot. Callers pass
-// a small stack buffer so the usual handful of segments costs no
-// allocation.
+// segments appends the segment set a query runs over to dst: the
+// shard index's current snapshot. Callers pass a small stack buffer so
+// the usual handful of segments costs no allocation.
 func (ix *Index) segments(dst []*segment.Segment) []*segment.Segment {
-	if ix.sharded != nil {
-		return ix.sharded.Segments(dst)
-	}
-	return append(dst, ix.seg)
+	return ix.sharded.Segments(dst)
 }
 
 // tierCoverage walks the segment set once for the tiers' topology. It
@@ -195,12 +180,10 @@ func (ix *Index) tierCoverage() (t segment.Tiers) {
 
 // DocID returns the external identifier of document doc (build order).
 func (ix *Index) DocID(doc int) string {
-	if ix.sharded != nil {
-		if id := ix.sharded.ExternalID(doc); id != "" {
-			return id
-		}
+	if id := ix.sharded.ExternalID(doc); id != "" {
+		return id
 	}
-	return ix.docID(doc) // a sharded index keeps no docIDs: "doc-<n>"
+	return ix.docID(doc) // out of range: "doc-<n>"
 }
 
 // search is the one query path behind every public Search* method: text
@@ -303,12 +286,12 @@ func (ix *Index) SearchBatch(ctx context.Context, queries []string, topN int) ([
 	var cacheKeys [][]byte
 	var batchEpoch uint64
 	if ix.qc != nil {
-		batchEpoch = ix.qc.epoch()
+		batchEpoch = ix.sharded.Epoch()
 		cacheKeys = make([][]byte, 0, len(qterms))
 		kept := 0
 		for i := range qterms {
 			key := cache.AppendQueryKey(nil, batchEpoch, topN, qterms[i], qweights[i])
-			if v, ok := ix.qc.c.Get(key); ok {
+			if v, ok := ix.qc.Get(key); ok {
 				out[qpos[i]] = copyResults(v)
 				continue
 			}
@@ -333,13 +316,13 @@ func (ix *Index) SearchBatch(ctx context.Context, queries []string, topN int) ([
 				chunk[i] = ix.search(segment.Query{Terms: qterms[lo+i], Weights: qweights[lo+i]}, topN, opts)
 			}
 		})
-		store := ix.qc != nil && ix.qc.epoch() == batchEpoch
+		store := ix.qc != nil && ix.sharded.Epoch() == batchEpoch
 		for i, res := range chunk {
 			out[qpos[lo+i]] = res
 			if store {
 				// The caller owns res; cache a private copy under the
 				// key encoded at probe time.
-				ix.qc.c.Put(cacheKeys[lo+i], copyResults(res))
+				ix.qc.Put(cacheKeys[lo+i], copyResults(res))
 			}
 		}
 	}

@@ -11,16 +11,16 @@ import (
 // Query result caching (WithQueryCache). The cache decorates the
 // backend search: queries are keyed by their *normalized sparse form*
 // (so any two texts that preprocess to the same term vector share an
-// entry), the requested topN, and the index epoch. The epoch is the
-// invalidation story:
+// entry), the requested topN, and the index epoch, shard.Index.Epoch.
+// The epoch is the invalidation story:
 //
-//   - Unsharded indexes are immutable after Build, so they use the
-//     constant epoch 0 and cached results stay valid forever.
-//   - Sharded live indexes expose shard.Index.Epoch, which advances
-//     after every published Add batch and every compaction swap. The
-//     bump retires the whole cached working set in O(1) — new lookups
-//     encode the new epoch into their keys and miss — with no locks on
-//     the read path and no scan; stale entries age out of the LRU.
+//   - An unsharded index is a frozen one-shard index whose epoch stays
+//     0, so its cached results stay valid forever.
+//   - A sharded live index's epoch advances after every published Add
+//     batch and every compaction swap. The bump retires the whole cached
+//     working set in O(1) — new lookups encode the new epoch into their
+//     keys and miss — with no locks on the read path and no scan; stale
+//     entries age out of the LRU.
 //
 // Freshness proof sketch (the stress tests pin this): a mutation
 // publishes its state pointers *before* bumping the epoch, and a cached
@@ -36,13 +36,6 @@ import (
 // Cached values are shared between the cache and every hit, so the
 // decorator copies the result slice before returning it; a steady-state
 // hit costs exactly that one allocation.
-
-// queryCache is the epoch-keyed result cache (plus request coalescing)
-// that searchStatus puts in front of the text-query path.
-type queryCache struct {
-	c     *cache.Cache[[]Result]
-	epoch func() uint64
-}
 
 // keyBufPool recycles key-encoding scratch so the hit path allocates
 // nothing beyond the returned copy.
@@ -69,21 +62,7 @@ func copyResults(rs []Result) []Result {
 // index uncached). Called once from the constructors (Build, Open,
 // OpenDir) before the index is shared, never concurrently with queries.
 func (ix *Index) initCache(maxBytes int64) {
-	c := cache.New[[]Result](cache.Config{MaxBytes: maxBytes}, resultsCost)
-	if c == nil {
-		return
-	}
-	ix.qc = &queryCache{c: c, epoch: ix.epoch}
-}
-
-// epoch returns the index's current mutation epoch: the shard
-// subsystem's global epoch for live indexes, the constant 0 for
-// immutable ones.
-func (ix *Index) epoch() uint64 {
-	if ix.sharded != nil {
-		return ix.sharded.Epoch()
-	}
-	return 0
+	ix.qc = cache.New[[]Result](cache.Config{MaxBytes: maxBytes}, resultsCost)
 }
 
 // searchStatus is the default-budget search of a validated sparse query
@@ -95,15 +74,15 @@ func (ix *Index) searchStatus(q segment.Query, topN int) ([]Result, cache.Status
 	if ix.qc == nil {
 		return ix.search(q, topN, ix.probeOpts()), cache.StatusBypass
 	}
-	e := ix.qc.epoch()
+	e := ix.sharded.Epoch()
 	bufp := keyBufPool.Get().(*[]byte)
 	key := cache.AppendQueryKey((*bufp)[:0], e, topN, q.Terms, q.Weights)
-	res, st := ix.qc.c.Do(key, func() ([]Result, bool) {
+	res, st := ix.qc.Do(key, func() ([]Result, bool) {
 		r := ix.search(q, topN, ix.probeOpts())
 		// Store only if no mutation published while we searched; the
 		// value is correct to return either way (it is exactly what an
 		// uncached search would have produced).
-		return r, ix.qc.epoch() == e
+		return r, ix.sharded.Epoch() == e
 	})
 	*bufp = key[:0]
 	keyBufPool.Put(bufp)
@@ -138,5 +117,5 @@ func (ix *Index) CacheStats() (QueryCacheStats, bool) {
 	if ix.qc == nil {
 		return QueryCacheStats{}, false
 	}
-	return QueryCacheStats{Stats: ix.qc.c.Stats(), Epoch: ix.epoch()}, true
+	return QueryCacheStats{Stats: ix.qc.Stats(), Epoch: ix.sharded.Epoch()}, true
 }

@@ -58,7 +58,7 @@ func (ix *Index) AttachWAL(dir string) (replayed int, err error) {
 // torn appends, fsync errors, and disk-full against the live ingest
 // path and then prove no acked write is lost across a reopen.
 func (ix *Index) AttachWALFS(dir string, fsys faultinject.FS) (replayed int, err error) {
-	if ix.sharded == nil {
+	if !ix.Sharded() {
 		return 0, fmt.Errorf("%w: only sharded live indexes support a WAL", ErrNotSharded)
 	}
 	if ix.wlog != nil {
@@ -138,9 +138,6 @@ func (ix *Index) addDurable(docs []Document) (int, error) {
 // no acked batch can fall between the snapshot and the rotation. After
 // a checkpoint the WAL holds only writes newer than dir's manifest.
 func (ix *Index) Checkpoint(dir string) error {
-	if ix.sharded == nil {
-		return fmt.Errorf("%w: use Save for single-stream persistence", ErrNotSharded)
-	}
 	ix.walMu.Lock()
 	defer ix.walMu.Unlock()
 	if err := ix.SaveDir(dir); err != nil {
@@ -170,7 +167,7 @@ var ErrWALGone = fmt.Errorf("retrieval: wal no longer covers the requested posit
 // checkpoint rotated the needed records away) and the replica must
 // re-snapshot.
 func (ix *Index) TailWAL(from int) ([]Document, error) {
-	if ix.sharded == nil {
+	if !ix.Sharded() {
 		return nil, fmt.Errorf("%w: only sharded live indexes carry a WAL", ErrNotSharded)
 	}
 	if ix.wlog == nil {
@@ -229,29 +226,19 @@ func (ix *Index) TailWAL(from int) ([]Document, error) {
 // local index motion; note epochs are NOT comparable across processes —
 // compaction timing differs — so replication compares (Generation,
 // NumDocs) instead.
-func (ix *Index) Epoch() uint64 {
-	if ix.sharded == nil {
-		return 0
-	}
-	return ix.sharded.Epoch()
-}
+func (ix *Index) Epoch() uint64 { return ix.sharded.Epoch() }
 
 // Generation returns the manifest generation of the newest durable
 // checkpoint of a sharded live index (see shard.Index.Generation);
 // 0 for immutable indexes and for sharded indexes never saved.
-func (ix *Index) Generation() uint64 {
-	if ix.sharded == nil {
-		return 0
-	}
-	return ix.sharded.Generation()
-}
+func (ix *Index) Generation() uint64 { return ix.sharded.Generation() }
 
 // SaveShardDir exports one shard of a sharded index as a standalone
 // 1-shard index directory — manifest, segments, and the text layer —
 // ready for a cluster node to Open and serve (see shard.SaveShardDir
 // for the exactness guarantees). SaveShardDirs exports every shard.
 func (ix *Index) SaveShardDir(s int, dir string) error {
-	if ix.sharded == nil {
+	if !ix.Sharded() {
 		return fmt.Errorf("%w: only sharded indexes export per-shard", ErrNotSharded)
 	}
 	if err := ix.sharded.SaveShardDir(s, dir); err != nil {
@@ -263,11 +250,9 @@ func (ix *Index) SaveShardDir(s int, dir string) error {
 // SaveShardDirs exports every shard of the index under dir: shard s
 // lands in dir/shard-<s>. The exports together hold exactly the
 // index's corpus, and a router fanning over them merges to the same
-// results this index serves (bitwise).
+// results this index serves (bitwise). An unsharded index has one
+// shard, which SaveShardDir refuses.
 func (ix *Index) SaveShardDirs(dir string) error {
-	if ix.sharded == nil {
-		return fmt.Errorf("%w: only sharded indexes export per-shard", ErrNotSharded)
-	}
 	for s := 0; s < ix.sharded.NumShards(); s++ {
 		if err := ix.SaveShardDir(s, shardDirName(dir, s)); err != nil {
 			return err
@@ -283,9 +268,4 @@ func shardDirName(dir string, s int) string {
 
 // NumShards returns the shard count of a sharded index (1 for
 // immutable indexes, which are a single partition by construction).
-func (ix *Index) NumShards() int {
-	if ix.sharded == nil {
-		return 1
-	}
-	return ix.sharded.NumShards()
-}
+func (ix *Index) NumShards() int { return ix.sharded.NumShards() }

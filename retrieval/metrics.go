@@ -55,7 +55,7 @@ type LiveStats struct {
 // false for unsharded (immutable) indexes, which have no segment
 // lifecycle to observe.
 func (ix *Index) LiveStats() (LiveStats, bool) {
-	if ix.sharded == nil {
+	if !ix.Sharded() {
 		return LiveStats{}, false
 	}
 	failures, lastErr := ix.sharded.CompactionFailures()

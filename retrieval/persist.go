@@ -20,7 +20,7 @@ import (
 // Save writes the index to w as a self-contained stream: Load needs
 // nothing else to serve text queries.
 func (ix *Index) Save(w io.Writer) error {
-	if ix.sharded != nil {
+	if ix.Sharded() {
 		return fmt.Errorf("retrieval: save: sharded indexes persist to a directory; use SaveDir")
 	}
 	var meta *lsi.Meta
@@ -28,12 +28,12 @@ func (ix *Index) Save(w io.Writer) error {
 		meta = &lsi.Meta{
 			Vocab:           ix.vocab.Terms(),
 			WeightingName:   ix.weighting.String(),
-			DocIDs:          ix.docIDs.Strings(),
+			DocIDs:          ix.sharded.IDs().Strings(),
 			RemoveStopwords: ix.removeStopwords,
 			Stemming:        ix.stemming,
 		}
 	}
-	return ix.seg.Ix.SaveMeta(w, meta)
+	return ix.sharded.Segments(nil)[0].Ix.SaveMeta(w, meta)
 }
 
 // TextConfig supplies the text layer for indexes whose stream carries
@@ -72,17 +72,22 @@ func WithTextConfig(tc TextConfig) LoadOption {
 // an earlier build saved fails with one that says to rebuild it from
 // its text with BuildVSM.
 func Load(r io.Reader, opts ...LoadOption) (*Index, error) {
-	var cfg loadConfig
+	var lc loadConfig
 	for _, opt := range opts {
-		opt(&cfg)
+		opt(&lc)
 	}
+	return load(r, lc.text, config{})
+}
+
+// load is Load with Open's runtime options: the tiers and the query
+// cache cfg asks for are attached to the frozen index it returns.
+func load(r io.Reader, text *TextConfig, cfg config) (*Index, error) {
 	lsiIndex, stored, err := lsi.LoadMeta(r)
 	if err != nil {
 		return nil, fmt.Errorf("retrieval: %w", err)
 	}
 	ix := &Index{textLayer: textLayer{weighting: WeightingLog}}
-	ix.setLSI(lsiIndex)
-	switch text := cfg.text; {
+	switch {
 	case stored != nil: // LoadMeta has checked its lengths against the index
 		w, err := ParseWeighting(stored.WeightingName)
 		if err != nil {
@@ -120,6 +125,10 @@ func Load(r io.Reader, opts ...LoadOption) (*Index, error) {
 	if ix.docIDs.Len() == 0 {
 		ix.docIDs = idtable.Of(defaultIDs(lsiIndex.NumDocs()))
 	}
+	if err := ix.freeze(lsiIndex, cfg); err != nil {
+		return nil, err
+	}
+	ix.initCache(cfg.cacheBytes)
 	return ix, nil
 }
 

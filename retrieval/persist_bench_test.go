@@ -48,7 +48,9 @@ func syntheticLSI(tb testing.TB, docs, terms, k int) *Index {
 		tb.Fatal(err)
 	}
 	ix := &Index{textLayer: textLayer{vocab: vocab, weighting: WeightingLog, docIDs: idtable.Of(names("doc-", docs))}}
-	ix.setLSI(li)
+	if err := ix.freeze(li, config{}); err != nil {
+		tb.Fatal(err)
+	}
 	return ix
 }
 

@@ -42,6 +42,9 @@ func (x *Index) Add(d Doc) (int, error) {
 // [first, first+len(docs)). Every document is validated before anything
 // is published, so an invalid batch leaves the index unchanged.
 func (x *Index) AddBatch(docs []Doc) (int, error) {
+	if x.frozen {
+		return 0, ErrFrozen
+	}
 	if x.closed.Load() {
 		return 0, ErrClosed
 	}

@@ -27,8 +27,12 @@
 //	    search path, see DESIGN.md "The search path" — ranks it under the
 //	    strict (score desc, global doc asc) order, so results are
 //	    deterministic for any shard count, segment layout, and worker
-//	    count, and a 1-shard index is bitwise identical to the unsharded
-//	    one. Tier work is counted by the caller (segment.Counters).
+//	    count. Tier work is counted by the caller (segment.Counters).
+//	  - Frozen wraps one finished decomposition as a read-only 1-shard
+//	    index: one compacted segment, no compactor, no ingest, epoch and
+//	    generation 0. It is the retrieval layer's unsharded index, and a
+//	    1-shard Build over the same matrix holds a bitwise-identical
+//	    segment.
 //
 // Global document numbers are assigned once, at build or ingest, and
 // never change: compaction carries each segment's global mapping through
@@ -106,6 +110,10 @@ func (c Config) withDefaults() Config {
 
 // ErrClosed reports an operation on a closed index.
 var ErrClosed = errors.New("shard: index is closed")
+
+// ErrFrozen reports AddBatch on an index made by Frozen, which takes no
+// documents.
+var ErrFrozen = errors.New("shard: index is frozen")
 
 // shardState is one immutable snapshot of a shard: the sealed/compacted
 // segments plus the live fold-in segment (nil when none is open). Every
@@ -196,6 +204,7 @@ type Index struct {
 	stop   chan struct{}
 	done   chan struct{}
 	closed atomic.Bool
+	frozen bool // made by Frozen: no ingest, no compactor
 }
 
 // Build partitions the n×m term-document matrix a (documents as columns)
@@ -234,6 +243,43 @@ func Build(a *sparse.CSR, ids []string, cfg Config) (*Index, error) {
 	}
 	x.startCompactor()
 	return x, nil
+}
+
+// Frozen wraps ix, a finished decomposition of documents [0, NumDocs),
+// as a read-only 1-shard index: one compacted segment whose global
+// numbers are its local ones, carrying the sidecars tiers asks for
+// (tiers.MinDocs applies as given, so 0 trains them at any size). It runs
+// no compactor, AddBatch refuses it with ErrFrozen, and its epoch and
+// generation stay 0. ids.At(j) is the external identifier of document j.
+func Frozen(ix *lsi.Index, ids idtable.Table, tiers segment.TierConfig) (*Index, error) {
+	if ids.Len() != ix.NumDocs() {
+		return nil, fmt.Errorf("shard: %d ids for %d documents", ids.Len(), ix.NumDocs())
+	}
+	seg, err := segment.New(ix, identity(ix.NumDocs()), nil, true)
+	if err == nil {
+		seg, err = seg.WithTiers(tiers, nil, nil)
+	}
+	if err != nil {
+		return nil, err
+	}
+	x := newIndex(ix.NumTerms(), Config{Shards: 1, Rank: ix.K()})
+	x.frozen = true
+	x.ids.Store(&ids)
+	x.shards[0].state.Store(&shardState{stable: []*segment.Segment{seg}})
+	x.startCompactor() // AutoCompact is off: Close returns at once
+	return x, nil
+}
+
+// Frozen reports whether the index was made by Frozen.
+func (x *Index) Frozen() bool { return x.frozen }
+
+// identity returns the global numbers 0..m-1.
+func identity(m int) []int {
+	globals := make([]int, m)
+	for j := range globals {
+		globals[j] = j
+	}
+	return globals
 }
 
 // buildShard builds and publishes shard s of a fresh index.
@@ -300,11 +346,7 @@ func newIndex(numTerms int, cfg Config) *Index {
 func columnSubset(a *sparse.CSR, s, shards int) (*sparse.CSR, []int) {
 	n, m := a.Dims()
 	if shards == 1 {
-		globals := make([]int, m)
-		for j := range globals {
-			globals[j] = j
-		}
-		return a, globals
+		return a, identity(m)
 	}
 	var globals []int
 	local := make([]int, m) // global column -> 1 + shard-local column, 0 off the shard
@@ -351,9 +393,8 @@ func (x *Index) Rank() int { return x.cfg.Rank }
 // published mutation (ingest batch or compaction swap) and is stable
 // between them. Reading the epoch, searching, and observing the same
 // epoch afterwards proves the search saw no concurrent mutation — the
-// validity protocol of retrieval's query cache. Immutable (unsharded)
-// indexes have no counterpart; the retrieval layer uses a constant 0
-// for them.
+// validity protocol of retrieval's query cache. A Frozen index never
+// mutates, so its epoch stays 0.
 func (x *Index) Epoch() uint64 { return x.globalEpoch.Load() }
 
 // Generation returns the manifest generation of the newest durable
@@ -362,6 +403,10 @@ func (x *Index) Epoch() uint64 { return x.globalEpoch.Load() }
 // forms the replication token replicas compare against their primary
 // (see retrieval/cluster).
 func (x *Index) Generation() uint64 { return x.generation.Load() }
+
+// IDs returns the current external-ID table: IDs().At(g) is the
+// identifier of global document g.
+func (x *Index) IDs() idtable.Table { return *x.ids.Load() }
 
 // ExternalID returns the external identifier of global document g, or
 // "" if g is out of range.

@@ -8,24 +8,24 @@ import (
 	"os"
 	"path/filepath"
 
-	"repro/internal/idtable"
 	"repro/internal/ir"
 	"repro/internal/lsi"
 	"repro/internal/sparse"
 	"repro/retrieval/shard"
 )
 
-// Sharded mode: WithShards(n) swaps the single immutable backend for
-// retrieval/shard's sharded live index. The Index keeps owning the text
-// layer — vocabulary, weighting, pipeline flags — while the shard
-// subsystem owns the numeric segments and the global document directory,
-// so the same Retriever methods (and the same query preprocessing) serve
-// both modes.
+// Sharded mode. Every Index keeps its numeric segments and its global
+// document directory in a retrieval/shard index, while the Index owns the
+// text layer — vocabulary, weighting, pipeline flags — so the same
+// Retriever methods (and the same query preprocessing) serve every index.
+// Without WithShards that shard index is frozen: one shard, one compacted
+// segment, no ingest. WithShards(n) builds a live one instead.
 //
-// Sharded indexes add three capabilities on top of the Retriever
-// contract: live appends (Add), readiness reporting (Ready), and
-// directory persistence (SaveDir / OpenDir; the manifest format is
-// documented in retrieval/shard).
+// Live indexes add three capabilities on top of the Retriever contract:
+// live appends (Add), readiness reporting (Ready), and directory
+// persistence (SaveDir / OpenDir; the manifest format is documented in
+// retrieval/shard). A frozen index answers them with ErrImmutableIndex,
+// true and ErrNotSharded.
 
 // Sentinel errors of the sharded mode.
 var (
@@ -50,9 +50,7 @@ func (ix *Index) buildSharded(a *sparse.CSR, rank int, engine lsi.Engine, cfg co
 	if err != nil {
 		return fmt.Errorf("retrieval: building sharded index: %w", err)
 	}
-	ix.sharded = sx
-	ix.annList, ix.annProbe, ix.quantBeta = cfg.annList, cfg.annProbe, cfg.quantBeta
-	ix.docIDs = idtable.Table{} // the shard directory owns external IDs in sharded mode
+	ix.setShards(sx, cfg)
 	return nil
 }
 
@@ -70,38 +68,24 @@ func (c config) shardConfig() shard.Config {
 }
 
 // Sharded reports whether the index is a sharded live index.
-func (ix *Index) Sharded() bool { return ix.sharded != nil }
+func (ix *Index) Sharded() bool { return !ix.sharded.Frozen() }
 
 // Ready reports whether the index owes no background work: always true
 // for unsharded indexes; for sharded indexes, false while sealed
 // segments await compaction or a compaction pass is in flight. A
 // not-ready index serves correct (fold-in) results — Ready is the
 // readiness signal for load balancers, surfaced at /readyz.
-func (ix *Index) Ready() bool {
-	if ix.sharded == nil {
-		return true
-	}
-	return ix.sharded.Ready()
-}
+func (ix *Index) Ready() bool { return ix.sharded.Ready() }
 
 // Compact runs one synchronous compaction pass on a sharded index,
 // returning the number of segments rebuilt. Unsharded indexes have
 // nothing to compact and return 0.
-func (ix *Index) Compact() (int, error) {
-	if ix.sharded == nil {
-		return 0, nil
-	}
-	return ix.sharded.Compact()
-}
+func (ix *Index) Compact() (int, error) { return ix.sharded.Compact() }
 
 // Close releases background resources (the sharded compactor and the
-// attached WAL, if any). It is a no-op for unsharded indexes and is
-// idempotent; searches against an already-published index keep working
-// after Close, but Add fails.
+// attached WAL, if any). It is idempotent; searches against an
+// already-published index keep working after Close, but Add fails.
 func (ix *Index) Close() error {
-	if ix.sharded == nil {
-		return nil
-	}
 	err := ix.sharded.Close()
 	if ix.wlog != nil {
 		if werr := ix.wlog.Close(); err == nil {
@@ -145,7 +129,7 @@ func (ix *Index) Add(ctx context.Context, docs []Document) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	if ix.sharded == nil {
+	if !ix.Sharded() {
 		return 0, ErrImmutableIndex
 	}
 	if ix.vocab == nil {
@@ -195,7 +179,7 @@ const textMetaName = "text.json"
 // segment files (see retrieval/shard) plus the text layer. Unsharded
 // indexes persist to a single stream via Save instead.
 func (ix *Index) SaveDir(dir string) error {
-	if ix.sharded == nil {
+	if !ix.Sharded() {
 		return fmt.Errorf("%w: use Save for single-stream persistence", ErrNotSharded)
 	}
 	if err := ix.sharded.SaveDir(dir); err != nil {
@@ -269,16 +253,13 @@ func OpenDir(dir string, opts ...Option) (*Index, error) {
 		sx.Close()
 		return nil, fmt.Errorf("retrieval: open: %w", err)
 	}
-	ix := &Index{
-		textLayer: textLayer{
-			vocab:           vocab,
-			weighting:       weighting,
-			removeStopwords: meta.RemoveStopwords,
-			stemming:        meta.Stemming,
-		},
-		sharded: sx,
-	}
-	ix.annList, ix.annProbe, ix.quantBeta = cfg.annList, cfg.annProbe, cfg.quantBeta
+	ix := &Index{textLayer: textLayer{
+		vocab:           vocab,
+		weighting:       weighting,
+		removeStopwords: meta.RemoveStopwords,
+		stemming:        meta.Stemming,
+	}}
+	ix.setShards(sx, cfg)
 	ix.initCache(cfg.cacheBytes)
 	return ix, nil
 }
@@ -304,14 +285,5 @@ func Open(path string, opts ...Option) (*Index, error) {
 		return nil, fmt.Errorf("retrieval: open: %w", err)
 	}
 	defer f.Close()
-	ix, err := Load(f)
-	if err != nil {
-		return nil, err
-	}
-	cfg := newConfig(opts)
-	if err := ix.attachTiers(cfg); err != nil {
-		return nil, err
-	}
-	ix.initCache(cfg.cacheBytes)
-	return ix, nil
+	return load(f, nil, newConfig(opts))
 }

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/idtable"
 	"repro/internal/lsi"
 	"repro/internal/par"
 	"repro/internal/segment"
@@ -84,13 +86,52 @@ func TestOneShardMatchesUnshardedBitwise(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer x.Close()
+	frozen, err := Frozen(plain, idtable.Of(defaultIDs(48)), segment.TierConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, topN := range []int{0, 1, 7, 48, 100} {
 		for j := 0; j < 8; j++ {
 			terms, weights := sparseCol(a, j)
 			sameMatches(t, searchSparse(x, terms, weights, topN), plain.SearchSparse(terms, weights, topN), "sparse")
+			sameMatches(t, searchSparse(frozen, terms, weights, topN), plain.SearchSparse(terms, weights, topN), "frozen sparse")
 			dense, _ := segment.Search(x.Segments(nil), segment.Query{Vec: a.Col(j)}, topN, segment.ProbeOptions{})
 			sameMatches(t, dense, plain.Search(a.Col(j), topN), "dense")
 		}
+	}
+}
+
+// A Frozen index takes no documents, runs no compactor, never moves its
+// epoch, and refuses an ID table of the wrong length.
+func TestFrozenTakesNoDocuments(t *testing.T) {
+	a := testMatrix(t, 3, 12, 48, 301)
+	plain, err := lsi.Build(a, 4, lsi.Options{Engine: lsi.EngineRandomized, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Frozen(plain, idtable.Of(defaultIDs(47)), segment.TierConfig{}); err == nil {
+		t.Fatal("Frozen accepted 47 ids for 48 documents")
+	}
+	x, err := Frozen(plain, idtable.Of(defaultIDs(48)), segment.TierConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	terms, weights := sparseCol(a, 0)
+	if _, err := x.Add(Doc{ID: "new", Terms: terms, Weights: weights}); !errors.Is(err, ErrFrozen) {
+		t.Fatalf("Add = %v, want ErrFrozen", err)
+	}
+	if n, err := x.Compact(); n != 0 || err != nil {
+		t.Fatalf("Compact = %d, %v, want 0, nil", n, err)
+	}
+	if !x.Frozen() || x.NumDocs() != 48 || x.NumShards() != 1 || x.Epoch() != 0 || !x.Ready() {
+		t.Fatalf("frozen %v, %d docs, %d shards, epoch %d, ready %v",
+			x.Frozen(), x.NumDocs(), x.NumShards(), x.Epoch(), x.Ready())
+	}
+	if err := x.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := x.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -6,7 +6,7 @@ GO ?= go
 # Base ref for the perf-regression gate (CI passes the PR's base branch).
 BASE ?= origin/main
 
-.PHONY: all build test lint vet fmt-check docs-check deps-check race bench-smoke bench bench-gate ledger-frozen loc fuzz-short serve-smoke load-smoke cluster-smoke chaos-smoke ann-smoke quant-smoke
+.PHONY: all build test lint vet fmt-check docs-check deps-check race bench-smoke bench bench-gate ledger-frozen loc fuzz-short serve-smoke load-smoke cluster-smoke chaos-smoke tier-smoke
 
 all: build test
 
@@ -143,23 +143,17 @@ loc:
 	@ls retrieval/*.go retrieval/shard/*.go internal/segment/*.go internal/ivf/*.go internal/quant/*.go | grep -v _test.go | xargs cat | wc -l
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l
 
-# Sample a balanced >=100k-document corpus from the paper's model with
-# corpusgen, index it with the IVF ANN tier, and gate recall@10 >= 0.95
-# at nprobe=8 plus ANN-faster-than-exhaustive. The measured summary
-# lands in ann-smoke.json (archived by CI).
-ann-smoke:
+# Sample one balanced >=100k-document corpus from the paper's model with
+# corpusgen and gate both approximate tiers on it: the IVF ANN tier
+# (recall@10 >= 0.95 at nprobe=8, ANN faster than exhaustive) and the int8
+# quantized tier (top-10 overlap >= 0.99 at rank 64, beta=64, quantized
+# faster than exact). The summaries land in ann-smoke.json and
+# quant-smoke.json (archived by CI).
+tier-smoke:
 	$(GO) build -o bin/corpusgen ./cmd/corpusgen
 	$(GO) build -o bin/annsmoke ./cmd/annsmoke
-	sh scripts/ann_smoke.sh bin/corpusgen bin/annsmoke
-
-# Sample a balanced >=100k-document corpus from the paper's model with
-# corpusgen, index it with the int8 quantized scoring tier, and gate
-# top-10 overlap >= 0.99 at rank 64, beta=64 plus quantized-faster-than-exact.
-# The measured summary lands in quant-smoke.json (archived by CI).
-quant-smoke:
-	$(GO) build -o bin/corpusgen ./cmd/corpusgen
 	$(GO) build -o bin/quantsmoke ./cmd/quantsmoke
-	sh scripts/quant_smoke.sh bin/corpusgen bin/quantsmoke
+	sh scripts/tier_smoke.sh bin/corpusgen bin/annsmoke bin/quantsmoke
 
 # Short local mirror of the nightly fuzz job: 30s per fuzz target (the
 # manifest loader, the query-cache key normalizer, the WAL record

@@ -5,8 +5,9 @@
 // the exact quantities the PR acceptance bar speaks to. It exits
 // non-zero when recall falls below -min-recall or the
 // exhaustive-to-ANN latency ratio falls below -min-speedup, so CI can
-// use it as a pass/fail smoke (scripts/ann_smoke.sh drives it via
-// `make ann-smoke`).
+// use it as a pass/fail smoke (scripts/tier_smoke.sh drives it via
+// `make tier-smoke`, beside cmd/quantsmoke; internal/tiersmoke is the
+// harness the two share).
 //
 // Usage:
 //
@@ -22,17 +23,12 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
-	"strconv"
-	"strings"
-	"time"
 
-	"repro/internal/corpus"
+	"repro/internal/tiersmoke"
 	"repro/retrieval"
 )
 
@@ -68,109 +64,59 @@ type Summary struct {
 	DocsScoredPerQuery float64 `json:"docs_scored_per_query"`
 }
 
+var termToken = tiersmoke.TermToken
+
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("annsmoke", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	corpusPath := fs.String("corpus", "", "corpusgen JSON-lines corpus to index (required)")
-	rank := fs.Int("rank", 32, "LSI rank")
+	var f tiersmoke.Flags
+	f.Register(fs, 32)
 	nlist := fs.Int("nlist", 128, "IVF cell count")
 	nprobe := fs.Int("nprobe", 8, "probe budget for the ANN measurement")
-	topN := fs.Int("topn", 10, "result depth for the recall measurement")
-	nq := fs.Int("queries", 200, "number of queries sampled from the corpus")
-	seed := fs.Int64("seed", 1, "query-sampling seed")
 	minRecall := fs.Float64("min-recall", 0, "fail when recall@topn falls below this")
-	minSpeedup := fs.Float64("min-speedup", 0, "fail when the exhaustive/ANN latency ratio falls below this")
-	out := fs.String("o", "-", "summary output path ('-' for stdout)")
-	if err := fs.Parse(args); err != nil {
+	if err := f.Parse(fs, args); err != nil {
 		return err
 	}
-	if fs.NArg() != 0 {
-		return fmt.Errorf("unexpected positional arguments: %v", fs.Args())
-	}
-	if *corpusPath == "" {
-		return fmt.Errorf("-corpus is required")
-	}
-	if *nq <= 0 || *topN <= 0 {
-		return fmt.Errorf("-queries and -topn must be positive")
-	}
-
-	f, err := os.Open(*corpusPath)
+	s, err := tiersmoke.Load("annsmoke", &f, retrieval.WithANN(*nlist, *nprobe), stderr)
 	if err != nil {
 		return err
 	}
-	c, err := corpus.ReadJSON(f)
-	f.Close()
-	if err != nil {
-		return err
-	}
-	if len(c.Docs) == 0 {
-		return fmt.Errorf("corpus %s is empty", *corpusPath)
-	}
-
-	docs := make([]retrieval.Document, len(c.Docs))
-	for i := range c.Docs {
-		docs[i] = retrieval.Document{ID: fmt.Sprintf("d%06d", i), Text: docText(&c.Docs[i])}
-	}
-	fmt.Fprintf(stderr, "annsmoke: indexing %d documents (rank=%d nlist=%d)\n", len(docs), *rank, *nlist)
-	buildStart := time.Now()
-	ix, err := retrieval.Build(docs,
-		retrieval.WithRank(*rank),
-		retrieval.WithEngine(retrieval.EngineRandomized),
-		retrieval.WithStopwordRemoval(false),
-		retrieval.WithStemming(false),
-		retrieval.WithANN(*nlist, *nprobe))
-	if err != nil {
-		return err
-	}
+	ix := s.Index
 	defer ix.Close()
-	fmt.Fprintf(stderr, "annsmoke: index built in %v\n", time.Since(buildStart).Round(time.Millisecond))
 
-	rng := rand.New(rand.NewSource(*seed))
-	queries := make([]string, *nq)
-	for i := range queries {
-		queries[i] = docs[rng.Intn(len(docs))].Text
-	}
-
+	exhaustive := func(q string) ([]retrieval.Result, error) { return ix.SearchProbe(ctx, q, f.TopN, 0) }
+	probed := func(q string) ([]retrieval.Result, error) { return ix.SearchProbe(ctx, q, f.TopN, *nprobe) }
 	// Warm both paths so neither measurement pays first-touch costs.
-	if _, err := ix.SearchProbe(ctx, queries[0], *topN, 0); err != nil {
-		return err
-	}
-	if _, err := ix.SearchProbe(ctx, queries[0], *topN, *nprobe); err != nil {
-		return err
-	}
-
-	truth := make([][]retrieval.Result, len(queries))
-	start := time.Now()
-	for i, q := range queries {
-		if truth[i], err = ix.SearchProbe(ctx, q, *topN, 0); err != nil {
+	for _, search := range []func(string) ([]retrieval.Result, error){exhaustive, probed} {
+		if _, err := search(s.Queries[0]); err != nil {
 			return err
 		}
 	}
-	exNs := float64(time.Since(start).Nanoseconds()) / float64(len(queries))
-
+	truth := make([][]string, len(s.Queries))
+	exNs, err := s.Pass(truth, exhaustive)
+	if err != nil {
+		return err
+	}
 	before, _ := ix.ANNStats()
-	got := make([][]retrieval.Result, len(queries))
-	start = time.Now()
-	for i, q := range queries {
-		if got[i], err = ix.SearchProbe(ctx, q, *topN, *nprobe); err != nil {
-			return err
-		}
+	got := make([][]string, len(s.Queries))
+	annNs, err := s.Pass(got, probed)
+	if err != nil {
+		return err
 	}
-	annNs := float64(time.Since(start).Nanoseconds()) / float64(len(queries))
 	after, ok := ix.ANNStats()
-	if !ok || after.Searches-before.Searches != int64(len(queries)) {
+	if !ok || after.Searches-before.Searches != int64(len(s.Queries)) {
 		return fmt.Errorf("probed searches bypassed the ANN tier: stats %+v -> %+v", before, after)
 	}
 
 	hits, want := 0, 0
 	for i := range truth {
 		ids := make(map[string]bool, len(truth[i]))
-		for _, r := range truth[i] {
-			ids[r.ID] = true
+		for _, id := range truth[i] {
+			ids[id] = true
 		}
 		want += len(truth[i])
-		for _, r := range got[i] {
-			if ids[r.ID] {
+		for _, id := range got[i] {
+			if ids[id] {
 				hits++
 			}
 		}
@@ -179,69 +125,26 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("exhaustive baseline returned no results")
 	}
 
-	s := Summary{
-		Docs: len(docs), NumTerms: c.NumTerms, Rank: *rank,
-		NList: *nlist, NProbe: *nprobe, TopN: *topN, Queries: len(queries),
+	sum := Summary{
+		Docs: s.Docs, NumTerms: s.NumTerms, Rank: f.Rank,
+		NList: *nlist, NProbe: *nprobe, TopN: f.TopN, Queries: len(s.Queries),
 		Recall:               float64(hits) / float64(want),
 		ExhaustiveNsPerQuery: exNs,
 		ANNNsPerQuery:        annNs,
 		Speedup:              exNs / annNs,
-		DocsScoredPerQuery:   float64(after.DocsScored-before.DocsScored) / float64(len(queries)),
+		DocsScoredPerQuery:   float64(after.DocsScored-before.DocsScored) / float64(len(s.Queries)),
 	}
 	fmt.Fprintf(stderr, "annsmoke: recall@%d=%.4f speedup=%.2fx (%.0f of %d docs scored per query)\n",
-		s.TopN, s.Recall, s.Speedup, s.DocsScoredPerQuery, s.Docs)
-
-	var w io.Writer = stdout
-	if *out != "-" {
-		of, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer func() {
-			if cerr := of.Close(); cerr != nil && err == nil {
-				err = cerr
-			}
-		}()
-		w = of
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(s); err != nil {
+		sum.TopN, sum.Recall, sum.Speedup, sum.DocsScoredPerQuery, sum.Docs)
+	if err := tiersmoke.Write(f.Out, stdout, sum); err != nil {
 		return err
 	}
-
-	if s.Recall < *minRecall {
-		return fmt.Errorf("recall@%d = %.4f below the %.4f gate", s.TopN, s.Recall, *minRecall)
+	if sum.Recall < *minRecall {
+		return fmt.Errorf("recall@%d = %.4f below the %.4f gate", sum.TopN, sum.Recall, *minRecall)
 	}
-	if s.Speedup < *minSpeedup {
+	if sum.Speedup < f.MinSpeedup {
 		return fmt.Errorf("speedup = %.2fx below the %.2fx gate (exhaustive %.0fns vs ann %.0fns per query)",
-			s.Speedup, *minSpeedup, exNs, annNs)
+			sum.Speedup, f.MinSpeedup, exNs, annNs)
 	}
 	return nil
-}
-
-// docText renders a sampled document as text the index pipeline
-// preserves verbatim: Tokenize splits on digits, so term IDs become
-// letter-only tokens ("x" plus the decimal digits mapped a–j).
-func docText(d *corpus.Document) string {
-	var b strings.Builder
-	for i, t := range d.Terms {
-		tok := termToken(t)
-		for n := 0; n < d.Counts[i]; n++ {
-			b.WriteString(tok)
-			b.WriteByte(' ')
-		}
-	}
-	return b.String()
-}
-
-func termToken(t int) string {
-	const letters = "abcdefghij"
-	s := strconv.Itoa(t)
-	b := make([]byte, 1, len(s)+1)
-	b[0] = 'x'
-	for i := 0; i < len(s); i++ {
-		b = append(b, letters[s[i]-'0'])
-	}
-	return string(b)
 }

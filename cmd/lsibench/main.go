@@ -14,7 +14,7 @@
 // diffed across commits without parsing tables.
 //
 // Experiments: table1, thm2, thm3, lemma1, jl, thm5, runtime, synonymy,
-// thm6, retrieval, cf, mixture, ablate-weighting, ablate-projection,
+// thm6, retrieval, cf, mixture, drift, ablate-weighting, ablate-projection,
 // ablate-engine.
 package main
 
@@ -35,6 +35,33 @@ import (
 type experiment struct {
 	desc string
 	run  func(args []string, small bool) (string, error)
+}
+
+// tabled is what every experiment result renders to.
+type tabled interface{ Table() string }
+
+// sized is an experiment with a default and a test-sized configuration
+// (-small) and no flags of its own.
+func sized[C any, R tabled](desc string, def, small func() C, run func(C) (R, error)) experiment {
+	return experiment{desc: desc, run: func(_ []string, s bool) (string, error) {
+		cfg := def()
+		if s {
+			cfg = small()
+		}
+		return table(run(cfg))
+	}}
+}
+
+// fixed is an experiment with one configuration.
+func fixed[R tabled](desc string, run func() (R, error)) experiment {
+	return experiment{desc: desc, run: func([]string, bool) (string, error) { return table(run()) }}
+}
+
+func table[R tabled](res R, err error) (string, error) {
+	if err != nil {
+		return "", err
+	}
+	return res.Table(), nil
 }
 
 var registry = map[string]experiment{
@@ -71,258 +98,58 @@ var registry = map[string]experiment{
 			return res.Table(), nil
 		},
 	},
-	"thm2": {
-		desc: "Theorem 2: 0-separable pure corpora give (near-)0-skewed rank-k LSI",
-		run: func(args []string, small bool) (string, error) {
-			cfg := experiments.DefaultTheorem2Config()
-			if small {
-				cfg = experiments.SmallTheorem2Config()
-			}
-			res, err := experiments.RunTheorem2(cfg)
-			if err != nil {
-				return "", err
-			}
-			return res.Table(), nil
-		},
-	},
-	"thm3": {
-		desc: "Theorem 3: skew grows O(eps) with separability eps",
-		run: func(args []string, small bool) (string, error) {
-			cfg := experiments.DefaultTheorem3Config()
-			if small {
-				cfg = experiments.SmallTheorem3Config()
-			}
-			res, err := experiments.RunTheorem3(cfg)
-			if err != nil {
-				return "", err
-			}
-			return res.Table(), nil
-		},
-	},
-	"lemma1": {
-		desc: "Lemma 1/4: invariant subspace stability under bounded perturbation",
-		run: func(args []string, small bool) (string, error) {
-			res, err := experiments.RunLemma1(experiments.DefaultLemma1Config())
-			if err != nil {
-				return "", err
-			}
-			return res.Table(), nil
-		},
-	},
-	"jl": {
-		desc: "Lemma 2: Johnson–Lindenstrauss distance preservation",
-		run: func(args []string, small bool) (string, error) {
-			cfg := experiments.DefaultJLConfig()
-			if small {
-				cfg = experiments.SmallJLConfig()
-			}
-			res, err := experiments.RunJL(cfg)
-			if err != nil {
-				return "", err
-			}
-			return res.Table(), nil
-		},
-	},
-	"thm5": {
-		desc: "Theorem 5: two-step (random projection + rank-2k LSI) residual bound",
-		run: func(args []string, small bool) (string, error) {
-			cfg := experiments.DefaultTheorem5Config()
-			if small {
-				cfg = experiments.SmallTheorem5Config()
-			}
-			res, err := experiments.RunTheorem5(cfg)
-			if err != nil {
-				return "", err
-			}
-			return res.Table(), nil
-		},
-	},
-	"runtime": {
-		desc: "§5 running-time comparison: direct LSI vs two-step",
-		run: func(args []string, small bool) (string, error) {
+	"thm2": sized("Theorem 2: 0-separable pure corpora give (near-)0-skewed rank-k LSI",
+		experiments.DefaultTheorem2Config, experiments.SmallTheorem2Config, experiments.RunTheorem2),
+	"thm3": sized("Theorem 3: skew grows O(eps) with separability eps",
+		experiments.DefaultTheorem3Config, experiments.SmallTheorem3Config, experiments.RunTheorem3),
+	"lemma1": fixed("Lemma 1/4: invariant subspace stability under bounded perturbation",
+		func() (*experiments.Lemma1Result, error) {
+			return experiments.RunLemma1(experiments.DefaultLemma1Config())
+		}),
+	"jl": sized("Lemma 2: Johnson–Lindenstrauss distance preservation",
+		experiments.DefaultJLConfig, experiments.SmallJLConfig, experiments.RunJL),
+	"thm5": sized("Theorem 5: two-step (random projection + rank-2k LSI) residual bound",
+		experiments.DefaultTheorem5Config, experiments.SmallTheorem5Config, experiments.RunTheorem5),
+	"runtime": sized("§5 running-time comparison: direct LSI vs two-step",
+		experiments.DefaultRuntimeConfig, func() experiments.RuntimeConfig {
 			cfg := experiments.DefaultRuntimeConfig()
-			if small {
-				cfg.Corpora = cfg.Corpora[:2]
-				cfg.NumDocs = cfg.NumDocs[:2]
-			}
-			res, err := experiments.RunRuntime(cfg)
-			if err != nil {
-				return "", err
-			}
-			return res.Table(), nil
-		},
-	},
-	"synonymy": {
-		desc: "§4 synonymy: identical co-occurrence pairs are projected out",
-		run: func(args []string, small bool) (string, error) {
-			cfg := experiments.DefaultSynonymyConfig()
-			if small {
-				cfg = experiments.SmallSynonymyConfig()
-			}
-			res, err := experiments.RunSynonymy(cfg)
-			if err != nil {
-				return "", err
-			}
-			return res.Table(), nil
-		},
-	},
-	"thm6": {
-		desc: "Theorem 6: spectral discovery of high-conductance subgraphs",
-		run: func(args []string, small bool) (string, error) {
-			cfg := experiments.DefaultTheorem6Config()
-			if small {
-				cfg = experiments.SmallTheorem6Config()
-			}
-			res, err := experiments.RunTheorem6(cfg)
-			if err != nil {
-				return "", err
-			}
-			return res.Table(), nil
-		},
-	},
-	"retrieval": {
-		desc: "§1 claim: LSI beats the vector-space model under synonymy",
-		run: func(args []string, small bool) (string, error) {
-			cfg := experiments.DefaultRetrievalConfig()
-			if small {
-				cfg = experiments.SmallRetrievalConfig()
-			}
-			res, err := experiments.RunRetrieval(cfg)
-			if err != nil {
-				return "", err
-			}
-			return res.Table(), nil
-		},
-	},
-	"cf": {
-		desc: "§6 collaborative filtering: LSI recommender vs popularity",
-		run: func(args []string, small bool) (string, error) {
-			cfg := experiments.DefaultCFConfig()
-			if small {
-				cfg = experiments.SmallCFConfig()
-			}
-			res, err := experiments.RunCF(cfg)
-			if err != nil {
-				return "", err
-			}
-			return res.Table(), nil
-		},
-	},
-	"style": {
-		desc: "Definition 3 probe: cross-topic style strength vs LSI separation",
-		run: func(args []string, small bool) (string, error) {
-			cfg := experiments.DefaultStyleConfig()
-			if small {
-				cfg = experiments.SmallStyleConfig()
-			}
-			res, err := experiments.RunStyle(cfg)
-			if err != nil {
-				return "", err
-			}
-			return res.Table(), nil
-		},
-	},
-	"sampling": {
-		desc: "§5 discussion: document-sampled LSI vs random projection",
-		run: func(args []string, small bool) (string, error) {
-			cfg := experiments.DefaultSamplingConfig()
-			if small {
-				cfg = experiments.SmallSamplingConfig()
-			}
-			res, err := experiments.RunSampling(cfg)
-			if err != nil {
-				return "", err
-			}
-			return res.Table(), nil
-		},
-	},
-	"polysemy": {
-		desc: "Open question (§6): does LSI address polysemy?",
-		run: func(args []string, small bool) (string, error) {
-			cfg := experiments.DefaultPolysemyConfig()
-			if small {
-				cfg = experiments.SmallPolysemyConfig()
-			}
-			res, err := experiments.RunPolysemy(cfg)
-			if err != nil {
-				return "", err
-			}
-			return res.Table(), nil
-		},
-	},
-	"mixture": {
-		desc: "Open question after Thm 2: multi-topic documents",
-		run: func(args []string, small bool) (string, error) {
-			cfg := experiments.DefaultMixtureConfig()
-			if small {
-				cfg = experiments.SmallMixtureConfig()
-			}
-			res, err := experiments.RunMixture(cfg)
-			if err != nil {
-				return "", err
-			}
-			return res.Table(), nil
-		},
-	},
-	"ablate-weighting": {
-		desc: "Ablation: §2 remark that the count function does not matter",
-		run: func(args []string, small bool) (string, error) {
-			cfg := experiments.SmallTable1Config()
-			if !small {
-				cfg = experiments.DefaultTable1Config()
-				cfg.NumDocs = 400 // keep the 4 SVDs affordable
-			}
-			res, err := experiments.RunWeightingAblation(cfg)
-			if err != nil {
-				return "", err
-			}
-			return res.Table(), nil
-		},
-	},
-	"ablate-projection": {
-		desc: "Ablation: projection family (orthonormal/gaussian/sign)",
-		run: func(args []string, small bool) (string, error) {
-			cfg := experiments.DefaultTheorem5Config()
-			if small {
-				cfg = experiments.SmallTheorem5Config()
-			}
-			res, err := experiments.RunProjectionAblation(cfg)
-			if err != nil {
-				return "", err
-			}
-			return res.Table(), nil
-		},
-	},
-	"ablate-engine": {
-		desc: "Ablation: SVD engine accuracy and time",
-		run: func(args []string, small bool) (string, error) {
-			res, err := experiments.RunEngineAblation(13)
-			if err != nil {
-				return "", err
-			}
-			return res.Table(), nil
-		},
-	},
-	"ablate-lanczos": {
-		desc: "Ablation: Lanczos dimension p vs accuracy",
-		run: func(args []string, small bool) (string, error) {
-			res, err := experiments.RunLanczosDimAblation(17)
-			if err != nil {
-				return "", err
-			}
-			return res.Table(), nil
-		},
-	},
-	"ablate-randomized": {
-		desc: "Ablation: randomized SVD power/oversampling vs accuracy",
-		run: func(args []string, small bool) (string, error) {
-			res, err := experiments.RunRandomizedParamAblation(17)
-			if err != nil {
-				return "", err
-			}
-			return res.Table(), nil
-		},
-	},
+			cfg.Corpora, cfg.NumDocs = cfg.Corpora[:2], cfg.NumDocs[:2]
+			return cfg
+		}, experiments.RunRuntime),
+	"synonymy": sized("§4 synonymy: identical co-occurrence pairs are projected out",
+		experiments.DefaultSynonymyConfig, experiments.SmallSynonymyConfig, experiments.RunSynonymy),
+	"thm6": sized("Theorem 6: spectral discovery of high-conductance subgraphs",
+		experiments.DefaultTheorem6Config, experiments.SmallTheorem6Config, experiments.RunTheorem6),
+	"retrieval": sized("§1 claim: LSI beats the vector-space model under synonymy",
+		experiments.DefaultRetrievalConfig, experiments.SmallRetrievalConfig, experiments.RunRetrieval),
+	"cf": sized("§6 collaborative filtering: LSI recommender vs popularity",
+		experiments.DefaultCFConfig, experiments.SmallCFConfig, experiments.RunCF),
+	"style": sized("Definition 3 probe: cross-topic style strength vs LSI separation",
+		experiments.DefaultStyleConfig, experiments.SmallStyleConfig, experiments.RunStyle),
+	"sampling": sized("§5 discussion: document-sampled LSI vs random projection",
+		experiments.DefaultSamplingConfig, experiments.SmallSamplingConfig, experiments.RunSampling),
+	"polysemy": sized("Open question (§6): does LSI address polysemy?",
+		experiments.DefaultPolysemyConfig, experiments.SmallPolysemyConfig, experiments.RunPolysemy),
+	"drift": sized("ROADMAP 10(b): fold-in vs re-decomposed tails, and the residual-share drift signal",
+		experiments.DefaultDriftConfig, experiments.SmallDriftConfig, experiments.RunDrift),
+	"mixture": sized("Open question after Thm 2: multi-topic documents",
+		experiments.DefaultMixtureConfig, experiments.SmallMixtureConfig, experiments.RunMixture),
+	"ablate-weighting": sized("Ablation: §2 remark that the count function does not matter",
+		func() experiments.Table1Config {
+			cfg := experiments.DefaultTable1Config()
+			cfg.NumDocs = 400 // keep the 4 SVDs affordable
+			return cfg
+		}, experiments.SmallTable1Config, experiments.RunWeightingAblation),
+	"ablate-projection": sized("Ablation: projection family (orthonormal/gaussian/sign)",
+		experiments.DefaultTheorem5Config, experiments.SmallTheorem5Config, experiments.RunProjectionAblation),
+	"ablate-engine": fixed("Ablation: SVD engine accuracy and time",
+		func() (*experiments.EngineAblationResult, error) { return experiments.RunEngineAblation(13) }),
+	"ablate-lanczos": fixed("Ablation: Lanczos dimension p vs accuracy",
+		func() (*experiments.LanczosDimAblationResult, error) { return experiments.RunLanczosDimAblation(17) }),
+	"ablate-randomized": fixed("Ablation: randomized SVD power/oversampling vs accuracy",
+		func() (*experiments.RandomizedParamAblationResult, error) {
+			return experiments.RunRandomizedParamAblation(17)
+		}),
 }
 
 // jsonResult is one experiment's machine-readable outcome — the envelope

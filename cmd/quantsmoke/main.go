@@ -6,8 +6,9 @@
 // index — the exact quantities the PR acceptance bar speaks to. It
 // exits non-zero when overlap falls below -min-overlap or the
 // exact-to-quantized latency ratio falls below -min-speedup, so CI can
-// use it as a pass/fail smoke (scripts/quant_smoke.sh drives it via
-// `make quant-smoke`).
+// use it as a pass/fail smoke (scripts/tier_smoke.sh drives it via
+// `make tier-smoke`, beside cmd/annsmoke; internal/tiersmoke is the
+// harness the two share).
 //
 // Usage:
 //
@@ -25,18 +26,13 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
-	"strconv"
-	"strings"
-	"time"
 
-	"repro/internal/corpus"
 	"repro/internal/eval"
+	"repro/internal/tiersmoke"
 	"repro/retrieval"
 )
 
@@ -80,198 +76,88 @@ type Summary struct {
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("quantsmoke", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	corpusPath := fs.String("corpus", "", "corpusgen JSON-lines corpus to index (required)")
-	rank := fs.Int("rank", 32, "LSI rank")
+	var f tiersmoke.Flags
+	f.Register(fs, 32)
 	beta := fs.Int("beta", 4, "rerank over-fetch: the int8 scan selects topn*beta candidates")
-	topN := fs.Int("topn", 10, "result depth for the fidelity measurement")
-	nq := fs.Int("queries", 200, "number of queries sampled from the corpus")
-	seed := fs.Int64("seed", 1, "query-sampling seed")
 	minOverlap := fs.Float64("min-overlap", 0, "fail when top-N overlap falls below this")
-	minSpeedup := fs.Float64("min-speedup", 0, "fail when the exact/quantized latency ratio falls below this")
-	out := fs.String("o", "-", "summary output path ('-' for stdout)")
-	if err := fs.Parse(args); err != nil {
+	if err := f.Parse(fs, args); err != nil {
 		return err
 	}
-	if fs.NArg() != 0 {
-		return fmt.Errorf("unexpected positional arguments: %v", fs.Args())
+	if *beta <= 0 {
+		return fmt.Errorf("-beta must be positive")
 	}
-	if *corpusPath == "" {
-		return fmt.Errorf("-corpus is required")
-	}
-	if *nq <= 0 || *topN <= 0 || *beta <= 0 {
-		return fmt.Errorf("-queries, -topn, and -beta must be positive")
-	}
-
-	f, err := os.Open(*corpusPath)
+	s, err := tiersmoke.Load("quantsmoke", &f, retrieval.WithQuantized(*beta), stderr)
 	if err != nil {
 		return err
 	}
-	c, err := corpus.ReadJSON(f)
-	f.Close()
-	if err != nil {
-		return err
-	}
-	if len(c.Docs) == 0 {
-		return fmt.Errorf("corpus %s is empty", *corpusPath)
-	}
-
-	docs := make([]retrieval.Document, len(c.Docs))
-	for i := range c.Docs {
-		docs[i] = retrieval.Document{ID: fmt.Sprintf("d%06d", i), Text: docText(&c.Docs[i])}
-	}
-	fmt.Fprintf(stderr, "quantsmoke: indexing %d documents (rank=%d beta=%d)\n", len(docs), *rank, *beta)
-	buildStart := time.Now()
-	ix, err := retrieval.Build(docs,
-		retrieval.WithRank(*rank),
-		retrieval.WithEngine(retrieval.EngineRandomized),
-		retrieval.WithStopwordRemoval(false),
-		retrieval.WithStemming(false),
-		retrieval.WithQuantized(*beta))
-	if err != nil {
-		return err
-	}
+	ix := s.Index
 	defer ix.Close()
-	fmt.Fprintf(stderr, "quantsmoke: index built in %v\n", time.Since(buildStart).Round(time.Millisecond))
 
-	rng := rand.New(rand.NewSource(*seed))
-	queries := make([]string, *nq)
-	for i := range queries {
-		queries[i] = docs[rng.Intn(len(docs))].Text
-	}
-
-	// Warm both paths so neither measurement pays first-touch costs.
-	if _, err := ix.SearchProbe(ctx, queries[0], *topN, 0); err != nil {
-		return err
-	}
-	if _, err := ix.Search(ctx, queries[0], *topN); err != nil {
-		return err
-	}
-
-	// One timed pass over the query set; out, when non-nil, collects the
-	// ranking of each query.
-	pass := func(out [][]string, search func(q string) ([]retrieval.Result, error)) (float64, error) {
-		start := time.Now()
-		for i, q := range queries {
-			res, err := search(q)
-			if err != nil {
-				return 0, err
-			}
-			if out != nil {
-				out[i] = resultIDs(res)
-			}
-		}
-		return float64(time.Since(start).Nanoseconds()) / float64(len(queries)), nil
-	}
 	// nprobe=0 is the fully exact escape hatch: float kernels over every
-	// document, no int8 scan.
-	exact := func(q string) ([]retrieval.Result, error) { return ix.SearchProbe(ctx, q, *topN, 0) }
-	// The default search on a WithQuantized index is the two-stage path:
-	// int8 scan, then exact rerank of the top topn*beta.
-	quantized := func(q string) ([]retrieval.Result, error) { return ix.Search(ctx, q, *topN) }
+	// document, no int8 scan. The default search on a WithQuantized index
+	// is the two-stage path: int8 scan, then exact rerank of the top
+	// topn*beta.
+	exact := func(q string) ([]retrieval.Result, error) { return ix.SearchProbe(ctx, q, f.TopN, 0) }
+	quantized := func(q string) ([]retrieval.Result, error) { return ix.Search(ctx, q, f.TopN) }
+	// Warm both paths so neither measurement pays first-touch costs.
+	for _, search := range []func(string) ([]retrieval.Result, error){exact, quantized} {
+		if _, err := search(s.Queries[0]); err != nil {
+			return err
+		}
+	}
 
 	// Interleave the paths A/B/A/B and keep each path's best pass: the
 	// float scan is memory-bandwidth-bound, so a mid-run shift in the
 	// machine's effective bandwidth would otherwise charge one path and
 	// not the other, making the speedup gate flap.
-	truth := make([][]string, len(queries))
-	got := make([][]string, len(queries))
+	truth := make([][]string, len(s.Queries))
+	got := make([][]string, len(s.Queries))
 	before, _ := ix.QuantStats()
-	exNs, err := pass(truth, exact)
+	exNs, err := s.Pass(truth, exact)
 	if err != nil {
 		return err
 	}
-	qNs, err := pass(got, quantized)
+	qNs, err := s.Pass(got, quantized)
 	if err != nil {
 		return err
 	}
 	after, ok := ix.QuantStats()
-	if !ok || after.Searches-before.Searches != int64(len(queries)) {
+	if !ok || after.Searches-before.Searches != int64(len(s.Queries)) {
 		return fmt.Errorf("searches bypassed the quantized tier: stats %+v -> %+v", before, after)
 	}
-	if ex2, err := pass(nil, exact); err != nil {
+	if ex2, err := s.Pass(nil, exact); err != nil {
 		return err
 	} else if ex2 < exNs {
 		exNs = ex2
 	}
-	if q2, err := pass(nil, quantized); err != nil {
+	if q2, err := s.Pass(nil, quantized); err != nil {
 		return err
 	} else if q2 < qNs {
 		qNs = q2
 	}
 
-	s := Summary{
-		Docs: len(docs), NumTerms: c.NumTerms, Rank: *rank,
-		Beta: *beta, TopN: *topN, Queries: len(queries),
-		Overlap:          eval.TopKOverlap(got, truth, *topN),
+	sum := Summary{
+		Docs: s.Docs, NumTerms: s.NumTerms, Rank: f.Rank,
+		Beta: *beta, TopN: f.TopN, Queries: len(s.Queries),
+		Overlap:          eval.TopKOverlap(got, truth, f.TopN),
 		ExactNsPerQuery:  exNs,
 		QuantNsPerQuery:  qNs,
 		Speedup:          exNs / qNs,
-		RerankedPerQuery: float64(after.DocsReranked-before.DocsReranked) / float64(len(queries)),
+		RerankedPerQuery: float64(after.DocsReranked-before.DocsReranked) / float64(len(s.Queries)),
 		QuantBytes:       after.Bytes,
-		FloatBytes:       int64(len(docs)) * int64(*rank) * 4,
+		FloatBytes:       int64(s.Docs) * int64(f.Rank) * 4,
 	}
 	fmt.Fprintf(stderr, "quantsmoke: overlap@%d=%.4f speedup=%.2fx (%.0f reranked per query; shadow %dB vs float %dB)\n",
-		s.TopN, s.Overlap, s.Speedup, s.RerankedPerQuery, s.QuantBytes, s.FloatBytes)
-
-	var w io.Writer = stdout
-	if *out != "-" {
-		of, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer func() {
-			if cerr := of.Close(); cerr != nil && err == nil {
-				err = cerr
-			}
-		}()
-		w = of
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(s); err != nil {
+		sum.TopN, sum.Overlap, sum.Speedup, sum.RerankedPerQuery, sum.QuantBytes, sum.FloatBytes)
+	if err := tiersmoke.Write(f.Out, stdout, sum); err != nil {
 		return err
 	}
-
-	if s.Overlap < *minOverlap {
-		return fmt.Errorf("overlap@%d = %.4f below the %.4f gate", s.TopN, s.Overlap, *minOverlap)
+	if sum.Overlap < *minOverlap {
+		return fmt.Errorf("overlap@%d = %.4f below the %.4f gate", sum.TopN, sum.Overlap, *minOverlap)
 	}
-	if s.Speedup < *minSpeedup {
+	if sum.Speedup < f.MinSpeedup {
 		return fmt.Errorf("speedup = %.2fx below the %.2fx gate (exact %.0fns vs quantized %.0fns per query)",
-			s.Speedup, *minSpeedup, exNs, qNs)
+			sum.Speedup, f.MinSpeedup, exNs, qNs)
 	}
 	return nil
-}
-
-func resultIDs(res []retrieval.Result) []string {
-	ids := make([]string, len(res))
-	for i, r := range res {
-		ids[i] = r.ID
-	}
-	return ids
-}
-
-// docText renders a sampled document as text the index pipeline
-// preserves verbatim: Tokenize splits on digits, so term IDs become
-// letter-only tokens ("x" plus the decimal digits mapped a–j).
-func docText(d *corpus.Document) string {
-	var b strings.Builder
-	for i, t := range d.Terms {
-		tok := termToken(t)
-		for n := 0; n < d.Counts[i]; n++ {
-			b.WriteString(tok)
-			b.WriteByte(' ')
-		}
-	}
-	return b.String()
-}
-
-func termToken(t int) string {
-	const letters = "abcdefghij"
-	s := strconv.Itoa(t)
-	b := make([]byte, 1, len(s)+1)
-	b[0] = 'x'
-	for i := 0; i < len(s); i++ {
-		b = append(b, letters[s[i]-'0'])
-	}
-	return string(b)
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/mat"
 )
 
 // sparseDoc converts a dense term-space vector to the sorted sparse form
@@ -138,5 +139,57 @@ func TestEmptyLikeSeedsFreshSegment(t *testing.T) {
 		if float64(float32(want[i])) != got[i] { // stored: the projection rounded once
 			t.Fatalf("dim %d: segment row %v, parent projection %v", i, got[i], want[i])
 		}
+	}
+}
+
+// Concat joins indexes that share a basis row for row, with no
+// decomposition: the result is bitwise one ExtendedSparse over all their
+// documents, and indexes over different bases are refused.
+func TestConcatMatchesOneExtension(t *testing.T) {
+	c := testCorpus(t, 3, 10, 0.05, 30, 166)
+	a := corpus.TermDocMatrix(c, corpus.CountWeighting)
+	ix, err := Build(a, 3, Options{Engine: EngineDense})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var terms [][]int
+	var weights [][]float64
+	for j := 0; j < 12; j++ {
+		tm, w := sparseDoc(a.Col(j))
+		terms, weights = append(terms, tm), append(weights, w)
+	}
+	whole, err := ix.EmptyLike().ExtendedSparse(terms, weights)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var parts []*Index
+	for _, cut := range [][2]int{{0, 5}, {5, 5}, {5, 12}} {
+		p, err := ix.EmptyLike().ExtendedSparse(terms[cut[0]:cut[1]], weights[cut[0]:cut[1]])
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts = append(parts, p)
+	}
+	got, err := Concat(parts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Basis() != ix.Basis() || got.NumDocs() != whole.NumDocs() {
+		t.Fatalf("concat holds %d documents over its own basis", got.NumDocs())
+	}
+	for j := 0; j < whole.NumDocs(); j++ {
+		if got.Norms()[j] != whole.Norms()[j] || mat.Dist(got.DocVector(j), whole.DocVector(j)) != 0 {
+			t.Fatalf("document %d differs from the one-pass extension", j)
+		}
+	}
+	other, err := Build(a, 3, Options{Engine: EngineDense})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Concat(parts[0], other); err == nil {
+		t.Fatal("concatenating indexes over different bases did not fail")
+	}
+	if _, err := Concat(); err == nil {
+		t.Fatal("concatenating nothing did not fail")
 	}
 }

@@ -36,10 +36,7 @@ func (ix *Index) AppendDocument(d []float64) (int, error) {
 // workers, each writing its own row: bitwise the serial result.
 func (ix *Index) extended(n, grain int, fold func(i int, proj []float64)) *Index {
 	m, k := ix.docs.Dims()
-	ext := &Index{k: ix.k, numTerms: ix.numTerms, uk: ix.uk, sigma: ix.sigma, mapped: ix.mapped,
-		docs: mat.NewDense32(m+n, k), norms: make([]float64, m+n)}
-	copy(ext.docs.RawData(), ix.docs.RawData())
-	copy(ext.norms, ix.norms)
+	ext := ix.concat([]*Index{ix}, n)
 	par.For(n, grain, func(lo, hi int) {
 		proj := make([]float64, k)
 		for i := lo; i < hi; i++ {
@@ -50,6 +47,40 @@ func (ix *Index) extended(n, grain int, fold func(i int, proj []float64)) *Index
 		}
 	})
 	return ext
+}
+
+// concat returns a new index in ix's latent space holding the documents
+// of parts in order, rows and norms copied bit for bit, then extra zero
+// rows for the caller to fill.
+func (ix *Index) concat(parts []*Index, extra int) *Index {
+	m := extra
+	for _, p := range parts {
+		m += p.docs.Rows()
+	}
+	out := &Index{k: ix.k, numTerms: ix.numTerms, uk: ix.uk, sigma: ix.sigma, mapped: ix.mapped,
+		docs: mat.NewDense32(m, ix.k), norms: make([]float64, m)}
+	data, norms := out.docs.RawData(), out.norms
+	for _, p := range parts {
+		data, norms = data[copy(data, p.docs.RawData()):], norms[copy(norms, p.norms):]
+	}
+	return out
+}
+
+// Concat returns one index holding the documents of parts in order. The
+// parts must share one latent space — the same Uₖ, as the fold-in
+// segments of one shard do — so no decomposition runs: every row and norm
+// is copied bit for bit and each document scores exactly what it scored
+// in its part.
+func Concat(parts ...*Index) (*Index, error) {
+	if len(parts) == 0 {
+		return nil, fmt.Errorf("lsi: concatenating no indexes")
+	}
+	for _, p := range parts[1:] {
+		if p.uk != parts[0].uk {
+			return nil, fmt.Errorf("lsi: concatenating indexes over different bases")
+		}
+	}
+	return parts[0].concat(parts, 0), nil
 }
 
 // MustAppend is AppendDocument for callers that treat a length mismatch as

@@ -7,14 +7,15 @@ import (
 	"repro/internal/sparse"
 )
 
-// Compaction: a fold-in segment represents its documents only within the
-// subspace of the basis it was folded against, so representation quality
-// drifts as the corpus grows away from the basis-defining documents.
-// Compact rebuilds one or more sealed segments from their retained raw
-// term-space documents with a fresh decomposition, merging them into a
-// single compacted segment: merge the raw documents, assemble the CSR,
-// lsi.Build. Which SVD runs is lsi.EngineAuto's decision at every size —
-// serving has one factorisation path (DESIGN.md §14).
+// Compaction turns sealed fold-in segments into one compacted segment,
+// in one of two ways. Merge settles segments that share a basis: it
+// concatenates their rows under that basis with no decomposition, so
+// every document keeps its score. Compact re-decomposes: it rebuilds the
+// segments from their retained raw term-space documents with a fresh
+// lsi.Build, for documents the basis they were folded against no longer
+// represents (ResidualShare measures that). Which SVD runs is
+// lsi.EngineAuto's decision at every size — serving has one
+// factorisation path (DESIGN.md §14).
 
 // CompactOptions configures Compact.
 type CompactOptions struct {
@@ -34,40 +35,122 @@ type CompactOptions struct {
 // compacted segment. Every input segment must still carry its raw
 // documents (sealed, not yet compacted); the inputs are not modified.
 func Compact(segs []*Segment, numTerms int, opts CompactOptions) (*Segment, error) {
-	if len(segs) == 0 {
-		return nil, fmt.Errorf("segment: compact of zero segments")
-	}
 	if opts.K < 1 {
 		return nil, fmt.Errorf("segment: compact rank %d, want >= 1", opts.K)
 	}
+	global, raw, err := mergeRaw(segs, numTerms)
+	if err != nil {
+		return nil, err
+	}
+	ix, err := lsi.Build(raw.Matrix(numTerms), opts.K, lsi.Options{Seed: opts.Seed})
+	if err != nil {
+		return nil, fmt.Errorf("segment: compact rebuild: %w", err)
+	}
+	if !opts.KeepRaw {
+		raw = nil
+	}
+	return &Segment{Ix: ix, Global: global, Raw: raw, Compacted: true}, nil
+}
+
+// Merge concatenates segs, which must share one basis and still carry
+// their raw documents, into one compacted segment without a
+// decomposition: rows, norms, global numbers and raw documents are
+// appended in order, so every document scores bitwise what it scored
+// before. The inputs are not modified.
+func Merge(segs []*Segment, numTerms int) (*Segment, error) {
+	global, raw, err := mergeRaw(segs, numTerms)
+	if err != nil {
+		return nil, err
+	}
+	parts := make([]*lsi.Index, len(segs))
+	for i, s := range segs {
+		parts[i] = s.Ix
+	}
+	ix, err := lsi.Concat(parts...)
+	if err != nil {
+		return nil, fmt.Errorf("segment: merge: %w", err)
+	}
+	return &Segment{Ix: ix, Global: global, Raw: raw, Compacted: true}, nil
+}
+
+// mergeRaw appends the global numbers and raw documents of segs in
+// order, checking that each segment carries all of its raw documents and
+// that every term is in the vocabulary.
+func mergeRaw(segs []*Segment, numTerms int) ([]int, *Raw, error) {
+	if len(segs) == 0 {
+		return nil, nil, fmt.Errorf("segment: compact of zero segments")
+	}
 	var global []int
-	var raw Raw
+	raw := &Raw{}
 	for _, s := range segs {
 		if s.Raw == nil || s.Raw.Len() != s.Len() {
-			return nil, fmt.Errorf("segment: compacting a segment without raw documents (%d raw, %d docs)",
+			return nil, nil, fmt.Errorf("segment: compacting a segment without raw documents (%d raw, %d docs)",
 				s.Raw.Len(), s.Len())
 		}
 		global = append(global, s.Global...)
 		raw.Terms = append(raw.Terms, s.Raw.Terms...)
 		raw.Weights = append(raw.Weights, s.Raw.Weights...)
 	}
-	m := len(global)
-	coo := sparse.NewCOO(numTerms, m)
 	for j, terms := range raw.Terms {
-		for i, t := range terms {
+		for _, t := range terms {
 			if t < 0 || t >= numTerms {
-				return nil, fmt.Errorf("segment: raw document %d term %d out of range [0,%d)", j, t, numTerms)
+				return nil, nil, fmt.Errorf("segment: raw document %d term %d out of range [0,%d)", j, t, numTerms)
 			}
-			coo.Add(t, j, raw.Weights[j][i])
 		}
 	}
-	ix, err := lsi.Build(coo.ToCSR(), opts.K, lsi.Options{Seed: opts.Seed})
-	if err != nil {
-		return nil, fmt.Errorf("segment: compact rebuild: %w", err)
+	return global, raw, nil
+}
+
+// Matrix assembles the numTerms×Len() term-document matrix of the
+// retained documents, document j as column j. Terms must be in
+// [0, numTerms).
+func (r *Raw) Matrix(numTerms int) *sparse.CSR {
+	rowNNZ := make([]int, numTerms)
+	for _, terms := range r.Terms {
+		for _, t := range terms {
+			rowNNZ[t]++
+		}
 	}
-	kept := (*Raw)(nil)
-	if opts.KeepRaw {
-		kept = &raw
+	b := sparse.NewRowBuilder(rowNNZ, len(r.Terms))
+	for j, terms := range r.Terms {
+		for i, t := range terms {
+			b.Add(t, j, r.Weights[j][i])
+		}
 	}
-	return &Segment{Ix: ix, Global: global, Raw: kept, Compacted: true}, nil
+	return b.CSR()
+}
+
+// Energy returns Σ‖d‖² over the retained documents: their total squared
+// term weight.
+func (r *Raw) Energy() float64 {
+	var e float64
+	for _, w := range r.Weights {
+		for _, v := range w {
+			e += v * v
+		}
+	}
+	return e
+}
+
+// ResidualShare is the share of a document set's term-space energy that
+// its latent rows leave out, 1 − Σ‖row‖²/energy: each row is the
+// projection of its document onto an orthonormal basis, so the share is
+// what the basis does not capture. norms are the rows' norms and energy
+// the documents' Σ‖d‖²; an empty set has share 0.
+func ResidualShare(norms []float64, energy float64) float64 {
+	if energy == 0 {
+		return 0
+	}
+	var kept float64
+	for _, n := range norms {
+		kept += n * n
+	}
+	return 1 - kept/energy
+}
+
+// ResidualShare is the segment's residual share (the package function)
+// from its stored norms and retained raw documents. It is the compactor's
+// drift signal for a sealed fold-in segment.
+func (s *Segment) ResidualShare() float64 {
+	return ResidualShare(s.Ix.Norms(), s.Raw.Energy())
 }

@@ -15,11 +15,14 @@
 //	            fold-in segments still represent documents in the basis
 //	            of the segment they were folded against, and still carry
 //	            their raw term-space documents.
-//	compacted — rebuilt by Compact from the raw documents with a fresh
-//	            SVD (lsi.Build), so the latent space reflects
-//	            the documents themselves rather than the subspace they
-//	            were folded into. Raw documents are dropped, unless the
-//	            caller keeps them (CompactOptions.KeepRaw) to leave the
+//	compacted — merged by the compactor: settled by Merge, which
+//	            concatenates segments folded into one basis and keeps
+//	            every row, or rebuilt by Compact from the raw documents
+//	            with a fresh SVD (lsi.Build), so the latent space
+//	            reflects the documents themselves rather than a basis
+//	            that does not represent them. Merge keeps the raw
+//	            documents; Compact drops them unless the caller keeps
+//	            them (CompactOptions.KeepRaw). Either way they leave the
 //	            segment eligible for future tiered merges.
 //
 // Search treats a set of segments — across all lifecycle states and all
@@ -47,9 +50,10 @@ import (
 
 // Raw retains the term-space documents of a segment in the sorted
 // sparse form the retrieval layer produces (terms strictly ascending
-// per document). Compact consumes it, and keeps it on the result only
-// under CompactOptions.KeepRaw (the shard compactor's tiered-merge
-// policy).
+// per document). Merge and Compact consume it; Merge keeps it on the
+// result, Compact only under CompactOptions.KeepRaw (the shard
+// compactor's tiered-merge policy needs it, and its drift rule reads the
+// weights: ResidualShare).
 type Raw struct {
 	Terms   [][]int
 	Weights [][]float64
@@ -89,10 +93,12 @@ type Segment struct {
 	// global tie-breaks agree; Search nonetheless breaks ties on the
 	// global number, which is what determinism is defined over.
 	Global []int
-	// Raw retains the term-space documents until compaction (nil after).
+	// Raw retains the term-space documents of a fold-in segment, and of
+	// a compacted one the compactor may merge again (nil otherwise).
 	Raw *Raw
-	// Compacted marks a segment whose latent space was derived from its
-	// own documents (initial build or Compact) rather than by fold-in.
+	// Compacted marks a segment that waits for no compaction: an initial
+	// build, or a compactor merge (Merge or Compact). It is what makes a
+	// segment eligible for sidecars (WithTiers).
 	Compacted bool
 	// Ann is the optional IVF coarse quantizer over Ix's document vectors
 	// (nil = none; the segment is always servable by exhaustive scan) and

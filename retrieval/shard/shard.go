@@ -19,9 +19,12 @@
 //	    load the pointer once and never block or lock.
 //	  - When a live segment reaches SealEvery documents it is sealed:
 //	    moved read-only into the stable list, where the background
-//	    compactor rebuilds it (lsi.Build over the retained raw documents,
-//	    the same decomposition the initial build runs) and atomically
-//	    swaps the compacted replacement in.
+//	    compactor settles it — concatenates it with older tiers in the
+//	    shard's basis, every score kept — or, when its residual share
+//	    says the basis does not represent its documents, re-decomposes it
+//	    (lsi.Build over the retained raw documents, the same
+//	    decomposition the initial build runs), and atomically swaps the
+//	    compacted replacement in (compactor.go).
 //	  - Searching is not this package's job: Segments snapshots the
 //	    published segment set and segment.Search — the repository's one
 //	    search path, see DESIGN.md "The search path" — ranks it under the
@@ -145,6 +148,10 @@ type shardH struct {
 	// documents (or its first ingested batch). Guarded by the index-wide
 	// ingest mutex.
 	base *lsi.Index
+	// ref is base's residual share (segment.ResidualShare): the drift
+	// rule's reference. nil until known — an index opened from a manifest
+	// that does not record it takes the first settled tier's share.
+	ref atomic.Pointer[float64]
 }
 
 // Index is a sharded live LSI index. Searches are safe from any number
@@ -163,7 +170,10 @@ type Index struct {
 
 	compactMu   sync.Mutex // serializes whole-index compaction passes
 	compacting  atomic.Int32
-	compactions atomic.Int64 // total segment rebuilds performed
+	compactions atomic.Int64 // tiers merged: settles and re-decompositions
+	// redecompositions counts the merges that ran a decomposition
+	// (segment.Compact) because a sealed segment drifted.
+	redecompositions atomic.Int64
 	// Compaction passes that returned an error, and the newest one's
 	// message: a segment that cannot be rebuilt stays sealed, so its debt
 	// never drains and the admission gate sheds ingest — this is the
@@ -299,15 +309,18 @@ func (x *Index) buildShard(a *sparse.CSR, s int) error {
 	if err != nil {
 		return err
 	}
+	frob := sub.Frob()
+	ref := segment.ResidualShare(ix.Norms(), frob*frob)
 	x.shards[s].base = ix
+	x.shards[s].ref.Store(&ref)
 	x.shards[s].state.Store(&shardState{stable: []*segment.Segment{seg}})
 	return nil
 }
 
 // tiers is the sidecar configuration of shard s's segments — the ANN and
-// quantized tiers. Both sidecars are derived state of a decomposition:
-// segment.WithTiers trains them at build for the initial segments and
-// right after each compaction's re-SVD, so they ride the same
+// quantized tiers. Both sidecars are derived state of a compacted
+// segment: segment.WithTiers trains them at build for the initial
+// segments and right after each compaction merge, so they ride the same
 // publish-then-bump swap and the epoch-keyed query cache needs no extra
 // invalidation; live fold-in segments never carry one and stay exact.
 func (x *Index) tiers(s int) segment.TierConfig {
@@ -448,17 +461,18 @@ type Stats struct {
 	Generation uint64 `json:"generation"`
 	// Segments counts every published segment; Live of them are
 	// fold-in segments still absorbing, SealedPending are sealed and
-	// waiting for the compactor, Compacted were rebuilt (or built) by a
-	// full decomposition.
+	// waiting for the compactor, Compacted were built or merged by it
+	// (settled in the shard's basis or re-decomposed).
 	Segments      int `json:"segments"`
 	Live          int `json:"liveSegments"`
 	SealedPending int `json:"sealedPending"`
 	Compacted     int `json:"compactedSegments"`
-	// Docs is the total document count; FoldedDocs of them are currently
-	// represented by fold-in rather than a direct decomposition.
+	// Docs is the total document count; FoldedDocs of them are in live,
+	// sealed or reloaded fold-in segments no compaction has merged.
 	Docs       int `json:"docs"`
 	FoldedDocs int `json:"foldedDocs"`
-	// Compactions counts segment rebuilds performed since Build/Open.
+	// Compactions counts the tiers the compactor merged since Build/Open
+	// (see Index.Compactions).
 	Compactions int64 `json:"compactions"`
 	// Compacting reports whether a compaction pass is in flight.
 	Compacting bool `json:"compacting"`
@@ -553,9 +567,16 @@ func (x *Index) CompactionDebt() int {
 // Compacting reports whether a compaction pass is in flight.
 func (x *Index) Compacting() bool { return x.compacting.Load() > 0 }
 
-// Compactions returns the total number of segment rebuilds performed
-// since Build or Open.
+// Compactions returns how many tiers the compactor has merged since Build
+// or Open: settles in the shard's basis and re-decompositions alike (one
+// per tier, so a pass may count two per shard). /metrics exports it as
+// lsi_index_compactions_total.
 func (x *Index) Compactions() int64 { return x.compactions.Load() }
+
+// Redecompositions returns how many of those merges re-decomposed their
+// documents with a fresh SVD because a sealed segment's residual share
+// had drifted past the shard's reference (lsi_index_redecompositions_total).
+func (x *Index) Redecompositions() int64 { return x.redecompositions.Load() }
 
 // CompactionFailures returns how many compaction passes (background or
 // Compact calls) returned an error since Build or Open, and the newest

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/par"
+	"repro/internal/sparse"
 	"repro/internal/topk"
 )
 
@@ -146,6 +148,58 @@ func TestStressConcurrentAddSearchCompact(t *testing.T) {
 	}
 	if err := checkResults(res, wantDocs, 0, x.ExternalID); err != nil {
 		t.Fatal(err)
+	}
+
+	t.Run("settle merge is invisible to search", testSettleInvisible)
+}
+
+// testSettleInvisible holds a compaction pass that settles in-model
+// fold-ins to its contract: the merge concatenates rows under the basis
+// they were folded into, so every query answers bitwise the same IDs,
+// scores and order before and after it — over seeds, shard counts and
+// worker counts, and across passes that absorb older settled tiers.
+func testSettleInvisible(t *testing.T) {
+	for _, seed := range []int64{501, 502} {
+		a := testMatrix(t, 3, 12, 120, seed)
+		for _, shards := range []int{1, 2, 3} {
+			for _, procs := range []int{1, 2} {
+				settleInvisible(t, a, seed, shards, procs)
+			}
+		}
+	}
+}
+
+func settleInvisible(t *testing.T, a *sparse.CSR, seed int64, shards, procs int) {
+	defer par.SetMaxProcs(par.SetMaxProcs(procs))
+	x, err := Build(a, defaultIDs(120), Config{Shards: shards, Rank: 3, Seed: seed, SealEvery: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer x.Close()
+	answers := func() [][]topk.Match {
+		var out [][]topk.Match
+		for j := 0; j < 120; j += 9 {
+			terms, weights := sparseCol(a, j)
+			out = append(out, searchSparse(x, terms, weights, 0), searchSparse(x, terms, weights, 10))
+		}
+		return out
+	}
+	// Three passes of 48 documents: the second absorbs the first's tier.
+	for pass, added := 0, 0; pass < 3; pass++ {
+		for ; added < 48*(pass+1); added++ {
+			terms, weights := sparseCol(a, (added*7+int(seed))%120)
+			if _, err := x.Add(Doc{Terms: terms, Weights: weights}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		where := fmt.Sprintf("seed %d, %d shards, MaxProcs %d, pass %d", seed, shards, procs, pass)
+		before := answers()
+		if n, err := x.Compact(); err != nil || n == 0 || x.Redecompositions() != 0 {
+			t.Fatalf("%s: Compact = %d, %v with %d re-decompositions; want settles only", where, n, err, x.Redecompositions())
+		}
+		for i, got := range answers() {
+			sameMatches(t, got, before[i], where)
+		}
 	}
 }
 

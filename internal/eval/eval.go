@@ -9,9 +9,9 @@
 //   - top-k overlap: recall@k averaged over many queries, the number a
 //     CI gate compares against its threshold (e.g. ">= 0.99 at k=10")
 //
-// Rankings are compared by document ID, so the metrics work across any
-// two runs over the same corpus regardless of which index produced
-// them. All functions are pure and deterministic.
+// Rankings are compared by document ID (any comparable type: external
+// IDs or global document numbers), so the metrics work across any two
+// runs over the same corpus regardless of which index produced them. All functions are pure and deterministic.
 package eval
 
 // RecallAtK returns the fraction of the first k truth IDs that appear
@@ -20,7 +20,7 @@ package eval
 // its actual length, so a perfect short ranking still scores 1. An
 // empty truth (nothing to recall) scores 1 by convention; k <= 0
 // scores 0.
-func RecallAtK(got, truth []string, k int) float64 {
+func RecallAtK[ID comparable](got, truth []ID, k int) float64 {
 	if k <= 0 {
 		return 0
 	}
@@ -33,7 +33,7 @@ func RecallAtK(got, truth []string, k int) float64 {
 	if len(truth) == 0 {
 		return 1
 	}
-	want := make(map[string]bool, len(truth))
+	want := make(map[ID]bool, len(truth))
 	for _, id := range truth {
 		want[id] = true
 	}
@@ -52,7 +52,7 @@ func RecallAtK(got, truth []string, k int) float64 {
 // in length — the caller produced them from the same query list, so a
 // mismatch is a harness bug, not data. An empty query set scores 0 so
 // a gate comparing ">= threshold" cannot pass vacuously.
-func TopKOverlap(got, truth [][]string, k int) float64 {
+func TopKOverlap[ID comparable](got, truth [][]ID, k int) float64 {
 	if len(got) != len(truth) {
 		panic("eval: got and truth cover different query sets")
 	}

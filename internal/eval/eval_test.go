@@ -38,7 +38,7 @@ func TestTopKOverlapAverages(t *testing.T) {
 }
 
 func TestTopKOverlapEmptySetScoresZero(t *testing.T) {
-	if o := TopKOverlap(nil, nil, 10); o != 0 {
+	if o := TopKOverlap[string](nil, nil, 10); o != 0 {
 		t.Fatalf("TopKOverlap(empty) = %v, want 0 so gates cannot pass vacuously", o)
 	}
 }

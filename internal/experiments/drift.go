@@ -5,10 +5,10 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
-	"slices"
 	"strings"
 
 	"repro/internal/corpus"
+	"repro/internal/eval"
 	"repro/internal/lsi"
 	"repro/internal/segment"
 )
@@ -17,8 +17,9 @@ import (
 // after a build should be represented, and the signal that says when
 // folding them into the build's basis stops being right. The corpus is
 // the benchmark's (the paper's pure ε-separable model, documents dealt
-// round-robin over the topics); the base is its first nine tenths and
-// tails of growing size come from the last tenth.
+// round-robin over the topics). In-model tails of growing size come from
+// its last tenth, unseen-topic tails from the topics a second base
+// leaves out.
 type DriftConfig struct {
 	Corpus       corpus.SeparableConfig
 	DocsPerTopic int
@@ -26,11 +27,11 @@ type DriftConfig struct {
 	// TierSize is the sealed segment's size: tails are added in tiers of
 	// this many documents, and residual shares are read per tier.
 	TierSize int
-	// Tails are the tail sizes compared, each a multiple of TierSize and
-	// at most a tenth of the corpus.
+	// Tails are the tail sizes compared, each a multiple of TierSize, at
+	// most a tenth of the corpus and at most the Unseen topics' documents.
 	Tails []int
-	// Unseen topics are left out of a second base, whose fold-ins of
-	// those topics' documents give the out-of-model residual share.
+	// Unseen topics are left out of a second base, into which those
+	// topics' documents are folded as out-of-model tails.
 	Unseen int
 	// QueriesPerTopic short queries of QueryLen terms are drawn from every
 	// topic.
@@ -63,18 +64,21 @@ func SmallDriftConfig() DriftConfig {
 	}
 }
 
-// DriftTail is one tail size's rankings under four representations of
-// the tail: a fresh build over base and tail together; the tail folded
-// into the base's basis (what the compactor's settle keeps); and the tail
-// re-decomposed as the compactor did before the drift rule, both as each
-// seal's own decomposition (what a seal serves right after its pass) and
-// as the size-tiered tiers that merging those leaves.
+// DriftTail is one tail's rankings under three representations of it: a
+// fresh build over base and tail together; the tail folded into the
+// base's basis (what the shard compactor's settle keeps); and the tail
+// re-decomposed as the size-tiered tiers that merging its seals leaves,
+// each decomposed on its own (what the compactor did before it settled).
+// For an unseen-topic tail the re-decomposed column is what a drift rule
+// that re-decomposes the tiers the basis does not represent would serve.
 type DriftTail struct {
-	Docs int
+	// Unseen marks a tail of topics the base never saw.
+	Unseen bool
+	Docs   int
 	// *Share is the share of top-10 slots the tail's documents fill;
 	// *Overlap is the top-10 overlap with the fresh build's answer.
-	FreshShare, FoldShare, SealShare, TierShare float64
-	FoldOverlap, SealOverlap, TierOverlap       float64
+	FreshShare, FoldShare, RedoShare float64
+	FoldOverlap, RedoOverlap         float64
 }
 
 // DriftShares is one population's residual share per tier, against the
@@ -94,7 +98,10 @@ type DriftResult struct {
 	Shares []DriftShares
 }
 
-// RunDrift measures the drift table.
+// RunDrift measures the drift table. In-model tails come from the
+// corpus's last tenth, folded into a base over the first nine tenths;
+// unseen-topic tails come from the last Unseen topics, folded into a
+// base over all the others.
 func RunDrift(cfg DriftConfig) (*DriftResult, error) {
 	model, err := corpus.PureSeparableModel(cfg.Corpus)
 	if err != nil {
@@ -131,35 +138,38 @@ func RunDrift(cfg DriftConfig) (*DriftResult, error) {
 
 	d := &drift{cfg: cfg, numTerms: c.NumTerms}
 	nBase := len(c.Docs) * 9 / 10
-	held := c.Docs[nBase:]
-	base := d.build(c.Docs[:nBase])
+	seen, unseen := byTopic(c, topics-cfg.Unseen)
+	base, seenBase := d.build(c.Docs[:nBase]), d.build(seen)
 	out := &DriftResult{Config: cfg}
-	for _, n := range cfg.Tails {
-		if n%cfg.TierSize != 0 || n > len(held) {
-			return nil, fmt.Errorf("experiments: tail %d is not a multiple of %d within %d held documents", n, cfg.TierSize, len(held))
+	for _, p := range []struct {
+		unseen     bool
+		base       *segment.Segment
+		docs, tail []corpus.Document
+	}{{false, base, c.Docs[:nBase], c.Docs[nBase:]}, {true, seenBase, seen, unseen}} {
+		first := len(p.docs)
+		for _, n := range cfg.Tails {
+			if n%cfg.TierSize != 0 || n > len(p.tail) {
+				return nil, fmt.Errorf("experiments: tail %d is not a multiple of %d within %d held documents", n, cfg.TierSize, len(p.tail))
+			}
+			want := top(d.build(append(p.docs[:first:first], p.tail[:n]...)))
+			fold := top(p.base, d.fold(p.base, p.tail[:n], first))
+			redo := top(append([]*segment.Segment{p.base}, d.redecompose(p.base, p.tail[:n], first)...)...)
+			if d.err != nil {
+				return nil, d.err
+			}
+			out.Tails = append(out.Tails, DriftTail{
+				Unseen: p.unseen, Docs: n,
+				FreshShare: tailShare(want, first), FoldShare: tailShare(fold, first), RedoShare: tailShare(redo, first),
+				FoldOverlap: eval.TopKOverlap(fold, want, 10), RedoOverlap: eval.TopKOverlap(redo, want, 10),
+			})
 		}
-		want := top(d.build(c.Docs[:nBase+n]))
-		fold := top(base, d.fold(base, held[:n], nBase))
-		seals := top(append([]*segment.Segment{base}, d.redecompose(base, held[:n], nBase, false)...)...)
-		tiers := top(append([]*segment.Segment{base}, d.redecompose(base, held[:n], nBase, true)...)...)
-		if d.err != nil {
-			return nil, d.err
-		}
-		out.Tails = append(out.Tails, DriftTail{
-			Docs:       n,
-			FreshShare: tailShare(want, nBase), FoldShare: tailShare(fold, nBase),
-			SealShare: tailShare(seals, nBase), TierShare: tailShare(tiers, nBase),
-			FoldOverlap: overlap(fold, want), SealOverlap: overlap(seals, want), TierOverlap: overlap(tiers, want),
-		})
 	}
 
 	// Residual shares per tier: the base's own documents, in-model
-	// fold-ins, and fold-ins of topics a second base never saw.
-	seen, unseen := byTopic(c, topics-cfg.Unseen)
-	seenBase := d.build(seen)
+	// fold-ins, and fold-ins of topics the second base never saw.
 	out.Shares = []DriftShares{
 		d.shares("fitted (base's own)", base, base),
-		d.shares("in-model fold-in", base, d.fold(base, held, nBase)),
+		d.shares("in-model fold-in", base, d.fold(base, c.Docs[nBase:], nBase)),
 		d.shares(fmt.Sprintf("unseen-topic fold-in (%d of %d topics held out)", cfg.Unseen, topics), seenBase, d.fold(seenBase, unseen, len(seen))),
 	}
 	return out, d.err
@@ -225,23 +235,18 @@ func (d *drift) fold(base *segment.Segment, docs []corpus.Document, first int) *
 	return seg
 }
 
-// redecompose is the tail re-decomposed as the compactor did before the
-// drift rule: every TierSize seal decomposed on its own or, merged, the
-// one tier per set bit of the seal count (largest first) that size-tiered
-// merges of the seals leave, each decomposed on its own.
-func (d *drift) redecompose(base *segment.Segment, docs []corpus.Document, first int, merged bool) []*segment.Segment {
+// redecompose is the tail re-decomposed as the compactor did before it
+// settled: the one tier per set bit of the seal count (largest first)
+// that size-tiered merges of its TierSize seals leave, each decomposed on
+// its own.
+func (d *drift) redecompose(base *segment.Segment, docs []corpus.Document, first int) []*segment.Segment {
 	seals := len(docs) / d.cfg.TierSize
-	sizes := slices.Repeat([]int{d.cfg.TierSize}, seals)
-	if merged {
-		sizes = sizes[:0]
-		for b := bits.Len(uint(seals)) - 1; b >= 0; b-- {
-			if seals&(1<<b) != 0 {
-				sizes = append(sizes, (1<<b)*d.cfg.TierSize)
-			}
-		}
-	}
 	var tiers []*segment.Segment
-	for _, n := range sizes {
+	for b := bits.Len(uint(seals)) - 1; b >= 0; b-- {
+		if seals&(1<<b) == 0 {
+			continue
+		}
+		n := (1 << b) * d.cfg.TierSize
 		sealed := d.fold(base, docs[:n], first)
 		if d.err != nil {
 			return nil
@@ -261,18 +266,36 @@ func (d *drift) shares(name string, base, seg *segment.Segment) DriftShares {
 	if d.err != nil {
 		return DriftShares{}
 	}
-	ref := base.ResidualShare()
+	ref := residualShare(base.Ix.Norms(), base.Raw.Weights)
 	s := DriftShares{Name: name, Reference: ref, Min: math.Inf(1), Max: math.Inf(-1)}
 	norms := seg.Ix.Norms()
 	for lo := 0; lo+d.cfg.TierSize <= seg.Len(); lo += d.cfg.TierSize {
 		hi := lo + d.cfg.TierSize
-		tier := &segment.Raw{Terms: seg.Raw.Terms[lo:hi], Weights: seg.Raw.Weights[lo:hi]}
-		share := segment.ResidualShare(norms[lo:hi], tier.Energy())
+		share := residualShare(norms[lo:hi], seg.Raw.Weights[lo:hi])
 		s.Min, s.Max = math.Min(s.Min, share), math.Max(s.Max, share)
 		s.Tiers++
 	}
 	s.OverReference = s.Max - ref
 	return s
+}
+
+// residualShare is the share of a document set's term-space energy that
+// its latent rows leave out, 1 − Σ‖row‖²/Σ‖d‖², from the rows' norms and
+// the documents' weights: each row is the projection of its document
+// onto an orthonormal basis, so the share is what the basis does not
+// capture. Each square is rounded before it is summed (no FMA), so the
+// bits do not depend on the architecture.
+func residualShare(norms []float64, weights [][]float64) float64 {
+	var kept, energy float64
+	for _, n := range norms {
+		kept += float64(n * n)
+	}
+	for _, w := range weights {
+		for _, v := range w {
+			energy += float64(v * v)
+		}
+	}
+	return 1 - kept/energy
 }
 
 // byTopic splits the corpus into the documents of topics below cut and
@@ -303,37 +326,22 @@ func tailShare(res [][]int, first int) float64 {
 	return float64(tail) / float64(max(slots, 1))
 }
 
-// overlap is the mean share of want's documents that got returns, query
-// by query.
-func overlap(got, want [][]int) float64 {
-	var sum float64
-	for i := range want {
-		in := make(map[int]bool, len(want[i]))
-		for _, g := range want[i] {
-			in[g] = true
-		}
-		hit := 0
-		for _, g := range got[i] {
-			if in[g] {
-				hit++
-			}
-		}
-		sum += float64(hit) / float64(max(len(want[i]), 1))
-	}
-	return sum / float64(max(len(want), 1))
-}
-
 // Table renders the drift table.
 func (r *DriftResult) Table() string {
 	var b strings.Builder
 	cfg := r.Config
-	fmt.Fprintf(&b, "Fold-in drift: %d topics × %d docs, rank %d, base = first 9/10, %d-doc seals, %d queries of %d terms\n",
+	fmt.Fprintf(&b, "Fold-in drift: %d topics × %d docs, rank %d, %d-doc seals, %d queries of %d terms\n",
 		cfg.Corpus.NumTopics, cfg.DocsPerTopic, cfg.K, cfg.TierSize, cfg.Corpus.NumTopics*cfg.QueriesPerTopic, cfg.QueryLen)
-	fmt.Fprintf(&b, "%6s | %-36s | %-28s\n", "", "tail share of top-10 slots", "overlap@10 with fresh")
-	fmt.Fprintf(&b, "%6s | %7s %8s %9s %9s | %8s %9s %9s\n", "tail", "fresh", "fold-in", "seal SVD", "tier SVD", "fold-in", "seal SVD", "tier SVD")
+	fmt.Fprintf(&b, "in-model tails: base = first 9/10; unseen-topic tails: base = the other %d topics\n", cfg.Corpus.NumTopics-cfg.Unseen)
+	fmt.Fprintf(&b, "%-20s | %-26s | %-18s\n", "", "tail share of top-10 slots", "overlap@10 w/ fresh")
+	fmt.Fprintf(&b, "%-13s %6s | %6s %8s %10s | %8s %9s\n", "tail", "docs", "fresh", "fold-in", "re-decomp", "fold-in", "re-decomp")
 	for _, t := range r.Tails {
-		fmt.Fprintf(&b, "%6d | %6.1f%% %7.1f%% %8.1f%% %8.1f%% | %8.3f %9.3f %9.3f\n",
-			t.Docs, 100*t.FreshShare, 100*t.FoldShare, 100*t.SealShare, 100*t.TierShare, t.FoldOverlap, t.SealOverlap, t.TierOverlap)
+		name := "in-model"
+		if t.Unseen {
+			name = "unseen-topic"
+		}
+		fmt.Fprintf(&b, "%-13s %6d | %5.1f%% %7.1f%% %9.1f%% | %8.3f %9.3f\n",
+			name, t.Docs, 100*t.FreshShare, 100*t.FoldShare, 100*t.RedoShare, t.FoldOverlap, t.RedoOverlap)
 	}
 	fmt.Fprintf(&b, "\nresidual share per %d-doc tier, 1 − Σ‖row‖²/Σ‖d‖²\n", cfg.TierSize)
 	fmt.Fprintf(&b, "%-46s %6s %10s %15s %10s\n", "documents", "tiers", "reference", "min – max", "max − ref")

@@ -10,10 +10,9 @@ import (
 // Compaction turns sealed fold-in segments into one compacted segment,
 // in one of two ways. Merge settles segments that share a basis: it
 // concatenates their rows under that basis with no decomposition, so
-// every document keeps its score. Compact re-decomposes: it rebuilds the
-// segments from their retained raw term-space documents with a fresh
-// lsi.Build, for documents the basis they were folded against no longer
-// represents (ResidualShare measures that). Which SVD runs is
+// every document keeps its score; it is what the shard compactor runs.
+// Compact re-decomposes: it rebuilds the segments from their retained raw
+// term-space documents with a fresh lsi.Build. Which SVD runs is
 // lsi.EngineAuto's decision at every size — serving has one
 // factorisation path (DESIGN.md §14).
 
@@ -118,39 +117,4 @@ func (r *Raw) Matrix(numTerms int) *sparse.CSR {
 		}
 	}
 	return b.CSR()
-}
-
-// Energy returns Σ‖d‖² over the retained documents: their total squared
-// term weight.
-func (r *Raw) Energy() float64 {
-	var e float64
-	for _, w := range r.Weights {
-		for _, v := range w {
-			e += v * v
-		}
-	}
-	return e
-}
-
-// ResidualShare is the share of a document set's term-space energy that
-// its latent rows leave out, 1 − Σ‖row‖²/energy: each row is the
-// projection of its document onto an orthonormal basis, so the share is
-// what the basis does not capture. norms are the rows' norms and energy
-// the documents' Σ‖d‖²; an empty set has share 0.
-func ResidualShare(norms []float64, energy float64) float64 {
-	if energy == 0 {
-		return 0
-	}
-	var kept float64
-	for _, n := range norms {
-		kept += n * n
-	}
-	return 1 - kept/energy
-}
-
-// ResidualShare is the segment's residual share (the package function)
-// from its stored norms and retained raw documents. It is the compactor's
-// drift signal for a sealed fold-in segment.
-func (s *Segment) ResidualShare() float64 {
-	return ResidualShare(s.Ix.Norms(), s.Raw.Energy())
 }

@@ -15,13 +15,11 @@
 //	            fold-in segments still represent documents in the basis
 //	            of the segment they were folded against, and still carry
 //	            their raw term-space documents.
-//	compacted — merged by the compactor: settled by Merge, which
-//	            concatenates segments folded into one basis and keeps
-//	            every row, or rebuilt by Compact from the raw documents
-//	            with a fresh SVD (lsi.Build), so the latent space
-//	            reflects the documents themselves rather than a basis
-//	            that does not represent them. Merge keeps the raw
-//	            documents; Compact drops them unless the caller keeps
+//	compacted — settled by Merge, which concatenates segments folded
+//	            into one basis and keeps every row (the shard
+//	            compactor's path), or rebuilt by Compact from the raw
+//	            documents with a fresh SVD (lsi.Build). Merge keeps the
+//	            raw documents; Compact drops them unless the caller keeps
 //	            them (CompactOptions.KeepRaw). Either way they leave the
 //	            segment eligible for future tiered merges.
 //
@@ -52,8 +50,7 @@ import (
 // sparse form the retrieval layer produces (terms strictly ascending
 // per document). Merge and Compact consume it; Merge keeps it on the
 // result, Compact only under CompactOptions.KeepRaw (the shard
-// compactor's tiered-merge policy needs it, and its drift rule reads the
-// weights: ResidualShare).
+// compactor's tiered-merge policy needs it).
 type Raw struct {
 	Terms   [][]int
 	Weights [][]float64

@@ -135,9 +135,9 @@ func (s *Setup) Pass(out [][]string, search func(q string) ([]retrieval.Result, 
 func Write(path string, stdout io.Writer, v any) (err error) {
 	w := stdout
 	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
+		f, cerr := os.Create(path)
+		if cerr != nil {
+			return cerr
 		}
 		defer func() {
 			if cerr := f.Close(); cerr != nil && err == nil {

@@ -262,10 +262,8 @@ func newObserver(reg *metrics.Registry, ret retrieval.Retriever) *observer {
 				live(func(s retrieval.LiveStats) float64 { return time.Since(s.LastMutation).Seconds() }))
 			reg.CounterFunc("lsi_index_docs_ingested_total", "Documents accepted through live ingest since boot (rate() of this is the ingest rate).",
 				live(func(s retrieval.LiveStats) float64 { return float64(s.DocsIngested) }))
-			reg.CounterFunc("lsi_index_compactions_total", "Tiers the compactor merged since boot: settles in the shard's basis and re-decompositions alike.",
+			reg.CounterFunc("lsi_index_compactions_total", "Tiers the compactor merged since boot.",
 				live(func(s retrieval.LiveStats) float64 { return float64(s.Compactions) }))
-			reg.CounterFunc("lsi_index_redecompositions_total", "Compactor merges that re-decomposed their documents with a fresh SVD because a sealed segment's residual share drifted past the shard's reference.",
-				live(func(s retrieval.LiveStats) float64 { return float64(s.Redecompositions) }))
 			reg.CounterFunc("lsi_index_compaction_failures_total", "Compaction passes that returned an error (the message is lastCompactionError in /v1/stats); the sealed segments keep serving and keep their debt.",
 				live(func(s retrieval.LiveStats) float64 { return float64(s.CompactionFailures) }))
 			reg.CounterFunc("lsi_index_sidecars_degraded_total", "Sidecar files (ann-*.ivf, quant-*.qnt) the open found missing or corrupt and treated as absent; the segment retrained the tier or serves by exact scan.",

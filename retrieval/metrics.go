@@ -36,12 +36,9 @@ type LiveStats struct {
 	// signal the httpapi admission gate sheds ingest on.
 	CompactionDebt int
 	// Compacting reports a compaction pass in flight; Compactions counts
-	// the tiers the compactor merged since Build/Open, Redecompositions
-	// those of them that ran an SVD because their documents drifted (see
-	// shard.Index.Redecompositions).
-	Compacting       bool
-	Compactions      int64
-	Redecompositions int64
+	// segment rebuilds performed since Build/Open.
+	Compacting  bool
+	Compactions int64
 	// CompactionFailures counts compaction passes that returned an
 	// error; LastCompactionError is the newest one's message ("" = none
 	// yet). See shard.Index.CompactionFailures.
@@ -70,7 +67,6 @@ func (ix *Index) LiveStats() (LiveStats, bool) {
 		CompactionDebt:      ix.sharded.CompactionDebt(),
 		Compacting:          ix.sharded.Compacting(),
 		Compactions:         ix.sharded.Compactions(),
-		Redecompositions:    ix.sharded.Redecompositions(),
 		CompactionFailures:  failures,
 		LastCompactionError: lastErr,
 		SidecarsDegraded:    ix.sharded.SidecarsDegraded(),

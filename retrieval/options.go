@@ -171,8 +171,8 @@ func WithStemming(on bool) Option { return func(c *config) { c.stemming = on } }
 // WithShards builds a sharded live index over n shards instead of the
 // single immutable index: documents are partitioned round-robin, each
 // shard gets an independent per-shard decomposition, the index accepts
-// live appends via Add (folded in without a rebuild, re-decomposed by a
-// background compactor), and searches fan out across every shard's
+// live appends via Add (folded in without a rebuild, merged into tiers by
+// a background compactor), and searches fan out across every shard's
 // segments with deterministic merged results. A 1-shard index returns
 // bitwise-identical rankings to the unsharded build of the same corpus.
 // BuildVSM rejects it; n <= 0 keeps the unsharded index.

@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 	"log"
+	"slices"
 	"time"
 
 	"repro/internal/segment"
@@ -13,24 +14,11 @@ import (
 // into. The compactor settles them there: it concatenates them, with
 // older tiers in the same basis, into one compacted tier
 // (internal/segment.Merge, no SVD), so every document keeps the score it
-// had sealed. Only a sealed segment whose residual share exceeds the
-// shard's reference share by driftBudget — documents the basis does not
-// represent — is re-decomposed from its retained raw documents
-// (internal/segment.Compact, which is lsi.Build), into a tier with its
-// own basis that merges only with other such tiers. Both kinds of tier
-// keep their raw documents and are re-absorbed by later passes under a
-// size-tiered policy, so a shard's segment count stays O(log docs) under
-// unbounded ingest. All heavy work runs outside every lock: the shard
-// mutex is held only for the pointer swap, and searches in flight keep
-// serving the old segments they snapshotted.
-
-// driftBudget is how far a sealed segment's residual share may exceed
-// the shard's reference share before it is re-decomposed instead of
-// settled. On the bench's corpus model (EXPERIMENTS.md "Settling fold-in
-// tiers"), 128-document tiers of in-model documents read within 0.015 of
-// the reference and tiers of topics the basis never saw read 0.8 above
-// it.
-const driftBudget = 0.1
+// had sealed. Settled tiers keep their raw documents and are re-absorbed
+// by later passes under a size-tiered policy, so a shard's segment count
+// stays O(log docs) under unbounded ingest. All heavy work runs outside
+// every lock: the shard mutex is held only for the pointer swap, and
+// searches in flight keep serving the old segments they snapshotted.
 
 // compactable reports whether a stable segment is waiting for the
 // compactor: it still carries raw documents and no pass has merged it.
@@ -81,16 +69,15 @@ func (x *Index) wakeCompactor() {
 	}
 }
 
-// Compact runs one compaction pass synchronously. For every shard with
-// sealed segments it settles the sealed segments in the shard's basis —
-// with the older settled tiers no larger than the material merged — into
-// one compacted tier, and re-decomposes the sealed segments that drifted
-// (with the older re-decomposed tiers no larger than them) into another;
-// the replacements swap in atomically. It returns the number of segments
-// merged away (0 when there was nothing to do). Safe to call
-// concurrently with ingest and searches; concurrent Compact calls
-// serialize. A pass that fails is counted (see CompactionFailures) and
-// leaves the segments it could not merge published and serving.
+// Compact runs one compaction pass synchronously: for every shard with
+// sealed segments, the sealed segments — plus any older settled tier no
+// larger than the material being merged — are concatenated in the
+// shard's basis into one compacted segment, which replaces them
+// atomically. It returns the number of segments merged away (0 when
+// there was nothing to do). Safe to call concurrently with ingest and
+// searches; concurrent Compact calls serialize. A pass that fails is
+// counted (see CompactionFailures) and leaves the segments it could not
+// merge published and serving.
 func (x *Index) Compact() (merged int, err error) {
 	x.compactMu.Lock()
 	defer x.compactMu.Unlock()
@@ -108,120 +95,69 @@ func (x *Index) Compact() (merged int, err error) {
 		// Snapshot the stable list. Only this (serialized) path ever
 		// removes stable segments, so the set cannot shrink under us;
 		// ingest can only append more.
-		st := sh.state.Load()
-		var sealed []*segment.Segment
-		for _, seg := range st.stable {
-			if compactable(seg) {
-				sealed = append(sealed, seg)
-			}
-		}
-		if len(sealed) == 0 {
+		pending := sizeTiered(sh.state.Load().stable)
+		if len(pending) == 0 {
 			continue
 		}
-		// Split the raw-bearing stable segments into the two merge
-		// classes: the shard's basis (every sealed segment was folded
-		// into it) and the re-decomposed tiers, each with its own basis.
-		ref, basis := sh.reference(sealed[0]), sealed[0].Ix.Basis()
-		var settle, redo []*segment.Segment
-		for _, seg := range st.stable {
-			switch {
-			case seg.Raw == nil || seg.Raw.Len() != seg.Len():
-				// The base, or reloaded without its raw documents: never merged.
-			case compactable(seg) && seg.ResidualShare() > ref+driftBudget:
-				redo = append(redo, seg)
-			case seg.Ix.Basis() == basis:
-				settle = append(settle, seg)
-			default:
-				redo = append(redo, seg)
-			}
+		comp, err := segment.Merge(pending, x.numTerms)
+		if err != nil {
+			return merged, fmt.Errorf("shard %d: %w", s, err)
 		}
-		var groups [][]*segment.Segment
-		var comps []*segment.Segment
-		redecomposed := false
-		if pending := sizeTiered(settle); len(pending) > 0 {
-			comp, err := segment.Merge(pending, x.numTerms)
-			if err != nil {
-				return merged, fmt.Errorf("shard %d: %w", s, err)
-			}
-			groups, comps = append(groups, pending), append(comps, comp)
-		}
-		if pending := sizeTiered(redo); len(pending) > 0 {
-			// Deterministic rebuild seed: a function of the configured
-			// seed, the shard, and the segment contents' position —
-			// compacting the same documents yields the same segment, run
-			// after run.
-			seed := x.cfg.Seed + int64(s)*1000003 + int64(pending[0].Global[0])*8191 + 1
-			comp, err := segment.Compact(pending, x.numTerms, segment.CompactOptions{
-				K:       x.cfg.Rank,
-				Seed:    seed,
-				KeepRaw: true,
-			})
-			if err != nil {
-				return merged, fmt.Errorf("shard %d: %w", s, err)
-			}
-			groups, comps = append(groups, pending), append(comps, comp)
-			redecomposed = true
-		}
-		// Derive each tier's sidecars — coarse quantizer and int8 shadow
-		// — still outside every lock: they publish in the same swap as
-		// the merge, so the epoch bump below covers all of it and cached
+		// Derive the tier's sidecars — coarse quantizer and int8 shadow —
+		// still outside every lock: they publish in the same swap as the
+		// merge, so the epoch bump below covers all of it and cached
 		// pre-compaction rankings retire exactly once.
-		for i := range comps {
-			if comps[i], err = comps[i].WithTiers(x.tiers(s), nil, nil); err != nil {
-				return merged, fmt.Errorf("shard %d: %w", s, err)
-			}
+		if comp, err = comp.WithTiers(x.tiers(s), nil, nil); err != nil {
+			return merged, fmt.Errorf("shard %d: %w", s, err)
 		}
 
-		// Each replacement takes the slot of its group's first input;
-		// later inputs just disappear.
-		into := make(map[*segment.Segment]int)
-		for i, g := range groups {
-			for _, seg := range g {
-				into[seg] = i
-			}
-			merged += len(g)
-		}
-		placed := make([]bool, len(groups))
 		sh.mu.Lock()
 		cur := sh.state.Load()
 		next := &shardState{epoch: cur.epoch + 1, live: cur.live}
 		for _, seg := range cur.stable {
-			i, ok := into[seg]
 			switch {
-			case !ok:
+			case !slices.Contains(pending, seg):
 				next.stable = append(next.stable, seg)
-			case !placed[i]:
-				next.stable = append(next.stable, comps[i])
-				placed[i] = true
+			case seg == pending[0]:
+				// The merged replacement takes the slot of the first
+				// input; later inputs just disappear.
+				next.stable = append(next.stable, comp)
 			}
 		}
 		sh.state.Store(next)
 		sh.mu.Unlock()
-		// Publish-then-bump, same protocol as ingest: the new tiers are
-		// visible before the epoch moves, so epoch-keyed cache entries can
-		// never mix pre- and post-compaction rankings (a settle keeps
-		// every score, but a re-decomposition does not, and sidecars
-		// change what a tiered search returns).
+		// Publish-then-bump, same protocol as ingest: the new tier is
+		// visible before the epoch moves, so epoch-keyed cache entries
+		// can never mix pre- and post-compaction rankings (a settle keeps
+		// every score, but sidecars change what a tiered search returns).
 		x.globalEpoch.Add(1)
 		x.lastMutation.Store(time.Now().UnixNano())
-		x.compactions.Add(int64(len(groups)))
-		if redecomposed {
-			x.redecompositions.Add(1)
-		}
+		merged += len(pending)
+		x.compactions.Add(1)
 	}
 	return merged, nil
 }
 
-// sizeTiered picks the segments of one merge class (in stable order) that
-// a pass merges: every sealed one, and the older tiers absorbed while no
-// larger than the material merged so far (walking newest to oldest).
-// Each surviving tier is therefore bigger than everything younger
-// combined, so a class holds O(log docs) tiers however long ingest runs.
-// The sealed segments of a class are its newest, so the result is a
-// suffix; nil when the class has no sealed segment. Merging an in-order
-// subsequence of the stable list keeps globals ascending: per-shard
-// segments hold disjoint, chronologically increasing global ranges.
-func sizeTiered(class []*segment.Segment) []*segment.Segment {
+// sizeTiered picks the stable segments (in stable order) that a pass
+// merges: every sealed one, and the older raw-bearing tiers absorbed
+// while no larger than the material merged so far (walking newest to
+// oldest). Each surviving tier is therefore bigger than everything
+// younger combined, so a shard holds O(log docs) tiers however long
+// ingest runs. The sealed segments are the newest raw-bearing ones, so
+// the result is a suffix of those; nil when none is sealed. Merging an
+// in-order subsequence of the stable list keeps globals ascending:
+// per-shard segments hold disjoint, chronologically increasing global
+// ranges.
+func sizeTiered(stable []*segment.Segment) []*segment.Segment {
+	var class []*segment.Segment // the base and reloaded segments hold no raw documents
+	for _, seg := range stable {
+		if seg.Raw != nil && seg.Raw.Len() == seg.Len() {
+			class = append(class, seg)
+		}
+	}
+	if !slices.ContainsFunc(class, compactable) {
+		return nil
+	}
 	start, size := len(class), 0
 	for start > 0 {
 		prev := class[start-1]
@@ -232,16 +168,4 @@ func sizeTiered(class []*segment.Segment) []*segment.Segment {
 		size += prev.Len()
 	}
 	return class[start:]
-}
-
-// reference returns the shard's reference share. A shard opened from a
-// manifest that does not record one takes first's — the first segment it
-// settles — and keeps it.
-func (sh *shardH) reference(first *segment.Segment) float64 {
-	if r := sh.ref.Load(); r != nil {
-		return *r
-	}
-	r := first.ResidualShare()
-	sh.ref.Store(&r)
-	return r
 }

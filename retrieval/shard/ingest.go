@@ -21,9 +21,8 @@ import (
 
 // Doc is one document to ingest: its external identifier and its sparse
 // term-space vector (term IDs strictly ascending, weights parallel).
-// The index retains the slices (its segments keep them for later merges
-// and the compactor's drift rule); callers must not mutate them after
-// the call.
+// The index retains the slices (its segments keep them for later
+// merges); callers must not mutate them after the call.
 type Doc struct {
 	ID      string
 	Terms   []int
@@ -98,7 +97,6 @@ func (x *Index) AddBatch(docs []Doc) (int, error) {
 		sh   *shardH
 		live *segment.Segment
 		base *lsi.Index // non-nil when this ingest created the shard's basis
-		ref  float64    // base's residual share
 	}
 	var pubs []publish
 	for s, gr := range groups {
@@ -111,7 +109,7 @@ func (x *Index) AddBatch(docs []Doc) (int, error) {
 				// basis to fold into, so decompose the group directly.
 				// That build IS the shard's first (compacted) segment and
 				// its index becomes the fold-in basis for later arrivals.
-				ix, ref, err := buildFromSparseDocs(x.numTerms, gr.terms, gr.weights, x.cfg.Rank,
+				ix, err := buildFromSparseDocs(x.numTerms, gr.terms, gr.weights, x.cfg.Rank,
 					lsi.Options{Engine: x.cfg.Engine, Seed: x.cfg.Seed + int64(s)})
 				if err != nil {
 					return 0, fmt.Errorf("shard %d: %w", s, err)
@@ -120,7 +118,7 @@ func (x *Index) AddBatch(docs []Doc) (int, error) {
 				if err != nil {
 					return 0, fmt.Errorf("shard %d: %w", s, err)
 				}
-				pubs = append(pubs, publish{sh: sh, live: seg, base: ix, ref: ref})
+				pubs = append(pubs, publish{sh: sh, live: seg, base: ix})
 				continue
 			}
 			empty, err := segment.New(sh.base.EmptyLike(), nil, nil, false)
@@ -163,7 +161,6 @@ func (x *Index) AddBatch(docs []Doc) (int, error) {
 		if p.base != nil {
 			// The freshly decomposed first segment is stable, not live.
 			p.sh.base = p.base
-			p.sh.ref.Store(&p.ref)
 			next.stable = append(append([]*segment.Segment(nil), st.stable...), p.live)
 			next.live = nil
 		} else if p.live.Len() >= x.cfg.SealEvery {
@@ -191,14 +188,8 @@ func (x *Index) AddBatch(docs []Doc) (int, error) {
 }
 
 // buildFromSparseDocs assembles a term-document matrix from sparse
-// columns and decomposes it, returning the index with its residual share
-// (segment.ResidualShare): the reference the compactor's drift rule
-// measures later fold-ins against.
-func buildFromSparseDocs(numTerms int, terms [][]int, weights [][]float64, rank int, opts lsi.Options) (*lsi.Index, float64, error) {
+// columns and decomposes it.
+func buildFromSparseDocs(numTerms int, terms [][]int, weights [][]float64, rank int, opts lsi.Options) (*lsi.Index, error) {
 	raw := &segment.Raw{Terms: terms, Weights: weights}
-	ix, err := lsi.Build(raw.Matrix(numTerms), rank, opts)
-	if err != nil {
-		return nil, 0, err
-	}
-	return ix, segment.ResidualShare(ix.Norms(), raw.Energy()), nil
+	return lsi.Build(raw.Matrix(numTerms), rank, opts)
 }

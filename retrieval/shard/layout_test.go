@@ -43,13 +43,10 @@ func layoutIndex(t *testing.T) *Index {
 }
 
 // The checkpoint writer's output is pinned byte for byte where it is
-// machine-independent: the directory listing and the manifest (whose one
-// float per shard, the base's residual share, is a sum over a build that
-// is bitwise the same on every worker count and CPU) of a
-// second-generation SaveDir and of a second-generation SaveShardDir must
-// equal the committed files, which were generated before SaveShardDir
-// was folded into SaveDir's writer and regenerated when the manifest
-// gained residualShare.
+// machine-independent: the directory listing and the manifest (which
+// holds no floats) of a second-generation SaveDir and of a
+// second-generation SaveShardDir must equal the committed files, which
+// were generated before SaveShardDir was folded into SaveDir's writer.
 func TestCheckpointLayoutGolden(t *testing.T) {
 	x := layoutIndex(t)
 	for _, tc := range []struct {

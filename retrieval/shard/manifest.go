@@ -73,12 +73,6 @@ type ManifestSegment struct {
 	// Base marks the segment whose latent index is the shard's fold-in
 	// basis for future ingest.
 	Base bool `json:"base,omitempty"`
-	// ResidualShare, on the base segment only, is the share of its
-	// documents' energy its own decomposition leaves out — the reference
-	// the compactor's drift rule compares settled fold-ins against (see
-	// segment.ResidualShare). Absent in manifests written before the rule:
-	// such a shard takes the share of the first tier it settles.
-	ResidualShare *float64 `json:"residualShare,omitempty"`
 	// ANNFile names the segment's IVF quantizer sidecar (internal/ivf
 	// wire format), empty when the segment has none. Optional by
 	// construction: a version-1 manifest without it still opens, the
@@ -179,11 +173,6 @@ func ParseManifest(data []byte) (*Manifest, error) {
 		if bases > 1 {
 			return nil, fmt.Errorf("shard: manifest: shard %d marks %d base segments, want at most 1", s, bases)
 		}
-		for i, e := range segs {
-			if r := e.ResidualShare; r != nil && (!e.Base || *r > 1) {
-				return nil, fmt.Errorf("shard: manifest: shard %d segment %d: residualShare %v on a non-base segment or above 1", s, i, *r)
-			}
-		}
 	}
 	return &m, nil
 }
@@ -273,19 +262,16 @@ type checkpointView struct {
 }
 
 // shardView is one shard of a checkpointView: its segments, whose Global
-// tables hold the document numbers to record, its fold-in basis and that
-// basis's residual share (nil = unknown).
+// tables hold the document numbers to record, and its fold-in basis.
 type shardView struct {
 	segs []*segment.Segment
 	base *lsi.Index
-	ref  *float64
 }
 
 // viewShard snapshots shard s for a checkpoint. Callers hold ingestMu so
 // the ID table and the segment states of one view agree.
 func (x *Index) viewShard(s int) shardView {
-	sh := x.shards[s]
-	return shardView{segs: sh.state.Load().segments(nil), base: sh.base, ref: sh.ref.Load()}
+	return shardView{segs: x.shards[s].state.Load().segments(nil), base: x.shards[s].base}
 }
 
 // writeCheckpoint writes v to dir (created if needed) and returns the
@@ -349,9 +335,6 @@ func (x *Index) writeCheckpoint(dir string, v checkpointView, fsys faultinject.F
 				Globals:   seg.Global,
 				Compacted: seg.Compacted,
 				Base:      sh.base != nil && seg.Ix == sh.base,
-			}
-			if e.Base {
-				e.ResidualShare = sh.ref
 			}
 			data, err := encodeSegment(seg.Ix)
 			if err != nil {
@@ -506,7 +489,6 @@ func Open(dir string, cfg Config) (*Index, error) {
 			st.stable = append(st.stable, seg)
 			if e.Base {
 				x.shards[s].base = ix
-				x.shards[s].ref.Store(e.ResidualShare)
 			}
 		}
 		// A shard that has segments but no recorded basis (a manifest

@@ -116,13 +116,6 @@ func TestParseManifestRejectsCorruption(t *testing.T) {
 			seg := segs[1].([]any)[0].(map[string]any)
 			seg["globals"] = []any{1, 44}
 		}), "out of [0,4)"},
-		{"residual share off the base", mutate(func(m map[string]any) {
-			seg := m["segments"].([]any)[0].([]any)[0].(map[string]any)
-			seg["base"], seg["residualShare"] = false, 0.2
-		}), "residualShare 0.2"},
-		{"residual share above one", mutate(func(m map[string]any) {
-			m["segments"].([]any)[1].([]any)[0].(map[string]any)["residualShare"] = 1.5
-		}), "residualShare 1.5"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

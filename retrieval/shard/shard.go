@@ -20,10 +20,7 @@
 //	  - When a live segment reaches SealEvery documents it is sealed:
 //	    moved read-only into the stable list, where the background
 //	    compactor settles it — concatenates it with older tiers in the
-//	    shard's basis, every score kept — or, when its residual share
-//	    says the basis does not represent its documents, re-decomposes it
-//	    (lsi.Build over the retained raw documents, the same
-//	    decomposition the initial build runs), and atomically swaps the
+//	    shard's basis, every score kept — and atomically swaps the
 //	    compacted replacement in (compactor.go).
 //	  - Searching is not this package's job: Segments snapshots the
 //	    published segment set and segment.Search — the repository's one
@@ -148,10 +145,6 @@ type shardH struct {
 	// documents (or its first ingested batch). Guarded by the index-wide
 	// ingest mutex.
 	base *lsi.Index
-	// ref is base's residual share (segment.ResidualShare): the drift
-	// rule's reference. nil until known — an index opened from a manifest
-	// that does not record it takes the first settled tier's share.
-	ref atomic.Pointer[float64]
 }
 
 // Index is a sharded live LSI index. Searches are safe from any number
@@ -170,10 +163,7 @@ type Index struct {
 
 	compactMu   sync.Mutex // serializes whole-index compaction passes
 	compacting  atomic.Int32
-	compactions atomic.Int64 // tiers merged: settles and re-decompositions
-	// redecompositions counts the merges that ran a decomposition
-	// (segment.Compact) because a sealed segment drifted.
-	redecompositions atomic.Int64
+	compactions atomic.Int64 // tiers merged
 	// Compaction passes that returned an error, and the newest one's
 	// message: a segment that cannot be rebuilt stays sealed, so its debt
 	// never drains and the admission gate sheds ingest — this is the
@@ -309,10 +299,7 @@ func (x *Index) buildShard(a *sparse.CSR, s int) error {
 	if err != nil {
 		return err
 	}
-	frob := sub.Frob()
-	ref := segment.ResidualShare(ix.Norms(), frob*frob)
 	x.shards[s].base = ix
-	x.shards[s].ref.Store(&ref)
 	x.shards[s].state.Store(&shardState{stable: []*segment.Segment{seg}})
 	return nil
 }
@@ -461,8 +448,7 @@ type Stats struct {
 	Generation uint64 `json:"generation"`
 	// Segments counts every published segment; Live of them are
 	// fold-in segments still absorbing, SealedPending are sealed and
-	// waiting for the compactor, Compacted were built or merged by it
-	// (settled in the shard's basis or re-decomposed).
+	// waiting for the compactor, Compacted were built or merged by it.
 	Segments      int `json:"segments"`
 	Live          int `json:"liveSegments"`
 	SealedPending int `json:"sealedPending"`
@@ -568,15 +554,9 @@ func (x *Index) CompactionDebt() int {
 func (x *Index) Compacting() bool { return x.compacting.Load() > 0 }
 
 // Compactions returns how many tiers the compactor has merged since Build
-// or Open: settles in the shard's basis and re-decompositions alike (one
-// per tier, so a pass may count two per shard). /metrics exports it as
+// or Open, one per shard a pass touched. /metrics exports it as
 // lsi_index_compactions_total.
 func (x *Index) Compactions() int64 { return x.compactions.Load() }
-
-// Redecompositions returns how many of those merges re-decomposed their
-// documents with a fresh SVD because a sealed segment's residual share
-// had drifted past the shard's reference (lsi_index_redecompositions_total).
-func (x *Index) Redecompositions() int64 { return x.redecompositions.Load() }
 
 // CompactionFailures returns how many compaction passes (background or
 // Compact calls) returned an error since Build or Open, and the newest

@@ -203,10 +203,8 @@ func TestOpenedTiersAreMapped(t *testing.T) {
 // testdata/v1-sidecars is the checkpoint a build before sidecar version 2
 // saved from this corpus and configuration. It opens with both sidecars
 // counted as degraded and retrains them bitwise as a fresh build trains
-// them; the index files beside them are the bytes a fresh build saves, and
-// so is the manifest but for the base's residualShare, which builds of
-// that time did not record (the shard opens without a reference share);
-// and the next checkpoint writes the tiers in version 2.
+// them; the index files beside them are the bytes a fresh build saves; and
+// the next checkpoint writes the tiers in version 2.
 func TestOpenRetrainsVersion1Sidecars(t *testing.T) {
 	cfg := Config{Shards: 1, Rank: 4, Seed: 77, SealEvery: 8, ANNList: 6, Quantize: true, TierMinDocs: 1}
 	a := testMatrix(t, 4, 10, 40, 514)
@@ -228,11 +226,7 @@ func TestOpenRetrainsVersion1Sidecars(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		now, err := os.ReadFile(filepath.Join(fresh, name))
-		if name == ManifestName && err == nil {
-			now, err = withoutResidualShare(now)
-		}
-		if err != nil || !bytes.Equal(now, old) {
+		if now, err := os.ReadFile(filepath.Join(fresh, name)); err != nil || !bytes.Equal(now, old) {
 			t.Errorf("%s: a fresh build saves other bytes than the version-1 checkpoint (%v)", name, err)
 		}
 	}
@@ -244,9 +238,6 @@ func TestOpenRetrainsVersion1Sidecars(t *testing.T) {
 	defer y.Close()
 	if got := y.SidecarsDegraded(); got != 2 {
 		t.Fatalf("%d sidecars counted as degraded, want 2", got)
-	}
-	if y.shards[0].ref.Load() != nil {
-		t.Fatal("a manifest without residualShare opened with a reference share")
 	}
 	xs, ys := x.Segments(nil), y.Segments(nil)
 	if len(ys) != 1 || len(xs) != 1 || ys[0].Ann == nil || ys[0].Quant == nil {
@@ -269,20 +260,4 @@ func TestOpenRetrainsVersion1Sidecars(t *testing.T) {
 		t.Fatalf("after a checkpoint: %d degraded, %d IVF and %d int8 segments; want 0, 1, 1", got, annSegments(z), quantSegments(z))
 	}
 	sameOnEveryRoute(t, a, x, z)
-}
-
-// withoutResidualShare re-encodes manifest bytes as SaveDir does with
-// every residualShare dropped: the manifest a build before the field
-// existed wrote for the same index.
-func withoutResidualShare(data []byte) ([]byte, error) {
-	m, err := ParseManifest(data)
-	if err != nil {
-		return nil, err
-	}
-	for _, segs := range m.Segments {
-		for i := range segs {
-			segs[i].ResidualShare = nil
-		}
-	}
-	return json.MarshalIndent(m, "", "  ")
 }

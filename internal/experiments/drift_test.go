@@ -29,8 +29,8 @@ func TestRunDriftSmall(t *testing.T) {
 		}
 	}
 	fitted, inModel, unseen := res.Shares[0], res.Shares[1], res.Shares[2]
-	if fitted.OverReference > 0.1 || inModel.OverReference > 0.1 {
-		t.Errorf("in-model tiers read %.3f / %.3f over the reference", fitted.OverReference, inModel.OverReference)
+	if fitted.Max-fitted.Reference > 0.1 || inModel.Max-inModel.Reference > 0.1 {
+		t.Errorf("in-model tiers read up to %.3f / %.3f against the reference %.3f", fitted.Max, inModel.Max, fitted.Reference)
 	}
 	if unseen.Min-unseen.Reference < 0.5 {
 		t.Errorf("unseen-topic tiers read only %.3f over the reference", unseen.Min-unseen.Reference)

@@ -23,16 +23,12 @@ type CompactOptions struct {
 	// Seed drives the decomposition; compaction of the same documents
 	// with the same seed is deterministic (0 = lsi.Build's default).
 	Seed int64
-	// KeepRaw retains the merged raw documents on the compacted segment,
-	// keeping it eligible for future merges (the shard compactor's
-	// size-tiered policy needs this to bound segment counts). Costs one
-	// int and one float64 per stored weight.
-	KeepRaw bool
 }
 
 // Compact merges the raw documents of segs into one freshly decomposed,
-// compacted segment. Every input segment must still carry its raw
-// documents (sealed, not yet compacted); the inputs are not modified.
+// compacted segment, which does not keep them. Every input segment must
+// still carry its raw documents (sealed, not yet compacted); the inputs
+// are not modified.
 func Compact(segs []*Segment, numTerms int, opts CompactOptions) (*Segment, error) {
 	if opts.K < 1 {
 		return nil, fmt.Errorf("segment: compact rank %d, want >= 1", opts.K)
@@ -45,10 +41,7 @@ func Compact(segs []*Segment, numTerms int, opts CompactOptions) (*Segment, erro
 	if err != nil {
 		return nil, fmt.Errorf("segment: compact rebuild: %w", err)
 	}
-	if !opts.KeepRaw {
-		raw = nil
-	}
-	return &Segment{Ix: ix, Global: global, Raw: raw, Compacted: true}, nil
+	return &Segment{Ix: ix, Global: global, Compacted: true}, nil
 }
 
 // Merge concatenates segs, which must share one basis and still carry

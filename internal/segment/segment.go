@@ -19,9 +19,8 @@
 //	            into one basis and keeps every row (the shard
 //	            compactor's path), or rebuilt by Compact from the raw
 //	            documents with a fresh SVD (lsi.Build). Merge keeps the
-//	            raw documents; Compact drops them unless the caller keeps
-//	            them (CompactOptions.KeepRaw). Either way they leave the
-//	            segment eligible for future tiered merges.
+//	            raw documents, which leaves the segment eligible for
+//	            future tiered merges; Compact drops them.
 //
 // Search treats a set of segments — across all lifecycle states and all
 // shards, or the single frozen segment of an unsharded index — as one
@@ -49,8 +48,8 @@ import (
 // Raw retains the term-space documents of a segment in the sorted
 // sparse form the retrieval layer produces (terms strictly ascending
 // per document). Merge and Compact consume it; Merge keeps it on the
-// result, Compact only under CompactOptions.KeepRaw (the shard
-// compactor's tiered-merge policy needs it).
+// result (the shard compactor's tiered-merge policy needs it), Compact
+// does not.
 type Raw struct {
 	Terms   [][]int
 	Weights [][]float64
@@ -177,7 +176,7 @@ type TierConfig struct {
 }
 
 // WithTiers is the one place a segment gets its sidecars: at build, after
-// a compaction's re-SVD, and at open. A sidecar the caller already
+// a compaction merge, and at open. A sidecar the caller already
 // decoded (ann, qm; nil = none) is attached as it is; a missing one is
 // trained when cfg asks for it and the segment is compacted and large
 // enough — so a checkpoint saved without sidecars opens into a tiered

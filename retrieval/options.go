@@ -201,7 +201,7 @@ func WithAutoCompact(on bool) Option { return func(c *config) { c.autoCompact = 
 // still training quantizers (probe only via SearchProbe's per-request
 // override), and nprobe >= nlist is bitwise-identical to the exhaustive
 // scan. On sharded indexes every compacted segment carries its own
-// quantizer, retrained by the compactor at re-SVD time; live fold-in
+// quantizer, retrained by the compactor at each merge; live fold-in
 // segments always scan exhaustively, so freshly added documents are
 // never missed. Training is deterministic for a fixed seed; results are
 // deterministic for any worker count. BuildVSM rejects it; nlist <= 0
@@ -220,7 +220,7 @@ func WithANN(nlist, nprobe int) Option {
 // from the exhaustive scan, and beta large enough to cover the corpus is
 // bitwise-identical to it. On sharded indexes every compacted segment
 // carries its own shadow (persisted as a quant-*.qnt sidecar, rebuilt by
-// the compactor at re-SVD time); live fold-in segments always score in
+// the compactor at each merge); live fold-in segments always score in
 // float, so freshly added documents are never subject to quantization
 // error. Quantization is seedless and deterministic: the shadow is a
 // pure function of the document matrix, and results are deterministic

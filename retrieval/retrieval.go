@@ -139,7 +139,7 @@ type Stats struct {
 	Compactions       int64 `json:"compactions,omitempty"`
 	// CompactionFailures counts compaction passes that returned an error
 	// and LastCompactionError is the newest one's message: a segment
-	// that cannot be rebuilt keeps its debt, and past the ingest gate's
+	// that cannot be merged keeps its debt, and past the ingest gate's
 	// budget that sheds every append — this says why.
 	CompactionFailures  int64  `json:"compactionFailures,omitempty"`
 	LastCompactionError string `json:"lastCompactionError,omitempty"`

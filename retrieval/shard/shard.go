@@ -165,7 +165,7 @@ type Index struct {
 	compacting  atomic.Int32
 	compactions atomic.Int64 // tiers merged
 	// Compaction passes that returned an error, and the newest one's
-	// message: a segment that cannot be rebuilt stays sealed, so its debt
+	// message: a segment that cannot be merged stays sealed, so its debt
 	// never drains and the admission gate sheds ingest — this is the
 	// signal that says why.
 	compactFailures  atomic.Int64
@@ -563,7 +563,7 @@ func (x *Index) Compactions() int64 { return x.compactions.Load() }
 // one's message ("" = none yet). A failed pass leaves its sealed segments
 // serving as they are, so the debt it could not drain stays counted:
 // debt pinned at the -max-debt budget with this counter rising is a
-// segment that cannot be rebuilt, not a compactor that is behind.
+// segment that cannot be merged, not a compactor that is behind.
 // /metrics exports the count as lsi_index_compaction_failures_total.
 func (x *Index) CompactionFailures() (int64, string) {
 	msg := ""

@@ -84,8 +84,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	ix := s.Index
 	defer ix.Close()
 
-	exhaustive := func(q string) ([]retrieval.Result, error) { return ix.SearchProbe(ctx, q, f.TopN, 0) }
-	probed := func(q string) ([]retrieval.Result, error) { return ix.SearchProbe(ctx, q, f.TopN, *nprobe) }
+	exhaustive, probed := s.Probe(ctx, f.TopN, 0), s.Probe(ctx, f.TopN, *nprobe)
 	// Warm both paths so neither measurement pays first-touch costs.
 	for _, search := range []func(string) ([]retrieval.Result, error){exhaustive, probed} {
 		if _, err := search(s.Queries[0]); err != nil {
@@ -97,14 +96,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	before, _ := ix.ANNStats()
+	before := ix.Stats().ANN
 	got := make([][]string, len(s.Queries))
 	annNs, err := s.Pass(got, probed)
 	if err != nil {
 		return err
 	}
-	after, ok := ix.ANNStats()
-	if !ok || after.Searches-before.Searches != int64(len(s.Queries)) {
+	after := ix.Stats().ANN
+	if before == nil || after == nil || after.Searches-before.Searches != int64(len(s.Queries)) {
 		return fmt.Errorf("probed searches bypassed the ANN tier: stats %+v -> %+v", before, after)
 	}
 

@@ -19,7 +19,7 @@
 // Queries are documents sampled from the corpus itself (the model's
 // own distribution), so fidelity is measured exactly where the paper's
 // topic-clustering guarantees apply. The exact baseline is the same
-// index's per-request escape hatch (SearchProbe with nprobe=0), so the
+// index's per-request escape hatch (a Query with NProbe 0), so the
 // comparison isolates the tier: same decomposition, same vocabulary,
 // same weighting — only the scan kernel differs.
 package main
@@ -97,7 +97,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	// document, no int8 scan. The default search on a WithQuantized index
 	// is the two-stage path: int8 scan, then exact rerank of the top
 	// topn*beta.
-	exact := func(q string) ([]retrieval.Result, error) { return ix.SearchProbe(ctx, q, f.TopN, 0) }
+	exact := s.Probe(ctx, f.TopN, 0)
 	quantized := func(q string) ([]retrieval.Result, error) { return ix.Search(ctx, q, f.TopN) }
 	// Warm both paths so neither measurement pays first-touch costs.
 	for _, search := range []func(string) ([]retrieval.Result, error){exact, quantized} {
@@ -112,7 +112,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	// not the other, making the speedup gate flap.
 	truth := make([][]string, len(s.Queries))
 	got := make([][]string, len(s.Queries))
-	before, _ := ix.QuantStats()
+	before := ix.Stats().Quant
 	exNs, err := s.Pass(truth, exact)
 	if err != nil {
 		return err
@@ -121,8 +121,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	after, ok := ix.QuantStats()
-	if !ok || after.Searches-before.Searches != int64(len(s.Queries)) {
+	after := ix.Stats().Quant
+	if before == nil || after == nil || after.Searches-before.Searches != int64(len(s.Queries)) {
 		return fmt.Errorf("searches bypassed the quantized tier: stats %+v -> %+v", before, after)
 	}
 	if ex2, err := s.Pass(nil, exact); err != nil {

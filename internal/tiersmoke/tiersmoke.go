@@ -9,6 +9,7 @@
 package tiersmoke
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -128,6 +129,18 @@ func (s *Setup) Pass(out [][]string, search func(q string) ([]retrieval.Result, 
 		}
 	}
 	return float64(time.Since(start).Nanoseconds()) / float64(len(s.Queries)), nil
+}
+
+// Probe returns the search Pass runs at a per-request probe budget:
+// nprobe cells per quantizer, or the fully exact scan at 0.
+func (s *Setup) Probe(ctx context.Context, topN, nprobe int) func(q string) ([]retrieval.Result, error) {
+	return func(q string) ([]retrieval.Result, error) {
+		ans, err := s.Index.Query(ctx, retrieval.Query{Texts: []string{q}, TopN: topN, NProbe: &nprobe})
+		if err != nil {
+			return nil, err
+		}
+		return ans.Results[0], nil
+	}
 }
 
 // Write encodes the summary v as indented JSON to path, or to stdout when

@@ -87,18 +87,23 @@ func TestTextSearchAllocsIndependentOfCorpusSize(t *testing.T) {
 	}
 }
 
-// TestTierStatsScrapeIsAllocationFree pins what /metrics pays per tier
-// gauge: ANNStats and QuantStats read six counters and walk the segment
-// set once — no ID-table pass, no basis map, no snapshot slice — on
-// sharded and unsharded indexes alike.
+// TestTierStatsScrapeIsAllocationFree pins what one /metrics scrape pays
+// for the index: one Stats snapshot, which allocates its nil-able blocks
+// and nothing that grows with the index — no vocabulary copy, no ID-table
+// pass, no basis map, no segment snapshot slice. Unsharded with every
+// block (cache, ANN, quant): at most 4. Sharded, with the live block and
+// its per-shard topology: at most 6, what Stats cost before it carried
+// them.
 func TestTierStatsScrapeIsAllocationFree(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not exact under the race detector")
 	}
 	for _, shards := range []int{0, 3} {
-		opts := []Option{WithRank(6), WithEngine(EngineDense), WithANN(8, 2), WithQuantized(2)}
+		opts := []Option{WithRank(6), WithEngine(EngineDense), WithANN(8, 2), WithQuantized(2), WithQueryCache(1 << 20)}
+		limit := 4.0
 		if shards > 0 {
 			opts = append(opts, WithShards(shards), WithAutoCompact(false))
+			limit = 6
 		}
 		ix, err := Build(clusteredDocs(780, 5), opts...)
 		if err != nil {
@@ -110,21 +115,22 @@ func TestTierStatsScrapeIsAllocationFree(t *testing.T) {
 		}
 		wantSegs := max(shards, 1)
 		allocs := testing.AllocsPerRun(100, func() {
-			as, ok1 := ix.ANNStats()
-			qs, ok2 := ix.QuantStats()
-			if !ok1 || !ok2 || as.Segments != wantSegs || qs.Segments != wantSegs ||
+			st := ix.Stats()
+			as, qs := st.ANN, st.Quant
+			if as == nil || qs == nil || st.Cache == nil || (st.Live != nil) != (shards > 0) ||
+				as.Segments != wantSegs || qs.Segments != wantSegs ||
 				as.Docs != 780 || qs.Docs != 780 || as.Searches != 1 || qs.Searches != 1 {
-				t.Fatalf("shards=%d: ann %+v (%v), quant %+v (%v)", shards, as, ok1, qs, ok2)
+				t.Fatalf("shards=%d: ann %+v, quant %+v, cache %v, live %v", shards, as, qs, st.Cache, st.Live)
 			}
 		})
-		if allocs != 0 {
-			t.Errorf("shards=%d: ANNStats+QuantStats allocate %v/op, want 0", shards, allocs)
+		if allocs > limit {
+			t.Errorf("shards=%d: Stats allocates %v/op, want <= %v", shards, allocs, limit)
 		}
 	}
 }
 
 // The sparse text path must agree bitwise — same ranking, same scores —
-// with the dense query it stands for: LSI's SearchVector, and for the
+// with the dense query it stands for: LSI's vector query, and for the
 // vector-space baseline vsm.Index.Search itself.
 func TestSearchVectorMatchesSparseTextPath(t *testing.T) {
 	ctx := context.Background()
@@ -157,7 +163,7 @@ func TestSearchVectorMatchesSparseTextPath(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fromVec, err := ix.SearchVector(ctx, densify(t, &ix.textLayer, ix.NumTerms(), query), 5)
+			fromVec, err := only(ix.Query(ctx, Query{Vector: densify(t, &ix.textLayer, ix.NumTerms(), query), TopN: 5}))
 			if err != nil {
 				t.Fatal(err)
 			}

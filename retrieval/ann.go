@@ -1,10 +1,6 @@
 package retrieval
 
-import (
-	"context"
-
-	"repro/internal/segment"
-)
+import "repro/internal/segment"
 
 // The approximate tiers at the retrieval layer (see WithANN and
 // WithQuantized). retrieval/shard owns the sidecars: every compacted
@@ -17,42 +13,14 @@ import (
 // which segments carry them and segment.Search picks the tier per
 // segment; this layer only sets the budgets (probeOpts, budget).
 
-// budget is the tier routing of a per-request probe override: nprobe >
-// 0 probes that many cells per quantizer and keeps the configured
-// quantized rerank; nprobe <= 0 is the fully exact scan.
+// budget is the tier routing of a per-request probe override (Query's
+// NProbe): nprobe > 0 probes that many cells per quantizer and keeps the
+// configured quantized rerank; nprobe <= 0 is the fully exact scan.
 func (ix *Index) budget(nprobe int) segment.ProbeOptions {
 	if nprobe <= 0 {
 		return segment.ProbeOptions{}
 	}
 	return segment.ProbeOptions{NProbe: nprobe, Beta: ix.quantBeta}
-}
-
-// SearchProbe is Search with a per-request probe budget overriding the
-// configured default: nprobe > 0 scores only that many cells per
-// quantizer (clamped to nlist; nprobe >= nlist probes every cell) while
-// keeping the configured quantized rerank, and nprobe <= 0 forces the
-// fully exact scan — float64 kernels over every document, the
-// per-request escape hatch for both tiers. Indexes without an ANN tier
-// serve every budget through whatever tiers they do have. SearchProbe
-// bypasses the query cache: cache keys assume the configured default
-// budget, and a per-request override must not poison them.
-func (ix *Index) SearchProbe(ctx context.Context, query string, topN, nprobe int) ([]Result, error) {
-	q, err := ix.textQuery(ctx, query)
-	if err != nil {
-		return nil, err
-	}
-	res := ix.search(q, topN, ix.budget(nprobe))
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// SearchVectorProbe is SearchVector with a per-request probe budget; the
-// budget semantics are those of SearchProbe. The vector length must
-// equal NumTerms.
-func (ix *Index) SearchVectorProbe(ctx context.Context, q []float64, topN, nprobe int) ([]Result, error) {
-	return ix.searchVector(ctx, q, topN, ix.budget(nprobe))
 }
 
 // ANNStats describes the IVF ANN tier of an index built or opened with
@@ -75,19 +43,17 @@ type ANNStats struct {
 	DocsScored  int64 `json:"docsScored"`
 }
 
-// ANNStats reports the ANN tier's configuration and probe counters; ok
-// is false when the index has no tier (not configured and no loaded
-// segment carries a quantizer).
-func (ix *Index) ANNStats() (ANNStats, bool) { return ix.annStats(ix.tierCoverage()) }
-
-func (ix *Index) annStats(t segment.Tiers) (ANNStats, bool) {
+// annStats is the "ann" block of Stats over the tiers' coverage t: nil
+// when the index has no tier (not configured and no loaded segment
+// carries a quantizer).
+func (ix *Index) annStats(t segment.Tiers) *ANNStats {
 	if ix.annList <= 0 && t.AnnSegs == 0 {
-		return ANNStats{}, false
+		return nil
 	}
 	tot := ix.tiers.Totals()
-	return ANNStats{
+	return &ANNStats{
 		NList: ix.annList, NProbe: ix.annProbe,
 		Segments: t.AnnSegs, Docs: t.AnnDocs,
 		Searches: tot.AnnSearches, CellsProbed: tot.AnnCells, DocsScored: tot.AnnDocs,
-	}, true
+	}
 }

@@ -63,9 +63,9 @@ func TestANNFullProbeBitwiseEqualsExhaustive(t *testing.T) {
 		}
 		sameResults(t, got, want, "full-probe "+q)
 	}
-	st, ok := ann.ANNStats()
+	st, ok := annStatsOf(ann)
 	if !ok {
-		t.Fatal("ANNStats() not ok on a WithANN index")
+		t.Fatal("Stats().ANN = nil on a WithANN index")
 	}
 	if st.Segments != 1 || st.Docs != 240 {
 		t.Fatalf("ANNStats = %+v, want 1 segment over 240 docs", st)
@@ -100,27 +100,27 @@ func TestANNZeroProbeDefaultStaysExhaustive(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameResults(t, got, want, "default search")
-	if st, _ := ann.ANNStats(); st.Searches != 0 {
+	if st, _ := annStatsOf(ann); st.Searches != 0 {
 		t.Fatalf("default search probed the tier: %+v", st)
 	}
 
 	// Per-request overrides: a full budget is bitwise-exhaustive, a zero
 	// budget is the explicit escape hatch, and both leave results sorted.
-	full, err := ann.SearchProbe(ctx, "galaxy orbit", 8, 6)
+	full, err := only(ann.Query(ctx, Query{Texts: []string{"galaxy orbit"}, TopN: 8, NProbe: probe(6)}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameResults(t, full, want, "SearchProbe full budget")
-	exact, err := ann.SearchProbe(ctx, "galaxy orbit", 8, 0)
+	sameResults(t, full, want, "full-budget probe")
+	exact, err := only(ann.Query(ctx, Query{Texts: []string{"galaxy orbit"}, TopN: 8, NProbe: probe(0)}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameResults(t, exact, want, "SearchProbe escape hatch")
-	if st, _ := ann.ANNStats(); st.Searches != 1 {
+	sameResults(t, exact, want, "exact escape hatch")
+	if st, _ := annStatsOf(ann); st.Searches != 1 {
 		t.Fatalf("ANNStats.Searches = %d, want 1 (only the full-budget probe)", st.Searches)
 	}
 
-	narrow, err := ann.SearchProbe(ctx, "galaxy orbit", 8, 1)
+	narrow, err := only(ann.Query(ctx, Query{Texts: []string{"galaxy orbit"}, TopN: 8, NProbe: probe(1)}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,23 +140,24 @@ func TestSearchProbeErrorContracts(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if _, err := ann.SearchProbe(ctx, "zzzunknownzzz", 3, 2); !errors.Is(err, ErrNoQueryTerms) {
-		t.Fatalf("unknown-vocabulary probe = %v, want ErrNoQueryTerms", err)
+	// An unknown-vocabulary text matches nothing, at any budget.
+	if res, err := only(ann.Query(ctx, Query{Texts: []string{"zzzunknownzzz"}, TopN: 3, NProbe: probe(2)})); err != nil || res == nil || len(res) != 0 {
+		t.Fatalf("unknown-vocabulary probe = %v, %v, want an empty list", res, err)
 	}
-	if _, err := ann.SearchVectorProbe(ctx, make([]float64, ann.NumTerms()+3), 3, 2); !errors.Is(err, ErrVectorLength) {
+	if _, err := only(ann.Query(ctx, Query{Vector: make([]float64, ann.NumTerms()+3), TopN: 3, NProbe: probe(2)})); !errors.Is(err, ErrVectorLength) {
 		t.Fatalf("wrong-length vector probe = %v, want ErrVectorLength", err)
 	}
 
-	// A full-budget vector probe reproduces SearchVector exactly.
+	// A full-budget vector probe reproduces the default vector query exactly.
 	q := make([]float64, ann.NumTerms())
 	for i := 0; i < len(q); i += 3 {
 		q[i] = 1
 	}
-	want, err := ann.SearchVector(ctx, q, 5)
+	want, err := only(ann.Query(ctx, Query{Vector: q, TopN: 5}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ann.SearchVectorProbe(ctx, q, 5, 99)
+	got, err := only(ann.Query(ctx, Query{Vector: q, TopN: 5, NProbe: probe(99)}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +198,7 @@ func TestANNOpenTrainsTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameResults(t, got, want, "opened full probe")
-	if st, ok := ox.ANNStats(); !ok || st.Segments != 1 {
+	if st, ok := annStatsOf(ox); !ok || st.Segments != 1 {
 		t.Fatalf("opened index ANNStats = %+v ok=%v, want a 1-segment tier", st, ok)
 	}
 }
@@ -216,9 +217,9 @@ func TestANNShardedEndToEnd(t *testing.T) {
 	plain := build()
 	ann := build(WithANN(6, 2))
 
-	st, ok := ann.ANNStats()
+	st, ok := annStatsOf(ann)
 	if !ok {
-		t.Fatal("ANNStats() not ok on a sharded WithANN index")
+		t.Fatal("Stats().ANN = nil on a sharded WithANN index")
 	}
 	// Both initial per-shard segments are compacted and large enough to
 	// train (300 docs each ≥ the 256-doc floor).
@@ -234,12 +235,12 @@ func TestANNShardedEndToEnd(t *testing.T) {
 	// Escape hatch and full budget both reproduce the exhaustive
 	// ranking; the default (nprobe=2) search must at least stay sorted
 	// and within the corpus.
-	exact, err := ann.SearchProbe(ctx, "telescope comet", 10, 0)
+	exact, err := only(ann.Query(ctx, Query{Texts: []string{"telescope comet"}, TopN: 10, NProbe: probe(0)}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameResults(t, exact, want, "sharded escape hatch")
-	full, err := ann.SearchProbe(ctx, "telescope comet", 10, 6)
+	full, err := only(ann.Query(ctx, Query{Texts: []string{"telescope comet"}, TopN: 10, NProbe: probe(6)}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,10 +257,10 @@ func TestANNShardedEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ox.Close()
-	if st, ok := ox.ANNStats(); !ok || st.Segments != 2 {
+	if st, ok := annStatsOf(ox); !ok || st.Segments != 2 {
 		t.Fatalf("reopened ANNStats = %+v ok=%v, want 2 quantized segments", st, ok)
 	}
-	reopened, err := ox.SearchProbe(ctx, "telescope comet", 10, 6)
+	reopened, err := only(ox.Query(ctx, Query{Texts: []string{"telescope comet"}, TopN: 10, NProbe: probe(6)}))
 	if err != nil {
 		t.Fatal(err)
 	}

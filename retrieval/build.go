@@ -2,6 +2,7 @@ package retrieval
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -125,7 +126,9 @@ func (ix *Index) NumTerms() int { return ix.sharded.NumTerms() }
 func (ix *Index) Rank() int { return ix.sharded.Rank() }
 
 // Stats describes the index, including a memory estimate that covers
-// both the numeric payload and the text layer.
+// both the numeric payload and the text layer. It is one snapshot of
+// everything the serving layer reports: /v1/stats, /readyz, the ingest
+// debt gate and every /metrics series read it.
 func (ix *Index) Stats() Stats {
 	st := ix.stats("lsi")
 	st.NumDocs, st.NumTerms, st.Rank = ix.NumDocs(), ix.NumTerms(), ix.Rank()
@@ -133,8 +136,7 @@ func (ix *Index) Stats() Stats {
 	st.Epoch, st.Generation = ix.sharded.Epoch(), ss.Generation
 	st.MemoryBytes += ss.MemoryBytes
 	st.MappedBytes = ss.MappedBytes
-	// shard.Index.Ready, read off the same snapshot as the counts below.
-	st.Ready = ss.SealedPending == 0 && !ss.Compacting
+	st.Ready = ss.Ready() // off the same snapshot as the counts below
 	if ix.Sharded() {
 		st.Sharded = true
 		st.Shards = ss.Shards
@@ -146,17 +148,19 @@ func (ix *Index) Stats() Stats {
 		st.Compactions = ss.Compactions
 		st.CompactionFailures = ss.CompactionFailures
 		st.LastCompactionError = ss.LastCompactionError
+		st.Live = &LiveStats{
+			DocsIngested:     ix.sharded.DocsIngested(),
+			LastMutation:     ix.sharded.LastMutation(),
+			Compacting:       ss.Compacting,
+			SidecarsDegraded: ix.sharded.SidecarsDegraded(),
+			PerShard:         ss.PerShard,
+		}
 	}
-	if cs, ok := ix.CacheStats(); ok {
-		st.Cache = &cs
-		st.MemoryBytes += cs.Bytes
+	if ix.qc != nil {
+		st.Cache = &QueryCacheStats{Stats: ix.qc.Stats(), Epoch: st.Epoch}
+		st.MemoryBytes += st.Cache.Bytes
 	}
-	if as, ok := ix.annStats(ss.Tiers); ok {
-		st.ANN = &as
-	}
-	if qs, ok := ix.quantStats(ss.Tiers); ok {
-		st.Quant = &qs
-	}
+	st.ANN, st.Quant = ix.annStats(ss.Tiers), ix.quantStats(ss.Tiers)
 	return st
 }
 
@@ -167,17 +171,6 @@ func (ix *Index) segments(dst []*segment.Segment) []*segment.Segment {
 	return ix.sharded.Segments(dst)
 }
 
-// tierCoverage walks the segment set once for the tiers' topology. It
-// touches neither the ID table nor the heap, so /metrics can call it on
-// every scrape.
-func (ix *Index) tierCoverage() (t segment.Tiers) {
-	var buf [16]*segment.Segment
-	for _, s := range ix.segments(buf[:0]) {
-		t.Add(s)
-	}
-	return t
-}
-
 // DocID returns the external identifier of document doc (build order).
 func (ix *Index) DocID(doc int) string {
 	if id := ix.sharded.ExternalID(doc); id != "" {
@@ -186,9 +179,9 @@ func (ix *Index) DocID(doc int) string {
 	return ix.docID(doc) // out of range: "doc-<n>"
 }
 
-// search is the one query path behind every public Search* method: text
-// or vector, default or per-request budget, single or batch, sharded or
-// not. A query is segment.Search over the index's segment set (see
+// search is the one query path behind Query, Search and SearchBatch:
+// text or vector, default or per-request budget, single or batch, sharded
+// or not. A query is segment.Search over the index's segment set (see
 // DESIGN.md "The search path"), its work record folded into the tier
 // counters. q must be validated (terms ascending and in range, or a
 // vector of NumTerms entries).
@@ -209,32 +202,68 @@ func (ix *Index) probeOpts() segment.ProbeOptions {
 	return segment.ProbeOptions{NProbe: ix.annProbe, Beta: ix.quantBeta}
 }
 
-// Search implements Retriever: it preprocesses the query with the
-// index's pipeline, folds it into the latent space, and returns the
-// topN documents by cosine similarity (all documents if topN <= 0).
-// With WithQueryCache, repeated queries are answered from the epoch-
-// keyed result cache (see SearchStatus for the per-lookup disposition);
-// results are identical either way.
+// Search preprocesses the query with the index's pipeline, folds it into
+// the latent space, and returns the topN documents by cosine similarity
+// (all documents if topN <= 0). With WithQueryCache, repeated queries
+// are answered from the epoch-keyed result cache (Query reports the
+// per-lookup disposition); results are identical either way. It returns
+// ErrNoQueryTerms if no query token survives preprocessing and
+// vocabulary lookup.
 //
 // Cancellation is honored at query boundaries: ctx is checked before the
 // search and again after it, so work that outlives its deadline reports
 // the deadline error rather than stale results — but an in-flight
 // backend scan is not interrupted mid-kernel.
 func (ix *Index) Search(ctx context.Context, query string, topN int) ([]Result, error) {
-	res, _, err := ix.SearchStatus(ctx, query, topN)
-	return res, err
+	q, err := ix.textQuery(ctx, query)
+	if err != nil {
+		return nil, err
+	}
+	res, _ := ix.searchStatus(q, topN)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
-// SearchVector ranks documents against a raw term-space query vector (for
-// callers that build vectors themselves, e.g. from corpus-model
-// documents). The vector length must equal NumTerms; a mismatch returns
-// an error wrapping ErrVectorLength instead of panicking like the
-// internal fast-paths.
-func (ix *Index) SearchVector(ctx context.Context, q []float64, topN int) ([]Result, error) {
-	return ix.searchVector(ctx, q, topN, ix.probeOpts())
+// Query implements Retriever. A single text at the configured budget
+// runs Search's cached path and reports its cache disposition; several
+// texts run SearchBatch's path. A per-request budget bypasses the cache,
+// whose keys assume the configured one: NProbe > 0 probes that many
+// cells per quantizer (clamped to nlist) and keeps the configured
+// quantized rerank, and 0 is the fully exact scan. Indexes without an
+// ANN tier serve every budget through whatever tiers they do have. A
+// vector whose length is not NumTerms fails with ErrVectorLength.
+func (ix *Index) Query(ctx context.Context, q Query) (Answer, error) {
+	opts := ix.probeOpts()
+	if q.NProbe != nil {
+		opts = ix.budget(*q.NProbe)
+	}
+	if q.Vector != nil {
+		res, err := ix.searchVector(ctx, q.Vector, q.TopN, opts)
+		return Answer{Results: [][]Result{res}}, err
+	}
+	if len(q.Texts) == 1 && q.NProbe == nil {
+		sq, err := ix.textQuery(ctx, q.Texts[0])
+		if errors.Is(err, ErrNoQueryTerms) {
+			return Answer{Results: [][]Result{{}}}, nil
+		}
+		if err != nil {
+			return Answer{}, err
+		}
+		res, st := ix.searchStatus(sq, q.TopN)
+		if err := ctx.Err(); err != nil {
+			return Answer{Cache: st}, err
+		}
+		return Answer{Results: [][]Result{res}, Cache: st}, nil
+	}
+	res, err := ix.searchBatch(ctx, q.Texts, q.TopN, opts, q.NProbe == nil)
+	return Answer{Results: res}, err
 }
 
-// searchVector is the shared body of SearchVector and SearchVectorProbe.
+// searchVector ranks documents against a raw term-space query vector,
+// failing with ErrVectorLength instead of panicking like the internal
+// fast-paths when its length is not NumTerms.
 func (ix *Index) searchVector(ctx context.Context, q []float64, topN int, opts segment.ProbeOptions) ([]Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -254,12 +283,18 @@ func (ix *Index) searchVector(ctx context.Context, q []float64, topN int, opts s
 // enough that the workers stay saturated.
 const batchChunk = 64
 
-// SearchBatch implements Retriever: it runs every query through the same
-// path as Search, fanning whole queries across CPUs and checking ctx
-// between chunks of batchChunk queries.
-// Queries with no in-vocabulary terms yield empty (non-nil) result
-// slices; result order matches query order.
+// SearchBatch runs every query through the same path as Search, fanning
+// whole queries across CPUs and checking ctx between chunks of
+// batchChunk queries. Unlike Search, a query with no in-vocabulary terms
+// yields an empty (non-nil) result slice rather than failing the whole
+// batch; result order matches query order.
 func (ix *Index) SearchBatch(ctx context.Context, queries []string, topN int) ([][]Result, error) {
+	return ix.searchBatch(ctx, queries, topN, ix.probeOpts(), true)
+}
+
+// searchBatch is SearchBatch at any budget; cached says the budget is the
+// configured one, the only one the query cache serves.
+func (ix *Index) searchBatch(ctx context.Context, queries []string, topN int, opts segment.ProbeOptions, cached bool) ([][]Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -285,7 +320,7 @@ func (ix *Index) SearchBatch(ctx context.Context, queries []string, topN int) ([
 	// protocol as the single-query path).
 	var cacheKeys [][]byte
 	var batchEpoch uint64
-	if ix.qc != nil {
+	if cached && ix.qc != nil {
 		batchEpoch = ix.sharded.Epoch()
 		cacheKeys = make([][]byte, 0, len(qterms))
 		kept := 0
@@ -303,7 +338,6 @@ func (ix *Index) SearchBatch(ctx context.Context, queries []string, topN int) ([
 	}
 	// Whole queries fan out across par workers (each may fan out again
 	// inside its scan; nesting is safe and never changes results).
-	opts := ix.probeOpts()
 	grain := par.GrainFor((1 + ix.NumDocs()) * max(1, ix.Rank()))
 	for lo := 0; lo < len(qterms); lo += batchChunk {
 		if err := ctx.Err(); err != nil {
@@ -316,7 +350,7 @@ func (ix *Index) SearchBatch(ctx context.Context, queries []string, topN int) ([
 				chunk[i] = ix.search(segment.Query{Terms: qterms[lo+i], Weights: qweights[lo+i]}, topN, opts)
 			}
 		})
-		store := ix.qc != nil && ix.sharded.Epoch() == batchEpoch
+		store := cached && ix.qc != nil && ix.sharded.Epoch() == batchEpoch
 		for i, res := range chunk {
 			out[qpos[lo+i]] = res
 			if store {

@@ -1,7 +1,6 @@
 package retrieval
 
 import (
-	"context"
 	"sync"
 
 	"repro/internal/segment"
@@ -89,26 +88,6 @@ func (ix *Index) searchStatus(q segment.Query, topN int) ([]Result, cache.Status
 	// The slice is shared with the cache (hit, coalesced) or with
 	// waiters that coalesced on our flight (miss) — hand out a copy.
 	return copyResults(res), st
-}
-
-// SearchStatus is Search plus the cache disposition of the lookup:
-// StatusHit or StatusCoalesced when the result came from (or was shared
-// with) the query cache, StatusMiss when it was computed and considered
-// for storage, StatusBypass when the index has no cache (the
-// httpapi layer surfaces this as the Cache-Status response header).
-// Results are identical to Search's for every status — the cache is
-// keyed by normalized query, topN, and index epoch, so a hit can never
-// serve results from before a live index's last Add or Compact.
-func (ix *Index) SearchStatus(ctx context.Context, query string, topN int) ([]Result, cache.Status, error) {
-	q, err := ix.textQuery(ctx, query)
-	if err != nil {
-		return nil, cache.StatusBypass, err
-	}
-	res, st := ix.searchStatus(q, topN)
-	if err := ctx.Err(); err != nil {
-		return nil, st, err
-	}
-	return res, st, nil
 }
 
 // CacheStats reports the query cache's counters; ok is false when the

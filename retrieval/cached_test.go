@@ -51,7 +51,7 @@ func TestCachedSearchMatchesUncachedAndReportsStatus(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, st, err := cached.SearchStatus(ctx, q, 5)
+			got, st, err := status(cached.Query(ctx, Query{Texts: []string{q}, TopN: 5}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -73,7 +73,7 @@ func TestCachedSearchMatchesUncachedAndReportsStatus(t *testing.T) {
 		}
 	}
 	// Uncached index reports bypass and no cache stats.
-	if _, st, _ := plain.SearchStatus(ctx, "car", 5); st != cache.StatusBypass {
+	if _, st, _ := status(plain.Query(ctx, Query{Texts: []string{"car"}, TopN: 5})); st != cache.StatusBypass {
 		t.Fatalf("uncached index status %v, want bypass", st)
 	}
 	if _, ok := plain.CacheStats(); ok {
@@ -99,13 +99,13 @@ func TestCachedResultsAreCallerOwned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, _, err := ix.SearchStatus(ctx, "car engine", 5)
+	first, _, err := status(ix.Query(ctx, Query{Texts: []string{"car engine"}, TopN: 5}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := append([]Result(nil), first...)
 	first[0] = Result{Doc: -1, ID: "corrupted", Score: -99}
-	again, st, err := ix.SearchStatus(ctx, "car engine", 5)
+	again, st, err := status(ix.Query(ctx, Query{Texts: []string{"car engine"}, TopN: 5}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,21 +134,21 @@ func TestCacheInvalidationOnAddAndCompact(t *testing.T) {
 	// search must see it (an epoch-ignorant cache would serve the stale
 	// pre-Add hit).
 	q := marker(3)
-	before, st, err := ix.SearchStatus(ctx, q, 0)
+	before, st, err := status(ix.Query(ctx, Query{Texts: []string{q}, TopN: 0}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st != cache.StatusMiss {
 		t.Fatalf("priming search status %v, want miss", st)
 	}
-	if _, _, err := ix.SearchStatus(ctx, q, 0); err != nil {
+	if _, _, err := status(ix.Query(ctx, Query{Texts: []string{q}, TopN: 0})); err != nil {
 		t.Fatal(err)
 	}
 	first, err := ix.Add(ctx, []Document{{ID: "fresh", Text: q + " " + q + " " + q}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, st, err := ix.SearchStatus(ctx, q, 0)
+	after, st, err := status(ix.Query(ctx, Query{Texts: []string{q}, TopN: 0}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestCacheInvalidationOnAddAndCompact(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := ix.SearchStatus(ctx, q, 0); err != nil { // prime at current epoch
+	if _, _, err := status(ix.Query(ctx, Query{Texts: []string{q}, TopN: 0})); err != nil { // prime at current epoch
 		t.Fatal(err)
 	}
 	epochBefore, _ := ix.CacheStats()
@@ -184,7 +184,7 @@ func TestCacheInvalidationOnAddAndCompact(t *testing.T) {
 	if epochAfter.Epoch <= epochBefore.Epoch {
 		t.Fatalf("compaction did not advance the cache epoch (%d -> %d)", epochBefore.Epoch, epochAfter.Epoch)
 	}
-	if _, st, err := ix.SearchStatus(ctx, q, 0); err != nil || st == cache.StatusHit {
+	if _, st, err := status(ix.Query(ctx, Query{Texts: []string{q}, TopN: 0})); err != nil || st == cache.StatusHit {
 		t.Fatalf("post-compact search: status %v err %v, want a recompute", st, err)
 	}
 }
@@ -234,7 +234,7 @@ func TestSearchBatchUsesCache(t *testing.T) {
 	}
 	// And a single Search on the same query is served from the batch's
 	// stored entry — the two paths share the cache.
-	if _, st, err := ix.SearchStatus(ctx, "galaxy stars", 5); err != nil || st != cache.StatusHit {
+	if _, st, err := status(ix.Query(ctx, Query{Texts: []string{"galaxy stars"}, TopN: 5})); err != nil || st != cache.StatusHit {
 		t.Fatalf("single search after batch: status %v err %v, want hit", st, err)
 	}
 }
@@ -309,7 +309,7 @@ func TestCachedSearchFreshnessUnderStress(t *testing.T) {
 				default:
 				}
 				q := marker(i % 8)
-				if _, _, err := ix.SearchStatus(ctx, q, 5); err != nil {
+				if _, _, err := status(ix.Query(ctx, Query{Texts: []string{q}, TopN: 5})); err != nil {
 					t.Errorf("reader %d: %v", r, err)
 					if first {
 						ready.Done()
@@ -347,14 +347,14 @@ func TestCachedSearchFreshnessUnderStress(t *testing.T) {
 		q := marker(16 + i)
 		// Warm the cache on the pre-Add state of this exact query so a
 		// stale hit is possible if invalidation were broken.
-		if _, _, err := ix.SearchStatus(ctx, q, 0); err != nil {
+		if _, _, err := status(ix.Query(ctx, Query{Texts: []string{q}, TopN: 0})); err != nil {
 			t.Fatal(err)
 		}
 		doc, err := ix.Add(ctx, []Document{{Text: q + " " + q}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, _, err := ix.SearchStatus(ctx, q, 0)
+		res, _, err := status(ix.Query(ctx, Query{Texts: []string{q}, TopN: 0}))
 		if err != nil {
 			t.Fatal(err)
 		}

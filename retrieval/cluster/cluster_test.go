@@ -82,6 +82,16 @@ func startCluster(t *testing.T, nDocs, shards int) *testCluster {
 	return tc
 }
 
+// search is one text query through r's Query: its one result list and
+// whether a fan-out answered it from a degraded quorum.
+func search(ctx context.Context, r retrieval.Retriever, q string, topN int) ([]retrieval.Result, bool, error) {
+	ans, err := r.Query(ctx, retrieval.Query{Texts: []string{q}, TopN: topN})
+	if err != nil {
+		return nil, ans.Partial, err
+	}
+	return ans.Results[0], ans.Partial, nil
+}
+
 func sameResults(t *testing.T, got, want []retrieval.Result, context string) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -109,7 +119,7 @@ func TestRouterMergeBitwise(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, partial, err := tc.router.SearchPartial(ctx, q, 10)
+		got, partial, err := search(ctx, tc.router, q, 10)
 		if err != nil || partial {
 			t.Fatalf("router search %q: partial=%v err=%v", q, partial, err)
 		}
@@ -120,17 +130,17 @@ func TestRouterMergeBitwise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotB, partial, err := tc.router.SearchBatchPartial(ctx, testQueries, 7)
-	if err != nil || partial {
-		t.Fatalf("router batch: partial=%v err=%v", partial, err)
+	gotB, err := tc.router.Query(ctx, retrieval.Query{Texts: testQueries, TopN: 7})
+	if err != nil || gotB.Partial {
+		t.Fatalf("router batch: partial=%v err=%v", gotB.Partial, err)
 	}
 	for i := range wantB {
-		sameResults(t, gotB[i], wantB[i], fmt.Sprintf("batch query %d", i))
+		sameResults(t, gotB.Results[i], wantB[i], fmt.Sprintf("batch query %d", i))
 	}
 
 	// A query with no in-vocabulary terms is a clean empty answer, as it
 	// is on the nodes.
-	if res, partial, err := tc.router.SearchPartial(ctx, "zzzz qqqq", 5); err != nil || partial || len(res) != 0 {
+	if res, partial, err := search(ctx, tc.router, "zzzz qqqq", 5); err != nil || partial || len(res) != 0 {
 		t.Fatalf("unknown-vocabulary query: %d results, partial=%v, err=%v", len(res), partial, err)
 	}
 }
@@ -178,7 +188,7 @@ func TestRouterIngestRouting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, partial, err := tc.router.SearchPartial(ctx, q, 10)
+		got, partial, err := search(ctx, tc.router, q, 10)
 		if err != nil || partial {
 			t.Fatalf("router search %q after adds: partial=%v err=%v", q, partial, err)
 		}
@@ -194,7 +204,7 @@ func TestRouterPartialResults(t *testing.T) {
 	ctx := context.Background()
 	tc.servers[1].Close()
 
-	res, partial, err := tc.router.SearchPartial(ctx, "car engine", 10)
+	res, partial, err := search(ctx, tc.router, "car engine", 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +224,7 @@ func TestRouterPartialResults(t *testing.T) {
 	}
 
 	tc.servers[0].Close()
-	if _, _, err := tc.router.SearchPartial(ctx, "car engine", 10); err == nil {
+	if _, _, err := search(ctx, tc.router, "car engine", 10); err == nil {
 		t.Fatal("whole cluster down: search succeeded")
 	}
 }

@@ -106,7 +106,7 @@ func TestClusterFailoverEndToEnd(t *testing.T) {
 					default:
 					}
 					q := testQueries[(w+i)%len(testQueries)]
-					res, _, err := router.SearchPartial(ctx, q, 10)
+					res, _, err := search(ctx, router, q, 10)
 					if err != nil {
 						t.Errorf("query %q failed during failover: %v", q, err)
 						return
@@ -174,7 +174,7 @@ func TestClusterFailoverEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, partial, err := router.SearchPartial(ctx, q, 10)
+		got, partial, err := search(ctx, router, q, 10)
 		if err != nil || partial {
 			t.Fatalf("post-rejoin %q: partial=%v err=%v", q, partial, err)
 		}
@@ -240,7 +240,7 @@ func TestClusterFailoverEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, partial, err := router.SearchPartial(ctx, q, 10)
+		got, partial, err := search(ctx, router, q, 10)
 		if err != nil || partial {
 			t.Fatalf("final %q: partial=%v err=%v", q, partial, err)
 		}
@@ -265,7 +265,7 @@ func TestReplicaServesBitwise(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := rep.Search(ctx, q, 8)
+		got, _, err := search(ctx, rep, q, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -338,7 +338,7 @@ func TestReplicaBootstrapsFromTieredPrimary(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := rep.Search(ctx, q, 8)
+		got, _, err := search(ctx, rep, q, 8)
 		if err != nil {
 			t.Fatal(err)
 		}

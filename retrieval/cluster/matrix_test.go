@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -64,9 +65,10 @@ func metricFamilies(body string) string {
 
 // TestHTTPContractMatrix pins what httpapi serves over every backend it
 // is given in production: for each request, the status and the contract
-// headers; for each backend, the /metrics families. A change to how the
-// handler learns what a backend can do must leave every cell as it is,
-// except where the contract changes on purpose.
+// headers; for each backend, the /metrics families, and that /v1/stats
+// "ready" agrees with /readyz. A change to how the handler learns what a
+// backend can do must leave every cell as it is, except where the
+// contract changes on purpose; those cells say what they were.
 func TestHTTPContractMatrix(t *testing.T) {
 	ctx := context.Background()
 	docs := corpus(48)
@@ -170,9 +172,9 @@ func TestHTTPContractMatrix(t *testing.T) {
 		}, "lsi_cluster_breaker_denied_total lsi_cluster_breaker_trips_total lsi_cluster_breakers_half_open lsi_cluster_breakers_open lsi_cluster_docs lsi_cluster_hedges_total lsi_cluster_ingest_synced lsi_cluster_manifest_reloads_total lsi_cluster_manifest_stale_reloads_total lsi_cluster_manifest_version lsi_cluster_node_errors_total lsi_cluster_node_sheds_total lsi_cluster_nodes_ejected lsi_cluster_partial_results_total lsi_cluster_probe_failures_total lsi_cluster_retries_total lsi_cluster_retry_budget_exhausted_total lsi_index_docs lsi_index_mapped_bytes lsi_index_mappings lsi_index_memory_bytes"},
 		{"replica", fresh, withReg(fresh.RegisterMetrics), []string{
 			"500 cache=- partial=- epoch=- gen=- docs=-",
-			"400 cache=- partial=- epoch=- gen=- docs=-",
-			"400 cache=- partial=- epoch=- gen=- docs=-",
-			"400 cache=- partial=- epoch=- gen=- docs=-",
+			"500 cache=- partial=- epoch=- gen=- docs=-", // was 400: a replica accepts vectors
+			"500 cache=- partial=- epoch=- gen=- docs=-", // was 400: and probe budgets
+			"500 cache=- partial=- epoch=- gen=- docs=-", // was 400
 			"400 cache=- partial=- epoch=- gen=- docs=-",
 			"500 cache=- partial=- epoch=- gen=- docs=-",
 			"501 cache=- partial=- epoch=- gen=- docs=-",
@@ -182,20 +184,23 @@ func TestHTTPContractMatrix(t *testing.T) {
 		}, "lsi_index_docs lsi_index_mapped_bytes lsi_index_mappings lsi_index_memory_bytes lsi_replica_batches_total lsi_replica_docs lsi_replica_docs_applied_total lsi_replica_generation lsi_replica_resumed_pulls_total lsi_replica_snapshots_total"},
 		{"replica+boot", booted, withReg(booted.RegisterMetrics), []string{
 			"200 cache=- partial=- epoch=0 gen=0 docs=24",
-			"400 cache=- partial=- epoch=- gen=- docs=-",
-			"400 cache=- partial=- epoch=- gen=- docs=-",
-			"400 cache=- partial=- epoch=- gen=- docs=-",
+			"200 cache=- partial=- epoch=0 gen=0 docs=24", // was 400: a replica accepts vectors
+			"200 cache=- partial=- epoch=0 gen=0 docs=24", // was 400: and probe budgets
+			"200 cache=- partial=- epoch=0 gen=0 docs=24", // was 400
 			"400 cache=- partial=- epoch=- gen=- docs=-",
 			"200 cache=- partial=- epoch=0 gen=0 docs=24",
 			"501 cache=- partial=- epoch=- gen=- docs=-",
 			"200 cache=- partial=- epoch=0 gen=0 docs=24",
 			"200 cache=- partial=- epoch=0 gen=0 docs=24",
 			"404 cache=- partial=- epoch=- gen=- docs=-",
-		}, "lsi_index_docs lsi_index_mapped_bytes lsi_index_mappings lsi_index_memory_bytes lsi_replica_batches_total lsi_replica_docs lsi_replica_docs_applied_total lsi_replica_generation lsi_replica_resumed_pulls_total lsi_replica_snapshots_total"},
+		}, // and exports its index's series (the live block's, here)
+			"lsi_index_compacting lsi_index_compaction_debt lsi_index_compaction_failures_total lsi_index_compactions_total lsi_index_docs lsi_index_docs_ingested_total lsi_index_epoch lsi_index_epoch_age_seconds lsi_index_mapped_bytes lsi_index_mappings lsi_index_memory_bytes lsi_index_sidecars_degraded_total lsi_replica_batches_total lsi_replica_docs lsi_replica_docs_applied_total lsi_replica_generation lsi_replica_resumed_pulls_total lsi_replica_snapshots_total lsi_shard_docs lsi_shard_segments"},
 	}
 	for _, b := range backends {
 		t.Run(b.name, func(t *testing.T) {
 			h := httpapi.NewHandler(b.ret, b.opts)
+			var stats retrieval.Stats
+			readyz := 0
 			for i, rq := range matrixRequests {
 				body := rq.body
 				if rq.name == "vector" {
@@ -207,6 +212,18 @@ func TestHTTPContractMatrix(t *testing.T) {
 				if i >= len(b.want) || got != b.want[i] {
 					t.Errorf("%s %s: got %q", b.name, rq.name, got)
 				}
+				switch rq.name {
+				case "stats":
+					if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
+						t.Fatalf("/v1/stats body: %v", err)
+					}
+				case "readyz":
+					readyz = rec.Code
+				}
+			}
+			// Readiness has one source: /v1/stats "ready" is /readyz.
+			if stats.Ready != (readyz == http.StatusOK) {
+				t.Errorf("%s: /v1/stats ready=%v but /readyz answered %d", b.name, stats.Ready, readyz)
 			}
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))

@@ -74,8 +74,8 @@ func (o ReplicaOptions) withDefaults() ReplicaOptions {
 // tailing from there.
 //
 // A Replica is also a serving node: it implements retrieval.Retriever
-// (plus the readiness and freshness capabilities httpapi looks for) by
-// delegating to its current local index, which is swapped atomically
+// (plus httpapi's freshness capability, EpochReporter) by delegating to
+// its current local index, which is swapped atomically
 // after a re-snapshot so queries never observe a half-applied state.
 // Replayed documents flow through the ordinary ingest path of the
 // local 1-shard index, so a caught-up replica serves bit-for-bit the
@@ -398,26 +398,18 @@ func (r *Replica) noteErr(err error) {
 // Bootstrap).
 func (r *Replica) Index() *retrieval.Index { return r.cur.Load() }
 
-// --- retrieval.Retriever and httpapi capabilities, by delegation ---
+// --- retrieval.Retriever and httpapi.EpochReporter, by delegation ---
 
 var errNotBootstrapped = fmt.Errorf("cluster: replica: not bootstrapped")
 
-// Search implements retrieval.Retriever against the current snapshot.
-func (r *Replica) Search(ctx context.Context, query string, topN int) ([]retrieval.Result, error) {
+// Query implements retrieval.Retriever against the current snapshot, so
+// a replica serves every shape its index serves.
+func (r *Replica) Query(ctx context.Context, q retrieval.Query) (retrieval.Answer, error) {
 	ix := r.cur.Load()
 	if ix == nil {
-		return nil, errNotBootstrapped
+		return retrieval.Answer{}, errNotBootstrapped
 	}
-	return ix.Search(ctx, query, topN)
-}
-
-// SearchBatch implements retrieval.Retriever.
-func (r *Replica) SearchBatch(ctx context.Context, queries []string, topN int) ([][]retrieval.Result, error) {
-	ix := r.cur.Load()
-	if ix == nil {
-		return nil, errNotBootstrapped
-	}
-	return ix.SearchBatch(ctx, queries, topN)
+	return ix.Query(ctx, q)
 }
 
 // NumDocs implements retrieval.Retriever (0 before Bootstrap).
@@ -428,16 +420,20 @@ func (r *Replica) NumDocs() int {
 	return 0
 }
 
-// Stats implements retrieval.Retriever.
+// Stats implements retrieval.Retriever: the snapshot's Stats, with Ready
+// the replica's own (see Ready).
 func (r *Replica) Stats() retrieval.Stats {
-	if ix := r.cur.Load(); ix != nil {
-		return ix.Stats()
+	ix := r.cur.Load()
+	if ix == nil {
+		return retrieval.Stats{Backend: "replica"}
 	}
-	return retrieval.Stats{Backend: "replica"}
+	st := ix.Stats()
+	st.Ready = true
+	return st
 }
 
-// Ready reports whether the replica has a serving snapshot — the
-// httpapi readiness capability.
+// Ready reports whether the replica has a serving snapshot: what /readyz
+// answers, whatever compaction the snapshot owes.
 func (r *Replica) Ready() bool { return r.cur.Load() != nil }
 
 // Epoch implements the httpapi freshness capability. A replica's epoch

@@ -114,8 +114,7 @@ type manifestState struct {
 
 // Router fans queries out to the shard-owning nodes of a cluster
 // manifest and merges their answers into the single-process result
-// order. It implements retrieval.Retriever (plus the httpapi
-// FanoutSearcher, DocAdder, and ReadyReporter capabilities), so
+// order. It implements retrieval.Retriever and httpapi.Live, so
 // httpapi.NewHandler(router, ...) is a complete cluster front door.
 //
 // Reads degrade, writes don't: a shard whose every candidate node
@@ -495,12 +494,18 @@ func allFailedErr(lastErr error) error {
 	return fmt.Errorf("cluster: no shard reachable: %w", lastErr)
 }
 
-// SearchPartial fans one query across the cluster. partial reports a
-// degraded quorum: at least one shard answered and at least one did
-// not, so the results are a correct merge of the shards that did.
-// When no shard answers, the error of the last failure is returned.
-func (r *Router) SearchPartial(ctx context.Context, query string, topN int) ([]retrieval.Result, bool, error) {
-	parts, ms := r.fanout(ctx, []string{query}, topN)
+// Query implements retrieval.Retriever: the texts fan out to every
+// shard, one round trip per shard whatever their number, and merge
+// exactly. Partial reports a degraded quorum: at least one shard
+// answered and at least one did not, so the lists are a correct merge of
+// the shards that did. When no shard answers, the error of the last
+// failure is returned. The nodes answer at their configured budget, so a
+// vector or a probe budget fails with retrieval.ErrUnsupported.
+func (r *Router) Query(ctx context.Context, q retrieval.Query) (retrieval.Answer, error) {
+	if q.Vector != nil || q.NProbe != nil {
+		return retrieval.Answer{}, fmt.Errorf("%w: the cluster router forwards text queries at the nodes' configured budget", retrieval.ErrUnsupported)
+	}
+	parts, ms := r.fanout(ctx, q.Texts, q.TopN)
 	failed := 0
 	var lastErr error
 	for _, p := range parts {
@@ -512,63 +517,24 @@ func (r *Router) SearchPartial(ctx context.Context, query string, topN int) ([]r
 		}
 	}
 	if failed == len(parts) {
-		return nil, false, allFailedErr(lastErr)
+		return retrieval.Answer{}, allFailedErr(lastErr)
 	}
-	partial := failed > 0
-	if partial {
+	ans := retrieval.Answer{Results: make([][]retrieval.Result, len(q.Texts)), Partial: failed > 0}
+	if ans.Partial {
 		r.partials.Add(1)
 	}
-	return mergeQuery(parts, 0, topN, ms.man.Shards), partial, nil
-}
-
-// SearchBatchPartial is SearchPartial for a query batch; one fan-out
-// round trip per shard regardless of batch size.
-func (r *Router) SearchBatchPartial(ctx context.Context, queries []string, topN int) ([][]retrieval.Result, bool, error) {
-	parts, ms := r.fanout(ctx, queries, topN)
-	failed := 0
-	var lastErr error
-	for _, p := range parts {
-		if p.failed {
-			failed++
-			if lastErr == nil || shedOf(lastErr) == nil {
-				lastErr = p.lastErr
-			}
-		}
+	for i := range q.Texts {
+		ans.Results[i] = mergeQuery(parts, i, q.TopN, ms.man.Shards)
 	}
-	if failed == len(parts) {
-		return nil, false, allFailedErr(lastErr)
-	}
-	partial := failed > 0
-	if partial {
-		r.partials.Add(1)
-	}
-	out := make([][]retrieval.Result, len(queries))
-	for q := range queries {
-		out[q] = mergeQuery(parts, q, topN, ms.man.Shards)
-	}
-	return out, partial, nil
-}
-
-// Search implements retrieval.Retriever. Partiality is not visible
-// through this narrow interface; callers that must distinguish a
-// degraded answer use SearchPartial (httpapi does, surfacing the
-// X-Partial-Results header).
-func (r *Router) Search(ctx context.Context, query string, topN int) ([]retrieval.Result, error) {
-	res, _, err := r.SearchPartial(ctx, query, topN)
-	return res, err
-}
-
-// SearchBatch implements retrieval.Retriever.
-func (r *Router) SearchBatch(ctx context.Context, queries []string, topN int) ([][]retrieval.Result, error) {
-	res, _, err := r.SearchBatchPartial(ctx, queries, topN)
-	return res, err
+	return ans, nil
 }
 
 // NumDocs returns the cluster's document count as of the last
 // Sync/Add (0 before the first sync).
 func (r *Router) NumDocs() int { return int(r.docs.Load()) }
 
-// Stats implements retrieval.Retriever with a cluster-level summary.
+// Stats implements retrieval.Retriever with a cluster-level summary;
+// Ready is the router's, what /readyz answers.
 func (r *Router) Stats() retrieval.Stats {
 	ms := r.man.Load()
 	return retrieval.Stats{
@@ -577,12 +543,13 @@ func (r *Router) Stats() retrieval.Stats {
 		Shards:      ms.man.Shards,
 		NumDocs:     r.NumDocs(),
 		TextQueries: true,
+		Ready:       r.Ready(),
 	}
 }
 
-// Ready implements the httpapi readiness capability: the router is
-// ready once ingest is synced (searches work regardless; readiness
-// gates traffic that may include writes).
+// Ready reports whether the router is ready: once ingest is synced
+// (searches work regardless; readiness gates traffic that may include
+// writes).
 func (r *Router) Ready() bool {
 	r.ingestMu.Lock()
 	defer r.ingestMu.Unlock()
@@ -718,6 +685,12 @@ func (r *Router) Add(ctx context.Context, docs []retrieval.Document) (int, error
 	r.nextGlobal += len(docs)
 	r.docs.Store(int64(r.nextGlobal))
 	return first, nil
+}
+
+// TailWAL implements httpapi.Live: the router keeps no write-ahead log
+// (each node logs its own shard), so it always returns retrieval.ErrNoWAL.
+func (r *Router) TailWAL(from int) ([]retrieval.Document, error) {
+	return nil, retrieval.ErrNoWAL
 }
 
 // RouterStats is the router's observability snapshot.

@@ -61,8 +61,8 @@ func TestUnshardedIndexContract(t *testing.T) {
 					t.Errorf("%s = %v, want ErrNotSharded", name, err)
 				}
 			}
-			if _, ok := ix.LiveStats(); ok {
-				t.Error("LiveStats ok = true")
+			if ix.Stats().Live != nil {
+				t.Error("Stats().Live != nil")
 			}
 			if e, g := ix.Epoch(), ix.Generation(); e != 0 || g != 0 {
 				t.Errorf("Epoch, Generation = %d, %d, want 0, 0", e, g)
@@ -103,11 +103,11 @@ func TestUnshardedIndexContract(t *testing.T) {
 
 			// The tiers train at any size, and the ANN block reports the
 			// clamped cell count, not the configured 128.
-			as, ok := ix.ANNStats()
+			as, ok := annStatsOf(ix)
 			if !ok || as.Segments != 1 || as.Docs != len(docs) || as.NList < 1 || as.NList > len(docs) {
 				t.Errorf("ANNStats = %+v, %v, want one quantizer over %d docs with a clamped nlist", as, ok, len(docs))
 			}
-			if qs, ok := ix.QuantStats(); !ok || qs.Segments != 1 || qs.Docs != len(docs) {
+			if qs, ok := quantStatsOf(ix); !ok || qs.Segments != 1 || qs.Docs != len(docs) {
 				t.Errorf("QuantStats = %+v, %v, want one shadow over %d docs", qs, ok, len(docs))
 			}
 

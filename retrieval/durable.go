@@ -2,6 +2,7 @@ package retrieval
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"repro/internal/faultinject"
@@ -149,8 +150,9 @@ func (ix *Index) Checkpoint(dir string) error {
 	return nil
 }
 
-// WALAttached reports whether a write-ahead log is armed on this index.
-func (ix *Index) WALAttached() bool { return ix.wlog != nil }
+// ErrNoWAL reports TailWAL on an index with no write-ahead log attached
+// (AttachWAL); httpapi surfaces it as 404 on /v1/replicate/wal.
+var ErrNoWAL = errors.New("retrieval: no write-ahead log attached")
 
 // ErrWALGone reports a TailWAL position the log no longer covers — the
 // records before it were rotated away by a checkpoint. The caller (a
@@ -165,13 +167,11 @@ var ErrWALGone = fmt.Errorf("retrieval: wal no longer covers the requested posit
 // process's acked writes at the time of the call. An empty slice means
 // already caught up; ErrWALGone means the log starts after from (a
 // checkpoint rotated the needed records away) and the replica must
-// re-snapshot.
+// re-snapshot. An index without a WAL (every unsharded one) returns
+// ErrNoWAL.
 func (ix *Index) TailWAL(from int) ([]Document, error) {
-	if !ix.Sharded() {
-		return nil, fmt.Errorf("%w: only sharded live indexes carry a WAL", ErrNotSharded)
-	}
 	if ix.wlog == nil {
-		return nil, fmt.Errorf("retrieval: no WAL attached")
+		return nil, ErrNoWAL
 	}
 	if from < 0 {
 		return nil, fmt.Errorf("retrieval: wal tail from %d, want >= 0", from)

@@ -28,8 +28,8 @@ func TestWALReplayRestoresAckedAdds(t *testing.T) {
 	if replayed, err := ix.AttachWAL(waldir); err != nil || replayed != 0 {
 		t.Fatalf("AttachWAL = (%d, %v), want (0, nil)", replayed, err)
 	}
-	if !ix.WALAttached() {
-		t.Fatal("WALAttached() = false after AttachWAL")
+	if _, err := ix.TailWAL(0); errors.Is(err, ErrNoWAL) {
+		t.Fatal("TailWAL = ErrNoWAL after AttachWAL")
 	}
 
 	// Acked adds in several batches; only the first lands in a
@@ -213,8 +213,8 @@ func TestStatsCarryEpochAndGeneration(t *testing.T) {
 	if st.Epoch != ix.Epoch() || st.Generation != 1 {
 		t.Fatalf("Stats epoch %d generation %d, want %d 1", st.Epoch, st.Generation, ix.Epoch())
 	}
-	if ls, ok := ix.LiveStats(); !ok || ls.Generation != 1 {
-		t.Fatalf("LiveStats generation = %d (ok=%v), want 1", ls.Generation, ok)
+	if st.Live == nil {
+		t.Fatal("Stats().Live = nil on a live index")
 	}
 }
 

@@ -27,11 +27,11 @@ func ExampleBuild() {
 	// backend=lsi docs=4 rank=2 weighting=log
 }
 
-// ExampleRetriever_Search shows the synonymy effect that motivates the
+// ExampleRetriever_Query shows the synonymy effect that motivates the
 // paper: the "automobile" documents never contain the word "car", yet the
 // LSI ranking surfaces them, while the literal vector-space baseline
 // cannot.
-func ExampleRetriever_Search() {
+func ExampleRetriever_Query() {
 	corpus := retrieval.DemoCorpus()
 	ctx := context.Background()
 
@@ -46,12 +46,12 @@ func ExampleRetriever_Search() {
 	}
 
 	for _, ret := range []retrieval.Retriever{lsi, vsm} {
-		results, err := ret.Search(ctx, "automobile", 4)
+		ans, err := ret.Query(ctx, retrieval.Query{Texts: []string{"automobile"}, TopN: 4})
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%s:", ret.Stats().Backend)
-		for _, r := range results {
+		for _, r := range ans.Results[0] {
 			fmt.Printf(" %s", r.ID)
 		}
 		fmt.Println()

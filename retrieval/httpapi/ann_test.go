@@ -1,7 +1,9 @@
 package httpapi
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -75,15 +77,23 @@ func TestSearchNProbe(t *testing.T) {
 	}
 }
 
-// plainRetriever hides the concrete index behind the bare Retriever
-// interface, so the handler sees no ProbeSearcher capability.
+// plainRetriever stands for a backend without a probe budget: it answers
+// one with retrieval.ErrUnsupported, as the VSM baseline and the cluster
+// router do.
 type plainRetriever struct{ retrieval.Retriever }
+
+func (p plainRetriever) Query(ctx context.Context, q retrieval.Query) (retrieval.Answer, error) {
+	if q.NProbe != nil {
+		return retrieval.Answer{}, fmt.Errorf("%w: no probe budget here", retrieval.ErrUnsupported)
+	}
+	return p.Retriever.Query(ctx, q)
+}
 
 func TestSearchNProbeWithoutCapability(t *testing.T) {
 	h := NewHandler(plainRetriever{annIndex(t)}, Options{})
 	rec := do(t, h, "POST", "/v1/search", `{"query":"car","nprobe":2}`)
 	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("nprobe without ProbeSearcher: %d, want 400", rec.Code)
+		t.Fatalf("nprobe on a backend without a probe budget: %d, want 400", rec.Code)
 	}
 	if !strings.Contains(rec.Body.String(), "probe budgets") {
 		t.Fatalf("unexpected error body: %s", rec.Body)

@@ -157,38 +157,20 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// VectorSearcher is the optional raw-vector query capability; the
-// concrete *retrieval.Index implements it. Handlers reject vector
-// requests with 400 when the retriever does not.
-type VectorSearcher interface {
-	SearchVector(ctx context.Context, q []float64, topN int) ([]retrieval.Result, error)
-}
+// A backend tells the handler what it serves through at most three
+// interfaces: retrieval.Retriever (one Query call per search route, and
+// the Stats snapshot behind /v1/stats, /readyz, the ingest debt gate and
+// /metrics), Live, and EpochReporter.
 
-// StatusSearcher is the optional cache-aware query capability: the
-// concrete *retrieval.Index implements it, reporting each text query's
-// cache disposition alongside the results. When the retriever
-// implements it and the lookup touched a cache (status != bypass), the
-// search handler surfaces the disposition as the Cache-Status response
-// header: "hit", "miss", or "coalesced". Results are identical either
-// way — the cache is epoch-keyed, so hits can never predate a live
-// index's last append or compaction.
-type StatusSearcher interface {
-	SearchStatus(ctx context.Context, query string, topN int) ([]retrieval.Result, cache.Status, error)
-}
-
-// DocAdder is the optional live-update capability behind POST /v1/docs:
-// *retrieval.Index and the cluster router implement it. Handlers answer
-// 501 when the retriever does not, or when it is an index built without
-// WithShards (retrieval.ErrImmutableIndex).
-type DocAdder interface {
+// Live is the optional write capability behind POST /v1/docs and GET
+// /v1/replicate/wal: *retrieval.Index and the cluster router implement
+// it. Handlers answer 501 when the retriever lacks it, or when Add
+// returns retrieval.ErrImmutableIndex (an index built without
+// WithShards); the WAL route answers 404 when it lacks it, or when
+// TailWAL returns retrieval.ErrNoWAL.
+type Live interface {
 	Add(ctx context.Context, docs []retrieval.Document) (int, error)
-}
-
-// ReadyReporter is the optional readiness capability behind GET
-// /readyz: *retrieval.Index and the cluster router implement it;
-// retrievers without it are always ready.
-type ReadyReporter interface {
-	Ready() bool
+	TailWAL(from int) ([]retrieval.Document, error)
 }
 
 // EpochReporter is the optional freshness capability: the concrete
@@ -203,36 +185,6 @@ type EpochReporter interface {
 	Generation() uint64
 }
 
-// FanoutSearcher is the optional distributed-query capability of the
-// cluster router: searches that may be answered from a degraded quorum
-// report partial=true, which the handler surfaces as the
-// X-Partial-Results response header. When the retriever implements it,
-// text searches prefer it over plain Search.
-type FanoutSearcher interface {
-	SearchPartial(ctx context.Context, query string, topN int) (results []retrieval.Result, partial bool, err error)
-	SearchBatchPartial(ctx context.Context, queries []string, topN int) (results [][]retrieval.Result, partial bool, err error)
-}
-
-// ProbeSearcher is the optional ANN probe-override capability: the
-// concrete *retrieval.Index implements it (meaningfully when built or
-// opened with retrieval.WithANN; without an ANN tier every budget is
-// served exhaustively). A search request carrying "nprobe" routes
-// through it — bypassing the query cache, whose keys assume the
-// configured default budget. Handlers reject nprobe requests with 400
-// when the retriever lacks the capability (e.g. the cluster router).
-type ProbeSearcher interface {
-	SearchProbe(ctx context.Context, query string, topN, nprobe int) ([]retrieval.Result, error)
-	SearchVectorProbe(ctx context.Context, q []float64, topN, nprobe int) ([]retrieval.Result, error)
-}
-
-// WALTailer is the optional replication catch-up capability behind GET
-// /v1/replicate/wal: a *retrieval.Index with an attached WAL implements
-// it usefully (WALAttached reports whether a log is armed).
-type WALTailer interface {
-	WALAttached() bool
-	TailWAL(from int) ([]retrieval.Document, error)
-}
-
 // SearchRequest is the body of POST /v1/search. Exactly one of Query and
 // Vector must be set.
 type SearchRequest struct {
@@ -242,7 +194,8 @@ type SearchRequest struct {
 	// NProbe, when present, overrides the ANN tier's probe budget for
 	// this request: > 0 scores that many cells per quantizer (clamped to
 	// nlist), 0 forces the exhaustive scan. Absent means the configured
-	// default. Requires a ProbeSearcher retriever (400 otherwise).
+	// default (see retrieval.Query.NProbe). A backend that answers it with
+	// retrieval.ErrUnsupported gets a 400.
 	NProbe *int `json:"nprobe,omitempty"`
 }
 
@@ -476,66 +429,52 @@ func (h *handler) search(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), h.opts.Timeout)
-	defer cancel()
-
-	var results []retrieval.Result
-	var err error
-	if req.NProbe != nil {
-		if *req.NProbe < 0 {
-			writeError(w, http.StatusBadRequest, "nprobe must be >= 0, got %d", *req.NProbe)
-			return
-		}
-		ps, ok := h.ret.(ProbeSearcher)
-		if !ok {
-			writeError(w, http.StatusBadRequest, "this index does not accept per-request probe budgets")
-			return
-		}
-		if hasVector {
-			results, err = ps.SearchVectorProbe(ctx, req.Vector, topN, *req.NProbe)
-		} else {
-			results, err = ps.SearchProbe(ctx, req.Query, topN, *req.NProbe)
-			if errors.Is(err, retrieval.ErrNoQueryTerms) {
-				results, err = []retrieval.Result{}, nil
-			}
-		}
-	} else if hasVector {
-		vs, ok := h.ret.(VectorSearcher)
-		if !ok {
-			writeError(w, http.StatusBadRequest, "this index does not accept vector queries")
-			return
-		}
-		results, err = vs.SearchVector(ctx, req.Vector, topN)
-	} else {
-		if fs, ok := h.ret.(FanoutSearcher); ok {
-			var partial bool
-			results, partial, err = fs.SearchPartial(ctx, req.Query, topN)
-			if partial {
-				w.Header().Set("X-Partial-Results", "true")
-			}
-		} else if ss, ok := h.ret.(StatusSearcher); ok {
-			var st cache.Status
-			results, st, err = ss.SearchStatus(ctx, req.Query, topN)
-			if st != cache.StatusBypass {
-				w.Header().Set("Cache-Status", st.String())
-			}
-		} else {
-			results, err = h.ret.Search(ctx, req.Query, topN)
-		}
-		if errors.Is(err, retrieval.ErrNoQueryTerms) {
-			// A valid query that matches nothing, not a client error.
-			results, err = []retrieval.Result{}, nil
-		}
-	}
-	if err != nil {
-		writeSearchError(w, err)
+	if req.NProbe != nil && *req.NProbe < 0 {
+		writeError(w, http.StatusBadRequest, "nprobe must be >= 0, got %d", *req.NProbe)
 		return
 	}
+	q := retrieval.Query{TopN: topN, NProbe: req.NProbe}
+	if hasVector {
+		q.Vector = req.Vector
+	} else {
+		q.Texts = []string{req.Query}
+	}
+	ctx, cancel := context.WithTimeout(r.Context(), h.opts.Timeout)
+	defer cancel()
+	ans, err := h.ret.Query(ctx, q)
+	if errors.Is(err, retrieval.ErrUnsupported) {
+		what := "vector queries"
+		if req.NProbe != nil {
+			what = "per-request probe budgets"
+		}
+		writeError(w, http.StatusBadRequest, "this index does not accept %s", what)
+		return
+	}
+	if !h.answer(w, ans, err) {
+		return
+	}
+	results := ans.Results[0]
 	if results == nil {
 		results = []retrieval.Result{}
 	}
-	h.indexHeaders(w)
 	writeJSON(w, http.StatusOK, SearchResponse{Results: results})
+}
+
+// answer stamps a search answer's headers and, on an error, writes it;
+// it reports whether the handler should go on to write the results.
+func (h *handler) answer(w http.ResponseWriter, ans retrieval.Answer, err error) bool {
+	if ans.Cache != cache.StatusBypass {
+		w.Header().Set("Cache-Status", ans.Cache.String())
+	}
+	if ans.Partial {
+		w.Header().Set("X-Partial-Results", "true")
+	}
+	if err != nil {
+		writeSearchError(w, err)
+		return false
+	}
+	h.indexHeaders(w)
+	return true
 }
 
 func (h *handler) searchBatch(w http.ResponseWriter, r *http.Request) {
@@ -557,28 +496,16 @@ func (h *handler) searchBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), h.opts.Timeout)
 	defer cancel()
-	var results [][]retrieval.Result
-	var err error
-	if fs, ok := h.ret.(FanoutSearcher); ok {
-		var partial bool
-		results, partial, err = fs.SearchBatchPartial(ctx, req.Queries, topN)
-		if partial {
-			w.Header().Set("X-Partial-Results", "true")
-		}
-	} else {
-		results, err = h.ret.SearchBatch(ctx, req.Queries, topN)
+	ans, err := h.ret.Query(ctx, retrieval.Query{Texts: req.Queries, TopN: topN})
+	ans.Cache = cache.StatusBypass // the header describes single lookups
+	if h.answer(w, ans, err) {
+		writeJSON(w, http.StatusOK, BatchSearchResponse{Results: ans.Results})
 	}
-	if err != nil {
-		writeSearchError(w, err)
-		return
-	}
-	h.indexHeaders(w)
-	writeJSON(w, http.StatusOK, BatchSearchResponse{Results: results})
 }
 
 // addInto runs the shared append path for both docs endpoints.
 func (h *handler) addInto(w http.ResponseWriter, r *http.Request, docs []retrieval.Document) {
-	adder, ok := h.ret.(DocAdder)
+	adder, ok := h.ret.(Live)
 	if !ok {
 		writeError(w, http.StatusNotImplemented, "this index is immutable; build with sharding (WithShards / lsiserve -shards) to accept live documents")
 		return
@@ -592,8 +519,8 @@ func (h *handler) addInto(w http.ResponseWriter, r *http.Request, docs []retriev
 		}
 		switch {
 		case errors.Is(err, retrieval.ErrImmutableIndex):
-			// Every *retrieval.Index has the Add method; immutability
-			// surfaces as this error rather than a missing interface.
+			// Every *retrieval.Index is Live; immutability surfaces as
+			// this error rather than a missing interface.
 			writeError(w, http.StatusNotImplemented, "this index is immutable; build with sharding (WithShards / lsiserve -shards) to accept live documents")
 		case errors.Is(err, retrieval.ErrIndexClosed):
 			writeError(w, http.StatusServiceUnavailable, "%v", err)
@@ -651,13 +578,14 @@ func (h *handler) addDocs(w http.ResponseWriter, r *http.Request) {
 }
 
 func (h *handler) readyz(w http.ResponseWriter, r *http.Request) {
+	st := h.ret.Stats()
 	body := map[string]any{"status": "ready", "numDocs": h.ret.NumDocs()}
 	if er, ok := h.ret.(EpochReporter); ok {
 		body["epoch"] = er.Epoch()
 		body["generation"] = er.Generation()
 	}
 	h.indexHeaders(w)
-	if rr, ok := h.ret.(ReadyReporter); ok && !rr.Ready() {
+	if !st.Ready {
 		body["status"] = "not-ready"
 		body["reason"] = "index is warming: compaction pending or in flight"
 		writeJSON(w, http.StatusServiceUnavailable, body)

@@ -29,6 +29,7 @@ package httpapi
 
 import (
 	"context"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -40,40 +41,6 @@ import (
 	"repro/internal/metrics"
 	"repro/retrieval"
 )
-
-// LiveStatsReporter is the optional live-index observability capability:
-// the concrete *retrieval.Index implements it, reporting per-shard
-// segment topology, ingest volume, compaction debt, and freshness (ok
-// is false for immutable indexes). The handler exports these as
-// /metrics gauges and uses CompactionDebt for ingest admission.
-type LiveStatsReporter interface {
-	LiveStats() (retrieval.LiveStats, bool)
-}
-
-// CacheStatsReporter is the optional query-cache observability
-// capability of the concrete *retrieval.Index (ok is false when the
-// index was built without retrieval.WithQueryCache). The handler
-// exports the counters as live /metrics series.
-type CacheStatsReporter interface {
-	CacheStats() (retrieval.QueryCacheStats, bool)
-}
-
-// ANNStatsReporter is the optional ANN-tier observability capability of
-// the concrete *retrieval.Index (ok is false when the index has no IVF
-// tier — see retrieval.WithANN). The handler exports the configuration
-// gauges and probe counters as live /metrics series.
-type ANNStatsReporter interface {
-	ANNStats() (retrieval.ANNStats, bool)
-}
-
-// QuantStatsReporter is the optional quantized-tier observability
-// capability of the concrete *retrieval.Index (ok is false when the
-// index has no int8 tier — see retrieval.WithQuantized). The handler
-// exports the configuration gauges and scan counters as live /metrics
-// series.
-type QuantStatsReporter interface {
-	QuantStats() (retrieval.QuantStats, bool)
-}
 
 // gateClass says how the admission gate treats a route.
 type gateClass int
@@ -136,6 +103,12 @@ type observer struct {
 	latency  map[string]*metrics.Histogram // by route
 	inflight *metrics.Gauge
 
+	// stats is the retriever's Stats snapshot every index series reads:
+	// scrape takes one per /metrics request.
+	ret     retrieval.Retriever
+	scrapes sync.Mutex
+	stats   atomic.Pointer[retrieval.Stats]
+
 	mu       sync.Mutex
 	requests map[string]*metrics.Counter // by route \x00 code
 	shed     map[string]*metrics.Counter // by route \x00 reason
@@ -167,143 +140,166 @@ func newObserver(reg *metrics.Registry, ret retrieval.Retriever) *observer {
 	o.inflight = reg.Gauge("lsi_http_inflight_requests",
 		"Requests currently executing (admitted past the gate).")
 
+	o.ret = ret
+	st := ret.Stats()
+	o.stats.Store(&st)
+	stat := func(pick func(*retrieval.Stats) float64) func() float64 {
+		return func() float64 { return pick(o.stats.Load()) }
+	}
 	reg.GaugeFunc("lsi_index_docs", "Indexed documents.",
-		func() float64 { return float64(ret.NumDocs()) })
+		stat(func(s *retrieval.Stats) float64 { return float64(s.NumDocs) }))
 	reg.GaugeFunc("lsi_index_memory_bytes", "Estimated index heap footprint in bytes.",
-		func() float64 { return float64(ret.Stats().MemoryBytes) })
+		stat(func(s *retrieval.Stats) float64 { return float64(s.MemoryBytes) }))
 	reg.GaugeFunc("lsi_index_mapped_bytes", "Bytes of index files served from read-only mappings (page cache, not heap); counted in lsi_index_memory_bytes too.",
-		func() float64 { return float64(ret.Stats().MappedBytes) })
+		stat(func(s *retrieval.Stats) float64 { return float64(s.MappedBytes) }))
 	reg.GaugeFunc("lsi_index_mappings", "Index-file mappings live in this process; above the served segment count, a replaced index has not been collected yet.",
 		func() float64 { return float64(blob.LiveMappings()) })
 
-	if cs, ok := ret.(CacheStatsReporter); ok {
-		if _, cached := cs.CacheStats(); cached {
-			lookups := func(pick func(retrieval.QueryCacheStats) int64) func() float64 {
-				return func() float64 { st, _ := cs.CacheStats(); return float64(pick(st)) }
-			}
-			reg.CounterFunc("lsi_cache_lookups_total", "Query-cache lookups by disposition.",
-				lookups(func(s retrieval.QueryCacheStats) int64 { return s.Hits }),
-				metrics.Label{Name: "result", Value: "hit"})
-			reg.CounterFunc("lsi_cache_lookups_total", "Query-cache lookups by disposition.",
-				lookups(func(s retrieval.QueryCacheStats) int64 { return s.Misses }),
-				metrics.Label{Name: "result", Value: "miss"})
-			reg.CounterFunc("lsi_cache_lookups_total", "Query-cache lookups by disposition.",
-				lookups(func(s retrieval.QueryCacheStats) int64 { return s.Coalesced }),
-				metrics.Label{Name: "result", Value: "coalesced"})
-			reg.CounterFunc("lsi_cache_evictions_total", "Query-cache entries evicted by the total byte budget.",
-				lookups(func(s retrieval.QueryCacheStats) int64 { return s.Evictions }))
-			reg.CounterFunc("lsi_cache_probation_evictions_total", "Query-cache entries aged out of probation without a repeat (one-shot answers; normal turnover).",
-				lookups(func(s retrieval.QueryCacheStats) int64 { return s.ProbationEvictions }))
-			reg.CounterFunc("lsi_cache_rejected_total", "Computed results not stored because the epoch moved mid-compute.",
-				lookups(func(s retrieval.QueryCacheStats) int64 { return s.Rejected }))
-			reg.GaugeFunc("lsi_cache_entries", "Query-cache resident entries.",
-				lookups(func(s retrieval.QueryCacheStats) int64 { return int64(s.Entries) }))
-			reg.GaugeFunc("lsi_cache_bytes", "Query-cache resident bytes (estimated).",
-				lookups(func(s retrieval.QueryCacheStats) int64 { return s.Bytes }))
-			reg.GaugeFunc("lsi_cache_probation_bytes", "Query-cache bytes held by entries not yet hit since stored (at most 1/64 of the budget plus one entry per shard).",
-				lookups(func(s retrieval.QueryCacheStats) int64 { return s.ProbationBytes }))
-			reg.GaugeFunc("lsi_cache_capacity_bytes", "Query-cache byte budget.",
-				lookups(func(s retrieval.QueryCacheStats) int64 { return s.CapBytes }))
+	if st.Cache != nil {
+		cached := func(pick func(*retrieval.QueryCacheStats) int64) func() float64 {
+			return read(o, func(s *retrieval.Stats) *retrieval.QueryCacheStats { return s.Cache },
+				func(c *retrieval.QueryCacheStats) float64 { return float64(pick(c)) })
 		}
+		reg.CounterFunc("lsi_cache_lookups_total", "Query-cache lookups by disposition.",
+			cached(func(s *retrieval.QueryCacheStats) int64 { return s.Hits }),
+			metrics.Label{Name: "result", Value: "hit"})
+		reg.CounterFunc("lsi_cache_lookups_total", "Query-cache lookups by disposition.",
+			cached(func(s *retrieval.QueryCacheStats) int64 { return s.Misses }),
+			metrics.Label{Name: "result", Value: "miss"})
+		reg.CounterFunc("lsi_cache_lookups_total", "Query-cache lookups by disposition.",
+			cached(func(s *retrieval.QueryCacheStats) int64 { return s.Coalesced }),
+			metrics.Label{Name: "result", Value: "coalesced"})
+		reg.CounterFunc("lsi_cache_evictions_total", "Query-cache entries evicted by the total byte budget.",
+			cached(func(s *retrieval.QueryCacheStats) int64 { return s.Evictions }))
+		reg.CounterFunc("lsi_cache_probation_evictions_total", "Query-cache entries aged out of probation without a repeat (one-shot answers; normal turnover).",
+			cached(func(s *retrieval.QueryCacheStats) int64 { return s.ProbationEvictions }))
+		reg.CounterFunc("lsi_cache_rejected_total", "Computed results not stored because the epoch moved mid-compute.",
+			cached(func(s *retrieval.QueryCacheStats) int64 { return s.Rejected }))
+		reg.GaugeFunc("lsi_cache_entries", "Query-cache resident entries.",
+			cached(func(s *retrieval.QueryCacheStats) int64 { return int64(s.Entries) }))
+		reg.GaugeFunc("lsi_cache_bytes", "Query-cache resident bytes (estimated).",
+			cached(func(s *retrieval.QueryCacheStats) int64 { return s.Bytes }))
+		reg.GaugeFunc("lsi_cache_probation_bytes", "Query-cache bytes held by entries not yet hit since stored (at most 1/64 of the budget plus one entry per shard).",
+			cached(func(s *retrieval.QueryCacheStats) int64 { return s.ProbationBytes }))
+		reg.GaugeFunc("lsi_cache_capacity_bytes", "Query-cache byte budget.",
+			cached(func(s *retrieval.QueryCacheStats) int64 { return s.CapBytes }))
 	}
 
-	if ar, ok := ret.(ANNStatsReporter); ok {
-		if _, has := ar.ANNStats(); has {
-			ann := func(pick func(retrieval.ANNStats) int64) func() float64 {
-				return func() float64 { st, _ := ar.ANNStats(); return float64(pick(st)) }
-			}
-			reg.GaugeFunc("lsi_ann_nprobe", "Configured default probe budget (0 = default searches scan exhaustively).",
-				ann(func(s retrieval.ANNStats) int64 { return int64(s.NProbe) }))
-			reg.GaugeFunc("lsi_ann_nlist", "Configured IVF cell count per quantizer.",
-				ann(func(s retrieval.ANNStats) int64 { return int64(s.NList) }))
-			reg.GaugeFunc("lsi_ann_segments", "Quantized segments serving cell-probe searches.",
-				ann(func(s retrieval.ANNStats) int64 { return int64(s.Segments) }))
-			reg.GaugeFunc("lsi_ann_docs", "Documents covered by a quantizer (the sublinearly served corpus fraction).",
-				ann(func(s retrieval.ANNStats) int64 { return int64(s.Docs) }))
-			reg.CounterFunc("lsi_ann_searches_total", "Searches that probed the ANN tier (exhaustive escapes excluded).",
-				ann(func(s retrieval.ANNStats) int64 { return s.Searches }))
-			reg.CounterFunc("lsi_ann_cells_probed_total", "IVF cells probed across all ANN searches.",
-				ann(func(s retrieval.ANNStats) int64 { return s.CellsProbed }))
-			reg.CounterFunc("lsi_ann_docs_scored_total", "Candidate documents scored across all ANN searches.",
-				ann(func(s retrieval.ANNStats) int64 { return s.DocsScored }))
+	if st.ANN != nil {
+		ann := func(pick func(*retrieval.ANNStats) int64) func() float64 {
+			return read(o, func(s *retrieval.Stats) *retrieval.ANNStats { return s.ANN },
+				func(a *retrieval.ANNStats) float64 { return float64(pick(a)) })
 		}
+		reg.GaugeFunc("lsi_ann_nprobe", "Configured default probe budget (0 = default searches scan exhaustively).",
+			ann(func(s *retrieval.ANNStats) int64 { return int64(s.NProbe) }))
+		reg.GaugeFunc("lsi_ann_nlist", "Configured IVF cell count per quantizer.",
+			ann(func(s *retrieval.ANNStats) int64 { return int64(s.NList) }))
+		reg.GaugeFunc("lsi_ann_segments", "Quantized segments serving cell-probe searches.",
+			ann(func(s *retrieval.ANNStats) int64 { return int64(s.Segments) }))
+		reg.GaugeFunc("lsi_ann_docs", "Documents covered by a quantizer (the sublinearly served corpus fraction).",
+			ann(func(s *retrieval.ANNStats) int64 { return int64(s.Docs) }))
+		reg.CounterFunc("lsi_ann_searches_total", "Searches that probed the ANN tier (exhaustive escapes excluded).",
+			ann(func(s *retrieval.ANNStats) int64 { return s.Searches }))
+		reg.CounterFunc("lsi_ann_cells_probed_total", "IVF cells probed across all ANN searches.",
+			ann(func(s *retrieval.ANNStats) int64 { return s.CellsProbed }))
+		reg.CounterFunc("lsi_ann_docs_scored_total", "Candidate documents scored across all ANN searches.",
+			ann(func(s *retrieval.ANNStats) int64 { return s.DocsScored }))
 	}
 
-	if qr, ok := ret.(QuantStatsReporter); ok {
-		if _, has := qr.QuantStats(); has {
-			qnt := func(pick func(retrieval.QuantStats) int64) func() float64 {
-				return func() float64 { st, _ := qr.QuantStats(); return float64(pick(st)) }
-			}
-			reg.GaugeFunc("lsi_quant_beta", "Configured rerank over-fetch factor (stage 1 selects topN*beta candidates).",
-				qnt(func(s retrieval.QuantStats) int64 { return int64(s.Beta) }))
-			reg.GaugeFunc("lsi_quant_segments", "Segments carrying an int8 shadow of their document matrix.",
-				qnt(func(s retrieval.QuantStats) int64 { return int64(s.Segments) }))
-			reg.GaugeFunc("lsi_quant_docs", "Documents covered by an int8 shadow (the bandwidth-optimally scored corpus fraction).",
-				qnt(func(s retrieval.QuantStats) int64 { return int64(s.Docs) }))
-			reg.GaugeFunc("lsi_quant_bytes", "Heap footprint of the int8 shadows (codes + per-document scales).",
-				qnt(func(s retrieval.QuantStats) int64 { return s.Bytes }))
-			reg.CounterFunc("lsi_quant_searches_total", "Searches that scored through the int8 tier (exact escapes excluded).",
-				qnt(func(s retrieval.QuantStats) int64 { return s.Searches }))
-			reg.CounterFunc("lsi_quant_docs_scanned_total", "Documents scored through the int8 kernels across all quantized searches.",
-				qnt(func(s retrieval.QuantStats) int64 { return s.DocsScanned }))
-			reg.CounterFunc("lsi_quant_docs_reranked_total", "Over-fetched candidates rescored with exact float kernels across all quantized searches.",
-				qnt(func(s retrieval.QuantStats) int64 { return s.DocsReranked }))
+	if st.Quant != nil {
+		qnt := func(pick func(*retrieval.QuantStats) int64) func() float64 {
+			return read(o, func(s *retrieval.Stats) *retrieval.QuantStats { return s.Quant },
+				func(q *retrieval.QuantStats) float64 { return float64(pick(q)) })
 		}
+		reg.GaugeFunc("lsi_quant_beta", "Configured rerank over-fetch factor (stage 1 selects topN*beta candidates).",
+			qnt(func(s *retrieval.QuantStats) int64 { return int64(s.Beta) }))
+		reg.GaugeFunc("lsi_quant_segments", "Segments carrying an int8 shadow of their document matrix.",
+			qnt(func(s *retrieval.QuantStats) int64 { return int64(s.Segments) }))
+		reg.GaugeFunc("lsi_quant_docs", "Documents covered by an int8 shadow (the bandwidth-optimally scored corpus fraction).",
+			qnt(func(s *retrieval.QuantStats) int64 { return int64(s.Docs) }))
+		reg.GaugeFunc("lsi_quant_bytes", "Heap footprint of the int8 shadows (codes + per-document scales).",
+			qnt(func(s *retrieval.QuantStats) int64 { return s.Bytes }))
+		reg.CounterFunc("lsi_quant_searches_total", "Searches that scored through the int8 tier (exact escapes excluded).",
+			qnt(func(s *retrieval.QuantStats) int64 { return s.Searches }))
+		reg.CounterFunc("lsi_quant_docs_scanned_total", "Documents scored through the int8 kernels across all quantized searches.",
+			qnt(func(s *retrieval.QuantStats) int64 { return s.DocsScanned }))
+		reg.CounterFunc("lsi_quant_docs_reranked_total", "Over-fetched candidates rescored with exact float kernels across all quantized searches.",
+			qnt(func(s *retrieval.QuantStats) int64 { return s.DocsReranked }))
 	}
 
-	if lr, ok := ret.(LiveStatsReporter); ok {
-		if ls, live := lr.LiveStats(); live {
-			live := func(pick func(retrieval.LiveStats) float64) func() float64 {
-				return func() float64 { st, _ := lr.LiveStats(); return pick(st) }
-			}
-			reg.CounterFunc("lsi_index_epoch", "Index-wide mutation epoch (advances after every published ingest batch and compaction swap).",
-				live(func(s retrieval.LiveStats) float64 { return float64(s.Epoch) }))
-			reg.GaugeFunc("lsi_index_epoch_age_seconds", "Seconds since the last published mutation — the freshness signal of the epoch-keyed query cache.",
-				live(func(s retrieval.LiveStats) float64 { return time.Since(s.LastMutation).Seconds() }))
-			reg.CounterFunc("lsi_index_docs_ingested_total", "Documents accepted through live ingest since boot (rate() of this is the ingest rate).",
-				live(func(s retrieval.LiveStats) float64 { return float64(s.DocsIngested) }))
-			reg.CounterFunc("lsi_index_compactions_total", "Tiers the compactor merged since boot.",
-				live(func(s retrieval.LiveStats) float64 { return float64(s.Compactions) }))
-			reg.CounterFunc("lsi_index_compaction_failures_total", "Compaction passes that returned an error (the message is lastCompactionError in /v1/stats); the sealed segments keep serving and keep their debt.",
-				live(func(s retrieval.LiveStats) float64 { return float64(s.CompactionFailures) }))
-			reg.CounterFunc("lsi_index_sidecars_degraded_total", "Sidecar files (ann-*.ivf, quant-*.qnt) the open found missing or corrupt and treated as absent; the segment retrained the tier or serves by exact scan.",
-				live(func(s retrieval.LiveStats) float64 { return float64(s.SidecarsDegraded) }))
-			reg.GaugeFunc("lsi_index_compaction_debt", "Sealed segments waiting for the compactor (ingest is shed past the configured budget).",
-				live(func(s retrieval.LiveStats) float64 { return float64(s.CompactionDebt) }))
-			reg.GaugeFunc("lsi_index_compacting", "1 while a compaction pass is in flight.",
-				live(func(s retrieval.LiveStats) float64 {
-					if s.Compacting {
-						return 1
-					}
-					return 0
-				}))
-			for sh := range ls.PerShard {
-				shardLbl := metrics.Label{Name: "shard", Value: strconv.Itoa(sh)}
-				perShard := func(sh int, pick func(retrieval.ShardStat) int) func() float64 {
-					return func() float64 {
-						st, _ := lr.LiveStats()
-						if sh >= len(st.PerShard) {
-							return 0
-						}
-						return float64(pick(st.PerShard[sh]))
-					}
+	if st.Live != nil {
+		// The live series, epoch and compaction counters included, exist
+		// for a live index only.
+		live := func(pick func(*retrieval.LiveStats) float64) func() float64 {
+			return read(o, func(s *retrieval.Stats) *retrieval.LiveStats { return s.Live }, pick)
+		}
+		reg.CounterFunc("lsi_index_epoch", "Index-wide mutation epoch (advances after every published ingest batch and compaction swap).",
+			stat(func(s *retrieval.Stats) float64 { return float64(s.Epoch) }))
+		reg.GaugeFunc("lsi_index_epoch_age_seconds", "Seconds since the last published mutation — the freshness signal of the epoch-keyed query cache.",
+			live(func(s *retrieval.LiveStats) float64 { return time.Since(s.LastMutation).Seconds() }))
+		reg.CounterFunc("lsi_index_docs_ingested_total", "Documents accepted through live ingest since boot (rate() of this is the ingest rate).",
+			live(func(s *retrieval.LiveStats) float64 { return float64(s.DocsIngested) }))
+		reg.CounterFunc("lsi_index_compactions_total", "Tiers the compactor merged since boot.",
+			stat(func(s *retrieval.Stats) float64 { return float64(s.Compactions) }))
+		reg.CounterFunc("lsi_index_compaction_failures_total", "Compaction passes that returned an error (the message is lastCompactionError in /v1/stats); the sealed segments keep serving and keep their debt.",
+			stat(func(s *retrieval.Stats) float64 { return float64(s.CompactionFailures) }))
+		reg.CounterFunc("lsi_index_sidecars_degraded_total", "Sidecar files (ann-*.ivf, quant-*.qnt) the open found missing or corrupt and treated as absent; the segment retrained the tier or serves by exact scan.",
+			live(func(s *retrieval.LiveStats) float64 { return float64(s.SidecarsDegraded) }))
+		reg.GaugeFunc("lsi_index_compaction_debt", "Sealed segments waiting for the compactor (ingest is shed past the configured budget).",
+			stat(func(s *retrieval.Stats) float64 { return float64(s.SealedPending) }))
+		reg.GaugeFunc("lsi_index_compacting", "1 while a compaction pass is in flight.",
+			live(func(s *retrieval.LiveStats) float64 {
+				if s.Compacting {
+					return 1
 				}
-				reg.GaugeFunc("lsi_shard_segments", "Published segments per shard by lifecycle state.",
-					perShard(sh, func(s retrieval.ShardStat) int { return s.Live }),
-					shardLbl, metrics.Label{Name: "state", Value: "live"})
-				reg.GaugeFunc("lsi_shard_segments", "Published segments per shard by lifecycle state.",
-					perShard(sh, func(s retrieval.ShardStat) int { return s.SealedPending }),
-					shardLbl, metrics.Label{Name: "state", Value: "sealed_pending"})
-				reg.GaugeFunc("lsi_shard_segments", "Published segments per shard by lifecycle state.",
-					perShard(sh, func(s retrieval.ShardStat) int { return s.Compacted }),
-					shardLbl, metrics.Label{Name: "state", Value: "compacted"})
-				reg.GaugeFunc("lsi_shard_docs", "Documents per shard.",
-					perShard(sh, func(s retrieval.ShardStat) int { return s.Docs }),
-					shardLbl)
+				return 0
+			}))
+		for sh := range st.Live.PerShard {
+			shardLbl := metrics.Label{Name: "shard", Value: strconv.Itoa(sh)}
+			perShard := func(pick func(retrieval.ShardStat) int) func() float64 {
+				return live(func(s *retrieval.LiveStats) float64 {
+					if sh >= len(s.PerShard) {
+						return 0
+					}
+					return float64(pick(s.PerShard[sh]))
+				})
 			}
+			reg.GaugeFunc("lsi_shard_segments", "Published segments per shard by lifecycle state.",
+				perShard(func(s retrieval.ShardStat) int { return s.Live }),
+				shardLbl, metrics.Label{Name: "state", Value: "live"})
+			reg.GaugeFunc("lsi_shard_segments", "Published segments per shard by lifecycle state.",
+				perShard(func(s retrieval.ShardStat) int { return s.SealedPending }),
+				shardLbl, metrics.Label{Name: "state", Value: "sealed_pending"})
+			reg.GaugeFunc("lsi_shard_segments", "Published segments per shard by lifecycle state.",
+				perShard(func(s retrieval.ShardStat) int { return s.Compacted }),
+				shardLbl, metrics.Label{Name: "state", Value: "compacted"})
+			reg.GaugeFunc("lsi_shard_docs", "Documents per shard.",
+				perShard(func(s retrieval.ShardStat) int { return s.Docs }),
+				shardLbl)
 		}
 	}
 	return o
+}
+
+// read is one index series: the value pick reads off a block of the
+// scrape's Stats snapshot, or 0 when that block is nil at scrape time.
+func read[B any](o *observer, block func(*retrieval.Stats) *B, pick func(*B) float64) func() float64 {
+	return func() float64 {
+		if b := block(o.stats.Load()); b != nil {
+			return pick(b)
+		}
+		return 0
+	}
+}
+
+// scrape writes the registry in the Prometheus text format over one fresh
+// Stats snapshot; concurrent scrapes take turns, so each reads its own.
+func (o *observer) scrape(w io.Writer) {
+	o.scrapes.Lock()
+	defer o.scrapes.Unlock()
+	st := o.ret.Stats()
+	o.stats.Store(&st)
+	o.reg.WritePrometheus(w)
 }
 
 // requestCounter returns (creating on first use) the requests_total
@@ -385,7 +381,7 @@ func (h *handler) route(name string, class gateClass, next http.HandlerFunc) htt
 		admitted := true
 		reason := ""
 		switch {
-		case class == gateIngest && h.opts.MaxCompactionDebt > 0 && h.debt() > h.opts.MaxCompactionDebt:
+		case class == gateIngest && h.opts.MaxCompactionDebt > 0 && h.ret.Stats().SealedPending > h.opts.MaxCompactionDebt:
 			admitted, reason = false, "compaction_debt"
 			h.shedResponse(sr, name, reason, http.StatusServiceUnavailable, 2)
 		case class != gateNone && h.gate != nil:
@@ -433,25 +429,11 @@ func (h *handler) route(name string, class gateClass, next http.HandlerFunc) htt
 	}
 }
 
-// debt reads the index's current compaction debt (0 when the retriever
-// does not report live stats).
-func (h *handler) debt() int {
-	lr, ok := h.ret.(LiveStatsReporter)
-	if !ok {
-		return 0
-	}
-	ls, live := lr.LiveStats()
-	if !live {
-		return 0
-	}
-	return ls.CompactionDebt
-}
-
 // metricsHandler serves GET /metrics in the Prometheus text exposition
 // format.
 func (h *handler) metricsHandler(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	h.obs.reg.WritePrometheus(w)
+	h.obs.scrape(w)
 }
 
 // registerPprof mounts the net/http/pprof handlers on mux (behind

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"repro/retrieval"
-	"repro/retrieval/cache"
 )
 
 // TestMetricsEndpoint drives a sharded, cached handler through
@@ -133,30 +132,24 @@ type blockingRet struct {
 	release chan struct{} // each Search consumes one value to finish
 }
 
-func (b *blockingRet) Search(ctx context.Context, q string, n int) ([]retrieval.Result, error) {
-	b.started <- struct{}{}
-	select {
-	case <-b.release:
-		return []retrieval.Result{{Doc: 0, ID: "d", Score: 1}}, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-func (b *blockingRet) SearchBatch(ctx context.Context, qs []string, n int) ([][]retrieval.Result, error) {
-	out := make([][]retrieval.Result, len(qs))
-	for i := range qs {
-		r, err := b.Search(ctx, qs[i], n)
-		if err != nil {
-			return nil, err
+func (b *blockingRet) Query(ctx context.Context, q retrieval.Query) (retrieval.Answer, error) {
+	out := make([][]retrieval.Result, len(q.Texts))
+	for i := range q.Texts {
+		b.started <- struct{}{}
+		select {
+		case <-b.release:
+			out[i] = []retrieval.Result{{Doc: 0, ID: "d", Score: 1}}
+		case <-ctx.Done():
+			return retrieval.Answer{}, ctx.Err()
 		}
-		out[i] = r
 	}
-	return out, nil
+	return retrieval.Answer{Results: out}, nil
 }
 
-func (b *blockingRet) NumDocs() int           { return 1 }
-func (b *blockingRet) Stats() retrieval.Stats { return retrieval.Stats{Backend: "fake", NumDocs: 1} }
+func (b *blockingRet) NumDocs() int { return 1 }
+func (b *blockingRet) Stats() retrieval.Stats {
+	return retrieval.Stats{Backend: "fake", NumDocs: 1, Ready: true}
+}
 
 // TestShedQueueFull pins the 429 contract: with MaxInFlight=1 and
 // MaxQueue=1, a third concurrent search is shed immediately with
@@ -221,8 +214,9 @@ type debtRet struct {
 	debt int
 }
 
-func (d *debtRet) LiveStats() (retrieval.LiveStats, bool) {
-	return retrieval.LiveStats{CompactionDebt: d.debt, CompactionFailures: 3, LastMutation: time.Now()}, true
+func (d *debtRet) Stats() retrieval.Stats {
+	return retrieval.Stats{Backend: "fake", NumDocs: 1, SealedPending: d.debt, CompactionFailures: 3,
+		Live: &retrieval.LiveStats{LastMutation: time.Now()}}
 }
 
 // TestShedCompactionDebt: ingest routes shed 503 on debt (the server
@@ -257,8 +251,8 @@ func TestShedCompactionDebt(t *testing.T) {
 		t.Errorf("search under debt: status %d, want 200", rec.Code)
 	}
 
-	// Debt below the budget admits ingest again (the fake has no
-	// DocAdder, so admission surfaces as 501, not 429).
+	// Debt below the budget admits ingest again (the fake is not Live,
+	// so admission surfaces as 501, not 429).
 	ret.debt = 3
 	if rec := do(t, h, "POST", "/v1/docs", `{"text":"x"}`); rec.Code != http.StatusNotImplemented {
 		t.Errorf("docs under low debt: status %d, want 501", rec.Code)
@@ -344,16 +338,15 @@ func TestDegradationUnderOverload(t *testing.T) {
 }
 
 // slowRet delegates to a real index with a deliberate scheduling point,
-// so concurrent load actually overlaps on single-CPU test runners. The
-// handler prefers SearchStatus for text queries, so that is the method
-// to slow down.
+// so concurrent load actually overlaps on single-CPU test runners. Every
+// search route is one Query call, so that is the method to slow down.
 type slowRet struct {
 	*retrieval.Index
 }
 
-func (s *slowRet) SearchStatus(ctx context.Context, q string, n int) ([]retrieval.Result, cache.Status, error) {
+func (s *slowRet) Query(ctx context.Context, q retrieval.Query) (retrieval.Answer, error) {
 	time.Sleep(200 * time.Microsecond)
-	return s.Index.SearchStatus(ctx, q, n)
+	return s.Index.Query(ctx, q)
 }
 
 // TestPprofGating: off by default, mounted with EnablePprof.

@@ -94,10 +94,12 @@ func (h *handler) serveReplicaFile(w http.ResponseWriter, r *http.Request, name 
 	http.ServeContent(w, r, name, st.ModTime(), f)
 }
 
+const noWAL = "this server has no write-ahead log attached"
+
 func (h *handler) replicateWAL(w http.ResponseWriter, r *http.Request) {
-	wt, ok := h.ret.(WALTailer)
-	if !ok || !wt.WALAttached() {
-		writeError(w, http.StatusNotFound, "this server has no write-ahead log attached")
+	live, ok := h.ret.(Live)
+	if !ok {
+		writeError(w, http.StatusNotFound, noWAL)
 		return
 	}
 	if !h.enterReplication(w) {
@@ -110,8 +112,11 @@ func (h *handler) replicateWAL(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "\"from\" must be a non-negative document position, got %q", fromStr)
 		return
 	}
-	docs, err := wt.TailWAL(from)
+	docs, err := live.TailWAL(from)
 	switch {
+	case errors.Is(err, retrieval.ErrNoWAL):
+		writeError(w, http.StatusNotFound, noWAL)
+		return
 	case errors.Is(err, retrieval.ErrWALGone):
 		// The replica is behind the last rotation: it must re-pull a
 		// snapshot and tail from the snapshot's document count.

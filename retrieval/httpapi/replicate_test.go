@@ -195,32 +195,18 @@ func TestIndexHeaders(t *testing.T) {
 	}
 }
 
-// partialRet fakes a cluster router: a FanoutSearcher that reports a
-// degraded quorum.
+// partialRet fakes a cluster router: a fan-out that reports a degraded
+// quorum.
 type partialRet struct {
 	partial bool
 }
 
-func (p *partialRet) Search(ctx context.Context, q string, n int) ([]retrieval.Result, error) {
-	return []retrieval.Result{{Doc: 0, ID: "d", Score: 1}}, nil
-}
-
-func (p *partialRet) SearchBatch(ctx context.Context, qs []string, n int) ([][]retrieval.Result, error) {
-	out := make([][]retrieval.Result, len(qs))
+func (p *partialRet) Query(ctx context.Context, q retrieval.Query) (retrieval.Answer, error) {
+	out := make([][]retrieval.Result, len(q.Texts))
 	for i := range out {
 		out[i] = []retrieval.Result{{Doc: 0, ID: "d", Score: 1}}
 	}
-	return out, nil
-}
-
-func (p *partialRet) SearchPartial(ctx context.Context, q string, n int) ([]retrieval.Result, bool, error) {
-	r, err := p.Search(ctx, q, n)
-	return r, p.partial, err
-}
-
-func (p *partialRet) SearchBatchPartial(ctx context.Context, qs []string, n int) ([][]retrieval.Result, bool, error) {
-	r, err := p.SearchBatch(ctx, qs, n)
-	return r, p.partial, err
+	return retrieval.Answer{Results: out, Partial: p.partial}, nil
 }
 
 func (p *partialRet) NumDocs() int           { return 1 }

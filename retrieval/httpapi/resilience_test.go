@@ -21,12 +21,16 @@ type shedRetriever struct {
 	after  time.Duration
 }
 
-func (s *shedRetriever) Search(ctx context.Context, q string, topN int) ([]retrieval.Result, error) {
-	return nil, &ShedError{StatusCode: s.status, RetryAfter: s.after, Msg: "node shed: compaction debt"}
+func (s *shedRetriever) Query(ctx context.Context, q retrieval.Query) (retrieval.Answer, error) {
+	return retrieval.Answer{}, &ShedError{StatusCode: s.status, RetryAfter: s.after, Msg: "node shed: compaction debt"}
 }
 
 func (s *shedRetriever) Add(ctx context.Context, docs []retrieval.Document) (int, error) {
 	return 0, &ShedError{StatusCode: s.status, RetryAfter: s.after, Msg: "node shed: compaction debt"}
+}
+
+func (s *shedRetriever) TailWAL(from int) ([]retrieval.Document, error) {
+	return nil, retrieval.ErrNoWAL
 }
 
 // TestShedErrorPropagatesRetryAfter: a backend shed surfaces to the

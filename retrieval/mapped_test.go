@@ -47,7 +47,7 @@ func answers(t *testing.T, ix *Index, queries []string) [][]Result {
 	for i := range vec {
 		vec[i] = float64(i%5) - 1
 	}
-	res, err := ix.SearchVector(ctx, vec, 5)
+	res, err := only(ix.Query(ctx, Query{Vector: vec, TopN: 5}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestMappingsFollowTheirIndexes(t *testing.T) {
 	ctx := context.Background()
 	query := make([]float64, ix.NumTerms()) // the synthetic vocabulary is not made of words
 	query[7], query[11], query[13] = 1, 2, 1
-	want, err := ix.SearchVector(ctx, query, 10)
+	want, err := only(ix.Query(ctx, Query{Vector: query, TopN: 10}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestMappingsFollowTheirIndexes(t *testing.T) {
 					return
 				default:
 				}
-				got, err := ix.SearchVector(ctx, query, 10)
+				got, err := only(ix.Query(ctx, Query{Vector: query, TopN: 10}))
 				if err != nil || !reflect.DeepEqual(got, want) {
 					t.Errorf("search under reloads: %v, err %v", got, err)
 					return
@@ -297,7 +297,7 @@ func TestMappingsFollowTheirIndexes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, err := other.SearchVector(ctx, query, 10); err != nil || !reflect.DeepEqual(got, want) {
+		if got, err := only(other.Query(ctx, Query{Vector: query, TopN: 10})); err != nil || !reflect.DeepEqual(got, want) {
 			t.Fatalf("reload %d answers %v, err %v", i, got, err)
 		}
 		if i%8 == 0 {
@@ -309,7 +309,7 @@ func TestMappingsFollowTheirIndexes(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if got, err := ix.SearchVector(ctx, query, 10); err != nil || !reflect.DeepEqual(got, want) {
+	if got, err := only(ix.Query(ctx, Query{Vector: query, TopN: 10})); err != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("after the reloads: %v, err %v", got, err)
 	}
 	ix = nil

@@ -198,7 +198,7 @@ func WithAutoCompact(on bool) Option { return func(c *config) { c.autoCompact = 
 // scanning every document — sublinear candidate work on the
 // topic-clustered corpora the paper's model produces. nprobe is the
 // default probe budget: 0 keeps the default search exhaustive while
-// still training quantizers (probe only via SearchProbe's per-request
+// still training quantizers (probe only via Query's per-request NProbe
 // override), and nprobe >= nlist is bitwise-identical to the exhaustive
 // scan. On sharded indexes every compacted segment carries its own
 // quantizer, retrained by the compactor at each merge; live fold-in
@@ -227,7 +227,7 @@ func WithANN(nlist, nprobe int) Option {
 // for any worker count. Composes with WithANN — the IVF probe narrows
 // the candidate set, the int8 kernels score it, exact float rescoring
 // ranks it. BuildVSM rejects it; beta <= 0 disables the tier.
-// SearchProbe's nprobe <= 0 remains the per-request fully exact escape
+// A Query with NProbe 0 remains the per-request fully exact escape
 // hatch.
 func WithQuantized(beta int) Option {
 	return func(c *config) { c.quantBeta = beta }

@@ -67,7 +67,7 @@ func WithTextConfig(tc TextConfig) LoadOption {
 // streams of wire versions 1 and 2 keep loading. Streams with a text
 // layer come back ready for text queries; v1 streams lack a vocabulary,
 // so text queries return ErrNoVocabulary unless WithTextConfig supplies
-// one (vector queries via SearchVector always work). Unknown future
+// one (vector queries always work). Unknown future
 // versions fail with a clear error naming the version, and a VSM index
 // an earlier build saved fails with one that says to rebuild it from
 // its text with BuildVSM.
@@ -98,10 +98,11 @@ func load(r io.Reader, text *TextConfig, cfg config) (*Index, error) {
 		ix.stemming = stored.Stemming
 		ix.docIDs = idtable.Of(stored.DocIDs)
 		if len(stored.Vocab) > 0 {
-			ix.vocab, err = ir.NewVocabularyFromTerms(stored.Vocab)
+			vocab, err := ir.NewVocabularyFromTerms(stored.Vocab)
 			if err != nil {
 				return nil, fmt.Errorf("retrieval: load: %w", err)
 			}
+			ix.setVocab(vocab)
 		}
 	case text != nil:
 		if len(text.Vocab) != lsiIndex.NumTerms() {
@@ -116,7 +117,7 @@ func load(r io.Reader, text *TextConfig, cfg config) (*Index, error) {
 		if err != nil {
 			return nil, fmt.Errorf("retrieval: load: %w", err)
 		}
-		ix.vocab = vocab
+		ix.setVocab(vocab)
 		ix.weighting = text.Weighting
 		ix.removeStopwords = text.RemoveStopwords
 		ix.stemming = text.Stemming

@@ -212,7 +212,7 @@ func TestLoadV1GoldenServesTextQueries(t *testing.T) {
 	if _, err := bare.Search(context.Background(), "car", 3); !errors.Is(err, ErrNoVocabulary) {
 		t.Fatalf("text query on bare v1 index = %v, want ErrNoVocabulary", err)
 	}
-	if _, err := bare.SearchVector(context.Background(), make([]float64, bare.NumTerms()), 3); err != nil {
+	if _, err := only(bare.Query(context.Background(), Query{Vector: make([]float64, bare.NumTerms()), TopN: 3})); err != nil {
 		t.Fatalf("vector query on bare v1 index: %v", err)
 	}
 

@@ -34,19 +34,17 @@ type QuantStats struct {
 	DocsReranked int64 `json:"docsReranked"`
 }
 
-// QuantStats reports the quantized tier's configuration and scan
-// counters; ok is false when the index has no tier (not configured and
-// no loaded segment carries a shadow).
-func (ix *Index) QuantStats() (QuantStats, bool) { return ix.quantStats(ix.tierCoverage()) }
-
-func (ix *Index) quantStats(t segment.Tiers) (QuantStats, bool) {
+// quantStats is the "quant" block of Stats over the tiers' coverage t:
+// nil when the index has no tier (not configured and no loaded segment
+// carries a shadow).
+func (ix *Index) quantStats(t segment.Tiers) *QuantStats {
 	if ix.quantBeta <= 0 && t.QuantSegs == 0 {
-		return QuantStats{}, false
+		return nil
 	}
 	tot := ix.tiers.Totals()
-	return QuantStats{
+	return &QuantStats{
 		Beta:     ix.quantBeta,
 		Segments: t.QuantSegs, Docs: t.QuantDocs, Bytes: t.QuantBytes,
 		Searches: tot.QuantSearches, DocsScanned: tot.QuantDocs, DocsReranked: tot.QuantReranks,
-	}, true
+	}
 }

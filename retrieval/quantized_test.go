@@ -40,9 +40,9 @@ func TestQuantizedSaturatedBetaBitwiseEqualsExhaustive(t *testing.T) {
 		}
 		sameResults(t, got, want, "saturated beta "+q)
 	}
-	st, ok := qx.QuantStats()
+	st, ok := quantStatsOf(qx)
 	if !ok {
-		t.Fatal("QuantStats() not ok on a WithQuantized index")
+		t.Fatal("Stats().Quant = nil on a WithQuantized index")
 	}
 	if st.Segments != 1 || st.Docs != 200 || st.Bytes <= 0 {
 		t.Fatalf("QuantStats = %+v, want 1 shadow over 200 docs", st)
@@ -115,14 +115,14 @@ func TestQuantizedEscapeHatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// SearchProbe with nprobe <= 0 is the fully exact escape hatch: float
+	// A Query with NProbe 0 is the fully exact escape hatch: float
 	// kernels over every document, no tier counters moved.
-	exact, err := qx.SearchProbe(ctx, "galaxy orbit", 8, 0)
+	exact, err := only(qx.Query(ctx, Query{Texts: []string{"galaxy orbit"}, TopN: 8, NProbe: probe(0)}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameResults(t, exact, want, "escape hatch")
-	if st, _ := qx.QuantStats(); st.Searches != 0 {
+	if st, _ := quantStatsOf(qx); st.Searches != 0 {
 		t.Fatalf("escape hatch moved the scan counters: %+v", st)
 	}
 }
@@ -161,13 +161,13 @@ func TestQuantizedComposesWithANN(t *testing.T) {
 			t.Fatalf("doc %d: composed score %v != exact %v", r.Doc, r.Score, s)
 		}
 	}
-	ast, _ := both.ANNStats()
-	qst, _ := both.QuantStats()
+	ast, _ := annStatsOf(both)
+	qst, _ := quantStatsOf(both)
 	if ast.Searches != 1 || qst.Searches != 1 {
 		t.Fatalf("tier counters: ann %+v quant %+v, want one search each", ast, qst)
 	}
 	// Saturating both budgets recovers the exhaustive ranking exactly.
-	full, err := both.SearchProbe(ctx, "telescope comet", 8, 99)
+	full, err := only(both.Query(ctx, Query{Texts: []string{"telescope comet"}, TopN: 8, NProbe: probe(99)}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestQuantizedOpenBuildsTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameResults(t, got, want, "opened saturated beta")
-	if st, ok := ox.QuantStats(); !ok || st.Segments != 1 {
+	if st, ok := quantStatsOf(ox); !ok || st.Segments != 1 {
 		t.Fatalf("opened index QuantStats = %+v ok=%v, want a 1-shadow tier", st, ok)
 	}
 }
@@ -228,9 +228,9 @@ func TestQuantizedShardedEndToEnd(t *testing.T) {
 	plain := build()
 	qx := build(WithQuantized(4))
 
-	st, ok := qx.QuantStats()
+	st, ok := quantStatsOf(qx)
 	if !ok {
-		t.Fatal("QuantStats() not ok on a sharded WithQuantized index")
+		t.Fatal("Stats().Quant = nil on a sharded WithQuantized index")
 	}
 	// Both initial per-shard segments are compacted and large enough to
 	// quantize (300 docs each ≥ the 256-doc floor).
@@ -245,7 +245,7 @@ func TestQuantizedShardedEndToEnd(t *testing.T) {
 	}
 	// The escape hatch reproduces the exhaustive ranking; the default
 	// (beta=4) search serves exact reranked scores.
-	exact, err := qx.SearchProbe(ctx, "telescope comet", 10, 0)
+	exact, err := only(qx.Query(ctx, Query{Texts: []string{"telescope comet"}, TopN: 10, NProbe: probe(0)}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestQuantizedShardedEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ox.Close()
-	if st, ok := ox.QuantStats(); !ok || st.Segments != 2 {
+	if st, ok := quantStatsOf(ox); !ok || st.Segments != 2 {
 		t.Fatalf("reopened QuantStats = %+v ok=%v, want 2 quantized segments", st, ok)
 	}
 	reopened, err := ox.Search(ctx, "telescope comet", 10)
@@ -289,8 +289,8 @@ func TestQuantizedUnconfiguredPathUntouched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := ix.QuantStats(); ok {
-		t.Fatal("QuantStats() ok on an index without the tier")
+	if _, ok := quantStatsOf(ix); ok {
+		t.Fatal("Stats().Quant set on an index without the tier")
 	}
 	if ix.Stats().Quant != nil {
 		t.Fatal("Stats().Quant non-nil on an index without the tier")

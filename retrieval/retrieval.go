@@ -10,6 +10,7 @@
 //
 //	ret, err := retrieval.BuildTexts(texts, retrieval.WithRank(3))
 //	results, err := ret.Search(ctx, "car engine repair", 10)
+//	answer, err := ret.Query(ctx, retrieval.Query{Texts: batch, TopN: 10})
 //	baseline, err := retrieval.BuildVSM(docs)
 //
 // Indexes are text-in/text-out: Build bundles the tokenize → stopword →
@@ -37,24 +38,54 @@ import (
 	"repro/retrieval/cache"
 )
 
-// Retriever is the query contract shared by every backend. Search and
-// SearchBatch take raw query text (preprocessed by the same pipeline the
-// index was built with), honor ctx cancellation, and return ranked
-// results best-first with ties broken by document position for
-// determinism.
+// Retriever is the query contract shared by every backend: one search
+// call, the document count, and one observability snapshot. Query
+// preprocesses texts with the pipeline the index was built with, honors
+// ctx cancellation, and returns ranked results best-first with ties
+// broken by document position for determinism.
 type Retriever interface {
-	// Search returns the topN best documents for a text query (all
-	// documents if topN <= 0). It returns ErrNoQueryTerms if no query
-	// token survives preprocessing and vocabulary lookup.
-	Search(ctx context.Context, query string, topN int) ([]Result, error)
-	// SearchBatch runs many queries, fanning work across CPUs. Unlike
-	// Search, a query with no in-vocabulary terms yields an empty result
-	// slice rather than failing the whole batch.
-	SearchBatch(ctx context.Context, queries []string, topN int) ([][]Result, error)
+	// Query answers one search request (see Query for its shapes). A
+	// backend that cannot serve the shape returns an error wrapping
+	// ErrUnsupported.
+	Query(ctx context.Context, q Query) (Answer, error)
 	// NumDocs returns the number of indexed documents.
 	NumDocs() int
-	// Stats describes the index (backend, dimensions, rank, weighting).
+	// Stats describes the index (backend, dimensions, rank, weighting)
+	// and carries every counter the serving layer exports.
 	Stats() Stats
+}
+
+// Query is one search request: texts or a raw vector, the result count,
+// and the probe budget. Set exactly one of Texts and Vector.
+type Query struct {
+	// Texts are raw query texts; the answer holds one result list per
+	// text, and a text with no in-vocabulary term gets an empty list.
+	Texts []string
+	// Vector, when non-nil, is a raw term-space query vector of NumTerms
+	// entries, answered with one result list (a length mismatch is
+	// ErrVectorLength).
+	Vector []float64
+	// TopN is the result count per list (all documents if <= 0).
+	TopN int
+	// NProbe overrides the ANN tier's probe budget for this request: nil
+	// keeps the configured budget, 0 forces the exhaustive scan, and
+	// n > 0 probes n cells per quantizer (see WithANN). Only the
+	// configured budget reads and fills the query cache.
+	NProbe *int
+}
+
+// Answer is a backend's reply to a Query.
+type Answer struct {
+	// Results holds one ranked list per query text, or one for a vector.
+	Results [][]Result
+	// Cache is the query cache's disposition of a single-text lookup at
+	// the configured budget; cache.StatusBypass for every other shape
+	// and on uncached backends.
+	Cache cache.Status
+	// Partial reports a fan-out answered from a degraded quorum: at
+	// least one shard did not answer, and the lists merge those that
+	// did.
+	Partial bool
 }
 
 // Result is one ranked retrieval hit.
@@ -68,7 +99,7 @@ type Result struct {
 	// rank-k latent space for the LSI backend, in raw term space for VSM.
 	//
 	// Scores agree across the query paths of one index to within 1e-12:
-	// the sparse text hot path, the dense SearchVector path, and batch
+	// the sparse text hot path, the dense vector path, and batch
 	// calls agree on a document's score to at least that tolerance (hot-
 	// path kernel changes may move the last ulps), and rankings —
 	// including the document-ID tie-break — are identical. Across the
@@ -143,8 +174,9 @@ type Stats struct {
 	// budget that sheds every append — this says why.
 	CompactionFailures  int64  `json:"compactionFailures,omitempty"`
 	LastCompactionError string `json:"lastCompactionError,omitempty"`
-	// Ready is false while the index owes compaction work (see
-	// Index.Ready); always true for unsharded indexes.
+	// Ready is what /readyz answers: false while the index owes
+	// compaction work (see Index.Ready), always true for unsharded
+	// indexes; backends that front others define it themselves.
 	Ready bool `json:"ready"`
 
 	// Cache reports the query result cache (WithQueryCache); nil when
@@ -158,6 +190,11 @@ type Stats struct {
 	// Quant reports the quantized scoring tier (WithQuantized); nil when
 	// the index has none.
 	Quant *QuantStats `json:"quant,omitempty"`
+
+	// Live reports a sharded live index's ingest and per-shard topology
+	// (the /metrics series /v1/stats leaves out); nil when the index is
+	// immutable.
+	Live *LiveStats `json:"-"`
 }
 
 // QueryCacheStats describes the query result cache of an index built
@@ -185,4 +222,8 @@ var (
 	// ErrVectorLength reports a raw query vector whose length differs
 	// from the index vocabulary size.
 	ErrVectorLength = errors.New("retrieval: query vector length does not match the index vocabulary")
+	// ErrUnsupported reports a query shape the backend cannot serve: a
+	// raw vector or a probe budget on a backend without a latent space
+	// of its own (the VSM baseline, the cluster router).
+	ErrUnsupported = errors.New("retrieval: query shape not supported by this backend")
 )

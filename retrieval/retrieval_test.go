@@ -5,14 +5,57 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"repro/retrieval/cache"
 )
 
-// builder is Build or BuildVSM behind the Retriever interface, for tests
-// that run on both.
-type builder func(docs []Document, opts ...Option) (Retriever, error)
+// backend is what Build and BuildVSM both return: a Retriever with the
+// single-text Search beside Query.
+type backend interface {
+	Retriever
+	Search(ctx context.Context, query string, topN int) ([]Result, error)
+}
 
-func buildLSI(docs []Document, opts ...Option) (Retriever, error) { return Build(docs, opts...) }
-func buildVSM(docs []Document, opts ...Option) (Retriever, error) { return BuildVSM(docs, opts...) }
+// builder is Build or BuildVSM behind the backend interface, for tests
+// that run on both.
+type builder func(docs []Document, opts ...Option) (backend, error)
+
+func buildLSI(docs []Document, opts ...Option) (backend, error) { return Build(docs, opts...) }
+func buildVSM(docs []Document, opts ...Option) (backend, error) { return BuildVSM(docs, opts...) }
+
+// only returns a single-list Query answer's one list — the shape of the
+// single-query tests.
+func only(ans Answer, err error) ([]Result, error) {
+	if err != nil {
+		return nil, err
+	}
+	return ans.Results[0], nil
+}
+
+// status is only with the answer's cache disposition.
+func status(ans Answer, err error) ([]Result, cache.Status, error) {
+	res, err := only(ans, err)
+	return res, ans.Cache, err
+}
+
+// annStatsOf and quantStatsOf read a tier's Stats block; ok is false
+// when the index has no such tier.
+func annStatsOf(ix *Index) (ANNStats, bool) {
+	if st := ix.Stats().ANN; st != nil {
+		return *st, true
+	}
+	return ANNStats{}, false
+}
+
+func quantStatsOf(ix *Index) (QuantStats, bool) {
+	if st := ix.Stats().Quant; st != nil {
+		return *st, true
+	}
+	return QuantStats{}, false
+}
+
+// probe is a Query.NProbe budget.
+func probe(n int) *int { return &n }
 
 func demoLSI(t *testing.T, opts ...Option) *Index {
 	t.Helper()
@@ -121,7 +164,7 @@ func TestSearchErrorContracts(t *testing.T) {
 	if _, err := ix.Search(ctx, "zzzunknownzzz", 3); !errors.Is(err, ErrNoQueryTerms) {
 		t.Fatalf("unknown-vocabulary query = %v, want ErrNoQueryTerms", err)
 	}
-	if _, err := ix.SearchVector(ctx, []float64{1, 2, 3}, 3); !errors.Is(err, ErrVectorLength) {
+	if _, err := only(ix.Query(ctx, Query{Vector: []float64{1, 2, 3}, TopN: 3})); !errors.Is(err, ErrVectorLength) {
 		t.Fatalf("short vector = %v, want ErrVectorLength", err)
 	}
 	canceled, cancel := context.WithCancel(ctx)
@@ -141,7 +184,7 @@ func TestSearchVectorMatchesTextSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Densify the sparse query the text path uses: the dense SearchVector
+	// Densify the sparse query the text path uses: the dense vector query
 	// path must agree with the sparse hot path bitwise.
 	terms, weights, known := ix.querySparse("galaxy stars")
 	if known == 0 {
@@ -151,7 +194,7 @@ func TestSearchVectorMatchesTextSearch(t *testing.T) {
 	for i, term := range terms {
 		q[term] = weights[i]
 	}
-	fromVec, err := ix.SearchVector(ctx, q, 3)
+	fromVec, err := only(ix.Query(ctx, Query{Vector: q, TopN: 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,10 +214,11 @@ func TestSearchBatchMatchesSearch(t *testing.T) {
 		backend := ix.Stats().Backend
 		ctx := context.Background()
 		queries := []string{"car engine", "zzzunknownzzz", "pasta garlic", "telescope galaxy"}
-		batch, err := ix.SearchBatch(ctx, queries, 3)
+		ans, err := ix.Query(ctx, Query{Texts: queries, TopN: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
+		batch := ans.Results
 		if len(batch) != len(queries) {
 			t.Fatalf("%v: %d batch results for %d queries", backend, len(batch), len(queries))
 		}

@@ -42,6 +42,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -457,8 +458,8 @@ type Stats struct {
 	// sealed or reloaded fold-in segments no compaction has merged.
 	Docs       int `json:"docs"`
 	FoldedDocs int `json:"foldedDocs"`
-	// Compactions counts the tiers the compactor merged since Build/Open
-	// (see Index.Compactions).
+	// Compactions counts the tiers the compactor merged since Build/Open,
+	// one per shard a pass touched.
 	Compactions int64 `json:"compactions"`
 	// Compacting reports whether a compaction pass is in flight.
 	Compacting bool `json:"compacting"`
@@ -476,33 +477,36 @@ type Stats struct {
 	// Tiers is the sidecar coverage of the segment set: how many segments
 	// and documents the IVF quantizers and int8 shadows serve.
 	segment.Tiers
+	// PerShard splits the segment and document counts by shard, indexed
+	// by shard number.
+	PerShard []ShardStat `json:"perShard"`
 }
 
-// Stats snapshots the segment topology.
+// Stats snapshots the segment topology in one walk: each shard's
+// published state is loaded once.
 func (x *Index) Stats() Stats {
-	st := Stats{Shards: x.cfg.Shards, Generation: x.generation.Load()}
+	st := Stats{Shards: x.cfg.Shards, Generation: x.generation.Load(), PerShard: make([]ShardStat, len(x.shards))}
 	// Fold-in segments share their basis matrix with the segment they
 	// fold against; count each distinct basis once.
-	seenBasis := make(map[*mat.Dense]bool)
-	for _, sh := range x.shards {
+	var seenBuf [16]*mat.Dense
+	var segBuf [16]*segment.Segment
+	seen := seenBuf[:0]
+	for i, sh := range x.shards {
 		s := sh.state.Load()
-		if s.epoch > st.Epoch {
-			st.Epoch = s.epoch
-		}
-		var segs []*segment.Segment
-		segs = s.segments(segs)
-		for _, seg := range segs {
-			st.Segments++
-			st.Docs += seg.Len()
+		st.Epoch = max(st.Epoch, s.epoch)
+		ps := &st.PerShard[i]
+		for _, seg := range s.segments(segBuf[:0]) {
+			ps.Segments++
+			ps.Docs += seg.Len()
 			switch {
 			case seg == s.live:
-				st.Live++
+				ps.Live++
 				st.FoldedDocs += seg.Len()
 			case compactable(seg):
-				st.SealedPending++
+				ps.SealedPending++
 				st.FoldedDocs += seg.Len()
 			case seg.Compacted:
-				st.Compacted++
+				ps.Compacted++
 			default:
 				// Frozen fold-in segment (reloaded without its raw docs):
 				// not live, not compactable, not a full decomposition.
@@ -510,10 +514,18 @@ func (x *Index) Stats() Stats {
 			}
 			st.Tiers.Add(seg)
 			b := seg.Ix.Basis() // a mapping is shared along with the basis
-			mem, mapped := seg.MemoryBytes(!seenBasis[b])
+			first := !slices.Contains(seen, b)
+			mem, mapped := seg.MemoryBytes(first)
 			st.MemoryBytes, st.MappedBytes = st.MemoryBytes+mem, st.MappedBytes+mapped
-			seenBasis[b] = true
+			if first {
+				seen = append(seen, b)
+			}
 		}
+		st.Segments += ps.Segments
+		st.Live += ps.Live
+		st.SealedPending += ps.SealedPending
+		st.Compacted += ps.Compacted
+		st.Docs += ps.Docs
 	}
 	st.MemoryBytes += x.ids.Load().Bytes()
 	st.Compactions = x.compactions.Load()
@@ -526,37 +538,10 @@ func (x *Index) Stats() Stats {
 // segments waiting and no compaction in flight. Serving while not ready
 // is correct (fold-in segments answer queries); Ready is the signal a
 // load balancer uses to prefer warmed replicas.
-func (x *Index) Ready() bool {
-	if x.compacting.Load() > 0 {
-		return false
-	}
-	return x.CompactionDebt() == 0
-}
+func (x *Index) Ready() bool { return x.Stats().Ready() }
 
-// CompactionDebt counts the sealed segments waiting for the compactor —
-// the backlog that grows when ingest outruns compaction. Zero on a
-// fully compacted index; the httpapi admission gate sheds ingest when
-// this exceeds its budget, and /metrics exports it as the
-// lsi_index_compaction_debt gauge.
-func (x *Index) CompactionDebt() int {
-	debt := 0
-	for _, sh := range x.shards {
-		for _, seg := range sh.state.Load().stable {
-			if compactable(seg) {
-				debt++
-			}
-		}
-	}
-	return debt
-}
-
-// Compacting reports whether a compaction pass is in flight.
-func (x *Index) Compacting() bool { return x.compacting.Load() > 0 }
-
-// Compactions returns how many tiers the compactor has merged since Build
-// or Open, one per shard a pass touched. /metrics exports it as
-// lsi_index_compactions_total.
-func (x *Index) Compactions() int64 { return x.compactions.Load() }
+// Ready is Index.Ready read off this snapshot.
+func (st Stats) Ready() bool { return st.SealedPending == 0 && !st.Compacting }
 
 // CompactionFailures returns how many compaction passes (background or
 // Compact calls) returned an error since Build or Open, and the newest
@@ -591,9 +576,9 @@ func (x *Index) LastMutation() time.Time {
 	return time.Unix(0, x.lastMutation.Load())
 }
 
-// ShardStat is the per-shard slice of Stats: the segment counts and
-// document total of one shard, in the same states Stats counts
-// index-wide. Exported per shard so monitoring can spot imbalance
+// ShardStat is the per-shard slice of Stats (Stats.PerShard): the
+// segment counts and document total of one shard, in the same states
+// Stats counts index-wide. Exported per shard so monitoring can spot imbalance
 // (one shard accumulating sealed segments while others stay compacted).
 type ShardStat struct {
 	// Segments counts every published segment of the shard; Live,
@@ -606,32 +591,6 @@ type ShardStat struct {
 	Compacted     int `json:"compactedSegments"`
 	// Docs is the shard's document count.
 	Docs int `json:"docs"`
-}
-
-// ShardStats snapshots every shard's segment topology, indexed by shard
-// number. Like Stats it is wait-free: each shard's published state is
-// loaded once.
-func (x *Index) ShardStats() []ShardStat {
-	out := make([]ShardStat, len(x.shards))
-	for i, sh := range x.shards {
-		s := sh.state.Load()
-		var segs []*segment.Segment
-		segs = s.segments(segs)
-		st := &out[i]
-		for _, seg := range segs {
-			st.Segments++
-			st.Docs += seg.Len()
-			switch {
-			case seg == s.live:
-				st.Live++
-			case compactable(seg):
-				st.SealedPending++
-			case seg.Compacted:
-				st.Compacted++
-			}
-		}
-	}
-	return out
 }
 
 // Close stops the background compactor and marks the index closed for

@@ -349,7 +349,7 @@ func TestCompactionFailureIsCounted(t *testing.T) {
 	stable[sealed] = &bad
 	sh.state.Store(&shardState{epoch: st.epoch + 1, stable: stable, live: st.live})
 
-	debt := x.CompactionDebt()
+	debt := x.Stats().SealedPending
 	for pass := int64(1); pass <= 2; pass++ {
 		if _, err := x.Compact(); err == nil {
 			t.Fatal("compacting an out-of-range raw document did not fail")
@@ -363,7 +363,7 @@ func TestCompactionFailureIsCounted(t *testing.T) {
 	if ss.CompactionFailures != 2 || !strings.Contains(ss.LastCompactionError, "out of range") {
 		t.Fatalf("stats: %d failures, %q", ss.CompactionFailures, ss.LastCompactionError)
 	}
-	if got := x.CompactionDebt(); got != debt || debt == 0 {
+	if got := x.Stats().SealedPending; got != debt || debt == 0 {
 		t.Fatalf("debt %d after failed passes, was %d", got, debt)
 	}
 	if ss.Compactions != 0 {

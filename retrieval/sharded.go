@@ -254,11 +254,11 @@ func OpenDir(dir string, opts ...Option) (*Index, error) {
 		return nil, fmt.Errorf("retrieval: open: %w", err)
 	}
 	ix := &Index{textLayer: textLayer{
-		vocab:           vocab,
 		weighting:       weighting,
 		removeStopwords: meta.RemoveStopwords,
 		stemming:        meta.Stemming,
 	}}
+	ix.setVocab(vocab)
 	ix.setShards(sx, cfg)
 	ix.initCache(cfg.cacheBytes)
 	return ix, nil

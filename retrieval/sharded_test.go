@@ -127,10 +127,10 @@ func TestShardedOneShardMatchesUnsharded(t *testing.T) {
 						vec[term] = weights[i]
 					}
 					keep(ix.Search(ctx, q, topN))
-					keep(ix.SearchVector(ctx, vec, topN))
+					keep(only(ix.Query(ctx, Query{Vector: vec, TopN: topN})))
 					for _, nprobe := range []int{0, 3, 64} {
-						keep(ix.SearchProbe(ctx, q, topN, nprobe))
-						keep(ix.SearchVectorProbe(ctx, vec, topN, nprobe))
+						keep(only(ix.Query(ctx, Query{Texts: []string{q}, TopN: topN, NProbe: probe(nprobe)})))
+						keep(only(ix.Query(ctx, Query{Vector: vec, TopN: topN, NProbe: probe(nprobe)})))
 					}
 				}
 				keep(ix.Search(ctx, queries[0], 0)) // every document

@@ -20,6 +20,7 @@ import (
 // and its hits back into IDs. Index and VSM embed it.
 type textLayer struct {
 	vocab           *ir.Vocabulary // nil only for v1 files loaded without text config
+	vocabBytes      int64          // the vocabulary's share of Stats.MemoryBytes
 	weighting       Weighting
 	removeStopwords bool
 	stemming        bool
@@ -58,13 +59,23 @@ func buildText(docs []Document, cfg config) (textLayer, *sparse.CSR, error) {
 	if c.NumTerms == 0 {
 		return textLayer{}, nil, fmt.Errorf("%w: every token was removed by preprocessing", ErrEmptyCorpus)
 	}
-	return textLayer{
-		vocab:           pipe.Vocab,
+	text := textLayer{
 		weighting:       cfg.weighting,
 		removeStopwords: cfg.removeStopwords,
 		stemming:        cfg.stemming,
 		docIDs:          idtable.Of(ids),
-	}, corpus.TermDocMatrix(c, cw), nil
+	}
+	text.setVocab(pipe.Vocab)
+	return text, corpus.TermDocMatrix(c, cw), nil
+}
+
+// setVocab installs the vocabulary and sizes its strings once: the
+// vocabulary is fixed at build, and Stats runs on every probe.
+func (t *textLayer) setVocab(v *ir.Vocabulary) {
+	t.vocab, t.vocabBytes = v, 0
+	for id := 0; id < v.Size(); id++ {
+		t.vocabBytes += int64(len(v.Term(id))) + 16
+	}
 }
 
 // stats fills the text layer's part of Stats: the weighting, the
@@ -78,11 +89,8 @@ func (t *textLayer) stats(backend string) Stats {
 	}
 	if t.vocab != nil {
 		st.VocabSize = t.vocab.Size()
-		for _, term := range t.vocab.Terms() {
-			st.MemoryBytes += int64(len(term)) + 16
-		}
 	}
-	st.MemoryBytes += t.docIDs.Bytes()
+	st.MemoryBytes = t.vocabBytes + t.docIDs.Bytes()
 	return st
 }
 

@@ -63,8 +63,8 @@ func (v *VSM) Stats() Stats {
 	return st
 }
 
-// Search implements Retriever: the topN documents (all if topN <= 0) by
-// cosine to the query in term space. Documents that share no term with
+// Search returns the topN documents (all if topN <= 0) by cosine to the
+// query in term space. Documents that share no term with
 // the query are not returned.
 func (v *VSM) Search(ctx context.Context, query string, topN int) ([]Result, error) {
 	q, err := v.textQuery(ctx, query)
@@ -78,28 +78,32 @@ func (v *VSM) Search(ctx context.Context, query string, topN int) ([]Result, err
 	return res, nil
 }
 
-// SearchBatch implements Retriever the way Index.SearchBatch does: whole
-// queries fan out across CPUs, ctx is checked between chunks of
-// batchChunk queries, and a query with no in-vocabulary terms yields an
-// empty (non-nil) result slice.
-func (v *VSM) SearchBatch(ctx context.Context, queries []string, topN int) ([][]Result, error) {
-	out := make([][]Result, len(queries))
+// Query implements Retriever for texts, the way Index.SearchBatch serves
+// them: whole queries fan out across CPUs, ctx is checked between chunks
+// of batchChunk queries, and a query with no in-vocabulary terms yields
+// an empty (non-nil) result slice. A vector or a probe budget needs a
+// latent space, so both fail with ErrUnsupported.
+func (v *VSM) Query(ctx context.Context, q Query) (Answer, error) {
+	if q.Vector != nil || q.NProbe != nil {
+		return Answer{}, fmt.Errorf("%w: the VSM baseline ranks text queries in term space only", ErrUnsupported)
+	}
+	out := make([][]Result, len(q.Texts))
 	grain := par.GrainFor(1 + v.NumDocs())
-	for lo := 0; lo < len(queries); lo += batchChunk {
+	for lo := 0; lo < len(out); lo += batchChunk {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return Answer{}, err
 		}
-		par.For(min(batchChunk, len(queries)-lo), grain, func(a, b int) {
+		par.For(min(batchChunk, len(out)-lo), grain, func(a, b int) {
 			for i := lo + a; i < lo+b; i++ {
-				terms, weights, _ := v.querySparse(queries[i])
-				out[i] = v.search(terms, weights, topN)
+				terms, weights, _ := v.querySparse(q.Texts[i])
+				out[i] = v.search(terms, weights, q.TopN)
 			}
 		})
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return Answer{}, err
 	}
-	return out, nil
+	return Answer{Results: out}, nil
 }
 
 // search scores a sorted sparse query and names the hits.

@@ -157,8 +157,9 @@ tier-smoke:
 
 # Short local mirror of the nightly fuzz job: 30s per fuzz target (the
 # manifest loader, the query-cache key normalizer, the WAL record
-# decoder, the IVF postings decoder, the quantized sidecar decoder, and
-# the index file's section container and LSI decoder).
+# decoder, the IVF postings decoder, the quantized sidecar decoder, the
+# index file's section container and LSI decoder, and the search
+# routes' JSON bodies).
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzParseManifest -fuzztime=30s ./retrieval/shard
 	$(GO) test -run='^$$' -fuzz=FuzzQueryKeyNormalizer -fuzztime=30s ./retrieval/cache
@@ -168,3 +169,4 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeQuant -fuzztime=30s ./internal/quant
 	$(GO) test -run='^$$' -fuzz=FuzzBlobSections -fuzztime=30s ./internal/blob
 	$(GO) test -run='^$$' -fuzz=FuzzLoadIndex -fuzztime=30s -fuzzminimizetime=5s ./internal/lsi
+	$(GO) test -run='^$$' -fuzz=FuzzSearchBody -fuzztime=30s ./retrieval/httpapi

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/idtable"
@@ -263,13 +264,19 @@ func (ix *Index) Query(ctx context.Context, q Query) (Answer, error) {
 
 // searchVector ranks documents against a raw term-space query vector,
 // failing with ErrVectorLength instead of panicking like the internal
-// fast-paths when its length is not NumTerms.
+// fast-paths when its length is not NumTerms, and with ErrVectorRange
+// on an entry whose square could overflow a cosine.
 func (ix *Index) searchVector(ctx context.Context, q []float64, topN int, opts segment.ProbeOptions) ([]Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	if len(q) != ix.NumTerms() {
 		return nil, fmt.Errorf("%w: got %d, want %d", ErrVectorLength, len(q), ix.NumTerms())
+	}
+	for _, x := range q {
+		if !(math.Abs(x) <= 1e100) {
+			return nil, fmt.Errorf("%w: got %g", ErrVectorRange, x)
+		}
 	}
 	res := ix.search(segment.Query{Vec: q}, topN, opts)
 	if err := ctx.Err(); err != nil {

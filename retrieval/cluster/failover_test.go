@@ -257,7 +257,7 @@ func TestReplicaServesBitwise(t *testing.T) {
 	if err := rep.Bootstrap(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Ready() {
+	if !rep.Stats().Ready {
 		t.Fatal("bootstrapped replica not ready")
 	}
 	for _, q := range testQueries {

@@ -421,7 +421,8 @@ func (r *Replica) NumDocs() int {
 }
 
 // Stats implements retrieval.Retriever: the snapshot's Stats, with Ready
-// the replica's own (see Ready).
+// the replica's own — true once it serves a snapshot, whatever
+// compaction the snapshot owes — which is what /readyz answers.
 func (r *Replica) Stats() retrieval.Stats {
 	ix := r.cur.Load()
 	if ix == nil {
@@ -431,10 +432,6 @@ func (r *Replica) Stats() retrieval.Stats {
 	st.Ready = true
 	return st
 }
-
-// Ready reports whether the replica has a serving snapshot: what /readyz
-// answers, whatever compaction the snapshot owes.
-func (r *Replica) Ready() bool { return r.cur.Load() != nil }
 
 // Epoch implements the httpapi freshness capability. A replica's epoch
 // is its local index's and is not comparable to the primary's; compare
@@ -469,7 +466,8 @@ type ReplicaStats struct {
 	ResumedPulls int64
 	// LastError is the most recent catch-up error ("" when none has
 	// occurred); it does not reset on success — it is a debugging
-	// breadcrumb, not a health signal. Health is Ready + staleness.
+	// breadcrumb, not a health signal. Health is Stats().Ready +
+	// staleness.
 	LastError string
 }
 

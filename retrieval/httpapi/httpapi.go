@@ -380,19 +380,16 @@ func (h *handler) decode(w http.ResponseWriter, r *http.Request, into any) bool 
 }
 
 // clampTopN validates a requested topN, reporting ok=false after writing
-// the 400.
+// the 400; MaxTopN caps the default too.
 func (h *handler) clampTopN(w http.ResponseWriter, topN int) (int, bool) {
 	if topN < 0 {
 		writeError(w, http.StatusBadRequest, "topN must be >= 0, got %d", topN)
 		return 0, false
 	}
 	if topN == 0 {
-		return h.opts.DefaultTopN, true
+		topN = h.opts.DefaultTopN
 	}
-	if topN > h.opts.MaxTopN {
-		return h.opts.MaxTopN, true
-	}
-	return topN, true
+	return min(topN, h.opts.MaxTopN), true
 }
 
 // writeSearchError maps retrieval errors to HTTP statuses. Unknown-
@@ -407,7 +404,7 @@ func writeSearchError(w http.ResponseWriter, err error) {
 		writeError(w, http.StatusGatewayTimeout, "search timed out: %v", err)
 	case errors.Is(err, context.Canceled):
 		writeError(w, http.StatusServiceUnavailable, "request canceled: %v", err)
-	case errors.Is(err, retrieval.ErrVectorLength),
+	case errors.Is(err, retrieval.ErrVectorLength), errors.Is(err, retrieval.ErrVectorRange),
 		errors.Is(err, retrieval.ErrNoVocabulary):
 		writeError(w, http.StatusBadRequest, "%v", err)
 	default:

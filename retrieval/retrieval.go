@@ -222,6 +222,9 @@ var (
 	// ErrVectorLength reports a raw query vector whose length differs
 	// from the index vocabulary size.
 	ErrVectorLength = errors.New("retrieval: query vector length does not match the index vocabulary")
+	// ErrVectorRange reports a raw query vector with an entry that is not
+	// finite or exceeds 1e100 in magnitude, where cosines overflow.
+	ErrVectorRange = errors.New("retrieval: query vector entries must be finite and at most 1e100 in magnitude")
 	// ErrUnsupported reports a query shape the backend cannot serve: a
 	// raw vector or a probe budget on a backend without a latent space
 	// of its own (the VSM baseline, the cluster router).

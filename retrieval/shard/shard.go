@@ -534,13 +534,10 @@ func (x *Index) Stats() Stats {
 	return st
 }
 
-// Ready reports whether the index has no compaction debt: no sealed
+// Ready reports whether the snapshot shows no compaction debt: no sealed
 // segments waiting and no compaction in flight. Serving while not ready
 // is correct (fold-in segments answer queries); Ready is the signal a
 // load balancer uses to prefer warmed replicas.
-func (x *Index) Ready() bool { return x.Stats().Ready() }
-
-// Ready is Index.Ready read off this snapshot.
 func (st Stats) Ready() bool { return st.SealedPending == 0 && !st.Compacting }
 
 // CompactionFailures returns how many compaction passes (background or

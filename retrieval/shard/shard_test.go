@@ -123,9 +123,9 @@ func TestFrozenTakesNoDocuments(t *testing.T) {
 	if n, err := x.Compact(); n != 0 || err != nil {
 		t.Fatalf("Compact = %d, %v, want 0, nil", n, err)
 	}
-	if !x.Frozen() || x.NumDocs() != 48 || x.NumShards() != 1 || x.Epoch() != 0 || !x.Ready() {
+	if !x.Frozen() || x.NumDocs() != 48 || x.NumShards() != 1 || x.Epoch() != 0 || !x.Stats().Ready() {
 		t.Fatalf("frozen %v, %d docs, %d shards, epoch %d, ready %v",
-			x.Frozen(), x.NumDocs(), x.NumShards(), x.Epoch(), x.Ready())
+			x.Frozen(), x.NumDocs(), x.NumShards(), x.Epoch(), x.Stats().Ready())
 	}
 	if err := x.Close(); err != nil {
 		t.Fatal(err)
@@ -253,7 +253,7 @@ func TestSealAndCompactLifecycle(t *testing.T) {
 	if st.Live != 2 {
 		t.Fatalf("live segments %d, want 2", st.Live)
 	}
-	if x.Ready() {
+	if x.Stats().Ready() {
 		t.Fatal("index claims ready with sealed segments pending")
 	}
 
@@ -267,7 +267,7 @@ func TestSealAndCompactLifecycle(t *testing.T) {
 	if n != 4 {
 		t.Fatalf("compacted %d segments, want 4", n)
 	}
-	if !x.Ready() {
+	if !x.Stats().Ready() {
 		t.Fatal("index not ready after compaction")
 	}
 	st = x.Stats()

@@ -75,7 +75,7 @@ func (ix *Index) Sharded() bool { return !ix.sharded.Frozen() }
 // segments await compaction or a compaction pass is in flight. A
 // not-ready index serves correct (fold-in) results — Ready is the
 // readiness signal for load balancers, surfaced at /readyz.
-func (ix *Index) Ready() bool { return ix.sharded.Ready() }
+func (ix *Index) Ready() bool { return ix.sharded.Stats().Ready() }
 
 // Compact runs one synchronous compaction pass on a sharded index,
 // returning the number of segments rebuilt. Unsharded indexes have

@@ -17,38 +17,8 @@ SERVE="${1:?usage: chaos_smoke.sh path/to/lsiserve path/to/lsiload}"
 LOAD="${2:?usage: chaos_smoke.sh path/to/lsiserve path/to/lsiload}"
 DURATION="${CHAOS_SMOKE_DURATION:-6s}"
 SHARDS=3
-WORK="$(mktemp -d)"
-PIDS=""
-
-cleanup() {
-    for pid in $PIDS; do
-        kill "$pid" 2>/dev/null || true
-        wait "$pid" 2>/dev/null || true
-    done
-    rm -rf "$WORK"
-}
-trap cleanup EXIT INT TERM
-
-fail() {
-    echo "chaos-smoke FAILED: $1" >&2
-    for log in "$WORK"/*.log; do
-        echo "--- $log ---" >&2
-        cat "$log" >&2
-    done
-    exit 1
-}
-
-# wait_addr LOG: poll LOG until the daemon prints its bound address.
-wait_addr() {
-    i=0
-    while [ $i -lt 100 ]; do
-        ADDR="$(sed -n 's/^lsiserve: listening on \(http:.*\)$/\1/p' "$1" | head -n1)"
-        [ -n "$ADDR" ] && return 0
-        i=$((i + 1))
-        sleep 0.1
-    done
-    fail "daemon behind $1 never reported its address"
-}
+NAME=chaos-smoke
+. "$(dirname "$0")/serve_lib.sh"
 
 # 1. Export: one standalone node directory per shard.
 "$SERVE" -shards $SHARDS -k 3 -save-cluster "$WORK/cluster" >"$WORK/export.log" 2>&1 \
@@ -58,10 +28,9 @@ wait_addr() {
 NODE_URLS=""
 s=0
 while [ $s -lt $SHARDS ]; do
-    "$SERVE" -addr 127.0.0.1:0 -index "$WORK/cluster/shard-$s" \
-        -wal-dir "$WORK/wal-$s" -chaos >"$WORK/node-$s.log" 2>&1 &
-    PIDS="$PIDS $!"
-    wait_addr "$WORK/node-$s.log"
+    boot "node-$s.log" "$SERVE" -addr 127.0.0.1:0 -index "$WORK/cluster/shard-$s" \
+        -wal-dir "$WORK/wal-$s" -chaos
+    wait_ready "$ADDR"
     NODE_URLS="$NODE_URLS $ADDR"
     s=$((s + 1))
 done
@@ -80,11 +49,10 @@ NODE1="$(echo $NODE_URLS | cut -d' ' -f2)"
     done
     printf ']}\n'
 } >"$WORK/manifest.json"
-"$SERVE" -addr 127.0.0.1:0 -cluster "$WORK/manifest.json" -probe-every 500ms \
-    -breaker-open-for 1s >"$WORK/router.log" 2>&1 &
-PIDS="$PIDS $!"
-wait_addr "$WORK/router.log"
+boot router.log "$SERVE" -addr 127.0.0.1:0 -cluster "$WORK/manifest.json" -probe-every 500ms \
+    -breaker-open-for 1s
 ROUTER="$ADDR"
+wait_ready "$ROUTER"
 
 # 4. The fault schedule: node 0 flaps (60% injected 503 + Retry-After on
 # every class) for the first third, then node 1 is partitioned (drops)
@@ -141,8 +109,7 @@ done
 # 8. Healed: full quorum, no partial answers, open breakers recovered.
 # Searching IS the recovery driver (the half-open probe rides a real
 # request), so poll until the answer is whole — bounded, not calibrated.
-STATUS="$(curl -s -o /dev/null -w '%{http_code}' "$ROUTER/readyz")"
-[ "$STATUS" = 200 ] || fail "/readyz returned $STATUS after the chaos run"
+check_ready "$ROUTER"
 i=0
 while :; do
     HEADERS="$(curl -s -D - -o /dev/null -X POST "$ROUTER/v1/search" \

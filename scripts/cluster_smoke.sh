@@ -14,38 +14,8 @@ SERVE="${1:?usage: cluster_smoke.sh path/to/lsiserve path/to/lsiload}"
 LOAD="${2:?usage: cluster_smoke.sh path/to/lsiserve path/to/lsiload}"
 DURATION="${CLUSTER_SMOKE_DURATION:-5s}"
 SHARDS=3
-WORK="$(mktemp -d)"
-PIDS=""
-
-cleanup() {
-    for pid in $PIDS; do
-        kill "$pid" 2>/dev/null || true
-        wait "$pid" 2>/dev/null || true
-    done
-    rm -rf "$WORK"
-}
-trap cleanup EXIT INT TERM
-
-fail() {
-    echo "cluster-smoke FAILED: $1" >&2
-    for log in "$WORK"/*.log; do
-        echo "--- $log ---" >&2
-        cat "$log" >&2
-    done
-    exit 1
-}
-
-# wait_addr LOG: poll LOG until the daemon prints its bound address.
-wait_addr() {
-    i=0
-    while [ $i -lt 100 ]; do
-        ADDR="$(sed -n 's/^lsiserve: listening on \(http:.*\)$/\1/p' "$1" | head -n1)"
-        [ -n "$ADDR" ] && return 0
-        i=$((i + 1))
-        sleep 0.1
-    done
-    fail "daemon behind $1 never reported its address"
-}
+NAME=cluster-smoke
+. "$(dirname "$0")/serve_lib.sh"
 
 # 1. Export: one standalone node directory per shard.
 "$SERVE" -shards $SHARDS -k 3 -save-cluster "$WORK/cluster" >"$WORK/export.log" 2>&1 \
@@ -55,10 +25,9 @@ wait_addr() {
 NODE_URLS=""
 s=0
 while [ $s -lt $SHARDS ]; do
-    "$SERVE" -addr 127.0.0.1:0 -index "$WORK/cluster/shard-$s" \
-        -wal-dir "$WORK/wal-$s" >"$WORK/node-$s.log" 2>&1 &
-    PIDS="$PIDS $!"
-    wait_addr "$WORK/node-$s.log"
+    boot "node-$s.log" "$SERVE" -addr 127.0.0.1:0 -index "$WORK/cluster/shard-$s" \
+        -wal-dir "$WORK/wal-$s"
+    wait_ready "$ADDR"
     NODE_URLS="$NODE_URLS $ADDR"
     s=$((s + 1))
 done
@@ -74,10 +43,9 @@ done
     done
     printf ']}\n'
 } >"$WORK/manifest.json"
-"$SERVE" -addr 127.0.0.1:0 -cluster "$WORK/manifest.json" >"$WORK/router.log" 2>&1 &
-PIDS="$PIDS $!"
-wait_addr "$WORK/router.log"
+boot router.log "$SERVE" -addr 127.0.0.1:0 -cluster "$WORK/manifest.json"
 ROUTER="$ADDR"
+wait_ready "$ROUTER"
 
 echo "cluster-smoke: $SHARDS nodes + router at $ROUTER, driving $DURATION Zipf trace"
 
@@ -89,8 +57,7 @@ grep -q '"failed": 0,' cluster-smoke.json || fail "lsiload reported failed reque
 grep -q '"ok": [1-9]' cluster-smoke.json || fail "lsiload delivered no successful requests"
 
 # 5. The router must be healthy, full-quorum, and observable afterward.
-STATUS="$(curl -s -o /dev/null -w '%{http_code}' "$ROUTER/readyz")"
-[ "$STATUS" = 200 ] || fail "/readyz returned $STATUS after load"
+check_ready "$ROUTER"
 HEADERS="$(curl -s -D - -o /dev/null -X POST "$ROUTER/v1/search" \
     -H 'Content-Type: application/json' -d '{"query":"car engine","topN":3}')"
 case "$HEADERS" in

@@ -12,40 +12,13 @@ set -eu
 SERVE="${1:?usage: load_smoke.sh path/to/lsiserve path/to/lsiload}"
 LOAD="${2:?usage: load_smoke.sh path/to/lsiserve path/to/lsiload}"
 DURATION="${LOAD_SMOKE_DURATION:-5s}"
-LOG="$(mktemp)"
+NAME=load-smoke
+. "$(dirname "$0")/serve_lib.sh"
 
-"$SERVE" -addr 127.0.0.1:0 -shards 4 -cache-mb 32 -max-inflight 64 -max-debt 8 >"$LOG" 2>&1 &
-PID=$!
-cleanup() {
-    kill "$PID" 2>/dev/null || true
-    wait "$PID" 2>/dev/null || true
-    rm -f "$LOG"
-}
-trap cleanup EXIT INT TERM
-
-# Wait for the bound-address line (same protocol as serve_smoke.sh).
-BASE=""
-i=0
-while [ $i -lt 100 ]; do
-    BASE="$(sed -n 's/^lsiserve: listening on \(http:.*\)$/\1/p' "$LOG" | head -n1)"
-    [ -n "$BASE" ] && break
-    if ! kill -0 "$PID" 2>/dev/null; then
-        echo "lsiserve exited before listening:" >&2
-        cat "$LOG" >&2
-        exit 1
-    fi
-    i=$((i + 1))
-    sleep 0.1
-done
-[ -n "$BASE" ] || { echo "lsiserve never reported its address" >&2; cat "$LOG" >&2; exit 1; }
-
+boot serve.log "$SERVE" -addr 127.0.0.1:0 -shards 4 -cache-mb 32 -max-inflight 64 -max-debt 8
+BASE="$ADDR"
+wait_ready "$BASE"
 echo "load-smoke: daemon at $BASE, driving $DURATION Zipf trace"
-
-fail() {
-    echo "load-smoke FAILED: $1" >&2
-    cat "$LOG" >&2
-    exit 1
-}
 
 "$LOAD" -addr "$BASE" -trace zipf -duration "$DURATION" -concurrency 8 >load-smoke.json \
     || fail "lsiload exited non-zero"
@@ -59,7 +32,7 @@ grep -q '"ok": [1-9]' load-smoke.json || fail "lsiload delivered no successful r
 grep -q '"p99_ns": [0-9]' load-smoke.json || fail "no p99 in summary"
 
 # The server must still be healthy and observable after the trace.
-STATUS="$(curl -s -o /dev/null -w '%{http_code}' "$BASE/healthz")"
+STATUS="$(status "$BASE/healthz")"
 [ "$STATUS" = 200 ] || fail "/healthz returned $STATUS after load"
 METRICS="$(curl -s "$BASE/metrics")"
 for series in lsi_http_request_duration_seconds_bucket lsi_cache_lookups_total lsi_index_compaction_debt lsi_shard_segments; do

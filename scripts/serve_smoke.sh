@@ -6,50 +6,18 @@
 set -eu
 
 BIN="${1:?usage: serve_smoke.sh path/to/lsiserve}"
-LOG="$(mktemp)"
+NAME=serve-smoke
+. "$(dirname "$0")/serve_lib.sh"
 
-"$BIN" -addr 127.0.0.1:0 >"$LOG" 2>&1 &
-PID=$!
-cleanup() {
-    kill "$PID" 2>/dev/null || true
-    wait "$PID" 2>/dev/null || true
-    rm -f "$LOG"
-}
-trap cleanup EXIT INT TERM
-
-# The daemon prints "lsiserve: listening on http://127.0.0.1:PORT" once
-# the listener is bound; wait for that line (up to ~10s).
-BASE=""
-i=0
-while [ $i -lt 100 ]; do
-    BASE="$(sed -n 's/^lsiserve: listening on \(http:.*\)$/\1/p' "$LOG" | head -n1)"
-    [ -n "$BASE" ] && break
-    if ! kill -0 "$PID" 2>/dev/null; then
-        echo "lsiserve exited before listening:" >&2
-        cat "$LOG" >&2
-        exit 1
-    fi
-    i=$((i + 1))
-    sleep 0.1
-done
-if [ -z "$BASE" ]; then
-    echo "lsiserve never reported its address:" >&2
-    cat "$LOG" >&2
-    exit 1
-fi
-
+boot serve.log "$BIN" -addr 127.0.0.1:0
+BASE="$ADDR"
+wait_ready "$BASE"
 echo "serve-smoke: daemon at $BASE"
 
-fail() {
-    echo "serve-smoke FAILED: $1" >&2
-    cat "$LOG" >&2
-    exit 1
-}
-
-STATUS="$(curl -s -o /dev/null -w '%{http_code}' "$BASE/healthz")"
+STATUS="$(status "$BASE/healthz")"
 [ "$STATUS" = 200 ] || fail "/healthz returned $STATUS"
 
-STATUS="$(curl -s -o /dev/null -w '%{http_code}' -X POST "$BASE/v1/search" \
+STATUS="$(status -X POST "$BASE/v1/search" \
     -H 'Content-Type: application/json' \
     -d '{"query":"car engine","topN":3}')"
 [ "$STATUS" = 200 ] || fail "/v1/search returned $STATUS"
@@ -62,7 +30,7 @@ case "$BODY" in
 *) fail "/v1/search body has no results: $BODY" ;;
 esac
 
-STATUS="$(curl -s -o /dev/null -w '%{http_code}' "$BASE/v1/stats")"
+STATUS="$(status "$BASE/v1/stats")"
 [ "$STATUS" = 200 ] || fail "/v1/stats returned $STATUS"
 
 echo "serve-smoke: OK (healthz, search, stats all 200)"

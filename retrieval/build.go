@@ -234,7 +234,8 @@ func (ix *Index) Search(ctx context.Context, query string, topN int) ([]Result, 
 // cells per quantizer (clamped to nlist) and keeps the configured
 // quantized rerank, and 0 is the fully exact scan. Indexes without an
 // ANN tier serve every budget through whatever tiers they do have. A
-// vector whose length is not NumTerms fails with ErrVectorLength.
+// vector whose length is not NumTerms fails with ErrVectorLength, one
+// with an entry beyond 1e100 in magnitude with ErrVectorRange.
 func (ix *Index) Query(ctx context.Context, q Query) (Answer, error) {
 	opts := ix.probeOpts()
 	if q.NProbe != nil {

@@ -447,6 +447,9 @@ func (h *handler) search(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "this index does not accept %s", what)
 		return
 	}
+	if ans.Cache != cache.StatusBypass {
+		w.Header().Set("Cache-Status", ans.Cache.String())
+	}
 	if !h.answer(w, ans, err) {
 		return
 	}
@@ -457,12 +460,10 @@ func (h *handler) search(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, SearchResponse{Results: results})
 }
 
-// answer stamps a search answer's headers and, on an error, writes it;
-// it reports whether the handler should go on to write the results.
+// answer stamps a search answer's partial and freshness headers and, on
+// an error, writes it; it reports whether the handler should go on to
+// write the results.
 func (h *handler) answer(w http.ResponseWriter, ans retrieval.Answer, err error) bool {
-	if ans.Cache != cache.StatusBypass {
-		w.Header().Set("Cache-Status", ans.Cache.String())
-	}
 	if ans.Partial {
 		w.Header().Set("X-Partial-Results", "true")
 	}
@@ -494,7 +495,6 @@ func (h *handler) searchBatch(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), h.opts.Timeout)
 	defer cancel()
 	ans, err := h.ret.Query(ctx, retrieval.Query{Texts: req.Queries, TopN: topN})
-	ans.Cache = cache.StatusBypass // the header describes single lookups
 	if h.answer(w, ans, err) {
 		writeJSON(w, http.StatusOK, BatchSearchResponse{Results: ans.Results})
 	}

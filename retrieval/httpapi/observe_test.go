@@ -84,6 +84,44 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestConcurrentScrapes: scrapes take their Stats snapshot while other
+// scrapes, searches and appends run; under -race this pins that the
+// snapshot is shared safely.
+func TestConcurrentScrapes(t *testing.T) {
+	ix, err := retrieval.Build(retrieval.DemoCorpus(),
+		retrieval.WithRank(3), retrieval.WithShards(2), retrieval.WithQueryCache(1<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	h := NewHandler(ix, Options{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				var rec *httptest.ResponseRecorder
+				switch w {
+				case 0:
+					rec = do(t, h, "POST", "/v1/docs", `{"text":"car engine turbo"}`)
+				case 1:
+					rec = do(t, h, "POST", "/v1/search", `{"query":"car engine","topN":3}`)
+				default:
+					rec = do(t, h, "GET", "/metrics", "")
+					if !strings.Contains(rec.Body.String(), `lsi_shard_docs{shard="1"} `) {
+						t.Errorf("scrape %d lacks the per-shard series", i)
+					}
+				}
+				if rec.Code != 200 {
+					t.Errorf("worker %d request %d: status %d", w, i, rec.Code)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
 // TestMetricsUncachedUnsharded: an immutable, uncached index exports no
 // cache or live-index families, but the HTTP families are all there.
 func TestMetricsUncachedUnsharded(t *testing.T) {

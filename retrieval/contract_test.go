@@ -73,8 +73,8 @@ func TestUnshardedIndexContract(t *testing.T) {
 			if n := ix.NumShards(); n != 1 {
 				t.Errorf("NumShards = %d, want 1", n)
 			}
-			if !ix.Ready() {
-				t.Error("Ready = false")
+			if !ix.Stats().Ready {
+				t.Error("Stats().Ready = false")
 			}
 
 			st := ix.Stats()

@@ -174,9 +174,12 @@ type Stats struct {
 	// budget that sheds every append — this says why.
 	CompactionFailures  int64  `json:"compactionFailures,omitempty"`
 	LastCompactionError string `json:"lastCompactionError,omitempty"`
-	// Ready is what /readyz answers: false while the index owes
-	// compaction work (see Index.Ready), always true for unsharded
-	// indexes; backends that front others define it themselves.
+	// Ready is what /readyz answers, the readiness signal for load
+	// balancers: false while the index owes background work (sealed
+	// segments await compaction or a compaction pass is in flight; a
+	// not-ready index still serves correct fold-in results), always true
+	// for unsharded indexes; backends that front others define it
+	// themselves.
 	Ready bool `json:"ready"`
 
 	// Cache reports the query result cache (WithQueryCache); nil when

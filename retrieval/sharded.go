@@ -22,10 +22,10 @@ import (
 // segment, no ingest. WithShards(n) builds a live one instead.
 //
 // Live indexes add three capabilities on top of the Retriever contract:
-// live appends (Add), readiness reporting (Ready), and directory
-// persistence (SaveDir / OpenDir; the manifest format is documented in
-// retrieval/shard). A frozen index answers them with ErrImmutableIndex,
-// true and ErrNotSharded.
+// live appends (Add), readiness that can go false (Stats().Ready), and
+// directory persistence (SaveDir / OpenDir; the manifest format is
+// documented in retrieval/shard). A frozen index answers them with
+// ErrImmutableIndex, true and ErrNotSharded.
 
 // Sentinel errors of the sharded mode.
 var (
@@ -69,13 +69,6 @@ func (c config) shardConfig() shard.Config {
 
 // Sharded reports whether the index is a sharded live index.
 func (ix *Index) Sharded() bool { return !ix.sharded.Frozen() }
-
-// Ready reports whether the index owes no background work: always true
-// for unsharded indexes; for sharded indexes, false while sealed
-// segments await compaction or a compaction pass is in flight. A
-// not-ready index serves correct (fold-in) results — Ready is the
-// readiness signal for load balancers, surfaced at /readyz.
-func (ix *Index) Ready() bool { return ix.sharded.Stats().Ready() }
 
 // Compact runs one synchronous compaction pass on a sharded index,
 // returning the number of segments rebuilt. Unsharded indexes have

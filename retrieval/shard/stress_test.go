@@ -2,6 +2,8 @@ package shard
 
 import (
 	"fmt"
+	"math/rand"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -151,6 +153,104 @@ func TestStressConcurrentAddSearchCompact(t *testing.T) {
 	}
 
 	t.Run("settle merge is invisible to search", testSettleInvisible)
+	t.Run("segments number documents round robin", testRoundRobinNumbering)
+}
+
+// testRoundRobinNumbering pins the invariant a checkpoint's numbering
+// rests on: global document g lives on shard g mod N, and the segments
+// of shard s — stable in order, then live — hold its documents in order
+// without a gap, so its l-th document is global s + N·l. Random runs of
+// ingest, compaction, SaveDir + Open and SaveShardDir + Open keep it at
+// every step, down to a segment per document.
+func testRoundRobinNumbering(t *testing.T) {
+	a := testMatrix(t, 3, 12, 40, 403)
+	for _, shards := range []int{1, 2, 3} {
+		for _, sealEvery := range []int{1, 2, 5, 16} {
+			rng := rand.New(rand.NewSource(int64(100*shards + sealEvery)))
+			x, err := Build(a, defaultIDs(40), Config{Shards: shards, Rank: 3, Seed: 19, SealEvery: sealEvery})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for step := 0; step < 60; step++ {
+				where := fmt.Sprintf("%d shards, sealEvery %d, step %d", shards, sealEvery, step)
+				switch op := rng.Intn(12); {
+				case op < 6:
+					docs := make([]Doc, 1+rng.Intn(2*sealEvery+2))
+					for i := range docs {
+						terms, weights := sparseCol(a, rng.Intn(40))
+						docs[i] = Doc{Terms: terms, Weights: weights}
+					}
+					if _, err := x.AddBatch(docs); err != nil {
+						t.Fatalf("%s: %v", where, err)
+					}
+				case op < 9:
+					if _, err := x.Compact(); err != nil {
+						t.Fatalf("%s: %v", where, err)
+					}
+				case op < 11:
+					dir := filepath.Join(t.TempDir(), "idx")
+					if err := x.SaveDir(dir); err != nil {
+						t.Fatalf("%s: %v", where, err)
+					}
+					x = reopen(t, x, dir, sealEvery, where)
+				default:
+					s := rng.Intn(x.cfg.Shards)
+					dir := filepath.Join(t.TempDir(), "node")
+					if err := x.SaveShardDir(s, dir); err != nil {
+						t.Fatalf("%s: %v", where, err)
+					}
+					n, ids := x.cfg.Shards, x.ids.Load()
+					x = reopen(t, x, dir, sealEvery, where)
+					for l := 0; l < x.NumDocs(); l++ {
+						if got, want := x.ExternalID(l), ids.At(s+n*l); got != want {
+							t.Fatalf("%s: export of shard %d: local %d is %q, want %q", where, s, l, got, want)
+						}
+					}
+				}
+				if err := checkRoundRobin(x); err != nil {
+					t.Fatalf("%s: %v", where, err)
+				}
+			}
+			x.Close()
+		}
+	}
+}
+
+// reopen opens dir, the checkpoint x just wrote, and closes x in its
+// favour (a 1-shard export replaces it with the node's index).
+func reopen(t *testing.T, x *Index, dir string, sealEvery int, where string) *Index {
+	t.Helper()
+	y, err := Open(dir, Config{SealEvery: sealEvery})
+	if err != nil {
+		t.Fatalf("%s: %v", where, err)
+	}
+	if err := checkRoundRobin(y); err != nil {
+		t.Fatalf("%s: reopened: %v", where, err)
+	}
+	x.Close()
+	return y
+}
+
+// checkRoundRobin asserts the round-robin numbering of every shard of x
+// and that the shards together hold exactly NumDocs documents.
+func checkRoundRobin(x *Index) error {
+	n, total := len(x.shards), 0
+	for s, sh := range x.shards {
+		l := 0
+		for i, seg := range sh.state.Load().segments(nil) {
+			for j, g := range seg.Global {
+				if g != s+n*l {
+					return fmt.Errorf("shard %d segment %d row %d: global %d, want %d", s, i, j, g, s+n*l)
+				}
+				l++
+			}
+		}
+		total += l
+	}
+	if total != x.NumDocs() {
+		return fmt.Errorf("shards hold %d documents, index has %d", total, x.NumDocs())
+	}
+	return nil
 }
 
 // testSettleInvisible holds a compaction pass that settles in-model

@@ -45,8 +45,10 @@ func layoutIndex(t *testing.T) *Index {
 // The checkpoint writer's output is pinned byte for byte where it is
 // machine-independent: the directory listing and the manifest (which
 // holds no floats) of a second-generation SaveDir and of a
-// second-generation SaveShardDir must equal the committed files, which
-// were generated before SaveShardDir was folded into SaveDir's writer.
+// second-generation SaveShardDir must equal the committed files. The
+// listings were generated before SaveShardDir was folded into SaveDir's
+// writer; the manifests were re-pinned once, when version 2 dropped the
+// globals lists.
 func TestCheckpointLayoutGolden(t *testing.T) {
 	x := layoutIndex(t)
 	for _, tc := range []struct {

@@ -26,7 +26,8 @@ import (
 // segments older builds wrote) plus a sidecar file for each tier it
 // carries. DESIGN.md "Checkpoint layout" has the whole picture: one
 // writer (writeCheckpoint), one file vocabulary (FileGeneration), one
-// list of what a manifest references (Files). The manifest is
+// list of what a manifest references (Files). Document numbers follow
+// from segment order (ManifestSegment), so the manifest lists none. It is
 // versioned and strictly validated on load: a corrupt or truncated
 // manifest fails with a descriptive error, never a panic (fuzzed in
 // manifest_fuzz_test.go).
@@ -40,7 +41,7 @@ const (
 	ManifestName = "manifest.json"
 	// ManifestVersion is the newest manifest format this build reads and
 	// the version it writes.
-	ManifestVersion = 1
+	ManifestVersion = 2
 	// manifestFormat guards against feeding some other JSON file to Open.
 	manifestFormat = "lsi-sharded"
 )
@@ -64,12 +65,16 @@ type Manifest struct {
 	Segments   [][]ManifestSegment `json:"segments"` // [shard][i]
 }
 
-// ManifestSegment describes one segment file.
+// ManifestSegment describes one segment file. The segments of shard s
+// hold its shard-local documents 0, 1, 2, … in manifest order, and local
+// l is global s + Shards·l.
 type ManifestSegment struct {
-	File      string `json:"file"`
-	Docs      int    `json:"docs"`
-	Globals   []int  `json:"globals"`
-	Compacted bool   `json:"compacted"`
+	File string `json:"file"`
+	Docs int    `json:"docs"`
+	// Globals is version 1's list of the segment's global numbers, which
+	// must equal the numbering above; version 2 omits it.
+	Globals   []int `json:"globals,omitempty"`
+	Compacted bool  `json:"compacted"`
 	// Base marks the segment whose latent index is the shard's fold-in
 	// basis for future ingest.
 	Base bool `json:"base,omitempty"`
@@ -88,8 +93,10 @@ type ManifestSegment struct {
 
 // ParseManifest decodes and validates manifest bytes. It is total:
 // arbitrary input yields either a valid *Manifest or a descriptive
-// error — never a panic and never unbounded allocation (every size it
-// trusts is bounded by the input length).
+// error — never a panic and never an allocation sized by a number the
+// input declares. Every file name must be the one the checkpoint writer
+// gives its field and position, and each shard's segments must hold
+// exactly its round-robin share of NumDocs.
 func ParseManifest(data []byte) (*Manifest, error) {
 	var m Manifest
 	if err := json.Unmarshal(data, &m); err != nil {
@@ -117,58 +124,48 @@ func ParseManifest(data []byte) (*Manifest, error) {
 	if m.Generation < 0 {
 		return nil, fmt.Errorf("shard: manifest: generation %d, want >= 0", m.Generation)
 	}
+	if m.NumDocs < 0 {
+		return nil, fmt.Errorf("shard: manifest: numDocs=%d, want >= 0", m.NumDocs)
+	}
 	if len(m.Segments) != m.Shards {
 		return nil, fmt.Errorf("shard: manifest: segment lists for %d shards, manifest declares %d", len(m.Segments), m.Shards)
 	}
-	for _, name := range m.Files() {
-		if err := validFileName(name); err != nil {
-			return nil, fmt.Errorf("shard: manifest: %w", err)
-		}
+	// Only the writer's positional names: they cannot leave the directory,
+	// and no two fields name one file, nor the manifest a replica writes last.
+	if want := fmt.Sprintf(idsFileFmt, m.Generation); m.IDsFile != want {
+		return nil, fmt.Errorf("shard: manifest: idsFile %q, want %q", m.IDsFile, want)
 	}
-	// Every document must live in exactly one segment: the per-segment
-	// global lists partition [0, NumDocs). Sizes are checked before any
-	// allocation keyed on them, so a corrupt NumDocs cannot drive a huge
-	// allocation — it must equal the total globals actually present.
-	total := 0
 	for s, segs := range m.Segments {
+		local, share, bases := 0, shareOf(m.NumDocs, s, m.Shards), 0
 		for i, e := range segs {
-			if e.Docs != len(e.Globals) {
-				return nil, fmt.Errorf("shard: manifest: shard %d segment %d: docs=%d but %d globals",
-					s, i, e.Docs, len(e.Globals))
+			where := fmt.Sprintf("shard %d segment %d", s, i)
+			idx, ann, quant := fmt.Sprintf(segFileFmt, m.Generation, s, i), fmt.Sprintf(annFileFmt, m.Generation, s, i), fmt.Sprintf(quantFileFmt, m.Generation, s, i)
+			if e.File != idx || e.ANNFile != "" && e.ANNFile != ann || e.QuantFile != "" && e.QuantFile != quant {
+				return nil, fmt.Errorf("shard: manifest: %s: files %q, %q, %q, want %q and optionally %q, %q",
+					where, e.File, e.ANNFile, e.QuantFile, idx, ann, quant)
 			}
-			total += e.Docs
-		}
-	}
-	if m.NumDocs != total {
-		return nil, fmt.Errorf("shard: manifest: numDocs=%d but segments hold %d documents", m.NumDocs, total)
-	}
-	seen := make([]bool, m.NumDocs)
-	for s, segs := range m.Segments {
-		for i, e := range segs {
-			prev := -1
-			for _, g := range e.Globals {
-				if g < 0 || g >= m.NumDocs {
-					return nil, fmt.Errorf("shard: manifest: shard %d segment %d: global %d out of [0,%d)",
-						s, i, g, m.NumDocs)
-				}
-				if seen[g] {
-					return nil, fmt.Errorf("shard: manifest: global %d appears in more than one segment", g)
-				}
-				seen[g] = true
-				if g <= prev {
-					return nil, fmt.Errorf("shard: manifest: shard %d segment %d: globals not strictly ascending at %d",
-						s, i, g)
-				}
-				prev = g
+			// Bounded before it is summed, so a hostile docs cannot overflow.
+			if e.Docs < 0 || e.Docs > share-local {
+				return nil, fmt.Errorf("shard: manifest: %s: docs=%d, but numDocs=%d leaves shard %d %d more documents",
+					where, e.Docs, m.NumDocs, s, share-local)
 			}
-		}
-	}
-	for s, segs := range m.Segments {
-		bases := 0
-		for _, e := range segs {
+			if m.Version == 1 && len(e.Globals) != e.Docs || m.Version > 1 && e.Globals != nil {
+				return nil, fmt.Errorf("shard: manifest: %s: %d globals for docs=%d in version %d", where, len(e.Globals), e.Docs, m.Version)
+			}
+			for j, g := range e.Globals {
+				if want := s + m.Shards*(local+j); g != want {
+					return nil, fmt.Errorf("shard: manifest: %s: global %d at row %d, round-robin placement puts %d there",
+						where, g, j, want)
+				}
+			}
+			local += e.Docs
 			if e.Base {
 				bases++
 			}
+		}
+		if local != share {
+			return nil, fmt.Errorf("shard: manifest: shard %d: segments hold %d documents, numDocs=%d gives it %d",
+				s, local, m.NumDocs, share)
 		}
 		if bases > 1 {
 			return nil, fmt.Errorf("shard: manifest: shard %d marks %d base segments, want at most 1", s, bases)
@@ -177,17 +174,10 @@ func ParseManifest(data []byte) (*Manifest, error) {
 	return &m, nil
 }
 
-// validFileName accepts only bare file names — no separators, no
-// traversal — so a hostile manifest cannot read or write outside its
-// index directory.
-func validFileName(name string) error {
-	if name == "" {
-		return fmt.Errorf("empty file name")
-	}
-	if name != filepath.Base(name) || name == "." || name == ".." || strings.ContainsAny(name, `/\`) {
-		return fmt.Errorf("file name %q is not a bare name", name)
-	}
-	return nil
+// shareOf is shard s's round-robin share of numDocs documents: the
+// globals s, s+shards, s+2·shards, … below numDocs.
+func shareOf(numDocs, s, shards int) int {
+	return numDocs/shards + min(1, max(0, numDocs%shards-s))
 }
 
 // The generation-stamped file names of a checkpoint. The first number of
@@ -252,17 +242,16 @@ func encodeSegment(ix *lsi.Index) ([]byte, error) {
 }
 
 // checkpointView is what a checkpoint records: a consistent snapshot of
-// an index (SaveDir) or of one of its shards renumbered as a standalone
-// index (SaveShardDir). len(shards) is the shard count the manifest
-// declares.
+// an index (SaveDir) or of one of its shards as a standalone index
+// (SaveShardDir). len(shards) is the shard count the manifest declares.
 type checkpointView struct {
 	seed   int64
 	ids    []string // external IDs in the view's own document numbering
 	shards []shardView
 }
 
-// shardView is one shard of a checkpointView: its segments, whose Global
-// tables hold the document numbers to record, and its fold-in basis.
+// shardView is one shard of a checkpointView: its segments, in the order
+// that numbers their documents, and its fold-in basis.
 type shardView struct {
 	segs []*segment.Segment
 	base *lsi.Index
@@ -332,7 +321,6 @@ func (x *Index) writeCheckpoint(dir string, v checkpointView, fsys faultinject.F
 			e := ManifestSegment{
 				File:      fmt.Sprintf(segFileFmt, gen, s, i),
 				Docs:      seg.Len(),
-				Globals:   seg.Global,
 				Compacted: seg.Compacted,
 				Base:      sh.base != nil && seg.Ix == sh.base,
 			}
@@ -343,8 +331,8 @@ func (x *Index) writeCheckpoint(dir string, v checkpointView, fsys faultinject.F
 			if err := write(e.File, data); err != nil {
 				return 0, err
 			}
-			// The sidecars index segment-local rows, so they are the same
-			// bytes under any document numbering.
+			// The sidecars index segment-local rows: the same bytes in an
+			// export as in a SaveDir.
 			if seg.Ann != nil {
 				e.ANNFile = fmt.Sprintf(annFileFmt, gen, s, i)
 				if err := write(e.ANNFile, seg.Ann.Encode()); err != nil {
@@ -420,7 +408,8 @@ func (x *Index) SaveDirFS(dir string, fsys faultinject.FS) error {
 // structural configuration (shards, rank, seed, vocabulary dimension);
 // cfg supplies the runtime knobs — SealEvery (0 keeps the saved value),
 // AutoCompact, Engine. Segments reload exactly as saved and
-// serve identical scores; retained raw documents are not persisted, so
+// serve identical scores, numbered by their position (see
+// ManifestSegment); retained raw documents are not persisted, so
 // reloaded segments are not re-compactable.
 func Open(dir string, cfg Config) (*Index, error) {
 	data, err := os.ReadFile(filepath.Join(dir, ManifestName))
@@ -456,7 +445,7 @@ func Open(dir string, cfg Config) (*Index, error) {
 	x.generation.Store(uint64(man.Generation))
 	x.ids.Store(&ids)
 	for s, entries := range man.Segments {
-		st := &shardState{}
+		st, local := &shardState{}, 0
 		for _, e := range entries {
 			f, err := os.Open(filepath.Join(dir, e.File))
 			if err != nil {
@@ -475,7 +464,8 @@ func Open(dir string, cfg Config) (*Index, error) {
 				return nil, fmt.Errorf("shard: open segment %s: %d documents, manifest says %d",
 					e.File, ix.NumDocs(), e.Docs)
 			}
-			seg, err := segment.New(ix, e.Globals, nil, e.Compacted)
+			seg, err := segment.New(ix, roundRobin(s, man.Shards, local, e.Docs), nil, e.Compacted)
+			local += e.Docs
 			if err != nil {
 				return nil, fmt.Errorf("shard: open segment %s: %w", e.File, err)
 			}

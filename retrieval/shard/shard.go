@@ -36,7 +36,9 @@
 //
 // Global document numbers are assigned once, at build or ingest, and
 // never change: compaction carries each segment's global mapping through
-// the rebuild, so result IDs are stable across the whole lifecycle.
+// the merge, so result IDs are stable across the whole lifecycle. Shard s
+// holds its documents in order, its l-th being global s + N·l, so a
+// checkpoint lists no numbers (DESIGN.md "Checkpoint layout").
 package shard
 
 import (
@@ -256,7 +258,7 @@ func Frozen(ix *lsi.Index, ids idtable.Table, tiers segment.TierConfig) (*Index,
 	if ids.Len() != ix.NumDocs() {
 		return nil, fmt.Errorf("shard: %d ids for %d documents", ids.Len(), ix.NumDocs())
 	}
-	seg, err := segment.New(ix, identity(ix.NumDocs()), nil, true)
+	seg, err := segment.New(ix, roundRobin(0, 1, 0, ix.NumDocs()), nil, true)
 	if err == nil {
 		seg, err = seg.WithTiers(tiers, nil, nil)
 	}
@@ -274,11 +276,13 @@ func Frozen(ix *lsi.Index, ids idtable.Table, tiers segment.TierConfig) (*Index,
 // Frozen reports whether the index was made by Frozen.
 func (x *Index) Frozen() bool { return x.frozen }
 
-// identity returns the global numbers 0..m-1.
-func identity(m int) []int {
-	globals := make([]int, m)
+// roundRobin returns the global numbers of n consecutive documents of
+// shard s of shards from shard-local number first: local l is global
+// s + shards·l, so one shard numbers its documents 0, 1, 2, ….
+func roundRobin(s, shards, first, n int) []int {
+	globals := make([]int, n)
 	for j := range globals {
-		globals[j] = j
+		globals[j] = s + shards*(first+j)
 	}
 	return globals
 }
@@ -347,7 +351,7 @@ func newIndex(numTerms int, cfg Config) *Index {
 func columnSubset(a *sparse.CSR, s, shards int) (*sparse.CSR, []int) {
 	n, m := a.Dims()
 	if shards == 1 {
-		return a, identity(m)
+		return a, roundRobin(0, 1, 0, m)
 	}
 	var globals []int
 	local := make([]int, m) // global column -> 1 + shard-local column, 0 off the shard

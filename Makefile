@@ -6,7 +6,7 @@ GO ?= go
 # Base ref for the perf-regression gate (CI passes the PR's base branch).
 BASE ?= origin/main
 
-.PHONY: all build test lint vet fmt-check docs-check deps-check race bench-smoke bench bench-gate ledger-frozen loc fuzz-short serve-smoke load-smoke cluster-smoke chaos-smoke tier-smoke
+.PHONY: all build test lint vet fmt-check docs-check deps-check race bench-smoke bench bench-gate ledger-frozen loc loc-diff fuzz-short serve-smoke load-smoke cluster-smoke chaos-smoke tier-smoke
 
 all: build test
 
@@ -142,6 +142,18 @@ ledger-frozen:
 loc:
 	@ls retrieval/*.go retrieval/shard/*.go internal/segment/*.go internal/ivf/*.go internal/quant/*.go | grep -v _test.go | xargs cat | wc -l
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l
+
+# The two `make loc` lines on a `git archive` of $(BASE) and on the working
+# tree, counted by this Makefile on both, with the difference: ROADMAP's
+# rule that every PR is net non-positive on line 2, as one pasted output.
+loc-diff:
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	git archive "$(BASE)" | tar -x -C "$$tmp" || exit 1; \
+	base="$$($(MAKE) -s --no-print-directory -C "$$tmp" -f "$(CURDIR)/Makefile" loc)" || exit 1; \
+	head="$$($(MAKE) -s --no-print-directory loc)" || exit 1; \
+	echo $$base $$head | awk '{ \
+		printf "line 1 (search stack):     base %6d  head %6d  delta %+d\n", $$1, $$3, $$3 - $$1; \
+		printf "line 2 (Go outside bench): base %6d  head %6d  delta %+d\n", $$2, $$4, $$4 - $$2 }'
 
 # Sample one balanced >=100k-document corpus from the paper's model with
 # corpusgen and gate both approximate tiers on it: the IVF ANN tier

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"encoding/json"
 	"fmt"
 	"testing"
 )
@@ -14,6 +15,9 @@ import (
 //     measures fan-out overhead.
 //   - BenchmarkIngestThroughput measures single-document Add latency
 //     against a live index (fold-in + copy-on-write republication).
+//   - BenchmarkParseManifest parses the manifest of the tiered ledger
+//     shape (2 shards × 25,600 documents, one tiered segment each) as
+//     version 1 wrote it, every global listed, and as version 2 writes it.
 
 const (
 	benchDocs = 1536
@@ -86,6 +90,36 @@ func BenchmarkIngestThroughput(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "docs/s")
+		})
+	}
+}
+
+func BenchmarkParseManifest(b *testing.B) {
+	const shards, perShard = 2, 25600
+	for _, version := range []int{1, 2} {
+		b.Run(fmt.Sprintf("v%d", version), func(b *testing.B) {
+			m := Manifest{Version: version, Format: manifestFormat, Shards: shards, Rank: 64, NumTerms: 1600,
+				NumDocs: shards * perShard, SealEvery: 128, IDsFile: fmt.Sprintf(idsFileFmt, 0)}
+			for s := 0; s < shards; s++ {
+				e := ManifestSegment{File: fmt.Sprintf(segFileFmt, 0, s, 0), Docs: perShard, Compacted: true, Base: true,
+					ANNFile: fmt.Sprintf(annFileFmt, 0, s, 0), QuantFile: fmt.Sprintf(quantFileFmt, 0, s, 0)}
+				if version == 1 {
+					e.Globals = roundRobin(s, shards, 0, perShard)
+				}
+				m.Segments = append(m.Segments, []ManifestSegment{e})
+			}
+			data, err := json.MarshalIndent(m, "", "  ") // as the checkpoint writer encodes it
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := ParseManifest(data); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(data)), "manifest-bytes")
 		})
 	}
 }

@@ -26,8 +26,7 @@ import (
 // segments older builds wrote) plus a sidecar file for each tier it
 // carries. DESIGN.md "Checkpoint layout" has the whole picture: one
 // writer (writeCheckpoint), one file vocabulary (FileGeneration), one
-// list of what a manifest references (Files). Document numbers follow
-// from segment order (ManifestSegment), so the manifest lists none. It is
+// list of what a manifest references (Files). The manifest is
 // versioned and strictly validated on load: a corrupt or truncated
 // manifest fails with a descriptive error, never a panic (fuzzed in
 // manifest_fuzz_test.go).
@@ -139,7 +138,8 @@ func ParseManifest(data []byte) (*Manifest, error) {
 		local, share, bases := 0, shareOf(m.NumDocs, s, m.Shards), 0
 		for i, e := range segs {
 			where := fmt.Sprintf("shard %d segment %d", s, i)
-			idx, ann, quant := fmt.Sprintf(segFileFmt, m.Generation, s, i), fmt.Sprintf(annFileFmt, m.Generation, s, i), fmt.Sprintf(quantFileFmt, m.Generation, s, i)
+			idx := fmt.Sprintf(segFileFmt, m.Generation, s, i)
+			ann, quant := fmt.Sprintf(annFileFmt, m.Generation, s, i), fmt.Sprintf(quantFileFmt, m.Generation, s, i)
 			if e.File != idx || e.ANNFile != "" && e.ANNFile != ann || e.QuantFile != "" && e.QuantFile != quant {
 				return nil, fmt.Errorf("shard: manifest: %s: files %q, %q, %q, want %q and optionally %q, %q",
 					where, e.File, e.ANNFile, e.QuantFile, idx, ann, quant)

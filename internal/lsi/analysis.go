@@ -21,7 +21,7 @@ func GramFromColumns(a *sparse.CSR) *mat.Dense {
 // The product is parallelized across rows; for the paper-scale experiment
 // (1000 documents) it is the largest dense product in the pipeline.
 func GramFromRows(v *mat.Dense) *mat.Dense {
-	return mat.MulBTParallel(v, v)
+	return mat.MulBT(v, v)
 }
 
 // PairKind distinguishes intratopic from intertopic document pairs.

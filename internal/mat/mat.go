@@ -11,6 +11,8 @@ package mat
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/par"
 )
 
 // Dense is a dense matrix stored in row-major order.
@@ -199,13 +201,16 @@ func checkSameDims(op string, a, b *Dense) {
 	}
 }
 
-// Mul returns the product a*b. It panics if a.Cols() != b.Rows().
+// Mul returns the product a*b. It panics if a.Cols() != b.Rows(). Large
+// products split the rows of a across par workers and, on AVX-512 CPUs,
+// run a packed register tile (mul.go); the result is bitwise mulRows' on
+// every CPU and for every par.MaxProcs.
 func Mul(a, b *Dense) *Dense {
 	if a.cols != b.rows {
 		panic(fmt.Sprintf("mat: Mul dimension mismatch %dx%d * %dx%d", a.rows, a.cols, b.rows, b.cols))
 	}
 	out := NewDense(a.rows, b.cols)
-	mulRows(out.data, a, b, 0, a.rows)
+	mulInto(out, a, b)
 	return out
 }
 
@@ -213,7 +218,9 @@ func Mul(a, b *Dense) *Dense {
 // block. The ikj loop order keeps the inner loop streaming over contiguous
 // rows of b and out; every output row runs over one panel of b before the
 // next panel, four rows of b at a time through axpy4. Each element of out
-// still gets the additions of one Axpy per row of b, in order.
+// still gets the additions of one Axpy per row of b, in order. It is the
+// product on CPUs without AVX-512 and the reference the packed tile is
+// tested against.
 func mulRows(out []float64, a, b *Dense, lo, hi int) {
 	n := b.cols
 	kb := max(4, 4096/max(n, 1)&^3) // rows of b a panel: 32 KB, inside L1
@@ -254,13 +261,20 @@ func mulTRows(out []float64, a, b *Dense, lo, hi int) {
 	}
 }
 
-// MulBT returns a*bᵀ. It panics if a.Cols() != b.Cols().
+// MulBT returns a*bᵀ. It panics if a.Cols() != b.Cols(). Large products
+// split the rows of a across par workers; each output element is one Dot
+// on one goroutine, so the result is bitwise the same for every
+// par.MaxProcs.
 func MulBT(a, b *Dense) *Dense {
 	if a.cols != b.cols {
 		panic(fmt.Sprintf("mat: MulBT dimension mismatch %dx%d *ᵀ %dx%d", a.rows, a.cols, b.rows, b.cols))
 	}
 	out := NewDense(a.rows, b.rows)
-	mulBTRows(out.data, a, b, 0, a.rows)
+	if a.rows*a.cols*b.rows < parallelThreshold || par.MaxProcs() < 2 {
+		mulBTRows(out.data, a, b, 0, a.rows)
+		return out
+	}
+	par.For(a.rows, rowGrain, func(lo, hi int) { mulBTRows(out.data, a, b, lo, hi) })
 	return out
 }
 

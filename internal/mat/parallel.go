@@ -1,67 +1,15 @@
 package mat
 
-import (
-	"fmt"
+import "repro/internal/par"
 
-	"repro/internal/par"
-)
-
-// parallelThreshold is the approximate flop count below which the parallel
-// kernels fall back to their serial counterparts — goroutine fan-out costs
-// more than it saves on small products.
+// parallelThreshold is the approximate flop count below which the
+// products (Mul, MulInto, MulBT, MulTParallel) run serially — goroutine
+// fan-out costs more than it saves on small products.
 const parallelThreshold = 1 << 21
 
 // rowGrain is the minimum number of output rows per chunk for the
 // row-blocked kernels.
 const rowGrain = 8
-
-// MulParallel returns a*b, splitting the row range of a across par
-// workers for large products and falling back to Mul for small ones.
-// Results are bitwise identical to Mul (each output row is computed by
-// exactly one goroutine with the same loop order).
-//
-// The experiment harness uses it for the m×m Gram matrices of the angle
-// measurements, the largest dense products in the reproduction.
-func MulParallel(a, b *Dense) *Dense {
-	out := NewDense(a.rows, b.cols)
-	MulParallelInto(out, a, b)
-	return out
-}
-
-// MulParallelInto overwrites dst with a*b: MulParallel for callers that
-// recycle the output, such as the power loop of the randomized SVD on a
-// Gram matrix. Each row of dst is cleared and accumulated by one goroutine
-// in Mul's order, so the result is bitwise identical to Mul. dst must not
-// share storage with a or b. It panics on a shape mismatch.
-func MulParallelInto(dst, a, b *Dense) {
-	if a.cols != b.rows || dst.rows != a.rows || dst.cols != b.cols {
-		panic(fmt.Sprintf("mat: MulParallelInto dimension mismatch %dx%d = %dx%d * %dx%d", dst.rows, dst.cols, a.rows, a.cols, b.rows, b.cols))
-	}
-	if a.rows*a.cols*b.cols < parallelThreshold || par.MaxProcs() < 2 {
-		clear(dst.data) // serial, and no closure to allocate
-		mulRows(dst.data, a, b, 0, a.rows)
-		return
-	}
-	par.For(a.rows, rowGrain, func(lo, hi int) {
-		clear(dst.data[lo*b.cols : hi*b.cols])
-		mulRows(dst.data, a, b, lo, hi)
-	})
-}
-
-// MulBTParallel returns a*bᵀ with the same row-blocked split as
-// MulParallel; results are bitwise identical to MulBT.
-func MulBTParallel(a, b *Dense) *Dense {
-	work := a.rows * a.cols * b.rows
-	if work < parallelThreshold || par.MaxProcs() < 2 || a.rows < 2 {
-		return MulBT(a, b)
-	}
-	if a.cols != b.cols {
-		return MulBT(a, b) // panic with the serial kernel's message
-	}
-	out := NewDense(a.rows, b.rows)
-	par.For(a.rows, rowGrain, func(lo, hi int) { mulBTRows(out.data, a, b, lo, hi) })
-	return out
-}
 
 // panelRows is the fixed row-panel height of the panel reductions
 // (MulTParallel, the Gram matrix of QRInPlace). It is a constant, not a

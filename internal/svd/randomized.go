@@ -43,7 +43,7 @@ func (d DenseOp) Dims() (int, int) { return d.M.Dims() }
 
 // MulDenseInto overwrites dst with M·b, row-blocked across par workers
 // (bitwise identical to the serial product).
-func (d DenseOp) MulDenseInto(dst, b *mat.Dense) { mat.MulParallelInto(dst, d.M, b) }
+func (d DenseOp) MulDenseInto(dst, b *mat.Dense) { mat.MulInto(dst, d.M, b) }
 
 // TMulDenseInto overwrites dst with Mᵀ·b, reduced over fixed row panels
 // (bitwise identical for every par.MaxProcs) into a fresh matrix it
@@ -57,7 +57,7 @@ func (d DenseOp) TMulDenseInto(dst, b *mat.Dense) {
 }
 
 // Gram returns M·Mᵀ, row-blocked across par workers.
-func (d DenseOp) Gram() *mat.Dense { return mat.MulBTParallel(d.M, d.M) }
+func (d DenseOp) Gram() *mat.Dense { return mat.MulBT(d.M, d.M) }
 
 // orthoTol is the fraction of a sketch column's norm that must survive
 // projecting out the earlier columns; below it the orthonormalisation's
@@ -132,10 +132,10 @@ func randomized(op BlockOp, k int, opts RandomizedOptions, gram func(rows, cols,
 		// with Ω's buffer. G is garbage once the loop ends.
 		g := op.Gram()
 		y, z = mat.NewDense(rows, q), gaussian(rows, q, rng)
-		mat.MulParallelInto(y, g, z)
+		mat.MulInto(y, g, z)
 		for it := 0; it < power; it++ {
 			mat.OrthoInPlace(y, orthoTol)
-			mat.MulParallelInto(z, g, y)
+			mat.MulInto(z, g, y)
 			y, z = z, y
 		}
 		z = mat.NewDense(cols, q)
@@ -164,8 +164,8 @@ func randomized(op BlockOp, k int, opts RandomizedOptions, gram func(rows, cols,
 		return nil, fmt.Errorf("svd: Randomized inner decomposition: %w", err)
 	}
 	kk := min(k, len(small.S))
-	u := mat.MulParallel(y, small.V.SliceCols(0, kk))
-	v := mat.MulParallel(qt, small.U.SliceCols(0, kk))
+	u := mat.Mul(y, small.V.SliceCols(0, kk))
+	v := mat.Mul(qt, small.U.SliceCols(0, kk))
 	s := append([]float64(nil), small.S[:kk]...)
 	return &Result{U: u, S: s, V: v}, nil
 }

@@ -36,7 +36,8 @@
 #               miss-path store and evict across its two lists),
 #               the document scorer BenchmarkDotNorm32, the index file's
 #               BenchmarkOpen/BenchmarkSave, and the index-build kernels
-#               BenchmarkAxpy, BenchmarkQRInPlace*, BenchmarkProcessAll and
+#               BenchmarkAxpy, BenchmarkQRInPlace*, BenchmarkMulParallel
+#               (the Gram route's G·Y product), BenchmarkProcessAll and
 #               BenchmarkTermDocMatrix*, and the set-up steps that precede
 #               every sharded build: the corpus generator at the ledger's
 #               size (BenchmarkGenerateLedgerShape) and IVF training at a
@@ -57,14 +58,14 @@ BASEFILE=""
 HEADFILE=""
 THRESH="0.20"
 OUT="bench-gate.txt"
-BENCH='BenchmarkQueryLatency|BenchmarkSearch|BenchmarkCachedQuery|BenchmarkDotNorm32|BenchmarkQuantizedScan|BenchmarkRandomized[^R]|BenchmarkOpen|BenchmarkSave|BenchmarkAxpy|BenchmarkQRInPlace|BenchmarkProcessAll|BenchmarkTermDocMatrix|BenchmarkCompact|BenchmarkTrainShardShape|BenchmarkGenerateLedgerShape'
+BENCH='BenchmarkQueryLatency|BenchmarkSearch|BenchmarkCachedQuery|BenchmarkDotNorm32|BenchmarkQuantizedScan|BenchmarkRandomized[^R]|BenchmarkOpen|BenchmarkSave|BenchmarkAxpy|BenchmarkQRInPlace|BenchmarkMulParallel|BenchmarkProcessAll|BenchmarkTermDocMatrix|BenchmarkCompact|BenchmarkTrainShardShape|BenchmarkGenerateLedgerShape'
 COUNT=5
 TIME="0.3s"
 # The packages holding the gated benchmarks: the root suite (query
 # latency + batch), the backend hot paths, the float32 document scorer and
 # the int8 scan kernels, the
 # randomized SVD that every build and compaction runs with the kernels
-# under it (Axpy, CholeskyQR) and the text → matrix front end before it,
+# under it (Axpy, CholeskyQR, the dense product) and the text → matrix front end before it,
 # the index file's save and open (every boot, reload and checkpoint), the
 # query cache in ./retrieval, and
 # the segment layer (compaction at the ledger's shape, the exact scan

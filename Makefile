@@ -156,16 +156,13 @@ loc-diff:
 		printf "line 2 (Go outside bench): base %6d  head %6d  delta %+d\n", $$2, $$4, $$4 - $$2 }'
 
 # Sample one balanced >=100k-document corpus from the paper's model with
-# corpusgen and gate both approximate tiers on it: the IVF ANN tier
-# (recall@10 >= 0.95 at nprobe=8, ANN faster than exhaustive) and the int8
-# quantized tier (top-10 overlap >= 0.99 at rank 64, beta=64, quantized
-# faster than exact). The summaries land in ann-smoke.json and
-# quant-smoke.json (archived by CI).
+# corpusgen and gate the IVF ANN tier on it (recall@10 >= 0.95 at
+# nprobe=8, ANN faster than exhaustive). The summary lands in
+# ann-smoke.json (archived by CI).
 tier-smoke:
 	$(GO) build -o bin/corpusgen ./cmd/corpusgen
 	$(GO) build -o bin/annsmoke ./cmd/annsmoke
-	$(GO) build -o bin/quantsmoke ./cmd/quantsmoke
-	sh scripts/tier_smoke.sh bin/corpusgen bin/annsmoke bin/quantsmoke
+	sh scripts/tier_smoke.sh bin/corpusgen bin/annsmoke
 
 # Short local mirror of the nightly fuzz job: 30s per fuzz target (the
 # manifest loader, the query-cache key normalizer, the WAL record

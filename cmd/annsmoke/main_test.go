@@ -72,18 +72,30 @@ func TestSmokePassesOnSeparableCorpus(t *testing.T) {
 
 func TestSmokeGatesFail(t *testing.T) {
 	path := writeCorpus(t, 4, 25)
-	var stdout, stderr bytes.Buffer
-	// A speedup gate no configuration meets on 100 documents: the gate
-	// must trip and name the ratio.
-	err := run(context.Background(), []string{
-		"-corpus", path, "-rank", "4", "-nlist", "4", "-nprobe", "4",
-		"-queries", "10", "-min-speedup", "1e9", "-o", "-",
-	}, &stdout, &stderr)
-	if err == nil || !strings.Contains(err.Error(), "speedup") {
-		t.Fatalf("speedup gate did not trip: %v", err)
-	}
-	if !strings.Contains(stdout.String(), "\"recall\"") {
-		t.Error("summary should be written before the gate verdict")
+	for _, tc := range []struct {
+		name string
+		gate []string
+	}{
+		// A speedup gate no configuration meets on 100 documents.
+		{"speedup", []string{"-min-speedup", "1e9"}},
+		// A recall gate no run can meet: recall is at most 1.
+		{"recall", []string{"-min-recall", "1.01"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			args := append([]string{
+				"-corpus", path, "-rank", "4", "-nlist", "4", "-nprobe", "4",
+				"-queries", "10", "-o", "-",
+			}, tc.gate...)
+			// The gate must trip and name its quantity.
+			err := run(context.Background(), args, &stdout, &stderr)
+			if err == nil || !strings.Contains(err.Error(), tc.name) {
+				t.Fatalf("%s gate did not trip: %v", tc.name, err)
+			}
+			if !strings.Contains(stdout.String(), "\"recall\"") {
+				t.Error("summary should be written before the gate verdict")
+			}
+		})
 	}
 }
 

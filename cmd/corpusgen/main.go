@@ -13,7 +13,7 @@
 // per-topic counts fluctuate) or by -docs-per-topic, which deals topics
 // round-robin for exactly that many documents per topic — the balanced
 // regime the paper's theorems assume, and the distribution the ANN
-// and quantized smoke tests (scripts/tier_smoke.sh) measure against. -eps is
+// smoke test (scripts/tier_smoke.sh) measures against. -eps is
 // the model's noise knob: the probability mass each topic spreads
 // uniformly over the whole term universe instead of its primary set.
 package main

@@ -5,8 +5,9 @@
 # line-oriented check, not a full go/doc parse: it looks at the line
 # directly above each exported declaration, which is exactly where gofmt
 # puts doc comments. Grouped var/const blocks are out of scope. It also
-# fails on a DESIGN.md section number used twice, and on a DESIGN.md
-# reference that names no section or heading. CI runs this (plus go vet)
+# fails on a DESIGN.md section number used twice, on a DESIGN.md
+# reference that names no section or heading, and on a backticked repo
+# path that names nothing. CI runs this (plus go vet)
 # via `make docs-check`.
 set -eu
 
@@ -82,4 +83,41 @@ if [ -n "$dangling" ]; then
     echo "$dangling" >&2
     exit 1
 fi
-echo "docs-check: OK (go vet clean, every exported identifier documented in: $DIRS; DESIGN.md section numbers unique, every DESIGN.md reference lands)"
+# A backticked repo path in the operator docs, the verify skill or a Go
+# comment must name a file or directory (a glob or {a,b} list: each
+# member). A trailing .Ident is stripped before looking again, so
+# internal/topk.Heap counts as internal/topk. ROADMAP.md, CHANGES.md and
+# EXPERIMENTS.md are left out: they name planned and removed code.
+exists() {
+    case "$1" in
+    *'{'*'}'*)
+        pre=${1%%\{*} rest=${1#*\{}
+        post=${rest#*\}}
+        for alt in $(echo "${rest%%\}*}" | tr , ' '); do
+            exists "$pre$alt$post" || return 1
+        done ;;
+    *)
+        for f in $1; do [ -e "$f" ] && return 0; done
+        return 1 ;;
+    esac
+}
+pathre='`(cmd|internal|retrieval|scripts|examples)/[^` ]*'
+stale="$({
+        grep -rnoE "$pathre" README.md DESIGN.md OPERATIONS.md .claude/skills
+        grep -rnE --include='*.go' --exclude-dir=.git --exclude-dir=.bench_build \
+            "^[[:space:]]*//.*$pathre" . | grep -oE "^[^:]*:[0-9]+:|$pathre" |
+            awk '/^`/ { print loc $0; next } { loc = $0 }'
+    } | while IFS= read -r ref; do
+        p="${ref#*\`}"
+        while ! exists "$p"; do
+            q="$(printf %s "$p" | sed -E 's/\.[A-Za-z_][A-Za-z0-9_]*$//')"
+            [ "$q" != "$p" ] || { echo "$ref"; break; }
+            p="$q"
+        done
+    done)"
+if [ -n "$stale" ]; then
+    echo "docs-check FAILED: backticked paths name no file or directory:" >&2
+    echo "$stale" >&2
+    exit 1
+fi
+echo "docs-check: OK (go vet clean, every exported identifier documented in: $DIRS; DESIGN.md section numbers unique, every DESIGN.md reference lands, every backticked repo path exists)"

@@ -45,7 +45,9 @@ docs-check:
 
 # One factorisation path: the serving binaries and the public retrieval
 # packages must not depend on internal/randproj (the paper's two-step
-# method) or internal/experiments; prints the import chain if they do.
+# method) or internal/experiments; one index generation in serving:
+# lsiserve and retrieval must not reach encoding/gob or internal/legacy,
+# and only internal/legacy imports encoding/gob. Prints the import chain.
 deps-check:
 	sh scripts/deps_check.sh
 
@@ -167,8 +169,8 @@ tier-smoke:
 # Short local mirror of the nightly fuzz job: 30s per fuzz target (the
 # manifest loader, the query-cache key normalizer, the WAL record
 # decoder, the IVF postings decoder, the quantized sidecar decoder, the
-# index file's section container and LSI decoder, and the search
-# routes' JSON bodies).
+# index file's section container and LSI decoder, the offline
+# converter's gob decoder, and the search routes' JSON bodies).
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzParseManifest -fuzztime=30s ./retrieval/shard
 	$(GO) test -run='^$$' -fuzz=FuzzQueryKeyNormalizer -fuzztime=30s ./retrieval/cache
@@ -177,5 +179,6 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodePostings -fuzztime=30s ./internal/ivf
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeQuant -fuzztime=30s ./internal/quant
 	$(GO) test -run='^$$' -fuzz=FuzzBlobSections -fuzztime=30s ./internal/blob
-	$(GO) test -run='^$$' -fuzz=FuzzLoadIndex -fuzztime=30s -fuzzminimizetime=5s ./internal/lsi
+	$(GO) test -run='^$$' -fuzz=FuzzLoadIndex -fuzztime=30s ./internal/lsi
+	$(GO) test -run='^$$' -fuzz=FuzzLegacyIndex -fuzztime=30s -fuzzminimizetime=5s ./internal/legacy
 	$(GO) test -run='^$$' -fuzz=FuzzSearchBody -fuzztime=30s ./retrieval/httpapi

@@ -10,6 +10,7 @@
 //	lsiquery -save-index demo.idx            # write a self-contained index
 //	lsiquery -stats                          # describe the index (incl. query cache) and exit
 //	lsiquery -ann-nlist 16 -nprobe 2 -q ...  # sublinear IVF cell-probe search
+//	lsiquery -upgrade [-text FILE] IN OUT    # convert an older index file or directory
 //
 // Each file is one document. With no files, a small built-in demo corpus
 // (cars/space/cooking themes with synonym variation) is indexed. Without
@@ -25,17 +26,26 @@
 // the top topN*beta candidates are reranked with the exact float
 // kernels, and both tiers compose. The VSM column always scans
 // exhaustively — it has no latent space to quantize.
+//
+// -upgrade converts an index file or directory an earlier build saved, gob
+// included, to the generation lsiserve reads (internal/legacy), at an OUT
+// that must not exist yet, then opens OUT to prove it serves. A file with
+// no text layer (wire v1, a bare lsi.Save) needs -text FILE, JSON shaped
+// like a saved directory's text.json, optionally with "docIDs".
 package main
 
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 
+	"repro/internal/legacy"
+	"repro/internal/lsi"
 	"repro/retrieval"
 )
 
@@ -51,8 +61,18 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	annNList := fs.Int("ann-nlist", 0, "train an IVF ANN tier with this many k-means cells over the LSI space (0 = no tier)")
 	nprobe := fs.Int("nprobe", 0, "ANN cells scored per LSI query (0 = exhaustive scan; needs -ann-nlist)")
 	quantBeta := fs.Int("quant-beta", 0, "quantized scoring tier: int8 scan selects top*beta candidates for exact rerank (0 = float scan)")
+	upgrade := fs.Bool("upgrade", false, "convert the index file or directory IN, saved by any earlier build, to the current format at OUT (arguments: IN OUT) and exit")
+	textFile := fs.String("text", "", "with -upgrade: the JSON text layer of a file that carries none (a v1 file, or a bare lsi.Save)")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *upgrade {
+		if fs.NArg() != 2 {
+			return fmt.Errorf("-upgrade takes two arguments, IN and OUT")
+		}
+		return upgradeIndex(stdout, fs.Arg(0), fs.Arg(1), *textFile)
+	} else if *textFile != "" {
+		return fmt.Errorf("-text needs -upgrade")
 	}
 	if *nprobe > 0 && *annNList <= 0 {
 		return fmt.Errorf("-nprobe needs an ANN tier; set -ann-nlist too")
@@ -145,6 +165,35 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	return sc.Err()
 }
 
+// upgradeIndex converts the file or directory in to out, which must not
+// exist yet, and opens the result the way lsiserve -index does: a
+// conversion that would not serve is reported here and removed.
+func upgradeIndex(w io.Writer, in, out, textFile string) error {
+	var text *lsi.Meta
+	if textFile != "" {
+		data, err := os.ReadFile(textFile)
+		if err == nil {
+			text = new(lsi.Meta)
+			err = json.Unmarshal(data, text)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	if err := legacy.UpgradePath(in, out, text); err != nil {
+		return err
+	}
+	ix, err := retrieval.Open(out, retrieval.WithAutoCompact(false))
+	if err != nil {
+		os.RemoveAll(out) // new: UpgradePath refuses an existing out
+		return fmt.Errorf("the upgraded index does not open, so %s was not kept: %w", out, err)
+	}
+	defer ix.Close()
+	st := ix.Stats()
+	fmt.Fprintf(w, "Upgraded %s to %s: rank-%d index over %d documents and %d terms\n", in, out, st.Rank, st.NumDocs, st.NumTerms)
+	return nil
+}
+
 func snippet(text string) string {
 	const max = 60
 	if len(text) <= max {
@@ -169,7 +218,7 @@ func printStats(w io.Writer, st retrieval.Stats) {
 	fmt.Fprintf(w, "backend:      %s\n", st.Backend)
 	fmt.Fprintf(w, "documents:    %d\n", st.NumDocs)
 	fmt.Fprintf(w, "terms:        %d\n", st.NumTerms)
-	fmt.Fprintf(w, "vocabulary:   %d terms (text queries: %v)\n", st.VocabSize, st.TextQueries)
+	fmt.Fprintf(w, "vocabulary:   %d terms\n", st.VocabSize)
 	if st.Rank > 0 {
 		fmt.Fprintf(w, "rank:         %d\n", st.Rank)
 	}

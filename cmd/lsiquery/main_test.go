@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -99,5 +100,76 @@ func TestStatsFlagCacheSection(t *testing.T) {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("-stats -cache-mb output missing %q:\n%s", want, out.String())
 		}
+	}
+}
+
+// TestUpgradeFlag converts the golden files of earlier builds: v2 to the
+// v4 golden byte for byte, v1 with a saved directory's text.json as its
+// text layer, and a directory with a gob segment; each result must open.
+// A v1 file without -text, an existing OUT directory and a stray -text
+// are refused.
+func TestUpgradeFlag(t *testing.T) {
+	const testdata = "../../retrieval/testdata/"
+	tmp := t.TempDir()
+	for _, args := range [][]string{
+		{"-upgrade", testdata + "index_v2.gob", filepath.Join(tmp, "v2.lsi")},
+		{"-upgrade", "-text", testdata + "dir_gob/text.json", testdata + "index_v1.gob", filepath.Join(tmp, "v1.lsi")},
+		{"-upgrade", testdata + "dir_gob", filepath.Join(tmp, "dir")},
+	} {
+		var out bytes.Buffer
+		if err := run(args, strings.NewReader(""), &out, &out); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		if !strings.Contains(out.String(), "rank-3 index over 12 documents and 69 terms") {
+			t.Fatalf("%v: output %q", args, out.String())
+		}
+	}
+	got, err := os.ReadFile(filepath.Join(tmp, "v2.lsi"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, err := os.ReadFile(testdata + "index_v4.lsi"); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("the upgraded v2 golden is not the v4 golden byte for byte (err %v)", err)
+	}
+	// A text layer that converts but does not serve (an unknown
+	// weighting): the converter never overwrites IN, even as OUT, and
+	// keeps no OUT that would not boot.
+	text, err := os.ReadFile(testdata + "dir_gob/text.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bogus := filepath.Join(tmp, "bogus.json")
+	if err := os.WriteFile(bogus, bytes.Replace(text, []byte(`"weighting":"log"`), []byte(`"weighting":"bogus"`), 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	v1 := filepath.Join(tmp, "v1.gob")
+	gob, err := os.ReadFile(testdata + "index_v1.gob")
+	if err == nil {
+		err = os.WriteFile(v1, gob, 0o644)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-upgrade", "-text", bogus, v1, v1}, "already exists"},
+		{[]string{"-upgrade", "-text", bogus, v1, filepath.Join(tmp, "bogus.lsi")}, "does not open"},
+		{[]string{"-upgrade", testdata + "index_v1.gob", filepath.Join(tmp, "bare.lsi")}, "-text"},
+		{[]string{"-upgrade", testdata + "dir_gob", filepath.Join(tmp, "dir")}, "exists"},
+		{[]string{"-text", testdata + "dir_gob/text.json", "-q", "car"}, "-text needs -upgrade"},
+		{[]string{"-upgrade", testdata + "index_v2.gob"}, "IN and OUT"},
+	} {
+		var out bytes.Buffer
+		if err := run(tc.args, strings.NewReader(""), &out, &out); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%v: %v, want an error saying %q", tc.args, err, tc.want)
+		}
+	}
+	if got, err := os.ReadFile(v1); err != nil || !bytes.Equal(got, gob) {
+		t.Fatalf("a refused upgrade changed IN (err %v)", err)
+	}
+	if _, err := os.Stat(filepath.Join(tmp, "bogus.lsi")); !os.IsNotExist(err) {
+		t.Fatalf("an upgrade that does not open left OUT behind (%v)", err)
 	}
 }

@@ -537,14 +537,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "lsiserve: exported %d node directories under %s\n", ret.NumShards(), cfg.saveCluster)
 		return nil
 	}
-	stats := ret.Stats()
-	announce(stdout, stats)
-	if !stats.TextQueries {
-		// A v1-format file carries no vocabulary: the daemon can answer
-		// vector queries but every text search will 400. Say so at boot
-		// instead of looking healthy and failing per request.
-		fmt.Fprintln(stderr, "lsiserve: WARNING: index has no vocabulary (v1 format?); text queries will fail — re-save it with a current build to upgrade")
-	}
+	announce(stdout, ret.Stats())
 	opts := serveOptions(cfg, stderr)
 	if cfg.walDir != "" {
 		replayed, err := ret.AttachWAL(cfg.walDir)
@@ -553,13 +546,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 		fmt.Fprintf(stdout, "lsiserve: wal attached (%s), %d documents replayed\n", cfg.walDir, replayed)
 	}
-	if cfg.indexPath != "" {
-		if st, err := os.Stat(cfg.indexPath); err == nil && st.IsDir() {
-			// Serving from an index directory makes this process a valid
-			// replication primary: replicas pull the checkpoint files and
-			// tail the WAL.
-			opts.ReplicateDir = cfg.indexPath
-		}
+	if cfg.indexPath != "" && ret.Sharded() {
+		// Serving from an index directory (the one form of -index that
+		// opens sharded) makes this process a valid replication primary:
+		// replicas pull the checkpoint files and tail the WAL.
+		opts.ReplicateDir = cfg.indexPath
 	}
 	if cfg.checkpointEvery > 0 {
 		if opts.ReplicateDir == "" {

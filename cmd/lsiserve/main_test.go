@@ -157,32 +157,18 @@ func TestServeSavedIndex(t *testing.T) {
 	}
 }
 
-// TestRunWarnsOnVocabularylessIndex boots the full run() path against
-// the golden v1 index file: the daemon must come up (vector queries
-// still work) but announce at startup that text queries will fail.
+// TestRunWarnsOnVocabularylessIndex points the full run() path at the
+// golden v1 index file, which has no vocabulary: the daemon must refuse
+// to boot with an error that names the converter, rather than come up
+// looking healthy and fail every text search.
 func TestRunWarnsOnVocabularylessIndex(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
 	var stdout, stderr syncBuffer
-	done := make(chan error, 1)
-	go func() {
-		done <- run(ctx, []string{"-index", "../../retrieval/testdata/index_v1.gob", "-addr", "127.0.0.1:0"}, &stdout, &stderr)
-	}()
-	deadline := time.After(10 * time.Second)
-	for !strings.Contains(stdout.String(), "listening on") {
-		select {
-		case err := <-done:
-			t.Fatalf("run exited early: %v (stderr: %s)", err, stderr.String())
-		case <-deadline:
-			t.Fatalf("daemon never came up; stdout: %s", stdout.String())
-		case <-time.After(10 * time.Millisecond):
-		}
+	err := run(context.Background(), []string{"-index", "../../retrieval/testdata/index_v1.gob", "-addr", "127.0.0.1:0"}, &stdout, &stderr)
+	if err == nil || !strings.Contains(err.Error(), "lsiquery -upgrade") {
+		t.Fatalf("run on a v1 index: %v, want an error naming lsiquery -upgrade", err)
 	}
-	cancel()
-	if err := <-done; err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if !strings.Contains(stderr.String(), "WARNING: index has no vocabulary") {
-		t.Fatalf("missing startup warning; stderr: %q", stderr.String())
+	if strings.Contains(stdout.String(), "listening on") {
+		t.Fatalf("the daemon came up on a v1 index; stdout: %s", stdout.String())
 	}
 }
 

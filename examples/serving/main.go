@@ -59,8 +59,8 @@ func main() {
 		log.Fatal(err)
 	}
 	stats := loaded.Stats()
-	fmt.Printf("Loaded: backend=%s docs=%d terms=%d rank=%d textQueries=%v\n",
-		stats.Backend, stats.NumDocs, stats.NumTerms, stats.Rank, stats.TextQueries)
+	fmt.Printf("Loaded: backend=%s docs=%d terms=%d rank=%d vocabulary=%d\n",
+		stats.Backend, stats.NumDocs, stats.NumTerms, stats.Rank, stats.VocabSize)
 
 	// 4. Serve it over HTTP on a random port (what lsiserve does).
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -73,7 +73,7 @@ func TestFaultyFSTransparentByDefault(t *testing.T) {
 	fs := NewFaultyFS(OS{}, 1)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "x")
-	if err := fs.WriteFile(path, []byte("hello"), 0o644); err != nil {
+	if err := ReplaceFile(fs, path, []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
 	got, err := fs.ReadFile(path)
@@ -118,20 +118,21 @@ func TestFaultyFSDiskFullBudget(t *testing.T) {
 	fs := NewFaultyFS(OS{}, 7)
 	fs.DiskFullAfter(8)
 	dir := t.TempDir()
-	if err := fs.WriteFile(filepath.Join(dir, "a"), []byte("12345"), 0o644); err != nil {
+	if err := ReplaceFile(fs, filepath.Join(dir, "a"), []byte("12345")); err != nil {
 		t.Fatalf("write within budget failed: %v", err)
 	}
-	err := fs.WriteFile(filepath.Join(dir, "b"), []byte("123456"), 0o644)
+	err := ReplaceFile(fs, filepath.Join(dir, "b"), []byte("123456"))
 	if !errors.Is(err, syscall.ENOSPC) || !errors.Is(err, ErrInjected) {
 		t.Fatalf("expected injected ENOSPC, got %v", err)
 	}
-	// The crossing write tears at the budget boundary: 3 bytes landed.
-	on, _ := os.ReadFile(filepath.Join(dir, "b"))
-	if len(on) != 3 {
+	// The crossing write tears at the budget boundary: 3 bytes landed,
+	// in the temporary file; the name itself was never created.
+	on, _ := os.ReadFile(filepath.Join(dir, "b"+TempSuffix))
+	if _, serr := os.Stat(filepath.Join(dir, "b")); len(on) != 3 || !os.IsNotExist(serr) {
 		t.Fatalf("torn prefix is %d bytes, want 3", len(on))
 	}
 	fs.Clear()
-	if err := fs.WriteFile(filepath.Join(dir, "c"), []byte("ok again"), 0o644); err != nil {
+	if err := ReplaceFile(fs, filepath.Join(dir, "c"), []byte("ok again")); err != nil {
 		t.Fatalf("write after Clear failed: %v", err)
 	}
 }

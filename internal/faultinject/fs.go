@@ -36,8 +36,6 @@ type FS interface {
 	ReadDir(name string) ([]os.DirEntry, error)
 	// ReadFile reads a whole file like os.ReadFile.
 	ReadFile(name string) ([]byte, error)
-	// WriteFile writes a whole file like os.WriteFile.
-	WriteFile(name string, data []byte, perm os.FileMode) error
 	// OpenFile opens a file for writing/appending like os.OpenFile.
 	OpenFile(name string, flag int, perm os.FileMode) (File, error)
 	// Rename renames a file like os.Rename.
@@ -62,11 +60,6 @@ func (OS) ReadDir(name string) ([]os.DirEntry, error) { return os.ReadDir(name) 
 // ReadFile implements FS via os.ReadFile.
 func (OS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
 
-// WriteFile implements FS via os.WriteFile.
-func (OS) WriteFile(name string, data []byte, perm os.FileMode) error {
-	return os.WriteFile(name, data, perm)
-}
-
 // OpenFile implements FS via os.OpenFile.
 func (OS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
 	return os.OpenFile(name, flag, perm)
@@ -89,6 +82,30 @@ func (OS) SyncDir(dir string) error {
 	}
 	defer d.Close()
 	return d.Sync()
+}
+
+// TempSuffix marks a file ReplaceFile is still writing.
+const TempSuffix = ".tmp"
+
+// ReplaceFile writes data to path through fsys so that a crash, power
+// loss included, leaves the old file or the complete new one: path+
+// TempSuffix is written, synced and closed, then renamed over path. The
+// rename is durable once the directory is synced (SyncDir).
+func ReplaceFile(fsys FS, path string, data []byte) error {
+	f, err := fsys.OpenFile(path+TempSuffix, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err = f.Write(data); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fsys.Rename(path+TempSuffix, path)
+	}
+	return err
 }
 
 // ErrInjected marks every error FaultyFS and Transport fabricate, so
@@ -117,9 +134,10 @@ func Inject(err error) error { return injectedErr{err: err} }
 // fsyncs that fail, and a byte budget after which every write returns
 // ENOSPC. Probabilistic decisions are drawn from the seeded PRNG in
 // operation order, so a given seed reproduces the same fault sequence.
-// All methods are safe for concurrent use.
+// All methods are safe for concurrent use. The operations no fault
+// applies to are the wrapped FS's own.
 type FaultyFS struct {
-	inner FS
+	FS
 
 	mu           sync.Mutex
 	rng          *rand.Rand
@@ -136,13 +154,13 @@ type FaultyFS struct {
 // NewFaultyFS wraps inner with a fault schedule seeded by seed. With
 // no Fail* calls it is transparent.
 func NewFaultyFS(inner FS, seed int64) *FaultyFS {
-	return &FaultyFS{inner: inner, rng: rand.New(rand.NewSource(seed)), bytesLeft: -1}
+	return &FaultyFS{FS: inner, rng: rand.New(rand.NewSource(seed)), bytesLeft: -1}
 }
 
-// FailWrites makes each write (Write on an open File, and WriteFile)
-// fail with probability prob, returning err (wrapped as ErrInjected).
-// When short is true a failing write first persists a seeded prefix of
-// the data — a torn write — before reporting the error.
+// FailWrites makes each Write on an open File fail with probability
+// prob, returning err (wrapped as ErrInjected). When short is true a
+// failing write first persists a seeded prefix of the data — a torn
+// write — before reporting the error.
 func (f *FaultyFS) FailWrites(prob float64, err error, short bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -234,51 +252,15 @@ func (f *FaultyFS) syncPlan() error {
 	return nil
 }
 
-// MkdirAll implements FS, delegating to the wrapped FS.
-func (f *FaultyFS) MkdirAll(path string, perm os.FileMode) error {
-	return f.inner.MkdirAll(path, perm)
-}
-
-// ReadDir implements FS, delegating to the wrapped FS.
-func (f *FaultyFS) ReadDir(name string) ([]os.DirEntry, error) { return f.inner.ReadDir(name) }
-
-// ReadFile implements FS, delegating to the wrapped FS.
-func (f *FaultyFS) ReadFile(name string) ([]byte, error) { return f.inner.ReadFile(name) }
-
-// WriteFile implements FS with the write-fault schedule applied: a
-// failing WriteFile persists only the planned prefix.
-func (f *FaultyFS) WriteFile(name string, data []byte, perm os.FileMode) error {
-	f.mu.Lock()
-	keep, ferr := f.writePlan(len(data))
-	f.account(keep)
-	f.mu.Unlock()
-	if ferr != nil {
-		if keep > 0 {
-			f.inner.WriteFile(name, data[:keep], perm)
-		}
-		return ferr
-	}
-	return f.inner.WriteFile(name, data, perm)
-}
-
 // OpenFile implements FS; the returned File applies the write and sync
 // fault schedules.
 func (f *FaultyFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
-	inner, err := f.inner.OpenFile(name, flag, perm)
+	inner, err := f.FS.OpenFile(name, flag, perm)
 	if err != nil {
 		return nil, err
 	}
-	return &faultyFile{fs: f, inner: inner}, nil
+	return &faultyFile{File: inner, fs: f}, nil
 }
-
-// Rename implements FS, delegating to the wrapped FS.
-func (f *FaultyFS) Rename(oldpath, newpath string) error { return f.inner.Rename(oldpath, newpath) }
-
-// Remove implements FS, delegating to the wrapped FS.
-func (f *FaultyFS) Remove(name string) error { return f.inner.Remove(name) }
-
-// Truncate implements FS, delegating to the wrapped FS.
-func (f *FaultyFS) Truncate(name string, size int64) error { return f.inner.Truncate(name, size) }
 
 // SyncDir implements FS with the sync-fault schedule applied.
 func (f *FaultyFS) SyncDir(dir string) error {
@@ -288,13 +270,14 @@ func (f *FaultyFS) SyncDir(dir string) error {
 	if ferr != nil {
 		return ferr
 	}
-	return f.inner.SyncDir(dir)
+	return f.FS.SyncDir(dir)
 }
 
-// faultyFile applies the parent schedule to one open file.
+// faultyFile applies the parent schedule to one open file's writes and
+// syncs.
 type faultyFile struct {
-	fs    *FaultyFS
-	inner File
+	File
+	fs *FaultyFS
 }
 
 func (f *faultyFile) Write(p []byte) (int, error) {
@@ -305,11 +288,11 @@ func (f *faultyFile) Write(p []byte) (int, error) {
 	if ferr != nil {
 		n := 0
 		if keep > 0 {
-			n, _ = f.inner.Write(p[:keep]) // the torn prefix really lands
+			n, _ = f.File.Write(p[:keep]) // the torn prefix really lands
 		}
 		return n, ferr
 	}
-	return f.inner.Write(p)
+	return f.File.Write(p)
 }
 
 func (f *faultyFile) Sync() error {
@@ -319,7 +302,5 @@ func (f *faultyFile) Sync() error {
 	if ferr != nil {
 		return ferr
 	}
-	return f.inner.Sync()
+	return f.File.Sync()
 }
-
-func (f *faultyFile) Close() error { return f.inner.Close() }

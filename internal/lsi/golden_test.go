@@ -3,64 +3,15 @@ package lsi
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
+	"errors"
 	"fmt"
-	"math"
 	"os"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/corpus"
-	"repro/internal/mat"
 )
-
-// testdata/index_v1.gob is a golden wire-format-v1 index written by the
-// pre-v2 Save (rank-3 dense-engine LSI over the 12-document demo corpus
-// with log weighting). It pins backward compatibility: v1 files must keep
-// loading after any future format bump. index_v2.gob is the same build
-// through the last gob writer's SaveMeta, index_v3.lsi through the first
-// container writer's, index_v4.lsi through the first with float32 DOCS
-// (index_v3.lsi loaded and saved again).
-func TestLoadGoldenV1Index(t *testing.T) {
-	f, err := os.Open("testdata/index_v1.gob")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	ix, meta, err := LoadMeta(f)
-	if err != nil {
-		t.Fatalf("golden v1 index failed to load: %v", err)
-	}
-	if meta != nil {
-		t.Fatalf("v1 stream produced metadata %+v, want nil", meta)
-	}
-	if ix.K() != 3 || ix.NumTerms() != 69 || ix.NumDocs() != 12 {
-		t.Fatalf("golden shape k=%d terms=%d docs=%d, want 3/69/12", ix.K(), ix.NumTerms(), ix.NumDocs())
-	}
-	// Singular values recorded at generation time (dense SVD, deterministic).
-	wantSigma := []float64{4.002197456292711, 3.893417461616264, 3.595891480498016}
-	for i, want := range wantSigma {
-		if math.Abs(ix.SingularValues()[i]-want) > 1e-9 {
-			t.Fatalf("sigma[%d] = %v, want %v", i, ix.SingularValues()[i], want)
-		}
-	}
-	// The loaded index must answer vector queries: querying with any
-	// document's own representation scores that document at cosine ≈ 1.
-	// (Near-synonymous demo documents can tie at 1, so top-1 identity is
-	// not guaranteed — the self-score is.)
-	for j := 0; j < ix.NumDocs(); j++ {
-		self := math.Inf(-1)
-		for _, m := range ix.SearchProjected(ix.DocVector(j), 0) {
-			if m.Doc == j {
-				self = m.Score
-			}
-		}
-		if self < 1-1e-9 {
-			t.Fatalf("doc %d self-similarity %v, want ~1", j, self)
-		}
-	}
-}
 
 func TestSaveMetaRoundTrip(t *testing.T) {
 	c := testCorpus(t, 2, 8, 0.05, 10, 243)
@@ -154,46 +105,6 @@ func TestSaveWritesV3ByteStable(t *testing.T) {
 	}
 }
 
-// The generations of index file — gob v1, gob v2 with the text layer, the
-// v3 container and the v4 one with float32 DOCS — were written from the
-// same build, and must load into indexes that answer bit for bit alike:
-// v1–v3 narrow their document matrix on load to exactly what v4 stores.
-// v2, v3 and v4 carry the same metadata.
-func TestGoldenGenerationsAgree(t *testing.T) {
-	load := func(name string) (*Index, *Meta) {
-		f, err := os.Open("testdata/" + name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		ix, meta, err := LoadMeta(f)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		return ix, meta
-	}
-	v1, _ := load("index_v1.gob")
-	v2, meta2 := load("index_v2.gob")
-	v3, meta3 := load("index_v3.lsi")
-	v4, meta4 := load("index_v4.lsi")
-	if meta2 == nil || len(meta2.Vocab) != 69 || len(meta2.DocIDs) != 12 || meta2.WeightingName != "log" {
-		t.Fatalf("v2 metadata %+v", meta2)
-	}
-	if !reflect.DeepEqual(meta2, meta3) || !reflect.DeepEqual(meta2, meta4) {
-		t.Fatalf("v3 metadata %+v or v4's %+v differs from v2's %+v", meta3, meta4, meta2)
-	}
-	for name, ix := range map[string]*Index{"v2": v2, "v3": v3, "v4": v4} {
-		if !mat.EqualApprox(ix.Basis(), v1.Basis(), 0) || !mat.EqualApprox(ix.DocVectors(), v1.DocVectors(), 0) {
-			t.Fatalf("%s arrays differ from v1's", name)
-		}
-		for j := 0; j < v1.NumDocs(); j++ {
-			if !reflect.DeepEqual(ix.SearchProjected(v1.DocVector(j), 5), v1.SearchProjected(v1.DocVector(j), 5)) {
-				t.Fatalf("%s answers query %d differently from v1", name, j)
-			}
-		}
-	}
-}
-
 func TestSaveMetaValidatesDimensions(t *testing.T) {
 	c := testCorpus(t, 2, 8, 0.05, 10, 244)
 	ix, err := BuildFromCorpus(c, 2, corpus.CountWeighting, Options{Engine: EngineDense})
@@ -209,30 +120,31 @@ func TestSaveMetaValidatesDimensions(t *testing.T) {
 	}
 }
 
+// A gob stream, which every build before wire v3 wrote, is refused unread
+// with the command that converts it; a container of a version this build
+// does not know is refused with the version and the supported range.
 func TestLoadRejectsFutureVersion(t *testing.T) {
-	var legacy bytes.Buffer
-	future := indexWire{
-		Version: 99, K: 1, NumTerms: 1, Sigma: []float64{1},
-		UkRows: 1, UkData: []float64{1}, DocRows: 1, DocData: []float64{1},
-	}
-	if err := gob.NewEncoder(&legacy).Encode(future); err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"index_v1.gob", "index_v2.gob"} {
+		f, err := os.Open("testdata/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = Load(f)
+		f.Close()
+		if !errors.Is(err, ErrNotContainer) || !strings.Contains(err.Error(), "lsiquery -upgrade") {
+			t.Fatalf("%s loads with %v, want ErrNotContainer naming lsiquery -upgrade", name, err)
+		}
 	}
 	golden, err := os.ReadFile("testdata/index_v3.lsi")
 	if err != nil {
 		t.Fatal(err)
 	}
-	binary.LittleEndian.PutUint16(golden[len(Magic):], WireVersion+1)
-	for want, data := range map[string][]byte{
-		"version 99":                             legacy.Bytes(),
-		fmt.Sprintf("version %d", WireVersion+1): golden,
-	} {
-		_, err := Load(bytes.NewReader(data))
-		if err == nil {
-			t.Fatalf("%s should fail to load", want)
-		}
-		if !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "supported: 1..4") {
-			t.Fatalf("error %q does not name %s and the supported range", err, want)
+	for _, v := range []uint16{minWireVersion - 1, WireVersion + 1} {
+		binary.LittleEndian.PutUint16(golden[len(Magic):], v)
+		_, err := Load(bytes.NewReader(golden))
+		if want := fmt.Sprintf("version %d", v); err == nil || !strings.Contains(err.Error(), want) ||
+			!strings.Contains(err.Error(), "supported: 3..4") {
+			t.Fatalf("error %v does not name %s and the supported range", err, want)
 		}
 	}
 }

@@ -41,15 +41,15 @@ func outcome(t testing.TB, ix *Index, meta *Meta, err error) string {
 	return buf.String()
 }
 
-// Every golden generation loads into the same index whichever arm read it
-// — a stream of bytes, the same bytes on the mapped arm, the file itself
-// (mapped, when it is a container file on a platform that maps) — down to
-// the bytes it saves as and the bits of every score, at one worker and at
-// two. Only the container files are served from a mapping (v3's basis; v4's
-// basis and document matrix), indexes folded into their basis inherit that
-// mapping, and they cannot be saved over.
+// Both golden container generations load into the same index whichever
+// arm read it — a stream of bytes, the same bytes on the mapped arm, the
+// file itself (mapped, on a platform that maps) — down to the bytes it
+// saves as and the bits of every score, at one worker and at two. The file
+// is served from its mapping (v3's basis; v4's basis and document matrix),
+// indexes folded into their basis inherit that mapping, and they cannot be
+// saved over.
 func TestMappedAndStreamedLoadsAgree(t *testing.T) {
-	for _, name := range []string{"index_v1.gob", "index_v2.gob", "index_v3.lsi", "index_v4.lsi"} {
+	for _, name := range []string{"index_v3.lsi", "index_v4.lsi"} {
 		data, err := os.ReadFile("testdata/" + name)
 		if err != nil {
 			t.Fatal(err)
@@ -57,7 +57,7 @@ func TestMappedAndStreamedLoadsAgree(t *testing.T) {
 		f := onDisk(t, data)
 		_, mapErr := blob.Map(f)
 		wantMapped := int64(0)
-		if mapErr == nil && bytes.HasPrefix(data, Magic[:]) {
+		if mapErr == nil {
 			wantMapped = int64(len(data))
 		}
 		stream, streamMeta, err := LoadMeta(bytes.NewReader(data))

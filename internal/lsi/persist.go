@@ -2,7 +2,6 @@ package lsi
 
 import (
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -10,7 +9,6 @@ import (
 	"math/bits"
 	"os"
 	"runtime"
-	"strings"
 	"unsafe"
 
 	"repro/internal/blob"
@@ -26,17 +24,18 @@ import (
 //	BASI  n×k float64: the basis Uₖ, row-major
 //	DOCS  m×k float32: document representations, row-major
 //
-// v3 is the same with DOCS in float64, v1 and v2 one gob message
-// (indexWire): Load still reads them, narrowing DOCS once into the heap.
+// v3 is the same with DOCS in float64: Load still reads it, narrowing DOCS
+// once into the heap. v1 and v2 were gob streams; Load refuses them, and
+// internal/legacy (lsiquery -upgrade) converts them.
 
 // Magic opens every index file Save writes.
 var Magic = [blob.MagicLen]byte{'L', 'S', 'I', 'I', 'D', 'X'}
 
 const (
 	// WireVersion is the wire-format version Save writes and the newest
-	// Load accepts; gobWireVersion is the newest a gob stream carries.
+	// Load accepts; minWireVersion is the oldest it accepts.
 	WireVersion     = 4
-	gobWireVersion  = 2
+	minWireVersion  = 3
 	wideDocsVersion = 3 // the newest container whose DOCS are float64
 
 	tagDims, tagSigma, tagText, tagBasis, tagDocs = "DIMS", "SIGM", "TEXT", "BASI", "DOCS"
@@ -44,60 +43,31 @@ const (
 	dimsLen = 3 * 8
 )
 
-// versionError is the error (less the caller's prefix) for a stream of a
-// version this build cannot read, shared by the gob and container readers
-// so the two messages can never skew.
-func versionError(v int) error {
-	return fmt.Errorf("index format version %d is not supported by this build (supported: 1..%d); rebuild the index or upgrade",
-		v, WireVersion)
-}
-
-// indexWire is the gob message of wire versions 1 and 2 (gob matches
-// fields by name, so v1 streams decode with the v2 fields left zero):
-//
-//	v1: numeric payload only.
-//	v2: adds the optional self-containment metadata of Meta.
-//
-// Backend is set only in the streams an earlier build saved for its VSM
-// baseline ("vsm", the term-document matrix in fields this struct does
-// not name); readGob refuses them.
-type indexWire struct {
-	Version  int
-	Backend  string
-	K        int
-	NumTerms int
-	Sigma    []float64
-	UkRows   int
-	UkData   []float64
-	DocRows  int
-	DocData  []float64
-
-	Vocab           []string
-	WeightingName   string
-	DocIDs          []string
-	RemoveStopwords bool
-	Stemming        bool
-}
+// ErrNotContainer reports a stream that does not open with Magic: not an
+// index file, or the gob stream of wire v1 or v2 an earlier build wrote.
+var ErrNotContainer = errors.New("not an index container (an index file from before wire v3 converts with lsiquery -upgrade IN OUT)")
 
 // Meta is the optional self-containment metadata stored alongside an index
 // by SaveMeta: everything the text layer needs to turn a query string into
 // a term-space vector against this index, plus stable external document
 // IDs. The lsi package itself does not interpret it — the public retrieval
 // package does.
+//
+// Its JSON form is the text layer of a saved directory (text.json).
 type Meta struct {
 	// Vocab lists the vocabulary terms in term-ID order; its length must
 	// equal the index's NumTerms.
-	Vocab []string
+	Vocab []string `json:"vocab"`
 	// WeightingName names the corpus.Weighting the term-document matrix
 	// was built with (e.g. "log").
-	WeightingName string
+	WeightingName string `json:"weighting"`
 	// DocIDs lists external document identifiers in document order; its
 	// length must equal the index's NumDocs.
-	DocIDs []string
+	DocIDs []string `json:"docIDs,omitempty"`
 	// RemoveStopwords and Stemming record the text-pipeline configuration
 	// used at build time, so queries are preprocessed identically.
-	RemoveStopwords bool
-	Stemming        bool
+	RemoveStopwords bool `json:"removeStopwords"`
+	Stemming        bool `json:"stemming"`
 }
 
 // Save writes the index to w in a self-contained binary format (wire v4).
@@ -118,7 +88,7 @@ func (ix *Index) EncodedSize() int {
 // the metadata dimensions match the index before writing anything.
 func (ix *Index) SaveMeta(w io.Writer, meta *Meta) error {
 	var text []byte
-	if !meta.Empty() {
+	if meta != nil {
 		if len(meta.Vocab) > 0 && len(meta.Vocab) != ix.numTerms {
 			return fmt.Errorf("lsi: save: vocabulary has %d terms, index has %d", len(meta.Vocab), ix.numTerms)
 		}
@@ -145,12 +115,6 @@ func (ix *Index) SaveMeta(w io.Writer, meta *Meta) error {
 		return fmt.Errorf("lsi: save: %w", err)
 	}
 	return nil
-}
-
-// Empty reports whether there is no text layer to store: a nil Meta, or
-// one without vocabulary, document IDs or weighting.
-func (m *Meta) Empty() bool {
-	return m == nil || (len(m.Vocab) == 0 && len(m.DocIDs) == 0 && m.WeightingName == "")
 }
 
 // appendText encodes the TEXT section: one flags byte (bit 0
@@ -214,9 +178,8 @@ func parseText(b []byte) (*Meta, error) {
 }
 
 // IndexParts is the validated raw material of a persisted Index — the
-// wire payload a loader hands to NewIndexFromParts. The public retrieval
-// package decodes its own wire envelope into these parts so the stream is
-// read exactly once.
+// wire payload a loader hands to NewIndexFromParts: readBlob here, and
+// internal/legacy for the gob generations it converts.
 type IndexParts struct {
 	K        int
 	NumTerms int
@@ -274,20 +237,18 @@ func Load(r io.Reader) (*Index, error) {
 	return ix, err
 }
 
-// LoadMeta reads an index and its self-containment metadata. The metadata
-// is nil for v1 streams and for indexes saved without it (plain Save);
-// such indexes answer vector queries but the caller must supply a
-// vocabulary from elsewhere to serve text queries.
+// LoadMeta reads an index and its self-containment metadata, which is nil
+// for an index saved without it (plain Save). A stream that is not a v3
+// or v4 container fails with ErrNotContainer.
 //
 // A v3 or v4 stream is never trusted for more memory than it has bytes:
 // see blob.Reader for how the length of r is found, or done without.
 func LoadMeta(r io.Reader) (*Index, *Meta, error) {
 	br := blob.NewReader(r)
-	read := readGob
-	if br.HasMagic(Magic) {
-		read = readBlob
+	if !br.HasMagic(Magic) {
+		return nil, nil, fmt.Errorf("lsi: load: %w", ErrNotContainer)
 	}
-	p, meta, err := read(br)
+	p, meta, err := readBlob(br)
 	if err != nil {
 		return nil, nil, fmt.Errorf("lsi: load: %w", err)
 	}
@@ -299,7 +260,7 @@ func LoadMeta(r io.Reader) (*Index, *Meta, error) {
 		ix.uk.Hold(ix.mapped)
 		ix.docs.Hold(ix.mapped)
 	}
-	if meta.Empty() {
+	if meta == nil {
 		return ix, nil, nil
 	}
 	if len(meta.Vocab) > 0 && len(meta.Vocab) != p.NumTerms {
@@ -311,39 +272,14 @@ func LoadMeta(r io.Reader) (*Index, *Meta, error) {
 	return ix, meta, nil
 }
 
-// readGob decodes a wire v1 or v2 stream.
-func readGob(r *blob.Reader) (IndexParts, *Meta, error) {
-	var wire indexWire
-	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
-		return IndexParts{}, nil, err
-	}
-	if wire.Version < 1 || wire.Version > gobWireVersion {
-		return IndexParts{}, nil, versionError(wire.Version)
-	}
-	if wire.Backend != "" {
-		return IndexParts{}, nil, fmt.Errorf("the stream is a saved %s index, which this build no longer opens; "+
-			"rebuild it from the document text with lsiserve -backend vsm or retrieval.BuildVSM", strings.ToUpper(wire.Backend))
-	}
-	return IndexParts{
-			K: wire.K, NumTerms: wire.NumTerms, Sigma: wire.Sigma,
-			UkRows: wire.UkRows, UkData: wire.UkData,
-			DocRows: wire.DocRows, DocData: Narrow(wire.DocData),
-		}, &Meta{
-			Vocab:           wire.Vocab,
-			WeightingName:   wire.WeightingName,
-			DocIDs:          wire.DocIDs,
-			RemoveStopwords: wire.RemoveStopwords,
-			Stemming:        wire.Stemming,
-		}, nil
-}
-
 // readBlob decodes a wire v3 or v4 stream. Each array section must hold
 // exactly what the dimensions say before it is read, so a file that lies
 // about either fails without the array having been allocated.
 func readBlob(r *blob.Reader) (p IndexParts, meta *Meta, err error) {
 	v := r.Header()
-	if r.Err() == nil && (v <= gobWireVersion || v > WireVersion) {
-		return p, nil, versionError(int(v))
+	if r.Err() == nil && (v < minWireVersion || v > WireVersion) {
+		return p, nil, fmt.Errorf("index format version %d is not supported by this build (supported: %d..%d); rebuild the index or upgrade",
+			v, minWireVersion, WireVersion)
 	}
 	dims := r.Bytes(tagDims, dimsLen)
 	if r.Err() != nil {

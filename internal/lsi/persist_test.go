@@ -3,6 +3,7 @@ package lsi
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"os"
 	"runtime"
@@ -155,13 +156,14 @@ func TestLoadBoundsAllocationByInput(t *testing.T) {
 	}
 }
 
-// FuzzLoadIndex feeds LoadMeta the four golden generations, the VSM gob
-// stream an earlier build saved (which it refuses), their truncations and
-// bit flips, and lying headers: whatever arrives, it
-// returns an error or an index that answers a query, never panics, and
-// never allocates more than a constant factor of the input. The mapped
-// arm comes to the same end: the same error, or an index that saves as
-// the same bytes.
+// FuzzLoadIndex feeds LoadMeta the four golden generations and the VSM
+// gob stream an earlier build saved (the three gob streams it refuses
+// unread), their truncations and bit flips, and lying headers: whatever
+// arrives, it returns an error or an index that answers a query, never
+// panics, and never allocates more than a constant factor of the input.
+// The mapped arm comes to the same end: the same error, or an index that
+// saves as the same bytes. internal/legacy's FuzzLegacyIndex fuzzes the
+// gob decoder.
 func FuzzLoadIndex(f *testing.F) {
 	seed := func(path string) {
 		data, err := os.ReadFile(path)
@@ -191,18 +193,16 @@ func FuzzLoadIndex(f *testing.F) {
 		var err error
 		got := allocatedBy(func() { ix, meta, err = LoadMeta(bytes.NewReader(data)) })
 		// blob's window and the index's own bookkeeping are the constant.
-		// A gob stream gets gob's on top: it reads a message of whatever
-		// length is claimed (up to 1 GiB) in steps of 10 MiB.
 		limit := uint64(1<<20 + 64*len(data))
-		if !bytes.HasPrefix(data, Magic[:]) {
-			limit += 16 << 20
-		}
 		if got > limit {
 			t.Fatalf("%d input bytes allocated %d (limit %d)", len(data), got, limit)
 		}
 		mix, mmeta, merr := LoadMeta(blob.NewMappedReader(data))
 		if want, got := outcome(t, ix, meta, err), outcome(t, mix, mmeta, merr); got != want {
 			t.Fatalf("mapped arm: %.200q\nstreaming arm: %.200q", got, want)
+		}
+		if !bytes.HasPrefix(data, Magic[:]) && !errors.Is(err, ErrNotContainer) {
+			t.Fatalf("a stream without the magic: %v, want ErrNotContainer", err)
 		}
 		if err != nil {
 			return

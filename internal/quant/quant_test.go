@@ -270,8 +270,9 @@ func TestAppendSearchDeterministicAcrossWorkers(t *testing.T) {
 }
 
 func TestAppendSearchOverlapWithFloatPath(t *testing.T) {
-	// The fidelity property quant-smoke gates in CI, at unit-test scale:
-	// β=4 top-10 overlap with the float path on a clustered corpus.
+	// The int8 tier's fidelity property, at unit-test scale: β=4 top-10
+	// overlap with the float path on a clustered corpus. (The quant-smoke
+	// gate that checked it at corpus scale was retired with cmd/quantsmoke.)
 	vecs, norms := clusteredVecs(t, 20_000, 24, 32, 0.25, 11)
 	qm := Quantize(vecs)
 	queries, qns := searchQueries(vecs, 32, 12)

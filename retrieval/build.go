@@ -306,9 +306,6 @@ func (ix *Index) searchBatch(ctx context.Context, queries []string, topN int, op
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if ix.vocab == nil {
-		return nil, ErrNoVocabulary
-	}
 	out := make([][]Result, len(queries))
 	qterms := make([][]int, 0, len(queries))
 	qweights := make([][]float64, 0, len(queries))

@@ -138,7 +138,7 @@ func TestBreakerDeniedRequestsNotRecorded(t *testing.T) {
 }
 
 // TestRetryBudgetBoundsAmplification is the acceptance bound: under
-// 100% failure with every request wanting MaxRetries retries, granted
+// 100% failure with every request wanting maxRetries retries, granted
 // retries stay within ratio×requests + burst.
 func TestRetryBudgetBoundsAmplification(t *testing.T) {
 	const (
@@ -174,7 +174,7 @@ func TestRetryBudgetBoundsAmplification(t *testing.T) {
 }
 
 // TestBackoffJitterBounds: full jitter stays in (0, cap] and the cap
-// respects RetryMaxDelay even when the exponential overflows.
+// respects retryMaxDelay even when the exponential overflows.
 func TestBackoffJitterBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	base, hi := 25*time.Millisecond, 500*time.Millisecond

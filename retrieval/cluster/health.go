@@ -1,32 +1,28 @@
 package cluster
 
 // Active health: the router probes every manifest node in the
-// background (GET /readyz + the freshness headers) and folds the
-// answers into an outlier-ejection view that hedging and write-routing
-// consult before picking candidates. Probes are cheap and advisory —
-// an ejected node is deprioritized, not banned: it stays last in the
-// candidate order so a wrong ejection costs latency, never
-// availability, and the per-node breakers (breaker.go) remain the
-// authoritative fail-fast mechanism.
+// background (GET /readyz) and folds the answers into an
+// outlier-ejection view that hedging and write-routing consult before
+// picking candidates. Probes are cheap and advisory — an ejected node is
+// deprioritized, not banned: it stays last in the candidate order so a
+// wrong ejection costs latency, never availability, and the per-node
+// breakers (breaker.go) remain the authoritative fail-fast mechanism.
 
 import (
 	"context"
 	"net/http"
-	"strconv"
 	"sync"
+	"sync/atomic"
 )
 
 // nodeHealth is the router's per-node view: the circuit breaker plus
-// the latest probe observations.
+// what the latest probe observed.
 type nodeHealth struct {
 	breaker *Breaker
-
-	mu         sync.Mutex
-	probed     bool // at least one probe has completed
-	ready      bool // last probe answered 200 /readyz
-	docs       int  // X-Index-Docs from the last successful probe
-	generation uint64
-	probeFails int // consecutive probe failures
+	// out is whether the node is an outlier: its last probe failed or
+	// answered not-ready. A node never probed is not one — ejection is
+	// evidence-based.
+	out atomic.Bool
 }
 
 // health returns (creating on first use) the node's health record.
@@ -44,40 +40,15 @@ func (r *Router) health(node Node) *nodeHealth {
 	return h
 }
 
-// ejected reports whether the node is currently an outlier: its last
-// probe failed or answered not-ready, or its document count lags the
-// freshest candidate of the same shard by more than FreshnessLagDocs.
-// A node never probed is not ejected — ejection is evidence-based.
-func (h *nodeHealth) ejectedAgainst(shardMaxDocs, lagLimit int) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if !h.probed {
-		return false
-	}
-	if h.probeFails > 0 || !h.ready {
-		return true
-	}
-	return lagLimit > 0 && shardMaxDocs-h.docs > lagLimit
-}
-
 // orderCandidates reorders one shard's candidate list for a fan-out or
 // write: non-ejected nodes first (stable, so the manifest's
 // primary-first preference is preserved within each class), ejected
 // ones last. The slice is fresh; the manifest's is never mutated.
 func (r *Router) orderCandidates(nodes []Node) []Node {
-	shardMax := 0
-	for _, n := range nodes {
-		h := r.health(n)
-		h.mu.Lock()
-		if h.probed && h.probeFails == 0 && h.docs > shardMax {
-			shardMax = h.docs
-		}
-		h.mu.Unlock()
-	}
 	out := make([]Node, 0, len(nodes))
 	var ejected []Node
 	for _, n := range nodes {
-		if r.health(n).ejectedAgainst(shardMax, r.opts.FreshnessLagDocs) {
+		if r.health(n).out.Load() {
 			ejected = append(ejected, n)
 		} else {
 			out = append(out, n)
@@ -122,24 +93,13 @@ func (r *Router) probeNode(ctx context.Context, node Node) {
 
 // recordHealth folds one probe outcome into the node's health record.
 func (r *Router) recordHealth(h *nodeHealth, resp *http.Response, err error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.probed = true
 	if err != nil {
-		h.probeFails++
-		h.ready = false
 		r.probeFails.Add(1)
+		h.out.Store(true)
 		return
 	}
-	defer resp.Body.Close()
-	h.probeFails = 0
-	h.ready = resp.StatusCode == http.StatusOK
-	if d, err := strconv.Atoi(resp.Header.Get("X-Index-Docs")); err == nil {
-		h.docs = d
-	}
-	if g, err := strconv.ParseUint(resp.Header.Get("X-Index-Generation"), 10, 64); err == nil {
-		h.generation = g
-	}
+	resp.Body.Close()
+	h.out.Store(resp.StatusCode != http.StatusOK)
 }
 
 // RunProbes probes every manifest node each ProbeInterval until ctx
@@ -169,11 +129,9 @@ func (r *Router) healthSnapshot() (open, halfOpen, ejected int, trips int64) {
 			halfOpen++
 		}
 		trips += h.breaker.Trips()
-		h.mu.Lock()
-		if h.probed && (h.probeFails > 0 || !h.ready) {
+		if h.out.Load() {
 			ejected++
 		}
-		h.mu.Unlock()
 	}
 	return
 }

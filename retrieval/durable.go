@@ -241,10 +241,7 @@ func (ix *Index) SaveShardDir(s int, dir string) error {
 	if !ix.Sharded() {
 		return fmt.Errorf("%w: only sharded indexes export per-shard", ErrNotSharded)
 	}
-	if err := ix.sharded.SaveShardDir(s, dir); err != nil {
-		return err
-	}
-	return ix.writeTextMeta(dir)
+	return ix.saveDir(dir, s, faultinject.OS{})
 }
 
 // SaveShardDirs exports every shard of the index under dir: shard s

@@ -11,7 +11,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
+	"slices"
+	"sync"
 	"syscall"
 	"testing"
 
@@ -133,11 +136,11 @@ func TestAddFsyncFaultNeverAcksThenRecovers(t *testing.T) {
 }
 
 // TestCheckpointENOSPCKeepsPreviousGeneration: a checkpoint that runs
-// out of disk fails without harming the previous checkpoint — the
-// directory still opens at the old generation with the old corpus — and
-// one whose directory fsync fails does not report success. Both entry
-// points of the checkpoint writer are held to it: the whole-index save
-// and the per-shard export a cluster deploy ships to its nodes.
+// out of disk, or whose file fsyncs fail, fails without harming the
+// previous checkpoint — the directory still opens at the old generation
+// with the old corpus. One whose directory fsync alone fails, after the
+// manifest switch, does not report success either. Both entry points of the checkpoint writer are held to it: the whole-index
+// save and the per-shard export a cluster deploy ships to its nodes.
 func TestCheckpointENOSPCKeepsPreviousGeneration(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -203,19 +206,132 @@ func TestCheckpointENOSPCKeepsPreviousGeneration(t *testing.T) {
 				reopen(fmt.Sprintf("budget %d", budget), tc.docs, true)
 			}
 
-			// Success means the manifest switch is durable: with every
-			// directory fsync failing the checkpoint must fail, having
-			// switched to the complete new manifest.
+			// Success means every file and the manifest switch are durable:
+			// with every fsync failing the checkpoint must fail, and since
+			// each file is synced before it is renamed into place, it fails
+			// before the manifest switch.
 			fs := faultinject.NewFaultyFS(faultinject.OS{}, 1)
 			fs.FailSyncs(1, syscall.EIO)
 			if err := tc.again(ix, data, fs); !errors.Is(err, faultinject.ErrInjected) {
+				t.Fatalf("checkpoint with a failing fsync returned %v", err)
+			}
+			reopen("failed fsync", tc.docs, true)
+			// With the file syncs succeeding and only the directory fsync
+			// after the manifest switch failing, the checkpoint must still
+			// not report success, having switched to the complete new
+			// manifest.
+			if err := tc.again(ix, data, syncDirFailsFS{}); !errors.Is(err, faultinject.ErrInjected) {
 				t.Fatalf("checkpoint with a failing directory fsync returned %v", err)
 			}
-			reopen("failed fsync", tc.docs+1, false)
+			reopen("failed directory fsync", tc.docs+1, false)
 			if err := tc.again(ix, data, faultinject.OS{}); err != nil {
 				t.Fatal(err)
 			}
 			reopen("clean checkpoint", tc.docs+1, false)
+		})
+	}
+}
+
+// syncDirFailsFS is the real file system whose directory fsyncs fail.
+type syncDirFailsFS struct{ faultinject.OS }
+
+func (syncDirFailsFS) SyncDir(string) error { return faultinject.Inject(syscall.EIO) }
+
+// recordingFS is the real file system, recording what a power loss could
+// undo: each file's state ("written" since its last sync, or "synced"),
+// and the renames and directory syncs in order.
+type recordingFS struct {
+	faultinject.OS
+	mu       sync.Mutex
+	state    map[string]string
+	events   []string // "rename <base name>" and "syncdir"
+	unsynced []string // files renamed while written since their last sync
+}
+
+func (r *recordingFS) set(name, state string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.state[name] = state
+}
+
+func (r *recordingFS) OpenFile(name string, flag int, perm os.FileMode) (faultinject.File, error) {
+	f, err := r.OS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	r.set(name, "written")
+	return &recordingFile{File: f, fs: r, name: name}, nil
+}
+
+func (r *recordingFS) Rename(oldpath, newpath string) error {
+	r.mu.Lock()
+	if r.state[oldpath] != "synced" {
+		r.unsynced = append(r.unsynced, oldpath)
+	}
+	r.events = append(r.events, "rename "+filepath.Base(newpath))
+	r.mu.Unlock()
+	return r.OS.Rename(oldpath, newpath)
+}
+
+func (r *recordingFS) SyncDir(dir string) error {
+	r.mu.Lock()
+	r.events = append(r.events, "syncdir")
+	r.mu.Unlock()
+	return r.OS.SyncDir(dir)
+}
+
+type recordingFile struct {
+	faultinject.File
+	fs   *recordingFS
+	name string
+}
+
+func (f *recordingFile) Write(p []byte) (int, error) {
+	f.fs.set(f.name, "written")
+	return f.File.Write(p)
+}
+
+func (f *recordingFile) Sync() error {
+	err := f.File.Sync()
+	if err == nil {
+		f.fs.set(f.name, "synced")
+	}
+	return err
+}
+
+// TestCheckpointSyncsBeforeRename: a checkpoint survives power loss once
+// it has returned. Every file it renames into place was synced after its
+// last write, text.json lands before manifest.json (a manifest never
+// names a directory without its text layer), and the directory is synced
+// after the manifest switch. Both entry points are held to it.
+func TestCheckpointSyncsBeforeRename(t *testing.T) {
+	ix, err := Build(largerCorpus(14), WithRank(3), WithShards(2), WithAutoCompact(false), WithSeed(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	for name, s := range map[string]int{"SaveDir": -1, "SaveShardDir": 0} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			for pass := range 2 { // a fresh directory, then a re-save into it
+				rec := &recordingFS{state: map[string]string{}}
+				if err := ix.saveDir(dir, s, rec); err != nil {
+					t.Fatal(err)
+				}
+				if len(rec.unsynced) > 0 {
+					t.Fatalf("pass %d: renamed before their last write was synced: %v", pass, rec.unsynced)
+				}
+				text := slices.Index(rec.events, "rename text.json")
+				man := slices.Index(rec.events, "rename manifest.json")
+				if text < 0 || man < text || !slices.Contains(rec.events[man:], "syncdir") {
+					t.Fatalf("pass %d: events %v, want text.json renamed, then manifest.json, then a directory sync", pass, rec.events)
+				}
+			}
+			re, err := OpenDir(dir, WithAutoCompact(false))
+			if err != nil {
+				t.Fatal(err)
+			}
+			re.Close()
 		})
 	}
 }

@@ -90,14 +90,10 @@ type Options struct {
 	Timeout time.Duration
 	// MaxTopN caps the per-query result count; larger requests are
 	// clamped, not rejected (default 100). Requests with topN <= 0 get
-	// DefaultTopN.
+	// defaultTopN, capped the same way.
 	MaxTopN int
-	// DefaultTopN is used when a request omits topN (default 10).
-	DefaultTopN int
 	// MaxBatch caps the number of queries in one batch call (default 256).
 	MaxBatch int
-	// MaxBodyBytes caps the request body size (default 1 MiB).
-	MaxBodyBytes int64
 
 	// MaxInFlight caps concurrently executing search/docs requests
 	// (0 = unlimited). When the cap is reached, up to MaxQueue further
@@ -135,6 +131,11 @@ type Options struct {
 	EnablePprof bool
 }
 
+const (
+	defaultTopN  = 10      // the result count of a request that omits topN
+	maxBodyBytes = 1 << 20 // the cap on a request body
+)
+
 func (o Options) withDefaults() Options {
 	if o.Timeout <= 0 {
 		o.Timeout = 10 * time.Second
@@ -142,14 +143,8 @@ func (o Options) withDefaults() Options {
 	if o.MaxTopN <= 0 {
 		o.MaxTopN = 100
 	}
-	if o.DefaultTopN <= 0 {
-		o.DefaultTopN = 10
-	}
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 256
-	}
-	if o.MaxBodyBytes <= 0 {
-		o.MaxBodyBytes = 1 << 20
 	}
 	if o.MaxInFlight > 0 && o.MaxQueue <= 0 {
 		o.MaxQueue = 4 * o.MaxInFlight
@@ -371,7 +366,7 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 }
 
 func (h *handler) decode(w http.ResponseWriter, r *http.Request, into any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, h.opts.MaxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	if err := json.NewDecoder(r.Body).Decode(into); err != nil {
 		writeError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
 		return false
@@ -387,7 +382,7 @@ func (h *handler) clampTopN(w http.ResponseWriter, topN int) (int, bool) {
 		return 0, false
 	}
 	if topN == 0 {
-		topN = h.opts.DefaultTopN
+		topN = defaultTopN
 	}
 	return min(topN, h.opts.MaxTopN), true
 }
@@ -404,8 +399,7 @@ func writeSearchError(w http.ResponseWriter, err error) {
 		writeError(w, http.StatusGatewayTimeout, "search timed out: %v", err)
 	case errors.Is(err, context.Canceled):
 		writeError(w, http.StatusServiceUnavailable, "request canceled: %v", err)
-	case errors.Is(err, retrieval.ErrVectorLength), errors.Is(err, retrieval.ErrVectorRange),
-		errors.Is(err, retrieval.ErrNoVocabulary):
+	case errors.Is(err, retrieval.ErrVectorLength), errors.Is(err, retrieval.ErrVectorRange):
 		writeError(w, http.StatusBadRequest, "%v", err)
 	default:
 		writeError(w, http.StatusInternalServerError, "%v", err)
@@ -521,8 +515,6 @@ func (h *handler) addInto(w http.ResponseWriter, r *http.Request, docs []retriev
 			writeError(w, http.StatusNotImplemented, "this index is immutable; build with sharding (WithShards / lsiserve -shards) to accept live documents")
 		case errors.Is(err, retrieval.ErrIndexClosed):
 			writeError(w, http.StatusServiceUnavailable, "%v", err)
-		case errors.Is(err, retrieval.ErrNoVocabulary):
-			writeError(w, http.StatusBadRequest, "%v", err)
 		case errors.Is(err, context.DeadlineExceeded):
 			writeError(w, http.StatusGatewayTimeout, "append timed out: %v", err)
 		case errors.Is(err, context.Canceled):

@@ -159,7 +159,7 @@ func TestStatsBody(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &s); err != nil {
 		t.Fatal(err)
 	}
-	if s.Backend != "lsi" || s.NumDocs != 12 || s.Rank != 3 || !s.TextQueries {
+	if s.Backend != "lsi" || s.NumDocs != 12 || s.Rank != 3 || s.VocabSize != s.NumTerms {
 		t.Fatalf("stats = %+v", s)
 	}
 }

@@ -5,8 +5,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/gob"
-	"errors"
 	"fmt"
 	"maps"
 	"os"
@@ -16,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/ir"
+	"repro/internal/legacy"
 	"repro/internal/lsi"
 	"repro/internal/par"
 )
@@ -128,7 +127,7 @@ func TestSaveLoadRoundTripLSI(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := loaded.Stats()
-	if s.Backend != "lsi" || !s.TextQueries || s.Weighting != "log" || s.Rank != 3 {
+	if s.Backend != "lsi" || s.VocabSize != s.NumTerms || s.Weighting != "log" || s.Rank != 3 {
 		t.Fatalf("loaded stats = %+v", s)
 	}
 	// The loaded index is self-contained: text queries answer identically
@@ -146,32 +145,54 @@ func TestSaveLoadRoundTripLSI(t *testing.T) {
 
 // testdata/index_vsm_v2.gob is what an earlier build's Save wrote for a
 // VSM index (TF-IDF, demo corpus): a gob stream tagged Backend "vsm".
-// Saved VSM indexes are retired, so Load and Open both refuse it, with an
-// error that names the backend and the way to rebuild it from text.
+// Load and Open refuse it as they refuse every gob stream, naming the
+// converter, and the converter refuses it with an error that names the
+// backend and the way to rebuild it from text.
 func TestSaveLoadRoundTripVSM(t *testing.T) {
 	const path = "testdata/index_vsm_v2.gob"
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	refusesGob(t, path)
+	err := legacy.UpgradePath(path, filepath.Join(t.TempDir(), "vsm.lsi"), nil)
+	if err == nil {
+		t.Fatal("the converter upgraded a saved VSM index")
 	}
-	_, loadErr := Load(bytes.NewReader(data))
-	_, openErr := Open(path)
-	for name, err := range map[string]error{"Load": loadErr, "Open": openErr} {
-		if err == nil {
-			t.Fatalf("%s opened a saved VSM index", name)
-		}
-		for _, want := range []string{"VSM", "lsiserve -backend vsm", "retrieval.BuildVSM"} {
-			if !strings.Contains(err.Error(), want) {
-				t.Fatalf("%s error %q does not say %q", name, err, want)
-			}
+	for _, want := range []string{"VSM", "lsiserve -backend vsm", "retrieval.BuildVSM"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("converter error %q does not say %q", err, want)
 		}
 	}
 }
 
-// demoTextConfig reconstructs the text layer the golden indexes were
-// built with, by rerunning their pipeline over the demo corpus: what a
-// v1 file, which stores none, needs attached.
-func demoTextConfig() TextConfig {
+// refusesGob asserts that Open, and Load for a file, refuse the index at
+// path with an error that names lsiquery -upgrade.
+func refusesGob(t *testing.T, path string) {
+	t.Helper()
+	_, openErr := Open(path)
+	errs := map[string]error{"Open": openErr}
+	if data, err := os.ReadFile(path); err == nil {
+		_, errs["Load"] = Load(bytes.NewReader(data))
+	}
+	for name, err := range errs {
+		if err == nil || !strings.Contains(err.Error(), "lsiquery -upgrade") {
+			t.Fatalf("%s %s: %v, want an error naming lsiquery -upgrade", name, path, err)
+		}
+	}
+}
+
+// upgraded converts the index at path as lsiquery -upgrade does and
+// returns where it wrote the result.
+func upgraded(t *testing.T, path string, text *lsi.Meta) string {
+	t.Helper()
+	out := filepath.Join(t.TempDir(), "upgraded")
+	if err := legacy.UpgradePath(path, out, text); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// demoText reconstructs the text layer the golden indexes were built
+// with, by rerunning their pipeline over the demo corpus: what a v1 file,
+// which stores none, needs to upgrade.
+func demoText() *lsi.Meta {
 	pipe := ir.NewPipeline()
 	texts := make([]string, len(DemoCorpus()))
 	ids := make([]string, len(DemoCorpus()))
@@ -180,9 +201,9 @@ func demoTextConfig() TextConfig {
 		ids[i] = d.ID
 	}
 	pipe.ProcessAll(texts)
-	return TextConfig{
+	return &lsi.Meta{
 		Vocab:           pipe.Vocab.Terms(),
-		Weighting:       WeightingLog,
+		WeightingName:   WeightingLog.String(),
 		RemoveStopwords: true,
 		Stemming:        true,
 		DocIDs:          ids,
@@ -190,38 +211,19 @@ func demoTextConfig() TextConfig {
 }
 
 // testdata/index_v1.gob was written by the pre-v2 code (`lsi.Save`) over
-// the demo corpus: rank-3 dense-engine LSI, log weighting. It proves the
-// acceptance path: a v1-format index saved before the format bump loads
-// and serves text queries after it (v1 carries no vocabulary, so the
-// text layer comes in via WithTextConfig).
+// the demo corpus: rank-3 dense-engine LSI, log weighting. v1 carries no
+// vocabulary, so it no longer opens; upgraded with the text layer its
+// build had, it serves text queries exactly as a fresh build does, and it
+// is self-contained: saving it again writes the same bytes.
 func TestLoadV1GoldenServesTextQueries(t *testing.T) {
-	data, err := os.ReadFile("testdata/index_v1.gob")
+	refusesGob(t, "testdata/index_v1.gob")
+	path := upgraded(t, "testdata/index_v1.gob", demoText())
+	loaded, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Without a text config the numeric index loads but text queries are
-	// cleanly refused.
-	bare, err := Load(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("v1 index failed to load: %v", err)
-	}
-	if bare.Stats().TextQueries {
-		t.Fatal("v1 stream cannot carry a vocabulary")
-	}
-	if _, err := bare.Search(context.Background(), "car", 3); !errors.Is(err, ErrNoVocabulary) {
-		t.Fatalf("text query on bare v1 index = %v, want ErrNoVocabulary", err)
-	}
-	if _, err := only(bare.Query(context.Background(), Query{Vector: make([]float64, bare.NumTerms()), TopN: 3})); err != nil {
-		t.Fatalf("vector query on bare v1 index: %v", err)
-	}
-
-	loaded, err := Load(bytes.NewReader(data), WithTextConfig(demoTextConfig()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !loaded.Stats().TextQueries {
-		t.Fatal("text config not attached")
+	if st := loaded.Stats(); st.VocabSize != st.NumTerms {
+		t.Fatalf("text layer not attached: %+v", st)
 	}
 
 	// The migrated v1 index must behave exactly like a fresh build with
@@ -240,78 +242,69 @@ func TestLoadV1GoldenServesTextQueries(t *testing.T) {
 		t.Fatalf("migrated v1 index lost the synonymy effect: %+v", res)
 	}
 
-	// Re-save: the index upgrades to the current self-contained format.
 	var buf bytes.Buffer
 	if err := loaded.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	upgraded, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
+	if want, err := os.ReadFile(path); err != nil || !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("the upgraded v1 index saves as different bytes (err %v)", err)
 	}
-	if !upgraded.Stats().TextQueries {
-		t.Fatal("re-saved v1 index is not self-contained")
-	}
-	searchEqual(t, loaded, upgraded, "car", 4)
 }
 
+// A stream without a text layer — the v1 golden, or a bare lsi.Save —
+// does not load: Load names the converter. The converter refuses it
+// without -text, and refuses a text layer whose vocabulary does not fit.
 func TestLoadV1TextConfigValidation(t *testing.T) {
-	data, err := os.ReadFile("testdata/index_v1.gob")
-	if err != nil {
+	bare := new(bytes.Buffer)
+	if err := demoLSI(t).sharded.Segments(nil)[0].Ix.Save(bare); err != nil {
 		t.Fatal(err)
 	}
-	_, err = Load(bytes.NewReader(data), WithTextConfig(TextConfig{Vocab: []string{"too", "short"}}))
-	if err == nil {
+	if _, err := Load(bare); err == nil || !strings.Contains(err.Error(), "lsiquery -upgrade") {
+		t.Fatalf("a stream without a text layer loads with %v, want an error naming lsiquery -upgrade", err)
+	}
+	out := filepath.Join(t.TempDir(), "v1.lsi")
+	if err := legacy.UpgradePath("testdata/index_v1.gob", out, nil); err == nil || !strings.Contains(err.Error(), "-text") {
+		t.Fatalf("upgrade without a text layer: %v, want a refusal naming -text", err)
+	}
+	short := demoText()
+	short.Vocab = []string{"too", "short"}
+	if err := legacy.UpgradePath("testdata/index_v1.gob", out, short); err == nil {
 		t.Fatal("expected vocabulary-size mismatch error")
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Fatalf("a refused upgrade left %s behind (%v)", out, err)
 	}
 }
 
 func TestLoadRejectsFutureVersion(t *testing.T) {
-	var legacy bytes.Buffer
-	if err := gob.NewEncoder(&legacy).Encode(struct{ Version int }{7}); err != nil {
-		t.Fatal(err)
-	}
 	golden, err := os.ReadFile("testdata/index_v3.lsi")
 	if err != nil {
 		t.Fatal(err)
 	}
 	binary.LittleEndian.PutUint16(golden[len(lsi.Magic):], lsi.WireVersion+1)
-	for want, data := range map[string][]byte{"version 7": legacy.Bytes(), "version 5": golden} {
-		_, err := Load(bytes.NewReader(data))
-		if err == nil {
-			t.Fatalf("%s should fail to load", want)
-		}
-		if !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "supported: 1..4") {
-			t.Fatalf("error %q does not name %s and the supported range", err, want)
-		}
+	_, err = Load(bytes.NewReader(golden))
+	if err == nil || !strings.Contains(err.Error(), "version 5") || !strings.Contains(err.Error(), "supported: 3..4") {
+		t.Fatalf("error %v does not name version 5 and the supported range", err)
 	}
 }
 
 // Every generation of index on disk — the gob file of wire v1 (numeric
-// payload, text layer attached at load), the gob file of v2, the v3
+// payload; its text layer supplied at upgrade), the gob file of v2, the v3
 // container, the v4 one with float32 DOCS, and a saved directory whose
-// segment is a gob file — came from the same build of the demo corpus,
-// and must serve the same IDs and scores bit for bit: v1–v3 narrow their
-// document matrix on load to what v4 stores and a fresh build holds.
-// Saving any of them again writes v4.
+// segment is a gob file — came from the same build of the demo corpus.
+// The gob generations no longer open; upgraded, they and the containers
+// serve the same IDs and scores bit for bit: v1–v3 narrow their document
+// matrix to what v4 stores and a fresh build holds. v2 upgrades to the v4
+// golden byte for byte, and the directory to one whose segments are
+// containers.
 func TestGoldenGenerationsSearchIdentically(t *testing.T) {
-	v1, err := Open("testdata/index_v1.gob")
-	if err != nil {
-		t.Fatal(err)
+	for _, path := range []string{"testdata/index_v1.gob", "testdata/index_v2.gob", "testdata/dir_gob"} {
+		refusesGob(t, path)
 	}
-	if v1.Stats().TextQueries {
-		t.Fatal("v1 stream cannot carry a vocabulary")
-	}
-	data, err := os.ReadFile("testdata/index_v1.gob")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v1, err = Load(bytes.NewReader(data), WithTextConfig(demoTextConfig())); err != nil {
-		t.Fatal(err)
-	}
-	gens := map[string]*Index{"v1": v1}
+	gens := map[string]*Index{}
 	for name, path := range map[string]string{
-		"v2": "testdata/index_v2.gob", "v3": "testdata/index_v3.lsi", "v4": "testdata/index_v4.lsi", "dir": "testdata/dir_gob",
+		"v1": upgraded(t, "testdata/index_v1.gob", demoText()), "v2": upgraded(t, "testdata/index_v2.gob", nil),
+		"v3": "testdata/index_v3.lsi", "v4": "testdata/index_v4.lsi", "dir": upgraded(t, "testdata/dir_gob", nil),
 	} {
 		ix, err := Open(path, WithAutoCompact(false))
 		if err != nil {
@@ -338,7 +331,7 @@ func TestGoldenGenerationsSearchIdentically(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(flat.Bytes(), golden) {
-		t.Fatal("the v2 golden, saved again, is not the v4 golden byte for byte")
+		t.Fatal("the v2 golden, upgraded, is not the v4 golden byte for byte")
 	}
 	dir := t.TempDir()
 	if err := gens["dir"].SaveDir(dir); err != nil {

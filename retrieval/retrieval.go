@@ -18,9 +18,8 @@
 // so queries are plain strings and results carry stable document IDs.
 // Save writes a self-contained index (wire format v4: raw arrays — the
 // document matrix in float32 — plus the text layer) that answers text
-// queries after Load without the corpus that built it; v3 files and the
-// gob files of wire versions 1 and 2 still load (see Load for attaching a
-// text layer to a v1 file).
+// queries after Load without the corpus that built it; v3 files still
+// load, and older ones convert with lsiquery -upgrade.
 //
 // Every query path returns errors — malformed input never panics through
 // the public API, and batch calls honor context cancellation. The
@@ -134,12 +133,8 @@ type Stats struct {
 	// Weighting names the term-weighting function of the term-document
 	// matrix.
 	Weighting string `json:"weighting"`
-	// TextQueries reports whether the index carries a vocabulary and can
-	// answer text queries (false only for v1-format files loaded without
-	// WithTextConfig).
-	TextQueries bool `json:"textQueries"`
-	// VocabSize is the number of terms in the bundled vocabulary (0 when
-	// the index has none; otherwise equal to NumTerms).
+	// VocabSize is the number of terms in the bundled vocabulary (equal
+	// to NumTerms).
 	VocabSize int `json:"vocabSize"`
 	// MemoryBytes estimates the index's heap footprint: the backend's
 	// numeric payload (latent matrices for LSI, postings and norms for
@@ -219,9 +214,6 @@ var (
 	// ErrNoQueryTerms reports a text query with no token in the index
 	// vocabulary (after the same preprocessing the corpus went through).
 	ErrNoQueryTerms = errors.New("retrieval: no query terms in the index vocabulary")
-	// ErrNoVocabulary reports a text query against an index without a
-	// bundled vocabulary (a v1-format file loaded without WithTextConfig).
-	ErrNoVocabulary = errors.New("retrieval: index has no vocabulary; text queries unavailable (load v1 indexes with WithTextConfig and save them again)")
 	// ErrVectorLength reports a raw query vector whose length differs
 	// from the index vocabulary size.
 	ErrVectorLength = errors.New("retrieval: query vector length does not match the index vocabulary")

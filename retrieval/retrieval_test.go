@@ -248,7 +248,7 @@ func TestSearchBatchMatchesSearch(t *testing.T) {
 func TestStats(t *testing.T) {
 	ix := demoLSI(t)
 	s := ix.Stats()
-	if s.Backend != "lsi" || s.NumDocs != 12 || s.Rank != 3 || s.Weighting != "log" || !s.TextQueries {
+	if s.Backend != "lsi" || s.NumDocs != 12 || s.Rank != 3 || s.Weighting != "log" || s.VocabSize != s.NumTerms {
 		t.Fatalf("stats = %+v", s)
 	}
 	if s.NumTerms != ix.NumTerms() || s.NumTerms == 0 {

@@ -22,14 +22,14 @@ import (
 // manifest describing the shard/segment topology, one generation-stamped
 // ids-<g>.json with the external document identifiers in global order,
 // and per segment one generation-stamped file in the LSI wire format
-// (internal/lsi: numeric payload, no text layer; Open also reads the gob
-// segments older builds wrote) plus a sidecar file for each tier it
-// carries. DESIGN.md "Checkpoint layout" has the whole picture: one
-// writer (writeCheckpoint), one file vocabulary (FileGeneration), one
-// list of what a manifest references (Files). The manifest is
-// versioned and strictly validated on load: a corrupt or truncated
-// manifest fails with a descriptive error, never a panic (fuzzed in
-// manifest_fuzz_test.go).
+// (internal/lsi: numeric payload, no text layer; a directory with the gob
+// segments older builds wrote converts with lsiquery -upgrade) plus a
+// sidecar file for each tier it carries. DESIGN.md "Checkpoint layout"
+// has the whole picture: one writer (writeCheckpoint, whose steps Rewrite
+// reuses for an offline converter), one file vocabulary (FileGeneration),
+// one list of what a manifest references (Files). The manifest is versioned and strictly validated on load: a
+// corrupt or truncated manifest fails with a descriptive error, never a
+// panic (fuzzed in manifest_fuzz_test.go).
 //
 // Pending raw documents are not persisted: segments reload as
 // non-compactable, serving exactly the scores they served when saved.
@@ -188,9 +188,6 @@ const (
 	annFileFmt   = "ann-%d-%d-%d.ivf"
 	quantFileFmt = "quant-%d-%d-%d.qnt"
 	idsFileFmt   = "ids-%d.json"
-	// tmpSuffix marks a file still being written: every checkpoint file
-	// is renamed into place, so a name only ever holds a complete file.
-	tmpSuffix = ".tmp"
 )
 
 // FileGeneration recognises the name of a generation-stamped checkpoint
@@ -264,11 +261,13 @@ func (x *Index) viewShard(s int) shardView {
 }
 
 // writeCheckpoint writes v to dir (created if needed) and returns the
-// generation it wrote. It is the only checkpoint writer, and it is
-// crash-safe, re-saves into a live directory included: data files carry a
-// fresh generation number (never overwriting anything the current
-// manifest references), the manifest is switched by an atomic rename and
-// made durable by a directory fsync, and only after that are the previous
+// generation it wrote. It is the only writer of a checkpoint from an
+// index (Rewrite copies one with the same steps), and it is crash-safe,
+// re-saves into a live directory included: data files carry a fresh
+// generation number (never overwriting anything the current manifest
+// references), each file is fsynced before it is renamed into
+// place, the manifest is switched last by an atomic rename and made
+// durable by a directory fsync, and only after that are the previous
 // generation's files deleted. A crash at any point leaves the directory
 // opening as either the complete old checkpoint or the complete new one.
 // Every write goes through fsys.
@@ -287,7 +286,7 @@ func (x *Index) writeCheckpoint(dir string, v checkpointView, fsys faultinject.F
 	var gen int
 	var before []string
 	for _, e := range entries {
-		if g, ok := FileGeneration(strings.TrimSuffix(e.Name(), tmpSuffix)); ok {
+		if g, ok := FileGeneration(strings.TrimSuffix(e.Name(), faultinject.TempSuffix)); ok {
 			gen, before = max(gen, g+1), append(before, e.Name())
 		}
 	}
@@ -304,17 +303,6 @@ func (x *Index) writeCheckpoint(dir string, v checkpointView, fsys faultinject.F
 		IDsFile:    fmt.Sprintf(idsFileFmt, gen),
 		Segments:   make([][]ManifestSegment, len(v.shards)),
 	}
-	write := func(name string, data []byte) error {
-		tmp := filepath.Join(dir, name+tmpSuffix)
-		err := fsys.WriteFile(tmp, data, 0o644)
-		if err == nil {
-			err = fsys.Rename(tmp, filepath.Join(dir, name))
-		}
-		if err != nil {
-			return fmt.Errorf("shard: save %s: %w", name, err)
-		}
-		return nil
-	}
 	for s, sh := range v.shards {
 		man.Segments[s] = []ManifestSegment{}
 		for i, seg := range sh.segs {
@@ -328,20 +316,20 @@ func (x *Index) writeCheckpoint(dir string, v checkpointView, fsys faultinject.F
 			if err != nil {
 				return 0, fmt.Errorf("shard: save %s: %w", e.File, err)
 			}
-			if err := write(e.File, data); err != nil {
+			if err := writeFile(fsys, dir, e.File, data); err != nil {
 				return 0, err
 			}
 			// The sidecars index segment-local rows: the same bytes in an
 			// export as in a SaveDir.
 			if seg.Ann != nil {
 				e.ANNFile = fmt.Sprintf(annFileFmt, gen, s, i)
-				if err := write(e.ANNFile, seg.Ann.Encode()); err != nil {
+				if err := writeFile(fsys, dir, e.ANNFile, seg.Ann.Encode()); err != nil {
 					return 0, err
 				}
 			}
 			if seg.Quant != nil {
 				e.QuantFile = fmt.Sprintf(quantFileFmt, gen, s, i)
-				if err := write(e.QuantFile, seg.Quant.Encode()); err != nil {
+				if err := writeFile(fsys, dir, e.QuantFile, seg.Quant.Encode()); err != nil {
 					return 0, err
 				}
 			}
@@ -352,20 +340,11 @@ func (x *Index) writeCheckpoint(dir string, v checkpointView, fsys faultinject.F
 	if err != nil {
 		return 0, fmt.Errorf("shard: save %s: %w", man.IDsFile, err)
 	}
-	if err := write(man.IDsFile, idsData); err != nil {
+	if err := writeFile(fsys, dir, man.IDsFile, idsData); err != nil {
 		return 0, err
 	}
-	manData, err := json.MarshalIndent(man, "", "  ")
-	if err != nil {
-		return 0, fmt.Errorf("shard: save %s: %w", ManifestName, err)
-	}
-	if err := write(ManifestName, manData); err != nil {
+	if err := commit(fsys, dir, man); err != nil {
 		return 0, err
-	}
-	// From here the new manifest is the directory's truth: fsync the
-	// directory so the rename survives power loss.
-	if err := fsys.SyncDir(dir); err != nil {
-		return 0, fmt.Errorf("shard: save %s: %w", ManifestName, err)
 	}
 	// Retire every older generation (nothing this checkpoint wrote is
 	// among them: its names are all newer). Best-effort: leftovers are
@@ -374,6 +353,74 @@ func (x *Index) writeCheckpoint(dir string, v checkpointView, fsys faultinject.F
 		fsys.Remove(filepath.Join(dir, name))
 	}
 	return gen, nil
+}
+
+// writeFile puts one checkpoint file into dir. It is synced before it is
+// renamed into place, so a name only ever holds a complete file, power
+// loss included.
+func writeFile(fsys faultinject.FS, dir, name string, data []byte) error {
+	if err := faultinject.ReplaceFile(fsys, filepath.Join(dir, name), data); err != nil {
+		return fmt.Errorf("shard: save %s: %w", name, err)
+	}
+	return nil
+}
+
+// commit switches dir to man, whose files are all in place: the manifest
+// is written last, and from its rename on it is the directory's truth, so
+// the directory is fsynced to make the rename survive power loss.
+func commit(fsys faultinject.FS, dir string, man *Manifest) error {
+	data, err := json.MarshalIndent(man, "", "  ")
+	if err == nil {
+		err = faultinject.ReplaceFile(fsys, filepath.Join(dir, ManifestName), data)
+	}
+	if err == nil {
+		err = fsys.SyncDir(dir)
+	}
+	if err != nil {
+		return fmt.Errorf("shard: save %s: %w", ManifestName, err)
+	}
+	return nil
+}
+
+// Rewrite copies the checkpoint directory in, saved by any build, to a new
+// directory out at the current manifest version, written as
+// writeCheckpoint writes: first the files extra names (layers above the
+// shard checkpoint, such as a text layer), then every file the manifest
+// names, each segment file passed through segment, and the manifest last.
+func Rewrite(in, out string, segment func([]byte) ([]byte, error), extra ...string) error {
+	var man *Manifest
+	data, err := os.ReadFile(filepath.Join(in, ManifestName))
+	if err == nil {
+		man, err = ParseManifest(data)
+	}
+	if err == nil {
+		err = os.Mkdir(out, 0o755)
+	}
+	if err != nil {
+		return fmt.Errorf("shard: rewrite: %w", err)
+	}
+	segs := map[string]bool{}
+	for s := range man.Segments {
+		for i := range man.Segments[s] {
+			man.Segments[s][i].Globals = nil // version 1's list, which ParseManifest checked is the rule
+			segs[man.Segments[s][i].File] = true
+		}
+	}
+	fsys := faultinject.OS{}
+	for _, name := range append(extra, man.Files()...) {
+		data, err := os.ReadFile(filepath.Join(in, name))
+		if err == nil && segs[name] {
+			data, err = segment(data)
+		}
+		if err != nil {
+			return fmt.Errorf("shard: rewrite %s: %w", name, err)
+		}
+		if err := writeFile(fsys, out, name, data); err != nil {
+			return err
+		}
+	}
+	man.Version = ManifestVersion
+	return commit(fsys, out, man)
 }
 
 // SaveDir writes the index to dir (created if needed): the manifest,

@@ -8,7 +8,7 @@ import (
 	"os"
 	"path/filepath"
 
-	"repro/internal/ir"
+	"repro/internal/faultinject"
 	"repro/internal/lsi"
 	"repro/internal/sparse"
 	"repro/retrieval/shard"
@@ -88,18 +88,6 @@ func (ix *Index) Close() error {
 	return err
 }
 
-// docSparse converts a document's text to the sorted sparse term-space
-// vector fold-in consumes — the same pipeline, vocabulary, and weighting
-// as querySparse, because fold-in represents documents exactly the way
-// queries are projected. Terms outside the build-time vocabulary are
-// dropped (the standard fold-in limitation: the vocabulary is fixed at
-// build time); a document with no in-vocabulary terms indexes as an
-// empty vector that never scores above 0.
-func (ix *Index) docSparse(text string) (terms []int, weights []float64) {
-	terms, weights, _ = ix.querySparse(text)
-	return terms, weights
-}
-
 // Add appends documents to a sharded live index, folding them into their
 // shards without a rebuild, and returns the position (and DocID index)
 // of the first: the batch occupies [first, first+len(docs)). It is safe
@@ -125,9 +113,6 @@ func (ix *Index) Add(ctx context.Context, docs []Document) (int, error) {
 	if !ix.Sharded() {
 		return 0, ErrImmutableIndex
 	}
-	if ix.vocab == nil {
-		return 0, ErrNoVocabulary
-	}
 	if len(docs) == 0 {
 		return 0, fmt.Errorf("retrieval: empty batch")
 	}
@@ -138,11 +123,15 @@ func (ix *Index) Add(ctx context.Context, docs []Document) (int, error) {
 }
 
 // applyBatch folds a validated batch into the shard subsystem — the
-// shared apply step of the direct, durable, and WAL-replay paths.
+// shared apply step of the direct, durable, and WAL-replay paths. A
+// document becomes the sparse vector its text would be as a query,
+// because fold-in represents documents exactly the way queries are
+// projected: terms outside the build-time vocabulary are dropped, and a
+// document with none indexes as an empty vector that never scores above 0.
 func (ix *Index) applyBatch(docs []Document) (int, error) {
 	batch := make([]shard.Doc, len(docs))
 	for i, d := range docs {
-		terms, weights := ix.docSparse(d.Text)
+		terms, weights, _ := ix.querySparse(d.Text)
 		batch[i] = shard.Doc{ID: d.ID, Terms: terms, Weights: weights}
 	}
 	first, err := ix.sharded.AddBatch(batch)
@@ -159,11 +148,8 @@ func (ix *Index) applyBatch(docs []Document) (int, error) {
 // the shard manifest); external document IDs live in the shard
 // subsystem's ids.json.
 type textMeta struct {
-	Version         int      `json:"version"`
-	Vocab           []string `json:"vocab"`
-	Weighting       string   `json:"weighting"`
-	RemoveStopwords bool     `json:"removeStopwords"`
-	Stemming        bool     `json:"stemming"`
+	Version int `json:"version"`
+	lsi.Meta
 }
 
 const textMetaName = "text.json"
@@ -175,37 +161,29 @@ func (ix *Index) SaveDir(dir string) error {
 	if !ix.Sharded() {
 		return fmt.Errorf("%w: use Save for single-stream persistence", ErrNotSharded)
 	}
-	if err := ix.sharded.SaveDir(dir); err != nil {
-		return err
-	}
-	return ix.writeTextMeta(dir)
+	return ix.saveDir(dir, -1, faultinject.OS{})
 }
 
-// writeTextMeta writes the index's text layer (text.json) into dir —
-// shared by SaveDir and the per-shard exports, whose nodes need the
-// same pipeline/vocabulary/weighting to reproduce folds and queries.
-func (ix *Index) writeTextMeta(dir string) error {
-	meta := textMeta{
-		Version:         1,
-		Vocab:           ix.vocab.Terms(),
-		Weighting:       ix.weighting.String(),
-		RemoveStopwords: ix.removeStopwords,
-		Stemming:        ix.stemming,
+// saveDir writes the text layer (text.json), then the shard checkpoint —
+// every shard when s < 0, shard s's export otherwise — whose manifest is
+// written last. Every file goes through fsys and is synced before it is
+// renamed into place, so a manifest that survives power loss has its
+// text layer too.
+func (ix *Index) saveDir(dir string, s int, fsys faultinject.FS) error {
+	data, err := json.Marshal(textMeta{Version: 1, Meta: ix.meta()})
+	if err == nil {
+		err = fsys.MkdirAll(dir, 0o755)
 	}
-	data, err := json.Marshal(meta)
+	if err == nil { // immutable after Build: a re-save writes the same bytes
+		err = faultinject.ReplaceFile(fsys, filepath.Join(dir, textMetaName), data)
+	}
 	if err != nil {
 		return fmt.Errorf("retrieval: save text layer: %w", err)
 	}
-	// Write via rename so a crashed re-save leaves the previous (equally
-	// valid — the text layer is immutable after Build) file intact.
-	tmp := filepath.Join(dir, textMetaName+".tmp")
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("retrieval: save text layer: %w", err)
+	if s < 0 {
+		return ix.sharded.SaveDirFS(dir, fsys)
 	}
-	if err := os.Rename(tmp, filepath.Join(dir, textMetaName)); err != nil {
-		return fmt.Errorf("retrieval: save text layer: %w", err)
-	}
-	return nil
+	return ix.sharded.SaveShardDirFS(s, dir, fsys)
 }
 
 // OpenDir loads a sharded index saved by SaveDir. The loaded index
@@ -229,29 +207,16 @@ func OpenDir(dir string, opts ...Option) (*Index, error) {
 	if meta.Version < 1 || meta.Version > 1 {
 		return nil, fmt.Errorf("retrieval: open: text layer version %d is not supported by this build (supported: 1)", meta.Version)
 	}
-	weighting, err := ParseWeighting(meta.Weighting)
-	if err != nil {
-		return nil, fmt.Errorf("retrieval: open: %w", err)
-	}
 	sx, err := shard.Open(dir, cfg.shardConfig())
 	if err != nil {
 		return nil, fmt.Errorf("retrieval: open: %w", err)
 	}
-	if len(meta.Vocab) != sx.NumTerms() {
-		sx.Close()
-		return nil, fmt.Errorf("retrieval: open: vocabulary has %d terms, index has %d", len(meta.Vocab), sx.NumTerms())
-	}
-	vocab, err := ir.NewVocabularyFromTerms(meta.Vocab)
+	text, err := textLayerOf(&meta.Meta, sx.NumTerms())
 	if err != nil {
 		sx.Close()
 		return nil, fmt.Errorf("retrieval: open: %w", err)
 	}
-	ix := &Index{textLayer: textLayer{
-		weighting:       weighting,
-		removeStopwords: meta.RemoveStopwords,
-		stemming:        meta.Stemming,
-	}}
-	ix.setVocab(vocab)
+	ix := &Index{textLayer: text}
 	ix.setShards(sx, cfg)
 	ix.initCache(cfg.cacheBytes)
 	return ix, nil
@@ -278,5 +243,5 @@ func Open(path string, opts ...Option) (*Index, error) {
 		return nil, fmt.Errorf("retrieval: open: %w", err)
 	}
 	defer f.Close()
-	return load(f, nil, newConfig(opts))
+	return load(f, newConfig(opts))
 }

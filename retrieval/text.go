@@ -9,6 +9,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/idtable"
 	"repro/internal/ir"
+	"repro/internal/lsi"
 	"repro/internal/par"
 	"repro/internal/segment"
 	"repro/internal/sparse"
@@ -19,8 +20,8 @@ import (
 // turn query text into the sparse term-space vector the backend scores,
 // and its hits back into IDs. Index and VSM embed it.
 type textLayer struct {
-	vocab           *ir.Vocabulary // nil only for v1 files loaded without text config
-	vocabBytes      int64          // the vocabulary's share of Stats.MemoryBytes
+	vocab           *ir.Vocabulary
+	vocabBytes      int64 // the vocabulary's share of Stats.MemoryBytes
 	weighting       Weighting
 	removeStopwords bool
 	stemming        bool
@@ -81,17 +82,40 @@ func (t *textLayer) setVocab(v *ir.Vocabulary) {
 // stats fills the text layer's part of Stats: the weighting, the
 // vocabulary, and the memory its strings and the document IDs take.
 func (t *textLayer) stats(backend string) Stats {
-	st := Stats{
+	return Stats{
 		Backend:     backend,
 		Weighting:   t.weighting.String(),
-		TextQueries: t.vocab != nil,
+		VocabSize:   t.vocab.Size(),
+		MemoryBytes: t.vocabBytes + t.docIDs.Bytes(),
 		Ready:       true,
 	}
-	if t.vocab != nil {
-		st.VocabSize = t.vocab.Size()
+}
+
+// textLayerOf is the text layer a saved index carries, checked against
+// the index's numTerms terms.
+func textLayerOf(m *lsi.Meta, numTerms int) (textLayer, error) {
+	if len(m.Vocab) != numTerms {
+		return textLayer{}, fmt.Errorf("vocabulary has %d terms, index has %d", len(m.Vocab), numTerms)
 	}
-	st.MemoryBytes = t.vocabBytes + t.docIDs.Bytes()
-	return st
+	w, err := ParseWeighting(m.WeightingName)
+	if err != nil {
+		return textLayer{}, err
+	}
+	vocab, err := ir.NewVocabularyFromTerms(m.Vocab)
+	if err != nil {
+		return textLayer{}, err
+	}
+	t := textLayer{weighting: w, removeStopwords: m.RemoveStopwords, stemming: m.Stemming, docIDs: idtable.Of(m.DocIDs)}
+	t.setVocab(vocab)
+	return t, nil
+}
+
+// meta is the text layer as internal/lsi stores it, without document IDs.
+func (t *textLayer) meta() lsi.Meta {
+	return lsi.Meta{
+		Vocab: t.vocab.Terms(), WeightingName: t.weighting.String(),
+		RemoveStopwords: t.removeStopwords, Stemming: t.stemming,
+	}
 }
 
 // docID returns the external identifier of document doc (build order).
@@ -142,14 +166,10 @@ func (t *textLayer) querySparse(query string) (terms []int, weights []float64, k
 
 // textQuery preprocesses query text into the validated sparse query
 // value, failing the way every text entry point fails: on a done
-// context, an index without a vocabulary, or a query none of whose
-// terms the vocabulary knows.
+// context, or a query none of whose terms the vocabulary knows.
 func (t *textLayer) textQuery(ctx context.Context, query string) (segment.Query, error) {
 	if err := ctx.Err(); err != nil {
 		return segment.Query{}, err
-	}
-	if t.vocab == nil {
-		return segment.Query{}, ErrNoVocabulary
 	}
 	terms, weights, known := t.querySparse(query)
 	if known == 0 {

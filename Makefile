@@ -55,7 +55,7 @@ deps-check:
 # numeric + retrieval layers built on it (the randomized SVD's panel
 # reductions and its MaxProcs-equality test included), the random
 # projection that shares those kernels, the text pipeline and matrix
-# assembly in front of them (ProcessAll tokenizes and counts chunks of
+# assembly in front of them (TermDocMatrix tokenizes, counts and scatters chunks of
 # documents concurrently), the public API + HTTP layer
 # (including the admission-gate degradation tests), the WAL, the
 # cluster router/replica (hedged fan-out, failover, breakers, the chaos

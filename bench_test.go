@@ -15,8 +15,10 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/experiments"
+	"repro/internal/ir"
 	"repro/internal/ivf"
 	"repro/internal/lsi"
+	"repro/internal/mat"
 	"repro/internal/par"
 	"repro/internal/quant"
 	"repro/internal/randproj"
@@ -609,6 +611,72 @@ func BenchmarkTopKSelection(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			copy(scratch, src)
 			topk.SortMatches(scratch)
+		}
+	})
+}
+
+// BenchmarkSetupStages times the stages of the repository benchmark's
+// set-up, one sub-benchmark each, on its data: sampling the corpus
+// (corpus.Generate, 64 × 800 documents), the text front end (bench's
+// rendering to the count-weighted term-document matrix), the rank-64
+// randomized SVD of that matrix, and one of the QRInPlace calls inside
+// it, on a documents × sketch block (51,200 × 74). The stages run at
+// par.MaxProcs 1, so each ns/op is its stage's exact single-core cost
+// (at -cpu 1 the collector's share too): the profile ROADMAP's set-up
+// rule asks for, with no pool goroutine's samples left unattributed.
+func BenchmarkSetupStages(b *testing.B) {
+	defer par.SetMaxProcs(par.SetMaxProcs(1))
+	var (
+		c     *corpus.Corpus
+		texts []string
+		a     *sparse.CSR
+	)
+	matrix := func(b *testing.B) *sparse.CSR {
+		if c == nil {
+			c = ledgerCorpus(b, 1)
+		}
+		if texts == nil {
+			for _, d := range c.Docs {
+				texts = append(texts, renderLedgerText(d))
+			}
+		}
+		if a == nil {
+			a = (&ir.Pipeline{}).TermDocMatrix(texts, corpus.CountWeighting)
+		}
+		return a
+	}
+	b.Run("sample", func(b *testing.B) {
+		for b.Loop() {
+			c = ledgerCorpus(b, 1)
+		}
+	})
+	b.Run("text", func(b *testing.B) {
+		matrix(b)
+		for b.Loop() {
+			a = (&ir.Pipeline{}).TermDocMatrix(texts, corpus.CountWeighting)
+		}
+	})
+	b.Run("svd", func(b *testing.B) {
+		op := matrix(b).Block()
+		for b.Loop() {
+			if _, err := svd.Randomized(op, 64, svd.RandomizedOptions{Rng: rand.New(rand.NewSource(7))}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("qr", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(156))
+		src := mat.NewDense(51200, 74)
+		for i := range src.RawData() {
+			src.RawData()[i] = rng.NormFloat64()
+		}
+		y := src.Clone()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			copy(y.RawData(), src.RawData())
+			b.StartTimer()
+			mat.QRInPlace(y, 1e-12)
 		}
 	})
 }

@@ -58,25 +58,30 @@ func TermDocMatrix(c *Corpus, w Weighting) *sparse.CSR {
 	b := sparse.NewRowBuilder(df, m)
 	for j, d := range c.Docs {
 		for i, t := range d.Terms {
-			count := float64(d.Counts[i])
-			var v float64
-			switch w {
-			case CountWeighting:
-				v = count
-			case BinaryWeighting:
-				v = 1
-			case LogWeighting:
-				v = 1 + math.Log(count)
-			case TFIDFWeighting:
-				idf := math.Log(float64(m) / float64(df[t]))
-				v = count * idf
-			default:
-				panic(fmt.Sprintf("corpus: unknown weighting %d", int(w)))
-			}
-			b.Add(t, j, v)
+			b.Add(t, j, w.Entry(d.Counts[i], df[t], m))
 		}
 	}
 	return b.CSR()
+}
+
+// Entry is the value w stores for a term counted count times in one of
+// docs documents, df of which hold the term. Counts of one and more are
+// weighted above zero, but under TF-IDF a term every document holds is
+// weighted zero, and the matrix stores no entry for it.
+func (w Weighting) Entry(count, df, docs int) float64 {
+	c := float64(count)
+	switch w {
+	case CountWeighting:
+		return c
+	case BinaryWeighting:
+		return 1
+	case LogWeighting:
+		return 1 + math.Log(c)
+	case TFIDFWeighting:
+		return c * math.Log(float64(docs)/float64(df))
+	default:
+		panic(fmt.Sprintf("corpus: unknown weighting %d", int(w)))
+	}
 }
 
 // DocVector returns the weighted term vector of a single document in the
@@ -88,22 +93,15 @@ func DocVector(d *Document, numTerms int, w Weighting) ([]float64, error) {
 	if w == TFIDFWeighting {
 		return nil, fmt.Errorf("corpus: DocVector does not support tf-idf (corpus statistics required)")
 	}
+	if w < CountWeighting || w > TFIDFWeighting {
+		return nil, fmt.Errorf("corpus: unknown weighting %d", int(w))
+	}
 	v := make([]float64, numTerms)
 	for i, t := range d.Terms {
 		if t < 0 || t >= numTerms {
 			return nil, fmt.Errorf("corpus: term %d out of universe [0,%d)", t, numTerms)
 		}
-		count := float64(d.Counts[i])
-		switch w {
-		case CountWeighting:
-			v[t] = count
-		case BinaryWeighting:
-			v[t] = 1
-		case LogWeighting:
-			v[t] = 1 + math.Log(count)
-		default:
-			return nil, fmt.Errorf("corpus: unknown weighting %d", int(w))
-		}
+		v[t] = w.Entry(d.Counts[i], 1, 1)
 	}
 	return v, nil
 }

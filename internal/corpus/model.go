@@ -2,8 +2,8 @@ package corpus
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
-	"slices"
 )
 
 // DocSpec is the outcome of the first step of the paper's two-step sampling
@@ -140,10 +140,10 @@ func Generate(m *Model, count int, rng *rand.Rand) (*Corpus, error) {
 		return nil, fmt.Errorf("corpus: negative document count %d", count)
 	}
 	c := &Corpus{NumTerms: m.NumTerms, Docs: make([]Document, 0, count)}
-	tally := termTally{counts: make([]int32, m.NumTerms)}
+	tally := newTermTally(m.NumTerms)
 	for i := 0; i < count; i++ {
 		spec := m.Sampler.SampleSpec(rng)
-		doc, err := m.sampleDocument(i, spec, rng, &tally)
+		doc, err := m.sampleDocument(i, spec, rng, tally)
 		if err != nil {
 			return nil, err
 		}
@@ -169,9 +169,10 @@ func (m *Model) sampleDocument(id int, spec DocSpec, rng *rand.Rand, tally *term
 		}
 	}
 
-	singleTopic := len(spec.TopicIDs) == 1
-	var mixed *Topic
-	if !singleTopic {
+	var topic *Topic
+	if len(spec.TopicIDs) == 1 {
+		topic = m.Topics[spec.TopicIDs[0]]
+	} else {
 		topics := make([]*Topic, len(spec.TopicIDs))
 		for i, tid := range spec.TopicIDs {
 			topics[i] = m.Topics[tid]
@@ -180,8 +181,7 @@ func (m *Model) sampleDocument(id int, spec DocSpec, rng *rand.Rand, tally *term
 		if err != nil {
 			return Document{}, err
 		}
-		mixed, err = NewTopic(dist)
-		if err != nil {
+		if topic, err = NewTopic(dist); err != nil {
 			return Document{}, err
 		}
 	}
@@ -189,48 +189,60 @@ func (m *Model) sampleDocument(id int, spec DocSpec, rng *rand.Rand, tally *term
 	if err != nil {
 		return Document{}, err
 	}
+	if style != nil && style.IsIdentity() {
+		style = nil
+	}
 	for t := 0; t < spec.Length; t++ {
-		var term int
-		if singleTopic {
-			term = m.Topics[spec.TopicIDs[0]].Sample(rng)
-		} else {
-			term = mixed.Sample(rng)
-		}
-		if style != nil && !style.IsIdentity() {
+		term := topic.Sample(rng)
+		if style != nil {
 			term = style.RewriteTerm(term, rng.Float64())
 		}
 		tally.add(term)
 	}
-	return tally.document(id, spec), nil
+	terms, counts := tally.take()
+	return Document{ID: id, Spec: spec, Terms: terms, Counts: counts}, nil
 }
 
-// termTally counts one document's draws in a universe-sized array that
-// Generate allocates once; the terms a document touched are the only
-// entries it has to clear again, so a document costs its length plus a
-// sort of its distinct terms.
+// termTally counts one document's draws in a universe-sized array and
+// marks each term in a bitmap, so the terms come out ascending from a
+// scan, with no sort, into two slabs its documents share, each document's
+// slices capped at their own length.
 type termTally struct {
-	counts  []int32
-	touched []int
+	counts         []int32
+	marks          []uint64
+	terms, tallies []int // the slabs
+}
+
+func newTermTally(numTerms int) *termTally {
+	return &termTally{counts: make([]int32, numTerms), marks: make([]uint64, (numTerms+63)/64)}
 }
 
 func (t *termTally) add(term int) {
-	if t.counts[term] == 0 {
-		t.touched = append(t.touched, term)
-	}
+	t.marks[term>>6] |= 1 << (term & 63)
 	t.counts[term]++
 }
 
-// document returns the tally as a Document, terms ascending, and resets it.
-func (t *termTally) document(id int, spec DocSpec) Document {
-	terms := slices.Clone(t.touched)
-	slices.Sort(terms)
-	cs := make([]int, len(terms))
-	for i, term := range terms {
-		cs[i] = int(t.counts[term])
-		t.counts[term] = 0
+// take returns the document counted, terms ascending, and resets the
+// tally.
+func (t *termTally) take() (terms, counts []int) {
+	n := 0
+	for _, word := range t.marks {
+		n += bits.OnesCount64(word)
 	}
-	t.touched = t.touched[:0]
-	return Document{ID: id, Spec: spec, Terms: terms, Counts: cs}
+	if cap(t.terms)-len(t.terms) < n { // new slabs; the old stay with their documents
+		size := max(n, 2*cap(t.terms), 64)
+		t.terms, t.tallies = make([]int, 0, size), make([]int, 0, size)
+	}
+	start := len(t.terms)
+	for w, word := range t.marks {
+		for ; word != 0; word &= word - 1 {
+			term := w<<6 | bits.TrailingZeros64(word)
+			t.terms, t.tallies = append(t.terms, term), append(t.tallies, int(t.counts[term]))
+			t.counts[term] = 0
+		}
+		t.marks[w] = 0
+	}
+	return t.terms[start:len(t.terms):len(t.terms)], t.tallies[start:len(t.terms):len(t.terms)]
 }
 
 func (m *Model) effectiveStyle(spec DocSpec) (*Style, error) {
@@ -246,19 +258,6 @@ func (m *Model) effectiveStyle(spec DocSpec) (*Style, error) {
 		}
 		return MixStyles(styles, spec.StyleWeights)
 	}
-}
-
-func docFromCounts(id int, spec DocSpec, counts map[int]int) Document {
-	terms := make([]int, 0, len(counts))
-	for t := range counts {
-		terms = append(terms, t)
-	}
-	slices.Sort(terms)
-	cs := make([]int, len(terms))
-	for i, t := range terms {
-		cs[i] = counts[t]
-	}
-	return Document{ID: id, Spec: spec, Terms: terms, Counts: cs}
 }
 
 // PureSampler draws single-topic documents with no style and a length

@@ -358,7 +358,9 @@ func generateWithMaps(m *Model, count int, rng *rand.Rand) ([]Document, error) {
 // TestGenerateMatchesMapReference holds Generate to the map-based
 // reference on every kind of spec the package samples: pure, dealt
 // round-robin, Dirichlet mixtures, a synonym style and polysemous topics.
-// Each model is built twice, since samplers carry state.
+// Each model is built twice, since samplers carry state. GenerateQueries,
+// which counts through the same tally, is held to its own map reference
+// on every topic of each model.
 func TestGenerateMatchesMapReference(t *testing.T) {
 	cfg := SeparableConfig{NumTopics: 6, TermsPerTopic: 12, Epsilon: 0.1, MinLen: 20, MaxLen: 60}
 	models := map[string]func() (*Model, error){
@@ -408,6 +410,47 @@ func TestGenerateMatchesMapReference(t *testing.T) {
 					t.Fatalf("doc %d: got %+v, want %+v", i, g, w)
 				}
 			}
+			// Documents share slabs; growing one must not reach into the next.
+			next := slices.Clone(got.Docs[2].Terms)
+			_ = append(got.Docs[1].Terms, -1)
+			if !slices.Equal(got.Docs[2].Terms, next) {
+				t.Fatal("appending to one document's terms overwrote the next's")
+			}
+			for topic := range m.Topics {
+				got, err := GenerateQueries(m, topic, 40, 1+3*topic, rand.New(rand.NewSource(int64(12+topic))))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := queriesWithMaps(m, topic, 40, 1+3*topic, rand.New(rand.NewSource(int64(12+topic))))
+				for i := range want {
+					g, w := got[i], want[i]
+					if g.Topic != w.Topic || !slices.Equal(g.Terms, w.Terms) || !slices.Equal(g.Counts, w.Counts) {
+						t.Fatalf("topic %d query %d: got %+v, want %+v", topic, i, g, w)
+					}
+				}
+			}
 		})
 	}
+}
+
+// queriesWithMaps is GenerateQueries as it was written with one map per
+// query.
+func queriesWithMaps(m *Model, topicID, count, length int, rng *rand.Rand) []Query {
+	var out []Query
+	for i := 0; i < count; i++ {
+		counts := map[int]int{}
+		for j := 0; j < length; j++ {
+			counts[m.Topics[topicID].Sample(rng)]++
+		}
+		q := Query{Topic: topicID}
+		for term := range counts {
+			q.Terms = append(q.Terms, term)
+		}
+		slices.Sort(q.Terms)
+		for _, term := range q.Terms {
+			q.Counts = append(q.Counts, counts[term])
+		}
+		out = append(out, q)
+	}
+	return out
 }

@@ -47,14 +47,14 @@ func GenerateQueries(m *Model, topicID, count, length int, rng *rand.Rand) ([]Qu
 		return nil, fmt.Errorf("corpus: query length %d, want >= 1", length)
 	}
 	topic := m.Topics[topicID]
+	tally := newTermTally(m.NumTerms)
 	out := make([]Query, 0, count)
 	for i := 0; i < count; i++ {
-		counts := map[int]int{}
 		for j := 0; j < length; j++ {
-			counts[topic.Sample(rng)]++
+			tally.add(topic.Sample(rng))
 		}
-		doc := docFromCounts(i, DocSpec{}, counts)
-		out = append(out, Query{Topic: topicID, Terms: doc.Terms, Counts: doc.Counts})
+		terms, counts := tally.take()
+		out = append(out, Query{Topic: topicID, Terms: terms, Counts: counts})
 	}
 	return out, nil
 }

@@ -13,19 +13,19 @@ import (
 	"repro/internal/ir"
 	"repro/internal/lsi"
 	"repro/internal/randproj"
+	"repro/internal/sparse"
 	"repro/internal/vsm"
 )
 
-func buildTextIndex(t *testing.T) (*ir.Pipeline, *corpus.Corpus, *lsi.Index, *vsm.Index) {
+func buildTextIndex(t *testing.T) (*ir.Pipeline, *sparse.CSR, *lsi.Index, *vsm.Index) {
 	t.Helper()
 	pipe := ir.NewPipeline()
-	c := pipe.ProcessAll(ir.SampleTexts())
-	a := corpus.TermDocMatrix(c, corpus.LogWeighting)
+	a := pipe.TermDocMatrix(ir.SampleTexts(), corpus.LogWeighting)
 	index, err := lsi.Build(a, 3, lsi.Options{Engine: lsi.EngineDense})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pipe, c, index, vsm.NewFromMatrix(a)
+	return pipe, a, index, vsm.NewFromMatrix(a)
 }
 
 func textQuery(t *testing.T, pipe *ir.Pipeline, numTerms int, text string) []float64 {
@@ -59,8 +59,8 @@ func TestTextPipelineThemeSeparation(t *testing.T) {
 	if intra.Mean >= inter.Mean {
 		t.Fatalf("intratopic mean %v not below intertopic %v", intra.Mean, inter.Mean)
 	}
-	if c.NumTerms < 30 {
-		t.Fatalf("vocabulary suspiciously small: %d", c.NumTerms)
+	if c.Rows() < 30 {
+		t.Fatalf("vocabulary suspiciously small: %d", c.Rows())
 	}
 }
 
@@ -69,7 +69,7 @@ func TestTextSynonymyRetrieval(t *testing.T) {
 	// never contain the literal token, so VSM cannot retrieve them; LSI
 	// must rank them above the other themes.
 	pipe, c, index, baseline := buildTextIndex(t)
-	q := textQuery(t, pipe, c.NumTerms, "car")
+	q := textQuery(t, pipe, c.Rows(), "car")
 	labels := ir.SampleLabels()
 
 	lsiTop := index.Search(q, 8)
@@ -82,7 +82,7 @@ func TestTextSynonymyRetrieval(t *testing.T) {
 	carID, _ := pipe.Vocab.Lookup(ir.Stem("car"))
 	foundNonLiteral := false
 	for _, m := range lsiTop {
-		if c.Docs[m.Doc].Count(carID) == 0 {
+		if c.At(carID, m.Doc) == 0 {
 			foundNonLiteral = true
 			break
 		}
@@ -92,7 +92,7 @@ func TestTextSynonymyRetrieval(t *testing.T) {
 	}
 	// VSM retrieves only literal matches.
 	for _, m := range baseline.Search(q, 0) {
-		if c.Docs[m.Doc].Count(carID) == 0 {
+		if c.At(carID, m.Doc) == 0 {
 			t.Fatalf("VSM retrieved doc %d without the literal term", m.Doc)
 		}
 	}
@@ -100,14 +100,10 @@ func TestTextSynonymyRetrieval(t *testing.T) {
 
 func TestTextFoldInNewDocument(t *testing.T) {
 	pipe, c, index, _ := buildTextIndex(t)
-	fresh := pipe.Process(len(c.Docs), "the mechanic rebuilt the engine and tested the brakes on the vehicle")
-	vec, err := corpus.DocVector(&fresh, pipe.Vocab.Size(), corpus.CountWeighting)
-	if err != nil {
-		t.Fatal(err)
-	}
+	vec := pipe.TermDocMatrix([]string{"the mechanic rebuilt the engine and tested the brakes on the vehicle"}, corpus.CountWeighting).Col(0)
 	// The pipeline may have grown the vocabulary; truncate to the indexed
 	// universe (unseen terms cannot contribute to fold-in by definition).
-	vec = vec[:c.NumTerms]
+	vec = vec[:c.Rows()]
 	id, err := index.AppendDocument(vec)
 	if err != nil {
 		t.Fatal(err)
@@ -128,13 +124,12 @@ func TestTextTwoStepRetrieval(t *testing.T) {
 	// The Section 5 pipeline on text: random projection + rank-2k LSI still
 	// separates the themes.
 	pipe := ir.NewPipeline()
-	c := pipe.ProcessAll(ir.SampleTexts())
-	a := corpus.TermDocMatrix(c, corpus.LogWeighting)
-	ts, err := randproj.NewTwoStep(a, 3, min(40, c.NumTerms), randproj.TwoStepOptions{Seed: 21})
+	a := pipe.TermDocMatrix(ir.SampleTexts(), corpus.LogWeighting)
+	ts, err := randproj.NewTwoStep(a, 3, min(40, a.Rows()), randproj.TwoStepOptions{Seed: 21})
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := textQuery(t, pipe, c.NumTerms, "telescope stars")
+	q := textQuery(t, pipe, a.Rows(), "telescope stars")
 	labels := ir.SampleLabels()
 	hits := ts.Search(q, 5)
 	wrong := 0
@@ -152,8 +147,7 @@ func TestTextGraphDiscovery(t *testing.T) {
 	// Section 6 on text: the document Gram graph of the sample corpus has
 	// the three themes as discoverable high-conductance subgraphs.
 	pipe := ir.NewPipeline()
-	c := pipe.ProcessAll(ir.SampleTexts())
-	a := corpus.TermDocMatrix(c, corpus.LogWeighting)
+	a := pipe.TermDocMatrix(ir.SampleTexts(), corpus.LogWeighting)
 	g, err := graphmodel.FromSimilarity(lsi.GramFromColumns(a))
 	if err != nil {
 		t.Fatal(err)

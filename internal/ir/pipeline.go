@@ -2,11 +2,12 @@ package ir
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/corpus"
 	"repro/internal/par"
+	"repro/internal/sparse"
 )
 
 // Vocabulary assigns stable integer IDs to terms in order of first
@@ -102,7 +103,9 @@ func (p *Pipeline) Terms(text string) []string {
 // appendTerms appends Terms(text) to dst, filtering the tokens in place.
 func (p *Pipeline) appendTerms(dst []string, text string) []string {
 	n := len(dst)
-	dst = appendTokens(dst, text)
+	if dst = appendTokens(dst, text); !p.RemoveStopwords && !p.Stemming {
+		return dst // no token is empty
+	}
 	out := dst[:n]
 	for _, tok := range dst[n:] {
 		if p.RemoveStopwords && IsStopword(tok) {
@@ -118,28 +121,22 @@ func (p *Pipeline) appendTerms(dst []string, text string) []string {
 	return out
 }
 
-// Process converts one text into a corpus.Document with the given ID,
-// growing the shared vocabulary as needed. A document may come out empty
-// (all tokens stopworded away); that is not an error.
-func (p *Pipeline) Process(id int, text string) corpus.Document {
-	d := p.ProcessAll([]string{text}).Docs[0]
-	d.ID = id
-	return d
-}
-
-// ProcessAll converts a batch of texts into a corpus over the pipeline's
-// shared vocabulary: the Documents a Process loop over texts would return
-// and the vocabulary it would leave, for every par.MaxProcs.
+// TermDocMatrix runs the pipeline over texts, growing its vocabulary, and
+// returns their term-document matrix weighted by w (a row per vocabulary
+// term, a column per text): for every par.MaxProcs, bitwise
+// corpus.TermDocMatrix of the documents a serial loop would count.
 //
 // The texts are cut into chunks that are tokenized and counted in
 // parallel, each against a vocabulary of its own that numbers terms in
 // order of first appearance within the chunk. Interning those
-// vocabularies serially, chunk by chunk, gives every term the ID the
-// serial loop would: a term new to the pipeline in chunk c first appears
-// there, and the chunk's new terms are met in the order the chunk lists
-// them. A second parallel pass rewrites chunk-local IDs as global ones
-// and sorts each document.
-func (p *Pipeline) ProcessAll(texts []string) *corpus.Corpus {
+// vocabularies serially, chunk by chunk, gives every term the ID a loop
+// over the texts would: a term new to the pipeline in chunk c first
+// appears there, and the chunk's new terms are met in the order the chunk
+// lists them. The chunks' document frequencies fix each row's length and
+// the run of it each chunk fills, and a second parallel pass scatters the
+// documents into their rows in order, so columns ascend with no sort. A
+// row w weights zero (TF-IDF's term in every text) stays empty.
+func (p *Pipeline) TermDocMatrix(texts []string, w corpus.Weighting) *sparse.CSR {
 	if p.Vocab == nil {
 		p.Vocab = NewVocabulary()
 	}
@@ -152,25 +149,50 @@ func (p *Pipeline) ProcessAll(texts []string) *corpus.Corpus {
 			c.global[l] = p.Vocab.IDOf(term)
 		}
 	}
-	docs := make([]corpus.Document, len(texts))
+	n, m := p.Vocab.Size(), len(texts)
+	df := make([]int, n)
+	for _, c := range chunks {
+		for l, t := range c.global {
+			df[t] += int(c.df[l])
+		}
+	}
+	rowPtr := make([]int, n+1)
+	for t, d := range df {
+		if d > 0 && w.Entry(1, d, m) == 0 {
+			df[t] = 0 // a zero-weighted row: scatter skips it
+		}
+		rowPtr[t+1] = rowPtr[t] + df[t]
+	}
+	next := slices.Clone(rowPtr[:n])
+	for _, c := range chunks {
+		c.next = make([]int, len(c.global))
+		for l, t := range c.global {
+			c.next[l] = next[t]
+			next[t] += int(c.df[l])
+		}
+	}
+	colIdx, vals := make([]int, rowPtr[n]), make([]float64, rowPtr[n])
 	par.For(len(chunks), 1, func(lo, hi int) {
 		for _, c := range chunks[lo:hi] {
-			c.fill(docs)
+			c.scatter(colIdx, vals, w, df, m)
 		}
 	})
-	return &corpus.Corpus{NumTerms: p.Vocab.Size(), Docs: docs}
+	return sparse.NewCSR(m, rowPtr, colIdx, vals)
 }
 
-// chunkCounts is what ProcessAll's first pass learns about a run of
+// chunkCounts is what TermDocMatrix's first pass learns about a run of
 // consecutive texts.
 type chunkCounts struct {
-	lo     int      // index of the first text
-	terms  []string // chunk-local vocabulary, in order of first appearance
-	global []int    // pipeline vocabulary ID of each local term
+	lo    int      // index of the first text
+	terms []string // chunk-local vocabulary, in order of first appearance
+	df    []int32  // per local term: the chunk's documents that hold it
 	// The documents back to back: the distinct local term IDs of each in
 	// order of first appearance, their counts, and where each document ends.
 	ids, counts []int32
 	ends        []int
+	// Set between the passes, per local term: its pipeline vocabulary ID
+	// and the next slot the chunk fills in its row.
+	global, next []int
 }
 
 func (p *Pipeline) countChunk(texts []string, lo int) *chunkCounts {
@@ -186,14 +208,18 @@ func (p *Pipeline) countChunk(texts []string, lo int) *chunkCounts {
 		for _, tok := range toks {
 			l, ok := local[tok]
 			if !ok {
+				// A copy, compact for the lookups that compare it.
+				tok = strings.Clone(tok)
 				l = int32(len(c.terms))
 				local[tok] = l
 				c.terms = append(c.terms, tok)
+				c.df = append(c.df, 0)
 				slot = append(slot, 0)
 			}
 			if slot[l] == 0 {
 				c.ids = append(c.ids, l)
 				c.counts = append(c.counts, 0)
+				c.df[l]++
 				slot[l] = int32(len(c.ids) - start)
 			}
 			c.counts[start+int(slot[l])-1]++
@@ -206,31 +232,18 @@ func (p *Pipeline) countChunk(texts []string, lo int) *chunkCounts {
 	return c
 }
 
-// fill writes the chunk's documents into docs, terms ascending by global
-// ID. The documents share one backing array, each capped to its own part.
-func (c *chunkCounts) fill(docs []corpus.Document) {
-	n := len(c.ids)
-	slab := make([]int, 2*n)
-	doc := termCounts{}
+// scatter writes the chunk's entries into their rows' slots, weighted by
+// w over m documents with document frequencies df.
+func (c *chunkCounts) scatter(colIdx []int, vals []float64, w corpus.Weighting, df []int, m int) {
 	start := 0
 	for d, end := range c.ends {
-		doc.terms, doc.counts = slab[start:end:end], slab[n+start:n+end:n+end]
-		for i := range doc.terms {
-			doc.terms[i] = c.global[c.ids[start+i]]
-			doc.counts[i] = int(c.counts[start+i])
+		for i := start; i < end; i++ {
+			if l := c.ids[i]; df[c.global[l]] > 0 {
+				k := c.next[l]
+				c.next[l]++
+				colIdx[k], vals[k] = c.lo+d, w.Entry(int(c.counts[i]), df[c.global[l]], m)
+			}
 		}
-		sort.Sort(&doc)
-		docs[c.lo+d] = corpus.Document{ID: c.lo + d, Terms: doc.terms, Counts: doc.counts}
 		start = end
 	}
-}
-
-// termCounts sorts a document's parallel term and count slices by term.
-type termCounts struct{ terms, counts []int }
-
-func (t *termCounts) Len() int           { return len(t.terms) }
-func (t *termCounts) Less(i, j int) bool { return t.terms[i] < t.terms[j] }
-func (t *termCounts) Swap(i, j int) {
-	t.terms[i], t.terms[j] = t.terms[j], t.terms[i]
-	t.counts[i], t.counts[j] = t.counts[j], t.counts[i]
 }

@@ -82,7 +82,7 @@ func TestPipelineTerms(t *testing.T) {
 
 func TestPipelineProcess(t *testing.T) {
 	p := NewPipeline()
-	d := p.Process(7, "cars car CARS driving")
+	d := process(p, 7, "cars car CARS driving")
 	if d.ID != 7 {
 		t.Fatalf("ID = %d", d.ID)
 	}
@@ -98,7 +98,7 @@ func TestPipelineProcess(t *testing.T) {
 		t.Fatalf("Length = %d", d.Length())
 	}
 	// Empty document is fine.
-	e := p.Process(8, "the of and")
+	e := process(p, 8, "the of and")
 	if len(e.Terms) != 0 || e.Length() != 0 {
 		t.Fatalf("stopword-only doc not empty: %+v", e)
 	}
@@ -106,7 +106,7 @@ func TestPipelineProcess(t *testing.T) {
 
 func TestPipelineProcessAllSharedVocab(t *testing.T) {
 	p := NewPipeline()
-	c := p.ProcessAll([]string{
+	c := processAll(p, []string{
 		"galaxies and starships",
 		"the starship galaxy",
 	})
@@ -128,7 +128,7 @@ func TestPipelineProcessAllSharedVocab(t *testing.T) {
 
 func TestPipelineNilVocabAutofill(t *testing.T) {
 	p := &Pipeline{Stemming: true}
-	d := p.Process(0, "hello worlds")
+	d := process(p, 0, "hello worlds")
 	if p.Vocab == nil || p.Vocab.Size() == 0 || len(d.Terms) != 2 {
 		t.Fatal("nil vocab not autofilled")
 	}

@@ -79,7 +79,7 @@ func TestStemPropertySafe(t *testing.T) {
 func TestPipelinePropertyDocumentInvariants(t *testing.T) {
 	p := NewPipeline()
 	f := func(text string) bool {
-		d := p.Process(0, text)
+		d := process(p, 0, text)
 		want := len(p.Terms(text))
 		got := 0
 		prev := -1
@@ -124,6 +124,6 @@ func BenchmarkPipelineProcess(b *testing.B) {
 	text := strings.Repeat("the latent semantic indexing of documents retrieves synonymous terms across corpora ", 10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Process(i, text)
+		process(p, i, text)
 	}
 }

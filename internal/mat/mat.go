@@ -246,17 +246,23 @@ func MulT(a, b *Dense) *Dense {
 		panic(fmt.Sprintf("mat: MulT dimension mismatch %dx%d ᵀ* %dx%d", a.rows, a.cols, b.rows, b.cols))
 	}
 	out := NewDense(a.cols, b.cols)
-	mulTRows(out.data, a, b, 0, a.rows)
+	mulTRows(out.data, a, b, 0, a.rows, 0, false)
 	return out
 }
 
 // mulTRows accumulates the contribution of rows [lo, hi) of a and b to
-// aᵀ*b into out, an a.cols×b.cols block.
-func mulTRows(out []float64, a, b *Dense, lo, hi int) {
+// rows [i0, a.cols) of aᵀ*b into out, an a.cols×b.cols block: one Axpy
+// per element of a, or with upper (a == b) one per element on and right
+// of the diagonal, for the upper triangle of aᵀa alone.
+func mulTRows(out []float64, a, b *Dense, lo, hi, i0 int, upper bool) {
 	for k := lo; k < hi; k++ {
 		brow := b.data[k*b.cols : (k+1)*b.cols]
-		for i, av := range a.data[k*a.cols : (k+1)*a.cols] {
-			Axpy(av, brow, out[i*b.cols:(i+1)*b.cols])
+		for i := i0; i < a.cols; i++ {
+			c0 := 0
+			if upper {
+				c0 = i
+			}
+			Axpy(a.data[k*a.cols+i], brow[c0:], out[i*b.cols+c0:(i+1)*b.cols])
 		}
 	}
 }

@@ -22,16 +22,15 @@ func MulInto(dst, a, b *Dense) {
 // parallelThreshold the rows of dst are split across par workers; each
 // row is cleared and accumulated by one goroutine, so the result is
 // bitwise the same for every par.MaxProcs. On AVX-512 CPUs b is packed
-// once (packB) and shared by the workers.
+// once (pack) and shared by the workers.
 func mulInto(dst, a, b *Dense) {
 	var bp []float64
 	if hasAVX512 && a.rows >= 4 {
-		buf := packSlot.Swap(nil)
-		if buf == nil {
-			buf = new([]float64)
-		}
+		buf := takePack(packedSize(b.rows, b.cols))
 		defer keepPack(buf)
-		bp = packB(buf, b)
+		if pack(*buf, b, 0, b.rows, 0) {
+			bp = *buf
+		}
 	}
 	if a.rows*a.cols*b.cols < parallelThreshold || par.MaxProcs() < 2 {
 		mulBlock(dst.data, a, b, bp, 0, a.rows) // serial, and no closure to allocate
@@ -46,7 +45,9 @@ func mulInto(dst, a, b *Dense) {
 func mulBlock(out []float64, a, b *Dense, bp []float64, lo, hi int) {
 	clear(out[lo*b.cols : hi*b.cols])
 	if bp != nil {
-		lo = mulRowsPacked(out, a, bp, b.cols, lo, hi)
+		end := hi - (hi-lo)%4
+		tileMul(out[lo*b.cols:], b.cols, a.data[lo*a.cols:], a.cols, 1, end-lo, bp, a.cols, a.cols, b.cols, false)
+		lo = end
 	}
 	mulRows(out, a, b, lo, hi)
 }
@@ -70,6 +71,18 @@ var packSlot atomic.Pointer[[]float64]
 // route's G·Y at 1,600 terms packs 1,600 × 80).
 const packKeep = 1 << 19
 
+// takePack returns the buffer packSlot keeps, or a new one, as size
+// floats.
+func takePack(size int) *[]float64 {
+	buf := packSlot.Swap(nil)
+	if buf == nil || cap(*buf) < size {
+		b := make([]float64, size)
+		buf = &b
+	}
+	*buf = (*buf)[:size]
+	return buf
+}
+
 // keepPack puts buf back in packSlot unless it is larger than packKeep.
 func keepPack(buf *[]float64) {
 	if cap(*buf) <= packKeep {
@@ -77,70 +90,81 @@ func keepPack(buf *[]float64) {
 	}
 }
 
-// packB copies b into *buf (grown if short) as zero-padded strips of
-// tileCols columns, each strip its b.rows rows in turn, and returns the
-// packed slice. It returns nil if b holds an Inf or a NaN.
-//
-// That condition is what lets the tile drop axpy4's zero-α skip. mulRows
-// skips a zero a(i,k); the tile adds a(i,k)·b(k,j) to the accumulator
-// anyway. For finite b that product is a zero, and adding a zero leaves
-// the accumulator as it is: it starts at +0 and a sum that starts at +0
-// never becomes −0, Inf and NaN stay what they are. For an Inf or NaN in
-// b the product would be NaN, so the whole product takes mulRows.
-func packB(buf *[]float64, b *Dense) []float64 {
-	for _, v := range b.data {
-		if v-v != 0 {
-			return nil
-		}
-	}
-	size := (b.cols + tileCols - 1) / tileCols * tileCols * b.rows
-	if cap(*buf) < size {
-		*buf = make([]float64, size)
-	}
-	bp := (*buf)[:size]
-	for j0 := 0; j0 < b.cols; j0 += tileCols {
-		w := min(tileCols, b.cols-j0)
-		strip := bp[j0*b.rows : (j0+tileCols)*b.rows]
-		for k := 0; k < b.rows; k++ {
-			d := strip[k*tileCols : (k+1)*tileCols]
-			copy(d, b.data[k*b.cols+j0:k*b.cols+j0+w])
-			clear(d[w:])
-		}
-	}
-	return bp
+// packedSize is the length of the packed form of a rows×cols block: its
+// columns in strips of tileCols, the last one zero-padded.
+func packedSize(rows, cols int) int {
+	return (cols + tileCols - 1) / tileCols * tileCols * rows
 }
 
-// mulRowsPacked accumulates into out, a cleared block n columns wide, the
-// rows of a*b in [lo, hi) that fill whole blocks of four, and returns the
-// first row it left for mulRows. bp is b packed by packB. For each k-panel
-// of tileK rows of b, every block of four rows runs the 4×16 tile
-// (mul_amd64.s) across the strips; the last strip, if narrower than
-// tileCols, goes through a scratch tile. Each element of out thus gets
-// one multiply and one add per row of b in ascending order: mulRows'
-// operations, with the zero-α skip that packB explains away.
-func mulRowsPacked(out []float64, a *Dense, bp []float64, n, lo, hi int) int {
-	end := hi - (hi-lo)%4
-	kk := a.cols
+// pack copies the block of b at rows [r0, r1) and columns [c0, b.cols)
+// into dst, packedSize(r1-r0, b.cols-c0) long, as zero-padded strips of
+// tileCols columns, each strip its rows in turn. It reports false, with
+// dst in an unspecified state, if the block holds an Inf or a NaN.
+//
+// That condition lets the tile drop Axpy's zero-α skip: it adds α·b(k,j)
+// anyway, a zero for finite b, which leaves an accumulator that is not −0
+// as it is (a sum from +0 never becomes −0). With an Inf or a NaN in b the
+// caller takes its loop; accumulators that may start at −0 are its to
+// exclude.
+func pack(dst []float64, b *Dense, r0, r1, c0 int) bool {
+	rows := r1 - r0
+	for k := 0; k < rows; k++ {
+		src := b.data[(r0+k)*b.cols+c0 : (r0+k+1)*b.cols]
+		if !finite(src) {
+			return false
+		}
+		for j0 := 0; j0 < len(src); j0 += tileCols {
+			d := dst[j0*rows+k*tileCols : j0*rows+(k+1)*tileCols]
+			clear(d[copy(d, src[j0:]):])
+		}
+	}
+	return true
+}
+
+// finite reports whether x holds no Inf or NaN.
+func finite(x []float64) bool {
+	for _, v := range x {
+		if v-v != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// tileMul accumulates into c (row stride ldc) the rows×n product of x,
+// x(r, k) at x[r·ldx + k·inc], and the kk×n matrix packed (pack) in bp
+// from a block of ldb ≥ kk rows; rows is a multiple of four. For each
+// k-panel of tileK rows every block of four rows runs the 4×16 tile
+// (mul_amd64.s) across the strips, a narrower last one through a scratch
+// tile. With upper set, strips wholly left of a block's first row are
+// skipped, for a caller that clears c below the diagonal. Each element of
+// c gets one multiply and one add per row of the packed matrix, in order:
+// the one-Axpy-per-α loop's operations, less the zero-α skip (pack).
+func tileMul(c []float64, ldc int, x []float64, ldx, inc, rows int, bp []float64, ldb, kk, n int, upper bool) {
 	var tile [4 * tileCols]float64
 	for k0 := 0; k0 < kk; k0 += tileK {
 		kc := min(tileK, kk-k0)
-		for i := lo; i < end; i += 4 {
-			ap := &a.data[i*kk+k0]
-			for j0 := 0; j0 < n; j0 += tileCols {
-				bs := &bp[j0*kk+k0*tileCols]
+		for i := 0; i < rows; i += 4 {
+			xp := &x[i*ldx+k0*inc]
+			j0 := 0
+			if upper {
+				j0 = i &^ (tileCols - 1)
+			}
+			for ; j0 < n; j0 += tileCols {
+				bs, ci := &bp[j0*ldb+k0*tileCols], c[i*ldc+j0:]
 				if j0+tileCols <= n {
-					mulTileAVX512(ap, kk, bs, kc, &out[i*n+j0], n)
+					mulTileAVX512(xp, ldx, inc, bs, kc, &ci[0], ldc)
 					continue
 				}
+				w := n - j0
 				for r := 0; r < 4; r++ {
-					copy(tile[r*tileCols:], out[(i+r)*n+j0:(i+r+1)*n])
+					copy(tile[r*tileCols:r*tileCols+w], ci[r*ldc:])
 				}
-				mulTileAVX512(ap, kk, bs, kc, &tile[0], tileCols)
+				mulTileAVX512(xp, ldx, inc, bs, kc, &tile[0], tileCols)
 				for r := 0; r < 4; r++ {
-					copy(out[(i+r)*n+j0:(i+r+1)*n], tile[r*tileCols:])
+					copy(ci[r*ldc:r*ldc+w], tile[r*tileCols:])
 				}
 			}
 		}
 	}
-	return end
 }

@@ -20,8 +20,12 @@ func axpy4AVX2(alpha *[4]float64, x0, x1, x2, x3, y *float64, n int) {
 	panic("mat: axpy4AVX2 called without AVX2 support")
 }
 
-func mulTileAVX512(a *float64, lda int, b *float64, kc int, c *float64, ldc int) {
+func mulTileAVX512(a *float64, lda, inc int, b *float64, kc int, c *float64, ldc int) {
 	panic("mat: mulTileAVX512 called without AVX-512 support")
+}
+
+func solvePanelAVX512(x *float64, ldx int, r *float64, ldr, w int, t *float64) {
+	panic("mat: solvePanelAVX512 called without AVX-512 support")
 }
 
 func dotInt8BlockedAVX2(q *int16, codes *int8, dots *int32, dim, rows, dim16 int) {

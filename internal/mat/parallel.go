@@ -64,6 +64,23 @@ func MulTParallel(a, b *Dense) *Dense {
 		return MulT(a, b) // mismatches panic with the serial kernel's message
 	}
 	out := NewDense(a.cols, b.cols)
-	panelReduce(a.rows, out.data, func(lo, hi int, acc []float64) { mulTRows(acc, a, b, lo, hi) })
+	panelReduce(a.rows, out.data, func(lo, hi int, acc []float64) { mulTPanel(acc, a, b, lo, hi, false) })
 	return out
+}
+
+// mulTPanel is the body of the aᵀ·b panel reductions (MulTParallel, and
+// with upper set cholQR's Gram matrix): mulTRows, bit for bit, with the
+// rows of aᵀ through the register tile four at a time where the CPU has
+// one and the panel of b is finite.
+func mulTPanel(acc []float64, a, b *Dense, lo, hi int, upper bool) {
+	i0 := 0
+	if hasAVX512 && a.cols >= 4 {
+		buf := takePack(packedSize(hi-lo, b.cols))
+		defer keepPack(buf)
+		if pack(*buf, b, lo, hi, 0) {
+			i0 = a.cols &^ 3
+			tileMul(acc, b.cols, a.data[lo*a.cols:], 1, a.cols, i0, *buf, hi-lo, hi-lo, b.cols, upper)
+		}
+	}
+	mulTRows(acc, a, b, lo, hi, i0, upper)
 }

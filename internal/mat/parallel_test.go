@@ -252,6 +252,48 @@ func TestMulTParallelIndependentOfMaxProcs(t *testing.T) {
 	}
 }
 
+// TestMulTParallelBitwiseMatchesReference holds MulTParallel to the panel
+// reduction of one Axpy per element of a (mulTRows over each panel),
+// comparing bits with the tile on (where the CPU has it) and off, at one
+// worker and at four. a is salted like Mul's test; b is finite but for
+// the cases that put an Inf or a NaN in one panel, which must take the
+// loop there and the tile elsewhere.
+func TestMulTParallelBitwiseMatchesReference(t *testing.T) {
+	tile := hasAVX512
+	t.Cleanup(func() { hasAVX512 = tile })
+	modes := []bool{false}
+	if tile {
+		modes = append(modes, true)
+	}
+	rng := rand.New(rand.NewSource(163))
+	for _, sh := range [][3]int{{2000, 40, 30}, {1300, 33, 74}, {1543, 74, 21}, {3000, 5, 160}} {
+		for _, bad := range []float64{0, math.Inf(1), math.NaN()} {
+			a, b := randDense(sh[0], sh[1], rng), randDense(sh[0], sh[2], rng)
+			saltA(a, rng)
+			for i := range b.data {
+				if rng.Intn(8) == 0 {
+					b.data[i] = mulSpecials[rng.Intn(len(mulSpecials))]
+				}
+			}
+			if bad != 0 {
+				b.data[rng.Intn(len(b.data))] = bad
+			}
+			want := NewDense(sh[1], sh[2])
+			panelReduce(sh[0], want.data, func(lo, hi int, acc []float64) { mulTRows(acc, a, b, lo, hi, 0, false) })
+			for _, on := range modes {
+				hasAVX512 = on
+				for _, procs := range []int{1, 4} {
+					got := atProcs(procs, func() *Dense { return MulTParallel(a, b) })
+					if i := firstDenseBitDiff(got, want); i >= 0 {
+						t.Fatalf("%v b-special=%v tile=%v MaxProcs=%d: element %d = %x, want %x",
+							sh, bad, on, procs, i, math.Float64bits(got.data[i]), math.Float64bits(want.data[i]))
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestMulTParallelDimensionPanic(t *testing.T) {
 	forceParallel(t)
 	defer func() {
@@ -327,11 +369,12 @@ func BenchmarkMulParallel(b *testing.B) {
 	b.StopTimer()
 	const m, k, n, reps = 4, tileK, tileCols, 20000
 	x, z, xz := randDense(m, k, rng), randDense(k, n, rng), NewDense(m, n)
-	bp := packB(new([]float64), z)
+	bp := make([]float64, packedSize(k, n))
+	pack(bp, z, 0, k, 0)
 	start := time.Now()
 	for i := 0; i < reps; i++ {
 		if hasAVX512 {
-			mulRowsPacked(xz.data, x, bp, n, 0, m)
+			tileMul(xz.data, n, x.data, k, 1, m, bp, k, k, n, false)
 		} else {
 			mulRows(xz.data, x, z, 0, m)
 		}

@@ -7,110 +7,17 @@ import (
 	"repro/internal/par"
 )
 
-// QR computes the thin Householder QR factorization a = Q*R, where Q is
-// m x n with orthonormal columns and R is n x n upper triangular.
-// It requires m >= n and panics otherwise.
-//
-// QR is used to orthonormalize random Gaussian matrices into the
-// column-orthonormal projection matrices R of Section 5 of the paper; it
-// runs on column-major scratch so the Householder inner loops stream over
-// contiguous memory.
+// QR returns the thin QR factorization a = Q*R, Q m×n with orthonormal
+// columns and R n×n upper triangular: QRInPlace on a copy of a with tol
+// 0, so only a column exactly dependent on earlier ones comes out zero.
+// It requires m >= n and panics otherwise. It orthonormalizes the random
+// Gaussian matrices behind the projections of Section 5 of the paper.
 func QR(a *Dense) (q, r *Dense) {
-	m, n := a.Dims()
-	if m < n {
-		panic(fmt.Sprintf("mat: QR requires rows >= cols, got %dx%d", m, n))
+	if a.rows < a.cols {
+		panic(fmt.Sprintf("mat: QR requires rows >= cols, got %dx%d", a.rows, a.cols))
 	}
-	// Column-major working copy: w[j*m+i] = a[i][j]. The Householder tails
-	// live in the strictly-lower part of each column; v0 (the leading
-	// reflector component) and beta = 2/vᵀv are kept aside.
-	w := make([]float64, m*n)
-	for i := 0; i < m; i++ {
-		row := a.Row(i)
-		for j, v := range row {
-			w[j*m+i] = v
-		}
-	}
-	betas := make([]float64, n)
-	v0s := make([]float64, n)
-	for k := 0; k < n; k++ {
-		ck := w[k*m:] // column k
-		var norm float64
-		for i := k; i < m; i++ {
-			norm += ck[i] * ck[i]
-		}
-		norm = math.Sqrt(norm)
-		if norm == 0 {
-			continue
-		}
-		alpha := ck[k]
-		if alpha > 0 {
-			norm = -norm
-		}
-		v0 := alpha - norm
-		ck[k] = norm // becomes R[k,k]
-		vtv := v0 * v0
-		for i := k + 1; i < m; i++ {
-			vtv += ck[i] * ck[i]
-		}
-		if vtv == 0 {
-			continue
-		}
-		beta := 2 / vtv
-		betas[k] = beta
-		v0s[k] = v0
-		// Apply H = I - beta v vᵀ to the trailing columns.
-		for j := k + 1; j < n; j++ {
-			cj := w[j*m:]
-			s := v0 * cj[k]
-			for i := k + 1; i < m; i++ {
-				s += ck[i] * cj[i]
-			}
-			s *= beta
-			cj[k] -= s * v0
-			for i := k + 1; i < m; i++ {
-				cj[i] -= s * ck[i]
-			}
-		}
-	}
-	r = NewDense(n, n)
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			r.Set(i, j, w[j*m+i])
-		}
-	}
-	// Accumulate Q = H_0 H_1 ... H_{n-1} * I_{m x n} in column-major
-	// scratch, applying the reflectors in reverse order.
-	qc := make([]float64, m*n)
-	for j := 0; j < n; j++ {
-		qc[j*m+j] = 1
-	}
-	for k := n - 1; k >= 0; k-- {
-		if betas[k] == 0 {
-			continue
-		}
-		v0 := v0s[k]
-		beta := betas[k]
-		ck := w[k*m:]
-		for j := 0; j < n; j++ {
-			cj := qc[j*m:]
-			s := v0 * cj[k]
-			for i := k + 1; i < m; i++ {
-				s += ck[i] * cj[i]
-			}
-			s *= beta
-			cj[k] -= s * v0
-			for i := k + 1; i < m; i++ {
-				cj[i] -= s * ck[i]
-			}
-		}
-	}
-	q = NewDense(m, n)
-	for i := 0; i < m; i++ {
-		row := q.Row(i)
-		for j := 0; j < n; j++ {
-			row[j] = qc[j*m+i]
-		}
-	}
+	q = a.Clone()
+	r, _ = QRInPlace(q, 0)
 	return q, r
 }
 
@@ -253,68 +160,93 @@ func cholQRPasses(a *Dense, tol float64, passes int) (r *Dense, kept int) {
 // R, the upper-triangular Cholesky factor of aᵀa. On a pivot breakdown it
 // returns false and leaves a untouched.
 //
-// Both halves are triangular rank-one updates, an Axpy of average length
-// n/2 each, and both take them four at a time through axpy4 so the
-// accumulator row is loaded and stored once per four updates: the Gram
-// matrix over four rows of a, the substitution over four rows of R below
-// a 4-wide diagonal block. Every element still receives the same
-// additions in the same order as the one-at-a-time loop
-// (TestCholQRBitwiseMatchesReference keeps that loop).
+// Both halves run on the register tile where the CPU has one, giving
+// every element the one-Axpy-at-a-time loop's operations in its order
+// (TestCholQRBitwiseMatchesReference keeps that loop): the Gram matrix
+// through MulTParallel's panel body, the substitution through solveTile.
 func cholQR(a *Dense) (*Dense, bool) {
 	n := a.cols
-	g := NewDense(n, n)
-	panelReduce(a.rows, g.data, func(lo, hi int, acc []float64) {
-		k := lo
-		for ; k+4 <= hi; k += 4 {
-			x0 := a.data[k*n : (k+1)*n]
-			x1 := a.data[(k+1)*n : (k+2)*n]
-			x2 := a.data[(k+2)*n : (k+3)*n]
-			x3 := a.data[(k+3)*n : (k+4)*n]
-			for i := 0; i < n; i++ {
-				axpy4(&[4]float64{x0[i], x1[i], x2[i], x3[i]}, x0[i:], x1[i:], x2[i:], x3[i:], acc[i*n+i:(i+1)*n])
-			}
-		}
-		for ; k < hi; k++ {
-			x := a.data[k*n : (k+1)*n]
-			for i, xi := range x {
-				Axpy(xi, x[i:], acc[i*n+i:(i+1)*n])
-			}
-		}
-	})
+	g := gram(a)
 	if !cholUpper(g) {
 		return nil, false
 	}
-	// Row-wise forward substitution x·R = a_row, as one axpy per column
-	// of the row so the inner loop streams over a contiguous row of R.
 	r := g.data
+	var rp []float64 // R right of solveTile's first panel, packed
+	if w0 := firstPanel(n); hasAVX512 && n > tileCols && finite(r) {
+		rp = make([]float64, packedSize(n, n-w0))
+		pack(rp, g, 0, n, w0)
+	}
 	par.For(a.rows, par.GrainFor(n*n/2+1), func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			x := a.data[k*n : (k+1)*n]
-			i := 0
-			for ; i+4 < n; i += 4 {
-				var neg [4]float64
-				for d := i; d < i+4; d++ {
-					rd := r[d*n : (d+1)*n]
-					xi := x[d] / rd[d]
-					x[d] = xi
-					neg[d-i] = -xi
-					if xi != 0 { // Axpy's own skip
-						for e := d + 1; e < i+4; e++ {
-							x[e] += -xi * rd[e]
-						}
-					}
-				}
-				axpy4(&neg, r[i*n+i+4:(i+1)*n], r[(i+1)*n+i+4:(i+2)*n], r[(i+2)*n+i+4:(i+3)*n], r[(i+3)*n+i+4:(i+4)*n], x[i+4:])
-			}
-			for ; i < n; i++ {
-				ri := r[i*n : (i+1)*n]
-				xi := x[i] / ri[i]
-				x[i] = xi
-				Axpy(-xi, ri[i+1:], x[i+1:])
+		for k := lo; k < hi; {
+			if x := a.data[k*n : min(k+8, hi)*n]; rp != nil && k+8 <= hi && plain(x) {
+				solveTile(x, r, rp, n)
+				k += 8
+			} else {
+				solveRow(x[:n], r)
+				k++
 			}
 		}
 	})
 	return g, true
+}
+
+// gram returns the upper triangle of aᵀa over a zero lower triangle,
+// summed over fixed row panels in panel order (panelReduce).
+func gram(a *Dense) *Dense {
+	n := a.cols
+	g := NewDense(n, n)
+	panelReduce(a.rows, g.data, func(lo, hi int, acc []float64) { mulTPanel(acc, a, a, lo, hi, true) })
+	for i := 1; i < n; i++ {
+		clear(g.data[i*n : i*n+i]) // the tile's strips cross the diagonal
+	}
+	return g
+}
+
+// firstPanel is the width of solveTile's first panel: n mod tileCols, or
+// tileCols, so the columns right of every panel fill whole strips.
+func firstPanel(n int) int { return (n-1)%tileCols + 1 }
+
+// solveRow overwrites x with the solution of y·R = x, R the n×n upper
+// triangle in r: a forward substitution, one Axpy per column.
+func solveRow(x, r []float64) {
+	n := len(x)
+	for i := range x {
+		ri := r[i*n : (i+1)*n]
+		xi := x[i] / ri[i]
+		x[i] = xi
+		Axpy(-xi, ri[i+1:], x[i+1:])
+	}
+}
+
+// solveTile is solveRow on the eight rows x holds, by panels of tileCols
+// columns (firstPanel): solvePanelAVX512 solves a panel's triangle, then
+// the tile adds c += (−x_panel)·R_panel right of it (rp is R packed from
+// the first panel's end). Every element gets solveRow's products in its
+// order, and the zeros Axpy skips for a zero x_i, which for finite R leave
+// an accumulator that is not −0 as it is: the caller checks plain(x).
+func solveTile(x, r, rp []float64, n int) {
+	var t [8 * tileCols]float64
+	w0 := firstPanel(n)
+	for p0, p1 := 0, w0; p0 < n; p0, p1 = p1, p1+tileCols {
+		solvePanelAVX512(&x[p0], n, &r[p0*n+p0], n, p1-p0, &t[0])
+		if p1 < n {
+			bp := rp[(p1-w0)*n+p0*tileCols:]
+			tileMul(x[p1:], n, t[:], 1, 8, 4, bp, n, p1-p0, n-p1, false)
+			tileMul(x[4*n+p1:], n, t[4:], 1, 8, 4, bp, n, p1-p0, n-p1, false)
+		}
+	}
+}
+
+// plain reports whether x holds no −0, Inf or NaN: the values solveTile's
+// accumulators may start from.
+func plain(x []float64) bool {
+	const exp = 0x7ff0_0000_0000_0000
+	for _, v := range x {
+		if b := math.Float64bits(v); b&exp == exp || b == 1<<63 {
+			return false
+		}
+	}
+	return true
 }
 
 // cholUpper overwrites g, the upper triangle of a symmetric positive

@@ -225,15 +225,7 @@ func TestOrthoInPlace(t *testing.T) {
 // update, no grouping. cholQR must reproduce it bit for bit.
 func cholQRReference(a *Dense) (*Dense, bool) {
 	n := a.cols
-	g := NewDense(n, n)
-	panelReduce(a.rows, g.data, func(lo, hi int, acc []float64) {
-		for k := lo; k < hi; k++ {
-			x := a.data[k*n : (k+1)*n]
-			for i, xi := range x {
-				Axpy(xi, x[i:], acc[i*n+i:(i+1)*n])
-			}
-		}
-	})
+	g := gramReference(a)
 	if !cholUpper(g) {
 		return nil, false
 	}
@@ -249,51 +241,141 @@ func cholQRReference(a *Dense) (*Dense, bool) {
 	return g, true
 }
 
-func TestCholQRBitwiseMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for _, n := range []int{1, 3, 4, 5, 8, 9, 74} {
-		for _, rows := range []int{n + 1, 509, 1027, 1543} { // never a multiple of 4 and 512 both
-			if rows < n {
-				continue
+// gramReference is the Gram matrix as first written: per panel, one Axpy
+// per element on and right of the diagonal.
+func gramReference(a *Dense) *Dense {
+	n := a.cols
+	g := NewDense(n, n)
+	panelReduce(a.rows, g.data, func(lo, hi int, acc []float64) {
+		for k := lo; k < hi; k++ {
+			x := a.data[k*n : (k+1)*n]
+			for i, xi := range x {
+				Axpy(xi, x[i:], acc[i*n+i:(i+1)*n])
 			}
-			a := randDense(rows, n, rng)
-			// Exact zeros, scattered and as whole rows and a leading
-			// column run, so the zero-alpha skip is taken inside groups
-			// of four on both halves.
+		}
+	})
+	return g
+}
+
+// TestCholQRBitwiseMatchesReference holds cholQR, and the Gram matrix it
+// starts from, to the one-Axpy-at-a-time loop bit for bit, with the tile
+// on (where the CPU has it) and off, at one, two and eight workers. The
+// widths cover one tile row, a first substitution panel of every width
+// from 1 to 16, and the ledger's 74; the row counts leave tile blocks
+// over and span several panels. Each input is salted one way:
+//   - zeros, scattered, as whole rows and as a leading column run, and in
+//     some rows −0, which sends their block of the substitution to the
+//     loop (the loop keeps a −0 the tile would turn into +0);
+//   - subnormals, in products and sums;
+//   - a NaN with a payload, or an Inf: the Gram takes the loop in that
+//     panel, and the pass breaks down, leaving a untouched.
+//
+// Then QRInPlace on dependent columns, where the first pass breaks down
+// to mgs, must give the same bits with the tile on and off.
+func TestCholQRBitwiseMatchesReference(t *testing.T) {
+	tile := hasAVX512
+	t.Cleanup(func() { hasAVX512 = tile })
+	modes := []bool{false}
+	if tile {
+		modes = append(modes, true)
+	}
+	salts := map[string]func(a *Dense, rng *rand.Rand){
+		"zeros": func(a *Dense, rng *rand.Rand) {
 			for i := range a.data {
 				if rng.Intn(5) == 0 {
 					a.data[i] = 0
 				}
 			}
-			for k := 3; k < rows; k += 97 {
+			for k := 3; k < a.rows; k += 97 {
 				clear(a.Row(k))
 			}
-			for k := 0; k < rows/2; k++ {
+			for k := 0; k < a.rows/2; k++ {
 				a.Row(k)[0] = 0
 			}
-			want := a.Clone()
-			wantR, wantOK := cholQRReference(want)
-			if !wantOK && rows > 500 {
-				t.Fatalf("%dx%d: the reference broke down on a full-rank input", rows, n)
+			for k := 5; k < a.rows; k += 41 {
+				a.Row(k)[rng.Intn(a.cols)] = math.Copysign(0, -1)
 			}
-			for _, procs := range []int{1, 2, 8} {
-				old := par.SetMaxProcs(procs)
-				got := a.Clone()
-				gotR, ok := cholQR(got)
-				par.SetMaxProcs(old)
-				if ok != wantOK {
-					t.Fatalf("%dx%d procs=%d: ok = %v, reference %v", rows, n, procs, ok, wantOK)
-				}
-				if !ok {
-					continue
-				}
-				if i := firstBitDiff(gotR.data, wantR.data); i >= 0 {
-					t.Fatalf("%dx%d procs=%d: R differs from the reference at %d", rows, n, procs, i)
-				}
-				if i := firstBitDiff(got.data, want.data); i >= 0 {
-					t.Fatalf("%dx%d procs=%d: Q differs from the reference at row %d col %d", rows, n, procs, i/n, i%n)
+		},
+		"subnormals": func(a *Dense, rng *rand.Rand) {
+			for i := range a.data {
+				if rng.Intn(7) == 0 {
+					a.data[i] = mulSpecials[2+rng.Intn(len(mulSpecials)-2)] * a.data[i]
 				}
 			}
+		},
+		"nan": func(a *Dense, rng *rand.Rand) {
+			a.data[rng.Intn(len(a.data))] = math.Float64frombits(0x7ff8000000000abc)
+		},
+		"inf": func(a *Dense, rng *rand.Rand) {
+			a.data[rng.Intn(len(a.data))] = math.Inf(-1)
+		},
+	}
+	rng := rand.New(rand.NewSource(17))
+	for _, n := range []int{1, 3, 4, 5, 8, 9, 16, 17, 31, 33, 74} {
+		for _, rows := range []int{n + 1, 509, 1027, 1543} { // never a multiple of 8 and 512 both
+			for _, name := range []string{"zeros", "subnormals", "nan", "inf"} {
+				a := randDense(rows, n, rng)
+				salts[name](a, rng)
+				wantG := gramReference(a)
+				want := a.Clone()
+				wantR, wantOK := cholQRReference(want)
+				if !wantOK && rows > 500 && (name == "zeros" || name == "subnormals") {
+					t.Fatalf("%dx%d %s: the reference broke down on a full-rank input", rows, n, name)
+				}
+				for _, on := range modes {
+					hasAVX512 = on
+					for _, procs := range []int{1, 2, 8} {
+						old := par.SetMaxProcs(procs)
+						g := gram(a)
+						got := a.Clone()
+						gotR, ok := cholQR(got)
+						par.SetMaxProcs(old)
+						if i := firstBitDiff(g.data, wantG.data); i >= 0 {
+							t.Fatalf("%dx%d %s tile=%v procs=%d: Gram element %d = %x, want %x", rows, n, name, on, procs, i,
+								math.Float64bits(g.data[i]), math.Float64bits(wantG.data[i]))
+						}
+						if ok != wantOK {
+							t.Fatalf("%dx%d %s tile=%v procs=%d: ok = %v, reference %v", rows, n, name, on, procs, ok, wantOK)
+						}
+						if !ok {
+							if i := firstBitDiff(got.data, a.data); i >= 0 {
+								t.Fatalf("%dx%d %s tile=%v procs=%d: a breakdown modified the input at %d", rows, n, name, on, procs, i)
+							}
+							continue
+						}
+						if i := firstBitDiff(gotR.data, wantR.data); i >= 0 {
+							t.Fatalf("%dx%d %s tile=%v procs=%d: R differs from the reference at %d", rows, n, name, on, procs, i)
+						}
+						if i := firstBitDiff(got.data, want.data); i >= 0 {
+							t.Fatalf("%dx%d %s tile=%v procs=%d: Q differs from the reference at row %d col %d", rows, n, name, on, procs, i/n, i%n)
+						}
+					}
+				}
+			}
+		}
+	}
+
+	dep := randDense(1100, 40, rng)
+	for i := 0; i < dep.Rows(); i++ {
+		row := dep.Row(i)
+		row[7] = row[2] - row[30]
+		row[33] = 3 * row[1]
+	}
+	var first, firstR *Dense
+	for _, on := range modes {
+		hasAVX512 = on
+		if _, ok := cholQR(dep.Clone()); ok {
+			t.Fatalf("tile=%v: cholQR accepted dependent columns", on)
+		}
+		q := dep.Clone()
+		r, kept := QRInPlace(q, 1e-10)
+		if kept != 38 {
+			t.Fatalf("tile=%v: kept = %d, want 38", on, kept)
+		}
+		if first == nil {
+			first, firstR = q, r
+		} else if firstBitDiff(q.data, first.data) >= 0 || firstBitDiff(r.data, firstR.data) >= 0 {
+			t.Fatal("QRInPlace's mgs fallback differs with the tile on and off")
 		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package par is the shared parallel-execution substrate for the numeric
 // kernels and the text pipeline in front of them: a small, dependency-free
 // worker pool with a parallel-range primitive. The hot paths of the
-// reproduction — tokenizing and counting a corpus (ir.Pipeline.ProcessAll),
+// reproduction — tokenizing and counting a corpus (ir.Pipeline.TermDocMatrix),
 // CSR matvec, dense matmul, the block products and panel reductions of
 // randomized subspace iteration, batch query folding and cosine ranking —
 // all fan out through For / MapChunks rather than spawning ad-hoc

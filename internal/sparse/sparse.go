@@ -180,6 +180,17 @@ func (b *RowBuilder) CSR() *CSR {
 	return m
 }
 
+// NewCSR returns the (len(rowPtr)-1)×cols matrix whose row i holds the
+// entries colIdx[k], vals[k] for k in [rowPtr[i], rowPtr[i+1]), taking
+// the slices over. Each row's columns must ascend within [0, cols) and its
+// values be nonzero; it panics on slices of inconsistent length.
+func NewCSR(cols int, rowPtr, colIdx []int, vals []float64) *CSR {
+	if len(rowPtr) == 0 || rowPtr[len(rowPtr)-1] != len(colIdx) || len(colIdx) != len(vals) {
+		panic(fmt.Sprintf("sparse: NewCSR with %d row pointers, %d column indices, %d values", len(rowPtr), len(colIdx), len(vals)))
+	}
+	return &CSR{rows: len(rowPtr) - 1, cols: cols, rowPtr: rowPtr, colIdx: colIdx, vals: vals}
+}
+
 // CSR is an immutable sparse matrix in compressed sparse row format.
 type CSR struct {
 	rows, cols int

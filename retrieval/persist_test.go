@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/corpus"
 	"repro/internal/ir"
 	"repro/internal/legacy"
 	"repro/internal/lsi"
@@ -200,7 +201,7 @@ func demoText() *lsi.Meta {
 		texts[i] = d.Text
 		ids[i] = d.ID
 	}
-	pipe.ProcessAll(texts)
+	pipe.TermDocMatrix(texts, corpus.LogWeighting)
 	return &lsi.Meta{
 		Vocab:           pipe.Vocab.Terms(),
 		WeightingName:   WeightingLog.String(),

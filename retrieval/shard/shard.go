@@ -233,10 +233,11 @@ func Build(a *sparse.CSR, ids []string, cfg Config) (*Index, error) {
 	// One SVD per shard over its column subset, up to par.MaxProcs shards
 	// at a time: each is seeded by its shard and bitwise independent of
 	// the worker count. The lowest-numbered failure is reported.
+	subs := dealColumns(a, cfg.Shards)
 	errs := make([]error, cfg.Shards)
 	par.For(cfg.Shards, 1, func(lo, hi int) {
 		for s := lo; s < hi; s++ {
-			errs[s] = x.buildShard(a, s)
+			errs[s] = x.buildShard(subs[s], s)
 		}
 	})
 	for s, err := range errs {
@@ -287,17 +288,17 @@ func roundRobin(s, shards, first, n int) []int {
 	return globals
 }
 
-// buildShard builds and publishes shard s of a fresh index.
-func (x *Index) buildShard(a *sparse.CSR, s int) error {
-	sub, globals := columnSubset(a, s, x.cfg.Shards)
-	if len(globals) == 0 {
+// buildShard builds and publishes shard s of a fresh index from sub, the
+// shard's columns of the term-document matrix.
+func (x *Index) buildShard(sub *sparse.CSR, s int) error {
+	if sub.Cols() == 0 {
 		return nil
 	}
 	ix, err := lsi.Build(sub, x.cfg.Rank, lsi.Options{Engine: x.cfg.Engine, Seed: x.cfg.Seed + int64(s)})
 	if err != nil {
 		return err
 	}
-	seg, err := segment.New(ix, globals, nil, true)
+	seg, err := segment.New(ix, roundRobin(s, x.cfg.Shards, 0, sub.Cols()), nil, true)
 	if err == nil {
 		seg, err = seg.WithTiers(x.tiers(s), nil, nil)
 	}
@@ -342,43 +343,36 @@ func newIndex(numTerms int, cfg Config) *Index {
 	return x
 }
 
-// columnSubset extracts the columns of a assigned to shard s (j mod
-// shards == s) as their own matrix, returning it with the global column
-// numbers in ascending order. With one shard the original matrix is
-// returned as-is, so a 1-shard build is bit-for-bit the unsharded build.
-// The subset is filled row by row straight into CSR: local column numbers
-// rise with global ones, so each row's entries arrive in column order.
-func columnSubset(a *sparse.CSR, s, shards int) (*sparse.CSR, []int) {
-	n, m := a.Dims()
+// dealColumns splits the columns of a round-robin across shards in one
+// pass: shard s gets global columns s, s + shards, s + 2·shards, … as its
+// local 0, 1, 2, … (local l is global s + shards·l), each row's entries
+// in column order and bit for bit a's. With one shard it returns a
+// itself, so a 1-shard build is the unsharded build.
+func dealColumns(a *sparse.CSR, shards int) []*sparse.CSR {
 	if shards == 1 {
-		return a, roundRobin(0, 1, 0, m)
+		return []*sparse.CSR{a}
 	}
-	var globals []int
-	local := make([]int, m) // global column -> 1 + shard-local column, 0 off the shard
-	for j := s; j < m; j += shards {
-		globals = append(globals, j)
-		local[j] = len(globals)
+	n, m := a.Dims()
+	rowPtr, cols, vals := make([][]int, shards), make([][]int, shards), make([][]float64, shards)
+	for s := range rowPtr {
+		rowPtr[s] = make([]int, 1, n+1)
+		cols[s] = make([]int, 0, a.NNZ()/shards+n)
+		vals[s] = make([]float64, 0, a.NNZ()/shards+n)
 	}
-	if len(globals) == 0 {
-		return nil, nil
-	}
-	rowNNZ := make([]int, n)
-	for t := range rowNNZ {
-		a.RowIter(t, func(j int, _ float64) {
-			if local[j] > 0 {
-				rowNNZ[t]++
-			}
-		})
-	}
-	b := sparse.NewRowBuilder(rowNNZ, len(globals))
-	for t := range rowNNZ {
+	for t := 0; t < n; t++ {
 		a.RowIter(t, func(j int, v float64) {
-			if l := local[j]; l > 0 {
-				b.Add(t, l-1, v)
-			}
+			s := j % shards
+			cols[s], vals[s] = append(cols[s], j/shards), append(vals[s], v)
 		})
+		for s := range rowPtr {
+			rowPtr[s] = append(rowPtr[s], len(cols[s]))
+		}
 	}
-	return b.CSR(), globals
+	subs := make([]*sparse.CSR, shards)
+	for s := range subs {
+		subs[s] = sparse.NewCSR((m-s+shards-1)/shards, rowPtr[s], cols[s], vals[s])
+	}
+	return subs
 }
 
 // NumTerms returns the vocabulary dimension.

@@ -674,16 +674,21 @@ func TestEpochBumpsAfterAddAndCompact(t *testing.T) {
 	}
 }
 
-// TestColumnSubsetMatchesCOO holds the direct CSR fill of columnSubset to
-// the COO round trip it replaced, bit for bit: the same dimensions, and in
-// every row the same columns with the same value bits, for shard counts
-// that divide the documents, that do not, and that leave shards empty.
+// TestColumnSubsetMatchesCOO holds dealColumns, the one-pass split of
+// the matrix into its shards' columns, to the COO round trip of each
+// shard's column subset, bit for bit: the same dimensions, and in every
+// row the same columns with the same value bits, for shard counts that
+// divide the documents, that do not, and that leave shards empty.
 func TestColumnSubsetMatchesCOO(t *testing.T) {
 	a := testMatrix(t, 4, 12, 90, 306)
 	n, m := a.Dims()
 	for _, shards := range []int{2, 3, 7, 89, 120} {
+		subs := dealColumns(a, shards)
 		for s := 0; s < shards; s++ {
-			got, globals := columnSubset(a, s, shards)
+			got, globals := subs[s], roundRobin(s, shards, 0, subs[s].Cols())
+			if len(globals) == 0 {
+				got = nil
+			}
 			var want *sparse.CSR
 			if len(globals) > 0 {
 				coo := sparse.NewCOO(n, len(globals))

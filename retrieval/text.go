@@ -3,7 +3,6 @@ package retrieval
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/corpus"
@@ -29,7 +28,8 @@ type textLayer struct {
 }
 
 // buildText is the preprocessing Build and BuildVSM share: documents →
-// pipeline → weighted term-document matrix (terms are rows), plus the
+// pipeline → weighted term-document matrix (terms are rows), in one
+// parallel pass over the texts (ir.Pipeline.TermDocMatrix), plus the
 // text layer that prepares queries the same way.
 func buildText(docs []Document, cfg config) (textLayer, *sparse.CSR, error) {
 	if len(docs) == 0 {
@@ -56,8 +56,8 @@ func buildText(docs []Document, cfg config) (textLayer, *sparse.CSR, error) {
 		Stemming:        cfg.stemming,
 		Vocab:           ir.NewVocabulary(),
 	}
-	c := pipe.ProcessAll(texts)
-	if c.NumTerms == 0 {
+	a := pipe.TermDocMatrix(texts, cw)
+	if a.Rows() == 0 {
 		return textLayer{}, nil, fmt.Errorf("%w: every token was removed by preprocessing", ErrEmptyCorpus)
 	}
 	text := textLayer{
@@ -67,7 +67,7 @@ func buildText(docs []Document, cfg config) (textLayer, *sparse.CSR, error) {
 		docIDs:          idtable.Of(ids),
 	}
 	text.setVocab(pipe.Vocab)
-	return text, corpus.TermDocMatrix(c, cw), nil
+	return text, a, nil
 }
 
 // setVocab installs the vocabulary and sizes its strings once: the
@@ -135,7 +135,7 @@ func (t *textLayer) docID(doc int) string {
 // the dense reference bitwise.
 func (t *textLayer) querySparse(query string) (terms []int, weights []float64, known int) {
 	pipe := &ir.Pipeline{RemoveStopwords: t.removeStopwords, Stemming: t.stemming}
-	counts := make(map[int]float64)
+	counts := make(map[int]int)
 	for _, term := range pipe.Terms(query) {
 		if id, ok := t.vocab.Lookup(term); ok {
 			counts[id]++
@@ -150,16 +150,14 @@ func (t *textLayer) querySparse(query string) (terms []int, weights []float64, k
 		terms = append(terms, id)
 	}
 	sort.Ints(terms)
+	// tf-idf queries use raw counts (df is a corpus statistic).
+	w, _ := t.weighting.toCorpus() // the index validated its weighting
+	if w == corpus.TFIDFWeighting {
+		w = corpus.CountWeighting
+	}
 	weights = make([]float64, len(terms))
 	for i, id := range terms {
-		switch t.weighting {
-		case WeightingBinary:
-			weights[i] = 1
-		case WeightingLog:
-			weights[i] = 1 + math.Log(counts[id])
-		default: // count; tf-idf queries use raw counts (df is a corpus statistic)
-			weights[i] = counts[id]
-		}
+		weights[i] = w.Entry(counts[id], 1, 1)
 	}
 	return terms, weights, known
 }

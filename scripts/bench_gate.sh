@@ -41,7 +41,9 @@
 #               BenchmarkTermDocMatrix*, and the set-up steps that precede
 #               every sharded build: the corpus generator at the ledger's
 #               size (BenchmarkGenerateLedgerShape) and IVF training at a
-#               shard's shape (BenchmarkTrainShardShape))
+#               shard's shape (BenchmarkTrainShardShape), and the set-up's
+#               stages one by one on a single core (BenchmarkSetupStages:
+#               sampling, text front end, randomized SVD, QRInPlace))
 #   -c <n>      runs per side in run mode (default 5; medians damp noise)
 #   -T <dur>    -benchtime per run (default 0.3s)
 #
@@ -58,7 +60,7 @@ BASEFILE=""
 HEADFILE=""
 THRESH="0.20"
 OUT="bench-gate.txt"
-BENCH='BenchmarkQueryLatency|BenchmarkSearch|BenchmarkCachedQuery|BenchmarkDotNorm32|BenchmarkQuantizedScan|BenchmarkRandomized[^R]|BenchmarkOpen|BenchmarkSave|BenchmarkAxpy|BenchmarkQRInPlace|BenchmarkMulParallel|BenchmarkProcessAll|BenchmarkTermDocMatrix|BenchmarkCompact|BenchmarkTrainShardShape|BenchmarkGenerateLedgerShape'
+BENCH='BenchmarkQueryLatency|BenchmarkSearch|BenchmarkCachedQuery|BenchmarkDotNorm32|BenchmarkQuantizedScan|BenchmarkRandomized[^R]|BenchmarkOpen|BenchmarkSave|BenchmarkAxpy|BenchmarkQRInPlace|BenchmarkMulParallel|BenchmarkProcessAll|BenchmarkTermDocMatrix|BenchmarkCompact|BenchmarkTrainShardShape|BenchmarkGenerateLedgerShape|BenchmarkSetupStages'
 COUNT=5
 TIME="0.3s"
 # The packages holding the gated benchmarks: the root suite (query

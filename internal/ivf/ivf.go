@@ -68,9 +68,8 @@ type TrainOptions struct {
 // Index is a trained IVF coarse quantizer with its inverted cell lists.
 // It is immutable after Train/Decode and safe for concurrent searches.
 type Index struct {
-	dim   int   // latent dimension of the vectors it was trained on
-	nlist int   // number of cells
-	seed  int64 // training seed (recorded for stats and re-training)
+	dim   int // latent dimension of the vectors it was trained on
+	nlist int // number of cells
 
 	centroids *mat.Dense // nlist×dim cell centroids
 	cnorms    []float64  // per-centroid Euclidean norms
@@ -174,7 +173,6 @@ func train(vecs *mat.Dense32, norms []float64, opts TrainOptions) (*Index, train
 	return &Index{
 		dim:       dim,
 		nlist:     nlist,
-		seed:      opts.Seed,
 		centroids: cent,
 		cnorms:    cnorms,
 		cellStart: starts,

@@ -69,8 +69,8 @@ func trainT(t *testing.T, vecs *mat.Dense, norms []float64, opts TrainOptions) *
 
 func sameIndex(t *testing.T, a, b *Index) {
 	t.Helper()
-	if a.dim != b.dim || a.nlist != b.nlist || a.seed != b.seed {
-		t.Fatalf("index shape differs: (%d,%d,%d) vs (%d,%d,%d)", a.dim, a.nlist, a.seed, b.dim, b.nlist, b.seed)
+	if a.dim != b.dim || a.nlist != b.nlist || len(a.cellStart) != len(b.cellStart) || len(a.docs) != len(b.docs) {
+		t.Fatalf("index shape differs: (%d,%d,%d) vs (%d,%d,%d)", a.dim, a.nlist, len(a.docs), b.dim, b.nlist, len(b.docs))
 	}
 	ad, bd := a.centroids.RawData(), b.centroids.RawData()
 	for i := range ad {

@@ -15,64 +15,62 @@ import (
 )
 
 // The sidecar file, written next to its segment's seg-*.idx by the shard
-// layer, is an internal/blob container (magic LSIIVF, version 2) of three
+// layer, is an internal/blob container (magic LSIIVF, version 3) of three
 // sections:
 //
-//	DIMS  4 × uint64: dim, nlist, ndocs, seed
+//	DIMS  3 × uint64: dim, nlist, ndocs
 //	CENT  nlist × dim float64: the centroids, row-major
-//	POST  per cell: uvarint count, then count uvarint deltas (strictly
-//	      ascending doc ids, delta from previous+1 ≥ 1)
+//	CELL  ndocs uvarints: each document's cell, in row order
 //
-// Read leaves CENT where it lies in a mapped file and decodes the postings
-// onto the heap: raw int32 would take ~4 B a document where the deltas
-// take ~1.2. Read is total: each section's length is checked against DIMS
-// before it is read, the container checks each section's CRC-32 and
-// that nothing follows POST, the centroids must be finite and the postings a strict permutation of
-// [0, ndocs). Version 1, a hand-rolled frame of the same fields, is
-// refused like any corrupt sidecar: the shard layer retrains it.
+// Read leaves CENT where it lies in a mapped file and rebuilds the cell
+// lists on the heap with buildPostings, the counting sort Train ends
+// with, so they are a permutation of [0, ndocs) by construction: the
+// assignment takes ~1 B a document on disk where raw int32 postings would
+// take 4. Read is total: each section's length is checked against DIMS
+// before it is read, the container checks each section's CRC-32 and that
+// nothing follows CELL, the centroids must be finite and every cell
+// number below nlist. Version 2, whose POST section held delta-coded
+// postings, and version 1, a hand-rolled frame of the same fields, are
+// refused like any corrupt sidecar: the shard layer retrains them.
 
 // WireVersion is the sidecar version Encode writes and the one Read accepts.
-const WireVersion = 2
+const WireVersion = 3
 
 var magic = [blob.MagicLen]byte{'L', 'S', 'I', 'I', 'V', 'F'}
 
 const (
-	tagDims, tagCent, tagPost = "DIMS", "CENT", "POST"
-	dimsLen                   = 4 * 8
+	tagDims, tagCent, tagCell = "DIMS", "CENT", "CELL"
+	dimsLen                   = 3 * 8
 )
 
 // Encode serializes the index as a sidecar file.
 func (x *Index) Encode() []byte {
 	defer runtime.KeepAlive(x) // the centroids may be a view of x.mapped
 	dims := make([]byte, 0, dimsLen)
-	for _, v := range [...]uint64{uint64(x.dim), uint64(x.nlist), uint64(len(x.docs)), uint64(x.seed)} {
+	for _, v := range [...]uint64{uint64(x.dim), uint64(x.nlist), uint64(len(x.docs))} {
 		dims = binary.LittleEndian.AppendUint64(dims, v)
 	}
-	cent, post := x.centroids.RawData(), x.appendPostings(nil)
+	assign := make([]uint32, len(x.docs))
+	for c := 0; c < x.nlist; c++ {
+		for _, d := range x.docs[x.cellStart[c]:x.cellStart[c+1]] {
+			assign[d] = uint32(c)
+		}
+	}
+	cells := make([]byte, 0, len(assign))
+	for _, c := range assign {
+		cells = binary.AppendUvarint(cells, uint64(c))
+	}
+	cent := x.centroids.RawData()
 	var buf bytes.Buffer
-	buf.Grow(blob.EncodedSize(dimsLen, 8*len(cent), len(post)))
+	buf.Grow(blob.EncodedSize(dimsLen, 8*len(cent), len(cells)))
 	w := blob.NewWriter(&buf, magic, WireVersion, 3)
 	w.Bytes(tagDims, dims)
 	w.Floats(tagCent, cent)
-	w.Bytes(tagPost, post)
+	w.Bytes(tagCell, cells)
 	if err := w.Close(); err != nil {
 		panic(err) // a bytes.Buffer takes every write
 	}
 	return buf.Bytes()
-}
-
-// appendPostings appends the POST section's payload to b.
-func (x *Index) appendPostings(b []byte) []byte {
-	for c := 0; c < x.nlist; c++ {
-		cell := x.docs[x.cellStart[c]:x.cellStart[c+1]]
-		b = binary.AppendUvarint(b, uint64(len(cell)))
-		prev := int32(-1)
-		for _, d := range cell {
-			b = binary.AppendUvarint(b, uint64(d-prev))
-			prev = d
-		}
-	}
-	return b
 }
 
 // Read parses a sidecar. Read from an *os.File that can be mapped, the
@@ -101,7 +99,7 @@ func read(r *blob.Reader) (*Index, error) {
 		return nil, fmt.Errorf("dimensions dim=%d nlist=%d ndocs=%d are out of range", dim, nlist, ndocs)
 	}
 	cent := r.Floats(tagCent, int(nlist*dim))
-	post := r.Bytes(tagPost, -1)
+	cells := r.Bytes(tagCell, -1)
 	if err := r.End(); err != nil {
 		return nil, err
 	}
@@ -110,12 +108,13 @@ func read(r *blob.Reader) (*Index, error) {
 			return nil, fmt.Errorf("non-finite centroid element %d", i)
 		}
 	}
-	starts, docs, err := decodePostings(post, int(nlist), int(ndocs))
+	assign, err := decodeCells(cells, int(nlist), int(ndocs))
 	if err != nil {
 		return nil, err
 	}
+	starts, docs := buildPostings(assign, int(nlist))
 	x := &Index{
-		dim: int(dim), nlist: int(nlist), seed: int64(binary.LittleEndian.Uint64(dims[24:])),
+		dim: int(dim), nlist: int(nlist),
 		centroids: mat.NewDenseData(int(nlist), int(dim), cent), cnorms: make([]float64, nlist),
 		cellStart: starts, docs: docs, mapped: r.Mapping(),
 	}
@@ -125,56 +124,29 @@ func read(r *blob.Reader) (*Index, error) {
 	return x, nil
 }
 
-// decodePostings parses the delta-coded cell lists and validates that
-// they form a strict permutation of [0, ndocs): every id in range,
-// strictly ascending within its cell, no id in two cells, all ndocs
-// present, no trailing bytes. Allocation is bounded by the validated
-// ndocs, which itself is bounded by len(data) (≥ 1 byte per posting).
-func decodePostings(data []byte, nlist, ndocs int) (starts []int, docs []int32, err error) {
+// decodeCells parses the CELL section: exactly ndocs uvarint cell
+// numbers, each below nlist, and no trailing bytes. Allocation is bounded
+// by the validated ndocs, which itself is bounded by len(data) (≥ 1 byte
+// per document).
+func decodeCells(data []byte, nlist, ndocs int) ([]int32, error) {
 	if ndocs > len(data) {
-		return nil, nil, fmt.Errorf("postings claim %d documents in %d bytes", ndocs, len(data))
+		return nil, fmt.Errorf("cell section claims %d documents in %d bytes", ndocs, len(data))
 	}
-	starts = make([]int, nlist+1)
-	docs = make([]int32, 0, ndocs)
-	seen := make([]uint64, (ndocs+63)/64)
+	assign := make([]int32, ndocs)
 	off := 0
-	for c := 0; c < nlist; c++ {
-		cnt, n := binary.Uvarint(data[off:])
+	for j := range assign {
+		c, n := binary.Uvarint(data[off:])
 		if n <= 0 {
-			return nil, nil, fmt.Errorf("cell %d: truncated count", c)
+			return nil, fmt.Errorf("document %d: truncated cell number", j)
 		}
+		if c >= uint64(nlist) {
+			return nil, fmt.Errorf("document %d: cell %d out of range [0,%d)", j, c, nlist)
+		}
+		assign[j] = int32(c)
 		off += n
-		if cnt > uint64(ndocs-len(docs)) {
-			return nil, nil, fmt.Errorf("cell %d holds %d documents, only %d unaccounted", c, cnt, ndocs-len(docs))
-		}
-		prev := int64(-1)
-		for i := uint64(0); i < cnt; i++ {
-			d, n := binary.Uvarint(data[off:])
-			if n <= 0 {
-				return nil, nil, fmt.Errorf("cell %d: truncated posting %d", c, i)
-			}
-			off += n
-			if d == 0 || d > uint64(ndocs) {
-				return nil, nil, fmt.Errorf("cell %d: delta %d out of range", c, d)
-			}
-			v := prev + int64(d)
-			if v >= int64(ndocs) {
-				return nil, nil, fmt.Errorf("cell %d: document %d out of range [0,%d)", c, v, ndocs)
-			}
-			if seen[v/64]&(1<<(v%64)) != 0 {
-				return nil, nil, fmt.Errorf("document %d appears in two cells", v)
-			}
-			seen[v/64] |= 1 << (v % 64)
-			docs = append(docs, int32(v))
-			prev = v
-		}
-		starts[c+1] = len(docs)
-	}
-	if len(docs) != ndocs {
-		return nil, nil, fmt.Errorf("postings hold %d of %d documents", len(docs), ndocs)
 	}
 	if off != len(data) {
-		return nil, nil, fmt.Errorf("%d trailing bytes after postings", len(data)-off)
+		return nil, fmt.Errorf("%d trailing bytes after the cell numbers", len(data)-off)
 	}
-	return starts, docs, nil
+	return assign, nil
 }

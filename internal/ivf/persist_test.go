@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -48,15 +49,16 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestGoldenWireFormat pins the exact bytes of sidecar version 2:
+// TestGoldenWireFormat pins the exact bytes of sidecar version 3:
 // training is deterministic, so any drift in either the trainer or the
 // encoder shows up as a byte diff against the committed file. Refresh
 // with `go test ./internal/ivf -run TestGoldenWireFormat -update` after
-// an intentional format bump. ivf-v1.golden, the same index as builds
-// before version 2 wrote it, is refused with an error naming its version.
+// an intentional format bump. ivf-v1.golden and ivf-v2.golden, the same
+// index as older builds wrote it, are refused with an error naming their
+// version.
 func TestGoldenWireFormat(t *testing.T) {
 	enc := goldenIndex(t).Encode()
-	path := filepath.Join("testdata", "ivf-v2.golden")
+	path := filepath.Join("testdata", "ivf-v3.golden")
 	if *updateGolden {
 		if err := os.WriteFile(path, enc, 0o644); err != nil {
 			t.Fatal(err)
@@ -79,12 +81,14 @@ func TestGoldenWireFormat(t *testing.T) {
 		t.Fatalf("Read golden: %v", err)
 	}
 	sameIndex(t, goldenIndex(t), x)
-	v1, err := os.ReadFile(filepath.Join("testdata", "ivf-v1.golden"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := decode(t, v1); !strings.Contains(fmt.Sprint(err), "version 1") {
-		t.Fatalf("version-1 golden: %v, want an error naming version 1", err)
+	for _, v := range []int{1, 2} {
+		old, err := os.ReadFile(filepath.Join("testdata", fmt.Sprintf("ivf-v%d.golden", v)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := decode(t, old); !strings.Contains(fmt.Sprint(err), fmt.Sprintf("version %d", v)) {
+			t.Fatalf("version-%d golden: %v, want an error naming version %d", v, err, v)
+		}
 	}
 }
 
@@ -113,16 +117,16 @@ func TestDecodeCorrupt(t *testing.T) {
 
 // frame writes a sidecar from raw parts, so the structural checks beneath
 // the container's checksums are reachable.
-func frame(dim, nlist, ndocs uint64, seed int64, centroids []float64, postings []byte) []byte {
+func frame(dim, nlist, ndocs uint64, centroids []float64, cells []byte) []byte {
 	dims := make([]byte, 0, dimsLen)
-	for _, v := range []uint64{dim, nlist, ndocs, uint64(seed)} {
+	for _, v := range []uint64{dim, nlist, ndocs} {
 		dims = binary.LittleEndian.AppendUint64(dims, v)
 	}
 	var buf bytes.Buffer
 	w := blob.NewWriter(&buf, magic, WireVersion, 3)
 	w.Bytes(tagDims, dims)
 	w.Floats(tagCent, centroids)
-	w.Bytes(tagPost, postings)
+	w.Bytes(tagCell, cells)
 	if err := w.Close(); err != nil {
 		panic(err) // a bytes.Buffer takes every write
 	}
@@ -139,9 +143,13 @@ func uvarints(vs ...uint64) []byte {
 
 func TestDecodeRejectsMalformedStructure(t *testing.T) {
 	cent2 := []float64{1, 0, 0, 1} // 2 cells × dim 2
-	v1, err := os.ReadFile(filepath.Join("testdata", "ivf-v1.golden"))
-	if err != nil {
-		t.Fatal(err)
+	var old [][]byte
+	for _, v := range []int{1, 2} {
+		b, err := os.ReadFile(filepath.Join("testdata", fmt.Sprintf("ivf-v%d.golden", v)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		old = append(old, b)
 	}
 	cases := []struct {
 		name string
@@ -149,35 +157,38 @@ func TestDecodeRejectsMalformedStructure(t *testing.T) {
 	}{
 		{"empty", nil},
 		{"bad magic", func() []byte {
-			b := frame(2, 2, 2, 1, cent2, uvarints(1, 0, 1, 1))
+			b := frame(2, 2, 2, cent2, uvarints(0, 1))
 			b[0] = 'X'
 			return b
 		}()},
 		{"future version", func() []byte {
-			b := frame(2, 2, 2, 1, cent2, uvarints(1, 1, 1, 2))
+			b := frame(2, 2, 2, cent2, uvarints(0, 1))
 			binary.LittleEndian.PutUint16(b[blob.MagicLen:], WireVersion+1)
 			return b
 		}()},
-		{"version 1", v1},
-		{"zero dim", frame(0, 2, 2, 1, nil, uvarints(1, 1, 1, 1))},
-		{"zero ndocs", frame(2, 2, 0, 1, cent2, nil)},
-		{"dimensions overflow", frame(1<<33, 1<<33, 2, 1, nil, nil)},
-		{"centroids past end", frame(1<<20, 1<<20, 2, 1, nil, nil)},
-		{"nan centroid", frame(2, 2, 2, 1, []float64{math.NaN(), 0, 0, 1}, uvarints(1, 1, 1, 1))},
-		{"delta zero", frame(2, 2, 2, 1, cent2, uvarints(2, 1, 0))},
-		{"doc out of range", frame(2, 2, 2, 1, cent2, uvarints(1, 3, 1, 1))},
-		{"duplicate across cells", frame(2, 2, 2, 1, cent2, uvarints(1, 1, 1, 1))},
-		{"count overflow", frame(2, 2, 2, 1, cent2, uvarints(9, 1, 1, 1))},
-		{"missing documents", frame(2, 2, 2, 1, cent2, uvarints(1, 1, 0))},
-		{"truncated postings", frame(2, 2, 2, 1, cent2, uvarints(2, 1))},
-		{"trailing bytes", frame(2, 2, 2, 1, cent2, uvarints(1, 1, 1, 2, 0))},
+		{"version 1", old[0]},
+		{"version 2", old[1]},
+		{"zero dim", frame(0, 2, 2, nil, uvarints(0, 1))},
+		{"zero ndocs", frame(2, 2, 0, cent2, nil)},
+		{"dimensions overflow", frame(1<<33, 1<<33, 2, nil, nil)},
+		{"centroids past end", frame(1<<20, 1<<20, 2, nil, nil)},
+		{"nan centroid", frame(2, 2, 2, []float64{math.NaN(), 0, 0, 1}, uvarints(0, 1))},
+		{"cell out of range", frame(2, 2, 2, cent2, uvarints(0, 2))},
+		{"huge cell", frame(2, 2, 2, cent2, uvarints(0, 1<<40))},
+		{"missing documents", frame(2, 2, 3, cent2, uvarints(0, 1))},
+		{"truncated cell", frame(2, 2, 2, cent2, []byte{0, 0x80})},
+		{"trailing bytes", frame(2, 2, 2, cent2, uvarints(0, 1, 0))},
 	}
 	for _, tc := range cases {
 		if _, err := decode(t, tc.data); err == nil {
 			t.Errorf("%s: want error, got nil", tc.name)
 		}
 	}
-	if _, err := decode(t, frame(2, 2, 2, 1, cent2, uvarints(1, 1, 1, 2))); err != nil {
+	x, err := decode(t, frame(2, 2, 3, cent2, uvarints(1, 0, 1)))
+	if err != nil {
 		t.Fatalf("control frame rejected: %v", err)
+	}
+	if !reflect.DeepEqual(x.cellStart, []int{0, 1, 3}) || !reflect.DeepEqual(x.docs, []int32{1, 0, 2}) {
+		t.Fatalf("control frame decoded to cells %v over %v", x.cellStart, x.docs)
 	}
 }

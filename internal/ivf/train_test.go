@@ -57,7 +57,6 @@ func lloydReference(vecs *mat.Dense32, norms []float64, opts TrainOptions) (*Ind
 	return &Index{
 		dim:       dim,
 		nlist:     nlist,
-		seed:      opts.Seed,
 		centroids: cent,
 		cnorms:    cnorms,
 		cellStart: starts,

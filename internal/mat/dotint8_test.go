@@ -43,21 +43,30 @@ func TestDotInt8BlockedMatchesGeneric(t *testing.T) {
 	}
 }
 
-// TestDotInt8PreMatchesDotInt8 keeps the pre-widened query variant in
-// lockstep with the plain int8 kernel.
+// TestDotInt8PreMatchesDotInt8 keeps DotInt8Blocked's one-row call —
+// what the quantized scan makes per gathered row of an IVF candidate
+// list — in lockstep with the plain int8 kernel, with the AVX2 kernel on
+// and off.
 func TestDotInt8PreMatchesDotInt8(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, n := range []int{0, 1, 5, 8, 9, 16, 33, 64, 100} {
-		x := make([]int8, n)
-		q := make([]int16, n)
-		y := make([]int8, n)
-		for i := range x {
-			x[i] = int8(rng.Intn(255) - 127)
-			q[i] = int16(x[i])
-			y[i] = int8(rng.Intn(255) - 127)
-		}
-		if got, want := DotInt8Pre(q, y), DotInt8(x, y); got != want {
-			t.Fatalf("n=%d: DotInt8Pre = %d, DotInt8 = %d", n, got, want)
+	avx2 := hasAVX2
+	defer func() { hasAVX2 = avx2 }()
+	for _, on := range []bool{false, avx2} {
+		hasAVX2 = on
+		rng := rand.New(rand.NewSource(11))
+		for _, n := range []int{0, 1, 5, 8, 9, 16, 17, 33, 64, 100} {
+			x := make([]int8, n)
+			q := make([]int16, n)
+			y := make([]int8, n)
+			for i := range x {
+				x[i] = int8(rng.Intn(255) - 127)
+				q[i] = int16(x[i])
+				y[i] = int8(rng.Intn(255) - 127)
+			}
+			var got [1]int32
+			DotInt8Blocked(q, y, got[:])
+			if want := DotInt8(x, y); got[0] != want {
+				t.Fatalf("n=%d hasAVX2=%v: DotInt8Blocked = %d, DotInt8 = %d", n, on, got[0], want)
+			}
 		}
 	}
 }

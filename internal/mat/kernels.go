@@ -74,38 +74,12 @@ func DotInt8(x, y []int8) int32 {
 	return s0 + s1
 }
 
-// DotInt8Pre is DotInt8 with the query side pre-widened to int16 — the
-// form the quantized scan uses, since the query is widened once and then
-// streamed against every document row. int16 holds every quantized value
-// exactly (codes are in [-127, 127]) and is the lane width the AVX2
-// blocked kernel consumes, so the same widened query serves both the
-// scalar and SIMD paths; like DotInt8 the accumulation is exact integer
-// arithmetic. It panics on length mismatch.
-func DotInt8Pre(q []int16, y []int8) int32 {
-	if len(q) != len(y) {
-		panic(fmt.Sprintf("mat: DotInt8Pre length mismatch %d vs %d", len(q), len(y)))
-	}
-	var s0, s1, s2, s3 int32
-	i := 0
-	for ; i+8 <= len(y); i += 8 {
-		// Fixed-size sub-slices let the compiler prove every lane access
-		// in bounds with one check per iteration instead of one per lane.
-		ys := y[i : i+8 : i+8]
-		qs := q[i : i+8 : i+8]
-		s0 += int32(qs[0])*int32(ys[0]) + int32(qs[4])*int32(ys[4])
-		s1 += int32(qs[1])*int32(ys[1]) + int32(qs[5])*int32(ys[5])
-		s2 += int32(qs[2])*int32(ys[2]) + int32(qs[6])*int32(ys[6])
-		s3 += int32(qs[3])*int32(ys[3]) + int32(qs[7])*int32(ys[7])
-	}
-	for ; i < len(y); i++ {
-		s0 += int32(q[i]) * int32(y[i])
-	}
-	return s0 + s1 + s2 + s3
-}
-
 // DotInt8Blocked computes the integer dot of q against a block of
 // consecutive code rows: dots[j] = Σᵢ q[i]·codes[j·dim+i] for
-// j in [0, len(dots)), with dim = len(q). One call scores a whole block,
+// j in [0, len(dots)), with dim = len(q). The query is pre-widened to
+// int16 once per search — int16 holds every quantized value exactly
+// (codes are in [-127, 127]) and is the lane width the AVX2 kernel
+// consumes. One call scores a whole block,
 // so the per-document overhead of the quantized scan — call, slice
 // bounds, loop setup — amortizes over the block instead of repeating per
 // row. On amd64 with AVX2 the block is scored by the VPMADDWD kernel in
@@ -141,8 +115,8 @@ func DotInt8Blocked(q []int16, codes []int8, dots []int32) {
 }
 
 // dotInt8BlockedGeneric is the portable scalar row loop behind
-// DotInt8Blocked — the row body is the same register-friendly unrolled
-// kernel as DotInt8Pre. It is also the reference the AVX2 path is
+// DotInt8Blocked — a register-friendly row body unrolled over four
+// independent accumulators. It is also the reference the AVX2 path is
 // cross-checked against.
 func dotInt8BlockedGeneric(q []int16, codes []int8, dots []int32) {
 	dim := len(q)

@@ -2,15 +2,12 @@
 
 package mat
 
-// Non-amd64 builds always take the portable kernels: hasAVX2 is a false
-// constant, hasAVX512 a variable that stays false (a variable so the tests
-// that switch the packed product off compile everywhere), and the
-// assembly entry points are stubs that keep the dispatch sites compiling
-// and are unreachable.
+// Non-amd64 builds always take the portable kernels: hasAVX2 and
+// hasAVX512 are variables that stay false (variables so the tests that
+// switch a kernel off compile everywhere), and the assembly entry points
+// are stubs that keep the dispatch sites compiling and are unreachable.
 
-const hasAVX2 = false
-
-var hasAVX512 = false
+var hasAVX2, hasAVX512 = false, false
 
 func axpyAVX2(alpha float64, x, y *float64, n int) {
 	panic("mat: axpyAVX2 called without AVX2 support")

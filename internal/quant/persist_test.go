@@ -173,9 +173,9 @@ func TestDecodedMatrixSearches(t *testing.T) {
 	}
 	queries, qns := searchQueries(vecs, 8, 25)
 	for q := range queries {
-		a, _ := qm.AppendSearch(nil, vecs, norms, queries[q], qns[q], 10, DefaultBeta)
+		a, _ := qm.AppendSearch(nil, vecs, norms, queries[q], qns[q], 10, testBeta)
 		for name, m := range map[string]*Matrix{"streamed": streamed, "file": mapped} {
-			b, _ := m.AppendSearch(nil, vecs, norms, queries[q], qns[q], 10, DefaultBeta)
+			b, _ := m.AppendSearch(nil, vecs, norms, queries[q], qns[q], 10, testBeta)
 			sameMatches(t, name, b, a)
 		}
 	}

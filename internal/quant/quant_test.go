@@ -1,9 +1,11 @@
 package quant
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
+	_ "unsafe" // go:linkname
 
 	"repro/internal/mat"
 	"repro/internal/par"
@@ -56,6 +58,11 @@ func exhaustive(vecs *mat.Dense, norms, pq []float64, qn float64, topN int) []to
 	}
 	return h.AppendSorted(nil)
 }
+
+// testBeta is the over-fetch factor the search tests run at: β = 4 sits
+// on the flat part of the fidelity frontier (EXPERIMENTS.md, "Quantized
+// scan frontier (PR 10)").
+const testBeta = 4
 
 func withProcs(t *testing.T, n int) {
 	t.Helper()
@@ -228,7 +235,7 @@ func TestAppendSearchRerankScoresAreExact(t *testing.T) {
 	qm := Quantize(vecs)
 	queries, qns := searchQueries(vecs, 8, 8)
 	for q := range queries {
-		got, st := qm.AppendSearch(nil, vecs, norms, queries[q], qns[q], 10, DefaultBeta)
+		got, st := qm.AppendSearch(nil, vecs, norms, queries[q], qns[q], 10, testBeta)
 		if len(got) != 10 {
 			t.Fatalf("got %d matches, want 10", len(got))
 		}
@@ -256,7 +263,7 @@ func TestAppendSearchDeterministicAcrossWorkers(t *testing.T) {
 		withProcs(t, procs)
 		var all [][]topk.Match
 		for q := range queries {
-			got, _ := qm.AppendSearch(nil, vecs, norms, queries[q], qns[q], 10, DefaultBeta)
+			got, _ := qm.AppendSearch(nil, vecs, norms, queries[q], qns[q], 10, testBeta)
 			all = append(all, got)
 		}
 		if ref == nil {
@@ -282,7 +289,7 @@ func TestAppendSearchOverlapWithFloatPath(t *testing.T) {
 		for _, m := range exhaustive(vecs, norms, queries[q], qns[q], 10) {
 			truth[m.Doc] = true
 		}
-		got, _ := qm.AppendSearch(nil, vecs, norms, queries[q], qns[q], 10, DefaultBeta)
+		got, _ := qm.AppendSearch(nil, vecs, norms, queries[q], qns[q], 10, testBeta)
 		for _, m := range got {
 			if truth[m.Doc] {
 				hits++
@@ -328,7 +335,7 @@ func TestAppendSearchZeroQuery(t *testing.T) {
 	vecs, norms := clusteredVecs(t, 50, 8, 3, 0.3, 15)
 	qm := Quantize(vecs)
 	pq := make([]float64, 8)
-	got, _ := qm.AppendSearch(nil, vecs, norms, pq, 0, 5, DefaultBeta)
+	got, _ := qm.AppendSearch(nil, vecs, norms, pq, 0, 5, testBeta)
 	if len(got) != 5 {
 		t.Fatalf("got %d matches, want 5", len(got))
 	}
@@ -343,7 +350,7 @@ func TestAppendSearchEmptyDocs(t *testing.T) {
 	vecs, norms := clusteredVecs(t, 10, 4, 2, 0.3, 16)
 	qm := Quantize(vecs)
 	f := scan.Float{Vecs: mat.Narrow(vecs), Norms: norms, PQ: vecs.Row(0), QN: norms[0], Src: scan.List([]int32{})}
-	got, st := qm.AppendRerank(nil, f, 3, DefaultBeta)
+	got, st := qm.AppendRerank(nil, f, 3, testBeta)
 	if len(got) != 0 || st != (ScanStats{}) {
 		t.Fatalf("empty universe returned %v, %+v", got, st)
 	}
@@ -365,5 +372,55 @@ func TestSearchArgChecks(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// matHasAVX2 is internal/mat's dispatch switch for its AVX2 kernels, so
+// this package's tests can run the portable DotInt8Blocked too.
+//
+//go:linkname matHasAVX2 repro/internal/mat.hasAVX2
+var matHasAVX2 bool
+
+// TestStage1ListMatchesRows pins the one stage-1 loop's two sources to
+// each other: a List naming every row of the matrix (in a cell-like
+// shuffled order) keeps bitwise the candidates a Rows source keeps —
+// the same documents, scores and order — across block edges, chunk
+// edges (a small grain, MaxProcs 1 and 4), tied duplicate rows and a
+// dimension with a ragged 16-lane tail, with the AVX2 kernel on and off.
+func TestStage1ListMatchesRows(t *testing.T) {
+	const m, dim, keep, grain = 3000, 20, 40, 700
+	vecs, _ := clusteredVecs(t, m, dim, 7, 0.3, 21)
+	for j := 0; j < m; j += 5 {
+		copy(vecs.Row(j+1), vecs.Row(j)) // exact duplicates tie in stage 1
+	}
+	qm := Quantize(vecs)
+	queries, _ := searchQueries(vecs, 6, 22)
+	perm := rand.New(rand.NewSource(23)).Perm(m)
+	list := make([]int32, m)
+	for i, j := range perm {
+		list[i] = int32(j)
+	}
+	stage1 := func(pq []float64, src scan.Source) []topk.Match {
+		q8, q16 := make([]int8, dim), make([]int16, dim)
+		quantizeVec(q8, pq)
+		for i, c := range q8 {
+			q16[i] = int16(c)
+		}
+		return scan.AppendTop(nil, src.Len(), keep, grain, int8Scan{m: qm, q16: q16, sn: qm.sn, src: src, keep: keep})
+	}
+	avx2 := matHasAVX2
+	t.Cleanup(func() { matHasAVX2 = avx2 })
+	for _, on := range []bool{false, avx2} {
+		matHasAVX2 = on
+		for _, procs := range []int{1, 4} {
+			withProcs(t, procs)
+			for q, pq := range queries {
+				rows := stage1(pq, scan.Rows(m))
+				if len(rows) != keep {
+					t.Fatalf("rows source kept %d candidates, want %d", len(rows), keep)
+				}
+				sameMatches(t, fmt.Sprintf("avx2=%v procs=%d query %d", on, procs, q), stage1(pq, scan.List(list)), rows)
+			}
+		}
 	}
 }

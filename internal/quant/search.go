@@ -10,14 +10,6 @@ import (
 	"repro/internal/topk"
 )
 
-// DefaultBeta is the candidate over-fetch factor when a caller does not
-// choose one: the quantized scan keeps topN·β candidates for the exact
-// rerank. β = 4 sits on the flat part of the fidelity frontier
-// (EXPERIMENTS.md, "Quantized scan frontier (PR 10)") — top-10 overlap
-// with the float path is ≥ 0.99 on corpusgen corpora while the rerank
-// stays a rounding error next to the scan.
-const DefaultBeta = 4
-
 // ScanStats reports the work one quantized search performed; the serving
 // layer aggregates it into lsi_quant_* metrics.
 type ScanStats struct {
@@ -58,77 +50,52 @@ type int8Scan struct {
 	keep int
 }
 
-// Scan implements scan.Scanner.
-func (s int8Scan) Scan(h *topk.Heap, lo, hi int) {
-	if docs, ok := s.src.Docs(); ok {
-		s.m.scanDocs(h, s.q16, s.sn, docs[lo:hi], s.keep)
-	} else {
-		s.m.scanRange(h, s.q16, s.sn, s.keep, lo, hi)
-	}
-}
-
-// scanRange offers the stage-1 score of every document in [lo, hi) to a
-// heap keeping the best `keep`, blocked so the hot loop is two cheap
-// passes per block: mat.DotInt8Blocked streams the code rows into an
-// L1-resident int32 buffer, then a threshold pass turns each dot into
+// Scan implements scan.Scanner: it offers the stage-1 score of
+// candidates [lo, hi) of src to a heap keeping the best `keep`, blocked so
+// the hot loop is two cheap passes per block of scanBlock candidates.
+// mat.DotInt8Blocked scores the block into an L1-resident int32 buffer —
+// a Rows block's consecutive code rows in one call, a List block's
+// gathered rows one call each — then a threshold pass turns each dot into
 // sn[j]·dot and offers only the survivors. The offered score is the true
 // approximate cosine divided by the per-query constant qscale/qn; that
-// constant is positive (or the dot is identically 0), so dropping it is
-// a monotone transform — the kept candidate set is the same one the full
+// constant is positive (or the dot is identically 0), so dropping it is a
+// monotone transform — the kept candidate set is the same one the full
 // cosine would keep, and stage 2 rescores it exactly anyway. A running
-// copy of the heap's worst kept match turns the common case — a
-// candidate that loses — into one comparison with no call. Integer dots
-// are exact and the per-document score is a pure function of the stored
-// codes, so the scan is bitwise-deterministic for any chunking.
-func (m *Matrix) scanRange(h *topk.Heap, q16 []int16, sn []float64, keep, lo, hi int) {
-	dim := m.dim
-	codes := m.codes
+// copy of the heap's worst kept match turns the common case — a candidate
+// that loses — into one comparison with no call. Integer dots are exact
+// and the per-document score is a pure function of the stored codes, so
+// the scan is bitwise-deterministic for any chunking and either source.
+func (s int8Scan) Scan(h *topk.Heap, lo, hi int) {
+	dim, codes := s.m.dim, s.m.codes
+	docs, list := s.src.Docs()
 	var buf [scanBlock]int32
 	var wScore float64
 	wDoc, full := 0, false
 	for base := lo; base < hi; base += scanBlock {
-		nb := hi - base
-		if nb > scanBlock {
-			nb = scanBlock
+		dots := buf[:min(hi-base, scanBlock)]
+		if list {
+			for o, d := range docs[base : base+len(dots)] {
+				j := int(d)
+				mat.DotInt8Blocked(s.q16, codes[j*dim:(j+1)*dim], dots[o:o+1])
+			}
+		} else {
+			mat.DotInt8Blocked(s.q16, codes[base*dim:(base+len(dots))*dim], dots)
 		}
-		dots := buf[:nb]
-		mat.DotInt8Blocked(q16, codes[base*dim:(base+nb)*dim], dots)
 		for o, d := range dots {
 			j := base + o
-			t := sn[j] * float64(d)
+			if list {
+				j = int(docs[j])
+			}
+			t := s.sn[j] * float64(d)
 			if full && (t < wScore || (t == wScore && j > wDoc)) {
 				continue
 			}
 			h.Offer(topk.Match{Doc: j, Score: t})
-			if h.Len() == keep {
+			if h.Len() == s.keep {
 				full = true
 				w := h.Items()[0]
 				wScore, wDoc = w.Score, w.Doc
 			}
-		}
-	}
-}
-
-// scanDocs is scanRange over an explicit candidate list (the IVF
-// composition path). The rows are gathered, not streamed, so there is
-// nothing to block — each row is scored with the single-row kernel.
-func (m *Matrix) scanDocs(h *topk.Heap, q16 []int16, sn []float64, docs []int32, keep int) {
-	dim := m.dim
-	codes := m.codes
-	var wScore float64
-	wDoc, full := 0, false
-	for _, doc := range docs {
-		j := int(doc)
-		d := mat.DotInt8Pre(q16, codes[j*dim:(j+1)*dim])
-		t := sn[j] * float64(d)
-		if full && (t < wScore || (t == wScore && j > wDoc)) {
-			continue
-		}
-		h.Offer(topk.Match{Doc: j, Score: t})
-		if h.Len() == keep {
-			full = true
-			w := h.Items()[0]
-			wScore, wDoc = w.Score, w.Doc
 		}
 	}
 }

@@ -160,7 +160,7 @@ func TestSearchRoutesRecordTheirWork(t *testing.T) {
 // centroid") and ivf.Read accepts it.
 func emptyCellQuantizer(pq []float64, m int) []byte {
 	var dims []byte
-	for _, v := range []int{len(pq), 2, m, 0} { // dim, nlist, ndocs, seed
+	for _, v := range []int{len(pq), 2, m} { // dim, nlist, ndocs
 		dims = binary.LittleEndian.AppendUint64(dims, uint64(v))
 	}
 	cent := make([]float64, 0, 2*len(pq))
@@ -169,14 +169,12 @@ func emptyCellQuantizer(pq []float64, m int) []byte {
 			cent = append(cent, sign*v)
 		}
 	}
-	post := binary.AppendUvarint(nil, uint64(m))
-	post = append(post, bytes.Repeat([]byte{1}, m)...) // ascending by one
-	post = binary.AppendUvarint(post, 0)
+	cells := make([]byte, m) // every document's cell is 0
 	var buf bytes.Buffer
 	w := blob.NewWriter(&buf, [blob.MagicLen]byte{'L', 'S', 'I', 'I', 'V', 'F'}, ivf.WireVersion, 3)
 	w.Bytes("DIMS", dims)
 	w.Floats("CENT", cent)
-	w.Bytes("POST", post)
+	w.Bytes("CELL", cells)
 	if err := w.Close(); err != nil {
 		panic(err) // a bytes.Buffer takes every write
 	}

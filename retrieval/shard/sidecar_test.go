@@ -205,7 +205,11 @@ func TestOpenedTiersAreMapped(t *testing.T) {
 // counted as degraded and retrains them bitwise as a fresh build trains
 // them; the index files beside them are the bytes a fresh build saves, and
 // its version-1 manifest is a fresh build's less the globals lists; and
-// the next checkpoint writes the tiers in version 2.
+// the next checkpoint writes the tiers in the current versions.
+// testdata/v2-sidecars/ann-0-0-0.ivf is the same build's IVF sidecar in
+// version 2 (delta-coded postings), which a fresh checkpoint holding it
+// instead of its version-3 file opens the same way: one sidecar degraded,
+// the quantizer retrained bitwise.
 func TestOpenRetrainsVersion1Sidecars(t *testing.T) {
 	cfg := Config{Shards: 1, Rank: 4, Seed: 77, SealEvery: 8, ANNList: 6, Quantize: true, TierMinDocs: 1}
 	a := testMatrix(t, 4, 10, 40, 514)
@@ -265,6 +269,26 @@ func TestOpenRetrainsVersion1Sidecars(t *testing.T) {
 		t.Fatalf("after a checkpoint: %d degraded, %d IVF and %d int8 segments; want 0, 1, 1", got, annSegments(z), quantSegments(z))
 	}
 	sameOnEveryRoute(t, a, x, z)
+
+	v2, err := os.ReadFile(filepath.Join("testdata", "v2-sidecars", "ann-0-0-0.ivf"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(fresh, "ann-0-0-0.ivf"), v2, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w, err := Open(fresh, Config{ANNList: cfg.ANNList, Quantize: true, TierMinDocs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if got := w.SidecarsDegraded(); got != 1 {
+		t.Fatalf("version-2 IVF sidecar: %d sidecars counted as degraded, want 1", got)
+	}
+	if ws := w.Segments(nil); len(ws) != 1 || ws[0].Ann == nil || !bytes.Equal(ws[0].Ann.Encode(), xs[0].Ann.Encode()) {
+		t.Fatal("the version-2 IVF sidecar was not retrained as a fresh build trains it")
+	}
+	sameOnEveryRoute(t, a, x, w)
 }
 
 // manifestSansGlobals re-encodes manifest bytes as the newest version,

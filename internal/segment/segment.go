@@ -164,10 +164,15 @@ type TierConfig struct {
 	NList int
 	// Seed is the random stream of the segment's owner (the index seed,
 	// offset per shard). Each quantizer trains from Seed and its segment's
-	// first global document — the scheme compaction seeds use, offset so
-	// the two streams never collide — so re-training the same documents
-	// yields the same centroids, run after run.
+	// first shard-local document, Global[0] div Shards, offset by 500009
+	// so the stream never collides with a decomposition's: re-training the
+	// same documents yields the same centroids, run after run, and a
+	// shard exported as a 1-shard node (seed Seed, the same local
+	// numbers) retrains the cells its central shard trained.
 	Seed int64
+	// Shards is the owner's shard count, the stride of its global
+	// numbers (0 is read as 1).
+	Shards int
 	// Quantize builds an int8 shadow. It is seedless: a pure function of
 	// the document matrix.
 	Quantize bool
@@ -191,7 +196,7 @@ func (s *Segment) WithTiers(cfg TierConfig, ann *ivf.Index, qm *quant.Matrix) (*
 	if ann == nil && cfg.NList > 0 && trainable {
 		ann, err = ivf.Train32(s.Ix.Docs(), s.Ix.Norms(), ivf.TrainOptions{
 			NList: cfg.NList,
-			Seed:  cfg.Seed + int64(s.Global[0])*8191 + 500009,
+			Seed:  cfg.Seed + int64(s.Global[0]/max(cfg.Shards, 1))*8191 + 500009,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("segment: training quantizer: %w", err)

@@ -17,9 +17,12 @@ import (
 //     1-shard directory's numbering makes it node-local l: the inverse of
 //     the round-robin assignment, a dense [0, mₛ), from which the router
 //     recovers the cluster-wide global as l*Shards + s.
-//   - The manifest's seed is Seed+s — exactly the seed shard s's
-//     decompositions used here — so node-local compactions reproduce
-//     this process's bit-for-bit.
+//   - The manifest's seed is Seed+s, the seed shard s's decomposition
+//     and its IVF quantizers use here (segment.TierConfig seeds each
+//     quantizer from the segment's shard-local first document), so a
+//     node that retrains a missing or refused IVF sidecar trains this
+//     shard's cells bit for bit. A compaction settles fold-ins in the
+//     shard's basis and decomposes nothing, so it reads no seed.
 //   - Segment and sidecar payloads are byte-identical to a SaveDir of
 //     this index: the node serves exactly the scores this shard serves.
 func (x *Index) SaveShardDir(s int, dir string) error {

@@ -1,7 +1,9 @@
 package shard
 
 import (
+	"bytes"
 	"fmt"
+	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -154,5 +156,65 @@ func TestEncodeSegmentAllocatesItsSizeOnce(t *testing.T) {
 	// The slack is the writer's one window.
 	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(len(data)+2*blob.Window); got > limit {
 		t.Fatalf("encoding a %d-byte segment allocated %d bytes, limit %d", len(data), got, limit)
+	}
+}
+
+// An exported node that lost its IVF sidecars retrains the very cells its
+// central shard trained: the quantizer's seed follows the segment's
+// shard-local first document, which the node numbers as the central
+// shard does, and the node's seed (the manifest's Seed+s) is the shard's.
+// Each shard holds its build segment and one compacted after live adds.
+func TestExportedNodeRetrainsCentralCells(t *testing.T) {
+	a := testMatrix(t, 4, 10, 60, 409)
+	cfg := annConfig(2)
+	x, err := Build(a, defaultIDs(60), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer x.Close()
+	for i := 0; i < 40; i++ {
+		terms, weights := sparseCol(a, (7*i)%60)
+		if _, err := x.Add(Doc{Terms: terms, Weights: weights}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := x.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	for s := 0; s < cfg.Shards; s++ {
+		kept, bare := filepath.Join(t.TempDir(), "kept"), filepath.Join(t.TempDir(), "bare")
+		for _, dir := range []string{kept, bare} {
+			if err := x.SaveShardDir(s, dir); err != nil {
+				t.Fatal(err)
+			}
+		}
+		files, err := filepath.Glob(filepath.Join(bare, "ann-*"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("shard %d export holds no IVF sidecar (%v)", s, err)
+		}
+		for _, f := range files {
+			if err := os.Remove(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := Open(kept, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer want.Close()
+		got, err := Open(bare, Config{ANNList: cfg.ANNList, TierMinDocs: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer got.Close()
+		ws, gs := want.Segments(nil), got.Segments(nil)
+		if len(ws) != len(gs) || annSegments(want) < 2 {
+			t.Fatalf("shard %d: %d and %d segments, %d with cells; want equal counts and at least 2 with cells", s, len(ws), len(gs), annSegments(want))
+		}
+		for i := range ws {
+			if (ws[i].Ann == nil) != (gs[i].Ann == nil) || ws[i].Ann != nil && !bytes.Equal(ws[i].Ann.Encode(), gs[i].Ann.Encode()) {
+				t.Errorf("shard %d segment %d: the node retrains other cells than the central shard", s, i)
+			}
+		}
 	}
 }

@@ -319,7 +319,8 @@ func (x *Index) buildShard(sub *sparse.CSR, s int) error {
 func (x *Index) tiers(s int) segment.TierConfig {
 	return segment.TierConfig{
 		NList:    x.cfg.ANNList,
-		Seed:     x.cfg.Seed + int64(s)*1000003,
+		Seed:     x.cfg.Seed + int64(s),
+		Shards:   x.cfg.Shards,
 		Quantize: x.cfg.Quantize,
 		MinDocs:  x.cfg.TierMinDocs,
 	}

@@ -168,7 +168,7 @@ tier-smoke:
 
 # Short local mirror of the nightly fuzz job: 30s per fuzz target (the
 # manifest loader, the query-cache key normalizer, the WAL record
-# decoder, the IVF postings decoder, the quantized sidecar decoder, the
+# decoder, the IVF sidecar's cell decoder, the quantized sidecar decoder, the
 # index file's section container and LSI decoder, the offline
 # converter's gob decoder, and the search routes' JSON bodies).
 fuzz-short:

@@ -66,7 +66,7 @@ type TrainOptions struct {
 }
 
 // Index is a trained IVF coarse quantizer with its inverted cell lists.
-// It is immutable after Train/Decode and safe for concurrent searches.
+// It is immutable after Train/Read and safe for concurrent searches.
 type Index struct {
 	dim   int // latent dimension of the vectors it was trained on
 	nlist int // number of cells

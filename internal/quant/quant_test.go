@@ -60,8 +60,8 @@ func exhaustive(vecs *mat.Dense, norms, pq []float64, qn float64, topN int) []to
 }
 
 // testBeta is the over-fetch factor the search tests run at: β = 4 sits
-// on the flat part of the fidelity frontier (EXPERIMENTS.md, "Quantized
-// scan frontier (PR 10)").
+// on the flat part of the fidelity frontier (EXPERIMENTS.md, the
+// quantized scan frontier).
 const testBeta = 4
 
 func withProcs(t *testing.T, n int) {

@@ -16,9 +16,10 @@ GO="${GO:-go}"
 # Packages whose godoc is the product: the public retrieval API, its
 # cache/sharding/durability subsystems, the cluster tier, the HTTP
 # layer, the metrics kit, the IVF ANN quantizer, the int8 scoring
-# shadow and its fidelity metrics, and the fault-injection harness
-# chaos tests and benches script against.
-DIRS="retrieval retrieval/cache retrieval/shard retrieval/wal retrieval/cluster retrieval/httpapi internal/metrics internal/ivf internal/quant internal/eval internal/faultinject"
+# shadow, the segment and the one selection loop that carry the search
+# surface the benchmark drives, the fidelity metrics, and the
+# fault-injection harness chaos tests and benches script against.
+DIRS="retrieval retrieval/cache retrieval/shard retrieval/wal retrieval/cluster retrieval/httpapi internal/metrics internal/ivf internal/quant internal/segment internal/scan internal/eval internal/faultinject"
 
 $GO vet $(for d in $DIRS; do printf './%s ' "$d"; done)
 

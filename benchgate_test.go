@@ -66,18 +66,19 @@ func itoa(n int) string {
 	return digits
 }
 
-func runGate(t *testing.T, dir, base, head string) (int, string) {
+// runGate runs the gate in compare mode on base and head, and with a
+// confirm pass on the second pair when confirm holds one.
+func runGate(t *testing.T, dir, base, head string, confirm ...string) (int, string) {
 	t.Helper()
-	basePath := filepath.Join(dir, "base.txt")
-	headPath := filepath.Join(dir, "head.txt")
-	report := filepath.Join(dir, "report.txt")
-	if err := os.WriteFile(basePath, []byte(base), 0o644); err != nil {
-		t.Fatal(err)
+	args := []string{"scripts/bench_gate.sh", "-o", filepath.Join(dir, "report.txt")}
+	for i, text := range append([]string{base, head}, confirm...) {
+		path := filepath.Join(dir, itoa(i)+".txt")
+		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		args = append(args, []string{"-a", "-b", "-x", "-y"}[i], path)
 	}
-	if err := os.WriteFile(headPath, []byte(head), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cmd := exec.Command("sh", "scripts/bench_gate.sh", "-a", basePath, "-b", headPath, "-o", report)
+	cmd := exec.Command("sh", args...)
 	out, err := cmd.CombinedOutput()
 	if err == nil {
 		return 0, string(out)
@@ -218,6 +219,55 @@ func TestBenchGateVerdicts(t *testing.T) {
 				t.Fatalf("report missing %q:\n%s", tc.wantIn, out)
 			}
 		})
+	}
+}
+
+// TestBenchGateConfirmPass checks the confirm pass: a row that fails the
+// first pass fails the gate only if it fails the confirm pass too, by
+// ns/op or by minimum allocs/op; a row that passes on confirm passes, and
+// one the confirm outputs do not hold fails.
+func TestBenchGateConfirmPass(t *testing.T) {
+	base := benchLines("repro", "BenchmarkQueryLatency", [3]int{11000, 11200, 10900}, 1) +
+		benchLines("repro/internal/vsm", "BenchmarkSearchShortQuery", [3]int{1500, 1520, 1480}, 1)
+	slow := benchLines("repro", "BenchmarkQueryLatency", [3]int{15000, 15200, 14900}, 1) +
+		benchLines("repro/internal/vsm", "BenchmarkSearchShortQuery", [3]int{1500, 1510, 1490}, 1)
+	latency := func(ns [3]int, allocs int) string {
+		return benchLines("repro", "BenchmarkQueryLatency", ns, allocs)
+	}
+	for _, tc := range []struct {
+		name               string
+		head, cbase, chead string
+		wantExit           int
+		wantIn             string
+	}{
+		{"seeded regression fails both passes", slow,
+			latency([3]int{11000, 11100, 10900}, 1), latency([3]int{15100, 15000, 14800}, 1), 1, "bench_gate: FAIL (1 regression(s)"},
+		{"a row that fails once and passes on confirm passes", slow,
+			latency([3]int{11000, 11100, 10900}, 1), latency([3]int{11300, 11000, 10800}, 1), 0, "bench_gate: PASS"},
+		{"allocs/op growth that repeats fails", latency([3]int{11000, 11100, 10900}, 2) + base[strings.Index(base, "pkg: repro/internal/vsm"):],
+			latency([3]int{11000, 11100, 10900}, 1), latency([3]int{11000, 11100, 10900}, 2), 1, "FAIL (allocs/op 1 -> 2)"},
+		{"allocs/op growth that does not repeat passes", latency([3]int{11000, 11100, 10900}, 2) + base[strings.Index(base, "pkg: repro/internal/vsm"):],
+			latency([3]int{11000, 11100, 10900}, 1), latency([3]int{11000, 11100, 10900}, 1), 0, "bench_gate: PASS"},
+		{"a failed row the confirm pass does not hold fails", slow,
+			benchLines("repro/internal/vsm", "BenchmarkSearchShortQuery", [3]int{1500, 1520, 1480}, 1),
+			benchLines("repro/internal/vsm", "BenchmarkSearchShortQuery", [3]int{1500, 1520, 1480}, 1), 1, "FAIL (not re-run)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			exit, out := runGate(t, t.TempDir(), base, tc.head, tc.cbase, tc.chead)
+			if exit != tc.wantExit {
+				t.Fatalf("exit = %d, want %d\n%s", exit, tc.wantExit, out)
+			}
+			for _, want := range []string{tc.wantIn, "bench_gate: first pass: FAIL (1 regression(s)", "confirm pass"} {
+				if !strings.Contains(out, want) {
+					t.Fatalf("report missing %q:\n%s", want, out)
+				}
+			}
+		})
+	}
+	// A first pass that passes takes no confirm pass.
+	exit, out := runGate(t, t.TempDir(), base, base, slow, base)
+	if exit != 0 || strings.Contains(out, "confirm pass") {
+		t.Fatalf("parity with a confirm pair: exit = %d\n%s", exit, out)
 	}
 }
 

@@ -221,7 +221,9 @@ func (d *drift) build(docs []corpus.Document) *segment.Segment {
 		d.err = err
 		return nil
 	}
-	return &segment.Segment{Ix: ix, Global: globals(0, len(docs)), Raw: raw, Compacted: true}
+	seg, err := segment.New(ix, globals(0, len(docs)), raw, true)
+	d.err = err
+	return seg
 }
 
 // fold folds docs into base's basis as one segment numbered from first.

@@ -9,6 +9,7 @@ import (
 	"math/bits"
 	"os"
 	"runtime"
+	"strings"
 	"unsafe"
 
 	"repro/internal/blob"
@@ -140,7 +141,8 @@ func appendText(b []byte, m *Meta) []byte {
 }
 
 // parseText decodes a TEXT section (b is not empty), which it takes over:
-// the strings are views of b, never written again. Every count and length
+// the document IDs are views of b (their reader copies them); the rest
+// are copies, so the vocabulary does not pin b. Every count and length
 // is checked against the bytes left (a string costs at least one) before
 // anything is sized by it.
 func parseText(b []byte) (*Meta, error) {
@@ -170,6 +172,11 @@ func parseText(b []byte) (*Meta, error) {
 	}
 	if off != len(b) || len(lists[0]) != 1 {
 		return nil, errors.New("corrupt text section")
+	}
+	for _, list := range lists[:2] {
+		for j, str := range list {
+			list[j] = strings.Clone(str)
+		}
 	}
 	return &Meta{
 		WeightingName: lists[0][0], Vocab: lists[1], DocIDs: lists[2],

@@ -7,7 +7,9 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/blob"
 	"repro/internal/corpus"
@@ -214,4 +216,33 @@ func FuzzLoadIndex(f *testing.F) {
 			t.Fatalf("vocabulary of %d terms on an index of %d", len(meta.Vocab), ix.NumTerms())
 		}
 	})
+}
+
+// TestParseTextDetachesLongLivedStrings checks that the strings of a TEXT
+// section that outlive loading — the vocabulary and the weighting name —
+// share no bytes with the section they were decoded from, so holding the
+// vocabulary does not keep the whole section (document IDs included)
+// alive; the document IDs, which their reader copies, may stay views.
+func TestParseTextDetachesLongLivedStrings(t *testing.T) {
+	in := &Meta{
+		Vocab:         []string{"alpha", "beta", "", "gamma"},
+		WeightingName: "log",
+		DocIDs:        []string{"d0", "d1", "d2"},
+		Stemming:      true,
+	}
+	b := appendText(nil, in)
+	meta, err := parseText(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := uintptr(unsafe.Pointer(unsafe.SliceData(b))), uintptr(unsafe.Pointer(unsafe.SliceData(b)))+uintptr(len(b))
+	for _, s := range append([]string{meta.WeightingName}, meta.Vocab...) {
+		if p := uintptr(unsafe.Pointer(unsafe.StringData(s))); s != "" && p >= lo && p < hi {
+			t.Errorf("%q is a view of the section", s)
+		}
+	}
+	if !slices.Equal(meta.Vocab, in.Vocab) || meta.WeightingName != in.WeightingName ||
+		!slices.Equal(meta.DocIDs, in.DocIDs) || !meta.Stemming || meta.RemoveStopwords {
+		t.Fatalf("parsed %+v, want %+v", meta, in)
+	}
 }

@@ -102,9 +102,10 @@ type Float struct {
 	QN    float64
 	// Src picks the rows; matches carry the row number as Doc.
 	Src Source
-	// IDs, when non-nil, renumbers a Rows source: row j is reported as
-	// document IDs[j].
-	IDs []int
+	// First and Stride renumber a Rows source: row j is reported as
+	// document First + Stride·j. A Stride of 0 is read as 1, so the zero
+	// value reports row numbers.
+	First, Stride int
 }
 
 // Scan implements Scanner over f.Src.
@@ -116,12 +117,9 @@ func (f Float) Scan(h *topk.Heap, lo, hi int) {
 		}
 		return
 	}
+	stride := max(f.Stride, 1)
 	for j := lo; j < hi; j++ {
-		doc := j
-		if f.IDs != nil {
-			doc = f.IDs[j]
-		}
-		h.Offer(topk.Match{Doc: doc, Score: mat.DotNorm32(f.PQ, f.Vecs.Row(j), f.QN, f.Norms[j])})
+		h.Offer(topk.Match{Doc: f.First + stride*j, Score: mat.DotNorm32(f.PQ, f.Vecs.Row(j), f.QN, f.Norms[j])})
 	}
 }
 

@@ -92,17 +92,21 @@ func TestAppendTopMatchesNaiveSort(t *testing.T) {
 			list, listed = append(list, int32(j)), append(listed, j)
 		}
 		for _, tc := range []struct {
-			name string
-			src  Source
-			ids  []int
-			rows []int // what src names, for the reference
+			name   string
+			src    Source
+			stride int   // renumbers as 1 + stride·j when non-zero
+			ids    []int // what that renumbering gives, for the reference
+			rows   []int // what src names, for the reference
 		}{
-			{"rows", Rows(n), nil, every},
-			{"rows renumbered", Rows(n), ids, every},
-			{"list", List(list), nil, listed},
-			{"empty list", List(nil), nil, nil},
+			{"rows", Rows(n), 0, nil, every},
+			{"rows renumbered", Rows(n), 3, ids, every},
+			{"list", List(list), 0, nil, listed},
+			{"empty list", List(nil), 0, nil, nil},
 		} {
-			f := Float{Vecs: vecs, Norms: norms, PQ: pq, QN: mat.Norm(pq), Src: tc.src, IDs: tc.ids}
+			f := Float{Vecs: vecs, Norms: norms, PQ: pq, QN: mat.Norm(pq), Src: tc.src}
+			if tc.stride != 0 {
+				f.First, f.Stride = 1, tc.stride
+			}
 			cands := tc.src.Len()
 			for _, keep := range []int{0, 1, 10, cands, cands + 5} {
 				want := naive(vecs, norms, pq, tc.rows, tc.ids, keep)

@@ -103,7 +103,7 @@ func TestSearchAddsOnlyTheResultSlice(t *testing.T) {
 // none, and — saturated — reproduces the exact scan bitwise.
 func TestSearchRoutesRecordTheirWork(t *testing.T) {
 	seg, ix, query := tieredSegment(t)
-	bare, err := New(ix, seg.Global, nil, true)
+	bare, err := New(ix, identity(seg.Len()), nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}

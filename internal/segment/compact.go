@@ -27,13 +27,13 @@ type CompactOptions struct {
 
 // Compact merges the raw documents of segs into one freshly decomposed,
 // compacted segment, which does not keep them. Every input segment must
-// still carry its raw documents (sealed, not yet compacted); the inputs
-// are not modified.
+// still carry its raw documents (sealed, not yet compacted) and continue
+// the rule of the one before it; the inputs are not modified.
 func Compact(segs []*Segment, numTerms int, opts CompactOptions) (*Segment, error) {
 	if opts.K < 1 {
 		return nil, fmt.Errorf("segment: compact rank %d, want >= 1", opts.K)
 	}
-	global, raw, err := mergeRaw(segs, numTerms)
+	num, raw, err := mergeRaw(segs, numTerms)
 	if err != nil {
 		return nil, err
 	}
@@ -41,16 +41,17 @@ func Compact(segs []*Segment, numTerms int, opts CompactOptions) (*Segment, erro
 	if err != nil {
 		return nil, fmt.Errorf("segment: compact rebuild: %w", err)
 	}
-	return &Segment{Ix: ix, Global: global, Compacted: true}, nil
+	return &Segment{Ix: ix, num: num, Compacted: true}, nil
 }
 
 // Merge concatenates segs, which must share one basis and still carry
 // their raw documents, into one compacted segment without a
-// decomposition: rows, norms, global numbers and raw documents are
+// decomposition: rows, norms, numbering rules and raw documents are
 // appended in order, so every document scores bitwise what it scored
-// before. The inputs are not modified.
+// before. Each segment must continue the rule of the one before it (as
+// consecutive segments of one shard do). The inputs are not modified.
 func Merge(segs []*Segment, numTerms int) (*Segment, error) {
-	global, raw, err := mergeRaw(segs, numTerms)
+	num, raw, err := mergeRaw(segs, numTerms)
 	if err != nil {
 		return nil, err
 	}
@@ -62,35 +63,40 @@ func Merge(segs []*Segment, numTerms int) (*Segment, error) {
 	if err != nil {
 		return nil, fmt.Errorf("segment: merge: %w", err)
 	}
-	return &Segment{Ix: ix, Global: global, Raw: raw, Compacted: true}, nil
+	return &Segment{Ix: ix, num: num, Raw: raw, Compacted: true}, nil
 }
 
-// mergeRaw appends the global numbers and raw documents of segs in
-// order, checking that each segment carries all of its raw documents and
-// that every term is in the vocabulary.
-func mergeRaw(segs []*Segment, numTerms int) ([]int, *Raw, error) {
+// mergeRaw appends the numbering rules and raw documents of segs in
+// order, checking that each segment continues the rule before it and
+// carries all of its raw documents, and that every term is in the
+// vocabulary.
+func mergeRaw(segs []*Segment, numTerms int) (num numbering, raw *Raw, err error) {
 	if len(segs) == 0 {
-		return nil, nil, fmt.Errorf("segment: compact of zero segments")
+		return num, nil, fmt.Errorf("segment: compact of zero segments")
 	}
-	var global []int
-	raw := &Raw{}
-	for _, s := range segs {
+	raw = &Raw{}
+	for i, s := range segs {
 		if s.Raw == nil || s.Raw.Len() != s.Len() {
-			return nil, nil, fmt.Errorf("segment: compacting a segment without raw documents (%d raw, %d docs)",
+			return num, nil, fmt.Errorf("segment: compacting a segment without raw documents (%d raw, %d docs)",
 				s.Raw.Len(), s.Len())
 		}
-		global = append(global, s.Global...)
+		// A rule is fixed by its first two rows; the rest follow it.
+		head := []int{s.Global(0), s.Global(1)}[:min(s.Len(), 2)]
+		if num, err = num.then(head...); err != nil {
+			return num, nil, fmt.Errorf("segment: compacting segment %d: %w", i, err)
+		}
+		num.n += s.Len() - len(head)
 		raw.Terms = append(raw.Terms, s.Raw.Terms...)
 		raw.Weights = append(raw.Weights, s.Raw.Weights...)
 	}
 	for j, terms := range raw.Terms {
 		for _, t := range terms {
 			if t < 0 || t >= numTerms {
-				return nil, nil, fmt.Errorf("segment: raw document %d term %d out of range [0,%d)", j, t, numTerms)
+				return num, nil, fmt.Errorf("segment: raw document %d term %d out of range [0,%d)", j, t, numTerms)
 			}
 		}
 	}
-	return global, raw, nil
+	return num, raw, nil
 }
 
 // Matrix assembles the numTerms×Len() term-document matrix of the

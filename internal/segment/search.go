@@ -81,7 +81,7 @@ var searchPool = sync.Pool{New: func() any { return new(searchScratch) }}
 // configured: the documents of the probed IVF cells (Ann and NProbe) or
 // every row; the int8 scan with exact rerank (Quant and Beta) or the
 // float scorer directly. A segment with a tier on either axis yields
-// its own top candidates in local rows, renumbered through Global; the
+// its own top candidates in local rows, renumbered by its rule; the
 // segments left with every row in float are scanned together as one
 // flattened range (searchScratch.Scan). Everything merges in one bounded
 // heap under the strict (score desc, global doc asc) order, so results
@@ -90,7 +90,7 @@ var searchPool = sync.Pool{New: func() any { return new(searchScratch) }}
 // approximate tiers only narrow CANDIDATE SELECTION — every returned
 // score is an exact float64 cosine from the one scan.Float scorer — so
 // probing every cell with the int8 tier off is bitwise the exhaustive
-// scan, and one segment with an identity Global is bitwise
+// scan, and one segment numbered 0, 1, 2, … is bitwise
 // segs[0].Ix.SearchSparse.
 func Search(segs []*Segment, q Query, topN int, opts ProbeOptions) ([]topk.Match, ProbeStats) {
 	defer runtime.KeepAlive(segs) // rows may be views of a mapped file, which lasts as long as its lsi.Index
@@ -126,7 +126,7 @@ func Search(segs []*Segment, q Query, topN int, opts ProbeOptions) ([]topk.Match
 		viaAnn := s.Ann != nil && opts.NProbe > 0
 		viaQuant := s.Quant != nil && opts.Beta > 0
 		if !viaAnn && !viaQuant {
-			f.IDs = s.Global
+			f.First, f.Stride = s.num.first, s.num.stride
 			sc.exact = append(sc.exact, exactSeg{f: f, off: st.ExactDocs})
 			st.ExactDocs += s.Len()
 			continue
@@ -149,10 +149,10 @@ func Search(segs []*Segment, q Query, topN int, opts ProbeOptions) ([]topk.Match
 			sc.buf = f.AppendTop(sc.buf[:0], keep)
 		}
 		for _, m := range sc.buf {
-			// Global is ascending, so the remap is monotone: the strict
+			// The rule ascends, so the remap is monotone: the strict
 			// (score desc, doc asc) order — and with it determinism and the
 			// full-probe equivalence — survives the renumbering.
-			h.Offer(topk.Match{Doc: s.Global[m.Doc], Score: m.Score})
+			h.Offer(topk.Match{Doc: s.Global(m.Doc), Score: m.Score})
 		}
 	}
 	if len(sc.exact) > 0 {

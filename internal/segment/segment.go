@@ -1,8 +1,8 @@
 // Package segment provides the building block of the sharded live index:
 // an immutable slice of a corpus with its own rank-k latent representation,
-// a stable mapping from segment-local rows to global document numbers, and
-// (until compaction) the raw term-space documents needed to re-derive that
-// representation from scratch.
+// a numbering rule from segment-local rows to global document numbers,
+// and (until compaction) the raw term-space documents needed to re-derive
+// that representation from scratch.
 //
 // A segment moves through three lifecycle states, all represented by the
 // same immutable type:
@@ -28,7 +28,7 @@
 // path"): per segment, fold the query and pick the cheapest configured
 // candidate source {every row | probed IVF cells} and scorer {float |
 // int8 + float rerank}, both run by the one scan loop of internal/scan —
-// tiered segments renumber their candidates through Global, the others
+// tiered segments renumber their candidates by their rule, the others
 // are scanned together as one flattened range — and merge everything in
 // one bounded heap under the strict (score desc, global doc asc) total
 // order, so results are deterministic for any segment layout and any
@@ -38,6 +38,7 @@
 package segment
 
 import (
+	"cmp"
 	"fmt"
 
 	"repro/internal/ivf"
@@ -84,11 +85,11 @@ type Segment struct {
 	// per document, precomputed norms. Fold-in segments share their basis
 	// with the segment they were folded against.
 	Ix *lsi.Index
-	// Global maps segment-local row j to the global document number. The
-	// shard layer keeps rows in ascending global order so local and
+	// num numbers the rows: local row j is global document
+	// num.first + num.stride·j (Global). The rule ascends, so local and
 	// global tie-breaks agree; Search nonetheless breaks ties on the
 	// global number, which is what determinism is defined over.
-	Global []int
+	num numbering
 	// Raw retains the term-space documents of a fold-in segment, and of
 	// a compacted one the compactor may merge again (nil otherwise).
 	Raw *Raw
@@ -99,13 +100,37 @@ type Segment struct {
 	// Ann is the optional IVF coarse quantizer over Ix's document vectors
 	// (nil = none; the segment is always servable by exhaustive scan) and
 	// Quant the optional int8 shadow of them. WithTiers decides which
-	// segments carry them. Both index segment-LOCAL rows; search remaps
-	// through Global like the exhaustive path does.
+	// segments carry them. Both index segment-LOCAL rows; search
+	// renumbers them by the rule like the exhaustive path does.
 	Ann   *ivf.Index
 	Quant *quant.Matrix
 }
 
+// numbering is the rule "local row j of n is global first + stride·j".
+// The stride is 0 until a second row fixes it, so an empty or
+// one-document segment takes it from whatever follows.
+type numbering struct{ first, stride, n int }
+
+// then is r followed by rows numbered global, which must continue its
+// rule with a stride of at least 1.
+func (r numbering) then(global ...int) (numbering, error) {
+	for _, g := range global {
+		if r.n == 0 {
+			r = numbering{first: g, n: 1}
+			continue
+		}
+		stride := cmp.Or(r.stride, g-r.first)
+		if stride < 1 || g != r.first+stride*r.n {
+			return r, fmt.Errorf("segment: global number %d does not continue %d + %d·j after %d documents", g, r.first, stride, r.n)
+		}
+		r.stride, r.n = stride, r.n+1
+	}
+	return r, nil
+}
+
 // New wraps a latent index and its global document numbers as a segment.
+// The segment keeps the rule first + stride·j (stride ≥ 1) the numbers
+// must follow, not the list (DESIGN.md §6).
 func New(ix *lsi.Index, global []int, raw *Raw, compacted bool) (*Segment, error) {
 	if ix.NumDocs() != len(global) {
 		return nil, fmt.Errorf("segment: %d documents but %d global IDs", ix.NumDocs(), len(global))
@@ -114,11 +139,18 @@ func New(ix *lsi.Index, global []int, raw *Raw, compacted bool) (*Segment, error
 		return nil, fmt.Errorf("segment: raw holds %d/%d documents, segment has %d",
 			len(raw.Terms), len(raw.Weights), len(global))
 	}
-	return &Segment{Ix: ix, Global: global, Raw: raw, Compacted: compacted}, nil
+	num, err := numbering{}.then(global...)
+	if err != nil {
+		return nil, err
+	}
+	return &Segment{Ix: ix, num: num, Raw: raw, Compacted: compacted}, nil
 }
 
 // Len returns the number of documents in the segment.
-func (s *Segment) Len() int { return len(s.Global) }
+func (s *Segment) Len() int { return s.num.n }
+
+// Global is the global document number of local row j.
+func (s *Segment) Global(j int) int { return s.num.first + s.num.stride*j }
 
 // WithAnn returns a copy of the segment carrying the given IVF quantizer
 // (nil detaches any existing one). The quantizer must cover exactly this
@@ -164,7 +196,7 @@ type TierConfig struct {
 	NList int
 	// Seed is the random stream of the segment's owner (the index seed,
 	// offset per shard). Each quantizer trains from Seed and its segment's
-	// first shard-local document, Global[0] div Shards, offset by 500009
+	// first shard-local document, Global(0) div Shards, offset by 500009
 	// so the stream never collides with a decomposition's: re-training the
 	// same documents yields the same centroids, run after run, and a
 	// shard exported as a 1-shard node (seed Seed, the same local
@@ -196,7 +228,7 @@ func (s *Segment) WithTiers(cfg TierConfig, ann *ivf.Index, qm *quant.Matrix) (*
 	if ann == nil && cfg.NList > 0 && trainable {
 		ann, err = ivf.Train32(s.Ix.Docs(), s.Ix.Norms(), ivf.TrainOptions{
 			NList: cfg.NList,
-			Seed:  cfg.Seed + int64(s.Global[0]/max(cfg.Shards, 1))*8191 + 500009,
+			Seed:  cfg.Seed + int64(s.Global(0)/max(cfg.Shards, 1))*8191 + 500009,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("segment: training quantizer: %w", err)
@@ -220,12 +252,16 @@ func (s *Segment) WithTiers(cfg TierConfig, ann *ivf.Index, qm *quant.Matrix) (*
 
 // Extend returns a NEW segment with the given sparse documents folded in
 // (represented in this segment's basis) and their global numbers and raw
-// forms appended; the receiver is untouched. The sparse slices are
-// retained by the new segment's Raw — callers must not mutate them after
-// the call.
+// forms appended (one rule, as in New); the receiver is untouched. The
+// sparse slices are retained by the new segment's Raw — callers must not
+// mutate them after the call.
 func (s *Segment) Extend(terms [][]int, weights [][]float64, global []int) (*Segment, error) {
 	if len(terms) != len(global) {
 		return nil, fmt.Errorf("segment: extending with %d documents but %d global IDs", len(terms), len(global))
+	}
+	num, err := s.num.then(global...)
+	if err != nil {
+		return nil, err
 	}
 	ext, err := s.Ix.ExtendedSparse(terms, weights)
 	if err != nil {
@@ -234,7 +270,6 @@ func (s *Segment) Extend(terms [][]int, weights [][]float64, global []int) (*Seg
 	// Full-slice expressions force append to copy: successive segment
 	// states must never share growable backing arrays, or an append for
 	// state N+1 would be visible through state N's raw slices.
-	grownGlobal := append(s.Global[:len(s.Global):len(s.Global)], global...)
 	raw := s.Raw
 	if raw == nil {
 		raw = &Raw{}
@@ -243,5 +278,5 @@ func (s *Segment) Extend(terms [][]int, weights [][]float64, global []int) (*Seg
 		Terms:   append(raw.Terms[:len(raw.Terms):len(raw.Terms)], terms...),
 		Weights: append(raw.Weights[:len(raw.Weights):len(raw.Weights)], weights...),
 	}
-	return &Segment{Ix: ext, Global: grownGlobal, Raw: grownRaw, Compacted: false}, nil
+	return &Segment{Ix: ext, num: num, Raw: grownRaw, Compacted: false}, nil
 }

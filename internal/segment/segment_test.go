@@ -3,6 +3,7 @@ package segment
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/corpus"
@@ -166,8 +167,8 @@ func TestExtendIsCopyOnWrite(t *testing.T) {
 	if live.Len() != 0 || s1.Len() != 1 || s2.Len() != 2 {
 		t.Fatalf("lengths %d/%d/%d, want 0/1/2", live.Len(), s1.Len(), s2.Len())
 	}
-	if s1.Global[0] != 100 || s2.Global[1] != 101 {
-		t.Fatalf("globals %v / %v", s1.Global, s2.Global)
+	if s1.Global(0) != 100 || s2.Global(0) != 100 || s2.Global(1) != 101 {
+		t.Fatalf("globals %d / %d, %d", s1.Global(0), s2.Global(0), s2.Global(1))
 	}
 	if s1.Raw.Len() != 1 || s2.Raw.Len() != 2 {
 		t.Fatalf("raw lengths %d/%d", s1.Raw.Len(), s2.Raw.Len())
@@ -218,8 +219,8 @@ func TestCompactMergesAndRebuilds(t *testing.T) {
 	if comp.Len() != 60 {
 		t.Fatalf("compacted segment has %d docs, want 60", comp.Len())
 	}
-	for j, g := range comp.Global {
-		if g != j {
+	for j := range comp.Len() {
+		if g := comp.Global(j); g != j {
 			t.Fatalf("global[%d] = %d after merge", j, g)
 		}
 	}
@@ -295,4 +296,144 @@ func TestCompactRejectsSegmentsWithoutRaw(t *testing.T) {
 	if _, err := Compact([]*Segment{seg}, n, CompactOptions{K: 2}); err == nil {
 		t.Fatal("compacting a raw-less segment did not fail")
 	}
+}
+
+// TestNumberingIsOneRule pins the segment's numbering: New and Extend
+// take a list of global numbers but keep only the rule first + stride·j,
+// so they refuse any list that is not one such rule; an empty or
+// one-document segment takes its stride from its next Extend; and Merge
+// and Compact refuse segments whose rules do not continue one another.
+func TestNumberingIsOneRule(t *testing.T) {
+	a := testMatrix(t, 3, 12, 40, 211)
+	ix, err := lsi.Build(a, 3, lsi.Options{Engine: lsi.EngineRandomized, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, _ := a.Dims()
+	cols := func(lo, hi int) (terms [][]int, weights [][]float64) {
+		for j := lo; j < hi; j++ {
+			ts, ws := sparseCol(a, j)
+			terms, weights = append(terms, ts), append(weights, ws)
+		}
+		return terms, weights
+	}
+	empty, err := New(ix.EmptyLike(), nil, nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// extend folds columns [lo, lo+len(global)) numbered global into from.
+	extend := func(from *Segment, lo int, global ...int) (*Segment, error) {
+		terms, weights := cols(lo, lo+len(global))
+		return from.Extend(terms, weights, global)
+	}
+	globals := func(s *Segment) []int {
+		g := make([]int, s.Len())
+		for j := range g {
+			g[j] = s.Global(j)
+		}
+		return g
+	}
+
+	t.Run("lists_that_are_not_one_rule", func(t *testing.T) {
+		for _, bad := range [][]int{{5, 3, 1}, {0, 1, 3}, {4, 4, 4}, {2, 2, 3}} {
+			terms, weights := cols(0, len(bad))
+			grown, err := ix.EmptyLike().ExtendedSparse(terms, weights)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := New(grown, bad, nil, true); err == nil {
+				t.Errorf("New accepted %v", bad)
+			}
+			if _, err := extend(empty, 0, bad...); err == nil {
+				t.Errorf("Extend of an empty segment accepted %v", bad)
+			}
+		}
+		s, err := extend(empty, 0, 1, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, bad := range [][]int{{6}, {7, 11}, {7, 10, 12}, {4}, {2}} {
+			if _, err := extend(s, 2, bad...); err == nil {
+				t.Errorf("Extend of %v accepted %v", globals(s), bad)
+			}
+		}
+	})
+
+	t.Run("strides_come_from_the_next_extend", func(t *testing.T) {
+		for _, tc := range []struct {
+			steps [][]int // one Extend each, from an empty segment
+			want  []int
+		}{
+			{[][]int{{7}, {10}, {13, 16}}, []int{7, 10, 13, 16}},
+			{[][]int{{}, {2}, {3, 4}}, []int{2, 3, 4}},
+			{[][]int{{5}, {8, 11, 14}}, []int{5, 8, 11, 14}},
+			{[][]int{{0, 2}, {}, {4}}, []int{0, 2, 4}},
+		} {
+			s, lo := empty, 0
+			for _, g := range tc.steps {
+				if s, err = extend(s, lo, g...); err != nil {
+					t.Fatalf("%v: %v", tc.steps, err)
+				}
+				lo += len(g)
+			}
+			if got := globals(s); !slices.Equal(got, tc.want) {
+				t.Errorf("%v: numbers %v, want %v", tc.steps, got, tc.want)
+			}
+		}
+		one, err := extend(empty, 0, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := extend(one, 1, 9); err == nil {
+			t.Error("a one-document segment took stride 0")
+		}
+		if _, err := extend(one, 1, 8); err == nil {
+			t.Error("a one-document segment took a negative stride")
+		}
+	})
+
+	t.Run("merge_and_compact_take_consecutive_segments", func(t *testing.T) {
+		s1, err := extend(empty, 0, 1, 3, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		next, err := extend(empty, 3, 7, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gap, err := extend(empty, 3, 9, 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wide, err := extend(empty, 3, 7, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		one, err := extend(empty, 3, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, segs := range [][]*Segment{{s1, next}, {s1, one}} {
+			m, err := Merge(segs, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := Compact(segs, n, CompactOptions{K: 3, Seed: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := append(globals(segs[0]), globals(segs[1])...)
+			if !slices.Equal(globals(m), want) || !slices.Equal(globals(c), want) {
+				t.Errorf("merged %v, compacted %v, want %v", globals(m), globals(c), want)
+			}
+		}
+		for _, segs := range [][]*Segment{{s1, gap}, {s1, wide}, {next, s1}, {s1, s1}} {
+			if _, err := Merge(segs, n); err == nil {
+				t.Errorf("Merge accepted %v then %v", globals(segs[0]), globals(segs[1]))
+			}
+			if _, err := Compact(segs, n, CompactOptions{K: 3, Seed: 2}); err == nil {
+				t.Errorf("Compact accepted %v then %v", globals(segs[0]), globals(segs[1]))
+			}
+		}
+	})
 }

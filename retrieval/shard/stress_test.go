@@ -238,8 +238,8 @@ func checkRoundRobin(x *Index) error {
 	for s, sh := range x.shards {
 		l := 0
 		for i, seg := range sh.state.Load().segments(nil) {
-			for j, g := range seg.Global {
-				if g != s+n*l {
+			for j := range seg.Len() {
+				if g := seg.Global(j); g != s+n*l {
 					return fmt.Errorf("shard %d segment %d row %d: global %d, want %d", s, i, j, g, s+n*l)
 				}
 				l++

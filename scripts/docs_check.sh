@@ -17,9 +17,11 @@ GO="${GO:-go}"
 # cache/sharding/durability subsystems, the cluster tier, the HTTP
 # layer, the metrics kit, the IVF ANN quantizer, the int8 scoring
 # shadow, the segment and the one selection loop that carry the search
-# surface the benchmark drives, the fidelity metrics, and the
-# fault-injection harness chaos tests and benches script against.
-DIRS="retrieval retrieval/cache retrieval/shard retrieval/wal retrieval/cluster retrieval/httpapi internal/metrics internal/ivf internal/quant internal/segment internal/scan internal/eval internal/faultinject"
+# surface the benchmark drives, the fidelity metrics, the
+# fault-injection harness chaos tests and benches script against, and the
+# index file's layers: the ID table, the section container and the LSI
+# index it holds.
+DIRS="retrieval retrieval/cache retrieval/shard retrieval/wal retrieval/cluster retrieval/httpapi internal/metrics internal/ivf internal/quant internal/segment internal/scan internal/eval internal/faultinject internal/idtable internal/blob internal/lsi"
 
 $GO vet $(for d in $DIRS; do printf './%s ' "$d"; done)
 

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -95,6 +96,15 @@ func within[F float32 | float64](v []F, b []byte) bool {
 	return p >= lo && p < lo+uintptr(len(b))
 }
 
+// viewed is what Viewed should count of an n-byte array r returned: all
+// of it when r reads a file mapping, none when it reads anything else.
+func viewed(r *Reader, n int) int64 {
+	if r.Mapping() == nil {
+		return 0
+	}
+	return int64(n)
+}
+
 // Sections of every shape — empty, unpadded, spanning several windows —
 // come back bit for bit, from a sized source, from a bare stream and on
 // the mapped arm (bytes in memory, a file), and the file is exactly as
@@ -153,6 +163,9 @@ func TestRoundTrip(t *testing.T) {
 				if view := within(got, source); view != (mapped && len(got) > 0 && nativeLittleEndian) {
 					t.Fatalf("%s %s: a view of the source: %v", name, want.tag, view)
 				}
+				if v := Viewed(r.Mapping(), got); v != viewed(r, 8*len(got)) {
+					t.Fatalf("%s %s: Viewed %d of %d floats' bytes", name, want.tag, v, len(got))
+				}
 				continue
 			}
 			if want.f32 != nil {
@@ -170,6 +183,9 @@ func TestRoundTrip(t *testing.T) {
 				}
 				if view := within(got, source); view != (mapped && len(got) > 0 && nativeLittleEndian) {
 					t.Fatalf("%s %s: a view of the source: %v", name, want.tag, view)
+				}
+				if v := Viewed(r.Mapping(), got); v != viewed(r, 4*len(got)) || Viewed(r.Mapping(), slices.Clone(got)) != 0 {
+					t.Fatalf("%s %s: Viewed %d of %d float32s' bytes, or counts a copy", name, want.tag, v, len(got))
 				}
 				continue
 			}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"runtime"
 	"sync/atomic"
+	"unsafe"
 )
 
 // nativeLittleEndian: a float64 in memory is laid out as a section stores it.
@@ -54,6 +55,21 @@ func (m *Mapping) Len() int {
 		return 0
 	}
 	return len(m.data)
+}
+
+// Viewed is the bytes of v if v lies in m, as the arrays a Reader over m
+// returns do, else 0: a copy on the heap, or no mapping. A holder's
+// MappedBytes sums it over the arrays it may have read from m.
+func Viewed[F element](m *Mapping, v []F) int64 {
+	n := uintptr(len(v)) * unsafe.Sizeof(F(0))
+	if m == nil || n == 0 {
+		return 0
+	}
+	p, lo := uintptr(unsafe.Pointer(unsafe.SliceData(v))), uintptr(unsafe.Pointer(unsafe.SliceData(m.data)))
+	if p < lo || p-lo+n > uintptr(len(m.data)) {
+		return 0
+	}
+	return int64(n)
 }
 
 // Holds reports whether f is the file m maps, whose pages are being read.

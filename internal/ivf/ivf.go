@@ -85,9 +85,9 @@ type Index struct {
 	mapped *blob.Mapping
 }
 
-// MappedBytes is the size of the sidecar file the centroids are a view
-// of, or 0.
-func (x *Index) MappedBytes() int64 { return int64(x.mapped.Len()) }
+// MappedBytes is the bytes of the centroids if they are a view of the
+// sidecar file, or 0; the cells are decoded onto the heap.
+func (x *Index) MappedBytes() int64 { return blob.Viewed(x.mapped, x.centroids.RawData()) }
 
 // NList returns the number of cells.
 func (x *Index) NList() int { return x.nlist }

@@ -89,8 +89,13 @@ type Index struct {
 	mapped *blob.Mapping
 }
 
-// MappedBytes is the size of the mapped file the basis is a view of, or 0.
-func (ix *Index) MappedBytes() int64 { return int64(ix.mapped.Len()) }
+// MappedBytes is the bytes of the arrays that are views of the mapped
+// file: the basis, the singular values and, read from a v4 file until a
+// fold-in copies them, the documents (v3's are narrowed onto the heap).
+// The file's other sections are not among them.
+func (ix *Index) MappedBytes() int64 {
+	return blob.Viewed(ix.mapped, ix.uk.RawData()) + blob.Viewed(ix.mapped, ix.sigma) + blob.Viewed(ix.mapped, ix.docs.RawData())
+}
 
 // newIndex assembles an Index and precomputes the per-document norms the
 // scoring kernel divides by. Every constructor (build, SVD wrap, load,

@@ -56,10 +56,6 @@ func TestMappedAndStreamedLoadsAgree(t *testing.T) {
 		}
 		f := onDisk(t, data)
 		_, mapErr := blob.Map(f)
-		wantMapped := int64(0)
-		if mapErr == nil {
-			wantMapped = int64(len(data))
-		}
 		stream, streamMeta, err := LoadMeta(bytes.NewReader(data))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -71,6 +67,16 @@ func TestMappedAndStreamedLoadsAgree(t *testing.T) {
 		file, fileMeta, err := LoadMeta(f)
 		if err != nil {
 			t.Fatalf("%s from its file: %v", name, err)
+		}
+		// Mapped are the arrays left where they lie: the basis and σ, and
+		// v4's float32 documents. Fold-ins copy the documents.
+		var wantMapped, wantShared int64
+		if mapErr == nil {
+			k := int64(stream.K())
+			wantShared = 8 * (int64(stream.NumTerms()) + 1) * k
+			if wantMapped = wantShared; name == "index_v4.lsi" {
+				wantMapped += 4 * int64(stream.NumDocs()) * k
+			}
 		}
 		if stream.MappedBytes() != 0 || memory.MappedBytes() != 0 || file.MappedBytes() != wantMapped {
 			t.Fatalf("%s: mapped bytes %d/%d/%d, want 0/0/%d (Map: %v)", name,
@@ -97,7 +103,7 @@ func TestMappedAndStreamedLoadsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if grown.MappedBytes() != wantMapped || file.EmptyLike().MappedBytes() != wantMapped {
+		if grown.MappedBytes() != wantShared || file.EmptyLike().MappedBytes() != wantShared {
 			t.Fatalf("%s: an index sharing the basis does not share its mapping", name)
 		}
 		err = file.Save(f)

@@ -67,9 +67,11 @@ func (m *Matrix) Bytes() int64 {
 	return int64(len(m.codes)) + 8*int64(len(m.sn))
 }
 
-// MappedBytes is the size of the sidecar file codes and sn are views of,
-// or 0.
-func (m *Matrix) MappedBytes() int64 { return int64(m.mapped.Len()) }
+// MappedBytes is the bytes of codes and sn that are views of the sidecar
+// file, or 0.
+func (m *Matrix) MappedBytes() int64 {
+	return blob.Viewed(m.mapped, m.codes) + blob.Viewed(m.mapped, m.sn)
+}
 
 // Row returns the code row of document j (shared storage, not a copy).
 func (m *Matrix) Row(j int) []int8 { return m.codes[j*m.dim : (j+1)*m.dim] }

@@ -11,16 +11,20 @@ import "repro/internal/segment"
 // both are derived state, cheap to rebuild and deterministic, so
 // single-stream index files stay format-stable. segment.WithTiers decides
 // which segments carry them and segment.Search picks the tier per
-// segment; this layer only sets the budgets (probeOpts, budget).
+// segment; this layer only sets the budgets (probe).
 
-// budget is the tier routing of a per-request probe override (Query's
-// NProbe): nprobe > 0 probes that many cells per quantizer and keeps the
-// configured quantized rerank; nprobe <= 0 is the fully exact scan.
-func (ix *Index) budget(nprobe int) segment.ProbeOptions {
-	if nprobe <= 0 {
-		return segment.ProbeOptions{}
+// probe is the one tier routing of a search: nil is the configured
+// budget (the ANN probe budget and the quantized rerank over-fetch of
+// WithANN and WithQuantized), n > 0 probes n cells per quantizer and
+// keeps the configured rerank, and n <= 0 is the fully exact scan.
+func (ix *Index) probe(nprobe *int) segment.ProbeOptions {
+	switch {
+	case nprobe == nil:
+		return segment.ProbeOptions{NProbe: ix.annProbe, Beta: ix.quantBeta}
+	case *nprobe > 0:
+		return segment.ProbeOptions{NProbe: *nprobe, Beta: ix.quantBeta}
 	}
-	return segment.ProbeOptions{NProbe: nprobe, Beta: ix.quantBeta}
+	return segment.ProbeOptions{}
 }
 
 // ANNStats describes the IVF ANN tier of an index built or opened with

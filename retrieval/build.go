@@ -2,7 +2,6 @@ package retrieval
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -59,20 +58,16 @@ func Build(docs []Document, opts ...Option) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	engine, err := cfg.engine.toLSI()
-	if err != nil {
-		return nil, err
-	}
 	rank := cfg.rank
 	if rank <= 0 {
 		rank = autoRank(a.Dims())
 	}
 	ix := &Index{textLayer: text}
 	if cfg.shards > 0 {
-		err = ix.buildSharded(a, rank, engine, cfg)
+		err = ix.buildSharded(a, rank, cfg)
 	} else {
 		var li *lsi.Index
-		if li, err = lsi.Build(a, rank, lsi.Options{Engine: engine, Seed: cfg.seed}); err != nil {
+		if li, err = lsi.Build(a, rank, lsi.Options{Engine: cfg.engine, Seed: cfg.seed}); err != nil {
 			return nil, fmt.Errorf("retrieval: building LSI index: %w", err)
 		}
 		err = ix.freeze(li, cfg)
@@ -165,13 +160,6 @@ func (ix *Index) Stats() Stats {
 	return st
 }
 
-// segments appends the segment set a query runs over to dst: the
-// shard index's current snapshot. Callers pass a small stack buffer so
-// the usual handful of segments costs no allocation.
-func (ix *Index) segments(dst []*segment.Segment) []*segment.Segment {
-	return ix.sharded.Segments(dst)
-}
-
 // DocID returns the external identifier of document doc (build order).
 func (ix *Index) DocID(doc int) string {
 	if id := ix.sharded.ExternalID(doc); id != "" {
@@ -182,25 +170,20 @@ func (ix *Index) DocID(doc int) string {
 
 // search is the one query path behind Query, Search and SearchBatch:
 // text or vector, default or per-request budget, single or batch, sharded
-// or not. A query is segment.Search over the index's segment set (see
-// DESIGN.md "The search path"), its work record folded into the tier
+// or not. A query is segment.Search over the shard index's current
+// segment snapshot (see DESIGN.md "The search path"; a stack buffer holds
+// the usual handful of segments), its work record folded into the tier
 // counters. q must be validated (terms ascending and in range, or a
 // vector of NumTerms entries).
 func (ix *Index) search(q segment.Query, topN int, opts segment.ProbeOptions) []Result {
 	var buf [16]*segment.Segment
-	ms, st := segment.Search(ix.segments(buf[:0]), q, topN, opts)
+	ms, st := segment.Search(ix.sharded.Segments(buf[:0]), q, topN, opts)
 	ix.tiers.Add(st)
 	out := make([]Result, len(ms))
 	for i, m := range ms {
 		out[i] = Result{Doc: m.Doc, ID: ix.DocID(m.Doc), Score: m.Score}
 	}
 	return out
-}
-
-// probeOpts is the tier routing of the default Search: the configured
-// ANN probe budget plus the configured rerank over-fetch factor.
-func (ix *Index) probeOpts() segment.ProbeOptions {
-	return segment.ProbeOptions{NProbe: ix.annProbe, Beta: ix.quantBeta}
 }
 
 // Search preprocesses the query with the index's pipeline, folds it into
@@ -227,40 +210,51 @@ func (ix *Index) Search(ctx context.Context, query string, topN int) ([]Result, 
 	return res, nil
 }
 
-// Query implements Retriever. A single text at the configured budget
-// runs Search's cached path and reports its cache disposition; several
-// texts run SearchBatch's path. A per-request budget bypasses the cache,
-// whose keys assume the configured one: NProbe > 0 probes that many
-// cells per quantizer (clamped to nlist) and keeps the configured
-// quantized rerank, and 0 is the fully exact scan. Indexes without an
-// ANN tier serve every budget through whatever tiers they do have. A
-// vector whose length is not NumTerms fails with ErrVectorLength, one
-// with an entry beyond 1e100 in magnitude with ErrVectorRange.
+// Query implements Retriever. Every text runs searchText: the configured
+// budget goes through the query cache (a single text reports its
+// disposition), a per-request budget around it. NProbe > 0 probes that
+// many cells per quantizer (clamped to nlist) with the configured
+// quantized rerank, 0 is the fully exact scan; indexes without an ANN
+// tier serve every budget through the tiers they have. Several texts fan
+// out as SearchBatch says. A vector whose length is not NumTerms fails
+// with ErrVectorLength, one with an entry beyond 1e100 in magnitude with
+// ErrVectorRange.
 func (ix *Index) Query(ctx context.Context, q Query) (Answer, error) {
-	opts := ix.probeOpts()
-	if q.NProbe != nil {
-		opts = ix.budget(*q.NProbe)
-	}
 	if q.Vector != nil {
-		res, err := ix.searchVector(ctx, q.Vector, q.TopN, opts)
+		res, err := ix.searchVector(ctx, q.Vector, q.TopN, ix.probe(q.NProbe))
 		return Answer{Results: [][]Result{res}}, err
 	}
-	if len(q.Texts) == 1 && q.NProbe == nil {
-		sq, err := ix.textQuery(ctx, q.Texts[0])
-		if errors.Is(err, ErrNoQueryTerms) {
-			return Answer{Results: [][]Result{{}}}, nil
-		}
-		if err != nil {
-			return Answer{}, err
-		}
-		res, st := ix.searchStatus(sq, q.TopN)
-		if err := ctx.Err(); err != nil {
-			return Answer{Cache: st}, err
-		}
-		return Answer{Results: [][]Result{res}, Cache: st}, nil
+	if len(q.Texts) != 1 {
+		out, err := fanOut(ctx, len(q.Texts), par.GrainFor((1+ix.NumDocs())*max(1, ix.Rank())), func(i int) []Result {
+			res, _ := ix.searchText(q.Texts[i], q.TopN, q.NProbe)
+			return res
+		})
+		return Answer{Results: out}, err
 	}
-	res, err := ix.searchBatch(ctx, q.Texts, q.TopN, opts, q.NProbe == nil)
-	return Answer{Results: res}, err
+	if err := ctx.Err(); err != nil {
+		return Answer{}, err
+	}
+	res, st := ix.searchText(q.Texts[0], q.TopN, q.NProbe)
+	if err := ctx.Err(); err != nil {
+		return Answer{Cache: st}, err
+	}
+	return Answer{Results: [][]Result{res}, Cache: st}, nil
+}
+
+// searchText is the one path of a text query: a text with no
+// in-vocabulary term gets an empty list, the configured budget (nprobe
+// nil) searches through the query cache (searchStatus), and a
+// per-request budget searches directly, bypassing it.
+func (ix *Index) searchText(text string, topN int, nprobe *int) ([]Result, cache.Status) {
+	terms, weights, known := ix.querySparse(text)
+	q := segment.Query{Terms: terms, Weights: weights}
+	switch {
+	case known == 0:
+		return []Result{}, cache.StatusBypass
+	case nprobe != nil:
+		return ix.search(q, topN, ix.probe(nprobe)), cache.StatusBypass
+	}
+	return ix.searchStatus(q, topN)
 }
 
 // searchVector ranks documents against a raw term-space query vector,
@@ -286,87 +280,11 @@ func (ix *Index) searchVector(ctx context.Context, q []float64, topN int, opts s
 	return res, nil
 }
 
-// batchChunk bounds how many queries run between context checks in
-// SearchBatch: small enough that cancellation is honored promptly, large
-// enough that the workers stay saturated.
-const batchChunk = 64
-
-// SearchBatch runs every query through the same path as Search, fanning
-// whole queries across CPUs and checking ctx between chunks of
-// batchChunk queries. Unlike Search, a query with no in-vocabulary terms
-// yields an empty (non-nil) result slice rather than failing the whole
-// batch; result order matches query order.
+// SearchBatch is Query over texts at the configured budget: whole
+// queries fan out across CPUs (fanOut), each through Search's cached
+// path, but a query with no in-vocabulary terms yields an empty
+// (non-nil) result slice rather than failing the batch.
 func (ix *Index) SearchBatch(ctx context.Context, queries []string, topN int) ([][]Result, error) {
-	return ix.searchBatch(ctx, queries, topN, ix.probeOpts(), true)
-}
-
-// searchBatch is SearchBatch at any budget; cached says the budget is the
-// configured one, the only one the query cache serves.
-func (ix *Index) searchBatch(ctx context.Context, queries []string, topN int, opts segment.ProbeOptions, cached bool) ([][]Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	out := make([][]Result, len(queries))
-	qterms := make([][]int, 0, len(queries))
-	qweights := make([][]float64, 0, len(queries))
-	qpos := make([]int, 0, len(queries)) // query index of each sparse vector
-	for i, query := range queries {
-		if terms, weights, known := ix.querySparse(query); known > 0 {
-			qterms = append(qterms, terms)
-			qweights = append(qweights, weights)
-			qpos = append(qpos, i)
-		} else {
-			out[i] = []Result{}
-		}
-	}
-	// With a query cache, answer what we can from it and narrow the
-	// batch to the misses; computed misses are stored after their chunk
-	// if the epoch stayed stable (the same publish-then-bump validity
-	// protocol as the single-query path).
-	var cacheKeys [][]byte
-	var batchEpoch uint64
-	if cached && ix.qc != nil {
-		batchEpoch = ix.sharded.Epoch()
-		cacheKeys = make([][]byte, 0, len(qterms))
-		kept := 0
-		for i := range qterms {
-			key := cache.AppendQueryKey(nil, batchEpoch, topN, qterms[i], qweights[i])
-			if v, ok := ix.qc.Get(key); ok {
-				out[qpos[i]] = copyResults(v)
-				continue
-			}
-			qterms[kept], qweights[kept], qpos[kept] = qterms[i], qweights[i], qpos[i]
-			cacheKeys = append(cacheKeys, key)
-			kept++
-		}
-		qterms, qweights, qpos = qterms[:kept], qweights[:kept], qpos[:kept]
-	}
-	// Whole queries fan out across par workers (each may fan out again
-	// inside its scan; nesting is safe and never changes results).
-	grain := par.GrainFor((1 + ix.NumDocs()) * max(1, ix.Rank()))
-	for lo := 0; lo < len(qterms); lo += batchChunk {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		hi := min(lo+batchChunk, len(qterms))
-		chunk := make([][]Result, hi-lo)
-		par.For(len(chunk), grain, func(a, b int) {
-			for i := a; i < b; i++ {
-				chunk[i] = ix.search(segment.Query{Terms: qterms[lo+i], Weights: qweights[lo+i]}, topN, opts)
-			}
-		})
-		store := cached && ix.qc != nil && ix.sharded.Epoch() == batchEpoch
-		for i, res := range chunk {
-			out[qpos[lo+i]] = res
-			if store {
-				// The caller owns res; cache a private copy under the
-				// key encoded at probe time.
-				ix.qc.Put(cacheKeys[lo+i], copyResults(res))
-			}
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
+	ans, err := ix.Query(ctx, Query{Texts: queries, TopN: topN})
+	return ans.Results, err
 }

@@ -316,59 +316,15 @@ func (c *Cache[V]) valCost(v V) int64 {
 	return c.cost(v)
 }
 
-// Get looks key up without computing; the boolean reports a hit. The
-// returned value may be shared — treat it as read-only. Misses are
-// counted (Get is the probe half of the batch path, whose computes
-// land via Put).
-func (c *Cache[V]) Get(key []byte) (V, bool) {
-	if c == nil {
-		return *new(V), false
-	}
-	s := &c.shards[hashKey(key)&c.mask]
-	s.mu.Lock()
-	v, ok := s.lookup(key)
-	s.mu.Unlock()
-	if ok {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
-	}
-	return v, ok
-}
-
-// Put stores a computed value (the batch path's store half; single
-// lookups should prefer Do, which also coalesces). An existing entry for
-// key is replaced. The value may be returned to future hits — the caller
-// must not mutate it after Put.
-func (c *Cache[V]) Put(key []byte, v V) {
-	if c == nil {
-		return
-	}
-	s := &c.shards[hashKey(key)&c.mask]
-	s.mu.Lock()
-	s.store(string(key), v, c.valCost(v))
-	s.mu.Unlock()
-}
-
-// store inserts or replaces the entry for ks under the shard lock and
-// evicts past the bounds. A new entry enters probation; a replaced one
-// keeps its list. Replacement must go through the existing entry (never
-// a second insert of the same key): a blind insert would leave the old
-// entry linked in a list but absent from the map, and its eventual
-// eviction would delete the live entry from the map. ks must be an owned
-// string (not an aliased []byte conversion).
+// store inserts the entry for ks under the shard lock and evicts past
+// the bounds. Do is the only writer and stores a key once per flight,
+// which no identical lookup can start while the key is cached or in
+// flight, so ks is never in the map here: a new entry enters probation.
+// ks must be an owned string (not an aliased []byte conversion).
 func (s *shard[V]) store(ks string, v V, vcost int64) {
-	e, ok := s.entries[ks]
-	l := &s.probation
-	if ok {
-		l = e.list
-		l.remove(e)
-	} else {
-		e = &entry[V]{key: ks}
-		s.entries[ks] = e
-	}
-	e.val, e.cost = v, vcost+int64(len(ks))+entryOverhead
-	l.pushFront(e)
+	e := &entry[V]{key: ks, val: v, cost: vcost + int64(len(ks)) + entryOverhead}
+	s.entries[ks] = e
+	s.probation.pushFront(e)
 	s.evict()
 }
 
@@ -382,7 +338,7 @@ func (s *shard[V]) lookup(key []byte) (v V, ok bool) {
 			e.list.remove(e)
 			s.protected.pushFront(e)
 		}
-		v = e.val // copy under the lock: a concurrent Put may replace e.val
+		v = e.val
 	}
 	return v, ok
 }

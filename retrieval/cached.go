@@ -64,20 +64,21 @@ func (ix *Index) initCache(maxBytes int64) {
 	ix.qc = cache.New[[]Result](cache.Config{MaxBytes: maxBytes}, resultsCost)
 }
 
-// searchStatus is the default-budget search of a validated sparse query
-// through the cache when one is attached: hit and coalesced lookups
-// share a previously computed slice (copied before returning), misses
-// run the search and store the result if the epoch was stable around
-// the computation.
+// searchStatus is the configured-budget search of a validated sparse
+// query through the cache when one is attached, the one cache protocol
+// of every text query (searchText, Search): hit and coalesced lookups
+// share a previously computed slice (copied before returning), misses run
+// the search and store the result if the epoch was stable around the
+// computation.
 func (ix *Index) searchStatus(q segment.Query, topN int) ([]Result, cache.Status) {
 	if ix.qc == nil {
-		return ix.search(q, topN, ix.probeOpts()), cache.StatusBypass
+		return ix.search(q, topN, ix.probe(nil)), cache.StatusBypass
 	}
 	e := ix.sharded.Epoch()
 	bufp := keyBufPool.Get().(*[]byte)
 	key := cache.AppendQueryKey((*bufp)[:0], e, topN, q.Terms, q.Weights)
 	res, st := ix.qc.Do(key, func() ([]Result, bool) {
-		r := ix.search(q, topN, ix.probeOpts())
+		r := ix.search(q, topN, ix.probe(nil))
 		// Store only if no mutation published while we searched; the
 		// value is correct to return either way (it is exactly what an
 		// uncached search would have produced).

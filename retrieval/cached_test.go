@@ -221,21 +221,49 @@ func TestSearchBatchUsesCache(t *testing.T) {
 		}
 	}
 	cs, _ := ix.CacheStats()
-	// Round 1: "car engine" twice → 1 flight-less probe miss each (2
-	// misses), one stored; "galaxy stars" 1 miss; round 2: all three
-	// in-vocabulary lookups hit. The duplicate inside round 1 probes
-	// before its twin stores, so it recomputes (batch probing does not
-	// coalesce within one batch).
-	if cs.Hits < 3 {
-		t.Fatalf("hits = %d, want >= 3 (second round should be served from cache)", cs.Hits)
-	}
-	if cs.Misses == 0 {
-		t.Fatal("no misses counted on the priming round")
+	// Round 1 computes "car engine" and "galaxy stars" once each (2
+	// misses; the duplicate "car engine" hits or coalesces on its twin),
+	// round 2 hits all three in-vocabulary lookups.
+	if cs.Misses != 2 || cs.Hits+cs.Coalesced != 4 {
+		t.Fatalf("stats = %+v, want 2 misses and 4 hits or coalesced lookups", cs.Stats)
 	}
 	// And a single Search on the same query is served from the batch's
 	// stored entry — the two paths share the cache.
 	if _, st, err := status(ix.Query(ctx, Query{Texts: []string{"galaxy stars"}, TopN: 5})); err != nil || st != cache.StatusHit {
 		t.Fatalf("single search after batch: status %v err %v, want hit", st, err)
+	}
+
+	// A 3-text Query with one duplicated text adds 2 to the misses, and a
+	// later single-text Query of either text hits. With a probe budget the
+	// same batch answers alike, stores nothing and reports bypass; an
+	// unknown-vocabulary text inside it gets an empty list.
+	fresh, err := Build(DemoCorpus(), WithRank(3), WithEngine(EngineDense), WithQueryCache(1<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := []string{"pasta garlic", "telescope galaxy", "pasta garlic"}
+	budget := 0
+	ans, err := fresh.Query(ctx, Query{Texts: append(batch, "zzzunknownzzz"), TopN: 5, NProbe: &budget})
+	if cs, _ := fresh.CacheStats(); err != nil || ans.Cache != cache.StatusBypass || cs.Misses != 0 || cs.Entries != 0 {
+		t.Fatalf("budgeted batch: err %v, status %v, cache %+v; want bypass and nothing stored", err, ans.Cache, cs.Stats)
+	}
+	if last := ans.Results[3]; last == nil || len(last) != 0 {
+		t.Fatalf("unknown-vocabulary text in a batch: %#v, want an empty list", last)
+	}
+	cached, err := fresh.Query(ctx, Query{Texts: batch, TopN: 5})
+	if cs, _ := fresh.CacheStats(); err != nil || cached.Cache != cache.StatusBypass || cs.Misses != 2 {
+		t.Fatalf("batch: err %v, status %v, cache %+v; want bypass and 2 misses", err, cached.Cache, cs.Stats)
+	}
+	for i, text := range batch[:2] {
+		res, st, err := status(fresh.Query(ctx, Query{Texts: []string{text}, TopN: 5}))
+		if err != nil || st != cache.StatusHit || len(res) != len(cached.Results[i]) || len(res) != len(ans.Results[i]) {
+			t.Fatalf("%q after the batch: status %v err %v, %d results; want a hit", text, st, err, len(res))
+		}
+		for j := range res {
+			if res[j] != cached.Results[i][j] || res[j] != ans.Results[i][j] {
+				t.Fatalf("%q result %d: single %+v, batch %+v, budgeted %+v", text, j, res[j], cached.Results[i][j], ans.Results[i][j])
+			}
+		}
 	}
 }
 

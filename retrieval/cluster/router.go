@@ -19,6 +19,7 @@ import (
 	"repro/internal/topk"
 	"repro/retrieval"
 	"repro/retrieval/httpapi"
+	"repro/retrieval/shard"
 )
 
 // RouterOptions configures a Router; zero values pick the documented
@@ -539,15 +540,6 @@ func (r *Router) Ready() bool {
 	return r.synced
 }
 
-// docsOnShard is the round-robin partition arithmetic: how many of N
-// global documents shard s of S holds.
-func docsOnShard(s, N, S int) int {
-	if N <= s {
-		return 0
-	}
-	return (N - s + S - 1) / S
-}
-
 // Sync derives the cluster's next global document position from the
 // shard primaries' document counts and verifies they form a consistent
 // round-robin prefix (shard s of S holding ceil((N-s)/S) documents).
@@ -575,7 +567,7 @@ func (r *Router) syncLocked(ctx context.Context) error {
 		total += st.NumDocs
 	}
 	for s := 0; s < S; s++ {
-		if want := docsOnShard(s, total, S); counts[s] != want {
+		if want := shard.ShareOf(total, s, S); counts[s] != want {
 			return fmt.Errorf("cluster: sync: shard %d holds %d documents, want %d of a consistent %d-document round-robin — a write landed partially; see OPERATIONS.md",
 				s, counts[s], want, total)
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strconv"
@@ -46,14 +47,12 @@ func heapAfterGC() int64 {
 }
 
 // TestOpenHeapIsCounted checks Stats' heap accounting against the heap
-// itself at the ledger's size: an index file loaded from its bytes and a
-// saved directory opened from its path (its segments mapped) grow the
-// live heap by what MemoryBytes − MappedBytes says, to within 8 bytes a
-// document. Per-document state that the file maps or that a rule
-// supplies must not sit on the heap uncounted. (An index file opened from
-// its path maps its text section as well, which MemoryBytes counts as the
-// tables built from it, so there MappedBytes is not a part of
-// MemoryBytes; its heap is the loaded file's less the mapped arrays.)
+// itself at the ledger's size: an index file loaded from its bytes or
+// opened from its path, and a saved directory opened from its path (its
+// segments mapped), grow the live heap by what MemoryBytes − MappedBytes
+// says, to within 8 bytes a document. Per-document state that the file
+// maps or that a rule supplies must not sit on the heap uncounted, and
+// MappedBytes counts only mapped arrays that MemoryBytes counts too.
 func TestOpenHeapIsCounted(t *testing.T) {
 	if !mapsFiles(t) {
 		t.Skip("index files are not mapped on this platform")
@@ -62,13 +61,16 @@ func TestOpenHeapIsCounted(t *testing.T) {
 		t.Skip("heap sizes are not exact under the race detector")
 	}
 	docs := heapDocs()
-	saved := filepath.Join(t.TempDir(), "saved")
+	saved, file := filepath.Join(t.TempDir(), "saved"), filepath.Join(t.TempDir(), "index.lsi")
 	ix, err := Build(docs, WithRank(8), WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var encoded bytes.Buffer
 	if err := ix.Save(&encoded); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(file, encoded.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	sx, err := Build(docs, WithRank(8), WithSeed(1), WithShards(2), WithAutoCompact(false))
@@ -86,6 +88,7 @@ func TestOpenHeapIsCounted(t *testing.T) {
 		open func() (*Index, error)
 	}{
 		{"loaded file", func() (*Index, error) { return Load(bytes.NewReader(encoded.Bytes())) }},
+		{"opened file", func() (*Index, error) { return Open(file) }},
 		{"opened directory", func() (*Index, error) { return Open(saved, WithAutoCompact(false)) }},
 	} {
 		before := heapAfterGC()

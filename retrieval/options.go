@@ -7,96 +7,49 @@ import (
 	"repro/internal/lsi"
 )
 
-// Engine selects the SVD algorithm of an LSI build; it mirrors the
-// engines of internal/lsi without exposing that package.
-type Engine int
+// Engine selects the SVD algorithm of an LSI build: internal/lsi's
+// engine under this package's names. Build refuses a value outside the
+// constants below.
+type Engine = lsi.Engine
 
 const (
 	// EngineAuto picks the engine from the matrix shape: randomized,
 	// unless the shorter side is under 32, where dense is faster.
-	EngineAuto Engine = iota
+	EngineAuto = lsi.EngineAuto
 	// EngineDense runs the full dense Golub–Reinsch SVD.
-	EngineDense
+	EngineDense = lsi.EngineDense
 	// EngineRandomized runs randomized subspace iteration.
-	EngineRandomized
+	EngineRandomized = lsi.EngineRandomized
 )
-
-func (e Engine) toLSI() (lsi.Engine, error) {
-	switch e {
-	case EngineAuto:
-		return lsi.EngineAuto, nil
-	case EngineDense:
-		return lsi.EngineDense, nil
-	case EngineRandomized:
-		return lsi.EngineRandomized, nil
-	default:
-		return 0, fmt.Errorf("retrieval: unknown engine %d", int(e))
-	}
-}
 
 // Weighting selects the function of raw term counts stored in the
 // term-document matrix (Section 2 of the paper notes the precise choice
-// does not affect its results; the repo's ablations verify that).
-type Weighting int
+// does not affect its results; the repo's ablations verify that). It is
+// internal/corpus's weighting under this package's names; Build and
+// BuildVSM refuse a value outside the constants below.
+type Weighting = corpus.Weighting
 
 const (
 	// WeightingCount stores raw occurrence counts.
-	WeightingCount Weighting = iota
+	WeightingCount = corpus.CountWeighting
 	// WeightingBinary stores 1 for any occurring term.
-	WeightingBinary
+	WeightingBinary = corpus.BinaryWeighting
 	// WeightingLog stores 1 + ln(count) — the Build default.
-	WeightingLog
+	WeightingLog = corpus.LogWeighting
 	// WeightingTFIDF stores count × ln(m / df). Queries against a TF-IDF
 	// index use raw counts (document frequencies are a corpus statistic).
-	WeightingTFIDF
+	WeightingTFIDF = corpus.TFIDFWeighting
 )
-
-// String names the weighting.
-func (w Weighting) String() string {
-	switch w {
-	case WeightingCount:
-		return "count"
-	case WeightingBinary:
-		return "binary"
-	case WeightingLog:
-		return "log"
-	case WeightingTFIDF:
-		return "tfidf"
-	default:
-		return fmt.Sprintf("Weighting(%d)", int(w))
-	}
-}
 
 // ParseWeighting is the inverse of Weighting.String, for CLI flags and
 // wire metadata.
 func ParseWeighting(s string) (Weighting, error) {
-	switch s {
-	case "count":
-		return WeightingCount, nil
-	case "binary":
-		return WeightingBinary, nil
-	case "log":
-		return WeightingLog, nil
-	case "tfidf":
-		return WeightingTFIDF, nil
-	default:
-		return 0, fmt.Errorf("retrieval: unknown weighting %q (want count, binary, log, or tfidf)", s)
+	for w := WeightingCount; w <= WeightingTFIDF; w++ {
+		if w.String() == s {
+			return w, nil
+		}
 	}
-}
-
-func (w Weighting) toCorpus() (corpus.Weighting, error) {
-	switch w {
-	case WeightingCount:
-		return corpus.CountWeighting, nil
-	case WeightingBinary:
-		return corpus.BinaryWeighting, nil
-	case WeightingLog:
-		return corpus.LogWeighting, nil
-	case WeightingTFIDF:
-		return corpus.TFIDFWeighting, nil
-	default:
-		return 0, fmt.Errorf("retrieval: unknown weighting %d", int(w))
-	}
+	return 0, fmt.Errorf("retrieval: unknown weighting %q (want count, binary, log, or tfidf)", s)
 }
 
 // config collects the functional options of Build.

@@ -175,6 +175,21 @@ func TestSearchErrorContracts(t *testing.T) {
 	if _, err := ix.SearchBatch(canceled, []string{"car"}, 3); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled SearchBatch = %v, want context.Canceled", err)
 	}
+	vsm, err := BuildVSM(DemoCorpus())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every batch shape checks ctx, an empty batch included.
+	for _, texts := range [][]string{nil, {"car", "pasta"}, make([]string, 2*batchChunk+1)} {
+		for _, r := range []Retriever{ix, vsm} {
+			if _, err := r.Query(canceled, Query{Texts: texts, TopN: 3}); !errors.Is(err, context.Canceled) {
+				t.Fatalf("canceled %d-text %s Query = %v, want context.Canceled", len(texts), r.Stats().Backend, err)
+			}
+		}
+		if _, err := ix.Query(canceled, Query{Texts: texts, TopN: 3, NProbe: probe(0)}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("canceled %d-text budgeted Query = %v, want context.Canceled", len(texts), err)
+		}
+	}
 }
 
 func TestSearchVectorMatchesTextSearch(t *testing.T) {
@@ -278,6 +293,30 @@ func TestParseRoundTrips(t *testing.T) {
 	}
 	if _, err := ParseWeighting("nope"); err == nil {
 		t.Fatal("ParseWeighting should reject unknown names")
+	}
+	// The values and names are part of the API (flags, wire metadata).
+	for w, name := range map[Weighting]string{0: "count", 1: "binary", 2: "log", 3: "tfidf", 9: "Weighting(9)"} {
+		if w.String() != name {
+			t.Errorf("Weighting(%d).String() = %q, want %q", int(w), w.String(), name)
+		}
+	}
+	if EngineAuto != 0 || EngineDense != 1 || EngineRandomized != 2 {
+		t.Errorf("engines are %d, %d, %d, want 0, 1, 2", int(EngineAuto), int(EngineDense), int(EngineRandomized))
+	}
+	// An unknown value is refused at the boundary with an error, sharded
+	// builds included, never a panic.
+	for name, build := range map[string]func() error{
+		"Build(Weighting(9))":    func() error { _, err := Build(DemoCorpus(), WithWeighting(Weighting(9))); return err },
+		"BuildVSM(Weighting(9))": func() error { _, err := BuildVSM(DemoCorpus(), WithWeighting(Weighting(9))); return err },
+		"Build(Engine(9))":       func() error { _, err := Build(DemoCorpus(), WithEngine(Engine(9))); return err },
+		"sharded Build(Engine(9))": func() error {
+			_, err := Build(DemoCorpus(), WithEngine(Engine(9)), WithShards(2))
+			return err
+		},
+	} {
+		if err := build(); err == nil {
+			t.Errorf("%s succeeded, want an error", name)
+		}
 	}
 }
 

@@ -40,7 +40,7 @@ func (x *Index) SaveShardDirFS(s int, dir string, fsys faultinject.FS) error {
 	sh := x.viewShard(s)
 	x.ingestMu.Unlock()
 
-	localIDs := make([]string, shareOf(ids.Len(), s, x.cfg.Shards))
+	localIDs := make([]string, ShareOf(ids.Len(), s, x.cfg.Shards))
 	for l := range localIDs {
 		localIDs[l] = ids.At(s + x.cfg.Shards*l)
 	}

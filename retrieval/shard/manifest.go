@@ -135,7 +135,7 @@ func ParseManifest(data []byte) (*Manifest, error) {
 		return nil, fmt.Errorf("shard: manifest: idsFile %q, want %q", m.IDsFile, want)
 	}
 	for s, segs := range m.Segments {
-		local, share, bases := 0, shareOf(m.NumDocs, s, m.Shards), 0
+		local, share, bases := 0, ShareOf(m.NumDocs, s, m.Shards), 0
 		for i, e := range segs {
 			where := fmt.Sprintf("shard %d segment %d", s, i)
 			idx := fmt.Sprintf(segFileFmt, m.Generation, s, i)
@@ -174,9 +174,9 @@ func ParseManifest(data []byte) (*Manifest, error) {
 	return &m, nil
 }
 
-// shareOf is shard s's round-robin share of numDocs documents: the
+// ShareOf is shard s's round-robin share of numDocs documents: the
 // globals s, s+shards, s+2·shards, … below numDocs.
-func shareOf(numDocs, s, shards int) int {
+func ShareOf(numDocs, s, shards int) int {
 	return numDocs/shards + min(1, max(0, numDocs%shards-s))
 }
 

@@ -146,8 +146,9 @@ func TestOpenedTiersAreMapped(t *testing.T) {
 		if mappings != bareMappings+1 {
 			t.Errorf("the int8 sidecar took %d mappings, want 1", mappings-bareMappings)
 		}
-		if got := y.Stats().MappedBytes - bareStats.MappedBytes; got != info.Size() {
-			t.Errorf("MappedBytes grew by %d with the int8 sidecar, want its %d bytes", got, info.Size())
+		if st := y.Stats(); st.MappedBytes-bareStats.MappedBytes != st.Tiers.QuantBytes || st.Tiers.QuantBytes >= info.Size() {
+			t.Errorf("MappedBytes grew by %d with the %d-byte int8 sidecar, want its %d bytes of codes and scales",
+				st.MappedBytes-bareStats.MappedBytes, info.Size(), st.Tiers.QuantBytes)
 		}
 		codes := uint64(docs * 32)
 		if got := alloc - bareAlloc; !race.Enabled && got > codes/4 {

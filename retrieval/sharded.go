@@ -43,9 +43,9 @@ var (
 // buildSharded finishes a Build configured with WithShards: the text
 // layer is already assembled; partition the matrix and build the shard
 // subsystem.
-func (ix *Index) buildSharded(a *sparse.CSR, rank int, engine lsi.Engine, cfg config) error {
+func (ix *Index) buildSharded(a *sparse.CSR, rank int, cfg config) error {
 	scfg := cfg.shardConfig()
-	scfg.Shards, scfg.Rank, scfg.Engine, scfg.Seed = cfg.shards, rank, engine, cfg.seed
+	scfg.Shards, scfg.Rank, scfg.Engine, scfg.Seed = cfg.shards, rank, cfg.engine, cfg.seed
 	sx, err := shard.Build(a, ix.docIDs.Strings(), scfg)
 	if err != nil {
 		return fmt.Errorf("retrieval: building sharded index: %w", err)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/corpus"
 	"repro/internal/idtable"
 	"repro/internal/ir"
 	"repro/internal/lsi"
@@ -38,9 +37,8 @@ func buildText(docs []Document, cfg config) (textLayer, *sparse.CSR, error) {
 	if cfg.workers > 0 {
 		par.SetMaxProcs(cfg.workers)
 	}
-	cw, err := cfg.weighting.toCorpus()
-	if err != nil {
-		return textLayer{}, nil, err
+	if cfg.weighting < WeightingCount || cfg.weighting > WeightingTFIDF {
+		return textLayer{}, nil, fmt.Errorf("retrieval: unknown weighting %d", int(cfg.weighting))
 	}
 	texts := make([]string, len(docs))
 	ids := make([]string, len(docs))
@@ -56,7 +54,7 @@ func buildText(docs []Document, cfg config) (textLayer, *sparse.CSR, error) {
 		Stemming:        cfg.stemming,
 		Vocab:           ir.NewVocabulary(),
 	}
-	a := pipe.TermDocMatrix(texts, cw)
+	a := pipe.TermDocMatrix(texts, cfg.weighting)
 	if a.Rows() == 0 {
 		return textLayer{}, nil, fmt.Errorf("%w: every token was removed by preprocessing", ErrEmptyCorpus)
 	}
@@ -151,9 +149,9 @@ func (t *textLayer) querySparse(query string) (terms []int, weights []float64, k
 	}
 	sort.Ints(terms)
 	// tf-idf queries use raw counts (df is a corpus statistic).
-	w, _ := t.weighting.toCorpus() // the index validated its weighting
-	if w == corpus.TFIDFWeighting {
-		w = corpus.CountWeighting
+	w := t.weighting
+	if w == WeightingTFIDF {
+		w = WeightingCount
 	}
 	weights = make([]float64, len(terms))
 	for i, id := range terms {
@@ -174,4 +172,31 @@ func (t *textLayer) textQuery(ctx context.Context, query string) (segment.Query,
 		return segment.Query{}, fmt.Errorf("%w: %q", ErrNoQueryTerms, query)
 	}
 	return segment.Query{Terms: terms, Weights: weights}, nil
+}
+
+// batchChunk bounds how many texts a batch runs between context checks:
+// small enough that cancellation is honored promptly, large enough that
+// the workers stay saturated.
+const batchChunk = 64
+
+// fanOut is every backend's batch of texts: one(i) answers text i, out[i]
+// in text order, across par workers (a scan may fan out again inside;
+// nesting is safe and never changes results), with ctx checked before
+// each chunk of batchChunk texts and after the last.
+func fanOut(ctx context.Context, n, grain int, one func(i int) []Result) ([][]Result, error) {
+	out := make([][]Result, n)
+	for lo := 0; lo < n; lo += batchChunk {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		par.For(min(batchChunk, n-lo), grain, func(a, b int) {
+			for i := lo + a; i < lo+b; i++ {
+				out[i] = one(i)
+			}
+		})
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return out, nil
 }

@@ -78,29 +78,20 @@ func (v *VSM) Search(ctx context.Context, query string, topN int) ([]Result, err
 	return res, nil
 }
 
-// Query implements Retriever for texts, the way Index.SearchBatch serves
-// them: whole queries fan out across CPUs, ctx is checked between chunks
-// of batchChunk queries, and a query with no in-vocabulary terms yields
-// an empty (non-nil) result slice. A vector or a probe budget needs a
-// latent space, so both fail with ErrUnsupported.
+// Query implements Retriever for texts, the batch shape every backend
+// shares (fanOut): whole queries fan out across CPUs, ctx is checked
+// between chunks of batchChunk queries, and a query with no
+// in-vocabulary terms yields an empty (non-nil) result slice. A vector or
+// a probe budget needs a latent space, so both fail with ErrUnsupported.
 func (v *VSM) Query(ctx context.Context, q Query) (Answer, error) {
 	if q.Vector != nil || q.NProbe != nil {
 		return Answer{}, fmt.Errorf("%w: the VSM baseline ranks text queries in term space only", ErrUnsupported)
 	}
-	out := make([][]Result, len(q.Texts))
-	grain := par.GrainFor(1 + v.NumDocs())
-	for lo := 0; lo < len(out); lo += batchChunk {
-		if err := ctx.Err(); err != nil {
-			return Answer{}, err
-		}
-		par.For(min(batchChunk, len(out)-lo), grain, func(a, b int) {
-			for i := lo + a; i < lo+b; i++ {
-				terms, weights, _ := v.querySparse(q.Texts[i])
-				out[i] = v.search(terms, weights, q.TopN)
-			}
-		})
-	}
-	if err := ctx.Err(); err != nil {
+	out, err := fanOut(ctx, len(q.Texts), par.GrainFor(1+v.NumDocs()), func(i int) []Result {
+		terms, weights, _ := v.querySparse(q.Texts[i])
+		return v.search(terms, weights, q.TopN)
+	})
+	if err != nil {
 		return Answer{}, err
 	}
 	return Answer{Results: out}, nil

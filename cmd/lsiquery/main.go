@@ -239,9 +239,9 @@ func printStats(w io.Writer, st retrieval.Stats) {
 	if st.Cache != nil {
 		fmt.Fprintf(w, "query cache:  %s cap, %d entries (%s), epoch %d\n",
 			humanBytes(st.Cache.CapBytes), st.Cache.Entries, humanBytes(st.Cache.Bytes), st.Cache.Epoch)
-		fmt.Fprintf(w, "              %d hits / %d misses / %d coalesced / %d evictions (probation: %s, %d aged out)\n",
+		fmt.Fprintf(w, "              %d hits / %d misses / %d coalesced / %d evictions (probation: %s, %d aged out) / %d retired\n",
 			st.Cache.Hits, st.Cache.Misses, st.Cache.Coalesced, st.Cache.Evictions,
-			humanBytes(st.Cache.ProbationBytes), st.Cache.ProbationEvictions)
+			humanBytes(st.Cache.ProbationBytes), st.Cache.ProbationEvictions, st.Cache.Retired)
 	} else {
 		fmt.Fprintf(w, "query cache:  off (enable with -cache-mb)\n")
 	}

@@ -66,6 +66,12 @@ func (ix *Index) concat(parts []*Index, extra int) *Index {
 	return out
 }
 
+// SameBasis reports whether ix and other share one latent space: the
+// same Uₖ matrix, as EmptyLike, ExtendedSparse and Concat pass it on. An
+// index loaded from its own file holds its own copy and shares with no
+// other; nil shares with nothing.
+func (ix *Index) SameBasis(other *Index) bool { return other != nil && ix.uk == other.uk }
+
 // Concat returns one index holding the documents of parts in order. The
 // parts must share one latent space — the same Uₖ, as the fold-in
 // segments of one shard do — so no decomposition runs: every row and norm
@@ -76,7 +82,7 @@ func Concat(parts ...*Index) (*Index, error) {
 		return nil, fmt.Errorf("lsi: concatenating no indexes")
 	}
 	for _, p := range parts[1:] {
-		if p.uk != parts[0].uk {
+		if !p.SameBasis(parts[0]) {
 			return nil, fmt.Errorf("lsi: concatenating indexes over different bases")
 		}
 	}

@@ -33,9 +33,25 @@ func Compact(segs []*Segment, numTerms int, opts CompactOptions) (*Segment, erro
 	if opts.K < 1 {
 		return nil, fmt.Errorf("segment: compact rank %d, want >= 1", opts.K)
 	}
-	num, raw, err := mergeRaw(segs, numTerms)
+	num, err := chain(segs)
 	if err != nil {
 		return nil, err
+	}
+	raw := &Raw{}
+	for _, s := range segs {
+		if s.Raw == nil || s.Raw.Len() != s.Len() {
+			return nil, fmt.Errorf("segment: compacting a segment without raw documents (%d raw, %d docs)",
+				s.Raw.Len(), s.Len())
+		}
+		raw.Terms = append(raw.Terms, s.Raw.Terms...)
+		raw.Weights = append(raw.Weights, s.Raw.Weights...)
+	}
+	for j, terms := range raw.Terms {
+		for _, t := range terms {
+			if t < 0 || t >= numTerms {
+				return nil, fmt.Errorf("segment: raw document %d term %d out of range [0,%d)", j, t, numTerms)
+			}
+		}
 	}
 	ix, err := lsi.Build(raw.Matrix(numTerms), opts.K, lsi.Options{Seed: opts.Seed})
 	if err != nil {
@@ -44,14 +60,15 @@ func Compact(segs []*Segment, numTerms int, opts CompactOptions) (*Segment, erro
 	return &Segment{Ix: ix, num: num, Compacted: true}, nil
 }
 
-// Merge concatenates segs, which must share one basis and still carry
-// their raw documents, into one compacted segment without a
-// decomposition: rows, norms, numbering rules and raw documents are
-// appended in order, so every document scores bitwise what it scored
-// before. Each segment must continue the rule of the one before it (as
-// consecutive segments of one shard do). The inputs are not modified.
-func Merge(segs []*Segment, numTerms int) (*Segment, error) {
-	num, raw, err := mergeRaw(segs, numTerms)
+// Merge concatenates segs, which must share one basis, into one
+// compacted segment without a decomposition: rows, norms and numbering
+// rules are appended in order, so every document scores bitwise what it
+// scored before. The result keeps no raw documents — a settled document
+// is its latent row — so the inputs need not carry theirs. Each segment
+// must continue the rule of the one before it (as consecutive segments of
+// one shard do). The inputs are not modified.
+func Merge(segs []*Segment) (*Segment, error) {
+	num, err := chain(segs)
 	if err != nil {
 		return nil, err
 	}
@@ -63,40 +80,24 @@ func Merge(segs []*Segment, numTerms int) (*Segment, error) {
 	if err != nil {
 		return nil, fmt.Errorf("segment: merge: %w", err)
 	}
-	return &Segment{Ix: ix, num: num, Raw: raw, Compacted: true}, nil
+	return &Segment{Ix: ix, num: num, Compacted: true}, nil
 }
 
-// mergeRaw appends the numbering rules and raw documents of segs in
-// order, checking that each segment continues the rule before it and
-// carries all of its raw documents, and that every term is in the
-// vocabulary.
-func mergeRaw(segs []*Segment, numTerms int) (num numbering, raw *Raw, err error) {
+// chain joins the numbering rules of segs in order, checking that each
+// segment continues the rule before it.
+func chain(segs []*Segment) (num numbering, err error) {
 	if len(segs) == 0 {
-		return num, nil, fmt.Errorf("segment: compact of zero segments")
+		return num, fmt.Errorf("segment: compact of zero segments")
 	}
-	raw = &Raw{}
 	for i, s := range segs {
-		if s.Raw == nil || s.Raw.Len() != s.Len() {
-			return num, nil, fmt.Errorf("segment: compacting a segment without raw documents (%d raw, %d docs)",
-				s.Raw.Len(), s.Len())
-		}
 		// A rule is fixed by its first two rows; the rest follow it.
 		head := []int{s.Global(0), s.Global(1)}[:min(s.Len(), 2)]
 		if num, err = num.then(head...); err != nil {
-			return num, nil, fmt.Errorf("segment: compacting segment %d: %w", i, err)
+			return num, fmt.Errorf("segment: compacting segment %d: %w", i, err)
 		}
 		num.n += s.Len() - len(head)
-		raw.Terms = append(raw.Terms, s.Raw.Terms...)
-		raw.Weights = append(raw.Weights, s.Raw.Weights...)
 	}
-	for j, terms := range raw.Terms {
-		for _, t := range terms {
-			if t < 0 || t >= numTerms {
-				return num, nil, fmt.Errorf("segment: raw document %d term %d out of range [0,%d)", j, t, numTerms)
-			}
-		}
-	}
-	return num, raw, nil
+	return num, nil
 }
 
 // Matrix assembles the numTerms×Len() term-document matrix of the

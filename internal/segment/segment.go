@@ -18,9 +18,8 @@
 //	compacted — settled by Merge, which concatenates segments folded
 //	            into one basis and keeps every row (the shard
 //	            compactor's path), or rebuilt by Compact from the raw
-//	            documents with a fresh SVD (lsi.Build). Merge keeps the
-//	            raw documents, which leaves the segment eligible for
-//	            future tiered merges; Compact drops them.
+//	            documents with a fresh SVD (lsi.Build). Neither keeps
+//	            the raw documents.
 //
 // Search treats a set of segments — across all lifecycle states and all
 // shards, or the single frozen segment of an unsharded index — as one
@@ -48,9 +47,8 @@ import (
 
 // Raw retains the term-space documents of a segment in the sorted
 // sparse form the retrieval layer produces (terms strictly ascending
-// per document). Merge and Compact consume it; Merge keeps it on the
-// result (the shard compactor's tiered-merge policy needs it), Compact
-// does not.
+// per document). Extend grows it and Compact consumes it; Merge, which
+// needs only the rows, drops it.
 type Raw struct {
 	Terms   [][]int
 	Weights [][]float64
@@ -90,8 +88,8 @@ type Segment struct {
 	// global tie-breaks agree; Search nonetheless breaks ties on the
 	// global number, which is what determinism is defined over.
 	num numbering
-	// Raw retains the term-space documents of a fold-in segment, and of
-	// a compacted one the compactor may merge again (nil otherwise).
+	// Raw retains the term-space documents of a fold-in segment until it
+	// settles (nil otherwise).
 	Raw *Raw
 	// Compacted marks a segment that waits for no compaction: an initial
 	// build, or a compactor merge (Merge or Compact). It is what makes a
@@ -128,22 +126,31 @@ func (r numbering) then(global ...int) (numbering, error) {
 	return r, nil
 }
 
-// New wraps a latent index and its global document numbers as a segment.
-// The segment keeps the rule first + stride·j (stride ≥ 1) the numbers
-// must follow, not the list (DESIGN.md §6).
+// FromRule wraps a latent index and its raw documents (nil = none) as a
+// segment whose local row j is global document first + stride·j
+// (DESIGN.md §6), stride ≥ 1 from two rows up.
+func FromRule(ix *lsi.Index, first, stride int, raw *Raw, compacted bool) (*Segment, error) {
+	num := numbering{first: first, stride: stride, n: ix.NumDocs()}
+	if num.n > 1 && stride < 1 {
+		return nil, fmt.Errorf("segment: stride %d over %d documents, want >= 1", stride, num.n)
+	}
+	if raw != nil && (len(raw.Terms) != len(raw.Weights) || len(raw.Terms) != num.n) {
+		return nil, fmt.Errorf("segment: raw holds %d/%d documents, segment has %d",
+			len(raw.Terms), len(raw.Weights), num.n)
+	}
+	return &Segment{Ix: ix, num: num, Raw: raw, Compacted: compacted}, nil
+}
+
+// New is FromRule of the one rule the list global must follow.
 func New(ix *lsi.Index, global []int, raw *Raw, compacted bool) (*Segment, error) {
 	if ix.NumDocs() != len(global) {
 		return nil, fmt.Errorf("segment: %d documents but %d global IDs", ix.NumDocs(), len(global))
-	}
-	if raw != nil && (len(raw.Terms) != len(raw.Weights) || len(raw.Terms) != len(global)) {
-		return nil, fmt.Errorf("segment: raw holds %d/%d documents, segment has %d",
-			len(raw.Terms), len(raw.Weights), len(global))
 	}
 	num, err := numbering{}.then(global...)
 	if err != nil {
 		return nil, err
 	}
-	return &Segment{Ix: ix, num: num, Raw: raw, Compacted: compacted}, nil
+	return FromRule(ix, num.first, num.stride, raw, compacted)
 }
 
 // Len returns the number of documents in the segment.

@@ -2,6 +2,7 @@ package segment
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -414,7 +415,7 @@ func TestNumberingIsOneRule(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, segs := range [][]*Segment{{s1, next}, {s1, one}} {
-			m, err := Merge(segs, n)
+			m, err := Merge(segs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -428,7 +429,7 @@ func TestNumberingIsOneRule(t *testing.T) {
 			}
 		}
 		for _, segs := range [][]*Segment{{s1, gap}, {s1, wide}, {next, s1}, {s1, s1}} {
-			if _, err := Merge(segs, n); err == nil {
+			if _, err := Merge(segs); err == nil {
 				t.Errorf("Merge accepted %v then %v", globals(segs[0]), globals(segs[1]))
 			}
 			if _, err := Compact(segs, n, CompactOptions{K: 3, Seed: 2}); err == nil {
@@ -436,4 +437,127 @@ func TestNumberingIsOneRule(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestMergeSettlesWithoutRaw: Merge's result keeps no raw documents, its
+// rows and norms are bitwise its inputs' in order, and such a settled
+// tier merges again with later fold-ins of the same basis — but not with
+// a segment over another basis.
+func TestMergeSettlesWithoutRaw(t *testing.T) {
+	a := testMatrix(t, 3, 12, 60, 215)
+	ix, err := lsi.Build(a, 3, lsi.Options{Engine: lsi.EngineRandomized, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fold := func(lo, hi int) *Segment {
+		var terms [][]int
+		var weights [][]float64
+		for j := lo; j < hi; j++ {
+			ts, ws := sparseCol(a, j)
+			terms, weights = append(terms, ts), append(weights, ws)
+		}
+		s, err := (&Segment{Ix: ix.EmptyLike()}).Extend(terms, weights, identity2(lo, hi))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	sameRows := func(got *Segment, parts ...*Segment) {
+		t.Helper()
+		var rows []float32
+		var norms []float64
+		for _, p := range parts {
+			rows = append(rows, p.Ix.Docs().RawData()...)
+			norms = append(norms, p.Ix.Norms()...)
+		}
+		if !slices.Equal(got.Ix.Docs().RawData(), rows) || len(got.Ix.Norms()) != len(norms) {
+			t.Fatal("merged rows differ from the inputs'")
+		}
+		for i, v := range norms {
+			if math.Float64bits(got.Ix.Norms()[i]) != math.Float64bits(v) {
+				t.Fatalf("norm %d: %v, input %v", i, got.Ix.Norms()[i], v)
+			}
+		}
+		for j := range got.Len() {
+			if got.Global(j) != j+parts[0].Global(0) {
+				t.Fatalf("global[%d] = %d", j, got.Global(j))
+			}
+		}
+	}
+	s1, s2, s3 := fold(0, 20), fold(20, 45), fold(45, 60)
+	tier, err := Merge([]*Segment{s1, s2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tier.Raw != nil || !tier.Compacted {
+		t.Fatalf("merged tier raw=%v compacted=%v, want no raw and compacted", tier.Raw, tier.Compacted)
+	}
+	sameRows(tier, s1, s2)
+	again, err := Merge([]*Segment{tier, s3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Raw != nil {
+		t.Fatal("re-merged tier kept raw documents")
+	}
+	sameRows(again, s1, s2, s3)
+
+	other, err := lsi.Build(a, 3, lsi.Options{Engine: lsi.EngineRandomized, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign, err := FromRule(other.EmptyLike(), 60, 1, nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Merge([]*Segment{s3, foreign}); err == nil {
+		t.Fatal("Merge accepted a segment over another basis")
+	}
+}
+
+// TestFromRuleIsNewOfItsList: a segment built from a rule numbers its
+// rows as New does from the rule's list, takes its stride from the next
+// row when it holds fewer than two, and refuses a stride below 1 and raw
+// documents that do not match its rows.
+func TestFromRuleIsNewOfItsList(t *testing.T) {
+	a := testMatrix(t, 2, 8, 12, 216)
+	ix, err := lsi.Build(a, 2, lsi.Options{Engine: lsi.EngineDense})
+	if err != nil {
+		t.Fatal(err)
+	}
+	list := make([]int, 12)
+	for j := range list {
+		list[j] = 3 + 4*j
+	}
+	fromList, err := New(ix, list, nil, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromRule, err := FromRule(ix, 3, 4, nil, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fromRule.num != fromList.num || !fromRule.Compacted || fromRule.Raw != nil {
+		t.Fatalf("rule %+v, list %+v", fromRule.num, fromList.num)
+	}
+	for _, stride := range []int{0, -2} {
+		if _, err := FromRule(ix, 3, stride, nil, true); err == nil {
+			t.Errorf("FromRule took stride %d over 12 documents", stride)
+		}
+	}
+	if _, err := FromRule(ix, 3, 4, &Raw{Terms: make([][]int, 11), Weights: make([][]float64, 11)}, true); err == nil {
+		t.Error("FromRule took 11 raw documents for 12 rows")
+	}
+	one, err := FromRule(ix.EmptyLike(), 5, 0, nil, false)
+	if err != nil || one.Len() != 0 {
+		t.Fatalf("empty segment: %v", err)
+	}
+	terms, weights := sparseCol(a, 0)
+	grown, err := one.Extend([][]int{terms}, [][]float64{weights}, []int{5})
+	if err == nil {
+		grown, err = grown.Extend([][]int{terms}, [][]float64{weights}, []int{9})
+	}
+	if err != nil || grown.Global(1) != 9 {
+		t.Fatalf("stride from the next rows: %v", err)
+	}
 }

@@ -8,21 +8,20 @@
 // never asked for again cost at most that share and a burst of them
 // cannot flush the repeated working set.
 //
-// The cache itself knows nothing about queries or epochs — keys are
-// whatever the caller encodes (see AppendQueryKey for the canonical
-// query encoding the retrieval layer uses). Invalidation falls out of
-// the keying discipline: the retrieval layer includes the index epoch in
-// every key, so a mutation that bumps the epoch makes the entire old
-// working set unreachable in O(1) — no scan, no lock on the read path —
-// and the stale entries age out through the LRU bound. An immutable
-// index uses a constant epoch and caches forever.
+// Keys are whatever the caller encodes (see AppendQueryKey for the
+// retrieval layer's canonical query encoding, which includes the index
+// epoch). Each lookup also passes a generation, the epoch, and the first
+// lookup at a newer one retires every older entry in O(1) per shard (a
+// fresh map and empty lists), since no lookup asks for them again. An
+// immutable index passes a constant generation and caches forever.
 //
 // Correctness under concurrent mutation is the compute callback's
 // responsibility: it returns (value, cacheable) and reports cacheable =
 // false when the world changed while it ran (the retrieval layer
 // re-reads the epoch after the search and compares). An uncacheable
 // value is still delivered to the caller and any coalesced waiters —
-// it is exactly as fresh as an uncached search — it just is not stored.
+// it is exactly as fresh as an uncached search — it just is not stored,
+// nor is one computed across a generation's retirement.
 //
 // Values are shared: a stored value is returned to every future hit, so
 // callers must treat returned values as read-only (the retrieval layer
@@ -88,11 +87,12 @@ type Stats struct {
 	// Evictions counts entries removed by the total byte bound (a
 	// sustained rate means the budget is too small); ProbationEvictions
 	// counts never-repeated entries aged out of the probation list, which
-	// is its normal turnover. Rejected counts computed values not stored
-	// because the compute callback reported them uncacheable (epoch
-	// changed mid-compute).
+	// is its normal turnover. Retired counts entries dropped by a lookup
+	// at a newer generation. Rejected counts computed values not stored:
+	// uncacheable, or their generation retired mid-compute.
 	Evictions          int64 `json:"evictions"`
 	ProbationEvictions int64 `json:"probationEvictions"`
+	Retired            int64 `json:"retired"`
 	Rejected           int64 `json:"rejected"`
 	// Entries and Bytes describe the current working set, ProbationBytes
 	// the part of it not yet hit since stored; CapBytes is the configured
@@ -165,9 +165,11 @@ type flight[V any] struct {
 const probationShare = 64
 
 // shard is one lock domain: a hash-addressed segmented LRU with its own
-// byte budget plus the in-flight compute table.
+// byte budget plus the in-flight compute table. Its entries were all
+// stored at gen, the newest generation it has seen.
 type shard[V any] struct {
 	mu                   sync.Mutex
+	gen                  uint64
 	entries              map[string]*entry[V]
 	flights              map[string]*flight[V]
 	probation, protected list[V]
@@ -185,9 +187,11 @@ type Cache[V any] struct {
 	mask   uint64
 	cost   func(V) int64
 
+	gen       atomic.Uint64 // the newest generation all shards have reached
 	hits      atomic.Int64
 	misses    atomic.Int64
 	coalesced atomic.Int64
+	retired   atomic.Int64
 	rejected  atomic.Int64
 }
 
@@ -245,18 +249,22 @@ func hashKey(key []byte) uint64 {
 	return h
 }
 
-// Do looks key up, computing the value on a miss via compute. Identical
+// Do looks key up at generation gen (a newer one first retires every
+// entry), computing the value on a miss via compute. Identical
 // concurrent Do calls coalesce: one runs compute, the rest wait and
 // share its result. compute returns (value, cacheable); an uncacheable
-// value is returned to every waiter but not stored. The returned value
-// may be shared with the cache and other callers — treat it as
-// read-only. A waiter whose leader's compute panicked looks the key up
-// again as a fresh caller rather than sharing an answer that was never
-// computed.
-func (c *Cache[V]) Do(key []byte, compute func() (V, bool)) (V, Status) {
+// value is returned to every waiter but not stored, nor is one whose
+// shard moved past gen meanwhile. The returned value may be shared with
+// the cache and other callers — treat it as read-only. A waiter whose
+// leader's compute panicked looks the key up again as a fresh caller
+// rather than sharing an answer that was never computed.
+func (c *Cache[V]) Do(gen uint64, key []byte, compute func() (V, bool)) (V, Status) {
 	if c == nil {
 		v, _ := compute()
 		return v, StatusBypass
+	}
+	if gen > c.gen.Load() {
+		c.advance(gen)
 	}
 	s := &c.shards[hashKey(key)&c.mask]
 
@@ -292,7 +300,7 @@ func (c *Cache[V]) Do(key []byte, compute func() (V, bool)) (V, Status) {
 		s.mu.Lock()
 		delete(s.flights, ks)
 		switch {
-		case f.ok && cacheable:
+		case f.ok && cacheable && gen == s.gen:
 			s.store(ks, f.val, c.valCost(f.val))
 		case f.ok:
 			c.rejected.Add(1)
@@ -306,6 +314,29 @@ func (c *Cache[V]) Do(key []byte, compute func() (V, bool)) (V, Status) {
 	f.val, cacheable = compute()
 	f.ok = true
 	return f.val, StatusMiss
+}
+
+// advance moves every shard behind gen to it, dropping its entries, and
+// only then raises c.gen, so a lookup that reads c.gen >= gen finds every
+// shard there. Flights stay registered and store only if their
+// generation is still their shard's.
+func (c *Cache[V]) advance(gen uint64) {
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		if n := len(s.entries); gen > s.gen && n > 0 {
+			c.retired.Add(int64(n))
+			s.entries = make(map[string]*entry[V])
+			s.probation, s.protected = list[V]{}, list[V]{}
+		}
+		s.gen = max(s.gen, gen)
+		s.mu.Unlock()
+	}
+	for cur := c.gen.Load(); cur < gen; cur = c.gen.Load() {
+		if c.gen.CompareAndSwap(cur, gen) {
+			return
+		}
+	}
 }
 
 // valCost applies the configured value-cost estimator.
@@ -369,21 +400,6 @@ func (s *shard[V]) drop(l *list[V], n *atomic.Int64) {
 	n.Add(1)
 }
 
-// Len returns the number of cached entries.
-func (c *Cache[V]) Len() int {
-	if c == nil {
-		return 0
-	}
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += len(s.entries)
-		s.mu.Unlock()
-	}
-	return n
-}
-
 // Stats snapshots the counters and working-set size.
 func (c *Cache[V]) Stats() Stats {
 	if c == nil {
@@ -393,6 +409,7 @@ func (c *Cache[V]) Stats() Stats {
 		Hits:      c.hits.Load(),
 		Misses:    c.misses.Load(),
 		Coalesced: c.coalesced.Load(),
+		Retired:   c.retired.Load(),
 		Rejected:  c.rejected.Load(),
 	}
 	for i := range c.shards {

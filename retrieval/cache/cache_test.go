@@ -14,7 +14,9 @@ func key(s string) []byte { return []byte(s) }
 
 // Get looks key up without computing; the boolean reports a hit, counted
 // as Do counts one, and a probe of an absent key counts a miss. It is the
-// tests' window onto what Do stored.
+// tests' window onto what Do stored. It needs no generation: an advance
+// empties every shard before it raises the cache's generation, so between
+// lookups a shard holds only entries of the cache's current generation.
 func (c *Cache[V]) Get(key []byte) (V, bool) {
 	if c == nil {
 		return *new(V), false
@@ -32,10 +34,15 @@ func (c *Cache[V]) Get(key []byte) (V, bool) {
 }
 
 // Put stores v under key the only way the cache stores anything: as a
-// Do whose compute returns v. A cached key is hit and keeps its value; a
-// key in flight waits for the flight.
+// Do whose compute returns v, at the cache's current generation, so it
+// stores whatever generation earlier lookups moved the cache to. A cached
+// key is hit and keeps its value; a key in flight waits for the flight.
 func (c *Cache[V]) Put(key []byte, v V) {
-	c.Do(key, func() (V, bool) { return v, true })
+	var gen uint64
+	if c != nil {
+		gen = c.gen.Load()
+	}
+	c.Do(gen, key, func() (V, bool) { return v, true })
 }
 
 func TestDoHitMissAndCounters(t *testing.T) {
@@ -45,18 +52,18 @@ func TestDoHitMissAndCounters(t *testing.T) {
 		return func() (int, bool) { calls++; return v, true }
 	}
 
-	v, st := c.Do(key("a"), compute(1))
+	v, st := c.Do(0, key("a"), compute(1))
 	if v != 1 || st != StatusMiss {
 		t.Fatalf("first lookup: got (%d, %v), want (1, miss)", v, st)
 	}
-	v, st = c.Do(key("a"), compute(99))
+	v, st = c.Do(0, key("a"), compute(99))
 	if v != 1 || st != StatusHit {
 		t.Fatalf("second lookup: got (%d, %v), want cached (1, hit)", v, st)
 	}
 	if calls != 1 {
 		t.Fatalf("compute ran %d times, want 1", calls)
 	}
-	v, st = c.Do(key("b"), compute(2))
+	v, st = c.Do(0, key("b"), compute(2))
 	if v != 2 || st != StatusMiss {
 		t.Fatalf("distinct key: got (%d, %v), want (2, miss)", v, st)
 	}
@@ -68,18 +75,18 @@ func TestDoHitMissAndCounters(t *testing.T) {
 
 func TestUncacheableValueIsDeliveredButNotStored(t *testing.T) {
 	c := New[int](Config{MaxBytes: 1 << 20}, nil)
-	v, st := c.Do(key("k"), func() (int, bool) { return 7, false })
+	v, st := c.Do(0, key("k"), func() (int, bool) { return 7, false })
 	if v != 7 || st != StatusMiss {
 		t.Fatalf("got (%d, %v), want (7, miss)", v, st)
 	}
-	if c.Len() != 0 {
-		t.Fatalf("uncacheable value was stored (%d entries)", c.Len())
+	if c.Stats().Entries != 0 {
+		t.Fatalf("uncacheable value was stored (%d entries)", c.Stats().Entries)
 	}
 	if got := c.Stats().Rejected; got != 1 {
 		t.Fatalf("rejected = %d, want 1", got)
 	}
 	// The next lookup recomputes.
-	v, st = c.Do(key("k"), func() (int, bool) { return 8, true })
+	v, st = c.Do(0, key("k"), func() (int, bool) { return 8, true })
 	if v != 8 || st != StatusMiss {
 		t.Fatalf("recompute: got (%d, %v), want (8, miss)", v, st)
 	}
@@ -87,7 +94,7 @@ func TestUncacheableValueIsDeliveredButNotStored(t *testing.T) {
 
 func TestNilCacheBypasses(t *testing.T) {
 	var c *Cache[int]
-	v, st := c.Do(key("k"), func() (int, bool) { return 5, true })
+	v, st := c.Do(0, key("k"), func() (int, bool) { return 5, true })
 	if v != 5 || st != StatusBypass {
 		t.Fatalf("nil Do: got (%d, %v), want (5, bypass)", v, st)
 	}
@@ -95,7 +102,7 @@ func TestNilCacheBypasses(t *testing.T) {
 		t.Fatal("nil Get reported a hit")
 	}
 	c.Put(key("k"), 1)
-	if c.Len() != 0 || c.Stats() != (Stats{}) {
+	if c.Stats() != (Stats{}) {
 		t.Fatal("nil cache accumulated state")
 	}
 	if New[int](Config{MaxBytes: 0}, nil) != nil {
@@ -153,7 +160,7 @@ func TestValueCostDrivesEviction(t *testing.T) {
 	if got := c.Stats().Evictions; got != 1 {
 		t.Fatalf("budget evictions = %d, want 1", got)
 	}
-	if got := c.Len(); got != 1 {
+	if got := c.Stats().Entries; got != 1 {
 		t.Fatalf("entries = %d, want 1 (value cost must count)", got)
 	}
 }
@@ -172,7 +179,7 @@ func TestCoalescingSharesOneCompute(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		results[0], statuses[0] = c.Do(key("k"), func() (int, bool) {
+		results[0], statuses[0] = c.Do(0, key("k"), func() (int, bool) {
 			calls.Add(1)
 			close(started)
 			<-gate
@@ -184,7 +191,7 @@ func TestCoalescingSharesOneCompute(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], statuses[i] = c.Do(key("k"), func() (int, bool) {
+			results[i], statuses[i] = c.Do(0, key("k"), func() (int, bool) {
 				calls.Add(1)
 				return 42, true
 			})
@@ -224,7 +231,7 @@ func TestShardRoundingAndDistribution(t *testing.T) {
 		c.Put(key(fmt.Sprintf("key-%d", i)), i)
 		c.Get(key(fmt.Sprintf("key-%d", i))) // promote past probation
 	}
-	if got := c.Len(); got != 1000 {
+	if got := c.Stats().Entries; got != 1000 {
 		t.Fatalf("entries = %d, want 1000", got)
 	}
 	// No shard should hold everything (FNV should spread keys).
@@ -246,14 +253,14 @@ func TestPanickingComputeReleasesTheFlight(t *testing.T) {
 				t.Fatal("panic did not propagate out of Do")
 			}
 		}()
-		c.Do(key("k"), func() (int, bool) { panic("poisoned query") })
+		c.Do(0, key("k"), func() (int, bool) { panic("poisoned query") })
 	}()
 	// The key must be fully usable again: no dead flight to block on,
 	// nothing stored, no rejected/miss accounting for the aborted call.
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if v, st := c.Do(key("k"), func() (int, bool) { return 9, true }); v != 9 || st != StatusMiss {
+		if v, st := c.Do(0, key("k"), func() (int, bool) { return 9, true }); v != 9 || st != StatusMiss {
 			t.Errorf("post-panic lookup: got (%d, %v), want (9, miss)", v, st)
 		}
 	}()
@@ -312,7 +319,7 @@ func TestWaitersOfPanickingComputeRecompute(t *testing.T) {
 	started, gate := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer func() { _ = recover() }()
-		c.Do(key("k"), func() (int, bool) {
+		c.Do(0, key("k"), func() (int, bool) {
 			close(started)
 			<-gate
 			panic("poisoned query")
@@ -325,7 +332,7 @@ func TestWaitersOfPanickingComputeRecompute(t *testing.T) {
 	}
 	got := make(chan answer, 1)
 	go func() {
-		v, st := c.Do(key("k"), func() (int, bool) { return 9, true })
+		v, st := c.Do(0, key("k"), func() (int, bool) { return 9, true })
 		got <- answer{v, st}
 	}()
 	waitParked(t)
@@ -376,7 +383,7 @@ func oneShots(c *Cache[int], prefix string, n int64) {
 	budget := c.Stats().CapBytes
 	for i, stored := 0, int64(0); stored < n*budget; i++ {
 		k := key(fmt.Sprintf("%s-%d", prefix, i))
-		c.Do(k, func() (int, bool) { return i, true })
+		c.Do(0, k, func() (int, bool) { return i, true })
 		stored += c.valCost(i) + int64(len(k)) + entryOverhead
 	}
 }
@@ -407,7 +414,7 @@ func TestScanResistance(t *testing.T) {
 	const hot = 28 // ~31 KB of the 64 KiB budget
 	for i := 0; i < hot; i++ {
 		for r := 0; r < 2; r++ {
-			c.Do(key(fmt.Sprintf("hot-%d", i)), func() (int, bool) { return i, true })
+			c.Do(0, key(fmt.Sprintf("hot-%d", i)), func() (int, bool) { return i, true })
 		}
 	}
 	oneShots(c, "burst", 10)
@@ -430,7 +437,7 @@ func TestBudgetEvictsProbationFirst(t *testing.T) {
 	hot := 0
 	for ; c.Stats().Bytes+entryOverhead+7 <= 64<<10; hot++ {
 		for r := 0; r < 2; r++ {
-			c.Do(key(fmt.Sprintf("hot-%03d", hot)), func() (int, bool) { return hot, true })
+			c.Do(0, key(fmt.Sprintf("hot-%03d", hot)), func() (int, bool) { return hot, true })
 		}
 	}
 	oneShots(c, "one", 1)
@@ -449,12 +456,12 @@ func TestBudgetEvictsProbationFirst(t *testing.T) {
 // hit moves it to the protected list.
 func TestHitPromotes(t *testing.T) {
 	c := segmentedCache()
-	c.Do(key("q"), func() (int, bool) { return 1, true })
+	c.Do(0, key("q"), func() (int, bool) { return 1, true })
 	s := &c.shards[0]
 	if e := s.entries["q"]; e == nil || e.list != &s.probation || c.Stats().ProbationBytes != e.cost {
 		t.Fatal("a fresh entry is not on probation")
 	}
-	if _, st := c.Do(key("q"), func() (int, bool) { return 2, true }); st != StatusHit {
+	if _, st := c.Do(0, key("q"), func() (int, bool) { return 2, true }); st != StatusHit {
 		t.Fatalf("second lookup %v, want hit", st)
 	}
 	if e := s.entries["q"]; e.list != &s.protected || s.protected.front != e || c.Stats().ProbationBytes != 0 {
@@ -468,8 +475,8 @@ func TestHitPromotes(t *testing.T) {
 func TestTinyCacheSecondLookupHits(t *testing.T) {
 	c := New[int](Config{MaxBytes: 1 << 10, Shards: 1}, nil)
 	for _, k := range []string{"a", "b", "c"} {
-		c.Do(key(k), func() (int, bool) { return 1, true })
-		if _, st := c.Do(key(k), func() (int, bool) { return 2, true }); st != StatusHit {
+		c.Do(0, key(k), func() (int, bool) { return 1, true })
+		if _, st := c.Do(0, key(k), func() (int, bool) { return 2, true }); st != StatusHit {
 			t.Fatalf("repeat of %q: %v, want hit", k, st)
 		}
 	}
@@ -490,4 +497,107 @@ func TestPutEntersProbationAndGetPromotes(t *testing.T) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	checkShard(t, s)
+}
+
+// TestNewerGenerationRetiresEntries: the first lookup at a newer
+// generation empties every shard — entries, bytes and probation bytes go
+// to 0 — and counts what it dropped in Retired; an older generation's
+// lookup retires nothing.
+func TestNewerGenerationRetiresEntries(t *testing.T) {
+	c := New[int](Config{MaxBytes: 1 << 20, Shards: 4}, func(int) int64 { return 100 })
+	for i := 0; i < 20; i++ {
+		c.Do(1, key(fmt.Sprintf("g1-%d", i)), func() (int, bool) { return i, true })
+	}
+	c.Do(1, key("g1-0"), func() (int, bool) { return -1, true }) // promote one
+	if st := c.Stats(); st.Entries != 20 || st.Bytes == 0 || st.ProbationBytes == 0 || st.Retired != 0 {
+		t.Fatalf("before the advance: %+v", st)
+	}
+	c.Do(0, key("g0"), func() (int, bool) { return 0, true })
+	if st := c.Stats(); st.Entries != 20 || st.Retired != 0 || st.Rejected != 1 {
+		t.Fatalf("an older generation's lookup changed the working set: %+v", st)
+	}
+	if _, st := c.Do(2, key("g1-1"), func() (int, bool) { return 7, false }); st != StatusMiss {
+		t.Fatalf("a retired entry answered the next generation: %v", st)
+	}
+	st := c.Stats()
+	if st.Entries != 0 || st.Bytes != 0 || st.ProbationBytes != 0 || st.Retired != 20 {
+		t.Fatalf("after the advance: %+v, want an empty cache and 20 retired", st)
+	}
+	for i := range c.shards {
+		s := &c.shards[i]
+		if s.gen != 2 {
+			t.Fatalf("shard %d at generation %d, want 2", i, s.gen)
+		}
+		checkShard(t, s)
+	}
+	// Retiring again at the same generation is a no-op.
+	c.Do(2, key("g2"), func() (int, bool) { return 1, true })
+	if st := c.Stats(); st.Entries != 1 || st.Retired != 20 {
+		t.Fatalf("a second lookup at the same generation: %+v", st)
+	}
+}
+
+// TestOneGenerationKeepsHitsAndCoalescing: at any one generation, a
+// repeat hits and identical concurrent lookups share one compute, as at
+// generation 0.
+func TestOneGenerationKeepsHitsAndCoalescing(t *testing.T) {
+	c := New[int](Config{MaxBytes: 1 << 20}, nil)
+	const gen = 9
+	if _, st := c.Do(gen, key("a"), func() (int, bool) { return 1, true }); st != StatusMiss {
+		t.Fatalf("first lookup %v, want miss", st)
+	}
+	if v, st := c.Do(gen, key("a"), func() (int, bool) { return 2, true }); v != 1 || st != StatusHit {
+		t.Fatalf("repeat (%d, %v), want (1, hit)", v, st)
+	}
+	started, gate := make(chan struct{}), make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		c.Do(gen, key("b"), func() (int, bool) { close(started); <-gate; return 3, true })
+	}()
+	<-started
+	got := make(chan Status, 1)
+	go func() {
+		_, st := c.Do(gen, key("b"), func() (int, bool) { return 4, true })
+		got <- st
+	}()
+	waitParked(t)
+	close(gate)
+	wg.Wait()
+	if st := <-got; st != StatusCoalesced {
+		t.Fatalf("identical concurrent lookup %v, want coalesced", st)
+	}
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 2 || st.Coalesced != 1 || st.Entries != 2 || st.Retired != 0 {
+		t.Fatalf("counters %+v", st)
+	}
+}
+
+// TestFlightStraddlingAnAdvanceIsNotStored: a compute that returns after
+// a lookup moved its shard to a newer generation still answers its
+// caller, but its value is not stored and counts as rejected.
+func TestFlightStraddlingAnAdvanceIsNotStored(t *testing.T) {
+	c := New[int](Config{MaxBytes: 1 << 20, Shards: 1}, nil)
+	started, gate := make(chan struct{}), make(chan struct{})
+	type answer struct {
+		v  int
+		st Status
+	}
+	got := make(chan answer, 1)
+	go func() {
+		v, st := c.Do(1, key("old"), func() (int, bool) { close(started); <-gate; return 5, true })
+		got <- answer{v, st}
+	}()
+	<-started
+	c.Do(2, key("new"), func() (int, bool) { return 6, true })
+	close(gate)
+	if a := <-got; a.v != 5 || a.st != StatusMiss {
+		t.Fatalf("straddling flight answered (%d, %v), want (5, miss)", a.v, a.st)
+	}
+	if _, ok := c.Get(key("old")); ok {
+		t.Fatal("a value computed at a retired generation was stored")
+	}
+	if st := c.Stats(); st.Rejected != 1 || st.Entries != 1 {
+		t.Fatalf("counters %+v, want 1 rejected and only the new entry", st)
+	}
 }

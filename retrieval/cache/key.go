@@ -20,7 +20,8 @@ import (
 // canonical query has exactly one encoding and two different canonical
 // queries never collide (the encoding is injective given the length
 // prefix). The epoch lives inside the key: bumping it makes every old
-// key unreachable at once, which is the whole invalidation story.
+// key unreachable at once, and the same epoch, passed to Do as the
+// generation, frees them at the next lookup.
 //
 // topN <= 0 ("all documents") normalizes to 0. Weights are raw IEEE-754
 // bits — NaN payloads and signed zeros produce distinct keys, which is

@@ -3,6 +3,7 @@ package cache
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -30,7 +31,7 @@ func TestEpochKeyedFreshnessUnderStress(t *testing.T) {
 	lookup := func(topN int) (uint64, uint64) {
 		e := epoch.Load()
 		key := AppendQueryKey(nil, e, topN, []int{1}, []float64{1})
-		v, _ := c.Do(key, func() (uint64, bool) {
+		v, _ := c.Do(e, key, func() (uint64, bool) {
 			v := state.Load()
 			return v, epoch.Load() == e
 		})
@@ -91,9 +92,9 @@ func TestConcurrentMixedOps(t *testing.T) {
 				k := []byte(fmt.Sprintf("key-%d", (g*31+i)%500))
 				switch i % 4 {
 				case 0:
-					c.Do(k, func() (int, bool) { return i, true })
+					c.Do(0, k, func() (int, bool) { return i, true })
 				case 1:
-					c.Do(k, func() (int, bool) { return i, false })
+					c.Do(0, k, func() (int, bool) { return i, false })
 				case 2:
 					c.Get(k)
 				case 3:
@@ -116,6 +117,46 @@ func TestConcurrentMixedOps(t *testing.T) {
 		s := &c.shards[i]
 		s.mu.Lock()
 		checkShard(t, s)
+		s.mu.Unlock()
+	}
+}
+
+// TestGenerationStorm races lookups across advancing generations; under
+// -race it is the retirement path's data-race gate. Each key names the
+// generation it was looked up at, so afterwards every stored entry must
+// belong to its shard's generation, and the accounting must add up.
+func TestGenerationStorm(t *testing.T) {
+	c := New[int](Config{MaxBytes: 64 << 10, Shards: 4}, func(int) int64 { return 64 })
+	var gen atomic.Uint64
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				if g == 0 && i%50 == 0 {
+					gen.Add(1)
+				}
+				e := gen.Load()
+				k := []byte(fmt.Sprintf("%d/key-%d", e, (g*31+i)%100))
+				c.Do(e, k, func() (int, bool) { return i, gen.Load() == e })
+			}
+		}(g)
+	}
+	wg.Wait()
+	st := c.Stats()
+	if st.Retired == 0 || st.Hits+st.Misses+st.Coalesced != 8*2000 {
+		t.Fatalf("storm counters %+v", st)
+	}
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		checkShard(t, s)
+		for k := range s.entries {
+			if prefix := fmt.Sprintf("%d/", s.gen); !strings.HasPrefix(k, prefix) {
+				t.Fatalf("shard %d at generation %d holds %q", i, s.gen, k)
+			}
+		}
 		s.mu.Unlock()
 	}
 }

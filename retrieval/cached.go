@@ -18,8 +18,8 @@ import (
 //   - A sharded live index's epoch advances after every published Add
 //     batch and every compaction swap. The bump retires the whole cached
 //     working set in O(1) — new lookups encode the new epoch into their
-//     keys and miss — with no locks on the read path and no scan; stale
-//     entries age out of the LRU.
+//     keys and miss, and pass it as the cache's generation, which frees
+//     the old entries at the first of them (no scan, no reader locks).
 //
 // Freshness proof sketch (the stress tests pin this): a mutation
 // publishes its state pointers *before* bumping the epoch, and a cached
@@ -77,7 +77,7 @@ func (ix *Index) searchStatus(q segment.Query, topN int) ([]Result, cache.Status
 	e := ix.sharded.Epoch()
 	bufp := keyBufPool.Get().(*[]byte)
 	key := cache.AppendQueryKey((*bufp)[:0], e, topN, q.Terms, q.Weights)
-	res, st := ix.qc.Do(key, func() ([]Result, bool) {
+	res, st := ix.qc.Do(e, key, func() ([]Result, bool) {
 		r := ix.search(q, topN, ix.probe(nil))
 		// Store only if no mutation published while we searched; the
 		// value is correct to return either way (it is exactly what an

@@ -3,6 +3,7 @@ package retrieval
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -402,5 +403,73 @@ func TestCachedSearchFreshnessUnderStress(t *testing.T) {
 	cs, ok := ix.CacheStats()
 	if !ok || cs.Hits+cs.Coalesced == 0 || cs.Misses == 0 {
 		t.Fatalf("stress ran without cache traffic: %+v", cs)
+	}
+}
+
+// TestCacheRetiresAtEachEpoch interleaves Add batches and compactions
+// with repeated searches on a live sharded index: the cache never holds
+// more entries than the lookups since the epoch last moved (the first
+// lookup at a new epoch retires the old answers), and every answer is
+// bitwise an uncached twin index's.
+func TestCacheRetiresAtEachEpoch(t *testing.T) {
+	ctx := context.Background()
+	opts := []Option{WithShards(2), WithRank(3), WithSealEvery(2), WithAutoCompact(false), WithStemming(false)}
+	ix, err := Build(cachedTestCorpus(16), append(opts, WithQueryCache(1<<20))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	plain, err := Build(cachedTestCorpus(16), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plain.Close()
+
+	queries := []string{"car engine", marker(1) + " " + marker(2), "galaxy stars", marker(3)}
+	var epoch uint64
+	lookups := 0
+	for round := 0; round < 12; round++ {
+		batch := []Document{{Text: marker(round) + " car"}, {Text: marker(round+1) + " " + marker(3)}}
+		for _, x := range []*Index{ix, plain} {
+			if _, err := x.Add(ctx, batch); err != nil {
+				t.Fatal(err)
+			}
+			if round%4 == 3 {
+				if _, err := x.Compact(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for rep := 0; rep < 3; rep++ {
+			for _, q := range queries {
+				got, err := only(ix.Query(ctx, Query{Texts: []string{q}, TopN: 0}))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := only(plain.Query(ctx, Query{Texts: []string{q}, TopN: 0}))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("round %d %q: %d results, uncached %d", round, q, len(got), len(want))
+				}
+				for i := range want {
+					if got[i].Doc != want[i].Doc || got[i].ID != want[i].ID || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+						t.Fatalf("round %d %q result %d: cached %+v, uncached %+v", round, q, i, got[i], want[i])
+					}
+				}
+				cs, _ := ix.CacheStats()
+				if cs.Epoch != epoch {
+					epoch, lookups = cs.Epoch, 0
+				}
+				lookups++
+				if cs.Entries > lookups {
+					t.Fatalf("round %d: %d entries after %d lookups at epoch %d", round, cs.Entries, lookups, epoch)
+				}
+			}
+		}
+	}
+	if cs, _ := ix.CacheStats(); cs.Retired == 0 || cs.Hits == 0 {
+		t.Fatalf("cache %+v: want retired entries and hits", cs.Stats)
 	}
 }

@@ -133,7 +133,7 @@ func TestHTTPContractMatrix(t *testing.T) {
 			"200 cache=- partial=- epoch=0 gen=0 docs=48",
 			"200 cache=- partial=- epoch=0 gen=0 docs=48",
 			"404 cache=- partial=- epoch=- gen=- docs=-",
-		}, "lsi_ann_cells_probed_total lsi_ann_docs lsi_ann_docs_scored_total lsi_ann_nlist lsi_ann_nprobe lsi_ann_searches_total lsi_ann_segments lsi_cache_bytes lsi_cache_capacity_bytes lsi_cache_entries lsi_cache_evictions_total lsi_cache_lookups_total lsi_cache_probation_bytes lsi_cache_probation_evictions_total lsi_cache_rejected_total lsi_index_docs lsi_index_mapped_bytes lsi_index_mappings lsi_index_memory_bytes lsi_quant_beta lsi_quant_bytes lsi_quant_docs lsi_quant_docs_reranked_total lsi_quant_docs_scanned_total lsi_quant_searches_total lsi_quant_segments"},
+		}, "lsi_ann_cells_probed_total lsi_ann_docs lsi_ann_docs_scored_total lsi_ann_nlist lsi_ann_nprobe lsi_ann_searches_total lsi_ann_segments lsi_cache_bytes lsi_cache_capacity_bytes lsi_cache_entries lsi_cache_evictions_total lsi_cache_lookups_total lsi_cache_probation_bytes lsi_cache_probation_evictions_total lsi_cache_rejected_total lsi_cache_retired_total lsi_index_docs lsi_index_mapped_bytes lsi_index_mappings lsi_index_memory_bytes lsi_quant_beta lsi_quant_bytes lsi_quant_docs lsi_quant_docs_reranked_total lsi_quant_docs_scanned_total lsi_quant_searches_total lsi_quant_segments"},
 		{"sharded+wal", sharded, httpapi.Options{}, []string{
 			"200 cache=- partial=- epoch=0 gen=0 docs=48",
 			"200 cache=- partial=- epoch=0 gen=0 docs=48",

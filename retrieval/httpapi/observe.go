@@ -173,6 +173,8 @@ func newObserver(reg *metrics.Registry, ret retrieval.Retriever) *observer {
 			cached(func(s *retrieval.QueryCacheStats) int64 { return s.Evictions }))
 		reg.CounterFunc("lsi_cache_probation_evictions_total", "Query-cache entries aged out of probation without a repeat (one-shot answers; normal turnover).",
 			cached(func(s *retrieval.QueryCacheStats) int64 { return s.ProbationEvictions }))
+		reg.CounterFunc("lsi_cache_retired_total", "Query-cache entries dropped at once because a lookup at a newer index epoch made them unreachable.",
+			cached(func(s *retrieval.QueryCacheStats) int64 { return s.Retired }))
 		reg.CounterFunc("lsi_cache_rejected_total", "Computed results not stored because the epoch moved mid-compute.",
 			cached(func(s *retrieval.QueryCacheStats) int64 { return s.Rejected }))
 		reg.GaugeFunc("lsi_cache_entries", "Query-cache resident entries.",

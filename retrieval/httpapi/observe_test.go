@@ -61,6 +61,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		// evicted by either bound.
 		"lsi_cache_evictions_total 0",
 		"lsi_cache_probation_evictions_total 0",
+		"lsi_cache_retired_total 0",
 		"lsi_cache_probation_bytes 0",
 		"lsi_cache_entries 1",
 		"lsi_index_compaction_debt ",

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"time"
 
+	"repro/internal/lsi"
 	"repro/internal/segment"
 )
 
@@ -14,14 +15,15 @@ import (
 // into. The compactor settles them there: it concatenates them, with
 // older tiers in the same basis, into one compacted tier
 // (internal/segment.Merge, no SVD), so every document keeps the score it
-// had sealed. Settled tiers keep their raw documents and are re-absorbed
-// by later passes under a size-tiered policy, so a shard's segment count
+// had sealed. Settled tiers keep no raw documents and, sharing the
+// shard's basis, are re-absorbed by later passes under a size-tiered
+// policy, so a shard's segment count
 // stays O(log docs) under unbounded ingest. All heavy work runs outside
 // every lock: the shard mutex is held only for the pointer swap, and
 // searches in flight keep serving the old segments they snapshotted.
 
 // compactable reports whether a stable segment is waiting for the
-// compactor: it still carries raw documents and no pass has merged it.
+// compactor: a sealed fold-in, raw documents and all.
 func compactable(s *segment.Segment) bool {
 	return !s.Compacted && s.Raw != nil
 }
@@ -92,14 +94,16 @@ func (x *Index) Compact() (merged int, err error) {
 	}()
 
 	for s, sh := range x.shards {
-		// Snapshot the stable list. Only this (serialized) path ever
-		// removes stable segments, so the set cannot shrink under us;
-		// ingest can only append more.
-		pending := sizeTiered(sh.state.Load().stable)
+		// Snapshot the stable list and basis. Only this (serialized) path
+		// removes stable segments; ingest can only append more.
+		sh.mu.Lock()
+		stable, base := sh.state.Load().stable, sh.base
+		sh.mu.Unlock()
+		pending := sizeTiered(stable, base)
 		if len(pending) == 0 {
 			continue
 		}
-		comp, err := segment.Merge(pending, x.numTerms)
+		comp, err := segment.Merge(pending)
 		if err != nil {
 			return merged, fmt.Errorf("shard %d: %w", s, err)
 		}
@@ -139,19 +143,18 @@ func (x *Index) Compact() (merged int, err error) {
 }
 
 // sizeTiered picks the stable segments (in stable order) that a pass
-// merges: every sealed one, and the older raw-bearing tiers absorbed
-// while no larger than the material merged so far (walking newest to
-// oldest). Each surviving tier is therefore bigger than everything
-// younger combined, so a shard holds O(log docs) tiers however long
-// ingest runs. The sealed segments are the newest raw-bearing ones, so
-// the result is a suffix of those; nil when none is sealed. Merging an
-// in-order subsequence of the stable list keeps globals ascending:
-// per-shard segments hold disjoint, chronologically increasing global
-// ranges.
-func sizeTiered(stable []*segment.Segment) []*segment.Segment {
-	var class []*segment.Segment // the base and reloaded segments hold no raw documents
+// merges: every sealed one, and the older settled tiers absorbed while no
+// larger than the material merged so far (walking newest to oldest).
+// Each surviving tier is therefore bigger than everything younger
+// combined, so a shard holds O(log docs) tiers however long ingest runs.
+// The sealed segments are the newest of the class, so the result is a
+// suffix of it; nil when none is sealed. Merging an in-order subsequence
+// of the stable list keeps globals ascending: per-shard segments hold
+// disjoint, chronologically increasing global ranges.
+func sizeTiered(stable []*segment.Segment, base *lsi.Index) []*segment.Segment {
+	var class []*segment.Segment // folded into base: not base, nor a reloaded tier's own copy
 	for _, seg := range stable {
-		if seg.Raw != nil && seg.Raw.Len() == seg.Len() {
+		if seg.Ix != base && seg.Ix.SameBasis(base) {
 			class = append(class, seg)
 		}
 	}

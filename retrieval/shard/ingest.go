@@ -21,8 +21,8 @@ import (
 
 // Doc is one document to ingest: its external identifier and its sparse
 // term-space vector (term IDs strictly ascending, weights parallel).
-// The index retains the slices (its segments keep them for later
-// merges); callers must not mutate them after the call.
+// The index retains the slices until a compaction settles them; callers
+// must not mutate them after the call.
 type Doc struct {
 	ID      string
 	Terms   []int

@@ -511,7 +511,7 @@ func Open(dir string, cfg Config) (*Index, error) {
 				return nil, fmt.Errorf("shard: open segment %s: %d documents, manifest says %d",
 					e.File, ix.NumDocs(), e.Docs)
 			}
-			seg, err := segment.New(ix, roundRobin(s, man.Shards, local, e.Docs), nil, e.Compacted)
+			seg, err := segment.FromRule(ix, s+man.Shards*local, man.Shards, nil, e.Compacted) // local l is global s + Shards·l
 			local += e.Docs
 			if err != nil {
 				return nil, fmt.Errorf("shard: open segment %s: %w", e.File, err)

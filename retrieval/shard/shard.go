@@ -145,8 +145,8 @@ type shardH struct {
 	mu    sync.Mutex
 	state atomic.Pointer[shardState]
 	// base is the fold-in basis: the index built over the shard's initial
-	// documents (or its first ingested batch). Guarded by the index-wide
-	// ingest mutex.
+	// documents (or its first ingested batch). Written under both the
+	// index-wide ingest mutex and mu, so holding either reads it.
 	base *lsi.Index
 }
 
@@ -259,7 +259,7 @@ func Frozen(ix *lsi.Index, ids idtable.Table, tiers segment.TierConfig) (*Index,
 	if ids.Len() != ix.NumDocs() {
 		return nil, fmt.Errorf("shard: %d ids for %d documents", ids.Len(), ix.NumDocs())
 	}
-	seg, err := segment.New(ix, roundRobin(0, 1, 0, ix.NumDocs()), nil, true)
+	seg, err := segment.FromRule(ix, 0, 1, nil, true)
 	if err == nil {
 		seg, err = seg.WithTiers(tiers, nil, nil)
 	}
@@ -277,17 +277,6 @@ func Frozen(ix *lsi.Index, ids idtable.Table, tiers segment.TierConfig) (*Index,
 // Frozen reports whether the index was made by Frozen.
 func (x *Index) Frozen() bool { return x.frozen }
 
-// roundRobin returns the global numbers of n consecutive documents of
-// shard s of shards from shard-local number first: local l is global
-// s + shards·l, so one shard numbers its documents 0, 1, 2, ….
-func roundRobin(s, shards, first, n int) []int {
-	globals := make([]int, n)
-	for j := range globals {
-		globals[j] = s + shards*(first+j)
-	}
-	return globals
-}
-
 // buildShard builds and publishes shard s of a fresh index from sub, the
 // shard's columns of the term-document matrix.
 func (x *Index) buildShard(sub *sparse.CSR, s int) error {
@@ -298,7 +287,7 @@ func (x *Index) buildShard(sub *sparse.CSR, s int) error {
 	if err != nil {
 		return err
 	}
-	seg, err := segment.New(ix, roundRobin(s, x.cfg.Shards, 0, sub.Cols()), nil, true)
+	seg, err := segment.FromRule(ix, s, x.cfg.Shards, nil, true)
 	if err == nil {
 		seg, err = seg.WithTiers(x.tiers(s), nil, nil)
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -34,6 +35,17 @@ func testMatrix(t testing.TB, topics, termsPer, m int, seed int64) *sparse.CSR {
 		t.Fatal(err)
 	}
 	return corpus.TermDocMatrix(c, corpus.CountWeighting)
+}
+
+// roundRobin returns the global numbers of n consecutive documents of
+// shard s of shards from shard-local number first: local l is global
+// s + shards·l.
+func roundRobin(s, shards, first, n int) []int {
+	globals := make([]int, n)
+	for j := range globals {
+		globals[j] = s + shards*(first+j)
+	}
+	return globals
 }
 
 func defaultIDs(m int) []string {
@@ -311,7 +323,7 @@ func TestSealAndCompactLifecycle(t *testing.T) {
 	sameMatches(t, searchSparse(y, qt, qw, 0), after, "replayed compaction")
 }
 
-// A sealed segment that cannot be rebuilt must not fail silently: its
+// A sealed segment that cannot be merged must not fail silently: its
 // debt stays (and past -max-debt sheds ingest), so the failure is
 // counted and its message kept where /v1/stats and /metrics read them.
 func TestCompactionFailureIsCounted(t *testing.T) {
@@ -321,7 +333,7 @@ func TestCompactionFailureIsCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer x.Close()
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 16; i++ {
 		terms, weights := sparseCol(a, i)
 		if _, err := x.Add(Doc{Terms: terms, Weights: weights}); err != nil {
 			t.Fatal(err)
@@ -331,36 +343,36 @@ func TestCompactionFailureIsCounted(t *testing.T) {
 		t.Fatalf("fresh index reports %d failures, %q", n, msg)
 	}
 
-	// Plant the fault: republish the sealed segment with a raw document
-	// carrying a term beyond the vocabulary (Add would have refused it).
+	// Plant the fault: republish the second sealed segment numbered from
+	// one past where the first leaves off, a rule that does not continue
+	// the first's (ingest never makes one). Merge checks the rules.
 	sh := x.shards[0]
 	st := sh.state.Load()
 	sealed := len(st.stable) - 1
-	if !compactable(st.stable[sealed]) {
-		t.Fatal("no sealed segment to corrupt")
+	if !compactable(st.stable[sealed]) || !compactable(st.stable[sealed-1]) {
+		t.Fatal("no two sealed segments to corrupt")
 	}
-	bad := *st.stable[sealed]
-	terms := append([][]int(nil), bad.Raw.Terms...)
-	terms[0] = append(append([]int(nil), terms[0]...), x.NumTerms()+7)
-	weights := append([][]float64(nil), bad.Raw.Weights...)
-	weights[0] = append(append([]float64(nil), weights[0]...), 1)
-	bad.Raw = &segment.Raw{Terms: terms, Weights: weights}
+	good := st.stable[sealed]
+	bad, err := segment.FromRule(good.Ix, good.Global(0)+1, 1, good.Raw, false)
+	if err != nil {
+		t.Fatal(err)
+	}
 	stable := append([]*segment.Segment(nil), st.stable...)
-	stable[sealed] = &bad
+	stable[sealed] = bad
 	sh.state.Store(&shardState{epoch: st.epoch + 1, stable: stable, live: st.live})
 
 	debt := x.Stats().SealedPending
 	for pass := int64(1); pass <= 2; pass++ {
 		if _, err := x.Compact(); err == nil {
-			t.Fatal("compacting an out-of-range raw document did not fail")
+			t.Fatal("compacting segments whose numbering rules do not continue did not fail")
 		}
 		n, msg := x.CompactionFailures()
-		if n != pass || !strings.Contains(msg, "out of range") {
+		if n != pass || !strings.Contains(msg, "does not continue") {
 			t.Fatalf("pass %d: %d failures, message %q", pass, n, msg)
 		}
 	}
 	ss := x.Stats()
-	if ss.CompactionFailures != 2 || !strings.Contains(ss.LastCompactionError, "out of range") {
+	if ss.CompactionFailures != 2 || !strings.Contains(ss.LastCompactionError, "does not continue") {
 		t.Fatalf("stats: %d failures, %q", ss.CompactionFailures, ss.LastCompactionError)
 	}
 	if got := x.Stats().SealedPending; got != debt || debt == 0 {
@@ -371,8 +383,8 @@ func TestCompactionFailureIsCounted(t *testing.T) {
 	}
 	// The segment that could not be rebuilt still serves.
 	qt, qw := sparseCol(a, 1)
-	if got := len(searchSparse(x, qt, qw, 0)); got != 38 {
-		t.Fatalf("search covers %d documents after failed compaction, want 38", got)
+	if got := len(searchSparse(x, qt, qw, 0)); got != 46 {
+		t.Fatalf("search covers %d documents after failed compaction, want 46", got)
 	}
 }
 
@@ -550,6 +562,81 @@ func TestCompactionBoundsSegmentCount(t *testing.T) {
 			t.Fatalf("bad or duplicate doc %d", m.Doc)
 		}
 		seen[m.Doc] = true
+	}
+}
+
+// TestSettledTiersKeepNoRaw runs a long ingest on a reloaded index with
+// a compaction pass after every seal. Each pass frees the raw documents
+// it settles (memoryBytes drops by at least their 16 B a weight), every
+// score stays bitwise, no stable segment but a sealed one carries raw
+// documents, the class by basis keeps each shard at O(log docs) tiers,
+// and neither the base nor a reloaded tier is ever merged.
+func TestSettledTiersKeepNoRaw(t *testing.T) {
+	a := testMatrix(t, 3, 12, 40, 311)
+	x, err := Build(a, defaultIDs(40), Config{Shards: 2, Rank: 3, Seed: 9, SealEvery: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	add := func(x *Index, n int) {
+		for i := 0; i < n; i++ {
+			terms, weights := sparseCol(a, i%40)
+			if _, err := x.Add(Doc{Terms: terms, Weights: weights}); err != nil {
+				t.Fatal(err)
+			}
+			if x.Stats().SealedPending == 0 {
+				continue
+			}
+			var raw int
+			for _, sh := range x.shards {
+				for _, seg := range sh.state.Load().stable {
+					raw += seg.Raw.NNZ()
+				}
+			}
+			terms, weights = sparseCol(a, 3)
+			before, mem := searchSparse(x, terms, weights, 0), x.Stats().MemoryBytes
+			if _, err := x.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			if got := x.Stats().MemoryBytes; got > mem-16*int64(raw) {
+				t.Fatalf("memoryBytes %d -> %d after settling %d raw weights", mem, got, raw)
+			}
+			sameMatches(t, searchSparse(x, terms, weights, 0), before, "settle")
+		}
+	}
+	add(x, 24)
+	dir := filepath.Join(t.TempDir(), "idx")
+	if err := x.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	x.Close()
+	y, err := Open(dir, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer y.Close()
+	reloaded := make([][]*segment.Segment, len(y.shards))
+	for s, sh := range y.shards {
+		reloaded[s] = sh.state.Load().stable
+		if len(reloaded[s]) < 2 {
+			t.Fatalf("shard %d reloaded %d segments, want the base and a settled tier", s, len(reloaded[s]))
+		}
+	}
+	add(y, 600)
+	for s, sh := range y.shards {
+		st := sh.state.Load()
+		if !slices.Equal(st.stable[:len(reloaded[s])], reloaded[s]) {
+			t.Fatalf("shard %d: a pass merged the base or a reloaded tier", s)
+		}
+		folded := 0
+		for _, seg := range st.stable[len(reloaded[s]):] {
+			if seg.Raw != nil || !seg.Compacted || !seg.Ix.SameBasis(sh.base) {
+				t.Fatalf("shard %d: a settled tier raw=%v compacted=%v", s, seg.Raw != nil, seg.Compacted)
+			}
+			folded += seg.Len()
+		}
+		if tiers, bound := len(st.stable)-len(reloaded[s]), bits.Len(uint(folded/4)); folded != 300 || tiers > bound {
+			t.Fatalf("shard %d: %d settled tiers over %d documents, want at most %d", s, tiers, folded, bound)
+		}
 	}
 }
 

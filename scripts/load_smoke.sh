@@ -1,8 +1,9 @@
 #!/bin/sh
 # Load-smoke the serving stack: boot lsiserve as a sharded live index,
-# drive it with a short closed-loop lsiload Zipf trace, and fail if any
-# request failed (non-2xx and not a 429/503 shed) or the summary is
-# malformed. The lsiload
+# drive it with a short closed-loop lsiload Zipf trace, then a short
+# ingest trace (appends alternating with searches), and fail if any
+# request failed (non-2xx and not a 429/503 shed), a summary is
+# malformed, or the appends retired no cached answers. The Zipf trace's lsiload
 # summary lands in load-smoke.json (archived by CI) so the per-commit
 # latency quantiles under load are captured over time. CI runs this via
 # `make load-smoke`; binary paths come in as $1 (lsiserve) and $2
@@ -31,6 +32,17 @@ grep -q '"failed": 0,' load-smoke.json || fail "lsiload reported failed requests
 grep -q '"ok": [1-9]' load-smoke.json || fail "lsiload delivered no successful requests"
 grep -q '"p99_ns": [0-9]' load-smoke.json || fail "no p99 in summary"
 
+# Ingest against the warm cache: each append advances the index epoch,
+# and the first search after it retires the answers cached before it
+# (lsi_cache_retired_total).
+echo "load-smoke: driving 2s ingest trace"
+"$LOAD" -addr "$BASE" -trace ingest -duration 2s -concurrency 4 >"$WORK/ingest.json" \
+    || fail "lsiload -trace ingest exited non-zero"
+cat "$WORK/ingest.json"
+grep -q '"failed": 0,' "$WORK/ingest.json" || fail "ingest trace reported failed requests"
+RETIRED="$(curl -s "$BASE/metrics" | awk '$1 == "lsi_cache_retired_total" { print $2 }')"
+[ "${RETIRED:-0}" -gt 0 ] 2>/dev/null || fail "lsi_cache_retired_total is '${RETIRED}' after the ingest trace, want > 0"
+
 # The server must still be healthy and observable after the trace.
 STATUS="$(status "$BASE/healthz")"
 [ "$STATUS" = 200 ] || fail "/healthz returned $STATUS after load"
@@ -42,4 +54,4 @@ for series in lsi_http_request_duration_seconds_bucket lsi_cache_lookups_total l
     esac
 done
 
-echo "load-smoke: OK (zero failed requests, server healthy, metrics live)"
+echo "load-smoke: OK (zero failed requests, $RETIRED cached answers retired by ingest, server healthy, metrics live)"

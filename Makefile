@@ -168,7 +168,7 @@ tier-smoke:
 
 # Short local mirror of the nightly fuzz job: 30s per fuzz target (the
 # manifest loader, the ID table, the query tokenizer, the query-cache key
-# normalizer, the WAL record decoder, the IVF sidecar's cell decoder, the
+# encoder, the WAL record decoder, the IVF sidecar's cell decoder, the
 # quantized sidecar decoder, the index file's section container and LSI
 # decoder, the offline converter's gob decoder, and the search routes'
 # JSON bodies).
@@ -176,8 +176,7 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzParseManifest -fuzztime=30s ./retrieval/shard
 	$(GO) test -run='^$$' -fuzz=FuzzFromJSON -fuzztime=30s ./internal/idtable
 	$(GO) test -run='^$$' -fuzz=FuzzTokenize -fuzztime=30s ./internal/ir
-	$(GO) test -run='^$$' -fuzz=FuzzQueryKeyNormalizer -fuzztime=30s ./retrieval/cache
-	$(GO) test -run='^$$' -fuzz=FuzzNormalizeQuery -fuzztime=30s ./retrieval/cache
+	$(GO) test -run='^$$' -fuzz=FuzzQueryKeyInjective -fuzztime=30s ./retrieval/cache
 	$(GO) test -run='^$$' -fuzz=FuzzScanRecords -fuzztime=30s ./retrieval/wal
 	$(GO) test -run='^$$' -fuzz=FuzzDecodePostings -fuzztime=30s ./internal/ivf
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeQuant -fuzztime=30s ./internal/quant

@@ -10,6 +10,7 @@ import (
 	"repro/internal/lsi"
 	"repro/internal/par"
 	"repro/internal/segment"
+	"repro/internal/topk"
 	"repro/retrieval/cache"
 	"repro/retrieval/shard"
 	"repro/retrieval/wal"
@@ -36,7 +37,7 @@ type Index struct {
 	quantBeta int
 	tiers     segment.Counters
 
-	qc *cache.Cache[[]Result] // non-nil iff built/opened with WithQueryCache
+	qc *cache.Cache[[]topk.Match] // non-nil iff built/opened with WithQueryCache
 
 	// wlog is the attached write-ahead log (AttachWAL); nil means Adds
 	// are not logged. walMu serializes logged Adds and checkpoints so
@@ -168,20 +169,32 @@ func (ix *Index) DocID(doc int) string {
 	return ix.docID(doc) // out of range: "doc-<n>"
 }
 
-// search is the one query path behind Query, Search and SearchBatch:
+// matches is the one query path behind Query, Search and SearchBatch:
 // text or vector, default or per-request budget, single or batch, sharded
 // or not. A query is segment.Search over the shard index's current
 // segment snapshot (see DESIGN.md "The search path"; a stack buffer holds
 // the usual handful of segments), its work record folded into the tier
 // counters. q must be validated (terms ascending and in range, or a
 // vector of NumTerms entries).
-func (ix *Index) search(q segment.Query, topN int, opts segment.ProbeOptions) []Result {
+func (ix *Index) matches(q segment.Query, topN int, opts segment.ProbeOptions) []topk.Match {
 	var buf [16]*segment.Segment
 	ms, st := segment.Search(ix.sharded.Segments(buf[:0]), q, topN, opts)
 	ix.tiers.Add(st)
+	return ms
+}
+
+// results resolves matches to a new Result slice, each ID looked up in
+// the append-only ID table, where a document's ID never changes. Every
+// match is in the table loaded here: an Add publishes its IDs before the
+// segments that hold its documents, and the table only grows.
+func (ix *Index) results(ms []topk.Match) []Result {
+	ids := ix.sharded.IDs()
 	out := make([]Result, len(ms))
 	for i, m := range ms {
-		out[i] = Result{Doc: m.Doc, ID: ix.DocID(m.Doc), Score: m.Score}
+		out[i] = Result{Doc: m.Doc, ID: ids.At(m.Doc), Score: m.Score}
+		if out[i].ID == "" {
+			out[i].ID = ix.DocID(m.Doc) // an empty stored ID reads "doc-<n>"
+		}
 	}
 	return out
 }
@@ -203,7 +216,7 @@ func (ix *Index) Search(ctx context.Context, query string, topN int) ([]Result, 
 	if err != nil {
 		return nil, err
 	}
-	res, _ := ix.searchStatus(q, topN)
+	res, _ := ix.searchStatus(q, topN, nil)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -242,19 +255,13 @@ func (ix *Index) Query(ctx context.Context, q Query) (Answer, error) {
 }
 
 // searchText is the one path of a text query: a text with no
-// in-vocabulary term gets an empty list, the configured budget (nprobe
-// nil) searches through the query cache (searchStatus), and a
-// per-request budget searches directly, bypassing it.
+// in-vocabulary term gets an empty list, any other searchStatus.
 func (ix *Index) searchText(text string, topN int, nprobe *int) ([]Result, cache.Status) {
 	terms, weights, known := ix.querySparse(text)
-	q := segment.Query{Terms: terms, Weights: weights}
-	switch {
-	case known == 0:
+	if known == 0 {
 		return []Result{}, cache.StatusBypass
-	case nprobe != nil:
-		return ix.search(q, topN, ix.probe(nprobe)), cache.StatusBypass
 	}
-	return ix.searchStatus(q, topN)
+	return ix.searchStatus(segment.Query{Terms: terms, Weights: weights}, topN, nprobe)
 }
 
 // searchVector ranks documents against a raw term-space query vector,
@@ -273,7 +280,7 @@ func (ix *Index) searchVector(ctx context.Context, q []float64, topN int, opts s
 			return nil, fmt.Errorf("%w: got %g", ErrVectorRange, x)
 		}
 	}
-	res := ix.search(segment.Query{Vec: q}, topN, opts)
+	res := ix.results(ix.matches(segment.Query{Vec: q}, topN, opts))
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -8,12 +8,12 @@
 // never asked for again cost at most that share and a burst of them
 // cannot flush the repeated working set.
 //
-// Keys are whatever the caller encodes (see AppendQueryKey for the
-// retrieval layer's canonical query encoding, which includes the index
-// epoch). Each lookup also passes a generation, the epoch, and the first
-// lookup at a newer one retires every older entry in O(1) per shard (a
-// fresh map and empty lists), since no lookup asks for them again. An
-// immutable index passes a constant generation and caches forever.
+// Keys are whatever the caller encodes (AppendQueryKey is the retrieval
+// layer's: the index epoch, topN and the sparse query). Each lookup also
+// passes a generation, the epoch, and the first lookup at a newer one
+// retires every older entry in O(1) per shard (a fresh map and empty
+// lists), since no lookup asks for them again. An immutable index passes
+// a constant generation and caches forever.
 //
 // Correctness under concurrent mutation is the compute callback's
 // responsibility: it returns (value, cacheable) and reports cacheable =
@@ -25,9 +25,10 @@
 //
 // Values are shared: a stored value is returned to every future hit, so
 // callers must treat returned values as read-only (the retrieval layer
-// copies result slices before handing them out). Every method is safe
-// for concurrent use; all methods on a nil *Cache are no-ops that report
-// StatusBypass, so call sites need no nil checks.
+// stores document numbers and scores and builds each caller's results
+// from them). Every method is safe for concurrent use; all methods on a
+// nil *Cache are no-ops that report StatusBypass, so call sites need no
+// nil checks.
 package cache
 
 import (
@@ -63,18 +64,6 @@ func (s Status) String() string {
 	default:
 		return "bypass"
 	}
-}
-
-// Config configures New. The zero value of every optional field picks
-// the documented default.
-type Config struct {
-	// MaxBytes bounds the cache's estimated memory footprint (keys +
-	// values + bookkeeping). Required > 0.
-	MaxBytes int64
-	// Shards is the number of independently locked shards (rounded up to
-	// a power of two; default 16). More shards means less lock contention
-	// under concurrent load; the byte budget is split evenly.
-	Shards int
 }
 
 // Stats is a point-in-time snapshot of the cache counters.
@@ -180,8 +169,8 @@ type shard[V any] struct {
 }
 
 // Cache is a sharded, byte-bounded segmented LRU with request
-// coalescing. Create with New; the zero value and nil are valid "no
-// cache" instances whose lookups all report StatusBypass.
+// coalescing. Create with New; nil is the valid "no cache" instance,
+// whose lookups all report StatusBypass.
 type Cache[V any] struct {
 	shards []shard[V]
 	mask   uint64
@@ -195,20 +184,25 @@ type Cache[V any] struct {
 	rejected  atomic.Int64
 }
 
-// New builds a cache bounded at cfg.MaxBytes. cost estimates the bytes a
+// shardCount is the number of independently locked shards New splits the
+// byte budget over, so concurrent lookups rarely contend.
+const shardCount = 16
+
+// New builds a cache bounded at maxBytes. cost estimates the bytes a
 // value holds (key bytes and entry bookkeeping are accounted
 // automatically); nil means values are costed at 0 and only keys and
-// bookkeeping count against the bound. A cfg.MaxBytes <= 0 returns nil —
-// the valid "caching disabled" instance.
-func New[V any](cfg Config, cost func(V) int64) *Cache[V] {
-	if cfg.MaxBytes <= 0 {
+// bookkeeping count against the bound. A maxBytes <= 0 returns nil — the
+// valid "caching disabled" instance.
+func New[V any](maxBytes int64, cost func(V) int64) *Cache[V] {
+	return newCache(maxBytes, shardCount, cost)
+}
+
+// newCache is New over n shards, rounded up to a power of two so shard
+// selection is a mask; tests pick n to make the LRU order observable.
+func newCache[V any](maxBytes int64, n int, cost func(V) int64) *Cache[V] {
+	if maxBytes <= 0 {
 		return nil
 	}
-	n := cfg.Shards
-	if n <= 0 {
-		n = 16
-	}
-	// Round up to a power of two so shard selection is a mask.
 	p := 1
 	for p < n {
 		p <<= 1
@@ -218,10 +212,7 @@ func New[V any](cfg Config, cost func(V) int64) *Cache[V] {
 		mask:   uint64(p - 1),
 		cost:   cost,
 	}
-	per := cfg.MaxBytes / int64(p)
-	if per < 1 {
-		per = 1
-	}
+	per := max(maxBytes/int64(p), 1)
 	for i := range c.shards {
 		c.shards[i].entries = make(map[string]*entry[V])
 		c.shards[i].flights = make(map[string]*flight[V])

@@ -46,7 +46,7 @@ func (c *Cache[V]) Put(key []byte, v V) {
 }
 
 func TestDoHitMissAndCounters(t *testing.T) {
-	c := New[int](Config{MaxBytes: 1 << 20}, nil)
+	c := New[int](1<<20, nil)
 	calls := 0
 	compute := func(v int) func() (int, bool) {
 		return func() (int, bool) { calls++; return v, true }
@@ -74,7 +74,7 @@ func TestDoHitMissAndCounters(t *testing.T) {
 }
 
 func TestUncacheableValueIsDeliveredButNotStored(t *testing.T) {
-	c := New[int](Config{MaxBytes: 1 << 20}, nil)
+	c := New[int](1<<20, nil)
 	v, st := c.Do(0, key("k"), func() (int, bool) { return 7, false })
 	if v != 7 || st != StatusMiss {
 		t.Fatalf("got (%d, %v), want (7, miss)", v, st)
@@ -105,8 +105,8 @@ func TestNilCacheBypasses(t *testing.T) {
 	if c.Stats() != (Stats{}) {
 		t.Fatal("nil cache accumulated state")
 	}
-	if New[int](Config{MaxBytes: 0}, nil) != nil {
-		t.Fatal("MaxBytes <= 0 should construct the nil (disabled) cache")
+	if New[int](0, nil) != nil {
+		t.Fatal("maxBytes <= 0 should construct the nil (disabled) cache")
 	}
 }
 
@@ -115,7 +115,7 @@ func TestLRUEvictionBound(t *testing.T) {
 	// Each entry is hit once after it is stored, so it is promoted to the
 	// protected list, where the budget bound (not probation's) applies.
 	costPer := int64(entryOverhead + 3) // 3-byte keys, zero-cost values
-	c := New[int](Config{MaxBytes: 4 * costPer, Shards: 1}, nil)
+	c := newCache[int](4*costPer, 1, nil)
 	for i := 0; i < 8; i++ {
 		c.Put(key(fmt.Sprintf("k%02d", i)), i)
 		c.Get(key(fmt.Sprintf("k%02d", i)))
@@ -152,7 +152,7 @@ func TestLRUEvictionBound(t *testing.T) {
 }
 
 func TestValueCostDrivesEviction(t *testing.T) {
-	c := New[[]byte](Config{MaxBytes: 4096, Shards: 1}, func(v []byte) int64 { return int64(len(v)) })
+	c := newCache[[]byte](4096, 1, func(v []byte) int64 { return int64(len(v)) })
 	big := make([]byte, 3000)
 	c.Put(key("big1"), big)
 	c.Get(key("big1"))      // promoted: out of probation's reach
@@ -166,7 +166,7 @@ func TestValueCostDrivesEviction(t *testing.T) {
 }
 
 func TestCoalescingSharesOneCompute(t *testing.T) {
-	c := New[int](Config{MaxBytes: 1 << 20}, nil)
+	c := New[int](1<<20, nil)
 	const waiters = 16
 	var calls atomic.Int32
 	gate := make(chan struct{})
@@ -223,7 +223,7 @@ func TestCoalescingSharesOneCompute(t *testing.T) {
 }
 
 func TestShardRoundingAndDistribution(t *testing.T) {
-	c := New[int](Config{MaxBytes: 1 << 20, Shards: 5}, nil)
+	c := newCache[int](1<<20, 5, nil)
 	if got := len(c.shards); got != 8 {
 		t.Fatalf("5 shards rounded to %d, want 8", got)
 	}
@@ -246,7 +246,7 @@ func TestShardRoundingAndDistribution(t *testing.T) {
 // a compute that panics must unregister its flight and release waiters,
 // or one poisoned query would deadlock every future identical lookup.
 func TestPanickingComputeReleasesTheFlight(t *testing.T) {
-	c := New[int](Config{MaxBytes: 1 << 20}, nil)
+	c := New[int](1<<20, nil)
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -315,7 +315,7 @@ func checkShard(t *testing.T, s *shard[int]) {
 // a "coalesced" empty answer); it looks the key up again as a fresh
 // caller and computes.
 func TestWaitersOfPanickingComputeRecompute(t *testing.T) {
-	c := New[int](Config{MaxBytes: 1 << 20}, nil)
+	c := New[int](1<<20, nil)
 	started, gate := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer func() { _ = recover() }()
@@ -374,7 +374,7 @@ func waitParked(t *testing.T) {
 // so an entry with a short key costs ~1.1 KB against a 64 KiB budget
 // (a 1 KiB probation share).
 func segmentedCache() *Cache[int] {
-	return New[int](Config{MaxBytes: 64 << 10, Shards: 1}, func(int) int64 { return 1000 })
+	return newCache[int](64<<10, 1, func(int) int64 { return 1000 })
 }
 
 // oneShots looks up distinct never-repeated keys until their stored
@@ -433,7 +433,7 @@ func TestScanResistance(t *testing.T) {
 // them displace one protected entry in all, not one each: past the
 // budget, probation's oldest go before protected's.
 func TestBudgetEvictsProbationFirst(t *testing.T) {
-	c := New[int](Config{MaxBytes: 64 << 10, Shards: 1}, nil) // ~103 B an entry
+	c := newCache[int](64<<10, 1, nil) // ~103 B an entry
 	hot := 0
 	for ; c.Stats().Bytes+entryOverhead+7 <= 64<<10; hot++ {
 		for r := 0; r < 2; r++ {
@@ -473,7 +473,7 @@ func TestHitPromotes(t *testing.T) {
 // (16 bytes) is smaller than any entry, yet probation keeps its newest
 // entry, so a repeat still hits.
 func TestTinyCacheSecondLookupHits(t *testing.T) {
-	c := New[int](Config{MaxBytes: 1 << 10, Shards: 1}, nil)
+	c := newCache[int](1<<10, 1, nil)
 	for _, k := range []string{"a", "b", "c"} {
 		c.Do(0, key(k), func() (int, bool) { return 1, true })
 		if _, st := c.Do(0, key(k), func() (int, bool) { return 2, true }); st != StatusHit {
@@ -504,7 +504,7 @@ func TestPutEntersProbationAndGetPromotes(t *testing.T) {
 // to 0 — and counts what it dropped in Retired; an older generation's
 // lookup retires nothing.
 func TestNewerGenerationRetiresEntries(t *testing.T) {
-	c := New[int](Config{MaxBytes: 1 << 20, Shards: 4}, func(int) int64 { return 100 })
+	c := newCache[int](1<<20, 4, func(int) int64 { return 100 })
 	for i := 0; i < 20; i++ {
 		c.Do(1, key(fmt.Sprintf("g1-%d", i)), func() (int, bool) { return i, true })
 	}
@@ -541,7 +541,7 @@ func TestNewerGenerationRetiresEntries(t *testing.T) {
 // repeat hits and identical concurrent lookups share one compute, as at
 // generation 0.
 func TestOneGenerationKeepsHitsAndCoalescing(t *testing.T) {
-	c := New[int](Config{MaxBytes: 1 << 20}, nil)
+	c := New[int](1<<20, nil)
 	const gen = 9
 	if _, st := c.Do(gen, key("a"), func() (int, bool) { return 1, true }); st != StatusMiss {
 		t.Fatalf("first lookup %v, want miss", st)
@@ -577,7 +577,7 @@ func TestOneGenerationKeepsHitsAndCoalescing(t *testing.T) {
 // a lookup moved its shard to a newer generation still answers its
 // caller, but its value is not stored and counts as rejected.
 func TestFlightStraddlingAnAdvanceIsNotStored(t *testing.T) {
-	c := New[int](Config{MaxBytes: 1 << 20, Shards: 1}, nil)
+	c := newCache[int](1<<20, 1, nil)
 	started, gate := make(chan struct{}), make(chan struct{})
 	type answer struct {
 		v  int
@@ -599,5 +599,47 @@ func TestFlightStraddlingAnAdvanceIsNotStored(t *testing.T) {
 	}
 	if st := c.Stats(); st.Rejected != 1 || st.Entries != 1 {
 		t.Fatalf("counters %+v, want 1 rejected and only the new entry", st)
+	}
+}
+
+// TestNoCoalescingAcrossGenerations: a lookup at generation 2 for the
+// query of a generation-1 flight still blocked in its compute computes
+// its own answer. Do joins any flight under the same key, whatever its
+// generation, so this holds only because AppendQueryKey writes the epoch
+// into the key: without it the newer lookup would share the older answer.
+func TestNoCoalescingAcrossGenerations(t *testing.T) {
+	c := New[int](1<<20, nil)
+	terms, weights := []int{3, 57}, []float64{1, 2}
+	started, gate := make(chan struct{}), make(chan struct{})
+	type answer struct {
+		v  int
+		st Status
+	}
+	got := make(chan answer, 1)
+	go func() {
+		v, st := c.Do(1, AppendQueryKey(nil, 1, 10, terms, weights), func() (int, bool) { close(started); <-gate; return 1, true })
+		got <- answer{v, st}
+	}()
+	<-started
+	second := make(chan answer, 1)
+	go func() {
+		v, st := c.Do(2, AppendQueryKey(nil, 2, 10, terms, weights), func() (int, bool) { return 2, true })
+		second <- answer{v, st}
+	}()
+	select {
+	case a := <-second:
+		if a.v != 2 || a.st != StatusMiss {
+			t.Fatalf("generation-2 lookup answered (%d, %v), want its own (2, miss)", a.v, a.st)
+		}
+	case <-time.After(5 * time.Second):
+		close(gate)
+		t.Fatalf("generation-2 lookup waited on the generation-1 flight and got %+v", <-second)
+	}
+	close(gate)
+	if a := <-got; a.v != 1 || a.st != StatusMiss {
+		t.Fatalf("generation-1 flight answered (%d, %v), want (1, miss)", a.v, a.st)
+	}
+	if st := c.Stats(); st.Coalesced != 0 || st.Misses != 2 || st.Rejected != 1 || st.Entries != 1 {
+		t.Fatalf("counters %+v, want 2 misses, 1 rejected, 1 entry and nothing coalesced", st)
 	}
 }

@@ -42,128 +42,46 @@ func TestQueryKeyNormalizesTopN(t *testing.T) {
 	}
 }
 
-func TestQueryKeyRoundTrip(t *testing.T) {
-	terms := []int{0, 7, 300000}
-	weights := []float64{0.5, -1, math.Inf(1)}
-	k := AppendQueryKey(nil, 42, 17, terms, weights)
-	epoch, topN, gotT, gotW, err := DecodeQueryKey(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if epoch != 42 || topN != 17 {
-		t.Fatalf("decoded (epoch=%d, topN=%d), want (42, 17)", epoch, topN)
-	}
-	for i := range terms {
-		if gotT[i] != terms[i] || gotW[i] != weights[i] {
-			t.Fatalf("pair %d: got (%d, %v), want (%d, %v)", i, gotT[i], gotW[i], terms[i], weights[i])
+// queryFrom turns fuzz bytes into a query in querySparse's form: each
+// byte pair is a term step (1 or more, so terms ascend strictly, and large
+// enough to reach multi-byte varints) and a weight drawn from values that
+// include the awkward ones (signed zeros, NaN, infinities).
+func queryFrom(b []byte) ([]int, []float64) {
+	specials := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), 1, -1}
+	var terms []int
+	var weights []float64
+	t := -1
+	for ; len(b) >= 2; b = b[2:] {
+		t += 1 + int(b[0])*int(b[0])*257
+		w := float64(b[1]) / 3
+		if int(b[1]) < len(specials) {
+			w = specials[b[1]]
 		}
+		terms, weights = append(terms, t), append(weights, w)
 	}
+	return terms, weights
 }
 
-func TestNormalizeQuery(t *testing.T) {
-	// Canonical input comes back as-is, no copies.
-	terms, weights := []int{1, 5, 9}, []float64{1, 2, 3}
-	nt, nw := NormalizeQuery(terms, weights)
-	if &nt[0] != &terms[0] || &nw[0] != &weights[0] {
-		t.Fatal("canonical input should pass through without copying")
-	}
-	// Unsorted input sorts; duplicates merge by summing; negatives drop;
-	// mismatched lengths truncate to the shorter side.
-	nt, nw = NormalizeQuery([]int{9, 1, 9, -4, 5}, []float64{1, 2, 3, 4, 5, 99})
-	wantT := []int{1, 5, 9}
-	wantW := []float64{2, 5, 4}
-	if len(nt) != len(wantT) {
-		t.Fatalf("normalized to %v / %v", nt, nw)
-	}
-	for i := range wantT {
-		if nt[i] != wantT[i] || nw[i] != wantW[i] {
-			t.Fatalf("pair %d: got (%d, %v), want (%d, %v)", i, nt[i], nw[i], wantT[i], wantW[i])
+// FuzzQueryKeyInjective: two queries in querySparse's form (terms
+// ascending, one weight each) share a key exactly when their epochs,
+// topNs (every topN <= 0 is 0), terms and weight bits are equal.
+func FuzzQueryKeyInjective(f *testing.F) {
+	f.Add(uint64(0), uint64(0), 0, 0, []byte{}, []byte{})
+	f.Add(uint64(5), uint64(5), 10, 10, []byte{3, 9, 57, 1}, []byte{3, 9, 57, 1})
+	f.Add(uint64(5), uint64(6), 10, 10, []byte{3, 9}, []byte{3, 9})
+	f.Add(uint64(1), uint64(1), 0, -3, []byte{0, 0}, []byte{0, 1})
+	f.Add(uint64(math.MaxUint64), uint64(1), 1, 1, []byte{255, 2, 0, 2}, []byte{255, 2, 1, 2})
+	f.Fuzz(func(t *testing.T, e1, e2 uint64, n1, n2 int, a, b []byte) {
+		t1, w1 := queryFrom(a)
+		t2, w2 := queryFrom(b)
+		equal := e1 == e2 && max(n1, 0) == max(n2, 0) && len(t1) == len(t2)
+		for i := 0; equal && i < len(t1); i++ {
+			equal = t1[i] == t2[i] && math.Float64bits(w1[i]) == math.Float64bits(w2[i])
 		}
-	}
-	// The key of arbitrary input equals the key of its normal form.
-	k1 := AppendQueryKey(nil, 1, 5, []int{9, 1, 9, -4, 5}, []float64{1, 2, 3, 4, 5, 99})
-	k2 := AppendQueryKey(nil, 1, 5, wantT, wantW)
-	if !bytes.Equal(k1, k2) {
-		t.Fatal("key of raw input differs from key of its normal form")
-	}
-}
-
-func TestDecodeQueryKeyRejectsGarbage(t *testing.T) {
-	cases := map[string][]byte{
-		"empty":             {},
-		"bad version":       {99, 1, 1, 0},
-		"truncated epoch":   {keyVersion},
-		"truncated weights": AppendQueryKey(nil, 1, 1, []int{1, 2}, []float64{1, 2})[:12],
-		"huge count":        append([]byte{keyVersion, 0, 0}, 0xff, 0xff, 0xff, 0xff, 0x0f),
-		"trailing bytes":    append(AppendQueryKey(nil, 1, 1, []int{1}, []float64{1}), 0),
-	}
-	for name, key := range cases {
-		if _, _, _, _, err := DecodeQueryKey(key); err == nil {
-			t.Errorf("%s: decode accepted %x", name, key)
-		}
-	}
-}
-
-// FuzzQueryKeyNormalizer is the nightly fuzz target for the cache key
-// normalizer: DecodeQueryKey must never panic or over-allocate on
-// arbitrary bytes, and every key it accepts must be a fixed point of
-// AppendQueryKey (i.e. the canonical encoding of what it decoded —
-// otherwise two encodings of one query could cache independently, or
-// worse, one encoding could alias two queries).
-func FuzzQueryKeyNormalizer(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(AppendQueryKey(nil, 0, 0, nil, nil))
-	f.Add(AppendQueryKey(nil, 5, 10, []int{3, 57, 211, 402}, []float64{1, 2, 1, 1}))
-	f.Add(AppendQueryKey(nil, math.MaxUint64, 1, []int{0}, []float64{math.NaN()}))
-	f.Add([]byte{keyVersion, 0, 0, 3, 1, 1, 1})
-	f.Fuzz(func(t *testing.T, key []byte) {
-		epoch, topN, terms, weights, err := DecodeQueryKey(key)
-		if err != nil {
-			return
-		}
-		if !canonicalQuery(terms, weights) {
-			t.Fatalf("decode accepted non-canonical query %v", terms)
-		}
-		re := AppendQueryKey(nil, epoch, topN, terms, weights)
-		if !bytes.Equal(re, key) {
-			t.Fatalf("accepted key is not canonical: %x re-encodes to %x", key, re)
-		}
-	})
-}
-
-// FuzzNormalizeQuery fuzzes the arbitrary-input half of the normalizer:
-// for any terms/weights soup, NormalizeQuery must return a canonical
-// query, be idempotent, and agree with AppendQueryKey's implicit
-// normalization.
-func FuzzNormalizeQuery(f *testing.F) {
-	f.Add([]byte{1, 2, 3}, []byte{8, 8, 8})
-	f.Add([]byte{255, 0, 255}, []byte{1})
-	f.Fuzz(func(t *testing.T, rawTerms, rawWeights []byte) {
-		terms := make([]int, len(rawTerms))
-		for i, b := range rawTerms {
-			terms[i] = int(b) - 5 // include negatives and duplicates
-		}
-		weights := make([]float64, len(rawWeights))
-		for i, b := range rawWeights {
-			weights[i] = float64(b) / 3
-		}
-		nt, nw := NormalizeQuery(terms, weights)
-		if !canonicalQuery(nt, nw) {
-			t.Fatalf("normalize returned non-canonical %v / %v", nt, nw)
-		}
-		nt2, nw2 := NormalizeQuery(nt, nw)
-		if len(nt2) != len(nt) || len(nw2) != len(nw) {
-			t.Fatal("normalize is not idempotent")
-		}
-		for i := range nt2 {
-			if nt2[i] != nt[i] || nw2[i] != nw[i] {
-				t.Fatal("normalize is not idempotent")
-			}
-		}
-		k1 := AppendQueryKey(nil, 7, 3, terms, weights)
-		k2 := AppendQueryKey(nil, 7, 3, nt, nw)
-		if !bytes.Equal(k1, k2) {
-			t.Fatalf("raw and normalized input disagree on the key")
+		k1 := AppendQueryKey(nil, e1, n1, t1, w1)
+		k2 := AppendQueryKey(nil, e2, n2, t2, w2)
+		if bytes.Equal(k1, k2) != equal {
+			t.Fatalf("queries equal = %v, keys equal = %v: %x, %x", equal, !equal, k1, k2)
 		}
 	})
 }

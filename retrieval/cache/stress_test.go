@@ -23,7 +23,7 @@ func TestEpochKeyedFreshnessUnderStress(t *testing.T) {
 		mutations = 300
 		readers   = 8
 	)
-	c := New[uint64](Config{MaxBytes: 1 << 20}, nil)
+	c := New[uint64](1<<20, nil)
 
 	var state atomic.Uint64 // the published "index contents"
 	var epoch atomic.Uint64 // bumped after each publish
@@ -38,10 +38,14 @@ func TestEpochKeyedFreshnessUnderStress(t *testing.T) {
 		return v, e
 	}
 
-	var wg sync.WaitGroup
+	// Each reader signals after its first lookup, and the mutator starts
+	// only then, so a loaded scheduler cannot run every mutation before
+	// any reader looked up.
+	var wg, ready sync.WaitGroup
 	stop := make(chan struct{})
 	for r := 0; r < readers; r++ {
 		wg.Add(1)
+		ready.Add(1)
 		go func(r int) {
 			defer wg.Done()
 			for i := 0; ; i++ {
@@ -52,6 +56,9 @@ func TestEpochKeyedFreshnessUnderStress(t *testing.T) {
 				}
 				eBefore := epoch.Load()
 				v, _ := lookup(r%3 + 1) // a few distinct topN keys per epoch
+				if i == 0 {
+					ready.Done()
+				}
 				// state is stored before epoch is bumped, so any value
 				// computed at epoch >= eBefore satisfies v >= eBefore.
 				if v < eBefore {
@@ -62,6 +69,7 @@ func TestEpochKeyedFreshnessUnderStress(t *testing.T) {
 		}(r)
 	}
 
+	ready.Wait()
 	for m := uint64(1); m <= mutations; m++ {
 		state.Store(m) // publish...
 		epoch.Store(m) // ...then bump, exactly like shard ingest/compaction
@@ -82,7 +90,7 @@ func TestEpochKeyedFreshnessUnderStress(t *testing.T) {
 // goroutines; run under -race this is the cache's data-race gate, and
 // the byte-bound assertions catch accounting corruption.
 func TestConcurrentMixedOps(t *testing.T) {
-	c := New[int](Config{MaxBytes: 64 << 10, Shards: 4}, func(int) int64 { return 64 })
+	c := newCache[int](64<<10, 4, func(int) int64 { return 64 })
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -126,7 +134,7 @@ func TestConcurrentMixedOps(t *testing.T) {
 // generation it was looked up at, so afterwards every stored entry must
 // belong to its shard's generation, and the accounting must add up.
 func TestGenerationStorm(t *testing.T) {
-	c := New[int](Config{MaxBytes: 64 << 10, Shards: 4}, func(int) int64 { return 64 })
+	c := newCache[int](64<<10, 4, func(int) int64 { return 64 })
 	var gen atomic.Uint64
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

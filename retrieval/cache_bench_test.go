@@ -2,7 +2,9 @@ package retrieval
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -15,7 +17,7 @@ import (
 // is the serving-path headline — the acceptance bar is >= 10x lower
 // ns/op than the uncached sparse path (BenchmarkQueryLatencySparse at
 // the repo root) with no extra allocations (1 alloc/op: the returned
-// copy). BenchmarkCachedQueryZipfian replays a Zipf-distributed query
+// results). BenchmarkCachedQueryZipfian replays a Zipf-distributed query
 // trace — the paper's model of topic-concentrated traffic — and reports
 // the measured hit rate (EXPERIMENTS.md's appendix holds the PR 5 record).
 
@@ -56,18 +58,18 @@ func benchQueryTerms(ix *Index) ([]int, []float64) {
 }
 
 // BenchmarkCachedQueryHit measures the steady-state cache hit: key
-// encode (pooled), sharded lookup of a protected entry, one result-slice
-// copy.
+// encode (pooled), sharded lookup of a protected entry, the stored
+// matches resolved to results.
 func BenchmarkCachedQueryHit(b *testing.B) {
 	ix := benchCachedIndex(b, 1<<20)
 	terms, weights := benchQueryTerms(ix)
-	if _, st := ix.searchStatus(segment.Query{Terms: terms, Weights: weights}, 10); st != cache.StatusMiss {
+	if _, st := ix.searchStatus(segment.Query{Terms: terms, Weights: weights}, 10, nil); st != cache.StatusMiss {
 		b.Fatalf("priming status %v", st)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, st := ix.searchStatus(segment.Query{Terms: terms, Weights: weights}, 10); st != cache.StatusHit {
+		if _, st := ix.searchStatus(segment.Query{Terms: terms, Weights: weights}, 10, nil); st != cache.StatusHit {
 			b.Fatalf("status %v, want hit", st)
 		}
 	}
@@ -83,7 +85,7 @@ func BenchmarkCachedQueryMiss(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		weights[0] = 1 + float64(i)
-		if _, st := ix.searchStatus(segment.Query{Terms: terms, Weights: weights}, 10); st != cache.StatusMiss {
+		if _, st := ix.searchStatus(segment.Query{Terms: terms, Weights: weights}, 10, nil); st != cache.StatusMiss {
 			b.Fatalf("status %v, want miss", st)
 		}
 	}
@@ -108,7 +110,7 @@ func BenchmarkCachedQueryCoalesced(b *testing.B) {
 			// coalesce; Add advances the round every 16 lookups.
 			r := round.Add(1) / 16
 			w[0] = 1 + float64(r)
-			ix.searchStatus(segment.Query{Terms: terms, Weights: w}, 10)
+			ix.searchStatus(segment.Query{Terms: terms, Weights: w}, 10, nil)
 		}
 	})
 	b.StopTimer()
@@ -137,7 +139,9 @@ func BenchmarkCachedQueryZipfian(b *testing.B) {
 		terms   []int
 		weights []float64
 	}
-	// 1024 distinct queries; trace indices are Zipf-skewed onto them.
+	// 1024 distinct queries in querySparse's form — terms sorted, a
+	// repeated term's weights summed; trace indices are Zipf-skewed onto
+	// them.
 	qs := make([]q, 1024)
 	for i := range qs {
 		t1 := i % n
@@ -145,9 +149,14 @@ func BenchmarkCachedQueryZipfian(b *testing.B) {
 		if t2 <= t1 {
 			t2 = t1 + 1
 		}
-		qs[i] = q{terms: []int{t1, t2 % n, (t2 + 17) % n}, weights: []float64{1, 2, 1}}
-		nt, nw := cache.NormalizeQuery(qs[i].terms, qs[i].weights)
-		qs[i].terms, qs[i].weights = nt, nw
+		w := map[int]float64{}
+		for j, t := range []int{t1, t2 % n, (t2 + 17) % n} {
+			w[t] += []float64{1, 2, 1}[j]
+		}
+		for _, t := range slices.Sorted(maps.Keys(w)) {
+			qs[i].terms = append(qs[i].terms, t)
+			qs[i].weights = append(qs[i].weights, w[t])
+		}
 	}
 	trace := make([]int, traceLen)
 	for i := range trace {
@@ -158,7 +167,7 @@ func BenchmarkCachedQueryZipfian(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		query := qs[trace[i%traceLen]]
-		ix.searchStatus(segment.Query{Terms: query.terms, Weights: query.weights}, 10)
+		ix.searchStatus(segment.Query{Terms: query.terms, Weights: query.weights}, 10, nil)
 	}
 	b.StopTimer()
 	after, _ := ix.CacheStats()
@@ -178,6 +187,6 @@ func BenchmarkCachedQueryUncachedBaseline(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix.searchStatus(segment.Query{Terms: terms, Weights: weights}, 10)
+		ix.searchStatus(segment.Query{Terms: terms, Weights: weights}, 10, nil)
 	}
 }

@@ -4,14 +4,15 @@ import (
 	"sync"
 
 	"repro/internal/segment"
+	"repro/internal/topk"
 	"repro/retrieval/cache"
 )
 
 // Query result caching (WithQueryCache). The cache decorates the
-// backend search: queries are keyed by their *normalized sparse form*
-// (so any two texts that preprocess to the same term vector share an
-// entry), the requested topN, and the index epoch, shard.Index.Epoch.
-// The epoch is the invalidation story:
+// backend search: queries are keyed by their sparse form as querySparse
+// produces it (so any two texts that preprocess to the same term vector
+// share an entry), the requested topN, and the index epoch,
+// shard.Index.Epoch. The epoch is the invalidation story:
 //
 //   - An unsharded index is a frozen one-shard index whose epoch stays
 //     0, so its cached results stay valid forever.
@@ -32,63 +33,51 @@ import (
 // before validation — the same benign race an uncached wait-free search
 // has.)
 //
-// Cached values are shared between the cache and every hit, so the
-// decorator copies the result slice before returning it; a steady-state
-// hit costs exactly that one allocation.
+// The cache stores what segment.Search returns — global document numbers
+// and scores — and every lookup looks the IDs up in the append-only ID
+// table afterwards (results). That slice is the caller's own and a
+// steady-state hit's one allocation, and no cached answer holds a view
+// into the ID table's bytes, which an Add may outgrow.
 
 // keyBufPool recycles key-encoding scratch so the hit path allocates
-// nothing beyond the returned copy.
+// nothing beyond the returned results.
 var keyBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 128); return &b }}
 
-// resultsCost estimates the bytes a cached result slice retains: slice
-// header plus, per result, the struct and the external-ID string bytes.
-func resultsCost(rs []Result) int64 {
-	cost := int64(24)
-	for i := range rs {
-		cost += 32 + int64(len(rs[i].ID))
-	}
-	return cost
-}
-
-// copyResults returns a caller-owned copy of a shared result slice.
-func copyResults(rs []Result) []Result {
-	out := make([]Result, len(rs))
-	copy(out, rs)
-	return out
-}
+// matchesCost is the bytes a cached answer retains: a slice header and
+// 16 bytes (document, score) per slot of its array — one per match, as
+// segment.Search sizes it for topN.
+func matchesCost(ms []topk.Match) int64 { return 24 + 16*int64(cap(ms)) }
 
 // initCache attaches a query cache bounded at maxBytes (<= 0 leaves the
 // index uncached). Called once from the constructors (Build, Open,
 // OpenDir) before the index is shared, never concurrently with queries.
 func (ix *Index) initCache(maxBytes int64) {
-	ix.qc = cache.New[[]Result](cache.Config{MaxBytes: maxBytes}, resultsCost)
+	ix.qc = cache.New(maxBytes, matchesCost)
 }
 
-// searchStatus is the configured-budget search of a validated sparse
-// query through the cache when one is attached, the one cache protocol
-// of every text query (searchText, Search): hit and coalesced lookups
-// share a previously computed slice (copied before returning), misses run
-// the search and store the result if the epoch was stable around the
-// computation.
-func (ix *Index) searchStatus(q segment.Query, topN int) ([]Result, cache.Status) {
-	if ix.qc == nil {
-		return ix.search(q, topN, ix.probe(nil)), cache.StatusBypass
+// searchStatus searches a validated sparse query: at the configured
+// budget (nprobe nil) through the query cache when one is attached — hit
+// and coalesced lookups share stored matches, a miss searches and stores
+// its matches if the epoch was stable around the computation — and at a
+// per-request budget directly, bypassing it. Either way the matches are
+// resolved to the caller's own Results.
+func (ix *Index) searchStatus(q segment.Query, topN int, nprobe *int) ([]Result, cache.Status) {
+	if ix.qc == nil || nprobe != nil {
+		return ix.results(ix.matches(q, topN, ix.probe(nprobe))), cache.StatusBypass
 	}
 	e := ix.sharded.Epoch()
 	bufp := keyBufPool.Get().(*[]byte)
 	key := cache.AppendQueryKey((*bufp)[:0], e, topN, q.Terms, q.Weights)
-	res, st := ix.qc.Do(e, key, func() ([]Result, bool) {
-		r := ix.search(q, topN, ix.probe(nil))
+	ms, st := ix.qc.Do(e, key, func() ([]topk.Match, bool) {
+		ms := ix.matches(q, topN, ix.probe(nil))
 		// Store only if no mutation published while we searched; the
-		// value is correct to return either way (it is exactly what an
+		// matches are correct to return either way (exactly what an
 		// uncached search would have produced).
-		return r, ix.sharded.Epoch() == e
+		return ms, ix.sharded.Epoch() == e
 	})
 	*bufp = key[:0]
 	keyBufPool.Put(bufp)
-	// The slice is shared with the cache (hit, coalesced) or with
-	// waiters that coalesced on our flight (miss) — hand out a copy.
-	return copyResults(res), st
+	return ix.results(ms), st
 }
 
 // CacheStats reports the query cache's counters; ok is false when the

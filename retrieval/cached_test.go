@@ -4,8 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
+	"weak"
 
 	"repro/internal/race"
 	"repro/internal/segment"
@@ -92,8 +95,9 @@ func TestCachedSearchMatchesUncachedAndReportsStatus(t *testing.T) {
 	}
 }
 
-// TestCachedResultsAreCallerOwned pins the copy-on-hit contract: a
-// caller mutating its result slice must not corrupt later hits.
+// TestCachedResultsAreCallerOwned pins that every lookup's results are
+// the caller's own: a caller mutating its result slice must not corrupt
+// later hits.
 func TestCachedResultsAreCallerOwned(t *testing.T) {
 	ctx := context.Background()
 	ix, err := Build(DemoCorpus(), WithRank(3), WithEngine(EngineDense), WithQueryCache(1<<20))
@@ -281,10 +285,10 @@ func TestCacheHitAllocsAtMostOne(t *testing.T) {
 		t.Fatal("query missed the vocabulary")
 	}
 	// Prime, then pin: a steady-state hit allocates exactly the returned
-	// copy — nothing for the key, the lookup, or the LRU touch.
-	ix.searchStatus(segment.Query{Terms: terms, Weights: weights}, 5)
+	// results — nothing for the key, the lookup, or the LRU touch.
+	ix.searchStatus(segment.Query{Terms: terms, Weights: weights}, 5, nil)
 	allocs := testing.AllocsPerRun(200, func() {
-		res, st := ix.searchStatus(segment.Query{Terms: terms, Weights: weights}, 5)
+		res, st := ix.searchStatus(segment.Query{Terms: terms, Weights: weights}, 5, nil)
 		if st != cache.StatusHit {
 			t.Fatalf("status %v, want hit", st)
 		}
@@ -293,7 +297,34 @@ func TestCacheHitAllocsAtMostOne(t *testing.T) {
 		}
 	})
 	if allocs > 1 {
-		t.Fatalf("cache hit allocates %v/op, want <= 1 (the result copy)", allocs)
+		t.Fatalf("cache hit allocates %v/op, want <= 1 (the results)", allocs)
+	}
+}
+
+// TestCachedAnswersDoNotPinSupersededIDs: a cached answer holds document
+// numbers, not views of the ID table's bytes, so once an Add outgrows the
+// table's exact-size array, nothing keeps the old array alive — not even
+// answers the cache has yet to retire, since no lookup ran after the Add.
+func TestCachedAnswersDoNotPinSupersededIDs(t *testing.T) {
+	ctx := context.Background()
+	ix, err := Build(DemoCorpus(), WithShards(2), WithRank(3), WithQueryCache(1<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	if _, err := ix.Search(ctx, "car engine", 0); err != nil {
+		t.Fatal(err)
+	}
+	if cs, _ := ix.CacheStats(); cs.Entries != 1 {
+		t.Fatalf("cache holds %d entries, want the one answer", cs.Entries)
+	}
+	table := weak.Make(unsafe.StringData(ix.DocID(0)))
+	if _, err := ix.Add(ctx, []Document{{ID: "added", Text: "car"}}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	if table.Value() != nil {
+		t.Fatal("the ID table's superseded array is still reachable after an Add outgrew it")
 	}
 }
 

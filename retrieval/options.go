@@ -188,9 +188,10 @@ func WithQuantized(beta int) Option {
 
 // WithQueryCache attaches a query result cache bounded at maxBytes
 // (estimated footprint; <= 0, the default, disables caching). The cache
-// is keyed by (normalized sparse query, topN, index epoch): repeated or
-// concurrent identical queries are answered from memory — concurrent
-// ones coalesce onto a single backend search — while the epoch key
+// is keyed by (sparse query, topN, index epoch) and holds the ranked
+// document numbers and scores, the IDs looked up at each lookup:
+// repeated or concurrent identical queries are answered from memory —
+// concurrent ones coalesce onto a single backend search — while the epoch key
 // keeps live indexes exact: every Add batch and every compaction
 // advances the epoch, instantly retiring all previously cached results,
 // so a hit can never serve pre-Add or pre-Compact rankings. Immutable

@@ -6,7 +6,7 @@ GO ?= go
 # Base ref for the perf-regression gate (CI passes the PR's base branch).
 BASE ?= origin/main
 
-.PHONY: all build test lint vet fmt-check docs-check deps-check race bench-smoke bench bench-gate ledger-frozen loc loc-diff fuzz-short serve-smoke load-smoke cluster-smoke chaos-smoke tier-smoke
+.PHONY: all build test lint vet fmt-check docs-check deps-check reach-check race bench-smoke bench bench-gate ledger-frozen loc loc-diff fuzz-short serve-smoke load-smoke cluster-smoke chaos-smoke tier-smoke
 
 all: build test
 
@@ -35,7 +35,7 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-lint: vet fmt-check docs-check deps-check
+lint: vet fmt-check docs-check deps-check reach-check
 
 # Godoc-coverage gate: go vet plus a doc-comment check over every
 # exported identifier of the operator-facing packages (retrieval, its
@@ -50,6 +50,12 @@ docs-check:
 # and only internal/legacy imports encoding/gob. Prints the import chain.
 deps-check:
 	sh scripts/deps_check.sh
+
+# Every exported name in internal/ has a caller outside the tests, and
+# every unexported package-level name a reference (the root tier-1 test
+# that type-checks this module and bench/; it names each offender).
+reach-check:
+	$(GO) test -run '^TestInternalNamesAreReached$$' .
 
 # Race-detect the concurrency-bearing packages: the worker pool, the
 # numeric + retrieval layers built on it (the randomized SVD's panel

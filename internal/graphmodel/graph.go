@@ -65,20 +65,6 @@ func (g *Graph) Degree(u int) float64 {
 	return mat.SumVec(g.w.Row(u))
 }
 
-// TotalWeight returns the sum of all edge weights (each edge counted once).
-func (g *Graph) TotalWeight() float64 {
-	var s float64
-	for i := 0; i < g.n; i++ {
-		for j := i + 1; j < g.n; j++ {
-			s += g.w.At(i, j)
-		}
-	}
-	return s
-}
-
-// Adjacency returns a copy of the weight matrix.
-func (g *Graph) Adjacency() *mat.Dense { return g.w.Clone() }
-
 // CutConductance evaluates the paper's conductance functional for the cut
 // (S, S̄):  Σ_{i∈S, j∉S} w(i,j) / min(|S|, |S̄|). It returns +Inf for the
 // trivial cuts (S empty or full).

@@ -77,46 +77,3 @@ type RankedRun struct {
 	Retrieved []int
 	Relevant  map[int]bool
 }
-
-// F1 returns the harmonic mean of precision and recall (0 if both are 0).
-func F1(precision, recall float64) float64 {
-	if precision+recall == 0 {
-		return 0
-	}
-	return 2 * precision * recall / (precision + recall)
-}
-
-// InterpolatedPrecision returns the standard 11-point interpolated
-// precision curve: for recall levels 0.0, 0.1, …, 1.0, the maximum
-// precision at any rank with recall ≥ that level. All points are 0 when
-// there are no relevant documents.
-func InterpolatedPrecision(retrieved []int, relevant map[int]bool) [11]float64 {
-	var curve [11]float64
-	if len(relevant) == 0 {
-		return curve
-	}
-	// Precision/recall at every rank.
-	type pr struct{ p, r float64 }
-	var points []pr
-	hits := 0
-	for i, d := range retrieved {
-		if relevant[d] {
-			hits++
-		}
-		points = append(points, pr{
-			p: float64(hits) / float64(i+1),
-			r: float64(hits) / float64(len(relevant)),
-		})
-	}
-	for level := 0; level <= 10; level++ {
-		r := float64(level) / 10
-		var best float64
-		for _, pt := range points {
-			if pt.r >= r-1e-12 && pt.p > best {
-				best = pt.p
-			}
-		}
-		curve[level] = best
-	}
-	return curve
-}

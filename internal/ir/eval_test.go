@@ -87,46 +87,3 @@ func TestMeanAveragePrecision(t *testing.T) {
 		t.Fatal("MAP of no runs should be 0")
 	}
 }
-
-func TestF1(t *testing.T) {
-	if got := F1(0.5, 0.5); got != 0.5 {
-		t.Fatalf("F1 = %v", got)
-	}
-	if F1(0, 0) != 0 {
-		t.Fatal("F1(0,0) should be 0")
-	}
-	if got := F1(1, 0.5); math.Abs(got-2.0/3) > 1e-14 {
-		t.Fatalf("F1(1,0.5) = %v", got)
-	}
-}
-
-func TestInterpolatedPrecision(t *testing.T) {
-	// One relevant doc at rank 2 of 2: precision 0.5 at recall 1.
-	curve := InterpolatedPrecision([]int{5, 1}, rel(1))
-	for level := 0; level <= 10; level++ {
-		if math.Abs(curve[level]-0.5) > 1e-14 {
-			t.Fatalf("curve[%d] = %v, want 0.5", level, curve[level])
-		}
-	}
-	// Perfect single hit at rank 1: all levels 1.
-	curve = InterpolatedPrecision([]int{1}, rel(1))
-	for level := 0; level <= 10; level++ {
-		if curve[level] != 1 {
-			t.Fatalf("perfect curve[%d] = %v", level, curve[level])
-		}
-	}
-	// No relevant: all zero.
-	curve = InterpolatedPrecision([]int{1}, map[int]bool{})
-	for _, p := range curve {
-		if p != 0 {
-			t.Fatal("no-relevant curve should be all zeros")
-		}
-	}
-	// Monotone non-increasing by construction.
-	curve = InterpolatedPrecision([]int{1, 9, 2, 8, 3}, rel(1, 2, 3))
-	for level := 1; level <= 10; level++ {
-		if curve[level] > curve[level-1]+1e-14 {
-			t.Fatalf("interpolated curve not non-increasing at %d: %v", level, curve)
-		}
-	}
-}

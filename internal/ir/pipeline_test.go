@@ -30,8 +30,8 @@ func TestStopwords(t *testing.T) {
 			t.Errorf("%q should not be a stopword", w)
 		}
 	}
-	if len(Stopwords()) < 100 {
-		t.Fatalf("stopword list suspiciously small: %d", len(Stopwords()))
+	if len(defaultStopwords) < 100 {
+		t.Fatalf("stopword list suspiciously small: %d", len(defaultStopwords))
 	}
 }
 

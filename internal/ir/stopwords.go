@@ -37,12 +37,3 @@ var defaultStopwords = map[string]bool{
 // IsStopword reports whether the (lowercase) token is in the default
 // English stopword list.
 func IsStopword(token string) bool { return defaultStopwords[token] }
-
-// Stopwords returns a copy of the default stopword list.
-func Stopwords() []string {
-	out := make([]string, 0, len(defaultStopwords))
-	for w := range defaultStopwords {
-		out = append(out, w)
-	}
-	return out
-}

@@ -3,9 +3,9 @@
 // English stopword list (the paper notes ε-separability is "reasonably
 // realistic, since documents are usually preprocessed to eliminate
 // commonly-occurring stop-words"), the Porter stemmer, a vocabulary
-// builder, and the standard retrieval-evaluation metrics (precision,
-// recall, average precision, 11-point interpolated curves) used to compare
-// LSI against the conventional vector-space baseline.
+// builder, and the standard retrieval-evaluation metrics (precision and
+// recall at k, average precision and its mean over queries) used to
+// compare LSI against the conventional vector-space baseline.
 package ir
 
 import (

@@ -391,16 +391,6 @@ func (m *Dense) SliceCols(j0, j1 int) *Dense {
 	return out
 }
 
-// SliceRows returns a copy of rows [i0, i1) of m as a new matrix.
-func (m *Dense) SliceRows(i0, i1 int) *Dense {
-	if i0 < 0 || i1 > m.rows || i0 > i1 {
-		panic(fmt.Sprintf("mat: SliceRows [%d,%d) out of range for %d rows", i0, i1, m.rows))
-	}
-	out := NewDense(i1-i0, m.cols)
-	copy(out.data, m.data[i0*m.cols:i1*m.cols])
-	return out
-}
-
 // IsOrthonormalCols reports whether the columns of m are orthonormal
 // within tol, i.e. ‖mᵀm − I‖_max <= tol.
 func (m *Dense) IsOrthonormalCols(tol float64) bool {

@@ -224,10 +224,6 @@ func TestSliceColsRows(t *testing.T) {
 	if c.Rows() != 3 || c.Cols() != 2 || c.At(0, 0) != 2 || c.At(2, 1) != 9 {
 		t.Fatalf("SliceCols wrong: %v", c)
 	}
-	r := m.SliceRows(1, 2)
-	if r.Rows() != 1 || r.At(0, 0) != 4 {
-		t.Fatalf("SliceRows wrong: %v", r)
-	}
 }
 
 func TestCloneIndependence(t *testing.T) {

@@ -279,7 +279,7 @@ func TestMulTParallelBitwiseMatchesReference(t *testing.T) {
 				b.data[rng.Intn(len(b.data))] = bad
 			}
 			want := NewDense(sh[1], sh[2])
-			panelReduce(sh[0], want.data, func(lo, hi int, acc []float64) { mulTRows(acc, a, b, lo, hi, 0, false) })
+			panelReduce(sh[0], want.data, func(lo, hi int, acc []float64, _ *[]float64) { mulTRows(acc, a, b, lo, hi, 0, false) })
 			for _, on := range modes {
 				hasAVX512 = on
 				for _, procs := range []int{1, 4} {

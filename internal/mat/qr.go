@@ -195,7 +195,7 @@ func cholQR(a *Dense) (*Dense, bool) {
 func gram(a *Dense) *Dense {
 	n := a.cols
 	g := NewDense(n, n)
-	panelReduce(a.rows, g.data, func(lo, hi int, acc []float64) { mulTPanel(acc, a, a, lo, hi, true) })
+	panelReduce(a.rows, g.data, func(lo, hi int, acc []float64, pack *[]float64) { mulTPanel(acc, pack, a, a, lo, hi, true) })
 	for i := 1; i < n; i++ {
 		clear(g.data[i*n : i*n+i]) // the tile's strips cross the diagonal
 	}

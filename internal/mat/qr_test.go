@@ -3,9 +3,12 @@ package mat
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/par"
+	"repro/internal/race"
 )
 
 func TestQRReconstruction(t *testing.T) {
@@ -246,7 +249,7 @@ func cholQRReference(a *Dense) (*Dense, bool) {
 func gramReference(a *Dense) *Dense {
 	n := a.cols
 	g := NewDense(n, n)
-	panelReduce(a.rows, g.data, func(lo, hi int, acc []float64) {
+	panelReduce(a.rows, g.data, func(lo, hi int, acc []float64, _ *[]float64) {
 		for k := lo; k < hi; k++ {
 			x := a.data[k*n : (k+1)*n]
 			for i, xi := range x {
@@ -412,6 +415,57 @@ func TestNorm2Empty(t *testing.T) {
 	if got := Norm2(NewDense(3, 3), 10, rng); got != 0 {
 		t.Fatalf("Norm2(zero matrix) = %v", got)
 	}
+}
+
+// TestQRLedgerShapeAllocsRepeat runs BenchmarkQRInPlaceLedgerShape's QR
+// at two workers on two threads, and requires every run after the first
+// (which grows the kept pack buffers) to allocate the same number of
+// objects: the Gram panels' pack buffers follow from the chunk layout, not
+// from which panels happen to run at once. testing.AllocsPerRun sets
+// GOMAXPROCS to 1, so the test counts itself (ownAllocs).
+func TestQRLedgerShapeAllocsRepeat(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	defer par.SetMaxProcs(par.SetMaxProcs(2))
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	src := randDense(51200, 74, rand.New(rand.NewSource(156)))
+	a := src.Clone()
+	counts := make([]int64, 6)
+	for run := range counts {
+		copy(a.data, src.data)
+		before := ownAllocs()
+		QRInPlace(a, 1e-12)
+		counts[run] = ownAllocs() - before
+	}
+	for _, c := range counts[2:] {
+		if c != counts[1] {
+			t.Fatalf("allocations per run after the first: %v, want one value", counts[1:])
+		}
+	}
+}
+
+// ownAllocs returns how many objects the functions of repro/internal have
+// allocated so far: the memory profile's records at rate 1 whose first
+// frame is such a function (the profile drops the runtime's malloc
+// frames). runtime.MemStats.Mallocs would also count the runtime's own
+// bookkeeping, which follows scheduling: a goroutine that blocks on a
+// channel while its processor's cache of waiters is empty allocates one.
+func ownAllocs() int64 {
+	runtime.GC() // the profile reads as of the last collection
+	n, _ := runtime.MemProfile(nil, true)
+	recs := make([]runtime.MemProfileRecord, n+64)
+	n, _ = runtime.MemProfile(recs, true)
+	var total int64
+	for _, r := range recs[:n] {
+		f, _ := runtime.CallersFrames(r.Stack()).Next()
+		if strings.HasPrefix(f.Function, "repro/internal/") && f.Function != "repro/internal/mat.ownAllocs" {
+			total += r.AllocObjects
+		}
+	}
+	return total
 }
 
 // BenchmarkQRInPlaceLedgerShape is the orthonormalisation retrieval.Build

@@ -56,7 +56,6 @@ func (k Kind) String() string {
 type Projection struct {
 	r     *mat.Dense // n×l
 	scale float64
-	kind  Kind
 }
 
 // New samples a projection from n dimensions down to l. It returns an
@@ -92,18 +91,11 @@ func New(n, l int, kind Kind, rng *rand.Rand) (*Projection, error) {
 	case Gaussian, Sign:
 		scale = 1 / math.Sqrt(float64(l))
 	}
-	return &Projection{r: r, scale: scale, kind: kind}, nil
+	return &Projection{r: r, scale: scale}, nil
 }
 
 // Dims returns (n, l): the source and target dimensions.
 func (p *Projection) Dims() (int, int) { return p.r.Dims() }
-
-// Kind returns the projection family.
-func (p *Projection) Kind() Kind { return p.kind }
-
-// Matrix returns the underlying n×l matrix (shared storage; callers must
-// not mutate). The applied map is x ↦ scale·Rᵀ·x.
-func (p *Projection) Matrix() *mat.Dense { return p.r }
 
 // Scale returns the scaling constant applied after Rᵀ.
 func (p *Projection) Scale() float64 { return p.scale }

@@ -35,7 +35,7 @@ func TestOrthonormalKindIsOrthonormal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.Matrix().IsOrthonormalCols(1e-10) {
+	if !p.r.IsOrthonormalCols(1e-10) {
 		t.Fatal("Orthonormal projection columns not orthonormal")
 	}
 	want := math.Sqrt(30.0 / 8.0)
@@ -50,7 +50,7 @@ func TestSignEntriesAndScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range p.Matrix().RawData() {
+	for _, v := range p.r.RawData() {
 		if v != 1 && v != -1 {
 			t.Fatalf("sign entry %v", v)
 		}

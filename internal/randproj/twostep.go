@@ -76,9 +76,6 @@ func NewTwoStep(a *sparse.CSR, k, l int, opts TwoStepOptions) (*TwoStep, error) 
 	return &TwoStep{proj: proj, inner: inner, vb: res.V}, nil
 }
 
-// Projection returns the sampled random projection.
-func (ts *TwoStep) Projection() *Projection { return ts.proj }
-
 // Rank returns the effective inner LSI rank (≈ 2k).
 func (ts *TwoStep) Rank() int { return ts.inner.K() }
 

@@ -52,7 +52,7 @@ func TestTwoStepBasics(t *testing.T) {
 	if ts.NumDocs() != 30 {
 		t.Fatalf("NumDocs = %d", ts.NumDocs())
 	}
-	if n, l := ts.Projection().Dims(); n != 45 || l != 12 {
+	if n, l := ts.proj.Dims(); n != 45 || l != 12 {
 		t.Fatalf("projection dims %d,%d", n, l)
 	}
 	dv := ts.DocVector(0)

@@ -1,8 +1,7 @@
-// Package stats provides the summary statistics and tail-bound helpers the
-// experiment harness uses to report results in the paper's format (the
-// Section 4 table reports min/max/average/standard deviation of pairwise
-// document angles) and to size sample counts via Chernoff–Hoeffding bounds,
-// the concentration tool used in the proof of Theorem 2.
+// Package stats provides the summary statistics the experiment harness
+// uses to report results in the paper's format (the Section 4 table
+// reports min/max/average/standard deviation of pairwise document angles):
+// batch and streaming (Welford) summaries, quantiles and histograms.
 package stats
 
 import (
@@ -60,9 +59,6 @@ func (w *Welford) Add(x float64) {
 	w.mean += d / float64(w.n)
 	w.m2 += d * (x - w.mean)
 }
-
-// N returns the number of observations.
-func (w *Welford) N() int { return w.n }
 
 // Mean returns the running mean (0 for no observations).
 func (w *Welford) Mean() float64 { return w.mean }
@@ -123,35 +119,6 @@ func Histogram(xs []float64, lo, hi float64, nbins int) []int {
 		counts[b]++
 	}
 	return counts
-}
-
-// HoeffdingBound returns the Hoeffding upper bound
-// P(|X̄ − E X̄| ≥ t) ≤ 2·exp(−2nt²) for the mean of n independent samples
-// bounded in [0, 1]. This is the concentration inequality invoked in the
-// proof of Theorem 2 to show the conductance of the document-similarity
-// blocks is high.
-func HoeffdingBound(n int, t float64) float64 {
-	if n <= 0 || t <= 0 {
-		return 1
-	}
-	b := 2 * math.Exp(-2*float64(n)*t*t)
-	if b > 1 {
-		return 1
-	}
-	return b
-}
-
-// HoeffdingSamples returns the smallest n such that the Hoeffding bound for
-// deviation t is at most delta. It panics if t <= 0 or delta <= 0.
-func HoeffdingSamples(t, delta float64) int {
-	if t <= 0 || delta <= 0 {
-		panic("stats: HoeffdingSamples requires positive t and delta")
-	}
-	if delta >= 2 {
-		return 1
-	}
-	n := math.Log(2/delta) / (2 * t * t)
-	return int(math.Ceil(n))
 }
 
 // MeanSlice returns the mean of xs (0 for empty input).

@@ -48,8 +48,8 @@ func TestWelfordMatchesTwoPass(t *testing.T) {
 	if math.Abs(w.Mean()-mean) > 1e-10 || math.Abs(w.Var()-v) > 1e-8 {
 		t.Fatalf("Welford mean=%v var=%v, two-pass mean=%v var=%v", w.Mean(), w.Var(), mean, v)
 	}
-	if w.N() != 1000 {
-		t.Fatalf("N = %d", w.N())
+	if w.n != 1000 {
+		t.Fatalf("n = %d", w.n)
 	}
 }
 
@@ -109,32 +109,6 @@ func TestHistogram(t *testing.T) {
 	}
 }
 
-func TestHoeffdingBound(t *testing.T) {
-	// Larger n tightens the bound; t=0 or n=0 gives the vacuous bound 1.
-	if HoeffdingBound(0, 0.1) != 1 || HoeffdingBound(10, 0) != 1 {
-		t.Fatal("vacuous cases should return 1")
-	}
-	b1 := HoeffdingBound(100, 0.1)
-	b2 := HoeffdingBound(1000, 0.1)
-	if !(b2 < b1 && b1 < 1) {
-		t.Fatalf("bounds not monotone: %v %v", b1, b2)
-	}
-	want := 2 * math.Exp(-2*100*0.01)
-	if math.Abs(b1-want) > 1e-12 {
-		t.Fatalf("bound = %v, want %v", b1, want)
-	}
-}
-
-func TestHoeffdingSamplesInvertsBound(t *testing.T) {
-	n := HoeffdingSamples(0.05, 0.01)
-	if HoeffdingBound(n, 0.05) > 0.01+1e-12 {
-		t.Fatalf("n=%d does not achieve delta", n)
-	}
-	if n > 1 && HoeffdingBound(n-1, 0.05) <= 0.01 {
-		t.Fatalf("n=%d not minimal", n)
-	}
-}
-
 // Property: Summarize respects Min <= Mean <= Max and Std >= 0.
 func TestSummarizeOrderingProperty(t *testing.T) {
 	f := func(xs []float64) bool {
@@ -154,29 +128,5 @@ func TestSummarizeOrderingProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(32))}); err != nil {
 		t.Error(err)
-	}
-}
-
-// Property: empirical deviations of Bernoulli means respect the Hoeffding
-// bound (statistically — we allow a small slack factor).
-func TestHoeffdingEmpirical(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	n, trials, dev := 200, 2000, 0.08
-	exceed := 0
-	for trial := 0; trial < trials; trial++ {
-		var sum float64
-		for i := 0; i < n; i++ {
-			if rng.Float64() < 0.5 {
-				sum++
-			}
-		}
-		if math.Abs(sum/float64(n)-0.5) >= dev {
-			exceed++
-		}
-	}
-	bound := HoeffdingBound(n, dev)
-	rate := float64(exceed) / float64(trials)
-	if rate > bound {
-		t.Fatalf("empirical exceedance %v above Hoeffding bound %v", rate, bound)
 	}
 }

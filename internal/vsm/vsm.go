@@ -111,14 +111,6 @@ func (ix *Index) NumTerms() int { return ix.numTerms }
 // NumDocs returns the number of indexed documents.
 func (ix *Index) NumDocs() int { return ix.numDocs }
 
-// DocFrequency returns the number of documents containing the term.
-func (ix *Index) DocFrequency(term int) int {
-	if term < 0 || term >= ix.numTerms {
-		panic(fmt.Sprintf("vsm: term %d out of range [0,%d)", term, ix.numTerms))
-	}
-	return len(ix.postings[term])
-}
-
 // accumulate folds one query term into the dense score array,
 // registering newly touched documents. The first hit assigns, later hits
 // add — the same left-to-right accumulation the map-based path performed,

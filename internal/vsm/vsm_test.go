@@ -28,8 +28,8 @@ func TestIndexBasics(t *testing.T) {
 	if ix.NumTerms() != 4 || ix.NumDocs() != 3 {
 		t.Fatalf("dims %d %d", ix.NumTerms(), ix.NumDocs())
 	}
-	if ix.DocFrequency(1) != 2 || ix.DocFrequency(3) != 1 || ix.DocFrequency(0) != 1 {
-		t.Fatal("DocFrequency wrong")
+	if len(ix.postings[1]) != 2 || len(ix.postings[3]) != 1 || len(ix.postings[0]) != 1 {
+		t.Fatal("postings lengths wrong")
 	}
 }
 
@@ -96,7 +96,6 @@ func TestSearchPanics(t *testing.T) {
 		func() { ix.Search([]float64{1}, 0) },
 		func() { ix.SearchSparse([]int{0}, []float64{1, 2}, 0) },
 		func() { ix.SearchSparse([]int{9}, []float64{1}, 0) },
-		func() { ix.DocFrequency(-1) },
 	} {
 		func() {
 			defer func() {

@@ -1,0 +1,572 @@
+package repro
+
+// Tier-1 reachability check: every exported name in internal/ has a
+// caller outside the tests, and every unexported package-level name has
+// a reference at all. Go's internal/ rule means an exported identifier
+// there serves this module alone, so one that only tests call is code no
+// program runs. A grep cannot tell two methods of one name apart, so the
+// check type-checks the module (and bench/, a separate module that calls
+// it) with go/types and reads what each identifier resolves to.
+
+import (
+	"go/ast"
+	"go/build"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// unreachedExported pins the exported names in internal/ that no non-test
+// code references. The list may only shrink: a new entry fails the test,
+// and so does an entry that has since found a caller or left the tree.
+var unreachedExported = []string{
+	// Kept: test seams.
+	"internal/faultinject.FakeClock.Advance",
+	"internal/faultinject.FakeClock.BlockUntil",
+	"internal/faultinject.FakeClock.Waiters",
+	"internal/faultinject.FaultyFS.BytesWritten",
+	"internal/faultinject.FaultyFS.Clear",
+	"internal/faultinject.FaultyFS.DiskFullAfter",
+	"internal/faultinject.FaultyFS.FailSyncs",
+	"internal/faultinject.FaultyFS.FailWrites",
+	"internal/faultinject.FaultyFS.Injected",
+	"internal/faultinject.Injector.Injected",
+	"internal/faultinject.NewFakeClock",
+	"internal/faultinject.NewFaultyFS",
+	"internal/faultinject.Transport",
+	"internal/faultinject.Transport.Clear",
+	"internal/race.Enabled",
+	// Kept: the Lemma 1 tools of ROADMAP item 15, and the fuzz entry.
+	"internal/perturb.Gap",
+	"internal/perturb.SinThetaDist",
+	"internal/ir.Tokenize",
+	// Kept: oracles a test compares another routine against (SymEigen,
+	// ApplySparse, Welford).
+	"internal/svd.SymJacobi",
+	"internal/randproj.Projection.ApplyDense",
+	"internal/stats.MeanSlice",
+	// Kept: helpers the paper-result tests call (Lemma 2, ε-separability).
+	"internal/randproj.JLDim",
+	"internal/corpus.Topic.MassOn",
+	"internal/corpus.Topic.MaxProb",
+	"internal/corpus.Topic.Prob",
+	// Not yet decided. UniformTopic and MustAppend are called by their own
+	// package's tests alone, one test each.
+	"internal/blob.NewMappedReader",
+	"internal/corpus.DocVector",
+	"internal/corpus.Document.Count",
+	"internal/corpus.Query.Vector",
+	"internal/corpus.Style.Apply",
+	"internal/corpus.Topic.Probs",
+	"internal/corpus.UniformTopic",
+	"internal/graphmodel.FromSimilarity",
+	"internal/ir.NewPipeline",
+	"internal/ir.SampleLabels",
+	"internal/ir.SampleTexts",
+	"internal/lsi.BuildFromCorpus",
+	"internal/lsi.Index.ApproxMatrix",
+	"internal/lsi.Index.MustAppend",
+	"internal/lsi.Index.RelatedTerms",
+	"internal/lsi.Intertopic",
+	"internal/lsi.Intratopic",
+	"internal/mat.Dense.Add",
+	"internal/mat.Dense.IsOrthonormalCols",
+	"internal/mat.Dense.MaxAbs",
+	"internal/mat.DotInt8",
+	"internal/mat.EqualApprox",
+	"internal/mat.FromRows",
+	"internal/metrics.Counter.Add",
+	"internal/metrics.Gauge.Set",
+	"internal/randproj.Projection.Dims",
+	"internal/randproj.Projection.Scale",
+	"internal/randproj.TwoStep.DocVector",
+	"internal/randproj.TwoStep.NumDocs",
+	"internal/randproj.TwoStep.Rank",
+	"internal/randproj.TwoStep.Search",
+	"internal/sparse.COO.NNZ",
+	"internal/sparse.CSR.At",
+	"internal/sparse.CSR.Frob",
+	"internal/sparse.CSR.RowNNZ",
+	"internal/sparse.CSR.Scale",
+	"internal/sparse.FromDense",
+	"internal/stats.Quantile",
+	"internal/svd.Result.Rank",
+}
+
+func TestInternalNamesAreReached(t *testing.T) {
+	got := findUnreached(t, []module{{dir: ".", path: "repro"}, {dir: "bench", path: "repro/bench"}}, "repro/bench")
+	for _, u := range got.unexported {
+		t.Errorf("%s: unexported %s is referenced nowhere; delete it", got.pos[u], u)
+	}
+	for _, u := range got.exported {
+		if !slices.Contains(unreachedExported, u) {
+			t.Errorf("%s: exported %s has no caller outside the tests; delete it (and the tests that only it needs)", got.pos[u], u)
+		}
+	}
+	for _, u := range unreachedExported {
+		if !slices.Contains(got.exported, u) {
+			t.Errorf("%s is reached now or gone; take it off unreachedExported", u)
+		}
+	}
+}
+
+// TestReachabilityCheckerFixture runs the checker on testdata/reach.txtar,
+// a module built to hold one case of each rule.
+func TestReachabilityCheckerFixture(t *testing.T) {
+	archive, err := os.ReadFile(filepath.Join("testdata", "reach.txtar"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	var file *os.File
+	for _, line := range strings.SplitAfter(string(archive), "\n") {
+		if name, ok := strings.CutPrefix(strings.TrimSpace(line), "-- "); ok && strings.HasSuffix(name, " --") {
+			path := filepath.Join(dir, strings.TrimSuffix(name, " --"))
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if file, err = os.Create(path); err != nil {
+				t.Fatal(err)
+			}
+			defer file.Close()
+		} else if file != nil {
+			if _, err := file.WriteString(line); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	got := findUnreached(t, []module{{dir: dir, path: "fixture"}}, "")
+	wantExported := []string{"internal/a.CalledByTests", "internal/a.Twin.Label", "internal/a.Unused"}
+	if !slices.Equal(got.exported, wantExported) {
+		t.Errorf("exported = %q, want %q", got.exported, wantExported)
+	}
+	if want := []string{"internal/a.helper"}; !slices.Equal(got.unexported, want) {
+		t.Errorf("unexported = %q, want %q", got.unexported, want)
+	}
+}
+
+// module is one Go module to type-check: its directory and module path.
+type module struct{ dir, path string }
+
+// unreached is findUnreached's answer: sorted names relative to their
+// module ("internal/ir.F1", "internal/lsi.Index.Append") and where each
+// is declared.
+type unreached struct {
+	exported, unexported []string
+	pos                  map[string]token.Position
+}
+
+// findUnreached type-checks the non-test packages of mods and returns:
+//   - the exported package-level names, methods and struct fields of
+//     every package under an internal/ directory that no code references;
+//   - the unexported package-level names that nothing references, in
+//     every package outside the module path skipUnexported.
+//
+// A use inside an identifier's own declaration (recursion, a method's
+// receiver) does not count. A method is reached when its type (or a
+// pointer to it) satisfies an interface that declares it; an embedded
+// field when a selection or such a method runs through it.
+func findUnreached(t *testing.T, mods []module, skipUnexported string) unreached {
+	t.Helper()
+	l := &loader{
+		fset:  token.NewFileSet(),
+		dirs:  map[string]pkgDir{},
+		files: map[string][]*ast.File{},
+		pkgs:  map[string]*types.Package{},
+		info: &types.Info{
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		},
+	}
+	l.std = importer.ForCompiler(l.fset, "gc", nil)
+	for _, m := range mods {
+		if err := l.scan(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var paths []string
+	for p := range l.dirs {
+		paths = append(paths, p)
+	}
+	slices.Sort(paths)
+	for _, p := range paths {
+		if _, err := l.Import(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	r := &refs{info: l.info, used: map[types.Object]bool{}}
+	for _, p := range paths {
+		for _, f := range l.files[p] {
+			r.file(f)
+		}
+	}
+	conv, err := parser.ParseFile(l.fset, "conventions.go", errorsConventions, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	convPkg, err := new(types.Config).Check("conventions", l.fset, []*ast.File{conv}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var checked []*types.Package
+	for _, p := range paths {
+		checked = append(checked, l.pkgs[p])
+	}
+	r.interfaces(checked, convPkg)
+
+	out := unreached{pos: map[string]token.Position{}}
+	add := func(list *[]string, p string, obj types.Object, name string) {
+		if r.used[obj] {
+			return
+		}
+		key := l.dirs[p].name + "." + name
+		*list = append(*list, key)
+		out.pos[key] = l.fset.Position(obj.Pos())
+	}
+	for _, p := range paths {
+		scope := l.pkgs[p].Scope()
+		internal := slices.Contains(strings.Split(p, "/"), "internal")
+		for _, name := range scope.Names() {
+			obj := scope.Lookup(name)
+			switch {
+			case obj.Exported() && internal:
+				add(&out.exported, p, obj, name)
+			case !obj.Exported() && p != skipUnexported && name != "main" && name != "init" && name != "_":
+				add(&out.unexported, p, obj, name)
+			}
+			tn, ok := obj.(*types.TypeName)
+			if !ok || !internal || tn.IsAlias() {
+				continue
+			}
+			named := tn.Type().(*types.Named)
+			for i := 0; i < named.NumMethods(); i++ {
+				if m := named.Method(i); m.Exported() {
+					add(&out.exported, p, m, name+"."+m.Name())
+				}
+			}
+			switch u := named.Underlying().(type) {
+			case *types.Struct:
+				for i := 0; i < u.NumFields(); i++ {
+					if f := u.Field(i); f.Exported() {
+						add(&out.exported, p, f, name+"."+f.Name())
+					}
+				}
+			case *types.Interface:
+				for i := 0; i < u.NumExplicitMethods(); i++ {
+					if m := u.ExplicitMethod(i); m.Exported() {
+						add(&out.exported, p, m, name+"."+m.Name())
+					}
+				}
+			}
+		}
+	}
+	slices.Sort(out.exported)
+	slices.Sort(out.unexported)
+	return out
+}
+
+// errorsConventions declares the interfaces package errors asserts inside
+// its function bodies, which export data does not show: an error type's
+// Unwrap, Is and As methods are reached through them.
+const errorsConventions = `package conventions
+
+type (
+	unwrapper      interface{ Unwrap() error }
+	multiUnwrapper interface{ Unwrap() []error }
+	iser           interface{ Is(error) bool }
+	aser           interface{ As(any) bool }
+)
+`
+
+// loader parses and type-checks the packages of the scanned modules on
+// demand, in import order, and hands the standard library to the gc
+// importer.
+type loader struct {
+	fset  *token.FileSet
+	std   types.Importer
+	dirs  map[string]pkgDir // by import path
+	files map[string][]*ast.File
+	pkgs  map[string]*types.Package
+	info  *types.Info
+}
+
+// pkgDir is where a scanned package lives, and the name findUnreached
+// reports it by: its path inside the module, or the module path for the
+// module's root package.
+type pkgDir struct{ dir, name string }
+
+// scan records every package directory of m, leaving out testdata,
+// directories named with a leading dot or underscore, and nested modules.
+func (l *loader) scan(m module) error {
+	return filepath.WalkDir(m.dir, func(dir string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if dir != m.dir {
+			base := d.Name()
+			if base == "testdata" || strings.HasPrefix(base, ".") || strings.HasPrefix(base, "_") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
+		}
+		if _, err := build.Default.ImportDir(dir, 0); err != nil {
+			if _, ok := err.(*build.NoGoError); ok {
+				return nil
+			}
+			return err
+		}
+		rel, err := filepath.Rel(m.dir, dir)
+		if err != nil {
+			return err
+		}
+		if rel == "." {
+			l.dirs[m.path] = pkgDir{dir, m.path}
+		} else {
+			l.dirs[m.path+"/"+filepath.ToSlash(rel)] = pkgDir{dir, filepath.ToSlash(rel)}
+		}
+		return nil
+	})
+}
+
+// Import type-checks a scanned package, after the packages it imports,
+// and passes every other path to the standard library's importer.
+func (l *loader) Import(path string) (*types.Package, error) {
+	if pkg, ok := l.pkgs[path]; ok {
+		return pkg, nil
+	}
+	pd, ok := l.dirs[path]
+	if !ok {
+		return l.std.Import(path)
+	}
+	bp, err := build.Default.ImportDir(pd.dir, 0)
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, name := range bp.GoFiles {
+		f, err := parser.ParseFile(l.fset, filepath.Join(pd.dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	conf := types.Config{Importer: l}
+	pkg, err := conf.Check(path, l.fset, files, l.info)
+	if err != nil {
+		return nil, err
+	}
+	l.pkgs[path], l.files[path] = pkg, files
+	return pkg, nil
+}
+
+// refs collects which objects the checked code reaches.
+type refs struct {
+	info *types.Info
+	used map[types.Object]bool
+}
+
+// mark records obj as reached, as its generic origin when it is an
+// instance's member.
+func (r *refs) mark(obj types.Object) {
+	switch o := obj.(type) {
+	case *types.Func:
+		obj = o.Origin()
+	case *types.Var:
+		obj = o.Origin()
+	}
+	r.used[obj] = true
+}
+
+// file marks what each top-level declaration of f uses, apart from the
+// declaration's own objects: a function itself, a method and its
+// receiver's type, or the names a var, const or type spec defines.
+func (r *refs) file(f *ast.File) {
+	for _, decl := range f.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			own := []types.Object{r.info.Defs[d.Name]}
+			if d.Recv != nil {
+				own = append(own, recvType(r.info, d.Recv.List[0].Type))
+			}
+			r.node(d, own)
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				var own []types.Object
+				switch s := spec.(type) {
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						own = append(own, r.info.Defs[n])
+					}
+				case *ast.TypeSpec:
+					own = append(own, r.info.Defs[s.Name])
+				}
+				r.node(spec, own)
+			}
+		}
+	}
+}
+
+// recvType is the type name of a method receiver expression such as
+// *T or T[P].
+func recvType(info *types.Info, e ast.Expr) types.Object {
+	for {
+		switch x := e.(type) {
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.IndexListExpr:
+			e = x.X
+		case *ast.Ident:
+			return info.Uses[x]
+		default:
+			return nil
+		}
+	}
+}
+
+// node marks the objects n uses, except those in own; the struct fields
+// an unkeyed composite literal fills; and the embedded fields a
+// selection passes through.
+func (r *refs) node(n ast.Node, own []types.Object) {
+	ast.Inspect(n, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.Ident:
+			if obj := r.info.Uses[x]; obj != nil && !slices.Contains(own, obj) {
+				r.mark(obj)
+			}
+		case *ast.SelectorExpr:
+			if sel, ok := r.info.Selections[x]; ok {
+				r.path(sel.Recv(), sel.Index())
+			}
+		case *ast.CompositeLit:
+			st, ok := r.info.Types[x].Type.Underlying().(*types.Struct)
+			if ok && len(x.Elts) > 0 {
+				if _, keyed := x.Elts[0].(*ast.KeyValueExpr); !keyed {
+					for i := 0; i < st.NumFields(); i++ {
+						r.mark(st.Field(i))
+					}
+				}
+			}
+		}
+		return true
+	})
+}
+
+// path marks the embedded fields a selection with this index path walks
+// through from a value of type t.
+func (r *refs) path(t types.Type, index []int) {
+	for _, i := range index[:len(index)-1] {
+		if p, ok := t.Underlying().(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		st, ok := t.Underlying().(*types.Struct)
+		if !ok {
+			return
+		}
+		f := st.Field(i)
+		r.mark(f)
+		t = f.Type()
+	}
+}
+
+// interfaces marks every method through which a named type of the
+// checked packages (or an instance of one) satisfies an interface: one
+// declared at package level in any package the program loads or in
+// conventions, or one written as a literal in the checked code.
+func (r *refs) interfaces(checked []*types.Package, conventions *types.Package) {
+	byMethod := map[string][]*types.Interface{}
+	addIface := func(t types.Type) {
+		it, ok := t.Underlying().(*types.Interface)
+		if !ok || !it.IsMethodSet() || it.NumMethods() == 0 {
+			return
+		}
+		if n, ok := t.(*types.Named); ok && n.TypeParams().Len() > 0 {
+			return
+		}
+		for i := 0; i < it.NumMethods(); i++ {
+			name := it.Method(i).Name()
+			if !slices.Contains(byMethod[name], it) {
+				byMethod[name] = append(byMethod[name], it)
+			}
+		}
+	}
+	seen := map[*types.Package]bool{}
+	var walk func(*types.Package)
+	walk = func(p *types.Package) {
+		if seen[p] {
+			return
+		}
+		seen[p] = true
+		for _, name := range p.Scope().Names() {
+			if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok {
+				addIface(tn.Type())
+			}
+		}
+		for _, q := range p.Imports() {
+			walk(q)
+		}
+	}
+	walk(conventions)
+	var named []types.Type
+	for _, p := range checked {
+		walk(p)
+		scope := p.Scope()
+		for _, name := range scope.Names() {
+			if tn, ok := scope.Lookup(name).(*types.TypeName); ok {
+				if n, ok := tn.Type().(*types.Named); ok && n.TypeParams().Len() == 0 {
+					named = append(named, n)
+				}
+			}
+		}
+	}
+	for _, tv := range r.info.Types {
+		addIface(tv.Type)
+		if n, ok := tv.Type.(*types.Named); ok && n.Origin() != n {
+			named = append(named, n)
+		}
+	}
+	done := map[types.Type]bool{}
+	for _, t := range named {
+		if done[t] || types.IsInterface(t) {
+			continue
+		}
+		done[t] = true
+		ptr := types.NewPointer(t)
+		ms := types.NewMethodSet(ptr)
+		var cands []*types.Interface
+		for i := 0; i < ms.Len(); i++ {
+			for _, it := range byMethod[ms.At(i).Obj().Name()] {
+				if !slices.Contains(cands, it) {
+					cands = append(cands, it)
+				}
+			}
+		}
+		for _, it := range cands {
+			if !types.Implements(ptr, it) {
+				continue
+			}
+			for i := 0; i < it.NumMethods(); i++ {
+				m := it.Method(i)
+				obj, index, _ := types.LookupFieldOrMethod(ptr, false, m.Pkg(), m.Name())
+				if obj != nil {
+					r.mark(obj)
+					r.path(ptr, index)
+				}
+			}
+		}
+	}
+}

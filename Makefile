@@ -6,7 +6,7 @@ GO ?= go
 # Base ref for the perf-regression gate (CI passes the PR's base branch).
 BASE ?= origin/main
 
-.PHONY: all build test lint vet fmt-check docs-check deps-check reach-check race bench-smoke bench bench-gate ledger-frozen loc loc-diff fuzz-short serve-smoke load-smoke cluster-smoke chaos-smoke tier-smoke
+.PHONY: all build test lint vet fmt-check docs-check deps-check reach-check settings-check race bench-smoke bench bench-gate ledger-frozen loc loc-diff fuzz-short serve-smoke load-smoke cluster-smoke chaos-smoke tier-smoke
 
 all: build test
 
@@ -35,7 +35,7 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-lint: vet fmt-check docs-check deps-check reach-check
+lint: vet fmt-check docs-check deps-check reach-check settings-check
 
 # Godoc-coverage gate: go vet plus a doc-comment check over every
 # exported identifier of the operator-facing packages (retrieval, its
@@ -56,6 +56,13 @@ deps-check:
 # that type-checks this module and bench/; it names each offender).
 reach-check:
 	$(GO) test -run '^TestInternalNamesAreReached$$' .
+
+# Every field of an exported *Options or *Config struct, and every
+# retrieval With* option, has a setter outside the tests, unless its pin
+# lists it: a value only tests set is a constant (the root tier-1 test
+# that type-checks this module and bench/; it names each offender).
+settings-check:
+	$(GO) test -run '^TestSettingsAreSet$$' .
 
 # Race-detect the concurrency-bearing packages: the worker pool, the
 # numeric + retrieval layers built on it (the randomized SVD's panel

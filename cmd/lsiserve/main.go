@@ -404,9 +404,9 @@ func runRouter(ctx context.Context, cfg serveConfig, stdout, stderr io.Writer) e
 		return err
 	}
 	router, err := cluster.NewRouter(man, cluster.RouterOptions{
-		NodeTimeout:   cfg.timeout,
-		ProbeInterval: cfg.probeEvery,
-		Breaker:       cluster.BreakerOptions{OpenFor: cfg.breakerOpenFor},
+		NodeTimeout:    cfg.timeout,
+		ProbeInterval:  cfg.probeEvery,
+		BreakerOpenFor: cfg.breakerOpenFor,
 	})
 	if err != nil {
 		return err

@@ -94,7 +94,7 @@ func TestGenerateErrors(t *testing.T) {
 	if _, err := Generate(bad, 1, rng); err == nil {
 		t.Error("expected error for invalid model")
 	}
-	noSampler := &Model{NumTerms: 3, Topics: []*Topic{UniformTopic(3)}}
+	noSampler := &Model{NumTerms: 3, Topics: []*Topic{uniformTopic(t, 3)}}
 	if _, err := Generate(noSampler, 1, rng); err == nil {
 		t.Error("expected error for missing sampler")
 	}

@@ -47,19 +47,6 @@ func NewTopic(weights []float64) (*Topic, error) {
 	return &Topic{probs: probs, alias: newAliasTable(probs)}, nil
 }
 
-// UniformTopic returns the uniform distribution over n terms.
-func UniformTopic(n int) *Topic {
-	w := make([]float64, n)
-	for i := range w {
-		w[i] = 1
-	}
-	t, err := NewTopic(w)
-	if err != nil {
-		panic(err) // unreachable for n >= 1
-	}
-	return t
-}
-
 // NumTerms returns the universe size the topic is defined over.
 func (t *Topic) NumTerms() int { return len(t.probs) }
 

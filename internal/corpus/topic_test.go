@@ -86,13 +86,18 @@ func TestAliasSamplerDegenerate(t *testing.T) {
 	}
 }
 
-func TestUniformTopic(t *testing.T) {
-	tp := UniformTopic(4)
-	for i := 0; i < 4; i++ {
-		if math.Abs(tp.Prob(i)-0.25) > 1e-14 {
-			t.Fatalf("uniform Prob(%d) = %v", i, tp.Prob(i))
-		}
+// uniformTopic is the uniform distribution over n terms.
+func uniformTopic(t *testing.T, n int) *Topic {
+	t.Helper()
+	w := make([]float64, n)
+	for i := range w {
+		w[i] = 1
 	}
+	tp, err := NewTopic(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tp
 }
 
 func TestMassOn(t *testing.T) {
@@ -169,7 +174,7 @@ func TestAliasAndMixProperty(t *testing.T) {
 				t.Fatalf("trial %d: sampled term %d outside support", trial, term)
 			}
 		}
-		mix, err := MixTopics([]*Topic{tp, UniformTopic(n)}, []float64{rng.Float64() + 0.1, rng.Float64() + 0.1})
+		mix, err := MixTopics([]*Topic{tp, uniformTopic(t, n)}, []float64{rng.Float64() + 0.1, rng.Float64() + 0.1})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -89,16 +89,6 @@ func Concat(parts ...*Index) (*Index, error) {
 	return parts[0].concat(parts, 0), nil
 }
 
-// MustAppend is AppendDocument for callers that treat a length mismatch as
-// a programming error: it panics instead of returning the error.
-func (ix *Index) MustAppend(d []float64) int {
-	id, err := ix.AppendDocument(d)
-	if err != nil {
-		panic(err.Error())
-	}
-	return id
-}
-
 // EmptyLike returns a new index sharing this index's latent space (basis
 // and singular values) but holding zero documents. It is the seed of a
 // fresh fold-in segment in the sharded index: documents extended into it

@@ -136,17 +136,3 @@ func TestAppendDocumentWrongLengthErrors(t *testing.T) {
 		t.Fatalf("index mutated on failed append: %d docs", ix.NumDocs())
 	}
 }
-
-func TestMustAppendPanicsOnWrongLength(t *testing.T) {
-	c := testCorpus(t, 2, 5, 0, 8, 166)
-	ix, err := BuildFromCorpus(c, 2, corpus.CountWeighting, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	ix.MustAppend([]float64{1})
-}

@@ -87,7 +87,10 @@ func TestAppendDocumentsParallelMatchesSequentialFold(t *testing.T) {
 		t.Fatalf("first appended ID %d, want %d", start, ref.NumDocs())
 	}
 	for i, q := range queries {
-		id := ref.MustAppend(q)
+		id, err := ref.AppendDocument(q)
+		if err != nil {
+			t.Fatal(err)
+		}
 		want := ref.DocVector(id)
 		got := ix.DocVector(start + i)
 		for j := range want {

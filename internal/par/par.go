@@ -200,66 +200,80 @@ func run(l layout, fn func(chunk, lo, hi int)) {
 
 	poolOnce.Do(startPool)
 
-	var (
-		next     atomic.Int64
-		finished atomic.Int64
-		aborted  atomic.Bool
-		done     = make(chan struct{})
-		pmu      sync.Mutex
-		pval     *WorkerPanic
-	)
-	count := int64(l.count)
-	runChunk := func(c int) {
-		defer func() {
-			if r := recover(); r != nil {
-				aborted.Store(true)
-				pmu.Lock()
-				if pval == nil {
-					if wp, ok := r.(*WorkerPanic); ok {
-						pval = wp // a nested loop already wrapped it
-					} else {
-						pval = &WorkerPanic{Value: r, Stack: debug.Stack()}
-					}
-				}
-				pmu.Unlock()
-			}
-			// Every claimed chunk reports completion exactly once, panic
-			// or not; the last one releases the caller.
-			if finished.Add(1) == count {
-				close(done)
-			}
-		}()
-		if !aborted.Load() {
-			lo, hi := l.bounds(c)
-			fn(c, lo, hi)
-		}
-	}
-	runner := func() {
-		for {
-			c := next.Add(1) - 1
-			if c >= count {
-				return
-			}
-			runChunk(int(c))
-		}
-	}
-
-	// Hand up to workers-1 copies of the runner to the pool; the
-	// non-blocking send means a busy pool (e.g. inside a nested call)
-	// costs parallelism, never progress. The caller's runner only returns
-	// once every chunk has been claimed, so a queued copy that starts
-	// after that exits immediately — completion is signalled per chunk by
+	r := &runner{l: l, fn: fn, done: make(chan struct{})}
+	claim := r.claim
+	// Hand up to workers-1 copies of claim to the pool; the non-blocking
+	// send means a busy pool (e.g. inside a nested call) costs
+	// parallelism, never progress. The caller's claim only returns once
+	// every chunk has been claimed, so a queued copy that starts after
+	// that exits immediately — completion is signalled per chunk by
 	// runChunk, never by waiting on helpers.
 	for i := 0; i < workers-1; i++ {
 		select {
-		case jobs <- runner:
+		case jobs <- claim:
 		default:
 		}
 	}
-	runner() // the caller always participates
-	<-done
+	claim() // the caller always participates
+	<-r.done
 
-	if pval != nil {
-		panic(pval)
+	if r.pval != nil {
+		panic(r.pval)
+	}
+}
+
+// runner is the state one parallel run shares between the caller and the
+// pool's workers, in one allocation. As separate escaped variables the
+// counters were tiny objects, and the memory profile records a tiny
+// object only when it starts a new tiny block, which depends on the
+// processor the call runs on: a run's profiled allocation count followed
+// scheduling.
+type runner struct {
+	l        layout
+	fn       func(chunk, lo, hi int)
+	next     atomic.Int64
+	finished atomic.Int64
+	aborted  atomic.Bool
+	done     chan struct{}
+	pmu      sync.Mutex
+	pval     *WorkerPanic
+}
+
+// claim runs chunks until every chunk has been claimed.
+func (r *runner) claim() {
+	for {
+		c := r.next.Add(1) - 1
+		if c >= int64(r.l.count) {
+			return
+		}
+		r.runChunk(int(c))
+	}
+}
+
+// runChunk runs chunk c unless an earlier chunk panicked, records the
+// first panic, and closes done after the last chunk.
+func (r *runner) runChunk(c int) {
+	defer func() {
+		if v := recover(); v != nil {
+			r.aborted.Store(true)
+			r.pmu.Lock()
+			if r.pval == nil {
+				if wp, ok := v.(*WorkerPanic); ok {
+					r.pval = wp // a nested loop already wrapped it
+				} else {
+					r.pval = &WorkerPanic{Value: v, Stack: debug.Stack()}
+				}
+			}
+			r.pmu.Unlock()
+		}
+		// Every claimed chunk reports completion exactly once, panic
+		// or not; the last one releases the caller.
+		if r.finished.Add(1) == int64(r.l.count) {
+			close(r.done)
+		}
+	}()
+	if !r.aborted.Load() {
+		lo, hi := r.l.bounds(c)
+		r.fn(c, lo, hi)
 	}
 }

@@ -3,6 +3,8 @@ package svd
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/corpus"
@@ -365,4 +367,51 @@ func sameBits(x, y []float64) bool {
 		}
 	}
 	return true
+}
+
+// TestRandomizedLedgerShapeAllocsRepeat is mat's
+// TestQRLedgerShapeAllocsRepeat for the whole randomized SVD at the
+// ledger's shape (BenchmarkRandomizedLedgerShape's build), at
+// par.SetMaxProcs(2) and GOMAXPROCS 2: each run after the first must
+// allocate as many objects in repro/internal as the second.
+func TestRandomizedLedgerShapeAllocsRepeat(t *testing.T) {
+	if testing.Short() || race.Enabled {
+		t.Skip("the race detector allocates on its own; the ledger shape is slow")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	defer par.SetMaxProcs(par.SetMaxProcs(2))
+	m := ledgerShapeMatrix(t)
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	counts := make([]int64, 6)
+	for run := range counts {
+		before := ownAllocs()
+		if _, err := randomized(m.Block(), 64, RandomizedOptions{Rng: rand.New(rand.NewSource(7))}, gramPays); err != nil {
+			t.Fatal(err)
+		}
+		counts[run] = ownAllocs() - before
+	}
+	for _, c := range counts[2:] {
+		if c != counts[1] {
+			t.Fatalf("allocations per run after the first: %v, want one value", counts[1:])
+		}
+	}
+}
+
+// ownAllocs returns how many objects the functions of repro/internal have
+// allocated so far: the memory profile's records at rate 1 whose first
+// frame is such a function (mat's ownAllocs, which says why).
+func ownAllocs() int64 {
+	runtime.GC() // the profile reads as of the last collection
+	n, _ := runtime.MemProfile(nil, true)
+	recs := make([]runtime.MemProfileRecord, n+64)
+	n, _ = runtime.MemProfile(recs, true)
+	var total int64
+	for _, r := range recs[:n] {
+		f, _ := runtime.CallersFrames(r.Stack()).Next()
+		if strings.HasPrefix(f.Function, "repro/internal/") && f.Function != "repro/internal/svd.ownAllocs" {
+			total += r.AllocObjects
+		}
+	}
+	return total
 }

@@ -16,7 +16,6 @@
 package vsm
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -46,23 +45,14 @@ type Match = topk.Match
 
 // scratch is the reusable per-query accumulator state: a dense score
 // array indexed by document, an epoch-marked touched set (so reset is
-// O(1), not O(m)), the selection heap, and buffers for normalizing
-// unsorted sparse queries. Instances live in a sync.Pool and are sized
-// lazily to the largest index they have served.
+// O(1), not O(m)), and the selection heap. Instances live in a sync.Pool
+// and are sized lazily to the largest index they have served.
 type scratch struct {
 	scores  []float64 // dense per-document dot accumulator
 	mark    []int     // mark[d] == epoch ⇔ d is in touched this query
 	epoch   int
 	touched []int // documents hit by at least one query term, in first-hit order
 	heap    topk.Heap
-	pairs   []termWeight // sort/merge buffer for unsorted sparse queries
-	qterms  []int
-	qwts    []float64
-}
-
-type termWeight struct {
-	t int
-	w float64
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -190,10 +180,10 @@ func (ix *Index) AppendSearch(dst []Match, query []float64, topN int) []Match {
 // weight slices — the natural form for short queries. It is genuinely
 // sparse: cost is O(Σ|postings(tᵢ)|) in work and O(1) steady-state
 // allocations beyond the returned slice, with no vocabulary-length
-// materialization. Results are bitwise identical to Search over the
-// densified query: unsorted or duplicated terms are normalized (sorted
-// ascending, duplicate weights summed in input order) into pooled
-// scratch first. It panics on length mismatch or an out-of-range term.
+// materialization. Terms must be strictly ascending, the order in which
+// Search visits a dense query, so the results are bitwise identical to
+// Search over the densified query. It panics on length mismatch, an
+// out-of-range term or terms out of order.
 func (ix *Index) SearchSparse(terms []int, weights []float64, topN int) []Match {
 	return ix.AppendSearchSparse(nil, terms, weights, topN)
 }
@@ -204,20 +194,16 @@ func (ix *Index) AppendSearchSparse(dst []Match, terms []int, weights []float64,
 	if len(terms) != len(weights) {
 		panic(fmt.Sprintf("vsm: %d terms but %d weights", len(terms), len(weights)))
 	}
-	for _, t := range terms {
+	for i, t := range terms {
 		if t < 0 || t >= ix.numTerms {
 			panic(fmt.Sprintf("vsm: term %d out of range [0,%d)", t, ix.numTerms))
+		}
+		if i > 0 && t <= terms[i-1] {
+			panic(fmt.Sprintf("vsm: term %d after term %d; terms must be strictly ascending", t, terms[i-1]))
 		}
 	}
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
-	// The dense path visits terms in ascending order with duplicates
-	// pre-merged (q[t] += w), so matching its accumulation — and hence
-	// its bits — requires the same normal form. Sorted unique input (what
-	// the retrieval layer sends) passes through untouched.
-	if !sortedUnique(terms) {
-		terms, weights = sc.normalize(terms, weights)
-	}
 	sc.begin(ix.numDocs)
 	var qnorm float64
 	for i, t := range terms {
@@ -229,36 +215,4 @@ func (ix *Index) AppendSearchSparse(dst []Match, terms []int, weights []float64,
 		ix.accumulate(sc, t, qw)
 	}
 	return ix.finish(sc, dst, math.Sqrt(qnorm), topN)
-}
-
-// sortedUnique reports whether terms is strictly ascending.
-func sortedUnique(terms []int) bool {
-	for i := 1; i < len(terms); i++ {
-		if terms[i] <= terms[i-1] {
-			return false
-		}
-	}
-	return true
-}
-
-// normalize rewrites a sparse query into the dense path's normal form —
-// terms strictly ascending, duplicate weights summed in input order —
-// inside the scratch buffers, leaving the caller's slices untouched.
-func (s *scratch) normalize(terms []int, weights []float64) ([]int, []float64) {
-	s.pairs = s.pairs[:0]
-	for i, t := range terms {
-		s.pairs = append(s.pairs, termWeight{t: t, w: weights[i]})
-	}
-	slices.SortStableFunc(s.pairs, func(a, b termWeight) int { return cmp.Compare(a.t, b.t) })
-	s.qterms = s.qterms[:0]
-	s.qwts = s.qwts[:0]
-	for _, p := range s.pairs {
-		if n := len(s.qterms); n > 0 && s.qterms[n-1] == p.t {
-			s.qwts[n-1] += p.w
-			continue
-		}
-		s.qterms = append(s.qterms, p.t)
-		s.qwts = append(s.qwts, p.w)
-	}
-	return s.qterms, s.qwts
 }

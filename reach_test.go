@@ -6,7 +6,10 @@ package repro
 // there serves this module alone, so one that only tests call is code no
 // program runs. A grep cannot tell two methods of one name apart, so the
 // check type-checks the module (and bench/, a separate module that calls
-// it) with go/types and reads what each identifier resolves to.
+// it) with go/types and reads what each identifier resolves to. The
+// settings check on the same loader holds options to the same rule: a
+// field of an options struct, or a With* option, that only tests set is
+// a constant.
 
 import (
 	"go/ast"
@@ -56,22 +59,23 @@ var unreachedExported = []string{
 	"internal/corpus.Topic.MassOn",
 	"internal/corpus.Topic.MaxProb",
 	"internal/corpus.Topic.Prob",
-	// Not yet decided. UniformTopic and MustAppend are called by their own
-	// package's tests alone, one test each.
+	// Not yet decided. AppendDocument was reached through MustAppend
+	// alone, and AppendDocuments through AppendDocument: the index's
+	// in-place fold-in serves tests, while serving folds in through
+	// ExtendedSparse.
 	"internal/blob.NewMappedReader",
 	"internal/corpus.DocVector",
 	"internal/corpus.Document.Count",
 	"internal/corpus.Query.Vector",
 	"internal/corpus.Style.Apply",
 	"internal/corpus.Topic.Probs",
-	"internal/corpus.UniformTopic",
 	"internal/graphmodel.FromSimilarity",
 	"internal/ir.NewPipeline",
 	"internal/ir.SampleLabels",
 	"internal/ir.SampleTexts",
 	"internal/lsi.BuildFromCorpus",
+	"internal/lsi.Index.AppendDocument",
 	"internal/lsi.Index.ApproxMatrix",
-	"internal/lsi.Index.MustAppend",
 	"internal/lsi.Index.RelatedTerms",
 	"internal/lsi.Intertopic",
 	"internal/lsi.Intratopic",
@@ -119,6 +123,29 @@ func TestInternalNamesAreReached(t *testing.T) {
 // TestReachabilityCheckerFixture runs the checker on testdata/reach.txtar,
 // a module built to hold one case of each rule.
 func TestReachabilityCheckerFixture(t *testing.T) {
+	got := findUnreached(t, []module{{dir: unpackFixture(t), path: "fixture"}}, "")
+	wantExported := []string{"internal/a.CalledByTests", "internal/a.Twin.Label", "internal/a.Unused"}
+	if !slices.Equal(got.exported, wantExported) {
+		t.Errorf("exported = %q, want %q", got.exported, wantExported)
+	}
+	if want := []string{"internal/a.helper"}; !slices.Equal(got.unexported, want) {
+		t.Errorf("unexported = %q, want %q", got.unexported, want)
+	}
+}
+
+// TestSettingsCheckerFixture runs the settings check on the same module.
+func TestSettingsCheckerFixture(t *testing.T) {
+	got := findUnset(t, []module{{dir: unpackFixture(t), path: "fixture"}}, "", "fixture/retrieval")
+	want := []string{"retrieval.Options.Defaulted", "retrieval.Options.TestOnly", "retrieval.WithInside", "retrieval.WithTestOnly"}
+	if !slices.Equal(got.names, want) {
+		t.Errorf("unset = %q, want %q", got.names, want)
+	}
+}
+
+// unpackFixture writes the files of testdata/reach.txtar (each
+// "-- name --" line starts one) into a fresh directory and returns it.
+func unpackFixture(t *testing.T) string {
+	t.Helper()
 	archive, err := os.ReadFile(filepath.Join("testdata", "reach.txtar"))
 	if err != nil {
 		t.Fatal(err)
@@ -141,13 +168,54 @@ func TestReachabilityCheckerFixture(t *testing.T) {
 			}
 		}
 	}
-	got := findUnreached(t, []module{{dir: dir, path: "fixture"}}, "")
-	wantExported := []string{"internal/a.CalledByTests", "internal/a.Twin.Label", "internal/a.Unused"}
-	if !slices.Equal(got.exported, wantExported) {
-		t.Errorf("exported = %q, want %q", got.exported, wantExported)
+	return dir
+}
+
+// unsetSettings pins the settings no program sets: the fields of the
+// module's exported *Options and *Config structs, and retrieval's With*
+// options, that only tests set. A value only tests set is a constant
+// that costs a configuration to cover. The list may only shrink: a new
+// entry fails the test, and so does an entry that has since found a
+// setter or left the tree.
+var unsetSettings = []string{
+	// Kept: test seams, which the chaos and replica tests replace with a
+	// FakeClock and a fault-injecting transport.
+	"retrieval/cluster.ReplicaOptions.Client",
+	"retrieval/cluster.ReplicaOptions.Clock",
+	"retrieval/cluster.RouterOptions.Client",
+	"retrieval/cluster.RouterOptions.Clock",
+	// Kept: the retry budget. The chaos suite's failover scenarios need a
+	// zero budget; at the default one a transport failure waits for its
+	// backoff on a FakeClock nothing advances.
+	"retrieval/cluster.RouterOptions.RetryBudgetBurst",
+	"retrieval/cluster.RouterOptions.RetryBudgetRatio",
+	// Not yet decided. TierMinDocs as a constant would push the shard
+	// tests to 256-document segments; WithSeed's seed is recorded in the
+	// saved manifest.
+	"internal/experiments.JLConfig.Kind",
+	"internal/experiments.RuntimeConfig.SkipFull",
+	"internal/experiments.Table1Config.Engine",
+	"internal/experiments.Table1Config.Weighting",
+	"internal/experiments.Theorem2Config.Engine",
+	"internal/experiments.Theorem3Config.Engine",
+	"internal/experiments.Theorem5Config.Kind",
+	"internal/ivf.TrainOptions.Iters",
+	"internal/randproj.TwoStepOptions.RankFactor",
+	"retrieval.WithSeed",
+	"retrieval/shard.Config.TierMinDocs",
+}
+
+func TestSettingsAreSet(t *testing.T) {
+	got := findUnset(t, []module{{dir: ".", path: "repro"}, {dir: "bench", path: "repro/bench"}}, "repro/bench", "repro/retrieval")
+	for _, u := range got.names {
+		if !slices.Contains(unsetSettings, u) {
+			t.Errorf("%s: setting %s is set by tests alone; make it a constant", got.pos[u], u)
+		}
 	}
-	if want := []string{"internal/a.helper"}; !slices.Equal(got.unexported, want) {
-		t.Errorf("unexported = %q, want %q", got.unexported, want)
+	for _, u := range unsetSettings {
+		if !slices.Contains(got.names, u) {
+			t.Errorf("%s is set now or gone; take it off unsetSettings", u)
+		}
 	}
 }
 
@@ -174,35 +242,7 @@ type unreached struct {
 // field when a selection or such a method runs through it.
 func findUnreached(t *testing.T, mods []module, skipUnexported string) unreached {
 	t.Helper()
-	l := &loader{
-		fset:  token.NewFileSet(),
-		dirs:  map[string]pkgDir{},
-		files: map[string][]*ast.File{},
-		pkgs:  map[string]*types.Package{},
-		info: &types.Info{
-			Types:      map[ast.Expr]types.TypeAndValue{},
-			Defs:       map[*ast.Ident]types.Object{},
-			Uses:       map[*ast.Ident]types.Object{},
-			Selections: map[*ast.SelectorExpr]*types.Selection{},
-		},
-	}
-	l.std = importer.ForCompiler(l.fset, "gc", nil)
-	for _, m := range mods {
-		if err := l.scan(m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var paths []string
-	for p := range l.dirs {
-		paths = append(paths, p)
-	}
-	slices.Sort(paths)
-	for _, p := range paths {
-		if _, err := l.Import(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-
+	l, paths := load(t, mods)
 	r := &refs{info: l.info, used: map[types.Object]bool{}}
 	for _, p := range paths {
 		for _, f := range l.files[p] {
@@ -271,6 +311,151 @@ func findUnreached(t *testing.T, mods []module, skipUnexported string) unreached
 	}
 	slices.Sort(out.exported)
 	slices.Sort(out.unexported)
+	return out
+}
+
+// load type-checks the non-test packages of mods and returns them with
+// their import paths, sorted.
+func load(t *testing.T, mods []module) (*loader, []string) {
+	t.Helper()
+	l := &loader{
+		fset:  token.NewFileSet(),
+		dirs:  map[string]pkgDir{},
+		files: map[string][]*ast.File{},
+		pkgs:  map[string]*types.Package{},
+		info: &types.Info{
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		},
+	}
+	l.std = importer.ForCompiler(l.fset, "gc", nil)
+	for _, m := range mods {
+		if err := l.scan(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var paths []string
+	for p := range l.dirs {
+		paths = append(paths, p)
+	}
+	slices.Sort(paths)
+	for _, p := range paths {
+		if _, err := l.Import(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return l, paths
+}
+
+// unset is findUnset's answer: the sorted settings no program sets, by
+// their names relative to the module ("retrieval/httpapi.Options.Timeout",
+// "retrieval.WithSeed"), and where each is declared.
+type unset struct {
+	names []string
+	pos   map[string]token.Position
+}
+
+// findUnset type-checks the non-test packages of mods and returns the
+// settings that no code sets:
+//   - the fields of every exported struct type named *Options or *Config
+//     in a package outside the module path skip. A literal sets a field
+//     by its key, or all fields when it is unkeyed; an assignment, an
+//     increment or taking the address (a flag binding) sets one when it
+//     is not in a method of the field's own type, such as the
+//     withDefaults that fills in a zero value;
+//   - the With* functions of the package optPkg that no code outside
+//     that package references.
+func findUnset(t *testing.T, mods []module, skip, optPkg string) unset {
+	t.Helper()
+	l, paths := load(t, mods)
+	names := map[types.Object]string{}
+	owner := map[types.Object]types.Object{} // a field's struct type
+	for _, p := range paths {
+		if p == skip || strings.HasPrefix(p, skip+"/") {
+			continue
+		}
+		scope := l.pkgs[p].Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || !strings.HasSuffix(name, "Options") && !strings.HasSuffix(name, "Config") {
+				continue
+			}
+			if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+				for i := 0; i < st.NumFields(); i++ {
+					names[st.Field(i)] = l.dirs[p].name + "." + name + "." + st.Field(i).Name()
+					owner[st.Field(i)] = tn
+				}
+			}
+		}
+	}
+	scope := l.pkgs[optPkg].Scope()
+	for _, name := range scope.Names() {
+		if fn, ok := scope.Lookup(name).(*types.Func); ok && strings.HasPrefix(name, "With") && fn.Exported() {
+			names[fn] = l.dirs[optPkg].name + "." + name
+		}
+	}
+
+	set := map[types.Object]bool{}
+	for _, p := range paths {
+		for _, f := range l.files[p] {
+			for _, decl := range f.Decls {
+				var recv types.Object
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv != nil {
+					recv = recvType(l.info, fd.Recv.List[0].Type)
+				}
+				target := func(e ast.Expr) {
+					if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+						if obj := l.info.Uses[sel.Sel]; owner[obj] != nil && owner[obj] != recv {
+							set[obj] = true
+						}
+					}
+				}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					switch x := n.(type) {
+					case *ast.AssignStmt:
+						for _, lhs := range x.Lhs {
+							target(lhs)
+						}
+					case *ast.IncDecStmt:
+						target(x.X)
+					case *ast.UnaryExpr:
+						if x.Op == token.AND {
+							target(x.X)
+						}
+					case *ast.CompositeLit:
+						st, ok := l.info.Types[x].Type.Underlying().(*types.Struct)
+						if !ok || len(x.Elts) == 0 {
+							break
+						}
+						if _, keyed := x.Elts[0].(*ast.KeyValueExpr); !keyed {
+							for i := 0; i < st.NumFields(); i++ {
+								set[st.Field(i)] = true
+							}
+						}
+					case *ast.KeyValueExpr:
+						if key, ok := x.Key.(*ast.Ident); ok && owner[l.info.Uses[key]] != nil {
+							set[l.info.Uses[key]] = true
+						}
+					case *ast.Ident:
+						if obj, ok := l.info.Uses[x].(*types.Func); ok && p != optPkg && names[obj] != "" {
+							set[obj] = true
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	out := unset{pos: map[string]token.Position{}}
+	for obj, name := range names {
+		if !set[obj] {
+			out.names = append(out.names, name)
+			out.pos[name] = l.fset.Position(obj.Pos())
+		}
+	}
+	slices.Sort(out.names)
 	return out
 }
 

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/par"
 	"repro/internal/race"
 )
 
@@ -42,6 +43,8 @@ func TestTextSearchAllocsIndependentOfCorpusSize(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not exact under the race detector")
 	}
+	old := par.SetMaxProcs(1)
+	t.Cleanup(func() { par.SetMaxProcs(old) })
 	ctx := context.Background()
 	const query = "galaxy telescope engine"
 	for _, tc := range []struct {
@@ -60,7 +63,7 @@ func TestTextSearchAllocsIndependentOfCorpusSize(t *testing.T) {
 				for i, text := range texts {
 					docs[i] = Document{Text: text}
 				}
-				ix, err := tc.build(docs, append([]Option{WithRank(3), WithEngine(EngineDense), WithParallelism(1)}, tc.opts...)...)
+				ix, err := tc.build(docs, append([]Option{WithRank(3), WithEngine(EngineDense)}, tc.opts...)...)
 				if err != nil {
 					t.Fatal(err)
 				}

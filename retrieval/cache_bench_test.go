@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/par"
 	"repro/internal/segment"
 	"repro/retrieval/cache"
 )
@@ -25,6 +26,8 @@ import (
 // the scale of benchQueryIndex in the root bench suite.
 func benchCachedIndex(b *testing.B, cacheBytes int64) *Index {
 	b.Helper()
+	old := par.SetMaxProcs(1)
+	b.Cleanup(func() { par.SetMaxProcs(old) })
 	rng := rand.New(rand.NewSource(42))
 	vocab := make([]string, 600)
 	for i := range vocab {
@@ -38,7 +41,7 @@ func benchCachedIndex(b *testing.B, cacheBytes int64) *Index {
 		}
 		texts[i] = s
 	}
-	opts := []Option{WithRank(10), WithParallelism(1), WithStemming(false), WithStopwordRemoval(false)}
+	opts := []Option{WithRank(10), WithStemming(false), WithStopwordRemoval(false)}
 	if cacheBytes > 0 {
 		opts = append(opts, WithQueryCache(cacheBytes))
 	}

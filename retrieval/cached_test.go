@@ -10,6 +10,7 @@ import (
 	"unsafe"
 	"weak"
 
+	"repro/internal/par"
 	"repro/internal/race"
 	"repro/internal/segment"
 	"repro/retrieval/cache"
@@ -276,7 +277,9 @@ func TestCacheHitAllocsAtMostOne(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not exact under the race detector")
 	}
-	ix, err := Build(DemoCorpus(), WithRank(3), WithEngine(EngineDense), WithQueryCache(1<<20), WithParallelism(1))
+	old := par.SetMaxProcs(1)
+	t.Cleanup(func() { par.SetMaxProcs(old) })
+	ix, err := Build(DemoCorpus(), WithRank(3), WithEngine(EngineDense), WithQueryCache(1<<20))
 	if err != nil {
 		t.Fatal(err)
 	}

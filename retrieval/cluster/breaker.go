@@ -45,54 +45,23 @@ func (s BreakerState) String() string {
 	return "unknown"
 }
 
-// BreakerOptions configures a Breaker; zero values pick the documented
-// defaults.
-type BreakerOptions struct {
-	// ConsecutiveFailures trips the breaker after this many failures in
-	// a row (default 5).
-	ConsecutiveFailures int
-	// FailureRate trips the breaker when the rolling window's failure
-	// fraction reaches it (default 0.5).
-	FailureRate float64
-	// Window is the rolling outcome window length (default 20).
-	Window int
-	// MinSamples is how full the window must be before FailureRate can
-	// trip (default 10) — a single early failure is not a 100% rate.
-	MinSamples int
-	// OpenFor is the fail-fast cooldown before half-open (default 5s).
-	OpenFor time.Duration
-	// Clock is the breaker's time source (default faultinject.Real).
-	Clock faultinject.Clock
-}
-
-func (o BreakerOptions) withDefaults() BreakerOptions {
-	if o.ConsecutiveFailures <= 0 {
-		o.ConsecutiveFailures = 5
-	}
-	if o.FailureRate <= 0 {
-		o.FailureRate = 0.5
-	}
-	if o.Window <= 0 {
-		o.Window = 20
-	}
-	if o.MinSamples <= 0 {
-		o.MinSamples = 10
-	}
-	if o.OpenFor <= 0 {
-		o.OpenFor = 5 * time.Second
-	}
-	if o.Clock == nil {
-		o.Clock = faultinject.Real
-	}
-	return o
-}
+// A closed breaker trips after tripConsecutive failures in a row, or
+// once the last tripWindow outcomes hold at least tripMinSamples and
+// fail at tripRate or more — a single early failure is not a 100% rate.
+const (
+	tripConsecutive = 5
+	tripRate        = 0.5
+	tripWindow      = 20
+	tripMinSamples  = 10
+)
 
 // Breaker is one node's circuit breaker. Allow asks whether a request
 // may proceed; Record reports how an allowed request went. A denied
 // request must NOT be recorded — fail-fast outcomes would keep the
 // window saturated and the breaker could never observe recovery.
 type Breaker struct {
-	opts BreakerOptions
+	openFor time.Duration
+	clock   faultinject.Clock
 
 	mu       sync.Mutex
 	state    BreakerState
@@ -107,10 +76,10 @@ type Breaker struct {
 	trips int64
 }
 
-// NewBreaker returns a closed breaker.
-func NewBreaker(opts BreakerOptions) *Breaker {
-	o := opts.withDefaults()
-	return &Breaker{opts: o, window: make([]bool, o.Window)}
+// NewBreaker returns a closed breaker that fails fast for openFor after
+// each trip, timed by clock.
+func NewBreaker(openFor time.Duration, clock faultinject.Clock) *Breaker {
+	return &Breaker{openFor: openFor, clock: clock, window: make([]bool, tripWindow)}
 }
 
 // Allow reports whether a request may proceed now. An open breaker
@@ -123,7 +92,7 @@ func (b *Breaker) Allow() bool {
 	case BreakerClosed:
 		return true
 	case BreakerOpen:
-		if b.opts.Clock.Now().Sub(b.openedAt) < b.opts.OpenFor {
+		if b.clock.Now().Sub(b.openedAt) < b.openFor {
 			return false
 		}
 		b.state = BreakerHalfOpen
@@ -169,9 +138,9 @@ func (b *Breaker) Record(ok bool) {
 		} else {
 			b.consec = 0
 		}
-		tripRate := b.wLen >= b.opts.MinSamples &&
-			float64(b.wFails)/float64(b.wLen) >= b.opts.FailureRate
-		if b.consec >= b.opts.ConsecutiveFailures || tripRate {
+		rateTrips := b.wLen >= tripMinSamples &&
+			float64(b.wFails)/float64(b.wLen) >= tripRate
+		if b.consec >= tripConsecutive || rateTrips {
 			b.toOpen()
 		}
 	case BreakerOpen:
@@ -183,7 +152,7 @@ func (b *Breaker) Record(ok bool) {
 // toOpen transitions to open (caller holds b.mu).
 func (b *Breaker) toOpen() {
 	b.state = BreakerOpen
-	b.openedAt = b.opts.Clock.Now()
+	b.openedAt = b.clock.Now()
 	b.probing = false
 	b.trips++
 }
@@ -221,7 +190,7 @@ func (b *Breaker) Ready() bool {
 	case BreakerClosed:
 		return true
 	case BreakerOpen:
-		return b.opts.Clock.Now().Sub(b.openedAt) >= b.opts.OpenFor
+		return b.clock.Now().Sub(b.openedAt) >= b.openFor
 	default: // half-open
 		return !b.probing
 	}

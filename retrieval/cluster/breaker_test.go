@@ -12,15 +12,10 @@ import (
 	"repro/internal/faultinject"
 )
 
+const testOpenFor = 5 * time.Second
+
 func testBreaker(clk faultinject.Clock) *Breaker {
-	return NewBreaker(BreakerOptions{
-		ConsecutiveFailures: 3,
-		FailureRate:         0.5,
-		Window:              8,
-		MinSamples:          4,
-		OpenFor:             5 * time.Second,
-		Clock:               clk,
-	})
+	return NewBreaker(testOpenFor, clk)
 }
 
 // TestBreakerConsecutiveTrip: closed → open on a failure run, fail-fast
@@ -28,19 +23,19 @@ func testBreaker(clk faultinject.Clock) *Breaker {
 func TestBreakerConsecutiveTrip(t *testing.T) {
 	clk := faultinject.NewFakeClock(time.Unix(0, 0))
 	b := testBreaker(clk)
-	for i := 0; i < 3; i++ {
+	for i := 0; i < tripConsecutive; i++ {
 		if !b.Allow() {
 			t.Fatalf("closed breaker denied request %d", i)
 		}
 		b.Record(false)
 	}
 	if b.State() != BreakerOpen || b.Trips() != 1 {
-		t.Fatalf("after 3 consecutive failures: state %v, trips %d", b.State(), b.Trips())
+		t.Fatalf("after %d consecutive failures: state %v, trips %d", tripConsecutive, b.State(), b.Trips())
 	}
 	if b.Allow() {
 		t.Fatal("open breaker admitted a request before the cooldown")
 	}
-	clk.Advance(5 * time.Second)
+	clk.Advance(testOpenFor)
 	if !b.Allow() {
 		t.Fatal("cooled-down breaker refused the half-open probe")
 	}
@@ -62,20 +57,19 @@ func TestBreakerConsecutiveTrip(t *testing.T) {
 }
 
 // TestBreakerRateTrip: non-consecutive failures trip via the windowed
-// rate once MinSamples is met.
+// rate once tripMinSamples is met.
 func TestBreakerRateTrip(t *testing.T) {
 	clk := faultinject.NewFakeClock(time.Unix(0, 0))
 	b := testBreaker(clk)
-	// Alternate success/failure: never 3 in a row, but 50% failing.
-	outcomes := []bool{true, false, true, false, true, false, true, false}
-	for i, ok := range outcomes {
+	// Alternate success/failure: never 2 in a row, but 50% failing.
+	for i := 0; i < tripWindow; i++ {
 		if b.State() == BreakerOpen {
 			break
 		}
 		b.Allow()
-		b.Record(ok)
-		if i < 3 && b.State() != BreakerClosed {
-			t.Fatalf("tripped at sample %d, before MinSamples", i)
+		b.Record(i%2 == 0)
+		if i < tripMinSamples-1 && b.State() != BreakerClosed {
+			t.Fatalf("tripped at sample %d, before tripMinSamples", i)
 		}
 	}
 	if b.State() != BreakerOpen {
@@ -88,11 +82,11 @@ func TestBreakerRateTrip(t *testing.T) {
 func TestBreakerHalfOpenFailureReopens(t *testing.T) {
 	clk := faultinject.NewFakeClock(time.Unix(0, 0))
 	b := testBreaker(clk)
-	for i := 0; i < 3; i++ {
+	for i := 0; i < tripConsecutive; i++ {
 		b.Allow()
 		b.Record(false)
 	}
-	clk.Advance(5 * time.Second)
+	clk.Advance(testOpenFor)
 	if !b.Allow() {
 		t.Fatal("no probe after cooldown")
 	}
@@ -103,7 +97,7 @@ func TestBreakerHalfOpenFailureReopens(t *testing.T) {
 	if b.Allow() {
 		t.Fatal("re-opened breaker admitted a request without a new cooldown")
 	}
-	clk.Advance(5 * time.Second)
+	clk.Advance(testOpenFor)
 	if !b.Allow() {
 		t.Fatal("no probe after second cooldown")
 	}
@@ -118,7 +112,7 @@ func TestBreakerHalfOpenFailureReopens(t *testing.T) {
 func TestBreakerDeniedRequestsNotRecorded(t *testing.T) {
 	clk := faultinject.NewFakeClock(time.Unix(0, 0))
 	b := testBreaker(clk)
-	for i := 0; i < 3; i++ {
+	for i := 0; i < tripConsecutive; i++ {
 		b.Allow()
 		b.Record(false)
 	}
@@ -127,7 +121,7 @@ func TestBreakerDeniedRequestsNotRecorded(t *testing.T) {
 			t.Fatal("open breaker admitted a request")
 		}
 	}
-	clk.Advance(5 * time.Second)
+	clk.Advance(testOpenFor)
 	if !b.Allow() {
 		t.Fatal("denials poisoned the breaker: no probe after cooldown")
 	}
@@ -199,11 +193,11 @@ func TestBackoffJitterBounds(t *testing.T) {
 func TestBreakerCancelReleasesProbe(t *testing.T) {
 	clk := faultinject.NewFakeClock(time.Unix(0, 0))
 	b := testBreaker(clk)
-	for i := 0; i < 3; i++ {
+	for i := 0; i < tripConsecutive; i++ {
 		b.Allow()
 		b.Record(false)
 	}
-	clk.Advance(5 * time.Second)
+	clk.Advance(testOpenFor)
 	if !b.Allow() {
 		t.Fatal("post-cooldown probe denied")
 	}
@@ -237,14 +231,14 @@ func TestBreakerReadyHasNoSideEffects(t *testing.T) {
 	if !b.Ready() {
 		t.Fatal("closed breaker not ready")
 	}
-	for i := 0; i < 3; i++ {
+	for i := 0; i < tripConsecutive; i++ {
 		b.Allow()
 		b.Record(false)
 	}
 	if b.Ready() {
 		t.Fatal("open breaker inside its cooldown reported ready")
 	}
-	clk.Advance(5 * time.Second)
+	clk.Advance(testOpenFor)
 	for i := 0; i < 3; i++ {
 		if !b.Ready() {
 			t.Fatalf("ready call %d after cooldown: denied", i)

@@ -110,7 +110,7 @@ func TestChaosFlappingNodeBreakerTripsAndRecovers(t *testing.T) {
 	ft := &faultinject.Transport{Clock: clk}
 	mp := startMirrorPair(t, ft, cluster.RouterOptions{
 		Clock:            clk,
-		Breaker:          cluster.BreakerOptions{ConsecutiveFailures: 3, OpenFor: time.Second},
+		BreakerOpenFor:   time.Second,
 		RetryBudgetRatio: 0.01, RetryBudgetBurst: 0.5, // no same-node retries: pure failover
 	})
 	ctx := context.Background()
@@ -131,15 +131,15 @@ func TestChaosFlappingNodeBreakerTripsAndRecovers(t *testing.T) {
 
 	// The primary begins failing every request at the connection level.
 	ft.SetRules(&faultinject.Rule{Host: mp.priHost, Err: errors.New("chaos: flap")})
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 2*cluster.TripConsecutive; i++ {
 		assertServes(fmt.Sprintf("during flap, query %d", i))
 	}
 	st := mp.router.RouterStats()
 	if st.BreakerTrips != 1 || st.BreakersOpen != 1 {
 		t.Fatalf("flapping primary: trips=%d open=%d, want 1 and 1 (%+v)", st.BreakerTrips, st.BreakersOpen, st)
 	}
-	if st.NodeErrors < 3 {
-		t.Fatalf("flap produced only %d node errors, want >= 3", st.NodeErrors)
+	if st.NodeErrors < cluster.TripConsecutive {
+		t.Fatalf("flap produced only %d node errors, want >= %d", st.NodeErrors, cluster.TripConsecutive)
 	}
 	if st.BreakerDenied == 0 {
 		t.Fatal("open breaker never failed fast — every request still hit the dead node")
@@ -169,8 +169,7 @@ func TestChaosCanceledProbeReleasesBreaker(t *testing.T) {
 	ft := &faultinject.Transport{Clock: clk}
 	mp := startMirrorPair(t, ft, cluster.RouterOptions{
 		Clock:            clk,
-		HedgeAfter:       100 * time.Millisecond,
-		Breaker:          cluster.BreakerOptions{ConsecutiveFailures: 3, OpenFor: time.Second},
+		BreakerOpenFor:   time.Second,
 		RetryBudgetRatio: 0.01, RetryBudgetBurst: 0.5,
 	})
 	ctx := context.Background()
@@ -182,7 +181,7 @@ func TestChaosCanceledProbeReleasesBreaker(t *testing.T) {
 	// Trip the primary's breaker, then heal the node and let the
 	// cooldown elapse: the next request is the half-open probe.
 	ft.SetRules(&faultinject.Rule{Host: mp.priHost, Err: errors.New("chaos: flap")})
-	for i := 0; i < 3; i++ {
+	for i := 0; i < cluster.TripConsecutive; i++ {
 		if _, _, err := search(ctx, mp.router, "car engine", 8); err != nil {
 			t.Fatalf("query %d during flap: %v", i, err)
 		}
@@ -208,7 +207,7 @@ func TestChaosCanceledProbeReleasesBreaker(t *testing.T) {
 	// means the probe slot is already claimed. Fire the hedge: the
 	// replica wins and the returning call cancels the in-flight probe.
 	clk.BlockUntil(2)
-	clk.Advance(100 * time.Millisecond)
+	clk.Advance(cluster.HedgeAfter)
 	if err := <-done; err != nil {
 		t.Fatalf("search while probe hangs: %v", err)
 	}
@@ -244,7 +243,6 @@ func TestChaosPartitionMarksPartial(t *testing.T) {
 	router, err := cluster.NewRouter(tc.man, cluster.RouterOptions{
 		Client:           httpClient(ft),
 		NodeTimeout:      150 * time.Millisecond,
-		HedgeAfter:       30 * time.Millisecond,
 		RetryBudgetRatio: 0.01, RetryBudgetBurst: 0.5,
 	})
 	if err != nil {
@@ -301,7 +299,7 @@ func TestChaosWritePathNoAckedWriteLost(t *testing.T) {
 	router, err := cluster.NewRouter(tc.man, cluster.RouterOptions{
 		Client:           httpClient(ft),
 		Clock:            clk,
-		Breaker:          cluster.BreakerOptions{ConsecutiveFailures: 3, OpenFor: time.Second},
+		BreakerOpenFor:   time.Second,
 		RetryBudgetRatio: 0.01, RetryBudgetBurst: 0.5,
 	})
 	if err != nil {
@@ -343,8 +341,8 @@ func TestChaosWritePathNoAckedWriteLost(t *testing.T) {
 
 	// Sustained write faults trip the primary's breaker; the next write
 	// is denied BEFORE any byte lands, so ingest must stay live.
-	ft.SetRules(&faultinject.Rule{Class: faultinject.ClassDocs, Err: errors.New("chaos: sustained"), Remaining: 3})
-	for i := 12; i < 15; i++ {
+	ft.SetRules(&faultinject.Rule{Class: faultinject.ClassDocs, Err: errors.New("chaos: sustained"), Remaining: cluster.TripConsecutive})
+	for i := 12; i < 12+cluster.TripConsecutive; i++ {
 		addOne(i)
 	}
 	_, err = router.Add(ctx, []retrieval.Document{{ID: "denied", Text: "never sent"}})
@@ -377,16 +375,13 @@ func TestChaosWritePathNoAckedWriteLost(t *testing.T) {
 }
 
 // TestChaosSlowNodeHedgesDeterministically: a slow (not failing)
-// primary is raced after HedgeAfter and the replica's answer wins —
+// primary is raced after hedgeAfter and the replica's answer wins —
 // driven entirely by explicit clock advances — and the canceled
 // straggler is not punished as a node failure.
 func TestChaosSlowNodeHedgesDeterministically(t *testing.T) {
 	clk := faultinject.NewFakeClock(time.Unix(0, 0))
 	ft := &faultinject.Transport{Clock: clk}
-	mp := startMirrorPair(t, ft, cluster.RouterOptions{
-		Clock:      clk,
-		HedgeAfter: 100 * time.Millisecond,
-	})
+	mp := startMirrorPair(t, ft, cluster.RouterOptions{Clock: clk})
 	ctx := context.Background()
 	want, err := mp.central.Search(ctx, "stars and galaxies", 8)
 	if err != nil {
@@ -407,7 +402,7 @@ func TestChaosSlowNodeHedgesDeterministically(t *testing.T) {
 	// Two timers must be pending: the router's hedge timer and the
 	// injected latency. Fire the hedge; the replica answers and wins.
 	clk.BlockUntil(2)
-	clk.Advance(100 * time.Millisecond)
+	clk.Advance(cluster.HedgeAfter)
 	a := <-done
 	if a.err != nil || a.partial {
 		t.Fatalf("hedged search: partial=%v err=%v", a.partial, a.err)
@@ -523,7 +518,7 @@ func TestRouterBreakerMetricsExposition(t *testing.T) {
 	ft := &faultinject.Transport{Clock: clk}
 	mp := startMirrorPair(t, ft, cluster.RouterOptions{
 		Clock:            clk,
-		Breaker:          cluster.BreakerOptions{ConsecutiveFailures: 3, OpenFor: time.Second},
+		BreakerOpenFor:   time.Second,
 		RetryBudgetRatio: 0.01, RetryBudgetBurst: 0.5,
 	})
 	ctx := context.Background()
@@ -534,7 +529,7 @@ func TestRouterBreakerMetricsExposition(t *testing.T) {
 		&faultinject.Rule{Host: mp.priHost, Class: faultinject.ClassProbe, Err: errors.New("chaos: probe out")},
 		&faultinject.Rule{Host: mp.priHost, Err: errors.New("chaos: down")},
 	)
-	for i := 0; i < 4; i++ {
+	for i := 0; i < cluster.TripConsecutive+1; i++ {
 		if _, _, err := search(ctx, mp.router, "car engine", 5); err != nil {
 			t.Fatalf("query %d during incident: %v", i, err)
 		}

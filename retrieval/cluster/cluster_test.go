@@ -74,7 +74,7 @@ func startCluster(t *testing.T, nDocs, shards int) *testCluster {
 		man.Nodes = append(man.Nodes, cluster.Node{Name: fmt.Sprintf("n%d", s), URL: srv.URL, Shard: s})
 	}
 	tc.man = man
-	r, err := cluster.NewRouter(man, cluster.RouterOptions{HedgeAfter: 30 * time.Millisecond, NodeTimeout: 5 * time.Second})
+	r, err := cluster.NewRouter(man, cluster.RouterOptions{NodeTimeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

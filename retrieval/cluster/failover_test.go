@@ -81,7 +81,7 @@ func TestClusterFailoverEndToEnd(t *testing.T) {
 		{Name: "n1", URL: servers[1].URL, Shard: 1},
 		{Name: "n1-replica", URL: repSrv.URL, Shard: 1, Replica: true},
 	}}
-	router, err := cluster.NewRouter(man, cluster.RouterOptions{HedgeAfter: 25 * time.Millisecond, NodeTimeout: 5 * time.Second})
+	router, err := cluster.NewRouter(man, cluster.RouterOptions{NodeTimeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestReplicaRunLoop(t *testing.T) {
 	tc := startCluster(t, 12, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	rep := cluster.NewReplica(tc.servers[1].URL, t.TempDir(), cluster.ReplicaOptions{PollInterval: 10 * time.Millisecond})
+	rep := cluster.NewReplica(tc.servers[1].URL, t.TempDir(), cluster.ReplicaOptions{})
 	if err := rep.Bootstrap(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestReplicaRunLoop(t *testing.T) {
 	if _, err := tc.router.Add(ctx, corpus(6)); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
+	deadline := time.Now().Add(10 * cluster.PollInterval)
 	for rep.NumDocs() != tc.nodes[1].NumDocs() {
 		if time.Now().After(deadline) {
 			t.Fatalf("replica stuck at %d docs, primary holds %d", rep.NumDocs(), tc.nodes[1].NumDocs())

@@ -34,7 +34,7 @@ func (r *Router) health(node Node) *nodeHealth {
 	defer r.healthMu.Unlock()
 	h, ok := r.nodeHealth[node.URL]
 	if !ok {
-		h = &nodeHealth{breaker: NewBreaker(r.opts.Breaker)}
+		h = &nodeHealth{breaker: NewBreaker(r.opts.BreakerOpenFor, r.clock)}
 		r.nodeHealth[node.URL] = h
 	}
 	return h

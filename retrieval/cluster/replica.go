@@ -23,8 +23,6 @@ import (
 // ReplicaOptions configures a Replica; zero values pick the documented
 // defaults.
 type ReplicaOptions struct {
-	// PollInterval is the WAL-tail cadence of Run (default 500ms).
-	PollInterval time.Duration
 	// NodeTimeout bounds each request to the primary (default 10s — a
 	// snapshot file pull moves real bytes).
 	NodeTimeout time.Duration
@@ -36,6 +34,9 @@ type ReplicaOptions struct {
 	Clock faultinject.Clock
 }
 
+// Run tails the primary's WAL every pollInterval.
+const pollInterval = 500 * time.Millisecond
+
 // A snapshot file gets at most pullAttempts transfers, pullBackoff apart
 // and doubling; a cut one resumes from the last byte that landed.
 const (
@@ -44,9 +45,6 @@ const (
 )
 
 func (o ReplicaOptions) withDefaults() ReplicaOptions {
-	if o.PollInterval <= 0 {
-		o.PollInterval = 500 * time.Millisecond
-	}
 	if o.NodeTimeout <= 0 {
 		o.NodeTimeout = 10 * time.Second
 	}
@@ -365,7 +363,7 @@ func (r *Replica) CatchUp(ctx context.Context) (int, error) {
 	return len(resp.Docs), nil
 }
 
-// Run tails the primary until ctx ends, sleeping PollInterval between
+// Run tails the primary until ctx ends, sleeping pollInterval between
 // rounds on the replica's clock. Errors are recorded (see
 // ReplicaStats.LastError) and retried on the next round; only ctx
 // cancellation stops the loop.
@@ -374,7 +372,7 @@ func (r *Replica) Run(ctx context.Context) {
 		select {
 		case <-ctx.Done():
 			return
-		case <-r.clock.After(r.opts.PollInterval):
+		case <-r.clock.After(pollInterval):
 			r.CatchUp(ctx)
 		}
 	}

@@ -28,11 +28,6 @@ type RouterOptions struct {
 	// NodeTimeout bounds each per-node request (default 2s). The
 	// caller's context still applies on top.
 	NodeTimeout time.Duration
-	// HedgeAfter is how long the router waits on a node before also
-	// trying the shard's next candidate (default 150ms). A node that
-	// fails outright is hedged immediately, without waiting. The first
-	// success wins; stragglers are canceled.
-	HedgeAfter time.Duration
 	// Client is the HTTP client for node requests (default: a dedicated
 	// client with sane connection reuse).
 	Client *http.Client
@@ -42,9 +37,9 @@ type RouterOptions struct {
 	// faultinject.Real); chaos tests inject a FakeClock and drive every
 	// timing decision deterministically.
 	Clock faultinject.Clock
-	// Breaker configures the per-node circuit breakers; its Clock
-	// defaults to the router's.
-	Breaker BreakerOptions
+	// BreakerOpenFor is how long an open per-node circuit breaker fails
+	// fast before it admits its half-open probe (default 5s).
+	BreakerOpenFor time.Duration
 	// RetryBudgetRatio is the retry budget's refill per logical node
 	// request (default 0.1): across the router, retries cannot exceed
 	// ~this fraction of traffic, so a dead cluster sees failing
@@ -56,6 +51,11 @@ type RouterOptions struct {
 	// (default 2s).
 	ProbeInterval time.Duration
 }
+
+// The router waits hedgeAfter on a node before also trying the shard's
+// next candidate. A node that fails outright is hedged immediately,
+// without waiting. The first success wins; stragglers are canceled.
+const hedgeAfter = 150 * time.Millisecond
 
 // A transport-level failure retries on the same node at most maxRetries
 // times (status errors fail over by hedging; each retry needs the budget's
@@ -72,17 +72,14 @@ func (o RouterOptions) withDefaults() RouterOptions {
 	if o.NodeTimeout <= 0 {
 		o.NodeTimeout = 2 * time.Second
 	}
-	if o.HedgeAfter <= 0 {
-		o.HedgeAfter = 150 * time.Millisecond
-	}
 	if o.Client == nil {
 		o.Client = &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 16}}
 	}
 	if o.Clock == nil {
 		o.Clock = faultinject.Real
 	}
-	if o.Breaker.Clock == nil {
-		o.Breaker.Clock = o.Clock
+	if o.BreakerOpenFor <= 0 {
+		o.BreakerOpenFor = 5 * time.Second
 	}
 	if o.ProbeInterval <= 0 {
 		o.ProbeInterval = 2 * time.Second
@@ -334,7 +331,7 @@ func (r *Router) do(ctx context.Context, node Node, path string, body, out any) 
 
 // hedged runs call against a shard's candidates, primary first. A
 // candidate that errors is replaced immediately; one that is merely
-// slow is raced against the next candidate after HedgeAfter. The first
+// slow is raced against the next candidate after hedgeAfter. The first
 // success wins and cancels the stragglers; when every candidate has
 // failed the last error is returned.
 func hedged[T any](r *Router, ctx context.Context, nodes []Node, call func(context.Context, Node) (T, error)) (T, error) {
@@ -357,7 +354,7 @@ func hedged[T any](r *Router, ctx context.Context, nodes []Node, call func(conte
 		}()
 	}
 	launch()
-	hedge := r.clock.After(r.opts.HedgeAfter)
+	hedge := r.clock.After(hedgeAfter)
 	var lastErr error
 	for {
 		select {
@@ -382,7 +379,7 @@ func hedged[T any](r *Router, ctx context.Context, nodes []Node, call func(conte
 			if launched < len(nodes) {
 				r.hedges.Add(1)
 				launch()
-				hedge = r.clock.After(r.opts.HedgeAfter)
+				hedge = r.clock.After(hedgeAfter)
 			}
 		case <-ctx.Done():
 			return zero, ctx.Err()

@@ -92,8 +92,6 @@ type Options struct {
 	// clamped, not rejected (default 100). Requests with topN <= 0 get
 	// defaultTopN, capped the same way.
 	MaxTopN int
-	// MaxBatch caps the number of queries in one batch call (default 256).
-	MaxBatch int
 
 	// MaxInFlight caps concurrently executing search/docs requests
 	// (0 = unlimited). When the cap is reached, up to MaxQueue further
@@ -134,6 +132,7 @@ type Options struct {
 const (
 	defaultTopN  = 10      // the result count of a request that omits topN
 	maxBodyBytes = 1 << 20 // the cap on a request body
+	maxBatch     = 256     // the cap on the queries or documents of one batch call
 )
 
 func (o Options) withDefaults() Options {
@@ -142,9 +141,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxTopN <= 0 {
 		o.MaxTopN = 100
-	}
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 256
 	}
 	if o.MaxInFlight > 0 && o.MaxQueue <= 0 {
 		o.MaxQueue = 4 * o.MaxInFlight
@@ -478,8 +474,8 @@ func (h *handler) searchBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "\"queries\" must contain at least one query")
 		return
 	}
-	if len(req.Queries) > h.opts.MaxBatch {
-		writeError(w, http.StatusBadRequest, "batch of %d queries exceeds the limit of %d", len(req.Queries), h.opts.MaxBatch)
+	if len(req.Queries) > maxBatch {
+		writeError(w, http.StatusBadRequest, "batch of %d queries exceeds the limit of %d", len(req.Queries), maxBatch)
 		return
 	}
 	topN, ok := h.clampTopN(w, req.TopN)
@@ -551,8 +547,8 @@ func (h *handler) addDocs(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "\"docs\" must contain at least one document")
 		return
 	}
-	if len(req.Docs) > h.opts.MaxBatch {
-		writeError(w, http.StatusBadRequest, "batch of %d documents exceeds the limit of %d", len(req.Docs), h.opts.MaxBatch)
+	if len(req.Docs) > maxBatch {
+		writeError(w, http.StatusBadRequest, "batch of %d documents exceeds the limit of %d", len(req.Docs), maxBatch)
 		return
 	}
 	docs := make([]retrieval.Document, len(req.Docs))

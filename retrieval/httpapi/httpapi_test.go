@@ -35,8 +35,13 @@ func do(t *testing.T, h http.Handler, method, path, body string) *httptest.Respo
 	return rec
 }
 
+// batchBody is a batch request whose key lists n copies of item.
+func batchBody(key, item string, n int) string {
+	return `{"` + key + `":[` + strings.TrimSuffix(strings.Repeat(item+",", n), ",") + `]}`
+}
+
 func TestHandlerTable(t *testing.T) {
-	h := demoHandler(t, Options{MaxTopN: 5, MaxBatch: 3})
+	h := demoHandler(t, Options{MaxTopN: 5})
 	ix, _ := retrieval.Build(retrieval.DemoCorpus(), retrieval.WithRank(3))
 	wrongLen := make([]float64, ix.NumTerms()+7)
 	wrongLenBody, _ := json.Marshal(SearchRequest{Vector: wrongLen, TopN: 3})
@@ -63,7 +68,7 @@ func TestHandlerTable(t *testing.T) {
 		{"search wrong method", "GET", "/v1/search", "", 405, ""},
 		{"batch ok", "POST", "/v1/search:batch", `{"queries":["car","galaxy"],"topN":2}`, 200, `"results"`},
 		{"batch empty", "POST", "/v1/search:batch", `{"queries":[]}`, 400, "at least one"},
-		{"batch too large", "POST", "/v1/search:batch", `{"queries":["a","b","c","d"]}`, 400, "exceeds the limit"},
+		{"batch too large", "POST", "/v1/search:batch", batchBody("queries", `"a"`, maxBatch+1), 400, "exceeds the limit"},
 		{"batch bad json", "POST", "/v1/search:batch", `[]`, 400, "invalid JSON"},
 		{"batch negative topN", "POST", "/v1/search:batch", `{"queries":["car"],"topN":-1}`, 400, "topN"},
 		{"unknown path", "GET", "/v1/nope", "", 404, ""},
@@ -214,7 +219,7 @@ func shardedHandler(t *testing.T) (http.Handler, *retrieval.Index) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ix.Close() })
-	return NewHandler(ix, Options{MaxBatch: 4}), ix
+	return NewHandler(ix, Options{}), ix
 }
 
 func TestLiveDocsEndpoints(t *testing.T) {
@@ -258,7 +263,7 @@ func TestLiveDocsEndpoints(t *testing.T) {
 	}{
 		{"missing text", "/v1/docs", `{"id":"x"}`, 400, "text"},
 		{"empty batch", "/v1/docs:batch", `{"docs":[]}`, 400, "at least one"},
-		{"batch too large", "/v1/docs:batch", `{"docs":[{"text":"a"},{"text":"b"},{"text":"c"},{"text":"d"},{"text":"e"}]}`, 400, "limit"},
+		{"batch too large", "/v1/docs:batch", batchBody("docs", `{"text":"a"}`, maxBatch+1), 400, "limit"},
 		{"batch missing text", "/v1/docs:batch", `{"docs":[{"id":"x"}]}`, 400, "text"},
 	} {
 		rec := do(t, h, "POST", tc.path, tc.body)
@@ -382,7 +387,7 @@ func cachedShardedHandler(t *testing.T) (http.Handler, *retrieval.Index) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ix.Close() })
-	return NewHandler(ix, Options{MaxBatch: 4}), ix
+	return NewHandler(ix, Options{}), ix
 }
 
 // cacheCounters pulls the query-cache counter block out of /v1/stats.

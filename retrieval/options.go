@@ -60,7 +60,6 @@ type config struct {
 	seed            int64
 	removeStopwords bool
 	stemming        bool
-	workers         int   // 0 = leave the process-wide setting alone
 	shards          int   // 0 = unsharded; >= 1 builds the sharded live index
 	sealEvery       int   // 0 = shard package default
 	cacheBytes      int64 // <= 0 = no query result cache
@@ -199,12 +198,6 @@ func WithQuantized(beta int) Option {
 // rejects a positive budget); cache counters surface in Stats and, via
 // the HTTP API, in /v1/stats and the Cache-Status response header.
 func WithQueryCache(maxBytes int64) Option { return func(c *config) { c.cacheBytes = maxBytes } }
-
-// WithParallelism caps the worker count used by the parallel build and
-// query kernels. The setting is process-wide (it adjusts the shared
-// worker pool that all indexes fan out through), applied when Build or
-// BuildVSM runs; n <= 0 leaves the current setting alone.
-func WithParallelism(n int) Option { return func(c *config) { c.workers = n } }
 
 func autoRank(numTerms, numDocs int) int {
 	k := min(numTerms, numDocs) / 4

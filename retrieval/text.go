@@ -34,9 +34,6 @@ func buildText(docs []Document, cfg config) (textLayer, *sparse.CSR, error) {
 	if len(docs) == 0 {
 		return textLayer{}, nil, fmt.Errorf("%w: no documents", ErrEmptyCorpus)
 	}
-	if cfg.workers > 0 {
-		par.SetMaxProcs(cfg.workers)
-	}
 	if cfg.weighting < WeightingCount || cfg.weighting > WeightingTFIDF {
 		return textLayer{}, nil, fmt.Errorf("retrieval: unknown weighting %d", int(cfg.weighting))
 	}

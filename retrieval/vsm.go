@@ -23,7 +23,7 @@ type VSM struct {
 var _ Retriever = (*VSM)(nil)
 
 // BuildVSM indexes docs for the vector-space baseline. It honours
-// WithWeighting, WithStopwordRemoval, WithStemming and WithParallelism;
+// WithWeighting, WithStopwordRemoval and WithStemming;
 // WithShards, WithANN, WithQuantized and a positive WithQueryCache need
 // an LSI index, and BuildVSM fails with an error naming the option. Like
 // Build it returns ErrEmptyCorpus for a corpus that preprocessing

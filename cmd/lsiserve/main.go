@@ -75,10 +75,10 @@
 // -max-debt.
 // Every request is measured on GET /metrics, -access-log adds a
 // structured JSON line per request, and -pprof mounts the runtime
-// profilers. The daemon shuts down gracefully on SIGINT/SIGTERM,
-// draining in-flight replication downloads and WAL tails, then ordinary
-// requests, within -drain-timeout, and stopping the background
-// compactor.
+// profilers (without it no heap profile is sampled). The daemon shuts
+// down gracefully on SIGINT/SIGTERM, draining in-flight replication
+// downloads and WAL tails, then ordinary requests, within -drain-timeout,
+// and stopping the background compactor.
 //
 // -chaos arms the fault injector (internal/faultinject): POST an
 // InjectSpec to /debug/faults to script per-class latency, error rates,
@@ -101,6 +101,8 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"syscall"
@@ -167,7 +169,7 @@ func parseFlags(args []string, stderr io.Writer) (serveConfig, error) {
 	fs.IntVar(&cfg.maxInFlight, "max-inflight", 256, "max concurrently executing search/docs requests; excess requests queue, then shed with 429 (0 = unlimited)")
 	fs.IntVar(&cfg.maxQueue, "max-queue", 0, "max requests waiting for an in-flight slot before shedding (0 = 4x max-inflight)")
 	fs.IntVar(&cfg.maxDebt, "max-debt", 8, "shed ingest (POST /v1/docs) with 503 while more than this many sealed segments await compaction (0 = never)")
-	fs.BoolVar(&cfg.pprof, "pprof", false, "mount /debug/pprof/ profiling endpoints (do not expose to untrusted networks)")
+	fs.BoolVar(&cfg.pprof, "pprof", false, "mount /debug/pprof/ profiling endpoints and sample heap profiles (do not expose to untrusted networks)")
 	fs.BoolVar(&cfg.accessLog, "access-log", false, "emit one structured JSON log line per request on stderr")
 	fs.StringVar(&cfg.clusterPath, "cluster", "", "serve as the routing tier over the cluster manifest at this path (SIGHUP reloads)")
 	fs.StringVar(&cfg.replicaOf, "replica-of", "", "serve as a catch-up replica of the node at this base URL")
@@ -287,6 +289,11 @@ func newRetriever(cfg serveConfig) (*retrieval.Index, error) {
 	return retrieval.Build(docs, opts...)
 }
 
+// servingGCPercent is the GC percent while serve runs: a serving heap is
+// under a megabyte beside the mapped index, and 25 makes its goal 1.25 ×
+// live with a 1 MB floor, where the default's floor is 4 MB.
+const servingGCPercent = 25
+
 // serve runs the daemon on ln until ctx is canceled, then drains for up
 // to shutdownTimeout: first the replication tier (in-flight snapshot
 // downloads and WAL tails stop admitting and run to completion), then
@@ -294,6 +301,7 @@ func newRetriever(cfg serveConfig) (*retrieval.Index, error) {
 // address on out before accepting traffic (the smoke script and the e2e
 // test parse that line).
 func serve(ctx context.Context, ln net.Listener, handler http.Handler, api *httpapi.Handler, shutdownTimeout time.Duration, out io.Writer) error {
+	defer debug.SetGCPercent(debug.SetGCPercent(servingGCPercent))
 	srv := &http.Server{
 		Handler:           handler,
 		ReadHeaderTimeout: 5 * time.Second,
@@ -506,6 +514,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	cfg, err := parseFlags(args, stderr)
 	if err != nil {
 		return err
+	}
+	if !cfg.pprof {
+		// Only -pprof reads heap profiles, and sampling keeps their bucket
+		// table resident. Set before anything here starts a goroutine.
+		defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+		runtime.MemProfileRate = 0
 	}
 	if cfg.clusterPath != "" {
 		return runRouter(ctx, cfg, stdout, stderr)

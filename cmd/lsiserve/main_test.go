@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/metrics"
 	"strings"
 	"sync"
 	"testing"
@@ -404,5 +406,57 @@ func TestServeSavedShardedDir(t *testing.T) {
 	res, err := ret.Search(context.Background(), "car", 3)
 	if err != nil || len(res) == 0 {
 		t.Fatalf("search on served dir index: %v, %d results", err, len(res))
+	}
+}
+
+// TestServingRuntimeSettings pins what serving sets in the Go runtime: the
+// GC percent is servingGCPercent while run serves and the caller's again
+// once it returns, and heap profiles are sampled only under -pprof, where
+// /debug/pprof/heap still returns samples.
+func TestServingRuntimeSettings(t *testing.T) {
+	gcPercent := func() uint64 {
+		s := []metrics.Sample{{Name: "/gc/gogc:percent"}}
+		metrics.Read(s)
+		return s[0].Value.Uint64()
+	}
+	gc, rate := gcPercent(), runtime.MemProfileRate
+	if gc == servingGCPercent || rate == 0 {
+		t.Fatalf("test process already runs at GC percent %d, heap-profile rate %d", gc, rate)
+	}
+	for _, pprof := range []bool{false, true} {
+		t.Run(fmt.Sprintf("pprof=%v", pprof), func(t *testing.T) {
+			args, wantRate := []string{"-k", "3"}, 0
+			if pprof {
+				args, wantRate = append(args, "-pprof"), rate
+			}
+			base := daemon(t, args...)
+			if got := gcPercent(); got != servingGCPercent {
+				t.Errorf("GC percent while serving = %d, want %d", got, servingGCPercent)
+			}
+			if runtime.MemProfileRate != wantRate {
+				t.Errorf("heap-profile rate while serving = %d, want %d", runtime.MemProfileRate, wantRate)
+			}
+			if !pprof {
+				return
+			}
+			resp, err := http.Get(base + "/debug/pprof/heap?debug=1&gc=1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var inUse, inUseB, allocs, allocB, sampling int
+			if _, err := fmt.Fscanf(resp.Body, "heap profile: %d: %d [%d: %d] @ heap/%d", &inUse, &inUseB, &allocs, &allocB, &sampling); err != nil {
+				t.Fatalf("heap profile header: %v", err)
+			}
+			if allocs == 0 || sampling != 2*rate {
+				t.Errorf("heap profile holds %d sampled allocations at heap/%d, want some at heap/%d", allocs, sampling, 2*rate)
+			}
+		})
+		if got := gcPercent(); got != gc {
+			t.Errorf("GC percent after run returned = %d, want %d", got, gc)
+		}
+		if runtime.MemProfileRate != rate {
+			t.Errorf("heap-profile rate after run returned = %d, want %d", runtime.MemProfileRate, rate)
+		}
 	}
 }

@@ -26,27 +26,21 @@ type TwoStepOptions struct {
 	// Kind selects the projection family; the zero value is the paper's
 	// column-orthonormal construction.
 	Kind Kind
-	// RankFactor multiplies k for the inner LSI rank ("because of the
-	// random projection, the number of singular values kept may have to be
-	// increased a little" — the paper's analysis uses 2k). Zero means 2.
-	RankFactor int
 	// Seed drives both the projection sampling and the inner SVD.
 	Seed int64
 }
 
+// rankFactor multiplies k for the inner LSI rank ("because of the random
+// projection, the number of singular values kept may have to be increased
+// a little" — the paper's analysis uses 2k).
+const rankFactor = 2
+
 // NewTwoStep projects a (n terms × m documents) down to l dimensions and
-// builds a rank-(RankFactor·k) LSI index on the projection.
+// builds a rank-(rankFactor·k) LSI index on the projection.
 func NewTwoStep(a *sparse.CSR, k, l int, opts TwoStepOptions) (*TwoStep, error) {
 	n, m := a.Dims()
 	if k < 1 {
 		return nil, fmt.Errorf("randproj: two-step rank k=%d, want >= 1", k)
-	}
-	rf := opts.RankFactor
-	if rf == 0 {
-		rf = 2
-	}
-	if rf < 1 {
-		return nil, fmt.Errorf("randproj: rank factor %d, want >= 1", rf)
 	}
 	seed := opts.Seed
 	if seed == 0 {
@@ -58,7 +52,7 @@ func NewTwoStep(a *sparse.CSR, k, l int, opts TwoStepOptions) (*TwoStep, error) 
 		return nil, err
 	}
 	b := proj.ApplySparse(a) // l×m
-	rank := rf * k
+	rank := rankFactor * k
 	if rank > min(l, m) {
 		rank = min(l, m)
 	}

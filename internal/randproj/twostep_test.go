@@ -35,9 +35,6 @@ func TestNewTwoStepValidation(t *testing.T) {
 	if _, err := NewTwoStep(a, 2, 0, TwoStepOptions{}); err == nil {
 		t.Error("l=0 should error")
 	}
-	if _, err := NewTwoStep(a, 2, 5, TwoStepOptions{RankFactor: -1}); err == nil {
-		t.Error("negative rank factor should error")
-	}
 }
 
 func TestTwoStepBasics(t *testing.T) {

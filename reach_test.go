@@ -200,7 +200,6 @@ var unsetSettings = []string{
 	"internal/experiments.Theorem3Config.Engine",
 	"internal/experiments.Theorem5Config.Kind",
 	"internal/ivf.TrainOptions.Iters",
-	"internal/randproj.TwoStepOptions.RankFactor",
 	"retrieval.WithSeed",
 	"retrieval/shard.Config.TierMinDocs",
 }

@@ -51,18 +51,20 @@ docs-check:
 deps-check:
 	sh scripts/deps_check.sh
 
-# Every exported name in internal/ has a caller outside the tests, and
-# every unexported package-level name a reference (the root tier-1 test
-# that type-checks this module and bench/; it names each offender).
+# Every exported name in internal/ is reached from code a program runs,
+# and every unexported package-level name too (the root tier-1 test that
+# type-checks this module and bench/; it names each offender), and the
+# checker still holds to its fixture.
 reach-check:
-	$(GO) test -run '^TestInternalNamesAreReached$$' .
+	$(GO) test -run '^(TestInternalNamesAreReached|TestReachabilityCheckerFixture)$$' .
 
 # Every field of an exported *Options or *Config struct, and every
-# retrieval With* option, has a setter outside the tests, unless its pin
+# retrieval With* option, is set by code a program runs, unless its pin
 # lists it: a value only tests set is a constant (the root tier-1 test
-# that type-checks this module and bench/; it names each offender).
+# that type-checks this module and bench/; it names each offender), and
+# the check still holds to its fixture.
 settings-check:
-	$(GO) test -run '^TestSettingsAreSet$$' .
+	$(GO) test -run '^(TestSettingsAreSet|TestSettingsCheckerFixture)$$' .
 
 # Race-detect the concurrency-bearing packages: the worker pool, the
 # numeric + retrieval layers built on it (the randomized SVD's panel

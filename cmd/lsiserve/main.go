@@ -195,8 +195,15 @@ func parseFlags(args []string, stderr io.Writer) (serveConfig, error) {
 		})
 		return set
 	}
-	// The three serving modes are exclusive, and the router/replica modes
-	// build no index of their own — reject flags they would ignore.
+	// The three serving modes are exclusive, a mode's own flags need that
+	// mode, and the router/replica modes build no index of their own —
+	// reject flags they would ignore.
+	if cfg.replicaOf == "" && len(given("data-dir")) > 0 {
+		return cfg, fmt.Errorf("-replica-of is not set; -data-dir cannot apply")
+	}
+	if conflicts := given("probe-every", "breaker-open-for"); cfg.clusterPath == "" && len(conflicts) > 0 {
+		return cfg, fmt.Errorf("-cluster is not set; %s cannot apply", strings.Join(conflicts, ", "))
+	}
 	if cfg.clusterPath != "" || cfg.replicaOf != "" {
 		if cfg.clusterPath != "" && cfg.replicaOf != "" {
 			return cfg, fmt.Errorf("-cluster and -replica-of are exclusive serving modes")
@@ -207,9 +214,6 @@ func parseFlags(args []string, stderr io.Writer) (serveConfig, error) {
 		}
 		conflicts := given("k", "backend", "weighting", "shards", "index", "wal-dir", "checkpoint-every", "save-cluster",
 			"ann-nlist", "ann-nprobe", "quant-beta", "cache-mb")
-		if cfg.replicaOf == "" {
-			conflicts = append(conflicts, given("data-dir")...)
-		}
 		if len(cfg.files) > 0 {
 			conflicts = append(conflicts, "file arguments")
 		}

@@ -293,6 +293,24 @@ func TestParseFlagErrors(t *testing.T) {
 	if _, err := parseFlags([]string{"-index", "x.idx", "-addr", ":0"}, &stderr); err != nil {
 		t.Fatalf("-index with serving flags should be fine: %v", err)
 	}
+	// A flag of one serving mode is refused outside it, not ignored.
+	for _, args := range [][]string{
+		{"-data-dir", "d"},
+		{"-index", "x.idx", "-data-dir", "d"},
+		{"-probe-every", "1s"},
+		{"-breaker-open-for", "1s"},
+		{"-index", "x.idx", "-probe-every", "1s"},
+		{"-index", "x.idx", "-breaker-open-for", "1s"},
+		{"-replica-of", "http://x", "-probe-every", "1s"},
+		{"-replica-of", "http://x", "-breaker-open-for", "1s"},
+	} {
+		if _, err := parseFlags(args, &stderr); err == nil {
+			t.Errorf("parseFlags(%v) should fail", args)
+		}
+	}
+	if _, err := parseFlags([]string{"-cluster", "m.json", "-probe-every", "500ms", "-breaker-open-for", "1s"}, &stderr); err != nil {
+		t.Fatalf("-cluster with the router flags should be fine: %v", err)
+	}
 }
 
 // TestEndToEndServeSharded boots the daemon with -shards, appends a

@@ -54,7 +54,7 @@ func TestCrossTopicStyleMassMovement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := s.Apply(model.Topics[0].Probs())
+	out := apply(s, model.Topics[0].probs)
 	var cross float64
 	for _, term := range cfg.PrimarySet(1) {
 		cross += out[term]

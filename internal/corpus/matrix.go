@@ -83,25 +83,3 @@ func (w Weighting) Entry(count, df, docs int) float64 {
 		panic(fmt.Sprintf("corpus: unknown weighting %d", int(w)))
 	}
 }
-
-// DocVector returns the weighted term vector of a single document in the
-// corpus's term space (a single column of the term-document matrix, as used
-// for queries against an existing index). TF-IDF weighting is not supported
-// here because it needs corpus document frequencies; it returns an error in
-// that case.
-func DocVector(d *Document, numTerms int, w Weighting) ([]float64, error) {
-	if w == TFIDFWeighting {
-		return nil, fmt.Errorf("corpus: DocVector does not support tf-idf (corpus statistics required)")
-	}
-	if w < CountWeighting || w > TFIDFWeighting {
-		return nil, fmt.Errorf("corpus: unknown weighting %d", int(w))
-	}
-	v := make([]float64, numTerms)
-	for i, t := range d.Terms {
-		if t < 0 || t >= numTerms {
-			return nil, fmt.Errorf("corpus: term %d out of universe [0,%d)", t, numTerms)
-		}
-		v[t] = w.Entry(d.Counts[i], 1, 1)
-	}
-	return v, nil
-}

@@ -94,23 +94,6 @@ func (d *Document) Length() int {
 	return n
 }
 
-// Count returns the number of occurrences of the given term.
-func (d *Document) Count(term int) int {
-	lo, hi := 0, len(d.Terms)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if d.Terms[mid] < term {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(d.Terms) && d.Terms[lo] == term {
-		return d.Counts[lo]
-	}
-	return 0
-}
-
 // Corpus is a collection of documents drawn from a model, along with the
 // universe size needed to build term-document matrices.
 type Corpus struct {

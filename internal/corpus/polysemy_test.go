@@ -87,7 +87,7 @@ func TestPolysemousModelGeneration(t *testing.T) {
 	totals := map[int]int{}
 	for _, d := range c.Docs {
 		topic := d.Spec.PrimaryTopic()
-		counts[topic] += d.Count(st.Term)
+		counts[topic] += termCount(&d, st.Term)
 		totals[topic] += d.Length()
 	}
 	for _, topic := range []int{st.TopicA, st.TopicB} {

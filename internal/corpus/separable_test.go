@@ -170,30 +170,6 @@ func TestTermDocMatrixShape(t *testing.T) {
 	}
 }
 
-func TestDocVector(t *testing.T) {
-	d := Document{Terms: []int{1, 3}, Counts: []int{2, 7}}
-	v, err := DocVector(&d, 5, CountWeighting)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v[1] != 2 || v[3] != 7 || v[0] != 0 {
-		t.Fatalf("DocVector = %v", v)
-	}
-	vb, err := DocVector(&d, 5, BinaryWeighting)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vb[3] != 1 {
-		t.Fatalf("binary DocVector = %v", vb)
-	}
-	if _, err := DocVector(&d, 5, TFIDFWeighting); err == nil {
-		t.Fatal("tf-idf DocVector should error")
-	}
-	if _, err := DocVector(&d, 2, CountWeighting); err == nil {
-		t.Fatal("out-of-universe term should error")
-	}
-}
-
 func TestWeightingString(t *testing.T) {
 	names := map[Weighting]string{
 		CountWeighting: "count", BinaryWeighting: "binary",

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // Style is a row-stochastic matrix over the universe (Definition 3): entry
@@ -36,9 +37,7 @@ func NewStyle(n int, rows map[int]map[int]float64) (*Style, error) {
 		if src < 0 || src >= n {
 			return nil, fmt.Errorf("corpus: style source term %d out of range [0,%d)", src, n)
 		}
-		var sum float64
 		targets := make([]int, 0, len(row))
-		probs := make([]float64, 0, len(row))
 		for tgt, p := range row {
 			if tgt < 0 || tgt >= n {
 				return nil, fmt.Errorf("corpus: style target term %d out of range [0,%d)", tgt, n)
@@ -46,12 +45,18 @@ func NewStyle(n int, rows map[int]map[int]float64) (*Style, error) {
 			if p < 0 || math.IsNaN(p) || math.IsInf(p, 0) {
 				return nil, fmt.Errorf("corpus: invalid style probability %v for %d→%d", p, src, tgt)
 			}
-			if p == 0 {
-				continue
+			if p != 0 {
+				targets = append(targets, tgt)
 			}
-			targets = append(targets, tgt)
-			probs = append(probs, p)
-			sum += p
+		}
+		// Ascending targets, not the map's order: RewriteTerm walks them,
+		// so the same draw picks the same target on every build.
+		slices.Sort(targets)
+		probs := make([]float64, len(targets))
+		var sum float64
+		for i, tgt := range targets {
+			probs[i] = row[tgt]
+			sum += probs[i]
 		}
 		if math.Abs(sum-1) > 1e-9 {
 			return nil, fmt.Errorf("corpus: style row %d sums to %v, want 1", src, sum)
@@ -126,29 +131,6 @@ func (s *Style) NumTerms() int { return s.n }
 
 // IsIdentity reports whether the style rewrites nothing.
 func (s *Style) IsIdentity() bool { return len(s.rows) == 0 }
-
-// Apply transforms a distribution p over terms into p·S. The input is not
-// modified. It panics if len(p) != NumTerms().
-func (s *Style) Apply(p []float64) []float64 {
-	if len(p) != s.n {
-		panic(fmt.Sprintf("corpus: Style.Apply distribution length %d, want %d", len(p), s.n))
-	}
-	out := make([]float64, s.n)
-	for i, pi := range p {
-		if pi == 0 {
-			continue
-		}
-		row, ok := s.rows[i]
-		if !ok {
-			out[i] += pi
-			continue
-		}
-		for t, tgt := range row.targets {
-			out[tgt] += pi * row.probs[t]
-		}
-	}
-	return out
-}
 
 // RewriteTerm maps a sampled term through the style, drawing from the
 // term's row. Used on the per-token fast path during document generation.

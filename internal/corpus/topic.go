@@ -53,13 +53,6 @@ func (t *Topic) NumTerms() int { return len(t.probs) }
 // Prob returns the probability of term i.
 func (t *Topic) Prob(i int) float64 { return t.probs[i] }
 
-// Probs returns a copy of the full distribution.
-func (t *Topic) Probs() []float64 {
-	out := make([]float64, len(t.probs))
-	copy(out, t.probs)
-	return out
-}
-
 // Sample draws one term.
 func (t *Topic) Sample(rng *rand.Rand) int { return t.alias.sample(rng) }
 

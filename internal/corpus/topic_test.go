@@ -41,15 +41,6 @@ func TestNewTopicErrors(t *testing.T) {
 	}
 }
 
-func TestTopicProbsCopy(t *testing.T) {
-	tp, _ := NewTopic([]float64{1, 1})
-	p := tp.Probs()
-	p[0] = 99
-	if tp.Prob(0) != 0.5 {
-		t.Fatal("Probs should return a copy")
-	}
-}
-
 func TestAliasSamplerDistribution(t *testing.T) {
 	// Chi-squared-style check: empirical frequencies match probabilities
 	// within 5 standard deviations.

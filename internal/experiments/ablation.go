@@ -46,7 +46,7 @@ func RunWeightingAblation(cfg Table1Config) (*WeightingAblationResult, error) {
 		corpus.CountWeighting, corpus.BinaryWeighting, corpus.LogWeighting, corpus.TFIDFWeighting,
 	} {
 		a := corpus.TermDocMatrix(c, w)
-		ix, err := lsi.Build(a, cfg.K, lsi.Options{Engine: cfg.Engine, Seed: cfg.Seed})
+		ix, err := lsi.Build(a, cfg.K, lsi.Options{Seed: cfg.Seed})
 		if err != nil {
 			return nil, err
 		}

@@ -74,7 +74,7 @@ func RunTable1WithFigure(cfg Table1Config) (*Table1Result, string, error) {
 	}
 	a := termDocFor(cfg, c)
 	labels := c.Labels()
-	ix, err := lsi.Build(a, cfg.K, lsi.Options{Engine: cfg.Engine, Seed: cfg.Seed})
+	ix, err := lsi.Build(a, cfg.K, lsi.Options{Seed: cfg.Seed})
 	if err != nil {
 		return nil, "", err
 	}

@@ -18,7 +18,6 @@ type JLConfig struct {
 	N      int
 	Points int
 	Ls     []int
-	Kind   randproj.Kind
 	Seed   int64
 }
 
@@ -53,7 +52,7 @@ func RunJL(cfg JLConfig) (*JLResult, error) {
 	}
 	out := &JLResult{Config: cfg}
 	for _, l := range cfg.Ls {
-		p, err := randproj.New(cfg.N, l, cfg.Kind, rng)
+		p, err := randproj.New(cfg.N, l, randproj.Orthonormal, rng)
 		if err != nil {
 			return nil, err
 		}
@@ -66,7 +65,7 @@ func RunJL(cfg JLConfig) (*JLResult, error) {
 func (r *JLResult) Table() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Lemma 2 (Johnson–Lindenstrauss): distance-ratio distortion, n=%d, %s projections\n",
-		r.Config.N, r.Config.Kind)
+		r.Config.N, randproj.Orthonormal)
 	fmt.Fprintf(&b, "%6s %10s %10s %10s %10s %12s\n", "l", "min", "max", "mean", "std", "max |ip err|")
 	for _, row := range r.Rows {
 		d := row.Report.DistanceRatio
@@ -82,7 +81,6 @@ type Theorem5Config struct {
 	NumDocs int
 	K       int
 	Ls      []int
-	Kind    randproj.Kind
 	Seed    int64
 }
 
@@ -143,7 +141,7 @@ func RunTheorem5(cfg Theorem5Config) (*Theorem5Result, error) {
 	a := corpus.TermDocMatrix(c, corpus.CountWeighting)
 	out := &Theorem5Result{Config: cfg}
 	for _, l := range cfg.Ls {
-		ts, err := randproj.NewTwoStep(a, cfg.K, l, randproj.TwoStepOptions{Kind: cfg.Kind, Seed: cfg.Seed})
+		ts, err := randproj.NewTwoStep(a, cfg.K, l, randproj.TwoStepOptions{Seed: cfg.Seed})
 		if err != nil {
 			return nil, err
 		}
@@ -186,8 +184,6 @@ type RuntimeConfig struct {
 	K       int
 	L       int
 	Seed    int64
-	// SkipFull disables the (slow) dense full SVD baseline.
-	SkipFull bool
 }
 
 // DefaultRuntimeConfig sweeps vocabulary size upward to expose the
@@ -248,16 +244,13 @@ func RunRuntime(cfg RuntimeConfig) (*RuntimeResult, error) {
 		}
 		a := corpus.TermDocMatrix(c, corpus.CountWeighting)
 
-		var fullMs float64
-		if !cfg.SkipFull {
-			start := time.Now()
-			if _, err := svd.Decompose(a.ToDense()); err != nil {
-				return nil, err
-			}
-			fullMs = float64(time.Since(start).Microseconds()) / 1000
-		}
-
 		start := time.Now()
+		if _, err := svd.Decompose(a.ToDense()); err != nil {
+			return nil, err
+		}
+		fullMs := float64(time.Since(start).Microseconds()) / 1000
+
+		start = time.Now()
 		direct, err := Lanczos(a, cfg.K, LanczosOptions{
 			Reorthogonalize: true, Rng: rand.New(rand.NewSource(cfg.Seed)),
 		})

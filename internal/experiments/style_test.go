@@ -29,4 +29,13 @@ func TestRunStyleSmall(t *testing.T) {
 	if res.Table() == "" {
 		t.Fatal("empty table")
 	}
+	// A seeded run is reproducible: the style rows walk their targets in
+	// one order on every build.
+	again, err := RunStyle(SmallStyleConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := again.Table(), res.Table(); got != want {
+		t.Fatalf("second run differs:\n%s\nfirst run:\n%s", got, want)
+	}
 }

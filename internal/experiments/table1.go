@@ -21,12 +21,10 @@ import (
 // Table1Config parameterizes the Section 4 experiment: pairwise document
 // angles in the original space versus the rank-k LSI space.
 type Table1Config struct {
-	Corpus    corpus.SeparableConfig
-	NumDocs   int
-	K         int // LSI rank; the paper uses k = number of topics
-	Weighting corpus.Weighting
-	Engine    lsi.Engine
-	Seed      int64
+	Corpus  corpus.SeparableConfig
+	NumDocs int
+	K       int // LSI rank; the paper uses k = number of topics
+	Seed    int64
 }
 
 // DefaultTable1Config returns the paper's exact parameters: 1000 documents
@@ -76,7 +74,7 @@ func generateFor(cfg Table1Config, model *corpus.Model) (*corpus.Corpus, error) 
 
 // termDocFor builds the weighted term-document matrix.
 func termDocFor(cfg Table1Config, c *corpus.Corpus) *sparse.CSR {
-	return corpus.TermDocMatrix(c, cfg.Weighting)
+	return corpus.TermDocMatrix(c, corpus.CountWeighting)
 }
 
 // RunTable1 generates the corpus, builds the index, and measures the
@@ -92,7 +90,7 @@ func RunTable1(cfg Table1Config) (*Table1Result, error) {
 	}
 	a := termDocFor(cfg, c)
 	labels := c.Labels()
-	ix, err := lsi.Build(a, cfg.K, lsi.Options{Engine: cfg.Engine, Seed: cfg.Seed})
+	ix, err := lsi.Build(a, cfg.K, lsi.Options{Seed: cfg.Seed})
 	if err != nil {
 		return nil, err
 	}

@@ -19,7 +19,6 @@ type Theorem2Config struct {
 	TermsPerTopic  int
 	DocCounts      []int // corpus sizes m to sweep
 	MinLen, MaxLen int
-	Engine         lsi.Engine
 	Seed           int64
 }
 
@@ -74,7 +73,7 @@ func RunTheorem2(cfg Theorem2Config) (*Theorem2Result, error) {
 		}
 		a := corpus.TermDocMatrix(c, corpus.CountWeighting)
 		labels := c.Labels()
-		ix, err := lsi.Build(a, cfg.NumTopics, lsi.Options{Engine: cfg.Engine, Seed: cfg.Seed})
+		ix, err := lsi.Build(a, cfg.NumTopics, lsi.Options{Seed: cfg.Seed})
 		if err != nil {
 			return nil, err
 		}
@@ -105,7 +104,6 @@ type Theorem3Config struct {
 	NumDocs        int
 	Epsilons       []float64
 	MinLen, MaxLen int
-	Engine         lsi.Engine
 	Seed           int64
 }
 
@@ -158,7 +156,7 @@ func RunTheorem3(cfg Theorem3Config) (*Theorem3Result, error) {
 			return nil, err
 		}
 		a := corpus.TermDocMatrix(c, corpus.CountWeighting)
-		ix, err := lsi.Build(a, cfg.NumTopics, lsi.Options{Engine: cfg.Engine, Seed: cfg.Seed})
+		ix, err := lsi.Build(a, cfg.NumTopics, lsi.Options{Seed: cfg.Seed})
 		if err != nil {
 			return nil, err
 		}

@@ -86,11 +86,6 @@ type Pipeline struct {
 	Vocab *Vocabulary
 }
 
-// NewPipeline returns a pipeline with stopword removal and stemming on.
-func NewPipeline() *Pipeline {
-	return &Pipeline{RemoveStopwords: true, Stemming: true, Vocab: NewVocabulary()}
-}
-
 // Terms runs the token-level stages on a text and returns the processed
 // term strings (after stopword removal and stemming, before ID mapping).
 func (p *Pipeline) Terms(text string) []string {

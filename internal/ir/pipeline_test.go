@@ -66,7 +66,7 @@ func TestVocabulary(t *testing.T) {
 }
 
 func TestPipelineTerms(t *testing.T) {
-	p := NewPipeline()
+	p := &Pipeline{RemoveStopwords: true, Stemming: true}
 	got := p.Terms("The cars are driving on the motorways")
 	// "the", "are", "on" are stopwords; stems: car, drive, motorway.
 	want := []string{"car", "drive", "motorwai"}
@@ -81,7 +81,7 @@ func TestPipelineTerms(t *testing.T) {
 }
 
 func TestPipelineProcess(t *testing.T) {
-	p := NewPipeline()
+	p := &Pipeline{RemoveStopwords: true, Stemming: true}
 	d := process(p, 7, "cars car CARS driving")
 	if d.ID != 7 {
 		t.Fatalf("ID = %d", d.ID)
@@ -91,8 +91,8 @@ func TestPipelineProcess(t *testing.T) {
 	if !ok {
 		t.Fatal("car not in vocabulary")
 	}
-	if d.Count(carID) != 3 {
-		t.Fatalf("car count = %d", d.Count(carID))
+	if n := termCount(d, carID); n != 3 {
+		t.Fatalf("car count = %d", n)
 	}
 	if d.Length() != 4 {
 		t.Fatalf("Length = %d", d.Length())
@@ -105,7 +105,7 @@ func TestPipelineProcess(t *testing.T) {
 }
 
 func TestPipelineProcessAllSharedVocab(t *testing.T) {
-	p := NewPipeline()
+	p := &Pipeline{RemoveStopwords: true, Stemming: true}
 	c := processAll(p, []string{
 		"galaxies and starships",
 		"the starship galaxy",
@@ -121,7 +121,7 @@ func TestPipelineProcessAllSharedVocab(t *testing.T) {
 	if !ok {
 		t.Fatal("stem galaxi missing")
 	}
-	if c.Docs[0].Count(id) != 1 || c.Docs[1].Count(id) != 1 {
+	if termCount(c.Docs[0], id) != 1 || termCount(c.Docs[1], id) != 1 {
 		t.Fatal("shared stem not counted in both docs")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -152,6 +153,14 @@ func process(p *Pipeline, id int, text string) corpus.Document {
 	return d
 }
 
+// termCount is the count of term in d (0 if absent): d.Terms is sorted.
+func termCount(d corpus.Document, term int) int {
+	if i, ok := slices.BinarySearch(d.Terms, term); ok {
+		return d.Counts[i]
+	}
+	return 0
+}
+
 func TestProcessAllMatchesSerial(t *testing.T) {
 	texts := processAllCorpus()
 	for _, cfg := range []Pipeline{
@@ -253,7 +262,9 @@ func TestTermDocMatrixMatchesProcessAll(t *testing.T) {
 			if !ok {
 				t.Fatal("the term in every document is not in the vocabulary")
 			}
-			if n := corpus.TermDocMatrix(c, corpus.TFIDFWeighting).RowNNZ(id); n != 0 {
+			n := 0
+			corpus.TermDocMatrix(c, corpus.TFIDFWeighting).RowIter(id, func(int, float64) { n++ })
+			if n != 0 {
 				t.Fatalf("the term in every document has %d tf-idf entries", n)
 			}
 		}

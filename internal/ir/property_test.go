@@ -77,7 +77,7 @@ func TestStemPropertySafe(t *testing.T) {
 // Property: pipeline documents have strictly ascending terms with positive
 // counts summing to the processed token count.
 func TestPipelinePropertyDocumentInvariants(t *testing.T) {
-	p := NewPipeline()
+	p := &Pipeline{RemoveStopwords: true, Stemming: true}
 	f := func(text string) bool {
 		d := process(p, 0, text)
 		want := len(p.Terms(text))
@@ -120,7 +120,7 @@ func BenchmarkTokenize(b *testing.B) {
 }
 
 func BenchmarkPipelineProcess(b *testing.B) {
-	p := NewPipeline()
+	p := &Pipeline{RemoveStopwords: true, Stemming: true}
 	text := strings.Repeat("the latent semantic indexing of documents retrieves synonymous terms across corpora ", 10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -61,7 +61,7 @@ func FuzzLegacyIndex(f *testing.F) {
 			return
 		}
 		if ix.NumDocs() > 0 {
-			ix.SearchProjected(ix.DocVector(0), 3)
+			ix.AppendSearchProjected(nil, ix.DocVector(0), 3)
 		}
 		if len(meta.Vocab) == 0 {
 			return

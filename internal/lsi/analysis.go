@@ -24,16 +24,6 @@ func GramFromRows(v *mat.Dense) *mat.Dense {
 	return mat.MulBT(v, v)
 }
 
-// PairKind distinguishes intratopic from intertopic document pairs.
-type PairKind int
-
-const (
-	// Intratopic pairs share a primary topic.
-	Intratopic PairKind = iota
-	// Intertopic pairs have different primary topics.
-	Intertopic
-)
-
 // AngleSet holds the pairwise angles (radians) of a labeled corpus split by
 // pair kind, exactly the quantity the paper's Section 4 experiment reports
 // ("we measured the angle (not some function of the angle such as the

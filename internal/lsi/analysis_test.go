@@ -180,7 +180,7 @@ func TestLSISeparatesTopicsTheorem2Regime(t *testing.T) {
 
 func TestAnglesLabelsMismatchPanics(t *testing.T) {
 	c := testCorpus(t, 2, 5, 0, 10, 83)
-	ix, err := BuildFromCorpus(c, 2, corpus.CountWeighting, Options{})
+	ix, err := Build(corpus.TermDocMatrix(c, corpus.CountWeighting), 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

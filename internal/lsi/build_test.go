@@ -2,6 +2,7 @@ package lsi
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/corpus"
@@ -9,9 +10,21 @@ import (
 	"repro/internal/sparse"
 )
 
-// synonymPairMatrix builds a matrix where terms 0 and 1 have identical
-// occurrence patterns (perfect synonyms) and term 2 is independent.
-func synonymPairMatrix() *sparse.CSR {
+// termCosine is the cosine of terms a and b in the LSI term space: rows
+// of Uₖ·Dₖ, the term-side analogue of the document representation.
+func termCosine(ix *Index, a, b int) float64 {
+	s := ix.SingularValues()
+	va, vb := slices.Clone(ix.Basis().Row(a)), slices.Clone(ix.Basis().Row(b))
+	for j := range s {
+		va[j] *= s[j]
+		vb[j] *= s[j]
+	}
+	return mat.Cosine(va, vb)
+}
+
+func TestRelatedTermsPerfectSynonyms(t *testing.T) {
+	// Terms 0 and 1 have identical occurrence patterns (perfect synonyms)
+	// and term 2 is independent.
 	coo := sparse.NewCOO(3, 6)
 	for j := 0; j < 3; j++ {
 		coo.Add(0, j, 2)
@@ -20,58 +33,18 @@ func synonymPairMatrix() *sparse.CSR {
 	for j := 3; j < 6; j++ {
 		coo.Add(2, j, 3)
 	}
-	return coo.ToCSR()
-}
-
-func TestTermVectorScalesBySigma(t *testing.T) {
-	ix, err := Build(synonymPairMatrix(), 2, Options{Engine: EngineDense})
+	ix, err := Build(coo.ToCSR(), 2, Options{Engine: EngineDense})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := ix.SingularValues()
-	tv := ix.TermVector(0)
-	row := ix.Basis().Row(0)
-	for j := range tv {
-		want := row[j] * s[j]
-		if math.Abs(tv[j]-want) > 1e-12 {
-			t.Fatalf("TermVector[%d] = %v, want %v", j, tv[j], want)
-		}
+	// The exact synonym sits at cosine ≈ 1; the independent term is near
+	// orthogonal.
+	if got := termCosine(ix, 0, 1); got < 1-1e-9 {
+		t.Fatalf("synonym cosine %v, want ≈1", got)
 	}
-}
-
-func TestRelatedTermsPerfectSynonyms(t *testing.T) {
-	ix, err := Build(synonymPairMatrix(), 2, Options{Engine: EngineDense})
-	if err != nil {
-		t.Fatal(err)
+	if got := termCosine(ix, 0, 2); math.Abs(got) > 1e-9 {
+		t.Fatalf("independent term cosine %v, want ≈0", got)
 	}
-	rel := ix.RelatedTerms(0, 0)
-	if len(rel) != 2 {
-		t.Fatalf("related count %d", len(rel))
-	}
-	// Term 1 (the exact synonym) must rank first with cosine ≈ 1; term 2
-	// (independent) must be near orthogonal.
-	if rel[0].Term != 1 || rel[0].Score < 1-1e-9 {
-		t.Fatalf("top related = %+v, want term 1 at ≈1", rel[0])
-	}
-	if rel[1].Term != 2 || math.Abs(rel[1].Score) > 1e-9 {
-		t.Fatalf("second related = %+v, want term 2 at ≈0", rel[1])
-	}
-}
-
-func TestRelatedTermsTopNAndPanic(t *testing.T) {
-	ix, err := Build(synonymPairMatrix(), 2, Options{Engine: EngineDense})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ix.RelatedTerms(0, 1); len(got) != 1 {
-		t.Fatalf("topN=1 returned %d", len(got))
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for out-of-range term")
-		}
-	}()
-	ix.TermVector(99)
 }
 
 func TestBuildWithEmptyDocuments(t *testing.T) {
@@ -130,7 +103,7 @@ func TestBuildFromCorpusWithEmptyDocs(t *testing.T) {
 			{ID: 2, Terms: []int{2}, Counts: []int{4}},
 		},
 	}
-	ix, err := BuildFromCorpus(c, 2, corpus.CountWeighting, Options{Engine: EngineDense})
+	ix, err := Build(corpus.TermDocMatrix(c, corpus.CountWeighting), 2, Options{Engine: EngineDense})
 	if err != nil {
 		t.Fatal(err)
 	}

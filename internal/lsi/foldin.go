@@ -7,48 +7,6 @@ import (
 	"repro/internal/par"
 )
 
-// AppendDocument folds a new term-space document vector into the index
-// without recomputing the SVD (the standard LSI "folding-in" update: the
-// new document is represented by Uₖᵀ·d, exactly how queries are projected,
-// and appended to the document matrix). It returns the new document's ID,
-// or an error if the vector length does not match the vocabulary — the
-// same validated contract as AppendDocuments, and the index is left
-// unchanged on error.
-//
-// Folding-in keeps the original latent space fixed, so it is exact for
-// documents drawn from the same corpus model and degrades as the corpus
-// drifts; rebuild the index periodically when adding many documents.
-//
-// Fold-in mutates the index and is not synchronized: callers must not
-// run AppendDocument/AppendDocuments concurrently with each other or
-// with searches. (Searches against an index that is not being mutated
-// are safe to run concurrently.)
-func (ix *Index) AppendDocument(d []float64) (int, error) {
-	if len(d) != ix.numTerms {
-		return 0, fmt.Errorf("lsi: document has %d terms, want %d", len(d), ix.numTerms)
-	}
-	return ix.AppendDocuments([][]float64{d})
-}
-
-// extended returns ix with n more documents in a new index sharing its
-// latent space: fold writes document i into proj, which is stored rounded
-// to float32 with the norm of what is stored. Folds fan out across par
-// workers, each writing its own row: bitwise the serial result.
-func (ix *Index) extended(n, grain int, fold func(i int, proj []float64)) *Index {
-	m, k := ix.docs.Dims()
-	ext := ix.concat([]*Index{ix}, n)
-	par.For(n, grain, func(lo, hi int) {
-		proj := make([]float64, k)
-		for i := lo; i < hi; i++ {
-			fold(i, proj)
-			row := ext.docs.Row(m + i)
-			mat.Convert(row, proj)
-			ext.norms[m+i] = mat.Norm(row)
-		}
-	})
-	return ext
-}
-
 // concat returns a new index in ix's latent space holding the documents
 // of parts in order, rows and norms copied bit for bit, then extra zero
 // rows for the caller to fill.
@@ -92,7 +50,7 @@ func Concat(parts ...*Index) (*Index, error) {
 // EmptyLike returns a new index sharing this index's latent space (basis
 // and singular values) but holding zero documents. It is the seed of a
 // fresh fold-in segment in the sharded index: documents extended into it
-// are represented exactly as AppendDocument would represent them here.
+// are represented exactly as ExtendedSparse represents them here.
 func (ix *Index) EmptyLike() *Index {
 	return &Index{
 		k:        ix.k,
@@ -110,10 +68,12 @@ func (ix *Index) EmptyLike() *Index {
 // singular values are shared, the document matrix and norms are copied
 // and grown. terms[i]/weights[i] is document i in the sorted sparse form
 // the retrieval layer produces; with terms strictly ascending the new
-// rows are bitwise identical to AppendDocuments over the densified
-// vectors. Because the receiver is immutable under this call, readers
-// holding it concurrently are safe — this is the copy-on-write primitive
-// behind the sharded index's live segment.
+// rows are the projections Project gives the densified vectors, bit for
+// bit, stored rounded to float32 with the norm of what is stored. Because
+// the receiver is immutable under this call, readers holding it
+// concurrently are safe — this is the copy-on-write primitive behind the
+// sharded index's live segment. The folds fan out across par workers,
+// each writing its own row: bitwise the serial result.
 //
 // It validates every document before building anything: a length mismatch
 // or out-of-range term returns an error and allocates nothing.
@@ -131,27 +91,16 @@ func (ix *Index) ExtendedSparse(terms [][]int, weights [][]float64) (*Index, err
 			}
 		}
 	}
-	return ix.extended(len(terms), par.GrainFor(ix.k), func(i int, proj []float64) {
-		mat.MulTVecSparse(ix.uk, terms[i], weights[i], proj)
-	}), nil
-}
-
-// AppendDocuments folds a batch of term-space document vectors into the
-// index, returning the ID of the first appended document. It validates all
-// vectors before mutating the index, so a length error leaves the index
-// unchanged. The folds fan out across par workers (see extended).
-func (ix *Index) AppendDocuments(ds [][]float64) (int, error) {
-	for i, d := range ds {
-		if len(d) != ix.numTerms {
-			return 0, fmt.Errorf("lsi: document %d has %d terms, want %d", i, len(d), ix.numTerms)
+	m, k := ix.docs.Dims()
+	ext := ix.concat([]*Index{ix}, len(terms))
+	par.For(len(terms), par.GrainFor(k), func(lo, hi int) {
+		proj := make([]float64, k)
+		for i := lo; i < hi; i++ {
+			mat.MulTVecSparse(ix.uk, terms[i], weights[i], proj)
+			row := ext.docs.Row(m + i)
+			mat.Convert(row, proj)
+			ext.norms[m+i] = mat.Norm(row)
 		}
-	}
-	ext := ix.extended(len(ds), par.GrainFor(ix.numTerms*ix.k), func(i int, proj []float64) {
-		mat.MulTVecInto(ix.uk, ds[i], proj)
 	})
-	// norms before docs, so docs never has more rows than norms — plain
-	// writes, safe only under the "no concurrent fold-in and search" rule.
-	m := ix.docs.Rows()
-	ix.norms, ix.docs = ext.norms, ext.docs
-	return m, nil
+	return ext, nil
 }

@@ -8,6 +8,21 @@ import (
 	"repro/internal/mat"
 )
 
+// foldIn folds the term-space documents ds into a copy of ix through
+// ExtendedSparse, the fold-in serving runs.
+func foldIn(t *testing.T, ix *Index, ds ...[]float64) *Index {
+	t.Helper()
+	terms, weights := make([][]int, len(ds)), make([][]float64, len(ds))
+	for i, d := range ds {
+		terms[i], weights[i] = sparseDoc(d)
+	}
+	ext, err := ix.ExtendedSparse(terms, weights)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ext
+}
+
 func TestAppendDocumentReproducesIndexedVector(t *testing.T) {
 	c := testCorpus(t, 3, 10, 0.05, 30, 161)
 	a := corpus.TermDocMatrix(c, corpus.CountWeighting)
@@ -17,24 +32,18 @@ func TestAppendDocumentReproducesIndexedVector(t *testing.T) {
 	}
 	m := ix.NumDocs()
 	// Folding in column 0 again must produce its stored representation.
-	id, err := ix.AppendDocument(a.Col(0))
-	if err != nil {
-		t.Fatal(err)
+	ext := foldIn(t, ix, a.Col(0))
+	if ext.NumDocs() != m+1 {
+		t.Fatalf("NumDocs %d after append", ext.NumDocs())
 	}
-	if id != m {
-		t.Fatalf("new doc ID %d, want %d", id, m)
-	}
-	if ix.NumDocs() != m+1 {
-		t.Fatalf("NumDocs %d after append", ix.NumDocs())
-	}
-	if mat.Dist(ix.DocVector(id), ix.DocVector(0)) > 1e-10 {
+	if mat.Dist(ext.DocVector(m), ext.DocVector(0)) > 1e-10 {
 		t.Fatal("folded-in duplicate differs from original representation")
 	}
 	// Searching with doc 0's vector must now return both copies on top.
-	res := ix.Search(a.Col(0), 2)
+	res := ext.Search(a.Col(0), 2)
 	seen := map[int]bool{res[0].Doc: true, res[1].Doc: true}
-	if !seen[0] || !seen[id] {
-		t.Fatalf("top-2 = %v, want docs 0 and %d", res, id)
+	if !seen[0] || !seen[m] {
+		t.Fatalf("top-2 = %v, want docs 0 and %d", res, m)
 	}
 }
 
@@ -63,16 +72,16 @@ func TestAppendDocumentFromModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, d := range fresh.Docs {
-		vec, err := corpus.DocVector(&d, c.NumTerms, corpus.CountWeighting)
-		if err != nil {
+		counts := make([]float64, len(d.Counts))
+		for i, n := range d.Counts {
+			counts[i] = float64(n)
+		}
+		if ix, err = ix.ExtendedSparse([][]int{d.Terms}, [][]float64{counts}); err != nil {
 			t.Fatal(err)
 		}
-		id, err := ix.AppendDocument(vec)
-		if err != nil {
-			t.Fatal(err)
-		}
+		id := ix.NumDocs() - 1
 		// Nearest original neighbour must share the new doc's topic.
-		res := ix.SearchProjected(ix.DocVector(id), 0)
+		res := ix.AppendSearchProjected(nil, ix.DocVector(id), 0)
 		for _, m := range res {
 			if m.Doc == id {
 				continue
@@ -93,15 +102,12 @@ func TestAppendDocumentsBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := ix.AppendDocuments([][]float64{a.Col(0), a.Col(1)})
-	if err != nil {
-		t.Fatal(err)
+	ext := foldIn(t, ix, a.Col(0), a.Col(1))
+	if ix.NumDocs() != 16 || ext.NumDocs() != 18 {
+		t.Fatalf("docs=%d, extended %d", ix.NumDocs(), ext.NumDocs())
 	}
-	if first != 16 || ix.NumDocs() != 18 {
-		t.Fatalf("first=%d docs=%d", first, ix.NumDocs())
-	}
-	if mat.Dist(ix.DocVector(16), ix.DocVector(0)) > 1e-10 ||
-		mat.Dist(ix.DocVector(17), ix.DocVector(1)) > 1e-10 {
+	if mat.Dist(ext.DocVector(16), ext.DocVector(0)) > 1e-10 ||
+		mat.Dist(ext.DocVector(17), ext.DocVector(1)) > 1e-10 {
 		t.Fatal("batch fold-in wrong representations")
 	}
 }
@@ -113,9 +119,10 @@ func TestAppendDocumentsValidatesBeforeMutating(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = ix.AppendDocuments([][]float64{a.Col(0), {1, 2, 3}})
+	terms, weights := sparseDoc(a.Col(0))
+	_, err = ix.ExtendedSparse([][]int{terms, {ix.NumTerms()}}, [][]float64{weights, {1}})
 	if err == nil {
-		t.Fatal("expected length error")
+		t.Fatal("expected range error")
 	}
 	if ix.NumDocs() != 10 {
 		t.Fatalf("index mutated on failed batch: %d docs", ix.NumDocs())
@@ -124,12 +131,12 @@ func TestAppendDocumentsValidatesBeforeMutating(t *testing.T) {
 
 func TestAppendDocumentWrongLengthErrors(t *testing.T) {
 	c := testCorpus(t, 2, 5, 0, 8, 165)
-	ix, err := BuildFromCorpus(c, 2, corpus.CountWeighting, Options{})
+	ix, err := Build(corpus.TermDocMatrix(c, corpus.CountWeighting), 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	docs := ix.NumDocs()
-	if _, err := ix.AppendDocument([]float64{1}); err == nil {
+	if _, err := ix.ExtendedSparse([][]int{{0}}, [][]float64{{1, 2}}); err == nil {
 		t.Fatal("expected length error")
 	}
 	if ix.NumDocs() != docs {

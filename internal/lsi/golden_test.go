@@ -65,7 +65,7 @@ func TestSaveMetaRoundTrip(t *testing.T) {
 // loading it and saving again reproduces it byte for byte.
 func TestSaveWritesV3ByteStable(t *testing.T) {
 	c := testCorpus(t, 2, 8, 0.05, 10, 245)
-	ix, err := BuildFromCorpus(c, 2, corpus.CountWeighting, Options{Engine: EngineDense})
+	ix, err := Build(corpus.TermDocMatrix(c, corpus.CountWeighting), 2, Options{Engine: EngineDense})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestSaveWritesV3ByteStable(t *testing.T) {
 
 func TestSaveMetaValidatesDimensions(t *testing.T) {
 	c := testCorpus(t, 2, 8, 0.05, 10, 244)
-	ix, err := BuildFromCorpus(c, 2, corpus.CountWeighting, Options{Engine: EngineDense})
+	ix, err := Build(corpus.TermDocMatrix(c, corpus.CountWeighting), 2, Options{Engine: EngineDense})
 	if err != nil {
 		t.Fatal(err)
 	}

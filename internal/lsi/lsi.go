@@ -17,7 +17,6 @@ import (
 	"math/rand"
 
 	"repro/internal/blob"
-	"repro/internal/corpus"
 	"repro/internal/mat"
 	"repro/internal/par"
 	"repro/internal/sparse"
@@ -171,12 +170,6 @@ func Build(a *sparse.CSR, k int, opts Options) (*Index, error) {
 	return newIndex(len(res.S), n, res.U, res.S, nil, res.TakeDocSpace()), nil
 }
 
-// BuildFromCorpus builds the term-document matrix of c with the given
-// weighting and indexes it.
-func BuildFromCorpus(c *corpus.Corpus, k int, w corpus.Weighting, opts Options) (*Index, error) {
-	return Build(corpus.TermDocMatrix(c, w), k, opts)
-}
-
 // NewIndexFromSVD wraps an existing (truncated) SVD as an index. numTerms
 // must match the row dimension of res.U; it is the length of vectors
 // accepted by Project. The random-projection layer uses this to build its
@@ -229,10 +222,3 @@ func (ix *Index) Norms() []float64 { return ix.norms }
 // Basis returns the n×k orthonormal basis Uₖ of the LSI space (shared
 // storage; callers must not mutate).
 func (ix *Index) Basis() *mat.Dense { return ix.uk }
-
-// ApproxMatrix returns the rank-k approximation Aₖ = Uₖ·Dₖ·Vₖᵀ of the
-// indexed matrix (Theorem 1's optimal rank-k approximation). Intended for
-// analysis and tests; it materializes an n×m dense matrix.
-func (ix *Index) ApproxMatrix() *mat.Dense {
-	return mat.MulBT(ix.uk, ix.DocVectors())
-}

@@ -29,7 +29,7 @@ func testCorpus(t *testing.T, topics, termsPer int, eps float64, m int, seed int
 
 func TestBuildBasics(t *testing.T) {
 	c := testCorpus(t, 3, 10, 0.05, 30, 71)
-	ix, err := BuildFromCorpus(c, 3, corpus.CountWeighting, Options{})
+	ix, err := Build(corpus.TermDocMatrix(c, corpus.CountWeighting), 3, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestDocVectorsMatchProjection(t *testing.T) {
 
 func TestProjectPanicsOnWrongLength(t *testing.T) {
 	c := testCorpus(t, 2, 5, 0, 10, 74)
-	ix, err := BuildFromCorpus(c, 2, corpus.CountWeighting, Options{})
+	ix, err := Build(corpus.TermDocMatrix(c, corpus.CountWeighting), 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestApproxMatrixIsEckartYoung(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ak := ix.ApproxMatrix()
+	ak := mat.MulBT(ix.uk, ix.DocVectors())
 	ad := a.ToDense()
 	full, err := svd.Decompose(ad)
 	if err != nil {

@@ -90,9 +90,9 @@ func TestMappedAndStreamedLoadsAgree(t *testing.T) {
 			old := par.SetMaxProcs(procs)
 			for j := 0; j < stream.NumDocs(); j++ {
 				for _, topN := range []int{3, 0} {
-					want := stream.SearchProjected(stream.DocVector(j), topN)
-					if !reflect.DeepEqual(memory.SearchProjected(stream.DocVector(j), topN), want) ||
-						!reflect.DeepEqual(file.SearchProjected(stream.DocVector(j), topN), want) {
+					want := stream.AppendSearchProjected(nil, stream.DocVector(j), topN)
+					if !reflect.DeepEqual(memory.AppendSearchProjected(nil, stream.DocVector(j), topN), want) ||
+						!reflect.DeepEqual(file.AppendSearchProjected(nil, stream.DocVector(j), topN), want) {
 						t.Fatalf("%s MaxProcs=%d: the arms answer query %d (top %d) differently", name, procs, j, topN)
 					}
 				}

@@ -79,20 +79,11 @@ func TestAppendDocumentsParallelMatchesSequentialFold(t *testing.T) {
 	withProcs(t, 4)
 	ix, queries := batchIndex(t)
 	ref, _ := batchIndex(t)
-	start, err := ix.AppendDocuments(queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if start != ref.NumDocs() {
-		t.Fatalf("first appended ID %d, want %d", start, ref.NumDocs())
-	}
+	start := ix.NumDocs()
+	ext := foldIn(t, ix, queries...)
 	for i, q := range queries {
-		id, err := ref.AppendDocument(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := ref.DocVector(id)
-		got := ix.DocVector(start + i)
+		want := foldIn(t, ref, q).DocVector(start)
+		got := ext.DocVector(start + i)
 		for j := range want {
 			if got[j] != want[j] {
 				t.Fatalf("doc %d dim %d: batch fold %v != serial fold %v", i, j, got[j], want[j])

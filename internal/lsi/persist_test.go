@@ -51,18 +51,15 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		}
 	}
 	// And accept fold-ins.
-	id, err := loaded.AppendDocument(a.Col(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mat.Dist(loaded.DocVector(id), loaded.DocVector(0)) > 1e-10 {
+	ext := foldIn(t, loaded, a.Col(0))
+	if mat.Dist(ext.DocVector(loaded.NumDocs()), ext.DocVector(0)) > 1e-10 {
 		t.Fatal("fold-in on a loaded index is wrong")
 	}
 }
 
 func TestLoadRejectsCorruptStreams(t *testing.T) {
 	c := testCorpus(t, 2, 6, 0, 8, 242)
-	ix, err := BuildFromCorpus(c, 2, corpus.CountWeighting, Options{Engine: EngineDense})
+	ix, err := Build(corpus.TermDocMatrix(c, corpus.CountWeighting), 2, Options{Engine: EngineDense})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +207,7 @@ func FuzzLoadIndex(f *testing.F) {
 			return
 		}
 		if ix.NumDocs() > 0 {
-			ix.SearchProjected(ix.DocVector(0), 3)
+			ix.AppendSearchProjected(nil, ix.DocVector(0), 3)
 		}
 		if meta != nil && len(meta.Vocab) > 0 && len(meta.Vocab) != ix.NumTerms() {
 			t.Fatalf("vocabulary of %d terms on an index of %d", len(meta.Vocab), ix.NumTerms())

@@ -3,6 +3,7 @@ package lsi
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/corpus"
@@ -14,7 +15,7 @@ import (
 // stored document representations.
 func TestProjectLinearityProperty(t *testing.T) {
 	c := testCorpus(t, 3, 10, 0.05, 25, 301)
-	ix, err := BuildFromCorpus(c, 3, corpus.CountWeighting, Options{Engine: EngineDense})
+	ix, err := Build(corpus.TermDocMatrix(c, corpus.CountWeighting), 3, Options{Engine: EngineDense})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestProjectLinearityProperty(t *testing.T) {
 // orthonormal columns, so Uₖᵀ is a contraction).
 func TestProjectContractionProperty(t *testing.T) {
 	c := testCorpus(t, 3, 10, 0.05, 25, 303)
-	ix, err := BuildFromCorpus(c, 3, corpus.CountWeighting, Options{Engine: EngineDense})
+	ix, err := Build(corpus.TermDocMatrix(c, corpus.CountWeighting), 3, Options{Engine: EngineDense})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestSearchScalingProperty(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		j := rng.Intn(15)
 		q := a.Col(j)
-		scaled := mat.CloneVec(q)
+		scaled := slices.Clone(q)
 		mat.ScaleVec(0.5+rng.Float64()*5, scaled)
 		r1 := ix.Search(q, 3)
 		r2 := ix.Search(scaled, 3)

@@ -71,32 +71,20 @@ func (ix *Index) resultLen(topN int) int {
 	return m
 }
 
-// searchProjected scores every document against the projected query pq
-// and appends the topN best (all, if topN <= 0 or beyond the corpus) to
-// dst, best-first with ties broken by document ID. The caller owns pq.
-func (ix *Index) searchProjected(dst []Match, pq []float64, topN int) []Match {
+// AppendSearchProjected scores every document against the projected
+// query pq and appends the topN best (all, if topN <= 0 or beyond the
+// corpus) to dst, best-first with ties broken by document ID: with a
+// destination of sufficient capacity the steady-state query path
+// allocates nothing. Results are identical for every par worker count.
+// The caller owns pq.
+func (ix *Index) AppendSearchProjected(dst []Match, pq []float64, topN int) []Match {
 	if len(pq) != ix.k {
-		panic(fmt.Sprintf("lsi: SearchProjected vector length %d, want %d", len(pq), ix.k))
+		panic(fmt.Sprintf("lsi: AppendSearchProjected vector length %d, want %d", len(pq), ix.k))
 	}
 	defer runtime.KeepAlive(ix) // the rows may be views of ix.mapped
 	return scan.Float{
 		Vecs: ix.docs, Norms: ix.norms, PQ: pq, QN: mat.Norm(pq), Src: scan.Rows(ix.docs.Rows()),
 	}.AppendTop(dst, topN)
-}
-
-// SearchProjected ranks documents against an already-projected query and
-// returns the topN best (all documents if topN <= 0 or beyond the
-// corpus), best-first with ties broken by document ID. Results are
-// identical for every par worker count.
-func (ix *Index) SearchProjected(pq []float64, topN int) []Match {
-	return ix.searchProjected(make([]Match, 0, ix.resultLen(topN)), pq, topN)
-}
-
-// AppendSearchProjected is SearchProjected appending into dst: with a
-// destination of sufficient capacity the steady-state query path
-// allocates nothing.
-func (ix *Index) AppendSearchProjected(dst []Match, pq []float64, topN int) []Match {
-	return ix.searchProjected(dst, pq, topN)
 }
 
 // Search projects the term-space query and returns the topN documents by
@@ -119,7 +107,7 @@ func (ix *Index) AppendSearch(dst []Match, query []float64, topN int) []Match {
 	defer scratchPool.Put(sc)
 	pq := sc.projBuf(ix.k)
 	mat.MulTVecInto(ix.uk, query, pq)
-	return ix.searchProjected(dst, pq, topN)
+	return ix.AppendSearchProjected(dst, pq, topN)
 }
 
 // SearchSparse is Search for a query in sparse term/weight form: the
@@ -141,5 +129,5 @@ func (ix *Index) AppendSearchSparse(dst []Match, terms []int, weights []float64,
 	defer scratchPool.Put(sc)
 	pq := sc.projBuf(ix.k)
 	mat.MulTVecSparse(ix.uk, terms, weights, pq)
-	return ix.searchProjected(dst, pq, topN)
+	return ix.AppendSearchProjected(dst, pq, topN)
 }

@@ -178,19 +178,15 @@ func TestNormsTrackAppends(t *testing.T) {
 	if len(ix.norms) != ix.NumDocs() {
 		t.Fatalf("%d norms for %d docs", len(ix.norms), ix.NumDocs())
 	}
-	id, err := ix.AppendDocument(queries[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	id := ix.NumDocs()
+	ix = foldIn(t, ix, queries[0])
 	if len(ix.norms) != ix.NumDocs() {
 		t.Fatalf("after append: %d norms for %d docs", len(ix.norms), ix.NumDocs())
 	}
 	if want := mat.Norm(ix.DocVector(id)); ix.norms[id] != want {
 		t.Fatalf("appended norm %v, want %v", ix.norms[id], want)
 	}
-	if _, err := ix.AppendDocuments(queries[1:3]); err != nil {
-		t.Fatal(err)
-	}
+	ix = foldIn(t, ix, queries[1:3]...)
 	for j := 0; j < ix.NumDocs(); j++ {
 		if want := mat.Norm(ix.DocVector(j)); ix.norms[j] != want {
 			t.Fatalf("doc %d norm %v, want %v", j, ix.norms[j], want)

@@ -88,7 +88,7 @@ func TestLoadGoldenV1Index(t *testing.T) {
 	// 1, so top-1 identity is not guaranteed — the self-score is.)
 	for j := 0; j < ix.NumDocs(); j++ {
 		self := math.Inf(-1)
-		for _, m := range ix.SearchProjected(ix.DocVector(j), 0) {
+		for _, m := range ix.AppendSearchProjected(nil, ix.DocVector(j), 0) {
 			if m.Doc == j {
 				self = m.Score
 			}
@@ -139,7 +139,7 @@ func TestGoldenGenerationsAgree(t *testing.T) {
 			t.Fatalf("%s arrays differ from v2's", name)
 		}
 		for j := 0; j < v2.NumDocs(); j++ {
-			if !reflect.DeepEqual(ix.SearchProjected(v2.DocVector(j), 5), v2.SearchProjected(v2.DocVector(j), 5)) {
+			if !reflect.DeepEqual(ix.AppendSearchProjected(nil, v2.DocVector(j), 5), v2.AppendSearchProjected(nil, v2.DocVector(j), 5)) {
 				t.Fatalf("%s answers query %d differently from v2", name, j)
 			}
 		}

@@ -94,12 +94,6 @@ func (m *Dense) Set(i, j int, v float64) {
 	m.data[i*m.cols+j] = v
 }
 
-// Add adds v to the element at row i, column j.
-func (m *Dense) Add(i, j int, v float64) {
-	m.checkIndex(i, j)
-	m.data[i*m.cols+j] += v
-}
-
 func (m *Dense) checkIndex(i, j int) {
 	if i < 0 || i >= m.rows || j < 0 || j >= m.cols {
 		panic(fmt.Sprintf("mat: index (%d,%d) out of range for %dx%d matrix", i, j, m.rows, m.cols))

@@ -3,6 +3,7 @@ package mat
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -31,9 +32,8 @@ func TestNewDenseZeroed(t *testing.T) {
 func TestSetAtAdd(t *testing.T) {
 	m := NewDense(2, 2)
 	m.Set(0, 1, 3.5)
-	m.Add(0, 1, 0.5)
-	if got := m.At(0, 1); got != 4 {
-		t.Fatalf("At(0,1) = %v, want 4", got)
+	if got := m.At(0, 1); got != 3.5 {
+		t.Fatalf("At(0,1) = %v, want 3.5", got)
 	}
 }
 
@@ -128,7 +128,7 @@ func TestMulVecMatchesMul(t *testing.T) {
 	a := randDense(5, 3, rng)
 	x := []float64{1.5, -2, 0.25}
 	got := MulVec(a, x)
-	xm := NewDenseData(3, 1, CloneVec(x))
+	xm := NewDenseData(3, 1, slices.Clone(x))
 	want := Mul(a, xm)
 	for i := range got {
 		if math.Abs(got[i]-want.At(i, 0)) > 1e-12 {

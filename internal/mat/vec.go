@@ -109,13 +109,6 @@ func Normalize(x []float64) float64 {
 	return n
 }
 
-// CloneVec returns a copy of x.
-func CloneVec(x []float64) []float64 {
-	out := make([]float64, len(x))
-	copy(out, x)
-	return out
-}
-
 // clampCos clamps round-off to [-1, 1] with a branch (min/max are slower).
 func clampCos(c float64) float64 {
 	if c > 1 || c < -1 {

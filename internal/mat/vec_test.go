@@ -3,6 +3,7 @@ package mat
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -101,7 +102,7 @@ func TestCauchySchwarzProperty(t *testing.T) {
 			n = len(ys)
 		}
 		x, y := xs[:n], ys[:n]
-		for _, v := range append(CloneVec(x), y...) {
+		for _, v := range append(slices.Clone(x), y...) {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				return true
 			}

@@ -49,14 +49,6 @@ type Counter struct {
 // Inc adds 1.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n; n must be >= 0 (counters only go up). Negative n panics.
-func (c *Counter) Add(n int64) {
-	if n < 0 {
-		panic("metrics: counter decrease")
-	}
-	c.v.Add(n)
-}
-
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
@@ -64,9 +56,6 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 type Gauge struct {
 	bits atomic.Uint64
 }
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
 // Add adds d to the gauge (atomically, via CAS).
 func (g *Gauge) Add(d float64) {

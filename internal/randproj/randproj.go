@@ -94,12 +94,6 @@ func New(n, l int, kind Kind, rng *rand.Rand) (*Projection, error) {
 	return &Projection{r: r, scale: scale}, nil
 }
 
-// Dims returns (n, l): the source and target dimensions.
-func (p *Projection) Dims() (int, int) { return p.r.Dims() }
-
-// Scale returns the scaling constant applied after Rᵀ.
-func (p *Projection) Scale() float64 { return p.scale }
-
 // Apply projects a single vector: scale·Rᵀ·x.
 func (p *Projection) Apply(x []float64) []float64 {
 	out := mat.MulTVec(p.r, x)

@@ -24,7 +24,7 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, l := p.Dims(); n != 10 || l != 5 {
+	if n, l := p.r.Dims(); n != 10 || l != 5 {
 		t.Fatalf("Dims = %d,%d", n, l)
 	}
 }
@@ -39,8 +39,8 @@ func TestOrthonormalKindIsOrthonormal(t *testing.T) {
 		t.Fatal("Orthonormal projection columns not orthonormal")
 	}
 	want := math.Sqrt(30.0 / 8.0)
-	if math.Abs(p.Scale()-want) > 1e-12 {
-		t.Fatalf("scale = %v, want %v", p.Scale(), want)
+	if math.Abs(p.scale-want) > 1e-12 {
+		t.Fatalf("scale = %v, want %v", p.scale, want)
 	}
 }
 
@@ -55,8 +55,8 @@ func TestSignEntriesAndScale(t *testing.T) {
 			t.Fatalf("sign entry %v", v)
 		}
 	}
-	if math.Abs(p.Scale()-0.5) > 1e-12 {
-		t.Fatalf("scale = %v, want 1/sqrt(4)", p.Scale())
+	if math.Abs(p.scale-0.5) > 1e-12 {
+		t.Fatalf("scale = %v, want 1/sqrt(4)", p.scale)
 	}
 }
 

@@ -12,11 +12,9 @@ import (
 
 // TwoStep is the paper's two-step method (Section 5): (1) randomly project
 // the term-document matrix A to l dimensions, (2) run rank-2k LSI on the
-// projected matrix B. Queries are projected through the same random matrix
-// and then folded into the rank-2k space, so retrieval works end to end in
-// the compressed space.
+// projected matrix B. The experiments read its document representations
+// and its Theorem 5 residual.
 type TwoStep struct {
-	proj  *Projection
 	inner *lsi.Index // rank-2k index over the l-dimensional projected space
 	vb    *mat.Dense // m×r right singular vectors of B (r = effective rank)
 }
@@ -67,33 +65,12 @@ func NewTwoStep(a *sparse.CSR, k, l int, opts TwoStepOptions) (*TwoStep, error) 
 	if err != nil {
 		return nil, err
 	}
-	return &TwoStep{proj: proj, inner: inner, vb: res.V}, nil
+	return &TwoStep{inner: inner, vb: res.V}, nil
 }
-
-// Rank returns the effective inner LSI rank (≈ 2k).
-func (ts *TwoStep) Rank() int { return ts.inner.K() }
-
-// NumDocs returns the number of indexed documents.
-func (ts *TwoStep) NumDocs() int { return ts.inner.NumDocs() }
-
-// DocVector returns document j's representation in the rank-2k space.
-func (ts *TwoStep) DocVector(j int) []float64 { return ts.inner.DocVector(j) }
 
 // DocVectors returns the m×2k document representation matrix (shared
 // storage; callers must not mutate).
 func (ts *TwoStep) DocVectors() *mat.Dense { return ts.inner.DocVectors() }
-
-// Project folds a term-space query through the random projection and into
-// the rank-2k space.
-func (ts *TwoStep) Project(q []float64) []float64 {
-	return ts.inner.Project(ts.proj.Apply(q))
-}
-
-// Search ranks documents against a term-space query by cosine similarity
-// in the rank-2k space.
-func (ts *TwoStep) Search(query []float64, topN int) []lsi.Match {
-	return ts.inner.SearchProjected(ts.Project(query), topN)
-}
 
 // ApproxMatrix returns B₂ₖ = A·Σᵢ bᵢbᵢᵀ (Theorem 5's approximation): the
 // original matrix with its rows projected onto the span of the top right

@@ -43,16 +43,16 @@ func TestTwoStepBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ts.Rank() != 6 {
-		t.Fatalf("rank = %d, want 2k=6", ts.Rank())
+	if ts.inner.K() != 6 {
+		t.Fatalf("rank = %d, want 2k=6", ts.inner.K())
 	}
-	if ts.NumDocs() != 30 {
-		t.Fatalf("NumDocs = %d", ts.NumDocs())
+	if ts.inner.NumDocs() != 30 {
+		t.Fatalf("NumDocs = %d", ts.inner.NumDocs())
 	}
-	if n, l := ts.proj.Dims(); n != 45 || l != 12 {
-		t.Fatalf("projection dims %d,%d", n, l)
+	if l := ts.inner.NumTerms(); l != 12 {
+		t.Fatalf("projected dimension %d", l)
 	}
-	dv := ts.DocVector(0)
+	dv := ts.DocVectors().Row(0)
 	if len(dv) != 6 {
 		t.Fatalf("doc vector length %d", len(dv))
 	}
@@ -64,10 +64,16 @@ func TestTwoStepSelfRetrieval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The projection NewTwoStep drew: the first draw from its default seed.
+	// A query takes the documents' path: project, then fold in.
+	proj, err := New(a.Rows(), 30, Orthonormal, rand.New(rand.NewSource(31415)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	correctTop := 0
 	topicTop5 := 0
 	for j := 0; j < 15; j++ {
-		res := ts.Search(a.Col(j), 5)
+		res := ts.inner.AppendSearchProjected(nil, ts.inner.Project(proj.Apply(a.Col(j))), 5)
 		if res[0].Doc == j {
 			correctTop++
 		}
@@ -182,8 +188,8 @@ func TestTwoStepRankClamp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ts.Rank() > 6 {
-		t.Fatalf("rank %d exceeds projection dimension", ts.Rank())
+	if ts.inner.K() > 6 {
+		t.Fatalf("rank %d exceeds projection dimension", ts.inner.K())
 	}
 }
 

@@ -134,7 +134,7 @@ func ledgerSealed(tb testing.TB, docs int) (seg *Segment, numTerms int) {
 		}
 	}
 	head := &corpus.Corpus{NumTerms: c.NumTerms, Docs: c.Docs[:min(docs, 128)]}
-	base, err := lsi.BuildFromCorpus(head, 64, corpus.CountWeighting, lsi.Options{Engine: lsi.EngineRandomized, Seed: 1})
+	base, err := lsi.Build(corpus.TermDocMatrix(head, corpus.CountWeighting), 64, lsi.Options{Engine: lsi.EngineRandomized, Seed: 1})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -12,7 +12,6 @@ package sparse
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/mat"
@@ -47,9 +46,6 @@ func (a *COO) Add(i, j int, v float64) {
 	a.ci = append(a.ci, j)
 	a.vals = append(a.vals, v)
 }
-
-// NNZ returns the number of recorded entries (before duplicate merging).
-func (a *COO) NNZ() int { return len(a.vals) }
 
 // ToCSR freezes the accumulator into compressed sparse row form, summing
 // duplicates in insertion order and dropping entries that cancel to zero.
@@ -331,15 +327,6 @@ func (m *CSR) ToDense() *mat.Dense {
 	return out
 }
 
-// Frob returns the Frobenius norm.
-func (m *CSR) Frob() float64 {
-	var s float64
-	for _, v := range m.vals {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
 // Col returns column j as a dense vector.
 func (m *CSR) Col(j int) []float64 {
 	if j < 0 || j >= m.cols {
@@ -356,45 +343,9 @@ func (m *CSR) Col(j int) []float64 {
 	return out
 }
 
-// RowNNZ returns the number of nonzeros in row i.
-func (m *CSR) RowNNZ(i int) int {
-	if i < 0 || i >= m.rows {
-		panic(fmt.Sprintf("sparse: row %d out of range for %dx%d", i, m.rows, m.cols))
-	}
-	return m.rowPtr[i+1] - m.rowPtr[i]
-}
-
-// Scale returns a copy of the matrix with every entry multiplied by s.
-func (m *CSR) Scale(s float64) *CSR {
-	vals := make([]float64, len(m.vals))
-	for i, v := range m.vals {
-		vals[i] = v * s
-	}
-	return &CSR{
-		rows: m.rows, cols: m.cols,
-		rowPtr: m.rowPtr, colIdx: m.colIdx, // immutable; safe to share
-		vals: vals,
-	}
-}
-
 // RowIter calls fn for every nonzero (column, value) pair in row i.
 func (m *CSR) RowIter(i int, fn func(j int, v float64)) {
 	for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
 		fn(m.colIdx[p], m.vals[p])
 	}
-}
-
-// FromDense converts a dense matrix to CSR, dropping exact zeros.
-func FromDense(d *mat.Dense) *CSR {
-	r, c := d.Dims()
-	coo := NewCOO(r, c)
-	for i := 0; i < r; i++ {
-		row := d.Row(i)
-		for j, v := range row {
-			if v != 0 {
-				coo.Add(i, j, v)
-			}
-		}
-	}
-	return coo.ToCSR()
 }

@@ -171,19 +171,15 @@ func TestTransposeRoundTrip(t *testing.T) {
 
 func TestToDenseFromDenseRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
-	_, d := randSparse(9, 11, 0.3, rng)
-	s := FromDense(d)
+	s, d := randSparse(9, 11, 0.3, rng)
 	if !mat.EqualApprox(s.ToDense(), d, 0) {
-		t.Fatal("FromDense/ToDense round trip failed")
+		t.Fatal("COO/ToDense round trip failed")
 	}
 }
 
 func TestFrobColNormsCol(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	s, d := randSparse(10, 6, 0.5, rng)
-	if math.Abs(s.Frob()-d.Frob()) > 1e-12 {
-		t.Fatalf("Frob: sparse %v dense %v", s.Frob(), d.Frob())
-	}
 	for j := 0; j < 6; j++ {
 		colGot := s.Col(j)
 		for i := range colGot {
@@ -194,24 +190,11 @@ func TestFrobColNormsCol(t *testing.T) {
 	}
 }
 
-func TestScaleSharesStructure(t *testing.T) {
-	coo := NewCOO(2, 2)
-	coo.Add(0, 1, 2)
-	m := coo.ToCSR()
-	sc := m.Scale(3)
-	if sc.At(0, 1) != 6 || m.At(0, 1) != 2 {
-		t.Fatal("Scale wrong or mutated original")
-	}
-}
-
 func TestRowIterAndRowNNZ(t *testing.T) {
 	coo := NewCOO(2, 4)
 	coo.Add(1, 0, 1)
 	coo.Add(1, 3, 2)
 	m := coo.ToCSR()
-	if m.RowNNZ(0) != 0 || m.RowNNZ(1) != 2 {
-		t.Fatal("RowNNZ wrong")
-	}
 	var cols []int
 	var vals []float64
 	m.RowIter(1, func(j int, v float64) {
@@ -225,7 +208,7 @@ func TestRowIterAndRowNNZ(t *testing.T) {
 
 func TestEmptyMatrix(t *testing.T) {
 	m := NewCOO(0, 0).ToCSR()
-	if m.NNZ() != 0 || m.Frob() != 0 {
+	if m.NNZ() != 0 {
 		t.Fatal("empty matrix not empty")
 	}
 	m2 := NewCOO(3, 4).ToCSR() // no entries
@@ -300,8 +283,8 @@ func TestRowBuilderMatchesCOO(t *testing.T) {
 		t.Fatalf("RowBuilder gives\n%v, COO gives\n%v", got.ToDense(), want.ToDense())
 	}
 	for i := 0; i < 4; i++ {
-		if got.RowNNZ(i) != want.RowNNZ(i) {
-			t.Fatalf("row %d holds %d entries, want %d", i, got.RowNNZ(i), want.RowNNZ(i))
+		if g, w := got.rowPtr[i+1]-got.rowPtr[i], want.rowPtr[i+1]-want.rowPtr[i]; g != w {
+			t.Fatalf("row %d holds %d entries, want %d", i, g, w)
 		}
 	}
 	for name, misuse := range map[string]func(b *RowBuilder){

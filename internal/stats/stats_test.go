@@ -64,28 +64,8 @@ func TestWelfordDegenerate(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	xs := []float64{3, 1, 2, 4}
-	if got := Quantile(xs, 0); got != 1 {
-		t.Fatalf("q0 = %v", got)
-	}
-	if got := Quantile(xs, 1); got != 4 {
-		t.Fatalf("q1 = %v", got)
-	}
-	if got := Quantile(xs, 0.5); math.Abs(got-2.5) > 1e-14 {
-		t.Fatalf("median = %v", got)
-	}
-	// Input must not be reordered.
-	if xs[0] != 3 {
-		t.Fatal("Quantile mutated its input")
-	}
-}
-
 func TestQuantilePanics(t *testing.T) {
 	for i, f := range []func(){
-		func() { Quantile(nil, 0.5) },
-		func() { Quantile([]float64{1}, -0.1) },
-		func() { Quantile([]float64{1}, 1.1) },
 		func() { Histogram(nil, 0, 1, 0) },
 		func() { Histogram(nil, 1, 1, 3) },
 	} {

@@ -118,8 +118,8 @@ func TestRandomizedProperties(t *testing.T) {
 		{"rank-deficient", rankDeficient, func(ref []float64, i int) float64 { return 1e-10 * ref[i] }},
 		{"graded", gradedSpectrum, func(ref []float64, i int) float64 { return 1e-9 * ref[0] }},
 	}
-	tallCSR := func(a *mat.Dense) BlockOp { return sparse.FromDense(a).Block() }
-	wideCSR := func(a *mat.Dense) BlockOp { return sparse.FromDense(a.T()).Block() }
+	tallCSR := func(a *mat.Dense) BlockOp { return csrOf(a).Block() }
+	wideCSR := func(a *mat.Dense) BlockOp { return csrOf(a.T()).Block() }
 	// The wide operators are 120 rows against 1,100 columns, so rows² is
 	// below cols·q for every k here and they take the Gram route; the
 	// sparse route runs the wide CSR through the unexported entry point.
@@ -414,4 +414,18 @@ func ownAllocs() int64 {
 		}
 	}
 	return total
+}
+
+// csrOf converts a dense matrix to CSR, dropping exact zeros.
+func csrOf(d *mat.Dense) *sparse.CSR {
+	r, c := d.Dims()
+	coo := sparse.NewCOO(r, c)
+	for i := 0; i < r; i++ {
+		for j := 0; j < c; j++ {
+			if v := d.At(i, j); v != 0 {
+				coo.Add(i, j, v)
+			}
+		}
+	}
+	return coo.ToCSR()
 }

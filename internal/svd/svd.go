@@ -30,17 +30,6 @@ type Result struct {
 	V *mat.Dense
 }
 
-// Rank returns the number of singular values greater than tol.
-func (r *Result) Rank(tol float64) int {
-	n := 0
-	for _, s := range r.S {
-		if s > tol {
-			n++
-		}
-	}
-	return n
-}
-
 // Truncate returns a rank-k view of the decomposition (copying the leading
 // k columns of U and V). If k exceeds the stored rank the full result is
 // copied.

@@ -1,15 +1,16 @@
 package repro
 
-// Tier-1 reachability check: every exported name in internal/ has a
-// caller outside the tests, and every unexported package-level name has
-// a reference at all. Go's internal/ rule means an exported identifier
-// there serves this module alone, so one that only tests call is code no
-// program runs. A grep cannot tell two methods of one name apart, so the
-// check type-checks the module (and bench/, a separate module that calls
-// it) with go/types and reads what each identifier resolves to. The
-// settings check on the same loader holds options to the same rule: a
-// field of an options struct, or a With* option, that only tests set is
-// a constant.
+// Tier-1 reachability check: every exported name in internal/, and every
+// unexported package-level name, has a caller in code a program runs.
+// Go's internal/ rule means an exported identifier there serves this
+// module alone, so one that only tests call is code no program runs, and
+// so is one that only such code calls: the check follows references from
+// the programs' code to a fixpoint. A grep cannot tell two methods of one
+// name apart, so the check type-checks the module (and bench/, a separate
+// module that calls it) with go/types and reads what each identifier
+// resolves to. The settings check on the same loader holds options to the
+// same rule: a field of an options struct, or a With* option, that only
+// tests set is a constant.
 
 import (
 	"go/ast"
@@ -25,11 +26,13 @@ import (
 	"testing"
 )
 
-// unreachedExported pins the exported names in internal/ that no non-test
-// code references. The list may only shrink: a new entry fails the test,
-// and so does an entry that has since found a caller or left the tree.
+// unreachedExported pins the exported names in internal/ that no program
+// reaches, each under the reason it is kept. The list may only shrink: a
+// new entry fails the test, and so does an entry that has since found a
+// caller or left the tree.
 var unreachedExported = []string{
 	// Kept: test seams.
+	"internal/faultinject.FakeClock",
 	"internal/faultinject.FakeClock.Advance",
 	"internal/faultinject.FakeClock.BlockUntil",
 	"internal/faultinject.FakeClock.Waiters",
@@ -44,73 +47,50 @@ var unreachedExported = []string{
 	"internal/faultinject.NewFaultyFS",
 	"internal/faultinject.Transport",
 	"internal/faultinject.Transport.Clear",
+	"internal/faultinject.Transport.SetRules",
 	"internal/race.Enabled",
-	// Kept: the Lemma 1 tools of ROADMAP item 15, and the fuzz entry.
+	// Kept: the Lemma 1 tools of ROADMAP item 15 (Gap's report and the
+	// principal angles SinThetaDist is built on), and the fuzz entry.
 	"internal/perturb.Gap",
+	"internal/perturb.GapReport",
+	"internal/perturb.GapReport.RelGap",
+	"internal/perturb.GapReport.SigmaK",
+	"internal/perturb.GapReport.SigmaK1",
+	"internal/perturb.PrincipalAngles",
 	"internal/perturb.SinThetaDist",
 	"internal/ir.Tokenize",
 	// Kept: oracles a test compares another routine against (SymEigen,
-	// ApplySparse, Welford).
+	// ApplySparse, Welford, the int8 assembly kernels).
 	"internal/svd.SymJacobi",
 	"internal/randproj.Projection.ApplyDense",
 	"internal/stats.MeanSlice",
-	// Kept: helpers the paper-result tests call (Lemma 2, ε-separability).
+	"internal/mat.DotInt8",
+	// Kept: helpers the paper-result tests call (Lemma 2, ε-separability,
+	// Section 6's graph from the document Gram matrix).
 	"internal/randproj.JLDim",
 	"internal/corpus.Topic.MassOn",
 	"internal/corpus.Topic.MaxProb",
 	"internal/corpus.Topic.Prob",
-	// Not yet decided. AppendDocument was reached through MustAppend
-	// alone, and AppendDocuments through AppendDocument: the index's
-	// in-place fold-in serves tests, while serving folds in through
-	// ExtendedSparse.
-	"internal/blob.NewMappedReader",
-	"internal/corpus.DocVector",
-	"internal/corpus.Document.Count",
-	"internal/corpus.Query.Vector",
-	"internal/corpus.Style.Apply",
-	"internal/corpus.Topic.Probs",
 	"internal/graphmodel.FromSimilarity",
-	"internal/ir.NewPipeline",
-	"internal/ir.SampleLabels",
-	"internal/ir.SampleTexts",
-	"internal/lsi.BuildFromCorpus",
-	"internal/lsi.Index.AppendDocument",
-	"internal/lsi.Index.ApproxMatrix",
-	"internal/lsi.Index.RelatedTerms",
-	"internal/lsi.Intertopic",
-	"internal/lsi.Intratopic",
-	"internal/mat.Dense.Add",
+	// Kept: shared test utilities, which the tests of at least two other
+	// packages call (Go cannot share a _test.go helper across packages).
+	"internal/blob.NewMappedReader",
+	"internal/corpus.Query.Vector",
 	"internal/mat.Dense.IsOrthonormalCols",
 	"internal/mat.Dense.MaxAbs",
-	"internal/mat.DotInt8",
 	"internal/mat.EqualApprox",
 	"internal/mat.FromRows",
-	"internal/metrics.Counter.Add",
-	"internal/metrics.Gauge.Set",
-	"internal/randproj.Projection.Dims",
-	"internal/randproj.Projection.Scale",
-	"internal/randproj.TwoStep.DocVector",
-	"internal/randproj.TwoStep.NumDocs",
-	"internal/randproj.TwoStep.Rank",
-	"internal/randproj.TwoStep.Search",
-	"internal/sparse.COO.NNZ",
 	"internal/sparse.CSR.At",
-	"internal/sparse.CSR.Frob",
-	"internal/sparse.CSR.RowNNZ",
-	"internal/sparse.CSR.Scale",
-	"internal/sparse.FromDense",
-	"internal/stats.Quantile",
-	"internal/svd.Result.Rank",
 }
 
 func TestInternalNamesAreReached(t *testing.T) {
 	got := findUnreached(t, []module{{dir: ".", path: "repro"}, {dir: "bench", path: "repro/bench"}}, "repro/bench")
 	for _, u := range got.unexported {
-		t.Errorf("%s: unexported %s is referenced nowhere; delete it", got.pos[u], u)
+		t.Errorf("%s: unexported %s is reached from no program; delete it", got.pos[u], u)
 	}
 	for _, u := range got.exported {
 		if !slices.Contains(unreachedExported, u) {
-			t.Errorf("%s: exported %s has no caller outside the tests; delete it (and the tests that only it needs)", got.pos[u], u)
+			t.Errorf("%s: exported %s is reached from no program; delete it (and the tests that only it needs)", got.pos[u], u)
 		}
 	}
 	for _, u := range unreachedExported {
@@ -124,7 +104,7 @@ func TestInternalNamesAreReached(t *testing.T) {
 // a module built to hold one case of each rule.
 func TestReachabilityCheckerFixture(t *testing.T) {
 	got := findUnreached(t, []module{{dir: unpackFixture(t), path: "fixture"}}, "")
-	wantExported := []string{"internal/a.CalledByTests", "internal/a.Twin.Label", "internal/a.Unused"}
+	wantExported := []string{"internal/a.CalledByTests", "internal/a.OnlyFromUnused", "internal/a.Twin.Label", "internal/a.Unused"}
 	if !slices.Equal(got.exported, wantExported) {
 		t.Errorf("exported = %q, want %q", got.exported, wantExported)
 	}
@@ -136,7 +116,7 @@ func TestReachabilityCheckerFixture(t *testing.T) {
 // TestSettingsCheckerFixture runs the settings check on the same module.
 func TestSettingsCheckerFixture(t *testing.T) {
 	got := findUnset(t, []module{{dir: unpackFixture(t), path: "fixture"}}, "", "fixture/retrieval")
-	want := []string{"retrieval.Options.Defaulted", "retrieval.Options.TestOnly", "retrieval.WithInside", "retrieval.WithTestOnly"}
+	want := []string{"internal/a.Config.Deep", "retrieval.Options.Defaulted", "retrieval.Options.TestOnly", "retrieval.WithInside", "retrieval.WithTestOnly"}
 	if !slices.Equal(got.names, want) {
 		t.Errorf("unset = %q, want %q", got.names, want)
 	}
@@ -173,10 +153,10 @@ func unpackFixture(t *testing.T) string {
 
 // unsetSettings pins the settings no program sets: the fields of the
 // module's exported *Options and *Config structs, and retrieval's With*
-// options, that only tests set. A value only tests set is a constant
-// that costs a configuration to cover. The list may only shrink: a new
-// entry fails the test, and so does an entry that has since found a
-// setter or left the tree.
+// options, that only tests (or code no program reaches) set. A value
+// only tests set is a constant that costs a configuration to cover. The
+// list may only shrink: a new entry fails the test, and so does an entry
+// that has since found a setter or left the tree.
 var unsetSettings = []string{
 	// Kept: test seams, which the chaos and replica tests replace with a
 	// FakeClock and a fault-injecting transport.
@@ -189,18 +169,14 @@ var unsetSettings = []string{
 	// backoff on a FakeClock nothing advances.
 	"retrieval/cluster.RouterOptions.RetryBudgetBurst",
 	"retrieval/cluster.RouterOptions.RetryBudgetRatio",
-	// Not yet decided. TierMinDocs as a constant would push the shard
-	// tests to 256-document segments; WithSeed's seed is recorded in the
-	// saved manifest.
-	"internal/experiments.JLConfig.Kind",
-	"internal/experiments.RuntimeConfig.SkipFull",
-	"internal/experiments.Table1Config.Engine",
-	"internal/experiments.Table1Config.Weighting",
-	"internal/experiments.Theorem2Config.Engine",
-	"internal/experiments.Theorem3Config.Engine",
-	"internal/experiments.Theorem5Config.Kind",
+	// Kept: the IVF training budget. BenchmarkSearchRoutes (internal/segment)
+	// trains its 51,200-document segment with 2 Lloyd passes, not the
+	// default 10, and the bench gate compares that benchmark across trees.
 	"internal/ivf.TrainOptions.Iters",
-	"retrieval.WithSeed",
+	// Kept: the tier floor. The shard tier tests need other values than
+	// the default 256: annConfig and quantConfig set 1 so that 8-document
+	// segments carry sidecars, and TestANNMinDocsGate and
+	// TestQuantMinDocsGate set 1000 to check the gate.
 	"retrieval/shard.Config.TierMinDocs",
 }
 
@@ -208,7 +184,7 @@ func TestSettingsAreSet(t *testing.T) {
 	got := findUnset(t, []module{{dir: ".", path: "repro"}, {dir: "bench", path: "repro/bench"}}, "repro/bench", "repro/retrieval")
 	for _, u := range got.names {
 		if !slices.Contains(unsetSettings, u) {
-			t.Errorf("%s: setting %s is set by tests alone; make it a constant", got.pos[u], u)
+			t.Errorf("%s: setting %s is set by no program; make it a constant", got.pos[u], u)
 		}
 	}
 	for _, u := range unsetSettings {
@@ -231,37 +207,16 @@ type unreached struct {
 
 // findUnreached type-checks the non-test packages of mods and returns:
 //   - the exported package-level names, methods and struct fields of
-//     every package under an internal/ directory that no code references;
-//   - the unexported package-level names that nothing references, in
-//     every package outside the module path skipUnexported.
+//     every package under an internal/ directory that the program does
+//     not reach;
+//   - the unexported package-level names it does not reach, in every
+//     package outside the module path skipUnexported.
 //
-// A use inside an identifier's own declaration (recursion, a method's
-// receiver) does not count. A method is reached when its type (or a
-// pointer to it) satisfies an interface that declares it; an embedded
-// field when a selection or such a method runs through it.
+// What the program reaches is reach's fixpoint.
 func findUnreached(t *testing.T, mods []module, skipUnexported string) unreached {
 	t.Helper()
 	l, paths := load(t, mods)
-	r := &refs{info: l.info, used: map[types.Object]bool{}}
-	for _, p := range paths {
-		for _, f := range l.files[p] {
-			r.file(f)
-		}
-	}
-	conv, err := parser.ParseFile(l.fset, "conventions.go", errorsConventions, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	convPkg, err := new(types.Config).Check("conventions", l.fset, []*ast.File{conv}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var checked []*types.Package
-	for _, p := range paths {
-		checked = append(checked, l.pkgs[p])
-	}
-	r.interfaces(checked, convPkg)
-
+	r := reach(t, l, paths)
 	out := unreached{pos: map[string]token.Position{}}
 	add := func(list *[]string, p string, obj types.Object, name string) {
 		if r.used[obj] {
@@ -273,7 +228,7 @@ func findUnreached(t *testing.T, mods []module, skipUnexported string) unreached
 	}
 	for _, p := range paths {
 		scope := l.pkgs[p].Scope()
-		internal := slices.Contains(strings.Split(p, "/"), "internal")
+		internal := isInternal(p)
 		for _, name := range scope.Names() {
 			obj := scope.Lookup(name)
 			switch {
@@ -313,6 +268,58 @@ func findUnreached(t *testing.T, mods []module, skipUnexported string) unreached
 	return out
 }
 
+// isInternal reports whether the package with import path p sits under
+// an internal/ directory.
+func isInternal(p string) bool { return slices.Contains(strings.Split(p, "/"), "internal") }
+
+// reach returns what the program of the loaded packages reaches, as a
+// fixpoint over their top-level declarations. Every declaration outside
+// internal/ is a root, and so are init, main and the blank declarations
+// anywhere. A declaration in internal/ counts its references once one of
+// the names it declares is reached. A use inside a declaration's own
+// names (recursion, a method's receiver) does not count. A method is
+// reached when its type (or a pointer to it) satisfies an interface that
+// declares it; an embedded field when a selection or such a method runs
+// through it.
+func reach(t *testing.T, l *loader, paths []string) *refs {
+	t.Helper()
+	r := &refs{info: l.info, used: map[types.Object]bool{}, live: map[ast.Node]bool{}, decls: map[types.Object]*decl{}}
+	root := func(o types.Object) bool {
+		return o == nil || o.Name() == "init" || o.Name() == "main" || o.Name() == "_"
+	}
+	for _, p := range paths {
+		for _, f := range l.files[p] {
+			for _, d := range declsOf(l.info, f) {
+				if !isInternal(p) || slices.ContainsFunc(d.names, root) {
+					r.enqueue(d)
+				}
+				for _, o := range d.names {
+					r.decls[o] = d
+				}
+			}
+		}
+	}
+	conv, err := parser.ParseFile(l.fset, "conventions.go", errorsConventions, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	convPkg, err := new(types.Config).Check("conventions", l.fset, []*ast.File{conv}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var checked []*types.Package
+	for _, p := range paths {
+		checked = append(checked, l.pkgs[p])
+	}
+	r.interfaces(checked, convPkg)
+	for len(r.queue) > 0 {
+		d := r.queue[0]
+		r.queue = r.queue[1:]
+		r.node(d.node, append([]types.Object{d.recv}, d.names...))
+	}
+	return r
+}
+
 // load type-checks the non-test packages of mods and returns them with
 // their import paths, sorted.
 func load(t *testing.T, mods []module) (*loader, []string) {
@@ -350,14 +357,14 @@ func load(t *testing.T, mods []module) (*loader, []string) {
 
 // unset is findUnset's answer: the sorted settings no program sets, by
 // their names relative to the module ("retrieval/httpapi.Options.Timeout",
-// "retrieval.WithSeed"), and where each is declared.
+// "retrieval.WithShards"), and where each is declared.
 type unset struct {
 	names []string
 	pos   map[string]token.Position
 }
 
 // findUnset type-checks the non-test packages of mods and returns the
-// settings that no code sets:
+// settings that no reached declaration (see reach) sets:
 //   - the fields of every exported struct type named *Options or *Config
 //     in a package outside the module path skip. A literal sets a field
 //     by its key, or all fields when it is unkeyed; an assignment, an
@@ -396,22 +403,22 @@ func findUnset(t *testing.T, mods []module, skip, optPkg string) unset {
 		}
 	}
 
+	live := reach(t, l, paths).live
 	set := map[types.Object]bool{}
 	for _, p := range paths {
 		for _, f := range l.files[p] {
-			for _, decl := range f.Decls {
-				var recv types.Object
-				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv != nil {
-					recv = recvType(l.info, fd.Recv.List[0].Type)
+			for _, d := range declsOf(l.info, f) {
+				if !live[d.node] {
+					continue
 				}
 				target := func(e ast.Expr) {
 					if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
-						if obj := l.info.Uses[sel.Sel]; owner[obj] != nil && owner[obj] != recv {
+						if obj := l.info.Uses[sel.Sel]; owner[obj] != nil && owner[obj] != d.recv {
 							set[obj] = true
 						}
 					}
 				}
-				ast.Inspect(decl, func(n ast.Node) bool {
+				ast.Inspect(d.node, func(n ast.Node) bool {
 					switch x := n.(type) {
 					case *ast.AssignStmt:
 						for _, lhs := range x.Lhs {
@@ -554,14 +561,54 @@ func (l *loader) Import(path string) (*types.Package, error) {
 	return pkg, nil
 }
 
-// refs collects which objects the checked code reaches.
+// refs collects which objects and declarations the program reaches.
 type refs struct {
-	info *types.Info
-	used map[types.Object]bool
+	info  *types.Info
+	used  map[types.Object]bool
+	live  map[ast.Node]bool      // the reached declarations
+	decls map[types.Object]*decl // the declaration of each name
+	queue []*decl                // reached, their references not yet marked
+}
+
+// decl is one top-level declaration: a function or method, or one spec
+// of a var, const or type declaration.
+type decl struct {
+	node  ast.Node
+	names []types.Object // the names it declares
+	recv  types.Object   // a method's receiver type
+}
+
+// declsOf lists the top-level declarations of f.
+func declsOf(info *types.Info, f *ast.File) []*decl {
+	var out []*decl
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			fd := &decl{node: d, names: []types.Object{info.Defs[d.Name]}}
+			if d.Recv != nil {
+				fd.recv = recvType(info, d.Recv.List[0].Type)
+			}
+			out = append(out, fd)
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				sd := &decl{node: spec}
+				switch s := spec.(type) {
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						sd.names = append(sd.names, info.Defs[n])
+					}
+				case *ast.TypeSpec:
+					sd.names = append(sd.names, info.Defs[s.Name])
+				}
+				out = append(out, sd)
+			}
+		}
+	}
+	return out
 }
 
 // mark records obj as reached, as its generic origin when it is an
-// instance's member.
+// instance's member, and queues the declaration that declares it.
 func (r *refs) mark(obj types.Object) {
 	switch o := obj.(type) {
 	case *types.Func:
@@ -569,35 +616,20 @@ func (r *refs) mark(obj types.Object) {
 	case *types.Var:
 		obj = o.Origin()
 	}
+	if r.used[obj] {
+		return
+	}
 	r.used[obj] = true
+	if d := r.decls[obj]; d != nil {
+		r.enqueue(d)
+	}
 }
 
-// file marks what each top-level declaration of f uses, apart from the
-// declaration's own objects: a function itself, a method and its
-// receiver's type, or the names a var, const or type spec defines.
-func (r *refs) file(f *ast.File) {
-	for _, decl := range f.Decls {
-		switch d := decl.(type) {
-		case *ast.FuncDecl:
-			own := []types.Object{r.info.Defs[d.Name]}
-			if d.Recv != nil {
-				own = append(own, recvType(r.info, d.Recv.List[0].Type))
-			}
-			r.node(d, own)
-		case *ast.GenDecl:
-			for _, spec := range d.Specs {
-				var own []types.Object
-				switch s := spec.(type) {
-				case *ast.ValueSpec:
-					for _, n := range s.Names {
-						own = append(own, r.info.Defs[n])
-					}
-				case *ast.TypeSpec:
-					own = append(own, r.info.Defs[s.Name])
-				}
-				r.node(spec, own)
-			}
-		}
+// enqueue records d as reached and queues its references.
+func (r *refs) enqueue(d *decl) {
+	if !r.live[d.node] {
+		r.live[d.node] = true
+		r.queue = append(r.queue, d)
 	}
 }
 

@@ -68,7 +68,7 @@ func Build(docs []Document, opts ...Option) (*Index, error) {
 		err = ix.buildSharded(a, rank, cfg)
 	} else {
 		var li *lsi.Index
-		if li, err = lsi.Build(a, rank, lsi.Options{Engine: cfg.engine, Seed: cfg.seed}); err != nil {
+		if li, err = lsi.Build(a, rank, lsi.Options{Engine: cfg.engine}); err != nil {
 			return nil, fmt.Errorf("retrieval: building LSI index: %w", err)
 		}
 		err = ix.freeze(li, cfg)
@@ -85,7 +85,7 @@ func Build(docs []Document, opts ...Option) (*Index, error) {
 // at any size, with the quantizer trained from the seed a one-shard
 // build would use, and ANNStats reports the cell count after clamping.
 func (ix *Index) freeze(li *lsi.Index, cfg config) error {
-	sx, err := shard.Frozen(li, ix.docIDs, segment.TierConfig{NList: cfg.annList, Seed: cfg.seed, Quantize: cfg.quantBeta > 0})
+	sx, err := shard.Frozen(li, ix.docIDs, segment.TierConfig{NList: cfg.annList, Quantize: cfg.quantBeta > 0})
 	if err != nil {
 		return fmt.Errorf("retrieval: %w", err)
 	}

@@ -60,7 +60,7 @@ func startMirrorPair(t *testing.T, ft *faultinject.Transport, opts cluster.Route
 	t.Helper()
 	central, err := retrieval.Build(corpus(18),
 		retrieval.WithRank(3), retrieval.WithShards(1),
-		retrieval.WithAutoCompact(false), retrieval.WithSeed(7))
+		retrieval.WithAutoCompact(false))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func startCluster(t *testing.T, nDocs, shards int) *testCluster {
 	docs := corpus(nDocs)
 	central, err := retrieval.Build(docs,
 		retrieval.WithRank(3), retrieval.WithShards(shards),
-		retrieval.WithAutoCompact(false), retrieval.WithSeed(7))
+		retrieval.WithAutoCompact(false))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ func TestClusterFailoverEndToEnd(t *testing.T) {
 	docs := corpus(24)
 	central, err := retrieval.Build(docs,
 		retrieval.WithRank(3), retrieval.WithShards(2),
-		retrieval.WithAutoCompact(false), retrieval.WithSeed(9))
+		retrieval.WithAutoCompact(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestReplicaBootstrapsFromTieredPrimary(t *testing.T) {
 	// 600 documents on one shard clear the 256-document tier threshold.
 	primary, err := retrieval.Build(corpus(600),
 		retrieval.WithRank(3), retrieval.WithShards(1),
-		retrieval.WithAutoCompact(false), retrieval.WithSeed(9),
+		retrieval.WithAutoCompact(false),
 		retrieval.WithANN(8, 2), retrieval.WithQuantized(4))
 	if err != nil {
 		t.Fatal(err)

@@ -77,12 +77,12 @@ func TestHTTPContractMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	unsharded, err := retrieval.Build(docs, retrieval.WithRank(3), retrieval.WithSeed(7),
+	unsharded, err := retrieval.Build(docs, retrieval.WithRank(3),
 		retrieval.WithQueryCache(1<<20), retrieval.WithANN(4, 2), retrieval.WithQuantized(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := retrieval.Build(docs, retrieval.WithRank(3), retrieval.WithSeed(7),
+	sharded, err := retrieval.Build(docs, retrieval.WithRank(3),
 		retrieval.WithShards(2), retrieval.WithAutoCompact(false))
 	if err != nil {
 		t.Fatal(err)

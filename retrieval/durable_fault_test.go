@@ -25,7 +25,7 @@ import (
 // attaches a WAL in waldir through fsys.
 func buildWALIndex(t *testing.T, data, waldir string, fsys faultinject.FS) *Index {
 	t.Helper()
-	ix, err := Build(largerCorpus(16), WithRank(3), WithShards(2), WithAutoCompact(false), WithSeed(11))
+	ix, err := Build(largerCorpus(16), WithRank(3), WithShards(2), WithAutoCompact(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestCheckpointENOSPCKeepsPreviousGeneration(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			data := filepath.Join(dir, "data")
-			ix, err := Build(largerCorpus(14), WithRank(3), WithShards(2), WithAutoCompact(false), WithSeed(11))
+			ix, err := Build(largerCorpus(14), WithRank(3), WithShards(2), WithAutoCompact(false))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -305,7 +305,7 @@ func (f *recordingFile) Sync() error {
 // names a directory without its text layer), and the directory is synced
 // after the manifest switch. Both entry points are held to it.
 func TestCheckpointSyncsBeforeRename(t *testing.T) {
-	ix, err := Build(largerCorpus(14), WithRank(3), WithShards(2), WithAutoCompact(false), WithSeed(11))
+	ix, err := Build(largerCorpus(14), WithRank(3), WithShards(2), WithAutoCompact(false))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 // serve the same results as an index that never crashed.
 func TestWALReplayRestoresAckedAdds(t *testing.T) {
 	base := largerCorpus(20)
-	opts := []Option{WithRank(3), WithShards(2), WithAutoCompact(false), WithSeed(11)}
+	opts := []Option{WithRank(3), WithShards(2), WithAutoCompact(false)}
 	dir := t.TempDir()
 	data, waldir := filepath.Join(dir, "data"), filepath.Join(dir, "wal")
 	ctx := context.Background()
@@ -152,7 +152,7 @@ func TestAttachWALRejectsUnsharded(t *testing.T) {
 // text-query-capable indexes whose merged corpus is the original.
 func TestSaveShardDirsOpensStandalone(t *testing.T) {
 	docs := largerCorpus(23)
-	ix, err := Build(docs, WithRank(3), WithShards(3), WithAutoCompact(false), WithSeed(5))
+	ix, err := Build(docs, WithRank(3), WithShards(3), WithAutoCompact(false))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,7 +62,7 @@ func TestOpenHeapIsCounted(t *testing.T) {
 	}
 	docs := heapDocs()
 	saved, file := filepath.Join(t.TempDir(), "saved"), filepath.Join(t.TempDir(), "index.lsi")
-	ix, err := Build(docs, WithRank(8), WithSeed(1))
+	ix, err := Build(docs, WithRank(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestOpenHeapIsCounted(t *testing.T) {
 	if err := os.WriteFile(file, encoded.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	sx, err := Build(docs, WithRank(8), WithSeed(1), WithShards(2), WithAutoCompact(false))
+	sx, err := Build(docs, WithRank(8), WithShards(2), WithAutoCompact(false))
 	if err == nil {
 		err = sx.SaveDir(saved)
 	}

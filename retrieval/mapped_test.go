@@ -110,7 +110,7 @@ func TestMappedAndStreamedOpensAgree(t *testing.T) {
 	}
 
 	docs := clusteredDocs(300, 5)
-	built, err := Build(docs, WithRank(6), WithEngine(EngineRandomized), WithSeed(7), WithShards(2), WithAutoCompact(false))
+	built, err := Build(docs, WithRank(6), WithEngine(EngineRandomized), WithShards(2), WithAutoCompact(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func scoresByID(t *testing.T, ix *Index, query string, into map[string]float64) 
 func TestBuildSaveOpenScoreBitwiseAlike(t *testing.T) {
 	docs := clusteredDocs(480, 11)
 	queries := []string{"car engine", "galaxy telescope orbit", "yeast dough oven baker", "brake comet flour"}
-	opts := []Option{WithRank(6), WithEngine(EngineRandomized), WithSeed(7), WithAutoCompact(false)}
+	opts := []Option{WithRank(6), WithEngine(EngineRandomized), WithAutoCompact(false)}
 
 	built, err := Build(docs, opts...)
 	if err != nil {

@@ -57,7 +57,6 @@ type config struct {
 	rank            int // 0 = auto
 	engine          Engine
 	weighting       Weighting
-	seed            int64
 	removeStopwords bool
 	stemming        bool
 	shards          int   // 0 = unsharded; >= 1 builds the sharded live index
@@ -106,10 +105,6 @@ func WithEngine(e Engine) Option { return func(c *config) { c.engine = e } }
 // (default WeightingLog).
 func WithWeighting(w Weighting) Option { return func(c *config) { c.weighting = w } }
 
-// WithSeed seeds the randomized SVD engine; builds are deterministic for
-// a fixed seed. Zero means a fixed default.
-func WithSeed(seed int64) Option { return func(c *config) { c.seed = seed } }
-
 // WithStopwordRemoval toggles stopword removal in the text pipeline
 // (default true). The setting is bundled into the index so queries are
 // preprocessed identically.
@@ -155,7 +150,7 @@ func WithAutoCompact(on bool) Option { return func(c *config) { c.autoCompact = 
 // scan. On sharded indexes every compacted segment carries its own
 // quantizer, retrained by the compactor at each merge; live fold-in
 // segments always scan exhaustively, so freshly added documents are
-// never missed. Training is deterministic for a fixed seed; results are
+// never missed. Training is deterministic (one fixed seed); results are
 // deterministic for any worker count. BuildVSM rejects it; nlist <= 0
 // disables the tier.
 func WithANN(nlist, nprobe int) Option {

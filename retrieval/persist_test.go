@@ -58,7 +58,7 @@ func TestBuildSaveBytesIndependentOfMaxProcs(t *testing.T) {
 		var first []byte
 		for _, procs := range []int{1, 1, 2, 8} {
 			old := par.SetMaxProcs(procs)
-			ix, err := Build(docs, WithRank(6), WithEngine(EngineRandomized), WithSeed(7))
+			ix, err := Build(docs, WithRank(6), WithEngine(EngineRandomized))
 			par.SetMaxProcs(old)
 			if err != nil {
 				t.Fatal(err)
@@ -78,7 +78,7 @@ func TestBuildSaveBytesIndependentOfMaxProcs(t *testing.T) {
 		var first map[string][sha256.Size]byte
 		for _, procs := range []int{1, 2, 8} {
 			old := par.SetMaxProcs(procs)
-			ix, err := Build(docs, WithRank(6), WithEngine(EngineRandomized), WithSeed(7),
+			ix, err := Build(docs, WithRank(6), WithEngine(EngineRandomized),
 				WithShards(3), WithANN(8, 2), WithQuantized(2))
 			par.SetMaxProcs(old)
 			if err != nil {
@@ -194,7 +194,7 @@ func upgraded(t *testing.T, path string, text *lsi.Meta) string {
 // with, by rerunning their pipeline over the demo corpus: what a v1 file,
 // which stores none, needs to upgrade.
 func demoText() *lsi.Meta {
-	pipe := ir.NewPipeline()
+	pipe := &ir.Pipeline{RemoveStopwords: true, Stemming: true}
 	texts := make([]string, len(DemoCorpus()))
 	ids := make([]string, len(DemoCorpus()))
 	for i, d := range DemoCorpus() {

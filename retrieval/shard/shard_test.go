@@ -160,14 +160,15 @@ func TestOneShardFoldInMatchesAppendDocuments(t *testing.T) {
 	defer x.Close()
 
 	// Fold columns 0..9 back in through both paths.
-	var dense [][]float64
+	var terms [][]int
+	var weights [][]float64
 	var docs []Doc
 	for j := 0; j < 10; j++ {
-		dense = append(dense, a.Col(j))
-		terms, weights := sparseCol(a, j)
-		docs = append(docs, Doc{Terms: terms, Weights: weights})
+		ts, ws := sparseCol(a, j)
+		terms, weights = append(terms, ts), append(weights, ws)
+		docs = append(docs, Doc{Terms: ts, Weights: ws})
 	}
-	if _, err := plain.AppendDocuments(dense); err != nil {
+	if plain, err = plain.ExtendedSparse(terms, weights); err != nil {
 		t.Fatal(err)
 	}
 	first, err := x.AddBatch(docs)

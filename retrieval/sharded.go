@@ -45,7 +45,7 @@ var (
 // subsystem.
 func (ix *Index) buildSharded(a *sparse.CSR, rank int, cfg config) error {
 	scfg := cfg.shardConfig()
-	scfg.Shards, scfg.Rank, scfg.Engine, scfg.Seed = cfg.shards, rank, cfg.engine, cfg.seed
+	scfg.Shards, scfg.Rank, scfg.Engine = cfg.shards, rank, cfg.engine
 	sx, err := shard.Build(a, ix.docIDs.Strings(), scfg)
 	if err != nil {
 		return fmt.Errorf("retrieval: building sharded index: %w", err)

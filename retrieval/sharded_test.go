@@ -77,7 +77,7 @@ func clusteredDocs(n int, seed int64) []Document {
 func TestShardedOneShardMatchesUnsharded(t *testing.T) {
 	const numDocs, topN = 780, 10 // 260 per shard at 3 shards: every segment trains its tiers
 	docs := clusteredDocs(numDocs, 41)
-	base := []Option{WithRank(6), WithEngine(EngineRandomized), WithSeed(7)}
+	base := []Option{WithRank(6), WithEngine(EngineRandomized)}
 	routes := []struct {
 		name string
 		opts []Option

@@ -133,7 +133,7 @@ func TestWALCrashHelperProcess(t *testing.T) {
 	dir := os.Getenv("WAL_CRASH_DIR")
 	data, waldir := filepath.Join(dir, "data"), filepath.Join(dir, "wal")
 	ix, err := Build(largerCorpus(walCrashBaseDocs),
-		WithRank(3), WithShards(2), WithAutoCompact(false), WithSealEvery(8), WithSeed(3))
+		WithRank(3), WithShards(2), WithAutoCompact(false), WithSealEvery(8))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "helper build:", err)
 		os.Exit(1)

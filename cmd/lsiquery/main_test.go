@@ -2,10 +2,14 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/retrieval"
 )
 
 // TestNonInteractiveQuery is the CLI smoke test: `lsiquery -q` on the
@@ -105,7 +109,8 @@ func TestStatsFlagCacheSection(t *testing.T) {
 
 // TestUpgradeFlag converts the golden files of earlier builds: v2 to the
 // v4 golden byte for byte, v1 with a saved directory's text.json as its
-// text layer, and a directory with a gob segment; each result must open.
+// text layer, and a directory with a gob segment to one generation file
+// that answers as the v4 golden does; each result must open.
 // A v1 file without -text, an existing OUT directory and a stray -text
 // are refused.
 func TestUpgradeFlag(t *testing.T) {
@@ -130,6 +135,22 @@ func TestUpgradeFlag(t *testing.T) {
 	}
 	if want, err := os.ReadFile(testdata + "index_v4.lsi"); err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("the upgraded v2 golden is not the v4 golden byte for byte (err %v)", err)
+	}
+	if entries, err := os.ReadDir(filepath.Join(tmp, "dir")); err != nil || len(entries) != 1 {
+		t.Fatalf("the upgraded directory holds %v (%v), want one generation file", entries, err)
+	}
+	file, err1 := retrieval.Open(testdata + "index_v4.lsi")
+	dir, err2 := retrieval.Open(filepath.Join(tmp, "dir"), retrieval.WithAutoCompact(false))
+	if err1 != nil || err2 != nil {
+		t.Fatal(err1, err2)
+	}
+	defer dir.Close()
+	for _, q := range []string{"car engine", "galaxy telescope", "stars"} {
+		want, err1 := file.Search(context.Background(), q, 5)
+		got, err2 := dir.Search(context.Background(), q, 5)
+		if err1 != nil || err2 != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q: the upgraded directory answers %v (%v), the v4 golden %v (%v)", q, got, err2, want, err1)
+		}
 	}
 	// A text layer that converts but does not serve (an unknown
 	// weighting): the converter never overwrites IN, even as OUT, and

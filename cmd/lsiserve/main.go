@@ -7,8 +7,8 @@
 //	POST /v1/docs          live append (sharded indexes, -shards)
 //	POST /v1/docs:batch    live append, batched
 //	GET  /v1/stats         index description, segment/compaction stats
-//	GET  /v1/replicate/*   replication pull endpoints (serving from an
-//	                       index directory; see retrieval/httpapi)
+//	GET  /v1/replicate/*   replication pull: the newest checkpoint file and
+//	                       the WAL tail of an index directory (retrieval/httpapi)
 //	GET  /metrics          Prometheus text exposition (see OPERATIONS.md)
 //	GET  /healthz          liveness probe
 //	GET  /readyz           readiness probe (503 while compaction is owed)
@@ -19,7 +19,7 @@
 //
 //	lsiserve [-addr :8080] [-k 0] [-backend lsi] [-weighting log] [-shards 0] [-cache-mb 64] [file1.txt ...]
 //	lsiserve -index saved.idx       # single-stream index file
-//	lsiserve -index saved-dir/      # sharded index directory
+//	lsiserve -index saved-dir/      # sharded index directory (gen-<g>.lsi)
 //	lsiserve -index dir/ -wal-dir wal/ [-checkpoint-every 30s]   # durable cluster node
 //	lsiserve -save-cluster out/ -shards 3 [file1.txt ...]        # export per-shard node dirs
 //	lsiserve -cluster manifest.json                              # cluster router
@@ -32,18 +32,19 @@
 // checkpointing back into its -index directory every -checkpoint-every
 // when documents arrived; -cluster serves the routing tier over the
 // nodes in a manifest file (SIGHUP re-reads it — the version must
-// strictly increase); -replica-of mirrors a node by snapshot pull +
-// WAL tail and serves read traffic for it.
+// strictly increase); -replica-of mirrors a node by pulling its newest
+// checkpoint file into -data-dir + its WAL tail, and serves reads for it.
 //
 // Each file argument is one document; with no files (and no -index) the
 // built-in demo corpus is served, which is what the CI smoke test and
 // the quickstart curl examples use. With -shards N the daemon serves a
 // sharded live index that accepts POST /v1/docs appends; a sharded
-// index saved with SaveDir is served by pointing -index at its
-// directory. Repeated queries are answered from an epoch-keyed result
-// cache (-cache-mb, default 64 MiB, 0 disables; the Cache-Status
-// response header and /v1/stats expose its behavior) that live appends
-// and compactions invalidate instantly.
+// index saved with SaveDir (one file per checkpoint generation; an older
+// many-file directory converts with lsiquery -upgrade) is served by
+// pointing -index at its directory. Repeated queries are answered from an
+// epoch-keyed result cache (-cache-mb, default 64 MiB, 0 disables; the
+// Cache-Status response header and /v1/stats expose its behavior) that
+// live appends and compactions invalidate instantly.
 //
 // -backend vsm serves the vector-space baseline instead (see
 // retrieval.BuildVSM): read-only and uncached, so it refuses -shards, the
@@ -54,17 +55,17 @@
 // the query instead of scanning every document, and requests may
 // override the budget per call with the "nprobe" body field. Both flags
 // are runtime knobs like -cache-mb — they apply to prebuilt -index
-// loads too (sharded directories reuse their persisted ann-*.ivf
-// quantizer sidecars). The /v1/stats "ann" block and the lsi_ann_*
+// loads too (sharded directories reuse the IVF quantizers their
+// checkpoint carries). The /v1/stats "ann" block and the lsi_ann_*
 // metrics expose the tier's probe behavior.
 //
 // -quant-beta B enables the quantized scoring tier (see
 // retrieval.WithQuantized): searches scan an int8 shadow of the document
 // matrix (~4x smaller, memory-bandwidth-optimal) and exact-rerank the
 // topN*B best candidates, so every served score is still a true float64
-// cosine. Also a runtime knob: prebuilt -index loads reuse persisted
-// quant-*.qnt sidecars or rebuild the shadow in place. The "nprobe":0
-// request override stays the fully exact escape hatch. The /v1/stats
+// cosine. Also a runtime knob: prebuilt -index loads reuse the int8
+// shadows their checkpoint carries or rebuild them in place. The
+// "nprobe":0 request override stays the fully exact escape hatch. The /v1/stats
 // "quant" block and the lsi_quant_* metrics expose the tier's scan
 // behavior.
 //

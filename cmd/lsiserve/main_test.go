@@ -159,6 +159,20 @@ func TestServeSavedIndex(t *testing.T) {
 	}
 }
 
+// TestRunRefusesOldDirectory points the daemon at a directory saved as
+// many files, the layout before a checkpoint became one file: it must
+// refuse to boot with an error that names the converter.
+func TestRunRefusesOldDirectory(t *testing.T) {
+	var stdout, stderr syncBuffer
+	err := run(context.Background(), []string{"-index", "../../retrieval/testdata/dir_gob", "-addr", "127.0.0.1:0"}, &stdout, &stderr)
+	if err == nil || !strings.Contains(err.Error(), "lsiquery -upgrade") {
+		t.Fatalf("run on an old directory: %v, want an error naming lsiquery -upgrade", err)
+	}
+	if strings.Contains(stdout.String(), "listening on") {
+		t.Fatalf("the daemon came up on an old directory; stdout: %s", stdout.String())
+	}
+}
+
 // TestRunWarnsOnVocabularylessIndex points the full run() path at the
 // golden v1 index file, which has no vocabulary: the daemon must refuse
 // to boot with an error that names the converter, rather than come up

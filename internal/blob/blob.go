@@ -98,7 +98,9 @@ func (w *Writer) Float32s(tag string, v []float32) { writeArray(w, tag, v) }
 func (w *Writer) Int8s(tag string, v []int8) { writeArray(w, tag, v) }
 
 // element is what an array section holds: a number of fixed width.
-type element interface{ int8 | float32 | float64 }
+type element interface {
+	uint8 | int8 | float32 | float64
+}
 
 // writeArray writes v as one section, copying its bytes into the
 // bufio.Writer's own buffer and putting them in little-endian order there.
@@ -172,10 +174,9 @@ func NewReader(r io.Reader) *Reader {
 }
 
 // NewMappedReader reads data on the mapped arm: floats are views of data.
+// Nothing streams through its bufio.Reader, so it gets the smallest.
 func NewMappedReader(data []byte) *Reader {
-	r := NewReader(bytes.NewReader(data))
-	r.mem = data
-	return r
+	return &Reader{Reader: bufio.NewReaderSize(bytes.NewReader(data), 16), left: int64(len(data)), mem: data}
 }
 
 // Mapping is what the float sections are views of; nil when they are copies.
@@ -251,8 +252,9 @@ func (r *Reader) take(n int) []byte {
 // want elements of size elem, handing the payload to sink a window at a
 // time. Before the first piece, alloc is told how many elements may be
 // trusted to arrive: all of them once the section is known to fit in the
-// source, one window's worth otherwise.
-func (r *Reader) section(tag string, want, elem int, alloc func(trusted int), sink func([]byte)) {
+// source, one window's worth otherwise. Without verify the payload's
+// checksum is not computed: its header, padding and length still are.
+func (r *Reader) section(tag string, want, elem int, verify bool, alloc func(trusted int), sink func([]byte)) {
 	if r.err == nil && r.sections == 0 {
 		r.err = fmt.Errorf("blob: section %q is missing", tag)
 	}
@@ -281,7 +283,9 @@ func (r *Reader) section(tag string, want, elem int, alloc func(trusted int), si
 	alloc(int(trusted / uint64(elem)))
 	for rest := n; rest > 0 && r.err == nil; {
 		b := r.take(int(min(rest, Window)))
-		crc = crc32.Update(crc, crc32.IEEETable, b)
+		if verify {
+			crc = crc32.Update(crc, crc32.IEEETable, b)
+		}
 		sink(b)
 		rest -= uint64(len(b))
 	}
@@ -290,7 +294,7 @@ func (r *Reader) section(tag string, want, elem int, alloc func(trusted int), si
 		return
 	}
 	pad := tail[:len(tail)-crc32.Size]
-	if crc32.Update(crc, crc32.IEEETable, pad) != binary.LittleEndian.Uint32(tail[len(pad):]) {
+	if verify && crc32.Update(crc, crc32.IEEETable, pad) != binary.LittleEndian.Uint32(tail[len(pad):]) {
 		r.err = fmt.Errorf("blob: section %q: checksum mismatch", tag)
 	} else if slices.ContainsFunc(pad, func(b byte) bool { return b != 0 }) {
 		r.err = fmt.Errorf("blob: section %q: padding is not zero", tag)
@@ -321,33 +325,47 @@ func (r *Reader) End() error {
 // n < 0).
 func (r *Reader) Bytes(tag string, n int) []byte {
 	var dst []byte
-	r.section(tag, n, 1,
+	r.section(tag, n, 1, true,
 		func(trusted int) { dst = make([]byte, 0, trusted) },
 		func(b []byte) { dst = append(dst, b...) })
 	return dst
 }
 
+// Nested reads the next section, tagged tag, whose payload is a container
+// of its own, and returns a Reader over that payload: on the mapped arm a
+// view of r's bytes whose arrays hold r's Mapping, otherwise a copy whose
+// arrays are views of it. The section's own checksum is not computed: the
+// nested container checks every payload byte under its own checksums, so
+// each byte is checked once, and on the mapped arm no payload page is
+// touched until the nested Reader reads it. If r fails, so does the
+// nested Reader.
+func (r *Reader) Nested(tag string) *Reader {
+	n := NewMappedReader(readArray[uint8](r, tag, -1, false))
+	n.m, n.err = r.m, r.err
+	return n
+}
+
 // Floats reads the next section, tagged tag, of n float64 (any number if
 // n < 0); see readArray.
-func (r *Reader) Floats(tag string, n int) []float64 { return readArray[float64](r, tag, n) }
+func (r *Reader) Floats(tag string, n int) []float64 { return readArray[float64](r, tag, n, true) }
 
 // Float32s reads the next section, tagged tag, of n float32 (any number if
 // n < 0); see readArray.
-func (r *Reader) Float32s(tag string, n int) []float32 { return readArray[float32](r, tag, n) }
+func (r *Reader) Float32s(tag string, n int) []float32 { return readArray[float32](r, tag, n, true) }
 
 // Int8s reads the next section, tagged tag, of n int8 (any number if n <
 // 0); see readArray.
-func (r *Reader) Int8s(tag string, n int) []int8 { return readArray[int8](r, tag, n) }
+func (r *Reader) Int8s(tag string, n int) []int8 { return readArray[int8](r, tag, n, true) }
 
 // readArray reads an array section, copying from the window into the
 // returned slice and putting each value in native byte order there; the
-// mapped arm returns the payload itself once length and checksum have
-// held, if the machine and alignment allow.
-func readArray[F element](r *Reader, tag string, n int) []F {
+// mapped arm returns the payload itself once its length (and, if verify,
+// its checksum) has held, if the machine and alignment allow.
+func readArray[F element](r *Reader, tag string, n int, verify bool) []F {
 	size := int(unsafe.Sizeof(F(0)))
 	var dst []F
 	var view []byte
-	r.section(tag, n, size,
+	r.section(tag, n, size, verify,
 		func(trusted int) {
 			if trusted > 0 && r.mem != nil && nativeLittleEndian && uintptr(unsafe.Pointer(&r.mem[0]))%uintptr(size) == 0 {
 				view = r.mem[:size*trusted]

@@ -477,3 +477,53 @@ func TestMappingLifetime(t *testing.T) {
 		t.Fatal("an empty file was mapped")
 	}
 }
+
+// A container nested in a section reads through Nested as it reads on its
+// own: its floats are views of a file's mapping (which they hold) and
+// copies of a stream, on both arms the outer checksum is not computed
+// while the nested one still catches a damaged byte, and a nested section
+// left unread is passed over.
+func TestNestedContainers(t *testing.T) {
+	inner := encode(2, []section{{tag: "VALS", floats: ramp(Window/8 + 3)}})
+	outer := encode(1, []section{{tag: "SKIP", bytes: []byte("not a container")}, {tag: "NEST", bytes: inner}, {tag: "LAST", bytes: []byte("z")}})
+	at := bytes.Index(outer, inner) + len(inner)/2 // a byte of the nested floats
+	damaged := bytes.Clone(outer)
+	damaged[at] ^= 1
+	_, mapErr := Map(onDisk(t, outer))
+	for name, tc := range map[string]struct {
+		data   []byte
+		open   func([]byte) *Reader
+		mapped bool
+	}{
+		"file":           {outer, func(d []byte) *Reader { return NewReader(onDisk(t, d)) }, mapErr == nil},
+		"stream":         {outer, func(d []byte) *Reader { return NewReader(bytes.NewReader(d)) }, false},
+		"damaged file":   {damaged, func(d []byte) *Reader { return NewReader(onDisk(t, d)) }, mapErr == nil},
+		"damaged stream": {damaged, func(d []byte) *Reader { return NewReader(bytes.NewReader(d)) }, false},
+	} {
+		r := tc.open(tc.data)
+		r.Header()
+		r.Nested("SKIP")
+		n := r.Nested("NEST")
+		last := r.Bytes("LAST", 1)
+		if err := r.End(); err != nil || string(last) != "z" {
+			t.Fatalf("%s: the outer container reads %q, %v", name, last, err)
+		}
+		if !n.HasMagic(testMagic) || n.Header() != 2 {
+			t.Fatalf("%s: the nested header does not read (%v)", name, n.Err())
+		}
+		vals := n.Floats("VALS", Window/8+3)
+		err := n.End()
+		if tc.data[at] != outer[at] {
+			if err == nil || !strings.Contains(err.Error(), "checksum") {
+				t.Fatalf("%s: a damaged nested byte reads as %v", name, err)
+			}
+			continue
+		}
+		if err != nil || !slices.Equal(vals, ramp(Window/8+3)) {
+			t.Fatalf("%s: nested floats %v…, %v", name, vals[:2], err)
+		}
+		if got := Viewed(n.Mapping(), vals); (got > 0) != tc.mapped || n.Mapping() != r.Mapping() {
+			t.Fatalf("%s: %d bytes of the nested floats are views of the mapping, want mapped=%v", name, got, tc.mapped)
+		}
+	}
+}

@@ -60,12 +60,10 @@ type FakeClock struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	now     time.Time
-	waiters []*fakeTimer
-}
-
-type fakeTimer struct {
-	when time.Time
-	ch   chan time.Time
+	waiters []struct {
+		when time.Time
+		ch   chan time.Time
+	}
 }
 
 // NewFakeClock returns a FakeClock reading start.
@@ -92,7 +90,10 @@ func (c *FakeClock) After(d time.Duration) <-chan time.Time {
 		ch <- c.now
 		return ch
 	}
-	c.waiters = append(c.waiters, &fakeTimer{when: c.now.Add(d), ch: ch})
+	c.waiters = append(c.waiters, struct {
+		when time.Time
+		ch   chan time.Time
+	}{c.now.Add(d), ch})
 	c.cond.Broadcast()
 	return ch
 }

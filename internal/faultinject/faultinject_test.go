@@ -175,8 +175,8 @@ func TestClassOf(t *testing.T) {
 		"/v1/search":               ClassSearch,
 		"/v1/search/batch":         ClassSearch,
 		"/v1/docs":                 ClassDocs,
-		"/v1/replicate/manifest":   ClassReplicate,
-		"/v1/replicate/file/x.idx": ClassReplicate,
+		"/v1/replicate/checkpoint": ClassReplicate,
+		"/v1/replicate/wal":        ClassReplicate,
 		"/readyz":                  ClassProbe,
 		"/v1/status":               ClassProbe,
 		"/metrics":                 ClassOther,

@@ -110,24 +110,9 @@ func ReplaceFile(fsys FS, path string, data []byte) error {
 
 // ErrInjected marks every error FaultyFS and Transport fabricate, so
 // tests (and recovery paths) can tell an injected fault from a real
-// one with errors.Is.
+// one with errors.Is. A fabricated error also matches the errno it
+// stands for (syscall.ENOSPC, syscall.EIO, a Rule's Err).
 var ErrInjected = errors.New("faultinject: injected fault")
-
-// injectedErr wraps a scenario error (e.g. ENOSPC, EIO) so it matches
-// both ErrInjected and the wrapped errno via errors.Is.
-type injectedErr struct{ err error }
-
-func (e injectedErr) Error() string { return fmt.Sprintf("faultinject: injected: %v", e.err) }
-func (e injectedErr) Unwrap() error { return e.err }
-
-// Is reports true for ErrInjected as well as the wrapped error's own
-// chain, so errors.Is(err, ErrInjected) and errors.Is(err,
-// syscall.ENOSPC) both hold.
-func (e injectedErr) Is(target error) bool { return target == ErrInjected }
-
-// Inject wraps err so it reports as an injected fault (errors.Is with
-// both ErrInjected and err).
-func Inject(err error) error { return injectedErr{err: err} }
 
 // FaultyFS wraps an FS with a seeded schedule of disk faults: writes
 // that fail (optionally after persisting a prefix — a short write),
@@ -139,16 +124,15 @@ func Inject(err error) error { return injectedErr{err: err} }
 type FaultyFS struct {
 	FS
 
-	mu           sync.Mutex
-	rng          *rand.Rand
-	writeProb    float64
-	writeErr     error
-	shortWrites  bool
-	syncProb     float64
-	syncErr      error
-	bytesLeft    int64 // -1 = unlimited
-	injectedOps  int64
-	bytesWritten int64
+	mu          sync.Mutex
+	rng         *rand.Rand
+	writeProb   float64
+	writeErr    error
+	shortWrites bool
+	syncProb    float64
+	syncErr     error
+	bytesLeft   int64 // -1 = unlimited
+	injectedOps int64
 }
 
 // NewFaultyFS wraps inner with a fault schedule seeded by seed. With
@@ -200,21 +184,13 @@ func (f *FaultyFS) Injected() int64 {
 	return f.injectedOps
 }
 
-// BytesWritten reports the total bytes successfully persisted through
-// this FS (short-write prefixes included).
-func (f *FaultyFS) BytesWritten() int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.bytesWritten
-}
-
 // writePlan decides one write's fate: how many of n bytes to persist
 // and which error (nil = none) to return. Called with f.mu held.
 func (f *FaultyFS) writePlan(n int) (keep int, err error) {
 	if f.bytesLeft >= 0 && int64(n) > f.bytesLeft {
 		keep = int(f.bytesLeft)
 		f.injectedOps++
-		return keep, Inject(syscall.ENOSPC)
+		return keep, fmt.Errorf("%w: %w", ErrInjected, syscall.ENOSPC)
 	}
 	if f.writeProb > 0 && f.rng.Float64() < f.writeProb {
 		f.injectedOps++
@@ -225,7 +201,7 @@ func (f *FaultyFS) writePlan(n int) (keep int, err error) {
 		if werr == nil {
 			werr = syscall.EIO
 		}
-		return keep, Inject(werr)
+		return keep, fmt.Errorf("%w: %w", ErrInjected, werr)
 	}
 	return n, nil
 }
@@ -233,7 +209,6 @@ func (f *FaultyFS) writePlan(n int) (keep int, err error) {
 // account records keep persisted bytes against the budget. Called with
 // f.mu held.
 func (f *FaultyFS) account(keep int) {
-	f.bytesWritten += int64(keep)
 	if f.bytesLeft >= 0 {
 		f.bytesLeft -= int64(keep)
 	}
@@ -247,7 +222,7 @@ func (f *FaultyFS) syncPlan() error {
 		if serr == nil {
 			serr = syscall.EIO
 		}
-		return Inject(serr)
+		return fmt.Errorf("%w: %w", ErrInjected, serr)
 	}
 	return nil
 }
@@ -259,7 +234,7 @@ func (f *FaultyFS) OpenFile(name string, flag int, perm os.FileMode) (File, erro
 	if err != nil {
 		return nil, err
 	}
-	return &faultyFile{File: inner, fs: f}, nil
+	return &FaultyFile{File: inner, fs: f}, nil
 }
 
 // SyncDir implements FS with the sync-fault schedule applied.
@@ -273,14 +248,16 @@ func (f *FaultyFS) SyncDir(dir string) error {
 	return f.FS.SyncDir(dir)
 }
 
-// faultyFile applies the parent schedule to one open file's writes and
-// syncs.
-type faultyFile struct {
+// FaultyFile is a file FaultyFS opened: it applies the parent schedule to
+// the file's writes and syncs.
+type FaultyFile struct {
 	File
 	fs *FaultyFS
 }
 
-func (f *faultyFile) Write(p []byte) (int, error) {
+// Write implements File: the write fails, or lands a torn prefix and
+// fails, as the write schedule says.
+func (f *FaultyFile) Write(p []byte) (int, error) {
 	f.fs.mu.Lock()
 	keep, ferr := f.fs.writePlan(len(p))
 	f.fs.account(keep)
@@ -295,7 +272,8 @@ func (f *faultyFile) Write(p []byte) (int, error) {
 	return f.File.Write(p)
 }
 
-func (f *faultyFile) Sync() error {
+// Sync implements File, failing as the sync schedule says.
+func (f *FaultyFile) Sync() error {
 	f.fs.mu.Lock()
 	ferr := f.fs.syncPlan()
 	f.fs.mu.Unlock()

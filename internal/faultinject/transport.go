@@ -7,6 +7,7 @@ package faultinject
 // production code paths.
 
 import (
+	"fmt"
 	"net/http"
 	"strings"
 	"sync"
@@ -144,7 +145,7 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		return nil, req.Context().Err()
 	}
 	if r.Err != nil {
-		return nil, Inject(r.Err)
+		return nil, fmt.Errorf("%w: %w", ErrInjected, r.Err)
 	}
 	return inner.RoundTrip(req)
 }

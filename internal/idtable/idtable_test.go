@@ -1,7 +1,6 @@
 package idtable
 
 import (
-	"encoding/json"
 	"slices"
 	"strconv"
 	"sync"
@@ -78,50 +77,5 @@ func TestSnapshotsNeverChangeUnderAppends(t *testing.T) {
 	wg.Wait()
 	if grows > 24 {
 		t.Errorf("%d reallocations in 2,000 appends", grows)
-	}
-}
-
-// FromJSON reads what json.Unmarshal reads, to the same strings, and
-// fails where it fails; the array json.Marshal writes of plain IDs is
-// read without allocating a string.
-func FuzzFromJSON(f *testing.F) {
-	plain, _ := json.Marshal([]string{"doc-0", "", "ünïcode", "a b"})
-	f.Add(plain)
-	escaped, _ := json.Marshal([]string{"quote\"d", "back\\slash", "<html>", "tab\t", " "})
-	f.Add(escaped)
-	for _, s := range []string{`[]`, `null`, `[null]`, `[ "a" ]`, `["a",]`, `["a""b"]`, `[""""]`, `["\xff"]`, `["a",1]`, `[`, `]`, `"a"`} {
-		f.Add([]byte(s))
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var want []string
-		werr := json.Unmarshal(data, &want)
-		got, err := FromJSON(data)
-		if (err == nil) != (werr == nil) {
-			t.Fatalf("FromJSON error %v, json.Unmarshal error %v", err, werr)
-		}
-		if err == nil && !slices.Equal(got.Strings(), want) && got.Len()+len(want) > 0 {
-			t.Fatalf("FromJSON read %q, json.Unmarshal %q", got.Strings(), want)
-		}
-		if err == nil && got.Bytes() != Of(want).Bytes() {
-			t.Fatalf("FromJSON's table holds %d bytes, one of exactly its size %d", got.Bytes(), Of(want).Bytes())
-		}
-	})
-}
-
-func TestFromJSONReadsPlainIDsInPlace(t *testing.T) {
-	ids := make([]string, 1000)
-	for i := range ids {
-		ids[i] = id(i)
-	}
-	data, err := json.Marshal(ids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := testing.AllocsPerRun(10, func() {
-		if tab, err := FromJSON(data); err != nil || tab.Len() != len(ids) {
-			t.Fatalf("read %d IDs, err %v", tab.Len(), err)
-		}
-	}); n != 2 {
-		t.Fatalf("FromJSON made %v allocations, want the table's 2", n)
 	}
 }

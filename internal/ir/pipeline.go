@@ -23,10 +23,11 @@ func NewVocabulary() *Vocabulary {
 }
 
 // NewVocabularyFromTerms rebuilds a vocabulary from a term list in ID order
-// (the inverse of Terms). It returns an error on duplicate terms, which
-// would make term→ID lookups ambiguous.
+// (the inverse of Terms), keeping terms, which the caller must not modify
+// afterwards. It returns an error on duplicate terms, which would make
+// term→ID lookups ambiguous.
 func NewVocabularyFromTerms(terms []string) (*Vocabulary, error) {
-	v := &Vocabulary{ids: make(map[string]int, len(terms)), terms: append([]string(nil), terms...)}
+	v := &Vocabulary{ids: make(map[string]int, len(terms)), terms: terms}
 	for id, t := range v.terms {
 		if prev, ok := v.ids[t]; ok {
 			return nil, fmt.Errorf("ir: duplicate term %q at IDs %d and %d", t, prev, id)

@@ -1,7 +1,9 @@
 // Package legacy converts index files of earlier generations to the one
-// the serving binaries read, wire v4 (internal/lsi). It holds the module's
-// only gob decoder, for the wire v1/v2 streams builds before v3 wrote as
-// files and as a saved directory's segments. Only the offline converter
+// the serving binaries read, wire v4 (internal/lsi), and saved directories
+// of earlier layouts to one checkpoint generation file (retrieval/shard).
+// It holds the module's only gob decoder, for the wire v1/v2 streams
+// builds before v3 wrote as files and as a saved directory's segments, and
+// the only reader of a directory's many files. Only the offline converter
 // (lsiquery -upgrade) and tests import it.
 package legacy
 
@@ -17,13 +19,9 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/lsi"
-	"repro/retrieval/shard"
 )
 
-const (
-	gobWireVersion = 2           // the newest wire version a gob stream carries
-	textName       = "text.json" // a saved directory's text layer
-)
+const gobWireVersion = 2 // the newest wire version a gob stream carries
 
 // indexWire is the gob message of wire versions 1 and 2 (gob matches
 // fields by name, so v1 streams decode with the v2 fields left zero):
@@ -81,7 +79,7 @@ func Read(r io.Reader) (*lsi.Index, *lsi.Meta, error) {
 
 // Upgrade reads an index stream of any generation — gob v1 or v2, or the
 // v3 or v4 container — and returns it as wire v4. text supplies the text
-// layer of a stream that carries none (lsi.Meta's JSON form is a saved
+// layer of a stream that carries none (lsi.Meta's JSON form, as in an old
 // directory's text.json) and must be nil for one that does. A VSM stream
 // is refused.
 func Upgrade(data []byte, text *lsi.Meta) ([]byte, error) {
@@ -115,11 +113,10 @@ func encode(ix *lsi.Index, meta *lsi.Meta) ([]byte, error) {
 // UpgradePath converts the index file or directory in, saved by any
 // build, to out, which must not exist yet, so neither in nor an index a
 // server runs on is ever overwritten. A file becomes a wire v4 file as
-// Upgrade returns it (text as there); a directory, which carries its own
-// text layer, becomes a current checkpoint directory with every gob
-// segment rewritten as wire v4 (a segment carries no text layer). Every
-// file is synced before it is renamed into place, and out's directory
-// after that.
+// Upgrade returns it (text as there); a directory becomes a checkpoint
+// directory of one generation file (upgradeDir), text supplying the text
+// layer of one saved without (a bare shard checkpoint). Every file is synced before it is renamed into place, and
+// out's directory after that.
 func UpgradePath(in, out string, text *lsi.Meta) error {
 	info, err := os.Stat(in)
 	if err != nil {
@@ -129,17 +126,12 @@ func UpgradePath(in, out string, text *lsi.Meta) error {
 		return fmt.Errorf("legacy: upgrade: %s already exists; the converter writes a new index", out)
 	}
 	fsys := faultinject.OS{}
-	switch {
-	case info.IsDir() && text != nil:
-		return errors.New("legacy: upgrade: a directory carries its own text layer (text.json); drop -text")
-	case info.IsDir():
-		err = shard.Rewrite(in, out, upgradeSegment, textName)
-	default:
-		var data []byte
-		if data, err = os.ReadFile(in); err == nil {
-			if data, err = Upgrade(data, text); err == nil {
-				err = faultinject.ReplaceFile(fsys, out, data)
-			}
+	var data []byte
+	if info.IsDir() {
+		err = upgradeDir(in, out, text)
+	} else if data, err = os.ReadFile(in); err == nil {
+		if data, err = Upgrade(data, text); err == nil {
+			err = faultinject.ReplaceFile(fsys, out, data)
 		}
 	}
 	if err == nil {
@@ -148,7 +140,7 @@ func UpgradePath(in, out string, text *lsi.Meta) error {
 	return err
 }
 
-// upgradeSegment is a saved directory's segment file as wire v4: a gob
+// upgradeSegment is an old directory's segment file as wire v4: a gob
 // one rewritten, a container one as it is.
 func upgradeSegment(data []byte) ([]byte, error) {
 	if bytes.HasPrefix(data, lsi.Magic[:]) {

@@ -1,4 +1,4 @@
-package shard
+package legacy
 
 import (
 	"bytes"
@@ -51,13 +51,13 @@ const validV1ManifestJSON = `{
   ]
 }`
 
-// FuzzParseManifest asserts the manifest loader is total: any byte
+// FuzzParseManifest asserts the old-manifest parser is total: any byte
 // string — corrupt, truncated, hostile — must yield either a valid
 // manifest or a descriptive error, never a panic and never an
 // input-independent allocation. An accepted manifest holds the round-robin
 // numbering and the writer's file names, and re-encodes to itself. Seeds
 // live in testdata/fuzz/FuzzParseManifest; run `go test
-// -fuzz=FuzzParseManifest ./retrieval/shard` to explore further.
+// -fuzz=FuzzParseManifest ./internal/legacy` to explore further.
 func FuzzParseManifest(f *testing.F) {
 	f.Add([]byte(validManifestJSON))
 	f.Add([]byte(validV1ManifestJSON))
@@ -73,7 +73,7 @@ func FuzzParseManifest(f *testing.F) {
 	f.Add([]byte(strings.Replace(validV1ManifestJSON, `[0, 2]`, `[2, 0]`, 1)))                          // lists off the derived numbering
 	f.Add([]byte(strings.Replace(validManifestJSON, `"docs": 1,`, `"docs": -1,`, 1)))                   // negative docs
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := ParseManifest(data)
+		m, err := parseManifest(data)
 		if err != nil {
 			if m != nil {
 				t.Fatal("error with non-nil manifest")
@@ -127,7 +127,7 @@ func FuzzParseManifest(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		again, err := ParseManifest(enc)
+		again, err := parseManifest(enc)
 		if err != nil {
 			t.Fatalf("re-encoded manifest rejected: %v", err)
 		}
@@ -138,7 +138,7 @@ func FuzzParseManifest(f *testing.F) {
 }
 
 func TestParseManifestRejectsCorruption(t *testing.T) {
-	golden, err := os.ReadFile(filepath.Join("testdata", "layout_savedir_manifest.json"))
+	golden, err := os.ReadFile(filepath.Join("testdata", "manifest_v2.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,12 +191,12 @@ func TestParseManifestRejectsCorruption(t *testing.T) {
 			`shard 0 segment 1: files "seg-1-0-0.idx", "ann-1-0-1.ivf", "quant-1-0-1.qnt", want "seg-1-0-1.idx"`},
 		{"ids file names a segment", mutate(string(golden), func(m map[string]any) { m["idsFile"] = "seg-1-0-0.idx" }),
 			`idsFile "seg-1-0-0.idx", want "ids-1.json"`},
-		{"segment file names the manifest", mutate(string(golden), func(m map[string]any) { segment(m, 1, 2)["file"] = ManifestName }),
+		{"segment file names the manifest", mutate(string(golden), func(m map[string]any) { segment(m, 1, 2)["file"] = manifestName }),
 			`shard 1 segment 2: files "manifest.json", "", "", want "seg-1-1-2.idx"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			m, err := ParseManifest(tc.data)
+			m, err := parseManifest(tc.data)
 			if tc.want == "" {
 				if err != nil {
 					t.Fatalf("valid manifest rejected: %v", err)

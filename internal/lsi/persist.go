@@ -13,6 +13,7 @@ import (
 	"unsafe"
 
 	"repro/internal/blob"
+	"repro/internal/idtable"
 	"repro/internal/mat"
 )
 
@@ -21,7 +22,7 @@ import (
 //
 //	DIMS  3 × uint64: rank k, terms n, documents m
 //	SIGM  k float64: singular values
-//	TEXT  text layer of Meta (see appendText); empty when there is none
+//	TEXT  text layer of Meta (see AppendText); empty when there is none
 //	BASI  n×k float64: the basis Uₖ, row-major
 //	DOCS  m×k float32: document representations, row-major
 //
@@ -54,7 +55,7 @@ var ErrNotContainer = errors.New("not an index container (an index file from bef
 // IDs. The lsi package itself does not interpret it — the public retrieval
 // package does.
 //
-// Its JSON form is the text layer of a saved directory (text.json).
+// Its JSON form is what lsiquery -upgrade -text reads (an old text.json).
 type Meta struct {
 	// Vocab lists the vocabulary terms in term-ID order; its length must
 	// equal the index's NumTerms.
@@ -96,7 +97,7 @@ func (ix *Index) SaveMeta(w io.Writer, meta *Meta) error {
 		if len(meta.DocIDs) > 0 && len(meta.DocIDs) != ix.NumDocs() {
 			return fmt.Errorf("lsi: save: %d doc IDs for %d documents", len(meta.DocIDs), ix.NumDocs())
 		}
-		text = appendText(nil, meta)
+		text = AppendText(nil, meta)
 	}
 	if f, ok := w.(*os.File); ok && ix.mapped != nil && ix.mapped.Holds(f) {
 		return errors.New("lsi: save: the destination is the mapped file this index was opened from; save to a new file and rename it")
@@ -118,11 +119,11 @@ func (ix *Index) SaveMeta(w io.Writer, meta *Meta) error {
 	return nil
 }
 
-// appendText encodes the TEXT section: one flags byte (bit 0
-// RemoveStopwords, bit 1 Stemming), then three lists — the weighting
-// name alone, the vocabulary, the document IDs. A list is a uvarint
-// count and its strings, a string a uvarint length and its bytes.
-func appendText(b []byte, m *Meta) []byte {
+// AppendText encodes the TEXT section, a checkpoint's too: a flags byte
+// (bit 0 RemoveStopwords, bit 1 Stemming), then three lists — the
+// weighting name alone, the vocabulary, the document IDs. A list is a
+// uvarint count and its strings, a string a uvarint length and its bytes.
+func AppendText(b []byte, m *Meta) []byte {
 	var flags byte
 	if m.RemoveStopwords {
 		flags |= 1
@@ -140,12 +141,13 @@ func appendText(b []byte, m *Meta) []byte {
 	return b
 }
 
-// parseText decodes a TEXT section (b is not empty), which it takes over:
-// the document IDs are views of b (their reader copies them); the rest
-// are copies, so the vocabulary does not pin b. Every count and length
-// is checked against the bytes left (a string costs at least one) before
-// anything is sized by it.
-func parseText(b []byte) (*Meta, error) {
+// ParseText decodes a TEXT section (b is not empty), which it takes over:
+// the document IDs are views of b (their reader copies them) or, given
+// ids, copied into *ids, a table sized from b, with no string per ID; the
+// rest are copies, so the vocabulary does not pin b. Every count and
+// length is checked against the bytes left (a string costs at least one)
+// before anything is sized by it.
+func ParseText(b []byte, ids *idtable.Table) (*Meta, error) {
 	s, off := unsafe.String(unsafe.SliceData(b), len(b)), 1
 	next := func() int {
 		v, w := binary.Uvarint(b[off:])
@@ -157,13 +159,20 @@ func parseText(b []byte) (*Meta, error) {
 	}
 	var lists [3][]string
 	for i := range lists {
-		n := next()
-		if n > 0 {
+		n, packed := next(), i == 2 && ids != nil
+		if packed && n >= 0 {
+			*ids = idtable.Make(n, len(b)-off-n) // a length takes a byte at least
+		} else if n > 0 {
 			lists[i] = make([]string, n)
 		}
-		for j := 0; j < len(lists[i]) && n >= 0; j++ {
-			if n = next(); n >= 0 {
-				lists[i][j], off = s[off:off+n], off+n
+		for j := 0; j < n; j++ {
+			if l := next(); l < 0 {
+				n = -1
+			} else if packed { // past 4 GiB the table stops short, which its reader's count catches
+				*ids, _ = ids.Append(s[off : off+l])
+				off += l
+			} else {
+				lists[i][j], off = s[off:off+l], off+l
 			}
 		}
 		if n < 0 {
@@ -301,7 +310,7 @@ func readBlob(r *blob.Reader) (p IndexParts, meta *Meta, err error) {
 	p.K, p.NumTerms, p.UkRows, p.DocRows = int(k), int(n), int(n), int(m)
 	p.Sigma = r.Floats(tagSigma, p.K)
 	if text := r.Bytes(tagText, -1); r.Err() == nil && len(text) > 0 { // a copy of its own
-		if meta, err = parseText(text); err != nil {
+		if meta, err = ParseText(text, nil); err != nil {
 			return p, nil, err
 		}
 	}

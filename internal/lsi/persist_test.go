@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/blob"
 	"repro/internal/corpus"
+	"repro/internal/idtable"
 	"repro/internal/mat"
 )
 
@@ -219,7 +220,8 @@ func FuzzLoadIndex(f *testing.F) {
 // section that outlive loading — the vocabulary and the weighting name —
 // share no bytes with the section they were decoded from, so holding the
 // vocabulary does not keep the whole section (document IDs included)
-// alive; the document IDs, which their reader copies, may stay views.
+// alive; the document IDs, which their reader copies, may stay views, or
+// go to a packed table of exactly their size.
 func TestParseTextDetachesLongLivedStrings(t *testing.T) {
 	in := &Meta{
 		Vocab:         []string{"alpha", "beta", "", "gamma"},
@@ -227,10 +229,14 @@ func TestParseTextDetachesLongLivedStrings(t *testing.T) {
 		DocIDs:        []string{"d0", "d1", "d2"},
 		Stemming:      true,
 	}
-	b := appendText(nil, in)
-	meta, err := parseText(b)
+	b := AppendText(nil, in)
+	meta, err := ParseText(b, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	var ids idtable.Table
+	if packed, err := ParseText(b, &ids); err != nil || packed.DocIDs != nil || !slices.Equal(ids.Strings(), in.DocIDs) || ids.Bytes() != 6+4*3 {
+		t.Fatalf("packed IDs %q (%d bytes) and DocIDs %q, %v", ids.Strings(), ids.Bytes(), packed.DocIDs, err)
 	}
 	lo, hi := uintptr(unsafe.Pointer(unsafe.SliceData(b))), uintptr(unsafe.Pointer(unsafe.SliceData(b)))+uintptr(len(b))
 	for _, s := range append([]string{meta.WeightingName}, meta.Vocab...) {

@@ -48,6 +48,13 @@ type series struct {
 func runPairs(t *testing.T, build [2][]float64, ss ...series) (int, string) {
 	t.Helper()
 	dir := t.TempDir()
+	writePairs(t, dir, build, ss...)
+	return compare(t, dir)
+}
+
+// writePairs writes the runs runPairs compares into dir.
+func writePairs(t *testing.T, dir string, build [2][]float64, ss ...series) {
+	t.Helper()
 	if err := os.MkdirAll(filepath.Join(dir, "exact_scan"), 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -76,6 +83,11 @@ func runPairs(t *testing.T, build [2][]float64, ss ...series) (int, string) {
 			}
 		}
 	}
+}
+
+// compare returns the exit status and report of the compare mode on dir.
+func compare(t *testing.T, dir string) (int, string) {
+	t.Helper()
 	out, err := exec.Command("sh", "scripts/ledger_pair.sh", "--compare", dir).CombinedOutput()
 	if err == nil {
 		return 0, string(out)
@@ -216,6 +228,47 @@ func TestLedgerPairQPSBesideRSS(t *testing.T) {
 		}
 	}
 	t.Fatalf("no rss_peak_mb row:\n%s", out)
+}
+
+// TestLedgerPairFlagsUnevenLoad seeds the .load files a run records
+// beside its output: each pair's load line shows the share of the box CPU
+// spent outside each side's run and the steal share, and a pair whose
+// sides differ by more than 10 points of outside share or 5 of steal is
+// flagged, without changing the verdicts or the exit status.
+func TestLedgerPairFlagsUnevenLoad(t *testing.T) {
+	dir := t.TempDir()
+	writePairs(t, dir, [2][]float64{}, series{"setup_s", []float64{1.8, 1.9, 1.7}, []float64{1.8, 1.9, 1.7}})
+	// total, busy, steal and tree ticks per side and seed.
+	loads := map[string]string{
+		"base-1": "ticks 1000 520 0 500", "head-1": "ticks 1000 540 10 520", // 2 % and 2 % outside
+		"base-2": "ticks 1000 510 0 500", "head-2": "ticks 1000 900 0 500", // 1 % against 40 %
+		"base-3": "ticks 1000 500 0 500", "head-3": "ticks 1000 580 80 500", // steal 0 % against 8 %
+	}
+	for name, ticks := range loads {
+		data := "load1 0.52 0.97\n" + ticks + "\n"
+		if err := os.WriteFile(filepath.Join(dir, "exact_scan", name+".load"), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	exit, out := compare(t, dir)
+	if exit != 0 {
+		t.Fatalf("exit = %d, want 0\n%s", exit, out)
+	}
+	for seed, want := range map[string]string{
+		"1": "base   2.0%   0.0% 0.52   head   2.0%   1.0% 0.52",
+		"2": "base   1.0%   0.0% 0.52   head  40.0%   0.0% 0.52  DIFFERENT LOAD",
+		"3": "base   0.0%   0.0% 0.52   head   8.0%   8.0% 0.52  DIFFERENT LOAD",
+	} {
+		var line string
+		for _, l := range strings.Split(out, "\n") {
+			if f := strings.Fields(l); len(f) > 1 && f[0] == "seed" && f[1] == seed {
+				line = l
+			}
+		}
+		if !strings.HasSuffix(line, want) {
+			t.Errorf("seed %s: load line %q, want it to end %q\n%s", seed, line, want, out)
+		}
+	}
 }
 
 func TestLedgerPairInfraErrors(t *testing.T) {

@@ -31,23 +31,55 @@ import (
 // new entry fails the test, and so does an entry that has since found a
 // caller or left the tree.
 var unreachedExported = []string{
-	// Kept: test seams.
+	// Kept: the test doubles of the program's seams, each with its own
+	// tests in internal/faultinject. The program code under test calls
+	// their seam methods: FakeClock (Now, After) stands in for the
+	// faultinject.Clock of the router and the replica in the chaos and
+	// replica tests of retrieval/cluster; FaultyFS (OpenFile, SyncDir, and
+	// Write and Sync of the FaultyFile it opens) for the faultinject.FS of
+	// the WAL and the checkpoint writer in the tests of retrieval and
+	// retrieval/wal; Transport (RoundTrip), with its Rules, for the HTTP
+	// transport of the router and the replica in the chaos tests of
+	// retrieval/cluster. The rest is how a test drives them.
 	"internal/faultinject.FakeClock",
 	"internal/faultinject.FakeClock.Advance",
+	"internal/faultinject.FakeClock.After",
 	"internal/faultinject.FakeClock.BlockUntil",
+	"internal/faultinject.FakeClock.Now",
 	"internal/faultinject.FakeClock.Waiters",
-	"internal/faultinject.FaultyFS.BytesWritten",
+	"internal/faultinject.FaultyFS",
 	"internal/faultinject.FaultyFS.Clear",
 	"internal/faultinject.FaultyFS.DiskFullAfter",
+	"internal/faultinject.FaultyFS.FS",
 	"internal/faultinject.FaultyFS.FailSyncs",
 	"internal/faultinject.FaultyFS.FailWrites",
 	"internal/faultinject.FaultyFS.Injected",
-	"internal/faultinject.Injector.Injected",
+	"internal/faultinject.FaultyFS.OpenFile",
+	"internal/faultinject.FaultyFS.SyncDir",
+	"internal/faultinject.FaultyFile",
+	"internal/faultinject.FaultyFile.File",
+	"internal/faultinject.FaultyFile.Sync",
+	"internal/faultinject.FaultyFile.Write",
 	"internal/faultinject.NewFakeClock",
 	"internal/faultinject.NewFaultyFS",
+	"internal/faultinject.Rule",
+	"internal/faultinject.Rule.Class",
+	"internal/faultinject.Rule.Drop",
+	"internal/faultinject.Rule.Err",
+	"internal/faultinject.Rule.Host",
+	"internal/faultinject.Rule.Latency",
+	"internal/faultinject.Rule.Remaining",
 	"internal/faultinject.Transport",
 	"internal/faultinject.Transport.Clear",
+	"internal/faultinject.Transport.Clock",
+	"internal/faultinject.Transport.Inner",
+	"internal/faultinject.Transport.RoundTrip",
 	"internal/faultinject.Transport.SetRules",
+	// Kept: a shared test utility. The tests of retrieval and
+	// retrieval/wal tell an injected fault from a real one by it.
+	"internal/faultinject.ErrInjected",
+	// Kept: test seams.
+	"internal/faultinject.Injector.Injected",
 	"internal/race.Enabled",
 	// Kept: the Lemma 1 tools of ROADMAP item 15 (Gap's report and the
 	// principal angles SinThetaDist is built on), and the fuzz entry.
@@ -74,7 +106,6 @@ var unreachedExported = []string{
 	"internal/graphmodel.FromSimilarity",
 	// Kept: shared test utilities, which the tests of at least two other
 	// packages call (Go cannot share a _test.go helper across packages).
-	"internal/blob.NewMappedReader",
 	"internal/corpus.Query.Vector",
 	"internal/mat.Dense.IsOrthonormalCols",
 	"internal/mat.Dense.MaxAbs",
@@ -104,7 +135,7 @@ func TestInternalNamesAreReached(t *testing.T) {
 // a module built to hold one case of each rule.
 func TestReachabilityCheckerFixture(t *testing.T) {
 	got := findUnreached(t, []module{{dir: unpackFixture(t), path: "fixture"}}, "")
-	wantExported := []string{"internal/a.CalledByTests", "internal/a.OnlyFromUnused", "internal/a.Twin.Label", "internal/a.Unused"}
+	wantExported := []string{"internal/a.CalledByTests", "internal/a.Hidden", "internal/a.Hidden.String", "internal/a.OnlyFromUnused", "internal/a.Twin.Label", "internal/a.Unused"}
 	if !slices.Equal(got.exported, wantExported) {
 		t.Errorf("exported = %q, want %q", got.exported, wantExported)
 	}
@@ -278,12 +309,13 @@ func isInternal(p string) bool { return slices.Contains(strings.Split(p, "/"), "
 // anywhere. A declaration in internal/ counts its references once one of
 // the names it declares is reached. A use inside a declaration's own
 // names (recursion, a method's receiver) does not count. A method is
-// reached when its type (or a pointer to it) satisfies an interface that
-// declares it; an embedded field when a selection or such a method runs
-// through it.
+// reached when its type (or a pointer to it), once reached itself,
+// satisfies an interface that declares it; an embedded field when a
+// selection or such a method runs through it.
 func reach(t *testing.T, l *loader, paths []string) *refs {
 	t.Helper()
-	r := &refs{info: l.info, used: map[types.Object]bool{}, live: map[ast.Node]bool{}, decls: map[types.Object]*decl{}}
+	r := &refs{info: l.info, used: map[types.Object]bool{}, live: map[ast.Node]bool{}, decls: map[types.Object]*decl{},
+		satisfied: map[types.Object][]func(){}}
 	root := func(o types.Object) bool {
 		return o == nil || o.Name() == "init" || o.Name() == "main" || o.Name() == "_"
 	}
@@ -568,6 +600,10 @@ type refs struct {
 	live  map[ast.Node]bool      // the reached declarations
 	decls map[types.Object]*decl // the declaration of each name
 	queue []*decl                // reached, their references not yet marked
+	// satisfied holds, by type name, the marks of the methods through
+	// which the type satisfies an interface; they run once the type's
+	// declaration is reached.
+	satisfied map[types.Object][]func()
 }
 
 // decl is one top-level declaration: a function or method, or one spec
@@ -625,11 +661,20 @@ func (r *refs) mark(obj types.Object) {
 	}
 }
 
-// enqueue records d as reached and queues its references.
+// enqueue records d as reached and queues its references, and marks the
+// methods through which a type it declares satisfies an interface.
 func (r *refs) enqueue(d *decl) {
-	if !r.live[d.node] {
-		r.live[d.node] = true
-		r.queue = append(r.queue, d)
+	if r.live[d.node] {
+		return
+	}
+	r.live[d.node] = true
+	r.queue = append(r.queue, d)
+	for _, o := range d.names {
+		marks := r.satisfied[o]
+		delete(r.satisfied, o)
+		for _, mark := range marks {
+			mark()
+		}
 	}
 }
 
@@ -700,9 +745,11 @@ func (r *refs) path(t types.Type, index []int) {
 }
 
 // interfaces marks every method through which a named type of the
-// checked packages (or an instance of one) satisfies an interface: one
+// checked packages (or an instance of one) satisfies an interface — one
 // declared at package level in any package the program loads or in
-// conventions, or one written as a literal in the checked code.
+// conventions, or one written as a literal in the checked code — once
+// the type's declaration is reached: at once for a reached one, from
+// enqueue for the rest.
 func (r *refs) interfaces(checked []*types.Package, conventions *types.Package) {
 	byMethod := map[string][]*types.Interface{}
 	addIface := func(t types.Type) {
@@ -771,6 +818,7 @@ func (r *refs) interfaces(checked []*types.Package, conventions *types.Package) 
 				}
 			}
 		}
+		tn := t.(*types.Named).Origin().Obj()
 		for _, it := range cands {
 			if !types.Implements(ptr, it) {
 				continue
@@ -778,9 +826,17 @@ func (r *refs) interfaces(checked []*types.Package, conventions *types.Package) 
 			for i := 0; i < it.NumMethods(); i++ {
 				m := it.Method(i)
 				obj, index, _ := types.LookupFieldOrMethod(ptr, false, m.Pkg(), m.Name())
-				if obj != nil {
+				if obj == nil {
+					continue
+				}
+				mark := func() {
 					r.mark(obj)
 					r.path(ptr, index)
+				}
+				if d := r.decls[tn]; d != nil && r.live[d.node] {
+					mark()
+				} else {
+					r.satisfied[tn] = append(r.satisfied[tn], mark)
 				}
 			}
 		}

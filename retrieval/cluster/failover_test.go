@@ -5,9 +5,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"runtime"
-	"strings"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,6 +17,7 @@ import (
 	"repro/retrieval"
 	"repro/retrieval/cluster"
 	"repro/retrieval/httpapi"
+	"repro/retrieval/shard"
 )
 
 // TestClusterFailoverEndToEnd is the acceptance scenario: a 2-shard
@@ -349,21 +351,14 @@ func TestReplicaBootstrapsFromTieredPrimary(t *testing.T) {
 	}
 }
 
-// TestReplicaKeepsOneSnapshot: every bootstrap removes the snapshot
-// directory it replaces, a bootstrap that fails removes its own, and an
-// index obtained before a re-bootstrap keeps answering bit for bit after
-// its files are gone (its pages are mapped, or were read whole).
+// TestReplicaKeepsOneSnapshot: every bootstrap replaces the generation
+// file it pulled before, a bootstrap that fails leaves the directory as it
+// was, and an index obtained before a re-bootstrap keeps answering bit for
+// bit after its file is gone (its pages are mapped, or were read whole).
 func TestReplicaKeepsOneSnapshot(t *testing.T) {
 	tc := startCluster(t, 18, 2)
 	ctx := context.Background()
 	dir := t.TempDir()
-	snapshots := func() []string {
-		names, err := filepath.Glob(filepath.Join(dir, "snap-*"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return names
-	}
 	rep := cluster.NewReplica(tc.servers[0].URL, dir, cluster.ReplicaOptions{})
 	if err := rep.Bootstrap(ctx); err != nil {
 		t.Fatal(err)
@@ -380,8 +375,9 @@ func TestReplicaKeepsOneSnapshot(t *testing.T) {
 	if err := rep.Bootstrap(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if got := snapshots(); len(got) != 1 || filepath.Base(got[0]) != "snap-2" || rep.Index() == first {
-		t.Fatalf("after two bootstraps the replica keeps %v", got)
+	oneGeneration(t, dir)
+	if rep.Index() == first {
+		t.Fatal("the second bootstrap did not swap the index")
 	}
 	runtime.GC()
 	for i, q := range testQueries {
@@ -389,24 +385,130 @@ func TestReplicaKeepsOneSnapshot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameResults(t, got, want[i], "first snapshot's index after its directory was removed: "+q)
+		sameResults(t, got, want[i], "first snapshot's index after its file was replaced: "+q)
 	}
-	// A primary that serves its manifest and then fails the segment file
-	// leaves a torn snap-3, were it not removed.
-	node := httpapi.NewHandler(tc.nodes[0], httpapi.Options{ReplicateDir: tc.dirs[0]})
+	// A primary that fails the checkpoint download leaves the directory
+	// as the last good pull left it.
 	torn := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasPrefix(r.URL.Query().Get("name"), "seg-") {
-			http.Error(w, "disk on fire", http.StatusInternalServerError)
-			return
-		}
-		node.ServeHTTP(w, r)
+		http.Error(w, "disk on fire", http.StatusInternalServerError)
 	}))
 	defer torn.Close()
 	rep.SetPrimary(torn.URL)
 	if err := rep.Bootstrap(ctx); err == nil {
-		t.Fatal("bootstrap without the segment file succeeded")
+		t.Fatal("bootstrap without the checkpoint succeeded")
 	}
-	if got := snapshots(); len(got) != 1 || filepath.Base(got[0]) != "snap-2" || rep.ReplicaStats().Snapshots != 3 {
-		t.Fatalf("after a failed third bootstrap the replica keeps %v", got)
+	oneGeneration(t, dir)
+	if rep.ReplicaStats().Snapshots != 3 {
+		t.Fatalf("%d snapshot pulls counted, want 3", rep.ReplicaStats().Snapshots)
+	}
+}
+
+// oneGeneration fails unless dir holds exactly one file, a checkpoint
+// generation.
+func oneGeneration(t *testing.T, dir string) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path, _, err := shard.Latest(dir)
+	if err != nil || len(entries) != 1 || entries[0].Name() != filepath.Base(path) {
+		t.Fatalf("the replica's directory holds %v, want one generation file (%v)", entries, err)
+	}
+}
+
+// TestReplicaRestartKeepsOneGeneration: a replica restarted on the data
+// directory of an earlier process, which re-snapshotted three times, ends
+// with one generation file there — the snapshot it pulled — and nothing
+// the earlier process left.
+func TestReplicaRestartKeepsOneGeneration(t *testing.T) {
+	tc := startCluster(t, 18, 2)
+	ctx := context.Background()
+	dir := t.TempDir()
+	rep := cluster.NewReplica(tc.servers[0].URL, dir, cluster.ReplicaOptions{})
+	for i := 0; i < 4; i++ { // the bootstrap and three re-snapshots
+		if err := rep.Bootstrap(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	restarted := cluster.NewReplica(tc.servers[0].URL, dir, cluster.ReplicaOptions{})
+	if err := restarted.Bootstrap(ctx); err != nil {
+		t.Fatal(err)
+	}
+	oneGeneration(t, dir)
+	for _, q := range testQueries {
+		want, err := tc.nodes[0].Search(ctx, q, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := search(ctx, restarted, q, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResults(t, got, want, "restarted replica query "+q)
+	}
+}
+
+// TestReplicaResumesAcrossGeneration: a pull cut halfway, during which the
+// primary checkpoints, resumes with Range + If-Range; the changed
+// generation answers 200 with the whole new file, and the replica ends on
+// the new generation, answering bitwise as the primary does.
+func TestReplicaResumesAcrossGeneration(t *testing.T) {
+	primary, err := retrieval.Build(corpus(40), retrieval.WithRank(3), retrieval.WithShards(1), retrieval.WithAutoCompact(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer primary.Close()
+	dir := t.TempDir()
+	if err := primary.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	node := httpapi.NewHandler(primary, httpapi.Options{ReplicateDir: dir})
+	var pulls atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/replicate/checkpoint" || pulls.Add(1) > 1 {
+			node.ServeHTTP(w, r)
+			return
+		}
+		// The first pull: half the file, then a checkpoint, then the cut.
+		full := httptest.NewRecorder()
+		node.ServeHTTP(full, r)
+		w.Header().Set("ETag", full.Header().Get("ETag"))
+		w.Header().Set("Content-Length", strconv.Itoa(full.Body.Len()))
+		w.WriteHeader(http.StatusOK)
+		w.Write(full.Body.Bytes()[:full.Body.Len()/2])
+		w.(http.Flusher).Flush()
+		if _, err := primary.Add(ctx, corpus(3)); err != nil {
+			t.Error(err)
+		}
+		if err := primary.Checkpoint(dir); err != nil {
+			t.Error(err)
+		}
+		panic(http.ErrAbortHandler)
+	}))
+	defer srv.Close()
+
+	rep := cluster.NewReplica(srv.URL, t.TempDir(), cluster.ReplicaOptions{})
+	if err := rep.Bootstrap(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if st := rep.ReplicaStats(); st.ResumedPulls != 1 || pulls.Load() != 2 {
+		t.Fatalf("%d resumed pulls over %d requests, want 1 over 2", st.ResumedPulls, pulls.Load())
+	}
+	if rep.Generation() != primary.Generation() || rep.Generation() == 0 || rep.NumDocs() != primary.NumDocs() {
+		t.Fatalf("the replica is at generation %d with %d docs, the primary at %d with %d",
+			rep.Generation(), rep.NumDocs(), primary.Generation(), primary.NumDocs())
+	}
+	for _, q := range testQueries {
+		want, err := primary.Search(ctx, q, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := search(ctx, rep, q, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResults(t, got, want, "resumed replica query "+q)
 	}
 }

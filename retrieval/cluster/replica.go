@@ -8,8 +8,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"path/filepath"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -37,8 +35,8 @@ type ReplicaOptions struct {
 // Run tails the primary's WAL every pollInterval.
 const pollInterval = 500 * time.Millisecond
 
-// A snapshot file gets at most pullAttempts transfers, pullBackoff apart
-// and doubling; a cut one resumes from the last byte that landed.
+// A snapshot gets at most pullAttempts transfers, pullBackoff apart and
+// doubling; a cut one resumes from the last byte that landed.
 const (
 	pullAttempts = 4
 	pullBackoff  = 100 * time.Millisecond
@@ -58,7 +56,8 @@ func (o ReplicaOptions) withDefaults() ReplicaOptions {
 }
 
 // Replica mirrors one cluster node: it bootstraps by pulling the
-// primary's checkpoint over GET /v1/replicate/{manifest,file}, then
+// primary's newest checkpoint generation file over
+// GET /v1/replicate/checkpoint, then
 // keeps up by tailing the primary's write-ahead log
 // (GET /v1/replicate/wal?from=<its own document count>). When the tail
 // answers 410 Gone — a checkpoint on the primary rotated the records
@@ -84,9 +83,8 @@ type Replica struct {
 	client  *http.Client
 	clock   faultinject.Clock
 
-	cur     atomic.Pointer[retrieval.Index]
-	snaps   atomic.Int64           // snapshot pulls performed (names the snap dirs)
-	snapDir atomic.Pointer[string] // the directory cur was opened from
+	cur   atomic.Pointer[retrieval.Index]
+	snaps atomic.Int64 // snapshot pulls performed
 
 	batches atomic.Int64
 	applied atomic.Int64
@@ -95,7 +93,8 @@ type Replica struct {
 }
 
 // NewReplica prepares a replica of the node at primaryURL, keeping its
-// local snapshots under dir. Call Bootstrap before serving.
+// local snapshot in dir as one checkpoint generation file. Call Bootstrap
+// before serving.
 func NewReplica(primaryURL, dir string, opts ReplicaOptions) *Replica {
 	r := &Replica{dir: dir, opts: opts.withDefaults()}
 	r.primary.Store(&primaryURL)
@@ -155,7 +154,7 @@ func statusOf(err error) int {
 
 // Bootstrap pulls a full snapshot from the primary and opens it for
 // serving. It retries a bounded number of times when a checkpoint on
-// the primary races the pull (a manifest-named file answering 404).
+// the primary races the pull (the file it listed answering 404).
 func (r *Replica) Bootstrap(ctx context.Context) error {
 	const attempts = 3
 	var err error
@@ -171,74 +170,43 @@ func (r *Replica) Bootstrap(ctx context.Context) error {
 	return err
 }
 
-// pullSnapshot fetches the primary's checkpoint into a fresh local
-// directory — every data file first, the manifest last, so a torn pull
-// is never openable — then opens it and swaps it in as the serving
-// index. The previous index (if any) is left to the garbage collector
-// rather than closed: queries may still be draining on it, and a
-// snapshot opens with compaction disabled, so it holds no goroutines.
-// Its directory goes at once (mapped pages outlive the unlink, a streamed
-// file was read whole); a failed pull removes its own.
-func (r *Replica) pullSnapshot(ctx context.Context) (err error) {
-	manBytes, err := r.get(ctx, "/v1/replicate/manifest")
-	if err != nil {
+// pullSnapshot fetches the primary's newest checkpoint generation — one
+// file — into the replica's directory, where it replaces the previous
+// one as a save does (shard.Receive), then opens it and swaps it in as
+// the serving index. The previous index is left to the garbage collector
+// rather than closed: queries may still be draining on it, and a snapshot
+// opens with compaction disabled, so it holds no goroutines. A failed
+// pull leaves the directory as it was.
+func (r *Replica) pullSnapshot(ctx context.Context) error {
+	r.snaps.Add(1)
+	if _, err := shard.Receive(r.dir, func(f *os.File) error { return r.pullCheckpoint(ctx, f) }); err != nil {
 		return err
 	}
-	man, err := shard.ParseManifest(manBytes)
-	if err != nil {
-		return fmt.Errorf("cluster: replica: primary manifest: %w", err)
-	}
-	if man.Shards != 1 {
-		return fmt.Errorf("cluster: replica: primary serves a %d-shard index; replicas mirror 1-shard exports", man.Shards)
-	}
-	snap := filepath.Join(r.dir, fmt.Sprintf("snap-%d", r.snaps.Add(1)))
-	if err := os.MkdirAll(snap, 0o777); err != nil {
-		return err
-	}
-	defer func() {
-		if err != nil {
-			os.RemoveAll(snap)
-		}
-	}()
-	for _, name := range append(man.Files(), "text.json") {
-		if err := r.pullFile(ctx, name, filepath.Join(snap, name), uint64(man.Generation)); err != nil {
-			return err
-		}
-	}
-	if err := os.WriteFile(filepath.Join(snap, shard.ManifestName), manBytes, 0o666); err != nil {
-		return err
-	}
-	ix, err := retrieval.OpenDir(snap, retrieval.WithAutoCompact(false))
+	ix, err := retrieval.OpenDir(r.dir, retrieval.WithAutoCompact(false))
 	if err != nil {
 		return fmt.Errorf("cluster: replica: opening snapshot: %w", err)
 	}
-	r.cur.Store(ix) // the old index: see the doc comment, never closed under draining queries
-	if prev := r.snapDir.Swap(&snap); prev != nil {
-		os.RemoveAll(*prev)
+	if ix.NumShards() != 1 {
+		ix.Close()
+		return fmt.Errorf("cluster: replica: primary serves a %d-shard index; replicas mirror 1-shard exports", ix.NumShards())
 	}
+	r.cur.Store(ix) // the old index: see the doc comment, never closed under draining queries
 	return nil
 }
 
-// pullFile streams one checkpoint file from the primary to dst,
-// resuming a cut transfer with a Range request from the last byte that
-// landed instead of restarting the whole file. Safe because
-// generation-stamped data files never mutate in place; the mutable
-// manifest.json/text.json are guarded by the X-Index-Generation header,
-// which must keep matching wantGen across attempts — a change means a
-// checkpoint raced the pull, and the whole snapshot restarts (the 404
-// path Bootstrap already retries).
-func (r *Replica) pullFile(ctx context.Context, name, dst string, wantGen uint64) error {
-	f, err := os.Create(dst)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	var got int64
-	var lastErr error
+// pullCheckpoint streams the primary's newest checkpoint generation into
+// f. A cut transfer resumes with a Range request from the last byte that
+// landed, its If-Range the generation's ETag, so a checkpoint that
+// replaced the file meanwhile answers 200 with the whole new one. Status
+// errors are protocol answers (404: a raced checkpoint) and end the pull;
+// transport errors retry, pullBackoff apart and doubling on the
+// replica's clock.
+func (r *Replica) pullCheckpoint(ctx context.Context, f *os.File) error {
+	var etag string
+	var err error
 	for attempt := 0; attempt < pullAttempts; attempt++ {
+		got, _ := f.Seek(0, io.SeekCurrent)
 		if attempt > 0 {
-			// Linear-doubling backoff on the injected clock; ctx still
-			// bounds the whole pull.
 			select {
 			case <-ctx.Done():
 				return ctx.Err()
@@ -248,71 +216,54 @@ func (r *Replica) pullFile(ctx context.Context, name, dst string, wantGen uint64
 				r.resumes.Add(1)
 			}
 		}
-		var err error
-		got, err = r.fetchInto(ctx, f, name, got, wantGen)
-		if err == nil {
-			return nil
-		}
-		// Status errors are protocol answers (404 raced checkpoint, 416
-		// bad resume already handled below) — no retry here; transport
-		// errors retry from the offset reached.
-		if statusOf(err) != 0 {
+		if etag, err = r.fetchInto(ctx, f, got, etag); err == nil || statusOf(err) != 0 {
 			return err
 		}
-		lastErr = err
 	}
-	return fmt.Errorf("cluster: replica: pulling %s: %w", name, lastErr)
+	return fmt.Errorf("cluster: replica: pulling the checkpoint: %w", err)
 }
 
-// fetchInto runs one (possibly ranged) GET for a checkpoint file and
-// appends the response to f, returning the new local offset. A 200
-// answer to a ranged request (server without Range support, or the
-// file changed) restarts the file from zero; a 416 means the local
-// offset is past the primary's EOF — also a restart.
-func (r *Replica) fetchInto(ctx context.Context, f *os.File, name string, got int64, wantGen uint64) (int64, error) {
-	path := "/v1/replicate/file?name=" + name
+// fetchInto runs one GET for the checkpoint, ranged from got when f holds
+// that much of the file tagged etag, and appends the answer to f,
+// returning the ETag of the file being pulled. A 200 (a first request, or
+// a resume whose If-Range no longer matches) restarts f from zero; so does
+// a 416, an offset past the primary's EOF, after which the pull retries.
+func (r *Replica) fetchInto(ctx context.Context, f *os.File, got int64, etag string) (string, error) {
+	const path = "/v1/replicate/checkpoint"
 	ctx, cancel := context.WithTimeout(ctx, r.opts.NodeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.Primary()+path, nil)
 	if err != nil {
-		return got, err
+		return etag, err
 	}
-	if got > 0 {
+	if got > 0 && etag != "" {
 		req.Header.Set("Range", fmt.Sprintf("bytes=%d-", got))
+		req.Header.Set("If-Range", etag)
 	}
 	resp, err := r.client.Do(req)
 	if err != nil {
-		return got, fmt.Errorf("cluster: replica: %s: %w", path, err)
+		return etag, fmt.Errorf("cluster: replica: %s: %w", path, err)
 	}
 	defer resp.Body.Close()
-	if g, err := strconv.ParseUint(resp.Header.Get("X-Index-Generation"), 10, 64); err == nil && wantGen > 0 && g != wantGen {
-		// A checkpoint replaced the one we are pulling: surface the same
-		// status Bootstrap retries with a fresh manifest.
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
-		return got, &errStatus{path: path, code: http.StatusNotFound}
-	}
 	switch resp.StatusCode {
 	case http.StatusOK, http.StatusRequestedRangeNotSatisfiable:
-		// Full body (or an unsatisfiable resume offset): restart the file.
 		if err := f.Truncate(0); err != nil {
-			return 0, err
+			return "", err
 		}
 		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return 0, err
+			return "", err
 		}
-		got = 0
 		if resp.StatusCode == http.StatusRequestedRangeNotSatisfiable {
-			io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
-			return 0, fmt.Errorf("cluster: replica: %s: resume offset past EOF; restarting", path)
+			return "", fmt.Errorf("cluster: replica: %s: resume offset past EOF; restarting", path)
 		}
-	case http.StatusPartialContent:
-		// Appending at got, exactly where the Range asked.
+		etag = resp.Header.Get("ETag")
+	case http.StatusPartialContent: // appending at got, where the Range asked
 	default:
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
-		return got, &errStatus{path: path, code: resp.StatusCode}
+		return etag, &errStatus{path: path, code: resp.StatusCode}
 	}
-	n, err := io.Copy(f, resp.Body)
-	return got + n, err
+	_, err = io.Copy(f, resp.Body)
+	return etag, err
 }
 
 // CatchUp performs one tail round: ask the primary for every document
@@ -435,7 +386,7 @@ func (r *Replica) Epoch() uint64 {
 	return 0
 }
 
-// Generation returns the manifest generation of the snapshot the
+// Generation returns the checkpoint generation of the snapshot the
 // replica serves — the primary checkpoint it descends from.
 func (r *Replica) Generation() uint64 {
 	if ix := r.cur.Load(); ix != nil {

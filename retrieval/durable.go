@@ -137,7 +137,7 @@ func (ix *Index) addDurable(docs []Document) (int, error) {
 // Checkpoint persists the index to dir (SaveDir) and, if a WAL is
 // attached, rotates it — atomically with respect to concurrent Adds, so
 // no acked batch can fall between the snapshot and the rotation. After
-// a checkpoint the WAL holds only writes newer than dir's manifest.
+// a checkpoint the WAL holds only writes newer than dir's checkpoint.
 func (ix *Index) Checkpoint(dir string) error {
 	ix.walMu.Lock()
 	defer ix.walMu.Unlock()
@@ -228,20 +228,21 @@ func (ix *Index) TailWAL(from int) ([]Document, error) {
 // NumDocs) instead.
 func (ix *Index) Epoch() uint64 { return ix.sharded.Epoch() }
 
-// Generation returns the manifest generation of the newest durable
+// Generation returns the generation of the newest durable
 // checkpoint of a sharded live index (see shard.Index.Generation);
 // 0 for immutable indexes and for sharded indexes never saved.
 func (ix *Index) Generation() uint64 { return ix.sharded.Generation() }
 
 // SaveShardDir exports one shard of a sharded index as a standalone
-// 1-shard index directory — manifest, segments, and the text layer —
-// ready for a cluster node to Open and serve (see shard.SaveShardDir
-// for the exactness guarantees). SaveShardDirs exports every shard.
+// 1-shard index directory — one checkpoint file holding its segments and
+// the text layer — ready for a cluster node to Open and serve (see
+// shard.SaveShardDir for the exactness guarantees). SaveShardDirs
+// exports every shard.
 func (ix *Index) SaveShardDir(s int, dir string) error {
 	if !ix.Sharded() {
 		return fmt.Errorf("%w: only sharded indexes export per-shard", ErrNotSharded)
 	}
-	return ix.saveDir(dir, s, faultinject.OS{})
+	return ix.sharded.SaveShardDir(s, dir)
 }
 
 // SaveShardDirs exports every shard of the index under dir: shard s

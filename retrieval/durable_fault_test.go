@@ -139,8 +139,9 @@ func TestAddFsyncFaultNeverAcksThenRecovers(t *testing.T) {
 // out of disk, or whose file fsyncs fail, fails without harming the
 // previous checkpoint — the directory still opens at the old generation
 // with the old corpus. One whose directory fsync alone fails, after the
-// manifest switch, does not report success either. Both entry points of the checkpoint writer are held to it: the whole-index
-// save and the per-shard export a cluster deploy ships to its nodes.
+// rename, does not report success either. Both entry points of the
+// checkpoint writer are held to it: the whole-index save and the
+// per-shard export a cluster deploy ships to its nodes.
 func TestCheckpointENOSPCKeepsPreviousGeneration(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -182,22 +183,26 @@ func TestCheckpointENOSPCKeepsPreviousGeneration(t *testing.T) {
 				}
 			}
 
-			// Size one full save on a side directory, then sweep budgets
-			// below it so the real save dies at many different points of its
-			// write schedule: during a segment, the ids file, or the manifest.
-			trial := faultinject.NewFaultyFS(faultinject.OS{}, 1)
+			// Record the writes of one full save on a side directory, then
+			// sweep budgets across every one of them, so the real save dies
+			// inside each write of its file (and before the first), and at
+			// eight points spread over the whole file.
+			trial := &recordingFS{state: map[string]string{}}
 			if err := tc.again(ix, filepath.Join(dir, "trial"), trial); err != nil {
 				t.Fatal(err)
 			}
-			total := trial.BytesWritten()
-			if total < 16 {
-				t.Fatalf("trial checkpoint wrote only %d bytes", total)
+			if len(trial.writes) == 0 {
+				t.Fatal("the trial checkpoint wrote nothing")
 			}
-			step := total / 8
-			if step == 0 {
-				step = 1
+			budgets, off := []int64{0}, int64(0)
+			for _, n := range trial.writes {
+				budgets = append(budgets, off+int64(n)/2, off+int64(n)-1)
+				off += int64(n)
 			}
-			for budget := int64(0); budget < total; budget += step {
+			for i := int64(1); i < 8; i++ {
+				budgets = append(budgets, off*i/8)
+			}
+			for _, budget := range budgets {
 				fs := faultinject.NewFaultyFS(faultinject.OS{}, budget)
 				fs.DiskFullAfter(budget)
 				if err := tc.again(ix, data, fs); err == nil {
@@ -206,20 +211,19 @@ func TestCheckpointENOSPCKeepsPreviousGeneration(t *testing.T) {
 				reopen(fmt.Sprintf("budget %d", budget), tc.docs, true)
 			}
 
-			// Success means every file and the manifest switch are durable:
-			// with every fsync failing the checkpoint must fail, and since
-			// each file is synced before it is renamed into place, it fails
-			// before the manifest switch.
+			// Success means the file and its rename are durable: with every
+			// fsync failing the checkpoint must fail, and since the file is
+			// synced before it is renamed into place, it fails before the
+			// rename.
 			fs := faultinject.NewFaultyFS(faultinject.OS{}, 1)
 			fs.FailSyncs(1, syscall.EIO)
 			if err := tc.again(ix, data, fs); !errors.Is(err, faultinject.ErrInjected) {
 				t.Fatalf("checkpoint with a failing fsync returned %v", err)
 			}
 			reopen("failed fsync", tc.docs, true)
-			// With the file syncs succeeding and only the directory fsync
-			// after the manifest switch failing, the checkpoint must still
-			// not report success, having switched to the complete new
-			// manifest.
+			// With the file sync succeeding and only the directory fsync
+			// after the rename failing, the checkpoint must still not report
+			// success, having switched to the complete new generation.
 			if err := tc.again(ix, data, syncDirFailsFS{}); !errors.Is(err, faultinject.ErrInjected) {
 				t.Fatalf("checkpoint with a failing directory fsync returned %v", err)
 			}
@@ -235,7 +239,9 @@ func TestCheckpointENOSPCKeepsPreviousGeneration(t *testing.T) {
 // syncDirFailsFS is the real file system whose directory fsyncs fail.
 type syncDirFailsFS struct{ faultinject.OS }
 
-func (syncDirFailsFS) SyncDir(string) error { return faultinject.Inject(syscall.EIO) }
+func (syncDirFailsFS) SyncDir(string) error {
+	return fmt.Errorf("%w: %w", faultinject.ErrInjected, syscall.EIO)
+}
 
 // recordingFS is the real file system, recording what a power loss could
 // undo: each file's state ("written" since its last sync, or "synced"),
@@ -244,7 +250,8 @@ type recordingFS struct {
 	faultinject.OS
 	mu       sync.Mutex
 	state    map[string]string
-	events   []string // "rename <base name>" and "syncdir"
+	events   []string // "sync <base name>", "rename <base name>" and "syncdir"
+	writes   []int    // the length of every write, in order
 	unsynced []string // files renamed while written since their last sync
 }
 
@@ -288,6 +295,9 @@ type recordingFile struct {
 
 func (f *recordingFile) Write(p []byte) (int, error) {
 	f.fs.set(f.name, "written")
+	f.fs.mu.Lock()
+	f.fs.writes = append(f.fs.writes, len(p))
+	f.fs.mu.Unlock()
 	return f.File.Write(p)
 }
 
@@ -295,36 +305,41 @@ func (f *recordingFile) Sync() error {
 	err := f.File.Sync()
 	if err == nil {
 		f.fs.set(f.name, "synced")
+		f.fs.mu.Lock()
+		f.fs.events = append(f.fs.events, "sync "+filepath.Base(f.name))
+		f.fs.mu.Unlock()
 	}
 	return err
 }
 
 // TestCheckpointSyncsBeforeRename: a checkpoint survives power loss once
-// it has returned. Every file it renames into place was synced after its
-// last write, text.json lands before manifest.json (a manifest never
-// names a directory without its text layer), and the directory is synced
-// after the manifest switch. Both entry points are held to it.
+// it has returned. It writes one file, syncs it after its last write,
+// renames it into place — the commit point — and then syncs the
+// directory: exactly one data fsync, one rename and one directory sync.
+// Both entry points are held to it.
 func TestCheckpointSyncsBeforeRename(t *testing.T) {
 	ix, err := Build(largerCorpus(14), WithRank(3), WithShards(2), WithAutoCompact(false))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ix.Close()
-	for name, s := range map[string]int{"SaveDir": -1, "SaveShardDir": 0} {
+	for name, save := range map[string]func(dir string, fsys faultinject.FS) error{
+		"SaveDir":      ix.sharded.SaveDirFS,
+		"SaveShardDir": func(dir string, fsys faultinject.FS) error { return ix.sharded.SaveShardDirFS(0, dir, fsys) },
+	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			for pass := range 2 { // a fresh directory, then a re-save into it
 				rec := &recordingFS{state: map[string]string{}}
-				if err := ix.saveDir(dir, s, rec); err != nil {
+				if err := save(dir, rec); err != nil {
 					t.Fatal(err)
 				}
 				if len(rec.unsynced) > 0 {
 					t.Fatalf("pass %d: renamed before their last write was synced: %v", pass, rec.unsynced)
 				}
-				text := slices.Index(rec.events, "rename text.json")
-				man := slices.Index(rec.events, "rename manifest.json")
-				if text < 0 || man < text || !slices.Contains(rec.events[man:], "syncdir") {
-					t.Fatalf("pass %d: events %v, want text.json renamed, then manifest.json, then a directory sync", pass, rec.events)
+				name := fmt.Sprintf("gen-%d.lsi", pass)
+				if want := []string{"sync " + name + ".tmp", "rename " + name, "syncdir"}; !slices.Equal(rec.events, want) {
+					t.Fatalf("pass %d: events %v, want %v", pass, rec.events, want)
 				}
 			}
 			re, err := OpenDir(dir, WithAutoCompact(false))

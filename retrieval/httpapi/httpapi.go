@@ -19,23 +19,19 @@
 //	GET  /readyz           readiness probe: 503 while the index owes
 //	                       compaction work (sealed segments pending or a
 //	                       compaction in flight), 200 otherwise; the body
-//	                       carries the index epoch, manifest generation,
+//	                       carries the index epoch, checkpoint generation,
 //	                       and document count
 //	GET  /debug/pprof/*    runtime profiles (only with Options.EnablePprof)
 //
 // Replication (for retrieval/cluster replicas catching up from a
-// primary; the file endpoints require Options.ReplicateDir, the WAL
+// primary; the checkpoint endpoint requires Options.ReplicateDir, the WAL
 // endpoint a retriever with an attached WAL):
 //
-//	GET /v1/replicate/manifest       the primary's current manifest.json
-//	GET /v1/replicate/file?name=...  one checkpoint file (manifest.json,
-//	                                 text.json, or a generation-stamped
-//	                                 name shard.FileGeneration accepts:
-//	                                 ids-*.json, seg-*.idx and the tier
-//	                                 sidecars ann-*.ivf, quant-*.qnt;
-//	                                 anything else is 400, a file a
-//	                                 checkpoint has retired is 404 —
-//	                                 re-fetch the manifest and retry)
+//	GET /v1/replicate/checkpoint     the newest checkpoint generation file
+//	                                 (shard.Latest), ETag the generation;
+//	                                 Range + If-Range resume a cut pull,
+//	                                 and a 200 answers one whose
+//	                                 generation was replaced meanwhile
 //	GET /v1/replicate/wal?from=N     every logged document with global
 //	                                 position >= N, as JSON; 410 Gone
 //	                                 when a checkpoint rotated the
@@ -110,10 +106,10 @@ type Options struct {
 	// up. 503 rather than the queue-full 429: the client's rate is not
 	// the problem, the server owes background work.
 	MaxCompactionDebt int
-	// ReplicateDir enables GET /v1/replicate/{manifest,file}: the
-	// checkpoint directory (the one the server saves into / opened from)
-	// whose manifest and files replicas may pull. Empty disables the
-	// file endpoints (404).
+	// ReplicateDir enables GET /v1/replicate/checkpoint: the checkpoint
+	// directory (the one the server saves into / opened from) whose
+	// newest generation file replicas may pull. Empty disables the
+	// endpoint (404).
 	ReplicateDir string
 	// Metrics is the registry the handler's series are registered on
 	// and GET /metrics serves (default: a fresh private registry).
@@ -327,8 +323,7 @@ func NewHandler(ret retrieval.Retriever, opts Options) *Handler {
 	mux.HandleFunc("POST /v1/docs", h.route("docs", gateIngest, h.addDoc))
 	mux.HandleFunc("POST /v1/docs:batch", h.route("docs_batch", gateIngest, h.addDocs))
 	mux.HandleFunc("GET /v1/stats", h.route("stats", gateNone, h.stats))
-	mux.HandleFunc("GET /v1/replicate/manifest", h.route("replicate_manifest", gateNone, h.replicateManifest))
-	mux.HandleFunc("GET /v1/replicate/file", h.route("replicate_file", gateNone, h.replicateFile))
+	mux.HandleFunc("GET /v1/replicate/checkpoint", h.route("replicate_checkpoint", gateNone, h.replicateCheckpoint))
 	mux.HandleFunc("GET /v1/replicate/wal", h.route("replicate_wal", gateNone, h.replicateWAL))
 	mux.HandleFunc("GET /healthz", h.route("healthz", gateNone, h.healthz))
 	mux.HandleFunc("GET /readyz", h.route("readyz", gateNone, h.readyz))

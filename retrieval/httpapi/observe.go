@@ -118,7 +118,7 @@ type observer struct {
 // pre-registered for each so scrapes show every route from the first
 // response.
 var routes = []string{"search", "search_batch", "docs", "docs_batch", "stats", "healthz", "readyz", "metrics",
-	"replicate_manifest", "replicate_file", "replicate_wal"}
+	"replicate_checkpoint", "replicate_wal"}
 
 // newObserver registers the handler's own series plus the index-level
 // collectors on reg (a fresh registry when nil). One handler per

@@ -2,21 +2,12 @@ package httpapi
 
 // Replication endpoints: the pull side of retrieval/cluster's
 // snapshot + WAL-tail catch-up. A replica bootstraps by fetching the
-// primary's manifest, then every file the manifest names, then tails
-// the WAL from its own document count. The endpoints are deliberately
-// dumb — byte-serve checkpoint files, JSON-serve the log suffix — so
-// all replication policy (retries, generation checks, re-snapshot on
-// 410) lives in the replica, where it can be tested in-process.
-//
-// Safety: /v1/replicate/file serves only bare names in the checkpoint
-// vocabulary — the two fixed names manifest.json and text.json, and the
-// generation-stamped names shard.FileGeneration recognises
-// (ids-<g>.json, seg-<g>-<s>-<i>.idx and a segment's sidecars
-// ann-<g>-<s>-<i>.ivf, quant-<g>-<s>-<i>.qnt) — out of
-// Options.ReplicateDir: no separators, no traversal, nothing outside the
-// checkpoint. A 404 for a name the
-// manifest listed means a newer checkpoint retired that generation
-// mid-pull; the replica re-fetches the manifest and starts over.
+// primary's newest checkpoint generation — one file — then tails the WAL
+// from its own document count. The endpoints are deliberately dumb —
+// byte-serve the checkpoint file, JSON-serve the log suffix — so all
+// replication policy (retries, resumes, re-snapshot on 410) lives in the
+// replica, where it can be tested in-process. The checkpoint endpoint
+// takes no name, so nothing outside the checkpoint can be asked for.
 
 import (
 	"errors"
@@ -25,6 +16,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"time"
 
 	"repro/retrieval"
 	"repro/retrieval/shard"
@@ -40,28 +32,14 @@ type ReplicateWALResponse struct {
 	Docs []retrieval.Document `json:"docs"`
 }
 
-func (h *handler) replicateManifest(w http.ResponseWriter, r *http.Request) {
-	h.serveReplicaFile(w, r, "manifest.json")
-}
-
-func (h *handler) replicateFile(w http.ResponseWriter, r *http.Request) {
-	name := r.URL.Query().Get("name")
-	if _, stamped := shard.FileGeneration(name); !stamped && name != shard.ManifestName && name != "text.json" {
-		writeError(w, http.StatusBadRequest, "%q is not a checkpoint file name", name)
-		return
-	}
-	h.serveReplicaFile(w, r, name)
-}
-
-// serveReplicaFile streams one checkpoint file from ReplicateDir. The
-// freshness headers ride along so a replica can detect a checkpoint
-// racing its pull without an extra round trip. Files are served via
-// http.ServeContent, so Range requests work: a replica whose download
-// was cut mid-file resumes from its last byte instead of restarting a
-// multi-GB fetch (generation-stamped data files never mutate in place,
-// making a resumed range safe; for the mutable manifest.json/text.json
-// the replica checks X-Index-Generation instead).
-func (h *handler) serveReplicaFile(w http.ResponseWriter, r *http.Request, name string) {
+// replicateCheckpoint streams the newest checkpoint generation file of
+// ReplicateDir (shard.Latest) through http.ServeContent with the
+// generation as its ETag: a replica resumes a cut download with Range +
+// If-Range and gets the rest of the same file, or, if a checkpoint
+// replaced it meanwhile, a 200 with the whole new one. A checkpoint that
+// retires the file between listing and opening answers 404; the replica
+// retries.
+func (h *handler) replicateCheckpoint(w http.ResponseWriter, r *http.Request) {
 	if h.opts.ReplicateDir == "" {
 		writeError(w, http.StatusNotFound, "replication is not enabled on this server (no checkpoint directory)")
 		return
@@ -70,28 +48,24 @@ func (h *handler) serveReplicaFile(w http.ResponseWriter, r *http.Request, name 
 		return
 	}
 	defer h.repl.leave()
-	f, err := os.Open(filepath.Join(h.opts.ReplicateDir, name))
+	path, gen, err := shard.Latest(h.opts.ReplicateDir)
+	var f *os.File
+	if err == nil {
+		f, err = os.Open(path)
+	}
 	if errors.Is(err, fs.ErrNotExist) {
-		writeError(w, http.StatusNotFound, "checkpoint file %q does not exist (a newer checkpoint may have retired it; re-fetch the manifest)", name)
+		writeError(w, http.StatusNotFound, "no checkpoint to serve (a newer checkpoint may have retired it; retry)")
 		return
 	}
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "opening checkpoint file: %v", err)
+		writeError(w, http.StatusInternalServerError, "opening the checkpoint: %v", err)
 		return
 	}
 	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "stat checkpoint file: %v", err)
-		return
-	}
 	h.indexHeaders(w)
-	if filepath.Ext(name) == ".json" {
-		w.Header().Set("Content-Type", "application/json")
-	} else {
-		w.Header().Set("Content-Type", "application/octet-stream")
-	}
-	http.ServeContent(w, r, name, st.ModTime(), f)
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("ETag", strconv.Quote(strconv.Itoa(gen)))
+	http.ServeContent(w, r, filepath.Base(path), time.Time{}, f)
 }
 
 const noWAL = "this server has no write-ahead log attached"

@@ -1,17 +1,21 @@
 package httpapi
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 
 	"repro/retrieval"
+	"repro/retrieval/shard"
 )
 
 // replicaHandler builds a WAL'd sharded index checkpointed into a
@@ -36,55 +40,82 @@ func replicaHandler(t *testing.T) (*retrieval.Index, *Handler, string) {
 	return ix, NewHandler(ix, Options{ReplicateDir: data}), data
 }
 
-// TestReplicateManifestAndFiles: a replica can pull the manifest, then
-// every file it names, and traversal or junk names are rejected.
+// TestReplicateManifestAndFiles: a replica pulls the primary's checkpoint
+// as one file whose ETag is its generation, resumes a cut pull with Range
+// + If-Range, and — when a checkpoint replaced the file meanwhile — gets a
+// 200 with the whole new generation, which opens and answers bitwise as
+// the primary does. The per-file routes are gone.
 func TestReplicateManifestAndFiles(t *testing.T) {
-	_, h, data := replicaHandler(t)
+	ix, h, data := replicaHandler(t)
 
-	rec := do(t, h, "GET", "/v1/replicate/manifest", "")
+	rec := do(t, h, "GET", "/v1/replicate/checkpoint", "")
 	if rec.Code != 200 {
-		t.Fatalf("manifest: status %d: %s", rec.Code, rec.Body)
+		t.Fatalf("checkpoint: status %d: %s", rec.Code, rec.Body)
 	}
-	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
-		t.Errorf("manifest Content-Type %q", ct)
+	path, gen, err := shard.Latest(data)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var man struct {
-		Generation int      `json:"generation"`
-		IDsFile    string   `json:"idsFile"`
-		Segments   []string `json:"-"`
+	onDisk, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &man); err != nil {
-		t.Fatalf("manifest body: %v", err)
-	}
-	if man.IDsFile == "" {
-		t.Fatalf("manifest names no ids file: %s", rec.Body)
-	}
-
-	// Every whitelisted kind serves, the tier sidecars of a segment
-	// included (the demo corpus is too small to train any, so stand-ins).
-	for _, name := range []string{"ann-0-0-0.ivf", "quant-0-0-0.qnt"} {
-		if err := os.WriteFile(filepath.Join(data, name), []byte("sidecar"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, name := range []string{man.IDsFile, "text.json", "manifest.json", "seg-0-0-0.idx", "ann-0-0-0.ivf", "quant-0-0-0.qnt"} {
-		rec := do(t, h, "GET", "/v1/replicate/file?name="+name, "")
-		if rec.Code != 200 {
-			t.Errorf("file %q: status %d: %s", name, rec.Code, rec.Body)
-		}
+	etag := rec.Header().Get("ETag")
+	if !bytes.Equal(rec.Body.Bytes(), onDisk) || etag != strconv.Quote(strconv.Itoa(gen)) ||
+		rec.Header().Get("Content-Type") != "application/octet-stream" || rec.Header().Get("X-Index-Generation") != strconv.Itoa(gen) {
+		t.Fatalf("checkpoint: %d bytes, ETag %s, headers %v; want the %d bytes of generation %d", rec.Body.Len(), etag, rec.Header(), len(onDisk), gen)
 	}
 
-	// Names outside the checkpoint vocabulary are 400 — including every
-	// traversal shape; a well-formed name that does not exist is 404.
-	for _, name := range []string{"", "../data/manifest.json", "..%2Fmanifest.json", "wal-0000000000000000.log", "seg-1-2.idx", "manifest.json/",
-		"../manifest.json", "seg-1.idx", "x.ivf", "ann-0-0-0.ivf.tmp", "quant-0-0-0.idx", "ids-0-0-0.json"} {
-		rec := do(t, h, "GET", "/v1/replicate/file?name="+name, "")
-		if rec.Code != http.StatusBadRequest {
-			t.Errorf("file %q: status %d, want 400", name, rec.Code)
+	// A cut pull resumes with the rest of the same file.
+	ranged := func(from int, ifRange string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest("GET", "/v1/replicate/checkpoint", nil)
+		req.Header.Set("Range", fmt.Sprintf("bytes=%d-", from))
+		req.Header.Set("If-Range", ifRange)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec
+	}
+	cut := len(onDisk) / 3
+	if rec := ranged(cut, etag); rec.Code != http.StatusPartialContent || !bytes.Equal(rec.Body.Bytes(), onDisk[cut:]) {
+		t.Fatalf("resume: status %d, %d bytes; want 206 and the %d-byte rest", rec.Code, rec.Body.Len(), len(onDisk)-cut)
+	}
+
+	// A checkpoint lands between the cut and the resume: the If-Range no
+	// longer matches, so the answer is the whole new generation.
+	if _, err := ix.Add(context.Background(), []retrieval.Document{{ID: "late", Text: "car engine repair"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Checkpoint(data); err != nil {
+		t.Fatal(err)
+	}
+	rec = ranged(cut, etag)
+	if rec.Code != http.StatusOK || rec.Header().Get("ETag") != strconv.Quote(strconv.Itoa(gen+1)) {
+		t.Fatalf("resume across a checkpoint: status %d, ETag %s; want 200 and generation %d", rec.Code, rec.Header().Get("ETag"), gen+1)
+	}
+	replica := t.TempDir()
+	if _, err := shard.Receive(replica, func(f *os.File) error { _, err := f.Write(rec.Body.Bytes()); return err }); err != nil {
+		t.Fatal(err)
+	}
+	got, err := retrieval.OpenDir(replica, retrieval.WithAutoCompact(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer got.Close()
+	if got.Generation() != uint64(gen+1) || got.NumDocs() != ix.NumDocs() {
+		t.Fatalf("the pulled checkpoint is generation %d with %d docs, want %d with %d", got.Generation(), got.NumDocs(), gen+1, ix.NumDocs())
+	}
+	for _, q := range []string{"car engine", "galaxy telescope", "repair"} {
+		want, err1 := ix.Search(context.Background(), q, 5)
+		have, err2 := got.Search(context.Background(), q, 5)
+		if err1 != nil || err2 != nil || !reflect.DeepEqual(have, want) {
+			t.Fatalf("query %q: the replica's checkpoint answers %v (%v), the primary %v (%v)", q, have, err2, want, err1)
 		}
 	}
-	if rec := do(t, h, "GET", "/v1/replicate/file?name=ids-9999.json", ""); rec.Code != http.StatusNotFound {
-		t.Errorf("retired file: status %d, want 404", rec.Code)
+
+	for _, path := range []string{"/v1/replicate/manifest", "/v1/replicate/file?name=manifest.json"} {
+		if rec := do(t, h, "GET", path, ""); rec.Code != http.StatusNotFound {
+			t.Errorf("%s: status %d, want 404", path, rec.Code)
+		}
 	}
 }
 
@@ -138,11 +169,11 @@ func TestReplicateWAL(t *testing.T) {
 	}
 }
 
-// TestReplicateDisabled: without ReplicateDir the file endpoints 404;
+// TestReplicateDisabled: without ReplicateDir the checkpoint endpoint 404s;
 // without an attached WAL the tail endpoint 404s.
 func TestReplicateDisabled(t *testing.T) {
 	h := demoHandler(t, Options{})
-	for _, path := range []string{"/v1/replicate/manifest", "/v1/replicate/file?name=manifest.json", "/v1/replicate/wal?from=0"} {
+	for _, path := range []string{"/v1/replicate/checkpoint", "/v1/replicate/wal?from=0"} {
 		if rec := do(t, h, "GET", path, ""); rec.Code != http.StatusNotFound {
 			t.Errorf("%s on plain handler: status %d, want 404", path, rec.Code)
 		}

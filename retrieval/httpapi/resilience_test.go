@@ -63,22 +63,22 @@ func TestShedErrorPropagatesRetryAfter(t *testing.T) {
 	}
 }
 
-// TestReplicateFileRangeResumes: a replica can re-fetch the rest of a
+// TestReplicateFileRangeResumes: a replica can re-fetch the rest of the
 // checkpoint file with a Range request (206 + the exact suffix) — the
 // resumable-bootstrap primitive.
 func TestReplicateFileRangeResumes(t *testing.T) {
 	_, h, _ := replicaHandler(t)
 
-	full := do(t, h, "GET", "/v1/replicate/manifest", "")
+	full := do(t, h, "GET", "/v1/replicate/checkpoint", "")
 	if full.Code != 200 {
-		t.Fatalf("manifest: %d", full.Code)
+		t.Fatalf("checkpoint: %d", full.Code)
 	}
 	body := full.Body.Bytes()
 	if len(body) < 10 {
-		t.Fatalf("manifest too small to split: %d bytes", len(body))
+		t.Fatalf("checkpoint too small to split: %d bytes", len(body))
 	}
 
-	req := httptest.NewRequest("GET", "/v1/replicate/file?name=manifest.json", nil)
+	req := httptest.NewRequest("GET", "/v1/replicate/checkpoint", nil)
 	req.Header.Set("Range", "bytes=5-")
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
@@ -94,7 +94,7 @@ func TestReplicateFileRangeResumes(t *testing.T) {
 		t.Fatal("ranged response lost the X-Index-Generation header")
 	}
 	// A range past EOF is 416 — the replica restarts that file.
-	req = httptest.NewRequest("GET", "/v1/replicate/file?name=manifest.json", nil)
+	req = httptest.NewRequest("GET", "/v1/replicate/checkpoint", nil)
 	req.Header.Set("Range", "bytes=99999999-")
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
@@ -113,7 +113,7 @@ func TestDrainReplication(t *testing.T) {
 	// the drain has something to wait for.
 	srv := httptest.NewServer(h)
 	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/v1/replicate/manifest")
+	resp, err := http.Get(srv.URL + "/v1/replicate/checkpoint")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestDrainReplication(t *testing.T) {
 	}
 
 	// Post-drain: replication sheds, search still serves.
-	rec := do(t, h, "GET", "/v1/replicate/manifest", "")
+	rec := do(t, h, "GET", "/v1/replicate/checkpoint", "")
 	if rec.Code != 503 {
 		t.Fatalf("post-drain replication: status %d, want 503; body: %s", rec.Code, rec.Body)
 	}

@@ -149,7 +149,7 @@ type Stats struct {
 	// permanently 0 for immutable indexes. Local to this process — see
 	// Index.Epoch.
 	Epoch uint64 `json:"epoch"`
-	// Generation is the manifest generation of the newest durable
+	// Generation is the checkpoint generation of the newest durable
 	// checkpoint of a sharded live index (0 for immutable indexes and
 	// for sharded indexes never saved); comparable across a primary and
 	// its replicas — see Index.Generation.

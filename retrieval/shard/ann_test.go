@@ -1,9 +1,7 @@
 package shard
 
 import (
-	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/par"
@@ -29,7 +27,7 @@ func annSegments(x *Index) int {
 
 func TestANNBuildTrainsCompactedSegments(t *testing.T) {
 	a := testMatrix(t, 4, 10, 60, 401)
-	x, err := Build(a, defaultIDs(60), annConfig(2))
+	x, err := Build(a, defaultIDs(60), nil, annConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +43,7 @@ func TestANNBuildTrainsCompactedSegments(t *testing.T) {
 
 func TestANNFullProbeMatchesExhaustiveBitwise(t *testing.T) {
 	a := testMatrix(t, 4, 10, 80, 402)
-	x, err := Build(a, defaultIDs(80), annConfig(3))
+	x, err := Build(a, defaultIDs(80), nil, annConfig(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +68,7 @@ func TestANNFullProbeMatchesExhaustiveBitwise(t *testing.T) {
 
 func TestANNProbeDeterministicAcrossWorkers(t *testing.T) {
 	a := testMatrix(t, 4, 10, 90, 403)
-	x, err := Build(a, defaultIDs(90), annConfig(2))
+	x, err := Build(a, defaultIDs(90), nil, annConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +89,7 @@ func TestANNMixedSegmentsLiveStayExact(t *testing.T) {
 	a := testMatrix(t, 4, 10, 40, 404)
 	cfg := annConfig(1)
 	cfg.AutoCompact = false
-	x, err := Build(a, defaultIDs(40), cfg)
+	x, err := Build(a, defaultIDs(40), nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +126,7 @@ func TestANNCompactorRetrains(t *testing.T) {
 	a := testMatrix(t, 4, 10, 30, 405)
 	cfg := annConfig(1)
 	cfg.AutoCompact = false
-	x, err := Build(a, defaultIDs(30), cfg)
+	x, err := Build(a, defaultIDs(30), nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +154,7 @@ func TestANNMinDocsGate(t *testing.T) {
 	a := testMatrix(t, 4, 10, 50, 406)
 	cfg := annConfig(1)
 	cfg.TierMinDocs = 1000
-	x, err := Build(a, defaultIDs(50), cfg)
+	x, err := Build(a, defaultIDs(50), nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +173,7 @@ func TestANNMinDocsGate(t *testing.T) {
 
 func TestANNSaveOpenRoundTrip(t *testing.T) {
 	a := testMatrix(t, 4, 10, 70, 407)
-	x, err := Build(a, defaultIDs(70), annConfig(2))
+	x, err := Build(a, defaultIDs(70), nil, annConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,18 +182,8 @@ func TestANNSaveOpenRoundTrip(t *testing.T) {
 	if err := x.SaveDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	// Sidecar files exist on disk.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sidecars := 0
-	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), "ann-") && strings.HasSuffix(e.Name(), ".ivf") {
-			sidecars++
-		}
-	}
-	if sidecars != 2 {
+	// The checkpoint carries the sidecars.
+	if sidecars, _ := countParts(t, dir); sidecars != 2 {
 		t.Fatalf("%d ann sidecars on disk, want 2", sidecars)
 	}
 
@@ -216,26 +204,17 @@ func TestANNSaveOpenRoundTrip(t *testing.T) {
 		sameMatches(t, got, want, "reloaded probe")
 	}
 
-	// A re-save retires the old generation's sidecars along with its
-	// segment files.
+	// A re-save retires the old generation, sidecars and all.
 	if err := y.SaveDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	entries, err = os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), "ann-0-") {
-			t.Fatalf("stale generation-0 sidecar %s survived re-save", e.Name())
-		}
-	}
+	onlyFile(t, dir)
 }
 
 func TestANNOpenTrainsWhenSidecarMissing(t *testing.T) {
 	a := testMatrix(t, 4, 10, 40, 408)
 	// Save WITHOUT the ANN tier...
-	x, err := Build(a, defaultIDs(40), Config{Shards: 2, Rank: 4, Seed: 77, SealEvery: 8})
+	x, err := Build(a, defaultIDs(40), nil, Config{Shards: 2, Rank: 4, Seed: 77, SealEvery: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +239,7 @@ func TestANNOpenTrainsWhenSidecarMissing(t *testing.T) {
 
 func TestANNExportCarriesSidecars(t *testing.T) {
 	a := testMatrix(t, 4, 10, 60, 409)
-	x, err := Build(a, defaultIDs(60), annConfig(2))
+	x, err := Build(a, defaultIDs(60), nil, annConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +263,7 @@ func TestANNExportCarriesSidecars(t *testing.T) {
 
 func TestANNStatsCounters(t *testing.T) {
 	a := testMatrix(t, 4, 10, 50, 410)
-	x, err := Build(a, defaultIDs(50), annConfig(1))
+	x, err := Build(a, defaultIDs(50), nil, annConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,8 +7,8 @@ import (
 )
 
 // SaveShardDir exports shard s of the index as a standalone 1-shard
-// index directory — the unit of work a cluster deploy ships to each
-// shard-owning node. It is SaveDir's checkpoint of one shard, so it is
+// index directory (one generation file) — the unit of work a cluster
+// deploy ships to each shard-owning node. It is SaveDir's checkpoint of one shard, so it is
 // crash-safe and durable in the same way, and the export is exact, not
 // approximate:
 //
@@ -17,7 +17,7 @@ import (
 //     1-shard directory's numbering makes it node-local l: the inverse of
 //     the round-robin assignment, a dense [0, mₛ), from which the router
 //     recovers the cluster-wide global as l*Shards + s.
-//   - The manifest's seed is Seed+s, the seed shard s's decomposition
+//   - The checkpoint's seed is Seed+s, the seed shard s's decomposition
 //     and its IVF quantizers use here (segment.TierConfig seeds each
 //     quantizer from the segment's shard-local first document), so a
 //     node that retrains a missing or refused IVF sidecar trains this
@@ -37,13 +37,13 @@ func (x *Index) SaveShardDirFS(s int, dir string, fsys faultinject.FS) error {
 	}
 	x.ingestMu.Lock()
 	ids := x.ids.Load()
-	sh := x.viewShard(s)
+	parts := x.viewShard(s)
 	x.ingestMu.Unlock()
 
 	localIDs := make([]string, ShareOf(ids.Len(), s, x.cfg.Shards))
 	for l := range localIDs {
 		localIDs[l] = ids.At(s + x.cfg.Shards*l)
 	}
-	_, err := x.writeCheckpoint(dir, checkpointView{seed: x.cfg.Seed + int64(s), ids: localIDs, shards: []shardView{sh}}, fsys)
+	_, err := x.writeCheckpoint(dir, x.cfg.Seed+int64(s), localIDs, [][]Part{parts}, fsys)
 	return err
 }

@@ -3,7 +3,6 @@ package shard
 import (
 	"bytes"
 	"fmt"
-	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -11,6 +10,7 @@ import (
 	"repro/internal/blob"
 	"repro/internal/lsi"
 	"repro/internal/race"
+	"repro/internal/segment"
 	"repro/internal/topk"
 )
 
@@ -24,7 +24,7 @@ func TestSaveShardDirMergeMatchesCentralBitwise(t *testing.T) {
 	for i := range ids {
 		ids[i] = fmt.Sprintf("doc-%03d", i)
 	}
-	central, err := Build(a, ids, Config{Shards: shards, Rank: 4, Engine: lsi.EngineRandomized, Seed: 9})
+	central, err := Build(a, ids, nil, Config{Shards: shards, Rank: 4, Engine: lsi.EngineRandomized, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestSaveShardDirMergeMatchesCentralBitwise(t *testing.T) {
 
 func TestSaveShardDirRejectsBadShard(t *testing.T) {
 	a := testMatrix(t, 2, 10, 12, 313)
-	x, err := Build(a, defaultIDs(12), Config{Shards: 2, Rank: 3, Engine: lsi.EngineRandomized, Seed: 1})
+	x, err := Build(a, defaultIDs(12), nil, Config{Shards: 2, Rank: 3, Engine: lsi.EngineRandomized, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestSaveShardDirRejectsBadShard(t *testing.T) {
 // reopen.
 func TestGenerationSurfacing(t *testing.T) {
 	a := testMatrix(t, 2, 10, 12, 317)
-	x, err := Build(a, defaultIDs(12), Config{Shards: 2, Rank: 3, Engine: lsi.EngineRandomized, Seed: 1})
+	x, err := Build(a, defaultIDs(12), nil, Config{Shards: 2, Rank: 3, Engine: lsi.EngineRandomized, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,16 +140,21 @@ func TestEncodeSegmentAllocatesItsSizeOnce(t *testing.T) {
 		UkRows: terms, UkData: make([]float64, terms*k),
 		DocRows: docs, DocData: make([]float32, docs*k),
 	})
+	var seg *segment.Segment
+	if err == nil {
+		seg, err = segment.FromRule(ix, 0, 1, nil, true)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	data, err := encodeSegment(ix)
+	p, err := Part{seg: seg}.encoded()
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
 	}
+	data := p.Index
 	if len(data) != ix.EncodedSize() {
 		t.Fatalf("encoded %d bytes, EncodedSize says %d", len(data), ix.EncodedSize())
 	}
@@ -167,7 +172,7 @@ func TestEncodeSegmentAllocatesItsSizeOnce(t *testing.T) {
 func TestExportedNodeRetrainsCentralCells(t *testing.T) {
 	a := testMatrix(t, 4, 10, 60, 409)
 	cfg := annConfig(2)
-	x, err := Build(a, defaultIDs(60), cfg)
+	x, err := Build(a, defaultIDs(60), nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,15 +193,14 @@ func TestExportedNodeRetrainsCentralCells(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		files, err := filepath.Glob(filepath.Join(bare, "ann-*"))
-		if err != nil || len(files) == 0 {
-			t.Fatalf("shard %d export holds no IVF sidecar (%v)", s, err)
+		if ann, _ := countParts(t, bare); ann == 0 {
+			t.Fatalf("shard %d export holds no IVF sidecar", s)
 		}
-		for _, f := range files {
-			if err := os.Remove(f); err != nil {
-				t.Fatal(err)
+		editCheckpoint(t, bare, func(parts [][]Part) {
+			for i := range parts[0] {
+				parts[0][i].ANN = nil
 			}
-		}
+		})
 		want, err := Open(kept, Config{})
 		if err != nil {
 			t.Fatal(err)

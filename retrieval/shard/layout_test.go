@@ -7,9 +7,34 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/blob"
 )
 
 var updateLayout = flag.Bool("update", false, "rewrite the checkpoint layout golden files")
+
+// manifestSection is the MANI section of dir's newest generation file.
+func manifestSection(t *testing.T, dir string) []byte {
+	t.Helper()
+	path, _, err := Latest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := blob.NewReader(bytes.NewReader(data))
+	if !r.HasMagic(genMagic) {
+		t.Fatalf("%s is not a generation file", path)
+	}
+	r.Header()
+	head := r.Bytes(tagManifest, -1)
+	if r.Err() != nil {
+		t.Fatal(r.Err())
+	}
+	return head
+}
 
 // layoutIndex is a fixed two-shard index holding every kind of segment a
 // checkpoint records: per shard the built base and a compacted merge
@@ -18,7 +43,7 @@ var updateLayout = flag.Bool("update", false, "rewrite the checkpoint layout gol
 func layoutIndex(t *testing.T) *Index {
 	t.Helper()
 	a := testMatrix(t, 4, 10, 40, 601)
-	x, err := Build(a, defaultIDs(40), Config{
+	x, err := Build(a, defaultIDs(40), nil, Config{
 		Shards: 2, Rank: 4, Seed: 77, SealEvery: 8,
 		ANNList: 6, Quantize: true, TierMinDocs: 1,
 	})
@@ -43,12 +68,10 @@ func layoutIndex(t *testing.T) *Index {
 }
 
 // The checkpoint writer's output is pinned byte for byte where it is
-// machine-independent: the directory listing and the manifest (which
-// holds no floats) of a second-generation SaveDir and of a
-// second-generation SaveShardDir must equal the committed files. The
-// listings were generated before SaveShardDir was folded into SaveDir's
-// writer; the manifests were re-pinned once, when version 2 dropped the
-// globals lists.
+// machine-independent: the directory listing and the manifest section
+// (which holds no floats) of a second-generation SaveDir and of a
+// second-generation SaveShardDir must equal the committed files. They
+// were re-pinned when a checkpoint became one generation file.
 func TestCheckpointLayoutGolden(t *testing.T) {
 	x := layoutIndex(t)
 	for _, tc := range []struct {
@@ -72,10 +95,7 @@ func TestCheckpointLayoutGolden(t *testing.T) {
 		for _, e := range entries {
 			listing.WriteString(e.Name() + "\n")
 		}
-		manifest, err := os.ReadFile(filepath.Join(dir, ManifestName))
-		if err != nil {
-			t.Fatal(err)
-		}
+		manifest := manifestSection(t, dir)
 		for file, got := range map[string][]byte{
 			"layout_" + tc.name + ".txt":           []byte(listing.String()),
 			"layout_" + tc.name + "_manifest.json": manifest,

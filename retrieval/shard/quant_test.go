@@ -1,9 +1,8 @@
 package shard
 
 import (
-	"os"
+	"bytes"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/par"
@@ -29,7 +28,7 @@ func quantSegments(x *Index) int {
 
 func TestQuantBuildTrainsCompactedSegments(t *testing.T) {
 	a := testMatrix(t, 4, 10, 60, 501)
-	x, err := Build(a, defaultIDs(60), quantConfig(2))
+	x, err := Build(a, defaultIDs(60), nil, quantConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +47,7 @@ func TestQuantBuildTrainsCompactedSegments(t *testing.T) {
 
 func TestQuantEscapeHatchBitwiseExact(t *testing.T) {
 	a := testMatrix(t, 4, 10, 80, 502)
-	x, err := Build(a, defaultIDs(80), quantConfig(3))
+	x, err := Build(a, defaultIDs(80), nil, quantConfig(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +71,7 @@ func TestQuantEscapeHatchBitwiseExact(t *testing.T) {
 
 func TestQuantSearchMatchesTopResults(t *testing.T) {
 	a := testMatrix(t, 4, 10, 100, 503)
-	x, err := Build(a, defaultIDs(100), quantConfig(2))
+	x, err := Build(a, defaultIDs(100), nil, quantConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +99,7 @@ func TestQuantSearchMatchesTopResults(t *testing.T) {
 
 func TestQuantDeterministicAcrossWorkers(t *testing.T) {
 	a := testMatrix(t, 4, 10, 90, 504)
-	x, err := Build(a, defaultIDs(90), quantConfig(2))
+	x, err := Build(a, defaultIDs(90), nil, quantConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +121,7 @@ func TestQuantMixedSegmentsLiveStayFloat(t *testing.T) {
 	a := testMatrix(t, 4, 10, 40, 505)
 	cfg := quantConfig(1)
 	cfg.AutoCompact = false
-	x, err := Build(a, defaultIDs(40), cfg)
+	x, err := Build(a, defaultIDs(40), nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +155,7 @@ func TestQuantCompactorRebuilds(t *testing.T) {
 	a := testMatrix(t, 4, 10, 30, 506)
 	cfg := quantConfig(1)
 	cfg.AutoCompact = false
-	x, err := Build(a, defaultIDs(30), cfg)
+	x, err := Build(a, defaultIDs(30), nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +183,7 @@ func TestQuantMinDocsGate(t *testing.T) {
 	a := testMatrix(t, 4, 10, 50, 507)
 	cfg := quantConfig(1)
 	cfg.TierMinDocs = 1000
-	x, err := Build(a, defaultIDs(50), cfg)
+	x, err := Build(a, defaultIDs(50), nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +202,7 @@ func TestQuantMinDocsGate(t *testing.T) {
 
 func TestQuantSaveOpenRoundTrip(t *testing.T) {
 	a := testMatrix(t, 4, 10, 70, 508)
-	x, err := Build(a, defaultIDs(70), quantConfig(2))
+	x, err := Build(a, defaultIDs(70), nil, quantConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,17 +211,7 @@ func TestQuantSaveOpenRoundTrip(t *testing.T) {
 	if err := x.SaveDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sidecars := 0
-	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), "quant-") && strings.HasSuffix(e.Name(), ".qnt") {
-			sidecars++
-		}
-	}
-	if sidecars != 2 {
+	if _, sidecars := countParts(t, dir); sidecars != 2 {
 		t.Fatalf("%d quant sidecars on disk, want 2", sidecars)
 	}
 
@@ -244,25 +233,17 @@ func TestQuantSaveOpenRoundTrip(t *testing.T) {
 		sameMatches(t, got, want, "reloaded quantized search")
 	}
 
-	// A re-save retires the old generation's sidecars.
+	// A re-save retires the old generation, sidecars and all.
 	if err := y.SaveDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	entries, err = os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), "quant-0-") {
-			t.Fatalf("stale generation-0 sidecar %s survived re-save", e.Name())
-		}
-	}
+	onlyFile(t, dir)
 }
 
 func TestQuantOpenBuildsWhenSidecarMissing(t *testing.T) {
 	a := testMatrix(t, 4, 10, 40, 509)
 	// Save WITHOUT the quantized tier...
-	x, err := Build(a, defaultIDs(40), Config{Shards: 2, Rank: 4, Seed: 77, SealEvery: 8})
+	x, err := Build(a, defaultIDs(40), nil, Config{Shards: 2, Rank: 4, Seed: 77, SealEvery: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +268,7 @@ func TestQuantOpenBuildsWhenSidecarMissing(t *testing.T) {
 
 func TestQuantExportCarriesSidecars(t *testing.T) {
 	a := testMatrix(t, 4, 10, 60, 510)
-	x, err := Build(a, defaultIDs(60), quantConfig(2))
+	x, err := Build(a, defaultIDs(60), nil, quantConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +292,7 @@ func TestQuantExportCarriesSidecars(t *testing.T) {
 
 func TestQuantStatsCounters(t *testing.T) {
 	a := testMatrix(t, 4, 10, 50, 511)
-	x, err := Build(a, defaultIDs(50), quantConfig(1))
+	x, err := Build(a, defaultIDs(50), nil, quantConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +318,7 @@ func TestQuantComposesWithANN(t *testing.T) {
 	a := testMatrix(t, 4, 10, 90, 512)
 	cfg := quantConfig(2)
 	cfg.ANNList = 6
-	x, err := Build(a, defaultIDs(90), cfg)
+	x, err := Build(a, defaultIDs(90), nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,15 +350,16 @@ func TestQuantComposesWithANN(t *testing.T) {
 	sameMatches(t, full, searchSparse(x, terms, weights, 10), "saturated compose")
 }
 
-// Sidecars are derived state: a checkpoint with one truncated and one
-// deleted opens anyway, counts both, serves the affected segments by exact
-// scan — a saturated-budget search is bitwise the exhaustive one — and
-// retrains them when the opening config asks for the tiers.
+// Sidecars are derived state: a checkpoint whose IVF part is torn short
+// and whose int8 part has a flipped byte opens anyway, counts both, serves
+// the affected segments by exact scan — a saturated-budget search is
+// bitwise the exhaustive one — and retrains them when the opening config
+// asks for the tiers.
 func TestOpenSurvivesCorruptAndMissingSidecars(t *testing.T) {
 	a := testMatrix(t, 4, 10, 90, 513)
 	cfg := quantConfig(2)
 	cfg.ANNList = 6
-	x, err := Build(a, defaultIDs(90), cfg)
+	x, err := Build(a, defaultIDs(90), nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,17 +368,11 @@ func TestOpenSurvivesCorruptAndMissingSidecars(t *testing.T) {
 	if err := x.SaveDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	torn := filepath.Join(dir, "ann-0-0-0.ivf")
-	data, err := os.ReadFile(torn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(torn, data[:len(data)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(filepath.Join(dir, "quant-0-1-0.qnt")); err != nil {
-		t.Fatal(err)
-	}
+	editCheckpoint(t, dir, func(parts [][]Part) {
+		ann, qnt := parts[0][0].ANN, bytes.Clone(parts[1][0].Quant)
+		qnt[len(qnt)/2] ^= 0x01
+		parts[0][0].ANN, parts[1][0].Quant = ann[:len(ann)/2], qnt
+	})
 	for name, tc := range map[string]struct {
 		cfg        Config
 		ann, quant int

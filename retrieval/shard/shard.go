@@ -42,6 +42,7 @@
 package shard
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -157,6 +158,7 @@ type Index struct {
 	cfg      Config
 	numTerms int
 	shards   []*shardH
+	text     *lsi.Meta // the owning layer's text layer (DocIDs unused), which checkpoints carry
 
 	ingestMu sync.Mutex
 	// ids is the append-only global directory: ids.At(g) is the external
@@ -181,10 +183,9 @@ type Index struct {
 	docsIngested atomic.Int64
 	lastMutation atomic.Int64 // unix nanoseconds; set at build and on every epoch bump
 
-	// generation is the manifest generation of the newest on-disk
-	// checkpoint this in-memory index corresponds to: set by Open from
-	// the loaded manifest and advanced by SaveDir after its manifest
-	// rename lands (a built-but-never-saved index reports 0, the same
+	// generation is the generation of the newest on-disk checkpoint this
+	// in-memory index corresponds to: set by Open from the loaded file and
+	// advanced by SaveDir after its file's rename lands (a built-but-never-saved index reports 0, the same
 	// number its first save will write). Replication compares
 	// (generation, numDocs) pairs across nodes — unlike the epoch, which
 	// counts local mutations (including compactions, whose timing
@@ -213,8 +214,9 @@ type Index struct {
 // Build partitions the n×m term-document matrix a (documents as columns)
 // round-robin across cfg.Shards shards, runs one rank-cfg.Rank SVD per
 // shard, and returns the live index. ids[j] is the external identifier of
-// global document j (= column j); len(ids) must equal m.
-func Build(a *sparse.CSR, ids []string, cfg Config) (*Index, error) {
+// global document j (= column j); len(ids) must equal m. text, if not
+// nil, is the owning layer's text layer, which checkpoints carry.
+func Build(a *sparse.CSR, ids []string, text *lsi.Meta, cfg Config) (*Index, error) {
 	cfg = cfg.withDefaults()
 	n, m := a.Dims()
 	if n == 0 || m == 0 {
@@ -227,6 +229,7 @@ func Build(a *sparse.CSR, ids []string, cfg Config) (*Index, error) {
 		return nil, fmt.Errorf("shard: %d ids for %d documents", len(ids), m)
 	}
 	x := newIndex(n, cfg)
+	x.text = cmp.Or(text, x.text)
 	table := idtable.Of(ids)
 	x.ids.Store(&table)
 
@@ -274,6 +277,9 @@ func Frozen(ix *lsi.Index, ids idtable.Table, tiers segment.TierConfig) (*Index,
 	return x, nil
 }
 
+// Text is the text layer the index's checkpoints carry (Build's, or Open's).
+func (x *Index) Text() *lsi.Meta { return x.text }
+
 // Frozen reports whether the index was made by Frozen.
 func (x *Index) Frozen() bool { return x.frozen }
 
@@ -319,6 +325,7 @@ func newIndex(numTerms int, cfg Config) *Index {
 	x := &Index{
 		cfg:      cfg,
 		numTerms: numTerms,
+		text:     &lsi.Meta{},
 		shards:   make([]*shardH, cfg.Shards),
 		wake:     make(chan struct{}, 1),
 		stop:     make(chan struct{}),
@@ -386,7 +393,7 @@ func (x *Index) Rank() int { return x.cfg.Rank }
 // mutates, so its epoch stays 0.
 func (x *Index) Epoch() uint64 { return x.globalEpoch.Load() }
 
-// Generation returns the manifest generation of the newest durable
+// Generation returns the generation of the newest durable
 // checkpoint: the generation Open loaded or the last SaveDir wrote
 // (a built-but-never-saved index reports 0). Together with NumDocs it
 // forms the replication token replicas compare against their primary
@@ -432,7 +439,7 @@ type Stats struct {
 	// sum, but the max is what monitoring needs: "is it moving?").
 	Shards int    `json:"shards"`
 	Epoch  uint64 `json:"epoch"`
-	// Generation is the manifest generation of the newest durable
+	// Generation is the generation of the newest durable
 	// checkpoint (0 = never saved); see Index.Generation.
 	Generation uint64 `json:"generation"`
 	// Segments counts every published segment; Live of them are
@@ -543,8 +550,8 @@ func (x *Index) CompactionFailures() (int64, string) {
 	return x.compactFailures.Load(), msg
 }
 
-// SidecarsDegraded counts the manifest-named sidecar files Open could not
-// decode and treated as absent (lsi_index_sidecars_degraded_total).
+// SidecarsDegraded counts the sidecars (a checkpoint's IVF and int8
+// parts) Open could not decode and treated as absent (lsi_index_sidecars_degraded_total).
 func (x *Index) SidecarsDegraded() int64 { return x.sidecarsDegraded.Load() }
 
 // DocsIngested returns the total number of documents accepted through

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
@@ -93,7 +92,7 @@ func TestOneShardMatchesUnshardedBitwise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := Build(a, defaultIDs(48), Config{Shards: 1, Rank: 4, Engine: lsi.EngineRandomized, Seed: 9})
+	x, err := Build(a, defaultIDs(48), nil, Config{Shards: 1, Rank: 4, Engine: lsi.EngineRandomized, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +152,7 @@ func TestOneShardFoldInMatchesAppendDocuments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := Build(a, defaultIDs(40), Config{Shards: 1, Rank: 3, Engine: lsi.EngineRandomized, Seed: 5})
+	x, err := Build(a, defaultIDs(40), nil, Config{Shards: 1, Rank: 3, Engine: lsi.EngineRandomized, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +189,7 @@ func TestOneShardFoldInMatchesAppendDocuments(t *testing.T) {
 func TestShardedDeterministicAcrossWorkers(t *testing.T) {
 	a := testMatrix(t, 4, 12, 90, 303)
 	for _, shards := range []int{1, 3, 4} {
-		x, err := Build(a, defaultIDs(90), Config{Shards: shards, Rank: 3, Seed: 11})
+		x, err := Build(a, defaultIDs(90), nil, Config{Shards: shards, Rank: 3, Seed: 11})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,7 +202,7 @@ func TestShardedDeterministicAcrossWorkers(t *testing.T) {
 		}
 		par.SetMaxProcs(prev)
 		// Rebuilding the same index reproduces the same results.
-		x2, err := Build(a, defaultIDs(90), Config{Shards: shards, Rank: 3, Seed: 11})
+		x2, err := Build(a, defaultIDs(90), nil, Config{Shards: shards, Rank: 3, Seed: 11})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +214,7 @@ func TestShardedDeterministicAcrossWorkers(t *testing.T) {
 
 func TestShardedCoversAllDocuments(t *testing.T) {
 	a := testMatrix(t, 3, 12, 50, 304)
-	x, err := Build(a, defaultIDs(50), Config{Shards: 4, Rank: 3, Seed: 1})
+	x, err := Build(a, defaultIDs(50), nil, Config{Shards: 4, Rank: 3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +241,7 @@ func TestShardedCoversAllDocuments(t *testing.T) {
 
 func TestSealAndCompactLifecycle(t *testing.T) {
 	a := testMatrix(t, 3, 12, 30, 305)
-	x, err := Build(a, defaultIDs(30), Config{Shards: 2, Rank: 3, Seed: 3, SealEvery: 8})
+	x, err := Build(a, defaultIDs(30), nil, Config{Shards: 2, Rank: 3, Seed: 3, SealEvery: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +306,7 @@ func TestSealAndCompactLifecycle(t *testing.T) {
 
 	// Compaction is deterministic: a replayed index compacted at the same
 	// point returns identical post-compaction scores.
-	y, err := Build(a, defaultIDs(30), Config{Shards: 2, Rank: 3, Seed: 3, SealEvery: 8})
+	y, err := Build(a, defaultIDs(30), nil, Config{Shards: 2, Rank: 3, Seed: 3, SealEvery: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +328,7 @@ func TestSealAndCompactLifecycle(t *testing.T) {
 // counted and its message kept where /v1/stats and /metrics read them.
 func TestCompactionFailureIsCounted(t *testing.T) {
 	a := testMatrix(t, 3, 12, 30, 307)
-	x, err := Build(a, defaultIDs(30), Config{Shards: 1, Rank: 3, Seed: 3, SealEvery: 8})
+	x, err := Build(a, defaultIDs(30), nil, Config{Shards: 1, Rank: 3, Seed: 3, SealEvery: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +392,7 @@ func TestIngestIntoEmptyShard(t *testing.T) {
 	// 2 documents over 3 shards: shard 2 starts empty and must bootstrap
 	// its basis from its first ingested documents.
 	a := testMatrix(t, 2, 10, 2, 306)
-	x, err := Build(a, defaultIDs(2), Config{Shards: 3, Rank: 2, Seed: 1})
+	x, err := Build(a, defaultIDs(2), nil, Config{Shards: 3, Rank: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +425,7 @@ func TestIngestIntoEmptyShard(t *testing.T) {
 
 func TestAddValidation(t *testing.T) {
 	a := testMatrix(t, 2, 10, 10, 307)
-	x, err := Build(a, defaultIDs(10), Config{Shards: 2, Rank: 2, Seed: 1})
+	x, err := Build(a, defaultIDs(10), nil, Config{Shards: 2, Rank: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,7 +450,7 @@ func TestAddValidation(t *testing.T) {
 
 func TestSaveDirOpenRoundTrip(t *testing.T) {
 	a := testMatrix(t, 3, 12, 45, 308)
-	x, err := Build(a, defaultIDs(45), Config{Shards: 3, Rank: 3, Seed: 21, SealEvery: 6})
+	x, err := Build(a, defaultIDs(45), nil, Config{Shards: 3, Rank: 3, Seed: 21, SealEvery: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -521,7 +520,7 @@ func TestCompactionBoundsSegmentCount(t *testing.T) {
 	// logarithmic (each surviving tier outweighs everything younger), not
 	// one segment per pass.
 	a := testMatrix(t, 3, 12, 20, 309)
-	x, err := Build(a, defaultIDs(20), Config{Shards: 1, Rank: 3, Seed: 5, SealEvery: 8})
+	x, err := Build(a, defaultIDs(20), nil, Config{Shards: 1, Rank: 3, Seed: 5, SealEvery: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -574,7 +573,7 @@ func TestCompactionBoundsSegmentCount(t *testing.T) {
 // and neither the base nor a reloaded tier is ever merged.
 func TestSettledTiersKeepNoRaw(t *testing.T) {
 	a := testMatrix(t, 3, 12, 40, 311)
-	x, err := Build(a, defaultIDs(40), Config{Shards: 2, Rank: 3, Seed: 9, SealEvery: 4})
+	x, err := Build(a, defaultIDs(40), nil, Config{Shards: 2, Rank: 3, Seed: 9, SealEvery: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -643,7 +642,7 @@ func TestSettledTiersKeepNoRaw(t *testing.T) {
 
 func TestResaveIsCrashSafe(t *testing.T) {
 	a := testMatrix(t, 3, 12, 24, 310)
-	x, err := Build(a, defaultIDs(24), Config{Shards: 2, Rank: 3, Seed: 7})
+	x, err := Build(a, defaultIDs(24), nil, Config{Shards: 2, Rank: 3, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -653,13 +652,10 @@ func TestResaveIsCrashSafe(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Simulate a crashed later save: data files from a newer generation
-	// exist (some even corrupt) but the manifest was never switched. Open
-	// must serve the old index untouched.
-	if err := os.WriteFile(filepath.Join(dir, "seg-1-0-0.idx"), []byte("garbage from a crashed save"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "ids-1.json"), []byte("{not json"), 0o644); err != nil {
+	// Simulate a crashed later save: the next generation's temp file holds
+	// a torn write, never renamed into place. Open must serve the old index
+	// untouched.
+	if err := os.WriteFile(filepath.Join(dir, "gen-1.lsi.tmp"), []byte("garbage from a crashed save"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	y, err := Open(dir, Config{})
@@ -671,9 +667,8 @@ func TestResaveIsCrashSafe(t *testing.T) {
 	}
 	y.Close()
 
-	// A subsequent save must skip past the leftover generation (never
-	// reuse a name that might be referenced) and retire stale data files
-	// only after its manifest is live.
+	// A subsequent save writes generation 1 afresh and, once it is live,
+	// retires generation 0: the directory holds one file.
 	terms, weights := sparseCol(a, 0)
 	if _, err := x.Add(Doc{Terms: terms, Weights: weights}); err != nil {
 		t.Fatal(err)
@@ -681,34 +676,15 @@ func TestResaveIsCrashSafe(t *testing.T) {
 	if err := x.SaveDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(filepath.Join(dir, ManifestName))
-	if err != nil {
-		t.Fatal(err)
+	if x.Generation() != 1 {
+		t.Fatalf("generation %d, want 1", x.Generation())
 	}
-	man, err := ParseManifest(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if man.Generation != 2 {
-		t.Fatalf("generation %d, want 2 (skipping the crashed save's 1)", man.Generation)
-	}
-	// Old generations are cleaned up; only generation-2 data files remain.
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range entries {
-		name := e.Name()
-		if name == ManifestName {
-			continue
-		}
-		var g, s2, i2 int
-		if n, _ := fmt.Sscanf(name, "seg-%d-%d-%d.idx", &g, &s2, &i2); n == 3 && g != 2 {
-			t.Fatalf("stale segment file %s survived cleanup", name)
-		}
-		if n, _ := fmt.Sscanf(name, "ids-%d.json", &g); n == 1 && g != 2 {
-			t.Fatalf("stale ids file %s survived cleanup", name)
-		}
+	if len(entries) != 1 || entries[0].Name() != "gen-1.lsi" {
+		t.Fatalf("after the re-save the directory holds %v, want gen-1.lsi alone", entries)
 	}
 	z, err := Open(dir, Config{})
 	if err != nil {
@@ -723,7 +699,7 @@ func TestResaveIsCrashSafe(t *testing.T) {
 
 func TestEpochBumpsAfterAddAndCompact(t *testing.T) {
 	a := testMatrix(t, 3, 12, 30, 311)
-	x, err := Build(a, defaultIDs(30), Config{Shards: 2, Rank: 3, SealEvery: 4, AutoCompact: false})
+	x, err := Build(a, defaultIDs(30), nil, Config{Shards: 2, Rank: 3, SealEvery: 4, AutoCompact: false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -823,7 +799,7 @@ func TestBuildReportsLowestFailingShard(t *testing.T) {
 	a := testMatrix(t, 3, 12, 60, 307)
 	for _, procs := range []int{1, 2, 8} {
 		old := par.SetMaxProcs(procs)
-		_, err := Build(a, defaultIDs(60), Config{Shards: 4, Rank: 3, Engine: lsi.Engine(99)})
+		_, err := Build(a, defaultIDs(60), nil, Config{Shards: 4, Rank: 3, Engine: lsi.Engine(99)})
 		par.SetMaxProcs(old)
 		if err == nil || !strings.HasPrefix(err.Error(), "shard 0: ") {
 			t.Fatalf("MaxProcs=%d: error %v, want shard 0's", procs, err)

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -56,11 +55,15 @@ func settledMappings() int {
 	return n
 }
 
-// mapsFiles reports whether the files of dir's checkpoint can be mapped
-// on this platform.
+// mapsFiles reports whether dir's checkpoint file can be mapped on this
+// platform.
 func mapsFiles(t *testing.T, dir string) bool {
 	t.Helper()
-	f, err := os.Open(filepath.Join(dir, ManifestName))
+	path, _, err := Latest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,17 +87,17 @@ func openCounted(t *testing.T, dir string) (x *Index, mappings int, alloc uint64
 	return x, blob.LiveMappings() - base, after.TotalAlloc - before.TotalAlloc
 }
 
-// An opened checkpoint serves its int8 tier from the sidecar file: each
-// sidecar adds one mapping and costs the heap a small part of its codes,
-// every route answers bitwise as the index that saved it, and the
-// mappings go with the last index holding them, searched until then.
+// An opened checkpoint serves its int8 tier from its file's one mapping:
+// the sidecar adds no mapping and costs the heap a small part of its
+// codes, every route answers bitwise as the index that saved it, and the
+// mapping goes with the last index holding it, searched until then.
 func TestOpenedTiersAreMapped(t *testing.T) {
 	docs := 16384
 	if race.Enabled {
 		docs = 2048
 	}
 	a := testMatrix(t, 8, 10, docs, 515)
-	x, err := Build(a, defaultIDs(docs), Config{Shards: 1, Rank: 32, Seed: 77, SealEvery: 8, ANNList: 16, Quantize: true, TierMinDocs: 1})
+	x, err := Build(a, defaultIDs(docs), nil, Config{Shards: 1, Rank: 32, Seed: 77, SealEvery: 8, ANNList: 16, Quantize: true, TierMinDocs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,30 +112,15 @@ func TestOpenedTiersAreMapped(t *testing.T) {
 	if err := os.CopyFS(bare, os.DirFS(dir)); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(filepath.Join(bare, ManifestName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	man, err := ParseManifest(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var quantFile string
-	for _, entries := range man.Segments {
-		for i := range entries {
-			quantFile, entries[i].QuantFile = entries[i].QuantFile, ""
+	var quantPart int
+	editCheckpoint(t, bare, func(parts [][]Part) {
+		for s := range parts {
+			for i := range parts[s] {
+				quantPart += len(parts[s][i].Quant)
+				parts[s][i].Quant = nil
+			}
 		}
-	}
-	if data, err = json.MarshalIndent(man, "", "  "); err != nil { // as SaveDir writes it
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(bare, ManifestName), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	info, err := os.Stat(filepath.Join(dir, quantFile))
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
 
 	b, bareMappings, bareAlloc := openCounted(t, bare)
 	bareStats, bareQuant := b.Stats(), quantSegments(b)
@@ -143,12 +131,12 @@ func TestOpenedTiersAreMapped(t *testing.T) {
 		t.Fatalf("%d and %d int8 segments opened, want 1 and 0", got, bareQuant)
 	}
 	if mapsFiles(t, dir) {
-		if mappings != bareMappings+1 {
-			t.Errorf("the int8 sidecar took %d mappings, want 1", mappings-bareMappings)
+		if mappings != 1 || bareMappings != 1 {
+			t.Errorf("opens took %d and %d mappings, want one each", mappings, bareMappings)
 		}
-		if st := y.Stats(); st.MappedBytes-bareStats.MappedBytes != st.Tiers.QuantBytes || st.Tiers.QuantBytes >= info.Size() {
+		if st := y.Stats(); st.MappedBytes-bareStats.MappedBytes != st.Tiers.QuantBytes || st.Tiers.QuantBytes >= int64(quantPart) {
 			t.Errorf("MappedBytes grew by %d with the %d-byte int8 sidecar, want its %d bytes of codes and scales",
-				st.MappedBytes-bareStats.MappedBytes, info.Size(), st.Tiers.QuantBytes)
+				st.MappedBytes-bareStats.MappedBytes, quantPart, st.Tiers.QuantBytes)
 		}
 		codes := uint64(docs * 32)
 		if got := alloc - bareAlloc; !race.Enabled && got > codes/4 {
@@ -201,20 +189,19 @@ func TestOpenedTiersAreMapped(t *testing.T) {
 	}
 }
 
-// testdata/v1-sidecars is the checkpoint a build before sidecar version 2
-// saved from this corpus and configuration. It opens with both sidecars
-// counted as degraded and retrains them bitwise as a fresh build trains
-// them; the index files beside them are the bytes a fresh build saves, and
-// its version-1 manifest is a fresh build's less the globals lists; and
-// the next checkpoint writes the tiers in the current versions.
-// testdata/v2-sidecars/ann-0-0-0.ivf is the same build's IVF sidecar in
-// version 2 (delta-coded postings), which a fresh checkpoint holding it
-// instead of its version-3 file opens the same way: one sidecar degraded,
-// the quantizer retrained bitwise.
+// testdata/v1-sidecars is the checkpoint directory a build before sidecar
+// version 2 saved from this corpus and configuration. Its sidecars, put
+// in place of a fresh checkpoint's, open counted as degraded and retrain
+// bitwise as a fresh build trains them; its index file is the bytes a
+// fresh build saves for the segment; and the next checkpoint writes the
+// tiers in the current versions. testdata/v2-sidecars/ann-0-0-0.ivf is
+// the same build's IVF sidecar in version 2 (delta-coded postings), which
+// opens the same way: one sidecar degraded, the quantizer retrained
+// bitwise. (internal/legacy converts the whole directory.)
 func TestOpenRetrainsVersion1Sidecars(t *testing.T) {
 	cfg := Config{Shards: 1, Rank: 4, Seed: 77, SealEvery: 8, ANNList: 6, Quantize: true, TierMinDocs: 1}
 	a := testMatrix(t, 4, 10, 40, 514)
-	x, err := Build(a, defaultIDs(40), cfg)
+	x, err := Build(a, defaultIDs(40), nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,23 +210,23 @@ func TestOpenRetrainsVersion1Sidecars(t *testing.T) {
 	if err := x.SaveDir(fresh); err != nil {
 		t.Fatal(err)
 	}
-	dir := filepath.Join(t.TempDir(), "v1")
-	if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "v1-sidecars"))); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{ManifestName, "ids-0.json", "seg-0-0-0.idx"} {
-		old, err := os.ReadFile(filepath.Join(dir, name))
+	old := func(name string) []byte {
+		data, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		now, err := os.ReadFile(filepath.Join(fresh, name))
-		if err == nil && name == ManifestName {
-			old, now = manifestSansGlobals(t, old), manifestSansGlobals(t, now)
-		}
-		if err != nil || !bytes.Equal(now, old) {
-			t.Errorf("%s: a fresh build saves other bytes than the version-1 checkpoint (%v)", name, err)
-		}
+		return data
 	}
+	if !bytes.Equal(readGeneration(t, fresh).parts[0][0].Index, old("v1-sidecars/seg-0-0-0.idx")) {
+		t.Error("a fresh build saves other segment bytes than the version-1 checkpoint")
+	}
+	dir := filepath.Join(t.TempDir(), "v1")
+	if err := os.CopyFS(dir, os.DirFS(fresh)); err != nil {
+		t.Fatal(err)
+	}
+	editCheckpoint(t, dir, func(parts [][]Part) {
+		parts[0][0].ANN, parts[0][0].Quant = old("v1-sidecars/ann-0-0-0.ivf"), old("v1-sidecars/quant-0-0-0.qnt")
+	})
 
 	y, err := Open(dir, Config{ANNList: cfg.ANNList, Quantize: true, TierMinDocs: 1})
 	if err != nil {
@@ -271,13 +258,7 @@ func TestOpenRetrainsVersion1Sidecars(t *testing.T) {
 	}
 	sameOnEveryRoute(t, a, x, z)
 
-	v2, err := os.ReadFile(filepath.Join("testdata", "v2-sidecars", "ann-0-0-0.ivf"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(fresh, "ann-0-0-0.ivf"), v2, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	editCheckpoint(t, fresh, func(parts [][]Part) { parts[0][0].ANN = old("v2-sidecars/ann-0-0-0.ivf") })
 	w, err := Open(fresh, Config{ANNList: cfg.ANNList, Quantize: true, TierMinDocs: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -290,24 +271,4 @@ func TestOpenRetrainsVersion1Sidecars(t *testing.T) {
 		t.Fatal("the version-2 IVF sidecar was not retrained as a fresh build trains it")
 	}
 	sameOnEveryRoute(t, a, x, w)
-}
-
-// manifestSansGlobals re-encodes manifest bytes as the newest version,
-// dropping a version-1 manifest's globals lists.
-func manifestSansGlobals(t *testing.T, data []byte) []byte {
-	t.Helper()
-	man, err := ParseManifest(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	man.Version = ManifestVersion
-	for _, segs := range man.Segments {
-		for i := range segs {
-			segs[i].Globals = nil
-		}
-	}
-	if data, err = json.MarshalIndent(man, "", "  "); err != nil {
-		t.Fatal(err)
-	}
-	return data
 }

@@ -67,7 +67,7 @@ func stressSizes() (writers, addsPerWriter, searchers, searchesPerSearcher int) 
 
 func TestStressConcurrentAddSearchCompact(t *testing.T) {
 	a := testMatrix(t, 3, 12, 40, 401)
-	x, err := Build(a, defaultIDs(40), Config{Shards: 3, Rank: 3, Seed: 13, SealEvery: 16, AutoCompact: true})
+	x, err := Build(a, defaultIDs(40), nil, Config{Shards: 3, Rank: 3, Seed: 13, SealEvery: 16, AutoCompact: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func testRoundRobinNumbering(t *testing.T) {
 	for _, shards := range []int{1, 2, 3} {
 		for _, sealEvery := range []int{1, 2, 5, 16} {
 			rng := rand.New(rand.NewSource(int64(100*shards + sealEvery)))
-			x, err := Build(a, defaultIDs(40), Config{Shards: shards, Rank: 3, Seed: 19, SealEvery: sealEvery})
+			x, err := Build(a, defaultIDs(40), nil, Config{Shards: shards, Rank: 3, Seed: 19, SealEvery: sealEvery})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -271,7 +271,7 @@ func testSettleInvisible(t *testing.T) {
 
 func settleInvisible(t *testing.T, a *sparse.CSR, seed int64, shards, procs int) {
 	defer par.SetMaxProcs(par.SetMaxProcs(procs))
-	x, err := Build(a, defaultIDs(120), Config{Shards: shards, Rank: 3, Seed: seed, SealEvery: 16})
+	x, err := Build(a, defaultIDs(120), nil, Config{Shards: shards, Rank: 3, Seed: seed, SealEvery: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func settleInvisible(t *testing.T, a *sparse.CSR, seed int64, shards, procs int)
 func TestConcurrentIngestMatchesSerialReplay(t *testing.T) {
 	a := testMatrix(t, 3, 12, 36, 402)
 	cfg := Config{Shards: 3, Rank: 3, Seed: 17, SealEvery: 16} // AutoCompact off
-	x, err := Build(a, defaultIDs(36), cfg)
+	x, err := Build(a, defaultIDs(36), nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +360,7 @@ func TestConcurrentIngestMatchesSerialReplay(t *testing.T) {
 	// global order. Fold-in scores do not depend on segment boundaries
 	// (every fold targets the shard's base subspace), so the concurrent
 	// index and the serial replay must agree bitwise.
-	y, err := Build(a, defaultIDs(36), cfg)
+	y, err := Build(a, defaultIDs(36), nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

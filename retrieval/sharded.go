@@ -2,14 +2,10 @@ package retrieval
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 
-	"repro/internal/faultinject"
-	"repro/internal/lsi"
 	"repro/internal/sparse"
 	"repro/retrieval/shard"
 )
@@ -23,7 +19,7 @@ import (
 //
 // Live indexes add three capabilities on top of the Retriever contract:
 // live appends (Add), readiness that can go false (Stats().Ready), and
-// directory persistence (SaveDir / OpenDir; the manifest format is
+// directory persistence (SaveDir / OpenDir; the checkpoint format is
 // documented in retrieval/shard). A frozen index answers them with
 // ErrImmutableIndex, true and ErrNotSharded.
 
@@ -44,9 +40,9 @@ var (
 // layer is already assembled; partition the matrix and build the shard
 // subsystem.
 func (ix *Index) buildSharded(a *sparse.CSR, rank int, cfg config) error {
-	scfg := cfg.shardConfig()
+	scfg, text := cfg.shardConfig(), ix.meta()
 	scfg.Shards, scfg.Rank, scfg.Engine = cfg.shards, rank, cfg.engine
-	sx, err := shard.Build(a, ix.docIDs.Strings(), scfg)
+	sx, err := shard.Build(a, ix.docIDs.Strings(), &text, scfg)
 	if err != nil {
 		return fmt.Errorf("retrieval: building sharded index: %w", err)
 	}
@@ -56,7 +52,7 @@ func (ix *Index) buildSharded(a *sparse.CSR, rank int, cfg config) error {
 
 // shardConfig is the runtime half of the shard subsystem's configuration
 // — what Build and OpenDir both pass down; the structural half (shards,
-// rank, engine, seed) comes from the build options or the saved manifest.
+// rank, engine, seed) comes from the build options or the saved checkpoint.
 func (c config) shardConfig() shard.Config {
 	return shard.Config{
 		SealEvery:   c.sealEvery,
@@ -144,46 +140,15 @@ func (ix *Index) applyBatch(docs []Document) (int, error) {
 	return first, nil
 }
 
-// textMeta is the sharded index's text layer on disk (text.json next to
-// the shard manifest); external document IDs live in the shard
-// subsystem's ids.json.
-type textMeta struct {
-	Version int `json:"version"`
-	lsi.Meta
-}
-
-const textMetaName = "text.json"
-
-// SaveDir writes a sharded index to a directory: the shard manifest and
-// segment files (see retrieval/shard) plus the text layer. Unsharded
+// SaveDir writes a sharded index to a directory as one checkpoint
+// generation file: the shard segments (see retrieval/shard) and the text
+// layer, which the shard index carries (shard.Build). Unsharded
 // indexes persist to a single stream via Save instead.
 func (ix *Index) SaveDir(dir string) error {
 	if !ix.Sharded() {
 		return fmt.Errorf("%w: use Save for single-stream persistence", ErrNotSharded)
 	}
-	return ix.saveDir(dir, -1, faultinject.OS{})
-}
-
-// saveDir writes the text layer (text.json), then the shard checkpoint —
-// every shard when s < 0, shard s's export otherwise — whose manifest is
-// written last. Every file goes through fsys and is synced before it is
-// renamed into place, so a manifest that survives power loss has its
-// text layer too.
-func (ix *Index) saveDir(dir string, s int, fsys faultinject.FS) error {
-	data, err := json.Marshal(textMeta{Version: 1, Meta: ix.meta()})
-	if err == nil {
-		err = fsys.MkdirAll(dir, 0o755)
-	}
-	if err == nil { // immutable after Build: a re-save writes the same bytes
-		err = faultinject.ReplaceFile(fsys, filepath.Join(dir, textMetaName), data)
-	}
-	if err != nil {
-		return fmt.Errorf("retrieval: save text layer: %w", err)
-	}
-	if s < 0 {
-		return ix.sharded.SaveDirFS(dir, fsys)
-	}
-	return ix.sharded.SaveShardDirFS(s, dir, fsys)
+	return ix.sharded.SaveDir(dir)
 }
 
 // OpenDir loads a sharded index saved by SaveDir. The loaded index
@@ -191,30 +156,21 @@ func (ix *Index) saveDir(dir string, s int, fsys faultinject.FS) error {
 // segments reload as-is (pending compaction state is not carried over —
 // run Compact before saving for a fully compacted index). Options
 // control runtime behavior only: WithSealEvery, WithAutoCompact,
-// WithQueryCache, and WithANN apply (quantizer sidecars saved next to
-// the segments reload directly; WithANN additionally trains segments
-// saved without them), everything structural comes from the manifest.
+// WithQueryCache, and WithANN apply (quantizers saved with the segments
+// reload directly; WithANN additionally trains segments saved without
+// them), everything structural comes from the checkpoint. A directory an
+// earlier build saved as many files fails with an error that names
+// lsiquery -upgrade.
 func OpenDir(dir string, opts ...Option) (*Index, error) {
 	cfg := newConfig(opts)
-	data, err := os.ReadFile(filepath.Join(dir, textMetaName))
-	if err != nil {
-		return nil, fmt.Errorf("retrieval: open %s: %w", dir, err)
-	}
-	var meta textMeta
-	if err := json.Unmarshal(data, &meta); err != nil {
-		return nil, fmt.Errorf("retrieval: open %s: %w", textMetaName, err)
-	}
-	if meta.Version < 1 || meta.Version > 1 {
-		return nil, fmt.Errorf("retrieval: open: text layer version %d is not supported by this build (supported: 1)", meta.Version)
-	}
 	sx, err := shard.Open(dir, cfg.shardConfig())
 	if err != nil {
 		return nil, fmt.Errorf("retrieval: open: %w", err)
 	}
-	text, err := textLayerOf(&meta.Meta, sx.NumTerms())
+	text, err := textLayerOf(sx.Text(), sx.NumTerms())
 	if err != nil {
 		sx.Close()
-		return nil, fmt.Errorf("retrieval: open: %w", err)
+		return nil, fmt.Errorf("retrieval: open %s: text layer: %w", dir, err)
 	}
 	ix := &Index{textLayer: text}
 	ix.setShards(sx, cfg)

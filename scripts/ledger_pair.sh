@@ -37,6 +37,19 @@
 # better. bench.search_qps is printed right under rss_peak_mb: a memory
 # reading says little without the rate it was read at.
 #
+# Box load: beside each run, DIR/<workload>/<side>-<seed>.load records
+# what the box did meanwhile, all read from /proc without changing
+# anything: the 1-minute load average before and after, and the /proc/stat
+# deltas of the box's CPU time — total, busy (not idle or iowait), steal —
+# with the CPU time of the run's own process tree (its reaped children,
+# from /proc/<pid>/stat). Under each table a load block lists, per pair,
+# the share of the box's CPU spent outside the two runs' trees and the
+# steal share, and flags "DIFFERENT LOAD" where the two sides differ by
+# more than 10 points of outside share or 5 points of steal: such a pair
+# compares two boxes, not two trees. A run refuses to start (exit 2) while
+# an lsiserve a benchmark run started (.bench_build/bin/lsiserve) is still
+# alive.
+#
 # Exit status: 0 no bounded metric worse, 1 a bounded metric worse,
 # 2 usage or infrastructure error.
 set -eu
@@ -51,7 +64,7 @@ ROOT=$(cd "$(dirname "$0")/.." && pwd)
 # compare <dir>: the verdict tables, from the runs in dir.
 compare() {
 	dir=$1
-	files=$(find "$dir" -mindepth 2 -maxdepth 2 -name '*-*.txt' | sort)
+	files=$(find "$dir" -mindepth 2 -maxdepth 2 \( -name '*-*.txt' -o -name '*-*.load' \) | sort)
 	[ -n "$files" ] || { echo "ledger_pair: no runs in $dir" >&2; exit 2; }
 	meta=""
 	[ -f "$dir/meta" ] && meta=$(cat "$dir/meta")
@@ -69,6 +82,25 @@ function quant(arr, n, p,    i, j, tmp, pos, lo) {
 	return arr[lo] + (pos - lo) * (arr[lo + 1] - arr[lo])
 }
 function abs(x) { return x < 0 ? -x : x }
+function pct(x) { return sprintf("%5.1f%%", 100 * x) }
+# loadblock: per pair of wl with both .load files, the share of the box
+# CPU spent outside each run and its steal share; uneven pairs flagged.
+function loadblock(wl,    s, sd, b, h, flag, first) {
+	first = 1
+	for (s = 1; s <= nseed[wl]; s++) {
+		sd = seeds[wl, s]
+		if (!((wl, "base", sd) in other) || !((wl, "head", sd) in other)) continue
+		if (first) {
+			print "load: per pair, the share of the box CPU outside the run / steal / 1-min load before"
+			first = 0
+		}
+		b = "base " pct(other[wl, "base", sd]) " " pct(steal[wl, "base", sd]) " " load1[wl, "base", sd]
+		h = "head " pct(other[wl, "head", sd]) " " pct(steal[wl, "head", sd]) " " load1[wl, "head", sd]
+		flag = ""
+		if (abs(other[wl, "base", sd] - other[wl, "head", sd]) > 0.10 || abs(steal[wl, "base", sd] - steal[wl, "head", sd]) > 0.05) flag = "  DIFFERENT LOAD"
+		printf "  seed %-4s %s   %s%s\n", sd, b, h, flag
+	}
+}
 function fmt(x) { return sprintf("%.4g", x) }
 # BENCHMARK.json: one "key": value a line; a name opens an entry.
 FNR == 1 { isjson = (FILENAME ~ /BENCHMARK\.json$/) }
@@ -82,9 +114,20 @@ FNR == 1 {
 	n = split(FILENAME, parts, "/")
 	wl = parts[n - 1]
 	side = parts[n]; sub(/-.*/, "", side)
-	seed = parts[n]; sub(/^[a-z]*-/, "", seed); sub(/\.txt$/, "", seed)
+	seed = parts[n]; sub(/^[a-z]*-/, "", seed); sub(/\.(txt|load)$/, "", seed)
+	isload = (FILENAME ~ /\.load$/)
 	if (!(wl in wlseen)) { wlseen[wl] = 1; wls[++nwl] = wl }
 	if (!((wl, seed) in seedseen)) { seedseen[wl, seed] = 1; seeds[wl, ++nseed[wl]] = seed }
+}
+# A .load file: "load1 <before> <after>" and
+# "ticks <total> <busy> <steal> <tree>".
+isload {
+	if ($1 == "load1") load1[wl, side, seed] = $2
+	if ($1 == "ticks" && $2 > 0) {
+		other[wl, side, seed] = ($3 - $5) / $2
+		steal[wl, side, seed] = $4 / $2
+	}
+	next
 }
 # The set-up log: "bench: <workload> set-up: gen 0.52s build 1.23s …".
 / set-up: / {
@@ -151,6 +194,7 @@ END {
 				fmt(bmed) " [" fmt(bq1) ", " fmt(bq3) "]", fmt(hmed) " [" fmt(hq1) ", " fmt(hq3) "]",
 				delta, lower, higher, verdict
 		}
+		loadblock(wl)
 	}
 	print ""
 	if (worse) { printf "ledger_pair: WORSE (%d bounded metric(s) beyond their bound)\n", worse; exit 1 }
@@ -233,15 +277,48 @@ for side in base head; do
 	}
 done
 
+# stray_servers: the pids of the lsiserve processes a benchmark run
+# started (argv[0] in some checkout's .bench_build/bin) still alive.
+stray_servers() {
+	for d in /proc/[0-9]*; do
+		cmd=$({ tr '\0' '\n' <"$d/cmdline"; } 2>/dev/null | head -n 1)
+		case $cmd in */.bench_build/bin/lsiserve) echo "${d#/proc/}" ;; esac
+	done
+}
+
+# cpu_ticks: the box's CPU time from /proc/stat: total, busy (neither
+# idle nor iowait) and steal, in clock ticks.
+cpu_ticks() {
+	awk '$1 == "cpu" { t = 0; for (i = 2; i <= 9; i++) t += $i; print t, t - $5 - $6, $9; exit }' /proc/stat
+}
+
 runone() { # runone <side> <workload> <seed>
 	extra=""
 	[ "$TRACE" = 1 ] && extra="-trace 1"
 	[ -n "$SECONDS_ARG" ] && extra="$extra -seconds $SECONDS_ARG"
-	echo "ledger_pair: $2 seed $3 $1" >&2
-	# shellcheck disable=SC2086 # extra is a flag list
-	if ! (cd "$WT/$1" && bash bench/run.sh -workload "$2" -seed "$3" $extra) >"$OUT/$2/$1-$3.txt" 2>&1; then
-		echo "ledger_pair: $2 seed $3 failed on $1 (see $OUT/$2/$1-$3.txt)" >&2
+	stray=$(stray_servers)
+	if [ -n "$stray" ]; then
+		echo "ledger_pair: an lsiserve from an earlier run is still alive (pid $(echo $stray)); stop it, then run again" >&2
+		exit 2
 	fi
+	echo "ledger_pair: $2 seed $3 $1" >&2
+	run="$OUT/$2/$1-$3"
+	load0=$(cut -d' ' -f1 /proc/loadavg)
+	ticks0=$(cpu_ticks)
+	# The run's shell records its own /proc stat line once the benchmark is
+	# reaped: its cutime and cstime are the CPU time of the whole tree.
+	# shellcheck disable=SC2086 # extra is a flag list
+	if ! sh -c 'cd "$1" && shift && bash bench/run.sh "$@"; rc=$?; cat /proc/$$/stat >"$0"; exit $rc' \
+		"$run.stat" "$WT/$1" -workload "$2" -seed "$3" $extra >"$run.txt" 2>&1; then
+		echo "ledger_pair: $2 seed $3 failed on $1 (see $run.txt)" >&2
+	fi
+	ticks1=$(cpu_ticks)
+	load1=$(cut -d' ' -f1 /proc/loadavg)
+	# Fields after "pid (comm) ": cutime and cstime are the 14th and 15th.
+	tree=$(sed 's/^.*) //' "$run.stat" | awk '{ print $14 + $15 }')
+	rm -f "$run.stat"
+	echo "$ticks0 $ticks1" | awk -v l0="$load0" -v l1="$load1" -v tree="$tree" \
+		'{ printf "load1 %s %s\nticks %d %d %d %d\n", l0, l1, $4 - $1, $5 - $2, $6 - $3, tree }' >"$run.load"
 }
 
 for wl in $(echo "$WORKLOADS" | tr ',' ' '); do

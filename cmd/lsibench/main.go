@@ -11,7 +11,9 @@
 //
 // -json emits machine-readable results (experiment name, wall-clock
 // elapsed seconds, rendered table lines) so perf and output can be
-// diffed across commits without parsing tables.
+// diffed across commits without parsing tables. -small and -json are
+// accepted by every experiment; only table1 has flags of its own, and an
+// argument an experiment has no use for fails with exit status 2.
 //
 // Experiments: table1, thm2, thm3, lemma1, jl, thm5, runtime, synonymy,
 // thm6, retrieval, cf, mixture, drift, ablate-weighting, ablate-projection,
@@ -20,8 +22,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -31,10 +35,10 @@ import (
 )
 
 // experiment is one runnable entry: a description and a runner that parses
-// its own flags from args and returns the rendered table.
+// its own flags from args into fs and returns the rendered table.
 type experiment struct {
 	desc string
-	run  func(args []string, small bool) (string, error)
+	run  func(fs *flag.FlagSet, args []string, small bool) (string, error)
 }
 
 // tabled is what every experiment result renders to.
@@ -43,7 +47,10 @@ type tabled interface{ Table() string }
 // sized is an experiment with a default and a test-sized configuration
 // (-small) and no flags of its own.
 func sized[C any, R tabled](desc string, def, small func() C, run func(C) (R, error)) experiment {
-	return experiment{desc: desc, run: func(_ []string, s bool) (string, error) {
+	return experiment{desc: desc, run: func(fs *flag.FlagSet, args []string, s bool) (string, error) {
+		if err := parse(fs, args); err != nil {
+			return "", err
+		}
 		cfg := def()
 		if s {
 			cfg = small()
@@ -54,7 +61,12 @@ func sized[C any, R tabled](desc string, def, small func() C, run func(C) (R, er
 
 // fixed is an experiment with one configuration.
 func fixed[R tabled](desc string, run func() (R, error)) experiment {
-	return experiment{desc: desc, run: func([]string, bool) (string, error) { return table(run()) }}
+	return experiment{desc: desc, run: func(fs *flag.FlagSet, args []string, _ bool) (string, error) {
+		if err := parse(fs, args); err != nil {
+			return "", err
+		}
+		return table(run())
+	}}
 }
 
 func table[R tabled](res R, err error) (string, error) {
@@ -64,16 +76,32 @@ func table[R tabled](res R, err error) (string, error) {
 	return res.Table(), nil
 }
 
+// usageError is a command line lsibench refuses: run exits 2 on it.
+type usageError struct{ error }
+
+func (e usageError) Unwrap() error { return e.error }
+
+// parse reads an experiment's flags (most have none) and refuses every
+// argument it would otherwise ignore.
+func parse(fs *flag.FlagSet, args []string) error {
+	if err := fs.Parse(args); err != nil {
+		return usageError{err}
+	}
+	if fs.NArg() > 0 {
+		return usageError{fmt.Errorf("unexpected argument %q", fs.Arg(0))}
+	}
+	return nil
+}
+
 var registry = map[string]experiment{
 	"table1": {
 		desc: "§4 experiment table: intratopic/intertopic angles, original vs LSI space",
-		run: func(args []string, small bool) (string, error) {
+		run: func(fs *flag.FlagSet, args []string, small bool) (string, error) {
 			cfg := experiments.DefaultTable1Config()
 			if small {
 				cfg = experiments.SmallTable1Config()
 			}
 			hist := false
-			fs := flag.NewFlagSet("table1", flag.ContinueOnError)
 			fs.IntVar(&cfg.NumDocs, "docs", cfg.NumDocs, "number of documents")
 			fs.IntVar(&cfg.Corpus.NumTopics, "topics", cfg.Corpus.NumTopics, "number of topics")
 			fs.IntVar(&cfg.Corpus.TermsPerTopic, "terms-per-topic", cfg.Corpus.TermsPerTopic, "primary terms per topic")
@@ -81,19 +109,15 @@ var registry = map[string]experiment{
 			fs.IntVar(&cfg.K, "k", cfg.K, "LSI rank")
 			fs.Int64Var(&cfg.Seed, "seed", cfg.Seed, "random seed")
 			fs.BoolVar(&hist, "hist", false, "append angle-distribution histograms")
-			if err := fs.Parse(args); err != nil {
+			if err := parse(fs, args); err != nil {
 				return "", err
-			}
-			if hist {
-				res, fig, err := experiments.RunTable1WithFigure(cfg)
-				if err != nil {
-					return "", err
-				}
-				return res.Table() + "\n" + fig, nil
 			}
 			res, err := experiments.RunTable1(cfg)
 			if err != nil {
 				return "", err
+			}
+			if hist {
+				return res.Table() + "\n" + res.Figure(), nil
 			}
 			return res.Table(), nil
 		},
@@ -166,9 +190,11 @@ type jsonResult struct {
 }
 
 // runTimed executes one experiment and wraps its outcome for -json.
-func runTimed(name string, args []string, small bool) (jsonResult, error) {
+func runTimed(name string, args []string, small bool, stderr io.Writer) (jsonResult, error) {
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	start := time.Now()
-	out, err := registry[name].run(args, small)
+	out, err := registry[name].run(fs, args, small)
 	if err != nil {
 		return jsonResult{}, err
 	}
@@ -180,85 +206,82 @@ func runTimed(name string, args []string, small bool) (jsonResult, error) {
 	}, nil
 }
 
-func emitJSON(v any) {
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		fmt.Fprintf(os.Stderr, "lsibench: encoding results: %v\n", err)
-		os.Exit(1)
-	}
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
+// run executes one lsibench command line and returns its exit status: 0,
+// 1 when an experiment fails, 2 when the command line is refused.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) < 1 {
+		usage(stderr)
+		return 2
 	}
-	cmd := os.Args[1]
-	switch cmd {
-	case "list", "help", "-h", "--help":
-		usage()
-		return
-	case "all":
-		small := false
-		asJSON := false
-		fs := flag.NewFlagSet("all", flag.ExitOnError)
-		fs.BoolVar(&small, "small", false, "run scaled-down configurations")
-		fs.BoolVar(&asJSON, "json", false, "emit machine-readable JSON results")
-		if err := fs.Parse(os.Args[2:]); err != nil {
-			os.Exit(2)
-		}
-		var results []jsonResult
-		for _, name := range sortedNames() {
-			if !asJSON {
-				fmt.Printf("==== %s ====\n", name)
-			}
-			res, err := runTimed(name, nil, small)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "lsibench %s: %v\n", name, err)
-				os.Exit(1)
-			}
-			if asJSON {
-				results = append(results, res)
-			} else {
-				fmt.Println(strings.Join(res.Output, "\n"))
-			}
-		}
-		if asJSON {
-			emitJSON(results)
-		}
-		return
+	cmd, names := args[0], args[:1]
+	switch _, ok := registry[cmd]; {
+	case cmd == "list" || cmd == "help" || cmd == "-h" || cmd == "--help":
+		usage(stdout)
+		return 0
+	case cmd == "all":
+		names = sortedNames()
+	case !ok:
+		fmt.Fprintf(stderr, "lsibench: unknown experiment %q\n\n", cmd)
+		usage(stderr)
+		return 2
 	}
-	if _, ok := registry[cmd]; !ok {
-		fmt.Fprintf(os.Stderr, "lsibench: unknown experiment %q\n\n", cmd)
-		usage()
-		os.Exit(2)
-	}
-	args := os.Args[2:]
 	small := false
 	asJSON := false
-	// Leading -small / -json flags are accepted for every experiment.
-	filtered := args[:0:0]
-	for _, a := range args {
+	// -small and -json are accepted anywhere, for every experiment.
+	var rest []string
+	for _, a := range args[1:] {
 		switch a {
 		case "-small", "--small":
 			small = true
 		case "-json", "--json":
 			asJSON = true
 		default:
-			filtered = append(filtered, a)
+			rest = append(rest, a)
 		}
 	}
-	res, err := runTimed(cmd, filtered, small)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "lsibench %s: %v\n", cmd, err)
-		os.Exit(1)
+	if cmd == "all" && len(rest) > 0 {
+		fmt.Fprintf(stderr, "lsibench all: unexpected argument %q\n", rest[0])
+		return 2
 	}
-	if asJSON {
-		emitJSON(res)
-		return
+	var results []jsonResult
+	for _, name := range names {
+		if cmd == "all" && !asJSON {
+			fmt.Fprintf(stdout, "==== %s ====\n", name)
+		}
+		res, err := runTimed(name, rest, small, stderr)
+		switch {
+		case errors.Is(err, flag.ErrHelp):
+			return 0
+		case errors.As(err, new(usageError)):
+			fmt.Fprintf(stderr, "lsibench %s: %v\n", name, err)
+			return 2
+		case err != nil:
+			fmt.Fprintf(stderr, "lsibench %s: %v\n", name, err)
+			return 1
+		}
+		if !asJSON {
+			fmt.Fprintln(stdout, strings.Join(res.Output, "\n"))
+		}
+		results = append(results, res)
 	}
-	fmt.Println(strings.Join(res.Output, "\n"))
+	if !asJSON {
+		return 0
+	}
+	var v any = results
+	if cmd != "all" {
+		v = results[0]
+	}
+	enc := json.NewEncoder(stdout)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		fmt.Fprintf(stderr, "lsibench: encoding results: %v\n", err)
+		return 1
+	}
+	return 0
 }
 
 func sortedNames() []string {
@@ -270,12 +293,12 @@ func sortedNames() []string {
 	return names
 }
 
-func usage() {
-	fmt.Println("lsibench — reproduce the experiments of \"Latent Semantic Indexing: A Probabilistic Analysis\"")
-	fmt.Println("\nusage: lsibench <experiment> [-small] [-json] [flags]")
-	fmt.Println("       lsibench all [-small] [-json]")
-	fmt.Println("\nexperiments:")
+func usage(w io.Writer) {
+	fmt.Fprintln(w, "lsibench — reproduce the experiments of \"Latent Semantic Indexing: A Probabilistic Analysis\"")
+	fmt.Fprintln(w, "\nusage: lsibench <experiment> [-small] [-json] [flags]")
+	fmt.Fprintln(w, "       lsibench all [-small] [-json]")
+	fmt.Fprintln(w, "\nexperiments:")
 	for _, n := range sortedNames() {
-		fmt.Printf("  %-18s %s\n", n, registry[n].desc)
+		fmt.Fprintf(w, "  %-18s %s\n", n, registry[n].desc)
 	}
 }

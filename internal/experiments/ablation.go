@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"strings"
 	"time"
@@ -31,12 +30,7 @@ type WeightingRow struct {
 
 // RunWeightingAblation sweeps the weighting schemes on a fixed corpus.
 func RunWeightingAblation(cfg Table1Config) (*WeightingAblationResult, error) {
-	model, err := corpus.PureSeparableModel(cfg.Corpus)
-	if err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	c, err := corpus.Generate(model, cfg.NumDocs, rng)
+	c, _, err := samplePure(cfg.Corpus, cfg.NumDocs, rand.New(rand.NewSource(cfg.Seed)))
 	if err != nil {
 		return nil, err
 	}
@@ -90,32 +84,18 @@ type ProjectionRow struct {
 // RunProjectionAblation compares projection families at the middle of the
 // configured l sweep.
 func RunProjectionAblation(cfg Theorem5Config) (*ProjectionAblationResult, error) {
-	model, err := corpus.PureSeparableModel(cfg.Corpus)
+	_, a, err := samplePure(cfg.Corpus, cfg.NumDocs, rand.New(rand.NewSource(cfg.Seed)))
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	c, err := corpus.Generate(model, cfg.NumDocs, rng)
-	if err != nil {
-		return nil, err
-	}
-	a := corpus.TermDocMatrix(c, corpus.CountWeighting)
 	l := cfg.Ls[len(cfg.Ls)/2]
 	out := &ProjectionAblationResult{Config: cfg}
 	for _, kind := range []randproj.Kind{randproj.Orthonormal, randproj.Gaussian, randproj.Sign} {
-		ts, err := randproj.NewTwoStep(a, cfg.K, l, randproj.TwoStepOptions{Kind: kind, Seed: cfg.Seed})
+		row, err := theorem5Row(a, cfg.K, l, randproj.TwoStepOptions{Kind: kind, Seed: cfg.Seed})
 		if err != nil {
 			return nil, err
 		}
-		lhs, direct, frobSq, err := ts.Theorem5Residual(a, cfg.K)
-		if err != nil {
-			return nil, err
-		}
-		frac := 0.0
-		if frobSq > direct {
-			frac = (frobSq - lhs) / (frobSq - direct)
-		}
-		out.Rows = append(out.Rows, ProjectionRow{Kind: kind, L: l, RecoveredFrac: frac})
+		out.Rows = append(out.Rows, ProjectionRow{Kind: kind, L: l, RecoveredFrac: row.RecoveredFrac})
 	}
 	return out, nil
 }
@@ -148,18 +128,10 @@ type EngineRow struct {
 // reorthogonalization), and randomized engines against the Jacobi reference
 // on a moderate corpus matrix.
 func RunEngineAblation(seed int64) (*EngineAblationResult, error) {
-	model, err := corpus.PureSeparableModel(corpus.SeparableConfig{
-		NumTopics: 5, TermsPerTopic: 30, Epsilon: 0.05, MinLen: 40, MaxLen: 80,
-	})
+	_, a, err := samplePure(ablationCorpus, ablationDocs, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(seed))
-	c, err := corpus.Generate(model, 120, rng)
-	if err != nil {
-		return nil, err
-	}
-	a := corpus.TermDocMatrix(c, corpus.CountWeighting)
 	ad := a.ToDense()
 	const k = 5
 	ref, err := Jacobi(ad)
@@ -189,19 +161,7 @@ func RunEngineAblation(seed int64) (*EngineAblationResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: engine %s: %w", e.name, err)
 		}
-		var worst float64
-		for i := 0; i < k && i < len(res.S) && i < len(ref.S); i++ {
-			if ref.S[i] > 0 {
-				rel := math.Abs(res.S[i]-ref.S[i]) / ref.S[i]
-				if rel > worst {
-					worst = rel
-				}
-			}
-		}
-		if len(res.S) < k {
-			worst = math.Inf(1) // engine failed to produce k triplets
-		}
-		out.Rows = append(out.Rows, EngineRow{Name: e.name, MaxRelErr: worst, Millis: ms})
+		out.Rows = append(out.Rows, EngineRow{Name: e.name, MaxRelErr: maxRelErr(res.S, ref.S, k), Millis: ms})
 	}
 	return out, nil
 }

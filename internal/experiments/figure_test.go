@@ -6,17 +6,21 @@ import (
 )
 
 func TestRunTable1WithFigure(t *testing.T) {
-	res, fig, err := RunTable1WithFigure(SmallTable1Config())
+	res, err := RunTable1(SmallTable1Config())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Summary values must match the plain run (same seed).
-	plain, err := RunTable1(SmallTable1Config())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.LSISkew != plain.LSISkew || res.LSIIntra.Mean != plain.LSIIntra.Mean {
-		t.Fatal("figure run diverged from plain run under the same seed")
+	fig := res.Figure()
+	// Every pair of each population lands in its histogram.
+	for i, n := range []int{res.OriginalIntra.N, res.LSIIntra.N, res.OriginalInter.N, res.LSIInter.N} {
+		sum := 0
+		for _, c := range res.Histograms[i] {
+			sum += c
+		}
+		if len(res.Histograms[i]) != figureBins || sum != n {
+			t.Fatalf("histogram %d: %d bins holding %d angles, want %d holding %d",
+				i, len(res.Histograms[i]), sum, figureBins, n)
+		}
 	}
 	// Figure content sanity: all four populations present, bars drawn.
 	for _, want := range []string{

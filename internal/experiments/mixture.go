@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/lsi"
+	"repro/internal/mat"
 	"repro/internal/stats"
 )
 
@@ -72,12 +73,10 @@ func RunMixture(cfg MixtureConfig) (*MixtureResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	c, err := corpus.Generate(model, cfg.NumDocs, rng)
+	c, a, err := sample(model, cfg.NumDocs, rand.New(rand.NewSource(cfg.Seed)))
 	if err != nil {
 		return nil, err
 	}
-	a := corpus.TermDocMatrix(c, corpus.CountWeighting)
 	ix, err := lsi.Build(a, cfg.K, lsi.Options{Seed: cfg.Seed})
 	if err != nil {
 		return nil, err
@@ -97,7 +96,7 @@ func RunMixture(cfg MixtureConfig) (*MixtureResult, error) {
 	var xs, ys []float64
 	for i := 0; i < cfg.NumDocs; i++ {
 		for j := i + 1; j < cfg.NumDocs; j++ {
-			overlap := cosine(tw[i], tw[j])
+			overlap := mat.Cosine(tw[i], tw[j])
 			gii, gjj := gram.At(i, i), gram.At(j, j)
 			if gii <= 0 || gjj <= 0 {
 				continue
@@ -122,19 +121,6 @@ func RunMixture(cfg MixtureConfig) (*MixtureResult, error) {
 		HighOverlap: stats.Summarize(high),
 		Correlation: pearson(xs, ys),
 	}, nil
-}
-
-func cosine(x, y []float64) float64 {
-	var xx, yy, xy float64
-	for i := range x {
-		xx += x[i] * x[i]
-		yy += y[i] * y[i]
-		xy += x[i] * y[i]
-	}
-	if xx == 0 || yy == 0 {
-		return 0
-	}
-	return xy / math.Sqrt(xx*yy)
 }
 
 func pearson(xs, ys []float64) float64 {

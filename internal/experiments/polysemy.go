@@ -85,11 +85,10 @@ func RunPolysemy(cfg PolysemyConfig) (*PolysemyResult, error) {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	c, err := corpus.Generate(model, cfg.NumDocs, rng)
+	c, a, err := sample(model, cfg.NumDocs, rng)
 	if err != nil {
 		return nil, err
 	}
-	a := corpus.TermDocMatrix(c, corpus.CountWeighting)
 	labels := c.Labels()
 	ix, err := lsi.Build(a, cfg.K, lsi.Options{Seed: cfg.Seed})
 	if err != nil {
@@ -100,18 +99,8 @@ func RunPolysemy(cfg PolysemyConfig) (*PolysemyResult, error) {
 	uk := ix.Basis()
 	n := model.NumTerms
 
-	relevant := func(topic int) map[int]bool {
-		rel := map[int]bool{}
-		for doc, l := range labels {
-			if l == topic {
-				rel[doc] = true
-			}
-		}
-		return rel
-	}
 	precisionFor := func(q []float64, topic int) float64 {
-		docs := matchDocs(ix.Search(q, 0))
-		return ir.PrecisionAtK(docs, relevant(topic), cfg.TopN)
+		return ir.PrecisionAtK(matchDocs(ix.Search(q, 0)), topicDocs(labels, topic), cfg.TopN)
 	}
 
 	out := &PolysemyResult{Config: cfg}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/mat"
 	"repro/internal/randproj"
+	"repro/internal/sparse"
 	"repro/internal/svd"
 )
 
@@ -129,33 +130,37 @@ type Theorem5Result struct {
 // RunTheorem5 sweeps projection dimensions and evaluates both sides of the
 // theorem's inequality.
 func RunTheorem5(cfg Theorem5Config) (*Theorem5Result, error) {
-	model, err := corpus.PureSeparableModel(cfg.Corpus)
+	_, a, err := samplePure(cfg.Corpus, cfg.NumDocs, rand.New(rand.NewSource(cfg.Seed)))
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	c, err := corpus.Generate(model, cfg.NumDocs, rng)
-	if err != nil {
-		return nil, err
-	}
-	a := corpus.TermDocMatrix(c, corpus.CountWeighting)
 	out := &Theorem5Result{Config: cfg}
 	for _, l := range cfg.Ls {
-		ts, err := randproj.NewTwoStep(a, cfg.K, l, randproj.TwoStepOptions{Seed: cfg.Seed})
+		row, err := theorem5Row(a, cfg.K, l, randproj.TwoStepOptions{Seed: cfg.Seed})
 		if err != nil {
 			return nil, err
-		}
-		lhs, direct, frobSq, err := ts.Theorem5Residual(a, cfg.K)
-		if err != nil {
-			return nil, err
-		}
-		row := Theorem5Row{L: l, TwoStepResid: lhs, DirectResid: direct, FrobSq: frobSq}
-		if frobSq > direct {
-			row.RecoveredFrac = (frobSq - lhs) / (frobSq - direct)
 		}
 		out.Rows = append(out.Rows, row)
 	}
 	return out, nil
+}
+
+// theorem5Row evaluates both sides of Theorem 5's inequality for one
+// two-step index of a.
+func theorem5Row(a *sparse.CSR, k, l int, opts randproj.TwoStepOptions) (Theorem5Row, error) {
+	ts, err := randproj.NewTwoStep(a, k, l, opts)
+	if err != nil {
+		return Theorem5Row{}, err
+	}
+	lhs, direct, frobSq, err := ts.Theorem5Residual(a, k)
+	if err != nil {
+		return Theorem5Row{}, err
+	}
+	row := Theorem5Row{L: l, TwoStepResid: lhs, DirectResid: direct, FrobSq: frobSq}
+	if frobSq > direct {
+		row.RecoveredFrac = (frobSq - lhs) / (frobSq - direct)
+	}
+	return row, nil
 }
 
 // Table renders the sweep.
@@ -233,16 +238,10 @@ func RunRuntime(cfg RuntimeConfig) (*RuntimeResult, error) {
 	}
 	out := &RuntimeResult{Config: cfg}
 	for i, cc := range cfg.Corpora {
-		model, err := corpus.PureSeparableModel(cc)
+		_, a, err := samplePure(cc, cfg.NumDocs[i], rand.New(rand.NewSource(cfg.Seed)))
 		if err != nil {
 			return nil, err
 		}
-		rng := rand.New(rand.NewSource(cfg.Seed))
-		c, err := corpus.Generate(model, cfg.NumDocs[i], rng)
-		if err != nil {
-			return nil, err
-		}
-		a := corpus.TermDocMatrix(c, corpus.CountWeighting)
 
 		start := time.Now()
 		if _, err := svd.Decompose(a.ToDense()); err != nil {

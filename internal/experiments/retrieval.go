@@ -80,11 +80,10 @@ func RunRetrieval(cfg RetrievalConfig) (*RetrievalResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	c, err := corpus.Generate(model, cfg.NumDocs, rng)
+	c, a, err := sample(model, cfg.NumDocs, rng)
 	if err != nil {
 		return nil, err
 	}
-	a := corpus.TermDocMatrix(c, corpus.CountWeighting)
 	labels := c.Labels()
 	lsiIx, err := lsi.Build(a, cfg.K, lsi.Options{Seed: cfg.Seed})
 	if err != nil {
@@ -96,12 +95,7 @@ func RunRetrieval(cfg RetrievalConfig) (*RetrievalResult, error) {
 	var lsiRuns, vsmRuns []ir.RankedRun
 	n := model.NumTerms
 	for topicID, p := range pairs {
-		relevant := map[int]bool{}
-		for doc, l := range labels {
-			if l == topicID {
-				relevant[doc] = true
-			}
-		}
+		relevant := topicDocs(labels, topicID)
 		if len(relevant) == 0 {
 			continue
 		}
@@ -110,7 +104,7 @@ func RunRetrieval(cfg RetrievalConfig) (*RetrievalResult, error) {
 			q := make([]float64, n)
 			q[term] = 1
 			lsiDocs := matchDocs(lsiIx.Search(q, 0))
-			vsmDocs := vsmMatchDocs(vsmIx.Search(q, 0))
+			vsmDocs := matchDocs(vsmIx.Search(q, 0))
 			lsiRuns = append(lsiRuns, ir.RankedRun{Retrieved: lsiDocs, Relevant: relevant})
 			vsmRuns = append(vsmRuns, ir.RankedRun{Retrieved: vsmDocs, Relevant: relevant})
 			out.LSIPrecisionAtN += ir.PrecisionAtK(lsiDocs, relevant, cfg.TopN)
@@ -131,6 +125,7 @@ func RunRetrieval(cfg RetrievalConfig) (*RetrievalResult, error) {
 	return out, nil
 }
 
+// matchDocs lists the documents of a ranked answer, in rank order.
 func matchDocs(ms []lsi.Match) []int {
 	out := make([]int, len(ms))
 	for i, m := range ms {
@@ -139,12 +134,15 @@ func matchDocs(ms []lsi.Match) []int {
 	return out
 }
 
-func vsmMatchDocs(ms []vsm.Match) []int {
-	out := make([]int, len(ms))
-	for i, m := range ms {
-		out[i] = m.Doc
+// topicDocs is the set of documents whose label is topic.
+func topicDocs(labels []int, topic int) map[int]bool {
+	docs := map[int]bool{}
+	for doc, l := range labels {
+		if l == topic {
+			docs[doc] = true
+		}
 	}
-	return out
+	return docs
 }
 
 // Table renders the comparison.

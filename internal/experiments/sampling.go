@@ -9,7 +9,6 @@ import (
 	"repro/internal/lsi"
 	"repro/internal/mat"
 	"repro/internal/randproj"
-	"repro/internal/sparse"
 )
 
 // SamplingConfig parameterizes the Section 5 discussion experiment: "LSI is
@@ -88,16 +87,11 @@ type SamplingResult struct {
 
 // RunSampling builds all methods over one corpus and scores them.
 func RunSampling(cfg SamplingConfig) (*SamplingResult, error) {
-	model, err := corpus.PureSeparableModel(cfg.Corpus)
-	if err != nil {
-		return nil, err
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	c, err := corpus.Generate(model, cfg.NumDocs, rng)
+	c, a, err := samplePure(cfg.Corpus, cfg.NumDocs, rng)
 	if err != nil {
 		return nil, err
 	}
-	a := corpus.TermDocMatrix(c, corpus.CountWeighting)
 	labels := c.Labels()
 	out := &SamplingResult{Config: cfg}
 
@@ -132,10 +126,11 @@ func RunSampling(cfg SamplingConfig) (*SamplingResult, error) {
 		if keep < cfg.K {
 			keep = cfg.K
 		}
-		perm := rng.Perm(cfg.NumDocs)
-		kept := append([]int(nil), perm[:keep]...)
-		sub := columnSubset(a, kept)
-		subIx, err := lsi.Build(sub, cfg.K, lsi.Options{Seed: cfg.Seed})
+		sub := &corpus.Corpus{NumTerms: c.NumTerms}
+		for _, j := range rng.Perm(cfg.NumDocs)[:keep] {
+			sub.Docs = append(sub.Docs, c.Docs[j])
+		}
+		subIx, err := lsi.Build(corpus.TermDocMatrix(sub, corpus.CountWeighting), cfg.K, lsi.Options{Seed: cfg.Seed})
 		if err != nil {
 			return nil, err
 		}
@@ -166,22 +161,6 @@ func RunSampling(cfg SamplingConfig) (*SamplingResult, error) {
 	out.Rows = append(out.Rows, score(
 		fmt.Sprintf("projection-l%d", cfg.L), topK, energy*energy/refEnergy))
 	return out, nil
-}
-
-// columnSubset extracts the given columns of a sparse matrix as a new
-// sparse matrix (order preserved as given).
-func columnSubset(a *sparse.CSR, cols []int) *sparse.CSR {
-	n, _ := a.Dims()
-	coo := sparse.NewCOO(n, len(cols))
-	for newJ, j := range cols {
-		col := a.Col(j)
-		for i, v := range col {
-			if v != 0 {
-				coo.Add(i, newJ, v)
-			}
-		}
-	}
-	return coo.ToCSR()
 }
 
 // Table renders the comparison.

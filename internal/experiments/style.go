@@ -80,11 +80,10 @@ func RunStyle(cfg StyleConfig) (*StyleResult, error) {
 		sampler := corpus.NewPureSampler(cfg.Corpus.NumTopics, cfg.Corpus.MinLen, cfg.Corpus.MaxLen)
 		sampler.StyleID = 0
 		model.Sampler = sampler
-		c, err := corpus.Generate(model, cfg.NumDocs, rng)
+		c, a, err := sample(model, cfg.NumDocs, rng)
 		if err != nil {
 			return nil, err
 		}
-		a := corpus.TermDocMatrix(c, corpus.CountWeighting)
 		labels := c.Labels()
 		ix, err := lsi.Build(a, cfg.Corpus.NumTopics, lsi.Options{Seed: cfg.Seed})
 		if err != nil {

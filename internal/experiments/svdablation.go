@@ -112,20 +112,20 @@ func (r *RandomizedParamAblationResult) Table() string {
 	return b.String()
 }
 
+// The SVD ablations' corpus: ablationDocs documents of a 5-topic model.
+var ablationCorpus = corpus.SeparableConfig{
+	NumTopics: 5, TermsPerTopic: 30, Epsilon: 0.05, MinLen: 40, MaxLen: 80,
+}
+
+const ablationDocs = 120
+
 // ablationMatrix builds the shared corpus matrix and its dense reference
 // decomposition.
 func ablationMatrix(seed int64) (*sparse.CSR, *svd.Result, error) {
-	model, err := corpus.PureSeparableModel(corpus.SeparableConfig{
-		NumTopics: 5, TermsPerTopic: 30, Epsilon: 0.05, MinLen: 40, MaxLen: 80,
-	})
+	_, a, err := samplePure(ablationCorpus, ablationDocs, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		return nil, nil, err
 	}
-	c, err := corpus.Generate(model, 120, rand.New(rand.NewSource(seed)))
-	if err != nil {
-		return nil, nil, err
-	}
-	a := corpus.TermDocMatrix(c, corpus.CountWeighting)
 	ref, err := svd.Decompose(a.ToDense())
 	if err != nil {
 		return nil, nil, err
@@ -133,7 +133,8 @@ func ablationMatrix(seed int64) (*sparse.CSR, *svd.Result, error) {
 	return a, ref, nil
 }
 
-// maxRelErr returns the worst relative singular-value error over the top k.
+// maxRelErr returns the worst relative singular-value error over the top
+// k, +Inf when got has fewer than k values.
 func maxRelErr(got, ref []float64, k int) float64 {
 	var worst float64
 	for i := 0; i < k; i++ {

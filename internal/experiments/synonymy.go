@@ -93,11 +93,10 @@ func RunSynonymy(cfg SynonymyConfig) (*SynonymyResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	c, err := corpus.Generate(model, cfg.NumDocs, rng)
+	_, a, err := sample(model, cfg.NumDocs, rng)
 	if err != nil {
 		return nil, err
 	}
-	a := corpus.TermDocMatrix(c, corpus.CountWeighting)
 	ad := a.ToDense()
 	full, err := svd.Decompose(ad)
 	if err != nil {
@@ -131,7 +130,7 @@ func RunSynonymy(cfg SynonymyConfig) (*SynonymyResult, error) {
 		sigmaK := ix.SingularValues()[ix.K()-1]
 		var sigmaRatio float64
 		if sigmaK > 0 {
-			sigmaRatio = mat.Norm(mulTVecCSR(a, diff)) / sigmaK
+			sigmaRatio = mat.Norm(a.MulTVec(diff)) / sigmaK
 		}
 		// Component of diff outside the LSI space.
 		inLSI := mat.MulTVec(uk, diff)
@@ -148,13 +147,6 @@ func RunSynonymy(cfg SynonymyConfig) (*SynonymyResult, error) {
 		out.Pairs = append(out.Pairs, pr)
 	}
 	return out, nil
-}
-
-// mulTVecCSR applies Aᵀ to a dense vector via the sparse operator.
-func mulTVecCSR(a interface {
-	MulTVec(x []float64) []float64
-}, x []float64) []float64 {
-	return a.MulTVec(x)
 }
 
 // Table renders the per-pair report.

@@ -53,42 +53,26 @@ func SmallTable1Config() Table1Config {
 }
 
 // Table1Result holds both angle populations in both spaces, plus the skew
-// summary.
+// summary and the populations' histograms.
 type Table1Result struct {
 	Config                  Table1Config
 	OriginalIntra, LSIIntra stats.Summary
 	OriginalInter, LSIInter stats.Summary
 	OriginalSkew, LSISkew   float64
 	SingularValues          []float64
-}
-
-// corpusModelFor builds the separable model of a Table 1 configuration.
-func corpusModelFor(cfg Table1Config) (*corpus.Model, error) {
-	return corpus.PureSeparableModel(cfg.Corpus)
-}
-
-// generateFor samples the configured corpus.
-func generateFor(cfg Table1Config, model *corpus.Model) (*corpus.Corpus, error) {
-	return corpus.Generate(model, cfg.NumDocs, rand.New(rand.NewSource(cfg.Seed)))
-}
-
-// termDocFor builds the weighted term-document matrix.
-func termDocFor(cfg Table1Config, c *corpus.Corpus) *sparse.CSR {
-	return corpus.TermDocMatrix(c, corpus.CountWeighting)
+	// Histograms counts each population in figureBins bins over
+	// [0, π/2+0.1], in Figure's order: intratopic original and LSI,
+	// then intertopic original and LSI.
+	Histograms [4][]int
 }
 
 // RunTable1 generates the corpus, builds the index, and measures the
 // intratopic / intertopic angle statistics in both spaces.
 func RunTable1(cfg Table1Config) (*Table1Result, error) {
-	model, err := corpusModelFor(cfg)
+	c, a, err := samplePure(cfg.Corpus, cfg.NumDocs, rand.New(rand.NewSource(cfg.Seed)))
 	if err != nil {
 		return nil, err
 	}
-	c, err := generateFor(cfg, model)
-	if err != nil {
-		return nil, err
-	}
-	a := termDocFor(cfg, c)
 	labels := c.Labels()
 	ix, err := lsi.Build(a, cfg.K, lsi.Options{Seed: cfg.Seed})
 	if err != nil {
@@ -101,7 +85,30 @@ func RunTable1(cfg Table1Config) (*Table1Result, error) {
 	res.LSIIntra, res.LSIInter = lsiSet.Summaries()
 	res.OriginalSkew = lsi.OriginalSkew(a, labels)
 	res.LSISkew = ix.Skew(labels)
+	for i, angles := range [][]float64{origSet.Intra, lsiSet.Intra, origSet.Inter, lsiSet.Inter} {
+		res.Histograms[i] = stats.Histogram(angles, 0, figureTop, figureBins)
+	}
 	return res, nil
+}
+
+// samplePure draws n documents with rng from the pure separable model of
+// cfg and counts them into the term-document matrix.
+func samplePure(cfg corpus.SeparableConfig, n int, rng *rand.Rand) (*corpus.Corpus, *sparse.CSR, error) {
+	model, err := corpus.PureSeparableModel(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return sample(model, n, rng)
+}
+
+// sample draws n documents with rng from model and counts them into the
+// term-document matrix.
+func sample(model *corpus.Model, n int, rng *rand.Rand) (*corpus.Corpus, *sparse.CSR, error) {
+	c, err := corpus.Generate(model, n, rng)
+	if err != nil {
+		return nil, nil, err
+	}
+	return c, corpus.TermDocMatrix(c, corpus.CountWeighting), nil
 }
 
 // Table renders the result in the layout of the paper's Section 4 table

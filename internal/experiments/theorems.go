@@ -66,12 +66,10 @@ func RunTheorem2(cfg Theorem2Config) (*Theorem2Result, error) {
 	}
 	out := &Theorem2Result{Config: cfg}
 	for _, m := range cfg.DocCounts {
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(m)))
-		c, err := corpus.Generate(model, m, rng)
+		c, a, err := sample(model, m, rand.New(rand.NewSource(cfg.Seed+int64(m))))
 		if err != nil {
 			return nil, err
 		}
-		a := corpus.TermDocMatrix(c, corpus.CountWeighting)
 		labels := c.Labels()
 		ix, err := lsi.Build(a, cfg.NumTopics, lsi.Options{Seed: cfg.Seed})
 		if err != nil {
@@ -143,19 +141,13 @@ type Theorem3Result struct {
 func RunTheorem3(cfg Theorem3Config) (*Theorem3Result, error) {
 	out := &Theorem3Result{Config: cfg}
 	for _, eps := range cfg.Epsilons {
-		model, err := corpus.PureSeparableModel(corpus.SeparableConfig{
+		c, a, err := samplePure(corpus.SeparableConfig{
 			NumTopics: cfg.NumTopics, TermsPerTopic: cfg.TermsPerTopic,
 			Epsilon: eps, MinLen: cfg.MinLen, MaxLen: cfg.MaxLen,
-		})
+		}, cfg.NumDocs, rand.New(rand.NewSource(cfg.Seed)))
 		if err != nil {
 			return nil, err
 		}
-		rng := rand.New(rand.NewSource(cfg.Seed))
-		c, err := corpus.Generate(model, cfg.NumDocs, rng)
-		if err != nil {
-			return nil, err
-		}
-		a := corpus.TermDocMatrix(c, corpus.CountWeighting)
 		ix, err := lsi.Build(a, cfg.NumTopics, lsi.Options{Seed: cfg.Seed})
 		if err != nil {
 			return nil, err

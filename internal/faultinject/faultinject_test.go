@@ -1,7 +1,6 @@
 package faultinject
 
 import (
-	"context"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -10,64 +9,7 @@ import (
 	"strings"
 	"syscall"
 	"testing"
-	"time"
 )
-
-func TestFakeClockAdvanceFiresTimersInOrder(t *testing.T) {
-	c := NewFakeClock(time.Unix(0, 0))
-	a := c.After(10 * time.Millisecond)
-	b := c.After(5 * time.Millisecond)
-	select {
-	case <-a:
-		t.Fatal("timer fired before Advance")
-	case <-b:
-		t.Fatal("timer fired before Advance")
-	default:
-	}
-	c.Advance(7 * time.Millisecond)
-	select {
-	case <-b:
-	default:
-		t.Fatal("due timer did not fire")
-	}
-	select {
-	case <-a:
-		t.Fatal("undue timer fired")
-	default:
-	}
-	c.Advance(3 * time.Millisecond)
-	if got := (<-a); !got.Equal(time.Unix(0, int64(10*time.Millisecond))) {
-		t.Fatalf("fired at %v", got)
-	}
-	if c.Waiters() != 0 {
-		t.Fatalf("waiters = %d after all fired", c.Waiters())
-	}
-}
-
-func TestFakeClockBlockUntilMeetsGoroutine(t *testing.T) {
-	c := NewFakeClock(time.Unix(0, 0))
-	done := make(chan struct{})
-	go func() {
-		<-c.After(time.Second)
-		close(done)
-	}()
-	c.BlockUntil(1) // the goroutine has parked; Advance cannot race it
-	c.Advance(time.Second)
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("goroutine never released")
-	}
-}
-
-func TestFakeClockNonPositiveAfterFiresImmediately(t *testing.T) {
-	c := NewFakeClock(time.Unix(0, 0))
-	select {
-	case <-c.After(0):
-	default:
-		t.Fatal("After(0) did not fire immediately")
-	}
-}
 
 func TestFaultyFSTransparentByDefault(t *testing.T) {
 	fs := NewFaultyFS(OS{}, 1)
@@ -185,111 +127,6 @@ func TestClassOf(t *testing.T) {
 		if got := ClassOf(path); got != want {
 			t.Errorf("ClassOf(%q) = %q, want %q", path, got, want)
 		}
-	}
-}
-
-func TestTransportRules(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-	}))
-	defer srv.Close()
-	host := strings.TrimPrefix(srv.URL, "http://")
-
-	tr := &Transport{Inner: http.DefaultTransport}
-	connRefused := errors.New("connection refused")
-	tr.SetRules(
-		&Rule{Host: host, Class: ClassSearch, Err: connRefused, Remaining: 2},
-	)
-	client := &http.Client{Transport: tr}
-
-	// The first two search requests fail; the rule then expires.
-	for i := 0; i < 2; i++ {
-		_, err := client.Get(srv.URL + "/v1/search")
-		if err == nil || !strings.Contains(err.Error(), "connection refused") {
-			t.Fatalf("request %d: want injected error, got %v", i, err)
-		}
-	}
-	if resp, err := client.Get(srv.URL + "/v1/search"); err != nil || resp.StatusCode != 200 {
-		t.Fatalf("rule did not expire: %v", err)
-	} else {
-		resp.Body.Close()
-	}
-
-	// Class selectors don't leak: a docs rule leaves searches alone.
-	tr.SetRules(&Rule{Class: ClassDocs, Err: connRefused})
-	if resp, err := client.Get(srv.URL + "/v1/search"); err != nil {
-		t.Fatalf("search caught a docs-only fault: %v", err)
-	} else {
-		resp.Body.Close()
-	}
-	tr.Clear()
-	if resp, err := client.Get(srv.URL + "/v1/docs"); err != nil {
-		t.Fatalf("Clear left a rule armed: %v", err)
-	} else {
-		resp.Body.Close()
-	}
-}
-
-func TestTransportDropBlocksUntilContextDone(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
-	defer srv.Close()
-	tr := &Transport{}
-	tr.SetRules(&Rule{Drop: true})
-	client := &http.Client{Transport: tr}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL+"/v1/search", nil)
-	done := make(chan error, 1)
-	go func() {
-		_, err := client.Do(req)
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		t.Fatalf("blackholed request returned early: %v", err)
-	case <-time.After(20 * time.Millisecond):
-	}
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("want context.Canceled, got %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("blackholed request never released after cancel")
-	}
-}
-
-func TestTransportLatencyOnFakeClock(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
-	defer srv.Close()
-	clk := NewFakeClock(time.Unix(0, 0))
-	tr := &Transport{Clock: clk}
-	tr.SetRules(&Rule{Latency: time.Minute})
-	client := &http.Client{Transport: tr}
-
-	done := make(chan error, 1)
-	go func() {
-		resp, err := client.Get(srv.URL + "/v1/search")
-		if resp != nil {
-			resp.Body.Close()
-		}
-		done <- err
-	}()
-	clk.BlockUntil(1)
-	select {
-	case <-done:
-		t.Fatal("request completed before the clock advanced")
-	default:
-	}
-	clk.Advance(time.Minute)
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("delayed request failed: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("request never completed after Advance")
 	}
 }
 

@@ -1,18 +1,46 @@
 package faultinject
 
 // Injector is the whole-process chaos seam: an HTTP middleware that
-// lsiserve arms behind the -chaos flag. Unlike Transport (which a test
-// holds in-process), the Injector is driven remotely over an admin
-// endpoint, so lsiload -faults can flap real nodes on a schedule
-// while a real router routes around them.
+// lsiserve arms behind the -chaos flag. Unlike the fault transport of
+// retrieval/cluster's tests (held in-process), the Injector is driven
+// remotely over an admin endpoint, so lsiload -faults can flap real
+// nodes on a schedule while a real router routes around them.
 
 import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strings"
 	"sync"
 	"time"
 )
+
+// Request classes group routes the way the serving tier shards its
+// gates: a fault can target searches without touching replication, or
+// probes without touching ingest.
+const (
+	ClassSearch    = "search"    // /v1/search, /v1/search/batch
+	ClassDocs      = "docs"      // /v1/docs
+	ClassReplicate = "replicate" // /v1/replicate/*
+	ClassProbe     = "probe"     // /readyz, /healthz, /v1/status
+	ClassOther     = "other"     // everything else
+)
+
+// ClassOf maps a URL path to its request class.
+func ClassOf(path string) string {
+	switch {
+	case strings.HasPrefix(path, "/v1/search"):
+		return ClassSearch
+	case strings.HasPrefix(path, "/v1/docs"):
+		return ClassDocs
+	case strings.HasPrefix(path, "/v1/replicate/"):
+		return ClassReplicate
+	case path == "/readyz" || path == "/healthz" || path == "/v1/status":
+		return ClassProbe
+	default:
+		return ClassOther
+	}
+}
 
 // Fault scripts one server-side failure mode, JSON-encodable so
 // schedules travel over the admin endpoint.

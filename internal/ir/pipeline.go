@@ -37,10 +37,11 @@ func NewVocabularyFromTerms(terms []string) (*Vocabulary, error) {
 	return v, nil
 }
 
-// Terms returns the terms in ID order (a copy; the vocabulary is not
-// affected by mutations of the result).
+// Terms returns the terms in ID order: the vocabulary's own slice, so an
+// index's text layer and its vocabulary hold the terms once. It is
+// read-only; a term the vocabulary adds later is not in it.
 func (v *Vocabulary) Terms() []string {
-	return append([]string(nil), v.terms...)
+	return v.terms[:len(v.terms):len(v.terms)]
 }
 
 // IDOf returns the ID of a term, adding it if unseen.

@@ -31,22 +31,12 @@ import (
 // new entry fails the test, and so does an entry that has since found a
 // caller or left the tree.
 var unreachedExported = []string{
-	// Kept: the test doubles of the program's seams, each with its own
-	// tests in internal/faultinject. The program code under test calls
-	// their seam methods: FakeClock (Now, After) stands in for the
-	// faultinject.Clock of the router and the replica in the chaos and
-	// replica tests of retrieval/cluster; FaultyFS (OpenFile, SyncDir, and
-	// Write and Sync of the FaultyFile it opens) for the faultinject.FS of
-	// the WAL and the checkpoint writer in the tests of retrieval and
-	// retrieval/wal; Transport (RoundTrip), with its Rules, for the HTTP
-	// transport of the router and the replica in the chaos tests of
-	// retrieval/cluster. The rest is how a test drives them.
-	"internal/faultinject.FakeClock",
-	"internal/faultinject.FakeClock.Advance",
-	"internal/faultinject.FakeClock.After",
-	"internal/faultinject.FakeClock.BlockUntil",
-	"internal/faultinject.FakeClock.Now",
-	"internal/faultinject.FakeClock.Waiters",
+	// Kept: the test double of the file-system seam, with its own tests
+	// in internal/faultinject. The program code under test calls its seam
+	// methods: FaultyFS (OpenFile, SyncDir, and Write and Sync of the
+	// FaultyFile it opens) stands in for the faultinject.FS of the WAL and
+	// the checkpoint writer in the tests of retrieval and retrieval/wal.
+	// The rest is how a test drives it.
 	"internal/faultinject.FaultyFS",
 	"internal/faultinject.FaultyFS.Clear",
 	"internal/faultinject.FaultyFS.DiskFullAfter",
@@ -60,21 +50,7 @@ var unreachedExported = []string{
 	"internal/faultinject.FaultyFile.File",
 	"internal/faultinject.FaultyFile.Sync",
 	"internal/faultinject.FaultyFile.Write",
-	"internal/faultinject.NewFakeClock",
 	"internal/faultinject.NewFaultyFS",
-	"internal/faultinject.Rule",
-	"internal/faultinject.Rule.Class",
-	"internal/faultinject.Rule.Drop",
-	"internal/faultinject.Rule.Err",
-	"internal/faultinject.Rule.Host",
-	"internal/faultinject.Rule.Latency",
-	"internal/faultinject.Rule.Remaining",
-	"internal/faultinject.Transport",
-	"internal/faultinject.Transport.Clear",
-	"internal/faultinject.Transport.Clock",
-	"internal/faultinject.Transport.Inner",
-	"internal/faultinject.Transport.RoundTrip",
-	"internal/faultinject.Transport.SetRules",
 	// Kept: a shared test utility. The tests of retrieval and
 	// retrieval/wal tell an injected fault from a real one by it.
 	"internal/faultinject.ErrInjected",

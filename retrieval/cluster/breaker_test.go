@@ -21,7 +21,7 @@ func testBreaker(clk faultinject.Clock) *Breaker {
 // TestBreakerConsecutiveTrip: closed → open on a failure run, fail-fast
 // while open, half-open probe after the cooldown, re-close on success.
 func TestBreakerConsecutiveTrip(t *testing.T) {
-	clk := faultinject.NewFakeClock(time.Unix(0, 0))
+	clk := NewFakeClock(time.Unix(0, 0))
 	b := testBreaker(clk)
 	for i := 0; i < tripConsecutive; i++ {
 		if !b.Allow() {
@@ -59,7 +59,7 @@ func TestBreakerConsecutiveTrip(t *testing.T) {
 // TestBreakerRateTrip: non-consecutive failures trip via the windowed
 // rate once tripMinSamples is met.
 func TestBreakerRateTrip(t *testing.T) {
-	clk := faultinject.NewFakeClock(time.Unix(0, 0))
+	clk := NewFakeClock(time.Unix(0, 0))
 	b := testBreaker(clk)
 	// Alternate success/failure: never 2 in a row, but 50% failing.
 	for i := 0; i < tripWindow; i++ {
@@ -80,7 +80,7 @@ func TestBreakerRateTrip(t *testing.T) {
 // TestBreakerHalfOpenFailureReopens: a failed probe starts a fresh
 // cooldown; the breaker keeps cycling until a probe succeeds.
 func TestBreakerHalfOpenFailureReopens(t *testing.T) {
-	clk := faultinject.NewFakeClock(time.Unix(0, 0))
+	clk := NewFakeClock(time.Unix(0, 0))
 	b := testBreaker(clk)
 	for i := 0; i < tripConsecutive; i++ {
 		b.Allow()
@@ -110,7 +110,7 @@ func TestBreakerHalfOpenFailureReopens(t *testing.T) {
 // TestBreakerDeniedRequestsNotRecorded: fail-fast denials must not feed
 // the window, or an open breaker could never observe recovery.
 func TestBreakerDeniedRequestsNotRecorded(t *testing.T) {
-	clk := faultinject.NewFakeClock(time.Unix(0, 0))
+	clk := NewFakeClock(time.Unix(0, 0))
 	b := testBreaker(clk)
 	for i := 0; i < tripConsecutive; i++ {
 		b.Allow()
@@ -191,7 +191,7 @@ func TestBackoffJitterBounds(t *testing.T) {
 // the breaker wedges — denying everything forever with no probe left
 // to settle.
 func TestBreakerCancelReleasesProbe(t *testing.T) {
-	clk := faultinject.NewFakeClock(time.Unix(0, 0))
+	clk := NewFakeClock(time.Unix(0, 0))
 	b := testBreaker(clk)
 	for i := 0; i < tripConsecutive; i++ {
 		b.Allow()
@@ -226,7 +226,7 @@ func TestBreakerCancelReleasesProbe(t *testing.T) {
 // claims nothing — repeated Ready calls on an expired-cooldown or
 // half-open breaker neither transition it nor consume the probe.
 func TestBreakerReadyHasNoSideEffects(t *testing.T) {
-	clk := faultinject.NewFakeClock(time.Unix(0, 0))
+	clk := NewFakeClock(time.Unix(0, 0))
 	b := testBreaker(clk)
 	if !b.Ready() {
 		t.Fatal("closed breaker not ready")

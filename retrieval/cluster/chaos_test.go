@@ -1,7 +1,7 @@
 package cluster_test
 
 // Chaos suite: the router driven against live nodes through a
-// faultinject.Transport with seeded, scripted fault schedules — node
+// Transport (fakes_test.go) with seeded, scripted fault schedules — node
 // flaps, partitions, slow nodes, write-path faults — on an injected
 // clock. Every scenario asserts the resilience invariants from the
 // operator's point of view:
@@ -12,7 +12,7 @@ package cluster_test
 //   - breakers trip on sustained failure and recover after cooldown.
 //
 // No assertion is calibrated by a wall-clock sleep: timing-sensitive
-// transitions run on a faultinject.FakeClock advanced explicitly, and
+// transitions run on a FakeClock advanced explicitly, and
 // the only wall-clock waits are request timeouts bounding blackholed
 // calls.
 
@@ -36,7 +36,7 @@ import (
 	"repro/retrieval/httpapi"
 )
 
-// hostOf extracts the "host:port" a faultinject.Rule selects on.
+// hostOf extracts the "host:port" a cluster.Rule selects on.
 func hostOf(t *testing.T, rawURL string) string {
 	t.Helper()
 	u, err := url.Parse(rawURL)
@@ -56,7 +56,7 @@ type mirrorPair struct {
 	priHost, repHost string
 }
 
-func startMirrorPair(t *testing.T, ft *faultinject.Transport, opts cluster.RouterOptions) *mirrorPair {
+func startMirrorPair(t *testing.T, ft *cluster.Transport, opts cluster.RouterOptions) *mirrorPair {
 	t.Helper()
 	central, err := retrieval.Build(corpus(18),
 		retrieval.WithRank(3), retrieval.WithShards(1),
@@ -97,7 +97,7 @@ func startMirrorPair(t *testing.T, ft *faultinject.Transport, opts cluster.Route
 	}
 }
 
-func httpClient(ft *faultinject.Transport) *http.Client {
+func httpClient(ft *cluster.Transport) *http.Client {
 	return &http.Client{Transport: ft}
 }
 
@@ -106,8 +106,8 @@ func httpClient(ft *faultinject.Transport) *http.Client {
 // replica covers, the primary's breaker trips to fail-fast, and after
 // the flap ends one cooldown probe re-closes it.
 func TestChaosFlappingNodeBreakerTripsAndRecovers(t *testing.T) {
-	clk := faultinject.NewFakeClock(time.Unix(0, 0))
-	ft := &faultinject.Transport{Clock: clk}
+	clk := cluster.NewFakeClock(time.Unix(0, 0))
+	ft := &cluster.Transport{Clock: clk}
 	mp := startMirrorPair(t, ft, cluster.RouterOptions{
 		Clock:            clk,
 		BreakerOpenFor:   time.Second,
@@ -130,7 +130,7 @@ func TestChaosFlappingNodeBreakerTripsAndRecovers(t *testing.T) {
 	assertServes("healthy")
 
 	// The primary begins failing every request at the connection level.
-	ft.SetRules(&faultinject.Rule{Host: mp.priHost, Err: errors.New("chaos: flap")})
+	ft.SetRules(&cluster.Rule{Host: mp.priHost, Err: errors.New("chaos: flap")})
 	for i := 0; i < 2*cluster.TripConsecutive; i++ {
 		assertServes(fmt.Sprintf("during flap, query %d", i))
 	}
@@ -165,8 +165,8 @@ func TestChaosFlappingNodeBreakerTripsAndRecovers(t *testing.T) {
 // every future request with no probe left to re-close it, a permanent
 // outage of a healthy node.
 func TestChaosCanceledProbeReleasesBreaker(t *testing.T) {
-	clk := faultinject.NewFakeClock(time.Unix(0, 0))
-	ft := &faultinject.Transport{Clock: clk}
+	clk := cluster.NewFakeClock(time.Unix(0, 0))
+	ft := &cluster.Transport{Clock: clk}
 	mp := startMirrorPair(t, ft, cluster.RouterOptions{
 		Clock:            clk,
 		BreakerOpenFor:   time.Second,
@@ -180,7 +180,7 @@ func TestChaosCanceledProbeReleasesBreaker(t *testing.T) {
 
 	// Trip the primary's breaker, then heal the node and let the
 	// cooldown elapse: the next request is the half-open probe.
-	ft.SetRules(&faultinject.Rule{Host: mp.priHost, Err: errors.New("chaos: flap")})
+	ft.SetRules(&cluster.Rule{Host: mp.priHost, Err: errors.New("chaos: flap")})
 	for i := 0; i < cluster.TripConsecutive; i++ {
 		if _, _, err := search(ctx, mp.router, "car engine", 8); err != nil {
 			t.Fatalf("query %d during flap: %v", i, err)
@@ -192,7 +192,7 @@ func TestChaosCanceledProbeReleasesBreaker(t *testing.T) {
 	// Healed, but slow: the half-open probe will hang in injected
 	// latency while the hedge races past it — the winner's return
 	// cancels the probe while it holds the slot.
-	ft.SetRules(&faultinject.Rule{Host: mp.priHost, Class: faultinject.ClassSearch, Latency: time.Hour})
+	ft.SetRules(&cluster.Rule{Host: mp.priHost, Class: faultinject.ClassSearch, Latency: time.Hour})
 	clk.Advance(time.Second)
 
 	done := make(chan error, 1)
@@ -239,7 +239,7 @@ func TestChaosCanceledProbeReleasesBreaker(t *testing.T) {
 // heals completely when the partition does.
 func TestChaosPartitionMarksPartial(t *testing.T) {
 	tc := startCluster(t, 20, 2)
-	ft := &faultinject.Transport{}
+	ft := &cluster.Transport{}
 	router, err := cluster.NewRouter(tc.man, cluster.RouterOptions{
 		Client:           httpClient(ft),
 		NodeTimeout:      150 * time.Millisecond,
@@ -250,7 +250,7 @@ func TestChaosPartitionMarksPartial(t *testing.T) {
 	}
 	ctx := context.Background()
 
-	ft.SetRules(&faultinject.Rule{Host: hostOf(t, tc.servers[1].URL), Drop: true})
+	ft.SetRules(&cluster.Rule{Host: hostOf(t, tc.servers[1].URL), Drop: true})
 	start := time.Now()
 	res, partial, err := search(ctx, router, "car engine", 10)
 	if err != nil {
@@ -294,8 +294,8 @@ func TestChaosPartitionMarksPartial(t *testing.T) {
 // pre-write breaker denial must not freeze ingest.
 func TestChaosWritePathNoAckedWriteLost(t *testing.T) {
 	tc := startCluster(t, 10, 1)
-	clk := faultinject.NewFakeClock(time.Unix(0, 0))
-	ft := &faultinject.Transport{} // faults are connection-level; no latency, real inner
+	clk := cluster.NewFakeClock(time.Unix(0, 0))
+	ft := &cluster.Transport{} // faults are connection-level; no latency, real inner
 	router, err := cluster.NewRouter(tc.man, cluster.RouterOptions{
 		Client:           httpClient(ft),
 		Clock:            clk,
@@ -331,7 +331,7 @@ func TestChaosWritePathNoAckedWriteLost(t *testing.T) {
 	// failures and stays closed).
 	for i := 0; i < 12; i++ {
 		if i%3 == 0 {
-			ft.SetRules(&faultinject.Rule{Class: faultinject.ClassDocs, Err: errors.New("chaos: write fault"), Remaining: 1})
+			ft.SetRules(&cluster.Rule{Class: faultinject.ClassDocs, Err: errors.New("chaos: write fault"), Remaining: 1})
 		}
 		addOne(i)
 	}
@@ -341,7 +341,7 @@ func TestChaosWritePathNoAckedWriteLost(t *testing.T) {
 
 	// Sustained write faults trip the primary's breaker; the next write
 	// is denied BEFORE any byte lands, so ingest must stay live.
-	ft.SetRules(&faultinject.Rule{Class: faultinject.ClassDocs, Err: errors.New("chaos: sustained"), Remaining: cluster.TripConsecutive})
+	ft.SetRules(&cluster.Rule{Class: faultinject.ClassDocs, Err: errors.New("chaos: sustained"), Remaining: cluster.TripConsecutive})
 	for i := 12; i < 12+cluster.TripConsecutive; i++ {
 		addOne(i)
 	}
@@ -379,8 +379,8 @@ func TestChaosWritePathNoAckedWriteLost(t *testing.T) {
 // driven entirely by explicit clock advances — and the canceled
 // straggler is not punished as a node failure.
 func TestChaosSlowNodeHedgesDeterministically(t *testing.T) {
-	clk := faultinject.NewFakeClock(time.Unix(0, 0))
-	ft := &faultinject.Transport{Clock: clk}
+	clk := cluster.NewFakeClock(time.Unix(0, 0))
+	ft := &cluster.Transport{Clock: clk}
 	mp := startMirrorPair(t, ft, cluster.RouterOptions{Clock: clk})
 	ctx := context.Background()
 	want, err := mp.central.Search(ctx, "stars and galaxies", 8)
@@ -388,7 +388,7 @@ func TestChaosSlowNodeHedgesDeterministically(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ft.SetRules(&faultinject.Rule{Host: mp.priHost, Class: faultinject.ClassSearch, Latency: time.Hour})
+	ft.SetRules(&cluster.Rule{Host: mp.priHost, Class: faultinject.ClassSearch, Latency: time.Hour})
 	type answer struct {
 		res     []retrieval.Result
 		partial bool
@@ -423,11 +423,11 @@ func TestChaosSlowNodeHedgesDeterministically(t *testing.T) {
 // probe fails is deprioritized (the replica serves first) but never
 // banned, and rejoins the preference order when probes recover.
 func TestChaosProbeEjectionReordersCandidates(t *testing.T) {
-	ft := &faultinject.Transport{}
+	ft := &cluster.Transport{}
 	mp := startMirrorPair(t, ft, cluster.RouterOptions{})
 	ctx := context.Background()
 
-	ft.SetRules(&faultinject.Rule{Host: mp.priHost, Class: faultinject.ClassProbe, Err: errors.New("chaos: probe blackout")})
+	ft.SetRules(&cluster.Rule{Host: mp.priHost, Class: faultinject.ClassProbe, Err: errors.New("chaos: probe blackout")})
 	mp.router.ProbeOnce(ctx)
 	st := mp.router.RouterStats()
 	if st.NodesEjected != 1 || st.ProbeFailures == 0 {
@@ -514,8 +514,8 @@ func TestRouterReloadRaceWithTraffic(t *testing.T) {
 // in the Prometheus exposition with the values the incident produced —
 // what the failure-modes matrix in OPERATIONS.md points operators at.
 func TestRouterBreakerMetricsExposition(t *testing.T) {
-	clk := faultinject.NewFakeClock(time.Unix(0, 0))
-	ft := &faultinject.Transport{Clock: clk}
+	clk := cluster.NewFakeClock(time.Unix(0, 0))
+	ft := &cluster.Transport{Clock: clk}
 	mp := startMirrorPair(t, ft, cluster.RouterOptions{
 		Clock:            clk,
 		BreakerOpenFor:   time.Second,
@@ -526,8 +526,8 @@ func TestRouterBreakerMetricsExposition(t *testing.T) {
 	// Trip the primary's breaker, fail one probe round, and take one
 	// shed, so every series has something to say.
 	ft.SetRules(
-		&faultinject.Rule{Host: mp.priHost, Class: faultinject.ClassProbe, Err: errors.New("chaos: probe out")},
-		&faultinject.Rule{Host: mp.priHost, Err: errors.New("chaos: down")},
+		&cluster.Rule{Host: mp.priHost, Class: faultinject.ClassProbe, Err: errors.New("chaos: probe out")},
+		&cluster.Rule{Host: mp.priHost, Err: errors.New("chaos: down")},
 	)
 	for i := 0; i < cluster.TripConsecutive+1; i++ {
 		if _, _, err := search(ctx, mp.router, "car engine", 5); err != nil {

@@ -296,6 +296,23 @@ func TestShardedStats(t *testing.T) {
 	}
 }
 
+// TestShardedIndexHoldsVocabularyOnce: a built sharded index's text
+// layer and the shard subsystem's copy of it share one term slice.
+func TestShardedIndexHoldsVocabularyOnce(t *testing.T) {
+	ix, err := Build(largerCorpus(30), WithRank(3), WithShards(2), WithAutoCompact(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	shardVocab, vocab := ix.sharded.Text().Vocab, ix.vocab.Terms()
+	if len(vocab) == 0 || len(shardVocab) != len(vocab) {
+		t.Fatalf("shard text layer holds %d terms, vocabulary %d", len(shardVocab), len(vocab))
+	}
+	if &shardVocab[0] != &vocab[0] {
+		t.Fatal("the shard index holds a copy of the vocabulary's terms")
+	}
+}
+
 func TestUnshardedStatsMemoryAndVocab(t *testing.T) {
 	for _, build := range []builder{buildLSI, buildVSM} {
 		ix, err := build(DemoCorpus(), WithRank(3))

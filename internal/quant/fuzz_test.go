@@ -12,23 +12,28 @@ import (
 
 // FuzzDecodeQuant drives the sidecar reader on attacker-controlled bytes,
 // on both of blob's arms: raw (reaching the magic, version and container
-// rejections; the version-1 sidecar is a seed) and re-framed as a valid
-// container, so the fuzzer reaches the checks beneath the checksums.
-// Nothing may panic and only a version-2 sidecar is accepted; an accepted
-// one holds what Quantize guarantees — finite non-negative sn, codes
-// inside the symmetric range — and re-encodes to the bytes it was read
-// from.
+// rejections; the version-1 and version-2 sidecars are seeds) and
+// re-framed as a valid container, so the fuzzer reaches the checks beneath
+// the checksums. Nothing may panic and only a version-3 sidecar is
+// accepted; an accepted one holds what Quantize guarantees — finite
+// non-negative sn, codes inside the symmetric range — and re-encodes to
+// the bytes it was read from.
 func FuzzDecodeQuant(f *testing.F) {
 	vecs, _ := clusteredVecs(f, 30, 5, 3, 0.3, 31)
 	f.Add(Quantize(vecs).Encode(), uint16(5), uint16(30))
 	f.Add(frame(3, 2, []float64{0.5, 0.25}, []byte{1, 2, 3, 4, 5, 6}), uint16(3), uint16(2))
 	f.Add([]byte("LSIQNT junk"), uint16(1), uint16(1))
 	f.Add([]byte{}, uint16(0), uint16(0))
-	v1, err := os.ReadFile(version1Sidecar)
-	if err != nil {
-		f.Fatal(err)
+	for _, old := range []string{version1Sidecar, version2Sidecar} {
+		data, err := os.ReadFile(old)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if _, err := Read(bytes.NewReader(data)); err == nil {
+			f.Fatalf("%s: an old sidecar reads", old)
+		}
+		f.Add(data, uint16(4), uint16(40))
 	}
-	f.Add(v1, uint16(4), uint16(40))
 
 	f.Fuzz(func(t *testing.T, data []byte, dim16, ndocs16 uint16) {
 		check := func(m *Matrix) {

@@ -13,23 +13,23 @@ import (
 	"repro/internal/blob"
 )
 
-// The sidecar file, written next to its segment's seg-*.idx by the shard
-// layer, is an internal/blob container (magic LSIQNT, version 2) of three
+// The int8 part of a segment, a section of the shard layer's checkpoint
+// file, is an internal/blob container (magic LSIQNT, version 3) of three
 // sections:
 //
 //	DIMS  2 × uint64: dim, ndocs
 //	SNRM  ndocs float64: sn[j] = scale[j]/‖row j‖, finite and ≥ 0
-//	CODE  ndocs × dim int8, row-major, each in [-127, 127]
+//	CODE  ndocs × dim int8, row-major, each in [-127, 127], of R·row j
 //
 // Read is total: a section is read only once its length is the one DIMS
 // gives (so no header sizes an allocation), the container checks each
 // section's CRC-32 and that nothing follows CODE, and sn and the codes
 // must be values Quantize emits.
-// Version 1, which framed the scales by hand, is refused like any corrupt
-// sidecar: the shard layer retrains the tier.
+// Versions 1 (scales framed by hand) and 2 (codes of unrotated rows) are
+// refused like any corrupt sidecar: the shard layer retrains the tier.
 
 // WireVersion is the sidecar version Encode writes and the one Read accepts.
-const WireVersion = 2
+const WireVersion = 3
 
 var magic = [blob.MagicLen]byte{'L', 'S', 'I', 'Q', 'N', 'T'}
 
@@ -93,5 +93,6 @@ func read(r *blob.Reader) (*Matrix, error) {
 			return nil, fmt.Errorf("code %d out of range at element %d", c, i)
 		}
 	}
+	m.rot = newRotation(m.dim) // once the codes have confirmed dim
 	return m, nil
 }

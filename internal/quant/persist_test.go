@@ -17,6 +17,10 @@ import (
 // the one in the checkpoint the shard layer's tests keep.
 const version1Sidecar = "../../retrieval/shard/testdata/v1-sidecars/quant-0-0-0.qnt"
 
+// version2Sidecar is one as builds before the rotation wrote it: its codes
+// quantize the unrotated rows.
+const version2Sidecar = "../legacy/testdata/dir_v2_tiered/quant-0-0-0.qnt"
+
 // frame writes a sidecar from raw parts, so the checks beneath the
 // container's checksums are reachable.
 func frame(dim, ndocs uint64, sn []float64, codes []byte) []byte {
@@ -106,6 +110,10 @@ func TestDecodeRejectsMalformedStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	v2, err := os.ReadFile(version2Sidecar)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		data []byte
@@ -122,6 +130,7 @@ func TestDecodeRejectsMalformedStructure(t *testing.T) {
 			return b
 		}()},
 		{"version 1", v1},
+		{"version 2", v2},
 		{"zero dim", frame(0, 2, okSN, nil)},
 		{"zero ndocs", frame(3, 0, nil, nil)},
 		{"short codes", frame(3, 2, okSN, okCodes[:5])},
@@ -139,8 +148,10 @@ func TestDecodeRejectsMalformedStructure(t *testing.T) {
 			t.Fatalf("%s: read a malformed sidecar", tc.name)
 		}
 	}
-	if _, err := decode(t, v1); !strings.Contains(fmt.Sprint(err), "version 1") {
-		t.Fatalf("version-1 sidecar: %v, want an error naming version 1", err)
+	for v, data := range [][]byte{1: v1, 2: v2} {
+		if _, err := decode(t, data); v > 0 && !strings.Contains(fmt.Sprint(err), fmt.Sprintf("version %d", v)) {
+			t.Fatalf("version-%d sidecar: %v, want an error naming version %d", v, err, v)
+		}
 	}
 	// Sanity: the well-formed control frame reads.
 	if _, err := decode(t, frame(3, 2, okSN, okCodes)); err != nil {

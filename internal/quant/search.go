@@ -28,10 +28,11 @@ type ScanStats struct {
 // overhead amortizes over the whole block.
 const scanBlock = 512
 
-// scanScratch pools per-query quantized-search state: the widened
-// quantized query, the stage-1 candidates and their rows as the rerank's
-// candidate list.
+// scanScratch pools per-query quantized-search state: the rotated and the
+// widened quantized query, the stage-1 candidates and their rows as the
+// rerank's candidate list.
 type scanScratch struct {
+	rq   []float64
 	q8   []int8
 	q16  []int16
 	cand []topk.Match
@@ -45,7 +46,6 @@ var scanPool = sync.Pool{New: func() any { return new(scanScratch) }}
 type int8Scan struct {
 	m    *Matrix
 	q16  []int16
-	sn   []float64
 	src  scan.Source
 	keep int
 }
@@ -66,7 +66,7 @@ type int8Scan struct {
 // and the per-document score is a pure function of the stored codes, so
 // the scan is bitwise-deterministic for any chunking and either source.
 func (s int8Scan) Scan(h *topk.Heap, lo, hi int) {
-	dim, codes := s.m.dim, s.m.codes
+	dim, codes, sn := s.m.dim, s.m.codes, s.m.sn
 	docs, list := s.src.Docs()
 	var buf [scanBlock]int32
 	var wScore float64
@@ -86,7 +86,7 @@ func (s int8Scan) Scan(h *topk.Heap, lo, hi int) {
 			if list {
 				j = int(docs[j])
 			}
-			t := s.sn[j] * float64(d)
+			t := sn[j] * float64(d)
 			if full && (t < wScore || (t == wScore && j > wDoc)) {
 				continue
 			}
@@ -125,8 +125,8 @@ func (m *Matrix) AppendRerank(dst []topk.Match, f scan.Float, topN, beta int) ([
 	}
 	cand := keep * beta
 
-	// Stage 1: quantize the query once, widen it to int16 for the
-	// streaming kernel, scan codes, keep the cand best approximations.
+	// Stage 1: rotate, quantize and widen the query once, scan codes, keep
+	// the cand best approximations (R keeps every inner product).
 	sc := scanPool.Get().(*scanScratch)
 	defer scanPool.Put(sc)
 	if cap(sc.q8) < m.dim {
@@ -134,12 +134,14 @@ func (m *Matrix) AppendRerank(dst []topk.Match, f scan.Float, topN, beta int) ([
 		sc.q16 = make([]int16, m.dim)
 	}
 	q8, q16 := sc.q8[:m.dim], sc.q16[:m.dim]
-	quantizeVec(q8, f.PQ)
+	sc.rq = append(sc.rq[:0], f.PQ...)
+	m.rot.apply(sc.rq)
+	quantizeVec(q8, sc.rq)
 	for i, c := range q8 {
 		q16[i] = int16(c)
 	}
 	sc.cand = scan.AppendTop(sc.cand[:0], n, cand, par.GrainFor(m.dim/2+1),
-		int8Scan{m: m, q16: q16, sn: m.sn, src: f.Src, keep: cand})
+		int8Scan{m: m, q16: q16, src: f.Src, keep: cand})
 
 	// Stage 2: exact float64 rerank of the candidates restores the final
 	// (score desc, doc asc) order with true cosines.

@@ -30,7 +30,7 @@
 // -upgrade converts an index file or directory an earlier build saved, gob
 // included, to the generation lsiserve reads (internal/legacy), at an OUT
 // that must not exist yet, then opens OUT to prove it serves. An input
-// with no text layer (a v1 file, a bare lsi.Save, a directory without
+// with no text layer (a v1 file, a bare lsi.SaveIn, a directory without
 // text.json) needs -text FILE, JSON shaped like a text.json, optionally
 // with "docIDs".
 package main
@@ -63,7 +63,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	nprobe := fs.Int("nprobe", 0, "ANN cells scored per LSI query (0 = exhaustive scan; needs -ann-nlist)")
 	quantBeta := fs.Int("quant-beta", 0, "quantized scoring tier: int8 scan selects top*beta candidates for exact rerank (0 = float scan)")
 	upgrade := fs.Bool("upgrade", false, "convert the index file or directory IN, saved by any earlier build, to the current format at OUT (arguments: IN OUT) and exit")
-	textFile := fs.String("text", "", "with -upgrade: the JSON text layer of an input that carries none (a v1 file, a bare lsi.Save, a directory without text.json)")
+	textFile := fs.String("text", "", "with -upgrade: the JSON text layer of an input that carries none (a v1 file, a bare lsi.SaveIn, a directory without text.json)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -122,7 +122,7 @@ func TestUpgradeShardCheckpointWithText(t *testing.T) {
 		}
 		segs := x.Segments(nil)
 		var got bytes.Buffer
-		if len(segs) != 1 || segs[0].Ix.Save(&got) != nil || !bytes.Equal(got.Bytes(), seg) {
+		if len(segs) != 1 || segs[0].Ix.SaveIn(&got, nil) != nil || !bytes.Equal(got.Bytes(), seg) {
 			t.Errorf("%s: the upgraded segment does not hold the saved index's numbers", in)
 		}
 		if x.SidecarsDegraded() != degraded || len(segs) != 1 || segs[0].Ann == nil || segs[0].Quant == nil {

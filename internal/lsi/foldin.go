@@ -25,9 +25,8 @@ func (ix *Index) concat(parts []*Index, extra int) *Index {
 }
 
 // SameBasis reports whether ix and other share one latent space: the
-// same Uₖ matrix, as EmptyLike, ExtendedSparse and Concat pass it on. An
-// index loaded from its own file holds its own copy and shares with no
-// other; nil shares with nothing.
+// same Uₖ matrix, as EmptyLike, ExtendedSparse, Concat and LoadIn pass it
+// on; nil shares with nothing.
 func (ix *Index) SameBasis(other *Index) bool { return other != nil && ix.uk == other.uk }
 
 // Concat returns one index holding the documents of parts in order. The

@@ -10,7 +10,7 @@ import (
 
 // foldIn folds the term-space documents ds into a copy of ix through
 // ExtendedSparse, the fold-in serving runs.
-func foldIn(t *testing.T, ix *Index, ds ...[]float64) *Index {
+func foldIn(t testing.TB, ix *Index, ds ...[]float64) *Index {
 	t.Helper()
 	terms, weights := make([][]int, len(ds)), make([][]float64, len(ds))
 	for i, d := range ds {

@@ -85,8 +85,8 @@ func TestSaveWritesV3ByteStable(t *testing.T) {
 		if !bytes.HasPrefix(data, append(Magic[:], WireVersion, 0)) {
 			t.Fatalf("%s: file starts % x, want the magic and version %d", name, data[:8], WireVersion)
 		}
-		if meta == nil && len(data) != ix.EncodedSize() {
-			t.Fatalf("%s: %d bytes written, EncodedSize says %d", name, len(data), ix.EncodedSize())
+		if meta == nil && len(data) != ix.EncodedSize(nil) {
+			t.Fatalf("%s: %d bytes written, EncodedSize says %d", name, len(data), ix.EncodedSize(nil))
 		}
 		loaded, gotMeta, err := LoadMeta(bytes.NewReader(data))
 		if err != nil {
@@ -129,7 +129,7 @@ func TestLoadRejectsFutureVersion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = Load(f)
+		_, err = LoadIn(f, nil)
 		f.Close()
 		if !errors.Is(err, ErrNotContainer) || !strings.Contains(err.Error(), "lsiquery -upgrade") {
 			t.Fatalf("%s loads with %v, want ErrNotContainer naming lsiquery -upgrade", name, err)
@@ -141,7 +141,7 @@ func TestLoadRejectsFutureVersion(t *testing.T) {
 	}
 	for _, v := range []uint16{minWireVersion - 1, WireVersion + 1} {
 		binary.LittleEndian.PutUint16(golden[len(Magic):], v)
-		_, err := Load(bytes.NewReader(golden))
+		_, err := LoadIn(bytes.NewReader(golden), nil)
 		if want := fmt.Sprintf("version %d", v); err == nil || !strings.Contains(err.Error(), want) ||
 			!strings.Contains(err.Error(), "supported: 3..4") {
 			t.Fatalf("error %v does not name %s and the supported range", err, want)

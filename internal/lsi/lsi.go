@@ -89,11 +89,16 @@ type Index struct {
 }
 
 // MappedBytes is the bytes of the arrays that are views of the mapped
-// file: the basis, the singular values and, read from a v4 file until a
-// fold-in copies them, the documents (v3's are narrowed onto the heap).
-// The file's other sections are not among them.
-func (ix *Index) MappedBytes() int64 {
-	return blob.Viewed(ix.mapped, ix.uk.RawData()) + blob.Viewed(ix.mapped, ix.sigma) + blob.Viewed(ix.mapped, ix.docs.RawData())
+// file: read from a v4 file until a fold-in copies them, the documents
+// (v3's are narrowed onto the heap), and with withBasis the basis and the
+// singular values, which indexes sharing them count once. The file's
+// other sections are not among them.
+func (ix *Index) MappedBytes(withBasis bool) int64 {
+	n := blob.Viewed(ix.mapped, ix.docs.RawData())
+	if withBasis {
+		n += blob.Viewed(ix.mapped, ix.uk.RawData()) + blob.Viewed(ix.mapped, ix.sigma)
+	}
+	return n
 }
 
 // newIndex assembles an Index and precomputes the per-document norms the

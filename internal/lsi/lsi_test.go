@@ -12,7 +12,7 @@ import (
 	"repro/internal/svd"
 )
 
-func testCorpus(t *testing.T, topics, termsPer int, eps float64, m int, seed int64) *corpus.Corpus {
+func testCorpus(t testing.TB, topics, termsPer int, eps float64, m int, seed int64) *corpus.Corpus {
 	t.Helper()
 	model, err := corpus.PureSeparableModel(corpus.SeparableConfig{
 		NumTopics: topics, TermsPerTopic: termsPer, Epsilon: eps, MinLen: 40, MaxLen: 60,
@@ -227,7 +227,7 @@ func TestEngineAutoRule(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := ix.Save(&buf); err != nil {
+		if err := ix.SaveIn(&buf, nil); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()

@@ -78,9 +78,9 @@ func TestMappedAndStreamedLoadsAgree(t *testing.T) {
 				wantMapped += 4 * int64(stream.NumDocs()) * k
 			}
 		}
-		if stream.MappedBytes() != 0 || memory.MappedBytes() != 0 || file.MappedBytes() != wantMapped {
+		if stream.MappedBytes(true) != 0 || memory.MappedBytes(true) != 0 || file.MappedBytes(true) != wantMapped {
 			t.Fatalf("%s: mapped bytes %d/%d/%d, want 0/0/%d (Map: %v)", name,
-				stream.MappedBytes(), memory.MappedBytes(), file.MappedBytes(), wantMapped, mapErr)
+				stream.MappedBytes(true), memory.MappedBytes(true), file.MappedBytes(true), wantMapped, mapErr)
 		}
 		want := outcome(t, stream, streamMeta, nil)
 		if outcome(t, memory, memoryMeta, nil) != want || outcome(t, file, fileMeta, nil) != want {
@@ -103,10 +103,10 @@ func TestMappedAndStreamedLoadsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if grown.MappedBytes() != wantShared || file.EmptyLike().MappedBytes() != wantShared {
+		if grown.MappedBytes(true) != wantShared || file.EmptyLike().MappedBytes(true) != wantShared {
 			t.Fatalf("%s: an index sharing the basis does not share its mapping", name)
 		}
-		err = file.Save(f)
+		err = file.SaveIn(f, nil)
 		if wantMapped > 0 && err == nil {
 			t.Fatalf("%s: saved over the file it is mapped from", name)
 		}

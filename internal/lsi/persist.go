@@ -9,6 +9,7 @@ import (
 	"math/bits"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"unsafe"
 
@@ -17,25 +18,26 @@ import (
 	"repro/internal/mat"
 )
 
-// Wire format v4, what Save writes, is an internal/blob container of five
-// sections in this order (DESIGN.md §2 has the byte layout):
+// Wire format v4, what SaveIn and SaveMeta write, is an internal/blob
+// container of five sections in this order (DESIGN.md §2 has the layout):
 //
 //	DIMS  3 × uint64: rank k, terms n, documents m
 //	SIGM  k float64: singular values
 //	TEXT  text layer of Meta (see AppendText); empty when there is none
-//	BASI  n×k float64: the basis Uₖ, row-major
+//	BASI  n×k float64: the basis Uₖ, row-major; empty in an index SaveIn
+//	      wrote against the basis it shares
 //	DOCS  m×k float32: document representations, row-major
 //
-// v3 is the same with DOCS in float64: Load still reads it, narrowing DOCS
-// once into the heap. v1 and v2 were gob streams; Load refuses them, and
-// internal/legacy (lsiquery -upgrade) converts them.
+// v3 is the same with DOCS in float64: LoadMeta still reads it, narrowing
+// DOCS once into the heap. v1 and v2 were gob streams; LoadMeta refuses
+// them, and internal/legacy (lsiquery -upgrade) converts them.
 
-// Magic opens every index file Save writes.
+// Magic opens every index file SaveIn and SaveMeta write.
 var Magic = [blob.MagicLen]byte{'L', 'S', 'I', 'I', 'D', 'X'}
 
 const (
-	// WireVersion is the wire-format version Save writes and the newest
-	// Load accepts; minWireVersion is the oldest it accepts.
+	// WireVersion is the wire-format version this package writes and the
+	// newest it reads; minWireVersion is the oldest it reads.
 	WireVersion     = 4
 	minWireVersion  = 3
 	wideDocsVersion = 3 // the newest container whose DOCS are float64
@@ -72,22 +74,32 @@ type Meta struct {
 	Stemming        bool `json:"stemming"`
 }
 
-// Save writes the index to w in a self-contained binary format (wire v4).
-// The original term-document matrix is not needed to use a loaded index.
-// Indexes written by Save carry no text metadata; use SaveMeta to bundle a
-// vocabulary and weighting so text queries work against the loaded index.
-func (ix *Index) Save(w io.Writer) error {
-	return ix.SaveMeta(w, nil)
+// EncodedSize is the exact number of bytes SaveIn(w, base) writes.
+func (ix *Index) EncodedSize(base *Index) int {
+	basis := 8 * len(ix.uk.RawData())
+	if ix.sharesOf(base) {
+		basis = 0
+	}
+	return blob.EncodedSize(dimsLen, 8*len(ix.sigma), 0, basis, 4*len(ix.docs.RawData()))
 }
 
-// EncodedSize is the exact number of bytes Save writes.
-func (ix *Index) EncodedSize() int {
-	return blob.EncodedSize(dimsLen, 8*len(ix.sigma), 0, 8*len(ix.uk.RawData()), 4*len(ix.docs.RawData()))
-}
+// sharesOf reports whether ix is in base's latent space without being
+// base: what SaveIn leaves out and LoadIn takes back.
+func (ix *Index) sharesOf(base *Index) bool { return ix != base && ix.SameBasis(base) }
+
+// SaveIn writes the index to w in a self-contained binary format (wire
+// v4), without text metadata (SaveMeta bundles a vocabulary and
+// weighting). The original term-document matrix is not needed to use a
+// loaded index. Given a base whose basis its container holds once, an
+// index that shares it (SameBasis) and is not base itself is written with
+// an empty BASI section, and LoadIn reads Uₖ and σ back from base: a
+// checkpoint writes every segment of a shard but its base this way.
+func (ix *Index) SaveIn(w io.Writer, base *Index) error { return ix.save(w, nil, !ix.sharesOf(base)) }
 
 // SaveMeta writes the index together with optional self-containment
-// metadata (nil meta is allowed and equivalent to Save). It validates that
-// the metadata dimensions match the index before writing anything.
+// metadata (nil meta is allowed and equivalent to SaveIn with no base).
+// It validates that the metadata dimensions match the index before
+// writing anything.
 func (ix *Index) SaveMeta(w io.Writer, meta *Meta) error {
 	var text []byte
 	if meta != nil {
@@ -99,6 +111,12 @@ func (ix *Index) SaveMeta(w io.Writer, meta *Meta) error {
 		}
 		text = AppendText(nil, meta)
 	}
+	return ix.save(w, text, true)
+}
+
+// save writes the container: text is the TEXT section, and BASI is empty
+// unless withBasis.
+func (ix *Index) save(w io.Writer, text []byte, withBasis bool) error {
 	if f, ok := w.(*os.File); ok && ix.mapped != nil && ix.mapped.Holds(f) {
 		return errors.New("lsi: save: the destination is the mapped file this index was opened from; save to a new file and rename it")
 	}
@@ -111,7 +129,11 @@ func (ix *Index) SaveMeta(w io.Writer, meta *Meta) error {
 	bw.Bytes(tagDims, dims)
 	bw.Floats(tagSigma, ix.sigma)
 	bw.Bytes(tagText, text)
-	bw.Floats(tagBasis, ix.uk.RawData())
+	var basis []float64
+	if withBasis {
+		basis = ix.uk.RawData()
+	}
+	bw.Floats(tagBasis, basis)
 	bw.Float32s(tagDocs, ix.docs.RawData())
 	if err := bw.Close(); err != nil {
 		return fmt.Errorf("lsi: save: %w", err)
@@ -246,20 +268,29 @@ func holds[F float32 | float64](data []F, rows, k int) bool {
 	return rows >= 0 && k >= 0 && hi == 0 && lo == uint64(len(data))
 }
 
-// Load reads an index previously written by Save or SaveMeta (any
-// supported wire version), discarding metadata if present.
-func Load(r io.Reader) (*Index, error) {
-	ix, _, err := LoadMeta(r)
+// LoadIn reads an index previously written by SaveIn or SaveMeta (any
+// supported wire version), discarding metadata if present. Given a base
+// whose basis the container holds once, an index whose BASI section is
+// empty (SaveIn), or bit for bit base's (a checkpoint of an earlier
+// build, which wrote every segment's copy), adopts base's Uₖ and σ, so
+// the two share one latent space (SameBasis); its rank and terms must
+// then be base's. A foreign basis loads as its own; without a base an
+// empty BASI is refused.
+func LoadIn(r io.Reader, base *Index) (*Index, error) {
+	ix, _, err := loadMeta(r, base)
 	return ix, err
 }
 
 // LoadMeta reads an index and its self-containment metadata, which is nil
-// for an index saved without it (plain Save). A stream that is not a v3
+// for an index saved without it (SaveIn). A stream that is not a v3
 // or v4 container fails with ErrNotContainer.
 //
 // A v3 or v4 stream is never trusted for more memory than it has bytes:
 // see blob.Reader for how the length of r is found, or done without.
-func LoadMeta(r io.Reader) (*Index, *Meta, error) {
+func LoadMeta(r io.Reader) (*Index, *Meta, error) { return loadMeta(r, nil) }
+
+// loadMeta is LoadMeta, and LoadIn given a base.
+func loadMeta(r io.Reader, base *Index) (*Index, *Meta, error) {
 	br := blob.NewReader(r)
 	if !br.HasMagic(Magic) {
 		return nil, nil, fmt.Errorf("lsi: load: %w", ErrNotContainer)
@@ -268,12 +299,25 @@ func LoadMeta(r io.Reader) (*Index, *Meta, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("lsi: load: %w", err)
 	}
+	shared := base != nil && (len(p.UkData) == 0 || sameBits(p.UkData, base.uk.RawData()))
+	if shared {
+		if p.K != base.k || p.NumTerms != base.numTerms {
+			return nil, nil, fmt.Errorf("lsi: load: rank %d over %d terms in the basis of rank %d over %d terms it shares",
+				p.K, p.NumTerms, base.k, base.numTerms)
+		}
+		p.UkData, p.Sigma = base.uk.RawData(), base.sigma
+	}
 	ix, err := NewIndexFromParts(p)
 	if err != nil {
 		return nil, nil, err
 	}
+	if shared {
+		ix.uk = base.uk // one matrix: SameBasis compares it
+	}
 	if ix.mapped = br.Mapping(); ix.mapped != nil {
-		ix.uk.Hold(ix.mapped)
+		if !shared {
+			ix.uk.Hold(ix.mapped)
+		}
 		ix.docs.Hold(ix.mapped)
 	}
 	if meta == nil {
@@ -314,11 +358,16 @@ func readBlob(r *blob.Reader) (p IndexParts, meta *Meta, err error) {
 			return p, nil, err
 		}
 	}
-	p.UkData = r.Floats(tagBasis, int(nk))
+	p.UkData = r.Floats(tagBasis, -1) // empty, or n×k: NewIndexFromParts checks
 	if v == wideDocsVersion {
 		p.DocData = Narrow(r.Floats(tagDocs, int(mk)))
 	} else {
 		p.DocData = r.Float32s(tagDocs, int(mk))
 	}
 	return p, meta, r.Err()
+}
+
+// sameBits reports whether a and b hold the same float64 bits.
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }

@@ -17,6 +17,64 @@ import (
 	"repro/internal/mat"
 )
 
+// sharedFile is an index with one fold-in saved against the index it
+// folds into (SaveIn): its BASI section is empty.
+func sharedFile(t testing.TB) (base *Index, data []byte) {
+	c := testCorpus(t, 3, 10, 0.05, 30, 241)
+	a := corpus.TermDocMatrix(c, corpus.CountWeighting)
+	base, err := Build(a, 3, Options{Engine: EngineDense})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := foldIn(t, base, a.Col(4)).SaveIn(&buf, base); err != nil {
+		t.Fatal(err)
+	}
+	return base, buf.Bytes()
+}
+
+// An index saved against the basis it shares leaves its BASI empty and
+// loads against that basis sharing it again, every row and norm as it
+// was; a copy of the same basis converges on it too, a foreign basis
+// stays its own, and without a base an empty BASI is refused.
+func TestSaveInSharesTheBasis(t *testing.T) {
+	base, data := sharedFile(t)
+	ext, err := LoadIn(bytes.NewReader(data), base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, k := base.Basis().Dims()
+	if full := ext.EncodedSize(nil); len(data) != ext.EncodedSize(base) || full-len(data) != 8*n*k {
+		t.Fatalf("%d bytes written against the base, EncodedSize %d against it and %d alone", len(data), ext.EncodedSize(base), full)
+	}
+	if !ext.SameBasis(base) || ext.NumDocs() != base.NumDocs()+1 || !slices.Equal(ext.Docs().RawData()[:len(base.Docs().RawData())], base.Docs().RawData()) ||
+		!slices.Equal(ext.Norms()[:base.NumDocs()], base.Norms()) || &ext.sigma[0] != &base.sigma[0] {
+		t.Fatal("an index loaded against its base does not share it, or lost its rows")
+	}
+	var copied bytes.Buffer
+	if err := ext.SaveIn(&copied, nil); err != nil {
+		t.Fatal(err)
+	}
+	if again, err := LoadIn(bytes.NewReader(copied.Bytes()), base); err != nil || !again.SameBasis(base) {
+		t.Fatalf("a copy of the base's basis loads into a basis of its own (%v)", err)
+	}
+	other, err := NewIndexFromParts(IndexParts{K: k, NumTerms: n, Sigma: base.sigma, UkRows: n,
+		UkData: append([]float64{-base.uk.RawData()[0]}, base.uk.RawData()[1:]...), DocRows: 1, DocData: make([]float32, k)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var foreign bytes.Buffer
+	if err := other.SaveIn(&foreign, base); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := LoadIn(bytes.NewReader(foreign.Bytes()), base); err != nil || got.SameBasis(base) || !slices.Equal(got.uk.RawData(), other.uk.RawData()) {
+		t.Fatalf("a foreign basis was adopted or lost (%v)", err)
+	}
+	if _, err := LoadIn(bytes.NewReader(data), nil); err == nil {
+		t.Fatal("an index without a basis loaded without a base")
+	}
+}
+
 func TestSaveLoadRoundTrip(t *testing.T) {
 	c := testCorpus(t, 3, 10, 0.05, 30, 241)
 	a := corpus.TermDocMatrix(c, corpus.CountWeighting)
@@ -25,10 +83,10 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := ix.Save(&buf); err != nil {
+	if err := ix.SaveIn(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(&buf)
+	loaded, err := LoadIn(&buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,21 +123,21 @@ func TestLoadRejectsCorruptStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := ix.Save(&buf); err != nil {
+	if err := ix.SaveIn(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
 
 	// Truncated stream.
-	if _, err := Load(bytes.NewReader(full[:len(full)/2])); err == nil {
+	if _, err := LoadIn(bytes.NewReader(full[:len(full)/2]), nil); err == nil {
 		t.Error("truncated stream should fail to load")
 	}
 	// Garbage stream.
-	if _, err := Load(bytes.NewReader([]byte("not an index"))); err == nil {
+	if _, err := LoadIn(bytes.NewReader([]byte("not an index")), nil); err == nil {
 		t.Error("garbage stream should fail to load")
 	}
 	// Empty stream.
-	if _, err := Load(bytes.NewReader(nil)); err == nil {
+	if _, err := LoadIn(bytes.NewReader(nil), nil); err == nil {
 		t.Error("empty stream should fail to load")
 	}
 }
@@ -125,7 +183,7 @@ func allocatedBy(f func()) uint64 {
 // rather than wrapped into a match.
 func TestLoadBoundsAllocationByInput(t *testing.T) {
 	for _, version := range []uint16{wideDocsVersion, WireVersion} {
-		if _, err := Load(header(version, 2, 4, 8)); err != nil {
+		if _, err := LoadIn(header(version, 2, 4, 8), nil); err != nil {
 			t.Fatalf("v%d: an honest header fails: %v", version, err)
 		}
 		for name, dims := range map[string][3]uint64{
@@ -144,7 +202,7 @@ func TestLoadBoundsAllocationByInput(t *testing.T) {
 					src = struct{ io.Reader }{src}
 				}
 				var err error
-				got := allocatedBy(func() { _, err = Load(src) })
+				got := allocatedBy(func() { _, err = LoadIn(src, nil) })
 				if err == nil {
 					t.Errorf("v%d %s (sized=%v): loaded", version, name, sized)
 				}
@@ -187,6 +245,8 @@ func FuzzLoadIndex(f *testing.F) {
 	f.Add(header(WireVersion, 8, 8, 1<<40).Bytes())
 	f.Add(header(WireVersion, 3, 8, 7).Bytes()[:300]) // cut inside the float32 DOCS
 	seed("../../retrieval/testdata/index_vsm_v2.gob")
+	_, basisless := sharedFile(f)
+	f.Add(basisless)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var ix *Index
 		var meta *Meta
@@ -200,6 +260,9 @@ func FuzzLoadIndex(f *testing.F) {
 		mix, mmeta, merr := LoadMeta(blob.NewMappedReader(data))
 		if want, got := outcome(t, ix, meta, err), outcome(t, mix, mmeta, merr); got != want {
 			t.Fatalf("mapped arm: %.200q\nstreaming arm: %.200q", got, want)
+		}
+		if bytes.Equal(data, basisless) && err == nil {
+			t.Fatal("a standalone index without a basis loaded")
 		}
 		if !bytes.HasPrefix(data, Magic[:]) && !errors.Is(err, ErrNotContainer) {
 			t.Fatalf("a stream without the magic: %v, want ErrNotContainer", err)

@@ -59,7 +59,7 @@ func v2Text(t *testing.T) *lsi.Meta {
 // singular values that answers vector queries.
 func TestLoadGoldenV1Index(t *testing.T) {
 	v1 := golden(t, "index_v1.gob")
-	if _, err := lsi.Load(bytes.NewReader(v1)); !errors.Is(err, lsi.ErrNotContainer) || !strings.Contains(err.Error(), "lsiquery -upgrade") {
+	if _, err := lsi.LoadIn(bytes.NewReader(v1), nil); !errors.Is(err, lsi.ErrNotContainer) || !strings.Contains(err.Error(), "lsiquery -upgrade") {
 		t.Fatalf("the v1 golden loads with %v, want ErrNotContainer naming lsiquery -upgrade", err)
 	}
 	if _, err := legacy.Upgrade(v1, nil); err == nil || !strings.Contains(err.Error(), "-text") {
@@ -69,7 +69,7 @@ func TestLoadGoldenV1Index(t *testing.T) {
 	if !bytes.Equal(up, golden(t, "index_v4.lsi")) {
 		t.Fatal("the v1 golden with its text layer does not upgrade to the v4 golden byte for byte")
 	}
-	ix, err := lsi.Load(bytes.NewReader(up))
+	ix, err := lsi.LoadIn(bytes.NewReader(up), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -271,7 +271,7 @@ func TestCompactOnePath(t *testing.T) {
 				t.Fatalf("%d docs: compacted rank %d, want %d", docs, comp.Ix.K(), want)
 			}
 			var buf bytes.Buffer
-			if err := comp.Ix.Save(&buf); err != nil {
+			if err := comp.Ix.SaveIn(&buf, nil); err != nil {
 				t.Fatal(err)
 			}
 			if first == nil {

@@ -89,16 +89,16 @@ func (t *Tiers) Add(s *Segment) {
 // plus the basis matrix when withBasis is set — fold-in segments share
 // the basis of the index they were folded against, so a caller walking
 // several segments passes true once per distinct basis. mapped is the
-// part of total served from mapped files: the index file the basis and
-// rows are views of (counted with the basis) and the sidecars the tiers
-// were read from.
+// part of total served from mapped files: the index file the rows and
+// (counted with the basis) the basis are views of, and the sidecars the
+// tiers were read from.
 func (s *Segment) MemoryBytes(withBasis bool) (total, mapped int64) {
 	k, m := int64(s.Ix.K()), int64(s.Len())
 	total = 4*m*k + 8*(k+m) + 16*int64(s.Raw.NNZ())
 	if withBasis {
 		total += 8 * int64(s.Ix.NumTerms()) * k
-		mapped = s.Ix.MappedBytes()
 	}
+	mapped = s.Ix.MappedBytes(withBasis)
 	if ann := s.Ann; ann != nil {
 		nlist := int64(ann.NList())
 		total += 8*nlist*int64(ann.Dim()) + 8*nlist + 8*(nlist+1) + 4*m

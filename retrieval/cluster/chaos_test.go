@@ -134,18 +134,18 @@ func TestChaosFlappingNodeBreakerTripsAndRecovers(t *testing.T) {
 	for i := 0; i < 2*cluster.TripConsecutive; i++ {
 		assertServes(fmt.Sprintf("during flap, query %d", i))
 	}
-	st := mp.router.RouterStats()
-	if st.BreakerTrips != 1 || st.BreakersOpen != 1 {
-		t.Fatalf("flapping primary: trips=%d open=%d, want 1 and 1 (%+v)", st.BreakerTrips, st.BreakersOpen, st)
+	m := series(t, mp.router)
+	if m["lsi_cluster_breaker_trips_total"] != 1 || m["lsi_cluster_breakers_open"] != 1 {
+		t.Fatalf("flapping primary: trips=%v open=%v, want 1 and 1 (%v)", m["lsi_cluster_breaker_trips_total"], m["lsi_cluster_breakers_open"], m)
 	}
-	if st.NodeErrors < cluster.TripConsecutive {
-		t.Fatalf("flap produced only %d node errors, want >= %d", st.NodeErrors, cluster.TripConsecutive)
+	if m["lsi_cluster_node_errors_total"] < cluster.TripConsecutive {
+		t.Fatalf("flap produced only %v node errors, want >= %d", m["lsi_cluster_node_errors_total"], cluster.TripConsecutive)
 	}
-	if st.BreakerDenied == 0 {
+	if m["lsi_cluster_breaker_denied_total"] == 0 {
 		t.Fatal("open breaker never failed fast — every request still hit the dead node")
 	}
-	if st.Retries != 0 {
-		t.Fatalf("retry budget of 0.5 granted %d retries", st.Retries)
+	if m["lsi_cluster_retries_total"] != 0 {
+		t.Fatalf("retry budget of 0.5 granted %v retries", m["lsi_cluster_retries_total"])
 	}
 
 	// Flap ends; after the cooldown the next request is the half-open
@@ -153,8 +153,8 @@ func TestChaosFlappingNodeBreakerTripsAndRecovers(t *testing.T) {
 	ft.Clear()
 	clk.Advance(time.Second)
 	assertServes("after recovery")
-	if st := mp.router.RouterStats(); st.BreakersOpen != 0 || st.BreakersHalfOpen != 0 {
-		t.Fatalf("breaker did not re-close: %+v", st)
+	if m := series(t, mp.router); m["lsi_cluster_breakers_open"] != 0 || m["lsi_cluster_breakers_half_open"] != 0 {
+		t.Fatalf("breaker did not re-close: %v", m)
 	}
 }
 
@@ -186,8 +186,8 @@ func TestChaosCanceledProbeReleasesBreaker(t *testing.T) {
 			t.Fatalf("query %d during flap: %v", i, err)
 		}
 	}
-	if st := mp.router.RouterStats(); st.BreakersOpen != 1 {
-		t.Fatalf("breaker did not trip: %+v", st)
+	if m := series(t, mp.router); m["lsi_cluster_breakers_open"] != 1 {
+		t.Fatalf("breaker did not trip: %v", m)
 	}
 	// Healed, but slow: the half-open probe will hang in injected
 	// latency while the hedge races past it — the winner's return
@@ -224,12 +224,12 @@ func TestChaosCanceledProbeReleasesBreaker(t *testing.T) {
 			t.Fatalf("healed pair answered partial=%v err=%v", partial, err)
 		}
 		sameResults(t, got, want, "after canceled probe")
-		st := mp.router.RouterStats()
-		if st.BreakersOpen == 0 && st.BreakersHalfOpen == 0 {
+		m := series(t, mp.router)
+		if m["lsi_cluster_breakers_open"] == 0 && m["lsi_cluster_breakers_half_open"] == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("breaker wedged by the canceled probe: %+v", st)
+			t.Fatalf("breaker wedged by the canceled probe: %v", m)
 		}
 	}
 }
@@ -272,8 +272,8 @@ func TestChaosPartitionMarksPartial(t *testing.T) {
 	if took := time.Since(start); took > 2*time.Second {
 		t.Fatalf("partitioned search took %v — request effectively stuck", took)
 	}
-	if st := router.RouterStats(); st.Partials == 0 || st.NodeErrors == 0 {
-		t.Fatalf("partition left no stats trace: %+v", st)
+	if m := series(t, router); m["lsi_cluster_partial_results_total"] == 0 || m["lsi_cluster_node_errors_total"] == 0 {
+		t.Fatalf("partition left no trace in the metrics: %v", m)
 	}
 
 	ft.Clear()
@@ -353,8 +353,8 @@ func TestChaosWritePathNoAckedWriteLost(t *testing.T) {
 	if !router.Ready() {
 		t.Fatal("breaker denial froze ingest")
 	}
-	if st := router.RouterStats(); st.BreakerTrips != 1 || st.BreakerDenied == 0 {
-		t.Fatalf("sustained write faults: %+v", st)
+	if m := series(t, router); m["lsi_cluster_breaker_trips_total"] != 1 || m["lsi_cluster_breaker_denied_total"] == 0 {
+		t.Fatalf("sustained write faults: %v", m)
 	}
 
 	// Chaos over: cooldown, recover, and write once more.
@@ -408,14 +408,14 @@ func TestChaosSlowNodeHedgesDeterministically(t *testing.T) {
 		t.Fatalf("hedged search: partial=%v err=%v", a.partial, a.err)
 	}
 	sameResults(t, a.res, want, "hedged answer")
-	st := mp.router.RouterStats()
-	if st.Hedges != 1 {
-		t.Fatalf("hedges = %d, want 1", st.Hedges)
+	m := series(t, mp.router)
+	if m["lsi_cluster_hedges_total"] != 1 {
+		t.Fatalf("hedges = %v, want 1", m["lsi_cluster_hedges_total"])
 	}
 	// The straggler was canceled, not failed: no breaker movement, no
 	// error counted against the slow-but-healthy primary.
-	if st.NodeErrors != 0 || st.BreakerTrips != 0 || st.BreakersOpen != 0 {
-		t.Fatalf("canceled straggler punished: %+v", st)
+	if m["lsi_cluster_node_errors_total"] != 0 || m["lsi_cluster_breaker_trips_total"] != 0 || m["lsi_cluster_breakers_open"] != 0 {
+		t.Fatalf("canceled straggler punished: %v", m)
 	}
 }
 
@@ -429,9 +429,9 @@ func TestChaosProbeEjectionReordersCandidates(t *testing.T) {
 
 	ft.SetRules(&cluster.Rule{Host: mp.priHost, Class: faultinject.ClassProbe, Err: errors.New("chaos: probe blackout")})
 	mp.router.ProbeOnce(ctx)
-	st := mp.router.RouterStats()
-	if st.NodesEjected != 1 || st.ProbeFailures == 0 {
-		t.Fatalf("failed probe: ejected=%d probeFailures=%d, want 1 and > 0", st.NodesEjected, st.ProbeFailures)
+	m := series(t, mp.router)
+	if m["lsi_cluster_nodes_ejected"] != 1 || m["lsi_cluster_probe_failures_total"] == 0 {
+		t.Fatalf("failed probe: ejected=%v probeFailures=%v, want 1 and > 0", m["lsi_cluster_nodes_ejected"], m["lsi_cluster_probe_failures_total"])
 	}
 	// Ejection is advisory: the search never touches the (healthy)
 	// primary's request path, and still answers in full.
@@ -441,8 +441,8 @@ func TestChaosProbeEjectionReordersCandidates(t *testing.T) {
 
 	ft.Clear()
 	mp.router.ProbeOnce(ctx)
-	if st := mp.router.RouterStats(); st.NodesEjected != 0 {
-		t.Fatalf("recovered probe left %d nodes ejected", st.NodesEjected)
+	if got := series(t, mp.router)["lsi_cluster_nodes_ejected"]; got != 0 {
+		t.Fatalf("recovered probe left %v nodes ejected", got)
 	}
 }
 
@@ -489,7 +489,7 @@ func TestRouterReloadRaceWithTraffic(t *testing.T) {
 				return
 			default:
 			}
-			_ = tc.router.RouterStats()
+			_ = series(t, tc.router)
 			tc.router.ProbeOnce(ctx)
 		}
 	}()

@@ -1,15 +1,18 @@
 package cluster_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/retrieval"
 	"repro/retrieval/cluster"
 	"repro/retrieval/httpapi"
@@ -23,6 +26,27 @@ func corpus(n int) []retrieval.Document {
 		docs[i] = retrieval.Document{ID: fmt.Sprintf("%s-v%d", d.ID, i/len(demo)), Text: d.Text}
 	}
 	return docs
+}
+
+// series is every unlabelled series c registers, by name, as /metrics
+// shows them: the one read path of the router's and the replica's
+// counters.
+func series(t testing.TB, c interface{ RegisterMetrics(*metrics.Registry) }) map[string]float64 {
+	reg := metrics.NewRegistry()
+	c.RegisterMetrics(reg)
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Error(err)
+	}
+	out := map[string]float64{}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if name, v, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
+			if f, err := strconv.ParseFloat(v, 64); err == nil {
+				out[name] = f
+			}
+		}
+	}
+	return out
 }
 
 // testCluster is an in-process cluster: a central single-process index
@@ -219,8 +243,8 @@ func TestRouterPartialResults(t *testing.T) {
 			t.Fatalf("result %+v belongs to the dead shard", r)
 		}
 	}
-	if st := tc.router.RouterStats(); st.Partials == 0 || st.NodeErrors == 0 {
-		t.Fatalf("stats do not reflect the degraded quorum: %+v", st)
+	if m := series(t, tc.router); m["lsi_cluster_partial_results_total"] == 0 || m["lsi_cluster_node_errors_total"] == 0 {
+		t.Fatalf("metrics do not reflect the degraded quorum: %v", m)
 	}
 
 	tc.servers[0].Close()
@@ -339,8 +363,8 @@ func TestReloadVersioning(t *testing.T) {
 	if got := r.Manifest().Version; got != 4 {
 		t.Fatalf("serving version %d, want 4", got)
 	}
-	if st := r.RouterStats(); st.StaleReloads != 1 || st.Reloads != 1 {
-		t.Fatalf("reload counters: %+v", st)
+	if m := series(t, r); m["lsi_cluster_manifest_stale_reloads_total"] != 1 || m["lsi_cluster_manifest_reloads_total"] != 1 {
+		t.Fatalf("reload counters: %v", m)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strconv"
 	"sync"
@@ -133,12 +134,12 @@ func TestClusterFailoverEndToEnd(t *testing.T) {
 
 	// Phase 1: kill the replica mid-trace. The primary owns the shard,
 	// so nothing fails and nothing is partial.
-	before := router.RouterStats()
+	before := series(t, router)["lsi_cluster_partial_results_total"]
 	if served := trace(repSrv.Close); served == 0 {
 		t.Fatal("phase 1 trace served nothing")
 	}
-	if st := router.RouterStats(); st.Partials != before.Partials {
-		t.Fatalf("replica death degraded the quorum: %+v", st)
+	if got := series(t, router)["lsi_cluster_partial_results_total"]; got != before {
+		t.Fatalf("replica death degraded the quorum: %v partial results, %v before", got, before)
 	}
 
 	// The replica rejoins (same state, new listener) and catches up on
@@ -191,8 +192,8 @@ func TestClusterFailoverEndToEnd(t *testing.T) {
 	if served := trace(servers[1].Close); served == 0 {
 		t.Fatal("phase 2 trace served nothing")
 	}
-	if st := router.RouterStats(); st.NodeErrors == 0 {
-		t.Fatalf("primary death left no trace in stats: %+v", st)
+	if m := series(t, router); m["lsi_cluster_node_errors_total"] == 0 {
+		t.Fatalf("primary death left no trace in the metrics: %v", m)
 	}
 
 	// Phase 3: the primary returns; a checkpoint rotates its WAL while
@@ -223,12 +224,12 @@ func TestClusterFailoverEndToEnd(t *testing.T) {
 	if err := nodes[1].Checkpoint(dirs[1]); err != nil {
 		t.Fatal(err)
 	}
-	repBefore := rep.ReplicaStats().Snapshots
+	repBefore := series(t, rep)["lsi_replica_snapshots_total"]
 	if _, err := rep.CatchUp(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if got := rep.ReplicaStats().Snapshots; got != repBefore+1 {
-		t.Fatalf("rotated WAL did not force a re-snapshot (snapshots %d -> %d)", repBefore, got)
+	if got := series(t, rep)["lsi_replica_snapshots_total"]; got != repBefore+1 {
+		t.Fatalf("rotated WAL did not force a re-snapshot (snapshots %v -> %v)", repBefore, got)
 	}
 	if rep.Generation() != nodes[1].Generation() || rep.NumDocs() != nodes[1].NumDocs() {
 		t.Fatalf("after re-snapshot: replica at (gen %d, %d docs), primary at (gen %d, %d docs)",
@@ -273,9 +274,8 @@ func TestReplicaServesBitwise(t *testing.T) {
 		}
 		sameResults(t, got, want, "replica query "+q)
 	}
-	st := rep.ReplicaStats()
-	if st.Snapshots != 1 {
-		t.Fatalf("bootstrap took %d snapshots, want 1", st.Snapshots)
+	if got := series(t, rep)["lsi_replica_snapshots_total"]; got != 1 {
+		t.Fatalf("bootstrap took %v snapshots, want 1", got)
 	}
 }
 
@@ -315,7 +315,7 @@ func TestReplicaBootstrapsFromTieredPrimary(t *testing.T) {
 	primary, err := retrieval.Build(corpus(600),
 		retrieval.WithRank(3), retrieval.WithShards(1),
 		retrieval.WithAutoCompact(false),
-		retrieval.WithANN(8, 2), retrieval.WithQuantized(4))
+		retrieval.WithANN(8, 1), retrieval.WithQuantized(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,6 +331,26 @@ func TestReplicaBootstrapsFromTieredPrimary(t *testing.T) {
 	defer srv.Close()
 
 	ctx := context.Background()
+	// The primary's default search goes through its tiers, and for some
+	// of these queries answers otherwise than its exact scan: a replica
+	// that scanned exactly would answer otherwise too.
+	exact, differ := 0, 0
+	for _, q := range testQueries {
+		want, err := primary.Search(ctx, q, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := primary.Query(ctx, retrieval.Query{Texts: []string{q}, TopN: 8, NProbe: &exact})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, full.Results[0]) {
+			differ++
+		}
+	}
+	if differ == 0 {
+		t.Fatal("every query answers through the tiers as it does exactly; the test cannot tell the routes apart")
+	}
 	rep := cluster.NewReplica(srv.URL, t.TempDir(), cluster.ReplicaOptions{})
 	if err := rep.Bootstrap(ctx); err != nil {
 		t.Fatal(err)
@@ -346,8 +366,8 @@ func TestReplicaBootstrapsFromTieredPrimary(t *testing.T) {
 		}
 		sameResults(t, got, want, "tiered replica query "+q)
 	}
-	if st := rep.Stats(); st.ANN == nil || st.ANN.Segments != 1 || st.Quant == nil || st.Quant.Segments != 1 {
-		t.Fatalf("replica lost the sidecars: ann %+v quant %+v", st.ANN, st.Quant)
+	if st := rep.Stats(); st.ANN == nil || st.ANN.Segments != 1 || st.ANN.NProbe != 1 || st.Quant == nil || st.Quant.Segments != 1 || st.Quant.Beta != 2 {
+		t.Fatalf("replica does not serve the primary's tiers (nprobe 1, beta 2): ann %+v quant %+v", st.ANN, st.Quant)
 	}
 }
 
@@ -398,8 +418,8 @@ func TestReplicaKeepsOneSnapshot(t *testing.T) {
 		t.Fatal("bootstrap without the checkpoint succeeded")
 	}
 	oneGeneration(t, dir)
-	if rep.ReplicaStats().Snapshots != 3 {
-		t.Fatalf("%d snapshot pulls counted, want 3", rep.ReplicaStats().Snapshots)
+	if got := series(t, rep)["lsi_replica_snapshots_total"]; got != 3 {
+		t.Fatalf("%v snapshot pulls counted, want 3", got)
 	}
 }
 
@@ -493,8 +513,8 @@ func TestReplicaResumesAcrossGeneration(t *testing.T) {
 	if err := rep.Bootstrap(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if st := rep.ReplicaStats(); st.ResumedPulls != 1 || pulls.Load() != 2 {
-		t.Fatalf("%d resumed pulls over %d requests, want 1 over 2", st.ResumedPulls, pulls.Load())
+	if got := series(t, rep)["lsi_replica_resumed_pulls_total"]; got != 1 || pulls.Load() != 2 {
+		t.Fatalf("%v resumed pulls over %d requests, want 1 over 2", got, pulls.Load())
 	}
 	if rep.Generation() != primary.Generation() || rep.Generation() == 0 || rep.NumDocs() != primary.NumDocs() {
 		t.Fatalf("the replica is at generation %d with %d docs, the primary at %d with %d",

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"os"
 	"sync/atomic"
@@ -89,7 +90,6 @@ type Replica struct {
 	batches atomic.Int64
 	applied atomic.Int64
 	resumes atomic.Int64 // ranged re-fetches after a cut transfer
-	lastErr atomic.Pointer[string]
 }
 
 // NewReplica prepares a replica of the node at primaryURL, keeping its
@@ -166,23 +166,27 @@ func (r *Replica) Bootstrap(ctx context.Context) error {
 			break // only a raced checkpoint is worth retrying
 		}
 	}
-	r.noteErr(err)
 	return err
 }
 
 // pullSnapshot fetches the primary's newest checkpoint generation — one
 // file — into the replica's directory, where it replaces the previous
-// one as a save does (shard.Receive), then opens it and swaps it in as
-// the serving index. The previous index is left to the garbage collector
-// rather than closed: queries may still be draining on it, and a snapshot
-// opens with compaction disabled, so it holds no goroutines. A failed
-// pull leaves the directory as it was.
+// one as a save does (shard.Receive), then opens it with the primary's
+// tiers (primaryTiers) and swaps it in as the serving index. The previous
+// index is left to the garbage collector rather than closed: queries may
+// still be draining on it, and a snapshot opens with compaction disabled,
+// so it holds no goroutines. A failed pull leaves the directory as it
+// was.
 func (r *Replica) pullSnapshot(ctx context.Context) error {
 	r.snaps.Add(1)
+	opts, err := r.primaryTiers(ctx)
+	if err != nil {
+		return err
+	}
 	if _, err := shard.Receive(r.dir, func(f *os.File) error { return r.pullCheckpoint(ctx, f) }); err != nil {
 		return err
 	}
-	ix, err := retrieval.OpenDir(r.dir, retrieval.WithAutoCompact(false))
+	ix, err := retrieval.OpenDir(r.dir, append(opts, retrieval.WithAutoCompact(false))...)
 	if err != nil {
 		return fmt.Errorf("cluster: replica: opening snapshot: %w", err)
 	}
@@ -192,6 +196,29 @@ func (r *Replica) pullSnapshot(ctx context.Context) error {
 	}
 	r.cur.Store(ix) // the old index: see the doc comment, never closed under draining queries
 	return nil
+}
+
+// primaryTiers is how the primary serves its tiers, read from its
+// GET /v1/stats: the IVF cells and probe budget, and the int8 rerank
+// factor. The replica opens each snapshot with them, so its default search
+// takes the route, and returns the answers, its primary's does.
+func (r *Replica) primaryTiers(ctx context.Context) ([]retrieval.Option, error) {
+	body, err := r.get(ctx, "/v1/stats")
+	if err != nil {
+		return nil, err
+	}
+	var st retrieval.Stats
+	if err := json.Unmarshal(body, &st); err != nil {
+		return nil, fmt.Errorf("cluster: replica: decoding the primary's stats: %w", err)
+	}
+	var opts []retrieval.Option
+	if st.ANN != nil {
+		opts = append(opts, retrieval.WithANN(st.ANN.NList, st.ANN.NProbe))
+	}
+	if st.Quant != nil {
+		opts = append(opts, retrieval.WithQuantized(st.Quant.Beta))
+	}
+	return opts, nil
 }
 
 // pullCheckpoint streams the primary's newest checkpoint generation into
@@ -290,12 +317,10 @@ func (r *Replica) CatchUp(ctx context.Context) (int, error) {
 		return applied, nil
 	}
 	if err != nil {
-		r.noteErr(err)
 		return 0, err
 	}
 	var resp httpapi.ReplicateWALResponse
 	if err := json.Unmarshal(body, &resp); err != nil {
-		r.noteErr(err)
 		return 0, fmt.Errorf("cluster: replica: decoding wal tail: %w", err)
 	}
 	if len(resp.Docs) == 0 {
@@ -303,7 +328,6 @@ func (r *Replica) CatchUp(ctx context.Context) (int, error) {
 	}
 	got, err := ix.Add(ctx, resp.Docs)
 	if err != nil {
-		r.noteErr(err)
 		return 0, fmt.Errorf("cluster: replica: applying wal tail: %w", err)
 	}
 	if got != from {
@@ -315,26 +339,19 @@ func (r *Replica) CatchUp(ctx context.Context) (int, error) {
 }
 
 // Run tails the primary until ctx ends, sleeping pollInterval between
-// rounds on the replica's clock. Errors are recorded (see
-// ReplicaStats.LastError) and retried on the next round; only ctx
-// cancellation stops the loop.
+// rounds on the replica's clock. A round's error is logged and the next
+// round retries; only ctx cancellation stops the loop.
 func (r *Replica) Run(ctx context.Context) {
 	for {
 		select {
 		case <-ctx.Done():
 			return
 		case <-r.clock.After(pollInterval):
-			r.CatchUp(ctx)
+			if _, err := r.CatchUp(ctx); err != nil && ctx.Err() == nil {
+				log.Printf("cluster: replica: catch-up from %s: %v", r.Primary(), err)
+			}
 		}
 	}
-}
-
-func (r *Replica) noteErr(err error) {
-	if err == nil {
-		return
-	}
-	s := err.Error()
-	r.lastErr.Store(&s)
 }
 
 // Index returns the replica's current serving index (nil before
@@ -393,39 +410,6 @@ func (r *Replica) Generation() uint64 {
 		return ix.Generation()
 	}
 	return 0
-}
-
-// ReplicaStats is the replica's observability snapshot.
-type ReplicaStats struct {
-	// Snapshots counts full snapshot pulls (bootstrap + every 410).
-	Snapshots int64
-	// Batches and DocsApplied count WAL-tail rounds that applied
-	// documents, and the documents they applied (re-snapshot documents
-	// included in DocsApplied).
-	Batches     int64
-	DocsApplied int64
-	// ResumedPulls counts snapshot-file transfers resumed with a Range
-	// request after a cut connection.
-	ResumedPulls int64
-	// LastError is the most recent catch-up error ("" when none has
-	// occurred); it does not reset on success — it is a debugging
-	// breadcrumb, not a health signal. Health is Stats().Ready +
-	// staleness.
-	LastError string
-}
-
-// ReplicaStats snapshots the replica's counters.
-func (r *Replica) ReplicaStats() ReplicaStats {
-	st := ReplicaStats{
-		Snapshots:    r.snaps.Load(),
-		Batches:      r.batches.Load(),
-		DocsApplied:  r.applied.Load(),
-		ResumedPulls: r.resumes.Load(),
-	}
-	if p := r.lastErr.Load(); p != nil {
-		st.LastError = *p
-	}
-	return st
 }
 
 // RegisterMetrics exports the replica's counters on reg under the

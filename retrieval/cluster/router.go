@@ -665,72 +665,6 @@ func (r *Router) TailWAL(from int) ([]retrieval.Document, error) {
 	return nil, retrieval.ErrNoWAL
 }
 
-// RouterStats is the router's observability snapshot.
-type RouterStats struct {
-	// ManifestVersion is the serving topology's version.
-	ManifestVersion int
-	// Synced reports whether ingest is live (see Sync).
-	Synced bool
-	// Docs is the cluster document count as of the last Sync/Add.
-	Docs int64
-	// Partials counts quorum-degraded search responses served.
-	Partials int64
-	// Hedges counts hedged requests launched because a node was slow.
-	Hedges int64
-	// NodeErrors counts failed node requests (including hedge losers).
-	NodeErrors int64
-	// Reloads and StaleReloads count accepted and version-rejected
-	// manifest reloads.
-	Reloads      int64
-	StaleReloads int64
-	// NodeSheds counts node responses that shed load (429/503) — healthy
-	// backpressure, split from NodeErrors so a dashboard can tell
-	// overload from failure.
-	NodeSheds int64
-	// Retries and RetryBudgetExhausted count same-node retries granted
-	// and refused by the retry budget.
-	Retries              int64
-	RetryBudgetExhausted int64
-	// BreakerDenied counts requests failed fast by an open breaker.
-	BreakerDenied int64
-	// BreakersOpen/HalfOpen gauge the current breaker states across
-	// known nodes; BreakerTrips totals closed→open transitions.
-	BreakersOpen     int
-	BreakersHalfOpen int
-	BreakerTrips     int64
-	// NodesEjected gauges nodes the probe loop currently marks as
-	// outliers; ProbeFailures counts failed background probes.
-	NodesEjected  int
-	ProbeFailures int64
-}
-
-// RouterStats snapshots the router's counters.
-func (r *Router) RouterStats() RouterStats {
-	r.ingestMu.Lock()
-	synced := r.synced
-	r.ingestMu.Unlock()
-	open, halfOpen, ejected, trips := r.healthSnapshot()
-	return RouterStats{
-		ManifestVersion:      r.man.Load().man.Version,
-		Synced:               synced,
-		Docs:                 r.docs.Load(),
-		Partials:             r.partials.Load(),
-		Hedges:               r.hedges.Load(),
-		NodeErrors:           r.nodeErrs.Load(),
-		Reloads:              r.reloads.Load(),
-		StaleReloads:         r.staleRels.Load(),
-		NodeSheds:            r.nodeSheds.Load(),
-		Retries:              r.budget.Retries(),
-		RetryBudgetExhausted: r.budget.Exhausted(),
-		BreakerDenied:        r.denied.Load(),
-		BreakersOpen:         open,
-		BreakersHalfOpen:     halfOpen,
-		BreakerTrips:         trips,
-		NodesEjected:         ejected,
-		ProbeFailures:        r.probeFails.Load(),
-	}
-}
-
 // RegisterMetrics exports the router's counters on reg under the
 // lsi_cluster_* namespace (distinct from the per-node lsi_* series, so
 // a router can share a Prometheus job with the nodes it fronts).

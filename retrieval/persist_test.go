@@ -5,10 +5,12 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"maps"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -256,12 +258,12 @@ func TestLoadV1GoldenServesTextQueries(t *testing.T) {
 	}
 }
 
-// A stream without a text layer — the v1 golden, or a bare lsi.Save —
+// A stream without a text layer — the v1 golden, or a bare lsi.SaveIn —
 // does not load: Load names the converter. The converter refuses it
 // without -text, and refuses a text layer whose vocabulary does not fit.
 func TestLoadV1TextConfigValidation(t *testing.T) {
 	bare := new(bytes.Buffer)
-	if err := demoLSI(t).sharded.Segments(nil)[0].Ix.Save(bare); err != nil {
+	if err := demoLSI(t).sharded.Segments(nil)[0].Ix.SaveIn(bare, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Load(bare); err == nil || !strings.Contains(err.Error(), "lsiquery -upgrade") {
@@ -357,5 +359,85 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 	if _, err := Load(strings.NewReader("")); err == nil {
 		t.Fatal("empty stream should fail to load")
+	}
+}
+
+// testdata/gen1_shared is a two-shard checkpoint in generation version 1,
+// whose every SEGM carried its own copy of its shard's basis, saved by the
+// last build that wrote it: per shard a built base and a settled tier
+// (each with IVF and int8 sidecars), a sealed fold-in and a live one. The
+// .answers.json beside it holds what that build answered from it, exactly
+// and through the tiers. It reopens answering the same, bit for bit; each
+// copy of a basis converges on its shard's base, so one pass settles the
+// fold-ins; it saves again as version 2, each basis once; and a version
+// above 2 is refused by its number.
+func TestGeneration1CheckpointAnswersAsSaved(t *testing.T) {
+	in := filepath.Join("testdata", "gen1_shared")
+	data, err := os.ReadFile(in + ".answers.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[string]map[string][]Result
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	answers := func(ix *Index, route string) {
+		t.Helper()
+		for q, res := range want[route] {
+			if got, err := ix.Search(ctx, q, len(res)); err != nil || !reflect.DeepEqual(got, res) {
+				t.Errorf("%s %q: %v (%v), want %v", route, q, got, err, res)
+			}
+		}
+	}
+	for route, opts := range map[string][]Option{
+		"exact":  {WithAutoCompact(false)},
+		"tiered": {WithAutoCompact(false), WithANN(8, 1), WithQuantized(1)},
+	} {
+		ix, err := Open(in, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		answers(ix, route)
+		base := map[int]*lsi.Index{}
+		for _, seg := range ix.sharded.Segments(nil) {
+			s := seg.Global(0) % ix.NumShards()
+			if base[s] == nil {
+				base[s] = seg.Ix
+			} else if !seg.Ix.SameBasis(base[s]) {
+				t.Errorf("%s: a segment of shard %d over a basis of its own", route, s)
+			}
+		}
+		if st := ix.Stats(); st.SealedPending != 4 || st.FoldedDocs != 96 {
+			t.Fatalf("%s: %d segments over %d documents pending, want the 4 fold-ins over 96", route, st.SealedPending, st.FoldedDocs)
+		}
+		if _, err := ix.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		if st := ix.Stats(); st.SealedPending != 0 || st.FoldedDocs != 0 {
+			t.Fatalf("%s: after a pass, %d segments over %d documents pending", route, st.SealedPending, st.FoldedDocs)
+		}
+		if route == "exact" {
+			answers(ix, route) // a settle keeps every score
+			out := filepath.Join(t.TempDir(), "v2")
+			if err := ix.SaveDir(out); err != nil {
+				t.Fatal(err)
+			}
+			old, _ := os.Stat(filepath.Join(in, "gen-0.lsi"))
+			saved, err := os.ReadFile(filepath.Join(out, "gen-0.lsi"))
+			if err != nil || binary.LittleEndian.Uint16(saved[6:]) != 2 || int64(len(saved)) >= old.Size() {
+				t.Fatalf("resaved as %d bytes (%v), want version 2 in fewer than %d", len(saved), err, old.Size())
+			}
+			future := bytes.Clone(saved)
+			binary.LittleEndian.PutUint16(future[6:], 3)
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, "gen-0.lsi"), future, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := OpenDir(dir); err == nil || !strings.Contains(err.Error(), "checkpoint version 3 is not supported") {
+				t.Fatalf("opening a version-3 checkpoint: %v", err)
+			}
+		}
+		ix.Close()
 	}
 }

@@ -166,8 +166,28 @@ func TestQuantizedComposesWithANN(t *testing.T) {
 	if ast.Searches != 1 || qst.Searches != 1 {
 		t.Fatalf("tier counters: ann %+v quant %+v, want one search each", ast, qst)
 	}
-	// Saturating both budgets recovers the exhaustive ranking exactly.
+	// Saturating nprobe leaves the int8 route alone: bitwise the answer of
+	// an index without the IVF tier at the same beta.
+	quant, err := Build(docs, WithRank(6), WithEngine(EngineDense), WithQuantized(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	alone, err := quant.Search(ctx, "telescope comet", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
 	full, err := only(both.Query(ctx, Query{Texts: []string{"telescope comet"}, TopN: 8, NProbe: probe(99)}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResults(t, full, alone, "saturated nprobe")
+	// Saturating both budgets — beta of at least NumDocs/topN makes stage
+	// 1 keep every document — recovers the exhaustive ranking exactly.
+	wide, err := Build(docs, WithRank(6), WithEngine(EngineDense), WithANN(6, 2), WithQuantized(360/8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err = only(wide.Query(ctx, Query{Texts: []string{"telescope comet"}, TopN: 8, NProbe: probe(99)}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,18 +27,19 @@ import (
 // order: MANI, the manifest (JSON); TEXT, the owning layer's text layer
 // and the external IDs (lsi.AppendText); and per segment, in manifest
 // order, SEGM, its index in the lsi wire format, then ANNI and QUAN, its
-// IVF and int8 sidecars, empty unless the manifest says it has them.
-// DESIGN.md "Checkpoint layout" has the whole picture; a directory an
-// earlier build saved as many files converts with lsiquery -upgrade.
-// Pending raw documents are not persisted: segments reload as
-// non-compactable, serving exactly the scores they served when saved.
+// IVF and int8 sidecars, empty unless the manifest says it has them; only
+// a shard's base carries its basis (lsi.SaveIn). DESIGN.md "Checkpoint
+// layout" has the whole picture; a directory an earlier build saved as
+// many files converts with lsiquery -upgrade. Pending raw documents are
+// not persisted: a fold-in reloads without them, scoring as it did.
 
 // genMagic opens every generation file; genVersion is the layout this
-// build writes and reads.
+// build writes and the newest it reads (version 1 differs only in a
+// basis per SEGM).
 var genMagic = [blob.MagicLen]byte{'L', 'S', 'I', 'G', 'E', 'N'}
 
 const (
-	genVersion = 1
+	genVersion = 2
 	genFileFmt = "gen-%d.lsi"
 	// receiveName is where Receive puts a file until it knows its
 	// generation. Temp names end in genTemp: no temp is a generation file.
@@ -127,13 +128,14 @@ func ShareOf(numDocs, s, shards int) int {
 // Part is one segment of a checkpoint: its manifest entry and its
 // encodings, the index in the lsi wire format and the optional IVF and
 // int8 sidecars (nil when absent). The Parts of a view hold the segment
-// instead, encoded only when the writer reaches it, so a checkpoint never
-// holds two segments' encodings at once.
+// and its shard's base instead, encoded only when the writer reaches it,
+// so a checkpoint never holds two segments' encodings at once.
 type Part struct {
 	Docs              int
 	Compacted, Base   bool
 	Index, ANN, Quant []byte
 	seg               *segment.Segment
+	base              *lsi.Index
 }
 
 // encoded is p with its encodings, made from its segment if it has one.
@@ -144,8 +146,8 @@ func (p Part) encoded() (Part, error) {
 		return p, nil
 	}
 	var buf bytes.Buffer
-	buf.Grow(p.seg.Ix.EncodedSize())
-	err := p.seg.Ix.Save(&buf)
+	buf.Grow(p.seg.Ix.EncodedSize(p.base))
+	err := p.seg.Ix.SaveIn(&buf, p.base)
 	p.Index = buf.Bytes()
 	if p.seg.Ann != nil {
 		p.ANN = p.seg.Ann.Encode()
@@ -257,9 +259,9 @@ func commit(fsys faultinject.FS, f faultinject.File, dir, tmp, name string, befo
 // ingestMu so the ID table and the segment states of one view agree.
 func (x *Index) viewShard(s int) []Part {
 	var parts []Part
+	base := x.shards[s].base
 	for _, seg := range x.shards[s].state.Load().segments(nil) {
-		base := x.shards[s].base != nil && seg.Ix == x.shards[s].base
-		parts = append(parts, Part{Docs: seg.Len(), Compacted: seg.Compacted, Base: base, seg: seg})
+		parts = append(parts, Part{Docs: seg.Len(), Compacted: seg.Compacted, Base: base != nil && seg.Ix == base, seg: seg, base: base})
 	}
 	return parts
 }
@@ -371,7 +373,7 @@ func Receive(dir string, fill func(f *os.File) error) (int, error) {
 // seed, terms) and the text layer (Text); cfg the runtime knobs —
 // SealEvery (0 keeps the saved value), AutoCompact, the tiers. Segments
 // reload exactly as saved and serve identical scores, numbered by their
-// position (see manifestSegment), and are not re-compactable.
+// position (see manifestSegment), and merge as they would have.
 func Open(dir string, cfg Config) (*Index, error) {
 	path, _, err := Latest(dir)
 	if err != nil {
@@ -398,8 +400,8 @@ func readHead(r *blob.Reader) (*manifest, error) {
 	if !r.HasMagic(genMagic) {
 		return nil, errors.New("not a checkpoint generation file")
 	}
-	if v := r.Header(); r.Err() == nil && v != genVersion {
-		return nil, fmt.Errorf("checkpoint version %d is not supported by this build (it reads %d)", v, genVersion)
+	if v := r.Header(); r.Err() == nil && (v < 1 || v > genVersion) {
+		return nil, fmt.Errorf("checkpoint version %d is not supported by this build (it reads 1..%d)", v, genVersion)
 	}
 	head := r.Bytes(tagManifest, -1)
 	if r.Err() != nil {
@@ -446,38 +448,43 @@ func load(head, r *blob.Reader, cfg Config) (*Index, error) {
 	r.Nested(tagManifest)
 	r.Nested(tagText)
 	for s, entries := range man.Segments {
-		st, local := &shardState{}, 0
+		sh, local := x.shards[s], 0
+		segs := make([]*segment.Segment, len(entries))
 		for i, e := range entries {
-			seg, err := x.loadSegment(r, s, i, s+man.Shards*local, e) // local l is global s + Shards·l
+			seg, err := x.loadSegment(r, s, i, s+man.Shards*local, e, sh.base) // local l is global s + Shards·l
 			if err != nil {
 				return nil, fmt.Errorf("shard %d segment %d: %w", s, i, err)
 			}
 			local += e.Docs
-			st.stable = append(st.stable, seg)
-			if e.Base {
-				x.shards[s].base = seg.Ix
+			if segs[i] = seg; e.Base || i == 0 { // the base, or in its place the first
+				sh.base = seg.Ix
 			}
 		}
-		// A shard that has segments but no recorded basis (a manifest
-		// from a degenerate save) falls back to its first segment's
-		// index so ingest keeps working.
-		if x.shards[s].base == nil && len(st.stable) > 0 {
-			x.shards[s].base = st.stable[0].Ix
+		// No pass merges a fold-in ahead of a foreign basis: it is settled.
+		for i, seg := range segs[:classStart(segs, sh.base)] {
+			if !seg.Compacted {
+				seg.Compacted = true // not yet published
+				if segs[i], err = seg.WithTiers(x.tiers(s), seg.Ann, seg.Quant); err != nil {
+					return nil, fmt.Errorf("shard %d segment %d: %w", s, i, err)
+				}
+			}
 		}
-		x.shards[s].state.Store(st)
+		sh.state.Store(&shardState{stable: segs})
 	}
 	if err := r.End(); err != nil {
 		return nil, err
 	}
 	x.startCompactor()
+	x.wakeCompactor() // reloaded fold-ins are debt
 	return x, nil
 }
 
 // loadSegment reads shard s's segment i, described by e, whose first
 // document is global first, and its sidecars; WithTiers trains any the
-// opening config asks for beyond them.
-func (x *Index) loadSegment(r *blob.Reader, s, i, first int, e manifestSegment) (*segment.Segment, error) {
-	ix, err := lsi.Load(r.Nested(tagSegment))
+// opening config asks for beyond them. One that shares base's basis
+// shares it again (lsi.LoadIn).
+func (x *Index) loadSegment(r *blob.Reader, s, i, first int, e manifestSegment, base *lsi.Index) (*segment.Segment, error) {
+	ix, err := lsi.LoadIn(r.Nested(tagSegment), base)
 	if err != nil {
 		return nil, err
 	}

@@ -5,11 +5,13 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/blob"
 	"repro/internal/faultinject"
+	"repro/internal/lsi"
 )
 
 // generation is a checkpoint file taken apart, for tests that edit one.
@@ -22,15 +24,7 @@ type generation struct {
 // readGeneration takes dir's newest generation file apart.
 func readGeneration(t testing.TB, dir string) *generation {
 	t.Helper()
-	path, _, err := Latest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := blob.NewReader(bytes.NewReader(data))
+	r := blob.NewReader(bytes.NewReader(newestFile(t, dir)))
 	man, err := readHead(r)
 	if err != nil {
 		t.Fatal(err)
@@ -109,28 +103,162 @@ func TestOpenRefusesOldDirectory(t *testing.T) {
 	}
 }
 
-// fuzzCheckpoint is a small tiered checkpoint: two shards, each segment
-// with both sidecars.
-func fuzzCheckpoint(f *testing.F) []byte {
-	a := testMatrix(f, 3, 6, 24, 901)
-	x, err := Build(a, defaultIDs(24), nil, Config{Shards: 2, Rank: 3, Seed: 5, ANNList: 3, Quantize: true, TierMinDocs: 1})
+// fuzzCheckpoint is a small tiered checkpoint: two shards, each holding
+// its base and a settled tier (both with both sidecars), a sealed fold-in
+// and a live one, every segment but the base with an empty BASI. It
+// returns the directory and its one file's bytes.
+func fuzzCheckpoint(t testing.TB) (string, []byte) {
+	a := testMatrix(t, 3, 6, 24, 901)
+	x, err := Build(a, defaultIDs(24), nil, Config{Shards: 2, Rank: 3, Seed: 5, SealEvery: 2, ANNList: 3, Quantize: true, TierMinDocs: 1})
 	if err != nil {
-		f.Fatal(err)
+		t.Fatal(err)
 	}
 	defer x.Close()
-	dir := f.TempDir()
-	if err := x.SaveDir(dir); err != nil {
-		f.Fatal(err)
+	for i := 0; i < 10; i++ {
+		terms, weights := sparseCol(a, i)
+		if _, err := x.Add(Doc{Terms: terms, Weights: weights}); err != nil {
+			t.Fatal(err)
+		}
+		if i == 3 {
+			if _, err := x.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
+	dir := t.TempDir()
+	if err := x.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	return dir, newestFile(t, dir)
+}
+
+// newestFile is the bytes of dir's newest generation file.
+func newestFile(t testing.TB, dir string) []byte {
+	t.Helper()
 	path, _, err := Latest(dir)
 	if err != nil {
-		f.Fatal(err)
+		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
-		f.Fatal(err)
+		t.Fatal(err)
 	}
 	return data
+}
+
+// segmentIndex loads the index of parts[i], a shard's segments as
+// readGeneration returns them, against the shard's base.
+func segmentIndex(t testing.TB, parts []Part, i int) (ix, base *lsi.Index) {
+	t.Helper()
+	base, err := lsi.LoadIn(bytes.NewReader(parts[0].Index), nil)
+	if err == nil {
+		ix, err = lsi.LoadIn(bytes.NewReader(parts[i].Index), base)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix, base
+}
+
+// encode is ix's SEGM payload written against base (lsi.SaveIn).
+func encode(t testing.TB, ix, base *lsi.Index) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := ix.SaveIn(&buf, base); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// basisless is the SEGM payload of a rank-k index over n terms holding m
+// zero documents and no basis.
+func basisless(k, n, m int) []byte {
+	var buf bytes.Buffer
+	w := blob.NewWriter(&buf, lsi.Magic, lsi.WireVersion, 5)
+	var dims []byte
+	for _, d := range []int{k, n, m} {
+		dims = binary.LittleEndian.AppendUint64(dims, uint64(d))
+	}
+	w.Bytes("DIMS", dims)
+	w.Floats("SIGM", make([]float64, k))
+	w.Bytes("TEXT", nil)
+	w.Floats("BASI", nil)
+	w.Float32s("DOCS", make([]float32, m*k))
+	w.Close() // a bytes.Buffer takes every write
+	return buf.Bytes()
+}
+
+// hostile is a checkpoint whose open must fail with an error naming want.
+type hostile struct {
+	want string
+	data []byte
+}
+
+// hostileBases are checkpoints, edited from dir's, whose shard 1 holds a
+// SEGM that cannot take the basis it lacks.
+func hostileBases(t testing.TB, dir string) []hostile {
+	t.Helper()
+	out := []hostile{}
+	for _, c := range []struct {
+		want string
+		edit func(segs []Part)
+	}{
+		// The base itself without a basis: its rows over its basis, not the base.
+		{"shard 1 segment 0", func(segs []Part) {
+			ix, base := segmentIndex(t, segs, 0)
+			grown, err := ix.ExtendedSparse(nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			segs[0].Index = encode(t, grown, base)
+		}},
+		// A segment ahead of the base without a basis: there is none yet.
+		{"shard 1 segment 0", func(segs []Part) {
+			tier, base := segmentIndex(t, segs, 1)
+			grown, err := base.ExtendedSparse(nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			segs[0].Index, segs[0].Base = encode(t, grown, base), false
+			segs[1].Index, segs[1].Base = encode(t, tier, nil), true
+		}},
+		// Segments without a basis whose rank or terms are not the base's.
+		{"shard 1 segment 2", func(segs []Part) {
+			_, base := segmentIndex(t, segs, 0)
+			segs[2].Index = basisless(base.K()-1, base.NumTerms(), segs[2].Docs)
+		}},
+		{"shard 1 segment 3", func(segs []Part) {
+			_, base := segmentIndex(t, segs, 0)
+			segs[3].Index = basisless(base.K(), base.NumTerms()+1, segs[3].Docs)
+		}},
+	} {
+		cp := t.TempDir()
+		if err := os.CopyFS(cp, os.DirFS(dir)); err != nil {
+			t.Fatal(err)
+		}
+		editCheckpoint(t, cp, func(parts [][]Part) { c.edit(parts[1]) })
+		out = append(out, hostile{c.want, newestFile(t, cp)})
+	}
+	return out
+}
+
+// A SEGM without a basis is read only after its shard's base, and only
+// if it fits that base: each hostile checkpoint fails to open with an
+// error naming the segment.
+func TestOpenRefusesSegmentsThatCannotShareTheBase(t *testing.T) {
+	dir, _ := fuzzCheckpoint(t)
+	for _, h := range hostileBases(t, dir) {
+		cp := t.TempDir()
+		if err := os.WriteFile(filepath.Join(cp, "gen-0.lsi"), h.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if x, err := Open(cp, Config{}); err == nil || !strings.Contains(err.Error(), h.want) {
+			if err == nil {
+				x.Close()
+			}
+			t.Errorf("opening a checkpoint whose %s cannot share the base: %v", h.want, err)
+		}
+	}
 }
 
 // sections is where each section of a container starts (its header) and
@@ -151,9 +279,14 @@ func sections(data []byte) (tags []string, starts, ends []int) {
 // derived state, counted as degraded and served by the exact scan. Run
 // `go test -fuzz=FuzzOpenCheckpoint ./retrieval/shard` to explore further.
 func FuzzOpenCheckpoint(f *testing.F) {
-	valid := fuzzCheckpoint(f)
+	dir, valid := fuzzCheckpoint(f)
 	tags, starts, ends := sections(valid)
 	f.Add(valid)
+	mustFail := map[string]string{}
+	for _, h := range hostileBases(f, dir) {
+		f.Add(h.data)
+		mustFail[string(h.data)] = h.want
+	}
 	f.Add(valid[:len(valid)/2])
 	f.Add(valid[:len(valid)-1])
 	f.Add(valid[:12])
@@ -187,6 +320,9 @@ func FuzzOpenCheckpoint(f *testing.F) {
 		}
 		for _, r := range []*blob.Reader{blob.NewReader(bytes.NewReader(data)), blob.NewMappedReader(data)} {
 			x, err := load(blob.NewReader(bytes.NewReader(data)), r, Config{})
+			if want, ok := mustFail[string(data)]; ok && (err == nil || !strings.Contains(err.Error(), want)) {
+				t.Fatalf("a segment that cannot share its shard's basis: %v, want an error naming %s", err, want)
+			}
 			if err != nil {
 				if derivedOnly {
 					t.Fatalf("a checkpoint whose sidecar alone is damaged does not open: %v", err)
@@ -200,4 +336,151 @@ func FuzzOpenCheckpoint(f *testing.F) {
 			x.Close()
 		}
 	})
+}
+
+// basisLen is the length of the BASI payload of a SEGM section's index.
+func basisLen(t testing.TB, index []byte) int {
+	t.Helper()
+	tags, starts, ends := sections(index)
+	for i, tag := range tags {
+		if tag == "BASI" {
+			return ends[i] - starts[i] - 12
+		}
+	}
+	t.Fatal("a SEGM section without a BASI section")
+	return 0
+}
+
+// A checkpoint holds each shard's basis once, in its base's SEGM, and the
+// reopened index is the one that was saved: every segment shares its
+// shard's basis again, answers bit for bit on every route, holds what the
+// saved index held but the raw documents it drops, and the next pass
+// settles the fold-ins it reloaded.
+func TestCheckpointHoldsOneBasisPerShard(t *testing.T) {
+	a := testMatrix(t, 4, 10, 60, 419)
+	cfg := annConfig(2)
+	cfg.Quantize = true
+	x, err := Build(a, defaultIDs(60), nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer x.Close()
+	for i := 0; i < 90; i++ { // seals every 8 a shard, settled twice along the way
+		terms, weights := sparseCol(a, (7*i)%60)
+		if _, err := x.Add(Doc{Terms: terms, Weights: weights}); err != nil {
+			t.Fatal(err)
+		}
+		if i == 33 || i == 65 {
+			if _, err := x.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	raw, folded := 0, 0
+	for _, seg := range x.Segments(nil) {
+		raw += seg.Raw.NNZ()
+		if !seg.Compacted {
+			folded++
+		}
+	}
+	saved := x.Stats()
+	if saved.SealedPending == 0 || saved.Live == 0 || saved.Compacted <= 2 || saved.Tiers.QuantSegs <= 2 {
+		t.Fatalf("the saved index lacks a kind of segment: %+v", saved)
+	}
+	dir := filepath.Join(t.TempDir(), "idx")
+	if err := x.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	for s, segs := range readGeneration(t, dir).parts {
+		bases := 0
+		for i, p := range segs {
+			if n := basisLen(t, p.Index); n > 0 {
+				bases++
+				if !p.Base {
+					t.Errorf("shard %d segment %d: %d B of basis outside the base", s, i, n)
+				}
+			}
+		}
+		if bases != 1 {
+			t.Errorf("shard %d: %d segments carry a basis, want 1", s, bases)
+		}
+	}
+
+	cfg.AutoCompact = false
+	y, err := Open(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer y.Close()
+	for s, sh := range y.shards {
+		for i, seg := range sh.state.Load().stable {
+			if !seg.Ix.SameBasis(sh.base) {
+				t.Errorf("shard %d segment %d: a basis of its own", s, i)
+			}
+		}
+	}
+	sameOnEveryRoute(t, a, x, y)
+	// The ID table reloads sized to fit, where ingest grew it by append.
+	st := y.Stats()
+	if got, want := st.MemoryBytes-y.ids.Load().Bytes(), saved.MemoryBytes-x.ids.Load().Bytes()-16*int64(raw); got != want {
+		t.Errorf("segments hold %d B reopened, want %d: saved less %d raw weights", got, want, raw)
+	}
+	if st.SealedPending != folded || st.FoldedDocs != saved.FoldedDocs || st.Live != 0 {
+		t.Errorf("reopened: %d sealed, %d live segments over %d folded documents, want %d, 0 and %d",
+			st.SealedPending, st.Live, st.FoldedDocs, folded, saved.FoldedDocs)
+	}
+	if merged, err := y.Compact(); err != nil || merged < folded {
+		t.Fatalf("one pass merged %d segments (%v), want the %d reloaded fold-ins at least", merged, err, folded)
+	}
+	if st := y.Stats(); st.SealedPending != 0 || st.FoldedDocs != 0 {
+		t.Fatalf("after a pass: %d sealed over %d folded documents", st.SealedPending, st.FoldedDocs)
+	}
+	sameOnEveryRoute(t, a, x, y)
+}
+
+// A converted directory from before settled tiers can hold a fold-in
+// ahead of a tier over a basis of its own. No pass can merge that fold-in
+// (Concat joins one basis, Merge adjacent segments), so Open loads it
+// settled: the compaction class stays the suffix after the foreign tier,
+// and SealedPending counts exactly what a pass merges.
+func TestOpenSettlesFoldInsBeforeAForeignTier(t *testing.T) {
+	dir := t.TempDir()
+	if err := layoutIndex(t).SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	editCheckpoint(t, dir, func(parts [][]Part) {
+		for _, segs := range parts { // base, settled tier, sealed, live
+			tier, _ := segmentIndex(t, segs, 2)
+			n, k := tier.Basis().Dims()
+			uk := slices.Clone(tier.Basis().RawData())
+			uk[0] = -uk[0]
+			own, err := lsi.NewIndexFromParts(lsi.IndexParts{K: k, NumTerms: n, Sigma: tier.SingularValues(), UkRows: n, UkData: uk,
+				DocRows: tier.NumDocs(), DocData: tier.Docs().RawData()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			segs[1].Compacted, segs[1].ANN, segs[1].Quant = false, nil, nil
+			segs[2].Compacted, segs[2].Index = true, encode(t, own, nil)
+		}
+	})
+	x, err := Open(dir, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer x.Close()
+	for s, sh := range x.shards {
+		segs := sh.state.Load().stable
+		if !segs[1].Compacted || !segs[1].Ix.SameBasis(sh.base) || segs[2].Ix.SameBasis(sh.base) || segs[3].Compacted {
+			t.Fatalf("shard %d: the fold-in ahead of the foreign tier loaded compacted=%v, the trailing one compacted=%v", s, segs[1].Compacted, segs[3].Compacted)
+		}
+	}
+	if st := x.Stats(); st.SealedPending != 2 {
+		t.Fatalf("%d segments pending, want the trailing fold-in of each shard", st.SealedPending)
+	}
+	if merged, err := x.Compact(); merged != 2 || err != nil {
+		t.Fatalf("a pass merged %d segments (%v), want 2", merged, err)
+	}
+	if st := x.Stats(); st.SealedPending != 0 || st.Segments != 8 {
+		t.Fatalf("after a pass: %d pending over %d segments", st.SealedPending, st.Segments)
+	}
 }

@@ -23,10 +23,8 @@ import (
 // searches in flight keep serving the old segments they snapshotted.
 
 // compactable reports whether a stable segment is waiting for the
-// compactor: a sealed fold-in, raw documents and all.
-func compactable(s *segment.Segment) bool {
-	return !s.Compacted && s.Raw != nil
-}
+// compactor: a sealed fold-in, or one Open reloaded.
+func compactable(s *segment.Segment) bool { return !s.Compacted }
 
 // compactTick bounds how long a sealed segment waits when a wake signal
 // is missed (the channel is best-effort, capacity 1).
@@ -147,17 +145,12 @@ func (x *Index) Compact() (merged int, err error) {
 // larger than the material merged so far (walking newest to oldest).
 // Each surviving tier is therefore bigger than everything younger
 // combined, so a shard holds O(log docs) tiers however long ingest runs.
-// The sealed segments are the newest of the class, so the result is a
-// suffix of it; nil when none is sealed. Merging an in-order subsequence
-// of the stable list keeps globals ascending: per-shard segments hold
+// The sealed segments are the newest of the class (classStart), so the
+// result is a suffix of it; nil when none is sealed. Merging a suffix of
+// the stable list keeps globals ascending: per-shard segments hold
 // disjoint, chronologically increasing global ranges.
 func sizeTiered(stable []*segment.Segment, base *lsi.Index) []*segment.Segment {
-	var class []*segment.Segment // folded into base: not base, nor a reloaded tier's own copy
-	for _, seg := range stable {
-		if seg.Ix != base && seg.Ix.SameBasis(base) {
-			class = append(class, seg)
-		}
-	}
+	class := stable[classStart(stable, base):]
 	if !slices.ContainsFunc(class, compactable) {
 		return nil
 	}
@@ -171,4 +164,17 @@ func sizeTiered(stable []*segment.Segment, base *lsi.Index) []*segment.Segment {
 		size += prev.Len()
 	}
 	return class[start:]
+}
+
+// classStart is where the compaction class of segs, a shard's stable
+// list, begins: past base and any segment over another basis (a tier of a
+// converted pre-settling directory), so Concat joins any run of it.
+func classStart(segs []*segment.Segment, base *lsi.Index) int {
+	start := 0
+	for i, seg := range segs {
+		if seg.Ix == base || !seg.Ix.SameBasis(base) {
+			start = i + 1
+		}
+	}
+	return start
 }

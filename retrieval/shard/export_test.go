@@ -155,8 +155,8 @@ func TestEncodeSegmentAllocatesItsSizeOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := p.Index
-	if len(data) != ix.EncodedSize() {
-		t.Fatalf("encoded %d bytes, EncodedSize says %d", len(data), ix.EncodedSize())
+	if len(data) != ix.EncodedSize(nil) {
+		t.Fatalf("encoded %d bytes, EncodedSize says %d", len(data), ix.EncodedSize(nil))
 	}
 	// The slack is the writer's one window.
 	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(len(data)+2*blob.Window); got > limit {

@@ -52,7 +52,6 @@ import (
 
 	"repro/internal/idtable"
 	"repro/internal/lsi"
-	"repro/internal/mat"
 	"repro/internal/par"
 	"repro/internal/segment"
 	"repro/internal/sparse"
@@ -442,16 +441,9 @@ type Stats struct {
 	// Generation is the generation of the newest durable
 	// checkpoint (0 = never saved); see Index.Generation.
 	Generation uint64 `json:"generation"`
-	// Segments counts every published segment; Live of them are
-	// fold-in segments still absorbing, SealedPending are sealed and
-	// waiting for the compactor, Compacted were built or merged by it.
-	Segments      int `json:"segments"`
-	Live          int `json:"liveSegments"`
-	SealedPending int `json:"sealedPending"`
-	Compacted     int `json:"compactedSegments"`
-	// Docs is the total document count; FoldedDocs of them are in live,
-	// sealed or reloaded fold-in segments no compaction has merged.
-	Docs       int `json:"docs"`
+	// ShardStat holds the shards' counts summed; FoldedDocs of its Docs
+	// are in live or sealed fold-in segments no compaction has merged.
+	ShardStat
 	FoldedDocs int `json:"foldedDocs"`
 	// Compactions counts the tiers the compactor merged since Build/Open,
 	// one per shard a pass touched.
@@ -481,16 +473,13 @@ type Stats struct {
 // published state is loaded once.
 func (x *Index) Stats() Stats {
 	st := Stats{Shards: x.cfg.Shards, Generation: x.generation.Load(), PerShard: make([]ShardStat, len(x.shards))}
-	// Fold-in segments share their basis matrix with the segment they
-	// fold against; count each distinct basis once.
-	var seenBuf [16]*mat.Dense
 	var segBuf [16]*segment.Segment
-	seen := seenBuf[:0]
 	for i, sh := range x.shards {
 		s := sh.state.Load()
 		st.Epoch = max(st.Epoch, s.epoch)
 		ps := &st.PerShard[i]
-		for _, seg := range s.segments(segBuf[:0]) {
+		segs := s.segments(segBuf[:0])
+		for j, seg := range segs {
 			ps.Segments++
 			ps.Docs += seg.Len()
 			switch {
@@ -500,21 +489,15 @@ func (x *Index) Stats() Stats {
 			case compactable(seg):
 				ps.SealedPending++
 				st.FoldedDocs += seg.Len()
-			case seg.Compacted:
-				ps.Compacted++
 			default:
-				// Frozen fold-in segment (reloaded without its raw docs):
-				// not live, not compactable, not a full decomposition.
-				st.FoldedDocs += seg.Len()
+				ps.Compacted++
 			}
 			st.Tiers.Add(seg)
-			b := seg.Ix.Basis() // a mapping is shared along with the basis
-			first := !slices.Contains(seen, b)
+			// A basis, and the mapping it is a view of, is shared within a
+			// shard only: count each once there.
+			first := !slices.ContainsFunc(segs[:j], func(o *segment.Segment) bool { return o.Ix.SameBasis(seg.Ix) })
 			mem, mapped := seg.MemoryBytes(first)
 			st.MemoryBytes, st.MappedBytes = st.MemoryBytes+mem, st.MappedBytes+mapped
-			if first {
-				seen = append(seen, b)
-			}
 		}
 		st.Segments += ps.Segments
 		st.Live += ps.Live
@@ -573,10 +556,10 @@ func (x *Index) LastMutation() time.Time {
 // Stats counts index-wide. Exported per shard so monitoring can spot imbalance
 // (one shard accumulating sealed segments while others stay compacted).
 type ShardStat struct {
-	// Segments counts every published segment of the shard; Live,
-	// SealedPending, and Compacted split them by lifecycle state (a
-	// frozen fold-in segment reloaded without raw docs is in none of the
-	// three).
+	// Segments counts every published segment of the shard; Live of them
+	// are fold-in segments still absorbing, SealedPending are sealed (or
+	// reloaded) and waiting for the compactor, Compacted were built or
+	// merged by it.
 	Segments      int `json:"segments"`
 	Live          int `json:"liveSegments"`
 	SealedPending int `json:"sealedPending"`

@@ -227,7 +227,7 @@ func printStats(w io.Writer, st retrieval.Stats) {
 	fmt.Fprintf(w, "memory (est): %s\n", humanBytes(st.MemoryBytes))
 	if st.Sharded {
 		fmt.Fprintf(w, "shards:       %d (%d segments: %d live, %d sealed, %d compacted)\n",
-			st.Shards, st.Segments, st.LiveSegments, st.SealedPending, st.CompactedSegments)
+			st.Shards, st.Segments, st.Live, st.SealedPending, st.Compacted)
 	}
 	if st.ANN != nil {
 		fmt.Fprintf(w, "ann tier:     nlist=%d nprobe=%d (%d quantizers over %d documents)\n",

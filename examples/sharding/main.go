@@ -19,7 +19,7 @@ import (
 func show(label string, ix *retrieval.Index) {
 	st := ix.Stats()
 	fmt.Printf("%-28s %3d docs | %d shards, %d segments (%d live, %d sealed, %d compacted) | ready=%v\n",
-		label, st.NumDocs, st.Shards, st.Segments, st.LiveSegments, st.SealedPending, st.CompactedSegments, st.Ready)
+		label, st.NumDocs, st.Shards, st.Segments, st.Live, st.SealedPending, st.Compacted, st.Ready)
 }
 
 func main() {

@@ -59,8 +59,8 @@ func TestUpgradeDirectoryAnswersAsSaved(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := ix.Stats()
-		if st.Live == nil || st.Live.SidecarsDegraded != 2 || st.ANN == nil || st.ANN.Segments != 2 || (st.Quant != nil && st.Quant.Segments == 2) != (route == "tiered") {
-			t.Fatalf("%s: the upgraded checkpoint lost its IVF sidecars, or kept or did not retrain its int8 ones: %+v, %+v, %+v", route, st.Live, st.ANN, st.Quant)
+		if st.PerShard == nil || st.SidecarsDegraded != 2 || st.ANN == nil || st.ANN.Segments != 2 || (st.Quant != nil && st.Quant.Segments == 2) != (route == "tiered") {
+			t.Fatalf("%s: the upgraded checkpoint lost its IVF sidecars, or kept or did not retrain its int8 ones: %+v, %+v, %+v", route, st.Stats, st.ANN, st.Quant)
 		}
 		for q, res := range want[route] {
 			got, err := ix.Search(context.Background(), q, len(res))
@@ -125,8 +125,8 @@ func TestUpgradeShardCheckpointWithText(t *testing.T) {
 		if len(segs) != 1 || segs[0].Ix.SaveIn(&got, nil) != nil || !bytes.Equal(got.Bytes(), seg) {
 			t.Errorf("%s: the upgraded segment does not hold the saved index's numbers", in)
 		}
-		if x.SidecarsDegraded() != degraded || len(segs) != 1 || segs[0].Ann == nil || segs[0].Quant == nil {
-			t.Errorf("%s: %d sidecars degraded, want %d, and both tiers retrained", in, x.SidecarsDegraded(), degraded)
+		if x.Stats().SidecarsDegraded != degraded || len(segs) != 1 || segs[0].Ann == nil || segs[0].Quant == nil {
+			t.Errorf("%s: %d sidecars degraded, want %d, and both tiers retrained", in, x.Stats().SidecarsDegraded, degraded)
 		}
 		x.Close()
 		ix, err := retrieval.Open(out, retrieval.WithAutoCompact(false))

@@ -120,10 +120,10 @@ func TestTierStatsScrapeIsAllocationFree(t *testing.T) {
 		allocs := testing.AllocsPerRun(100, func() {
 			st := ix.Stats()
 			as, qs := st.ANN, st.Quant
-			if as == nil || qs == nil || st.Cache == nil || (st.Live != nil) != (shards > 0) ||
+			if as == nil || qs == nil || st.Cache == nil || (st.PerShard != nil) != (shards > 0) ||
 				as.Segments != wantSegs || qs.Segments != wantSegs ||
 				as.Docs != 780 || qs.Docs != 780 || as.Searches != 1 || qs.Searches != 1 {
-				t.Fatalf("shards=%d: ann %+v, quant %+v, cache %v, live %v", shards, as, qs, st.Cache, st.Live)
+				t.Fatalf("shards=%d: ann %+v, quant %+v, cache %v, per shard %v", shards, as, qs, st.Cache, st.PerShard)
 			}
 		})
 		if allocs > limit {

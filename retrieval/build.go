@@ -133,25 +133,9 @@ func (ix *Index) Stats() Stats {
 	st.Epoch, st.Generation = ix.sharded.Epoch(), ss.Generation
 	st.MemoryBytes += ss.MemoryBytes
 	st.MappedBytes = ss.MappedBytes
-	st.Ready = ss.Ready() // off the same snapshot as the counts below
+	st.Ready = ss.Ready() // off the same snapshot as the block below
 	if ix.Sharded() {
-		st.Sharded = true
-		st.Shards = ss.Shards
-		st.Segments = ss.Segments
-		st.LiveSegments = ss.Live
-		st.SealedPending = ss.SealedPending
-		st.CompactedSegments = ss.Compacted
-		st.FoldedDocs = ss.FoldedDocs
-		st.Compactions = ss.Compactions
-		st.CompactionFailures = ss.CompactionFailures
-		st.LastCompactionError = ss.LastCompactionError
-		st.Live = &LiveStats{
-			DocsIngested:     ix.sharded.DocsIngested(),
-			LastMutation:     ix.sharded.LastMutation(),
-			Compacting:       ss.Compacting,
-			SidecarsDegraded: ix.sharded.SidecarsDegraded(),
-			PerShard:         ss.PerShard,
-		}
+		st.Sharded, st.Stats = true, ss
 	}
 	if ix.qc != nil {
 		st.Cache = &QueryCacheStats{Stats: ix.qc.Stats(), Epoch: st.Epoch}

@@ -522,7 +522,7 @@ func (r *Router) Stats() retrieval.Stats {
 	return retrieval.Stats{
 		Backend: "cluster",
 		Sharded: true,
-		Shards:  ms.man.Shards,
+		Stats:   shard.Stats{Shards: ms.man.Shards},
 		NumDocs: r.NumDocs(),
 		Ready:   r.Ready(),
 	}

@@ -61,8 +61,8 @@ func TestUnshardedIndexContract(t *testing.T) {
 					t.Errorf("%s = %v, want ErrNotSharded", name, err)
 				}
 			}
-			if ix.Stats().Live != nil {
-				t.Error("Stats().Live != nil")
+			if st := ix.Stats(); st.Shards != 0 || st.PerShard != nil {
+				t.Errorf("Stats() carries a live block: %+v", st.Stats)
 			}
 			if e, g := ix.Epoch(), ix.Generation(); e != 0 || g != 0 {
 				t.Errorf("Epoch, Generation = %d, %d, want 0, 0", e, g)

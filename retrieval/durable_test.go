@@ -213,8 +213,8 @@ func TestStatsCarryEpochAndGeneration(t *testing.T) {
 	if st.Epoch != ix.Epoch() || st.Generation != 1 {
 		t.Fatalf("Stats epoch %d generation %d, want %d 1", st.Epoch, st.Generation, ix.Epoch())
 	}
-	if st.Live == nil {
-		t.Fatal("Stats().Live = nil on a live index")
+	if st.PerShard == nil {
+		t.Fatal("Stats().PerShard = nil on a live index")
 	}
 }
 

@@ -40,6 +40,7 @@ import (
 	"repro/internal/blob"
 	"repro/internal/metrics"
 	"repro/retrieval"
+	"repro/retrieval/shard"
 )
 
 // gateClass says how the admission gate treats a route.
@@ -229,37 +230,34 @@ func newObserver(reg *metrics.Registry, ret retrieval.Retriever) *observer {
 			qnt(func(s *retrieval.QuantStats) int64 { return s.DocsReranked }))
 	}
 
-	if st.Live != nil {
+	if st.PerShard != nil {
 		// The live series, epoch and compaction counters included, exist
-		// for a live index only.
-		live := func(pick func(*retrieval.LiveStats) float64) func() float64 {
-			return read(o, func(s *retrieval.Stats) *retrieval.LiveStats { return s.Live }, pick)
-		}
+		// for a live index only (the router reports shards, not segments).
 		reg.CounterFunc("lsi_index_epoch", "Index-wide mutation epoch (advances after every published ingest batch and compaction swap).",
 			stat(func(s *retrieval.Stats) float64 { return float64(s.Epoch) }))
 		reg.GaugeFunc("lsi_index_epoch_age_seconds", "Seconds since the last published mutation — the freshness signal of the epoch-keyed query cache.",
-			live(func(s *retrieval.LiveStats) float64 { return time.Since(s.LastMutation).Seconds() }))
+			stat(func(s *retrieval.Stats) float64 { return time.Since(s.LastMutation).Seconds() }))
 		reg.CounterFunc("lsi_index_docs_ingested_total", "Documents accepted through live ingest since boot (rate() of this is the ingest rate).",
-			live(func(s *retrieval.LiveStats) float64 { return float64(s.DocsIngested) }))
+			stat(func(s *retrieval.Stats) float64 { return float64(s.DocsIngested) }))
 		reg.CounterFunc("lsi_index_compactions_total", "Tiers the compactor merged since boot.",
 			stat(func(s *retrieval.Stats) float64 { return float64(s.Compactions) }))
 		reg.CounterFunc("lsi_index_compaction_failures_total", "Compaction passes that returned an error (the message is lastCompactionError in /v1/stats); the sealed segments keep serving and keep their debt.",
 			stat(func(s *retrieval.Stats) float64 { return float64(s.CompactionFailures) }))
 		reg.CounterFunc("lsi_index_sidecars_degraded_total", "Sidecar files (ann-*.ivf, quant-*.qnt) the open found missing or corrupt and treated as absent; the segment retrained the tier or serves by exact scan.",
-			live(func(s *retrieval.LiveStats) float64 { return float64(s.SidecarsDegraded) }))
+			stat(func(s *retrieval.Stats) float64 { return float64(s.SidecarsDegraded) }))
 		reg.GaugeFunc("lsi_index_compaction_debt", "Sealed segments waiting for the compactor (ingest is shed past the configured budget).",
 			stat(func(s *retrieval.Stats) float64 { return float64(s.SealedPending) }))
 		reg.GaugeFunc("lsi_index_compacting", "1 while a compaction pass is in flight.",
-			live(func(s *retrieval.LiveStats) float64 {
+			stat(func(s *retrieval.Stats) float64 {
 				if s.Compacting {
 					return 1
 				}
 				return 0
 			}))
-		for sh := range st.Live.PerShard {
+		for sh := range st.PerShard {
 			shardLbl := metrics.Label{Name: "shard", Value: strconv.Itoa(sh)}
-			perShard := func(pick func(retrieval.ShardStat) int) func() float64 {
-				return live(func(s *retrieval.LiveStats) float64 {
+			perShard := func(pick func(shard.ShardStat) int) func() float64 {
+				return stat(func(s *retrieval.Stats) float64 {
 					if sh >= len(s.PerShard) {
 						return 0
 					}
@@ -267,16 +265,16 @@ func newObserver(reg *metrics.Registry, ret retrieval.Retriever) *observer {
 				})
 			}
 			reg.GaugeFunc("lsi_shard_segments", "Published segments per shard by lifecycle state.",
-				perShard(func(s retrieval.ShardStat) int { return s.Live }),
+				perShard(func(s shard.ShardStat) int { return s.Live }),
 				shardLbl, metrics.Label{Name: "state", Value: "live"})
 			reg.GaugeFunc("lsi_shard_segments", "Published segments per shard by lifecycle state.",
-				perShard(func(s retrieval.ShardStat) int { return s.SealedPending }),
+				perShard(func(s shard.ShardStat) int { return s.SealedPending }),
 				shardLbl, metrics.Label{Name: "state", Value: "sealed_pending"})
 			reg.GaugeFunc("lsi_shard_segments", "Published segments per shard by lifecycle state.",
-				perShard(func(s retrieval.ShardStat) int { return s.Compacted }),
+				perShard(func(s shard.ShardStat) int { return s.Compacted }),
 				shardLbl, metrics.Label{Name: "state", Value: "compacted"})
 			reg.GaugeFunc("lsi_shard_docs", "Documents per shard.",
-				perShard(func(s retrieval.ShardStat) int { return s.Docs }),
+				perShard(func(s shard.ShardStat) int { return s.Docs }),
 				shardLbl)
 		}
 	}

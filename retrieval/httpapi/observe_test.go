@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/retrieval"
+	"repro/retrieval/shard"
 )
 
 // TestMetricsEndpoint drives a sharded, cached handler through
@@ -254,8 +255,9 @@ type debtRet struct {
 }
 
 func (d *debtRet) Stats() retrieval.Stats {
-	return retrieval.Stats{Backend: "fake", NumDocs: 1, SealedPending: d.debt, CompactionFailures: 3,
-		Live: &retrieval.LiveStats{LastMutation: time.Now()}}
+	debt := shard.ShardStat{SealedPending: d.debt}
+	return retrieval.Stats{Backend: "fake", NumDocs: 1, Stats: shard.Stats{ShardStat: debt, CompactionFailures: 3,
+		LastMutation: time.Now(), PerShard: []shard.ShardStat{debt}}}
 }
 
 // TestShedCompactionDebt: ingest routes shed 503 on debt (the server

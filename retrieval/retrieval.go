@@ -35,6 +35,7 @@ import (
 	"errors"
 
 	"repro/retrieval/cache"
+	"repro/retrieval/shard"
 )
 
 // Retriever is the query contract shared by every backend: one search
@@ -117,12 +118,15 @@ type Document struct {
 	Text string
 }
 
-// Stats describes an index.
+// Stats describes an index. It is one snapshot of everything the serving
+// layer reports about it: /v1/stats writes it, /readyz answers its Ready,
+// the ingest debt gate reads its SealedPending, and every index series
+// of /metrics reads it.
 type Stats struct {
 	// Backend is "lsi" or "vsm".
 	Backend string `json:"backend"`
-	// Sharded reports the sharded live index (WithShards); the Shard*
-	// fields below are only populated when it is set.
+	// Sharded reports the sharded live index (WithShards); the embedded
+	// shard.Stats block below is only populated when it is set.
 	Sharded bool `json:"sharded,omitempty"`
 	// NumDocs and NumTerms are the index dimensions.
 	NumDocs  int `json:"numDocs"`
@@ -155,20 +159,17 @@ type Stats struct {
 	// its replicas — see Index.Generation.
 	Generation uint64 `json:"generation"`
 
-	// Sharded-index topology (zero unless Sharded).
-	Shards            int   `json:"shards,omitempty"`
-	Segments          int   `json:"segments,omitempty"`
-	LiveSegments      int   `json:"liveSegments,omitempty"`
-	SealedPending     int   `json:"sealedPending,omitempty"`
-	CompactedSegments int   `json:"compactedSegments,omitempty"`
-	FoldedDocs        int   `json:"foldedDocs,omitempty"`
-	Compactions       int64 `json:"compactions,omitempty"`
-	// CompactionFailures counts compaction passes that returned an error
-	// and LastCompactionError is the newest one's message: a segment
-	// that cannot be merged keeps its debt, and past the ingest gate's
-	// budget that sheds every append — this says why.
-	CompactionFailures  int64  `json:"compactionFailures,omitempty"`
-	LastCompactionError string `json:"lastCompactionError,omitempty"`
+	// Stats is a sharded live index's own snapshot: segment topology,
+	// compaction, ingest and sidecar counters, and the per-shard counts
+	// (see shard.Stats). It is the zero block unless Sharded, and a
+	// zero field writes nothing to /v1/stats: an immutable index shows
+	// none of the nine topology fields, and the cluster router, which
+	// owns no segments, only its Shards. Its PerShard is set for a live
+	// index only, the one kind of backend whose /metrics has the live
+	// series. The block's Generation, MemoryBytes and MappedBytes are
+	// the segments' part of the fields above, which shadow them.
+	shard.Stats
+
 	// Ready is what /readyz answers, the readiness signal for load
 	// balancers: false while the index owes background work (sealed
 	// segments await compaction or a compaction pass is in flight; a
@@ -188,11 +189,6 @@ type Stats struct {
 	// Quant reports the quantized scoring tier (WithQuantized); nil when
 	// the index has none.
 	Quant *QuantStats `json:"quant,omitempty"`
-
-	// Live reports a sharded live index's ingest and per-shard topology
-	// (the /metrics series /v1/stats leaves out); nil when the index is
-	// immutable.
-	Live *LiveStats `json:"-"`
 }
 
 // QueryCacheStats describes the query result cache of an index built

@@ -506,7 +506,7 @@ func (x *Index) loadSegment(r *blob.Reader, s, i, first int, e manifestSegment, 
 // readDerived reads the next section, the sidecar tagged tag of shard s's
 // segment i, empty unless has. A sidecar is derived state: one that does
 // not read (corrupt, or of a version this build does not read) is counted
-// (SidecarsDegraded), logged and treated as absent, so WithTiers retrains
+// (Stats.SidecarsDegraded), logged and treated as absent, so WithTiers retrains
 // it when the config asks for the tier. A failure of the container itself
 // is r's, and fails the open.
 func readDerived[T any](x *Index, r *blob.Reader, tag string, has bool, s, i int, read func(io.Reader) (*T, error)) *T {

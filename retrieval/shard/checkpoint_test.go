@@ -329,7 +329,7 @@ func FuzzOpenCheckpoint(f *testing.F) {
 				}
 				continue
 			}
-			if derivedOnly && x.SidecarsDegraded() == 0 {
+			if derivedOnly && x.Stats().SidecarsDegraded == 0 {
 				t.Fatal("a damaged sidecar was not counted as degraded")
 			}
 			x.SearchSparseOpts([]int{0}, []float64{1}, 3, routes["composed"])

@@ -76,7 +76,7 @@ func (x *Index) wakeCompactor() {
 // atomically. It returns the number of segments merged away (0 when
 // there was nothing to do). Safe to call concurrently with ingest and
 // searches; concurrent Compact calls serialize. A pass that fails is
-// counted (see CompactionFailures) and leaves the segments it could not
+// counted (see Stats.CompactionFailures) and leaves the segments it could not
 // merge published and serving.
 func (x *Index) Compact() (merged int, err error) {
 	x.compactMu.Lock()
@@ -115,7 +115,7 @@ func (x *Index) Compact() (merged int, err error) {
 
 		sh.mu.Lock()
 		cur := sh.state.Load()
-		next := &shardState{epoch: cur.epoch + 1, live: cur.live}
+		next := &shardState{live: cur.live}
 		for _, seg := range cur.stable {
 			switch {
 			case !slices.Contains(pending, seg):

@@ -157,7 +157,7 @@ func (x *Index) AddBatch(docs []Doc) (int, error) {
 	for _, p := range pubs {
 		p.sh.mu.Lock()
 		st := p.sh.state.Load()
-		next := &shardState{epoch: st.epoch + 1, stable: st.stable, live: p.live}
+		next := &shardState{stable: st.stable, live: p.live}
 		if p.base != nil {
 			// The freshly decomposed first segment is stable, not live.
 			p.sh.base = p.base

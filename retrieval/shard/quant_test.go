@@ -385,7 +385,7 @@ func TestOpenSurvivesCorruptAndMissingSidecars(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		defer y.Close()
-		if got := y.SidecarsDegraded(); got != 2 {
+		if got := y.Stats().SidecarsDegraded; got != 2 {
 			t.Errorf("%s: %d sidecars counted as degraded, want 2", name, got)
 		}
 		if ann, qnt := annSegments(y), quantSegments(y); ann != tc.ann || qnt != tc.quant {

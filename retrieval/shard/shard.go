@@ -15,8 +15,8 @@
 //	    per-shard topic subspaces stay independent and builds parallelize.
 //	  - Add / AddBatch fold new documents into the shard's live segment via
 //	    the LSI fold-in path. Every mutation publishes a NEW immutable
-//	    shard state through an atomic pointer with a bumped epoch; readers
-//	    load the pointer once and never block or lock.
+//	    shard state through an atomic pointer, then bumps the index-wide
+//	    epoch; readers load the pointer once and never block or lock.
 //	  - When a live segment reaches SealEvery documents it is sealed:
 //	    moved read-only into the stable list, where the background
 //	    compactor settles it — concatenates it with older tiers in the
@@ -121,10 +121,9 @@ var ErrFrozen = errors.New("shard: index is frozen")
 // shardState is one immutable snapshot of a shard: the sealed/compacted
 // segments plus the live fold-in segment (nil when none is open). Every
 // mutation allocates a new state and publishes it via the shard's atomic
-// pointer with epoch+1 — readers are wait-free and always see a
-// consistent segment set.
+// pointer (the index-wide epoch moves after it) — readers are wait-free
+// and always see a consistent segment set.
 type shardState struct {
-	epoch  uint64
 	stable []*segment.Segment
 	live   *segment.Segment
 }
@@ -174,9 +173,9 @@ type Index struct {
 	// signal that says why.
 	compactFailures  atomic.Int64
 	lastCompactErr   atomic.Pointer[string]
-	sidecarsDegraded atomic.Int64 // see SidecarsDegraded
+	sidecarsDegraded atomic.Int64 // see Stats.SidecarsDegraded
 
-	// Observability counters (see DocsIngested / LastMutation): ingest
+	// Observability counters (see Stats.DocsIngested, LastMutation): ingest
 	// volume and the wall-clock time of the last published mutation,
 	// which /metrics turns into an ingest rate and an epoch age.
 	docsIngested atomic.Int64
@@ -431,52 +430,85 @@ func (x *Index) SearchSparseOpts(terms []int, weights []float64, topN int, opts 
 	return segment.Search(x.Segments(nil), segment.Query{Terms: terms, Weights: weights}, topN, opts)
 }
 
-// Stats describes the index's segment topology and resource use.
+// Stats is one snapshot of a live index: its segment topology, its
+// compaction and ingest counters, and its resource use, each read once
+// from published state. It is the only description of a live index the
+// serving layer has: retrieval.Stats carries it as one block, and
+// /v1/stats, /readyz, the ingest debt gate and every live /metrics series
+// read that block. The JSON tags are the sharded /v1/stats names, omitted
+// when zero (the zero block, an immutable index's, writes none); the
+// fields only /metrics or retrieval read are json:"-".
 type Stats struct {
-	// Shards is the shard count; Epoch is the highest shard epoch (total
-	// number of published mutations across the index's lifetime is the
-	// sum, but the max is what monitoring needs: "is it moving?").
-	Shards int    `json:"shards"`
-	Epoch  uint64 `json:"epoch"`
-	// Generation is the generation of the newest durable
-	// checkpoint (0 = never saved); see Index.Generation.
-	Generation uint64 `json:"generation"`
-	// ShardStat holds the shards' counts summed; FoldedDocs of its Docs
-	// are in live or sealed fold-in segments no compaction has merged.
+	// Shards is the shard count.
+	Shards int `json:"shards,omitempty"`
+	// ShardStat holds the shards' counts summed.
 	ShardStat
-	FoldedDocs int `json:"foldedDocs"`
+	// FoldedDocs counts the documents in live or sealed fold-in segments
+	// no compaction has merged.
+	FoldedDocs int `json:"foldedDocs,omitempty"`
 	// Compactions counts the tiers the compactor merged since Build/Open,
 	// one per shard a pass touched.
-	Compactions int64 `json:"compactions"`
-	// Compacting reports whether a compaction pass is in flight.
-	Compacting bool `json:"compacting"`
-	// CompactionFailures counts compaction passes that returned an error
-	// since Build/Open; LastCompactionError is the newest one's message
-	// ("" = none yet). See Index.CompactionFailures.
-	CompactionFailures  int64  `json:"compactionFailures"`
+	Compactions int64 `json:"compactions,omitempty"`
+	// CompactionFailures counts the compaction passes (background or
+	// Compact calls) that returned an error since Build/Open, and
+	// LastCompactionError is the newest one's message ("" = none yet). A
+	// failed pass leaves its sealed segments serving as they are, so the
+	// debt it could not drain stays counted: debt pinned at the ingest
+	// gate's budget with this counter rising is a segment that cannot be
+	// merged, not a compactor that is behind.
+	CompactionFailures  int64  `json:"compactionFailures,omitempty"`
 	LastCompactionError string `json:"lastCompactionError,omitempty"`
+
+	// Compacting reports whether a compaction pass is in flight.
+	Compacting bool `json:"-"`
+	// DocsIngested counts the documents accepted through Add/AddBatch
+	// since Build or Open (build-time documents are not counted).
+	// Monotonic; a Prometheus rate() over it is the ingest rate.
+	DocsIngested int64 `json:"-"`
+	// LastMutation is the wall-clock time of the last published mutation
+	// (ingest batch or compaction swap), or the build/open time if none
+	// has happened: time.Since(LastMutation) is the index's epoch age,
+	// near zero under steady ingest, growing on an idle or stalled index.
+	LastMutation time.Time `json:"-"`
+	// SidecarsDegraded counts the sidecars (a checkpoint's IVF and int8
+	// parts) Open could not decode and treated as absent.
+	SidecarsDegraded int64 `json:"-"`
+	// Generation is the generation of the newest durable checkpoint
+	// (0 = never saved); see Index.Generation.
+	Generation uint64 `json:"-"`
 	// MemoryBytes estimates the heap held by segment data and the
-	// external-ID table.
-	MemoryBytes int64 `json:"memoryBytes"`
-	// MappedBytes is the part of MemoryBytes served from mapped segment
-	// and sidecar files.
-	MappedBytes int64 `json:"mappedBytes"`
+	// external-ID table; MappedBytes is the part of it served from
+	// mapped checkpoint files.
+	MemoryBytes int64 `json:"-"`
+	MappedBytes int64 `json:"-"`
 	// Tiers is the sidecar coverage of the segment set: how many segments
 	// and documents the IVF quantizers and int8 shadows serve.
-	segment.Tiers
+	segment.Tiers `json:"-"`
 	// PerShard splits the segment and document counts by shard, indexed
 	// by shard number.
-	PerShard []ShardStat `json:"perShard"`
+	PerShard []ShardStat `json:"-"`
 }
 
-// Stats snapshots the segment topology in one walk: each shard's
-// published state is loaded once.
+// Stats snapshots the index in one walk: each shard's published state is
+// loaded once.
 func (x *Index) Stats() Stats {
-	st := Stats{Shards: x.cfg.Shards, Generation: x.generation.Load(), PerShard: make([]ShardStat, len(x.shards))}
+	st := Stats{
+		Shards:             x.cfg.Shards,
+		Compactions:        x.compactions.Load(),
+		Compacting:         x.compacting.Load() > 0,
+		CompactionFailures: x.compactFailures.Load(),
+		DocsIngested:       x.docsIngested.Load(),
+		LastMutation:       time.Unix(0, x.lastMutation.Load()),
+		SidecarsDegraded:   x.sidecarsDegraded.Load(),
+		Generation:         x.generation.Load(),
+		PerShard:           make([]ShardStat, len(x.shards)),
+	}
+	if p := x.lastCompactErr.Load(); p != nil {
+		st.LastCompactionError = *p
+	}
 	var segBuf [16]*segment.Segment
 	for i, sh := range x.shards {
 		s := sh.state.Load()
-		st.Epoch = max(st.Epoch, s.epoch)
 		ps := &st.PerShard[i]
 		segs := s.segments(segBuf[:0])
 		for j, seg := range segs {
@@ -506,9 +538,6 @@ func (x *Index) Stats() Stats {
 		st.Docs += ps.Docs
 	}
 	st.MemoryBytes += x.ids.Load().Bytes()
-	st.Compactions = x.compactions.Load()
-	st.Compacting = x.compacting.Load() > 0
-	st.CompactionFailures, st.LastCompactionError = x.CompactionFailures()
 	return st
 }
 
@@ -518,54 +547,22 @@ func (x *Index) Stats() Stats {
 // load balancer uses to prefer warmed replicas.
 func (st Stats) Ready() bool { return st.SealedPending == 0 && !st.Compacting }
 
-// CompactionFailures returns how many compaction passes (background or
-// Compact calls) returned an error since Build or Open, and the newest
-// one's message ("" = none yet). A failed pass leaves its sealed segments
-// serving as they are, so the debt it could not drain stays counted:
-// debt pinned at the -max-debt budget with this counter rising is a
-// segment that cannot be merged, not a compactor that is behind.
-// /metrics exports the count as lsi_index_compaction_failures_total.
-func (x *Index) CompactionFailures() (int64, string) {
-	msg := ""
-	if p := x.lastCompactErr.Load(); p != nil {
-		msg = *p
-	}
-	return x.compactFailures.Load(), msg
-}
-
-// SidecarsDegraded counts the sidecars (a checkpoint's IVF and int8
-// parts) Open could not decode and treated as absent (lsi_index_sidecars_degraded_total).
-func (x *Index) SidecarsDegraded() int64 { return x.sidecarsDegraded.Load() }
-
-// DocsIngested returns the total number of documents accepted through
-// Add/AddBatch since Build or Open (build-time documents are not
-// counted). Monotonic; a Prometheus rate() over it is the ingest rate.
-func (x *Index) DocsIngested() int64 { return x.docsIngested.Load() }
-
-// LastMutation returns the wall-clock time of the last published
-// mutation (ingest batch or compaction swap), or the build/open time if
-// none has happened. time.Since(LastMutation()) is the index's epoch
-// age: how stale the freshest published state is — near zero under
-// steady ingest, growing on an idle or stalled index.
-func (x *Index) LastMutation() time.Time {
-	return time.Unix(0, x.lastMutation.Load())
-}
-
 // ShardStat is the per-shard slice of Stats (Stats.PerShard): the
 // segment counts and document total of one shard, in the same states
 // Stats counts index-wide. Exported per shard so monitoring can spot imbalance
 // (one shard accumulating sealed segments while others stay compacted).
+// Summed, it is the index-wide part of Stats, whose JSON tags these are.
 type ShardStat struct {
 	// Segments counts every published segment of the shard; Live of them
 	// are fold-in segments still absorbing, SealedPending are sealed (or
 	// reloaded) and waiting for the compactor, Compacted were built or
 	// merged by it.
-	Segments      int `json:"segments"`
-	Live          int `json:"liveSegments"`
-	SealedPending int `json:"sealedPending"`
-	Compacted     int `json:"compactedSegments"`
+	Segments      int `json:"segments,omitempty"`
+	Live          int `json:"liveSegments,omitempty"`
+	SealedPending int `json:"sealedPending,omitempty"`
+	Compacted     int `json:"compactedSegments,omitempty"`
 	// Docs is the shard's document count.
-	Docs int `json:"docs"`
+	Docs int `json:"-"`
 }
 
 // Close stops the background compactor and marks the index closed for

@@ -339,8 +339,8 @@ func TestCompactionFailureIsCounted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n, msg := x.CompactionFailures(); n != 0 || msg != "" {
-		t.Fatalf("fresh index reports %d failures, %q", n, msg)
+	if st := x.Stats(); st.CompactionFailures != 0 || st.LastCompactionError != "" {
+		t.Fatalf("fresh index reports %d failures, %q", st.CompactionFailures, st.LastCompactionError)
 	}
 
 	// Plant the fault: republish the second sealed segment numbered from
@@ -359,27 +359,20 @@ func TestCompactionFailureIsCounted(t *testing.T) {
 	}
 	stable := append([]*segment.Segment(nil), st.stable...)
 	stable[sealed] = bad
-	sh.state.Store(&shardState{epoch: st.epoch + 1, stable: stable, live: st.live})
+	sh.state.Store(&shardState{stable: stable, live: st.live})
 
 	debt := x.Stats().SealedPending
 	for pass := int64(1); pass <= 2; pass++ {
 		if _, err := x.Compact(); err == nil {
 			t.Fatal("compacting segments whose numbering rules do not continue did not fail")
 		}
-		n, msg := x.CompactionFailures()
-		if n != pass || !strings.Contains(msg, "does not continue") {
-			t.Fatalf("pass %d: %d failures, message %q", pass, n, msg)
+		st := x.Stats()
+		if st.CompactionFailures != pass || !strings.Contains(st.LastCompactionError, "does not continue") {
+			t.Fatalf("pass %d: %d failures, message %q", pass, st.CompactionFailures, st.LastCompactionError)
 		}
 	}
-	ss := x.Stats()
-	if ss.CompactionFailures != 2 || !strings.Contains(ss.LastCompactionError, "does not continue") {
-		t.Fatalf("stats: %d failures, %q", ss.CompactionFailures, ss.LastCompactionError)
-	}
-	if got := x.Stats().SealedPending; got != debt || debt == 0 {
-		t.Fatalf("debt %d after failed passes, was %d", got, debt)
-	}
-	if ss.Compactions != 0 {
-		t.Fatalf("%d compactions recorded by failed passes", ss.Compactions)
+	if ss := x.Stats(); ss.SealedPending != debt || debt == 0 || ss.Compactions != 0 {
+		t.Fatalf("debt %d after failed passes, was %d; %d compactions recorded by them", ss.SealedPending, debt, ss.Compactions)
 	}
 	// The segment that could not be rebuilt still serves.
 	qt, qw := sparseCol(a, 1)

@@ -233,7 +233,7 @@ func TestOpenRetrainsVersion1Sidecars(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer y.Close()
-	if got := y.SidecarsDegraded(); got != 2 {
+	if got := y.Stats().SidecarsDegraded; got != 2 {
 		t.Fatalf("%d sidecars counted as degraded, want 2", got)
 	}
 	xs, ys := x.Segments(nil), y.Segments(nil)
@@ -253,7 +253,7 @@ func TestOpenRetrainsVersion1Sidecars(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer z.Close()
-	if got := z.SidecarsDegraded(); got != 0 || annSegments(z) != 1 || quantSegments(z) != 1 {
+	if got := z.Stats().SidecarsDegraded; got != 0 || annSegments(z) != 1 || quantSegments(z) != 1 {
 		t.Fatalf("after a checkpoint: %d degraded, %d IVF and %d int8 segments; want 0, 1, 1", got, annSegments(z), quantSegments(z))
 	}
 	sameOnEveryRoute(t, a, x, z)
@@ -264,7 +264,7 @@ func TestOpenRetrainsVersion1Sidecars(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	if got := w.SidecarsDegraded(); got != 1 {
+	if got := w.Stats().SidecarsDegraded; got != 1 {
 		t.Fatalf("version-2 IVF sidecar: %d sidecars counted as degraded, want 1", got)
 	}
 	if ws := w.Segments(nil); len(ws) != 1 || ws[0].Ann == nil || !bytes.Equal(ws[0].Ann.Encode(), xs[0].Ann.Encode()) {

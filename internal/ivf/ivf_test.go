@@ -311,3 +311,36 @@ func TestZeroQueryAndZeroDocs(t *testing.T) {
 		}
 	}
 }
+
+// TestProbeSkipsEmptyCells: a cell with no members never takes a slot of
+// the probe budget, even when its centroid is the query itself. The
+// index is x with one memberless cell put in front, centred on the
+// query, as training leaves the old centroid of a cell that lost every
+// document.
+func TestProbeSkipsEmptyCells(t *testing.T) {
+	vecs, norms := clusteredVecs(t, 300, 6, 5, 0.3, 31)
+	x := trainT(t, vecs, norms, TrainOptions{NList: 6, Seed: 3})
+	pq := []float64{1, -2, 0.5, 3, -1, 2}
+	qn := mat.Norm(pq)
+
+	y := &Index{dim: x.dim, nlist: x.nlist + 1, centroids: mat.NewDense(x.nlist+1, x.dim), docs: x.docs}
+	copy(y.centroids.Row(0), pq)
+	y.cnorms = append([]float64{qn}, x.cnorms...)
+	y.cellStart = append([]int{0}, x.cellStart...)
+	for c := 0; c < x.nlist; c++ {
+		copy(y.centroids.Row(c+1), x.centroids.Row(c))
+	}
+
+	for _, nprobe := range []int{1, 2, 0} {
+		want, wantStats := x.AppendProbeDocs(nil, pq, qn, nprobe)
+		got, stats := y.AppendProbeDocs(nil, pq, qn, nprobe)
+		if stats != wantStats || len(got) != len(want) || len(got) == 0 {
+			t.Fatalf("nprobe=%d: probed %+v over %d docs, want %+v over %d", nprobe, stats, len(got), wantStats, len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("nprobe=%d: row %d is %d, want %d", nprobe, i, got[i], want[i])
+			}
+		}
+	}
+}

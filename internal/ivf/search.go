@@ -40,12 +40,18 @@ type probeScratch struct {
 var probePool = sync.Pool{New: func() any { return new(probeScratch) }}
 
 // rankCells fills sc.order with the ids of the nprobe best-matching
-// cells, ascending: one DotNorm per centroid, bounded selection under
-// the same total order as document scoring (ties to the lower cell id).
-// nlist is O(√m), so this stays negligible next to the candidate scan.
+// cells that hold documents, ascending: one DotNorm per such centroid,
+// bounded selection under the same total order as document scoring (ties
+// to the lower cell id). A memberless cell (training keeps the old
+// centroid of a cell that lost every document) is never ranked, so the
+// probe budget is spent on cells that can answer. nlist is O(√m), so
+// this stays negligible next to the candidate scan.
 func (x *Index) rankCells(sc *probeScratch, pq []float64, qn float64, nprobe int) {
 	sc.cells.Reset(nprobe)
 	for c := 0; c < x.nlist; c++ {
+		if x.cellStart[c] == x.cellStart[c+1] {
+			continue
+		}
 		sc.cells.Offer(topk.Match{Doc: c, Score: mat.DotNorm(pq, x.centroids.Row(c), qn, x.cnorms[c])})
 	}
 	sc.order = sc.order[:0]
@@ -59,9 +65,10 @@ func (x *Index) rankCells(sc *probeScratch, pq []float64, qn float64, nprobe int
 // cells whose centroids best match the projected query pq (qn its norm):
 // the candidate list a search then scores in float (AppendSearch) or
 // hands to the quantized tier, which scans it on int8 codes and reranks
-// in float. Rows are appended cell by cell in ascending cell-id order;
-// nprobe <= 0 or beyond NList() probes every cell, so it returns every
-// document. A probe that lands only in empty cells returns no rows.
+// in float. Rows are appended cell by cell in ascending cell-id order.
+// Only cells with documents are probed and counted, so nprobe >= 1 returns
+// rows from a non-empty index; nprobe <= 0 or beyond NList() probes every
+// such cell, so it returns every document.
 func (x *Index) AppendProbeDocs(dst []int32, pq []float64, qn float64, nprobe int) ([]int32, ProbeStats) {
 	if len(pq) != x.dim {
 		panic(fmt.Sprintf("ivf: query dimension %d, index dimension %d", len(pq), x.dim))

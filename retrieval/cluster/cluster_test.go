@@ -406,3 +406,29 @@ func TestRouterStatsAndReadyz(t *testing.T) {
 		t.Fatalf("X-Index-Docs %q, want %d", got, tc.central.NumDocs())
 	}
 }
+
+// TestANNProbeFindsMatchesPastEmptyCells: on the demo corpus repeated 50
+// times (12 distinct documents, so k-means leaves cells without members),
+// a one-cell probe must land in a cell that holds documents and answer
+// like the exact scan, not spend its budget on an empty cell and return
+// nothing.
+func TestANNProbeFindsMatchesPastEmptyCells(t *testing.T) {
+	ix, err := retrieval.Build(corpus(600), retrieval.WithRank(3), retrieval.WithANN(8, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const q = "space telescope engine"
+	probed, err := ix.Search(context.Background(), q, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exhaustive := 0
+	ans, err := ix.Query(context.Background(), retrieval.Query{Texts: []string{q}, TopN: 10, NProbe: &exhaustive})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact := ans.Results[0]
+	if len(exact) == 0 || len(probed) == 0 || probed[0].Score != exact[0].Score {
+		t.Fatalf("nprobe 1 returned %d results (best %v), the exact scan %d (best %v)", len(probed), probed, len(exact), exact)
+	}
+}

@@ -2,8 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -111,45 +109,13 @@ func (r *Replica) SetPrimary(url string) { r.primary.Store(&url) }
 // Primary returns the primary base URL the replica follows.
 func (r *Replica) Primary() string { return *r.primary.Load() }
 
-// get runs one GET against the primary, returning the response body.
-// A non-2xx status is returned as errStatus so callers can branch on
-// the replication protocol's meaningful codes (404 mid-pull, 410 on a
-// rotated tail).
-func (r *Replica) get(ctx context.Context, path string) ([]byte, error) {
-	ctx, cancel := context.WithTimeout(ctx, r.opts.NodeTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.Primary()+path, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: replica: %s: %w", path, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
-		return nil, &errStatus{path: path, code: resp.StatusCode}
-	}
-	return io.ReadAll(resp.Body)
-}
-
-// errStatus is a non-2xx replication response.
-type errStatus struct {
-	path string
-	code int
-}
-
-func (e *errStatus) Error() string {
-	return fmt.Sprintf("cluster: replica: %s: status %d", e.path, e.code)
-}
-
-func statusOf(err error) int {
-	var es *errStatus
-	if errors.As(err, &es) {
-		return es.code
-	}
-	return 0
+// get runs one GET against the primary, decoding its JSON answer into
+// out. A non-2xx status is a *nodeStatusError, so callers can branch on
+// the replication protocol's meaningful codes (statusOf: 404 mid-pull,
+// 410 on a rotated tail).
+func (r *Replica) get(ctx context.Context, path string, out any) error {
+	primary := r.Primary()
+	return request(ctx, r.client, r.opts.NodeTimeout, primary, primary, path, nil, out)
 }
 
 // Bootstrap pulls a full snapshot from the primary and opens it for
@@ -203,13 +169,9 @@ func (r *Replica) pullSnapshot(ctx context.Context) error {
 // factor. The replica opens each snapshot with them, so its default search
 // takes the route, and returns the answers, its primary's does.
 func (r *Replica) primaryTiers(ctx context.Context) ([]retrieval.Option, error) {
-	body, err := r.get(ctx, "/v1/stats")
-	if err != nil {
-		return nil, err
-	}
 	var st retrieval.Stats
-	if err := json.Unmarshal(body, &st); err != nil {
-		return nil, fmt.Errorf("cluster: replica: decoding the primary's stats: %w", err)
+	if err := r.get(ctx, "/v1/stats", &st); err != nil {
+		return nil, err
 	}
 	var opts []retrieval.Option
 	if st.ANN != nil {
@@ -286,8 +248,7 @@ func (r *Replica) fetchInto(ctx context.Context, f *os.File, got int64, etag str
 		etag = resp.Header.Get("ETag")
 	case http.StatusPartialContent: // appending at got, where the Range asked
 	default:
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
-		return etag, &errStatus{path: path, code: resp.StatusCode}
+		return etag, statusError(resp, r.Primary(), path)
 	}
 	_, err = io.Copy(f, resp.Body)
 	return etag, err
@@ -304,7 +265,8 @@ func (r *Replica) CatchUp(ctx context.Context) (int, error) {
 		return 0, fmt.Errorf("cluster: replica: not bootstrapped")
 	}
 	from := ix.NumDocs()
-	body, err := r.get(ctx, fmt.Sprintf("/v1/replicate/wal?from=%d", from))
+	var resp httpapi.ReplicateWALResponse
+	err := r.get(ctx, fmt.Sprintf("/v1/replicate/wal?from=%d", from), &resp)
 	if statusOf(err) == http.StatusGone {
 		if err := r.Bootstrap(ctx); err != nil {
 			return 0, err
@@ -318,10 +280,6 @@ func (r *Replica) CatchUp(ctx context.Context) (int, error) {
 	}
 	if err != nil {
 		return 0, err
-	}
-	var resp httpapi.ReplicateWALResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
-		return 0, fmt.Errorf("cluster: replica: decoding wal tail: %w", err)
 	}
 	if len(resp.Docs) == 0 {
 		return 0, nil

@@ -179,10 +179,11 @@ func (r *Router) Reload(m *Manifest) error {
 // Manifest returns the serving topology.
 func (r *Router) Manifest() *Manifest { return r.man.Load().man }
 
-// nodeStatusError is a non-2xx node response: the node answered, so
-// the failure carries HTTP semantics the router branches on — a shed
-// (429/503 + Retry-After) propagates backpressure, anything else is a
-// plain failure handled by hedging.
+// nodeStatusError is a non-2xx answer from a node (a replica's primary
+// included): the node answered, so the failure carries HTTP semantics the
+// caller branches on — for the router a shed (429/503 + Retry-After)
+// propagates backpressure and anything else is a plain failure handled
+// by hedging; for a replica 404 and 410 are replication protocol answers.
 type nodeStatusError struct {
 	node, path string
 	code       int
@@ -192,6 +193,28 @@ type nodeStatusError struct {
 
 func (e *nodeStatusError) Error() string {
 	return fmt.Sprintf("cluster: node %q: %s: status %d: %s", e.node, e.path, e.code, e.msg)
+}
+
+// statusError reads a non-2xx response into a nodeStatusError: its
+// Retry-After hint, and the error message of its body, read up to 4 KB.
+func statusError(resp *http.Response, node, path string) *nodeStatusError {
+	var e httpapi.ErrorResponse
+	json.NewDecoder(io.LimitReader(resp.Body, 4<<10)).Decode(&e)
+	var after time.Duration
+	if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
+		after = time.Duration(secs) * time.Second
+	}
+	return &nodeStatusError{node: node, path: path, code: resp.StatusCode, retryAfter: after, msg: e.Error}
+}
+
+// statusOf is the status of the node answer err carries, or 0 when err
+// is not a status error.
+func statusOf(err error) int {
+	var nse *nodeStatusError
+	if errors.As(err, &nse) {
+		return nse.code
+	}
+	return 0
 }
 
 // shed reports whether the response was load shedding (queue-full 429
@@ -218,18 +241,19 @@ func (e *breakerDeniedError) Error() string {
 	return fmt.Sprintf("cluster: node %q: circuit breaker open", e.node)
 }
 
-// post runs one JSON request against one node, decoding a 2xx body
-// into out. Non-2xx responses become *nodeStatusError carrying the
-// node's name, the status, the Retry-After hint, and the body's error
-// message.
-func (r *Router) post(ctx context.Context, node Node, path string, body, out any) error {
-	ctx, cancel := context.WithTimeout(ctx, r.opts.NodeTimeout)
+// request runs one JSON request against the node named node at base,
+// bounded by timeout: a GET when body is nil, else a POST of body as
+// JSON. A 2xx body is decoded into out (unless out is nil); any other
+// answer is a *nodeStatusError (statusError). It is how the router
+// reaches its nodes and how a replica reaches its primary.
+func request(ctx context.Context, client *http.Client, timeout time.Duration, node, base, path string, body, out any) error {
+	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 	var rd io.Reader
 	if body != nil {
 		b, err := json.Marshal(body)
 		if err != nil {
-			return fmt.Errorf("cluster: encoding request for node %q: %w", node.Name, err)
+			return fmt.Errorf("cluster: encoding request for node %q: %w", node, err)
 		}
 		rd = bytes.NewReader(b)
 	}
@@ -237,34 +261,33 @@ func (r *Router) post(ctx context.Context, node Node, path string, body, out any
 	if body == nil {
 		method = http.MethodGet
 	}
-	req, err := http.NewRequestWithContext(ctx, method, node.URL+path, rd)
+	req, err := http.NewRequestWithContext(ctx, method, base+path, rd)
 	if err != nil {
-		return fmt.Errorf("cluster: node %q: %w", node.Name, err)
+		return fmt.Errorf("cluster: node %q: %w", node, err)
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	resp, err := r.client.Do(req)
+	resp, err := client.Do(req)
 	if err != nil {
-		return fmt.Errorf("cluster: node %q: %w", node.Name, err)
+		return fmt.Errorf("cluster: node %q: %w", node, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
-		var e httpapi.ErrorResponse
-		json.NewDecoder(io.LimitReader(resp.Body, 4<<10)).Decode(&e)
-		var after time.Duration
-		if secs, aerr := strconv.Atoi(resp.Header.Get("Retry-After")); aerr == nil && secs > 0 {
-			after = time.Duration(secs) * time.Second
-		}
-		return &nodeStatusError{node: node.Name, path: path, code: resp.StatusCode, retryAfter: after, msg: e.Error}
+		return statusError(resp, node, path)
 	}
 	if out == nil {
 		return nil
 	}
 	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return fmt.Errorf("cluster: node %q: decoding %s response: %w", node.Name, path, err)
+		return fmt.Errorf("cluster: node %q: decoding %s response: %w", node, path, err)
 	}
 	return nil
+}
+
+// post is request against one manifest node.
+func (r *Router) post(ctx context.Context, node Node, path string, body, out any) error {
+	return request(ctx, r.client, r.opts.NodeTimeout, node.Name, node.URL, path, body, out)
 }
 
 // jitter draws one backoff delay for a retry attempt from the seeded

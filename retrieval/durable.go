@@ -81,33 +81,44 @@ func (ix *Index) AttachWALFS(dir string, fsys faultinject.FS) (replayed int, err
 // replayWAL applies every logged batch (or batch suffix) the index does
 // not already hold.
 func (ix *Index) replayWAL(log *wal.Log) (replayed int, err error) {
-	err = log.Replay(func(p []byte) error {
-		var b WALBatch
-		if err := json.Unmarshal(p, &b); err != nil {
-			return fmt.Errorf("retrieval: wal replay: decoding batch: %w", err)
-		}
-		if b.First < 0 || len(b.Docs) == 0 {
-			return fmt.Errorf("retrieval: wal replay: malformed batch (first=%d, %d docs)", b.First, len(b.Docs))
-		}
-		have := ix.sharded.NumDocs()
+	err = walkWAL(log, "replay", ix.sharded.NumDocs, func(b WALBatch, have int, tail []Document) error {
 		if b.First > have {
 			return fmt.Errorf("retrieval: wal replay: log starts at document %d but index holds %d — missing an older WAL segment or checkpoint", b.First, have)
 		}
-		if b.First+len(b.Docs) <= have {
+		if len(tail) == 0 {
 			return nil // fully covered by the checkpoint
 		}
-		sub := b.Docs[have-b.First:]
-		first, err := ix.applyBatch(sub)
+		first, err := ix.applyBatch(tail)
 		if err != nil {
 			return fmt.Errorf("retrieval: wal replay: %w", err)
 		}
 		if first != have {
 			return fmt.Errorf("retrieval: wal replay: batch landed at %d, want %d", first, have)
 		}
-		replayed += len(sub)
+		replayed += len(tail)
 		return nil
 	})
 	return replayed, err
+}
+
+// walkWAL is the one reader of the log's records, behind replay and
+// TailWAL: it decodes each record, in log order, as a WALBatch (one that
+// does not decode, or holds no documents or a negative position, fails
+// the walk with an error naming op) and hands visit the batch, the
+// position from() read for it, and the batch's documents from that
+// position on (all of them when the batch starts after it).
+func walkWAL(log *wal.Log, op string, from func() int, visit func(b WALBatch, at int, tail []Document) error) error {
+	return log.Replay(func(p []byte) error {
+		var b WALBatch
+		if err := json.Unmarshal(p, &b); err != nil {
+			return fmt.Errorf("retrieval: wal %s: decoding batch: %w", op, err)
+		}
+		if b.First < 0 || len(b.Docs) == 0 {
+			return fmt.Errorf("retrieval: wal %s: malformed batch (first=%d, %d docs)", op, b.First, len(b.Docs))
+		}
+		at := from()
+		return visit(b, at, b.Docs[min(max(at-b.First, 0), len(b.Docs)):])
+	})
 }
 
 // addDurable is Add's path when a WAL is attached: log, fsync, apply,
@@ -182,22 +193,11 @@ func (ix *Index) TailWAL(from int) ([]Document, error) {
 	defer ix.walMu.Unlock()
 	var out []Document
 	start := -1 // first global the log covers
-	err := ix.wlog.Replay(func(p []byte) error {
-		var b WALBatch
-		if err := json.Unmarshal(p, &b); err != nil {
-			return fmt.Errorf("retrieval: wal tail: decoding batch: %w", err)
-		}
+	err := walkWAL(ix.wlog, "tail", func() int { return from }, func(b WALBatch, _ int, tail []Document) error {
 		if start == -1 {
 			start = b.First
 		}
-		if b.First+len(b.Docs) <= from {
-			return nil
-		}
-		skip := 0
-		if b.First < from {
-			skip = from - b.First
-		}
-		out = append(out, b.Docs[skip:]...)
+		out = append(out, tail...)
 		return nil
 	})
 	if err != nil {

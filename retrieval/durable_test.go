@@ -5,7 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"repro/retrieval/wal"
 )
 
 // A WAL'd index that "crashes" (is abandoned without a checkpoint) must
@@ -261,5 +264,56 @@ func TestTailWAL(t *testing.T) {
 	}
 	if docs, err := ix.TailWAL(14); err != nil || len(docs) != 0 {
 		t.Fatalf("TailWAL(14) after rotation = (%d docs, %v), want (0, nil)", len(docs), err)
+	}
+}
+
+// Replay and TailWAL read records through one decoder: a record that does
+// not decode, or holds no documents or a negative position, fails both,
+// and replay refuses a log that starts past the documents the index
+// holds.
+func TestWALRecordsAreCheckedOnEveryRead(t *testing.T) {
+	build := func() *Index {
+		ix, err := Build(largerCorpus(10), WithRank(3), WithShards(2), WithAutoCompact(false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ix.Close() })
+		return ix
+	}
+	n := build().NumDocs()
+	for _, c := range []struct{ record, replay, tail string }{
+		{`{"first":`, "wal replay: decoding batch", "wal tail: decoding batch"},
+		{`{"first":-1,"docs":[{"text":"car"}]}`, "wal replay: malformed batch (first=-1, 1 docs)", "wal tail: malformed batch (first=-1, 1 docs)"},
+		{fmt.Sprintf(`{"first":%d,"docs":[]}`, n), "wal replay: malformed batch", "wal tail: malformed batch"},
+		{fmt.Sprintf(`{"first":%d,"docs":[{"text":"car"}]}`, n+1), fmt.Sprintf("log starts at document %d but index holds %d", n+1, n), ""},
+	} {
+		dir := t.TempDir()
+		log, err := wal.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := log.Append([]byte(c.record)); err != nil {
+			t.Fatal(err)
+		}
+		log.Close()
+		if _, err := build().AttachWAL(dir); err == nil || !strings.Contains(err.Error(), c.replay) {
+			t.Errorf("replay of %s: %v, want an error containing %q", c.record, err, c.replay)
+		}
+
+		ix := build()
+		if _, err := ix.AttachWAL(t.TempDir()); err != nil {
+			t.Fatal(err)
+		}
+		if err := ix.wlog.Append([]byte(c.record)); err != nil {
+			t.Fatal(err)
+		}
+		_, err = ix.TailWAL(0)
+		if c.tail == "" {
+			if !errors.Is(err, ErrWALGone) {
+				t.Errorf("tail of %s: %v, want ErrWALGone", c.record, err)
+			}
+		} else if err == nil || !strings.Contains(err.Error(), c.tail) {
+			t.Errorf("tail of %s: %v, want an error containing %q", c.record, err, c.tail)
+		}
 	}
 }

@@ -155,9 +155,9 @@ func TestSearchRoutesRecordTheirWork(t *testing.T) {
 
 // emptyCellQuantizer encodes a valid two-cell quantizer sidecar over m
 // documents whose cell 0 holds every document and whose cell 1 is empty
-// with pq as its centroid, so one probe of pq lands in cell 1 alone.
-// ivf.Train can leave such a cell ("empty cells keep their previous
-// centroid") and ivf.Read accepts it.
+// with pq as its centroid, so pq ranks cell 1 first. ivf.Train can leave
+// such a cell ("empty cells keep their previous centroid") and ivf.Read
+// accepts it.
 func emptyCellQuantizer(pq []float64, m int) []byte {
 	var dims []byte
 	for _, v := range []int{len(pq), 2, m} { // dim, nlist, ndocs
@@ -181,12 +181,13 @@ func emptyCellQuantizer(pq []float64, m int) []byte {
 	return buf.Bytes()
 }
 
-// TestEmptyProbeScoresNothingOnEveryRoute: a probe that lands only in
-// empty cells has no candidates, so it returns nothing and scans nothing
-// on the ANN route and on the composed route alike, whether the pooled
-// candidate buffer has been used before (non-nil, empty) or not (nil,
-// which the int8 tier once read as "every document").
-func TestEmptyProbeScoresNothingOnEveryRoute(t *testing.T) {
+// TestProbeSkipsEmptyCellOnEveryRoute: the cell a query ranks first holds
+// no documents, so a one-cell probe spends its budget on the cell that
+// does and answers like a probe of every cell, on the ANN route and on
+// the composed route alike, whether the pooled candidate buffer has been
+// used before or not (nil, which the int8 tier once read as "every
+// document").
+func TestProbeSkipsEmptyCellOnEveryRoute(t *testing.T) {
 	seg, ix, query := tieredSegment(t)
 	q := query(3)
 	ann, err := ivf.Read(bytes.NewReader(emptyCellQuantizer(ix.ProjectSparse(q.Terms, q.Weights), seg.Len())))
@@ -197,25 +198,26 @@ func TestEmptyProbeScoresNothingOnEveryRoute(t *testing.T) {
 		t.Fatal(err)
 	}
 	segs := []*Segment{seg}
+	m := seg.Len()
 	for _, tc := range []struct {
 		name string
 		opts ProbeOptions
 		want ProbeStats
 	}{
-		{"ann", ProbeOptions{NProbe: 1}, ProbeStats{Probed: 1, Cells: 1}},
-		{"composed", ProbeOptions{NProbe: 1, Beta: 2}, ProbeStats{Probed: 1, Cells: 1, QuantSegs: 1}},
+		{"ann", ProbeOptions{NProbe: 1}, ProbeStats{Probed: 1, Cells: 1, Docs: m}},
+		{"composed", ProbeOptions{NProbe: 1, Beta: 2}, ProbeStats{Probed: 1, Cells: 1, Docs: m, QuantSegs: 1, QuantDocs: m, Reranked: 20}},
 	} {
+		all, _ := Search(segs, q, 10, ProbeOptions{NProbe: 2, Beta: tc.opts.Beta})
 		for _, scratch := range []string{"cold", "warm"} {
 			searchPool = sync.Pool{New: searchPool.New}
 			if scratch == "warm" {
-				if got, _ := Search(segs, q, 10, ProbeOptions{NProbe: 2, Beta: tc.opts.Beta}); len(got) != 10 {
-					t.Fatalf("%s: probing both cells returned %d results, want 10", tc.name, len(got))
-				}
+				Search(segs, q, 10, tc.opts)
 			}
 			got, st := Search(segs, q, 10, tc.opts)
-			if len(got) != 0 || st != tc.want {
-				t.Errorf("%s, %s scratch: %d results with stats %+v, want none with %+v", tc.name, scratch, len(got), st, tc.want)
+			if len(got) != 10 || st != tc.want {
+				t.Fatalf("%s, %s scratch: %d results with stats %+v, want 10 with %+v", tc.name, scratch, len(got), st, tc.want)
 			}
+			sameMatches(t, got, all, tc.name+" one cell against every cell")
 		}
 	}
 }

@@ -81,19 +81,19 @@ func (ix *Index) AttachWALFS(dir string, fsys faultinject.FS) (replayed int, err
 // replayWAL applies every logged batch (or batch suffix) the index does
 // not already hold.
 func (ix *Index) replayWAL(log *wal.Log) (replayed int, err error) {
-	err = walkWAL(log, "replay", ix.sharded.NumDocs, func(b WALBatch, have int, tail []Document) error {
-		if b.First > have {
-			return fmt.Errorf("retrieval: wal replay: log starts at document %d but index holds %d — missing an older WAL segment or checkpoint", b.First, have)
+	err = walkWAL(log, "replay", ix.sharded.NumDocs, func(first, have int, tail []Document) error {
+		if first > have {
+			return fmt.Errorf("retrieval: wal replay: log starts at document %d but index holds %d — missing an older WAL segment or checkpoint", first, have)
 		}
 		if len(tail) == 0 {
 			return nil // fully covered by the checkpoint
 		}
-		first, err := ix.applyBatch(tail)
+		landed, err := ix.applyBatch(tail)
 		if err != nil {
 			return fmt.Errorf("retrieval: wal replay: %w", err)
 		}
-		if first != have {
-			return fmt.Errorf("retrieval: wal replay: batch landed at %d, want %d", first, have)
+		if landed != have {
+			return fmt.Errorf("retrieval: wal replay: batch landed at %d, want %d", landed, have)
 		}
 		replayed += len(tail)
 		return nil
@@ -104,10 +104,10 @@ func (ix *Index) replayWAL(log *wal.Log) (replayed int, err error) {
 // walkWAL is the one reader of the log's records, behind replay and
 // TailWAL: it decodes each record, in log order, as a WALBatch (one that
 // does not decode, or holds no documents or a negative position, fails
-// the walk with an error naming op) and hands visit the batch, the
-// position from() read for it, and the batch's documents from that
-// position on (all of them when the batch starts after it).
-func walkWAL(log *wal.Log, op string, from func() int, visit func(b WALBatch, at int, tail []Document) error) error {
+// the walk with an error naming op) and hands visit the batch's first
+// position, the position from() read for it, and the batch's documents
+// from that position on (all of them when the batch starts after it).
+func walkWAL(log *wal.Log, op string, from func() int, visit func(first, at int, tail []Document) error) error {
 	return log.Replay(func(p []byte) error {
 		var b WALBatch
 		if err := json.Unmarshal(p, &b); err != nil {
@@ -117,7 +117,7 @@ func walkWAL(log *wal.Log, op string, from func() int, visit func(b WALBatch, at
 			return fmt.Errorf("retrieval: wal %s: malformed batch (first=%d, %d docs)", op, b.First, len(b.Docs))
 		}
 		at := from()
-		return visit(b, at, b.Docs[min(max(at-b.First, 0), len(b.Docs)):])
+		return visit(b.First, at, b.Docs[min(max(at-b.First, 0), len(b.Docs)):])
 	})
 }
 
@@ -193,9 +193,9 @@ func (ix *Index) TailWAL(from int) ([]Document, error) {
 	defer ix.walMu.Unlock()
 	var out []Document
 	start := -1 // first global the log covers
-	err := walkWAL(ix.wlog, "tail", func() int { return from }, func(b WALBatch, _ int, tail []Document) error {
+	err := walkWAL(ix.wlog, "tail", func() int { return from }, func(first, _ int, tail []Document) error {
 		if start == -1 {
-			start = b.First
+			start = first
 		}
 		out = append(out, tail...)
 		return nil

@@ -182,14 +182,15 @@ tier-smoke:
 	sh scripts/tier_smoke.sh bin/corpusgen bin/annsmoke
 
 # Short local mirror of the nightly fuzz job: 30s per fuzz target (the
-# checkpoint generation file's reader, the converter's old-manifest
-# parser, the query tokenizer, the query-cache key encoder, the WAL
-# record decoder, the IVF sidecar's cell decoder, the
+# checkpoint generation file's reader and its manifest decoder, the
+# converter's old-manifest parser, the query tokenizer, the query-cache
+# key encoder, the WAL record decoder, the IVF sidecar's cell decoder, the
 # quantized sidecar decoder, the index file's section container and LSI
 # decoder, the offline converter's gob decoder, and the search routes'
 # JSON bodies).
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzOpenCheckpoint -fuzztime=30s ./retrieval/shard
+	$(GO) test -run='^$$' -fuzz=FuzzParseCheckpointManifest -fuzztime=30s ./retrieval/shard
 	$(GO) test -run='^$$' -fuzz=FuzzParseManifest -fuzztime=30s ./internal/legacy
 	$(GO) test -run='^$$' -fuzz=FuzzTokenize -fuzztime=30s ./internal/ir
 	$(GO) test -run='^$$' -fuzz=FuzzQueryKeyInjective -fuzztime=30s ./retrieval/cache

@@ -6,9 +6,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/lsi"
 	"repro/retrieval"
 )
 
@@ -192,5 +194,50 @@ func TestUpgradeFlag(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(tmp, "bogus.lsi")); !os.IsNotExist(err) {
 		t.Fatalf("an upgrade that does not open left OUT behind (%v)", err)
+	}
+}
+
+// A directory from before settled tiers can hold a segment over a basis
+// of its own (a tier the compactor of the time re-decomposed). A shard's
+// segments all share its base's basis, so -upgrade converts it, Open
+// refuses the result naming the shard, the segment and the rebuild, and
+// no OUT is left behind.
+func TestUpgradeRefusesATierOverItsOwnBasis(t *testing.T) {
+	in := filepath.Join(t.TempDir(), "in")
+	if err := os.CopyFS(in, os.DirFS("../../internal/legacy/testdata/dir_v2_tiered")); err != nil {
+		t.Fatal(err)
+	}
+	seg := filepath.Join(in, "seg-0-0-1.idx")
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tier, meta, err := lsi.LoadMeta(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, k := tier.Basis().Dims()
+	uk := slices.Clone(tier.Basis().RawData())
+	uk[0] = -uk[0]
+	own, err := lsi.NewIndexFromParts(lsi.IndexParts{K: k, NumTerms: n, Sigma: tier.SingularValues(), UkRows: n, UkData: uk,
+		DocRows: tier.NumDocs(), DocData: tier.Docs().RawData()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := own.SaveMeta(&buf, meta); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(seg, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(t.TempDir(), "out")
+	var stdout bytes.Buffer
+	err = run([]string{"-upgrade", in, out}, strings.NewReader(""), &stdout, &stdout)
+	if want := "shard 0 segment 1: lsi: load: a basis other than the base's it must share; rebuild the index from its source documents"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("-upgrade of a tier over its own basis: %v, want an error saying %q", err, want)
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Fatalf("a refused upgrade left OUT behind (%v)", err)
 	}
 }

@@ -75,9 +75,9 @@ func main() {
 	}
 	show("after 8 more (sealed):", ix)
 
-	// 4. Compact: sealed segments are rebuilt from their raw documents
-	// with a fresh decomposition (the one the build ran) and swapped in
-	// atomically. (With WithAutoCompact(true) — the default — a
+	// 4. Compact: sealed segments are settled in their shard's basis —
+	// rows concatenated, no decomposition, every score kept — and swapped
+	// in atomically. (With WithAutoCompact(true) — the default — a
 	// background goroutine does this on its own.)
 	if _, err := ix.Compact(); err != nil {
 		log.Fatal(err)

@@ -54,7 +54,6 @@ type manifestSegment struct {
 	Docs      int    `json:"docs"`
 	Globals   []int  `json:"globals,omitempty"`
 	Compacted bool   `json:"compacted"`
-	Base      bool   `json:"base,omitempty"`
 	ANNFile   string `json:"annFile,omitempty"`
 	QuantFile string `json:"quantFile,omitempty"`
 }
@@ -84,7 +83,7 @@ func parseManifest(data []byte) (*manifest, error) {
 		return nil, fmt.Errorf("legacy: manifest: idsFile %q, want %q", m.IDsFile, fmt.Sprintf(idsFileFmt, m.Generation))
 	}
 	for s, segs := range m.Segments {
-		local, share, bases := 0, shard.ShareOf(m.NumDocs, s, m.Shards), 0
+		local, share := 0, shard.ShareOf(m.NumDocs, s, m.Shards)
 		for i, e := range segs {
 			where := fmt.Sprintf("shard %d segment %d", s, i)
 			idx := fmt.Sprintf(segFileFmt, m.Generation, s, i)
@@ -108,16 +107,10 @@ func parseManifest(data []byte) (*manifest, error) {
 				}
 			}
 			local += e.Docs
-			if e.Base {
-				bases++
-			}
 		}
 		if local != share {
 			return nil, fmt.Errorf("legacy: manifest: shard %d: segments hold %d documents, numDocs=%d gives it %d",
 				s, local, m.NumDocs, share)
-		}
-		if bases > 1 {
-			return nil, fmt.Errorf("legacy: manifest: shard %d marks %d base segments, want at most 1", s, bases)
 		}
 	}
 	return &m, nil
@@ -170,7 +163,7 @@ func upgradeDir(in, out string, text *lsi.Meta) error {
 	parts := make([][]shard.Part, len(man.Segments))
 	for s, segs := range man.Segments {
 		for _, e := range segs {
-			p := shard.Part{Docs: e.Docs, Compacted: e.Compacted, Base: e.Base}
+			p := shard.Part{Docs: e.Docs, Compacted: e.Compacted}
 			data, err := os.ReadFile(filepath.Join(in, e.File))
 			if err == nil {
 				p.Index, err = upgradeSegment(data)

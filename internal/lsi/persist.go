@@ -270,12 +270,12 @@ func holds[F float32 | float64](data []F, rows, k int) bool {
 
 // LoadIn reads an index previously written by SaveIn or SaveMeta (any
 // supported wire version), discarding metadata if present. Given a base
-// whose basis the container holds once, an index whose BASI section is
-// empty (SaveIn), or bit for bit base's (a checkpoint of an earlier
-// build, which wrote every segment's copy), adopts base's Uₖ and σ, so
-// the two share one latent space (SameBasis); its rank and terms must
-// then be base's. A foreign basis loads as its own; without a base an
-// empty BASI is refused.
+// whose basis the container holds once, the index must share it: its
+// BASI section is empty (SaveIn) or bit for bit base's (a checkpoint of
+// an earlier build, which wrote every segment's copy), and it adopts
+// base's Uₖ and σ, so the two share one latent space (SameBasis); its
+// rank and terms must be base's. Any other basis is refused. Without a
+// base the index loads as its own, and an empty BASI is refused.
 func LoadIn(r io.Reader, base *Index) (*Index, error) {
 	ix, _, err := loadMeta(r, base)
 	return ix, err
@@ -299,8 +299,11 @@ func loadMeta(r io.Reader, base *Index) (*Index, *Meta, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("lsi: load: %w", err)
 	}
-	shared := base != nil && (len(p.UkData) == 0 || sameBits(p.UkData, base.uk.RawData()))
-	if shared {
+	if base != nil {
+		if len(p.UkData) > 0 && !sameBits(p.UkData, base.uk.RawData()) {
+			return nil, nil, errors.New("lsi: load: a basis other than the base's it must share; " +
+				"rebuild the index from its source documents")
+		}
 		if p.K != base.k || p.NumTerms != base.numTerms {
 			return nil, nil, fmt.Errorf("lsi: load: rank %d over %d terms in the basis of rank %d over %d terms it shares",
 				p.K, p.NumTerms, base.k, base.numTerms)
@@ -311,11 +314,11 @@ func loadMeta(r io.Reader, base *Index) (*Index, *Meta, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if shared {
+	if base != nil {
 		ix.uk = base.uk // one matrix: SameBasis compares it
 	}
 	if ix.mapped = br.Mapping(); ix.mapped != nil {
-		if !shared {
+		if base == nil {
 			ix.uk.Hold(ix.mapped)
 		}
 		ix.docs.Hold(ix.mapped)

@@ -1,8 +1,10 @@
 // Package segment provides the building block of the sharded live index:
 // an immutable slice of a corpus with its own rank-k latent representation,
 // a numbering rule from segment-local rows to global document numbers,
-// and (until compaction) the raw term-space documents needed to re-derive
-// that representation from scratch.
+// and, in a segment Extend makes, the raw term-space documents Compact
+// needs to re-derive that representation from scratch (the shard index
+// drops them at once: it settles fold-ins with Merge, which reads only
+// the rows).
 //
 // A segment moves through three lifecycle states, all represented by the
 // same immutable type:
@@ -13,8 +15,7 @@
 //	sealed    — frozen by the shard once it is large enough; served
 //	            read-only while it waits for the compactor. Sealed
 //	            fold-in segments still represent documents in the basis
-//	            of the segment they were folded against, and still carry
-//	            their raw term-space documents.
+//	            of the segment they were folded against.
 //	compacted — settled by Merge, which concatenates segments folded
 //	            into one basis and keeps every row (the shard
 //	            compactor's path), or rebuilt by Compact from the raw
@@ -88,8 +89,8 @@ type Segment struct {
 	// global tie-breaks agree; Search nonetheless breaks ties on the
 	// global number, which is what determinism is defined over.
 	num numbering
-	// Raw retains the term-space documents of a fold-in segment until it
-	// settles (nil otherwise).
+	// Raw retains the term-space documents of a segment Extend made, for
+	// Compact (nil otherwise: the shard index publishes fold-ins without).
 	Raw *Raw
 	// Compacted marks a segment that waits for no compaction: an initial
 	// build, or a compactor merge (Merge or Compact). It is what makes a

@@ -98,7 +98,7 @@ func BenchmarkParseManifest(b *testing.B) {
 	const shards, perShard = 2, 25600
 	m := manifest{Shards: shards, Rank: 64, NumTerms: 1600, NumDocs: shards * perShard, SealEvery: 128}
 	for s := 0; s < shards; s++ {
-		m.Segments = append(m.Segments, []manifestSegment{{Docs: perShard, Compacted: true, Base: true, ANN: true, Quant: true}})
+		m.Segments = append(m.Segments, []manifestSegment{{Docs: perShard, Compacted: true, ANN: true, Quant: true}})
 	}
 	data, err := json.MarshalIndent(m, "", "  ") // as the checkpoint writer encodes it
 	if err != nil {

@@ -28,10 +28,10 @@ import (
 // and the external IDs (lsi.AppendText); and per segment, in manifest
 // order, SEGM, its index in the lsi wire format, then ANNI and QUAN, its
 // IVF and int8 sidecars, empty unless the manifest says it has them; only
-// a shard's base carries its basis (lsi.SaveIn). DESIGN.md "Checkpoint
-// layout" has the whole picture; a directory an earlier build saved as
-// many files converts with lsiquery -upgrade. Pending raw documents are
-// not persisted: a fold-in reloads without them, scoring as it did.
+// a shard's base, its segment 0, carries its basis (lsi.SaveIn), which
+// every later segment shares. DESIGN.md "Checkpoint layout" has the whole
+// picture; a directory an earlier build saved as many files converts with
+// lsiquery -upgrade.
 
 // genMagic opens every generation file; genVersion is the layout this
 // build writes and the newest it reads (version 1 differs only in a
@@ -70,20 +70,19 @@ type manifest struct {
 
 // manifestSegment describes one segment. The segments of shard s hold its
 // shard-local documents 0, 1, 2, … in manifest order, and local l is
-// global s + Shards·l.
-// Base marks the shard's fold-in basis; ANN and Quant say that the ANNI
-// and QUAN sections after the segment's SEGM section are not empty.
+// global s + Shards·l; the first is the shard's base, whose basis every
+// later one shares. ANN and Quant say that the ANNI and QUAN sections
+// after the segment's SEGM section are not empty.
 type manifestSegment struct {
 	Docs      int  `json:"docs"`
 	Compacted bool `json:"compacted"`
-	Base      bool `json:"base,omitempty"`
 	ANN       bool `json:"ann,omitempty"`
 	Quant     bool `json:"quant,omitempty"`
 }
 
 // parseManifest decodes and validates a MANI section: each shard's
-// segments must hold exactly its round-robin share of NumDocs, and at
-// most one of them is its basis.
+// segments must hold exactly its round-robin share of NumDocs, and its
+// base is compacted (built or decomposed so), since no pass merges it.
 func parseManifest(data []byte) (*manifest, error) {
 	var m manifest
 	if err := json.Unmarshal(data, &m); err != nil {
@@ -97,7 +96,10 @@ func parseManifest(data []byte) (*manifest, error) {
 		return nil, fmt.Errorf("manifest: segment lists for %d shards, manifest declares %d", len(m.Segments), m.Shards)
 	}
 	for s, segs := range m.Segments {
-		local, share, bases := 0, ShareOf(m.NumDocs, s, m.Shards), 0
+		if len(segs) > 0 && !segs[0].Compacted {
+			return nil, fmt.Errorf("manifest: shard %d segment 0, its base, is not compacted", s)
+		}
+		local, share := 0, ShareOf(m.NumDocs, s, m.Shards)
 		for i, e := range segs {
 			// Bounded before it is summed, so a hostile docs cannot overflow.
 			if e.Docs < 0 || e.Docs > share-local {
@@ -105,15 +107,9 @@ func parseManifest(data []byte) (*manifest, error) {
 					s, i, e.Docs, m.NumDocs, s, share-local)
 			}
 			local += e.Docs
-			if e.Base {
-				bases++
-			}
 		}
 		if local != share {
 			return nil, fmt.Errorf("manifest: shard %d: segments hold %d documents, numDocs=%d gives it %d", s, local, m.NumDocs, share)
-		}
-		if bases > 1 {
-			return nil, fmt.Errorf("manifest: shard %d marks %d base segments, want at most 1", s, bases)
 		}
 	}
 	return &m, nil
@@ -132,7 +128,7 @@ func ShareOf(numDocs, s, shards int) int {
 // so a checkpoint never holds two segments' encodings at once.
 type Part struct {
 	Docs              int
-	Compacted, Base   bool
+	Compacted         bool
 	Index, ANN, Quant []byte
 	seg               *segment.Segment
 	base              *lsi.Index
@@ -181,7 +177,7 @@ func writeGeneration(fsys faultinject.FS, dir string, man *manifest, text []byte
 	sections := 2
 	for s, segs := range parts {
 		for _, p := range segs {
-			e := manifestSegment{Docs: p.Docs, Compacted: p.Compacted, Base: p.Base, ANN: p.ANN != nil, Quant: p.Quant != nil}
+			e := manifestSegment{Docs: p.Docs, Compacted: p.Compacted, ANN: p.ANN != nil, Quant: p.Quant != nil}
 			if p.seg != nil {
 				e.ANN, e.Quant = p.seg.Ann != nil, p.seg.Quant != nil
 			}
@@ -255,13 +251,14 @@ func commit(fsys faultinject.FS, f faultinject.File, dir, tmp, name string, befo
 }
 
 // viewShard snapshots shard s for a checkpoint: its segments, in the order
-// that numbers their documents, its fold-in basis marked. Callers hold
-// ingestMu so the ID table and the segment states of one view agree.
+// that numbers their documents, each to be written against the shard's
+// base. Callers hold ingestMu so the ID table and the segment states of
+// one view agree.
 func (x *Index) viewShard(s int) []Part {
 	var parts []Part
 	base := x.shards[s].base
 	for _, seg := range x.shards[s].state.Load().segments(nil) {
-		parts = append(parts, Part{Docs: seg.Len(), Compacted: seg.Compacted, Base: base != nil && seg.Ix == base, seg: seg, base: base})
+		parts = append(parts, Part{Docs: seg.Len(), Compacted: seg.Compacted, seg: seg, base: base})
 	}
 	return parts
 }
@@ -456,17 +453,8 @@ func load(head, r *blob.Reader, cfg Config) (*Index, error) {
 				return nil, fmt.Errorf("shard %d segment %d: %w", s, i, err)
 			}
 			local += e.Docs
-			if segs[i] = seg; e.Base || i == 0 { // the base, or in its place the first
+			if segs[i] = seg; i == 0 { // the base, read with its basis: every later segment shares it
 				sh.base = seg.Ix
-			}
-		}
-		// No pass merges a fold-in ahead of a foreign basis: it is settled.
-		for i, seg := range segs[:classStart(segs, sh.base)] {
-			if !seg.Compacted {
-				seg.Compacted = true // not yet published
-				if segs[i], err = seg.WithTiers(x.tiers(s), seg.Ann, seg.Quant); err != nil {
-					return nil, fmt.Errorf("shard %d segment %d: %w", s, i, err)
-				}
 			}
 		}
 		sh.state.Store(&shardState{stable: segs})
@@ -481,8 +469,8 @@ func load(head, r *blob.Reader, cfg Config) (*Index, error) {
 
 // loadSegment reads shard s's segment i, described by e, whose first
 // document is global first, and its sidecars; WithTiers trains any the
-// opening config asks for beyond them. One that shares base's basis
-// shares it again (lsi.LoadIn).
+// opening config asks for beyond them. Given the shard's base, the
+// segment must share its basis (lsi.LoadIn).
 func (x *Index) loadSegment(r *blob.Reader, s, i, first int, e manifestSegment, base *lsi.Index) (*segment.Segment, error) {
 	ix, err := lsi.LoadIn(r.Nested(tagSegment), base)
 	if err != nil {

@@ -32,7 +32,7 @@ func readGeneration(t testing.TB, dir string) *generation {
 	g := &generation{man: man, text: r.Bytes(tagText, -1), parts: make([][]Part, man.Shards)}
 	for s, segs := range man.Segments {
 		for _, e := range segs {
-			p := Part{Docs: e.Docs, Compacted: e.Compacted, Base: e.Base, Index: r.Bytes(tagSegment, -1)}
+			p := Part{Docs: e.Docs, Compacted: e.Compacted, Index: r.Bytes(tagSegment, -1)}
 			if ann := r.Bytes(tagANN, -1); e.ANN {
 				p.ANN = ann
 			}
@@ -190,21 +190,23 @@ func basisless(k, n, m int) []byte {
 
 // hostile is a checkpoint whose open must fail with an error naming want.
 type hostile struct {
-	want string
-	data []byte
+	name, want string
+	data       []byte
 }
 
-// hostileBases are checkpoints, edited from dir's, whose shard 1 holds a
-// SEGM that cannot take the basis it lacks.
+// hostileBases are checkpoints, edited from dir's (per shard: base,
+// settled tier, sealed fold-in, live fold-in), whose shard 1 breaks the
+// one-basis rule: segment 0 is the base, compacted and holding the
+// basis, and every later segment shares that basis.
 func hostileBases(t testing.TB, dir string) []hostile {
 	t.Helper()
 	out := []hostile{}
 	for _, c := range []struct {
-		want string
-		edit func(segs []Part)
+		name, want string
+		edit       func(segs []Part)
 	}{
-		// The base itself without a basis: its rows over its basis, not the base.
-		{"shard 1 segment 0", func(segs []Part) {
+		// The base without a basis: its rows over its basis, not the base.
+		{"base without a basis", "shard 1 segment 0", func(segs []Part) {
 			ix, base := segmentIndex(t, segs, 0)
 			grown, err := ix.ExtendedSparse(nil, nil)
 			if err != nil {
@@ -212,52 +214,66 @@ func hostileBases(t testing.TB, dir string) []hostile {
 			}
 			segs[0].Index = encode(t, grown, base)
 		}},
-		// A segment ahead of the base without a basis: there is none yet.
-		{"shard 1 segment 0", func(segs []Part) {
-			tier, base := segmentIndex(t, segs, 1)
-			grown, err := base.ExtendedSparse(nil, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			segs[0].Index, segs[0].Base = encode(t, grown, base), false
-			segs[1].Index, segs[1].Base = encode(t, tier, nil), true
+		// A base no pass would ever merge, pinning sealedPending above 0.
+		{"uncompacted base", "shard 1 segment 0, its base, is not compacted", func(segs []Part) {
+			segs[0].Compacted = false
 		}},
 		// Segments without a basis whose rank or terms are not the base's.
-		{"shard 1 segment 2", func(segs []Part) {
+		{"rank unlike the base", "shard 1 segment 2", func(segs []Part) {
 			_, base := segmentIndex(t, segs, 0)
 			segs[2].Index = basisless(base.K()-1, base.NumTerms(), segs[2].Docs)
 		}},
-		{"shard 1 segment 3", func(segs []Part) {
+		{"terms unlike the base", "shard 1 segment 3", func(segs []Part) {
 			_, base := segmentIndex(t, segs, 0)
 			segs[3].Index = basisless(base.K(), base.NumTerms()+1, segs[3].Docs)
 		}},
+		// A converted directory from before settled tiers can hold a
+		// fold-in ahead of a tier re-decomposed over a basis of its own:
+		// it is refused, naming the rebuild, not served in two spaces.
+		{"TestOpenSettlesFoldInsBeforeAForeignTier",
+			"shard 1 segment 2: lsi: load: a basis other than the base's it must share; rebuild the index from its source documents",
+			func(segs []Part) {
+				tier, _ := segmentIndex(t, segs, 2)
+				n, k := tier.Basis().Dims()
+				uk := slices.Clone(tier.Basis().RawData())
+				uk[0] = -uk[0]
+				own, err := lsi.NewIndexFromParts(lsi.IndexParts{K: k, NumTerms: n, Sigma: tier.SingularValues(), UkRows: n, UkData: uk,
+					DocRows: tier.NumDocs(), DocData: tier.Docs().RawData()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				segs[1].Compacted, segs[1].ANN, segs[1].Quant = false, nil, nil
+				segs[2].Compacted, segs[2].Index = true, encode(t, own, nil)
+			}},
 	} {
 		cp := t.TempDir()
 		if err := os.CopyFS(cp, os.DirFS(dir)); err != nil {
 			t.Fatal(err)
 		}
 		editCheckpoint(t, cp, func(parts [][]Part) { c.edit(parts[1]) })
-		out = append(out, hostile{c.want, newestFile(t, cp)})
+		out = append(out, hostile{c.name, c.want, newestFile(t, cp)})
 	}
 	return out
 }
 
 // A SEGM without a basis is read only after its shard's base, and only
-// if it fits that base: each hostile checkpoint fails to open with an
-// error naming the segment.
+// if it fits that base, and a SEGM with one only if it is the base's:
+// each hostile checkpoint fails to open with an error naming the segment.
 func TestOpenRefusesSegmentsThatCannotShareTheBase(t *testing.T) {
 	dir, _ := fuzzCheckpoint(t)
 	for _, h := range hostileBases(t, dir) {
-		cp := t.TempDir()
-		if err := os.WriteFile(filepath.Join(cp, "gen-0.lsi"), h.data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if x, err := Open(cp, Config{}); err == nil || !strings.Contains(err.Error(), h.want) {
-			if err == nil {
-				x.Close()
+		t.Run(h.name, func(t *testing.T) {
+			cp := t.TempDir()
+			if err := os.WriteFile(filepath.Join(cp, "gen-0.lsi"), h.data, 0o644); err != nil {
+				t.Fatal(err)
 			}
-			t.Errorf("opening a checkpoint whose %s cannot share the base: %v", h.want, err)
-		}
+			if x, err := Open(cp, Config{}); err == nil || !strings.Contains(err.Error(), h.want) {
+				if err == nil {
+					x.Close()
+				}
+				t.Errorf("opening a checkpoint whose %s cannot share the base: %v", h.want, err)
+			}
+		})
 	}
 }
 
@@ -338,6 +354,52 @@ func FuzzOpenCheckpoint(f *testing.F) {
 	})
 }
 
+// FuzzParseCheckpointManifest asserts the MANI decoder is total: any
+// bytes yield an error, or a manifest whose shards each hold exactly
+// their round-robin share (ShareOf) and whose segment 0, the base, is
+// compacted; never a panic. FuzzOpenCheckpoint's flips inside MANI fail
+// the section checksum before the JSON is read, so this reaches the
+// decoder directly. Seeds: the layout goldens and the manifest of every
+// hostileBases checkpoint. Run `go test
+// -fuzz=FuzzParseCheckpointManifest ./retrieval/shard` to explore further.
+func FuzzParseCheckpointManifest(f *testing.F) {
+	for _, name := range []string{"layout_savedir_manifest.json", "layout_export_manifest.json"} {
+		data, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	dir, _ := fuzzCheckpoint(f)
+	for _, h := range hostileBases(f, dir) {
+		f.Add(manifestOf(f, h.data))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := parseManifest(data)
+		if err != nil {
+			if m != nil {
+				t.Fatal("an error with a manifest")
+			}
+			return
+		}
+		if len(m.Segments) != m.Shards {
+			t.Fatalf("accepted %d segment lists for %d shards", len(m.Segments), m.Shards)
+		}
+		for s, segs := range m.Segments {
+			docs := 0
+			for _, e := range segs {
+				docs += e.Docs
+			}
+			if want := ShareOf(m.NumDocs, s, m.Shards); docs != want {
+				t.Fatalf("accepted shard %d holding %d documents of numDocs=%d, want %d", s, docs, m.NumDocs, want)
+			}
+			if len(segs) > 0 && !segs[0].Compacted {
+				t.Fatalf("accepted shard %d with an uncompacted base", s)
+			}
+		}
+	})
+}
+
 // basisLen is the length of the BASI payload of a SEGM section's index.
 func basisLen(t testing.TB, index []byte) int {
 	t.Helper()
@@ -396,7 +458,7 @@ func TestCheckpointHoldsOneBasisPerShard(t *testing.T) {
 		for i, p := range segs {
 			if n := basisLen(t, p.Index); n > 0 {
 				bases++
-				if !p.Base {
+				if i > 0 {
 					t.Errorf("shard %d segment %d: %d B of basis outside the base", s, i, n)
 				}
 			}
@@ -436,51 +498,4 @@ func TestCheckpointHoldsOneBasisPerShard(t *testing.T) {
 		t.Fatalf("after a pass: %d sealed over %d folded documents", st.SealedPending, st.FoldedDocs)
 	}
 	sameOnEveryRoute(t, a, x, y)
-}
-
-// A converted directory from before settled tiers can hold a fold-in
-// ahead of a tier over a basis of its own. No pass can merge that fold-in
-// (Concat joins one basis, Merge adjacent segments), so Open loads it
-// settled: the compaction class stays the suffix after the foreign tier,
-// and SealedPending counts exactly what a pass merges.
-func TestOpenSettlesFoldInsBeforeAForeignTier(t *testing.T) {
-	dir := t.TempDir()
-	if err := layoutIndex(t).SaveDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	editCheckpoint(t, dir, func(parts [][]Part) {
-		for _, segs := range parts { // base, settled tier, sealed, live
-			tier, _ := segmentIndex(t, segs, 2)
-			n, k := tier.Basis().Dims()
-			uk := slices.Clone(tier.Basis().RawData())
-			uk[0] = -uk[0]
-			own, err := lsi.NewIndexFromParts(lsi.IndexParts{K: k, NumTerms: n, Sigma: tier.SingularValues(), UkRows: n, UkData: uk,
-				DocRows: tier.NumDocs(), DocData: tier.Docs().RawData()})
-			if err != nil {
-				t.Fatal(err)
-			}
-			segs[1].Compacted, segs[1].ANN, segs[1].Quant = false, nil, nil
-			segs[2].Compacted, segs[2].Index = true, encode(t, own, nil)
-		}
-	})
-	x, err := Open(dir, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer x.Close()
-	for s, sh := range x.shards {
-		segs := sh.state.Load().stable
-		if !segs[1].Compacted || !segs[1].Ix.SameBasis(sh.base) || segs[2].Ix.SameBasis(sh.base) || segs[3].Compacted {
-			t.Fatalf("shard %d: the fold-in ahead of the foreign tier loaded compacted=%v, the trailing one compacted=%v", s, segs[1].Compacted, segs[3].Compacted)
-		}
-	}
-	if st := x.Stats(); st.SealedPending != 2 {
-		t.Fatalf("%d segments pending, want the trailing fold-in of each shard", st.SealedPending)
-	}
-	if merged, err := x.Compact(); merged != 2 || err != nil {
-		t.Fatalf("a pass merged %d segments (%v), want 2", merged, err)
-	}
-	if st := x.Stats(); st.SealedPending != 0 || st.Segments != 8 {
-		t.Fatalf("after a pass: %d pending over %d segments", st.SealedPending, st.Segments)
-	}
 }

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"time"
 
-	"repro/internal/lsi"
 	"repro/internal/segment"
 )
 
@@ -15,9 +14,8 @@ import (
 // into. The compactor settles them there: it concatenates them, with
 // older tiers in the same basis, into one compacted tier
 // (internal/segment.Merge, no SVD), so every document keeps the score it
-// had sealed. Settled tiers keep no raw documents and, sharing the
-// shard's basis, are re-absorbed by later passes under a size-tiered
-// policy, so a shard's segment count
+// had sealed. Settled tiers, sharing the shard's basis, are re-absorbed
+// by later passes under a size-tiered policy, so a shard's segment count
 // stays O(log docs) under unbounded ingest. All heavy work runs outside
 // every lock: the shard mutex is held only for the pointer swap, and
 // searches in flight keep serving the old segments they snapshotted.
@@ -92,12 +90,9 @@ func (x *Index) Compact() (merged int, err error) {
 	}()
 
 	for s, sh := range x.shards {
-		// Snapshot the stable list and basis. Only this (serialized) path
-		// removes stable segments; ingest can only append more.
-		sh.mu.Lock()
-		stable, base := sh.state.Load().stable, sh.base
-		sh.mu.Unlock()
-		pending := sizeTiered(stable, base)
+		// Snapshot the stable list. Only this (serialized) path removes
+		// stable segments; ingest can only append more.
+		pending := sizeTiered(sh.state.Load().stable)
 		if len(pending) == 0 {
 			continue
 		}
@@ -145,12 +140,17 @@ func (x *Index) Compact() (merged int, err error) {
 // larger than the material merged so far (walking newest to oldest).
 // Each surviving tier is therefore bigger than everything younger
 // combined, so a shard holds O(log docs) tiers however long ingest runs.
-// The sealed segments are the newest of the class (classStart), so the
-// result is a suffix of it; nil when none is sealed. Merging a suffix of
-// the stable list keeps globals ascending: per-shard segments hold
-// disjoint, chronologically increasing global ranges.
-func sizeTiered(stable []*segment.Segment, base *lsi.Index) []*segment.Segment {
-	class := stable[classStart(stable, base):]
+// The class is every segment after the base, stable[0], which no pass
+// merges; all of them share its basis, and the sealed ones are the
+// newest, so the result is a suffix of the class; nil when none is
+// sealed. Merging a suffix of the stable list keeps globals ascending:
+// per-shard segments hold disjoint, chronologically increasing global
+// ranges.
+func sizeTiered(stable []*segment.Segment) []*segment.Segment {
+	if len(stable) == 0 {
+		return nil
+	}
+	class := stable[1:]
 	if !slices.ContainsFunc(class, compactable) {
 		return nil
 	}
@@ -164,17 +164,4 @@ func sizeTiered(stable []*segment.Segment, base *lsi.Index) []*segment.Segment {
 		size += prev.Len()
 	}
 	return class[start:]
-}
-
-// classStart is where the compaction class of segs, a shard's stable
-// list, begins: past base and any segment over another basis (a tier of a
-// converted pre-settling directory), so Concat joins any run of it.
-func classStart(segs []*segment.Segment, base *lsi.Index) int {
-	start := 0
-	for i, seg := range segs {
-		if seg.Ix == base || !seg.Ix.SameBasis(base) {
-			start = i + 1
-		}
-	}
-	return start
 }

@@ -21,8 +21,7 @@ import (
 
 // Doc is one document to ingest: its external identifier and its sparse
 // term-space vector (term IDs strictly ascending, weights parallel).
-// The index retains the slices until a compaction settles them; callers
-// must not mutate them after the call.
+// The index keeps only the document's folded latent row, not the slices.
 type Doc struct {
 	ID      string
 	Terms   []int
@@ -131,6 +130,9 @@ func (x *Index) AddBatch(docs []Doc) (int, error) {
 		if err != nil {
 			return 0, fmt.Errorf("shard %d: %w", s, err)
 		}
+		// No serving path reads a fold-in's term-space documents, and the
+		// compactor settles its latent rows: publish it without them.
+		next.Raw = nil
 		pubs = append(pubs, publish{sh: sh, live: next})
 	}
 

@@ -24,9 +24,15 @@ func manifestSection(t *testing.T, dir string) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return manifestOf(t, data)
+}
+
+// manifestOf is the MANI section of a generation file's bytes.
+func manifestOf(t testing.TB, data []byte) []byte {
+	t.Helper()
 	r := blob.NewReader(bytes.NewReader(data))
 	if !r.HasMagic(genMagic) {
-		t.Fatalf("%s is not a generation file", path)
+		t.Fatal("not a generation file")
 	}
 	r.Header()
 	head := r.Bytes(tagManifest, -1)

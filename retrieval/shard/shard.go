@@ -45,7 +45,6 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -525,10 +524,9 @@ func (x *Index) Stats() Stats {
 				ps.Compacted++
 			}
 			st.Tiers.Add(seg)
-			// A basis, and the mapping it is a view of, is shared within a
-			// shard only: count each once there.
-			first := !slices.ContainsFunc(segs[:j], func(o *segment.Segment) bool { return o.Ix.SameBasis(seg.Ix) })
-			mem, mapped := seg.MemoryBytes(first)
+			// A shard's segments share its base's basis, and the mapping
+			// it is a view of: count it once, on segment 0.
+			mem, mapped := seg.MemoryBytes(j == 0)
 			st.MemoryBytes, st.MappedBytes = st.MemoryBytes+mem, st.MappedBytes+mapped
 		}
 		st.Segments += ps.Segments

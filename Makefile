@@ -186,8 +186,8 @@ tier-smoke:
 # converter's old-manifest parser, the query tokenizer, the query-cache
 # key encoder, the WAL record decoder, the IVF sidecar's cell decoder, the
 # quantized sidecar decoder, the index file's section container and LSI
-# decoder, the offline converter's gob decoder, and the search routes'
-# JSON bodies).
+# decoder, the offline converter's gob decoder, the search routes' JSON
+# bodies, and the decode of a node's answer to the router or a replica).
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzOpenCheckpoint -fuzztime=30s ./retrieval/shard
 	$(GO) test -run='^$$' -fuzz=FuzzParseCheckpointManifest -fuzztime=30s ./retrieval/shard
@@ -201,3 +201,4 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzLoadIndex -fuzztime=30s ./internal/lsi
 	$(GO) test -run='^$$' -fuzz=FuzzLegacyIndex -fuzztime=30s -fuzzminimizetime=5s ./internal/legacy
 	$(GO) test -run='^$$' -fuzz=FuzzSearchBody -fuzztime=30s ./retrieval/httpapi
+	$(GO) test -run='^$$' -fuzz=FuzzNodeAnswer -fuzztime=30s ./retrieval/cluster

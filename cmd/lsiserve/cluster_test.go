@@ -1,10 +1,12 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"io/fs"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -179,53 +181,152 @@ func TestEndToEndClusterServe(t *testing.T) {
 }
 
 // TestClusterFlagConflicts: the serving modes are exclusive, and flags
-// that build, tier, cache or mutate a local index are rejected in modes
+// that build, tier, cache or mutate a local index are refused in modes
 // without one — and, for the read-only VSM baseline, with one that has
-// none of those.
+// none of those. Every command line the scripts, the benchmark and the
+// docs run parses to its mode, and the combinations that used to boot
+// with a flag ignored, or to be refused only once the index was built,
+// are refused before anything is built or written.
 func TestClusterFlagConflicts(t *testing.T) {
-	var stderr bytes.Buffer
-	bad := [][]string{
-		{"-cluster", "m.json", "-replica-of", "http://x"},
-		{"-cluster", "m.json", "-index", "x.idx"},
-		{"-cluster", "m.json", "-shards", "2"},
-		{"-cluster", "m.json", "-wal-dir", "wal"},
-		{"-cluster", "m.json", "-data-dir", "d"},
-		{"-cluster", "m.json", "doc.txt"},
-		{"-replica-of", "http://x", "-index", "x.idx"},
-		{"-replica-of", "http://x", "-save-cluster", "out"},
-		{"-checkpoint-every", "30s"}, // no -wal-dir
-		{"-cluster", "m.json", "-ann-nlist", "16"},
-		{"-cluster", "m.json", "-ann-nprobe", "8"},
-		{"-cluster", "m.json", "-quant-beta", "4"},
-		{"-cluster", "m.json", "-cache-mb", "0"},
-		{"-replica-of", "http://x", "-ann-nlist", "16"},
-		{"-replica-of", "http://x", "-ann-nprobe", "8"},
-		{"-replica-of", "http://x", "-quant-beta", "4"},
-		{"-replica-of", "http://x", "-cache-mb", "32"},
-		{"-backend", "vsm", "-shards", "2"},
-		{"-backend", "vsm", "-ann-nlist", "16"},
-		{"-backend", "vsm", "-ann-nprobe", "8"},
-		{"-backend", "vsm", "-quant-beta", "4"},
-		{"-backend", "vsm", "-cache-mb", "0"},
-		{"-backend", "vsm", "-wal-dir", "wal"},
-		{"-backend", "vsm", "-wal-dir", "wal", "-checkpoint-every", "30s"},
-		{"-backend", "vsm", "-save-cluster", "out"},
+	fill := fillPaths(t)
+	for _, c := range []struct {
+		args []string
+		ok   bool
+	}{
+		{[]string{"-cluster", "m.json", "-replica-of", "URL"}, false},
+		{[]string{"-cluster", "m.json", "-index", "FILE"}, false},
+		{[]string{"-cluster", "m.json", "-shards", "2"}, false},
+		{[]string{"-cluster", "m.json", "-wal-dir", "wal"}, false},
+		{[]string{"-cluster", "m.json", "-data-dir", "d"}, false},
+		{[]string{"-cluster", "m.json", "doc.txt"}, false},
+		{[]string{"-replica-of", "URL", "-index", "FILE"}, false},
+		{[]string{"-replica-of", "URL", "-save-cluster", "out"}, false},
+		{[]string{"-checkpoint-every", "30s"}, false}, // no -wal-dir
+		{[]string{"-cluster", "m.json", "-ann-nlist", "16"}, false},
+		{[]string{"-cluster", "m.json", "-ann-nprobe", "8"}, false},
+		{[]string{"-cluster", "m.json", "-quant-beta", "4"}, false},
+		{[]string{"-cluster", "m.json", "-cache-mb", "0"}, false},
+		{[]string{"-replica-of", "URL", "-ann-nlist", "16"}, false},
+		{[]string{"-replica-of", "URL", "-ann-nprobe", "8"}, false},
+		{[]string{"-replica-of", "URL", "-quant-beta", "4"}, false},
+		{[]string{"-replica-of", "URL", "-cache-mb", "32"}, false},
+		{[]string{"-backend", "vsm", "-shards", "2"}, false},
+		{[]string{"-backend", "vsm", "-ann-nlist", "16"}, false},
+		{[]string{"-backend", "vsm", "-ann-nprobe", "8"}, false},
+		{[]string{"-backend", "vsm", "-quant-beta", "4"}, false},
+		{[]string{"-backend", "vsm", "-cache-mb", "0"}, false},
+		{[]string{"-backend", "vsm", "-wal-dir", "wal"}, false},
+		{[]string{"-backend", "vsm", "-wal-dir", "wal", "-checkpoint-every", "30s"}, false},
+		{[]string{"-backend", "vsm", "-save-cluster", "out"}, false},
+		{[]string{"-cluster", "m.json", "-addr", ":0", "-timeout", "5s"}, true},
+		{[]string{"-replica-of", "URL", "-data-dir", "d"}, true},
+		{[]string{"-index", "DIR", "-wal-dir", "wal", "-checkpoint-every", "30s"}, true},
+		{[]string{"-shards", "2", "-save-cluster", "out"}, true},
+		// VSM has no rank: -k was ignored here and is refused now.
+		{[]string{"-backend", "vsm", "-k", "3", "-weighting", "tfidf", "-addr", ":0"}, false},
+		{[]string{"-backend", "vsm", "-weighting", "tfidf", "-addr", ":0"}, true},
+	} {
+		t.Run(strings.Join(c.args, " "), func(t *testing.T) {
+			if _, err := parseFlags(fill(c.args), io.Discard); (err == nil) != c.ok {
+				t.Errorf("parseFlags(%v) = %v, want ok: %v", c.args, err, c.ok)
+			}
+		})
 	}
-	for _, args := range bad {
-		if _, err := parseFlags(args, &stderr); err == nil {
-			t.Errorf("parseFlags(%v) should fail", args)
+
+	// Each lsiserve command line of scripts/*.sh, bench/ (startServer
+	// adds -addr 127.0.0.1:0 to serveArgs of each workload, and to the
+	// router's), README.md, OPERATIONS.md and this command's usage, with
+	// the mode it runs in. The Makefile hands the binary to the scripts.
+	t.Run("invocations", func(t *testing.T) {
+		for _, c := range []struct {
+			from, mode string
+			args       []string
+		}{
+			{"serve_smoke.sh", "build", []string{"-addr", "127.0.0.1:0"}},
+			{"load_smoke.sh", "live", []string{"-addr", "127.0.0.1:0", "-shards", "4", "-cache-mb", "32", "-max-inflight", "64", "-max-debt", "8"}},
+			{"cluster_smoke.sh, chaos_smoke.sh export", "live", []string{"-shards", "3", "-k", "3", "-save-cluster", "cluster"}},
+			{"cluster_smoke.sh node", "dir", []string{"-addr", "127.0.0.1:0", "-index", "DIR", "-wal-dir", "wal-0"}},
+			{"cluster_smoke.sh router", "router", []string{"-addr", "127.0.0.1:0", "-cluster", "manifest.json"}},
+			{"chaos_smoke.sh node", "dir", []string{"-addr", "127.0.0.1:0", "-index", "DIR", "-wal-dir", "wal-0", "-chaos"}},
+			{"chaos_smoke.sh router", "router", []string{"-addr", "127.0.0.1:0", "-cluster", "manifest.json", "-probe-every", "500ms", "-breaker-open-for", "1s"}},
+			{"bench exact_scan", "file", []string{"-addr", "127.0.0.1:0", "-index", "FILE"}},
+			{"bench tiered_ann_quant", "dir", []string{"-addr", "127.0.0.1:0", "-index", "DIR", "-ann-nlist", "64", "-ann-nprobe", "4", "-quant-beta", "16"}},
+			{"bench ingest_mixed", "dir", []string{"-addr", "127.0.0.1:0", "-index", "DIR", "-wal-dir", "wal"}},
+			{"bench cluster_fanout node", "dir", []string{"-addr", "127.0.0.1:0", "-index", "DIR"}},
+			{"bench cluster_fanout router", "router", []string{"-addr", "127.0.0.1:0", "-cluster", "cluster.json"}},
+			{"README demo", "build", []string{"-addr", ":8080"}},
+			{"README saved index", "file", []string{"-index", "FILE"}},
+			{"README cache", "build", []string{"-cache-mb", "128"}},
+			{"README ann", "build", []string{"-ann-nlist", "128", "-ann-nprobe", "8"}},
+			{"README quant", "build", []string{"-quant-beta", "4"}},
+			{"README sharded", "live", []string{"-shards", "4"}},
+			{"README, OPERATIONS export", "live", []string{"-shards", "3", "-save-cluster", "/srv/lsi", "corpus/a.txt"}},
+			{"README node", "dir", []string{"-addr", ":8081", "-index", "DIR", "-wal-dir", "/srv/lsi/wal-0"}},
+			{"README router", "router", []string{"-addr", ":8080", "-cluster", "manifest.json"}},
+			{"README replica", "replica", []string{"-replica-of", "http://localhost:8081"}},
+			{"README chaos node", "dir", []string{"-addr", ":8081", "-index", "DIR", "-chaos"}},
+			{"OPERATIONS start", "live", []string{"-addr", ":8080", "-shards", "4", "-cache-mb", "64", "-max-inflight", "256", "-access-log"}},
+			{"OPERATIONS re-export", "dir", []string{"-index", "DIR", "-save-cluster", "OUT"}},
+			{"OPERATIONS retrain", "dir", []string{"-index", "DIR", "-ann-nlist", "64", "-ann-nprobe", "4", "-quant-beta", "16"}},
+			{"OPERATIONS vsm", "vsm", []string{"-backend", "vsm", "-weighting", "tfidf", "file1.txt"}},
+			{"OPERATIONS load test", "live", []string{"-addr", ":8080", "-shards", "4"}},
+			{"OPERATIONS node", "dir", []string{"-addr", ":8081", "-index", "DIR", "-wal-dir", "/srv/lsi/wal-0", "-checkpoint-every", "30s"}},
+			{"OPERATIONS router", "router", []string{"-addr", ":8080", "-cluster", "/srv/lsi/manifest.json"}},
+			{"OPERATIONS replica", "replica", []string{"-addr", ":8082", "-replica-of", "http://host2:8082", "-data-dir", "/srv/lsi/replica-1"}},
+			{"usage build", "build", []string{"-addr", ":8080", "-k", "0", "-backend", "lsi", "-weighting", "log", "-shards", "0", "-cache-mb", "64", "file1.txt"}},
+			{"usage file", "file", []string{"-index", "FILE"}},
+			{"usage dir", "dir", []string{"-index", "DIR"}},
+			{"usage node", "dir", []string{"-index", "DIR", "-wal-dir", "wal", "-checkpoint-every", "30s"}},
+			{"usage export", "live", []string{"-save-cluster", "out", "-shards", "3", "file1.txt"}},
+			{"usage router", "router", []string{"-cluster", "manifest.json"}},
+			{"usage replica", "replica", []string{"-replica-of", "http://primary:8080", "-data-dir", "dir"}},
+		} {
+			if cfg, err := parseFlags(fill(c.args), io.Discard); err != nil || cfg.mode != c.mode {
+				t.Errorf("%s: lsiserve %v: mode %q, error %v; want mode %q", c.from, c.args, cfg.mode, err, c.mode)
+			}
 		}
-	}
-	good := [][]string{
-		{"-cluster", "m.json", "-addr", ":0", "-timeout", "5s"},
-		{"-replica-of", "http://x", "-data-dir", "d"},
-		{"-index", "dir", "-wal-dir", "wal", "-checkpoint-every", "30s"},
-		{"-shards", "2", "-save-cluster", "out"},
-		{"-backend", "vsm", "-k", "3", "-weighting", "tfidf", "-addr", ":0"},
-	}
-	for _, args := range good {
-		if _, err := parseFlags(args, &stderr); err != nil {
-			t.Errorf("parseFlags(%v) = %v, want ok", args, err)
-		}
+	})
+
+	// Refused at parse, so nothing is built, served or written: before,
+	// the first three booted with the flag ignored, and the last four were
+	// refused only after the index was built or opened (the last leaving
+	// its WAL behind).
+	for _, c := range []struct {
+		name string
+		args []string
+	}{
+		{"router ignored -max-debt", []string{"-cluster", "m.json", "-max-debt", "3"}},
+		{"replica ignored -max-debt", []string{"-replica-of", "URL", "-max-debt", "2"}},
+		{"vsm ignored -k", []string{"-backend", "vsm", "-k", "5"}},
+		{"-save-cluster without -shards", []string{"-save-cluster", "OUT"}},
+		{"-wal-dir without -shards", []string{"-wal-dir", "WAL"}},
+		{"-wal-dir on an index file", []string{"-index", "FILE", "-wal-dir", "WAL"}},
+		{"-checkpoint-every without -index DIR", []string{"-shards", "2", "-wal-dir", "WAL", "-checkpoint-every", "1s"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			root := t.TempDir()
+			out, wal := filepath.Join(root, "out"), filepath.Join(root, "wal")
+			args := fill(c.args)
+			for i, a := range args {
+				if p, ok := map[string]string{"OUT": out, "WAL": wal}[a]; ok {
+					args[i] = p
+				}
+			}
+			if _, err := parseFlags(args, io.Discard); err == nil {
+				t.Fatalf("parseFlags(%v) accepted it", c.args)
+			}
+			var stdout, stderr syncBuffer
+			if err := run(context.Background(), append(args, "-addr", "127.0.0.1:0"), &stdout, &stderr); err == nil {
+				t.Fatalf("run(%v) returned no error", c.args)
+			}
+			if out := stdout.String(); out != "" {
+				t.Errorf("run(%v) printed %q", c.args, out)
+			}
+			for _, p := range []string{out, wal} {
+				if _, err := os.Stat(p); !errors.Is(err, fs.ErrNotExist) {
+					t.Errorf("run(%v) left %s behind (%v)", c.args, p, err)
+				}
+			}
+		})
 	}
 }

@@ -47,8 +47,8 @@
 // live appends and compactions invalidate instantly.
 //
 // -backend vsm serves the vector-space baseline instead (see
-// retrieval.BuildVSM): read-only and uncached, so it refuses -shards, the
-// tier flags, -cache-mb, -wal-dir, -checkpoint-every and -save-cluster.
+// retrieval.BuildVSM): read-only and uncached. Each serving mode reads
+// only its own flags (the modes table) and refuses any other.
 //
 // -ann-nlist N trains an IVF ANN tier over the LSI space (see
 // retrieval.WithANN): searches score only the -ann-nprobe cells nearest
@@ -116,12 +116,37 @@ import (
 	"repro/retrieval/httpapi"
 )
 
+// The flags every serving mode reads, and those of an LSI index's runtime
+// tiers.
+const (
+	servingFlags = "addr timeout top-max max-inflight max-queue pprof access-log chaos drain-timeout "
+	tierFlags    = "cache-mb ann-nlist ann-nprobe quant-beta "
+)
+
+// modes is the one table of lsiserve's serving modes: what each is, the
+// flags it reads, and whether it reads file arguments. parseFlags decides
+// the mode once and refuses any other flag the caller set; run dispatches
+// on it.
+var modes = map[string]struct {
+	what  string
+	flags string
+	files bool
+}{
+	"build":   {"with no -index, -shards, -cluster or -replica-of, the index is built at boot and immutable", servingFlags + tierFlags + "backend k weighting shards", true},
+	"live":    {"-shards builds a live index in memory, with no -index directory", servingFlags + tierFlags + "backend k weighting shards max-debt wal-dir save-cluster", true},
+	"vsm":     {"-backend vsm serves the read-only, uncached vector-space baseline", servingFlags + "backend weighting", true},
+	"file":    {"-index FILE serves a prebuilt, immutable index", servingFlags + tierFlags + "index", false},
+	"dir":     {"-index DIR serves a saved live index", servingFlags + tierFlags + "index max-debt wal-dir checkpoint-every save-cluster", false},
+	"router":  {"-cluster serves no local index", servingFlags + "cluster probe-every breaker-open-for", false},
+	"replica": {"-replica-of serves no local index", servingFlags + "replica-of data-dir", false},
+}
+
 type serveConfig struct {
+	mode        string // a key of modes
 	addr        string
 	indexPath   string
 	rank        int
-	backend     string
-	weighting   string
+	weighting   retrieval.Weighting
 	shards      int
 	cacheMB     int
 	annNList    int
@@ -153,13 +178,14 @@ type serveConfig struct {
 
 func parseFlags(args []string, stderr io.Writer) (serveConfig, error) {
 	cfg := serveConfig{}
+	var backend, weighting string
 	fs := flag.NewFlagSet("lsiserve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	fs.StringVar(&cfg.addr, "addr", ":8080", "listen address (host:port; port 0 picks a free port)")
 	fs.StringVar(&cfg.indexPath, "index", "", "serve a saved index instead of building one")
 	fs.IntVar(&cfg.rank, "k", 0, "LSI rank (0 = auto)")
-	fs.StringVar(&cfg.backend, "backend", "lsi", "retrieval backend: lsi, or vsm for the read-only, uncached vector-space baseline")
-	fs.StringVar(&cfg.weighting, "weighting", "log", "term weighting: count, binary, log, or tfidf")
+	fs.StringVar(&backend, "backend", "lsi", "retrieval backend: lsi, or vsm for the read-only, uncached vector-space baseline")
+	fs.StringVar(&weighting, "weighting", "log", "term weighting: count, binary, log, or tfidf")
 	fs.IntVar(&cfg.shards, "shards", 0, "serve a sharded live index over N shards (accepts POST /v1/docs; 0 = single immutable index)")
 	fs.IntVar(&cfg.cacheMB, "cache-mb", 64, "query result cache budget in MiB (0 disables; epoch-keyed, so live appends/compactions invalidate instantly)")
 	fs.IntVar(&cfg.annNList, "ann-nlist", 0, "train an IVF ANN tier with this many k-means cells over the LSI space (0 disables; requires -backend lsi)")
@@ -186,85 +212,65 @@ func parseFlags(args []string, stderr io.Writer) (serveConfig, error) {
 		return cfg, err
 	}
 	cfg.files = fs.Args()
-	// given lists, as "-name", which of names were set explicitly.
-	given := func(names ...string) []string {
-		var set []string
-		fs.Visit(func(f *flag.Flag) {
-			if slices.Contains(names, f.Name) {
-				set = append(set, "-"+f.Name)
-			}
-		})
-		return set
+	cfg.mode = "build"
+	switch {
+	case cfg.clusterPath != "":
+		cfg.mode = "router"
+	case cfg.replicaOf != "":
+		cfg.mode = "replica"
+	case cfg.indexPath != "":
+		info, err := os.Stat(cfg.indexPath)
+		if err != nil {
+			return cfg, fmt.Errorf("-index: %w", err)
+		}
+		cfg.mode = "file"
+		if info.IsDir() {
+			cfg.mode = "dir"
+		}
+	case backend == "vsm":
+		cfg.mode = "vsm"
+	case backend != "lsi":
+		return cfg, fmt.Errorf("unknown backend %q (want lsi or vsm)", backend)
+	case cfg.shards > 0:
+		cfg.mode = "live"
 	}
-	// The three serving modes are exclusive, a mode's own flags need that
-	// mode, and the router/replica modes build no index of their own —
-	// reject flags they would ignore.
-	if cfg.replicaOf == "" && len(given("data-dir")) > 0 {
-		return cfg, fmt.Errorf("-replica-of is not set; -data-dir cannot apply")
+	m := modes[cfg.mode]
+	var conflicts []string
+	fs.Visit(func(f *flag.Flag) {
+		if !slices.Contains(strings.Fields(m.flags), f.Name) {
+			conflicts = append(conflicts, "-"+f.Name)
+		}
+	})
+	if len(cfg.files) > 0 && !m.files {
+		conflicts = append(conflicts, "file arguments")
 	}
-	if conflicts := given("probe-every", "breaker-open-for"); cfg.clusterPath == "" && len(conflicts) > 0 {
-		return cfg, fmt.Errorf("-cluster is not set; %s cannot apply", strings.Join(conflicts, ", "))
-	}
-	if cfg.clusterPath != "" || cfg.replicaOf != "" {
-		if cfg.clusterPath != "" && cfg.replicaOf != "" {
-			return cfg, fmt.Errorf("-cluster and -replica-of are exclusive serving modes")
-		}
-		mode := "-cluster"
-		if cfg.replicaOf != "" {
-			mode = "-replica-of"
-		}
-		conflicts := given("k", "backend", "weighting", "shards", "index", "wal-dir", "checkpoint-every", "save-cluster",
-			"ann-nlist", "ann-nprobe", "quant-beta", "cache-mb")
-		if len(cfg.files) > 0 {
-			conflicts = append(conflicts, "file arguments")
-		}
-		if len(conflicts) > 0 {
-			return cfg, fmt.Errorf("%s serves no local index; %s cannot apply", mode, strings.Join(conflicts, ", "))
-		}
+	if len(conflicts) > 0 {
+		return cfg, fmt.Errorf("%s; %s cannot apply", m.what, strings.Join(conflicts, ", "))
 	}
 	if cfg.checkpointEvery > 0 && cfg.walDir == "" {
 		return cfg, fmt.Errorf("-checkpoint-every needs -wal-dir: a checkpoint without a WAL rotation would not shorten replay")
 	}
-	if cfg.backend == "vsm" {
-		if conflicts := given("shards", "ann-nlist", "ann-nprobe", "quant-beta", "cache-mb", "wal-dir", "checkpoint-every", "save-cluster"); len(conflicts) > 0 {
-			return cfg, fmt.Errorf("-backend vsm serves a read-only, uncached index; %s cannot apply", strings.Join(conflicts, ", "))
-		}
-	}
-	// A saved index fixes its backend, rank, and weighting at build time;
-	// refuse invocations that would silently discard build flags or files.
-	if cfg.indexPath != "" {
-		conflicts := given("k", "backend", "weighting", "shards")
-		if len(cfg.files) > 0 {
-			conflicts = append(conflicts, "file arguments")
-		}
-		if len(conflicts) > 0 {
-			return cfg, fmt.Errorf("-index serves a prebuilt index; %s cannot apply (rebuild and re-save instead)",
-				strings.Join(conflicts, ", "))
-		}
-	}
-	return cfg, nil
+	var err error
+	cfg.weighting, err = retrieval.ParseWeighting(weighting)
+	return cfg, err
 }
 
-// buildInput is what the build flags ask for: the weighting, and the
-// documents (one per file argument, or the demo corpus).
-func buildInput(cfg serveConfig) ([]retrieval.Document, retrieval.Weighting, error) {
-	weighting, err := retrieval.ParseWeighting(cfg.weighting)
-	if err != nil {
-		return nil, 0, err
+// documents are what a build serves: one per file argument, or the demo
+// corpus.
+func documents(files []string) ([]retrieval.Document, error) {
+	if len(files) == 0 {
+		return retrieval.DemoCorpus(), nil
 	}
-	if len(cfg.files) == 0 {
-		return retrieval.DemoCorpus(), weighting, nil
-	}
-	docs, err := retrieval.ReadFiles(cfg.files)
-	return docs, weighting, err
+	return retrieval.ReadFiles(files)
 }
 
-// newRetriever builds or loads the LSI index the daemon serves (run
-// serves -backend vsm before it gets here).
+// newRetriever builds or loads the LSI index the daemon serves.
 func newRetriever(cfg serveConfig) (*retrieval.Index, error) {
-	cacheOpt := retrieval.WithQueryCache(int64(cfg.cacheMB) << 20)
-	annOpt := retrieval.WithANN(cfg.annNList, cfg.annNProbe)
-	quantOpt := retrieval.WithQuantized(cfg.quantBeta)
+	tiers := []retrieval.Option{
+		retrieval.WithQueryCache(int64(cfg.cacheMB) << 20),
+		retrieval.WithANN(cfg.annNList, cfg.annNProbe),
+		retrieval.WithQuantized(cfg.quantBeta),
+	}
 	if cfg.indexPath != "" {
 		// Open handles both forms: a directory is a sharded index, a
 		// file a single-stream one. The cache, the ANN tier, and the
@@ -272,26 +278,13 @@ func newRetriever(cfg serveConfig) (*retrieval.Index, error) {
 		// indexes too (sharded directories load their ann-*.ivf and
 		// quant-*.qnt sidecars; missing ones are rebuilt in place when
 		// -ann-nlist or -quant-beta asks for them).
-		return retrieval.Open(cfg.indexPath, cacheOpt, annOpt, quantOpt)
+		return retrieval.Open(cfg.indexPath, tiers...)
 	}
-	if cfg.backend != "lsi" {
-		return nil, fmt.Errorf("unknown backend %q (want lsi or vsm)", cfg.backend)
-	}
-	docs, weighting, err := buildInput(cfg)
+	docs, err := documents(cfg.files)
 	if err != nil {
 		return nil, err
 	}
-	opts := []retrieval.Option{
-		retrieval.WithRank(cfg.rank),
-		retrieval.WithWeighting(weighting),
-		cacheOpt,
-		annOpt,
-		quantOpt,
-	}
-	if cfg.shards > 0 {
-		opts = append(opts, retrieval.WithShards(cfg.shards))
-	}
-	return retrieval.Build(docs, opts...)
+	return retrieval.Build(docs, append(tiers, retrieval.WithRank(cfg.rank), retrieval.WithWeighting(cfg.weighting), retrieval.WithShards(cfg.shards))...)
 }
 
 // servingGCPercent is the GC percent while serve runs: a serving heap is
@@ -526,18 +519,17 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
 		runtime.MemProfileRate = 0
 	}
-	if cfg.clusterPath != "" {
+	switch cfg.mode {
+	case "router":
 		return runRouter(ctx, cfg, stdout, stderr)
-	}
-	if cfg.replicaOf != "" {
+	case "replica":
 		return runReplica(ctx, cfg, stdout, stderr)
-	}
-	if cfg.backend == "vsm" {
-		docs, weighting, err := buildInput(cfg)
+	case "vsm":
+		docs, err := documents(cfg.files)
 		if err != nil {
 			return err
 		}
-		ret, err := retrieval.BuildVSM(docs, retrieval.WithWeighting(weighting))
+		ret, err := retrieval.BuildVSM(docs, retrieval.WithWeighting(cfg.weighting))
 		if err != nil {
 			return err
 		}
@@ -565,16 +557,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 		fmt.Fprintf(stdout, "lsiserve: wal attached (%s), %d documents replayed\n", cfg.walDir, replayed)
 	}
-	if cfg.indexPath != "" && ret.Sharded() {
-		// Serving from an index directory (the one form of -index that
-		// opens sharded) makes this process a valid replication primary:
-		// replicas pull the checkpoint files and tail the WAL.
+	if cfg.mode == "dir" {
+		// Serving from an index directory makes this process a valid
+		// replication primary: replicas pull the checkpoint files and
+		// tail the WAL.
 		opts.ReplicateDir = cfg.indexPath
 	}
 	if cfg.checkpointEvery > 0 {
-		if opts.ReplicateDir == "" {
-			return fmt.Errorf("-checkpoint-every needs -index pointing at an index directory to checkpoint into")
-		}
 		go checkpointLoop(ctx, ret, cfg.indexPath, cfg.checkpointEvery, stderr)
 	}
 	return listen(ctx, cfg, ret, opts, stdout)

@@ -4,13 +4,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"flag"
 	"fmt"
+	"io"
+	"maps"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/metrics"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -277,53 +282,177 @@ func (b *syncBuffer) String() string {
 	return b.buf.String()
 }
 
-func TestParseFlagErrors(t *testing.T) {
-	var stderr bytes.Buffer
-	cfg, err := parseFlags([]string{"-backend", "nope"}, &stderr)
-	if err != nil {
-		t.Fatal(err) // flag parsing succeeds; the backend is validated at build
+// fillPaths returns args with each placeholder replaced: FILE and DIR by
+// a saved-index file and directory (an -index must exist to be parsed),
+// NOPE by a path that does not exist, URL by a primary's base URL.
+func fillPaths(t *testing.T) func(args []string) []string {
+	t.Helper()
+	root := t.TempDir()
+	paths := map[string]string{
+		"FILE": filepath.Join(root, "index.lsi"),
+		"DIR":  filepath.Join(root, "index"),
+		"NOPE": filepath.Join(root, "missing.lsi"),
+		"URL":  "http://x",
 	}
-	if _, err := newRetriever(cfg); err == nil {
-		t.Fatal("unknown backend should fail")
-	}
-	cfg, err = parseFlags([]string{"-weighting", "nope"}, &stderr)
-	if err != nil {
+	if err := os.WriteFile(paths["FILE"], nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := newRetriever(cfg); err == nil {
-		t.Fatal("unknown weighting should fail")
+	if err := os.Mkdir(paths["DIR"], 0o755); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := parseFlags([]string{"-no-such-flag"}, &stderr); err == nil {
-		t.Fatal("unknown flag should fail")
+	return func(args []string) []string {
+		out := slices.Clone(args)
+		for i, a := range out {
+			if p, ok := paths[a]; ok {
+				out[i] = p
+			}
+		}
+		return out
 	}
-	// -index fixes backend/rank/weighting at build time; combining it
-	// with build flags or corpus files must be rejected, not ignored.
-	if _, err := parseFlags([]string{"-index", "x.idx", "-backend", "vsm"}, &stderr); err == nil {
-		t.Fatal("-index with -backend should fail")
+}
+
+// flagNames are the flags lsiserve -h lists.
+func flagNames(t *testing.T) []string {
+	t.Helper()
+	var help bytes.Buffer
+	if _, err := parseFlags([]string{"-h"}, &help); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("-h: %v", err)
 	}
-	if _, err := parseFlags([]string{"-index", "x.idx", "doc.txt"}, &stderr); err == nil {
-		t.Fatal("-index with file arguments should fail")
-	}
-	if _, err := parseFlags([]string{"-index", "x.idx", "-addr", ":0"}, &stderr); err != nil {
-		t.Fatalf("-index with serving flags should be fine: %v", err)
-	}
-	// A flag of one serving mode is refused outside it, not ignored.
-	for _, args := range [][]string{
-		{"-data-dir", "d"},
-		{"-index", "x.idx", "-data-dir", "d"},
-		{"-probe-every", "1s"},
-		{"-breaker-open-for", "1s"},
-		{"-index", "x.idx", "-probe-every", "1s"},
-		{"-index", "x.idx", "-breaker-open-for", "1s"},
-		{"-replica-of", "http://x", "-probe-every", "1s"},
-		{"-replica-of", "http://x", "-breaker-open-for", "1s"},
-	} {
-		if _, err := parseFlags(args, &stderr); err == nil {
-			t.Errorf("parseFlags(%v) should fail", args)
+	var names []string
+	for _, line := range strings.Split(help.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, "  -"); ok {
+			names = append(names, strings.Fields(rest)[0])
 		}
 	}
-	if _, err := parseFlags([]string{"-cluster", "m.json", "-probe-every", "500ms", "-breaker-open-for", "1s"}, &stderr); err != nil {
-		t.Fatalf("-cluster with the router flags should be fine: %v", err)
+	return names
+}
+
+// TestParseFlagErrors: the checks that need no index, and the mode table.
+// A flag added to a command line of a mode parses, in that mode, exactly
+// when the table says the mode reads it; so do file arguments.
+func TestParseFlagErrors(t *testing.T) {
+	fill := fillPaths(t)
+	// base is a command line of each mode, naming the flags that select it.
+	base := map[string][]string{
+		"build":   {"-backend", "lsi", "-shards", "0"},
+		"live":    {"-shards", "2"},
+		"vsm":     {"-backend", "vsm"},
+		"file":    {"-index", "FILE"},
+		"dir":     {"-index", "DIR", "-wal-dir", "wal"},
+		"router":  {"-cluster", "m.json"},
+		"replica": {"-replica-of", "URL"},
+	}
+	// sample is a valid value of each flag, for a command line that does
+	// not set it already.
+	sample := map[string]string{
+		"addr": ":0", "index": "FILE", "k": "3", "backend": "lsi", "weighting": "tfidf",
+		"shards": "2", "cache-mb": "32", "ann-nlist": "16", "ann-nprobe": "4", "quant-beta": "4",
+		"timeout": "5s", "top-max": "50", "max-inflight": "8", "max-queue": "8", "max-debt": "3",
+		"pprof": "true", "access-log": "true", "cluster": "m.json", "replica-of": "URL",
+		"data-dir": "d", "wal-dir": "wal", "checkpoint-every": "30s", "save-cluster": "out",
+		"probe-every": "1s", "breaker-open-for": "1s", "chaos": "true", "drain-timeout": "5s",
+	}
+	names := flagNames(t)
+	if len(names) != len(sample) || len(base) != len(modes) {
+		t.Fatalf("lsiserve has %d flags and %d modes; the test samples %d and %d", len(names), len(modes), len(sample), len(base))
+	}
+	read := map[string]bool{}
+	for _, mode := range slices.Sorted(maps.Keys(modes)) {
+		row := modes[mode]
+		t.Run(mode, func(t *testing.T) {
+			for _, name := range strings.Fields(row.flags) {
+				if !slices.Contains(names, name) {
+					t.Errorf("the table names -%s, which lsiserve does not define", name)
+				}
+				read[name] = true
+			}
+			for _, name := range names {
+				value := sample[name]
+				if i := slices.Index(base[mode], "-"+name); i >= 0 {
+					value = base[mode][i+1]
+				}
+				// -name=value, the one form a bool flag takes a value in.
+				args := append(fill(base[mode]), "-"+name+"="+fill([]string{value})[0])
+				cfg, err := parseFlags(args, io.Discard)
+				if want := slices.Contains(strings.Fields(row.flags), name); want != (err == nil) || (err == nil && cfg.mode != mode) {
+					t.Errorf("%v: mode %q, error %v; the table says %s reads -%s: %v", args, cfg.mode, err, mode, name, want)
+				}
+			}
+			_, err := parseFlags(append(fill(base[mode]), "doc.txt"), io.Discard)
+			if row.files != (err == nil) {
+				t.Errorf("%v with a file argument: %v; the table says %s reads files: %v", base[mode], err, mode, row.files)
+			}
+		})
+	}
+	for _, name := range names {
+		if !read[name] {
+			t.Errorf("no mode reads -%s", name)
+		}
+	}
+	// OPERATIONS.md's flag table (under "### Flags") has a row for each
+	// flag, naming the modes that read it ("all": every mode).
+	t.Run("OPERATIONS.md", func(t *testing.T) {
+		ops, err := os.ReadFile("../../OPERATIONS.md")
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, table, _ := strings.Cut(string(ops), "### Flags\n")
+		table, _, _ = strings.Cut(table, "\n#")
+		var rows []string
+		for _, line := range strings.Split(table, "\n") {
+			cells := strings.Split(line, " | ")
+			name, ok := strings.CutPrefix(cells[0], "| `-")
+			if !ok || len(cells) < 4 {
+				continue
+			}
+			name = strings.TrimSuffix(name, "`")
+			rows = append(rows, name)
+			var want []string
+			for _, mode := range slices.Sorted(maps.Keys(modes)) {
+				if slices.Contains(strings.Fields(modes[mode].flags), name) {
+					want = append(want, mode)
+				}
+			}
+			got := strings.Split(cells[2], ", ")
+			if cells[2] == "all" {
+				got = slices.Sorted(maps.Keys(modes))
+			}
+			if slices.Sort(got); !slices.Equal(got, want) {
+				t.Errorf("OPERATIONS.md says -%s applies to %s; the mode table, to %s", name, cells[2], strings.Join(want, ", "))
+			}
+		}
+		if slices.Sort(rows); !slices.Equal(rows, slices.Sorted(slices.Values(names))) {
+			t.Errorf("OPERATIONS.md has rows for %v; lsiserve defines %v", rows, names)
+		}
+	})
+	// The checks on values, and each mode's own flags outside it.
+	for _, c := range []struct {
+		args []string
+		ok   bool
+	}{
+		{[]string{"-backend", "nope"}, false},
+		{[]string{"-weighting", "nope"}, false},
+		{[]string{"-no-such-flag"}, false},
+		{[]string{"-index", "NOPE"}, false},
+		{[]string{"-index", "DIR", "-checkpoint-every", "30s"}, false}, // no -wal-dir
+		{[]string{"-index", "FILE", "-backend", "vsm"}, false},
+		{[]string{"-index", "FILE", "doc.txt"}, false},
+		{[]string{"-index", "FILE", "-addr", ":0"}, true},
+		{[]string{"-data-dir", "d"}, false},
+		{[]string{"-index", "FILE", "-data-dir", "d"}, false},
+		{[]string{"-probe-every", "1s"}, false},
+		{[]string{"-breaker-open-for", "1s"}, false},
+		{[]string{"-index", "FILE", "-probe-every", "1s"}, false},
+		{[]string{"-index", "FILE", "-breaker-open-for", "1s"}, false},
+		{[]string{"-replica-of", "URL", "-probe-every", "1s"}, false},
+		{[]string{"-replica-of", "URL", "-breaker-open-for", "1s"}, false},
+		{[]string{"-cluster", "m.json", "-probe-every", "500ms", "-breaker-open-for", "1s"}, true},
+	} {
+		t.Run(strings.Join(c.args, " "), func(t *testing.T) {
+			if _, err := parseFlags(fill(c.args), io.Discard); (err == nil) != c.ok {
+				t.Errorf("parseFlags(%v) = %v, want ok: %v", c.args, err, c.ok)
+			}
+		})
 	}
 }
 

@@ -195,14 +195,22 @@ func (e *nodeStatusError) Error() string {
 	return fmt.Sprintf("cluster: node %q: %s: status %d: %s", e.node, e.path, e.code, e.msg)
 }
 
+// maxRetryAfter caps a node's Retry-After hint, which the router relays to
+// its clients: a shedding node asks for seconds, so a longer hint is a
+// broken node, not backoff, and the cap keeps the hint's seconds ×
+// time.Second inside a Duration, which overflows from 9,223,372,037 s on.
+const maxRetryAfter = time.Hour
+
 // statusError reads a non-2xx response into a nodeStatusError: its
-// Retry-After hint, and the error message of its body, read up to 4 KB.
+// Retry-After hint, at most maxRetryAfter, and the error message of its
+// body, read up to 4 KB.
 func statusError(resp *http.Response, node, path string) *nodeStatusError {
 	var e httpapi.ErrorResponse
 	json.NewDecoder(io.LimitReader(resp.Body, 4<<10)).Decode(&e)
 	var after time.Duration
-	if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
-		after = time.Duration(secs) * time.Second
+	// A hint past the int64 range parses as its maximum, with ErrRange.
+	if secs, err := strconv.ParseInt(resp.Header.Get("Retry-After"), 10, 64); (err == nil || errors.Is(err, strconv.ErrRange)) && secs > 0 {
+		after = time.Duration(min(secs, int64(maxRetryAfter/time.Second))) * time.Second
 	}
 	return &nodeStatusError{node: node, path: path, code: resp.StatusCode, retryAfter: after, msg: e.Error}
 }

@@ -6,8 +6,9 @@
 # directly above each exported declaration, which is exactly where gofmt
 # puts doc comments. Grouped var/const blocks are out of scope. It also
 # fails on a DESIGN.md section number used twice, on a DESIGN.md
-# reference that names no section or heading, and on a backticked repo
-# path that names nothing. CI runs this (plus go vet)
+# reference that names no section or heading, on a backticked repo
+# path that names nothing, and on an lsiserve flag OPERATIONS.md's flag
+# table lacks or a row it holds for none. CI runs this (plus go vet)
 # via `make docs-check`.
 set -eu
 
@@ -123,4 +124,16 @@ if [ -n "$stale" ]; then
     echo "$stale" >&2
     exit 1
 fi
-echo "docs-check: OK (go vet clean, every exported identifier documented in: $DIRS; DESIGN.md section numbers unique, every DESIGN.md reference lands, every backticked repo path exists)"
+# OPERATIONS.md's flag table (the one under "### Flags") has one row per
+# flag lsiserve -h lists, and no other. (cmd/lsiserve's tests hold its
+# Modes column to the mode table.)
+served="$($GO run ./cmd/lsiserve -h 2>&1 | sed -nE 's/^  -([a-z-]+).*/\1/p' | sort)"
+tabled="$(awk '/^### Flags$/ { on = 1; next } on && /^#/ { exit } on' OPERATIONS.md |
+    sed -nE 's/^\| `-([a-z-]+)` \|.*/\1/p' | sort)"
+if [ -z "$served" ] || [ "$served" != "$tabled" ]; then
+    echo "docs-check FAILED: lsiserve -h and OPERATIONS.md's flag table list different flags:" >&2
+    echo "  lsiserve -h:" $served >&2
+    echo "  the table:  " $tabled >&2
+    exit 1
+fi
+echo "docs-check: OK (go vet clean, every exported identifier documented in: $DIRS; DESIGN.md section numbers unique, every DESIGN.md reference lands, every backticked repo path exists, every lsiserve flag has one OPERATIONS.md row)"
